@@ -1,8 +1,11 @@
 package libbat
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"libbat/internal/obs/access"
 )
 
 // TestDatasetAccessTelemetry exercises the read-stack wiring end to end:
@@ -30,7 +33,7 @@ func TestDatasetAccessTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.QueryTagged("test:/points", Query{
+	if err := ds.QueryCtx(access.WithSource(context.Background(), "test:/points"), Query{
 		Bounds:  &hot,
 		Filters: []AttrFilter{{Attr: 0, Min: 0, Max: 50}},
 	}, func(Vec3, []float64) error { return nil }); err != nil {
@@ -57,7 +60,8 @@ func TestDatasetAccessTelemetry(t *testing.T) {
 	if len(s.Attrs) != 1 || s.Attrs[0].Name != "temp" {
 		t.Errorf("attr touches = %+v, want temp", s.Attrs)
 	}
-	// Source tags: five from Count (via Query → "dataset"), one custom.
+	// Source tags: the five Counts carry no tag in their context, so they
+	// log under the default "dataset"; one query tagged its context.
 	var tagged, dataset int
 	for _, q := range s.Recent {
 		switch q.Source {

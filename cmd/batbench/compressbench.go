@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -92,7 +93,7 @@ func compressBenchCorpus(n int) (*particles.Set, geom.Box) {
 func scanAll(f *bat.File, nAttrs int) (time.Duration, map[float64][]float64, error) {
 	vals := make(map[float64][]float64)
 	start := time.Now()
-	err := f.Query(bat.Query{}, func(_ geom.Vec3, attrs []float64) error {
+	_, err := f.Query(context.Background(), bat.Query{}, bat.QueryConfig{}, func(_ geom.Vec3, attrs []float64) error {
 		vals[attrs[nAttrs-1]] = append([]float64(nil), attrs...)
 		return nil
 	})
@@ -103,7 +104,7 @@ func scanAll(f *bat.File, nAttrs int) (time.Duration, map[float64][]float64, err
 func timeScan(f *bat.File) (time.Duration, int64, error) {
 	var n int64
 	start := time.Now()
-	err := f.Query(bat.Query{}, func(geom.Vec3, []float64) error {
+	_, err := f.Query(context.Background(), bat.Query{}, bat.QueryConfig{}, func(geom.Vec3, []float64) error {
 		n++
 		return nil
 	})

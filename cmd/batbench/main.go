@@ -22,7 +22,6 @@ import (
 	"libbat"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -82,22 +81,14 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event timeline of the materialized runs to this file")
 		jsonOut   = flag.String("json", "", "write machine-readable per-phase timings of the materialized runs to this file")
 		buildWkrs = flag.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
-		readBench = flag.Bool("readbench", false, "run the query-path benchmark and emit a JSON report")
-		readOut   = flag.String("readbench-out", "BENCH_read.json", "output path for the -readbench report")
-		readScale = flag.Int("read-particles", 400_000, "particles for the -readbench corpus")
 		compBench = flag.Bool("compressbench", false, "run the v3 codec benchmark and emit a JSON report")
 		compOut   = flag.String("compressbench-out", "BENCH_compress.json", "output path for the -compressbench report")
 		compScale = flag.Int("compress-particles", 400_000, "particles for the -compressbench corpus")
 		treeBench = flag.Bool("treebench", false, "run the plan-scaling benchmark (centralized vs distributed) and emit a JSON report")
 		treeOut   = flag.String("treebench-out", "BENCH_treebuild.json", "output path for the -treebench report")
 		treeQuick = flag.Bool("treebench-quick", false, "measure fewer real-fabric world sizes in -treebench (CI smoke)")
-		printMax  = flag.Bool("print-gomaxprocs", false, "print effective GOMAXPROCS and exit (scripts/bench.sh)")
 	)
 	flag.Parse()
-	if *printMax {
-		fmt.Println(runtime.GOMAXPROCS(0))
-		return
-	}
 	if *buildWkrs < 0 {
 		fmt.Fprintf(os.Stderr, "batbench: -build-workers must be >= 0, got %d\n", *buildWkrs)
 		os.Exit(2)
@@ -113,17 +104,11 @@ func main() {
 		bench.Observer = col
 		mmapio.SetCollector(col)
 	}
-	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*readBench && !*compBench && !*treeBench {
+	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*compBench && !*treeBench {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *readBench {
-		if err := runReadBench(*readScale, *readOut); err != nil {
-			fmt.Fprintln(os.Stderr, "batbench:", err)
-			os.Exit(1)
-		}
-	}
 	if *compBench {
 		if err := runCompressBench(*compScale, *compOut); err != nil {
 			fmt.Fprintln(os.Stderr, "batbench:", err)

@@ -36,6 +36,7 @@ import (
 
 	"libbat"
 	"libbat/internal/obs"
+	"libbat/internal/obs/access"
 )
 
 type server struct {
@@ -360,6 +361,7 @@ func (s *server) info(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// parseFloats parses n comma-separated finite numbers.
 func parseFloats(s string, n int) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != n {
@@ -371,28 +373,43 @@ func parseFloats(s string, n int) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%q is not a finite number", p)
+		}
 		out[i] = v
 	}
 	return out, nil
 }
 
+// parseFilter parses one filter=attr,min,max parameter. The attribute must
+// be an integer index; its range is checked once the dataset is open.
+func parseFilter(s string) (libbat.AttrFilter, error) {
+	idx, interval, _ := strings.Cut(s, ",")
+	attr, err := strconv.Atoi(strings.TrimSpace(idx))
+	if err != nil {
+		return libbat.AttrFilter{}, fmt.Errorf("attribute index: %v", err)
+	}
+	vals, err := parseFloats(interval, 2)
+	if err != nil {
+		return libbat.AttrFilter{}, err
+	}
+	return libbat.AttrFilter{Attr: attr, Min: vals[0], Max: vals[1]}, nil
+}
+
 func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	q := libbat.Query{Quality: 1}
-	if v := r.URL.Query().Get("quality"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, fmt.Errorf("bad quality: %v", err))
-			return
+	for _, p := range []struct {
+		name string
+		dst  *float64
+	}{{"quality", &q.Quality}, {"prev", &q.PrevQuality}} {
+		if v := r.URL.Query().Get(p.name); v != "" {
+			vals, err := parseFloats(v, 1)
+			if err != nil {
+				jsonError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %v", p.name, err))
+				return
+			}
+			*p.dst = vals[0]
 		}
-		q.Quality = f
-	}
-	if v := r.URL.Query().Get("prev"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, fmt.Errorf("bad prev: %v", err))
-			return
-		}
-		q.PrevQuality = f
 	}
 	if v := r.URL.Query().Get("box"); v != "" {
 		vals, err := parseFloats(v, 6)
@@ -404,12 +421,12 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		q.Bounds = &box
 	}
 	for _, v := range r.URL.Query()["filter"] {
-		vals, err := parseFloats(v, 3)
+		flt, err := parseFilter(v)
 		if err != nil {
 			jsonError(w, http.StatusBadRequest, fmt.Errorf("bad filter: %v", err))
 			return
 		}
-		q.Filters = append(q.Filters, libbat.AttrFilter{Attr: int(vals[0]), Min: vals[1], Max: vals[2]})
+		q.Filters = append(q.Filters, flt)
 	}
 	// The request context carries client disconnects; the server's query
 	// deadline stacks on top. Established BEFORE admission so time spent
@@ -444,7 +461,18 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		}
 		attr = a
 	}
-
+	for _, flt := range q.Filters {
+		if flt.Attr < 0 || flt.Attr >= ds.Schema().NumAttrs() {
+			jsonError(w, http.StatusBadRequest, fmt.Errorf("bad filter: attribute %d out of range", flt.Attr))
+			return
+		}
+	}
+	if q.Quality <= 0 || q.PrevQuality >= q.Quality {
+		// An empty quality window loads nothing. It must not reach the
+		// query layer, where a zero Quality means "full".
+		w.Header().Set("Content-Type", "application/octet-stream")
+		return
+	}
 	// Stream xyz (and optionally one attribute) as little-endian float32.
 	// The Content-Type only commits once the first point is written, so a
 	// query that fails before producing any data can still return a real
@@ -456,7 +484,7 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	}
 	var points int64
 	qStart := time.Now()
-	err := ds.QueryTaggedCtx(ctx, "batserve:/points", q, func(p libbat.Vec3, attrs []float64) error {
+	err := ds.QueryCtx(access.WithSource(ctx, "batserve:/points"), q, func(p libbat.Vec3, attrs []float64) error {
 		if points == 0 {
 			// Declare the trailers before the status commits: if the query
 			// dies mid-stream the truncation is announced in-band instead of

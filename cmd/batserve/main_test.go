@@ -107,6 +107,20 @@ func TestPointsProgressiveWindow(t *testing.T) {
 	if sizes != total*12 {
 		t.Errorf("progressive windows returned %d bytes, want %d", sizes, total*12)
 	}
+	// An empty window — quality 0 loads nothing, as does prev >= quality —
+	// is an empty 200, never the full dataset.
+	for _, url := range []string{
+		"/points?quality=0",
+		"/points?quality=-1&prev=-2",
+		"/points?prev=0.5&quality=0.5",
+		"/points?prev=0.7&quality=0.3",
+	} {
+		rec := httptest.NewRecorder()
+		s.points(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 || rec.Body.Len() != 0 {
+			t.Errorf("%s: status %d with %d bytes, want an empty 200", url, rec.Code, rec.Body.Len())
+		}
+	}
 }
 
 func TestPointsFiltersAndAttr(t *testing.T) {
@@ -139,6 +153,15 @@ func TestPointsBadParams(t *testing.T) {
 		"/points?box=1,2,3",
 		"/points?filter=1",
 		"/points?attr=99",
+		"/points?quality=NaN",
+		"/points?quality=Inf",
+		"/points?prev=-Inf",
+		"/points?box=0,0,0,1,NaN,1",
+		"/points?filter=0,0,Inf",
+		"/points?filter=0.7,0,1",
+		"/points?filter=1,0,1",
+		"/points?filter=-1,0,1",
+		"/points?quality=0&filter=9,0,1",
 	} {
 		rec := httptest.NewRecorder()
 		s.points(rec, httptest.NewRequest("GET", url, nil))

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -78,7 +79,7 @@ func main() {
 	// the data, without touching the rest.
 	var sum float64
 	var cnt int
-	err = f.Query(bat.Query{Quality: 0.05}, func(_ geom.Vec3, attrs []float64) error {
+	_, err = f.Query(context.Background(), bat.Query{Quality: 0.05}, bat.QueryConfig{}, func(_ geom.Vec3, attrs []float64) error {
 		sum += attrs[0]
 		cnt++
 		return nil

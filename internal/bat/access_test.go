@@ -88,7 +88,7 @@ func TestConcurrentAccessRecorder(t *testing.T) {
 	f.SetAccessRecorder(rec, 0)
 
 	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.8, 0.8, 0.8))
-	ref, err := f.QueryWithStats(Query{Bounds: &box}, func(geom.Vec3, []float64) error { return nil })
+	ref, err := f.QueryWithConfig(Query{Bounds: &box}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,38 +247,61 @@ func TestFilterOutsideLocalRange(t *testing.T) {
 
 func TestProgressiveTilesExactly(t *testing.T) {
 	// Reading in quality steps 0->0.1->...->1.0 must visit every particle
-	// exactly once (the paper's Table I/II access pattern).
+	// exactly once (the paper's Table I/II access pattern), however the
+	// traversal is scheduled.
 	s, domain := clusteredSet(4000, 9)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	counts := map[float64]int{}
-	prev := 0.0
-	for step := 1; step <= 10; step++ {
-		qual := float64(step) / 10
-		err := f.Query(Query{PrevQuality: prev, Quality: qual}, func(p geom.Vec3, attrs []float64) error {
-			counts[attrs[0]]++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev = qual
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != s.Len() {
-		t.Fatalf("progressive read visited %d points total, want %d", total, s.Len())
-	}
-	// No value should be visited more than its multiplicity in the data.
 	valMult := map[float64]int{}
 	for _, v := range s.Attrs[0] {
 		valMult[v]++
 	}
-	for v, c := range counts {
-		if c != valMult[v] {
-			t.Fatalf("value %v visited %d times, multiplicity %d", v, c, valMult[v])
+	for _, cfg := range []QueryConfig{{Workers: 1}, {Workers: 4}, {Workers: 4, Ordered: true}} {
+		counts := map[float64]int{}
+		prev := 0.0
+		for step := 1; step <= 10; step++ {
+			qual := float64(step) / 10
+			_, err := f.QueryWithConfig(Query{PrevQuality: prev, Quality: qual}, cfg, func(p geom.Vec3, attrs []float64) error {
+				counts[attrs[0]]++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = qual
 		}
+		total := 0
+		for _, c := range counts {
+			total += c
+		}
+		if total != s.Len() {
+			t.Fatalf("cfg %+v: progressive read visited %d points total, want %d", cfg, total, s.Len())
+		}
+		// No value should be visited more than its multiplicity in the data.
+		for v, c := range counts {
+			if c != valMult[v] {
+				t.Fatalf("cfg %+v: value %v visited %d times, multiplicity %d", cfg, v, c, valMult[v])
+			}
+		}
+	}
+}
+
+// TestScanAllocsPerTreelet pins the engine's allocation shape: a warm full
+// scan at Workers 1 reads the treelets' columns through one scratch slice,
+// so what it allocates scales with the treelets, never with the particles.
+func TestScanAllocsPerTreelet(t *testing.T) {
+	s, domain := clusteredSet(20000, 15)
+	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
+	scan := func() {
+		st, err := f.QueryWithConfig(Query{}, QueryConfig{Workers: 1}, func(geom.Vec3, []float64) error { return nil })
+		if err != nil || st.Visited != int64(s.Len()) {
+			t.Fatalf("scan: %d visited, err %v", st.Visited, err)
+		}
+	}
+	scan() // load every treelet into the cache
+	allocs := testing.AllocsPerRun(5, scan)
+	if limit := float64(8 * (f.NumTreelets() + 1)); allocs > limit {
+		t.Fatalf("warm scan of %d particles in %d treelets allocated %.0f times, want at most %.0f",
+			s.Len(), f.NumTreelets(), allocs, limit)
 	}
 }
 
@@ -335,7 +358,7 @@ func TestVisitorErrorAborts(t *testing.T) {
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
 	sentinel := os.ErrClosed
 	n := 0
-	err := f.Query(Query{}, func(geom.Vec3, []float64) error {
+	_, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(geom.Vec3, []float64) error {
 		n++
 		if n == 10 {
 			return sentinel
@@ -350,6 +373,26 @@ func TestVisitorErrorAborts(t *testing.T) {
 	}
 }
 
+// decodeFile opens path for pread access: Decode over an *os.File.
+func decodeFile(t *testing.T, path string) *File {
+	t.Helper()
+	fh, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fh.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Decode(fh, st.Size())
+	if err != nil {
+		fh.Close()
+		t.Fatal(err)
+	}
+	f.SetCloser(fh)
+	return f
+}
+
 func TestFileOnDisk(t *testing.T) {
 	s, domain := randomSet(3000, 12)
 	b, err := Build(s, domain, DefaultBuildConfig())
@@ -360,10 +403,7 @@ func TestFileOnDisk(t *testing.T) {
 	if err := os.WriteFile(path, b.Buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := decodeFile(t, path)
 	defer f.Close()
 	got, err := f.ReadAll()
 	if err != nil || got.Len() != 3000 {
@@ -371,28 +411,20 @@ func TestFileOnDisk(t *testing.T) {
 	}
 }
 
-func TestOpenErrors(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "missing.bat")); err == nil {
-		t.Error("missing file should error")
+func TestDecodeErrors(t *testing.T) {
+	if _, err := FromBuffer([]byte("not a bat file at all")); err == nil {
+		t.Error("garbage image should error")
 	}
-	path := filepath.Join(t.TempDir(), "garbage.bat")
-	os.WriteFile(path, []byte("not a bat file at all"), 0o644)
-	if _, err := Open(path); err == nil {
-		t.Error("garbage file should error")
-	}
-	// Truncated valid file.
+	// Truncated valid image.
 	s, domain := randomSet(1000, 13)
 	b, _ := Build(s, domain, DefaultBuildConfig())
-	path = filepath.Join(t.TempDir(), "trunc.bat")
-	os.WriteFile(path, b.Buf[:len(b.Buf)/2], 0o644)
-	f, err := Open(path)
+	f, err := FromBuffer(b.Buf[:len(b.Buf)/2])
 	if err == nil {
 		// Header may parse; the treelet read must fail.
 		_, err = f.ReadAll()
-		f.Close()
 	}
 	if err == nil {
-		t.Error("truncated file should error somewhere")
+		t.Error("truncated image should error somewhere")
 	}
 }
 
@@ -441,7 +473,7 @@ func TestLODSubsetInvariant(t *testing.T) {
 	for _, v := range s.Attrs[1] {
 		all[v] = true
 	}
-	err := f.Query(Query{Quality: 0.3}, func(p geom.Vec3, attrs []float64) error {
+	_, err := f.QueryWithConfig(Query{Quality: 0.3}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 		if !all[attrs[1]] {
 			t.Fatal("LOD read returned a particle not in the input")
 		}
@@ -458,7 +490,7 @@ func TestLODSpatialCoverage(t *testing.T) {
 	s, domain := randomSet(8000, 17)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
 	var octants [8]int
-	err := f.Query(Query{Quality: 0.05}, func(p geom.Vec3, _ []float64) error {
+	_, err := f.QueryWithConfig(Query{Quality: 0.05}, QueryConfig{}, func(p geom.Vec3, _ []float64) error {
 		oct := 0
 		if p.X > 0.5 {
 			oct |= 1
@@ -666,10 +698,7 @@ func TestOpenMmap(t *testing.T) {
 		t.Fatalf("mmap read: %v, %d particles", err, got.Len())
 	}
 	// Results identical to the pread path.
-	f2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := decodeFile(t, path)
 	defer f2.Close()
 	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.7, 0.7, 0.7))
 	n1, _ := f.CountMatching(Query{Bounds: &box})
@@ -850,8 +879,8 @@ func TestBitmapPruningEffective(t *testing.T) {
 	cfg := DefaultBuildConfig()
 	cfg.MaxLeafSize = 32
 	f, _ := buildAndOpen(t, s, domain, cfg)
-	st, err := f.QueryWithStats(
-		Query{Filters: []AttrFilter{{Attr: 0, Min: 10, Max: 15}}},
+	st, err := f.QueryWithConfig(
+		Query{Filters: []AttrFilter{{Attr: 0, Min: 10, Max: 15}}}, QueryConfig{},
 		func(geom.Vec3, []float64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -870,7 +899,7 @@ func TestBitmapPruningEffective(t *testing.T) {
 	}
 	// An unfiltered query touches everything and prunes nothing by
 	// attribute.
-	full, err := f.QueryWithStats(Query{}, func(geom.Vec3, []float64) error { return nil })
+	full, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -984,7 +1013,7 @@ func TestSpatialQueryDeepShallowTree(t *testing.T) {
 	}
 	// Pruning must actually engage on a tight query.
 	tiny := geom.NewBox(geom.V3(0.01, 0.01, 0.01), geom.V3(0.03, 0.03, 0.03))
-	st, err := f.QueryWithStats(Query{Bounds: &tiny}, func(geom.Vec3, []float64) error { return nil })
+	st, err := f.QueryWithConfig(Query{Bounds: &tiny}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

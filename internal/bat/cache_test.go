@@ -169,7 +169,7 @@ func TestFileCacheEndToEnd(t *testing.T) {
 
 	count := func() int64 {
 		var n int64
-		if err := f.Query(Query{}, func(geom.Vec3, []float64) error {
+		if _, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(geom.Vec3, []float64) error {
 			n++
 			return nil
 		}); err != nil {

@@ -46,7 +46,7 @@ type FaultyOpenConfig struct {
 // countCtx runs a full scan under ctx and cfg, returning the visit count.
 func countCtx(ctx context.Context, f *File, cfg QueryConfig) (int64, error) {
 	var n int64
-	_, err := f.QueryWithConfigCtx(ctx, Query{}, cfg, func(geom.Vec3, []float64) error {
+	_, err := f.Query(ctx, Query{}, cfg, func(geom.Vec3, []float64) error {
 		n++
 		return nil
 	})
@@ -127,7 +127,7 @@ func TestCancelMidTraversal(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			var n int64
-			_, err = f.QueryWithConfigCtx(ctx, Query{}, tc.cfg, func(geom.Vec3, []float64) error {
+			_, err = f.Query(ctx, Query{}, tc.cfg, func(geom.Vec3, []float64) error {
 				n++
 				if n == want/10 {
 					cancel() // cancel from inside the visitor, mid-stream
@@ -279,7 +279,7 @@ func TestCancelStorm(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i+1)*time.Millisecond)
 			defer cancel()
 			box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, float64(i+1)/24))
-			_, err := f.QueryWithConfigCtx(ctx, Query{Bounds: &box}, cfgs[i%len(cfgs)],
+			_, err := f.Query(ctx, Query{Bounds: &box}, cfgs[i%len(cfgs)],
 				func(geom.Vec3, []float64) error { return nil })
 			if err != nil && !pfs.IsContextErr(err) && !errors.Is(err, pfs.ErrInjected) {
 				t.Errorf("storm query %d: unexpected error %v", i, err)

@@ -200,29 +200,10 @@ func TestOrderedParallelPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestSerialMatchesConfiguredDefault: File.Query honors SetQueryConfig.
-func TestFileLevelQueryConfig(t *testing.T) {
-	s, domain := clusteredSet(3000, 5)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	defer f.Close()
-
-	serial, _ := collectVisits(t, f, Query{}, QueryConfig{Workers: 1})
-	f.SetQueryConfig(QueryConfig{Workers: 4, Readahead: 2})
-	var par []visitRec
-	if _, err := f.QueryWithStats(Query{}, func(p geom.Vec3, attrs []float64) error {
-		a := make([]float64, len(attrs))
-		copy(a, attrs)
-		par = append(par, visitRec{p: p, attrs: a})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	equalMultiset(t, "file-level config", serial, par)
-}
-
-// TestParallelVisitorError: a visitor error aborts a parallel query
-// promptly, is returned verbatim, and leaves no goroutines wedged (the
-// race detector and test timeout police that).
+// TestParallelVisitorError: a visitor error aborts a query promptly at any
+// worker count, is returned verbatim, leaves no goroutines wedged (the race
+// detector and test timeout police that), and QueryStats.Visited counts the
+// particles delivered — not the ones collected ahead of the visitor.
 func TestParallelVisitorError(t *testing.T) {
 	s, domain := randomSet(4000, 31)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -235,7 +216,7 @@ func TestParallelVisitorError(t *testing.T) {
 		{Workers: 4, Ordered: true},
 	} {
 		var n int
-		_, err := f.QueryWithConfig(Query{}, cfg, func(geom.Vec3, []float64) error {
+		st, err := f.QueryWithConfig(Query{}, cfg, func(geom.Vec3, []float64) error {
 			n++
 			if n == 100 {
 				return boom
@@ -247,6 +228,9 @@ func TestParallelVisitorError(t *testing.T) {
 		}
 		if n != 100 {
 			t.Fatalf("cfg %+v: visitor called %d times after aborting at 100", cfg, n)
+		}
+		if st.Visited != 100 {
+			t.Fatalf("cfg %+v: Visited = %d, want the 100 particles delivered", cfg, st.Visited)
 		}
 	}
 }
@@ -280,14 +264,14 @@ func TestCloseWaitsForPrefetch(t *testing.T) {
 		s, domain := randomSet(3000, int64(50+i))
 		f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
 		box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.3, 0.3, 0.3))
-		if err := f.Query(Query{Bounds: &box}, func(geom.Vec3, []float64) error {
+		if _, err := f.QueryWithConfig(Query{Bounds: &box}, QueryConfig{}, func(geom.Vec3, []float64) error {
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		// Kick off prefetches and close immediately.
-		f.SetQueryConfig(QueryConfig{Workers: 2, Readahead: 8})
-		_ = f.Query(Query{}, func(geom.Vec3, []float64) error { return errors.New("bail") })
+		_, _ = f.QueryWithConfig(Query{}, QueryConfig{Workers: 2, Readahead: 8},
+			func(geom.Vec3, []float64) error { return errors.New("bail") })
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func builtSample(t *testing.T) []byte {
 func collect(t *testing.T, f *File) []float64 {
 	t.Helper()
 	var out []float64
-	err := f.Query(Query{}, func(p geom.Vec3, attrs []float64) error {
+	_, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 		out = append(out, p.X, p.Y, p.Z)
 		out = append(out, attrs...)
 		return nil
@@ -95,7 +95,7 @@ func bitFlipMatrix(t *testing.T, buf []byte) {
 			continue
 		}
 		var got []float64
-		qerr := f.Query(Query{}, func(p geom.Vec3, attrs []float64) error {
+		_, qerr := f.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 			got = append(got, p.X, p.Y, p.Z)
 			got = append(got, attrs...)
 			return nil
@@ -418,7 +418,7 @@ func FuzzDecode(f *testing.F) {
 		// may still describe a large (bounded) point soup, and unbounded
 		// iteration would drown the fuzzer without exercising new paths.
 		visits := 0
-		file.Query(Query{}, func(p geom.Vec3, attrs []float64) error {
+		file.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 			if visits++; visits > 10000 {
 				return errStopFuzz
 			}

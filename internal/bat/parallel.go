@@ -1,30 +1,30 @@
-// Parallel query engine: fans the candidate treelets of one query onto a
-// worker pool while keeping the visitor contract serial. Workers claim
-// treelets in deterministic list order via an atomic counter, traverse them
-// into self-contained particle batches, and a single emitter goroutine (the
-// caller) replays each batch through the visitor — so the visitor is never
-// invoked concurrently, and with Ordered delivery the visit sequence is
-// identical to the serial engine's.
+// Query scheduling: how the candidate treelets of one query get collected
+// (query.go: collect) and delivered (query.go: emitter.deliver). The clamped
+// worker count is the only thing that varies. With one worker the caller's
+// goroutine collects and delivers each treelet in turn — no goroutine, no
+// channel. With more, workers claim treelets in deterministic list order via
+// an atomic counter and collect them into selections, while the caller's
+// goroutine delivers — so the visitor is never invoked concurrently, and with
+// Ordered delivery the visit sequence is identical to one worker's.
 //
 // Memory is bounded by a token semaphore: a worker acquires a token before
-// claiming a treelet and the emitter releases it after delivering the
-// batch, so at most 2×workers batches exist at once. Acquiring BEFORE
+// claiming a treelet and the caller releases it after delivering the
+// selection, so at most 2×workers selections exist at once. Acquiring BEFORE
 // claiming is what makes Ordered delivery deadlock-free: every token is
 // held by a claimed task, claims are issued in increasing index order, so
 // the lowest undelivered index always owns a token and is either being
-// traversed or already deliverable.
+// collected or already deliverable.
 package bat
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"libbat/internal/geom"
 )
 
-// cancelFlag is a shared abort signal polled by traversal workers. A nil
-// *cancelFlag reads as "never cancelled" so the serial engine can pass nil.
+// cancelFlag is a shared abort signal polled by treelet traversals. A nil
+// *cancelFlag reads as "never cancelled": an inline query under an
+// uncancellable context passes nil.
 type cancelFlag struct {
 	flag atomic.Bool
 }
@@ -39,33 +39,47 @@ func (c *cancelFlag) set() {
 	}
 }
 
-// queryBatch is one traversed treelet's matching particles, packed so the
-// emitter can replay them without touching the treelet again. attrs is a
-// flat row-major block: particle i's attributes are attrs[i*nAttrs :
-// (i+1)*nAttrs].
-type queryBatch struct {
-	idx    int // position in the candidate list, for ordered delivery
-	pts    []geom.Vec3
-	attrs  []float64
-	nAttrs int
-	tc     traversalCounters // pruned/falsePos from this treelet's walk
-	err    error             // treelet load or corruption error
+// readahead is called as candidate i is claimed by one of w workers. It
+// keeps the r candidates past the w being collected warming in the cache:
+// the first claim fills that window, every later one slides it by one.
+func (f *File) readahead(ctx context.Context, cands []int, i, w, r int) {
+	if r <= 0 {
+		return
+	}
+	from := i + w + r - 1
+	if i == 0 {
+		from = w
+	}
+	for j := from; j < i+w+r && j < len(cands); j++ {
+		f.prefetch(ctx, cands[j], r)
+	}
 }
 
-// runParallel traverses the candidate treelets with w worker goroutines,
-// delivering batches to visit on the calling goroutine. cancel is the
-// shared abort flag: already wired to ctx by the caller when ctx is
-// cancellable, created here otherwise (visitor errors still need it to
-// stop the workers).
-func (f *File) runParallel(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, w int, tc *traversalCounters, visit Visitor, cancel *cancelFlag) error {
-	// Each in-flight batch holds one token from acquisition until the
-	// emitter finishes delivering it; results is sized to the token count
-	// so workers never block sending.
+// run collects the candidate treelets and hands each selection to e on the
+// calling goroutine. cancel is the shared abort flag, already wired to ctx
+// when ctx is cancellable.
+func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, e *emitter, cancel *cancelFlag) error {
+	w := min(cfg.effectiveWorkers(), len(cands))
+	if w <= 1 {
+		var sel selection
+		for i, li := range cands {
+			f.readahead(ctx, cands, i, 1, cfg.Readahead)
+			f.collect(ctx, s, li, cancel, &sel)
+			if err := e.deliver(ctx, &sel); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Each in-flight selection holds one token from acquisition until it has
+	// been delivered; results is sized to the token count so workers never
+	// block sending.
 	maxInflight := 2 * w
 	tokens := make(chan struct{}, maxInflight)
-	results := make(chan *queryBatch, maxInflight)
+	results := make(chan *selection, maxInflight)
 	if cancel == nil {
-		cancel = &cancelFlag{}
+		cancel = &cancelFlag{} // a visitor error still has to stop the workers
 	}
 	var next atomic.Int64
 
@@ -84,13 +98,10 @@ func (f *File) runParallel(ctx context.Context, s *queryState, cands []int, cfg 
 					<-tokens
 					return
 				}
-				if cfg.Readahead > 0 {
-					// Warm the treelet this worker is likely to claim next.
-					if j := idx + w; j < len(cands) {
-						f.prefetch(ctx, cands[j], cfg.Readahead)
-					}
-				}
-				results <- f.collectBatch(ctx, s, cands[idx], idx, cancel)
+				f.readahead(ctx, cands, idx, w, cfg.Readahead)
+				sel := &selection{idx: idx}
+				f.collect(ctx, s, cands[idx], cancel, sel)
+				results <- sel
 			}
 		}()
 	}
@@ -99,59 +110,27 @@ func (f *File) runParallel(ctx context.Context, s *queryState, cands []int, cfg 
 		close(results)
 	}()
 
+	// After the first failure nothing more is delivered, but results is
+	// still drained to release tokens and let the workers exit.
 	var firstErr error
-	fail := func(err error) {
+	deliver := func(sel *selection) {
 		if firstErr == nil {
-			firstErr = err
-			cancel.set()
-		}
-	}
-	// deliver replays one batch through the visitor; skipped entirely once
-	// a previous batch failed (we still drain results to release tokens
-	// and let workers exit). A cancellation observed between batches also
-	// stops delivery — already-collected batches must not keep streaming
-	// to a caller that asked to stop.
-	deliver := func(b *queryBatch) {
-		if firstErr == nil {
-			if cerr := ctx.Err(); cerr != nil {
-				fail(cerr)
+			if firstErr = e.deliver(ctx, sel); firstErr != nil {
+				cancel.set()
 			}
 		}
-		if firstErr != nil {
-			return
-		}
-		if b.err != nil {
-			fail(b.err)
-			return
-		}
-		tc.add(b.tc)
-		for i, p := range b.pts {
-			attrs := b.attrs[i*b.nAttrs : (i+1)*b.nAttrs : (i+1)*b.nAttrs]
-			tc.visited++
-			if err := visit(p, attrs); err != nil {
-				fail(err)
-				return
-			}
-		}
+		<-tokens
 	}
-
-	if !cfg.Ordered {
-		for b := range results {
-			deliver(b)
-			<-tokens
-		}
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
-		return firstErr
-	}
-
-	// Ordered delivery: stash out-of-order completions, replay the run of
-	// consecutive indices starting at nextIdx as it becomes available.
-	pending := make(map[int]*queryBatch, maxInflight)
+	// Ordered delivery stashes out-of-order completions and delivers the run
+	// of consecutive indices starting at nextIdx as it becomes available.
+	pending := make(map[int]*selection, maxInflight)
 	nextIdx := 0
-	for b := range results {
-		pending[b.idx] = b
+	for sel := range results {
+		if !cfg.Ordered {
+			deliver(sel)
+			continue
+		}
+		pending[sel.idx] = sel
 		for {
 			nb, ok := pending[nextIdx]
 			if !ok {
@@ -160,37 +139,7 @@ func (f *File) runParallel(ctx context.Context, s *queryState, cands []int, cfg 
 			delete(pending, nextIdx)
 			nextIdx++
 			deliver(nb)
-			<-tokens
 		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
 	}
 	return firstErr
-}
-
-// collectBatch loads and traverses one candidate treelet, packing every
-// matching particle into a batch. Never returns nil.
-func (f *File) collectBatch(ctx context.Context, s *queryState, li, idx int, cancel *cancelFlag) *queryBatch {
-	b := &queryBatch{idx: idx}
-	t, err := f.loadTreelet(ctx, li)
-	if err != nil {
-		b.err = err
-		return b
-	}
-	b.tc.treelets++
-	ref := &f.leaves[li]
-	f.access.Treelet(f.accessLeaf, li, int64(ref.byteLen), ref.bounds.Center())
-	b.nAttrs = len(t.attrs)
-	emit := func(p geom.Vec3, t *parsedTreelet, pi uint32) error {
-		b.pts = append(b.pts, p)
-		for a := 0; a < b.nAttrs; a++ {
-			b.attrs = append(b.attrs, t.attrs[a][pi])
-		}
-		return nil
-	}
-	if err := s.traverseTreelet(f, t, &b.tc, emit, cancel); err != nil && err != errTraversalCancelled {
-		b.err = err
-	}
-	return b
 }

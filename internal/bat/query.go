@@ -26,9 +26,11 @@ type AttrFilter struct {
 
 // Query describes a visualization read (paper §V): an optional bounding box
 // for spatial filtering, a set of attribute filters, and a progressive
-// quality window. Quality ranges over [0, 1]: 0 loads nothing, 1 the entire
-// data set; the value is log-remapped to a maximum treelet depth since the
-// number of LOD particles doubles each level (§V-B). Setting PrevQuality to
+// quality window. Quality ranges over (0, 1], 1 being the entire data set;
+// the value is log-remapped to a maximum treelet depth since the number of
+// LOD particles doubles each level (§V-B). The zero value of Quality means 1,
+// so the zero Query reads everything: a caller holding an explicit quality of
+// 0 ("load nothing") must not issue the query at all. Setting PrevQuality to
 // the previously queried level makes the read progressive, processing only
 // the new particles for the quality increment.
 type Query struct {
@@ -38,30 +40,32 @@ type Query struct {
 	Quality     float64
 }
 
-// Visitor receives each particle matched by a query. Returning a non-nil
-// error aborts the traversal.
+// Visitor receives each particle matched by a query. attrs is the query's
+// one scratch slice, overwritten for the next particle: it is valid only
+// until visit returns, so a visitor that keeps the values copies them.
+// Returning a non-nil error aborts the traversal.
 type Visitor func(p geom.Vec3, attrs []float64) error
 
 // QueryConfig tunes how a traversal executes. It never changes which
 // particles a query matches — only how the work is scheduled.
 //
-// The zero value is the serial engine: one goroutine, visits in
-// deterministic tree order, no readahead.
+// The zero value traverses on the calling goroutine, one treelet at a time
+// in deterministic tree order, with no readahead.
 type QueryConfig struct {
-	// Workers is the number of traversal goroutines. 0 or 1 selects the
-	// serial engine, whose visit sequence is identical to the pre-parallel
-	// reader. Negative selects GOMAXPROCS.
+	// Workers is the number of goroutines collecting treelets. 0 or 1 runs
+	// the same collect-then-deliver step inline, starting no goroutine.
+	// Negative selects GOMAXPROCS.
 	Workers int
 
 	// Ordered, when true with Workers > 1, delivers visits in the same
-	// deterministic treelet order as the serial engine (completed treelets
-	// are buffered until their turn). When false, visits arrive as treelets
+	// deterministic treelet order as Workers = 1 (completed treelets are
+	// buffered until their turn). When false, visits arrive as treelets
 	// complete — same particle multiset, lower latency and memory.
 	Ordered bool
 
-	// Readahead is the number of upcoming candidate treelets to prefetch
-	// while one is being traversed (0 = off). Prefetches are best-effort
-	// and bounded; they only warm the cache.
+	// Readahead is the number of candidate treelets to keep warming in the
+	// cache beyond the ones being collected (0 = off). Prefetches are
+	// best-effort and bounded; they only warm the cache.
 	Readahead int
 }
 
@@ -111,36 +115,36 @@ func portion(d, depth int, frac float64) float64 {
 	}
 }
 
+// predicate is one exact (false-positive) check of §V-A, a closed interval
+// over one column of a treelet: position axis `axis` (0..2 = x, y, z) of the
+// query box, or attribute column attr of a filter when axis < 0.
+type predicate struct {
+	axis, attr int
+	min, max   float64
+}
+
+// keeps applies the interval test. A NaN attribute value passes its filter
+// and a NaN coordinate is outside every box, as both always have.
+func (p predicate) keeps(v float64) bool {
+	return v >= p.min && v <= p.max || p.axis < 0 && v != v
+}
+
 // queryState is the precomputed, read-only filter state of one traversal.
-// It is shared by every worker goroutine of a parallel query, so nothing
-// in it may be mutated after prepare returns.
+// It is shared by every worker goroutine of a query, so nothing in it may
+// be mutated after prepare returns.
 type queryState struct {
 	q     Query
 	masks []bitmap.Bitmap // query bitmap per filter, in Filters order
+	preds []predicate     // box axes, then filters; empty = no exact check
 	prevD int
 	prevF float64
 	curD  int
 	curF  float64
 }
 
-// traversalCounters accumulates per-traversal statistics. Each goroutine
-// owns its own instance; parallel runs merge them on delivery.
-type traversalCounters struct {
-	visited  int64
-	pruned   int64
-	falsePos int64
-	treelets int64
-}
-
-func (c *traversalCounters) add(o traversalCounters) {
-	c.visited += o.visited
-	c.pruned += o.pruned
-	c.falsePos += o.falsePos
-	c.treelets += o.treelets
-}
-
 // prepare validates the query against the file and computes the bitmap
-// masks. It reports whether the query can match anything at all.
+// masks and exact predicates. It reports whether the query can match
+// anything at all.
 func (f *File) prepare(q Query) (*queryState, bool) {
 	if q.Quality <= 0 {
 		q.Quality = 1
@@ -151,8 +155,14 @@ func (f *File) prepare(q Query) (*queryState, bool) {
 	if q.PrevQuality >= q.Quality {
 		return s, false
 	}
-	if q.Bounds != nil && !q.Bounds.Overlaps(f.Domain) {
-		return s, false
+	if b := q.Bounds; b != nil {
+		if !b.Overlaps(f.Domain) {
+			return s, false
+		}
+		s.preds = append(s.preds,
+			predicate{axis: 0, min: b.Lower.X, max: b.Upper.X},
+			predicate{axis: 1, min: b.Lower.Y, max: b.Upper.Y},
+			predicate{axis: 2, min: b.Lower.Z, max: b.Upper.Z})
 	}
 	s.masks = make([]bitmap.Bitmap, len(q.Filters))
 	for i, flt := range q.Filters {
@@ -165,6 +175,7 @@ func (f *File) prepare(q Query) (*queryState, bool) {
 			return s, false
 		}
 		s.masks[i] = m
+		s.preds = append(s.preds, predicate{axis: -1, attr: flt.Attr, min: flt.Min, max: flt.Max})
 	}
 	return s, true
 }
@@ -179,25 +190,55 @@ func (s *queryState) nodePassesBitmaps(f *File, ids []bitmap.ID) bool {
 	return true
 }
 
-// pointPasses applies the exact false-positive checks (§V-A): point-in-box
-// and exact attribute intervals.
-func (s *queryState) pointPasses(p geom.Vec3, t *parsedTreelet, pi uint32) bool {
-	if s.q.Bounds != nil && !s.q.Bounds.Contains(p) {
-		return false
-	}
-	for _, flt := range s.q.Filters {
-		v := t.attrs[flt.Attr][pi]
-		if v < flt.Min || v > flt.Max {
-			return false
+// scan appends to picks the particles of the window [lo, hi) whose col
+// value p keeps.
+func scan[T float32 | float64](picks []uint32, col []T, lo, hi uint32, p predicate) []uint32 {
+	for pi := lo; pi < hi; pi++ {
+		if p.keeps(float64(col[pi])) {
+			picks = append(picks, pi)
 		}
 	}
-	return true
+	return picks
 }
 
-// QueryStats reports what a traversal did: how many particles reached the
-// visitor, how many were rejected by the exact (false-positive) checks,
-// and how many subtrees the bitmaps and bounds pruned without touching
-// their particles.
+// refine drops from picks, in place, the particles whose col value p
+// rejects, and returns how many remain.
+func refine[T float32 | float64](picks []uint32, col []T, p predicate) int {
+	n := 0
+	for _, pi := range picks {
+		if p.keeps(float64(col[pi])) {
+			picks[n] = pi
+			n++
+		}
+	}
+	return n
+}
+
+// narrow applies the exact checks to the node window [lo, hi) of t, one
+// loop per predicate over that predicate's column: the first scans the
+// window, each later one refines the survivors. It appends them to picks.
+func (s *queryState) narrow(t *parsedTreelet, lo, hi uint32, picks []uint32) []uint32 {
+	base := len(picks)
+	pos := [3][]float32{t.x, t.y, t.z}
+	for i, p := range s.preds {
+		switch {
+		case i == 0 && p.axis >= 0:
+			picks = scan(picks, pos[p.axis], lo, hi, p)
+		case i == 0:
+			picks = scan(picks, t.attrs[p.attr], lo, hi, p)
+		case p.axis >= 0:
+			picks = picks[:base+refine(picks[base:], pos[p.axis], p)]
+		default:
+			picks = picks[:base+refine(picks[base:], t.attrs[p.attr], p)]
+		}
+	}
+	return picks
+}
+
+// QueryStats reports what a traversal did: how many particles were
+// delivered to the visitor, how many were rejected by the exact
+// (false-positive) checks, and how many subtrees the bitmaps and bounds
+// pruned without touching their particles.
 type QueryStats struct {
 	Visited        int64
 	FalsePositives int64
@@ -207,48 +248,27 @@ type QueryStats struct {
 	Treelets int64
 }
 
-// Query traverses the file, invoking visit for every particle matching the
-// query, using the File's configured QueryConfig (serial by default).
-// Particles are visited treelet by treelet in increasing depth order within
-// each treelet; with Workers > 1 and Ordered false, treelets may complete
-// out of order but the visited multiset is identical.
+func (st *QueryStats) add(o QueryStats) {
+	st.Visited += o.Visited
+	st.FalsePositives += o.FalsePositives
+	st.PrunedSubtrees += o.PrunedSubtrees
+	st.Treelets += o.Treelets
+}
+
+// Query traverses the file under cfg, invoking visit for every particle
+// matching q. Particles are visited treelet by treelet in increasing depth
+// order within each treelet; with Workers > 1 and Ordered false, treelets
+// may complete out of order but the visited multiset is identical.
+//
+// When ctx ends, the traversal stops promptly (collectors observe a shared
+// cancel flag per tree node — the context is bridged to it via
+// context.AfterFunc, so the check stays a single atomic load — and storage
+// reads abort) and ctx.Err() is returned.
 //
 // Query is safe to call from multiple goroutines concurrently; the visitor
-// of any single call is never invoked concurrently with itself.
-func (f *File) Query(q Query, visit Visitor) error {
-	_, err := f.QueryWithStats(q, visit)
-	return err
-}
-
-// QueryCtx is Query honoring ctx: when ctx ends, the traversal stops
-// promptly (workers observe the shared cancel flag per tree node, storage
-// reads abort) and ctx.Err() is returned. For uncanceled contexts the
-// visit sequence is byte-identical to Query's.
-func (f *File) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	_, err := f.QueryWithStatsCtx(ctx, q, visit)
-	return err
-}
-
-// QueryWithStats is Query returning traversal statistics.
-func (f *File) QueryWithStats(q Query, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfig(q, f.queryConfig(), visit)
-}
-
-// QueryWithStatsCtx is QueryCtx returning traversal statistics.
-func (f *File) QueryWithStatsCtx(ctx context.Context, q Query, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfigCtx(ctx, q, f.queryConfig(), visit)
-}
-
-// QueryWithConfig runs one traversal under an explicit QueryConfig,
-// overriding the File-level configuration.
-func (f *File) QueryWithConfig(q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
-	return f.QueryWithConfigCtx(context.Background(), q, cfg, visit)
-}
-
-// QueryWithConfigCtx is QueryWithConfig honoring ctx. The context is
-// bridged to the traversal's polled cancel flag via context.AfterFunc, so
-// per-node cancellation checks stay a single atomic load.
-func (f *File) QueryWithConfigCtx(ctx context.Context, q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
+// of any single call is never invoked concurrently with itself, and always
+// runs on the calling goroutine.
+func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
 	s, ok := f.prepare(q)
 	if !ok || len(f.leaves) == 0 {
 		return QueryStats{}, ctx.Err()
@@ -262,18 +282,10 @@ func (f *File) QueryWithConfigCtx(ctx context.Context, q Query, cfg QueryConfig,
 		stop := context.AfterFunc(ctx, cancel.set)
 		defer stop()
 	}
-	var tc traversalCounters
-	cands, err := f.selectTreelets(s, &tc)
-	if err == nil && len(cands) > 0 {
-		w := cfg.effectiveWorkers()
-		if w > len(cands) {
-			w = len(cands)
-		}
-		if w <= 1 {
-			err = f.runSerial(ctx, s, cands, cfg, &tc, visit, cancel)
-		} else {
-			err = f.runParallel(ctx, s, cands, cfg, w, &tc, visit, cancel)
-		}
+	e := &emitter{visit: visit, attrs: make([]float64, f.Schema.NumAttrs())}
+	cands, err := f.selectTreelets(s, &e.stats)
+	if err == nil {
+		err = f.run(ctx, s, cands, cfg, e, cancel)
 	}
 	if err == errTraversalCancelled {
 		// The flag is only ever set externally via ctx here; surface the
@@ -285,20 +297,21 @@ func (f *File) QueryWithConfigCtx(ctx context.Context, q Query, cfg QueryConfig,
 	if err == nil {
 		err = ctx.Err()
 	}
-	return QueryStats{
-		Visited:        tc.visited,
-		FalsePositives: tc.falsePos,
-		PrunedSubtrees: tc.pruned,
-		Treelets:       tc.treelets,
-	}, err
+	return e.stats, err
+}
+
+// QueryWithConfig is Query without a context. benchmark/ calls it by this
+// name and may not change; new code calls Query.
+func (f *File) QueryWithConfig(q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
+	return f.Query(context.Background(), q, cfg, visit)
 }
 
 // selectTreelets walks the shallow tree serially — it is in-memory and tiny
 // relative to the treelets — pruning by bounds and bitmaps, and returns the
 // surviving treelet leaves in deterministic left-to-right order. This list
-// is the unit of parallelism: both engines traverse exactly these treelets,
-// the serial one in this order.
-func (f *File) selectTreelets(s *queryState, tc *traversalCounters) ([]int, error) {
+// is the unit of scheduling: every worker count collects exactly these
+// treelets, and delivers them in this order unless told it need not.
+func (f *File) selectTreelets(s *queryState, st *QueryStats) ([]int, error) {
 	if len(f.shallow) == 0 {
 		// Single-treelet file: the treelet's root node carries the bitmap
 		// summary, so traversal handles all pruning.
@@ -309,7 +322,7 @@ func (f *File) selectTreelets(s *queryState, tc *traversalCounters) ([]int, erro
 	walk = func(ref int32, bounds geom.Box, depth int) error {
 		if li, isLeaf := isShallowLeaf(ref); isLeaf {
 			if !s.nodePassesBitmaps(f, f.leaves[li].ids) {
-				tc.pruned++
+				st.PrunedSubtrees++
 				return nil
 			}
 			out = append(out, li)
@@ -320,11 +333,11 @@ func (f *File) selectTreelets(s *queryState, tc *traversalCounters) ([]int, erro
 		}
 		n := &f.shallow[ref]
 		if s.q.Bounds != nil && !s.q.Bounds.Overlaps(bounds) {
-			tc.pruned++
+			st.PrunedSubtrees++
 			return nil
 		}
 		if !s.nodePassesBitmaps(f, n.ids) {
-			tc.pruned++
+			st.PrunedSubtrees++
 			return nil
 		}
 		lo, hi := bounds.SplitAt(n.axis, n.pos)
@@ -345,146 +358,155 @@ func isShallowLeaf(ref int32) (int, bool) {
 	return 0, false
 }
 
-// emitFn receives each particle that passed the exact checks during one
-// treelet traversal. The serial engine calls the visitor directly; the
-// parallel engine appends to a batch for ordered delivery.
-type emitFn func(p geom.Vec3, t *parsedTreelet, pi uint32) error
+// span is a half-open window [lo, hi) of particle indices in one treelet.
+type span struct{ lo, hi uint32 }
 
-// errTraversalCancelled is returned (and swallowed by callers) when a
-// worker observes the shared cancel flag mid-treelet.
-var errTraversalCancelled = errors.New("bat: traversal cancelled")
-
-// traverseTreelet walks one parsed treelet depth-first, emitting each
-// node's particle window for the progressive quality range. It updates
-// tc.pruned/tc.falsePos; emit implementations account for visits. cancel,
-// when non-nil, is polled at each node so aborted parallel queries stop
-// promptly.
-func (s *queryState) traverseTreelet(f *File, t *parsedTreelet, tc *traversalCounters, emit emitFn, cancel *cancelFlag) error {
-	if len(t.nodes) == 0 {
-		return nil
-	}
-	var rec func(ni int32, depth int) error
-	rec = func(ni int32, depth int) error {
-		if depth > s.curD {
-			return nil
-		}
-		// Defense against corrupt files whose child links form a cycle.
-		if depth > maxSaneDepth {
-			return errCyclicTreelet
-		}
-		if cancel.isSet() {
-			return errTraversalCancelled
-		}
-		n := &t.nodes[ni]
-		if !s.nodePassesBitmaps(f, n.ids) {
-			tc.pruned++
-			return nil
-		}
-		// Emit this node's particle window for the quality increment.
-		p0 := portion(depth, s.prevD, s.prevF)
-		p1 := portion(depth, s.curD, s.curF)
-		if p1 > p0 {
-			// Floor both window edges so consecutive progressive reads
-			// tile exactly: a later read's lower edge equals this read's
-			// upper edge.
-			lo := uint32(float64(n.count) * p0)
-			hi := uint32(float64(n.count) * p1)
-			if hi > n.count {
-				hi = n.count
-			}
-			for pi := n.start + lo; pi < n.start+hi; pi++ {
-				p := geom.V3(float64(t.x[pi]), float64(t.y[pi]), float64(t.z[pi]))
-				if !s.pointPasses(p, t, pi) {
-					tc.falsePos++
-					continue
-				}
-				if err := emit(p, t, pi); err != nil {
-					return err
-				}
-			}
-		}
-		if n.axis == uint8(leafAxis) {
-			return nil
-		}
-		// Spatial pruning against the split plane.
-		if s.q.Bounds != nil {
-			ax := geom.Axis(n.axis)
-			if s.q.Bounds.Lower.Component(ax) >= n.pos {
-				return rec(n.right, depth+1)
-			}
-			if s.q.Bounds.Upper.Component(ax) < n.pos {
-				return rec(n.left, depth+1)
-			}
-		}
-		if err := rec(n.left, depth+1); err != nil {
-			return err
-		}
-		return rec(n.right, depth+1)
-	}
-	return rec(0, 0)
+// selection is what one candidate treelet contributes to a query, held as
+// indices into the treelet's own columns rather than as copied particles:
+// node windows of a query without exact checks stay whole spans, windows
+// under a box or filter are narrowed to the surviving picks (so a selection
+// holds one or the other). Parsed treelets are immutable and outlive cache
+// eviction for as long as a selection references them.
+type selection struct {
+	idx   int // position in the candidate list, for ordered delivery
+	t     *parsedTreelet
+	spans []span
+	picks []uint32
+	stats QueryStats // this treelet's walk; Visited is counted at delivery
+	err   error      // load, corruption or cancellation; nothing is delivered
 }
 
-// runSerial traverses the candidate treelets one by one on the calling
-// goroutine, with visit order identical to the pre-parallel reader. A
-// sliding readahead window keeps the next cfg.Readahead treelets warming
-// in the cache while the current one is walked.
-func (f *File) runSerial(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, tc *traversalCounters, visit Visitor, cancel *cancelFlag) error {
-	emit := func(p geom.Vec3, t *parsedTreelet, pi uint32) error {
-		attrs := make([]float64, len(t.attrs))
-		for a := range attrs {
-			attrs[a] = t.attrs[a][pi]
-		}
-		tc.visited++
-		return visit(p, attrs)
+// errTraversalCancelled is returned when a collector observes the shared
+// cancel flag mid-treelet.
+var errTraversalCancelled = errors.New("bat: traversal cancelled")
+
+// collect loads candidate treelet li and walks it into sel, reusing sel's
+// slices. It is the one function that loads and traverses a treelet: pool
+// workers call it, and so does the caller's goroutine when there is no pool.
+func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cancelFlag, sel *selection) {
+	sel.t, sel.spans, sel.picks, sel.stats, sel.err = nil, sel.spans[:0], sel.picks[:0], QueryStats{}, nil
+	t, err := f.loadTreelet(ctx, li)
+	if err != nil {
+		sel.err = err
+		return
 	}
-	for i, li := range cands {
-		if cancel.isSet() {
-			return errTraversalCancelled
+	sel.t = t
+	sel.stats.Treelets = 1
+	ref := &f.leaves[li]
+	f.access.Treelet(f.accessLeaf, li, int64(ref.byteLen), ref.bounds.Center())
+	if len(t.nodes) > 0 {
+		sel.err = s.traverseTreelet(f, sel, cancel, 0, 0)
+	}
+}
+
+// traverseTreelet walks sel.t depth-first from node ni, selecting each
+// node's particle window for the progressive quality range. cancel, when
+// non-nil, is polled at each node so aborted queries stop promptly.
+func (s *queryState) traverseTreelet(f *File, sel *selection, cancel *cancelFlag, ni int32, depth int) error {
+	if depth > s.curD {
+		return nil
+	}
+	// Defense against corrupt files whose child links form a cycle.
+	if depth > maxSaneDepth {
+		return errCyclicTreelet
+	}
+	if cancel.isSet() {
+		return errTraversalCancelled
+	}
+	n := &sel.t.nodes[ni]
+	if !s.nodePassesBitmaps(f, n.ids) {
+		sel.stats.PrunedSubtrees++
+		return nil
+	}
+	// Select this node's particle window for the quality increment.
+	p0 := portion(depth, s.prevD, s.prevF)
+	p1 := portion(depth, s.curD, s.curF)
+	if p1 > p0 {
+		// Floor both window edges so consecutive progressive reads
+		// tile exactly: a later read's lower edge equals this read's
+		// upper edge.
+		lo := uint32(float64(n.count) * p0)
+		hi := uint32(float64(n.count) * p1)
+		if hi > n.count {
+			hi = n.count
 		}
-		// The AfterFunc that sets the flag runs on its own goroutine and
-		// may lag on a busy scheduler; a direct per-treelet check keeps
-		// cancellation prompt regardless.
-		if err := ctx.Err(); err != nil {
-			return err
+		switch {
+		case hi <= lo: // the quality increment adds nothing at this node
+		case len(s.preds) == 0:
+			sel.spans = append(sel.spans, span{n.start + lo, n.start + hi})
+		default:
+			before := len(sel.picks)
+			sel.picks = s.narrow(sel.t, n.start+lo, n.start+hi, sel.picks)
+			sel.stats.FalsePositives += int64(hi-lo) - int64(len(sel.picks)-before)
 		}
-		if cfg.Readahead > 0 {
-			if i == 0 {
-				for j := 1; j <= cfg.Readahead && j < len(cands); j++ {
-					f.prefetch(ctx, cands[j], cfg.Readahead)
-				}
-			} else if i+cfg.Readahead < len(cands) {
-				f.prefetch(ctx, cands[i+cfg.Readahead], cfg.Readahead)
+	}
+	if n.axis == uint8(leafAxis) {
+		return nil
+	}
+	// Spatial pruning against the split plane.
+	if s.q.Bounds != nil {
+		ax := geom.Axis(n.axis)
+		if s.q.Bounds.Lower.Component(ax) >= n.pos {
+			return s.traverseTreelet(f, sel, cancel, n.right, depth+1)
+		}
+		if s.q.Bounds.Upper.Component(ax) < n.pos {
+			return s.traverseTreelet(f, sel, cancel, n.left, depth+1)
+		}
+	}
+	if err := s.traverseTreelet(f, sel, cancel, n.left, depth+1); err != nil {
+		return err
+	}
+	return s.traverseTreelet(f, sel, cancel, n.right, depth+1)
+}
+
+// emitter is the delivery half of a query. It runs only on the goroutine
+// that called Query, whatever the worker count, and holds the one place a
+// Visitor is invoked.
+type emitter struct {
+	visit Visitor
+	attrs []float64 // the scratch slice every visit call receives
+	stats QueryStats
+}
+
+// deliver turns one selection into visitor calls, reading the treelet's
+// columns directly. A cancellation observed between selections stops
+// delivery: already-collected treelets must not keep streaming to a caller
+// that asked to stop.
+func (e *emitter) deliver(ctx context.Context, sel *selection) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if sel.err != nil {
+		return sel.err
+	}
+	e.stats.add(sel.stats)
+	t := sel.t
+	emit := func(pi uint32) error {
+		for a, col := range t.attrs {
+			e.attrs[a] = col[pi]
+		}
+		e.stats.Visited++
+		return e.visit(geom.V3(float64(t.x[pi]), float64(t.y[pi]), float64(t.z[pi])), e.attrs)
+	}
+	for _, w := range sel.spans {
+		for pi := w.lo; pi < w.hi; pi++ {
+			if err := emit(pi); err != nil {
+				return err
 			}
 		}
-		t, err := f.loadTreelet(ctx, li)
-		if err != nil {
-			return err
-		}
-		tc.treelets++
-		ref := &f.leaves[li]
-		f.access.Treelet(f.accessLeaf, li, int64(ref.byteLen), ref.bounds.Center())
-		if err := s.traverseTreelet(f, t, tc, emit, cancel); err != nil {
+	}
+	for _, pi := range sel.picks {
+		if err := emit(pi); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CollectBox gathers every particle inside bounds into a new set; this is
-// the spatial read used by the parallel read pipeline's data servers.
-func (f *File) CollectBox(bounds geom.Box) (*particles.Set, error) {
-	out := particles.NewSet(f.Schema, 0)
-	err := f.Query(Query{Bounds: &bounds}, func(p geom.Vec3, attrs []float64) error {
-		out.Append(p, attrs)
-		return nil
-	})
-	return out, err
-}
-
 // ReadAll gathers every particle in the file into a new set.
 func (f *File) ReadAll() (*particles.Set, error) {
 	out := particles.NewSet(f.Schema, int(f.NumParticles))
-	err := f.Query(Query{}, func(p geom.Vec3, attrs []float64) error {
+	_, err := f.Query(context.Background(), Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 		out.Append(p, attrs)
 		return nil
 	})
@@ -494,10 +516,6 @@ func (f *File) ReadAll() (*particles.Set, error) {
 // CountMatching returns the number of particles a query would visit; useful
 // for sizing receive buffers before a data transfer.
 func (f *File) CountMatching(q Query) (int64, error) {
-	var n int64
-	err := f.Query(q, func(geom.Vec3, []float64) error {
-		n++
-		return nil
-	})
-	return n, err
+	st, err := f.Query(context.Background(), q, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
+	return st.Visited, err
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sync"
 
 	"libbat/internal/bitmap"
@@ -106,11 +105,6 @@ type File struct {
 	// queries; Close must not race in-flight queries (the caller — e.g.
 	// batserve's open/close RWMutex — sequences lifecycle vs. use).
 	cache *treeletCache
-
-	// qcfg is the default execution policy for Query/QueryWithStats;
-	// qcfgMu guards it so SetQueryConfig is safe alongside queries.
-	qcfgMu sync.Mutex
-	qcfg   QueryConfig
 
 	// access is the optional access-telemetry recorder (nil = disabled:
 	// every call on it no-ops); accessLeaf is the leaf-file index this File
@@ -735,26 +729,6 @@ func OpenMmap(path string) (*File, error) {
 	return f, nil
 }
 
-// Open opens a BAT file on disk.
-func Open(path string) (*File, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := fh.Stat()
-	if err != nil {
-		fh.Close()
-		return nil, err
-	}
-	f, err := Decode(fh, st.Size())
-	if err != nil {
-		fh.Close()
-		return nil, err
-	}
-	f.closer = fh
-	return f, nil
-}
-
 // Close releases the underlying file, if any. It waits out in-flight
 // readahead goroutines first; callers must still not race Close with
 // in-flight Query calls.
@@ -817,22 +791,6 @@ func (f *File) CacheStats() CacheStats { return f.cache.stats() }
 func (f *File) SetAccessRecorder(rec *access.Recorder, leaf int) {
 	f.access, f.accessLeaf = rec, leaf
 	f.cache.setAccess(rec, leaf)
-}
-
-// SetQueryConfig sets the default execution policy used by Query,
-// QueryWithStats, and the helpers built on them (ReadAll, CollectBox,
-// CountMatching). The zero value is the serial engine.
-func (f *File) SetQueryConfig(cfg QueryConfig) {
-	f.qcfgMu.Lock()
-	f.qcfg = cfg
-	f.qcfgMu.Unlock()
-}
-
-// queryConfig returns the File's default execution policy.
-func (f *File) queryConfig() QueryConfig {
-	f.qcfgMu.Lock()
-	defer f.qcfgMu.Unlock()
-	return f.qcfg
 }
 
 // loadTreelet returns treelet ti, parsing it through the cache: concurrent

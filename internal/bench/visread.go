@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -109,7 +110,7 @@ func ProgressiveRead(store pfs.Storage, base string) (ProgressiveResult, error) 
 		start := time.Now()
 		var pts int64
 		for _, f := range files {
-			err := f.Query(bat.Query{PrevQuality: prev, Quality: q},
+			_, err := f.Query(context.Background(), bat.Query{PrevQuality: prev, Quality: q}, bat.QueryConfig{},
 				func(geom.Vec3, []float64) error {
 					pts++
 					return nil

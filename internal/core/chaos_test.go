@@ -241,7 +241,8 @@ func detectsCorruption(buf []byte) bool {
 	if f.Verify() != nil {
 		return true
 	}
-	return f.Query(bat.Query{}, func(geom.Vec3, []float64) error { return nil }) != nil
+	_, err = f.QueryWithConfig(bat.Query{}, bat.QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
+	return err != nil
 }
 
 // TestChaosMetaBitFlip damages the metadata file. Query routing needs the

@@ -529,7 +529,7 @@ func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFil
 	}
 	start := time.Now()
 	sub := particles.NewSet(f.Schema, 0)
-	st, qerr := f.QueryWithStatsCtx(ctx, q, func(p geom.Vec3, attrs []float64) error {
+	st, qerr := f.Query(ctx, q, bat.QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
 		sub.Append(p, attrs)
 		return nil
 	})
@@ -538,7 +538,7 @@ func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFil
 			Source:         "core.read",
 			Rank:           rank,
 			Box:            access.BoxRecord(q.Bounds),
-			Filters:        accessFilters(m.Schema, q.Filters),
+			Filters:        access.FilterRanges(m.Schema, q.Filters),
 			PrevQuality:    q.PrevQuality,
 			Quality:        q.Quality,
 			Treelets:       st.Treelets,
@@ -549,20 +549,4 @@ func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFil
 		})
 	}
 	return sub, opened, qerr
-}
-
-// accessFilters names a query's attribute filters for the access log.
-func accessFilters(schema particles.Schema, fs []bat.AttrFilter) []access.FilterRange {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]access.FilterRange, len(fs))
-	for i, f := range fs {
-		name := fmt.Sprintf("attr%d", f.Attr)
-		if f.Attr >= 0 && f.Attr < schema.NumAttrs() {
-			name = schema.Attrs[f.Attr].Name
-		}
-		out[i] = access.FilterRange{Attr: name, Min: f.Min, Max: f.Max}
-	}
-	return out
 }

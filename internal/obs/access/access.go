@@ -16,6 +16,8 @@
 package access
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,6 +25,7 @@ import (
 
 	"libbat/internal/geom"
 	"libbat/internal/morton"
+	"libbat/internal/particles"
 )
 
 // Default telemetry shape. GridBits is bits per axis of the heatmap grid:
@@ -75,6 +78,48 @@ type FilterRange struct {
 	Attr string  `json:"attr"`
 	Min  float64 `json:"min"`
 	Max  float64 `json:"max"`
+}
+
+// FilterRanges names a query's attribute filters for the query log; an
+// index outside the schema is logged as "attr<i>". F is the query layer's
+// filter type, which this package cannot import.
+func FilterRanges[F ~struct {
+	Attr     int
+	Min, Max float64
+}](schema particles.Schema, filters []F) []FilterRange {
+	if len(filters) == 0 {
+		return nil
+	}
+	out := make([]FilterRange, len(filters))
+	for i, flt := range filters {
+		f := struct {
+			Attr     int
+			Min, Max float64
+		}(flt)
+		name := fmt.Sprintf("attr%d", f.Attr)
+		if f.Attr >= 0 && f.Attr < schema.NumAttrs() {
+			name = schema.Attrs[f.Attr].Name
+		}
+		out[i] = FilterRange{Attr: name, Min: f.Min, Max: f.Max}
+	}
+	return out
+}
+
+type sourceKey struct{}
+
+// WithSource tags every query issued under the returned context with the
+// caller that originated it (e.g. "batserve:/points"), for the Source field
+// of its query-log record.
+func WithSource(ctx context.Context, source string) context.Context {
+	return context.WithValue(ctx, sourceKey{}, source)
+}
+
+// SourceOf returns the tag WithSource attached to ctx, or def when none.
+func SourceOf(ctx context.Context, def string) string {
+	if s, ok := ctx.Value(sourceKey{}).(string); ok {
+		return s
+	}
+	return def
 }
 
 // QueryRecord is one structured entry of the recent-query ring: what the

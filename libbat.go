@@ -70,7 +70,8 @@ type (
 	Query = bat.Query
 	// AttrFilter restricts a query to an attribute interval.
 	AttrFilter = bat.AttrFilter
-	// Visitor receives query results.
+	// Visitor receives query results. Its attrs slice is reused for the
+	// next particle: valid only until the visitor returns.
 	Visitor = bat.Visitor
 	// QueryConfig tunes query execution: traversal workers, ordered vs.
 	// order-tolerant delivery, and treelet readahead.
@@ -324,20 +325,13 @@ func (d *Dataset) Close() error {
 	return errors.Join(errs...)
 }
 
-// SetQueryConfig sets the traversal configuration applied to every leaf
-// query (existing and future opens). Safe to call concurrently with
-// queries; in-flight traversals keep their old configuration.
+// SetQueryConfig sets the traversal configuration passed to every leaf
+// query. Safe to call concurrently with queries; in-flight queries keep the
+// configuration they started with.
 func (d *Dataset) SetQueryConfig(cfg QueryConfig) {
 	d.mu.Lock()
 	d.qcfg = cfg
-	slots := d.openSlotsLocked()
 	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetQueryConfig(cfg)
-		}
-	}
 }
 
 // SetCacheLimit bounds the total treelet-cache memory across all leaf
@@ -507,10 +501,10 @@ func (d *Dataset) leaf(ctx context.Context, li int) (*bat.File, error) {
 	}
 	s = &leafSlot{ready: make(chan struct{})}
 	d.files[li] = s
-	cfg, per, col, labels, rec := d.qcfg, d.perLeafLimitLocked(), d.col, d.obsLabels, d.accessRec
+	per, col, labels, rec := d.perLeafLimitLocked(), d.col, d.obsLabels, d.accessRec
 	d.mu.Unlock()
 
-	s.f, s.err = d.openLeaf(ctx, li, cfg, per, col, labels, rec)
+	s.f, s.err = d.openLeaf(ctx, li, per, col, labels, rec)
 	if s.err != nil {
 		d.mu.Lock()
 		if d.files[li] == s {
@@ -522,7 +516,7 @@ func (d *Dataset) leaf(ctx context.Context, li int) (*bat.File, error) {
 	return s.f, s.err
 }
 
-func (d *Dataset) openLeaf(ctx context.Context, li int, cfg QueryConfig, cacheLimit int64, col *obs.Collector, labels []obs.Label, rec *access.Recorder) (*bat.File, error) {
+func (d *Dataset) openLeaf(ctx context.Context, li int, cacheLimit int64, col *obs.Collector, labels []obs.Label, rec *access.Recorder) (*bat.File, error) {
 	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
 	if err != nil {
 		return nil, err
@@ -533,7 +527,6 @@ func (d *Dataset) openLeaf(ctx context.Context, li int, cfg QueryConfig, cacheLi
 		return nil, err
 	}
 	f.SetCloser(h)
-	f.SetQueryConfig(cfg)
 	f.SetCacheLimit(cacheLimit)
 	if col != nil {
 		f.SetObserver(col, labels...)
@@ -544,73 +537,54 @@ func (d *Dataset) openLeaf(ctx context.Context, li int, cfg QueryConfig, cacheLi
 	return f, nil
 }
 
-// Query runs a visualization read over the whole dataset (paper §V): the
-// Aggregation Tree prunes leaf files spatially and by attribute bitmap
-// before each surviving file's BAT is traversed. Progressive quality
-// windows apply per leaf file.
+// Query is QueryCtx without a context. benchmark/ calls it (and Count) by
+// this name and may not change.
 func (d *Dataset) Query(q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(context.Background(), "dataset", q, visit)
+	return d.QueryCtx(context.Background(), q, visit)
 }
 
-// QueryCtx is Query honoring ctx: when ctx ends, leaf opens and treelet
-// traversals abort promptly and ctx.Err() is returned. Leaf files and
-// treelets already cached stay valid for later queries.
+// QueryCtx runs a visualization read over the whole dataset (paper §V): the
+// Aggregation Tree prunes leaf files spatially and by attribute bitmap
+// before each surviving file's BAT is traversed under the dataset's
+// QueryConfig. Progressive quality windows apply per leaf file.
+//
+// When ctx ends, leaf opens and treelet traversals abort promptly and
+// ctx.Err() is returned; leaf files and treelets already cached stay valid
+// for later queries. With an access recorder attached the query is logged
+// under the source tag ctx carries (access.WithSource), "dataset" if none.
 func (d *Dataset) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(ctx, "dataset", q, visit)
-}
-
-// QueryTagged is Query with an explicit source tag for the access-telemetry
-// recent-query log (e.g. "batserve:/points"); with no recorder attached it
-// is exactly Query.
-func (d *Dataset) QueryTagged(source string, q Query, visit Visitor) error {
-	return d.QueryTaggedCtx(context.Background(), source, q, visit)
-}
-
-// QueryTaggedCtx is QueryTagged honoring ctx, the full-featured form the
-// other Query variants delegate to.
-func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, visit Visitor) error {
 	d.mu.Lock()
-	rec, workers := d.accessRec, d.qcfg.Workers
+	rec, cfg := d.accessRec, d.qcfg
 	d.mu.Unlock()
 
 	var filters []meta.AttrFilter
 	for _, f := range q.Filters {
 		filters = append(filters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
 	}
-	selected := d.meta.SelectLeaves(q.Bounds, filters)
-
-	if rec == nil {
-		for _, li := range selected {
-			f, err := d.leaf(ctx, li)
-			if err != nil {
-				return err
-			}
-			if err := f.QueryCtx(ctx, q, visit); err != nil {
-				return err
-			}
-		}
-		return nil
+	var start time.Time
+	var before CacheStats
+	if rec != nil {
+		start, before = time.Now(), d.CacheStats()
 	}
-
-	start := time.Now()
-	before := d.CacheStats()
 	var total QueryStats
 	var qerr error
-	for _, li := range selected {
+	for _, li := range d.meta.SelectLeaves(q.Bounds, filters) {
 		f, err := d.leaf(ctx, li)
+		if err == nil {
+			var st QueryStats
+			st, err = f.Query(ctx, q, cfg, visit)
+			total.Visited += st.Visited
+			total.FalsePositives += st.FalsePositives
+			total.PrunedSubtrees += st.PrunedSubtrees
+			total.Treelets += st.Treelets
+		}
 		if err != nil {
 			qerr = err
 			break
 		}
-		st, err := f.QueryWithStatsCtx(ctx, q, visit)
-		total.Visited += st.Visited
-		total.FalsePositives += st.FalsePositives
-		total.PrunedSubtrees += st.PrunedSubtrees
-		total.Treelets += st.Treelets
-		if err != nil {
-			qerr = err
-			break
-		}
+	}
+	if rec == nil {
+		return qerr
 	}
 	after := d.CacheStats()
 	// Cache hit ratio over this query's lookups, from the counter delta.
@@ -621,21 +595,13 @@ func (d *Dataset) QueryTaggedCtx(ctx context.Context, source string, q Query, vi
 	if lookups > 0 {
 		ratio = float64(after.Hits-before.Hits) / float64(lookups)
 	}
-	recFilters := make([]access.FilterRange, len(q.Filters))
-	for i, flt := range q.Filters {
-		name := fmt.Sprintf("attr%d", flt.Attr)
-		if flt.Attr >= 0 && flt.Attr < d.meta.Schema.NumAttrs() {
-			name = d.meta.Schema.Attrs[flt.Attr].Name
-		}
-		recFilters[i] = access.FilterRange{Attr: name, Min: flt.Min, Max: flt.Max}
-	}
 	rec.Record(access.QueryRecord{
-		Source:         source,
+		Source:         access.SourceOf(ctx, "dataset"),
 		Box:            access.BoxRecord(q.Bounds),
-		Filters:        recFilters,
+		Filters:        access.FilterRanges(d.meta.Schema, q.Filters),
 		PrevQuality:    q.PrevQuality,
 		Quality:        q.Quality,
-		Workers:        workers,
+		Workers:        cfg.Workers,
 		Treelets:       total.Treelets,
 		Particles:      total.Visited,
 		Pruned:         total.PrunedSubtrees,

@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
-# Regenerate the read-path benchmark baseline (BENCH_read.json at the repo
-# root). Run on a quiet machine; the numbers are recorded for trajectory
-# comparison across PRs, never gated on in CI.
+# Regenerate the checked-in per-subsystem baselines: BENCH_compress.json
+# (v3 codec) and BENCH_treebuild.json (plan scaling). Run on a quiet machine;
+# the numbers are recorded for trajectory comparison across PRs, never gated
+# on in CI. Read-path numbers (scan_warm_mpps, scan_cold_mpps, box_query_ms,
+# bat.parallel_speedup, bat.cache.hit_rate, ...) come from the full-trip
+# benchmark instead: go run ./benchmark -seed 1 -seconds 30 -out r.json
 #
 # Usage:
-#   scripts/bench.sh                # write BENCH_read.json at the repo root
-#   scripts/bench.sh /tmp/out.json  # write elsewhere (e.g. CI smoke check)
+#   scripts/bench.sh   # write both baselines at the repo root
+#                      # (COMPRESSBENCH_OUT / TREEBENCH_OUT override the paths)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_read.json}"
-particles="${READBENCH_PARTICLES:-400000}"
 compress_out="${COMPRESSBENCH_OUT:-BENCH_compress.json}"
 compress_particles="${COMPRESSBENCH_PARTICLES:-400000}"
 
 # The compression benchmark is serial (build + single-worker scans), so it
-# is meaningful on any machine and runs before the core-count guard below.
+# is meaningful on any machine.
 go run ./cmd/batbench -compressbench -compressbench-out "$compress_out" \
 	-compress-particles "$compress_particles"
 
@@ -28,40 +29,3 @@ if [ "${TREEBENCH_QUICK:-0}" != 0 ]; then
 	treebench_flags+=(-treebench-quick)
 fi
 go run ./cmd/batbench -treebench -treebench-out "$treebuild_out" "${treebench_flags[@]}"
-
-# The parallel-read numbers are meaningless on one core: every Workers>1
-# configuration degenerates to time-sliced serial execution plus scheduler
-# overhead. Record the core count prominently so a baseline generated on the
-# wrong machine is obvious in review.
-maxprocs="$(go run ./cmd/batbench -print-gomaxprocs 2>/dev/null || nproc)"
-echo "bench.sh: GOMAXPROCS=$maxprocs"
-if [ "$maxprocs" -le 1 ]; then
-	echo "bench.sh: WARNING ------------------------------------------------" >&2
-	echo "bench.sh: WARNING: only 1 usable CPU. Parallel read configurations" >&2
-	echo "bench.sh: WARNING: cannot speed up; a baseline recorded here would" >&2
-	echo "bench.sh: WARNING: misrepresent the read path. Refusing to touch"   >&2
-	echo "bench.sh: WARNING: BENCH_read.json; pass an explicit output path"   >&2
-	echo "bench.sh: WARNING: to force a single-core run."                     >&2
-	echo "bench.sh: WARNING ------------------------------------------------" >&2
-	if [ "$out" = "BENCH_read.json" ]; then
-		# Leave a machine-readable record of the refusal so automation
-		# (and the next reader of results/) sees why the baseline was not
-		# refreshed instead of silently finding a stale file.
-		mkdir -p results
-		cat > results/BENCH_read.skipped.json <<-EOF
-		{
-		  "skipped": "BENCH_read.json",
-		  "reason": "single-core runner: parallel read configurations degenerate to time-sliced serial execution",
-		  "gomaxprocs": $maxprocs,
-		  "generated_by": "scripts/bench.sh"
-		}
-		EOF
-		echo "bench.sh: skip record written to results/BENCH_read.skipped.json" >&2
-		exit 1
-	fi
-fi
-
-# A fresh baseline supersedes any earlier single-core refusal record.
-rm -f results/BENCH_read.skipped.json
-
-go run ./cmd/batbench -readbench -readbench-out "$out" -read-particles "$particles"

@@ -70,11 +70,11 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 # running fused inside the concurrent query workers.
 run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden' ./internal/bat/
 
-# The concurrent query engine under the race detector: shared-File queries,
-# parallel-vs-serial multiset identity, the treelet cache singleflight, and
+# The query engine under the race detector: shared-File queries, Workers=N
+# vs Workers=1 multiset identity, the treelet cache singleflight, and
 # the batserve overlapping-request tests. GOMAXPROCS forced above 1 so the
 # traversal workers genuinely interleave on single-core runners.
-run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestFileLevel' ./internal/bat/
+run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestProgressiveTiles' ./internal/bat/
 run "go test -race batserve" env GOMAXPROCS=4 go test -race ./cmd/batserve/
 run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset' .
 
@@ -92,22 +92,6 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 # Bench smoke: one iteration of every BAT build benchmark, just to keep the
 # benchmark code compiling and runnable (no timing assertions).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
-
-# Read-path bench smoke: run the query benchmark at a small scale into a
-# temp file and require only that a well-formed report is produced — the
-# readbench validates its own JSON on the way out. Never gates on speed.
-readbench_smoke() {
-	out="$(mktemp)" || return 1
-	if ! go run ./cmd/batbench -readbench -readbench-out "$out" -read-particles 50000 >/dev/null; then
-		rm -f "$out"
-		return 1
-	fi
-	test -s "$out"
-	rc=$?
-	rm -f "$out"
-	return $rc
-}
-run "bench smoke readbench" readbench_smoke
 
 # Compression bench smoke: small-scale run into a temp file; the bench
 # self-validates every decoded value against its declared error bound and
