@@ -27,7 +27,6 @@ import (
 
 	"libbat/internal/bench"
 	"libbat/internal/cliutil"
-	"libbat/internal/mmapio"
 	"libbat/internal/obs"
 	"libbat/internal/perf"
 )
@@ -102,7 +101,6 @@ func main() {
 	}
 	if col != nil {
 		bench.Observer = col
-		mmapio.SetCollector(col)
 	}
 	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*compBench && !*treeBench {
 		flag.Usage()

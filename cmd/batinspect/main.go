@@ -53,33 +53,23 @@ func main() {
 		}
 		return
 	}
-	mf, err := store.Open(core.MetaFileName(*name))
-	if err != nil {
-		fail(err)
-	}
-	buf := make([]byte, mf.Size())
-	if _, err := mf.ReadAt(buf, 0); err != nil && err != io.EOF {
-		fail(err)
-	}
-	if err := mf.Close(); err != nil {
-		fail(err)
-	}
 	if *verify {
-		if !verifyDataset(os.Stdout, store, *name, buf) {
+		if !verifyDataset(os.Stdout, store, *name) {
 			os.Exit(1)
 		}
 		return
 	}
-	m, err := meta.Decode(buf)
+	ds, err := core.OpenDataset(context.Background(), store, *name)
 	if err != nil {
 		fail(err)
 	}
+	m := ds.Meta()
 
 	if *leaf >= 0 {
 		if *leaf >= len(m.Leaves) {
 			fail(fmt.Errorf("leaf %d out of range (%d leaves)", *leaf, len(m.Leaves)))
 		}
-		inspectLeaf(store, m.Leaves[*leaf], fail)
+		inspectLeaf(ds, *leaf, fail)
 		return
 	}
 	if *tree {
@@ -119,40 +109,29 @@ func main() {
 // It prints one line per file and reports whether everything passed.
 // Version-1 files carry no checksums; they are listed as unverifiable but
 // do not fail the run.
-func verifyDataset(w io.Writer, store pfs.Storage, name string, metaBuf []byte) bool {
-	m, err := meta.Decode(metaBuf)
+func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
+	ctx := context.Background()
+	ds, err := core.OpenDataset(ctx, store, name)
 	if err != nil {
 		fmt.Fprintf(w, "FAIL  %-28s %v\n", core.MetaFileName(name), err)
 		return false
 	}
+	m := ds.Meta()
 	fmt.Fprintf(w, "ok    %-28s metadata, %d leaves\n", core.MetaFileName(name), len(m.Leaves))
 	ok := true
 	bad := func(file string, err error) {
 		fmt.Fprintf(w, "FAIL  %-28s %v\n", file, err)
 		ok = false
 	}
-	for _, lm := range m.Leaves {
-		fh, err := store.Open(lm.FileName)
+	for li, lm := range m.Leaves {
+		f, err := ds.Leaf(ctx, li)
 		if err != nil {
 			bad(lm.FileName, err)
-			continue
-		}
-		f, err := bat.Decode(fh, fh.Size())
-		if err != nil {
-			bad(lm.FileName, err)
-			if cerr := fh.Close(); cerr != nil {
-				bad(lm.FileName, cerr)
-			}
 			continue
 		}
 		if !f.Checksummed() {
 			fmt.Fprintf(w, "skip  %-28s version %d file has no checksums\n", lm.FileName, f.Version)
-			if cerr := fh.Close(); cerr != nil {
-				bad(lm.FileName, cerr)
-			}
-			continue
-		}
-		if err := f.Verify(); err != nil {
+		} else if err := f.Verify(); err != nil {
 			bad(lm.FileName, err)
 		} else if int64(f.NumParticles) != lm.Count {
 			bad(lm.FileName, fmt.Errorf("holds %d particles, metadata says %d", f.NumParticles, lm.Count))
@@ -163,7 +142,8 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string, metaBuf []byte) 
 			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles\n",
 				lm.FileName, f.NumTreelets(), f.NumParticles)
 		}
-		if cerr := fh.Close(); cerr != nil {
+		// One leaf open at a time: Close releases it and ds stays usable.
+		if cerr := ds.Close(); cerr != nil {
 			bad(lm.FileName, cerr)
 		}
 	}
@@ -200,16 +180,12 @@ func printTree(m *meta.Meta) {
 	rec(0, "")
 }
 
-func inspectLeaf(store pfs.Storage, lm meta.LeafMeta, fail func(error)) {
-	fh, err := store.Open(lm.FileName)
+func inspectLeaf(ds *core.Dataset, li int, fail func(error)) {
+	f, err := ds.Leaf(context.Background(), li)
 	if err != nil {
 		fail(err)
 	}
-	f, err := bat.Decode(fh, fh.Size())
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("BAT file %s (%d bytes)\n", lm.FileName, fh.Size())
+	fmt.Printf("BAT file %s (%d bytes)\n", ds.Meta().Leaves[li].FileName, f.Size())
 	fmt.Printf("  particles: %d, treelets: %d, max treelet depth: %d\n",
 		f.NumParticles, f.NumTreelets(), f.MaxTreeletDepth)
 	fmt.Printf("  build config: subprefix=%d bits, %d LOD/node, <=%d particles/leaf\n",
@@ -217,7 +193,7 @@ func inspectLeaf(store pfs.Storage, lm meta.LeafMeta, fail func(error)) {
 	fmt.Printf("  domain: %v\n", f.Domain)
 	raw := int64(f.NumParticles) * int64(f.Schema.BytesPerParticle())
 	fmt.Printf("  raw payload: %d bytes, layout overhead: %.2f%%\n",
-		raw, 100*float64(fh.Size()-raw)/float64(raw))
+		raw, 100*float64(f.Size()-raw)/float64(raw))
 	fmt.Printf("  local attribute ranges:\n")
 	for a, d := range f.Schema.Attrs {
 		fmt.Printf("    %-12s [%g, %g]\n", d.Name, f.Ranges[a].Min, f.Ranges[a].Max)
@@ -225,7 +201,7 @@ func inspectLeaf(store pfs.Storage, lm meta.LeafMeta, fail func(error)) {
 	if ci := f.Compression(); ci != nil {
 		printCompression(f, ci, fail)
 	}
-	if err := fh.Close(); err != nil {
+	if err := ds.Close(); err != nil {
 		fail(err)
 	}
 }

@@ -83,7 +83,7 @@ func writeCompressedDataset(t *testing.T) pfs.Storage {
 func TestVerifyCompressedDataset(t *testing.T) {
 	store := writeCompressedDataset(t)
 	var out bytes.Buffer
-	if !verifyDataset(&out, store, "ds", slurp(t, store, core.MetaFileName("ds"))) {
+	if !verifyDataset(&out, store, "ds") {
 		t.Fatalf("clean compressed dataset failed verification:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "v3 ratio") {
@@ -121,7 +121,7 @@ func TestVerifyCompressedDataset(t *testing.T) {
 func TestVerifyCleanDataset(t *testing.T) {
 	store := writeDataset(t)
 	var out bytes.Buffer
-	if !verifyDataset(&out, store, "ds", slurp(t, store, core.MetaFileName("ds"))) {
+	if !verifyDataset(&out, store, "ds") {
 		t.Fatalf("clean dataset failed verification:\n%s", out.String())
 	}
 	if strings.Contains(out.String(), "FAIL") {
@@ -138,7 +138,7 @@ func TestVerifyDamagedLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if verifyDataset(&out, store, "ds", slurp(t, store, core.MetaFileName("ds"))) {
+	if verifyDataset(&out, store, "ds") {
 		t.Fatalf("damaged leaf passed verification:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), leafName) {
@@ -150,8 +150,11 @@ func TestVerifyDamagedMetadata(t *testing.T) {
 	store := writeDataset(t)
 	buf := slurp(t, store, core.MetaFileName("ds"))
 	buf[len(buf)/2] ^= 0x01
+	if err := store.WriteFile(core.MetaFileName("ds"), buf); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
-	if verifyDataset(&out, store, "ds", buf) {
+	if verifyDataset(&out, store, "ds") {
 		t.Fatal("damaged metadata passed verification")
 	}
 }
@@ -162,7 +165,7 @@ func TestVerifyMissingLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if verifyDataset(&out, store, "ds", slurp(t, store, core.MetaFileName("ds"))) {
+	if verifyDataset(&out, store, "ds") {
 		t.Fatal("dataset with a missing leaf passed verification")
 	}
 }

@@ -385,7 +385,7 @@ func NarrowingFromUint64(info *types.Info, call *ast.CallExpr) (to, from string,
 	}
 	switch dst.Kind() {
 	case types.Uint64, types.Uintptr:
-		return "", "", false // lossless (uintptr narrowing is the mmap layer's concern)
+		return "", "", false // lossless
 	}
 	av := info.Types[call.Args[0]]
 	if av.Value != nil {

@@ -75,7 +75,7 @@ type Summary struct {
 	// Flows: parameter→result taint passthroughs.
 	Flows []Flow `json:"f,omitempty"`
 	// Blocking: the function (transitively) performs a blocking
-	// operation — pfs/fabric/mmapio I/O or a bare time.Sleep. The ctxflow
+	// operation — pfs/fabric I/O or a bare time.Sleep. The ctxflow
 	// analyzer uses it to decide which callees must receive a context.
 	Blocking bool `json:"b,omitempty"`
 }
@@ -450,7 +450,7 @@ func bufferFillArg(name string, nargs int) int {
 
 // blockingPkgElems are the path elements whose calls are blocking by
 // definition: storage and collective I/O.
-var blockingPkgElems = map[string]bool{"pfs": true, "fabric": true, "mmapio": true}
+var blockingPkgElems = map[string]bool{"pfs": true, "fabric": true}
 
 func calleeIsBaseBlocking(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {

@@ -25,7 +25,7 @@ var ctxFlowExempt = []string{"fabric"}
 //
 // "Blocking" comes from the interprocedural summaries (analysis.Program):
 // a callee is blocking when it, or anything it transitively calls, does
-// pfs/fabric/mmapio I/O or a bare time.Sleep — so cache and reader
+// pfs/fabric I/O or a bare time.Sleep — so cache and reader
 // helpers that merely wrap storage reads are recognized without being
 // listed. The deliberate ctx-free compatibility wrappers (Query,
 // ReadQuery, ...) take no context themselves, so delegating to
@@ -139,7 +139,7 @@ func checkCtxFlow(pass *analysis.Pass, fn *ast.FuncDecl, ctxParam *types.Var) {
 }
 
 // calleeBlocking reports whether a call to fn can block: base blocking
-// packages (pfs, fabric, mmapio, time.Sleep) or any function whose
+// packages (pfs, fabric, time.Sleep) or any function whose
 // interprocedural summary says it transitively reaches one.
 func calleeBlocking(pass *analysis.Pass, fn *types.Func) bool {
 	if fn.Pkg() != nil {
@@ -147,7 +147,7 @@ func calleeBlocking(pass *analysis.Pass, fn *types.Func) bool {
 		if path == "time" && fn.Name() == "Sleep" {
 			return true
 		}
-		if inScope(path, "pfs", "fabric", "mmapio") {
+		if inScope(path, "pfs", "fabric") {
 			return true
 		}
 	}

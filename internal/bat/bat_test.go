@@ -678,39 +678,6 @@ func BenchmarkProgressiveRead(b *testing.B) {
 	}
 }
 
-func TestOpenMmap(t *testing.T) {
-	s, domain := randomSet(3000, 21)
-	b, err := Build(s, domain, DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "mmap.bat")
-	if err := os.WriteFile(path, b.Buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, err := f.ReadAll()
-	if err != nil || got.Len() != 3000 {
-		t.Fatalf("mmap read: %v, %d particles", err, got.Len())
-	}
-	// Results identical to the pread path.
-	f2 := decodeFile(t, path)
-	defer f2.Close()
-	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.7, 0.7, 0.7))
-	n1, _ := f.CountMatching(Query{Bounds: &box})
-	n2, _ := f2.CountMatching(Query{Bounds: &box})
-	if n1 != n2 {
-		t.Errorf("mmap query %d != pread query %d", n1, n2)
-	}
-	if _, err := OpenMmap(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file should error")
-	}
-}
-
 func TestQuantizedPositionsRoundTrip(t *testing.T) {
 	s, domain := clusteredSet(8000, 23)
 	cfg := DefaultBuildConfig()

@@ -248,7 +248,8 @@ type QueryStats struct {
 	Treelets int64
 }
 
-func (st *QueryStats) add(o QueryStats) {
+// Add accumulates o into st.
+func (st *QueryStats) Add(o QueryStats) {
 	st.Visited += o.Visited
 	st.FalsePositives += o.FalsePositives
 	st.PrunedSubtrees += o.PrunedSubtrees
@@ -479,7 +480,7 @@ func (e *emitter) deliver(ctx context.Context, sel *selection) error {
 	if sel.err != nil {
 		return sel.err
 	}
-	e.stats.add(sel.stats)
+	e.stats.Add(sel.stats)
 	t := sel.t
 	emit := func(pi uint32) error {
 		for a, col := range t.attrs {

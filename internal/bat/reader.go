@@ -17,7 +17,6 @@ import (
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
-	"libbat/internal/mmapio"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 	"libbat/internal/particles"
@@ -711,24 +710,6 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// OpenMmap opens a BAT file through a read-only memory mapping (true mmap
-// on Linux, a whole-file read elsewhere), the paper's access mode for
-// visualization reads: the OS page cache backs repeated traversals and the
-// page-aligned treelets map cleanly (§V).
-func OpenMmap(path string) (*File, error) {
-	m, err := mmapio.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := Decode(m, m.Size())
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	f.closer = m
-	return f, nil
-}
-
 // Close releases the underlying file, if any. It waits out in-flight
 // readahead goroutines first; callers must still not race Close with
 // in-flight Query calls.
@@ -743,6 +724,9 @@ func (f *File) Close() error {
 // SetCloser attaches a resource to release when the File is closed; used
 // by callers that Decode from their own file handles.
 func (f *File) SetCloser(c io.Closer) { f.closer = c }
+
+// Size returns the file's on-disk size in bytes.
+func (f *File) Size() int64 { return f.size }
 
 // NumTreelets returns the number of treelets (shallow leaves) in the file.
 func (f *File) NumTreelets() int { return len(f.leaves) }

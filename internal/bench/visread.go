@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"libbat/internal/core"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/meta"
 	"libbat/internal/obs"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -79,45 +77,32 @@ type ProgressiveResult struct {
 // file.
 func ProgressiveRead(store pfs.Storage, base string) (ProgressiveResult, error) {
 	var res ProgressiveResult
-	store = pfs.Observe(store, Observer)
-	m, err := openMetaFile(store, base)
+	ctx := context.Background()
+	ds, err := core.OpenDataset(ctx, pfs.Observe(store, Observer), base)
 	if err != nil {
 		return res, err
 	}
-	files := make([]*bat.File, len(m.Leaves))
-	for i, l := range m.Leaves {
-		fh, err := store.Open(l.FileName)
-		if err != nil {
+	defer ds.Close()
+	// Open every leaf up front: the table times reads, not opens.
+	leaves := ds.Select(bat.Query{})
+	for _, li := range leaves {
+		if _, err := ds.Leaf(ctx, li); err != nil {
 			return res, err
 		}
-		f, err := bat.Decode(fh, fh.Size())
-		if err != nil {
-			fh.Close()
-			return res, err
-		}
-		f.SetCloser(fh)
-		files[i] = f
 	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
 	var totalTime time.Duration
 	prev := 0.0
 	for stepQ := 1; stepQ <= 10; stepQ++ {
 		q := float64(stepQ) / 10
 		start := time.Now()
 		var pts int64
-		for _, f := range files {
-			_, err := f.Query(context.Background(), bat.Query{PrevQuality: prev, Quality: q}, bat.QueryConfig{},
-				func(geom.Vec3, []float64) error {
-					pts++
-					return nil
-				})
-			if err != nil {
-				return res, err
-			}
+		err := ds.Query(ctx, leaves, bat.Query{PrevQuality: prev, Quality: q},
+			func(geom.Vec3, []float64) error {
+				pts++
+				return nil
+			})
+		if err != nil {
+			return res, err
 		}
 		totalTime += time.Since(start)
 		res.TotalPts += pts
@@ -230,57 +215,27 @@ func Fig13Quality(cfg VisReadConfig, particles int64) (*Table, error) {
 	if _, err := WriteDataset(cb, 0, store, "fig13", core.DefaultWriteConfig(target)); err != nil {
 		return nil, err
 	}
-	m, err := openMetaFile(store, "fig13")
+	ctx := context.Background()
+	ds, err := core.OpenDataset(ctx, store, "fig13")
 	if err != nil {
 		return nil, err
 	}
-	total := m.TotalCount()
-	for _, q := range []float64{0.2, 0.4, 0.8, 1.0} {
+	defer ds.Close()
+	total := ds.Meta().TotalCount()
+	for _, quality := range []float64{0.2, 0.4, 0.8, 1.0} {
 		var pts int64
-		for _, l := range m.Leaves {
-			f, err := openLeaf(store, l.FileName)
-			if err != nil {
-				return nil, err
-			}
-			n, err := f.CountMatching(bat.Query{Quality: q})
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			pts += n
+		q := bat.Query{Quality: quality}
+		err := ds.Query(ctx, ds.Select(q), q, func(geom.Vec3, []float64) error {
+			pts++
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.1f", q), fmt.Sprintf("%d", pts),
+		t.AddRow(fmt.Sprintf("%.1f", quality), fmt.Sprintf("%d", pts),
 			fmt.Sprintf("%.2f", float64(pts)/float64(total)))
 	}
 	return t, nil
-}
-
-// openMetaFile reads and parses a dataset's top-level metadata.
-func openMetaFile(store pfs.Storage, base string) (*meta.Meta, error) {
-	mf, err := store.Open(core.MetaFileName(base))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	buf := make([]byte, mf.Size())
-	if _, err := mf.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return meta.Decode(buf)
-}
-
-func openLeaf(store pfs.Storage, name string) (*bat.File, error) {
-	fh, err := store.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := bat.Decode(fh, fh.Size())
-	if err != nil {
-		fh.Close()
-		return nil, err
-	}
-	f.SetCloser(fh)
-	return f, nil
 }
 
 // Overhead regenerates the §VI-B memory overhead measurement: the BAT

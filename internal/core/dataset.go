@@ -1,0 +1,337 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+	"time"
+
+	"libbat/internal/bat"
+	"libbat/internal/meta"
+	"libbat/internal/obs"
+	"libbat/internal/obs/access"
+	"libbat/internal/pfs"
+)
+
+// Dataset is a written dataset as every read route sees it: the decoded
+// Aggregation Tree metadata plus the leaf BAT files, opened lazily and at
+// most once each. libbat.Dataset, the collective ReadQueryCtx, the Table
+// I/II and Fig 13 readers and batinspect all read through it, so a leaf
+// open, a leaf selection and a query record are each made by one function.
+//
+// A Dataset is safe for concurrent use. Its zero configuration — no cache
+// limit, no collector, no recorder, zero QueryConfig — is what the
+// collective route runs with.
+type Dataset struct {
+	store pfs.Storage
+	meta  *meta.Meta
+	rank  int // serving rank stamped on access records (collective reads)
+
+	mu         sync.Mutex // guards files and the config fields below
+	files      map[int]*leafSlot
+	qcfg       bat.QueryConfig
+	cacheLimit int64 // total treelet-cache budget across leaves; 0 = unbounded
+	col        *obs.Collector
+	obsLabels  []obs.Label
+	rec        *access.Recorder
+}
+
+// leafSlot is one leaf file's singleflight slot: ready is closed once f/err
+// are set, so concurrent callers needing the same unopened leaf open it
+// exactly once and share the handle.
+type leafSlot struct {
+	ready chan struct{}
+	f     *bat.File
+	err   error
+}
+
+// OpenDataset reads and decodes the metadata file written under base. A
+// read that returns fewer bytes than the file's size is an error: decoding
+// a zero-padded buffer would blame the checksum for a storage fault.
+func OpenDataset(ctx context.Context, store pfs.Storage, base string) (d *Dataset, err error) {
+	name := MetaFileName(base)
+	f, err := pfs.OpenContext(ctx, store, name)
+	if err != nil {
+		return nil, err
+	}
+	// The handle is read-only, but a failing Close can still be the first
+	// sign of a flaky mount: surface it instead of dropping it.
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			d, err = nil, fmt.Errorf("core: closing %s: %w", name, cerr)
+		}
+	}()
+	buf := make([]byte, f.Size())
+	if n, rerr := pfs.ReadAtContext(ctx, f, buf, 0); n < len(buf) {
+		if rerr == nil || rerr == io.EOF {
+			rerr = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("core: reading %s: got %d of %d bytes: %w", name, n, len(buf), rerr)
+	}
+	m, err := meta.Decode(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{store: store, meta: m, files: make(map[int]*leafSlot)}, nil
+}
+
+// Meta returns the dataset's decoded top-level metadata.
+func (d *Dataset) Meta() *meta.Meta { return d.meta }
+
+// Select returns the indices of the leaf files q can touch: the
+// Aggregation Tree prunes spatially and by the global attribute bitmaps
+// before any file is contacted.
+func (d *Dataset) Select(q bat.Query) []int {
+	var filters []meta.AttrFilter
+	for _, f := range q.Filters {
+		filters = append(filters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
+	}
+	return d.meta.SelectLeaves(q.Bounds, filters)
+}
+
+// Leaf opens (and caches) leaf file li. Concurrent callers for the same
+// unopened leaf block on one open; open errors are not cached, so the next
+// caller retries. The singleflight carries the same detach semantics as
+// the treelet cache: a canceled waiter returns ctx.Err() without touching
+// the shared slot, and a waiter whose own ctx is live retries after the
+// opening goroutine died of its caller's cancellation.
+func (d *Dataset) Leaf(ctx context.Context, li int) (*bat.File, error) {
+	var s *leafSlot
+	for {
+		d.mu.Lock()
+		var ok bool
+		if s, ok = d.files[li]; !ok {
+			break
+		}
+		d.mu.Unlock()
+		select {
+		case <-s.ready:
+		case <-ctx.Done():
+			return nil, ctx.Err() // detach; the open continues without us
+		}
+		if s.err == nil {
+			return s.f, nil
+		}
+		if pfs.IsContextErr(s.err) && ctx.Err() == nil {
+			continue // the opener was canceled, we were not: retry
+		}
+		return nil, s.err
+	}
+	s = &leafSlot{ready: make(chan struct{})}
+	d.files[li] = s
+	per, col, labels, rec := d.perLeafLimitLocked(), d.col, d.obsLabels, d.rec
+	d.mu.Unlock()
+
+	s.f, s.err = d.openLeaf(ctx, li)
+	if s.err == nil {
+		s.f.SetCacheLimit(per)
+		s.f.SetObserver(col, labels...)
+		s.f.SetAccessRecorder(rec, li)
+	} else {
+		d.mu.Lock()
+		if d.files[li] == s {
+			delete(d.files, li)
+		}
+		d.mu.Unlock()
+	}
+	close(s.ready)
+	return s.f, s.err
+}
+
+// openLeaf is the one place a leaf file handle becomes a bat.File.
+func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
+	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
+	if err != nil {
+		return nil, fmt.Errorf("core: opening leaf %d: %w", li, err)
+	}
+	f, err := bat.DecodeCtx(ctx, h, h.Size())
+	if err != nil {
+		if cerr := h.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+		return nil, fmt.Errorf("core: parsing leaf %d: %w", li, err)
+	}
+	f.SetCloser(h)
+	return f, nil
+}
+
+// Query traverses the given leaves in order under the dataset's
+// QueryConfig, invoking visit for every particle matching q, and stops at
+// the first leaf that fails. Progressive quality windows apply per leaf.
+// With a recorder attached, the call is logged as one record under the
+// source tag ctx carries (access.WithSource), "dataset" if none.
+func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) error {
+	d.mu.Lock()
+	rec, cfg := d.rec, d.qcfg
+	d.mu.Unlock()
+
+	var start time.Time
+	var before bat.CacheStats
+	if rec != nil {
+		start, before = time.Now(), d.CacheStats()
+	}
+	var total bat.QueryStats
+	var qerr error
+	for _, li := range leaves {
+		f, err := d.Leaf(ctx, li)
+		if err == nil {
+			var st bat.QueryStats
+			st, err = f.Query(ctx, q, cfg, visit)
+			total.Add(st)
+		}
+		if err != nil {
+			qerr = err
+			break
+		}
+	}
+	if rec == nil {
+		return qerr
+	}
+	after := d.CacheStats()
+	// Cache hit ratio over this query's lookups, from the counter delta.
+	// Approximate when queries overlap — concurrent lookups land in the
+	// same window — but exact in the common serial-server case.
+	var ratio float64
+	lookups := (after.Hits - before.Hits) + (after.Misses - before.Misses)
+	if lookups > 0 {
+		ratio = float64(after.Hits-before.Hits) / float64(lookups)
+	}
+	rec.Record(access.QueryRecord{
+		Source:         access.SourceOf(ctx, "dataset"),
+		Rank:           d.rank,
+		Box:            access.BoxRecord(q.Bounds),
+		Filters:        access.FilterRanges(d.meta.Schema, q.Filters),
+		PrevQuality:    q.PrevQuality,
+		Quality:        q.Quality,
+		Workers:        cfg.Workers,
+		Treelets:       total.Treelets,
+		Particles:      total.Visited,
+		Pruned:         total.PrunedSubtrees,
+		FalsePositives: total.FalsePositives,
+		Seconds:        time.Since(start).Seconds(),
+		CacheHitRatio:  ratio,
+	})
+	return qerr
+}
+
+// Close releases all opened leaf files, waiting for any still mid-open.
+// The Dataset stays usable: leaves reopen on demand.
+func (d *Dataset) Close() error {
+	d.mu.Lock()
+	files := d.files
+	d.files = make(map[int]*leafSlot)
+	d.mu.Unlock()
+	var errs []error
+	for _, s := range files {
+		<-s.ready
+		if s.err == nil {
+			errs = append(errs, s.f.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// NumOpen returns how many leaf files are open (or mid-open) right now.
+func (d *Dataset) NumOpen() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.files)
+}
+
+// forEachOpen calls fn on every open leaf file. With wait it first waits
+// out opens still in flight; without, it skips them.
+func (d *Dataset) forEachOpen(wait bool, fn func(li int, f *bat.File)) {
+	d.mu.Lock()
+	slots := make(map[int]*leafSlot, len(d.files))
+	for li, s := range d.files {
+		slots[li] = s
+	}
+	d.mu.Unlock()
+	for li, s := range slots {
+		if !wait {
+			select {
+			case <-s.ready:
+			default:
+				continue
+			}
+		}
+		<-s.ready
+		if s.err == nil {
+			fn(li, s.f)
+		}
+	}
+}
+
+// SetQueryConfig sets the traversal configuration passed to every leaf
+// query. In-flight queries keep the configuration they started with.
+func (d *Dataset) SetQueryConfig(cfg bat.QueryConfig) {
+	d.mu.Lock()
+	d.qcfg = cfg
+	d.mu.Unlock()
+}
+
+// SetCacheLimit bounds the total treelet-cache memory across all leaf
+// files (0 = unbounded). The budget is split evenly per leaf.
+func (d *Dataset) SetCacheLimit(bytes int64) {
+	d.mu.Lock()
+	d.cacheLimit = bytes
+	per := d.perLeafLimitLocked()
+	d.mu.Unlock()
+	d.forEachOpen(true, func(_ int, f *bat.File) { f.SetCacheLimit(per) })
+}
+
+func (d *Dataset) perLeafLimitLocked() int64 {
+	if d.cacheLimit <= 0 {
+		return 0
+	}
+	n := int64(len(d.meta.Leaves))
+	if n < 1 {
+		n = 1
+	}
+	per := d.cacheLimit / n
+	if per < 1 {
+		per = 1
+	}
+	return per
+}
+
+// SetObserver mirrors per-leaf treelet cache counters into col.
+func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
+	d.mu.Lock()
+	d.col, d.obsLabels = col, labels
+	d.mu.Unlock()
+	d.forEachOpen(true, func(_ int, f *bat.File) { f.SetObserver(col, labels...) })
+}
+
+// SetAccessRecorder attaches an access-telemetry recorder to open and
+// future leaf files and to the query log; nil detaches.
+func (d *Dataset) SetAccessRecorder(rec *access.Recorder) {
+	d.mu.Lock()
+	d.rec = rec
+	d.mu.Unlock()
+	d.forEachOpen(true, func(li int, f *bat.File) { f.SetAccessRecorder(rec, li) })
+}
+
+// AccessRecorder returns the attached recorder (nil when telemetry is off).
+func (d *Dataset) AccessRecorder() *access.Recorder {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rec
+}
+
+// CacheStats aggregates treelet cache counters across the leaf files that
+// are open; a leaf still mid-open has none yet and is not waited for.
+func (d *Dataset) CacheStats() bat.CacheStats {
+	var total bat.CacheStats
+	d.forEachOpen(false, func(_ int, f *bat.File) {
+		st := f.CacheStats()
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Evictions += st.Evictions
+		total.Entries += st.Entries
+		total.Bytes += st.Bytes
+	})
+	return total
+}

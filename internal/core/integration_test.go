@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -280,7 +281,7 @@ func TestReadQueryFiltered(t *testing.T) {
 			box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.1, 0.1, 0.1))
 			q = bat.Query{Bounds: &box}
 		}
-		got, _, err := ReadQuery(c, store, "rq", q)
+		got, _, err := ReadQueryCtx(context.Background(), c, store, "rq", q)
 		if err != nil {
 			return err
 		}
@@ -306,7 +307,7 @@ func TestReadQueryFiltered(t *testing.T) {
 				far := geom.NewBox(geom.V3(99, 99, 99), geom.V3(100, 100, 100))
 				q = bat.Query{Bounds: &far}
 			}
-			got, _, err := ReadQuery(c, store, "rq", q)
+			got, _, err := ReadQueryCtx(context.Background(), c, store, "rq", q)
 			if err != nil {
 				return err
 			}

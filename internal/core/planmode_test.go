@@ -91,21 +91,20 @@ func TestPlanModesProduceIdenticalDatasets(t *testing.T) {
 // TestPlanModeResolve pins the PlanAuto switchover policy.
 func TestPlanModeResolve(t *testing.T) {
 	for _, tc := range []struct {
-		mode      PlanMode
-		strategy  Strategy
-		size, thr int
-		want      PlanMode
+		mode     PlanMode
+		strategy Strategy
+		size     int
+		want     PlanMode
 	}{
-		{PlanAuto, Adaptive, 16, 0, PlanCentralized},
-		{PlanAuto, Adaptive, DefaultDistPlanThreshold, 0, PlanDistributed},
-		{PlanAuto, Adaptive, 64, 64, PlanDistributed},
-		{PlanAuto, AUG, 1 << 20, 0, PlanCentralized},
-		{PlanCentralized, Adaptive, 1 << 20, 0, PlanCentralized},
-		{PlanDistributed, Adaptive, 2, 0, PlanDistributed},
+		{PlanAuto, Adaptive, 16, PlanCentralized},
+		{PlanAuto, Adaptive, DefaultDistPlanThreshold, PlanDistributed},
+		{PlanAuto, AUG, 1 << 20, PlanCentralized},
+		{PlanCentralized, Adaptive, 1 << 20, PlanCentralized},
+		{PlanDistributed, Adaptive, 2, PlanDistributed},
 	} {
-		if got := tc.mode.resolve(tc.strategy, tc.size, tc.thr); got != tc.want {
-			t.Errorf("resolve(%v, %v, %d, %d) = %v, want %v",
-				tc.mode, tc.strategy, tc.size, tc.thr, got, tc.want)
+		if got := tc.mode.resolve(tc.strategy, tc.size); got != tc.want {
+			t.Errorf("resolve(%v, %v, %d) = %v, want %v",
+				tc.mode, tc.strategy, tc.size, got, tc.want)
 		}
 	}
 }

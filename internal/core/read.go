@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"libbat/internal/bat"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/meta"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 	"libbat/internal/particles"
@@ -57,10 +54,10 @@ func ReadAggregator(li, nLeaves, size int) int {
 // restart read passes the rank's own domain bounds). It returns the
 // particles inside bounds.
 func Read(c *fabric.Comm, store pfs.Storage, base string, bounds geom.Box) (*particles.Set, *ReadStats, error) {
-	return ReadQuery(c, store, base, bat.Query{Bounds: &bounds})
+	return ReadQueryCtx(context.Background(), c, store, base, bat.Query{Bounds: &bounds})
 }
 
-// ReadQuery is the general form of Read: each rank supplies a full
+// ReadQueryCtx is the general form of Read: each rank supplies a full
 // visualization-style query (spatial bounds, attribute filters, and a
 // progressive quality window), which the read aggregators evaluate against
 // their leaf files. This is the distributed in situ analytics access path
@@ -73,15 +70,11 @@ func Read(c *fabric.Comm, store pfs.Storage, base string, bounds geom.Box) (*par
 // read the metadata fails the whole collective — via the same
 // error-agreement collective the write pipeline ends with — since query
 // routing needs every rank to share the leaf assignment.
-func ReadQuery(c *fabric.Comm, store pfs.Storage, base string, q bat.Query) (*particles.Set, *ReadStats, error) {
-	return ReadQueryCtx(context.Background(), c, store, base, q)
-}
-
-// ReadQueryCtx is ReadQuery honoring ctx. Cancellation never abandons the
-// collective protocol — every rank still exchanges every message and exits
-// the loop — but leaf serving aborts: a canceled rank answers its remaining
-// leaf queries (its own and other ranks') with error replies instead of
-// data. The requesters record those as per-leaf failures, so a rank whose
+//
+// Cancellation of ctx never abandons the collective protocol — every rank
+// still exchanges every message and exits the loop — but leaf serving
+// aborts: a canceled rank answers its remaining leaf queries (its own and
+// other ranks') with error replies instead of data. The requesters record those as per-leaf failures, so a rank whose
 // deadline fires gets the particles already gathered plus an error wrapping
 // ErrPartial, exactly like a damaged-leaf degraded read. A cancellation
 // before the metadata is agreed on fails the whole collective, since query
@@ -96,7 +89,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// Phase a: every rank reads the aggregation tree metadata.
 	metaStart := time.Now()
 	metaSp := col.Start(c.Rank(), "read.meta")
-	m, err := readMeta(ctx, store, MetaFileName(base))
+	ds, err := OpenDataset(ctx, store, base)
 	metaSp.End()
 	// Agree on the metadata status before any queries are routed: a rank
 	// returning here while others proceed would leave their queries to it
@@ -105,10 +98,13 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		return nil, nil, aerr
 	}
 	stats.Metadata = time.Since(metaStart)
+	defer ds.Close()
+	m := ds.meta
 	// Access telemetry (nil registry → nil recorder → no-ops throughout):
 	// the aggregator side records which treelets and regions each served
 	// leaf query touches, keyed by dataset base name.
-	rec := c.AccessRegistry().Get(base, m.Domain)
+	ds.rank = c.Rank()
+	ds.SetAccessRecorder(c.AccessRegistry().Get(base, m.Domain))
 	nLeaves := len(m.Leaves)
 	if nLeaves == 0 {
 		c.Barrier()
@@ -119,11 +115,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// reads them; the assignment is computed locally on every rank
 	// (§IV-A). The aggregation tree prunes spatially and by the global
 	// attribute bitmaps before any file is contacted.
-	var metaFilters []meta.AttrFilter
-	for _, f := range q.Filters {
-		metaFilters = append(metaFilters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
-	}
-	want := m.SelectLeaves(q.Bounds, metaFilters)
+	want := ds.Select(q)
 
 	// Phase c: client-server query loop with a nonblocking barrier
 	// (§IV-B). Queries to leaves this rank reads itself are answered
@@ -147,8 +139,8 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// Serve queries for the leaves assigned to this rank while collecting
 	// replies. Leaf work — opening, decoding, and traversing files — runs on
 	// a worker pool so one rank services many in-flight client queries and
-	// many of its own files concurrently; opened files are cached across
-	// queries with singleflight deduplication. The fabric communicator is
+	// many of its own files concurrently; ds opens each leaf once and shares
+	// it across queries. The fabric communicator is
 	// documented single-goroutine, so this main loop remains the only
 	// goroutine touching c: it receives queries, feeds the pool, sends the
 	// pool's finished replies, and collects this rank's own replies.
@@ -176,8 +168,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 			firstLeafErr = err
 		}
 	}
-	lf := newLeafFiles()
-	defer lf.closeAll()
 	served := c.Observer().Counter("core_queries_served_total", obs.Rank(c.Rank()))
 	replyBytes := c.Observer().Counter("core_reply_bytes_total", obs.Rank(c.Rank()))
 
@@ -185,6 +175,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	if nWorkers < 1 {
 		nWorkers = 1
 	}
+	serveCtx := access.WithSource(ctx, "core.read")
 	jobs := make(chan serveJob, nWorkers)
 	results := make(chan serveResult, 2*nWorkers)
 	var workers sync.WaitGroup
@@ -193,7 +184,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		go func() {
 			defer workers.Done()
 			for j := range jobs {
-				results <- serveLeafJob(ctx, col, c.Rank(), store, m, lf, rec, j)
+				results <- serveLeafJob(serveCtx, col, ds, j)
 			}
 		}()
 	}
@@ -211,9 +202,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 	applyResult := func(r serveResult) {
 		stats.FileRead += r.fileRead
-		if r.opened {
-			stats.NumFiles++
-		}
 		if r.source < 0 {
 			selfPending--
 			if r.err != nil {
@@ -333,6 +321,9 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		stats.Transfer = 0
 	}
 	stats.Particles = out.Len()
+	// Failed opens are never kept, so what is open now is what this rank
+	// opened.
+	stats.NumFiles = ds.NumOpen()
 	if len(stats.LeafErrors) > 0 {
 		return out, stats, fmt.Errorf("%w: %d of %d selected leaves failed (first: %v)",
 			ErrPartial, len(stats.LeafErrors), len(want), firstLeafErr)
@@ -377,26 +368,6 @@ func parseReply(raw []byte, schema particles.Schema) (int, *particles.Set, error
 	return leaf, s, err
 }
 
-// readMeta loads and parses the metadata file.
-func readMeta(ctx context.Context, store pfs.Storage, name string) (m *meta.Meta, err error) {
-	f, err := pfs.OpenContext(ctx, store, name)
-	if err != nil {
-		return nil, err
-	}
-	// The handle is read-only, but a failing Close can still be the first
-	// sign of a flaky mount: surface it instead of dropping it.
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			m, err = nil, fmt.Errorf("core: closing %s: %w", name, cerr)
-		}
-	}()
-	buf := make([]byte, f.Size())
-	if _, rerr := pfs.ReadAtContext(ctx, f, buf, 0); rerr != nil && rerr != io.EOF {
-		return nil, rerr
-	}
-	return meta.Decode(buf)
-}
-
 // serveJob is one leaf query for the aggregator worker pool: a remote
 // rank's request, or (source == -1) one of this rank's own leaves.
 type serveJob struct {
@@ -414,18 +385,29 @@ type serveResult struct {
 	reply    []byte
 	sub      *particles.Set
 	err      error
-	opened   bool // this job opened the leaf file (counts toward NumFiles)
 	fileRead time.Duration
 }
 
-// serveLeafJob runs on a pool worker: open/traverse the leaf and package
-// the outcome. It never touches the communicator.
-func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, store pfs.Storage, m *meta.Meta, lf *leafFiles, rec *access.Recorder, j serveJob) serveResult {
-	sp := col.Start(rank, "read.serve")
+// serveLeafJob runs on a pool worker: query the leaf through ds and package
+// the outcome. It never touches the communicator. ctx carries the "core.read"
+// source tag; if it ends before or during the serve, its error becomes a
+// per-leaf error reply, and since ds never caches a failed open a later read
+// retries the leaf cleanly.
+func serveLeafJob(ctx context.Context, col *obs.Collector, ds *Dataset, j serveJob) serveResult {
+	sp := col.Start(ds.rank, "read.serve")
 	defer sp.End()
 	start := time.Now()
-	sub, opened, err := queryLeaf(ctx, store, m, lf, rec, rank, j.leaf, j.q)
-	res := serveResult{source: j.source, leaf: j.leaf, opened: opened, fileRead: time.Since(start)}
+	sub := particles.NewSet(ds.meta.Schema, 0)
+	err := ctx.Err()
+	if err != nil {
+		err = fmt.Errorf("core: leaf %d abandoned: %w", j.leaf, err)
+	} else {
+		err = ds.Query(ctx, []int{j.leaf}, j.q, func(p geom.Vec3, attrs []float64) error {
+			sub.Append(p, attrs)
+			return nil
+		})
+	}
+	res := serveResult{source: j.source, leaf: j.leaf, fileRead: time.Since(start)}
 	if j.source < 0 {
 		res.sub, res.err = sub, err
 		return res
@@ -438,115 +420,4 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, store pfs.S
 		res.reply = replyData(j.leaf, sub)
 	}
 	return res
-}
-
-// leafFiles is the aggregator's concurrent open-file cache: each leaf is
-// opened exactly once (singleflight) and shared by every job that needs
-// it. Open errors are not cached, so a flaky open is retried by the next
-// query instead of poisoning the leaf for the rest of the read.
-type leafFiles struct {
-	mu sync.Mutex
-	m  map[int]*leafFileSlot
-}
-
-type leafFileSlot struct {
-	ready chan struct{}
-	f     *bat.File
-	err   error
-}
-
-func newLeafFiles() *leafFiles { return &leafFiles{m: map[int]*leafFileSlot{}} }
-
-// get returns leaf li's open file, calling open at most once concurrently.
-// opened reports whether this call performed the open.
-func (lf *leafFiles) get(li int, open func() (*bat.File, error)) (f *bat.File, opened bool, err error) {
-	lf.mu.Lock()
-	if s, ok := lf.m[li]; ok {
-		lf.mu.Unlock()
-		<-s.ready
-		return s.f, false, s.err
-	}
-	s := &leafFileSlot{ready: make(chan struct{})}
-	lf.m[li] = s
-	lf.mu.Unlock()
-	s.f, s.err = open()
-	if s.err != nil {
-		lf.mu.Lock()
-		if lf.m[li] == s {
-			delete(lf.m, li)
-		}
-		lf.mu.Unlock()
-	}
-	close(s.ready)
-	return s.f, s.err == nil, s.err
-}
-
-// closeAll closes every cached file, waiting out any still mid-open.
-func (lf *leafFiles) closeAll() {
-	lf.mu.Lock()
-	slots := make([]*leafFileSlot, 0, len(lf.m))
-	for _, s := range lf.m {
-		slots = append(slots, s)
-	}
-	lf.m = map[int]*leafFileSlot{}
-	lf.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil && s.f != nil {
-			s.f.Close()
-		}
-	}
-}
-
-// queryLeaf answers one query against a leaf file, opening (and caching)
-// it in lf on first use. With a recorder attached, the serve is logged in
-// the recent-query ring and treelet touches are recorded under li. A ctx
-// that ends before or during the serve yields ctx.Err(), which the caller
-// turns into a per-leaf error reply — open errors (including context
-// errors) are never cached, so a later read retries the leaf cleanly.
-func queryLeaf(ctx context.Context, store pfs.Storage, m *meta.Meta, lf *leafFiles, rec *access.Recorder, rank, li int, q bat.Query) (*particles.Set, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("core: leaf %d abandoned: %w", li, err)
-	}
-	f, opened, err := lf.get(li, func() (*bat.File, error) {
-		handle, err := pfs.OpenContext(ctx, store, m.Leaves[li].FileName)
-		if err != nil {
-			return nil, fmt.Errorf("core: opening leaf %d: %w", li, err)
-		}
-		bf, err := bat.DecodeCtx(ctx, handle, handle.Size())
-		if err != nil {
-			if cerr := handle.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return nil, fmt.Errorf("core: parsing leaf %d: %w", li, err)
-		}
-		bf.SetCloser(handle)
-		bf.SetAccessRecorder(rec, li)
-		return bf, nil
-	})
-	if err != nil {
-		return nil, opened, err
-	}
-	start := time.Now()
-	sub := particles.NewSet(f.Schema, 0)
-	st, qerr := f.Query(ctx, q, bat.QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
-		sub.Append(p, attrs)
-		return nil
-	})
-	if rec != nil {
-		rec.Record(access.QueryRecord{
-			Source:         "core.read",
-			Rank:           rank,
-			Box:            access.BoxRecord(q.Bounds),
-			Filters:        access.FilterRanges(m.Schema, q.Filters),
-			PrevQuality:    q.PrevQuality,
-			Quality:        q.Quality,
-			Treelets:       st.Treelets,
-			Particles:      st.Visited,
-			Pruned:         st.PrunedSubtrees,
-			FalsePositives: st.FalsePositives,
-			Seconds:        time.Since(start).Seconds(),
-		})
-	}
-	return sub, opened, qerr
 }

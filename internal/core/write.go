@@ -81,14 +81,11 @@ func ParsePlanMode(s string) (PlanMode, error) {
 // perf.ModelCentralizedPlan / ModelDistributedPlan for the crossover).
 const DefaultDistPlanThreshold = 512
 
-func (m PlanMode) resolve(s Strategy, size, threshold int) PlanMode {
+func (m PlanMode) resolve(s Strategy, size int) PlanMode {
 	if m != PlanAuto {
 		return m
 	}
-	if threshold <= 0 {
-		threshold = DefaultDistPlanThreshold
-	}
-	if s == Adaptive && size >= threshold {
+	if s == Adaptive && size >= DefaultDistPlanThreshold {
 		return PlanDistributed
 	}
 	return PlanCentralized
@@ -102,9 +99,6 @@ type WriteConfig struct {
 	Strategy Strategy
 	// Plan selects centralized or distributed planning (default PlanAuto).
 	Plan PlanMode
-	// PlanThreshold overrides the PlanAuto world-size switchover
-	// (0 = DefaultDistPlanThreshold).
-	PlanThreshold int
 	// Tree holds the adaptive tree options; TargetFileSize and
 	// BytesPerParticle are filled in from this config and the schema.
 	Tree aggtree.Config
@@ -220,7 +214,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	// distributed splitter-sampling protocol in which no rank ever holds
 	// all P rank infos (DESIGN §15). Both modes produce the identical
 	// plan; centralized remains the small-world fast path and the oracle.
-	mode := cfg.Plan.resolve(cfg.Strategy, c.Size(), cfg.PlanThreshold)
+	mode := cfg.Plan.resolve(cfg.Strategy, c.Size())
 	if mode == PlanDistributed && cfg.Strategy != Adaptive {
 		// Every rank evaluates this identically before any message is
 		// exchanged, so returning here keeps the collective aligned.

@@ -21,12 +21,9 @@ package libbat
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"libbat/internal/bat"
 	"libbat/internal/core"
@@ -192,7 +189,7 @@ func Read(c *Comm, store Storage, base string, bounds Box) (*ParticleSet, *ReadS
 // bounds, attribute filters, and a progressive quality window — the
 // distributed in situ analytics path of paper §IV-B.
 func ReadQuery(c *Comm, store Storage, base string, q Query) (*ParticleSet, *ReadStats, error) {
-	return core.ReadQuery(c, store, base, q)
+	return core.ReadQueryCtx(context.Background(), c, store, base, q)
 }
 
 // ReadQueryCtx is ReadQuery honoring ctx. Cancellation never abandons the
@@ -261,107 +258,37 @@ const metaSuffix = ".batm"
 // lazily with singleflight deduplication, and each leaf's treelet cache is
 // itself concurrent. Close must not be called while queries are in flight
 // (servers should fence it with their own lock, as cmd/batserve does).
+//
+// It is a facade over core.Dataset, the reader every read route shares.
 type Dataset struct {
-	store pfs.Storage
-	meta  *meta.Meta
-
-	mu         sync.Mutex // guards files and the config fields below
-	files      map[int]*leafSlot
-	qcfg       QueryConfig
-	cacheLimit int64 // total budget across leaves; 0 = unbounded
-	col        *obs.Collector
-	obsLabels  []obs.Label
-	accessRec  *access.Recorder
-}
-
-// leafSlot is one leaf file's singleflight slot: ready is closed once f/err
-// are set, so concurrent queries needing the same unopened leaf open it
-// exactly once and share the handle.
-type leafSlot struct {
-	ready chan struct{}
-	f     *bat.File
-	err   error
+	r    *core.Dataset
+	meta *meta.Meta
 }
 
 // OpenDataset opens the dataset written under base in store.
 func OpenDataset(store Storage, base string) (*Dataset, error) {
-	f, err := store.Open(core.MetaFileName(base))
+	r, err := core.OpenDataset(context.Background(), store, base)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	buf := make([]byte, f.Size())
-	if _, err := readFull(f, buf); err != nil {
-		return nil, err
-	}
-	m, err := meta.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{store: store, meta: m, files: make(map[int]*leafSlot)}, nil
-}
-
-func readFull(f pfs.File, buf []byte) (int, error) {
-	n, err := f.ReadAt(buf, 0)
-	if n == len(buf) {
-		return n, nil
-	}
-	return n, err
+	return &Dataset{r: r, meta: r.Meta()}, nil
 }
 
 // Close releases all opened leaf files, waiting for any still mid-open.
-func (d *Dataset) Close() error {
-	d.mu.Lock()
-	files := d.files
-	d.files = make(map[int]*leafSlot)
-	d.mu.Unlock()
-	var errs []error
-	for _, s := range files {
-		<-s.ready
-		if s.err == nil && s.f != nil {
-			errs = append(errs, s.f.Close())
-		}
-	}
-	return errors.Join(errs...)
-}
+func (d *Dataset) Close() error { return d.r.Close() }
 
 // SetQueryConfig sets the traversal configuration passed to every leaf
 // query. Safe to call concurrently with queries; in-flight queries keep the
 // configuration they started with.
-func (d *Dataset) SetQueryConfig(cfg QueryConfig) {
-	d.mu.Lock()
-	d.qcfg = cfg
-	d.mu.Unlock()
-}
+func (d *Dataset) SetQueryConfig(cfg QueryConfig) { d.r.SetQueryConfig(cfg) }
 
 // SetCacheLimit bounds the total treelet-cache memory across all leaf
 // files (0 = unbounded). The budget is split evenly per leaf.
-func (d *Dataset) SetCacheLimit(bytes int64) {
-	d.mu.Lock()
-	d.cacheLimit = bytes
-	per := d.perLeafLimitLocked()
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetCacheLimit(per)
-		}
-	}
-}
+func (d *Dataset) SetCacheLimit(bytes int64) { d.r.SetCacheLimit(bytes) }
 
 // SetObserver mirrors per-leaf treelet cache counters into col.
 func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
-	d.mu.Lock()
-	d.col, d.obsLabels = col, labels
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			s.f.SetObserver(col, labels...)
-		}
-	}
+	d.r.SetObserver(col, labels...)
 }
 
 // SetAccessRecorder attaches an access-telemetry recorder to the dataset:
@@ -369,75 +296,13 @@ func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
 // it touched, and a structured record of itself in the recorder's
 // recent-query ring. Applies to open and future leaf files; nil detaches
 // (future queries pay only nil checks).
-func (d *Dataset) SetAccessRecorder(rec *AccessRecorder) {
-	d.mu.Lock()
-	d.accessRec = rec
-	type leafSlotAt struct {
-		li int
-		s  *leafSlot
-	}
-	slots := make([]leafSlotAt, 0, len(d.files))
-	for li, s := range d.files {
-		slots = append(slots, leafSlotAt{li, s})
-	}
-	d.mu.Unlock()
-	for _, ls := range slots {
-		<-ls.s.ready
-		if ls.s.err == nil {
-			ls.s.f.SetAccessRecorder(rec, ls.li)
-		}
-	}
-}
+func (d *Dataset) SetAccessRecorder(rec *AccessRecorder) { d.r.SetAccessRecorder(rec) }
 
 // AccessRecorder returns the attached recorder (nil when telemetry is off).
-func (d *Dataset) AccessRecorder() *AccessRecorder {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.accessRec
-}
+func (d *Dataset) AccessRecorder() *AccessRecorder { return d.r.AccessRecorder() }
 
 // CacheStats aggregates treelet cache counters across open leaf files.
-func (d *Dataset) CacheStats() CacheStats {
-	d.mu.Lock()
-	slots := d.openSlotsLocked()
-	d.mu.Unlock()
-	var total CacheStats
-	for _, s := range slots {
-		<-s.ready
-		if s.err == nil {
-			st := s.f.CacheStats()
-			total.Hits += st.Hits
-			total.Misses += st.Misses
-			total.Evictions += st.Evictions
-			total.Entries += st.Entries
-			total.Bytes += st.Bytes
-		}
-	}
-	return total
-}
-
-func (d *Dataset) openSlotsLocked() []*leafSlot {
-	out := make([]*leafSlot, 0, len(d.files))
-	for _, s := range d.files {
-		out = append(out, s)
-	}
-	return out
-}
-
-func (d *Dataset) perLeafLimitLocked() int64 {
-	if d.cacheLimit <= 0 {
-		return 0
-	}
-	n := int64(len(d.meta.Leaves))
-	if n < 1 {
-		n = 1
-	}
-	per := d.cacheLimit / n
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
+func (d *Dataset) CacheStats() CacheStats { return d.r.CacheStats() }
 
 // Schema returns the dataset's attribute schema.
 func (d *Dataset) Schema() Schema { return d.meta.Schema }
@@ -471,72 +336,6 @@ func (d *Dataset) AttrRange(attr int) (min, max float64, err error) {
 	return r.Min, r.Max, nil
 }
 
-// leaf opens (and caches) leaf file li. Concurrent callers for the same
-// unopened leaf block on one open; open errors are not cached, so the next
-// caller retries. The singleflight carries the same detach semantics as
-// the treelet cache: a canceled waiter returns ctx.Err() without touching
-// the shared slot, and a waiter whose own ctx is live retries after the
-// opening goroutine died of its caller's cancellation.
-func (d *Dataset) leaf(ctx context.Context, li int) (*bat.File, error) {
-	var s *leafSlot
-	for {
-		d.mu.Lock()
-		var ok bool
-		if s, ok = d.files[li]; !ok {
-			break
-		}
-		d.mu.Unlock()
-		select {
-		case <-s.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err() // detach; the open continues without us
-		}
-		if s.err == nil {
-			return s.f, nil
-		}
-		if pfs.IsContextErr(s.err) && ctx.Err() == nil {
-			continue // the opener was canceled, we were not: retry
-		}
-		return nil, s.err
-	}
-	s = &leafSlot{ready: make(chan struct{})}
-	d.files[li] = s
-	per, col, labels, rec := d.perLeafLimitLocked(), d.col, d.obsLabels, d.accessRec
-	d.mu.Unlock()
-
-	s.f, s.err = d.openLeaf(ctx, li, per, col, labels, rec)
-	if s.err != nil {
-		d.mu.Lock()
-		if d.files[li] == s {
-			delete(d.files, li)
-		}
-		d.mu.Unlock()
-	}
-	close(s.ready)
-	return s.f, s.err
-}
-
-func (d *Dataset) openLeaf(ctx context.Context, li int, cacheLimit int64, col *obs.Collector, labels []obs.Label, rec *access.Recorder) (*bat.File, error) {
-	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
-	if err != nil {
-		return nil, err
-	}
-	f, err := bat.DecodeCtx(ctx, h, h.Size())
-	if err != nil {
-		h.Close()
-		return nil, err
-	}
-	f.SetCloser(h)
-	f.SetCacheLimit(cacheLimit)
-	if col != nil {
-		f.SetObserver(col, labels...)
-	}
-	if rec != nil {
-		f.SetAccessRecorder(rec, li)
-	}
-	return f, nil
-}
-
 // Query is QueryCtx without a context. benchmark/ calls it (and Count) by
 // this name and may not change.
 func (d *Dataset) Query(q Query, visit Visitor) error {
@@ -553,63 +352,7 @@ func (d *Dataset) Query(q Query, visit Visitor) error {
 // for later queries. With an access recorder attached the query is logged
 // under the source tag ctx carries (access.WithSource), "dataset" if none.
 func (d *Dataset) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	d.mu.Lock()
-	rec, cfg := d.accessRec, d.qcfg
-	d.mu.Unlock()
-
-	var filters []meta.AttrFilter
-	for _, f := range q.Filters {
-		filters = append(filters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
-	}
-	var start time.Time
-	var before CacheStats
-	if rec != nil {
-		start, before = time.Now(), d.CacheStats()
-	}
-	var total QueryStats
-	var qerr error
-	for _, li := range d.meta.SelectLeaves(q.Bounds, filters) {
-		f, err := d.leaf(ctx, li)
-		if err == nil {
-			var st QueryStats
-			st, err = f.Query(ctx, q, cfg, visit)
-			total.Visited += st.Visited
-			total.FalsePositives += st.FalsePositives
-			total.PrunedSubtrees += st.PrunedSubtrees
-			total.Treelets += st.Treelets
-		}
-		if err != nil {
-			qerr = err
-			break
-		}
-	}
-	if rec == nil {
-		return qerr
-	}
-	after := d.CacheStats()
-	// Cache hit ratio over this query's lookups, from the counter delta.
-	// Approximate when queries overlap — concurrent lookups land in the
-	// same window — but exact in the common serial-server case.
-	var ratio float64
-	lookups := (after.Hits - before.Hits) + (after.Misses - before.Misses)
-	if lookups > 0 {
-		ratio = float64(after.Hits-before.Hits) / float64(lookups)
-	}
-	rec.Record(access.QueryRecord{
-		Source:         access.SourceOf(ctx, "dataset"),
-		Box:            access.BoxRecord(q.Bounds),
-		Filters:        access.FilterRanges(d.meta.Schema, q.Filters),
-		PrevQuality:    q.PrevQuality,
-		Quality:        q.Quality,
-		Workers:        cfg.Workers,
-		Treelets:       total.Treelets,
-		Particles:      total.Visited,
-		Pruned:         total.PrunedSubtrees,
-		FalsePositives: total.FalsePositives,
-		Seconds:        time.Since(start).Seconds(),
-		CacheHitRatio:  ratio,
-	})
-	return qerr
+	return d.r.Query(ctx, d.r.Select(q), q, visit)
 }
 
 // Count returns the number of particles a query would visit.

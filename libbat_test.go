@@ -8,26 +8,38 @@ import (
 
 // writeTestDataset writes an 8-rank clustered dataset and returns its
 // store and the number of particles written.
+const testRanks, testPerRank = 8, 800
+
+// testRankSet is the seeded input of writeTestDataset: rank's particles in
+// its unit cell of the [0,4]x[0,2]x[0,1] domain, temp = 100*x, id unique.
+func testRankSet(rank int) (*ParticleSet, Box) {
+	r := rand.New(rand.NewSource(int64(rank)))
+	lo := V3(float64(rank%4), float64(rank/4), 0)
+	local := NewParticleSet(NewSchema("temp", "id"), testPerRank)
+	for i := 0; i < testPerRank; i++ {
+		p := lo.Add(V3(r.Float64(), r.Float64(), r.Float64()))
+		local.Append(p, []float64{p.X * 100, float64(rank*testPerRank + i)})
+	}
+	return local, NewBox(lo, lo.Add(V3(1, 1, 1)))
+}
+
 func writeTestDataset(t *testing.T, base string, target int64) (Storage, int) {
 	t.Helper()
+	return writeTestDatasetCfg(t, base, DefaultWriteConfig(target)), testRanks * testPerRank
+}
+
+func writeTestDatasetCfg(t *testing.T, base string, cfg WriteConfig) Storage {
+	t.Helper()
 	store := MemStorage()
-	const perRank = 800
-	err := Run(8, func(c *Comm) error {
-		r := rand.New(rand.NewSource(int64(c.Rank())))
-		lo := V3(float64(c.Rank()%4), float64(c.Rank()/4), 0)
-		bounds := NewBox(lo, lo.Add(V3(1, 1, 1)))
-		local := NewParticleSet(NewSchema("temp", "id"), perRank)
-		for i := 0; i < perRank; i++ {
-			p := lo.Add(V3(r.Float64(), r.Float64(), r.Float64()))
-			local.Append(p, []float64{p.X * 100, float64(c.Rank()*perRank + i)})
-		}
-		_, err := Write(c, store, base, local, bounds, DefaultWriteConfig(target))
+	err := Run(testRanks, func(c *Comm) error {
+		local, bounds := testRankSet(c.Rank())
+		_, err := Write(c, store, base, local, bounds, cfg)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store, 8 * perRank
+	return store
 }
 
 func TestPublicWriteAndDataset(t *testing.T) {
@@ -56,37 +68,6 @@ func TestPublicWriteAndDataset(t *testing.T) {
 	}
 	if _, _, err := ds.AttrRange(9); err == nil {
 		t.Error("bad attr should error")
-	}
-}
-
-func TestDatasetSpatialAndAttrQuery(t *testing.T) {
-	store, _ := writeTestDataset(t, "q", 20*1024)
-	ds, err := OpenDataset(store, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	all, err := ds.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	box := NewBox(V3(0.5, 0.5, 0), V3(2.5, 1.5, 1))
-	want := 0
-	for i := 0; i < all.Len(); i++ {
-		p := all.Position(i)
-		if box.Contains(p) && all.Attrs[0][i] >= 100 && all.Attrs[0][i] <= 220 {
-			want++
-		}
-	}
-	got, err := ds.Count(Query{
-		Bounds:  &box,
-		Filters: []AttrFilter{{Attr: 0, Min: 100, Max: 220}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(got) != want {
-		t.Errorf("query = %d, brute force = %d", got, want)
 	}
 }
 

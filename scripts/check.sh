@@ -76,7 +76,10 @@ run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompres
 # traversal workers genuinely interleave on single-core runners.
 run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestProgressiveTiles' ./internal/bat/
 run "go test -race batserve" env GOMAXPROCS=4 go test -race ./cmd/batserve/
-run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset' .
+# The one dataset reader under every read route: libbat.Dataset's suites,
+# the shared leaf singleflight table (internal/core) and the route-agreement
+# test (Dataset vs collective read on 1 and 4 ranks vs brute force).
+run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset|TestOpenDataset|TestRouteAgreement' . ./internal/core/
 
 # Chaos-latency: the cancellation/deadline suites across every read-path
 # layer under combined error+latency injection — cancel storms against the
@@ -86,7 +89,7 @@ run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset' .
 # failures print their own dump via internal/leakcheck) instead of hanging
 # the script.
 run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
-	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestAdmission' \
+	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestDatasetLeaf|TestAdmission' \
 	./internal/bat/ ./internal/core/ ./cmd/batserve/ .
 
 # Bench smoke: one iteration of every BAT build benchmark, just to keep the
