@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,6 +125,59 @@ func TestChaosStalledLeaf504(t *testing.T) {
 	}
 	if pts := resp.Trailer.Get("X-Batserve-Points"); pts != fmt.Sprint(total) {
 		t.Errorf("post-release trailer points %q, want %d", pts, total)
+	}
+}
+
+// TestChaosMidStreamTrailerCountsWire: points are written a block at a
+// time, so when a query dies mid-stream the points still pending in the
+// block must reach the wire before the trailers say how many there are. The
+// first leaf is readable and smaller than a block; every other leaf stalls
+// until the deadline.
+func TestChaosMidStreamTrailerCountsWire(t *testing.T) {
+	leakcheck.Check(t)
+	s, fau, total := faultyServer(t, pfs.FaultConfig{})
+	s.queryTimeout = 250 * time.Millisecond
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+
+	names, err := fau.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	first := true
+	for _, n := range names {
+		if !strings.HasSuffix(n, ".bat") {
+			continue
+		}
+		if !first {
+			fau.StallReads(n)
+		}
+		first = false
+	}
+	defer fau.ReleaseStalls()
+
+	resp, err := http.Get(ts.URL + "/points?attr=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body) // a truncated stream may end in an error; the bytes read are what counts
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d (%s), want a 200 cut short mid-stream", resp.StatusCode, body)
+	}
+	if st := resp.Trailer.Get("X-Batserve-Status"); st != "timeout" {
+		t.Errorf("trailer status %q, want timeout", st)
+	}
+	points, err := strconv.Atoi(resp.Trailer.Get("X-Batserve-Points"))
+	if err != nil {
+		t.Fatalf("trailer points: %v", err)
+	}
+	if points <= 0 || points >= total || points*16 >= pointBlockBytes {
+		t.Fatalf("%d points streamed of %d; the test needs a partial answer smaller than one block", points, total)
+	}
+	if len(body) != points*16 {
+		t.Errorf("trailer says %d points, body holds %d bytes = %g points", points, len(body), float64(len(body))/16)
 	}
 }
 

@@ -476,11 +476,17 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	// Stream xyz (and optionally one attribute) as little-endian float32.
 	// The Content-Type only commits once the first point is written, so a
 	// query that fails before producing any data can still return a real
-	// error status instead of an empty 200.
-	buf := make([]byte, 16)
-	stride := 12
-	if attr >= 0 {
-		stride = 16
+	// error status instead of an empty 200. Points are encoded into one
+	// block and written a block at a time: the response writer is called
+	// once per ~3-4 k points, not once per point.
+	block := make([]byte, 0, pointBlockBytes)
+	flush := func() error {
+		if len(block) == 0 {
+			return nil
+		}
+		_, err := w.Write(block)
+		block = block[:0]
+		return err
 	}
 	var points int64
 	qStart := time.Now()
@@ -493,15 +499,22 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/octet-stream")
 		}
 		points++
-		binary.LittleEndian.PutUint32(buf[0:], math.Float32bits(float32(p.X)))
-		binary.LittleEndian.PutUint32(buf[4:], math.Float32bits(float32(p.Y)))
-		binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(float32(p.Z)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.X)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Y)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Z)))
 		if attr >= 0 {
-			binary.LittleEndian.PutUint32(buf[12:], math.Float32bits(float32(attrs[attr])))
+			block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(attrs[attr])))
 		}
-		_, err := w.Write(buf[:stride])
-		return err
+		if len(block) == cap(block) {
+			return flush()
+		}
+		return nil
 	})
+	// Whatever was counted goes on the wire before any trailer says how much
+	// that is, whether the query completed, failed or timed out mid-stream.
+	if ferr := flush(); err == nil {
+		err = ferr
+	}
 	s.col.Histogram("query_duration_seconds", obs.DefLatencyBuckets(),
 		obs.L("step", strconv.Itoa(step))).Observe(time.Since(qStart).Seconds())
 	s.col.Add("points_streamed_total", points)
@@ -543,6 +556,11 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Batserve-Status", "complete")
 	w.Header().Set("X-Batserve-Points", strconv.FormatInt(points, 10))
 }
+
+// pointBlockBytes is the size of the block /points encodes into before each
+// write: a whole number of records at either stride (12 bytes xyz, 16 with
+// an attribute), so a block never splits a point.
+const pointBlockBytes = 48 << 10
 
 // isCtxErr reports whether err is a context cancellation or deadline.
 func isCtxErr(err error) bool {

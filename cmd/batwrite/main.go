@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,52 +47,57 @@ func makeWorkload(name string, ranks int, particles int64) (workloads.Workload, 
 }
 
 func main() {
-	var (
-		workload  = flag.String("workload", "uniform", "workload: uniform, coalboiler, dambreak, cosmo")
-		ranks     = flag.Int("ranks", 16, "number of simulated ranks")
-		particles = flag.Int64("particles", 100_000, "total particles")
-		target    = flag.String("target", "2MB", "target file size")
-		out       = flag.String("out", "bat-out", "output directory")
-		step      = flag.Int("step", 0, "workload timestep")
-		strategy  = flag.String("strategy", "adaptive", "aggregation: adaptive or aug")
-		plan      = flag.String("plan", "auto", "planning mode: auto, centralized, or distributed")
-		base      = flag.String("name", "", "dataset base name (default <workload>-<step>)")
-		statsOut  = flag.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-		buildWkrs = flag.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
-		compress  = flag.Bool("compress", false, "write BAT v3 files with per-attribute compressed treelet sections")
-		errBound  = flag.String("error-bound", "0", "absolute error bound for -compress: one value for every attribute, or a comma-separated per-attribute list (0 = lossless)")
-		lodScale  = flag.Float64("lod-error-scale", 1, "multiply the error bound for values referenced by LOD samples (>= 1)")
-	)
-	flag.Parse()
-
-	fail := func(err error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "batwrite:", err)
 		os.Exit(1)
 	}
+}
+
+// run is the whole command: parse args, write the dataset, report on out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("batwrite", flag.ExitOnError)
+	var (
+		workload  = fs.String("workload", "uniform", "workload: uniform, coalboiler, dambreak, cosmo")
+		ranks     = fs.Int("ranks", 16, "number of simulated ranks")
+		particles = fs.Int64("particles", 100_000, "total particles")
+		target    = fs.String("target", "2MB", "target file size")
+		outDir    = fs.String("out", "bat-out", "output directory")
+		step      = fs.Int("step", 0, "workload timestep")
+		strategy  = fs.String("strategy", "adaptive", "aggregation: adaptive or aug")
+		plan      = fs.String("plan", "auto", "planning mode: auto, centralized, or distributed")
+		base      = fs.String("name", "", "dataset base name (default <workload>-<step>)")
+		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
+		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
+		buildWkrs = fs.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
+		compress  = fs.Bool("compress", false, "write BAT v3 files with per-attribute compressed treelet sections")
+		errBound  = fs.String("error-bound", "0", "absolute error bound for -compress: one value for every attribute, or a comma-separated per-attribute list (0 = lossless)")
+		lodScale  = fs.Float64("lod-error-scale", 1, "multiply the error bound for values referenced by LOD samples (>= 1)")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text, as before
+
 	ts, err := cliutil.ParseSize(*target)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	w, err := makeWorkload(*workload, *ranks, *particles)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	store, err := libbat.DirStorage(*out)
+	store, err := libbat.DirStorage(*outDir)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	cfg := libbat.DefaultWriteConfig(ts)
 	if *strategy == "aug" {
 		cfg.Strategy = core.AUG
 	} else if *strategy != "adaptive" {
-		fail(fmt.Errorf("unknown strategy %q", *strategy))
+		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 	if cfg.Plan, err = core.ParsePlanMode(*plan); err != nil {
-		fail(err)
+		return err
 	}
 	if *buildWkrs < 0 {
-		fail(fmt.Errorf("-build-workers must be >= 0, got %d", *buildWkrs))
+		return fmt.Errorf("-build-workers must be >= 0, got %d", *buildWkrs)
 	}
 	cfg.BAT.Workers = *buildWkrs
 	if *compress {
@@ -99,13 +105,13 @@ func main() {
 		cfg.BAT.LODErrorScale = *lodScale
 		bounds, err := cliutil.ParseBounds(*errBound)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if len(bounds) == 1 {
 			cfg.BAT.ErrorBound = bounds[0]
 		} else {
 			if got, want := len(bounds), w.Schema().NumAttrs(); got != want {
-				fail(fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", got, want))
+				return fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", got, want)
 			}
 			cfg.BAT.AttrErrorBounds = bounds
 		}
@@ -121,33 +127,34 @@ func main() {
 	start := time.Now()
 	stats, err := bench.WriteDatasetObserved(w, *step, store, name, cfg, col)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	elapsed := time.Since(start)
 	if err := obsFlags.Dump(col); err != nil {
-		fail(err)
+		return err
 	}
 	total := workloads.TotalCount(w, *step)
 	bytes := total * int64(w.Schema().BytesPerParticle())
-	fmt.Printf("wrote %s: %d particles (%.1f MB) from %d ranks in %v (%.1f MB/s)\n",
+	fmt.Fprintf(out, "wrote %s: %d particles (%.1f MB) from %d ranks in %v (%.1f MB/s)\n",
 		name, total, float64(bytes)/(1<<20), *ranks, elapsed.Round(time.Millisecond),
 		float64(bytes)/(1<<20)/elapsed.Seconds())
-	fmt.Printf("  strategy=%s target=%s files=%d (avg %.2f MB, max %.2f MB)\n",
+	fmt.Fprintf(out, "  strategy=%s target=%s files=%d (avg %.2f MB, max %.2f MB)\n",
 		cfg.Strategy, *target, stats.NumFiles,
 		stats.LeafSizes.MeanB/(1<<20), float64(stats.LeafSizes.MaxB)/(1<<20))
-	fmt.Printf("  rank0 phases: tree=%v gather/scatter=%v transfer=%v bat=%v write=%v meta=%v\n",
+	fmt.Fprintf(out, "  rank0 phases: tree=%v gather/scatter=%v transfer=%v bat=%v write=%v meta=%v\n",
 		stats.TreeBuild.Round(time.Microsecond), stats.GatherScatter.Round(time.Microsecond),
 		stats.Transfer.Round(time.Microsecond), stats.BATBuild.Round(time.Microsecond),
 		stats.FileWrite.Round(time.Microsecond), stats.Metadata.Round(time.Microsecond))
 	if col != nil {
-		printFabricTraffic(col)
+		printFabricTraffic(out, col)
 	}
+	return nil
 }
 
 // printFabricTraffic summarizes the fabric's per-collective counters
 // (bat_fabric_<op>_calls / bat_fabric_<op>_bytes, summed over ranks) so a
 // -stats run shows on stdout where the planning traffic went.
-func printFabricTraffic(col *obs.Collector) {
+func printFabricTraffic(out io.Writer, col *obs.Collector) {
 	calls := map[string]int64{}
 	bytes := map[string]int64{}
 	for _, c := range col.Snapshot().Counters {
@@ -167,9 +174,9 @@ func printFabricTraffic(col *obs.Collector) {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
-	fmt.Printf("  fabric collectives:")
+	fmt.Fprintf(out, "  fabric collectives:")
 	for _, op := range ops {
-		fmt.Printf(" %s=%d/%.1fKB", op, calls[op], float64(bytes[op])/1024)
+		fmt.Fprintf(out, " %s=%d/%.1fKB", op, calls[op], float64(bytes[op])/1024)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
+	"libbat/internal/aggtree"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/pfs"
@@ -97,6 +99,8 @@ func TestPlanModeResolve(t *testing.T) {
 		want     PlanMode
 	}{
 		{PlanAuto, Adaptive, 16, PlanCentralized},
+		{PlanAuto, Adaptive, 512, PlanCentralized},
+		{PlanAuto, Adaptive, DefaultDistPlanThreshold - 1, PlanCentralized},
 		{PlanAuto, Adaptive, DefaultDistPlanThreshold, PlanDistributed},
 		{PlanAuto, AUG, 1 << 20, PlanCentralized},
 		{PlanCentralized, Adaptive, 1 << 20, PlanCentralized},
@@ -106,6 +110,49 @@ func TestPlanModeResolve(t *testing.T) {
 			t.Errorf("resolve(%v, %v, %d) = %v, want %v",
 				tc.mode, tc.strategy, tc.size, got, tc.want)
 		}
+	}
+}
+
+// TestPlanModeAutoNotSlower times both planners on the largest world the
+// benchmark runs (uniform512-plan: 512 ranks x 800 particles, 1 MB target)
+// and fails if PlanAuto resolves to the one measured more than 2x slower.
+// The default sat on that side from PR 10 on: at 512 ranks auto chose a plan
+// ~450x slower than the one it passed over.
+func TestPlanModeAutoNotSlower(t *testing.T) {
+	const ranks = 512
+	w, err := workloads.NewUniform(ranks, 800, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := workloads.RankInfos(w, 0)
+	cfg := aggtree.DefaultConfig(1<<20, w.Schema().BytesPerParticle())
+
+	start := time.Now()
+	if _, err := aggtree.Build(infos, cfg); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := map[PlanMode]time.Duration{PlanCentralized: time.Since(start)}
+
+	start = time.Now()
+	err = fabric.Run(ranks, func(c *fabric.Comm) error {
+		_, err := aggtree.DistributedBuild(c, infos[c.Rank()], aggtree.DistConfig{Config: cfg})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed[PlanDistributed] = time.Since(start)
+
+	chosen := PlanAuto.resolve(Adaptive, ranks)
+	other := PlanDistributed
+	if chosen == PlanDistributed {
+		other = PlanCentralized
+	}
+	t.Logf("%d ranks: centralized %v, distributed %v, auto -> %v",
+		ranks, elapsed[PlanCentralized], elapsed[PlanDistributed], chosen)
+	if elapsed[chosen] > 2*elapsed[other] {
+		t.Errorf("PlanAuto resolves to %v at %d ranks, measured %v against %v for %v",
+			chosen, ranks, elapsed[chosen], elapsed[other], other)
 	}
 }
 

@@ -76,10 +76,14 @@ func ParsePlanMode(s string) (PlanMode, error) {
 }
 
 // DefaultDistPlanThreshold is the world size at which PlanAuto switches to
-// distributed planning: below it the centralized plan's O(P) costs are
-// cheaper than the distributed protocol's collective rounds (see
-// perf.ModelCentralizedPlan / ModelDistributedPlan for the crossover).
-const DefaultDistPlanThreshold = 512
+// distributed planning: the crossover perf.PlanCrossover finds between
+// perf.ModelCentralizedPlan and perf.ModelDistributedPlan on both system
+// profiles (BENCH_treebuild.json, "crossover_ranks": 524288). No world this
+// repository can run is near it: measured at 512 ranks the centralized plan
+// takes 7.2 ms and the distributed protocol's ~4 400 collective rounds 3.21 s
+// (same file), so below the crossover auto must plan centrally.
+// TestPlanModeAutoNotSlower holds the default to that measurement.
+const DefaultDistPlanThreshold = 1 << 19
 
 func (m PlanMode) resolve(s Strategy, size int) PlanMode {
 	if m != PlanAuto {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 
 	"libbat/internal/geom"
 	"libbat/internal/particles"
@@ -28,6 +29,7 @@ type CoalBoiler struct {
 	StartCount, EndCount int64
 
 	plumes []plume
+	memo   countsMemo[coalKey]
 }
 
 type plume struct {
@@ -109,30 +111,41 @@ func (c *CoalBoiler) progress(step int) float64 {
 	return math.Max(0, math.Min(1, f))
 }
 
-// plumeAt returns plume p's center and spread at schedule progress f.
-func (c *CoalBoiler) plumeAt(p plume, f float64) (center geom.Vec3, sigma geom.Vec3) {
-	size := c.decomp.Domain.Size()
-	center = geom.Vec3{
-		X: p.inlet.X + (0.15+0.55*f)*size.X,           // drifts into the boiler
-		Y: p.inlet.Y,                                  //
-		Z: p.inlet.Z + (0.1+0.6*f)*(size.Z-p.inlet.Z), // rises
-	}
-	sigma = geom.Vec3{
-		X: 0.25 + 1.1*f,
-		Y: 0.2 + 0.9*f,
-		Z: 0.35 + 2.2*f,
-	}
-	return center, sigma
+// plumeState is one plume at a fixed schedule progress.
+type plumeState struct {
+	center, sigma geom.Vec3
+	weight        float64
 }
 
-// density evaluates the (unnormalized) particle density at a point.
-func (c *CoalBoiler) density(pt geom.Vec3, f float64) float64 {
+// plumesAt places every plume at schedule progress f: the centroid drifts
+// into the boiler (x) and rises (z) while the plume spreads.
+func (c *CoalBoiler) plumesAt(f float64) []plumeState {
+	size := c.decomp.Domain.Size()
+	out := make([]plumeState, len(c.plumes))
+	for i, p := range c.plumes {
+		out[i] = plumeState{
+			center: geom.Vec3{
+				X: p.inlet.X + (0.15+0.55*f)*size.X,
+				Y: p.inlet.Y,
+				Z: p.inlet.Z + (0.1+0.6*f)*(size.Z-p.inlet.Z),
+			},
+			sigma:  geom.Vec3{X: 0.25 + 1.1*f, Y: 0.2 + 0.9*f, Z: 0.35 + 2.2*f},
+			weight: p.weight,
+		}
+	}
+	return out
+}
+
+// plumeDensity evaluates the (unnormalized) particle density at a point.
+// Unlike Cosmo's mixture the sum has no positive floor (it starts at zero),
+// so no term is ever provably negligible and every plume is evaluated.
+func plumeDensity(plumes []plumeState, pt geom.Vec3) float64 {
 	var d float64
-	for _, p := range c.plumes {
-		ctr, sg := c.plumeAt(p, f)
-		dx := (pt.X - ctr.X) / sg.X
-		dy := (pt.Y - ctr.Y) / sg.Y
-		dz := (pt.Z - ctr.Z) / sg.Z
+	for i := range plumes {
+		p := &plumes[i]
+		dx := (pt.X - p.center.X) / p.sigma.X
+		dy := (pt.Y - p.center.Y) / p.sigma.Y
+		dz := (pt.Z - p.center.Z) / p.sigma.Z
 		d += p.weight * math.Exp(-0.5*(dx*dx+dy*dy+dz*dz))
 	}
 	return d
@@ -142,28 +155,25 @@ func (c *CoalBoiler) density(pt geom.Vec3, f float64) float64 {
 // proportional to the plume density integrated (midpoint rule over a 2^3
 // grid) over its bounds.
 func (c *CoalBoiler) Counts(step int) []int64 {
-	f := c.progress(step)
-	n := c.decomp.NumRanks()
-	weights := make([]float64, n)
-	for r := 0; r < n; r++ {
-		b := c.decomp.RankBounds(r)
-		sz := b.Size()
-		var sum float64
-		for ix := 0; ix < 2; ix++ {
-			for iy := 0; iy < 2; iy++ {
-				for iz := 0; iz < 2; iz++ {
-					pt := geom.Vec3{
-						X: b.Lower.X + sz.X*(0.25+0.5*float64(ix)),
-						Y: b.Lower.Y + sz.Y*(0.25+0.5*float64(iy)),
-						Z: b.Lower.Z + sz.Z*(0.25+0.5*float64(iz)),
-					}
-					sum += c.density(pt, f)
-				}
-			}
-		}
-		weights[r] = sum * b.Volume()
-	}
-	return apportion(c.Total(step), weights)
+	return slices.Clone(c.counts(step))
+}
+
+// coalKey is everything CoalBoiler's counts depend on that SetGrowth or a
+// write to the exported schedule fields can change.
+type coalKey struct {
+	progress float64
+	total    int64
+}
+
+// counts returns the memoized per-rank counts; callers must not modify
+// them.
+func (c *CoalBoiler) counts(step int) []int64 {
+	key := coalKey{progress: c.progress(step), total: c.Total(step)}
+	return c.memo.get(key, func() []int64 {
+		plumes := c.plumesAt(key.progress)
+		density := func(pt geom.Vec3) float64 { return plumeDensity(plumes, pt) }
+		return apportion(key.total, octantWeights(c.decomp, density))
+	})
 }
 
 // Generate implements Workload: positions are rejection-sampled from the
@@ -171,10 +181,10 @@ func (c *CoalBoiler) Counts(step int) []int64 {
 // correlated (temperature falls with height, velocity follows the plume
 // drift).
 func (c *CoalBoiler) Generate(step, rank int) *particles.Set {
-	counts := c.Counts(step)
-	want := counts[rank]
+	want := c.counts(step)[rank]
 	r := rng(c.seed, step, rank)
 	f := c.progress(step)
+	plumes := c.plumesAt(f)
 	b := c.decomp.RankBounds(rank)
 	sz := b.Size()
 	// Estimate the local density maximum for rejection sampling.
@@ -185,7 +195,7 @@ func (c *CoalBoiler) Generate(step, rank int) *particles.Set {
 			Y: b.Lower.Y + r.Float64()*sz.Y,
 			Z: b.Lower.Z + r.Float64()*sz.Z,
 		}
-		if d := c.density(pt, f); d > dmax {
+		if d := plumeDensity(plumes, pt); d > dmax {
 			dmax = d
 		}
 	}
@@ -198,7 +208,7 @@ func (c *CoalBoiler) Generate(step, rank int) *particles.Set {
 			Y: b.Lower.Y + r.Float64()*sz.Y,
 			Z: b.Lower.Z + r.Float64()*sz.Z,
 		}
-		if dmax > 0 && r.Float64()*dmax > c.density(pt, f) {
+		if dmax > 0 && r.Float64()*dmax > plumeDensity(plumes, pt) {
 			// Cap rejection work: accept uniformly after enough tries by
 			// decaying the threshold.
 			dmax *= 0.999

@@ -3,6 +3,7 @@ package workloads
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"libbat/internal/geom"
 	"libbat/internal/particles"
@@ -24,6 +25,8 @@ type Cosmo struct {
 	// stay in a uniform background that thins as structure forms.
 	MaxClustered float64
 	FormSteps    int
+
+	memo countsMemo[float64]
 }
 
 type halo struct {
@@ -83,56 +86,124 @@ func (c *Cosmo) clustered(step int) float64 {
 	return c.MaxClustered * f
 }
 
-// density evaluates the mixture density (background + halos) at a point.
-func (c *Cosmo) density(pt geom.Vec3, step int) float64 {
-	cl := c.clustered(step)
-	d := 1 - cl // uniform background
+// mixture is the density (uniform background + Gaussian halos) at one
+// clustered fraction, with everything that does not depend on the point
+// hoisted out of the per-point loop.
+type mixture struct {
+	background float64 // 1 - cl
+	terms      []haloTerm
+}
+
+// haloTerm is one halo's share of the mixture: at squared distance d2 from
+// center it adds coef * exp(-0.5*d2/s2) / s3, unless d2 > cut2.
+type haloTerm struct {
+	center geom.Vec3
+	coef   float64 // cl * mass / sum of all halo masses
+	s2, s3 float64 // radius^2, radius^3
+	// cut2 is the squared distance beyond which the term is below half an
+	// ulp of the background and so cannot change the float64 sum.
+	cut2 float64
+}
+
+// cutoffMargin widens every cut-off by this many e-foldings of the term
+// (the term must be e times below the half-ulp threshold before it is
+// skipped). The float64 evaluation of a term and of the cut-off itself is
+// off by parts in 1e13 at most, so a factor of e is far more than needed;
+// it costs 2 % of the cut-off distance.
+const cutoffMargin = 1
+
+// mixtureAt builds the evaluator for clustered fraction cl.
+//
+// density sums background + term_0 + term_1 + ... in halo order. With
+// 0 < cl < 1 the sum starts at the positive background 1-cl and every term
+// is >= 0, so the running sum never drops below the background, and adding
+// a term smaller than half the gap to the next float64 above the background
+// (gaps only widen with magnitude) rounds back to the sum it was added to.
+// Such a term may be skipped with no effect on any bit of the result.
+// Outside 0 < cl < 1 (no positive floor, or terms of the other sign, or NaN)
+// nothing is skipped, except that at cl == 0 every term is exactly zero.
+func (c *Cosmo) mixtureAt(cl float64) mixture {
+	m := mixture{background: 1 - cl}
+	if cl == 0 {
+		return m
+	}
 	var hmass float64
 	for _, h := range c.halos {
 		hmass += h.mass
 	}
-	for _, h := range c.halos {
-		dist := pt.Sub(h.center).Length()
+	skippable := cl > 0 && m.background > 0
+	halfUlp := (math.Nextafter(m.background, math.Inf(1)) - m.background) / 2
+	m.terms = make([]haloTerm, len(c.halos))
+	for i, h := range c.halos {
 		s := h.radius
-		d += cl * (h.mass / hmass) * math.Exp(-0.5*dist*dist/(s*s)) / (s * s * s)
+		t := haloTerm{center: h.center, coef: cl * (h.mass / hmass), s2: s * s, s3: s * s * s, cut2: math.Inf(1)}
+		if skippable {
+			// coef/s3 * exp(-d2/(2*s2)) < halfUlp/e^margin, solved for d2.
+			t.cut2 = 2 * t.s2 * (math.Log(t.coef/t.s3/halfUlp) + cutoffMargin)
+		}
+		m.terms[i] = t
+	}
+	return m
+}
+
+// within returns the mixture restricted to the terms that can reach into
+// box b: a halo whose nearest point of b lies past its cut-off is skipped at
+// every point of b anyway, so dropping it up front changes no result there
+// (nor an ulp outside b, where rounding can put a sampled point:
+// cutoffMargin covers that). Term order is kept.
+func (m mixture) within(b geom.Box) mixture {
+	out := mixture{background: m.background}
+	for _, t := range m.terms {
+		off := t.center.Max(b.Lower).Min(b.Upper).Sub(t.center)
+		if off.Dot(off) <= t.cut2 {
+			out.terms = append(out.terms, t)
+		}
+	}
+	return out
+}
+
+// density evaluates the mixture at a point.
+func (m *mixture) density(pt geom.Vec3) float64 {
+	d := m.background
+	for i := range m.terms {
+		t := &m.terms[i]
+		off := pt.Sub(t.center)
+		d2 := off.Dot(off)
+		if d2 > t.cut2 {
+			continue
+		}
+		dist := math.Sqrt(d2) // squared again below: the reference rounds twice
+		d += t.coef * math.Exp(-0.5*dist*dist/t.s2) / t.s3
 	}
 	return d
 }
 
 // Counts implements Workload.
 func (c *Cosmo) Counts(step int) []int64 {
-	n := c.decomp.NumRanks()
-	weights := make([]float64, n)
-	for r := 0; r < n; r++ {
-		b := c.decomp.RankBounds(r)
-		sz := b.Size()
-		var sum float64
-		for ix := 0; ix < 2; ix++ {
-			for iy := 0; iy < 2; iy++ {
-				for iz := 0; iz < 2; iz++ {
-					pt := geom.Vec3{
-						X: b.Lower.X + sz.X*(0.25+0.5*float64(ix)),
-						Y: b.Lower.Y + sz.Y*(0.25+0.5*float64(iy)),
-						Z: b.Lower.Z + sz.Z*(0.25+0.5*float64(iz)),
-					}
-					sum += c.density(pt, step)
-				}
-			}
-		}
-		weights[r] = sum * b.Volume()
-	}
-	return apportion(c.total, weights)
+	return slices.Clone(c.counts(step))
+}
+
+// counts returns the memoized per-rank counts; callers must not modify
+// them. They depend on the step and the exported fields only through the
+// clustered fraction, which is therefore the whole memo key.
+func (c *Cosmo) counts(step int) []int64 {
+	cl := c.clustered(step)
+	return c.memo.get(cl, func() []int64 {
+		mix := c.mixtureAt(cl)
+		return apportion(c.total, octantWeights(c.decomp, mix.density))
+	})
 }
 
 // Generate implements Workload: the clustered fraction samples Gaussian
 // offsets around a halo (rejecting positions outside the rank bounds); the
 // rest are uniform in the rank bounds.
 func (c *Cosmo) Generate(step, rank int) *particles.Set {
-	want := c.Counts(step)[rank]
+	want := c.counts(step)[rank]
 	r := rng(c.seed, step, rank)
 	b := c.decomp.RankBounds(rank)
 	sz := b.Size()
 	cl := c.clustered(step)
+	mix := c.mixtureAt(cl).within(b)
 	// Halos overlapping this rank, weighted by their density contribution
 	// at the rank center.
 	type cand struct {
@@ -164,14 +235,14 @@ func (c *Cosmo) Generate(step, rank int) *particles.Set {
 		if len(cands) > 0 && r.Float64() < cl {
 			// Pick a halo by weight and sample a Gaussian offset.
 			u := r.Float64() * wsum
-			var h halo
-			for _, cd := range cands {
-				if u -= cd.w; u <= 0 {
-					h = cd.h
+			pick := len(cands) - 1
+			for i := range cands {
+				if u -= cands[i].w; u <= 0 {
+					pick = i
 					break
 				}
-				h = cands[len(cands)-1].h
 			}
+			h := &cands[pick].h
 			pt = geom.Vec3{
 				X: h.center.X + r.NormFloat64()*h.radius,
 				Y: h.center.Y + r.NormFloat64()*h.radius,
@@ -184,7 +255,7 @@ func (c *Cosmo) Generate(step, rank int) *particles.Set {
 		} else {
 			pt = uniform()
 		}
-		den := c.density(pt, step)
+		den := mix.density(pt)
 		attrs[0] = 1 + 0.1*r.NormFloat64() // mass
 		if inHalo {
 			attrs[1] = 300 + 100*r.NormFloat64() // velocity dispersion in halos

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"slices"
 
 	"libbat/internal/geom"
 	"libbat/internal/particles"
@@ -33,6 +34,8 @@ type DamBreak struct {
 	h0 float64 // initial column height (z)
 	// TimeScale converts a timestep index to solution time.
 	TimeScale float64
+
+	memo countsMemo[float64]
 }
 
 // DamBreakSchema matches the paper: three float coordinates plus four
@@ -86,9 +89,11 @@ func (w *DamBreak) Decomp() *Decomp { return w.decomp }
 
 const gravity = 9.81
 
-// height returns the water column height at position x for timestep step.
-func (w *DamBreak) height(x float64, step int) float64 {
-	t := float64(step) * w.TimeScale
+// solutionTime converts a timestep index to solution time.
+func (w *DamBreak) solutionTime(step int) float64 { return float64(step) * w.TimeScale }
+
+// height returns the water column height at position x and solution time t.
+func (w *DamBreak) height(x, t float64) float64 {
 	if t <= 0 {
 		if x <= w.x0 {
 			return w.h0
@@ -124,42 +129,51 @@ func (w *DamBreak) ritter(x, t, c0, xr float64) float64 {
 // Counts implements Workload: rank weights integrate the height profile
 // over the rank's x-range (uniform in y).
 func (w *DamBreak) Counts(step int) []int64 {
-	n := w.decomp.NumRanks()
-	weights := make([]float64, n)
-	for r := 0; r < n; r++ {
-		b := w.decomp.RankBounds(r)
-		// Midpoint rule over 4 x-samples.
-		var sum float64
-		for i := 0; i < 4; i++ {
-			x := b.Lower.X + b.Size().X*(0.125+0.25*float64(i))
-			sum += w.height(x, step)
+	return slices.Clone(w.counts(step))
+}
+
+// counts returns the memoized per-rank counts; callers must not modify
+// them. The step and TimeScale reach them only as the solution time, which
+// is therefore the whole memo key.
+func (w *DamBreak) counts(step int) []int64 {
+	t := w.solutionTime(step)
+	return w.memo.get(t, func() []int64 {
+		n := w.decomp.NumRanks()
+		weights := make([]float64, n)
+		for r := 0; r < n; r++ {
+			b := w.decomp.RankBounds(r)
+			// Midpoint rule over 4 x-samples.
+			var sum float64
+			for i := 0; i < 4; i++ {
+				x := b.Lower.X + b.Size().X*(0.125+0.25*float64(i))
+				sum += w.height(x, t)
+			}
+			weights[r] = sum * b.Size().X * b.Size().Y
 		}
-		weights[r] = sum * b.Size().X * b.Size().Y
-	}
-	return apportion(w.total, weights)
+		return apportion(w.total, weights)
+	})
 }
 
 // Generate implements Workload: x positions are sampled from the height
 // profile restricted to the rank's x-range by inverse-CDF over a fine
 // table; z uniform within the local height; y uniform.
 func (w *DamBreak) Generate(step, rank int) *particles.Set {
-	counts := w.Counts(step)
-	want := counts[rank]
+	want := w.counts(step)[rank]
 	r := rng(w.seed, step, rank)
 	b := w.decomp.RankBounds(rank)
+	t := w.solutionTime(step)
 	// Build a small inverse-CDF table of the height profile across the
 	// rank's x-range.
 	const tableN = 64
 	cdf := make([]float64, tableN+1)
 	for i := 1; i <= tableN; i++ {
 		x := b.Lower.X + b.Size().X*(float64(i)-0.5)/tableN
-		cdf[i] = cdf[i-1] + math.Max(w.height(x, step), 1e-9)
+		cdf[i] = cdf[i-1] + math.Max(w.height(x, t), 1e-9)
 	}
 	total := cdf[tableN]
 	s := particles.NewSet(w.schema, int(want))
 	attrs := make([]float64, w.schema.NumAttrs())
 	c0 := math.Sqrt(gravity * w.h0)
-	t := float64(step) * w.TimeScale
 	for i := int64(0); i < want; i++ {
 		// Inverse CDF sample of x.
 		u := r.Float64() * total
@@ -174,7 +188,7 @@ func (w *DamBreak) Generate(step, rank int) *particles.Set {
 		}
 		fx := (float64(lo) + r.Float64()) / tableN
 		x := b.Lower.X + b.Size().X*fx
-		h := math.Max(w.height(x, step), 1e-6)
+		h := math.Max(w.height(x, t), 1e-6)
 		pt := geom.Vec3{
 			X: x,
 			Y: b.Lower.Y + r.Float64()*b.Size().Y,

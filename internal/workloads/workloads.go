@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"libbat/internal/aggtree"
 	"libbat/internal/geom"
@@ -128,6 +129,58 @@ func TotalCount(w Workload, step int) int64 {
 		n += c
 	}
 	return n
+}
+
+// countsMemo holds the last per-rank counts one workload value computed,
+// so that the P Generate calls that materialize a world share one
+// apportionment instead of each redoing all P ranks. The key is every value
+// the counts depend on that can change after construction: workloads derive
+// it from the step and their exported fields on each call, so a caller that
+// mutates a field between calls gets fresh counts. One entry is enough:
+// worlds are materialized a step at a time.
+type countsMemo[K comparable] struct {
+	mu     sync.Mutex
+	key    K
+	counts []int64 // nil until the first fill
+	fills  int     // times compute ran; read by tests
+}
+
+// get returns the counts for key, running compute under the lock if the
+// memo holds another key's, so concurrent callers wait for one computation
+// rather than each starting their own. The result is shared: callers must
+// not modify it.
+func (m *countsMemo[K]) get(key K, compute func() []int64) []int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.counts == nil || m.key != key {
+		m.counts, m.key = compute(), key
+		m.fills++
+	}
+	return m.counts
+}
+
+// octantWeights integrates density over every rank's bounds by the midpoint
+// rule on a 2^3 grid.
+func octantWeights(d *Decomp, density func(geom.Vec3) float64) []float64 {
+	weights := make([]float64, d.NumRanks())
+	for r := range weights {
+		b := d.RankBounds(r)
+		sz := b.Size()
+		var sum float64
+		for ix := 0; ix < 2; ix++ {
+			for iy := 0; iy < 2; iy++ {
+				for iz := 0; iz < 2; iz++ {
+					sum += density(geom.Vec3{
+						X: b.Lower.X + sz.X*(0.25+0.5*float64(ix)),
+						Y: b.Lower.Y + sz.Y*(0.25+0.5*float64(iy)),
+						Z: b.Lower.Z + sz.Z*(0.25+0.5*float64(iz)),
+					})
+				}
+			}
+		}
+		weights[r] = sum * b.Volume()
+	}
+	return weights
 }
 
 // rng returns a deterministic generator for (name, step, rank).

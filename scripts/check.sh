@@ -48,9 +48,17 @@ run "go test -race fabric+core" go test -race ./internal/fabric/... ./internal/c
 # across world sizes, bounds distributions, and sampling knobs, and both
 # plan modes must leave identical datasets behind. GOMAXPROCS forced above
 # 1 so the per-rank goroutines of the simulated fabric truly interleave.
+# TestPlanModeAutoNotSlower rides along (matched by TestPlanMode): it times
+# both planners at 512 ranks and fails if PlanAuto picks the one > 2x slower.
 run "go test -race distributed plan" env GOMAXPROCS=4 go test -race \
 	-run 'TestDistributed|TestPlanMode|TestPlanModes|TestPlanDistributed' \
 	./internal/aggtree/ ./internal/core/
+
+# The generators under the race detector: every rank of one workload value
+# generated at once (the calls benchmark/ and the fabric ranks make) against
+# the shared Counts memo, plus the golden digests and the cut-off evaluator's
+# bit-equality property.
+run "go test -race workloads+particles" env GOMAXPROCS=4 go test -race ./internal/workloads/ ./internal/particles/
 
 # The chaos suite injects storage faults into full 16-rank collectives;
 # running it under the race detector is the strongest deadlock/race signal
