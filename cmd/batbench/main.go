@@ -83,9 +83,6 @@ func main() {
 		compBench = flag.Bool("compressbench", false, "run the v3 codec benchmark and emit a JSON report")
 		compOut   = flag.String("compressbench-out", "BENCH_compress.json", "output path for the -compressbench report")
 		compScale = flag.Int("compress-particles", 400_000, "particles for the -compressbench corpus")
-		treeBench = flag.Bool("treebench", false, "run the plan-scaling benchmark (centralized vs distributed) and emit a JSON report")
-		treeOut   = flag.String("treebench-out", "BENCH_treebuild.json", "output path for the -treebench report")
-		treeQuick = flag.Bool("treebench-quick", false, "measure fewer real-fabric world sizes in -treebench (CI smoke)")
 	)
 	flag.Parse()
 	if *buildWkrs < 0 {
@@ -102,19 +99,13 @@ func main() {
 	if col != nil {
 		bench.Observer = col
 	}
-	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*compBench && !*treeBench {
+	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*compBench {
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	if *compBench {
 		if err := runCompressBench(*compScale, *compOut); err != nil {
-			fmt.Fprintln(os.Stderr, "batbench:", err)
-			os.Exit(1)
-		}
-	}
-	if *treeBench {
-		if err := runTreeBench(*treeOut, *treeQuick); err != nil {
 			fmt.Fprintln(os.Stderr, "batbench:", err)
 			os.Exit(1)
 		}

@@ -2,61 +2,43 @@
 // collectively across all fabric ranks, exactly the plan the centralized
 // Build would compute from the gathered rank infos — same leaves, same
 // aggregator assignments, bit-identical split planes — while no rank ever
-// materializes all P rank infos. Rank 0's peak planning state is
-// O(P/owners + samples) instead of O(P).
+// materializes all P rank infos. A rank's peak planning state is
+// max(ConsolidateMembers, members of one leaf), independent of P.
 //
-// The construction (DESIGN §15) runs in four phases:
+// The construction (DESIGN §15) runs in two phases:
 //
 //  1. A tree Allreduce agrees on the global domain, total particle count,
 //     and active-rank count.
-//  2. Every s-th active rank contributes a (Morton code, rank) sample of
-//     its bounds center; one Allgather replicates the O(P/s) sample set,
-//     from which every rank derives the same sorted splitter list.
-//  3. The splitters cut Morton space into G buckets, each owned by a rank
-//     spread through the rank space; one Alltoallv routes each rank's
-//     60-byte info record to its bucket owner.
-//  4. All ranks walk one replicated top-down recursion over the tree:
-//     per-node aggregates come from an Allreduce, nodes whose members have
-//     collapsed onto a single owner are finished locally by the serial
-//     oracle buildRec, and multi-owner nodes find their exact split plane
-//     through collective bit-pattern bisection (distrefine.go). Leaf
-//     numbering falls out of the shared depth-first order, so assignments
-//     are delivered point-to-point without any central fan-in.
+//  2. All ranks walk one replicated top-down recursion over the tree, each
+//     carrying only its own record and whether it is a member of the
+//     current node: per-node aggregates come from an Allreduce, nodes small
+//     enough to finish serially are consolidated onto their lowest member
+//     rank and built there by the serial oracle buildRec, and the others
+//     find their exact split plane through collective bit-pattern bisection
+//     (distrefine.go). Leaf numbering falls out of the shared depth-first
+//     order, so assignments are delivered point-to-point without any
+//     central fan-in.
 package aggtree
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/morton"
 )
 
 // DistConfig controls the distributed build. The embedded Config must match
 // the centralized build's exactly for the equivalence guarantee to hold;
-// the added knobs only trade communication volume against parallelism and
-// never change the resulting plan.
+// ConsolidateMembers only trades collective rounds against the size of the
+// serially finished subtrees and never changes the resulting plan.
 type DistConfig struct {
 	Config
-	// SampleStride s has every s-th active rank contribute one splitter
-	// sample, bounding the replicated sample set at ceil(P/s) entries.
-	// Default 16.
-	SampleStride int
-	// Owners bounds the number of bucket-owner ranks the sampled splitter
-	// space is cut into. Default: the world size.
-	Owners int
 	// ConsolidateMembers is the member-count threshold at or below which a
-	// multi-owner node is consolidated onto its lowest owner and finished
+	// node is consolidated onto its lowest member rank and finished
 	// serially instead of split collectively. Default 32.
 	ConsolidateMembers int
-}
-
-// DefaultDistConfig mirrors DefaultConfig for the distributed entry point.
-func DefaultDistConfig(targetFileSize int64, bytesPerParticle int) DistConfig {
-	return DistConfig{Config: DefaultConfig(targetFileSize, bytesPerParticle)}
 }
 
 // AggLeaf is one leaf this rank aggregates: everything the write pipeline
@@ -78,12 +60,9 @@ type AggLeaf struct {
 
 // DistStats reports how the distributed construction went on this rank.
 type DistStats struct {
-	// Samples is the size of the replicated splitter sample set.
-	Samples int
-	// Owners is the number of bucket-owner ranks.
-	Owners int
 	// PeakMembers is the largest number of rank infos this rank held at any
-	// point — the O(P/owners + samples) planning-state bound under test.
+	// point — at most max(ConsolidateMembers, members of one leaf), the
+	// planning-state bound under test.
 	PeakMembers int
 	// Rounds counts the Allreduce rounds the refinement recursion used.
 	Rounds int
@@ -145,54 +124,19 @@ const (
 	tagDistAggLeaf
 )
 
-// rankInfoBytes is the fixed wire size of one encoded RankInfo.
-const rankInfoBytes = 4 + 8 + 6*8
-
+// A RankInfo is 60 bytes on the wire: rank, count, bounds.
 func appendRankInfo(buf []byte, r RankInfo) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Rank))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Count))
-	for _, f := range [6]float64{
-		r.Bounds.Lower.X, r.Bounds.Lower.Y, r.Bounds.Lower.Z,
-		r.Bounds.Upper.X, r.Bounds.Upper.Y, r.Bounds.Upper.Z,
-	} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	return buf
+	return appendBox(buf, r.Bounds)
 }
 
-func decodeRankInfos(buf []byte) []RankInfo {
-	n := len(buf) / rankInfoBytes
-	out := make([]RankInfo, n)
-	for i := range out {
-		b := buf[i*rankInfoBytes:]
-		f := func(o int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
-		}
-		out[i] = RankInfo{
-			Rank:  int(binary.LittleEndian.Uint32(b)),
-			Count: int64(binary.LittleEndian.Uint64(b[4:])),
-			Bounds: geom.Box{
-				Lower: geom.V3(f(12), f(20), f(28)),
-				Upper: geom.V3(f(36), f(44), f(52)),
-			},
-		}
+func decodeRankInfo(b []byte) RankInfo {
+	return RankInfo{
+		Rank:   int(binary.LittleEndian.Uint32(b)),
+		Count:  int64(binary.LittleEndian.Uint64(b[4:])),
+		Bounds: decodeBox(b[12:]),
 	}
-	return out
-}
-
-// sampleKey orders ranks along the Morton curve of their bounds centers,
-// with the rank id breaking ties so the order is total and identical on
-// every rank.
-type sampleKey struct {
-	code morton.Code
-	rank int
-}
-
-func (a sampleKey) less(b sampleKey) bool {
-	if a.code != b.code {
-		return a.code < b.code
-	}
-	return a.rank < b.rank
 }
 
 // DistributedBuild collectively constructs the aggregation-tree plan. All
@@ -210,17 +154,11 @@ func DistributedBuild(c *fabric.Comm, own RankInfo, cfg DistConfig) (*DistPlan, 
 	if own.Rank != c.Rank() {
 		return nil, fmt.Errorf("aggtree: own.Rank %d != fabric rank %d", own.Rank, c.Rank())
 	}
-	if cfg.SampleStride <= 0 {
-		cfg.SampleStride = 16
-	}
-	if cfg.Owners <= 0 {
-		cfg.Owners = c.Size()
-	}
 	if cfg.ConsolidateMembers <= 0 {
 		cfg.ConsolidateMembers = 32
 	}
 
-	d := &distBuilder{c: c, cfg: cfg, own: own, size: c.Size()}
+	d := &distBuilder{c: c, cfg: cfg, own: own, size: c.Size(), peak: 1}
 
 	// Phase 1: global domain, total count, active-rank count.
 	active := own.Count > 0
@@ -253,75 +191,15 @@ func DistributedBuild(c *fabric.Comm, own RankInfo, cfg DistConfig) (*DistPlan, 
 		return plan, nil
 	}
 
-	// Phase 2: splitter sampling. Every SampleStride-th active rank
-	// contributes its (Morton code, rank) key; the Allgather replicates the
-	// sample set, from which every rank independently derives the same
-	// sorted splitter list.
-	key := sampleKey{rank: own.Rank}
-	var sample []byte
-	if active {
-		key.code = morton.FromPoint(own.Bounds.Center(), domain)
-		if own.Rank%cfg.SampleStride == 0 {
-			sample = binary.LittleEndian.AppendUint64(nil, uint64(key.code))
-			sample = binary.LittleEndian.AppendUint32(sample, uint32(own.Rank))
-		}
-	}
-	gathered := c.Allgather(sample)
-	d.rounds++
-	var samples []sampleKey
-	for _, g := range gathered {
-		if len(g) == 12 {
-			samples = append(samples, sampleKey{
-				code: morton.Code(binary.LittleEndian.Uint64(g)),
-				rank: int(binary.LittleEndian.Uint32(g[8:])),
-			})
-		}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].less(samples[j]) })
+	// Phase 2: replicated top-down refinement (distrefine.go).
+	d.refineRoot(active, plan)
 
-	// Phase 3: cut the sampled key space into G buckets with owners spread
-	// through the rank space, and route every active rank's info record to
-	// its bucket owner with one Alltoallv.
-	owners := cfg.Owners
-	if owners > d.size {
-		owners = d.size
-	}
-	if owners > len(samples)+1 {
-		owners = len(samples) + 1
-	}
-	splitters := make([]sampleKey, 0, owners-1)
-	for i := 1; i < owners; i++ {
-		splitters = append(splitters, samples[i*len(samples)/owners])
-	}
-	ownerOf := func(b int) int { return b * d.size / owners }
-	parts := make([][]byte, d.size)
-	if active {
-		bucket := sort.Search(len(splitters), func(i int) bool {
-			return key.less(splitters[i])
-		})
-		parts[ownerOf(bucket)] = appendRankInfo(nil, own)
-	}
-	routed := c.Alltoallv(parts)
-	d.rounds++
-	var members []RankInfo
-	for _, p := range routed {
-		members = append(members, decodeRankInfos(p)...)
-	}
-	d.notePeak(len(members) + len(samples))
-
-	// Phase 4: replicated top-down refinement (distrefine.go).
-	d.refineRoot(members, plan)
-
-	plan.Stats = DistStats{
-		Samples:     len(samples),
-		Owners:      owners,
-		PeakMembers: d.peak,
-		Rounds:      d.rounds,
-	}
+	plan.Stats = DistStats{PeakMembers: d.peak, Rounds: d.rounds}
 	return plan, nil
 }
 
-// distBuilder carries the per-rank state of one distributed build.
+// distBuilder carries the per-rank state of one distributed build. peak
+// starts at 1: every rank holds its own record throughout.
 type distBuilder struct {
 	c      *fabric.Comm
 	cfg    DistConfig
@@ -329,12 +207,6 @@ type distBuilder struct {
 	size   int
 	rounds int
 	peak   int
-}
-
-func (d *distBuilder) notePeak(n int) {
-	if n > d.peak {
-		d.peak = n
-	}
 }
 
 func appendBox(buf []byte, b geom.Box) []byte {

@@ -149,33 +149,35 @@ func checkEquivalence(t *testing.T, label string, ranks []RankInfo, cfg DistConf
 }
 
 // TestDistributedEquivalence is the seeded property test of the acceptance
-// criteria: across world sizes 1..64, bounds distributions, sample strides,
-// owner counts, and consolidation thresholds, DistributedBuild must produce
-// exactly the centralized plan.
+// criteria: across world sizes 1..64, bounds distributions and
+// consolidation thresholds, DistributedBuild must produce exactly the
+// centralized plan. One 256-rank clustered world (not under -short) covers
+// consolidation across many member ranks per node.
 func TestDistributedEquivalence(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 8, 13, 16, 32, 64}
 	flavors := []string{"uniform", "skewed", "clustered", "coincident"}
+	check := func(flavor string, size int, seed int64) {
+		rng := rand.New(rand.NewSource(seed*7919 + int64(size)))
+		ranks := distRanks(flavor, size, rng)
+		// Target sized to yield a handful of leaves at this world size,
+		// exercising both split and leaf paths.
+		target := max(1, int64(size)*5000*bpp/7)
+		cfg := DistConfig{Config: DefaultConfig(target, bpp)}
+		// Vary the consolidation threshold with the seed; it may not change
+		// the resulting plan.
+		cfg.ConsolidateMembers = []int{1, 8}[int(seed)%2]
+		label := fmt.Sprintf("size=%d flavor=%s seed=%d", size, flavor, seed)
+		checkEquivalence(t, label, ranks, cfg)
+	}
 	for _, size := range sizes {
 		for _, flavor := range flavors {
 			for seed := int64(0); seed < 2; seed++ {
-				rng := rand.New(rand.NewSource(seed*7919 + int64(size)))
-				ranks := distRanks(flavor, size, rng)
-				// Target sized to yield a handful of leaves at this world
-				// size, exercising both split and leaf paths.
-				target := int64(size) * 5000 * bpp / 7
-				if target < 1 {
-					target = 1
-				}
-				cfg := DistConfig{Config: DefaultConfig(target, bpp)}
-				// Vary the distribution-only knobs with the seed; none may
-				// change the resulting plan.
-				cfg.SampleStride = []int{1, 4, 16}[int(seed)%3]
-				cfg.Owners = []int{0, 3}[int(seed)%2]
-				cfg.ConsolidateMembers = []int{1, 8}[int(seed)%2]
-				label := fmt.Sprintf("size=%d flavor=%s seed=%d", size, flavor, seed)
-				checkEquivalence(t, label, ranks, cfg)
+				check(flavor, size, seed)
 			}
 		}
+	}
+	if !testing.Short() {
+		check("clustered", 256, 1)
 	}
 }
 
@@ -199,7 +201,7 @@ func TestDistributedEquivalenceConfigVariants(t *testing.T) {
 	for name, cc := range map[string]Config{
 		"all-axes": allAxes, "no-overfull": noOverfull, "tiny": tiny, "huge": huge,
 	} {
-		cfg := DistConfig{Config: cc, SampleStride: 4, ConsolidateMembers: 2}
+		cfg := DistConfig{Config: cc, ConsolidateMembers: 2}
 		checkEquivalence(t, name, ranks, cfg)
 	}
 }
@@ -211,7 +213,7 @@ func TestDistributedEmptyWorld(t *testing.T) {
 	for r := range ranks {
 		ranks[r].Count = 0
 	}
-	plans, tree := runDistributed(t, ranks, DefaultDistConfig(1<<20, bpp))
+	plans, tree := runDistributed(t, ranks, DistConfig{Config: DefaultConfig(1<<20, bpp)})
 	if tree.NumLeaves() != 0 {
 		t.Fatalf("empty world produced %d leaves", tree.NumLeaves())
 	}
@@ -240,37 +242,34 @@ func TestDistributedValidatesConfig(t *testing.T) {
 }
 
 // TestDistributedPeakState asserts the point of the whole exercise: no
-// rank's planning state approaches O(P). With P ranks spread over P owners
-// the per-rank peak must stay within a small constant of P/owners plus the
-// sample set — far below the full world — except for the documented
-// consolidation case where a leaf inherently concentrates its members on
-// its future owner.
+// rank's planning state grows with P. A rank holds its own record until a
+// node consolidates onto it, and a node consolidates only at or below
+// ConsolidateMembers members or when it is one leaf, so the per-rank peak is
+// bounded by the larger of the two — the same number at 64 and 256 ranks.
 func TestDistributedPeakState(t *testing.T) {
-	const size = 64
-	rng := rand.New(rand.NewSource(9))
-	ranks := distRanks("uniform", size, rng)
 	cfg := DistConfig{
 		Config:             DefaultConfig(2*5000*bpp, bpp), // ~2 ranks per leaf
-		SampleStride:       4,
-		ConsolidateMembers: 4,
+		ConsolidateMembers: 16,
 	}
-	plans, _ := runDistributed(t, ranks, cfg)
-	samples := plans[0].Stats.Samples
-	if samples == 0 {
-		t.Fatal("no samples recorded")
-	}
-	// Sample-sort theory bounds a bucket by ~2s members per sample stride
-	// s; consolidation can then add at most the members of one leaf-bound
-	// subtree (<= ConsolidateMembers or one leaf's ranks). Assert a
-	// generous combined bound that is still far below P.
-	bound := 2*cfg.SampleStride + samples + 8*cfg.ConsolidateMembers
-	if bound >= size {
-		t.Fatalf("test misconfigured: bound %d not below world %d", bound, size)
-	}
-	for r, p := range plans {
-		if p.Stats.PeakMembers > bound {
-			t.Errorf("rank %d peak planning state %d exceeds O(P/owners + samples) bound %d",
-				r, p.Stats.PeakMembers, bound)
+	for _, size := range []int{64, 256} {
+		ranks := distRanks("uniform", size, rand.New(rand.NewSource(9)))
+		oracle, err := Build(ranks, cfg.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := cfg.ConsolidateMembers
+		for _, l := range oracle.Leaves {
+			bound = max(bound, len(l.Ranks))
+		}
+		if bound != cfg.ConsolidateMembers {
+			t.Fatalf("size %d: test misconfigured: bound %d depends on the world size", size, bound)
+		}
+		plans, _ := runDistributed(t, ranks, cfg)
+		for r, p := range plans {
+			if p.Stats.PeakMembers < 1 || p.Stats.PeakMembers > bound {
+				t.Errorf("size %d: rank %d peak planning state %d outside [1, %d]",
+					size, r, p.Stats.PeakMembers, bound)
+			}
 		}
 	}
 }

@@ -1,18 +1,19 @@
-// Phase 4 of the distributed build: the replicated top-down refinement.
+// Phase 2 of the distributed build: the replicated top-down refinement.
 //
-// Every rank walks the same recursion over the forming tree. Per-node
-// aggregates (count, member count, bounds, owner census) come from one
-// Allreduce, so every rank reaches the same classification from the same
-// numbers the serial oracle would see:
+// Every rank walks the same recursion over the forming tree, carrying its
+// own record and an "am I a member of this node" flag. Per-node aggregates
+// (count, member count, lowest member, bounds) come from one Allreduce, so
+// every rank reaches the same classification from the same numbers the
+// serial oracle would see:
 //
-//   - nodes passing the oracle leaf test, nodes with a single owner, and
-//     nodes whose member count has shrunk below ConsolidateMembers are
-//     consolidated onto their lowest owner and finished locally by the
-//     unmodified serial buildRec — the subtree is oracle-built on the exact
-//     member multiset, so equivalence there is by construction;
-//   - remaining multi-owner nodes find the serial algorithm's exact split
-//     plane through collective bisection over float bit space (evalAxis
-//     below), then partition their members into the two children.
+//   - nodes passing the oracle leaf test and nodes whose member count has
+//     shrunk to ConsolidateMembers or below are consolidated onto their
+//     lowest member rank and finished locally by the unmodified serial
+//     buildRec — the subtree is oracle-built on the exact member multiset,
+//     so equivalence there is by construction;
+//   - the remaining nodes find the serial algorithm's exact split plane
+//     through collective bisection over float bit space (evalAxis below),
+//     and each member picks the child its own center falls in.
 //
 // The recursion's depth-first order doubles as the global leaf numbering,
 // so once it finishes every owner knows its leaves' global indices and
@@ -33,36 +34,29 @@ import (
 
 // nodeStats are the collectively agreed aggregates of one node.
 type nodeStats struct {
-	count    int64 // total particles
-	members  int64 // member ranks
-	minOwner int   // lowest rank holding >= 1 member
-	owners   int   // ranks holding >= 1 member
-	bounds   geom.Box
+	count     int64 // total particles
+	members   int64 // member ranks
+	minMember int   // lowest member rank
+	bounds    geom.Box
 }
 
-func (d *distBuilder) nodeStats(mine []RankInfo) nodeStats {
-	var cnt int64
-	for _, m := range mine {
-		cnt += m.Count
+func (d *distBuilder) nodeStats(in bool) nodeStats {
+	cnt, members, minMember, b := int64(0), 0, d.size, geom.EmptyBox()
+	if in {
+		cnt, members, minMember, b = d.own.Count, 1, d.own.Rank, d.own.Bounds
 	}
-	minOwner, owners := int64(d.size), int64(0)
-	if len(mine) > 0 {
-		minOwner, owners = int64(d.own.Rank), 1
-	}
-	rec := make([]byte, 0, 4*8+6*8)
+	rec := make([]byte, 0, 3*8+6*8)
 	rec = binary.LittleEndian.AppendUint64(rec, uint64(cnt))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(len(mine)))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(minOwner))
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(owners))
-	rec = appendBox(rec, unionBounds(mine))
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(members))
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(minMember))
+	rec = appendBox(rec, b)
 	out := d.c.Allreduce(rec, combineNodeStats)
 	d.rounds++
 	return nodeStats{
-		count:    int64(binary.LittleEndian.Uint64(out)),
-		members:  int64(binary.LittleEndian.Uint64(out[8:])),
-		minOwner: int(binary.LittleEndian.Uint64(out[16:])),
-		owners:   int(binary.LittleEndian.Uint64(out[24:])),
-		bounds:   decodeBox(out[32:]),
+		count:     int64(binary.LittleEndian.Uint64(out)),
+		members:   int64(binary.LittleEndian.Uint64(out[8:])),
+		minMember: int(binary.LittleEndian.Uint64(out[16:])),
+		bounds:    decodeBox(out[24:]),
 	}
 }
 
@@ -76,107 +70,95 @@ func combineNodeStats(acc, next []byte) []byte {
 	if binary.LittleEndian.Uint64(next[16:]) < binary.LittleEndian.Uint64(acc[16:]) {
 		binary.LittleEndian.PutUint64(acc[16:], binary.LittleEndian.Uint64(next[16:]))
 	}
-	addAt(24)
-	u := decodeBox(acc[32:]).Union(decodeBox(next[32:]))
-	return appendBox(acc[:32], u)
+	u := decodeBox(acc[24:]).Union(decodeBox(next[24:]))
+	return appendBox(acc[:24], u)
 }
 
 // refineRoot drives the replicated recursion and the assignment delivery.
-func (d *distBuilder) refineRoot(members []RankInfo, plan *DistPlan) {
+func (d *distBuilder) refineRoot(active bool, plan *DistPlan) {
 	leafCounter := 0
-	d.refineNode(members, plan, &leafCounter)
+	d.refineNode(active, plan, &leafCounter)
 	plan.NumLeaves = leafCounter
 	d.deliver(plan)
 }
 
-// refineNode processes one node; every rank calls it with its share of the
-// node's members (possibly none) and all ranks return the same skeleton
-// index. The classification mirrors buildRec's decision order exactly;
-// consolidated subtrees re-run buildRec on the full member multiset, so a
-// node that consolidates because the collective already knows it is a leaf
-// (or overfull) reproduces precisely that leaf.
-func (d *distBuilder) refineNode(mine []RankInfo, plan *DistPlan, leafCounter *int) int {
-	st := d.nodeStats(mine)
+// refineNode processes one node; every rank calls it with whether it is a
+// member, and all ranks return the same skeleton index. The classification
+// mirrors buildRec's decision order exactly; consolidated subtrees re-run
+// buildRec on the full member multiset, so a node that consolidates because
+// the collective already knows it is a leaf (or overfull) reproduces
+// precisely that leaf.
+func (d *distBuilder) refineNode(in bool, plan *DistPlan, leafCounter *int) int {
+	st := d.nodeStats(in)
 	nodeBytes := st.count * int64(d.cfg.BytesPerParticle)
 	leafTest := nodeBytes <= d.cfg.TargetFileSize || st.members == 1
-	if leafTest || st.owners == 1 || st.members <= int64(d.cfg.ConsolidateMembers) {
-		mine = d.consolidate(mine, st)
-		return d.delegate(mine, st, plan, leafCounter)
+	if leafTest || st.members <= int64(d.cfg.ConsolidateMembers) {
+		return d.delegate(d.consolidate(in, st), st, plan, leafCounter)
 	}
-	best := d.collectiveSplit(mine, st)
+	best := d.collectiveSplit(in, st)
 	if !best.ok ||
 		(d.cfg.AllowOverfull &&
 			best.ratio >= d.cfg.SplitCostThreshold &&
 			float64(nodeBytes) <= d.cfg.OverfullFactor*float64(d.cfg.TargetFileSize)) {
 		// The serial oracle would make this node an (overfull) leaf; let
 		// the delegated buildRec reach the same verdict from the same data.
-		mine = d.consolidate(mine, st)
-		return d.delegate(mine, st, plan, leafCounter)
+		return d.delegate(d.consolidate(in, st), st, plan, leafCounter)
 	}
-	var left, right []RankInfo
-	for _, r := range mine {
-		if r.Bounds.Center().Component(best.axis) < best.pos {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
+	goesLeft := d.own.Bounds.Center().Component(best.axis) < best.pos
 	me := len(plan.skel)
 	plan.skel = append(plan.skel, skelNode{
 		split: true, axis: best.axis, pos: best.pos,
 		bounds: st.bounds, count: st.count,
 	})
-	l := d.refineNode(left, plan, leafCounter)
-	r := d.refineNode(right, plan, leafCounter)
+	l := d.refineNode(in && goesLeft, plan, leafCounter)
+	r := d.refineNode(in && !goesLeft, plan, leafCounter)
 	plan.skel[me].left, plan.skel[me].right = l, r
 	return me
 }
 
-// consolidate moves every owner's members for the current node onto the
-// node's lowest owner. Sends are buffered and the receiver knows the exact
-// sender census from the stats Allreduce, so the exchange cannot deadlock
-// or mix with a later node's (every sender re-synchronizes at the next
-// collective before it can send again).
-func (d *distBuilder) consolidate(mine []RankInfo, st nodeStats) []RankInfo {
-	if st.owners <= 1 {
-		return mine
+// consolidate moves every member's record for the current node onto the
+// node's lowest member and returns the gathered records there (nil
+// elsewhere). Sends are buffered and the receiver knows the exact member
+// count from the stats Allreduce, so the exchange cannot deadlock or mix
+// with a later node's (every sender re-synchronizes at the next collective
+// before it can send again).
+func (d *distBuilder) consolidate(in bool, st nodeStats) []RankInfo {
+	if !in {
+		return nil
 	}
-	if d.own.Rank == st.minOwner {
-		for i := 0; i < st.owners-1; i++ {
-			buf, _ := d.c.Recv(fabric.AnySource, tagDistConsolidate)
-			mine = append(mine, decodeRankInfos(buf)...)
-		}
-		d.notePeak(len(mine))
-		return mine
+	if d.own.Rank != st.minMember {
+		d.c.Send(st.minMember, tagDistConsolidate, appendRankInfo(nil, d.own))
+		return nil
 	}
-	if len(mine) > 0 {
-		enc := make([]byte, 0, len(mine)*rankInfoBytes)
-		for _, m := range mine {
-			enc = appendRankInfo(enc, m)
-		}
-		d.c.Send(st.minOwner, tagDistConsolidate, enc)
+	mine := make([]RankInfo, 1, st.members)
+	mine[0] = d.own
+	for int64(len(mine)) < st.members {
+		buf, _ := d.c.Recv(fabric.AnySource, tagDistConsolidate)
+		mine = append(mine, decodeRankInfo(buf))
 	}
-	return nil
+	d.peak = max(d.peak, len(mine))
+	return mine
 }
 
-// delegate finishes the node's whole subtree on its (single, post-
-// consolidation) owner with the serial oracle, and broadcasts the subtree's
-// leaf count so every rank advances the shared depth-first numbering.
+// delegate finishes the node's whole subtree on its consolidated owner with
+// the serial oracle, and broadcasts the subtree's leaf count so every rank
+// advances the shared depth-first numbering.
 func (d *distBuilder) delegate(mine []RankInfo, st nodeStats, plan *DistPlan, leafCounter *int) int {
 	me := len(plan.skel)
+	owner := d.own.Rank == st.minMember
 	var root *buildNode
 	var buf []byte
-	if d.own.Rank == st.minOwner {
+	if owner {
 		root = buildRec(mine, d.cfg.Config, 0)
 		buf = binary.LittleEndian.AppendUint64(nil, uint64(countLeaves(root)))
 	}
-	out := d.c.Bcast(st.minOwner, buf)
+	out := d.c.Bcast(st.minMember, buf)
 	d.rounds++
 	leaves := int(binary.LittleEndian.Uint64(out))
 	plan.skel = append(plan.skel, skelNode{
-		owner: st.minOwner, leaves: leaves, bounds: st.bounds, count: st.count,
+		owner: st.minMember, leaves: leaves, bounds: st.bounds, count: st.count,
 	})
-	if d.own.Rank == st.minOwner {
+	if owner {
 		plan.subs = append(plan.subs, localSub{
 			skelIdx: me, root: root, leafOffset: *leafCounter, members: mine,
 		})
@@ -208,9 +190,9 @@ func walkLeaves(n *buildNode, fn func(*Leaf)) {
 // BestSplitAllAxes), cross-axis winner by strictly smaller cost. All
 // comparisons use values replicated by the probes, so every rank picks the
 // same split.
-func (d *distBuilder) collectiveSplit(mine []RankInfo, st nodeStats) splitResult {
+func (d *distBuilder) collectiveSplit(in bool, st nodeStats) splitResult {
 	longest := st.bounds.LongestAxis()
-	best := d.evalAxis(mine, st, longest)
+	best := d.evalAxis(in, st, longest)
 	for _, axis := range []geom.Axis{geom.X, geom.Y, geom.Z} {
 		if axis == longest {
 			continue
@@ -218,7 +200,7 @@ func (d *distBuilder) collectiveSplit(mine []RankInfo, st nodeStats) splitResult
 		if !d.cfg.BestSplitAllAxes && best.ok {
 			break
 		}
-		if s := d.evalAxis(mine, st, axis); s.ok && (!best.ok || s.cost < best.cost) {
+		if s := d.evalAxis(in, st, axis); s.ok && (!best.ok || s.cost < best.cost) {
 			best = s
 		}
 	}
@@ -234,15 +216,15 @@ type probeRes struct {
 	minGE float64
 }
 
-func (d *distBuilder) probe(mine []RankInfo, axis geom.Axis, p float64) probeRes {
+func (d *distBuilder) probe(in bool, axis geom.Axis, p float64) probeRes {
 	var nl int64
 	maxLE, minGE := math.Inf(-1), math.Inf(1)
-	for _, r := range mine {
-		if r.Bounds.Center().Component(axis) < p {
-			nl += r.Count
+	if in {
+		if d.own.Bounds.Center().Component(axis) < p {
+			nl = d.own.Count
 		}
 		for _, e := range [2]float64{
-			r.Bounds.Lower.Component(axis), r.Bounds.Upper.Component(axis),
+			d.own.Bounds.Lower.Component(axis), d.own.Bounds.Upper.Component(axis),
 		} {
 			if e <= p && e > maxLE {
 				maxLE = e
@@ -296,6 +278,24 @@ func floatOf(o uint64) float64 {
 	return math.Float64frombits(^o)
 }
 
+// bisect narrows the open interval (lo, hi) in float bit space until the
+// two ends are adjacent floats. pred must be monotone — false up to some
+// position, true from there on — and is taken as false at lo and true at
+// hi without being called there; bisect returns the last position where it
+// is false and the first where it is true.
+func bisect(lo, hi float64, pred func(float64) bool) (float64, float64) {
+	loOrd, hiOrd := ordOf(lo), ordOf(hi)
+	for hiOrd-loOrd > 1 {
+		mid := loOrd + (hiOrd-loOrd)/2
+		if pred(floatOf(mid)) {
+			hiOrd = mid
+		} else {
+			loOrd = mid
+		}
+	}
+	return floatOf(loOrd), floatOf(hiOrd)
+}
+
 // evalAxis reproduces evaluateAxis's result for the node's full member
 // multiset without gathering it. The serial algorithm scans candidate
 // positions (the unique member bound edges) in ascending order and keeps
@@ -303,8 +303,9 @@ func floatOf(o uint64) float64 {
 // nondecreasing in p and the cost |0.5 - nl/N| is V-shaped in nl, that
 // winner is determined by just two achievable counts — v_lo, the largest
 // nl <= N/2, and v_hi, the smallest nl > N/2 — plus the first candidate
-// position achieving the winning count. Each is found by bisecting a
-// monotone predicate over float bit space with O(64) collective probes:
+// position achieving the winning count. They are found by bisecting two
+// monotone predicates over float bit space with O(64) collective probes
+// each (A and C bisect the same predicate, so they share one run):
 //
 //	A: largest position b with nl(b) <= N/2; the largest edge c_lo <= b is
 //	   the v_lo candidate, v_lo = nl(c_lo), valid iff v_lo >= 1.
@@ -319,54 +320,34 @@ func floatOf(o uint64) float64 {
 // none is right. On cost ties the lo side wins, as in the serial scan where
 // the lo candidate comes first and later equal-cost candidates never
 // displace it (strict <).
-func (d *distBuilder) evalAxis(mine []RankInfo, st nodeStats, axis geom.Axis) splitResult {
+func (d *distBuilder) evalAxis(in bool, st nodeStats, axis geom.Axis) splitResult {
 	lo := st.bounds.Lower.Component(axis)
 	hi := st.bounds.Upper.Component(axis)
 	N := st.count
+	nlAt := func(p float64) int64 { return d.probe(in, axis, p).nl }
 
-	// Sub-phase A: v_lo.
-	pHi := d.probe(mine, axis, hi)
-	var bProbe probeRes
-	if pHi.nl <= N-pHi.nl {
-		bProbe = pHi
-	} else {
-		loOrd, hiOrd := ordOf(lo), ordOf(hi)
-		for hiOrd-loOrd > 1 {
-			mid := loOrd + (hiOrd-loOrd)/2
-			if pm := d.probe(mine, axis, floatOf(mid)); pm.nl <= N-pm.nl {
-				loOrd = mid
-			} else {
-				hiOrd = mid
-			}
+	// Sub-phases A and C are one bisection read at both ends: b is the last
+	// position with nl <= N/2, b3 the first past it. When even hi is not
+	// past half, b is hi itself and there is no v_hi candidate.
+	pHi := d.probe(in, axis, hi)
+	bProbe := pHi
+	var cHi float64
+	vHi, hiValid := int64(0), false
+	if pHi.nl > N-pHi.nl {
+		b, b3 := bisect(lo, hi, func(p float64) bool { nl := nlAt(p); return nl > N-nl })
+		bProbe = d.probe(in, axis, b)
+		cHi = d.probe(in, axis, b3).minGE
+		if !math.IsInf(cHi, 1) {
+			vHi = nlAt(cHi)
+			hiValid = vHi < N
 		}
-		bProbe = d.probe(mine, axis, floatOf(loOrd))
 	}
 	cLo := bProbe.maxLE
 	vLo := int64(0)
 	if !math.IsInf(cLo, -1) {
-		vLo = d.probe(mine, axis, cLo).nl
+		vLo = nlAt(cLo)
 	}
 	loValid := vLo >= 1
-
-	// Sub-phase C: v_hi.
-	var cHi float64
-	vHi, hiValid := int64(0), false
-	if pHi.nl > N-pHi.nl {
-		loOrd, hiOrd := ordOf(lo), ordOf(hi)
-		for hiOrd-loOrd > 1 {
-			mid := loOrd + (hiOrd-loOrd)/2
-			if pm := d.probe(mine, axis, floatOf(mid)); pm.nl > N-pm.nl {
-				hiOrd = mid
-			} else {
-				loOrd = mid
-			}
-		}
-		cHi = d.probe(mine, axis, floatOf(hiOrd)).minGE
-		if !math.IsInf(cHi, 1) {
-			vHi = d.probe(mine, axis, cHi).nl
-			hiValid = vHi < N
-		}
-	}
 
 	cost := func(v int64) float64 { return math.Abs(0.5 - float64(v)/float64(N)) }
 	res := splitResult{axis: axis, cost: math.Inf(1), ratio: math.Inf(1)}
@@ -381,16 +362,8 @@ func (d *distBuilder) evalAxis(mine []RankInfo, st nodeStats, axis geom.Axis) sp
 	switch {
 	case loValid && (!hiValid || cost(vLo) <= cost(vHi)):
 		// Sub-phase B: first candidate achieving v_lo.
-		loOrd, hiOrd := ordOf(lo), ordOf(cLo)
-		for hiOrd-loOrd > 1 {
-			mid := loOrd + (hiOrd-loOrd)/2
-			if pm := d.probe(mine, axis, floatOf(mid)); pm.nl >= vLo {
-				hiOrd = mid
-			} else {
-				loOrd = mid
-			}
-		}
-		pos := d.probe(mine, axis, floatOf(hiOrd)).minGE
+		_, b2 := bisect(lo, cLo, func(p float64) bool { return nlAt(p) >= vLo })
+		pos := d.probe(in, axis, b2).minGE
 		fill(pos, vLo)
 	case hiValid:
 		fill(cHi, vHi)

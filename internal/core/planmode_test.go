@@ -9,6 +9,7 @@ import (
 	"libbat/internal/aggtree"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
+	"libbat/internal/perf"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
 )
@@ -90,8 +91,15 @@ func TestPlanModesProduceIdenticalDatasets(t *testing.T) {
 	}
 }
 
-// TestPlanModeResolve pins the PlanAuto switchover policy.
+// TestPlanModeResolve pins the PlanAuto switchover policy, and the
+// threshold to the modeled crossover on both system profiles.
 func TestPlanModeResolve(t *testing.T) {
+	for _, p := range []perf.Profile{perf.Stampede2(), perf.Summit()} {
+		if x := p.PlanCrossover(perf.DefaultPlanParams(), 0.25, 1<<10, 1<<22); x != DefaultDistPlanThreshold {
+			t.Errorf("%s: modeled plan crossover %d != DefaultDistPlanThreshold %d",
+				p.Name, x, DefaultDistPlanThreshold)
+		}
+	}
 	for _, tc := range []struct {
 		mode     PlanMode
 		strategy Strategy

@@ -78,11 +78,12 @@ func ParsePlanMode(s string) (PlanMode, error) {
 // DefaultDistPlanThreshold is the world size at which PlanAuto switches to
 // distributed planning: the crossover perf.PlanCrossover finds between
 // perf.ModelCentralizedPlan and perf.ModelDistributedPlan on both system
-// profiles (BENCH_treebuild.json, "crossover_ranks": 524288). No world this
-// repository can run is near it: measured at 512 ranks the centralized plan
-// takes 7.2 ms and the distributed protocol's ~4 400 collective rounds 3.21 s
-// (same file), so below the crossover auto must plan centrally.
-// TestPlanModeAutoNotSlower holds the default to that measurement.
+// profiles (TestPlanModeResolve recomputes it). No world this repository can
+// run is near it: at 512 ranks the benchmark's uniform512-plan layer metrics
+// put the centralized plan at ~1 ms (aggtree.build_ms) and the
+// distributed protocol's ~1 900 collective rounds (aggtree.dist_rounds)
+// at ~1.3 s (aggtree.dist_build_ms), so below the crossover auto must plan
+// centrally. TestPlanModeAutoNotSlower holds the default to that measurement.
 const DefaultDistPlanThreshold = 1 << 19
 
 func (m PlanMode) resolve(s Strategy, size int) PlanMode {
@@ -215,9 +216,10 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 
 	// Phase a: build the aggregation plan (Figure 1a) — either centrally
 	// on rank 0 (gather all infos, build, scatter assignments) or via the
-	// distributed splitter-sampling protocol in which no rank ever holds
-	// all P rank infos (DESIGN §15). Both modes produce the identical
-	// plan; centralized remains the small-world fast path and the oracle.
+	// distributed protocol in which every rank keeps its own info and no
+	// rank ever holds all P of them (DESIGN §15). Both modes produce the
+	// identical plan; centralized remains the small-world fast path and
+	// the oracle.
 	mode := cfg.Plan.resolve(cfg.Strategy, c.Size())
 	if mode == PlanDistributed && cfg.Strategy != Adaptive {
 		// Every rank evaluates this identically before any message is

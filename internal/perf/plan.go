@@ -5,44 +5,41 @@ import "time"
 // PlanParams holds the wire and protocol constants of the write pipeline's
 // planning phase (phase a) for the cost models. The byte sizes mirror the
 // actual encodings in internal/aggtree: a rank info record is 60 B on the
-// wire, a split-probe lane 24 B, a Morton sample 12 B.
+// wire, a split-probe lane 24 B.
 type PlanParams struct {
 	// InfoBytes is one rank's {rank, count, bounds} record.
 	InfoBytes int
 	// AssignBytes is one rank's assignment message (leaf + aggregator,
 	// with framing).
 	AssignBytes int
-	// SampleBytes is one Morton splitter sample.
-	SampleBytes int
 	// ProbeBytes is one collective split-probe lane.
 	ProbeBytes int
-	// SampleStride: every stride-th active rank contributes a sample.
-	SampleStride int
 	// RoundsPerNode is the number of collective probe rounds one refined
-	// split node costs (bit-bisection over the coordinate space: ~64
-	// probes per sub-phase, up to three sub-phases per axis).
+	// split node costs: two bit-bisections of ~64 probes per axis tried,
+	// and a node whose longest axis separates nothing tries another.
+	// Measured at 512 ranks it is 104–179 by layout; 200 keeps the modeled
+	// crossover on the side of the planner that is faster wherever both
+	// can be run.
 	RoundsPerNode int
 	// ConsolidateMembers is the refinement frontier: nodes at or below
 	// this member count consolidate to one owner and finish serially.
 	ConsolidateMembers int
 }
 
-// DefaultPlanParams matches aggtree.DefaultDistConfig and the encodings in
-// internal/aggtree/dist.go.
+// DefaultPlanParams matches aggtree.DistributedBuild's defaults and the
+// encodings in internal/aggtree/dist.go.
 func DefaultPlanParams() PlanParams {
 	return PlanParams{
 		InfoBytes:          60,
 		AssignBytes:        48,
-		SampleBytes:        12,
 		ProbeBytes:         24,
-		SampleStride:       16,
 		RoundsPerNode:      200,
 		ConsolidateMembers: 32,
 	}
 }
 
 // PlanCost breaks one planning phase into its legs. A centralized plan
-// fills Gather/Build/Scatter; a distributed plan fills the other five.
+// fills Gather/Build/Scatter; a distributed plan fills the other three.
 type PlanCost struct {
 	// Centralized legs.
 	Gather  time.Duration // all rank infos funneled into rank 0
@@ -51,8 +48,6 @@ type PlanCost struct {
 
 	// Distributed legs.
 	Reduce  time.Duration // global {count, active, domain} allreduce
-	Sample  time.Duration // Morton splitter-sample allgather
-	Route   time.Duration // rank infos routed to bucket owners (alltoallv)
 	Refine  time.Duration // collective split refinement + frontier builds
 	Deliver time.Duration // leaf assignments and summaries delivered p2p
 }
@@ -60,7 +55,7 @@ type PlanCost struct {
 // Total sums the legs.
 func (c PlanCost) Total() time.Duration {
 	return c.Gather + c.Build + c.Scatter +
-		c.Reduce + c.Sample + c.Route + c.Refine + c.Deliver
+		c.Reduce + c.Refine + c.Deliver
 }
 
 // log2Ceil returns ceil(log2(n)) for n >= 1.
@@ -99,11 +94,13 @@ func (p Profile) ModelCentralizedPlan(n int, pp PlanParams) PlanCost {
 	return c
 }
 
-// ModelDistributedPlan charges the splitter-sampling protocol (DESIGN §15)
-// on a real interconnect for a world of n ranks producing files leaves.
+// ModelDistributedPlan charges the two-phase distributed protocol (DESIGN
+// §15: global-stats allreduce, then replicated refinement over records that
+// stay on their ranks) on a real interconnect for a world of n ranks
+// producing files leaves.
 //
 // The refinement leg models the protocol's critical path: sibling subtrees
-// touch disjoint member and owner sets, so an MPI implementation refines
+// touch disjoint member sets, so an MPI implementation refines
 // them on split sub-communicators concurrently and the critical path is one
 // root-to-frontier chain — levels = ceil(log2(n/C)) levels, each costing
 // RoundsPerNode probe allreduces over a communicator that halves per level.
@@ -111,8 +108,7 @@ func (p Profile) ModelCentralizedPlan(n int, pp PlanParams) PlanCost {
 // in-process simulation fabric has no sub-communicators and serializes
 // sibling collectives, so measured small-world times sit above this model;
 // the model describes the interconnect behavior the paper's systems would
-// see.) The sample allgather keeps a Θ(n/stride) wire term — at 4M ranks
-// that is ~3 MB through each NIC, well below the refinement leg.
+// see.) No leg has a wire term that grows with n.
 func (p Profile) ModelDistributedPlan(n, files int, pp PlanParams) PlanCost {
 	var c PlanCost
 	if n <= 0 {
@@ -121,21 +117,9 @@ func (p Profile) ModelDistributedPlan(n, files int, pp PlanParams) PlanCost {
 	if files < 1 {
 		files = 1
 	}
-	d := log2Ceil(n)
 
 	// Global stats allreduce: count + active + domain box (64 B lane).
 	c.Reduce = p.allreduceTime(n, 64)
-
-	// Splitter samples: tree-gather the samples to rank 0, broadcast the
-	// pack; every rank's NIC sees the full sample set twice.
-	samples := (n + pp.SampleStride - 1) / pp.SampleStride
-	c.Sample = 2*time.Duration(d)*p.NetLatency +
-		seconds(float64(2*samples*pp.SampleBytes)/p.NICBandwidth)
-
-	// Routing: each rank sends its own 60 B record and receives its
-	// bucket (~2*stride records by the sample-sort balance bound).
-	bucket := 2 * pp.SampleStride
-	c.Route = p.NetLatency + seconds(float64(bucket*pp.InfoBytes)/p.NICBandwidth)
 
 	// Refinement critical path, plus the serial build of one frontier
 	// subtree on its owner.
@@ -144,7 +128,7 @@ func (p Profile) ModelDistributedPlan(n, files int, pp PlanParams) PlanCost {
 		sub := max(2, n>>l)
 		c.Refine += time.Duration(pp.RoundsPerNode+1) * p.allreduceTime(sub, pp.ProbeBytes)
 	}
-	c.Refine += seconds(float64(pp.ConsolidateMembers+bucket) / p.TreeBuildRate)
+	c.Refine += seconds(float64(pp.ConsolidateMembers) / p.TreeBuildRate)
 
 	// Delivery: an owner walks its leaves, sending each member its
 	// assignment and each aggregator its leaf summary; a rank aggregates

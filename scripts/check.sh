@@ -45,8 +45,9 @@ run "go test -race fabric+core" go test -race ./internal/fabric/... ./internal/c
 
 # The distributed-planning equivalence property under the race detector:
 # DistributedBuild must reproduce the centralized oracle byte-for-byte
-# across world sizes, bounds distributions, and sampling knobs, and both
-# plan modes must leave identical datasets behind. GOMAXPROCS forced above
+# across world sizes, bounds distributions, and consolidation thresholds
+# with the per-rank peak state independent of the world size, and both plan
+# modes must leave identical datasets behind. GOMAXPROCS forced above
 # 1 so the per-rank goroutines of the simulated fabric truly interleave.
 # TestPlanModeAutoNotSlower rides along (matched by TestPlanMode): it times
 # both planners at 512 ranks and fails if PlanAuto picks the one > 2x slower.
@@ -119,23 +120,6 @@ compressbench_smoke() {
 	return $rc
 }
 run "bench smoke compressbench" compressbench_smoke
-
-# Plan-scaling bench smoke: quick mode runs both planners for real at small
-# world sizes and models the extended weak-scaling table; the bench
-# validates its own JSON (equivalence booleans, crossover, slope checks) on
-# the way out. Never gates on speed.
-treebench_smoke() {
-	out="$(mktemp)" || return 1
-	if ! go run ./cmd/batbench -treebench -treebench-quick -treebench-out "$out" >/dev/null; then
-		rm -f "$out"
-		return 1
-	fi
-	test -s "$out"
-	rc=$?
-	rm -f "$out"
-	return $rc
-}
-run "bench smoke treebench" treebench_smoke
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
