@@ -80,9 +80,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event timeline of the materialized runs to this file")
 		jsonOut   = flag.String("json", "", "write machine-readable per-phase timings of the materialized runs to this file")
 		buildWkrs = flag.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
-		compBench = flag.Bool("compressbench", false, "run the v3 codec benchmark and emit a JSON report")
-		compOut   = flag.String("compressbench-out", "BENCH_compress.json", "output path for the -compressbench report")
-		compScale = flag.Int("compress-particles", 400_000, "particles for the -compressbench corpus")
 	)
 	flag.Parse()
 	if *buildWkrs < 0 {
@@ -99,16 +96,9 @@ func main() {
 	if col != nil {
 		bench.Observer = col
 	}
-	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured && !*compBench {
+	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *compBench {
-		if err := runCompressBench(*compScale, *compOut); err != nil {
-			fmt.Fprintln(os.Stderr, "batbench:", err)
-			os.Exit(1)
-		}
 	}
 
 	tableSeq := 0

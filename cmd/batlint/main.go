@@ -1,74 +1,30 @@
 // Batlint runs the repo's custom static-analysis suite (internal/analyzers)
 // over Go packages and reports invariant violations.
 //
-// Standalone:
-//
 //	go run ./cmd/batlint ./...          # whole repo (the CI gate)
 //	go run ./cmd/batlint -list          # describe the analyzers
 //	go run ./cmd/batlint -json ./...    # machine-readable findings
-//	go run ./cmd/batlint -waivers ./... # audit every //batlint:ignore
-//	go run ./cmd/batlint -spanpair=false ./internal/core/...
-//
-// As a go vet tool (the unitchecker protocol — go vet loads packages and
-// hands each unit to the tool as a .cfg file). Interprocedural summaries
-// travel between units as facts in the .vetx files the protocol already
-// moves around, so vet mode sees the same cross-package bounds the
-// standalone mode computes in one process:
-//
-//	go build -o /tmp/batlint ./cmd/batlint
-//	go vet -vettool=/tmp/batlint ./...
 //
 // Exit status: 0 clean, 1 on internal errors (load/type-check failures),
-// 2 when findings were reported (or, with -waivers, when a directive is
-// malformed). Findings are suppressed only by an auditable
-// //batlint:ignore <analyzer> <justification> comment; see README.md and
-// DESIGN.md §9.
+// 2 when findings were reported. Findings are suppressed only by an
+// auditable //batlint:ignore <analyzer> <justification> comment; malformed
+// and stale directives are findings themselves, and -json lists every
+// waived finding with its justification. See README.md and DESIGN.md §9.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"libbat/internal/analyzers"
 	"libbat/internal/analyzers/analysis"
 )
 
 func main() {
-	args := os.Args[1:]
-	// go vet probes the tool before using it: -V=full for a tool ID,
-	// -flags for the analyzer flags it may forward. Both come alone.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			printVersion()
-			return
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(runVetUnit(args[0]))
-		}
-	}
-	os.Exit(runStandalone(args))
-}
-
-// printVersion implements the -V=full handshake: the go command derives a
-// tool ID from "<progname> version ... buildID=<content hash>".
-func printVersion() {
-	progname := os.Args[0]
-	h := sha256.New()
-	if f, err := os.Open(progname); err == nil {
-		_, _ = io.Copy(h, f)
-		f.Close()
-	}
-	fmt.Printf("%s version devel buildID=%x\n", filepath.Base(progname), h.Sum(nil)[:24])
+	os.Exit(runStandalone(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // findingJSON is one -json record: position, analyzer, message, and
@@ -83,57 +39,34 @@ type findingJSON struct {
 	Waiver   string `json:"waiver,omitempty"`
 }
 
-// waiverJSON is one -waivers -json record.
-type waiverJSON struct {
-	File      string   `json:"file"`
-	Line      int      `json:"line"`
-	Analyzers []string `json:"analyzers,omitempty"`
-	Reason    string   `json:"reason"`
-	Malformed bool     `json:"malformed,omitempty"`
-}
-
 // runStandalone loads packages with `go list -export` and runs the suite.
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("batlint", flag.ExitOnError)
+func runStandalone(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("batlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: batlint [flags] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: batlint [flags] [packages]\n\n")
 		fs.PrintDefaults()
 	}
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings (including waived ones) as JSON on stdout")
-	waiversMode := fs.Bool("waivers", false,
-		"audit mode: inventory every //batlint:ignore (file, analyzer, justification); exit 2 on malformed directives")
-	suite := analyzers.All()
-	enabled := map[string]*bool{}
-	for _, a := range suite {
-		enabled[a.Name] = fs.Bool(a.Name, true, "run the "+a.Name+" analyzer")
-	}
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
+	suite := analyzers.All()
 	if *list {
 		for _, a := range suite {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	var active []*analysis.Analyzer
-	for _, a := range suite {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
 	pkgs, err := analysis.Load("", fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "batlint:", err)
+		fmt.Fprintln(stderr, "batlint:", err)
 		return 1
 	}
-	if *waiversMode {
-		return runWaiversAudit(pkgs, *jsonOut)
-	}
-	findings, err := analysis.Run(pkgs, active)
+	findings, err := analysis.Run(pkgs, suite)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "batlint:", err)
+		fmt.Fprintln(stderr, "batlint:", err)
 		return 1
 	}
 	live := 0
@@ -155,181 +88,21 @@ func runStandalone(args []string) int {
 				Waiver:   f.WaiverReason,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(recs); err != nil {
-			fmt.Fprintln(os.Stderr, "batlint:", err)
+			fmt.Fprintln(stderr, "batlint:", err)
 			return 1
 		}
 	} else {
 		for _, f := range findings {
 			if !f.Waived {
-				fmt.Println(f)
+				fmt.Fprintln(stdout, f)
 			}
 		}
 	}
 	if live > 0 {
-		fmt.Fprintf(os.Stderr, "batlint: %d finding(s)\n", live)
-		return 2
-	}
-	return 0
-}
-
-// runWaiversAudit prints the live-waiver ledger and fails on malformed
-// directives, so waiver debt is a reviewable report instead of a grep.
-func runWaiversAudit(pkgs []*analysis.Package, jsonOut bool) int {
-	ws := analysis.CollectWaivers(pkgs)
-	malformed := 0
-	for _, w := range ws {
-		if w.Malformed {
-			malformed++
-		}
-	}
-	if jsonOut {
-		recs := make([]waiverJSON, 0, len(ws))
-		for _, w := range ws {
-			recs = append(recs, waiverJSON{
-				File: w.File, Line: w.Line,
-				Analyzers: w.Analyzers, Reason: w.Reason, Malformed: w.Malformed,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
-			fmt.Fprintln(os.Stderr, "batlint:", err)
-			return 1
-		}
-	} else {
-		for _, w := range ws {
-			if w.Malformed {
-				fmt.Printf("%s:%d: MALFORMED //batlint:ignore (needs <analyzer> <why>): %s\n",
-					w.File, w.Line, w.Reason)
-				continue
-			}
-			fmt.Printf("%s:%d: %s — %s\n", w.File, w.Line, strings.Join(w.Analyzers, ","), w.Reason)
-		}
-		fmt.Fprintf(os.Stderr, "batlint: %d live waiver(s), %d malformed\n", len(ws)-malformed, malformed)
-	}
-	if malformed > 0 {
-		return 2
-	}
-	return 0
-}
-
-// vetConfig is the subset of the go vet unit config batlint consumes.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one go vet unit of work: type-check the unit's files
-// against the export data the go command already built, seed the
-// interprocedural state from the dependency facts in PackageVetx, run the
-// suite, and write this unit's summaries to the .vetx file the protocol
-// requires — that is how cross-package bounds reach downstream units.
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "batlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// batlint's invariants govern shipped code only — tests seed math/rand
-	// and drop cleanup errors deliberately — but go vet hands over the
-	// package *augmented* with its in-package test files, so the unit is
-	// analyzed with the _test.go files stripped (the shipped files always
-	// form a complete package on their own), matching the standalone
-	// loader. External test packages (every file stripped), synthesized
-	// test mains (".test"), and units outside this module (stdlib
-	// dependencies pulled in for facts) are skipped outright: summaries
-	// only matter for module code, and the analyzers special-case the
-	// stdlib decode entry points structurally.
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			goFiles = append(goFiles, f)
-		}
-	}
-	skip := !strings.HasPrefix(cfg.ImportPath, "libbat") ||
-		strings.HasSuffix(cfg.ImportPath, ".test") ||
-		len(goFiles) == 0
-	if skip {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "batlint:", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, err := analysis.TypeCheck(token.NewFileSet(), cfg.ImportPath, goFiles, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "batlint:", err)
-		return 1
-	}
-	// Accumulate dependency facts. Files written by other tools (or the
-	// empty files batlint writes for skipped units) decode to nil and are
-	// ignored.
-	var imported *analysis.Facts
-	for _, vetx := range cfg.PackageVetx {
-		if data, err := os.ReadFile(vetx); err == nil {
-			imported = analysis.MergeFacts(imported, analysis.DecodeFacts(data))
-		}
-	}
-	prog := analysis.BuildProgram([]*analysis.Package{pkg}, imported)
-	if cfg.VetxOutput != "" {
-		facts, err := analysis.EncodeFacts(prog.ExportFacts())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "batlint:", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "batlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	findings, err := analysis.RunProgram(prog, []*analysis.Package{pkg}, analyzers.All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "batlint:", err)
-		return 1
-	}
-	live := 0
-	for _, f := range findings {
-		if f.Waived {
-			continue
-		}
-		live++
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if live > 0 {
+		fmt.Fprintf(stderr, "batlint: %d finding(s)\n", live)
 		return 2
 	}
 	return 0

@@ -6,11 +6,8 @@
 // sibling packages: a module-aware package loader (load.go) built on
 // `go list -export` and the compiler's export data, and the
 // //batlint:ignore waiver filter (waiver.go) that makes every suppression
-// carry an auditable justification. On top of the per-package contract
-// sits an interprocedural layer (callgraph.go, summary.go): per-function
-// summaries computed to fixpoint over call-graph SCCs, exposed to
-// analyzers via Pass.Prog and serialized as facts through go vet's .vetx
-// files; DESIGN.md §14 describes it.
+// carry an auditable justification. Every analyzer is a local rule: it
+// sees one package at a time and nothing flows between passes.
 package analysis
 
 import (
@@ -40,11 +37,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Prog is the interprocedural view over every package in this run:
-	// per-function summaries at fixpoint and the recorded source→sink
-	// taint events. Always non-nil when set by the runner.
-	Prog *Program
 
 	// Report delivers one diagnostic. Set by the runner.
 	Report func(Diagnostic)

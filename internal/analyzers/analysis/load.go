@@ -91,6 +91,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		return os.Open(e)
 	}
+	imp := importer.ForCompiler(fset, "gc", lookup)
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.CgoFiles) > 0 {
@@ -100,7 +101,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for i, g := range t.GoFiles {
 			names[i] = filepath.Join(t.Dir, g)
 		}
-		pkg, err := TypeCheck(fset, t.ImportPath, names, lookup)
+		pkg, err := typeCheck(fset, t.ImportPath, names, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -109,12 +110,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// TypeCheck parses filenames and type-checks them as package path,
-// resolving every import through lookup (which must return compiler export
-// data for the import path). It is the shared core of Load, the
-// analysistest fixture loader, and batlint's `go vet -vettool` mode.
-func TypeCheck(fset *token.FileSet, path string, filenames []string,
-	lookup func(path string) (io.ReadCloser, error)) (*Package, error) {
+// typeCheck parses filenames and type-checks them as package path,
+// resolving every import through imp.
+func typeCheck(fset *token.FileSet, path string, filenames []string,
+	imp types.Importer) (*Package, error) {
 
 	var files []*ast.File
 	for _, name := range filenames {
@@ -124,13 +123,6 @@ func TypeCheck(fset *token.FileSet, path string, filenames []string,
 		}
 		files = append(files, f)
 	}
-	return typeCheckFiles(fset, path, files, importer.ForCompiler(fset, "gc", lookup))
-}
-
-// typeCheckFiles type-checks already-parsed files with the given importer.
-func typeCheckFiles(fset *token.FileSet, path string, files []*ast.File,
-	imp types.Importer) (*Package, error) {
-
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -151,18 +143,10 @@ func typeCheckFiles(fset *token.FileSet, path string, files []*ast.File,
 	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// Run executes every analyzer over every package (after computing the
-// interprocedural summaries the analyzers consult via Pass.Prog), applies
-// the //batlint:ignore waiver filter, and returns all findings — waived
-// ones marked, not dropped — sorted by position. Equivalent to
-// RunProgram(BuildProgram(pkgs, nil), ...).
+// Run executes every analyzer over every package, applies the
+// //batlint:ignore waiver filter, and returns all findings — waived ones
+// marked, not dropped — sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunProgram(BuildProgram(pkgs, nil), pkgs, analyzers)
-}
-
-// RunProgram is Run with a caller-supplied Program, for callers (batlint's
-// go vet mode) that seed the interprocedural state from imported facts.
-func RunProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
@@ -177,7 +161,6 @@ func RunProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer) ([]Findin
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Prog:      prog,
 			}
 			name := a.Name
 			pass.Report = func(d Diagnostic) {

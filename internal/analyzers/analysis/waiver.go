@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -26,61 +25,14 @@ type waiver struct {
 	used      bool
 }
 
-// Waiver is one parsed //batlint:ignore directive, as inventoried by
-// batlint -waivers. Malformed directives (no analyzer or no
-// justification) carry Malformed=true and an empty analyzer list.
-type Waiver struct {
-	File      string
-	Line      int
-	Analyzers []string
-	Reason    string
-	Malformed bool
-}
-
-// CollectWaivers inventories every //batlint:ignore directive in pkgs,
-// sorted by file and line — the auditable ledger of live suppressions.
-func CollectWaivers(pkgs []*Package) []Waiver {
-	var out []Waiver
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text, ok := directiveText(c)
-					if !ok {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					fields := strings.Fields(text)
-					w := Waiver{File: pos.Filename, Line: pos.Line}
-					if len(fields) < 2 {
-						w.Malformed = true
-						w.Reason = text
-					} else {
-						w.Analyzers = strings.Split(fields[0], ",")
-						w.Reason = strings.Join(fields[1:], " ")
-					}
-					out = append(out, w)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
 // applyWaivers filters one package's findings through its waiver comments:
 // covered findings come back marked Waived (with the justification) rather
 // than dropped, so machine-readable output can show them. Malformed
 // directives (no analyzer name or no justification) become findings
 // themselves, attributed to the pseudo-analyzer "waiver". ran holds the
 // analyzers that actually executed: staleness is only judged for waivers
-// naming at least one of them, so disabling an analyzer on the command
-// line does not mark its waivers stale.
+// naming at least one of them, so running part of the suite (one analyzer
+// over its fixtures) does not mark the other analyzers' waivers stale.
 func applyWaivers(pkg *Package, diags []Finding, ran map[string]bool) []Finding {
 	// file name -> waivers in that file
 	waivers := map[string][]*waiver{}
@@ -134,7 +86,7 @@ func applyWaivers(pkg *Package, diags []Finding, ran map[string]bool) []Finding 
 			if !w.used && ranAny {
 				out = append(out, Finding{
 					Analyzer: "waiver",
-					Pos:      positionOnLine(pkg, file, w.line),
+					Pos:      token.Position{Filename: file, Line: w.line, Column: 1},
 					EndLine:  w.line,
 					Message:  "stale //batlint:ignore: no " + strings.Join(w.analyzers, ",") + " finding covers this line",
 				})
@@ -177,10 +129,4 @@ func matchWaiver(ws []*waiver, d Finding) *waiver {
 		}
 	}
 	return nil
-}
-
-// positionOnLine synthesizes a Position for a line in file (waiver comments
-// do not retain their token.Pos once collected).
-func positionOnLine(pkg *Package, file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line, Column: 1}
 }

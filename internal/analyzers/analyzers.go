@@ -1,13 +1,13 @@
 // Package analyzers holds the repo's custom static-analysis suite: seven
 // checks that mechanically enforce invariants the pipeline otherwise relies
-// on by convention — little-endian on-disk serialization, interprocedural
-// taint tracking of decoded integers into narrowing conversions, a
-// clock/rand/map-order-free BAT build, consumed fabric/pfs errors, paired
-// obs spans, cancellation-aware sleeps (pfs.SleepContext over time.Sleep),
-// and contexts threaded into blocking callees. cmd/batlint drives the
-// suite; DESIGN.md §9 maps each analyzer to the bug class that motivated
-// it, and §14 describes the interprocedural summary layer uintcast and
-// ctxflow are built on. Findings are suppressed only by an auditable
+// on by convention — little-endian on-disk serialization, uint64s bounded
+// before they are narrowed in the format packages, a clock/rand/map-order-
+// free BAT build, consumed fabric/pfs errors, paired obs spans,
+// cancellation-aware sleeps (pfs.SleepContext over time.Sleep), and named
+// contexts that are used rather than dropped or replaced. Each check is a
+// local rule over one package. cmd/batlint drives the suite; DESIGN.md §9
+// maps each analyzer to the bug class that motivated it and audits what
+// each has found. Findings are suppressed only by an auditable
 // //batlint:ignore <analyzer> <justification> comment.
 package analyzers
 

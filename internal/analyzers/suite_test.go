@@ -22,15 +22,6 @@ func TestUintCast(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.UintCast, "uintcast/bat")
 }
 
-// TestUintCastCrossPackage pins the interprocedural layer across a package
-// boundary: the decoding caller lives in cross/bat, the bounding validator
-// and the narrowing helper in cross/val, and findings (or their absence)
-// depend on val's summaries.
-func TestUintCastCrossPackage(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analyzers.UintCast,
-		"uintcast/cross/bat", "uintcast/cross/val")
-}
-
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.Determinism,
 		"determinism/bat", "determinism/radix", "determinism/other")
@@ -48,9 +39,6 @@ func TestCtxSleep(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.CtxSleep, "ctxsleep/bat", "ctxsleep/fabric")
 }
 
-// TestCtxFlow needs both fixture packages loaded so the interprocedural
-// Blocking summaries cover the local spin() helper as well as the pfs
-// leaves.
 func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.CtxFlow, "ctxflow/core", "ctxflow/pfs")
 }

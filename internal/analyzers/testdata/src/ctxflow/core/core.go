@@ -1,7 +1,7 @@
 // Package core is the ctxflow fixture: functions that accept a
-// context.Context and either thread it into their blocking callees
-// (clean) or detach from the caller by substituting context.Background()
-// or never consulting the context at all (findings).
+// context.Context and either thread it into their callees (clean) or
+// detach from the caller by substituting context.Background() or never
+// consulting the context at all (findings).
 package core
 
 import (
@@ -21,23 +21,21 @@ func loadBackground(ctx context.Context, p []byte) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return pfs.ReadAtContext(context.Background(), p, 0) // want `hands context\.Background to blocking ReadAtContext`
+	return pfs.ReadAtContext(context.Background(), p, 0) // want `hands context\.Background to pfs\.ReadAtContext`
 }
 
-// loadDropped receives a context it never consults while its body blocks.
+// loadDropped receives a context it never consults.
 func loadDropped(ctx context.Context) { // want `loadDropped receives a context it never uses`
 	pfs.Wait()
 }
 
-// spin has no context parameter; its summary marks it blocking because it
-// transitively reaches pfs.
+// spin has no context parameter: out of scope.
 func spin() {
 	pfs.Wait()
 }
 
-// loadTransitive blocks only through the local helper: catching it
-// requires the interprocedural Blocking summary, not the callee's import
-// path.
+// loadTransitive waits only through the local helper; the unused-context
+// rule does not care what the body calls.
 func loadTransitive(ctx context.Context) { // want `loadTransitive receives a context it never uses`
 	spin()
 }
@@ -50,9 +48,9 @@ func loadDetached(ctx context.Context) {
 	pfs.Wait()
 }
 
-// pureCompute receives a context but never blocks: holding it unused is
-// fine (interfaces force the parameter on non-blocking implementations).
-func pureCompute(ctx context.Context, xs []int) int {
+// pureCompute has no use for the context an interface forces on it, and
+// says so by leaving the parameter blank.
+func pureCompute(_ context.Context, xs []int) int {
 	total := 0
 	for _, x := range xs {
 		total += x

@@ -1,6 +1,6 @@
-// Package pfs is the blocking-leaf fixture for ctxflow: its import path
-// has the "pfs" element, so calls into it count as blocking I/O the way
-// the real storage layer does.
+// Package pfs is the callee fixture for ctxflow: a cancellation-aware read
+// and a legacy wait with no context parameter, the way the real storage
+// layer has both.
 package pfs
 
 import (

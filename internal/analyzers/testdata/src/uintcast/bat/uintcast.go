@@ -1,9 +1,9 @@
 // Package bat is a uintcast fixture reproducing the PR 2 offset-wrap panic
 // shape: a uint64 decoded from file bytes converted to int64 without a
-// bounds check wraps negative and faults the subsequent ReadAt. The
-// analyzer is taint-based — only values that originate in decoded input
-// are suspicious — so the fixture first establishes real taint (decodeRef,
-// the binary.LittleEndian calls) and then exercises every sanitizer shape.
+// bounds check wraps negative and faults the subsequent ReadAt. The rule
+// is local: every narrowing of a non-constant uint64 needs a relational
+// guard on the same expression earlier in the same function, or on the
+// same struct field inside a Decode* function.
 package bat
 
 import (
@@ -23,8 +23,8 @@ type readerAt interface {
 }
 
 // decodeRef populates a leafRef from raw file bytes. It is not named
-// Decode*, so nothing here earns program-wide trust: the fields come out
-// tainted, and every later use must bound them (or be flagged).
+// Decode* and compares nothing, so the fields earn no package-wide trust:
+// every later narrowing must bound them (or be flagged).
 func decodeRef(buf []byte) leafRef {
 	return leafRef{
 		offset:  binary.LittleEndian.Uint64(buf[0:]),
@@ -36,7 +36,7 @@ func decodeRef(buf []byte) leafRef {
 // (stored by decodeRef) and goes into ReadAt unbounded.
 func loadUnchecked(r readerAt, ref leafRef) ([]byte, error) {
 	buf := make([]byte, 16)
-	_, err := r.ReadAt(buf, int64(ref.offset)) // want `unchecked conversion int64\(ref\.offset\) of decoded uint64`
+	_, err := r.ReadAt(buf, int64(ref.offset)) // want `unchecked conversion int64\(ref\.offset\) of untrusted uint64`
 	return buf, err
 }
 
@@ -63,7 +63,7 @@ func loadWaived(r readerAt, ref leafRef) ([]byte, error) {
 // decodeCount narrows a decoded length with no bound: a crafted header can
 // make the count negative after conversion.
 func decodeCount(buf []byte) int {
-	return int(binary.LittleEndian.Uint64(buf)) // want `unchecked conversion int\(binary\.LittleEndian\.Uint64\(buf\)\) of decoded uint64`
+	return int(binary.LittleEndian.Uint64(buf)) // want `unchecked conversion int\(binary\.LittleEndian\.Uint64\(buf\)\) of untrusted uint64`
 }
 
 // decodeCountGuarded bounds the uint64 before narrowing.
@@ -75,9 +75,11 @@ func decodeCountGuarded(buf []byte) (int, error) {
 	return int(cnt), nil
 }
 
-// decodeCountClamped bounds with the min builtin instead of a branch.
+// decodeCountClamped bounds with the min builtin instead of a branch; the
+// rule only knows relational guards, so this shape needs a waiver (or the
+// branch).
 func decodeCountClamped(buf []byte) int {
-	return int(min(binary.LittleEndian.Uint64(buf), 1<<20))
+	return int(min(binary.LittleEndian.Uint64(buf), 1<<20)) // want `unchecked conversion int\(min\(.*\)\) of untrusted uint64`
 }
 
 // headerLen converts a constant: the compiler checks that, not batlint.
@@ -92,29 +94,28 @@ func widen(n uint32) uint64 {
 }
 
 // encoderSide narrows a locally computed accumulator that never touches
-// decoded input: under taint tracking this is simply not suspicious (the
-// shape the old analyzer forced waivers onto in codec.go).
+// decoded input. The rule cannot tell, so the truncation takes a justified
+// waiver (the shape of the bit writer in codec.go).
 func encoderSide(vals []uint64) []byte {
 	var acc uint64
 	out := make([]byte, 0, len(vals))
 	for _, v := range vals {
 		acc |= v
-		out = append(out, byte(acc))
+		out = append(out, byte(acc)) //batlint:ignore uintcast encoder-side accumulator; truncation to the low byte is the point
 	}
 	return out
 }
 
-// --- interprocedural shapes (summaries, not syntax) ---
+// --- values that cross a function boundary ---
 
-// readOffset returns decoded input: its summary taints every caller's
-// result.
+// readOffset returns decoded input without narrowing it: nothing to flag.
 func readOffset(buf []byte) uint64 {
 	return binary.LittleEndian.Uint64(buf)
 }
 
-// useOffset narrows a helper's tainted result: same bug, one call deep.
+// useOffset narrows a helper's result unguarded: same bug, one call deep.
 func useOffset(buf []byte) int {
-	return int(readOffset(buf)) // want `unchecked conversion int\(readOffset\(buf\)\) of decoded uint64`
+	return int(readOffset(buf)) // want `unchecked conversion int\(readOffset\(buf\)\) of untrusted uint64`
 }
 
 // useOffsetBounded bounds the helper's result before narrowing.
@@ -126,46 +127,41 @@ func useOffsetBounded(buf []byte) int {
 	return int(off)
 }
 
-// seekTo narrows its parameter unguarded: no finding here — the parameter
-// itself is not decoded input — but its summary marks the parameter a
-// sink, so callers that pass tainted values are flagged at the call site.
+// seekTo narrows its parameter unguarded. Whatever its callers checked is
+// out of sight, so the finding lands here, on the narrowing itself, not
+// at the call sites.
 func seekTo(r readerAt, off uint64) ([]byte, error) {
 	buf := make([]byte, 16)
-	_, err := r.ReadAt(buf, int64(off))
+	_, err := r.ReadAt(buf, int64(off)) // want `unchecked conversion int64\(off\) of untrusted uint64`
 	return buf, err
 }
 
-// seekDecoded hands decoded input straight to the narrowing helper.
+// seekDecoded hands decoded input straight to the narrowing helper: it
+// narrows nothing itself, so the one finding is seekTo's.
 func seekDecoded(r readerAt, buf []byte) ([]byte, error) {
-	return seekTo(r, binary.LittleEndian.Uint64(buf)) // want `decoded uint64 .* flows unbounded into seekTo`
+	return seekTo(r, binary.LittleEndian.Uint64(buf))
 }
 
-// seekChecked bounds the value before the helper narrows it.
-func seekChecked(r readerAt, buf []byte, size int64) ([]byte, error) {
-	off := binary.LittleEndian.Uint64(buf)
-	if off > uint64(size) {
-		return nil, errRange
-	}
-	return seekTo(r, off)
-}
-
-// validOffset is a validator: its summary records that it bounds its
-// first parameter, so passing a value through it sanitizes the value at
-// the call site.
+// validOffset bounds its parameter, but in a helper: that does not guard
+// a narrowing in the caller.
 func validOffset(off uint64, size int64) bool {
 	return off < uint64(size)
 }
 
-// seekValidated launders the taint through the validator helper.
-func seekValidated(r readerAt, buf []byte, size int64) ([]byte, error) {
+// readValidated establishes the bound in the helper and narrows here: the
+// accepted trade of the local rule is that this takes a waiver.
+func readValidated(r readerAt, buf []byte, size int64) ([]byte, error) {
 	off := binary.LittleEndian.Uint64(buf)
 	if !validOffset(off, size) {
 		return nil, errRange
 	}
-	return seekTo(r, off)
+	out := make([]byte, 16)
+	//batlint:ignore uintcast off < size established by validOffset above
+	_, err := r.ReadAt(out, int64(off))
+	return out, err
 }
 
-// --- the Decode* program-wide trust rule ---
+// --- the Decode* package-wide trust rule ---
 
 // header models the cross-function Decode rule: fields bounded against the
 // file size in Decode are trusted for narrowing everywhere in the package.
@@ -206,7 +202,7 @@ func readDecodedOffset(r readerAt, h *header) ([]byte, error) {
 
 // useUncheckedStride narrows a field Decode never compared: still flagged.
 func useUncheckedStride(h *header) int {
-	return int(h.stride) // want `unchecked conversion int\(h\.stride\) of decoded uint64`
+	return int(h.stride) // want `unchecked conversion int\(h\.stride\) of untrusted uint64`
 }
 
 // validateStride bounds stride, but outside Decode: that establishes no

@@ -1,44 +1,42 @@
 package analyzers
 
 import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+
 	"libbat/internal/analyzers/analysis"
 )
 
-// UintCast flags unsanitized source→sink taint flows in the on-disk
-// format packages: a uint64 that originates in decoded input (a
-// binary.LittleEndian read, a varint, a ReadAt-filled buffer, a struct
-// field such values were stored into, or the result of any function whose
-// summary says it returns such a value) and reaches a narrowing
-// conversion with no dominating bound anywhere along the call path. This
-// is the exact shape of the offset-wrap panic the bat reader fuzzer found
-// (a crafted treelet offset converted with int64(off) went negative and
-// ReadAt faulted): the fix there — compare the uint64 against the file
-// size before converting — is what the sanitizer recognition looks for.
+// UintCast flags unchecked narrowing conversions of untrusted decoded
+// integers in the on-disk format packages: a non-constant uint64 (the type
+// every length, count, and offset field decodes to) converted to a signed
+// or narrower integer type without a preceding bounds comparison on the
+// same expression inside the same top-level function. This is the exact
+// shape of the offset-wrap panic the bat reader fuzzer found (a crafted
+// treelet offset converted with int64(off) went negative and ReadAt
+// faulted): the fix there — compare the uint64 against the file size
+// before converting — is what the guard heuristic looks for.
 //
-// The tracking is interprocedural, built on the per-function summaries
-// analysis.BuildProgram computes to fixpoint over call-graph SCCs:
-//
-//   - a helper that narrows its parameter unguarded makes callers the
-//     sink (the finding lands on the tainted argument at the call site);
-//   - a helper that returns decoded input unguarded taints its callers;
-//   - a bound established anywhere along the path sanitizes: a dominating
-//     <,>,<=,>= comparison on the value, a call passing it to a
-//     validateX-style function whose summary shows it bounds that
-//     parameter, the builtin min against a bounded operand, or masking
-//     with &/% against a constant;
-//   - a struct field relationally compared inside a Decode* function is
-//     trusted program-wide — Decode is where the format packages validate
-//     untrusted header fields against the file size before storing them.
-//
-// Values that never touch decoded input (encoder-side accumulators,
-// locally computed offsets) are not flagged at all, so the former
-// "encoder-side value" waivers are gone rather than justified.
+// The guard detection is syntactic and local — any <, >, <=, >= comparison
+// whose operand prints identically to the converted expression, earlier in
+// the same function — plus one deliberate cross-function rule: a struct
+// field compared in a Decode* function (Decode, DecodeCtx) is trusted
+// everywhere in the package. Decode is where the format packages validate
+// untrusted header fields against the file size before storing them, so a
+// field that was bounds-checked there (File.NumParticles, leafRef.offset)
+// is safe to narrow at query time without a waiver. Fields checked
+// anywhere else, or never, still require a local guard or a
+// //batlint:ignore uintcast waiver — as does a bound established in a
+// helper, or an encoder-side value that never held decoded input: the rule
+// does not follow values across functions (DESIGN.md §9 records the trade;
+// the format fuzzers are the dynamic net under it).
 var UintCast = &analysis.Analyzer{
 	Name: "uintcast",
-	Doc: "in format packages (bat, meta, particles, checksum), a uint64 tainted by decoded input " +
-		"(binary.LittleEndian/varint reads, ReadAt-filled buffers, fields holding them, callees " +
-		"returning them) must be bounds-checked — locally, in a validator, or at Decode time — " +
-		"before it is narrowed to a signed or smaller integer, across function and package boundaries",
+	Doc: "in format packages (bat, meta, particles, checksum), converting a non-constant uint64 to a " +
+		"signed or narrower integer requires a preceding bounds check on the same expression in the " +
+		"same function, or on the same struct field in a Decode* function",
 	Run: runUintCast,
 }
 
@@ -46,20 +44,150 @@ func runUintCast(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path(), formatPkgs...) {
 		return nil
 	}
-	for _, ev := range pass.Prog.Events(pass.Pkg.Path()) {
-		switch ev.Kind {
-		case analysis.EventNarrow:
-			pass.ReportRangef(ev.Pos, ev.End,
-				"unchecked conversion %s(%s) of decoded uint64: values above %s's range wrap "+
-					"(offset-wrap panic shape); bound it on some path from the decode, or waive with "+
-					"//batlint:ignore uintcast <why>",
-				ev.To, ev.Expr, ev.To)
-		case analysis.EventCallSink:
-			pass.ReportRangef(ev.Pos, ev.End,
-				"decoded uint64 %q flows unbounded into %s, which narrows parameter %q without a "+
-					"guard; bound the argument first or waive with //batlint:ignore uintcast <why>",
-				ev.Expr, ev.Callee, ev.Param)
+	checked := decodeCheckedFields(pass)
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			guards := collectGuards(fn.Body)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				to, ok := narrowingUint64Conversion(pass.TypesInfo, call)
+				if !ok {
+					return true
+				}
+				arg := ast.Unparen(call.Args[0])
+				src := types.ExprString(arg)
+				if guardedBefore(guards, src, call.Pos()) {
+					return true
+				}
+				if fld := fieldObject(pass.TypesInfo, arg); fld != nil && checked[fld] {
+					return true // bounded against the file size in Decode
+				}
+				pass.Reportf(call.Pos(),
+					"unchecked conversion %s(%s) of untrusted uint64: values above %s's range wrap; "+
+						"bound it first (offset-wrap panic shape) or waive with //batlint:ignore uintcast <why>",
+					to, src, to)
+				return true
+			})
 		}
 	}
 	return nil
+}
+
+// decodeCheckedFields collects every struct field that appears as a bare
+// operand of a relational comparison inside a Decode* function (Decode,
+// DecodeCtx) in this package. Those comparisons are the format layer's
+// validation of untrusted on-disk values (typically against the file
+// size), so the fields they bound are trusted for narrowing conversions
+// package-wide.
+func decodeCheckedFields(pass *analysis.Pass) map[types.Object]bool {
+	checked := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || !strings.HasPrefix(fn.Name.Name, "Decode") {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if b, ok := n.(*ast.BinaryExpr); ok && isRelational(b.Op) {
+					for _, operand := range [2]ast.Expr{b.X, b.Y} {
+						if fld := fieldObject(pass.TypesInfo, ast.Unparen(operand)); fld != nil {
+							checked[fld] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return checked
+}
+
+// isRelational reports whether op is one of <, >, <=, >= — the comparisons
+// that count as a bounds check.
+func isRelational(op token.Token) bool {
+	return op == token.LSS || op == token.GTR || op == token.LEQ || op == token.GEQ
+}
+
+// fieldObject resolves expr to the struct field it selects, or nil when
+// expr is not a plain field selector.
+func fieldObject(info *types.Info, expr ast.Expr) types.Object {
+	sel, ok := expr.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	return s.Obj()
+}
+
+// narrowingUint64Conversion reports whether call converts a non-constant
+// uint64 expression to an integer type that cannot represent every uint64,
+// returning the destination type name.
+func narrowingUint64Conversion(info *types.Info, call *ast.CallExpr) (to string, ok bool) {
+	tv, isConv := info.Types[call.Fun]
+	if !isConv || !tv.IsType() {
+		return "", false
+	}
+	dst, ok := tv.Type.Underlying().(*types.Basic)
+	if !ok || dst.Info()&types.IsInteger == 0 {
+		return "", false
+	}
+	switch dst.Kind() {
+	case types.Uint64, types.Uintptr:
+		return "", false // lossless (uintptr narrowing is the mmap layer's concern)
+	}
+	av := info.Types[call.Args[0]]
+	if av.Value != nil {
+		return "", false // constants are checked by the compiler
+	}
+	src, ok := av.Type.Underlying().(*types.Basic)
+	if !ok || src.Kind() != types.Uint64 {
+		return "", false
+	}
+	return dst.String(), true
+}
+
+// guard is one relational comparison: the printed form of each operand and
+// where it occurs.
+type guard struct {
+	operands [2]string
+	pos      token.Pos
+}
+
+// collectGuards gathers every <, >, <=, >= comparison in body.
+func collectGuards(body *ast.BlockStmt) []guard {
+	var gs []guard
+	ast.Inspect(body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok && isRelational(b.Op) {
+			gs = append(gs, guard{
+				operands: [2]string{
+					types.ExprString(ast.Unparen(b.X)),
+					types.ExprString(ast.Unparen(b.Y)),
+				},
+				pos: b.Pos(),
+			})
+		}
+		return true
+	})
+	return gs
+}
+
+// guardedBefore reports whether some comparison mentioning src (by printed
+// form) occurs before pos.
+func guardedBefore(gs []guard, src string, pos token.Pos) bool {
+	for _, g := range gs {
+		if g.pos < pos && (g.operands[0] == src || g.operands[1] == src) {
+			return true
+		}
+	}
+	return false
 }

@@ -570,7 +570,7 @@ func TestParallelMatchesSerialBuild(t *testing.T) {
 	s, domain := clusteredSet(10000, 18)
 	cfgP := DefaultBuildConfig()
 	cfgS := cfgP
-	cfgS.Parallel = false
+	cfgS.Workers = 1
 	bp, err := Build(s, domain, cfgP)
 	if err != nil {
 		t.Fatal(err)

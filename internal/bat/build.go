@@ -18,7 +18,7 @@
 // parallel radix sort, fused treelet+bitmap workers over per-worker scratch
 // arenas, and a parallel payload compaction); every stage is deterministic,
 // so the output bytes are identical for any worker count, including the
-// fully serial path behind BuildConfig.Parallel=false.
+// fully serial build of BuildConfig.Workers=1.
 package bat
 
 import (
@@ -55,14 +55,11 @@ type BuildConfig struct {
 	// MaxLeafSize is the maximum number of particles in a treelet leaf
 	// (paper evaluation: 128).
 	MaxLeafSize int
-	// Parallel enables the concurrent build pipeline. When false the
-	// whole build runs serially on the calling goroutine (the in-transit
-	// friendly mode); the output bytes are identical either way.
-	Parallel bool
 	// Workers caps the build's worker pool (Morton encoding, the radix
 	// sort, treelet construction, payload compaction). 0 means
-	// runtime.GOMAXPROCS(0); values below 0 are rejected. Ignored when
-	// Parallel is false.
+	// runtime.GOMAXPROCS(0); values below 0 are rejected. With 1 the
+	// whole build runs serially on the calling goroutine (the in-transit
+	// friendly mode); the output bytes are identical for every count.
 	Workers int
 	// QuantizePositions stores positions as 16-bit fixed point relative
 	// to each treelet's bounds (6 bytes per particle instead of 12),
@@ -108,7 +105,6 @@ func DefaultBuildConfig() BuildConfig {
 		SubprefixBits: 12,
 		LODPerNode:    8,
 		MaxLeafSize:   128,
-		Parallel:      true,
 		Workers:       runtime.GOMAXPROCS(0),
 	}
 }
@@ -163,12 +159,9 @@ func (c BuildConfig) EffectiveLODScale() float64 {
 	return c.LODErrorScale
 }
 
-// effectiveWorkers resolves the worker-pool size: 1 when the build is
-// serial, the configured cap otherwise, defaulting to GOMAXPROCS.
+// effectiveWorkers resolves the worker-pool size: the configured cap,
+// defaulting to GOMAXPROCS.
 func (c BuildConfig) effectiveWorkers() int {
-	if !c.Parallel {
-		return 1
-	}
 	if c.Workers > 0 {
 		return c.Workers
 	}

@@ -41,7 +41,9 @@ func BenchmarkBATBuild(b *testing.B) {
 		set, domain := benchSet(n, int64(n))
 		for _, mode := range []string{"serial", "parallel"} {
 			cfg := DefaultBuildConfig()
-			cfg.Parallel = mode == "parallel"
+			if mode == "serial" {
+				cfg.Workers = 1
+			}
 			b.Run(fmt.Sprintf("n=%.0e/%s", float64(n), mode), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(set.Bytes())

@@ -105,7 +105,7 @@ func (w *bitWriter) write(v uint64, nbits uint8) {
 	w.acc |= v << w.n
 	w.n += uint(nbits)
 	for w.n >= 8 {
-		w.buf = append(w.buf, byte(w.acc))
+		w.buf = append(w.buf, byte(w.acc)) //batlint:ignore uintcast encoder-side accumulator; emitting the low byte is the point
 		w.acc >>= 8
 		w.n -= 8
 	}
@@ -113,7 +113,7 @@ func (w *bitWriter) write(v uint64, nbits uint8) {
 
 func (w *bitWriter) flush() {
 	if w.n > 0 {
-		w.buf = append(w.buf, byte(w.acc))
+		w.buf = append(w.buf, byte(w.acc)) //batlint:ignore uintcast encoder-side accumulator; emitting the low byte is the point
 		w.acc, w.n = 0, 0
 	}
 }

@@ -66,8 +66,8 @@ func determinismCorpora() []struct {
 }
 
 // TestBuildDeterminism asserts the build's core format invariant: the
-// serial path (Parallel=false), a single-worker parallel build, and
-// multi-worker parallel builds all produce byte-identical images. Run
+// serial build (Workers=1) and every multi-worker build produce
+// byte-identical images. Run
 // under -race by scripts/check.sh with Workers > 1 so the fused treelet
 // stage's sharing discipline is exercised, not assumed.
 func TestBuildDeterminism(t *testing.T) {
@@ -80,15 +80,14 @@ func TestBuildDeterminism(t *testing.T) {
 				base.QuantizePositions = quantize
 
 				ref := base
-				ref.Parallel = false
+				ref.Workers = 1
 				want, err := Build(c.set, c.domain, ref)
 				if err != nil {
 					t.Fatalf("serial build: %v", err)
 				}
 
-				for _, workers := range []int{1, 2, 7, 0, runtime.GOMAXPROCS(0)} {
+				for _, workers := range []int{2, 7, 0, runtime.GOMAXPROCS(0)} {
 					cfg := base
-					cfg.Parallel = true
 					cfg.Workers = workers
 					got, err := Build(c.set, c.domain, cfg)
 					if err != nil {
@@ -139,10 +138,9 @@ func TestBuildWorkersValidation(t *testing.T) {
 	if got := cfg.effectiveWorkers(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers=0 resolved to %d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	cfg.Parallel = false
 	cfg.Workers = 8
-	if got := cfg.effectiveWorkers(); got != 1 {
-		t.Fatalf("serial build resolved to %d workers, want 1", got)
+	if got := cfg.effectiveWorkers(); got != 8 {
+		t.Fatalf("Workers=8 resolved to %d", got)
 	}
 }
 

@@ -279,7 +279,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	fillTreelet := func(ti int) {
 		t := treelets[ti]
 		tBounds[ti] = tightBounds(set, t.order)
-		sectionStart := int(offsets[ti])
+		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
 		w := &writer{buf: buf, pos: sectionStart}
 		w.u32(uint32(len(t.nodes)))
 		w.u32(uint32(len(t.order)))

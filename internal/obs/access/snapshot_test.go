@@ -3,10 +3,12 @@ package access
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"libbat/internal/checksum"
 	"libbat/internal/geom"
 )
 
@@ -200,4 +202,50 @@ func TestSnapshotPrometheus(t *testing.T) {
 			t.Errorf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzUnmarshal throws arbitrary bytes at the sidecar loader, both as a
+// whole image and sealed as the payload of a well-formed envelope (so
+// mutations reach the payload parser behind the CRC): it must return an
+// error or a snapshot that is safe to traverse, merge and re-marshal,
+// never panic.
+func FuzzUnmarshal(f *testing.F) {
+	valid, err := goldenSnapshot().Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[len(valid)/2:])
+	f.Add(flipped)
+	f.Add(valid[12 : len(valid)-4]) // the bare payload
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sealed := append([]byte(sidecarMagic), 1, 0, 0, 0)
+		sealed = binary.LittleEndian.AppendUint32(sealed, uint32(len(data)))
+		sealed = append(sealed, data...)
+		sealed = binary.LittleEndian.AppendUint32(sealed, checksum.CRC32C(sealed))
+		for _, image := range [][]byte{data, sealed} {
+			s, err := Unmarshal(image)
+			if err != nil {
+				continue
+			}
+			for _, h := range s.HotCells(4) {
+				s.CellBox(h.Cell)
+			}
+			s.HotTreelets(4)
+			if err := s.WritePrometheus(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			merged := s
+			if err := merged.Merge(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := merged.Marshal(); err != nil {
+				t.Fatalf("decoded snapshot does not re-marshal: %v", err)
+			}
+		}
+	})
 }

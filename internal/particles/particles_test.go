@@ -190,3 +190,35 @@ func BenchmarkMarshal32k(b *testing.B) {
 		_ = s.Marshal()
 	}
 }
+
+// FuzzUnmarshal throws arbitrary bytes and attribute counts at the wire
+// decoder: it must return an error or a set exactly as large as the input
+// says, never panic or allocate past the input size.
+func FuzzUnmarshal(f *testing.F) {
+	valid := testSet(9, 1).Marshal()
+	flipped := append([]byte(nil), valid...)
+	flipped[3] ^= 0x80 // count field: claims ~2^31 particles
+	f.Add(valid, uint8(2))
+	f.Add(valid[:len(valid)/2], uint8(2))
+	f.Add(valid[len(valid)/2:], uint8(2))
+	f.Add(flipped, uint8(2))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, nAttrs uint8) {
+		schema := UniformSchema(int(nAttrs % 8))
+		s, err := Unmarshal(data, schema)
+		if err != nil {
+			return
+		}
+		if got := 8 + s.Bytes(); got != int64(len(data)) {
+			t.Fatalf("decoded %d particles (%d bytes) from %d input bytes", s.Len(), got, len(data))
+		}
+		if len(s.Y) != s.Len() || len(s.Z) != s.Len() {
+			t.Fatalf("ragged positions: %d/%d/%d", len(s.X), len(s.Y), len(s.Z))
+		}
+		for a, col := range s.Attrs {
+			if len(col) != s.Len() {
+				t.Fatalf("ragged set: attr %d has %d values for %d particles", a, len(col), s.Len())
+			}
+		}
+	})
+}

@@ -82,9 +82,19 @@ func (s *OS) SetSync(sync bool) { s.sync = sync }
 // Root returns the backing directory.
 func (s *OS) Root() string { return s.root }
 
-func (s *OS) path(name string) (string, error) {
+// validName is the one naming rule of every store: a flat, non-empty name
+// that cannot step out of the root. Mem enforces it too, so a suite on Mem
+// catches a name that would fail on disk.
+func validName(name string) error {
 	if name == "" || strings.Contains(name, "/") || strings.Contains(name, "..") {
-		return "", fmt.Errorf("pfs: invalid file name %q", name)
+		return fmt.Errorf("pfs: invalid file name %q", name)
+	}
+	return nil
+}
+
+func (s *OS) path(name string) (string, error) {
+	if err := validName(name); err != nil {
+		return "", err
 	}
 	return filepath.Join(s.root, name), nil
 }
@@ -201,8 +211,8 @@ func NewMem() *Mem {
 
 // WriteFile implements Storage.
 func (m *Mem) WriteFile(name string, data []byte) error {
-	if name == "" {
-		return fmt.Errorf("pfs: invalid file name %q", name)
+	if err := validName(name); err != nil {
+		return err
 	}
 	cp := append([]byte(nil), data...)
 	m.mu.Lock()

@@ -86,17 +86,14 @@ func TestStats(t *testing.T) {
 }
 
 func TestInvalidNames(t *testing.T) {
-	osb, err := NewOS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"", "a/b", "../evil"} {
-		if err := osb.WriteFile(bad, nil); err == nil {
-			t.Errorf("name %q should be rejected", bad)
-		}
-	}
-	if err := NewMem().WriteFile("", nil); err == nil {
-		t.Error("empty name should be rejected")
+	for name, s := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, bad := range []string{"", "a/b", "../evil", ".."} {
+				if err := s.WriteFile(bad, nil); err == nil {
+					t.Errorf("name %q should be rejected", bad)
+				}
+			}
+		})
 	}
 }
 
