@@ -12,6 +12,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,30 +52,40 @@ func (f *filterFlags) Set(v string) error {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams passed in; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("batread", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var filters filterFlags
 	var (
-		in        = flag.String("in", "bat-out", "dataset directory")
-		name      = flag.String("name", "", "dataset base name (required)")
-		ranks     = flag.Int("ranks", 8, "number of simulated reader ranks")
-		vis       = flag.Bool("vis", false, "run the progressive visualization read benchmark instead")
-		quality   = flag.Float64("quality", 1, "LOD quality in (0,1] for -count queries")
-		count     = flag.Bool("count", false, "count particles matching -filter/-quality and exit")
-		workers   = flag.Int("query-workers", 0, "traversal goroutines per query for -count (0 = GOMAXPROCS, 1 = serial)")
-		cacheMB   = flag.Int64("cache-mb", 0, "treelet cache budget in MiB for -count (0 = unbounded)")
-		statsOut  = flag.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-		accessOut = flag.String("access-out", "", "write the access-telemetry snapshot as a .bata sidecar to this file (batinspect -access reads it)")
-		timeout   = flag.Duration("timeout", 0,
+		in        = fs.String("in", "bat-out", "dataset directory")
+		name      = fs.String("name", "", "dataset base name (required)")
+		ranks     = fs.Int("ranks", 8, "number of simulated reader ranks")
+		vis       = fs.Bool("vis", false, "run the progressive visualization read benchmark instead")
+		quality   = fs.Float64("quality", 1, "LOD quality in (0,1] for -count queries")
+		count     = fs.Bool("count", false, "count particles matching -filter/-quality and exit")
+		workers   = fs.Int("query-workers", 0, "traversal goroutines per query for -count (0 = GOMAXPROCS, 1 = serial)")
+		cacheMB   = fs.Int64("cache-mb", 0, "treelet cache budget in MiB for -count, one budget over all leaf files (0 = unbounded)")
+		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
+		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
+		accessOut = fs.String("access-out", "", "write the access-telemetry snapshot as a .bata sidecar to this file (batinspect -access reads it)")
+		timeout   = fs.Duration("timeout", 0,
 			"overall read deadline; on a stalled filesystem the collective read degrades to the healthy leaves and reports the rest as partial (0 = none)")
 	)
-	flag.Var(&filters, "filter", "attribute filter attr,min,max (repeatable, with -count)")
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "batread:", err)
-		os.Exit(1)
+	fs.Var(&filters, "filter", "attribute filter attr,min,max (repeatable, with -count)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "batread:", err)
+		return 1
 	}
 	if *name == "" {
-		fail(fmt.Errorf("-name is required"))
+		return fail(fmt.Errorf("-name is required"))
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -84,7 +95,7 @@ func main() {
 	}
 	store, err := libbat.DirStorage(*in)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	obsFlags := cliutil.ObsFlags{StatsPath: *statsOut, TracePath: *traceOut}
 	col := obsFlags.Collector()
@@ -92,34 +103,33 @@ func main() {
 		store = pfs.Observe(store, col)
 		bench.Observer = col
 	}
-	dump := func() {
+	// finish dumps the telemetry and, with -access-out, persists rec's
+	// snapshot as a sidecar file (same format batserve -access-persist
+	// writes and batinspect -access reads).
+	finish := func(rec *libbat.AccessRecorder) int {
 		if err := obsFlags.Dump(col); err != nil {
-			fail(err)
+			return fail(err)
 		}
-	}
-	// writeAccess persists the access-telemetry snapshot as a sidecar file
-	// (same format batserve -access-persist writes and batinspect -access
-	// reads).
-	writeAccess := func(rec *libbat.AccessRecorder) {
 		if *accessOut == "" {
-			return
+			return 0
 		}
 		if rec == nil {
-			fail(fmt.Errorf("-access-out: no access telemetry was recorded"))
+			return fail(fmt.Errorf("-access-out: no access telemetry was recorded"))
 		}
 		buf, err := rec.Snapshot().Marshal()
 		if err == nil {
 			err = os.WriteFile(*accessOut, buf, 0o644)
 		}
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
+		return 0
 	}
 
 	if *count {
 		ds, err := libbat.OpenDataset(store, *name)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer ds.Close()
 		qw := *workers
@@ -138,29 +148,32 @@ func main() {
 		}
 		n, err := ds.CountCtx(ctx, libbat.Query{Filters: filters, Quality: *quality})
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("%d of %d particles match (quality %.2f, %d filters)\n",
+		fmt.Fprintf(stdout, "%d of %d particles match (quality %.2f, %d filters)\n",
 			n, ds.NumParticles(), *quality, len(filters))
-		dump()
-		writeAccess(ds.AccessRecorder())
-		return
+		cs := ds.CacheStats()
+		fmt.Fprintf(stdout, "treelet cache: %d treelets, %d bytes resident, %d loads, %d evictions\n",
+			cs.Entries, cs.Bytes, cs.Misses, cs.Evictions)
+		return finish(ds.AccessRecorder())
 	}
 
 	if *vis {
 		res, err := bench.ProgressiveRead(store, *name)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("progressive read (quality 0.1..1.0): avg %.2f ms/read, %.0f pts/ms, %d points total\n",
+		fmt.Fprintf(stdout, "progressive read (quality 0.1..1.0): avg %.2f ms/read, %.0f pts/ms, %d points total\n",
 			res.AvgReadMs, res.PtsPerMs, res.TotalPts)
-		dump()
-		return
+		if err := obsFlags.Dump(col); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	ds, err := libbat.OpenDataset(store, *name)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	domain := ds.Bounds()
 	total := ds.NumParticles()
@@ -171,7 +184,7 @@ func main() {
 	start := time.Now()
 	f := libbat.NewFabric(*ranks)
 	f.SetObserver(col)
-	var accessReg *libbat.AccessRegistry
+	var accessReg *libbat.AccessRegistry // nil without -access-out: Lookup then finds nothing
 	if *accessOut != "" {
 		accessReg = libbat.NewAccessRegistry(libbat.AccessOptions{})
 		f.SetAccessRegistry(accessReg)
@@ -192,23 +205,20 @@ func main() {
 		sumParticles += int64(got.Len())
 		mu.Unlock()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "batread: rank %d: partial read (%d leaves failed): %v\n",
+			fmt.Fprintf(stderr, "batread: rank %d: partial read (%d leaves failed): %v\n",
 				c.Rank(), len(stats.LeafErrors), err)
 		}
 		if c.Rank() == 0 {
-			fmt.Printf("rank 0: meta=%v fileread=%v transfer=%v (%d files served)\n",
+			fmt.Fprintf(stdout, "rank 0: meta=%v fileread=%v transfer=%v (%d files served)\n",
 				stats.Metadata.Round(time.Microsecond), stats.FileRead.Round(time.Microsecond),
 				stats.Transfer.Round(time.Microsecond), stats.NumFiles)
 		}
 		return nil
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("read %d particles (dataset holds %d) on %d ranks in %v\n",
+	fmt.Fprintf(stdout, "read %d particles (dataset holds %d) on %d ranks in %v\n",
 		sumParticles, total, *ranks, time.Since(start).Round(time.Millisecond))
-	dump()
-	if accessReg != nil {
-		writeAccess(accessReg.Lookup(*name))
-	}
+	return finish(accessReg.Lookup(*name))
 }

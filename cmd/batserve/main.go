@@ -233,7 +233,7 @@ func main() {
 		unordered = flag.Bool("query-unordered", false,
 			"allow out-of-order point delivery within a query (lower latency, nondeterministic stream order)")
 		cacheMB = flag.Int64("cache-mb", 0,
-			"treelet cache budget per dataset in MiB (0 = unbounded)")
+			"treelet cache budget per dataset in MiB, one budget over all of its leaf files (0 = unbounded)")
 		accessPersist = flag.Bool("access-persist", false,
 			"load and save per-dataset access telemetry sidecars (<name>.bata) across runs")
 		accessRing = flag.Int("access-ring", 0,

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -15,13 +16,13 @@ import (
 // recorded access snapshot, normalized for comparison.
 func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Query) access.Snapshot {
 	t.Helper()
-	f, err := FromBuffer(buf)
+	f, err := DecodeLeaf(context.Background(), readerAt(buf), int64(len(buf)), NewCache(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	rec := access.New("t", f.Domain, access.Options{GridBits: 3})
-	f.SetAccessRecorder(rec, 7)
+	f.cache.SetAccessRecorder(rec)
 	for _, q := range queries {
 		if _, err := f.QueryWithConfig(q, cfg, func(geom.Vec3, []float64) error { return nil }); err != nil {
 			t.Fatal(err)
@@ -85,7 +86,7 @@ func TestConcurrentAccessRecorder(t *testing.T) {
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
 	defer f.Close()
 	rec := access.New("t", f.Domain, access.Options{})
-	f.SetAccessRecorder(rec, 0)
+	f.cache.SetAccessRecorder(rec)
 
 	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.8, 0.8, 0.8))
 	ref, err := f.QueryWithConfig(Query{Bounds: &box}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,6 +147,48 @@ func TestEmptyBuild(t *testing.T) {
 	got, err := f.ReadAll()
 	if err != nil || got.Len() != 0 {
 		t.Errorf("empty file read: %v, %d particles", err, got.Len())
+	}
+}
+
+// TestBuiltSummaryMatchesFile: the value ranges and root bitmaps Build
+// hands the write path (core reports them to rank 0 for the .batm) are
+// exactly what a reader decodes from the image.
+func TestBuiltSummaryMatchesFile(t *testing.T) {
+	v3 := DefaultBuildConfig()
+	v3.Compress = true
+	v3.ErrorBound = 1e-3
+	quantized := DefaultBuildConfig()
+	quantized.QuantizePositions = true
+	big, domain := randomSet(20000, 5)
+	clustered, _ := clusteredSet(6000, 6)
+	// Every point in one subprefix cell: a single treelet, no shallow node.
+	one := particles.NewSet(particles.NewSchema("mass", "id"), 40)
+	for i := 0; i < 40; i++ {
+		v := 0.01 * float64(i)
+		one.Append(geom.V3(v, v, v), []float64{v, float64(i)})
+	}
+	empty := particles.NewSet(particles.NewSchema("a", "b"), 0)
+	for _, tc := range []struct {
+		name string
+		set  *particles.Set
+		cfg  BuildConfig
+	}{
+		{"v2", big, DefaultBuildConfig()},
+		{"v3", big, v3},
+		{"quantized", clustered, quantized},
+		{"one-treelet", one, DefaultBuildConfig()},
+		{"empty", empty, DefaultBuildConfig()},
+	} {
+		f, b := buildAndOpen(t, tc.set, domain, tc.cfg)
+		if tc.name == "one-treelet" && (f.NumTreelets() != 1 || len(f.shallow) != 0) {
+			t.Fatalf("%s: %d treelets, %d shallow nodes", tc.name, f.NumTreelets(), len(f.shallow))
+		}
+		if !reflect.DeepEqual(b.Ranges, f.Ranges) {
+			t.Errorf("%s: Built.Ranges %v, file %v", tc.name, b.Ranges, f.Ranges)
+		}
+		if !reflect.DeepEqual(b.RootBitmaps, f.RootBitmaps()) {
+			t.Errorf("%s: Built.RootBitmaps %v, file %v", tc.name, b.RootBitmaps, f.RootBitmaps())
+		}
 	}
 }
 

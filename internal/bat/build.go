@@ -213,6 +213,12 @@ type builtShallowNode struct {
 type Built struct {
 	Buf   []byte
 	Stats BuildStats
+	// Ranges and RootBitmaps are what File.Ranges and File.RootBitmaps
+	// read back from Buf: each attribute's local value range and its
+	// whole-file bitmap in that range. An aggregator reports them to rank 0
+	// for the top-level metadata (§III-D) without decoding its own image.
+	Ranges      []bitmap.Range
+	RootBitmaps []bitmap.Bitmap
 }
 
 // BuildStats reports layout statistics.
@@ -331,6 +337,19 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	spCompact.End()
 	if err != nil {
 		return nil, err
+	}
+	built.Ranges = ranges
+	built.RootBitmaps = make([]bitmap.Bitmap, len(ranges))
+	if len(shallowNodes) > 0 {
+		copy(built.RootBitmaps, shallowNodes[0].bitmaps)
+	} else {
+		// No shallow inner node: at most one group, and a group is never
+		// empty, so its treelet has a root.
+		for _, t := range treelets {
+			for a, b := range t.nodes[0].bitmaps {
+				built.RootBitmaps[a] |= b
+			}
+		}
 	}
 	if col != nil {
 		st := built.Stats

@@ -1,15 +1,16 @@
-// Sharded treelet cache: the concurrency core of the read path. Parsed
-// treelets are immutable once loaded, so any number of query goroutines may
-// share them; the cache's job is to hand out those shared pointers cheaply
-// under concurrent access, parse each cold treelet exactly once no matter
-// how many goroutines ask for it (singleflight), and bound the bytes held
-// in memory with per-shard LRU eviction.
+// The treelet cache: the concurrency core of the read path. Parsed treelets
+// are immutable once loaded, so any number of query goroutines may share
+// them; the cache's job is to hand out those shared pointers under
+// concurrent access, parse each cold treelet exactly once no matter how
+// many goroutines ask for it (singleflight), and keep the bytes held in
+// memory within one budget by LRU eviction.
 //
-// Sharding keeps the hot hit path short: a treelet index hashes to one of
-// a fixed number of shards, each with its own mutex, map, and LRU list, so
-// concurrent queries touching different treelets do not contend on a
-// single lock. The shard count is a constant — it only affects contention,
-// never which treelets are cached or what any query returns.
+// A dataset has one Cache for all of its leaf files — the paper reads a
+// dataset "as if it were one file" (§III-D), and a budget only holds if it
+// is enforced in one place. One mutex guards the map, the LRU list, the
+// byte count and the counters: a lookup happens once per candidate treelet
+// of a query, orders of magnitude below what one lock serves, and loads
+// (storage read, CRC, decode, parse) run outside it.
 package bat
 
 import (
@@ -23,12 +24,7 @@ import (
 	"libbat/internal/pfs"
 )
 
-// cacheShards is the number of independently locked cache shards. A small
-// power of two: enough to spread contention across a worker pool, cheap
-// enough that per-shard LRU bookkeeping stays negligible for tiny files.
-const cacheShards = 16
-
-// CacheStats is a snapshot of a File's treelet cache counters.
+// CacheStats is a snapshot of a treelet cache's counters.
 type CacheStats struct {
 	Hits      int64 // lookups served from a resident treelet
 	Misses    int64 // lookups that had to parse (singleflight-deduplicated)
@@ -45,80 +41,106 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
+// cacheKey names one treelet of one leaf file of the dataset.
+type cacheKey struct{ leaf, treelet int }
+
 // cacheEntry is one treelet's slot. ready is closed once t/err are set;
 // goroutines that lose the singleflight race wait on it instead of parsing.
 type cacheEntry struct {
+	key   cacheKey
 	ready chan struct{}
 	t     *parsedTreelet
 	err   error
 	bytes int64
-	elem  *list.Element // position in the shard's LRU list; nil while loading
+	elem  *list.Element // position in the LRU list; nil while loading
 }
 
-// cacheShard is one lock domain of the cache.
-type cacheShard struct {
+// Cache is the size-bounded, singleflight treelet cache shared by the leaf
+// files of one dataset (DecodeLeaf attaches a File to it). It also carries
+// what the files of a dataset share on the read path: the obs counters and
+// the access recorder. Safe for concurrent use.
+type Cache struct {
+	// access is the optional access-telemetry recorder (nil = disabled:
+	// every call on it no-ops). Queries record the treelets they touch on
+	// it, the cache the loads that hit storage.
+	access atomic.Pointer[access.Recorder]
+
 	mu      sync.Mutex
-	entries map[int]*cacheEntry
-	lru     *list.List // front = most recently used; values are treelet indices
+	entries map[cacheKey]*cacheEntry
+	lru     list.List // front = most recently used; values are *cacheEntry
+	limit   int64     // byte budget; 0 = unbounded
 	bytes   int64
-}
 
-// treeletCache is the sharded, size-bounded, singleflight treelet cache.
-type treeletCache struct {
-	shards [cacheShards]cacheShard
-	// limit is the total byte budget (0 = unbounded), applied per shard as
-	// limit/cacheShards. Atomic so SetCacheLimit is safe mid-query.
-	limit atomic.Int64
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-
+	hits, misses, evictions int64
 	// Optional obs mirrors of the counters above; nil-safe no-ops when
 	// telemetry is off.
 	obsHits, obsMisses, obsEvictions *obs.Counter
-
-	// Optional access recorder: a miss that loads from storage is recorded
-	// per (leaf, treelet), so hit/load ratios expose cache thrash.
-	access     *access.Recorder
-	accessLeaf int
 }
 
-func newTreeletCache() *treeletCache {
-	c := &treeletCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[int]*cacheEntry)
-		c.shards[i].lru = list.New()
+// NewCache returns an empty, unbounded cache.
+func NewCache() *Cache {
+	return &Cache{entries: make(map[cacheKey]*cacheEntry)}
+}
+
+// SetLimit bounds the cache to limit bytes of parsed treelets (0, the
+// default, is unbounded), evicting least-recently-used treelets down to
+// it. The treelet a lookup is about to return is never evicted, so the
+// resident bytes can exceed the limit by at most one treelet.
+func (c *Cache) SetLimit(limit int64) {
+	c.mu.Lock()
+	c.limit = limit
+	c.evictLocked(nil)
+	c.mu.Unlock()
+}
+
+// SetObserver mirrors the hit/miss/eviction counters into col as
+// bat_treelet_cache_{hits,misses,evictions}_total, tagged with the given
+// labels; nil col detaches.
+func (c *Cache) SetObserver(col *obs.Collector, labels ...obs.Label) {
+	hits := col.Counter("bat_treelet_cache_hits_total", labels...)
+	misses := col.Counter("bat_treelet_cache_misses_total", labels...)
+	evictions := col.Counter("bat_treelet_cache_evictions_total", labels...)
+	c.mu.Lock()
+	c.obsHits, c.obsMisses, c.obsEvictions = hits, misses, evictions
+	c.mu.Unlock()
+}
+
+// SetAccessRecorder attaches an access-telemetry recorder; nil detaches.
+func (c *Cache) SetAccessRecorder(rec *access.Recorder) { c.access.Store(rec) }
+
+// AccessRecorder returns the attached recorder (nil when telemetry is off).
+func (c *Cache) AccessRecorder() *access.Recorder { return c.access.Load() }
+
+// Stats snapshots the counters and residency.
+func (c *Cache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   int64(c.lru.Len()),
+		Bytes:     c.bytes,
 	}
-	return c
 }
 
-// setObserver mirrors the cache counters into col (nil detaches).
-func (c *treeletCache) setObserver(col *obs.Collector, labels ...obs.Label) {
-	c.obsHits = col.Counter("bat_treelet_cache_hits_total", labels...)
-	c.obsMisses = col.Counter("bat_treelet_cache_misses_total", labels...)
-	c.obsEvictions = col.Counter("bat_treelet_cache_evictions_total", labels...)
+// Purge drops every resident treelet (the counters keep counting). A load
+// still in flight lands in the cache when it completes.
+func (c *Cache) Purge() {
+	c.mu.Lock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		delete(c.entries, el.Value.(*cacheEntry).key)
+	}
+	c.lru.Init()
+	c.bytes = 0
+	c.mu.Unlock()
 }
 
-// setAccess attaches an access recorder, keying this cache's treelets
-// under leaf (nil detaches). Call before queries start, like setObserver.
-func (c *treeletCache) setAccess(rec *access.Recorder, leaf int) {
-	c.access, c.accessLeaf = rec, leaf
-}
-
-// shardOf maps a treelet index to its shard (Fibonacci hashing so runs of
-// adjacent indices — the common traversal order — spread across shards;
-// the top 4 bits of the hash index the 16 shards).
-func (c *treeletCache) shardOf(ti int) *cacheShard {
-	h := uint32(ti) * 2654435761
-	return &c.shards[h>>28]
-}
-
-// get returns treelet ti, loading it via load on a miss. Concurrent calls
-// for the same cold treelet run load exactly once; the others block until
-// it completes and share the result. Load errors are returned to every
-// waiter but not cached, so a transient I/O failure is retried on the next
-// lookup.
+// get returns the treelet under key, loading it via load on a miss.
+// Concurrent calls for the same cold treelet run load exactly once; the
+// others block until it completes and share the result. Load errors are
+// returned to every waiter but not cached, so a transient I/O failure is
+// retried on the next lookup.
 //
 // Cancellation semantics: a waiter whose ctx ends detaches — it returns
 // ctx.Err() immediately while the in-flight load keeps running for the
@@ -127,100 +149,81 @@ func (c *treeletCache) shardOf(ti int) *cacheShard {
 // cancellation, waiters whose contexts are still live must not inherit
 // that error: the failed entry was already dropped (errors are never
 // cached), so they loop and load afresh under their own context.
-func (c *treeletCache) get(ctx context.Context, ti int, load func(context.Context) (*parsedTreelet, error)) (*parsedTreelet, error) {
-	sh := c.shardOf(ti)
+func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context) (*parsedTreelet, error)) (*parsedTreelet, error) {
+	c.mu.Lock()
 	for {
-		sh.mu.Lock()
-		e, ok := sh.entries[ti]
+		e, ok := c.entries[key]
 		if !ok {
 			break
 		}
 		if e.elem != nil {
-			sh.lru.MoveToFront(e.elem)
-		}
-		sh.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err() // detach; the load continues without us
+			c.lru.MoveToFront(e.elem)
+		} else {
+			c.mu.Unlock()
+			select {
+			case <-e.ready:
+			case <-ctx.Done():
+				return nil, ctx.Err() // detach; the load continues without us
+			}
+			c.mu.Lock()
 		}
 		if e.err == nil {
-			c.hits.Add(1)
+			c.hits++
 			c.obsHits.Inc()
+			c.mu.Unlock()
 			return e.t, nil
 		}
 		if pfs.IsContextErr(e.err) && ctx.Err() == nil {
 			continue // the loader was canceled, we were not: retry
 		}
+		c.mu.Unlock()
 		return nil, e.err
 	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	sh.entries[ti] = e
-	sh.mu.Unlock()
-
-	c.misses.Add(1)
+	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	c.entries[key] = e
+	c.misses++
 	c.obsMisses.Inc()
-	t, err := load(ctx)
+	c.mu.Unlock()
 
+	t, err := load(ctx)
 	if err == nil {
-		c.access.TreeletLoad(c.accessLeaf, ti)
+		c.access.Load().TreeletLoad(key.leaf, key.treelet)
 	}
 
-	sh.mu.Lock()
+	c.mu.Lock()
 	e.t, e.err = t, err
 	if err != nil {
-		delete(sh.entries, ti)
+		delete(c.entries, key)
 	} else {
 		e.bytes = t.memBytes()
-		e.elem = sh.lru.PushFront(ti)
-		sh.bytes += e.bytes
-		c.evictShardLocked(sh, ti)
+		e.elem = c.lru.PushFront(e)
+		c.bytes += e.bytes
+		c.evictLocked(e)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(e.ready)
 	return t, err
 }
 
-// evictShardLocked drops least-recently-used treelets until the shard fits
-// its slice of the byte budget. The just-inserted treelet (keep) survives
-// even if it alone exceeds the budget — evicting the treelet a query is
-// about to traverse would only force an immediate reload.
-func (c *treeletCache) evictShardLocked(sh *cacheShard, keep int) {
-	limit := c.limit.Load()
-	if limit <= 0 {
+// evictLocked drops least-recently-used treelets until the cache fits its
+// byte budget. The just-inserted treelet (keep) survives even if it alone
+// exceeds the budget — evicting the treelet a query is about to traverse
+// would only force an immediate reload.
+func (c *Cache) evictLocked(keep *cacheEntry) {
+	if c.limit <= 0 {
 		return
 	}
-	perShard := limit / cacheShards
-	for sh.bytes > perShard && sh.lru.Len() > 1 {
-		back := sh.lru.Back()
-		ti := back.Value.(int)
-		if ti == keep {
-			break
+	for c.bytes > c.limit {
+		back := c.lru.Back()
+		if back == nil || back.Value == keep {
+			return
 		}
-		victim := sh.entries[ti]
-		sh.lru.Remove(back)
-		delete(sh.entries, ti)
-		sh.bytes -= victim.bytes
-		c.evictions.Add(1)
+		victim := c.lru.Remove(back).(*cacheEntry)
+		delete(c.entries, victim.key)
+		c.bytes -= victim.bytes
+		c.evictions++
 		c.obsEvictions.Inc()
 	}
-}
-
-// stats snapshots the cache counters and residency.
-func (c *treeletCache) stats() CacheStats {
-	s := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += int64(sh.lru.Len())
-		s.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return s
 }
 
 // memBytes estimates the in-memory footprint of a parsed treelet: node

@@ -15,10 +15,25 @@ func fakeTreelet(n int) *parsedTreelet {
 	return &parsedTreelet{x: make([]float32, n)}
 }
 
+// loaderOf returns a loader of a fresh 4*n-byte treelet.
+func loaderOf(n int) func(context.Context) (*parsedTreelet, error) {
+	return func(context.Context) (*parsedTreelet, error) { return fakeTreelet(n), nil }
+}
+
+// mustGet looks key up with load and reports whether load ran (a miss).
+func mustGet(t *testing.T, c *Cache, key cacheKey, load func(context.Context) (*parsedTreelet, error)) bool {
+	t.Helper()
+	before := c.Stats().Misses
+	if _, err := c.get(context.Background(), key, load); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats().Misses > before
+}
+
 // TestCacheSingleflight: many goroutines racing for the same cold treelet
 // must run the loader exactly once and all observe the same pointer.
 func TestCacheSingleflight(t *testing.T) {
-	c := newTreeletCache()
+	c := NewCache()
 	var loads atomic.Int64
 	gate := make(chan struct{})
 	want := fakeTreelet(8)
@@ -30,7 +45,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tl, err := c.get(context.Background(), 42, func(context.Context) (*parsedTreelet, error) {
+			tl, err := c.get(context.Background(), cacheKey{0, 42}, func(context.Context) (*parsedTreelet, error) {
 				loads.Add(1)
 				<-gate // hold every racer in the waiting path
 				return want, nil
@@ -51,7 +66,7 @@ func TestCacheSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d got a different treelet pointer", i)
 		}
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Misses != 1 || st.Hits != workers-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, workers-1)
 	}
@@ -60,17 +75,21 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheErrorNotCached: a failed load is reported to every waiter but
 // retried on the next lookup instead of poisoning the slot.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newTreeletCache()
+	c := NewCache()
+	key := cacheKey{0, 7}
 	boom := errors.New("disk on fire")
-	if _, err := c.get(context.Background(), 7, func(context.Context) (*parsedTreelet, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("failed load left residue: %+v", st)
+	}
 	want := fakeTreelet(4)
-	tl, err := c.get(context.Background(), 7, func(context.Context) (*parsedTreelet, error) { return want, nil })
+	tl, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return want, nil })
 	if err != nil || tl != want {
 		t.Fatalf("retry after error: got (%v, %v), want (%v, nil)", tl, err, want)
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Misses != 2 {
 		t.Fatalf("misses = %d, want 2 (error loads count as misses)", st.Misses)
 	}
@@ -79,89 +98,104 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: with a byte budget set, the cache evicts
-// least-recently-used treelets, stays within bounds, and reloads evicted
-// treelets transparently.
+// TestCacheEviction: one byte budget covers every leaf's treelets. Inserts
+// past it evict least-recently-used treelets — whichever leaf they belong
+// to — the resident bytes never exceed the budget when every treelet fits
+// it, and evicted treelets reload transparently.
 func TestCacheEviction(t *testing.T) {
-	c := newTreeletCache()
-	// One shard holds all multiples of cacheShards... instead pick treelet
-	// indices that land in one shard so the per-shard budget is exercised
-	// deterministically.
-	shard := c.shardOf(0)
-	var sameShard []int
-	for ti := 0; len(sameShard) < 6; ti++ {
-		if c.shardOf(ti) == shard {
-			sameShard = append(sameShard, ti)
+	c := NewCache()
+	c.SetLimit(800) // two 400-byte treelets
+	keys := []cacheKey{{0, 0}, {1, 0}, {2, 5}, {0, 1}, {1, 1}, {2, 6}}
+	for i, k := range keys {
+		if !mustGet(t, c, k, loaderOf(100)) {
+			t.Fatalf("first lookup of %v was a hit", k)
+		}
+		want := CacheStats{Misses: int64(i + 1), Evictions: int64(max(0, i-1)), Entries: int64(min(i+1, 2))}
+		want.Bytes = 400 * want.Entries
+		if st := c.Stats(); st != want {
+			t.Fatalf("after %d inserts: stats %+v, want %+v", i+1, st, want)
 		}
 	}
-	// Each fake treelet is 400 bytes; budget two per shard.
-	c.limit.Store(800 * cacheShards)
-	for _, ti := range sameShard {
-		if _, err := c.get(context.Background(), ti, func(context.Context) (*parsedTreelet, error) { return fakeTreelet(100), nil }); err != nil {
-			t.Fatal(err)
+	// Only the two newest survive, in every leaf's key space.
+	for _, k := range keys[:4] {
+		if _, resident := c.entries[k]; resident {
+			t.Fatalf("%v still resident past the budget", k)
 		}
 	}
-	st := c.stats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions with %d same-shard inserts over a 2-treelet budget; stats %+v", len(sameShard), st)
-	}
-	if st.Bytes > 800 {
-		t.Fatalf("resident bytes %d exceed the 800-byte shard budget", st.Bytes)
-	}
-	// The oldest same-shard treelet must have been evicted; re-getting it
-	// is a miss that reloads.
-	misses := st.Misses
-	var reloaded atomic.Bool
-	if _, err := c.get(context.Background(), sameShard[0], func(context.Context) (*parsedTreelet, error) {
-		reloaded.Store(true)
-		return fakeTreelet(100), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reloaded.Load() {
+	if !mustGet(t, c, keys[0], loaderOf(100)) {
 		t.Fatal("evicted treelet was served from cache")
 	}
-	if got := c.stats().Misses; got != misses+1 {
-		t.Fatalf("misses = %d, want %d", got, misses+1)
+
+	// Lowering the limit evicts down to it at once; 0 lifts it.
+	c.SetLimit(400)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 400 {
+		t.Fatalf("after SetLimit(400): %+v", st)
+	}
+	c.SetLimit(0)
+	for _, k := range keys {
+		mustGet(t, c, k, loaderOf(100))
+	}
+	if st := c.Stats(); st.Entries != int64(len(keys)) {
+		t.Fatalf("unbounded cache holds %d of %d treelets", st.Entries, len(keys))
+	}
+	c.Purge()
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || len(c.entries) != 0 {
+		t.Fatalf("after Purge: %+v, %d map entries", st, len(c.entries))
 	}
 }
 
-// TestCacheLRUOrder: touching a resident treelet protects it from the next
-// eviction round.
+// TestCacheLRUOrder: the victim is exactly the least recently used
+// treelet, where a hit counts as a use.
 func TestCacheLRUOrder(t *testing.T) {
-	c := newTreeletCache()
-	shard := c.shardOf(0)
-	var tis []int
-	for ti := 0; len(tis) < 3; ti++ {
-		if c.shardOf(ti) == shard {
-			tis = append(tis, ti)
+	c := NewCache()
+	c.SetLimit(1200) // three 400-byte treelets
+	a, b, d, e := cacheKey{0, 0}, cacheKey{1, 0}, cacheKey{0, 1}, cacheKey{3, 9}
+	for _, k := range []cacheKey{a, b, d} {
+		mustGet(t, c, k, loaderOf(100))
+	}
+	if mustGet(t, c, a, loaderOf(100)) { // refresh a: LRU order is now b, d, a
+		t.Fatal("resident treelet missed")
+	}
+	mustGet(t, c, e, loaderOf(100)) // evicts b
+	for _, k := range []cacheKey{d, a, e} {
+		if mustGet(t, c, k, loaderOf(100)) {
+			t.Fatalf("%v was evicted, want victim %v", k, b)
 		}
 	}
-	c.limit.Store(800 * cacheShards) // two 400-byte treelets per shard
-	load := func(context.Context) (*parsedTreelet, error) { return fakeTreelet(100), nil }
-	mustGet := func(ti int) {
-		t.Helper()
-		if _, err := c.get(context.Background(), ti, load); err != nil {
-			t.Fatal(err)
-		}
+	// Order is now b-less: d, a, e. Reloading b evicts d, the oldest use.
+	if !mustGet(t, c, b, loaderOf(100)) {
+		t.Fatalf("LRU victim %v still resident", b)
 	}
-	mustGet(tis[0])
-	mustGet(tis[1])
-	mustGet(tis[0]) // refresh 0: now 1 is least recently used
-	mustGet(tis[2]) // evicts 1
-	misses := c.stats().Misses
-	mustGet(tis[0]) // still resident: no new miss
-	if got := c.stats().Misses; got != misses {
-		t.Fatalf("recently-used treelet was evicted (misses %d -> %d)", misses, got)
+	if _, resident := c.entries[d]; resident {
+		t.Fatalf("%v survived; eviction did not take the least recently used", d)
 	}
-	mustGet(tis[1]) // evicted: one new miss
-	if got := c.stats().Misses; got != misses+1 {
-		t.Fatalf("LRU victim not evicted (misses %d -> %d)", misses, got)
+	if st := c.Stats(); st.Evictions != 2 || st.Entries != 3 {
+		t.Fatalf("stats %+v, want 2 evictions and 3 entries", st)
 	}
 }
 
-// TestFileCacheEndToEnd: SetCacheLimit on a real file keeps queries
-// correct while evicting, and CacheStats reflects warm rescans.
+// TestCacheKeepsReturnedEntry: a treelet larger than the whole budget is
+// still returned and stays resident until the next insert — evicting what
+// a query is about to traverse would only force an immediate reload.
+func TestCacheKeepsReturnedEntry(t *testing.T) {
+	c := NewCache()
+	c.SetLimit(100)
+	big, small := cacheKey{0, 0}, cacheKey{0, 1}
+	mustGet(t, c, big, loaderOf(1000))
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 4000 || st.Evictions != 0 {
+		t.Fatalf("oversized treelet not kept: %+v", st)
+	}
+	if mustGet(t, c, big, loaderOf(1000)) {
+		t.Fatal("oversized treelet was not served from cache")
+	}
+	mustGet(t, c, small, loaderOf(10))
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 40 || st.Evictions != 1 {
+		t.Fatalf("next insert did not displace the oversized treelet: %+v", st)
+	}
+}
+
+// TestFileCacheEndToEnd: a limit on a real file's cache keeps queries
+// correct while evicting, and the stats reflect warm rescans.
 func TestFileCacheEndToEnd(t *testing.T) {
 	s, domain := randomSet(8000, 77)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -178,14 +212,14 @@ func TestFileCacheEndToEnd(t *testing.T) {
 		return n
 	}
 	cold := count()
-	st := f.CacheStats()
+	st := f.cache.Stats()
 	if st.Misses == 0 || st.Hits != 0 {
 		t.Fatalf("after cold scan: %+v", st)
 	}
 	if warm := count(); warm != cold {
 		t.Fatalf("warm scan visited %d, cold %d", warm, cold)
 	}
-	st = f.CacheStats()
+	st = f.cache.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("warm scan hit nothing: %+v", st)
 	}
@@ -193,18 +227,19 @@ func TestFileCacheEndToEnd(t *testing.T) {
 		t.Fatalf("hit rate %v out of (0,1)", hr)
 	}
 
-	// Now squeeze the budget to nothing and rescan: evictions must occur
-	// (pigeonhole: more treelets than shards, so some shard holds two) and
-	// results must stay correct.
-	if len(f.leaves) <= cacheShards {
-		t.Skipf("only %d treelets; need > %d to force same-shard eviction", len(f.leaves), cacheShards)
+	// Squeeze the budget to nothing: only the treelet being returned stays
+	// resident, and a rescan reloads every treelet with correct results.
+	if f.NumTreelets() < 2 {
+		t.Fatalf("need at least 2 treelets, have %d", f.NumTreelets())
 	}
-	f.SetCacheLimit(1)
+	f.cache.SetLimit(1)
+	if st = f.cache.Stats(); st.Entries != 0 {
+		t.Fatalf("1-byte budget keeps %d treelets with no lookup in progress", st.Entries)
+	}
 	if n := count(); n != cold {
 		t.Fatalf("budget-constrained scan visited %d, want %d", n, cold)
 	}
-	st = f.CacheStats()
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions under a 1-byte budget: %+v", st)
+	if after := f.cache.Stats(); after.Entries != 1 || after.Evictions < st.Evictions+int64(f.NumTreelets())-1 {
+		t.Fatalf("rescan under a 1-byte budget: %+v (before %+v, %d treelets)", after, st, f.NumTreelets())
 	}
 }

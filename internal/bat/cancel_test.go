@@ -155,7 +155,7 @@ func TestCancelMidTraversal(t *testing.T) {
 // inherit its context error — they retry the load themselves.
 func TestCancelSingleflightDetachLoader(t *testing.T) {
 	leakcheck.Check(t)
-	c := newTreeletCache()
+	c := NewCache()
 	enter := make(chan struct{})
 	want := fakeTreelet(4)
 
@@ -163,7 +163,7 @@ func TestCancelSingleflightDetachLoader(t *testing.T) {
 	defer cancelLoader()
 	loaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.get(loaderCtx, 5, func(ctx context.Context) (*parsedTreelet, error) {
+		_, err := c.get(loaderCtx, cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
 			close(enter)
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -174,7 +174,7 @@ func TestCancelSingleflightDetachLoader(t *testing.T) {
 
 	waiterDone := make(chan error, 1)
 	go func() {
-		tl, err := c.get(context.Background(), 5, func(ctx context.Context) (*parsedTreelet, error) {
+		tl, err := c.get(context.Background(), cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
 			return want, nil
 		})
 		if err == nil && tl != want {
@@ -203,14 +203,14 @@ func TestCancelSingleflightDetachLoader(t *testing.T) {
 // the remaining (patient) callers.
 func TestCancelSingleflightDetachWaiter(t *testing.T) {
 	leakcheck.Check(t)
-	c := newTreeletCache()
+	c := NewCache()
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	want := fakeTreelet(4)
 
 	loaderDone := make(chan error, 1)
 	go func() {
-		tl, err := c.get(context.Background(), 9, func(ctx context.Context) (*parsedTreelet, error) {
+		tl, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 			close(enter)
 			<-release
 			return want, nil
@@ -227,7 +227,7 @@ func TestCancelSingleflightDetachWaiter(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.get(ctx, 9, func(ctx context.Context) (*parsedTreelet, error) {
+	if _, err := c.get(ctx, cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 		return nil, errors.New("detached waiter must not load")
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("impatient waiter = %v, want context.Canceled", err)
@@ -238,7 +238,7 @@ func TestCancelSingleflightDetachWaiter(t *testing.T) {
 		t.Fatalf("loader after waiter detach: %v", err)
 	}
 	// The result was cached normally despite the detached waiter.
-	tl, err := c.get(context.Background(), 9, func(ctx context.Context) (*parsedTreelet, error) {
+	tl, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 		return nil, errors.New("must be served from cache")
 	})
 	if err != nil || tl != want {

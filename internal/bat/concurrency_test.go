@@ -72,7 +72,7 @@ func equalMultiset(t *testing.T, name string, serial, parallel []visitRec) {
 // TestConcurrentQuerySharedFile is the regression test for the read-path
 // data race: many goroutines querying one File concurrently, each with a
 // different engine configuration. Run under -race (check.sh does) this
-// fails on the pre-cache reader and passes with the sharded cache.
+// fails on the pre-cache reader and passes with the treelet cache.
 func TestConcurrentQuerySharedFile(t *testing.T) {
 	s, domain := randomSet(4000, 11)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())

@@ -274,8 +274,9 @@ func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visito
 	if !ok || len(f.leaves) == 0 {
 		return QueryStats{}, ctx.Err()
 	}
+	rec := f.cache.AccessRecorder()
 	for _, flt := range q.Filters {
-		f.access.TouchAttr(f.Schema.Attrs[flt.Attr].Name, 1)
+		rec.TouchAttr(f.Schema.Attrs[flt.Attr].Name, 1)
 	}
 	var cancel *cancelFlag
 	if ctx.Done() != nil {
@@ -394,7 +395,7 @@ func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cance
 	sel.t = t
 	sel.stats.Treelets = 1
 	ref := &f.leaves[li]
-	f.access.Treelet(f.accessLeaf, li, int64(ref.byteLen), ref.bounds.Center())
+	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), ref.bounds.Center())
 	if len(t.nodes) > 0 {
 		sel.err = s.traverseTreelet(f, sel, cancel, 0, 0)
 	}

@@ -17,8 +17,6 @@ import (
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
-	"libbat/internal/obs"
-	"libbat/internal/obs/access"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
 )
@@ -99,17 +97,14 @@ type File struct {
 
 	closer io.Closer
 
-	// cache holds parsed treelets: sharded, singleflight, LRU-bounded.
-	// Parsed treelets are immutable, so File is safe for concurrent
-	// queries; Close must not race in-flight queries (the caller — e.g.
-	// batserve's open/close RWMutex — sequences lifecycle vs. use).
-	cache *treeletCache
-
-	// access is the optional access-telemetry recorder (nil = disabled:
-	// every call on it no-ops); accessLeaf is the leaf-file index this File
-	// represents inside a multi-leaf dataset, used to key per-treelet stats.
-	access     *access.Recorder
-	accessLeaf int
+	// cache holds parsed treelets (singleflight, LRU-bounded) under this
+	// File's leaf index: the dataset's shared Cache, or a private unbounded
+	// one for a File decoded on its own. Parsed treelets are immutable, so
+	// File is safe for concurrent queries; Close must not race in-flight
+	// queries (the caller — e.g. batserve's open/close RWMutex — sequences
+	// lifecycle vs. use).
+	cache *Cache
+	leaf  int
 
 	// prefetches tracks readahead goroutines so Close can wait them out
 	// instead of unmapping a buffer a prefetch is still parsing.
@@ -119,10 +114,10 @@ type File struct {
 	prefetchSlots chan struct{}
 }
 
-// cursor reads sequentially from an io.ReaderAt, buffering ahead. A nil
-// ctx means uncancelable (in-memory parses); otherwise each refill goes
-// through pfs.ReadAtContext so a canceled caller stops issuing reads and
-// ctx-aware sources abort mid-read.
+// cursor reads sequentially from an io.ReaderAt, buffering ahead; each
+// refill goes through pfs.ReadAtContext so a canceled caller stops issuing
+// reads and ctx-aware sources abort mid-read. A cursor over bytes already
+// in memory is just buf and size = len(buf): it never refills.
 type cursor struct {
 	src  io.ReaderAt
 	size int64
@@ -147,13 +142,7 @@ func (c *cursor) need(n int) ([]byte, error) {
 			grow = int(c.size - start)
 		}
 		chunk := make([]byte, grow)
-		var err error
-		if c.ctx != nil {
-			_, err = pfs.ReadAtContext(c.ctx, c.src, chunk, start)
-		} else {
-			_, err = c.src.ReadAt(chunk, start)
-		}
-		if err != nil {
+		if _, err := pfs.ReadAtContext(c.ctx, c.src, chunk, start); err != nil {
 			return nil, err
 		}
 		c.buf = append(c.buf, chunk...)
@@ -243,6 +232,13 @@ func Decode(src io.ReaderAt, size int64) (*File, error) {
 // and the context threads into footer reads. Treelet loads are governed by
 // the context of the query that triggers them, not by ctx.
 func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) {
+	return DecodeLeaf(ctx, src, size, NewCache(), 0)
+}
+
+// DecodeLeaf is DecodeCtx for leaf file number leaf of a dataset: the File
+// keeps its parsed treelets in cache, which the dataset's other leaf files
+// share, and reports its accesses to the cache's recorder under leaf.
+func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, leaf int) (*File, error) {
 	c := &cursor{src: src, size: size, ctx: ctx}
 	mg, err := c.need(4)
 	if err != nil {
@@ -262,7 +258,7 @@ func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) 
 	if err != nil {
 		return nil, err
 	}
-	f := &File{src: src, size: size, Version: int(ver), cache: newTreeletCache()}
+	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
 	f.Quantized = flags&flagQuantized != 0
 	if f.NumParticles, err = c.u64(); err != nil {
 		return nil, err
@@ -732,8 +728,10 @@ func (f *File) Size() int64 { return f.size }
 func (f *File) NumTreelets() int { return len(f.leaves) }
 
 // RootBitmaps returns the file's whole-dataset bitmap per attribute (the
-// shallow tree root's bitmaps), in the file's local value ranges. This is
-// what an aggregator reports to rank 0 for the top-level metadata (§III-D).
+// shallow tree root's bitmaps), in the file's local value ranges: what the
+// top-level metadata records for the leaf (§III-D). The write path takes the
+// same values from Built.RootBitmaps; this is the reader's side of that
+// equality (TestBuiltSummaryMatchesFile).
 func (f *File) RootBitmaps() []bitmap.Bitmap {
 	nA := f.Schema.NumAttrs()
 	out := make([]bitmap.Bitmap, nA)
@@ -752,38 +750,13 @@ func (f *File) RootBitmaps() []bitmap.Bitmap {
 	return out
 }
 
-// SetCacheLimit bounds the treelet cache to roughly limit bytes of parsed
-// treelets (0, the default, is unbounded). Least-recently-used treelets
-// are evicted when the budget is exceeded. Safe to call concurrently with
-// queries; the new budget applies from the next load on.
-func (f *File) SetCacheLimit(limit int64) { f.cache.limit.Store(limit) }
-
-// SetObserver mirrors the treelet cache's hit/miss/eviction counters into
-// col as bat_treelet_cache_{hits,misses,evictions}_total, tagged with the
-// given labels. Call before queries start; nil col detaches.
-func (f *File) SetObserver(col *obs.Collector, labels ...obs.Label) {
-	f.cache.setObserver(col, labels...)
-}
-
-// CacheStats snapshots the treelet cache counters.
-func (f *File) CacheStats() CacheStats { return f.cache.stats() }
-
-// SetAccessRecorder attaches an access-telemetry recorder; queries then
-// record which treelets they touch (and the cache records which loads hit
-// storage) under leaf — this File's index within its dataset. Like
-// SetObserver, call before queries start; nil detaches.
-func (f *File) SetAccessRecorder(rec *access.Recorder, leaf int) {
-	f.access, f.accessLeaf = rec, leaf
-	f.cache.setAccess(rec, leaf)
-}
-
 // loadTreelet returns treelet ti, parsing it through the cache: concurrent
 // callers of a cold treelet share one parse, and repeat callers share the
 // immutable in-memory form. ctx governs only this caller's wait and (if it
-// wins the singleflight race) its load; see treeletCache.get for the
-// detach semantics.
+// wins the singleflight race) its load; see Cache.get for the detach
+// semantics.
 func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) {
-	return f.cache.get(ctx, ti, func(ctx context.Context) (*parsedTreelet, error) {
+	return f.cache.get(ctx, cacheKey{f.leaf, ti}, func(ctx context.Context) (*parsedTreelet, error) {
 		return f.parseTreelet(ctx, ti)
 	})
 }
@@ -825,7 +798,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
 		}
 	}
-	c := &cursor{src: readerAt(buf), size: int64(len(buf))}
+	c := &cursor{buf: buf, size: int64(len(buf))}
 	nNodes, err := c.u32()
 	if err != nil {
 		return nil, err
@@ -979,22 +952,14 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 		}
 		return t, nil
 	}
-	for a := 0; a < nA; a++ {
-		vals := make([]float64, nPoints)
-		for i := range vals {
-			if f.Schema.Attrs[a].Type == particles.Float32 {
-				v, err := c.f32()
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = float64(v)
-			} else {
-				if vals[i], err = c.f64(); err != nil {
-					return nil, err
-				}
-			}
+	for a, desc := range f.Schema.Attrs {
+		payload, err := c.need(int(nPoints) * desc.Type.Size())
+		if err != nil {
+			return nil, err
 		}
-		t.attrs[a] = vals
+		if t.attrs[a], err = decodeRaw(payload, int(nPoints), desc.Type); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }

@@ -408,52 +408,3 @@ func TestWriteToOSStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCustomLayout(t *testing.T) {
-	// The §VII extension point: plug a non-BAT layout into the adaptive
-	// aggregation pipeline. The raw layout writes flat arrays; metadata
-	// (counts, ranges, bitmaps) must still be correct.
-	w, err := workloads.NewUniform(8, 400, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := pfs.NewMem()
-	cfg := DefaultWriteConfig(30 * 1024)
-	cfg.Layout = RawLayout{}
-	stats := runWrite(t, w, 0, store, "raw", cfg)
-	if stats.TotalCount != 8*400 {
-		t.Fatalf("wrote %d", stats.TotalCount)
-	}
-	m := openMeta(t, store, "raw")
-	if m.TotalCount() != 8*400 {
-		t.Errorf("metadata count = %d", m.TotalCount())
-	}
-	// Leaf files are raw marshaled particle sets, readable with the raw
-	// schema, and their sizes match the metadata counts.
-	var total int
-	for _, l := range m.Leaves {
-		fh, err := store.Open(l.FileName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, fh.Size())
-		fh.ReadAt(buf, 0)
-		fh.Close()
-		set, err := particles.Unmarshal(buf, w.Schema())
-		if err != nil {
-			t.Fatalf("leaf %s not a raw set: %v", l.FileName, err)
-		}
-		if int64(set.Len()) != l.Count {
-			t.Errorf("leaf %s: %d particles vs metadata %d", l.FileName, set.Len(), l.Count)
-		}
-		total += set.Len()
-	}
-	if total != 8*400 {
-		t.Errorf("raw leaves hold %d", total)
-	}
-	// Metadata attribute pruning still works off the custom layout's
-	// reported bitmaps.
-	if got := m.SelectLeaves(nil, []meta.AttrFilter{{Attr: 0, Min: 1e9, Max: 2e9}}); len(got) != 0 {
-		t.Errorf("out-of-range filter selected %v", got)
-	}
-}

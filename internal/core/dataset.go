@@ -28,14 +28,13 @@ type Dataset struct {
 	store pfs.Storage
 	meta  *meta.Meta
 	rank  int // serving rank stamped on access records (collective reads)
+	// cache is the one treelet cache every leaf file parses into; the
+	// byte budget, the obs counters and the access recorder live on it.
+	cache *bat.Cache
 
-	mu         sync.Mutex // guards files and the config fields below
-	files      map[int]*leafSlot
-	qcfg       bat.QueryConfig
-	cacheLimit int64 // total treelet-cache budget across leaves; 0 = unbounded
-	col        *obs.Collector
-	obsLabels  []obs.Label
-	rec        *access.Recorder
+	mu    sync.Mutex // guards files and qcfg
+	files map[int]*leafSlot
+	qcfg  bat.QueryConfig
 }
 
 // leafSlot is one leaf file's singleflight slot: ready is closed once f/err
@@ -74,7 +73,7 @@ func OpenDataset(ctx context.Context, store pfs.Storage, base string) (d *Datase
 	if err != nil {
 		return nil, err
 	}
-	return &Dataset{store: store, meta: m, files: make(map[int]*leafSlot)}, nil
+	return &Dataset{store: store, meta: m, cache: bat.NewCache(), files: make(map[int]*leafSlot)}, nil
 }
 
 // Meta returns the dataset's decoded top-level metadata.
@@ -121,15 +120,10 @@ func (d *Dataset) Leaf(ctx context.Context, li int) (*bat.File, error) {
 	}
 	s = &leafSlot{ready: make(chan struct{})}
 	d.files[li] = s
-	per, col, labels, rec := d.perLeafLimitLocked(), d.col, d.obsLabels, d.rec
 	d.mu.Unlock()
 
 	s.f, s.err = d.openLeaf(ctx, li)
-	if s.err == nil {
-		s.f.SetCacheLimit(per)
-		s.f.SetObserver(col, labels...)
-		s.f.SetAccessRecorder(rec, li)
-	} else {
+	if s.err != nil {
 		d.mu.Lock()
 		if d.files[li] == s {
 			delete(d.files, li)
@@ -140,13 +134,14 @@ func (d *Dataset) Leaf(ctx context.Context, li int) (*bat.File, error) {
 	return s.f, s.err
 }
 
-// openLeaf is the one place a leaf file handle becomes a bat.File.
+// openLeaf is the one place a leaf file handle becomes a bat.File, attached
+// to the dataset's cache under its leaf index.
 func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening leaf %d: %w", li, err)
 	}
-	f, err := bat.DecodeCtx(ctx, h, h.Size())
+	f, err := bat.DecodeLeaf(ctx, h, h.Size(), d.cache, li)
 	if err != nil {
 		if cerr := h.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -164,13 +159,14 @@ func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 // source tag ctx carries (access.WithSource), "dataset" if none.
 func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) error {
 	d.mu.Lock()
-	rec, cfg := d.rec, d.qcfg
+	cfg := d.qcfg
 	d.mu.Unlock()
 
+	rec := d.cache.AccessRecorder()
 	var start time.Time
 	var before bat.CacheStats
 	if rec != nil {
-		start, before = time.Now(), d.CacheStats()
+		start, before = time.Now(), d.cache.Stats()
 	}
 	var total bat.QueryStats
 	var qerr error
@@ -189,7 +185,7 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 	if rec == nil {
 		return qerr
 	}
-	after := d.CacheStats()
+	after := d.cache.Stats()
 	// Cache hit ratio over this query's lookups, from the counter delta.
 	// Approximate when queries overlap — concurrent lookups land in the
 	// same window — but exact in the common serial-server case.
@@ -216,8 +212,9 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 	return qerr
 }
 
-// Close releases all opened leaf files, waiting for any still mid-open.
-// The Dataset stays usable: leaves reopen on demand.
+// Close releases all opened leaf files, waiting for any still mid-open, and
+// empties the treelet cache. The Dataset stays usable: leaves reopen on
+// demand.
 func (d *Dataset) Close() error {
 	d.mu.Lock()
 	files := d.files
@@ -230,6 +227,7 @@ func (d *Dataset) Close() error {
 			errs = append(errs, s.f.Close())
 		}
 	}
+	d.cache.Purge()
 	return errors.Join(errs...)
 }
 
@@ -240,30 +238,6 @@ func (d *Dataset) NumOpen() int {
 	return len(d.files)
 }
 
-// forEachOpen calls fn on every open leaf file. With wait it first waits
-// out opens still in flight; without, it skips them.
-func (d *Dataset) forEachOpen(wait bool, fn func(li int, f *bat.File)) {
-	d.mu.Lock()
-	slots := make(map[int]*leafSlot, len(d.files))
-	for li, s := range d.files {
-		slots[li] = s
-	}
-	d.mu.Unlock()
-	for li, s := range slots {
-		if !wait {
-			select {
-			case <-s.ready:
-			default:
-				continue
-			}
-		}
-		<-s.ready
-		if s.err == nil {
-			fn(li, s.f)
-		}
-	}
-}
-
 // SetQueryConfig sets the traversal configuration passed to every leaf
 // query. In-flight queries keep the configuration they started with.
 func (d *Dataset) SetQueryConfig(cfg bat.QueryConfig) {
@@ -272,66 +246,21 @@ func (d *Dataset) SetQueryConfig(cfg bat.QueryConfig) {
 	d.mu.Unlock()
 }
 
-// SetCacheLimit bounds the total treelet-cache memory across all leaf
-// files (0 = unbounded). The budget is split evenly per leaf.
-func (d *Dataset) SetCacheLimit(bytes int64) {
-	d.mu.Lock()
-	d.cacheLimit = bytes
-	per := d.perLeafLimitLocked()
-	d.mu.Unlock()
-	d.forEachOpen(true, func(_ int, f *bat.File) { f.SetCacheLimit(per) })
-}
+// SetCacheLimit bounds the treelet-cache memory of the whole dataset, all
+// leaf files together, to bytes (0 = unbounded); see bat.Cache.SetLimit.
+func (d *Dataset) SetCacheLimit(bytes int64) { d.cache.SetLimit(bytes) }
 
-func (d *Dataset) perLeafLimitLocked() int64 {
-	if d.cacheLimit <= 0 {
-		return 0
-	}
-	n := int64(len(d.meta.Leaves))
-	if n < 1 {
-		n = 1
-	}
-	per := d.cacheLimit / n
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// SetObserver mirrors per-leaf treelet cache counters into col.
+// SetObserver mirrors the treelet cache counters into col.
 func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
-	d.mu.Lock()
-	d.col, d.obsLabels = col, labels
-	d.mu.Unlock()
-	d.forEachOpen(true, func(_ int, f *bat.File) { f.SetObserver(col, labels...) })
+	d.cache.SetObserver(col, labels...)
 }
 
-// SetAccessRecorder attaches an access-telemetry recorder to open and
-// future leaf files and to the query log; nil detaches.
-func (d *Dataset) SetAccessRecorder(rec *access.Recorder) {
-	d.mu.Lock()
-	d.rec = rec
-	d.mu.Unlock()
-	d.forEachOpen(true, func(li int, f *bat.File) { f.SetAccessRecorder(rec, li) })
-}
+// SetAccessRecorder attaches an access-telemetry recorder to the leaf
+// files' queries and loads and to the query log; nil detaches.
+func (d *Dataset) SetAccessRecorder(rec *access.Recorder) { d.cache.SetAccessRecorder(rec) }
 
 // AccessRecorder returns the attached recorder (nil when telemetry is off).
-func (d *Dataset) AccessRecorder() *access.Recorder {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rec
-}
+func (d *Dataset) AccessRecorder() *access.Recorder { return d.cache.AccessRecorder() }
 
-// CacheStats aggregates treelet cache counters across the leaf files that
-// are open; a leaf still mid-open has none yet and is not waited for.
-func (d *Dataset) CacheStats() bat.CacheStats {
-	var total bat.CacheStats
-	d.forEachOpen(false, func(_ int, f *bat.File) {
-		st := f.CacheStats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-		total.Entries += st.Entries
-		total.Bytes += st.Bytes
-	})
-	return total
-}
+// CacheStats snapshots the dataset's treelet cache counters.
+func (d *Dataset) CacheStats() bat.CacheStats { return d.cache.Stats() }

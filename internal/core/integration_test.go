@@ -501,7 +501,7 @@ func TestPhaseMaxAggregation(t *testing.T) {
 	}
 	// Maxima dominate rank 0's own view.
 	if pm.BATBuild < stats.BATBuild || pm.FileWrite < stats.FileWrite {
-		t.Errorf("PhaseMax below rank 0's own timings: %+v vs rank0 %+v", pm, stats.phases())
+		t.Errorf("PhaseMax below rank 0's own timings: %+v vs rank0 %+v", pm, stats.PhaseTimes)
 	}
 	if pm.Total() <= 0 {
 		t.Error("zero total")

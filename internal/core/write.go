@@ -109,9 +109,6 @@ type WriteConfig struct {
 	Tree aggtree.Config
 	// BAT holds the layout build options.
 	BAT bat.BuildConfig
-	// Layout overrides the leaf file format (nil = the BAT). See the
-	// Layout interface for the contract and caveats.
-	Layout Layout
 	// Timeout bounds every blocking wait on a peer message (an
 	// aggregator waiting for a sender's particles, rank 0 waiting for a
 	// leaf report), converting a vanished peer into a fabric.ErrTimeout
@@ -134,13 +131,9 @@ func DefaultWriteConfig(targetFileSize int64) WriteConfig {
 // WriteStats reports what one rank observed during a collective write.
 // Rank 0's copy includes the plan-wide fields (NumFiles, leaf stats).
 type WriteStats struct {
-	// Per-phase wall-clock time on this rank.
-	TreeBuild     time.Duration
-	GatherScatter time.Duration
-	Transfer      time.Duration
-	BATBuild      time.Duration
-	FileWrite     time.Duration
-	Metadata      time.Duration
+	// Per-phase wall-clock time on this rank; Total is the rank's
+	// end-to-end write time.
+	PhaseTimes
 
 	// Plan-wide information (valid on rank 0).
 	NumFiles   int
@@ -167,20 +160,14 @@ func (p PhaseTimes) Total() time.Duration {
 	return p.TreeBuild + p.GatherScatter + p.Transfer + p.BATBuild + p.FileWrite + p.Metadata
 }
 
-func (s *WriteStats) phases() PhaseTimes {
-	return PhaseTimes{
-		TreeBuild:     s.TreeBuild,
-		GatherScatter: s.GatherScatter,
-		Transfer:      s.Transfer,
-		BATBuild:      s.BATBuild,
-		FileWrite:     s.FileWrite,
-		Metadata:      s.Metadata,
-	}
-}
-
-// Total returns the rank's end-to-end write time.
-func (s *WriteStats) Total() time.Duration {
-	return s.TreeBuild + s.GatherScatter + s.Transfer + s.BATBuild + s.FileWrite + s.Metadata
+// raiseTo raises each phase of p to at least its value in o.
+func (p *PhaseTimes) raiseTo(o PhaseTimes) {
+	p.TreeBuild = max(p.TreeBuild, o.TreeBuild)
+	p.GatherScatter = max(p.GatherScatter, o.GatherScatter)
+	p.Transfer = max(p.Transfer, o.Transfer)
+	p.BATBuild = max(p.BATBuild, o.BATBuild)
+	p.FileWrite = max(p.FileWrite, o.FileWrite)
+	p.Metadata = max(p.Metadata, o.Metadata)
 }
 
 // LeafFileName names the BAT file of one aggregation leaf.
@@ -392,7 +379,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 
 	// Gather every rank's phase timings so rank 0 can report the
 	// critical-path breakdown (the view Figures 6/10/12 plot).
-	phaseGather := c.Gather(0, encode(stats.phases()))
+	phaseGather := c.Gather(0, encode(stats.PhaseTimes))
 
 	if c.Rank() == 0 {
 		pm := &PhaseTimes{}
@@ -404,12 +391,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 				}
 				continue
 			}
-			pm.TreeBuild = max(pm.TreeBuild, pt.TreeBuild)
-			pm.GatherScatter = max(pm.GatherScatter, pt.GatherScatter)
-			pm.Transfer = max(pm.Transfer, pt.Transfer)
-			pm.BATBuild = max(pm.BATBuild, pt.BATBuild)
-			pm.FileWrite = max(pm.FileWrite, pt.FileWrite)
-			pm.Metadata = max(pm.Metadata, pt.Metadata)
+			pm.raiseTo(pt)
 		}
 		stats.PhaseMax = pm
 
@@ -451,7 +433,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		}
 		if leafErr == nil && localErr == nil {
 			m, err := meta.Build(tree, leaves, schema, reports)
-			if err == nil && cfg.BAT.Compress && cfg.Layout == nil {
+			if err == nil && cfg.BAT.Compress {
 				// Mirror the leaf files' codec declaration into the
 				// top-level metadata so tools see the configuration
 				// without opening a leaf.
@@ -516,17 +498,13 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 		}
 	}
 
-	layout := cfg.Layout
-	if layout == nil {
-		bcfg := cfg.BAT
-		if bcfg.Obs == nil {
-			bcfg.Obs = c.Observer()
-		}
-		// Label the build's bat_build_* spans with the aggregator's rank
-		// so the per-rank trace shows which aggregator spent the time.
-		bcfg.ObsRank = c.Rank()
-		layout = batLayout{cfg: bcfg}
+	bcfg := cfg.BAT
+	if bcfg.Obs == nil {
+		bcfg.Obs = c.Observer()
 	}
+	// Label the build's bat_build_* spans with the aggregator's rank so
+	// the per-rank trace shows which aggregator spent the time.
+	bcfg.ObsRank = c.Rank()
 
 	// Phase c: aggregate each assigned leaf (Figure 1c). No leaf
 	// subcommunicators exist — an aggregator may serve a leaf it is not a
@@ -536,7 +514,7 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	var firstErr error
 	var written []string
 	for _, la := range asg.Leaves {
-		report, err := aggregateLeaf(c, store, base, local, layout, la, schema, stats,
+		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats,
 			&xferStart, cfg.Timeout)
 		if err != nil {
 			if firstErr == nil {
@@ -554,13 +532,13 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	return written, firstErr
 }
 
-// aggregateLeaf receives one leaf's particles, builds its layout, and
+// aggregateLeaf receives one leaf's particles, builds its BAT, and
 // writes the file, returning the report for rank 0. Incoming transfers are
 // always drained, even on failure, so no stray messages survive the call;
 // a sender that never delivers (it died before the data phase) turns into
 // a timeout error after cfg.Timeout instead of hanging the aggregator.
 func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
-	layout Layout, la leafAssign, schema particles.Schema, stats *WriteStats,
+	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats,
 	xferStart *time.Time, timeout time.Duration) (reportMsg, error) {
 
 	col := c.Observer()
@@ -609,13 +587,13 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 		col.Add("core_aggregated_particles_total", int64(combined.Len()), r)
 	}
 
-	// Build the leaf layout (the BAT by default) and write the file.
+	// Build the leaf's BAT and write the file.
 	batStart := time.Now()
 	buildSp := col.Start(c.Rank(), "write.bat-build")
-	built, err := layout.Build(combined, la.Bounds)
+	built, err := bat.Build(combined, la.Bounds, bcfg)
 	buildSp.End()
 	if err != nil {
-		return reportMsg{}, fmt.Errorf("core: leaf %d %s build: %w", la.Leaf, layout.Name(), err)
+		return reportMsg{}, fmt.Errorf("core: leaf %d bat build: %w", la.Leaf, err)
 	}
 	stats.BATBuild += time.Since(batStart)
 
@@ -638,7 +616,7 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 		FileName:    name,
 		Count:       int64(combined.Len()),
 		Bounds:      la.Bounds,
-		LocalRanges: built.LocalRanges,
+		LocalRanges: built.Ranges,
 		RootBitmaps: built.RootBitmaps,
 	}, nil
 }

@@ -245,8 +245,7 @@ func treeletKey(leaf, treelet int) uint64 {
 
 func (r *Recorder) counts(leaf, treelet int) *treeletCounts {
 	key := treeletKey(leaf, treelet)
-	// Fibonacci hash of the key picks the shard (same spreading trick as
-	// the treelet cache).
+	// Fibonacci hash of the key picks the shard.
 	sh := &r.shards[(uint32(key)^uint32(key>>32))*2654435761>>28]
 	sh.mu.Lock()
 	c, ok := sh.m[key]

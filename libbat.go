@@ -83,13 +83,6 @@ type (
 	// CompressionMeta is the dataset-level codec declaration mirrored
 	// into the top-level metadata at write time.
 	CompressionMeta = meta.CompressionMeta
-	// Layout is the pluggable leaf file format (paper §VII extension);
-	// the default is the BAT.
-	Layout = core.Layout
-	// LayoutResult is a built leaf image plus its metadata summary.
-	LayoutResult = core.LayoutResult
-	// RawLayout writes flat particle arrays (template for custom layouts).
-	RawLayout = core.RawLayout
 	// AccessRecorder captures which treelets, spatial regions, and
 	// attributes queries touch (nil = telemetry disabled).
 	AccessRecorder = access.Recorder
@@ -274,7 +267,9 @@ func OpenDataset(store Storage, base string) (*Dataset, error) {
 	return &Dataset{r: r, meta: r.Meta()}, nil
 }
 
-// Close releases all opened leaf files, waiting for any still mid-open.
+// Close releases all opened leaf files, waiting for any still mid-open, and
+// empties the treelet cache. The Dataset stays usable: leaves reopen on
+// demand.
 func (d *Dataset) Close() error { return d.r.Close() }
 
 // SetQueryConfig sets the traversal configuration passed to every leaf
@@ -282,11 +277,16 @@ func (d *Dataset) Close() error { return d.r.Close() }
 // configuration they started with.
 func (d *Dataset) SetQueryConfig(cfg QueryConfig) { d.r.SetQueryConfig(cfg) }
 
-// SetCacheLimit bounds the total treelet-cache memory across all leaf
-// files (0 = unbounded). The budget is split evenly per leaf.
+// SetCacheLimit bounds the treelet-cache memory of the whole dataset to
+// bytes (0 = unbounded): one budget and one LRU order over the parsed
+// treelets of all leaf files. The treelet a query is about to traverse is
+// never evicted, so CacheStats().Bytes stays within bytes plus one treelet.
+// Safe to call concurrently with queries; lowering it evicts at once.
 func (d *Dataset) SetCacheLimit(bytes int64) { d.r.SetCacheLimit(bytes) }
 
-// SetObserver mirrors per-leaf treelet cache counters into col.
+// SetObserver mirrors the dataset's treelet cache counters into col as
+// bat_treelet_cache_{hits,misses,evictions}_total under the given labels;
+// nil detaches.
 func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
 	d.r.SetObserver(col, labels...)
 }
@@ -294,14 +294,14 @@ func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
 // SetAccessRecorder attaches an access-telemetry recorder to the dataset:
 // every query then records which treelets, heatmap cells, and attributes
 // it touched, and a structured record of itself in the recorder's
-// recent-query ring. Applies to open and future leaf files; nil detaches
-// (future queries pay only nil checks).
+// recent-query ring. nil detaches (queries then pay only nil checks).
 func (d *Dataset) SetAccessRecorder(rec *AccessRecorder) { d.r.SetAccessRecorder(rec) }
 
 // AccessRecorder returns the attached recorder (nil when telemetry is off).
 func (d *Dataset) AccessRecorder() *AccessRecorder { return d.r.AccessRecorder() }
 
-// CacheStats aggregates treelet cache counters across open leaf files.
+// CacheStats snapshots the dataset's treelet cache: lookups since it was
+// opened, and the treelets resident now.
 func (d *Dataset) CacheStats() CacheStats { return d.r.CacheStats() }
 
 // Schema returns the dataset's attribute schema.

@@ -74,14 +74,18 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
-# vs Workers=1 multiset identity, the treelet cache singleflight, and
-# the batserve overlapping-request tests. GOMAXPROCS forced above 1 so the
-# traversal workers genuinely interleave on single-core runners.
+# vs Workers=1 multiset identity, the treelet cache singleflight, the
+# batserve overlapping-request tests and batread's -count smoke (one cache
+# budget over two leaf files at -query-workers 1 and 2). GOMAXPROCS forced
+# above 1 so the traversal workers genuinely interleave on single-core
+# runners.
 run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestProgressiveTiles' ./internal/bat/
-run "go test -race batserve" env GOMAXPROCS=4 go test -race ./cmd/batserve/
-# The one dataset reader under every read route: libbat.Dataset's suites,
-# the shared leaf singleflight table (internal/core) and the route-agreement
-# test (Dataset vs collective read on 1 and 4 ranks vs brute force).
+run "go test -race batserve+batread" env GOMAXPROCS=4 go test -race ./cmd/batserve/ ./cmd/batread/
+# The one dataset reader under every read route: libbat.Dataset's suites
+# (TestDatasetCacheBudget holds the one-budget contract of the dataset-wide
+# treelet cache under overlapping queries), the shared leaf singleflight
+# table (internal/core) and the route-agreement test (Dataset vs collective
+# read on 1 and 4 ranks vs brute force).
 run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset|TestOpenDataset|TestRouteAgreement' . ./internal/core/
 
 # Chaos-latency: the cancellation/deadline suites across every read-path
