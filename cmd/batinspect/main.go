@@ -207,53 +207,66 @@ func inspectLeaf(ds *core.Dataset, li int, fail func(error)) {
 }
 
 // printCompression reports a v3 file's codec layer: the declared per-
-// attribute configuration, each attribute's section-level codec usage and
-// byte totals (aggregated over every treelet), and the whole-file ratio.
+// attribute configuration, each position and attribute column's section-level
+// codec usage and byte totals (aggregated over every treelet), and the
+// whole-file attribute ratio.
 func printCompression(f *bat.File, ci *bat.CompressionInfo, fail func(error)) {
 	fmt.Printf("  compression (v3): LOD error scale %g\n", ci.LODScale)
-	nA := f.Schema.NumAttrs()
-	type attrAgg struct {
+	type colAgg struct {
+		name     string
 		raw, enc int64
 		byCodec  map[string]int
 	}
-	aggs := make([]attrAgg, nA)
-	for a := range aggs {
-		aggs[a].byCodec = make(map[string]int)
-	}
+	// Rows follow TreeletSections: x, y, z, then the attributes.
+	var aggs []colAgg
 	for ti := 0; ti < f.NumTreelets(); ti++ {
 		secs, err := f.TreeletSections(context.Background(), ti)
 		if err != nil {
 			fail(err)
 		}
-		for a, sec := range secs {
-			aggs[a].raw += int64(sec.RawBytes)
-			aggs[a].enc += int64(sec.EncBytes)
-			aggs[a].byCodec[bat.CodecName(sec.Codec)]++
+		if aggs == nil {
+			aggs = make([]colAgg, len(secs))
+			for i, sec := range secs {
+				aggs[i] = colAgg{name: sec.Attr, byCodec: make(map[string]int)}
+			}
+		}
+		for i, sec := range secs {
+			aggs[i].raw += int64(sec.RawBytes)
+			aggs[i].enc += int64(sec.EncBytes)
+			aggs[i].byCodec[bat.CodecName(sec.Codec)]++
 		}
 	}
 	fmt.Printf("    %-12s %-10s %-10s %12s %12s %7s  sections\n",
-		"attribute", "codec", "bound", "raw bytes", "enc bytes", "ratio")
-	for a, d := range f.Schema.Attrs {
-		bound := "lossless"
-		if ci.Bounds[a] > 0 {
-			bound = fmt.Sprintf("%.3g", ci.Bounds[a])
+		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio")
+	for i, agg := range aggs {
+		// The footer declares attribute codecs only; a position column is
+		// the lossless block codec when packed, a raw column otherwise.
+		codec, bound := "raw", "lossless"
+		if a := i - bat.PositionSections; a >= 0 {
+			codec = bat.CodecName(ci.Codecs[a])
+			if ci.Bounds[a] > 0 {
+				bound = fmt.Sprintf("%.3g", ci.Bounds[a])
+			}
+		} else if f.PackedPositions {
+			codec = "for"
+		} else if f.Quantized {
+			bound = "16-bit"
 		}
 		ratio := 0.0
-		if aggs[a].enc > 0 {
-			ratio = float64(aggs[a].raw) / float64(aggs[a].enc)
+		if agg.enc > 0 {
+			ratio = float64(agg.raw) / float64(agg.enc)
 		}
-		codecs := make([]string, 0, len(aggs[a].byCodec))
-		for name := range aggs[a].byCodec {
+		codecs := make([]string, 0, len(agg.byCodec))
+		for name := range agg.byCodec {
 			codecs = append(codecs, name)
 		}
 		sort.Strings(codecs)
 		parts := make([]string, len(codecs))
-		for i, name := range codecs {
-			parts[i] = fmt.Sprintf("%s x%d", name, aggs[a].byCodec[name])
+		for j, name := range codecs {
+			parts[j] = fmt.Sprintf("%s x%d", name, agg.byCodec[name])
 		}
 		fmt.Printf("    %-12s %-10s %-10s %12d %12d %6.2fx  %s\n",
-			d.Name, bat.CodecName(ci.Codecs[a]), bound,
-			aggs[a].raw, aggs[a].enc, ratio, strings.Join(parts, ", "))
+			agg.name, codec, bound, agg.raw, agg.enc, ratio, strings.Join(parts, ", "))
 	}
 	fmt.Printf("    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
 		ci.RawPayloadBytes, ci.EncPayloadBytes, ci.Ratio())

@@ -22,13 +22,15 @@ type buildArena struct {
 	lod    []int     // stratified-sample staging (LODPerNode picks)
 
 	// Codec scratch (v3 compressed builds): type-rounded reference
-	// values, grid indices, and the per-index LOD classification. Like
-	// the buffers above, these grow to the largest treelet seen and are
-	// reused; encoded payloads are allocated exactly (they outlive the
-	// arena).
+	// values, grid indices, the per-index LOD classification, and the
+	// position codec's keys and per-node frames. Like the buffers above,
+	// these grow to the largest treelet seen and are reused; encoded
+	// payloads are allocated exactly (they outlive the arena).
 	refVals []float64
 	qbuf    []uint64
 	lodBuf  []bool
+	keys    []uint32
+	frames  []forFrame
 }
 
 // ensure grows the arena to hold a treelet of n particles sampling k LOD

@@ -67,10 +67,12 @@ type BuildConfig struct {
 	// work (§VII-A). The quantization error is bounded by the treelet
 	// extent divided by 65536 per axis.
 	QuantizePositions bool
-	// Compress enables the version-3 per-attribute codec layer: each
-	// treelet's attribute columns are stored through an error-bounded
-	// codec (see codec.go) instead of raw float arrays. Uncompressed
-	// builds keep writing byte-identical version-2 files.
+	// Compress enables the version-3 codec layer: each treelet's attribute
+	// columns are stored through an error-bounded codec instead of raw
+	// float arrays, and its position columns through the lossless block
+	// frame-of-reference codec (see codec.go; with QuantizePositions the
+	// positions stay 16-bit fixed point). Uncompressed builds keep writing
+	// byte-identical version-2 files.
 	Compress bool
 	// ErrorBound is the absolute error bound applied to every attribute
 	// when Compress is set. 0 (the default) means lossless: columns are
@@ -151,6 +153,11 @@ func (c BuildConfig) AttrBounds(nA int) []float64 {
 	return out
 }
 
+// packsPositions reports whether the build stores positions as framed codec
+// sections (flagPackedPositions): every Compress build whose positions are
+// not already 16-bit fixed point.
+func (c BuildConfig) packsPositions() bool { return c.Compress && !c.QuantizePositions }
+
 // EffectiveLODScale resolves LODErrorScale's 0-means-1 default.
 func (c BuildConfig) EffectiveLODScale() float64 {
 	if c.LODErrorScale <= 0 {
@@ -195,8 +202,10 @@ type treelet struct {
 	// attrEnc holds the compressed attribute sections (one per attribute)
 	// for v3 builds; nil when the build is uncompressed. Filled by the
 	// same fused worker that built the treelet, so encoding overlaps
-	// across treelets exactly like node construction does.
+	// across treelets exactly like node construction does. posEnc holds
+	// the X, Y, Z sections the same way when the build packs positions.
 	attrEnc []encodedAttr
+	posEnc  [3]encodedAttr
 }
 
 // builtShallowNode is an in-memory shallow tree inner node.
@@ -242,6 +251,12 @@ type BuildStats struct {
 	// builds. The ratio raw/enc is the attribute compression ratio.
 	AttrPayloadRawBytes int64
 	AttrPayloadEncBytes int64
+	// PosPayloadRawBytes / PosPayloadEncBytes are the same pair for the
+	// position columns: raw is 12 bytes per particle (6 with
+	// QuantizePositions), enc what the sections hold, framing excluded;
+	// equal unless the build packs positions.
+	PosPayloadRawBytes int64
+	PosPayloadEncBytes int64
 }
 
 // OverheadFraction returns the layout's storage overhead relative to the
@@ -409,6 +424,9 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		computeTreeletBitmaps(set, t, ranges)
 		if cfg.Compress {
 			encodeTreeletAttrs(set, t, bounds, lodScale, a)
+		}
+		if cfg.packsPositions() {
+			encodeTreeletPositions(set, t, a)
 		}
 		treelets[gi] = t
 	}

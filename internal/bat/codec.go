@@ -1,11 +1,14 @@
-// Per-attribute compression codecs for version-3 treelet sections.
+// Compression codecs for version-3 treelet sections.
 //
-// A v3 treelet stores each attribute column as an independent section:
+// A v3 treelet stores each attribute column — and, when the header's
+// flagPackedPositions is set, each of the X, Y, Z columns ahead of them — as
+// an independent section:
 //
 //	codec u8, encodedLen u32, payload [encodedLen]byte
 //
 // so random access stays section-granular — a reader decodes exactly the
-// treelets a query touches, nothing else. Three codecs exist:
+// treelets a query touches, nothing else. Three attribute codecs exist, and
+// one position codec:
 //
 //	codecRaw   (0): the version-2 byte layout (f64 or f32 per the schema
 //	               type). Always valid; the fallback when nothing smaller
@@ -25,6 +28,21 @@
 //	               columns (particle IDs, type tags). Chosen only when
 //	               every value is a small-magnitude integer and the
 //	               stream actually shrinks.
+//	codecFOR   (3): lossless block frame-of-reference for position columns
+//	               only. Each float32 is mapped through f32Key, the
+//	               order-preserving bijection of float32 bit patterns onto
+//	               uint32 (every bit pattern round-trips: ±0, denormals,
+//	               ±Inf, NaN payloads). The blocks are the treelet's node
+//	               particle ranges in node order — each k-d leaf's particles
+//	               and each inner node's LOD samples are spatial neighbours,
+//	               so their keys share high bits — and the decoder knows
+//	               them from the node table it parsed just before, so no
+//	               block index is stored. Per block:
+//	                 base u32   smallest key of the block
+//	                 width u8   bits of the largest (key - base), 0..32
+//	                 ceil(count*width/8) bytes of (key - base), LSB-first
+//	               A column whose stream would not be smaller than its raw
+//	               f32 bytes is stored as codecRaw.
 //
 // The encoder guarantees |decoded − stored| ≤ bound for every value, where
 // "stored" is the value the lossless layout would keep (Float32 attributes
@@ -47,11 +65,13 @@ import (
 	"libbat/internal/particles"
 )
 
-// Codec identifiers stored in v3 attribute section headers and the footer.
+// Codec identifiers stored in v3 section headers and the footer. The footer
+// declares attribute codecs only, so codecFOR never appears there.
 const (
 	codecRaw   uint8 = 0
 	codecQuant uint8 = 1
 	codecDelta uint8 = 2
+	codecFOR   uint8 = 3
 )
 
 // CodecName returns the human-readable name of a codec id (batinspect).
@@ -63,6 +83,8 @@ func CodecName(c uint8) string {
 		return "quant"
 	case codecDelta:
 		return "delta"
+	case codecFOR:
+		return "for"
 	}
 	return fmt.Sprintf("unknown(%d)", c)
 }
@@ -76,9 +98,10 @@ const quantHeaderLen = 8 + 8 + 8 + 1 + 1
 // 7-bit carry stay inside a 64-bit accumulator.
 const maxQuantBits = 48
 
-// encodedAttr is one attribute's encoded section for a treelet being
-// built. data is nil for codecRaw: the compactor streams the v2 byte
-// layout directly from the particle set instead of materializing a copy.
+// encodedAttr is one encoded section (an attribute, or a position column
+// with typ Float32) for a treelet being built. data is nil for codecRaw:
+// the compactor streams the v2 byte layout directly from the particle set
+// instead of materializing a copy.
 type encodedAttr struct {
 	codec uint8
 	data  []byte
@@ -491,4 +514,200 @@ func decodeDelta(payload []byte, nPoints int) ([]float64, error) {
 		return nil, fmt.Errorf("bat: delta section has %d trailing bytes", len(payload)-pos)
 	}
 	return out, nil
+}
+
+// --- position codec ---
+
+// f32Key maps a float32 bit pattern onto the uint32 whose unsigned order is
+// the float's numeric order (negatives complemented, positives get the top
+// bit), so a block of nearby coordinates — mixed signs included — spans a
+// small key range. It is a bijection on all 2^32 patterns.
+func f32Key(b uint32) uint32 { return b ^ (uint32(int32(b)>>31) | 1<<31) }
+
+// f32FromKey inverts f32Key.
+func f32FromKey(k uint32) uint32 { return k ^ ((k>>31 - 1) | 1<<31) }
+
+// forFrameLen is the per-block prefix of a codecFOR stream: base u32,
+// width u8.
+const forFrameLen = 4 + 1
+
+// forFrame is one block's frame of reference.
+type forFrame struct {
+	base  uint32
+	width uint8
+}
+
+// encodeTreeletPositions encodes the three position columns of a freshly
+// built treelet, next to encodeTreeletAttrs in the fused treelet worker.
+func encodeTreeletPositions(set *particles.Set, t *treelet, a *buildArena) {
+	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+		t.posEnc[ax] = encodeFOR(col, t, a)
+	}
+}
+
+// encodeFOR encodes one position column of a treelet as a codecFOR stream,
+// one block per node in node order (reorderBFS lays the node ranges out
+// back to back, which is what lets the decoder find the blocks without an
+// index). It returns a codecRaw section when the stream would not be
+// smaller than the column's 4 bytes per value. The stream is a pure
+// function of the values, so builds stay byte-identical for any worker
+// count.
+func encodeFOR(col []float32, t *treelet, a *buildArena) encodedAttr {
+	keys := a.keys[:0]
+	for _, p := range t.order {
+		keys = append(keys, f32Key(math.Float32bits(col[p])))
+	}
+	a.keys = keys[:0] // keep the (possibly grown) backing arrays
+	frames := a.frames[:0]
+	size := 0
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		var fr forFrame
+		if blk := keys[n.start : n.start+n.count]; len(blk) > 0 {
+			lo, hi := blk[0], blk[0]
+			for _, k := range blk[1:] {
+				if k < lo {
+					lo = k
+				} else if k > hi {
+					hi = k
+				}
+			}
+			fr = forFrame{base: lo, width: uint8(bits.Len32(hi - lo))}
+		}
+		frames = append(frames, fr)
+		size += forFrameLen + (int(n.count)*int(fr.width)+7)/8
+	}
+	a.frames = frames[:0]
+	if size >= 4*len(keys) {
+		return encodedAttr{codec: codecRaw}
+	}
+
+	// Pack through a 64-bit accumulator drained four bytes at a time. Each
+	// drain stores all eight accumulator bytes (the upper ones are rewritten
+	// by the next store), hence the eight bytes of slack past the stream.
+	buf := make([]byte, size+8)
+	pos := 0
+	for i, fr := range frames {
+		n := &t.nodes[i]
+		binary.LittleEndian.PutUint32(buf[pos:], fr.base)
+		buf[pos+4] = fr.width
+		pos += forFrameLen
+		var acc uint64
+		var nb uint
+		for _, k := range keys[n.start : n.start+n.count] {
+			acc |= uint64(k-fr.base) << nb
+			if nb += uint(fr.width); nb >= 32 {
+				binary.LittleEndian.PutUint64(buf[pos:], acc)
+				pos += 4
+				acc >>= 32
+				nb -= 32
+			}
+		}
+		binary.LittleEndian.PutUint64(buf[pos:], acc)
+		pos += int(nb+7) / 8
+	}
+	return encodedAttr{codec: codecFOR, data: buf[:size]}
+}
+
+// checkBlockRanges validates what codecFOR relies on: the node particle
+// ranges, taken in node order, tile [0, nPoints) back to back. The builder
+// lays them out that way; a file whose node table says otherwise has no
+// block list to decode against.
+func checkBlockRanges(nodes []diskNode, nPoints uint32) error {
+	next := uint32(0)
+	for i := range nodes {
+		n := &nodes[i]
+		if n.start != next || n.count > nPoints-next {
+			return fmt.Errorf("bat: node %d particle range [%d,+%d) does not continue at %d of %d (packed positions need consecutive node ranges)",
+				i, n.start, n.count, next, nPoints)
+		}
+		next += n.count
+	}
+	if next != nPoints {
+		return fmt.Errorf("bat: node particle ranges cover %d of %d points", next, nPoints)
+	}
+	return nil
+}
+
+// decodePosSection decodes one framed position section into a fresh float32
+// column. nodes must have passed checkBlockRanges for nPoints.
+func decodePosSection(codec uint8, payload []byte, nodes []diskNode, nPoints int) ([]float32, error) {
+	switch codec {
+	case codecRaw:
+		return decodeRawF32(payload, nPoints)
+	case codecFOR:
+		return decodeFOR(payload, nodes, nPoints)
+	}
+	return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
+}
+
+// decodeRawF32 decodes a raw little-endian float32 column.
+func decodeRawF32(payload []byte, nPoints int) ([]float32, error) {
+	if len(payload) != 4*nPoints {
+		return nil, fmt.Errorf("bat: raw position column holds %d bytes, want %d", len(payload), 4*nPoints)
+	}
+	out := make([]float32, nPoints)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+	}
+	return out, nil
+}
+
+func decodeFOR(payload []byte, nodes []diskNode, nPoints int) ([]float32, error) {
+	out := make([]float32, nPoints)
+	pos := 0
+	for i := range nodes {
+		n := &nodes[i]
+		if len(payload)-pos < forFrameLen {
+			return nil, fmt.Errorf("bat: position stream truncated at block %d of %d", i, len(nodes))
+		}
+		base := binary.LittleEndian.Uint32(payload[pos:])
+		width := payload[pos+4]
+		pos += forFrameLen
+		if width > 32 {
+			return nil, fmt.Errorf("bat: position block %d bit width %d exceeds 32", i, width)
+		}
+		blockBytes := (uint64(n.count)*uint64(width) + 7) / 8
+		if blockBytes > uint64(len(payload)-pos) {
+			return nil, fmt.Errorf("bat: position block %d truncated: %d values of %d bits need %d bytes, %d remain",
+				i, n.count, width, blockBytes, len(payload)-pos)
+		}
+		if err := unpackFOR(out[n.start:n.start+n.count], payload[pos:], base, width); err != nil {
+			return nil, fmt.Errorf("bat: position block %d: %w", i, err)
+		}
+		pos += int(blockBytes)
+	}
+	if pos != len(payload) {
+		return nil, fmt.Errorf("bat: position section has %d trailing bytes", len(payload)-pos)
+	}
+	return out, nil
+}
+
+// unpackFOR decodes one block into dst. src starts at the block's packed
+// values and runs to the end of the section (the caller has checked that the
+// block's own bytes are there), so each value is one 64-bit load, shift and
+// mask; only loads within eight bytes of the section's end take the copying
+// path. A key past the uint32 range (base + offset wrapped) is corrupt: the
+// encoder's base is the block minimum, so it never produces one.
+func unpackFOR(dst []float32, src []byte, base uint32, width uint8) error {
+	mask := uint64(1)<<width - 1
+	bit := 0
+	for i := range dst {
+		p := bit >> 3
+		var w uint64
+		if p+8 <= len(src) {
+			w = binary.LittleEndian.Uint64(src[p:])
+		} else {
+			var tail [8]byte
+			copy(tail[:], src[p:])
+			w = binary.LittleEndian.Uint64(tail[:])
+		}
+		k := uint64(base) + w>>(bit&7)&mask
+		if k > math.MaxUint32 {
+			return fmt.Errorf("value %d overflows its frame of reference (base %#x)", i, base)
+		}
+		dst[i] = math.Float32frombits(f32FromKey(uint32(k)))
+		bit += int(width)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,6 +34,15 @@ func goldenConfig() BuildConfig {
 	cfg := DefaultBuildConfig()
 	cfg.MaxLeafSize = 32
 	cfg.LODPerNode = 4
+	return cfg
+}
+
+// goldenV3Config is the compressed build both version-3 goldens were made
+// with: "mass" within 1e-3, "id" lossless.
+func goldenV3Config() BuildConfig {
+	cfg := goldenConfig()
+	cfg.Compress = true
+	cfg.AttrErrorBounds = []float64{1e-3, 0}
 	return cfg
 }
 
@@ -75,6 +85,11 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // TestGoldenRegenerate rewrites the checked-in golden files from the
 // current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
 // legitimately changes (which for v1/v2 should be never).
+//
+// golden_v3_rawpos.bat is not among them and cannot be regenerated: it is
+// goldenV3Config's build by the last writer that stored version-3 positions
+// as raw f32 columns (commit c90a2ea, the parent of the position codec), and
+// pins the read path of the files that writer left behind.
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -96,21 +111,35 @@ func TestGoldenRegenerate(t *testing.T) {
 	if err := os.WriteFile(filepath.Join("testdata", "golden_v1.bat"), stripToV1(t, b.Buf), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	b3, err := Build(s, domain, goldenV3Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join("testdata", "golden_v3.bat"), b3.Buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestGoldenBackwardCompat opens the checked-in version-1 and version-2
-// files and requires them to decode to the same particle multiset as the
-// day they were written — the backward-compatibility contract the v3
-// format changes must not disturb.
+// TestGoldenBackwardCompat opens the checked-in files of every layout a
+// writer has produced — version 1, version 2, version 3 with raw position
+// columns, version 3 with packed positions — and requires them to decode to
+// the same particle multiset as the day they were written: positions and the
+// lossless id bit-exact everywhere, mass exact in the lossless versions and
+// within its declared bound in version 3.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
+	massBound := goldenV3Config().AttrErrorBounds[0]
+	var v3rows [][]goldenRow
 	for _, tc := range []struct {
 		file    string
 		version int
+		packed  bool
 	}{
-		{"golden_v1.bat", 1},
-		{"golden_v2.bat", 2},
+		{"golden_v1.bat", 1, false},
+		{"golden_v2.bat", 2, false},
+		{"golden_v3_rawpos.bat", 3, false},
+		{"golden_v3.bat", 3, true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -121,8 +150,8 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Version != tc.version {
-				t.Fatalf("Version = %d, want %d", f.Version, tc.version)
+			if f.Version != tc.version || f.PackedPositions != tc.packed {
+				t.Fatalf("Version = %d, PackedPositions = %v; want %d, %v", f.Version, f.PackedPositions, tc.version, tc.packed)
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)
@@ -132,11 +161,30 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				t.Fatalf("decoded %d particles, want %d", len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != want[i] {
+				g, w := got[i], want[i]
+				if tc.version >= 3 {
+					if math.Abs(g.mass-w.mass) > massBound {
+						t.Fatalf("row %d: mass %v is not within %v of %v", i, g.mass, massBound, w.mass)
+					}
+					g.mass = w.mass
+				}
+				if g != w {
 					t.Fatalf("row %d: %+v != %+v", i, got[i], want[i])
 				}
 			}
+			if tc.version >= 3 {
+				v3rows = append(v3rows, got)
+			}
 		})
+	}
+	// Packing positions changed no value: a dataset the previous writer left
+	// behind answers exactly like its rebuild by this one.
+	if len(v3rows) == 2 {
+		for i := range v3rows[0] {
+			if v3rows[0][i] != v3rows[1][i] {
+				t.Fatalf("row %d: raw-position golden %+v != packed golden %+v", i, v3rows[0][i], v3rows[1][i])
+			}
+		}
 	}
 }
 
@@ -144,12 +192,23 @@ func TestGoldenBackwardCompat(t *testing.T) {
 // builder and requires the image to be byte-identical to the checked-in v2
 // file: uncompressed builds must keep producing exactly the v2 bytes.
 func TestGoldenV2ByteIdentity(t *testing.T) {
-	buf, err := os.ReadFile(filepath.Join("testdata", "golden_v2.bat"))
+	requireRebuildIdentical(t, "golden_v2.bat", goldenConfig())
+}
+
+// TestGoldenV3ByteIdentity is the same pin for compressed builds: the packed
+// version-3 layout, codec choices included, is what golden_v3.bat holds.
+func TestGoldenV3ByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v3.bat", goldenV3Config())
+}
+
+func requireRebuildIdentical(t *testing.T, file string, cfg BuildConfig) {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatalf("%v (regenerate with BAT_REGEN_GOLDEN=1 go test -run TestGoldenRegenerate)", err)
 	}
 	s, domain := goldenSet()
-	b, err := Build(s, domain, goldenConfig())
+	b, err := Build(s, domain, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
+	"libbat/internal/particles"
 )
 
 // builtSample returns a deterministic multi-treelet file image.
@@ -222,6 +223,17 @@ func mutateFooter(t *testing.T, buf []byte, mutate func(foot []byte)) []byte {
 	return mut
 }
 
+// positionOffset locates treelet ti's position data within its byte range
+// (after the node records): the x section's frame in a packed file.
+func positionOffset(t *testing.T, buf []byte, ti int) int {
+	t.Helper()
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 8 + int(f.leaves[ti].numNodes)*(treeletNodeBytes+2*f.Schema.NumAttrs())
+}
+
 // firstSectionOffset locates treelet ti's first attribute section within
 // its byte range (after the node records and position columns).
 func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, secOff int) {
@@ -230,13 +242,18 @@ func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := f.leaves[ti]
-	nA := f.Schema.NumAttrs()
-	posBytes := 12
-	if f.Quantized {
-		posBytes = 6
+	secs, err := f.TreeletSections(context.Background(), ti)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ref.offset, 8 + int(ref.numNodes)*(treeletNodeBytes+2*nA) + int(ref.numPoints)*posBytes
+	secOff = positionOffset(t, buf, ti)
+	for _, sec := range secs[:PositionSections] {
+		if f.PackedPositions {
+			secOff += 5
+		}
+		secOff += sec.EncBytes
+	}
+	return f.leaves[ti].offset, secOff
 }
 
 // expectLoadError asserts that treelet 0 of the image fails to load with an
@@ -303,8 +320,8 @@ func TestV3ErrorBoundMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secs[0].Codec != codecQuant {
-		t.Fatalf("attribute 0 section is %s, want quant; pick different sample data", CodecName(secs[0].Codec))
+	if c := secs[PositionSections].Codec; c != codecQuant {
+		t.Fatalf("attribute 0 section is %s, want quant; pick different sample data", CodecName(c))
 	}
 
 	// Inflate the stored fine step 10x beyond the declared bound. The
@@ -372,6 +389,135 @@ func TestV3TruncatedNeverPanics(t *testing.T) {
 	}
 }
 
+// mutateHeader applies a targeted mutation to the header bytes and re-fixes
+// the header CRC (version >= 2) and the footer CRC over it, so the mutated
+// fields reach the header validation instead of the checksum.
+func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
+	t.Helper()
+	orig, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := append([]byte(nil), buf...)
+	if !orig.Checksummed() {
+		mutate(mut)
+		return mut
+	}
+	mutate(mut[:orig.headerSize])
+	return mutateFooter(t, mut, func(foot []byte) {
+		binary.LittleEndian.PutUint32(foot, checksum.CRC32C(mut[:orig.headerSize]))
+	})
+}
+
+// TestHeaderFlagValidation: flag bits this reader does not know, and flag
+// combinations no writer produces, are rejected at open even when every
+// checksum is right — a reader that ignored them would parse packed
+// positions as raw columns.
+func TestHeaderFlagValidation(t *testing.T) {
+	const flagsOff = 8
+	v2, v3 := builtSample(t), compressedSample(t)
+	setFlags := func(flags uint32) func([]byte) {
+		return func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], flags) }
+	}
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"unknown bit 2", mutateHeader(t, v3, setFlags(flagPackedPositions|1<<2)), "unknown header flag bits 0x4"},
+		{"unknown top bit", mutateHeader(t, v2, setFlags(1<<31)), "unknown header flag bits"},
+		{"unknown bit in v1", mutateHeader(t, stripToV1(t, v2), setFlags(1<<7)), "unknown header flag bits"},
+		{"quantized and packed", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedPositions)), "exclude quantized"},
+		{"packed in v2", mutateHeader(t, v2, setFlags(flagPackedPositions)), "need version 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := FromBuffer(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// The flags a current writer sets still open.
+	if f, err := FromBuffer(v3); err != nil || !f.PackedPositions || f.Quantized {
+		t.Fatalf("compressed sample: err %v, file %+v", err, f)
+	}
+}
+
+// TestLeafPointCountBound: a shallow leaf claiming more points than the file
+// holds is rejected at open (packed treelets have no bytes-per-point floor to
+// bound the column allocations with).
+func TestLeafPointCountBound(t *testing.T) {
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nA := f.Schema.NumAttrs()
+	// Leaf records end the header just before the dictionary.
+	leaf0 := f.headerSize - (4 + 4*f.dict.Len()) - len(f.leaves)*(shallowLeafBytes+2*nA)
+	mut := mutateHeader(t, buf, func(head []byte) {
+		binary.LittleEndian.PutUint32(head[leaf0+8+4+4:], uint32(f.NumParticles)+1)
+	})
+	if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "points, the file") {
+		t.Fatalf("open error %v, want the point-count bound", err)
+	}
+}
+
+// TestPackedPositionCorruption is the corruption matrix for packed position
+// sections: every case must fail the treelet load with a clean error.
+func TestPackedPositionCorruption(t *testing.T) {
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := f.TreeletSections(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := f.leaves[0]
+	if ref.numNodes < 3 || secs[0].Codec != codecFOR || secs[1].Codec != codecFOR {
+		t.Fatalf("treelet 0 has %d nodes, x/y sections %s/%s; pick different sample data",
+			ref.numNodes, CodecName(secs[0].Codec), CodecName(secs[1].Codec))
+	}
+	xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
+	nodeOff := func(ni int) int { return 8 + ni*(treeletNodeBytes+2*f.Schema.NumAttrs()) }
+	const startOff, countOff = 1 + 8 + 4 + 4, 1 + 8 + 4 + 4 + 4
+	addU32 := func(b []byte, d int) {
+		binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(tre []byte)
+		want   string
+	}{
+		{"node range starts late", func(tre []byte) { addU32(tre[nodeOff(1)+startOff:], 1) }, "does not continue"},
+		{"node ranges swapped", func(tre []byte) {
+			a, b := tre[nodeOff(1)+startOff:], tre[nodeOff(2)+startOff:]
+			var tmp [8]byte
+			copy(tmp[:], a[:8])
+			copy(a[:8], b[:8])
+			copy(b[:8], tmp[:])
+		}, "does not continue"},
+		{"node ranges sum short", func(tre []byte) { addU32(tre[nodeOff(int(ref.numNodes)-1)+countOff:], -1) }, "cover"},
+		{"block width 33", func(tre []byte) { tre[xOff+5+4] = 33 }, "exceeds 32"},
+		{"section one byte short", func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
+		{"section cut inside a frame", func(tre []byte) { binary.LittleEndian.PutUint32(tre[xOff+1:], 3) }, "truncated"},
+		{"section swallows the next one", func(tre []byte) { addU32(tre[xOff+1:], 5+secs[1].EncBytes) }, "trailing bytes"},
+		{"section longer than the treelet", func(tre []byte) {
+			binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
+		}, "truncated codec stream"},
+		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec"},
+		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
+		{"base past the key range", func(tre []byte) {
+			binary.LittleEndian.PutUint32(tre[xOff+5:], math.MaxUint32)
+		}, "overflows"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
+		})
+	}
+}
+
 func TestZeroAndTinyInputs(t *testing.T) {
 	for _, data := range [][]byte{nil, {}, []byte("B"), []byte("BAT1"), []byte("BAT1\x02\x00\x00\x00")} {
 		if _, err := FromBuffer(data); err == nil {
@@ -425,4 +571,137 @@ func FuzzDecode(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// sectionSeed is one real codec section with the node table and point count
+// it decodes against.
+type sectionSeed struct {
+	codec   uint8
+	payload []byte
+	table   []byte
+	nPoints uint16
+}
+
+// fuzzNodeBytes is FuzzDecodeSections' node record: start u16, count u16,
+// axis u8.
+const fuzzNodeBytes = 5
+
+// fuzzNodes reads a node table of fuzzNodeBytes records. ok is false when a
+// range runs past nPoints: parseTreelet rejects such a table before it reads
+// any section, and the decoders rely on that.
+func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
+	nodes = make([]diskNode, len(table)/fuzzNodeBytes)
+	for i := range nodes {
+		rec := table[i*fuzzNodeBytes:]
+		nodes[i] = diskNode{
+			axis:  rec[4] & 3,
+			start: uint32(binary.LittleEndian.Uint16(rec)),
+			count: uint32(binary.LittleEndian.Uint16(rec[2:])),
+		}
+		if nodes[i].start+nodes[i].count > uint32(nPoints) {
+			return nil, false
+		}
+	}
+	return nodes, true
+}
+
+// fuzzSectionBound / fuzzSectionLODScale are the footer declaration the
+// fuzzed quant sections are checked against.
+const fuzzSectionBound, fuzzSectionLODScale = 0.5, 2.0
+
+// sectionSeeds builds a small compressed file and cuts every section of every
+// treelet out of it, so the fuzzer starts from streams each decoder accepts.
+func sectionSeeds(tb testing.TB) []sectionSeed {
+	s, domain := cosmoSet(300, 5)
+	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
+	cfg.LODErrorScale = fuzzSectionLODScale
+	b, err := Build(s, domain, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := FromBuffer(b.Buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []sectionSeed
+	for ti, ref := range f.leaves {
+		pt, err := f.loadTreelet(context.Background(), ti)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var table []byte
+		for _, n := range pt.nodes {
+			table = binary.LittleEndian.AppendUint16(table, uint16(n.start))
+			table = binary.LittleEndian.AppendUint16(table, uint16(n.count))
+			table = append(table, n.axis)
+		}
+		secs, err := f.TreeletSections(context.Background(), ti)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p := int(ref.offset) + 8 + len(pt.nodes)*(treeletNodeBytes+2*f.Schema.NumAttrs())
+		for _, sec := range secs {
+			p += 5
+			seeds = append(seeds, sectionSeed{sec.Codec, b.Buf[p : p+sec.EncBytes], table, uint16(ref.numPoints)})
+			p += sec.EncBytes
+		}
+	}
+	return seeds
+}
+
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the four
+// section decoders (raw, quant, delta, FOR), past the checksums and the file
+// structure FuzzDecode has to get through first. Errors are fine; panics, and
+// columns of any length but nPoints, are not.
+func FuzzDecodeSections(f *testing.F) {
+	for _, s := range sectionSeeds(f) {
+		f.Add(s.codec, s.payload, s.table, s.nPoints)
+	}
+	f.Add(codecFOR, []byte{}, []byte{}, uint16(0))
+	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, []byte{0, 0, 1, 0, 3}, uint16(1))
+	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16) {
+		nodes, ok := fuzzNodes(table, nPoints)
+		if !ok {
+			return
+		}
+		lodMask := func() []bool { return lodMaskFromDisk(nodes, int(nPoints)) }
+		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
+			vals, err := decodeAttrSection(codec, payload, int(nPoints), typ, fuzzSectionBound, fuzzSectionLODScale, lodMask)
+			if err == nil && len(vals) != int(nPoints) {
+				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
+			}
+		}
+		if checkBlockRanges(nodes, uint32(nPoints)) != nil {
+			return
+		}
+		col, err := decodePosSection(codec, payload, nodes, int(nPoints))
+		if err == nil && len(col) != int(nPoints) {
+			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
+		}
+	})
+}
+
+// TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
+// is accepted by the decoder it was cut from, and all four codecs occur.
+func TestSectionSeedsDecode(t *testing.T) {
+	seen := map[uint8]bool{}
+	for i, s := range sectionSeeds(t) {
+		seen[s.codec] = true
+		nodes, ok := fuzzNodes(s.table, s.nPoints)
+		if !ok {
+			t.Fatalf("seed %d: node table runs past its %d points", i, s.nPoints)
+		}
+		lodMask := func() []bool { return lodMaskFromDisk(nodes, int(s.nPoints)) }
+		_, err32 := decodeAttrSection(s.codec, s.payload, int(s.nPoints), particles.Float32, fuzzSectionBound, fuzzSectionLODScale, lodMask)
+		_, err64 := decodeAttrSection(s.codec, s.payload, int(s.nPoints), particles.Float64, fuzzSectionBound, fuzzSectionLODScale, lodMask)
+		_, errPos := decodePosSection(s.codec, s.payload, nodes, int(s.nPoints))
+		if err32 != nil && err64 != nil && errPos != nil {
+			t.Fatalf("seed %d (%s, %d bytes) decodes nowhere: %v / %v / %v", i, CodecName(s.codec), len(s.payload), err32, err64, errPos)
+		}
+	}
+	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR} {
+		if !seen[c] {
+			t.Errorf("no %s section among the seeds", CodecName(c))
+		}
+	}
 }

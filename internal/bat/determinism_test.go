@@ -73,11 +73,18 @@ func determinismCorpora() []struct {
 func TestBuildDeterminism(t *testing.T) {
 	for _, c := range determinismCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			for _, quantize := range []bool{false, true} {
+			for _, mode := range []struct{ quantize, compress bool }{
+				{false, false}, {true, false}, {false, true}, {true, true},
+			} {
 				base := DefaultBuildConfig()
 				base.MaxLeafSize = 64
 				base.LODPerNode = 4
-				base.QuantizePositions = quantize
+				base.QuantizePositions = mode.quantize
+				// Compress adds the attribute codecs and, unless the positions
+				// are quantized, the packed position sections: both encode in
+				// the fused treelet workers from per-worker arenas.
+				base.Compress = mode.compress
+				base.ErrorBound = 1e-3
 
 				ref := base
 				ref.Workers = 1
@@ -94,8 +101,8 @@ func TestBuildDeterminism(t *testing.T) {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					if !bytes.Equal(got.Buf, want.Buf) {
-						t.Fatalf("quantize=%v workers=%d: output differs from serial build (%d vs %d bytes)",
-							quantize, workers, len(got.Buf), len(want.Buf))
+						t.Fatalf("%+v workers=%d: output differs from serial build (%d vs %d bytes)",
+							mode, workers, len(got.Buf), len(want.Buf))
 					}
 				}
 			}

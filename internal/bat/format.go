@@ -3,6 +3,10 @@
 //
 //	Header:
 //	  magic "BAT1", version u32, flags u32
+//	    flag bit 0  flagQuantized: positions are u16 fixed point
+//	    flag bit 1  flagPackedPositions: positions are framed codec
+//	                sections (version 3 only, never with bit 0)
+//	    any other bit is rejected at open
 //	  numParticles u64
 //	  domain bounds: 6 x f64
 //	  subprefixBits, lodPerNode, maxLeafSize, maxTreeletDepth u32
@@ -21,13 +25,16 @@
 //	  numNodes u32, numPoints u32
 //	  nodes: axis u8 (3 = leaf), pos f64, left i32, right i32,
 //	         start u32, count u32, bitmapID u16 per attribute
-//	  particle data: X, Y, Z as f32 arrays (or u16 fixed point relative
-//	                 to the treelet bounds when flagQuantized is set),
-//	                 then one array per attribute. In version <= 2 each
-//	                 attribute is a raw f64 or f32 column (per its schema
-//	                 type); in version 3 each attribute is a framed codec
-//	                 section: codec u8, encLen u32, then encLen payload
-//	                 bytes (see codec.go for the codec streams)
+//	  particle data: X, Y, Z, then one array per attribute. X, Y, Z are
+//	                 f32 arrays; u16 fixed point relative to the treelet
+//	                 bounds when flagQuantized is set; or, when
+//	                 flagPackedPositions is set (version 3 only), three
+//	                 framed codec sections like the attributes', holding
+//	                 codecFOR or codecRaw. In version <= 2 each attribute
+//	                 is a raw f64 or f32 column (per its schema type); in
+//	                 version 3 each attribute is a framed codec section:
+//	                 codec u8, encLen u32, then encLen payload bytes (see
+//	                 codec.go for the codec streams)
 //	Checksum footer (version >= 2), after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32
@@ -69,7 +76,9 @@ const (
 	// added per-attribute compressed treelet sections (codec.go) and the
 	// footer's codec declarations. Version 3 is written only when
 	// BuildConfig.Compress is set — uncompressed builds keep producing
-	// byte-identical version-2 files.
+	// byte-identical version-2 files. Version-3 writers since the position
+	// codec also set flagPackedPositions; version-3 files without it (raw
+	// f32 position columns) keep reading.
 	version    = 3
 	minVersion = 1
 	// footerMagic terminates the version >= 2 checksum footer.
@@ -80,6 +89,11 @@ const (
 	PageSize = 4096
 	// flagQuantized marks 16-bit fixed-point position storage.
 	flagQuantized = 1 << 0
+	// flagPackedPositions marks X, Y, Z stored as three framed codec
+	// sections (version 3 only; never together with flagQuantized).
+	flagPackedPositions = 1 << 1
+	// knownFlags is every header flag bit this reader understands.
+	knownFlags = flagQuantized | flagPackedPositions
 )
 
 // writer is a little-endian positional writer over a preallocated buffer.
@@ -216,6 +230,10 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		posBytes = 6
 		flags |= flagQuantized
 	}
+	packed := cfg.packsPositions()
+	if packed {
+		flags |= flagPackedPositions
+	}
 
 	// The file version is chosen per build: compressed builds write the
 	// version-3 section framing; uncompressed builds stay byte-identical
@@ -230,6 +248,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	off := int64(headerSize)
 	var padding int64
 	var rawPayload, encPayload int64
+	var posRawPayload, posEncPayload int64
 	maxDepth := 0
 	numNodes := 0
 	for ti, t := range treelets {
@@ -242,7 +261,18 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			off += PageSize - rem
 		}
 		offsets[ti] = uint64(off)
-		sz := 8 + len(t.nodes)*(treeletNodeBytes+2*nA) + len(t.order)*posBytes
+		sz := 8 + len(t.nodes)*(treeletNodeBytes+2*nA)
+		posRawPayload += int64(len(t.order) * posBytes)
+		if packed {
+			for _, pe := range t.posEnc {
+				enc := pe.encodedLen(len(t.order), particles.Float32)
+				sz += 1 + 4 + enc
+				posEncPayload += int64(enc)
+			}
+		} else {
+			sz += len(t.order) * posBytes
+			posEncPayload += int64(len(t.order) * posBytes)
+		}
 		if cfg.Compress {
 			for a, desc := range set.Schema.Attrs {
 				raw := len(t.order) * desc.Type.Size()
@@ -320,14 +350,20 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				w.u16(quant(float64(set.Z[p]), b.Lower.Z, sz.Z))
 			}
 		} else {
-			for _, p := range t.order {
-				w.f32(set.X[p])
-			}
-			for _, p := range t.order {
-				w.f32(set.Y[p])
-			}
-			for _, p := range t.order {
-				w.f32(set.Z[p])
+			for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+				if packed {
+					// Same section framing as the attributes below.
+					enc := t.posEnc[ax]
+					w.u8(enc.codec)
+					w.u32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
+					if enc.codec != codecRaw {
+						w.bytes(enc.data)
+						continue
+					}
+				}
+				for _, p := range t.order {
+					w.f32(col[p])
+				}
 			}
 		}
 		for a, desc := range set.Schema.Attrs {
@@ -508,6 +544,8 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 
 		AttrPayloadRawBytes: rawPayload,
 		AttrPayloadEncBytes: encPayload,
+		PosPayloadRawBytes:  posRawPayload,
+		PosPayloadEncBytes:  posEncPayload,
 	}
 	return &Built{Buf: buf, Stats: stats}, nil
 }

@@ -62,9 +62,12 @@ type File struct {
 	size int64
 
 	// Version is the on-disk format version the file was written with.
-	Version         int
-	NumParticles    uint64
-	Quantized       bool
+	Version      int
+	NumParticles uint64
+	Quantized    bool
+	// PackedPositions reports that X, Y, Z are stored as framed codec
+	// sections (flagPackedPositions) rather than raw columns.
+	PackedPositions bool
 	Domain          geom.Box
 	SubprefixBits   int
 	LODPerNode      int
@@ -260,6 +263,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	}
 	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
 	f.Quantized = flags&flagQuantized != 0
+	f.PackedPositions = flags&flagPackedPositions != 0
 	if f.NumParticles, err = c.u64(); err != nil {
 		return nil, err
 	}
@@ -379,6 +383,12 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		if l.offset > uint64(size) || l.offset+uint64(l.byteLen) > uint64(size) {
 			return nil, fmt.Errorf("bat: treelet %d extends past end of file", i)
 		}
+		// A packed treelet can hold many points in few bytes, so its point
+		// count is bounded by the file's particle count (itself bounded by
+		// the file size above) rather than by its byte length.
+		if uint64(l.numPoints) > f.NumParticles {
+			return nil, fmt.Errorf("bat: treelet %d holds %d points, the file %d", i, l.numPoints, f.NumParticles)
+		}
 		if l.ids, err = c.ids(nA); err != nil {
 			return nil, err
 		}
@@ -435,6 +445,17 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		if err := f.loadFooter(c); err != nil {
 			return nil, err
 		}
+	}
+	// Reject what the header cannot mean. This comes after the footer so a
+	// damaged flags field reports as the checksum error it is; a header
+	// that passes its CRC with these flags is from a writer this reader
+	// does not know, and parsing its positions as raw columns would return
+	// garbage.
+	if unknown := flags &^ knownFlags; unknown != 0 {
+		return nil, fmt.Errorf("bat: unknown header flag bits %#x (file from a newer writer?)", unknown)
+	}
+	if f.PackedPositions && (f.Quantized || ver < 3) {
+		return nil, fmt.Errorf("bat: header flags %#x: packed positions need version 3 and exclude quantized positions (version %d)", flags, ver)
 	}
 	return f, nil
 }
@@ -606,9 +627,9 @@ func (f *File) Compression() *CompressionInfo {
 	return ci
 }
 
-// SectionInfo describes one attribute section of one treelet: the codec the
-// section actually used (which may be a raw fallback even in a compressed
-// file) and its raw vs. on-disk encoded size.
+// SectionInfo describes one position or attribute section of one treelet: the
+// codec the section actually used (which may be a raw fallback even in a
+// compressed file) and its raw vs. on-disk encoded size.
 type SectionInfo struct {
 	Attr     string
 	Codec    uint8
@@ -616,9 +637,17 @@ type SectionInfo struct {
 	EncBytes int
 }
 
-// TreeletSections reads treelet ti's attribute section framing — per-section
-// codec id and encoded length — without decoding any payload. For
-// version <= 2 files every section is raw. Used by batinspect.
+// PositionSections is the number of rows TreeletSections lists ahead of the
+// attribute rows, named by positionNames.
+const PositionSections = 3
+
+var positionNames = [PositionSections]string{"x", "y", "z"}
+
+// TreeletSections reads treelet ti's section framing — per-section codec id
+// and encoded length — without decoding any payload: the three position
+// columns first, then one row per attribute. Columns stored without framing
+// (every column of a version <= 2 file, unpacked positions) list as raw.
+// Used by batinspect.
 func (f *File) TreeletSections(ctx context.Context, ti int) ([]SectionInfo, error) {
 	if ti < 0 || ti >= len(f.leaves) {
 		return nil, fmt.Errorf("bat: treelet %d out of range (%d treelets)", ti, len(f.leaves))
@@ -626,40 +655,47 @@ func (f *File) TreeletSections(ctx context.Context, ti int) ([]SectionInfo, erro
 	ref := f.leaves[ti]
 	nA := f.Schema.NumAttrs()
 	nPoints := int(ref.numPoints)
-	out := make([]SectionInfo, nA)
-	if f.Version < 3 {
-		for a, desc := range f.Schema.Attrs {
-			raw := nPoints * desc.Type.Size()
-			out[a] = SectionInfo{Attr: desc.Name, Codec: codecRaw, RawBytes: raw, EncBytes: raw}
+	out := make([]SectionInfo, 0, PositionSections+nA)
+	var buf []byte
+	if f.Version >= 3 {
+		buf = make([]byte, ref.byteLen)
+		if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
+			return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
 		}
-		return out, nil
 	}
-	buf := make([]byte, ref.byteLen)
-	if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
-		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
+	p := 8 + int(ref.numNodes)*(treeletNodeBytes+2*nA)
+	// section appends one row: framed sections read their codec and length
+	// from buf at p, unframed columns are raw at their full size.
+	section := func(name string, rawBytes int, framed bool) error {
+		info := SectionInfo{Attr: name, Codec: codecRaw, RawBytes: rawBytes, EncBytes: rawBytes}
+		if framed {
+			if p+5 > len(buf) {
+				return fmt.Errorf("bat: treelet %d section %q: truncated codec stream", ti, name)
+			}
+			encLen := binary.LittleEndian.Uint32(buf[p+1:])
+			if int64(encLen) > int64(len(buf)-p-5) {
+				return fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
+					ti, name, encLen, len(buf)-p-5)
+			}
+			info.Codec, info.EncBytes = buf[p], int(encLen)
+			p += 5
+		}
+		p += info.EncBytes
+		out = append(out, info)
+		return nil
 	}
-	posBytes := 12
+	posBytes := 4
 	if f.Quantized {
-		posBytes = 6
+		posBytes = 2
 	}
-	p := 8 + int(ref.numNodes)*(treeletNodeBytes+2*nA) + nPoints*posBytes
-	for a, desc := range f.Schema.Attrs {
-		if p+5 > len(buf) {
-			return nil, fmt.Errorf("bat: treelet %d attribute %q: truncated codec stream", ti, desc.Name)
+	for _, name := range positionNames {
+		if err := section(name, nPoints*posBytes, f.PackedPositions); err != nil {
+			return nil, err
 		}
-		codec := buf[p]
-		encLen := binary.LittleEndian.Uint32(buf[p+1:])
-		p += 5
-		if int64(encLen) > int64(len(buf)-p) {
-			return nil, fmt.Errorf("bat: treelet %d attribute %q: truncated codec stream (%d bytes declared, %d remain)",
-				ti, desc.Name, encLen, len(buf)-p)
-		}
-		p += int(encLen)
-		out[a] = SectionInfo{
-			Attr:     desc.Name,
-			Codec:    codec,
-			RawBytes: nPoints * desc.Type.Size(),
-			EncBytes: int(encLen),
+	}
+	for _, desc := range f.Schema.Attrs {
+		if err := section(desc.Name, nPoints*desc.Type.Size(), f.Version >= 3); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -812,8 +848,10 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			ti, nNodes, ref.numNodes, nPoints, ref.numPoints)
 	}
 	nA := f.Schema.NumAttrs()
+	// Unpacked positions cost at least 6 bytes a point; packed ones were
+	// bounded against the file's particle count at open.
 	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > int64(ref.byteLen) ||
-		int64(nPoints)*6 > int64(ref.byteLen) {
+		(!f.PackedPositions && int64(nPoints)*6 > int64(ref.byteLen)) {
 		return nil, fmt.Errorf("bat: treelet %d counts exceed its byte length", ti)
 	}
 	t := &parsedTreelet{nodes: make([]diskNode, nNodes)}
@@ -866,51 +904,66 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			nodeSeen[ref] = true
 		}
 	}
-	readF32s := func() ([]float32, error) {
-		out := make([]float32, nPoints)
-		for i := range out {
-			if out[i], err = c.f32(); err != nil {
-				return nil, err
-			}
+	// section reads one framed codec section: codec u8, encLen u32, payload.
+	section := func(name string) (uint8, []byte, error) {
+		codec, err := c.u8()
+		if err != nil {
+			return 0, nil, err
 		}
-		return out, nil
+		encLen, err := c.u32()
+		if err != nil {
+			return 0, nil, err
+		}
+		if remain := int(c.size) - c.pos; int64(encLen) > int64(remain) {
+			return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
+				ti, name, encLen, remain)
+		}
+		payload, err := c.need(int(encLen))
+		return codec, payload, err
 	}
-	// Quantized positions decode to the center of their 16-bit cell
-	// within the treelet bounds.
-	readQ16s := func(lo, extent float64) ([]float32, error) {
-		out := make([]float32, nPoints)
-		for i := range out {
-			q, err := c.u16()
+	var cols [3][]float32
+	switch {
+	case f.PackedPositions:
+		if err := checkBlockRanges(t.nodes, nPoints); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+		}
+		for ax, name := range positionNames {
+			codec, payload, err := section(name)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = float32(lo + (float64(q)+0.5)/65536*extent)
+			if cols[ax], err = decodePosSection(codec, payload, t.nodes, int(nPoints)); err != nil {
+				return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
+			}
 		}
-		return out, nil
+	case f.Quantized:
+		// Quantized positions decode to the center of their 16-bit cell
+		// within the treelet bounds.
+		lo, sz := ref.bounds.Lower, ref.bounds.Size()
+		for ax, frame := range [3][2]float64{{lo.X, sz.X}, {lo.Y, sz.Y}, {lo.Z, sz.Z}} {
+			payload, err := c.need(2 * int(nPoints))
+			if err != nil {
+				return nil, err
+			}
+			out := make([]float32, nPoints)
+			for i := range out {
+				q := binary.LittleEndian.Uint16(payload[2*i:])
+				out[i] = float32(frame[0] + (float64(q)+0.5)/65536*frame[1])
+			}
+			cols[ax] = out
+		}
+	default:
+		for ax := range cols {
+			payload, err := c.need(4 * int(nPoints))
+			if err != nil {
+				return nil, err
+			}
+			if cols[ax], err = decodeRawF32(payload, int(nPoints)); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if f.Quantized {
-		b := ref.bounds
-		sz := b.Size()
-		if t.x, err = readQ16s(b.Lower.X, sz.X); err != nil {
-			return nil, err
-		}
-		if t.y, err = readQ16s(b.Lower.Y, sz.Y); err != nil {
-			return nil, err
-		}
-		if t.z, err = readQ16s(b.Lower.Z, sz.Z); err != nil {
-			return nil, err
-		}
-	} else {
-		if t.x, err = readF32s(); err != nil {
-			return nil, err
-		}
-		if t.y, err = readF32s(); err != nil {
-			return nil, err
-		}
-		if t.z, err = readF32s(); err != nil {
-			return nil, err
-		}
-	}
+	t.x, t.y, t.z = cols[0], cols[1], cols[2]
 	t.attrs = make([][]float64, nA)
 	if f.Version >= 3 {
 		// Version-3 framed codec sections. Decoding runs right here — i.e.
@@ -927,19 +980,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			return lodOnce
 		}
 		for a := 0; a < nA; a++ {
-			codec, err := c.u8()
-			if err != nil {
-				return nil, err
-			}
-			encLen, err := c.u32()
-			if err != nil {
-				return nil, err
-			}
-			if remain := int(c.size) - c.pos; int64(encLen) > int64(remain) {
-				return nil, fmt.Errorf("bat: treelet %d attribute %q: truncated codec stream (%d bytes declared, %d remain)",
-					ti, f.Schema.Attrs[a].Name, encLen, remain)
-			}
-			payload, err := c.need(int(encLen))
+			codec, payload, err := section(f.Schema.Attrs[a].Name)
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet the whole module, run the concurrency-
 # sensitive packages under the race detector, smoke the benchmarks, and
-# (unless CHECK_FUZZ=0) give the four decode fuzzers a short pass. Run it
+# (unless CHECK_FUZZ=0) give the five decode fuzzers a short pass. Run it
 # from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
@@ -68,10 +68,11 @@ run "go test -race TestChaos" go test -race -run 'TestChaos' ./internal/core/
 run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'TestBuildDeterminism' ./internal/bat/
 
 # The v3 codec layer under the race detector: the max-error property
-# (random per-attribute bounds, lossless bit-exactness, LOD two-grid
-# bounds) plus encode determinism across worker counts, with decode
-# running fused inside the concurrent query workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden' ./internal/bat/
+# (random per-attribute bounds, lossless bit-exactness of attributes and
+# positions, LOD two-grid bounds), the position codec's round-trip property,
+# plus encode determinism across worker counts, with decode running fused
+# inside the concurrent query workers.
+run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
 # vs Workers=1 multiset identity, the treelet cache singleflight, the
@@ -181,14 +182,18 @@ assert all(r["source"] == "batserve:/points" for r in q)
 }
 run "batserve smoke" batserve_smoke
 
-# Short fuzz pass over the four decoders uintcast guards (BAT files, the
-# metadata file, particle wire encoding, .bata sidecars): seconds, not a
-# soak — enough to catch parser regressions on the corpus + fresh mutations.
+# Short fuzz pass over the decoders uintcast guards (BAT files, the v3
+# section codecs underneath them — raw, quant, delta and the position
+# codec, fed payloads and node tables directly —, the metadata file, particle
+# wire encoding, .bata sidecars): seconds, not a soak — enough to catch
+# parser regressions on the corpus + fresh mutations. The bat patterns are
+# anchored: -fuzz refuses a pattern that matches two targets.
 # (-fuzzminimizetime keeps a newly found interesting input from eating the
 # whole budget in minimization.) CHECK_FUZZ=0 skips it for quick local
 # iterations.
 if [ "${CHECK_FUZZ:-1}" != "0" ]; then
-	run "fuzz FuzzDecode bat" go test -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
+	run "fuzz FuzzDecode bat" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
+	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecode meta" go test -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
 	run "fuzz FuzzUnmarshal particles" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
 	run "fuzz FuzzUnmarshal access" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/obs/access/
