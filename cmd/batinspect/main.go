@@ -5,7 +5,10 @@
 //
 //	batinspect -in /tmp/ds -name coal-boiler-0050
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -leaf 0
+//	batinspect -in /tmp/ds -name coal-boiler-0050 -bytes
 //
+// With -bytes it adds up where the dataset's stored bytes are: position and
+// attribute sections, node tables, page padding, headers and footers.
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -33,6 +36,7 @@ func main() {
 		leaf    = flag.Int("leaf", -1, "inspect one leaf BAT file")
 		tree    = flag.Bool("tree", false, "print the aggregation tree hierarchy")
 		verify  = flag.Bool("verify", false, "verify all checksums in the dataset; exit non-zero on corruption")
+		bytesF  = flag.Bool("bytes", false, "print where the dataset's stored bytes are, summed over every leaf file")
 		accessF = flag.Bool("access", false, "print the dataset's access-telemetry sidecar (batserve -access-persist / batread -access-out)")
 	)
 	flag.Parse()
@@ -65,11 +69,19 @@ func main() {
 	}
 	m := ds.Meta()
 
+	if *bytesF {
+		if err := printStoredBytes(os.Stdout, store, ds, *name); err != nil {
+			fail(err)
+		}
+		return
+	}
 	if *leaf >= 0 {
 		if *leaf >= len(m.Leaves) {
 			fail(fmt.Errorf("leaf %d out of range (%d leaves)", *leaf, len(m.Leaves)))
 		}
-		inspectLeaf(ds, *leaf, fail)
+		if err := inspectLeaf(os.Stdout, ds, *leaf); err != nil {
+			fail(err)
+		}
 		return
 	}
 	if *tree {
@@ -107,8 +119,6 @@ func main() {
 // first (nothing else can be trusted without it), then each leaf file's
 // header CRC, per-treelet CRCs, and particle count against the metadata.
 // It prints one line per file and reports whether everything passed.
-// Version-1 files carry no checksums; they are listed as unverifiable but
-// do not fail the run.
 func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 	ctx := context.Background()
 	ds, err := core.OpenDataset(ctx, store, name)
@@ -129,9 +139,7 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 			bad(lm.FileName, err)
 			continue
 		}
-		if !f.Checksummed() {
-			fmt.Fprintf(w, "skip  %-28s version %d file has no checksums\n", lm.FileName, f.Version)
-		} else if err := f.Verify(); err != nil {
+		if err := f.Verify(); err != nil {
 			bad(lm.FileName, err)
 		} else if int64(f.NumParticles) != lm.Count {
 			bad(lm.FileName, fmt.Errorf("holds %d particles, metadata says %d", f.NumParticles, lm.Count))
@@ -180,64 +188,72 @@ func printTree(m *meta.Meta) {
 	rec(0, "")
 }
 
-func inspectLeaf(ds *core.Dataset, li int, fail func(error)) {
+func inspectLeaf(w io.Writer, ds *core.Dataset, li int) error {
 	f, err := ds.Leaf(context.Background(), li)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("BAT file %s (%d bytes)\n", ds.Meta().Leaves[li].FileName, f.Size())
-	fmt.Printf("  particles: %d, treelets: %d, max treelet depth: %d\n",
+	fmt.Fprintf(w, "BAT file %s (%d bytes)\n", ds.Meta().Leaves[li].FileName, f.Size())
+	fmt.Fprintf(w, "  particles: %d, treelets: %d, max treelet depth: %d\n",
 		f.NumParticles, f.NumTreelets(), f.MaxTreeletDepth)
-	fmt.Printf("  build config: subprefix=%d bits, %d LOD/node, <=%d particles/leaf\n",
+	fmt.Fprintf(w, "  build config: subprefix=%d bits, %d LOD/node, <=%d particles/leaf\n",
 		f.SubprefixBits, f.LODPerNode, f.MaxLeafSize)
-	fmt.Printf("  domain: %v\n", f.Domain)
+	fmt.Fprintf(w, "  domain: %v\n", f.Domain)
 	raw := int64(f.NumParticles) * int64(f.Schema.BytesPerParticle())
-	fmt.Printf("  raw payload: %d bytes, layout overhead: %.2f%%\n",
+	fmt.Fprintf(w, "  raw payload: %d bytes, layout overhead: %.2f%%\n",
 		raw, 100*float64(f.Size()-raw)/float64(raw))
-	fmt.Printf("  local attribute ranges:\n")
+	fmt.Fprintf(w, "  local attribute ranges:\n")
 	for a, d := range f.Schema.Attrs {
-		fmt.Printf("    %-12s [%g, %g]\n", d.Name, f.Ranges[a].Min, f.Ranges[a].Max)
+		fmt.Fprintf(w, "    %-12s [%g, %g]\n", d.Name, f.Ranges[a].Min, f.Ranges[a].Max)
 	}
 	if ci := f.Compression(); ci != nil {
-		printCompression(f, ci, fail)
+		if err := printCompression(w, f, ci); err != nil {
+			return err
+		}
 	}
-	if err := ds.Close(); err != nil {
-		fail(err)
-	}
+	return ds.Close()
 }
 
 // printCompression reports a v3 file's codec layer: the declared per-
 // attribute configuration, each position and attribute column's section-level
-// codec usage and byte totals (aggregated over every treelet), and the
-// whole-file attribute ratio.
-func printCompression(f *bat.File, ci *bat.CompressionInfo, fail func(error)) {
-	fmt.Printf("  compression (v3): LOD error scale %g\n", ci.LODScale)
+// codec usage, frame modes, block bit widths and byte totals (aggregated over
+// every treelet), and the whole-file attribute ratio.
+func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
+	fmt.Fprintf(w, "  compression (v3): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
 		name     string
 		raw, enc int64
-		byCodec  map[string]int
+		// kinds counts the column's sections by codec name, a quant-for
+		// section's frame mode appended; widths collects every block's bits.
+		kinds  map[string]int
+		widths []uint8
 	}
 	// Rows follow TreeletSections: x, y, z, then the attributes.
 	var aggs []colAgg
 	for ti := 0; ti < f.NumTreelets(); ti++ {
 		secs, err := f.TreeletSections(context.Background(), ti)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if aggs == nil {
 			aggs = make([]colAgg, len(secs))
 			for i, sec := range secs {
-				aggs[i] = colAgg{name: sec.Attr, byCodec: make(map[string]int)}
+				aggs[i] = colAgg{name: sec.Attr, kinds: make(map[string]int)}
 			}
 		}
 		for i, sec := range secs {
 			aggs[i].raw += int64(sec.RawBytes)
 			aggs[i].enc += int64(sec.EncBytes)
-			aggs[i].byCodec[bat.CodecName(sec.Codec)]++
+			kind := bat.CodecName(sec.Codec)
+			if sec.Mode != "" {
+				kind += " " + sec.Mode
+			}
+			aggs[i].kinds[kind]++
+			aggs[i].widths = append(aggs[i].widths, sec.Widths...)
 		}
 	}
-	fmt.Printf("    %-12s %-10s %-10s %12s %12s %7s  sections\n",
-		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio")
+	fmt.Fprintf(w, "    %-12s %-10s %-10s %12s %12s %7s  %-14s sections\n",
+		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
 	for i, agg := range aggs {
 		// The footer declares attribute codecs only; a position column is
 		// the lossless block codec when packed, a raw column otherwise.
@@ -256,18 +272,81 @@ func printCompression(f *bat.File, ci *bat.CompressionInfo, fail func(error)) {
 		if agg.enc > 0 {
 			ratio = float64(agg.raw) / float64(agg.enc)
 		}
-		codecs := make([]string, 0, len(agg.byCodec))
-		for name := range agg.byCodec {
-			codecs = append(codecs, name)
+		kinds := make([]string, 0, len(agg.kinds))
+		for name := range agg.kinds {
+			kinds = append(kinds, name)
 		}
-		sort.Strings(codecs)
-		parts := make([]string, len(codecs))
-		for j, name := range codecs {
-			parts[j] = fmt.Sprintf("%s x%d", name, agg.byCodec[name])
+		sort.Strings(kinds)
+		for j, name := range kinds {
+			kinds[j] = fmt.Sprintf("%s x%d", name, agg.kinds[name])
 		}
-		fmt.Printf("    %-12s %-10s %-10s %12d %12d %6.2fx  %s\n",
-			agg.name, codec, bound, agg.raw, agg.enc, ratio, strings.Join(parts, ", "))
+		// Min/median/max over the column's packed blocks, each block once
+		// whatever its length.
+		bits := "-"
+		if n := len(agg.widths); n > 0 {
+			sort.Slice(agg.widths, func(a, b int) bool { return agg.widths[a] < agg.widths[b] })
+			bits = fmt.Sprintf("%d/%d/%d", agg.widths[0], agg.widths[n/2], agg.widths[n-1])
+		}
+		fmt.Fprintf(w, "    %-12s %-10s %-10s %12d %12d %6.2fx  %-14s %s\n",
+			agg.name, codec, bound, agg.raw, agg.enc, ratio, bits, strings.Join(kinds, ", "))
 	}
-	fmt.Printf("    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
+	fmt.Fprintf(w, "    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
 		ci.RawPayloadBytes, ci.EncPayloadBytes, ci.Ratio())
+	return nil
+}
+
+// printStoredBytes adds up where the dataset's bytes on storage are — the
+// sum is what the benchmark reports as stored_bytes_per_particle — over every
+// leaf file and the metadata file.
+func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name string) error {
+	ctx := context.Background()
+	m := ds.Meta()
+	var sum bat.StoredBytes
+	for li := range m.Leaves {
+		f, err := ds.Leaf(ctx, li)
+		if err != nil {
+			return err
+		}
+		sb, err := f.StoredBytes(ctx)
+		if err != nil {
+			return err
+		}
+		sum.Header += sb.Header
+		sum.NodeTables += sb.NodeTables
+		sum.Positions += sb.Positions
+		sum.Attributes += sb.Attributes
+		sum.Padding += sb.Padding
+		sum.Footer += sb.Footer
+		// One leaf open at a time: Close releases it and ds stays usable.
+		if err := ds.Close(); err != nil {
+			return err
+		}
+	}
+	mf, err := store.Open(core.MetaFileName(name))
+	if err != nil {
+		return err
+	}
+	metaBytes := mf.Size()
+	if err := mf.Close(); err != nil {
+		return err
+	}
+	n := float64(m.TotalCount())
+	total := int64(0)
+	fmt.Fprintf(w, "stored bytes of %s: %d particles in %d leaf files\n", name, m.TotalCount(), len(m.Leaves))
+	for _, row := range []struct {
+		part  string
+		bytes int64
+	}{
+		{"positions", sum.Positions},
+		{"attributes", sum.Attributes},
+		{"node tables", sum.NodeTables},
+		{"page padding", sum.Padding},
+		{"headers + footers", sum.Header + sum.Footer},
+		{core.MetaFileName(name), metaBytes},
+	} {
+		fmt.Fprintf(w, "  %-20s %12d B %10.6f B/particle\n", row.part, row.bytes, float64(row.bytes)/n)
+		total += row.bytes
+	}
+	fmt.Fprintf(w, "  %-20s %12d B %10.6f B/particle\n", "total", total, float64(total)/n)
+	return nil
 }

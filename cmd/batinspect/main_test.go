@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -167,5 +170,65 @@ func TestVerifyMissingLeaf(t *testing.T) {
 	var out bytes.Buffer
 	if verifyDataset(&out, store, "ds") {
 		t.Fatal("dataset with a missing leaf passed verification")
+	}
+}
+
+// TestInspectCompressedLeaf: -leaf on a version-3 file lists every column
+// with the codec, frame mode and block bit widths its sections actually use.
+func TestInspectCompressedLeaf(t *testing.T) {
+	store := writeCompressedDataset(t)
+	ds, err := core.OpenDataset(context.Background(), store, "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := inspectLeaf(&out, ds, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`(?m)^\s+column\s+codec\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
+		`(?m)^\s+x\s+for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+for x\d+$`,
+		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node) x\d+`,
+		`(?m)^\s+whole-file attribute payload: \d+ -> \d+ bytes`,
+	} {
+		if !regexp.MustCompile(want).Match(out.Bytes()) {
+			t.Errorf("-leaf output has no line matching %s:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage.
+func TestStoredBytesAddUp(t *testing.T) {
+	for name, store := range map[string]pfs.Storage{"v2": writeDataset(t), "v3": writeCompressedDataset(t)} {
+		ds, err := core.OpenDataset(context.Background(), store, "ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := printStoredBytes(&out, store, ds, "ds"); err != nil {
+			t.Fatal(err)
+		}
+		onStorage := int64(len(slurp(t, store, core.MetaFileName("ds"))))
+		for li := range ds.Meta().Leaves {
+			onStorage += int64(len(slurp(t, store, core.LeafFileName("ds", li))))
+		}
+		var parts []int64
+		for _, m := range regexp.MustCompile(`(?m)^\s+\S.*?\s(\d+) B `).FindAllStringSubmatch(out.String(), -1) {
+			n, _ := strconv.ParseInt(m[1], 10, 64)
+			parts = append(parts, n)
+		}
+		if len(parts) != 7 {
+			t.Fatalf("%s: %d rows, want six parts and a total:\n%s", name, len(parts), out.String())
+		}
+		sum := int64(0)
+		for _, n := range parts[:6] {
+			if n <= 0 {
+				t.Errorf("%s: a part of %d bytes:\n%s", name, n, out.String())
+			}
+			sum += n
+		}
+		if sum != parts[6] || sum != onStorage {
+			t.Errorf("%s: parts add up to %d, total row %d, files on storage %d:\n%s", name, sum, parts[6], onStorage, out.String())
+		}
 	}
 }

@@ -43,8 +43,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	sort.Strings(waived)
 	want := []string{
-		"internal/bat/codec.go uintcast", // bitWriter.write
-		"internal/bat/codec.go uintcast", // bitWriter.flush
 		"internal/bat/format.go uintcast",
 		"internal/core/read.go ctxsleep",
 		"internal/leakcheck/leakcheck.go ctxsleep",

@@ -12,8 +12,9 @@ import (
 )
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
-// compares every byte it leaves behind with a digest recorded at commit
-// ab46756: SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
+// compares every byte it leaves behind with a recorded digest (the
+// uncompressed ones at commit ab46756, the compressed one when codecQuantFOR
+// landed): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
 //
@@ -33,6 +34,11 @@ func TestGoldenDatasets(t *testing.T) {
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
 			5, "709b76aaf851d1d2d9dd75aeda2a744bfe43ff392b9e4965a123d01fcc9819f4",
+		},
+		{ // the same plumes as version-3 files: packed positions, quant-for attributes in both frame modes
+			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
+				"-compress", "-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
+			5, "69d1bfbae2231169e139557428c4496abb49c66785002b6773232f447be1e5f3",
 		},
 	} {
 		// Both planners must leave the same bytes.

@@ -5,7 +5,7 @@
 // materializes all P rank infos. A rank's peak planning state is
 // max(ConsolidateMembers, members of one leaf), independent of P.
 //
-// The construction (DESIGN §15) runs in two phases:
+// The construction (DESIGN §14) runs in two phases:
 //
 //  1. A tree Allreduce agrees on the global domain, total particle count,
 //     and active-rank count.

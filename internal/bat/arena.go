@@ -22,14 +22,12 @@ type buildArena struct {
 	lod    []int     // stratified-sample staging (LODPerNode picks)
 
 	// Codec scratch (v3 compressed builds): type-rounded reference
-	// values, grid indices, the per-index LOD classification, and the
-	// position codec's keys and per-node frames. Like the buffers above,
-	// these grow to the largest treelet seen and are reused; encoded
+	// values, the column being packed (an attribute's grid indices, then a
+	// position column's keys), and its per-node frames. Like the buffers
+	// above, these grow to the largest treelet seen and are reused; encoded
 	// payloads are allocated exactly (they outlive the arena).
 	refVals []float64
 	qbuf    []uint64
-	lodBuf  []bool
-	keys    []uint32
 	frames  []forFrame
 }
 

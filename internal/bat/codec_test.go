@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -194,9 +195,8 @@ func TestUncompressedStaysV2(t *testing.T) {
 
 // TestCompressedLODScale checks the multiresolution bound split: values
 // referenced by LOD samples (inner-node ranges) may err up to
-// bound*LODErrorScale, everything else up to bound. The per-index
-// classification is recomputed from the parsed node records, exactly as
-// the decoder does.
+// bound*LODErrorScale, everything else up to bound. Which ranges hold LOD
+// samples is read off the parsed node records, exactly as the decoder does.
 func TestCompressedLODScale(t *testing.T) {
 	s, domain := cosmoSet(6000, 9)
 	const bound, scale = 1e-3, 16.0
@@ -213,19 +213,20 @@ func TestCompressedLODScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mask := lodMaskFromDisk(pt.nodes, len(pt.attrs[3]))
-		for i, id := range pt.attrs[3] {
-			oi, ok := byID[id]
-			if !ok {
-				t.Fatalf("treelet %d: unknown id %v", ti, id)
-			}
-			tol := bound
-			if mask[i] {
+		for _, n := range pt.nodes {
+			tol, lod := bound, n.axis != uint8(leafAxis)
+			if lod {
 				tol = bound * scale
-				sawLOD = true
+				sawLOD = sawLOD || n.count > 0
 			}
-			if diff := math.Abs(pt.attrs[0][i] - s.Attrs[0][oi]); diff > tol {
-				t.Fatalf("treelet %d index %d (lod=%v): error %v exceeds %v", ti, i, mask[i], diff, tol)
+			for i := n.start; i < n.start+n.count; i++ {
+				oi, ok := byID[pt.attrs[3][i]]
+				if !ok {
+					t.Fatalf("treelet %d: unknown id %v", ti, pt.attrs[3][i])
+				}
+				if diff := math.Abs(pt.attrs[0][i] - s.Attrs[0][oi]); diff > tol {
+					t.Fatalf("treelet %d index %d (lod=%v): error %v exceeds %v", ti, i, lod, diff, tol)
+				}
 			}
 		}
 	}
@@ -361,42 +362,63 @@ func TestDeltaCodec(t *testing.T) {
 	}
 }
 
-// TestBitPackRoundTrip fuzzes the bit packer against its reader across
-// random widths.
+// TestBitPackRoundTrip fuzzes the one pack loop against the one unpack loop
+// across every width up to maxQuantBits, random bases and block lengths, with
+// blocks packed back to back so most start at a carried bit offset.
 func TestBitPackRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		nbits := uint8(r.Intn(maxQuantBits) + 1)
-		n := r.Intn(100) + 1
+	for trial := 0; trial < 200; trial++ {
+		width := uint8(r.Intn(maxQuantBits + 1))
+		n := r.Intn(600)
+		base := r.Uint64() >> (16 + r.Intn(48))
 		vals := make([]uint64, n)
-		w := &bitWriter{}
 		for i := range vals {
-			vals[i] = r.Uint64() & ((1 << nbits) - 1)
-			w.write(vals[i], nbits)
+			vals[i] = base + r.Uint64()&(1<<width-1)
 		}
-		w.flush()
-		rd := &bitReader{buf: w.buf}
-		for i := range vals {
-			got, ok := rd.read(nbits)
-			if !ok {
-				t.Fatalf("trial %d: stream ended at %d of %d", trial, i, n)
+		fr := forFrame{base: base, width: width}
+		if n > 1 {
+			vals[0], vals[n-1] = base, base+1<<width-1 // both ends of the frame occur
+			if got := frameOf(vals); got != fr {
+				t.Fatalf("trial %d: frameOf = %+v, want %+v", trial, got, fr)
 			}
-			if got != vals[i] {
-				t.Fatalf("trial %d index %d: %d != %d", trial, i, got, vals[i])
+		}
+		lead := r.Intn(5)
+		buf := make([]byte, lead+packedLen(n, width)+packSlack)
+		end := packBlock(buf, lead, vals, fr)
+		if end != lead+packedLen(n, width) {
+			t.Fatalf("trial %d: %d values of %d bits ended at byte %d, want %d", trial, n, width, end, lead+packedLen(n, width))
+		}
+		// Read it back in two runs, the second from wherever the first ended.
+		got := make([]uint64, n)
+		cut := 0
+		if n > 0 {
+			cut = r.Intn(n)
+		}
+		src := buf[:end]
+		unpackBits(got[:cut], src, 8*lead, width)
+		unpackBits(got[cut:], src, 8*lead+cut*int(width), width)
+		for i := range vals {
+			if base+got[i] != vals[i] {
+				t.Fatalf("trial %d (width %d) index %d: %d != %d", trial, width, i, base+got[i], vals[i])
 			}
 		}
 	}
 }
 
-// forTreelet lays col out as a treelet whose node ranges hold counts[i]
-// values each, in order — the shape encodeFOR and decodeFOR agree on.
+// forTreelet lays a column out as a treelet whose node ranges hold counts[i]
+// values each, in order — the shape the block encoders and decoders agree on.
+// Even nodes are inner nodes (their ranges hold LOD samples), odd ones leaves.
 func forTreelet(counts []int) (*treelet, []diskNode) {
 	t := &treelet{}
 	var nodes []diskNode
-	for _, c := range counts {
+	for i, c := range counts {
 		start := uint32(len(t.order))
-		t.nodes = append(t.nodes, treeletNode{start: start, count: uint32(c)})
-		nodes = append(nodes, diskNode{start: start, count: uint32(c)})
+		axis := leafAxis
+		if i%2 == 0 {
+			axis = geom.X
+		}
+		t.nodes = append(t.nodes, treeletNode{axis: axis, start: start, count: uint32(c)})
+		nodes = append(nodes, diskNode{axis: uint8(axis), start: start, count: uint32(c)})
 		for i := 0; i < c; i++ {
 			t.order = append(t.order, len(t.order))
 		}
@@ -420,7 +442,7 @@ func forRoundTrip(t *testing.T, col []float32, counts []int) encodedAttr {
 	if enc.codec == codecRaw {
 		return enc
 	}
-	got, err := decodePosSection(enc.codec, enc.data, nodes, len(col))
+	got, err := decodePosSection(enc.codec, enc.data, nodes, len(col), nil)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
 	}
@@ -581,7 +603,7 @@ func TestFORDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeFOR(tc.payload, tc.nodes, len(col))
+			_, err := decodeFOR(tc.payload, tc.nodes, len(col), nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -637,5 +659,366 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 		if have[p] != n {
 			t.Fatalf("position %v: read back %d particles, wrote %d", p, have[p], n)
 		}
+	}
+}
+
+// flatQuantStream re-encodes a decoded quant-for column as the codecQuant
+// stream writers before codecQuantFOR stored — nothing in the package writes
+// one any more: a 26-byte header (vmin, both steps, fine and LOD widths),
+// then every grid index from zero, leaf ranges at the fine width and
+// inner-node ranges at the LOD width, back to back. vals is the decoded
+// column and quantFOR the section it came from (for its vmin).
+func flatQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) []byte {
+	vmin := math.Float64frombits(binary.LittleEndian.Uint64(quantFOR))
+	fineStep, lodStep := quantSteps(bound, lodScale)
+	qs := make([]uint64, len(vals))
+	var widths [2]uint8 // fine, LOD
+	var totalBits int
+	class := func(n *diskNode) int {
+		if n.axis != uint8(leafAxis) {
+			return 1
+		}
+		return 0
+	}
+	for pass := 0; pass < 2; pass++ {
+		for ni := range nodes {
+			n := &nodes[ni]
+			step := quantStep(n, fineStep, lodStep)
+			for i := n.start; i < n.start+n.count; i++ {
+				qs[i] = uint64(math.Round((vals[i] - vmin) / step))
+				if vmin+float64(qs[i])*step != vals[i] {
+					panic("flatQuantStream: value is not on the section's grid")
+				}
+				widths[class(n)] = max(widths[class(n)], uint8(bits.Len64(qs[i])))
+			}
+			if pass == 1 {
+				totalBits += int(n.count) * int(widths[class(n)])
+			}
+		}
+	}
+	out := make([]byte, quantHeaderLen+(totalBits+7)/8+packSlack)
+	binary.LittleEndian.PutUint64(out[0:], math.Float64bits(vmin))
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(fineStep))
+	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(lodStep))
+	out[24], out[25] = widths[0], widths[1]
+	bit := 8 * quantHeaderLen
+	for ni := range nodes {
+		n := &nodes[ni]
+		for _, q := range qs[n.start : n.start+n.count] {
+			w := binary.LittleEndian.Uint64(out[bit>>3:])
+			binary.LittleEndian.PutUint64(out[bit>>3:], w|q<<(bit&7))
+			bit += int(widths[class(n)])
+		}
+	}
+	return out[:len(out)-packSlack]
+}
+
+// quantRoundTrip encodes col (blocked by counts, see forTreelet) under bound
+// and lodScale and, when the encoder chose codecQuantFOR, decodes it against
+// the same declaration and holds every value to its range's bound: bound in
+// leaf ranges, bound·lodScale in inner-node ranges. It returns the section and
+// what the decoder reported about its frames.
+func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.AttrType, bound, lodScale float64) (encodedAttr, SectionInfo) {
+	t.Helper()
+	tr, nodes := forTreelet(counts)
+	if len(tr.order) != len(col) {
+		t.Fatalf("counts cover %d of %d values", len(tr.order), len(col))
+	}
+	var a buildArena
+	enc := encodeAttr(col, tr, typ, bound, lodScale, &a)
+	var info SectionInfo
+	if enc.codec != codecQuantFOR {
+		if enc.codec != codecRaw || enc.data != nil {
+			t.Fatalf("a lossy column encoded as %s (%d bytes); want quant-for or the raw fallback", CodecName(enc.codec), len(enc.data))
+		}
+		return enc, info
+	}
+	if len(enc.data) >= len(col)*typ.Size() {
+		t.Fatalf("quant-for section of %d bytes is not smaller than the %d raw ones", len(enc.data), len(col)*typ.Size())
+	}
+	got, err := decodeAttrSection(enc.codec, enc.data, nodes, len(col), typ, bound, lodScale, &info)
+	if err != nil {
+		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
+	}
+	for _, n := range nodes {
+		tol := bound
+		if n.axis != uint8(leafAxis) {
+			tol = bound * lodScale
+		}
+		for i := n.start; i < n.start+n.count; i++ {
+			if want := typedValue(col[i], typ); !(math.Abs(got[i]-want) <= tol) {
+				t.Fatalf("value %d (blocks %v, bound %g, scale %g): |%v - %v| = %g exceeds %g",
+					i, counts, bound, lodScale, got[i], want, math.Abs(got[i]-want), tol)
+			}
+		}
+	}
+	return enc, info
+}
+
+// TestQuantFORMaxErrorProperty is the attribute codec's guarantee at the
+// section level: over random block shapes (empty and single-element ranges
+// included), magnitudes from 1e-6 to 1e9, bounds from far below one ulp (raw
+// fallback) up to the whole range (width 0), grids fine enough to put the
+// indices near 2^48, both schema types and LODErrorScale 1 and 4, a section
+// is either raw or decodes within its bounds.
+func TestQuantFORMaxErrorProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	var quant, raw, wide int
+	modes := map[string]int{}
+	for trial := 0; trial < 400; trial++ {
+		var counts []int
+		for b, nb := 0, 1+r.Intn(12); b < nb; b++ {
+			c := r.Intn(150)
+			if r.Intn(4) == 0 {
+				c = r.Intn(2)
+			}
+			counts = append(counts, c)
+		}
+		mag := math.Pow(10, float64(r.Intn(16)-6))
+		centre := (r.Float64() - 0.5) * mag
+		coherent := r.Intn(2) == 0
+		var col []float64
+		for _, c := range counts {
+			local := centre
+			if coherent {
+				local += (r.Float64() - 0.5) * mag // each node range has its own neighbourhood
+			}
+			spread := mag
+			if coherent {
+				spread = mag / 256
+			}
+			for i := 0; i < c; i++ {
+				col = append(col, local+(r.Float64()-0.5)*spread)
+			}
+		}
+		typ := particles.Float64
+		if r.Intn(3) == 0 {
+			typ = particles.Float32
+		}
+		// 10^-18 .. 10^1 of the magnitude: from below a float64 ulp, through
+		// grids of ~2^48 cells, to one cell for everything.
+		bound := mag * math.Pow(10, 1-19*r.Float64())
+		lodScale := []float64{1, 4}[r.Intn(2)]
+		enc, info := quantRoundTrip(t, col, counts, typ, bound, lodScale)
+		if enc.codec == codecRaw {
+			raw++
+			continue
+		}
+		quant++
+		modes[info.Mode]++
+		for _, w := range info.Widths {
+			if w > 40 {
+				wide++
+				break
+			}
+		}
+	}
+	if quant < 150 || raw < 30 || wide < 5 || modes["one-frame"] < 20 || modes["per-node"] < 20 {
+		t.Fatalf("%d quant-for sections (%v, %d with a block over 40 bits), %d raw: the property is near vacuous somewhere", quant, modes, wide, raw)
+	}
+}
+
+// TestQuantFORModes pins the column shapes that force each frame mode and the
+// ends of the width range.
+func TestQuantFORModes(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	counts := []int{8, 90, 8, 70, 0, 1, 8, 120, 0}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	noise := make([]float64, n)
+	smooth := make([]float64, 0, n)
+	constant := make([]float64, n)
+	for i := range noise {
+		noise[i] = r.Float64()
+		constant[i] = -7.25
+	}
+	for b, c := range counts {
+		for i := 0; i < c; i++ {
+			smooth = append(smooth, float64(b)/10+0.01*r.Float64())
+		}
+	}
+	const bound = 1e-3
+	for _, tc := range []struct {
+		name     string
+		col      []float64
+		mode     string
+		maxWidth uint8
+	}{
+		{"noise keeps one frame", noise, "one-frame", 9},
+		{"node-coherent values take a frame per node", smooth, "per-node", 3},
+		{"a constant column is width 0", constant, "one-frame", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, info := quantRoundTrip(t, tc.col, counts, particles.Float64, bound, 1)
+			if enc.codec != codecQuantFOR || info.Mode != tc.mode {
+				t.Fatalf("encoded as %s %s, want quant-for %s", CodecName(enc.codec), info.Mode, tc.mode)
+			}
+			for _, w := range info.Widths {
+				if w > tc.maxWidth {
+					t.Fatalf("block widths %v, want none above %d", info.Widths, tc.maxWidth)
+				}
+			}
+			if tc.mode == "per-node" && len(info.Widths) != len(counts) {
+				t.Fatalf("%d frames for %d node ranges", len(info.Widths), len(counts))
+			}
+		})
+	}
+	t.Run("constant column is eleven bytes", func(t *testing.T) {
+		enc, _ := quantRoundTrip(t, constant, counts, particles.Float64, bound, 1)
+		if want := quantFORHeaderLen + 2; len(enc.data) != want {
+			t.Fatalf("%d equal values encoded in %d bytes, want %d (vmin, mode, base 0, width 0)", n, len(enc.data), want)
+		}
+	})
+	t.Run("a bound below one ulp falls back to raw", func(t *testing.T) {
+		// ulp(1e15) is 0.125: a grid of step 2e-15 over a range of 3 has more
+		// cells than 48 bits index.
+		col := []float64{1e15, 1e15 + 1, 1e15 + 2, 1e15 + 3}
+		if enc, _ := quantRoundTrip(t, col, []int{4}, particles.Float64, 1e-15, 1); enc.codec != codecRaw {
+			t.Fatalf("encoded as %s, want raw", CodecName(enc.codec))
+		}
+	})
+	t.Run("indices just under 2^48", func(t *testing.T) {
+		// 2^47 grid cells between the two clusters: 48-bit indices, one
+		// frame too wide to pay, per-node frames of a few bits.
+		const step = 2 * bound
+		hi := step * (1 << 47)
+		var col []float64
+		for i := 0; i < 200; i++ {
+			col = append(col, float64(i%50)*step)
+		}
+		for i := 0; i < 200; i++ {
+			col = append(col, hi+float64(i%50)*step)
+		}
+		enc, info := quantRoundTrip(t, col, []int{200, 200}, particles.Float64, bound, 1)
+		if enc.codec != codecQuantFOR || info.Mode != "per-node" || info.Widths[1] > 7 {
+			t.Fatalf("encoded as %s %s widths %v, want per-node frames of a few bits", CodecName(enc.codec), info.Mode, info.Widths)
+		}
+		// One more doubling puts an index at 2^48: not representable.
+		for i := 200; i < 400; i++ {
+			col[i] += hi
+		}
+		if enc, _ := quantRoundTrip(t, col, []int{200, 200}, particles.Float64, bound, 1); enc.codec != codecRaw {
+			t.Fatalf("indices past 2^48 encoded as %s, want raw", CodecName(enc.codec))
+		}
+	})
+}
+
+// TestFlatQuantDecodesLikeQuantFOR: the codecQuant stream earlier writers
+// stored and the codecQuantFOR section holding the same grid indices decode,
+// through the same unpack loop, to the same float64s bit for bit — at both
+// LOD scales, so with one width for the whole section and with two.
+func TestFlatQuantDecodesLikeQuantFOR(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		var counts []int
+		var col []float64
+		for b, nb := 0, 1+r.Intn(10); b < nb; b++ {
+			c := r.Intn(300)
+			counts = append(counts, c)
+			local := r.Float64() * 100
+			for i := 0; i < c; i++ {
+				col = append(col, local+r.NormFloat64())
+			}
+		}
+		bound := math.Pow(10, -4*r.Float64())
+		lodScale := []float64{1, 4}[trial%2]
+		enc, _ := quantRoundTrip(t, col, counts, particles.Float64, bound, lodScale)
+		if enc.codec != codecQuantFOR {
+			continue
+		}
+		_, nodes := forTreelet(counts)
+		want, err := decodeQuantFOR(enc.data, nodes, len(col), bound, lodScale, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info SectionInfo
+		got, err := decodeQuant(flatQuantStream(nodes, want, enc.data, bound, lodScale), nodes, len(col), bound, lodScale, &info)
+		if err != nil {
+			t.Fatalf("trial %d: flat stream of widths %v: %v", trial, info.Widths, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d value %d: flat quant decodes to %v, quant-for to %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestQuantFORDecodeRejects drives decodeQuantFOR with streams the encoder
+// cannot produce: each must be an error, none a panic.
+func TestQuantFORDecodeRejects(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	counts := []int{8, 40, 8, 33}
+	tr, nodes := forTreelet(counts)
+	n := len(tr.order)
+	const bound = 1e-3
+	sections := map[string][]byte{}
+	for name, gen := range map[string]func(b int) float64{
+		"one-frame": func(int) float64 { return 10 + r.Float64() },
+		"per-node":  func(b int) float64 { return 10 + float64(b) + 0.02*r.Float64() },
+	} {
+		var col []float64
+		for b, c := range counts {
+			for i := 0; i < c; i++ {
+				col = append(col, gen(b))
+			}
+		}
+		enc, info := quantRoundTrip(t, col, counts, particles.Float64, bound, 1)
+		if enc.codec != codecQuantFOR || info.Mode != name {
+			t.Fatalf("sample column encoded as %s %s, want quant-for %s", CodecName(enc.codec), info.Mode, name)
+		}
+		sections[name] = enc.data
+	}
+	one, per := sections["one-frame"], sections["per-node"]
+	mut := func(valid []byte, f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	// Both samples' first frame is `base, width` in one byte each right after
+	// the header: every index is under 128 grid cells from the minimum.
+	const frame = quantFORHeaderLen
+	hugeBase := binary.AppendUvarint(nil, 1<<maxQuantBits-1)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		bound   float64
+		want    string
+	}{
+		{"empty section", nil, bound, "truncated"},
+		{"header only", one[:quantFORHeaderLen], bound, "truncated at frame"},
+		{"frame without its width", one[:frame+1], bound, "truncated at frame"},
+		{"unknown mode 2", mut(one, func(b []byte) []byte { b[8] = 2; return b }), bound, "unknown frame mode"},
+		{"unknown mode 255", mut(per, func(b []byte) []byte { b[8] = 255; return b }), bound, "unknown frame mode"},
+		{"width 49", mut(one, func(b []byte) []byte { b[frame+1] = 49; return b }), bound, "exceeds 48"},
+		{"width 255 in a later frame", mut(per, func(b []byte) []byte {
+			b[frame+2+packedLen(counts[0], b[frame+1])+1] = 255 // the second node's frame follows the first's block
+			return b
+		}), bound, "exceeds 48"},
+		{"truncated block", one[:len(one)-1], bound, "truncated"},
+		{"truncated last block", per[:len(per)-1], bound, "truncated"},
+		{"trailing byte", mut(one, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
+		{"trailing byte after the last node's block", mut(per, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
+		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNode; return b }), bound, ""},
+		{"per-node stream read as one frame", mut(per, func(b []byte) []byte { b[8] = quantOneFrame; return b }), bound, ""},
+		{"base of 2^48", mut(one, func(b []byte) []byte {
+			return append(append(append([]byte(nil), b[:frame]...), binary.AppendUvarint(nil, 1<<maxQuantBits)...), b[frame+1:]...)
+		}), bound, "overflows"},
+		{"base + offset past 2^48", mut(one, func(b []byte) []byte {
+			return append(append(append([]byte(nil), b[:frame]...), hugeBase...), b[frame+1:]...)
+		}), bound, "overflows"},
+		{"base uvarint that never ends", mut(one, func(b []byte) []byte {
+			return append(append([]byte(nil), b[:frame]...), bytes.Repeat([]byte{0xff}, 12)...)
+		}), bound, "truncated at frame"},
+		{"infinite grid minimum", mut(one, func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b, math.Float64bits(math.Inf(-1)))
+			return b
+		}), bound, "invalid grid minimum"},
+		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := decodeQuantFOR(tc.payload, nodes, n, tc.bound, 1, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

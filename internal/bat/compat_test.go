@@ -1,10 +1,12 @@
 package bat
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"libbat/internal/geom"
@@ -12,8 +14,8 @@ import (
 )
 
 // goldenSet is the fixed dataset the checked-in golden files were built
-// from. It must never change: the goldens pin the on-disk v1/v2 layouts,
-// and this set is the decode oracle they are compared against.
+// from. It must never change: the goldens pin the on-disk layouts, and this
+// set is the decode oracle they are compared against.
 func goldenSet() (*particles.Set, geom.Box) {
 	s := particles.NewSet(particles.NewSchema("mass", "id"), 257)
 	// A deterministic low-discrepancy-ish scatter plus a coincident clump,
@@ -37,8 +39,8 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenV3Config is the compressed build both version-3 goldens were made
-// with: "mass" within 1e-3, "id" lossless.
+// goldenV3Config is the compressed build all three version-3 goldens were
+// made with: "mass" within 1e-3, "id" lossless.
 func goldenV3Config() BuildConfig {
 	cfg := goldenConfig()
 	cfg.Compress = true
@@ -86,10 +88,12 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
 // legitimately changes (which for v1/v2 should be never).
 //
-// golden_v3_rawpos.bat is not among them and cannot be regenerated: it is
-// goldenV3Config's build by the last writer that stored version-3 positions
-// as raw f32 columns (commit c90a2ea, the parent of the position codec), and
-// pins the read path of the files that writer left behind.
+// Two goldens are not among them and cannot be regenerated; each is
+// goldenV3Config's build by the last writer of a layout, and pins the read
+// path of the files that writer left behind. golden_v3_rawpos.bat: version-3
+// positions as raw f32 columns (commit c90a2ea, the parent of the position
+// codec). golden_v3_flatquant.bat: packed positions, lossy attributes as
+// codecQuant sections (commit 1f5afd1, the parent of codecQuantFOR).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -121,25 +125,31 @@ func TestGoldenRegenerate(t *testing.T) {
 }
 
 // TestGoldenBackwardCompat opens the checked-in files of every layout a
-// writer has produced — version 1, version 2, version 3 with raw position
-// columns, version 3 with packed positions — and requires them to decode to
-// the same particle multiset as the day they were written: positions and the
-// lossless id bit-exact everywhere, mass exact in the lossless versions and
-// within its declared bound in version 3.
+// writer has produced. Version 1 (no checksums) must be refused. Version 2,
+// version 3 with raw position columns, version 3 with packed positions and
+// flat quant attributes, and today's version 3 must decode to the same
+// particle multiset as the day they were written: positions and the lossless
+// id bit-exact everywhere, mass exact in version 2 and within its declared
+// bound in version 3 — where all three files return the same rows bit for
+// bit, since each writer changed how the same grid indices are stored and
+// never the grid.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
 	massBound := goldenV3Config().AttrErrorBounds[0]
 	var v3rows [][]goldenRow
+	var v3secs [][]sectionSeed
 	for _, tc := range []struct {
-		file    string
-		version int
-		packed  bool
+		file      string
+		version   int
+		packed    bool
+		massCodec uint8
 	}{
-		{"golden_v1.bat", 1, false},
-		{"golden_v2.bat", 2, false},
-		{"golden_v3_rawpos.bat", 3, false},
-		{"golden_v3.bat", 3, true},
+		{"golden_v1.bat", 1, false, codecRaw},
+		{"golden_v2.bat", 2, false, codecRaw},
+		{"golden_v3_rawpos.bat", 3, false, codecQuant},
+		{"golden_v3_flatquant.bat", 3, true, codecQuant},
+		{"golden_v3.bat", 3, true, codecQuantFOR},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -147,6 +157,12 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				t.Fatalf("%v (regenerate with BAT_REGEN_GOLDEN=1 go test -run TestGoldenRegenerate)", err)
 			}
 			f, err := FromBuffer(buf)
+			if tc.version < minVersion {
+				if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+					t.Fatalf("version-%d file: open error %v, want unsupported version", tc.version, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,6 +171,13 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)
+			}
+			secs := fileSections(t, f, buf)
+			for _, sec := range secs {
+				if sec.attr == "mass" && sec.codec != tc.massCodec {
+					t.Fatalf("a mass section is %s, want %s: the file does not pin the layout it is named for",
+						CodecName(sec.codec), CodecName(tc.massCodec))
+				}
 			}
 			got := readRows(t, f)
 			if len(got) != len(want) {
@@ -174,16 +197,27 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 			if tc.version >= 3 {
 				v3rows = append(v3rows, got)
+				v3secs = append(v3secs, secs)
 			}
 		})
 	}
-	// Packing positions changed no value: a dataset the previous writer left
-	// behind answers exactly like its rebuild by this one.
-	if len(v3rows) == 2 {
-		for i := range v3rows[0] {
-			if v3rows[0][i] != v3rows[1][i] {
-				t.Fatalf("row %d: raw-position golden %+v != packed golden %+v", i, v3rows[0][i], v3rows[1][i])
+	if len(v3rows) != 3 {
+		t.Fatalf("%d of 3 version-3 goldens decoded", len(v3rows))
+	}
+	for _, rows := range v3rows[1:] {
+		for i := range rows {
+			if rows[i] != v3rows[0][i] {
+				t.Fatalf("row %d: %+v != %+v of the raw-position golden", i, rows[i], v3rows[0][i])
 			}
+		}
+	}
+	// The shared pack loop writes position sections byte for byte as the
+	// writer before it did.
+	before, after := v3secs[1], v3secs[2]
+	for i := range after {
+		if i < len(before) && after[i].attr == before[i].attr && before[i].codec == codecFOR &&
+			(after[i].codec != codecFOR || !bytes.Equal(after[i].payload, before[i].payload)) {
+			t.Fatalf("section %d (%s): position stream differs from golden_v3_flatquant.bat", i, after[i].attr)
 		}
 	}
 }

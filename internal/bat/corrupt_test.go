@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -132,7 +134,7 @@ func TestHeaderFlipIsChecksumError(t *testing.T) {
 
 // stripToV1 converts a v2 image into its version-1 equivalent: footer
 // removed, version field patched.
-func stripToV1(t *testing.T, buf []byte) []byte {
+func stripToV1(t testing.TB, buf []byte) []byte {
 	t.Helper()
 	footerLen := binary.LittleEndian.Uint32(buf[len(buf)-8:])
 	if int(footerLen) >= len(buf) {
@@ -143,38 +145,32 @@ func stripToV1(t *testing.T, buf []byte) []byte {
 	return v1
 }
 
-// TestV1FileStillReads: pre-checksum files must parse and query as
-// before; they report as un-checksummed and Verify is a no-op.
-func TestV1FileStillReads(t *testing.T) {
-	buf := builtSample(t)
-	v2, err := FromBuffer(buf)
+// TestV1FileRejected: a version-1 file — the version-2 layout without the
+// checksum footer — carries nothing a reader can verify and is refused at
+// open.
+func TestV1FileRejected(t *testing.T) {
+	if _, err := FromBuffer(stripToV1(t, builtSample(t))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("open error %v, want unsupported version 1", err)
+	}
+}
+
+// TestVersionFieldFlipsRejected: no single flipped bit of the version field
+// opens. 3 -> 1 is one bit, and while version 1 was readable it switched
+// every checksum off: a version-3 file without the packed-positions flag
+// opened as version 1 and served its framed sections as raw columns.
+func TestVersionFieldFlipsRejected(t *testing.T) {
+	rawpos, err := os.ReadFile(filepath.Join("testdata", "golden_v3_rawpos.bat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := collect(t, v2)
-
-	v1buf := stripToV1(t, buf)
-	v1, err := FromBuffer(v1buf)
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if v1.Version != 1 || v1.Checksummed() {
-		t.Errorf("Version=%d Checksummed=%v, want 1/false", v1.Version, v1.Checksummed())
-	}
-	if err := v1.Verify(); err != nil {
-		t.Errorf("Verify on v1: %v", err)
-	}
-	got := collect(t, v1)
-	if len(got) != len(want) {
-		t.Fatalf("v1 query returned %d values, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("v1 query differs at value %d", i)
+	for name, buf := range map[string][]byte{"v2": builtSample(t), "v3": compressedSample(t), "v3 raw positions": rawpos} {
+		for bit := 0; bit < 32; bit++ {
+			mut := append([]byte(nil), buf...)
+			mut[4+bit/8] ^= 1 << (bit % 8)
+			if f, err := FromBuffer(mut); err == nil {
+				t.Errorf("%s: version field bit %d flipped (version %d) still opens", name, bit, f.Version)
+			}
 		}
-	}
-	if !v2.Checksummed() || v2.Version != 2 {
-		t.Errorf("v2 file reports Version=%d Checksummed=%v", v2.Version, v2.Checksummed())
 	}
 }
 
@@ -193,7 +189,7 @@ func compressedSample(t *testing.T) []byte {
 // mutateTreelet applies a targeted mutation to treelet ti's bytes and then
 // re-fixes the treelet CRC and the footer CRC, so the corrupted bytes reach
 // the codec-layer validation instead of being caught by the checksums.
-func mutateTreelet(t *testing.T, buf []byte, ti int, mutate func(tre []byte)) []byte {
+func mutateTreelet(t testing.TB, buf []byte, ti int, mutate func(tre []byte)) []byte {
 	t.Helper()
 	orig, err := FromBuffer(buf)
 	if err != nil {
@@ -305,43 +301,59 @@ func TestV3TruncatedCodecStream(t *testing.T) {
 	}
 }
 
-// TestV3ErrorBoundMismatch: a quant section whose stored grid step exceeds
-// the footer's declared bound is corrupt and must be rejected, as must a
-// quant section inside a file whose footer claims the attribute lossless.
+// TestV3ErrorBoundMismatch: a quant-for section takes its grid steps from the
+// footer, so one inside a file whose footer claims the attribute lossless is
+// corrupt; and a flat quant section of an earlier writer, which stores its
+// steps, is corrupt when they exceed what the footer declares.
 func TestV3ErrorBoundMismatch(t *testing.T) {
-	buf := compressedSample(t)
-	_, secOff := firstSectionOffset(t, buf, 0)
-	f, err := FromBuffer(buf)
+	flat, err := os.ReadFile(filepath.Join("testdata", "golden_v3_flatquant.bat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nT := f.NumTreelets()
-	secs, err := f.TreeletSections(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		buf   []byte
+		codec uint8
+	}{
+		{"quant-for", compressedSample(t), codecQuantFOR},
+		{"flat quant", flat, codecQuant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, secOff := firstSectionOffset(t, tc.buf, 0)
+			f, err := FromBuffer(tc.buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nT := f.NumTreelets()
+			secs, err := f.TreeletSections(context.Background(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := secs[PositionSections].Codec; c != tc.codec {
+				t.Fatalf("attribute 0 section is %s, want %s; pick different sample data", CodecName(c), CodecName(tc.codec))
+			}
+			// Rewrite the footer to declare attribute 0 lossless while its
+			// sections are still quantized.
+			declaredLossless := mutateFooter(t, tc.buf, func(foot []byte) {
+				p := 8 + 4*nT + 4 // numAttrs, then attr 0's codec byte
+				foot[p] = codecDelta
+				binary.LittleEndian.PutUint64(foot[p+1:], math.Float64bits(0))
+			})
+			expectLoadError(t, declaredLossless, "error-bound mismatch")
+			if tc.codec != codecQuant {
+				return
+			}
+			// Inflate the stored fine step 10x beyond the declared bound. The
+			// fine step sits 8 bytes into the quant header, after the codec
+			// byte and encLen frame.
+			stepOff := secOff + 5 + 8
+			inflated := mutateTreelet(t, tc.buf, 0, func(tre []byte) {
+				step := math.Float64frombits(binary.LittleEndian.Uint64(tre[stepOff:]))
+				binary.LittleEndian.PutUint64(tre[stepOff:], math.Float64bits(step*10))
+			})
+			expectLoadError(t, inflated, "error-bound mismatch")
+		})
 	}
-	if c := secs[PositionSections].Codec; c != codecQuant {
-		t.Fatalf("attribute 0 section is %s, want quant; pick different sample data", CodecName(c))
-	}
-
-	// Inflate the stored fine step 10x beyond the declared bound. The
-	// fine step sits 8 bytes into the quant header, after the codec byte
-	// and encLen frame.
-	stepOff := secOff + 5 + 8
-	inflated := mutateTreelet(t, buf, 0, func(tre []byte) {
-		step := math.Float64frombits(binary.LittleEndian.Uint64(tre[stepOff:]))
-		binary.LittleEndian.PutUint64(tre[stepOff:], math.Float64bits(step*10))
-	})
-	expectLoadError(t, inflated, "error-bound mismatch")
-
-	// Rewrite the footer to declare attribute 0 lossless while its
-	// sections are still quant-coded.
-	declaredLossless := mutateFooter(t, buf, func(foot []byte) {
-		p := 8 + 4*nT + 4 // numAttrs, then attr 0's codec byte
-		foot[p] = codecDelta
-		binary.LittleEndian.PutUint64(foot[p+1:], math.Float64bits(0))
-	})
-	expectLoadError(t, declaredLossless, "error-bound mismatch")
 }
 
 // TestV3FooterValidation: out-of-range declarations in the footer's v3
@@ -390,8 +402,8 @@ func TestV3TruncatedNeverPanics(t *testing.T) {
 }
 
 // mutateHeader applies a targeted mutation to the header bytes and re-fixes
-// the header CRC (version >= 2) and the footer CRC over it, so the mutated
-// fields reach the header validation instead of the checksum.
+// the header CRC and the footer CRC over it, so the mutated fields reach the
+// header validation instead of the checksum.
 func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 	t.Helper()
 	orig, err := FromBuffer(buf)
@@ -399,10 +411,6 @@ func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 		t.Fatal(err)
 	}
 	mut := append([]byte(nil), buf...)
-	if !orig.Checksummed() {
-		mutate(mut)
-		return mut
-	}
 	mutate(mut[:orig.headerSize])
 	return mutateFooter(t, mut, func(foot []byte) {
 		binary.LittleEndian.PutUint32(foot, checksum.CRC32C(mut[:orig.headerSize]))
@@ -426,7 +434,6 @@ func TestHeaderFlagValidation(t *testing.T) {
 	}{
 		{"unknown bit 2", mutateHeader(t, v3, setFlags(flagPackedPositions|1<<2)), "unknown header flag bits 0x4"},
 		{"unknown top bit", mutateHeader(t, v2, setFlags(1<<31)), "unknown header flag bits"},
-		{"unknown bit in v1", mutateHeader(t, stripToV1(t, v2), setFlags(1<<7)), "unknown header flag bits"},
 		{"quantized and packed", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedPositions)), "exclude quantized"},
 		{"packed in v2", mutateHeader(t, v2, setFlags(flagPackedPositions)), "need version 3"},
 	} {
@@ -536,12 +543,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(b.Buf)
 		if len(b.Buf) > 16 {
 			f.Add(b.Buf[:len(b.Buf)/2])
-			footerLen := binary.LittleEndian.Uint32(b.Buf[len(b.Buf)-8:])
-			if int(footerLen) < len(b.Buf) {
-				v1 := append([]byte(nil), b.Buf[:len(b.Buf)-int(footerLen)]...)
-				binary.LittleEndian.PutUint32(v1[4:], 1)
-				f.Add(v1) // reaches the unchecksummed parse path
-			}
+			f.Add(stripToV1(f, b.Buf)) // refused at the version field
 		}
 	}
 	// A compressed (version 3) seed so mutations reach the codec layer.
@@ -573,9 +575,62 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// sectionSeed is one real codec section with the node table and point count
-// it decodes against.
+// FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a real
+// version-2 and a real version-3 file, with the checksums fixed up after
+// them: every readable file is checksummed, so no mutation FuzzDecode makes
+// gets past the treelet CRC to the node-table and section parsing.
+func FuzzTreelet(f *testing.F) {
+	var files [][]byte
+	s, domain := randomSet(60, 1)
+	cs, cdomain := cosmoSet(60, 3)
+	for _, build := range []func() (*Built, error){
+		func() (*Built, error) { return Build(s, domain, DefaultBuildConfig()) },
+		func() (*Built, error) {
+			return Build(cs, cdomain, compressedConfig([]float64{1e-3, 1e-1, 1e-3, 0}))
+		},
+	} {
+		b, err := build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		file, err := FromBuffer(b.Buf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ref := file.leaves[0]
+		files = append(files, b.Buf)
+		f.Add(b.Buf[ref.offset : ref.offset+uint64(ref.byteLen)])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, buf := range files {
+			// Shorter data leaves the treelet's own tail in place.
+			mut := mutateTreelet(t, buf, 0, func(tre []byte) { copy(tre, data) })
+			file, err := FromBuffer(mut)
+			if err != nil {
+				t.Fatalf("a file with only treelet bytes changed failed to open: %v", err)
+			}
+			if pt, err := file.loadTreelet(context.Background(), 0); err == nil {
+				for a, col := range pt.attrs {
+					if len(col) != len(pt.x) {
+						t.Fatalf("attribute %d has %d of %d values", a, len(col), len(pt.x))
+					}
+				}
+			}
+			visits := 0
+			file.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
+				if visits++; visits > 10000 {
+					return errStopFuzz
+				}
+				return nil
+			})
+		}
+	})
+}
+
+// sectionSeed is one real section — its column name, codec and payload — with
+// the node table and point count it decodes against.
 type sectionSeed struct {
+	attr    string
 	codec   uint8
 	payload []byte
 	table   []byte
@@ -609,20 +664,9 @@ func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
 // fuzzed quant sections are checked against.
 const fuzzSectionBound, fuzzSectionLODScale = 0.5, 2.0
 
-// sectionSeeds builds a small compressed file and cuts every section of every
-// treelet out of it, so the fuzzer starts from streams each decoder accepts.
-func sectionSeeds(tb testing.TB) []sectionSeed {
-	s, domain := cosmoSet(300, 5)
-	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
-	cfg.LODErrorScale = fuzzSectionLODScale
-	b, err := Build(s, domain, cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	f, err := FromBuffer(b.Buf)
-	if err != nil {
-		tb.Fatal(err)
-	}
+// fileSections cuts every column of every treelet out of the image buf of f.
+func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
+	tb.Helper()
 	var seeds []sectionSeed
 	for ti, ref := range f.leaves {
 		pt, err := f.loadTreelet(context.Background(), ti)
@@ -640,41 +684,69 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 			tb.Fatal(err)
 		}
 		p := int(ref.offset) + 8 + len(pt.nodes)*(treeletNodeBytes+2*f.Schema.NumAttrs())
-		for _, sec := range secs {
-			p += 5
-			seeds = append(seeds, sectionSeed{sec.Codec, b.Buf[p : p+sec.EncBytes], table, uint16(ref.numPoints)})
+		for i, sec := range secs {
+			if framed := f.Version >= 3 && (i >= PositionSections || f.PackedPositions); framed {
+				p += 5
+			}
+			seeds = append(seeds, sectionSeed{sec.Attr, sec.Codec, buf[p : p+sec.EncBytes], table, uint16(ref.numPoints)})
 			p += sec.EncBytes
 		}
 	}
 	return seeds
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the four
-// section decoders (raw, quant, delta, FOR), past the checksums and the file
-// structure FuzzDecode has to get through first. Errors are fine; panics, and
-// columns of any length but nPoints, are not.
+// sectionSeeds builds a small compressed file and cuts every section of every
+// treelet out of it, then adds the sections of the flat-quant golden, which
+// no writer produces any more, so the fuzzer starts from streams each decoder
+// accepts.
+func sectionSeeds(tb testing.TB) []sectionSeed {
+	s, domain := cosmoSet(300, 5)
+	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
+	cfg.LODErrorScale = fuzzSectionLODScale
+	b, err := Build(s, domain, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	flat, err := os.ReadFile(filepath.Join("testdata", "golden_v3_flatquant.bat"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var seeds []sectionSeed
+	for _, buf := range [][]byte{b.Buf, flat} {
+		f, err := FromBuffer(buf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, fileSections(tb, f, buf)...)
+	}
+	return seeds
+}
+
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
+// section decoders (raw, quant, delta, FOR, quant-for), past the checksums and
+// the file structure FuzzDecode has to get through first. Errors are fine;
+// panics, and columns of any length but nPoints, are not.
 func FuzzDecodeSections(f *testing.F) {
 	for _, s := range sectionSeeds(f) {
 		f.Add(s.codec, s.payload, s.table, s.nPoints)
 	}
 	f.Add(codecFOR, []byte{}, []byte{}, uint16(0))
 	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, []byte{0, 0, 1, 0, 3}, uint16(1))
+	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNode, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 48}, []byte{0, 0, 1, 0, 3}, uint16(1))
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16) {
+		// parseTreelet reads no section of a treelet whose node ranges do
+		// not tile its points, and the block decoders rely on that.
 		nodes, ok := fuzzNodes(table, nPoints)
-		if !ok {
+		if !ok || checkBlockRanges(nodes, uint32(nPoints)) != nil {
 			return
 		}
-		lodMask := func() []bool { return lodMaskFromDisk(nodes, int(nPoints)) }
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
-			vals, err := decodeAttrSection(codec, payload, int(nPoints), typ, fuzzSectionBound, fuzzSectionLODScale, lodMask)
+			vals, err := decodeAttrSection(codec, payload, nodes, int(nPoints), typ, fuzzSectionBound, fuzzSectionLODScale, nil)
 			if err == nil && len(vals) != int(nPoints) {
 				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
 			}
 		}
-		if checkBlockRanges(nodes, uint32(nPoints)) != nil {
-			return
-		}
-		col, err := decodePosSection(codec, payload, nodes, int(nPoints))
+		col, err := decodePosSection(codec, payload, nodes, int(nPoints), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
@@ -682,26 +754,32 @@ func FuzzDecodeSections(f *testing.F) {
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// is accepted by the decoder it was cut from, and all four codecs occur.
+// is accepted by the decoder it was cut from, and all five codecs and both
+// quant-for frame modes occur.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
+	modes := map[string]bool{}
 	for i, s := range sectionSeeds(t) {
 		seen[s.codec] = true
 		nodes, ok := fuzzNodes(s.table, s.nPoints)
-		if !ok {
-			t.Fatalf("seed %d: node table runs past its %d points", i, s.nPoints)
+		if !ok || checkBlockRanges(nodes, uint32(s.nPoints)) != nil {
+			t.Fatalf("seed %d: node table does not tile its %d points", i, s.nPoints)
 		}
-		lodMask := func() []bool { return lodMaskFromDisk(nodes, int(s.nPoints)) }
-		_, err32 := decodeAttrSection(s.codec, s.payload, int(s.nPoints), particles.Float32, fuzzSectionBound, fuzzSectionLODScale, lodMask)
-		_, err64 := decodeAttrSection(s.codec, s.payload, int(s.nPoints), particles.Float64, fuzzSectionBound, fuzzSectionLODScale, lodMask)
-		_, errPos := decodePosSection(s.codec, s.payload, nodes, int(s.nPoints))
+		var info SectionInfo
+		_, err32 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float32, fuzzSectionBound, fuzzSectionLODScale, &info)
+		_, err64 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+		_, errPos := decodePosSection(s.codec, s.payload, nodes, int(s.nPoints), nil)
 		if err32 != nil && err64 != nil && errPos != nil {
 			t.Fatalf("seed %d (%s, %d bytes) decodes nowhere: %v / %v / %v", i, CodecName(s.codec), len(s.payload), err32, err64, errPos)
 		}
+		modes[info.Mode] = true
 	}
-	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR} {
+	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR, codecQuantFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
+	}
+	if !modes["one-frame"] || !modes["per-node"] {
+		t.Errorf("quant-for frame modes among the seeds: %v, want both", modes)
 	}
 }

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -42,9 +43,12 @@ func determinismCorpora() []struct {
 		return geom.V3(r.Float64(), r.Float64(), r.Float64()), []float64{r.Float64(), float64(i)}
 	}
 	clustered := func(r *rand.Rand, i int) (geom.Vec3, []float64) {
+		// Attribute a is noise; b follows the position, so under Compress a
+		// k-d node's values are neighbours and its section takes per-node
+		// frames where a's keeps one.
 		cx, cy, cz := float64(i%4)*0.25+0.1, float64((i/4)%4)*0.25+0.1, 0.5
-		return geom.V3(cx+r.NormFloat64()*0.01, cy+r.NormFloat64()*0.01, cz+r.NormFloat64()*0.01),
-			[]float64{r.Float64() * 10, r.Float64()}
+		p := geom.V3(cx+r.NormFloat64()*0.01, cy+r.NormFloat64()*0.01, cz+r.NormFloat64()*0.01)
+		return p, []float64{r.Float64() * 10, p.X + 3*p.Y + r.Float64()*1e-3}
 	}
 	coincident := func(r *rand.Rand, i int) (geom.Vec3, []float64) {
 		// Eight distinct positions shared by thousands of particles:
@@ -71,6 +75,7 @@ func determinismCorpora() []struct {
 // under -race by scripts/check.sh with Workers > 1 so the fused treelet
 // stage's sharing discipline is exercised, not assumed.
 func TestBuildDeterminism(t *testing.T) {
+	frameModes := map[string]bool{}
 	for _, c := range determinismCorpora() {
 		t.Run(c.name, func(t *testing.T) {
 			for _, mode := range []struct{ quantize, compress bool }{
@@ -92,6 +97,23 @@ func TestBuildDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("serial build: %v", err)
 				}
+				if mode.compress {
+					f, err := FromBuffer(want.Buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ti := 0; ti < f.NumTreelets(); ti++ {
+						secs, err := f.TreeletSections(context.Background(), ti)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, sec := range secs {
+							if sec.Codec == codecQuantFOR {
+								frameModes[sec.Mode] = true
+							}
+						}
+					}
+				}
 
 				for _, workers := range []int{2, 7, 0, runtime.GOMAXPROCS(0)} {
 					cfg := base
@@ -107,6 +129,9 @@ func TestBuildDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+	if !frameModes["one-frame"] || !frameModes["per-node"] {
+		t.Errorf("quant-for frame modes among the compressed builds: %v, want both covered", frameModes)
 	}
 }
 

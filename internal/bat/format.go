@@ -30,18 +30,24 @@
 //	                 bounds when flagQuantized is set; or, when
 //	                 flagPackedPositions is set (version 3 only), three
 //	                 framed codec sections like the attributes', holding
-//	                 codecFOR or codecRaw. In version <= 2 each attribute
+//	                 codecFOR or codecRaw. In version 2 each attribute
 //	                 is a raw f64 or f32 column (per its schema type); in
 //	                 version 3 each attribute is a framed codec section:
 //	                 codec u8, encLen u32, then encLen payload bytes (see
-//	                 codec.go for the codec streams)
-//	Checksum footer (version >= 2), after the last treelet:
+//	                 codec.go for the codec streams: codecQuantFOR for a
+//	                 lossy attribute, codecDelta for a lossless one, codecRaw
+//	                 when neither shrinks it; codecQuant in files of writers
+//	                 before codecQuantFOR). The section's own codec byte says
+//	                 which stream it holds, so neither a header flag nor the
+//	                 version tells the two quant streams apart
+//	Checksum footer, after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32
 //	  treeletCRC u32 each  CRC32C of each treelet's byteLen bytes
 //	  version 3 only:
 //	    numAttrs u32
-//	    per attribute: declared codec u8, absolute error bound f64
+//	    per attribute: declared codec class u8 (codecQuant: lossy,
+//	                   codecDelta: lossless), absolute error bound f64
 //	    lodErrorScale f64
 //	    rawPayloadBytes u64  attribute payload before encoding
 //	    encPayloadBytes u64  attribute payload after encoding
@@ -49,10 +55,11 @@
 //	  footerLen u32        total footer length, trailing magic included
 //	  magic "BATF"
 //
-// The footer is located from the end of the file (magic + length), so the
-// version-1 layout is unchanged and version-1 files still read; they just
-// skip verification. Padding between treelets is not checksummed — it is
-// never interpreted.
+// The footer is located from the end of the file (magic + length). Version 1,
+// the same layout without the footer, is no longer read: nothing in such a
+// file can be verified, and one flipped bit of the version field turned a
+// version-3 file into one. Padding between treelets is not checksummed — it
+// is never interpreted.
 package bat
 
 import (
@@ -72,16 +79,17 @@ import (
 const (
 	magic = "BAT1"
 	// version is the newest readable format; minVersion..version are
-	// readable. Version 2 added the CRC32C checksum footer; version 3
-	// added per-attribute compressed treelet sections (codec.go) and the
-	// footer's codec declarations. Version 3 is written only when
-	// BuildConfig.Compress is set — uncompressed builds keep producing
-	// byte-identical version-2 files. Version-3 writers since the position
-	// codec also set flagPackedPositions; version-3 files without it (raw
-	// f32 position columns) keep reading.
+	// readable. Version 2 is the first with the CRC32C checksum footer, which
+	// every readable file carries; version 3 added per-attribute compressed
+	// treelet sections (codec.go) and the footer's codec declarations.
+	// Version 3 is written only when BuildConfig.Compress is set —
+	// uncompressed builds keep producing byte-identical version-2 files.
+	// Version-3 writers since the position codec also set
+	// flagPackedPositions; version-3 files without it (raw f32 position
+	// columns) keep reading.
 	version    = 3
-	minVersion = 1
-	// footerMagic terminates the version >= 2 checksum footer.
+	minVersion = 2
+	// footerMagic terminates the checksum footer.
 	footerMagic = "BATF"
 	// footerFixedLen is the v2 footer size excluding the per-treelet CRCs.
 	footerFixedLen = 4 + 4 + 4 + 4 + 4
@@ -141,6 +149,10 @@ func (w *writer) box(b geom.Box) {
 	w.f64(b.Upper.Y)
 	w.f64(b.Upper.Z)
 }
+
+// sectionFrameLen is the framing ahead of a codec section's payload: codec
+// u8, encLen u32.
+const sectionFrameLen = 1 + 4
 
 // treeletNodeBytes is the per-node record size excluding bitmap IDs.
 const treeletNodeBytes = 1 + 8 + 4 + 4 + 4 + 4
@@ -266,7 +278,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		if packed {
 			for _, pe := range t.posEnc {
 				enc := pe.encodedLen(len(t.order), particles.Float32)
-				sz += 1 + 4 + enc
+				sz += sectionFrameLen + enc
 				posEncPayload += int64(enc)
 			}
 		} else {
@@ -277,7 +289,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			for a, desc := range set.Schema.Attrs {
 				raw := len(t.order) * desc.Type.Size()
 				enc := t.attrEnc[a].encodedLen(len(t.order), desc.Type)
-				sz += 1 + 4 + enc
+				sz += sectionFrameLen + enc
 				rawPayload += int64(raw)
 				encPayload += int64(enc)
 			}

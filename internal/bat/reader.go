@@ -82,8 +82,8 @@ type File struct {
 	leaves  []leafRef
 	dict    *bitmap.Dictionary
 
-	// Checksum footer state (version >= 2): the header length and CRC,
-	// and one CRC per treelet, verified when the treelet is loaded.
+	// Checksum footer state: the header length and CRC, and one CRC per
+	// treelet, verified when the treelet is loaded.
 	headerSize  int
 	headerCRC   uint32
 	treeletCRCs []uint32
@@ -441,10 +441,8 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			return nil, fmt.Errorf("bat: leaf %d: %w", i, err)
 		}
 	}
-	if ver >= 2 {
-		if err := f.loadFooter(c); err != nil {
-			return nil, err
-		}
+	if err := f.loadFooter(c); err != nil {
+		return nil, err
 	}
 	// Reject what the header cannot mean. This comes after the footer so a
 	// damaged flags field reports as the checksum error it is; a header
@@ -464,7 +462,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 // on-disk corruption (or a torn write) rather than a malformed layout.
 var ErrChecksum = errors.New("bat: checksum mismatch")
 
-// loadFooter reads and verifies the version-2 checksum footer; c has just
+// loadFooter reads and verifies the checksum footer; c has just
 // parsed the header, so c.pos is the header length and c.buf its bytes.
 func (f *File) loadFooter(c *cursor) error {
 	f.headerSize = c.pos
@@ -553,18 +551,9 @@ func (f *File) loadFooter(c *cursor) error {
 	return nil
 }
 
-// Checksummed reports whether the file carries CRC32C checksums
-// (format version >= 2).
-func (f *File) Checksummed() bool { return f.treeletCRCs != nil }
-
 // Verify re-reads every checksummed section (header and all treelets)
 // and checks its CRC32C, without parsing or caching treelet contents.
-// It returns nil for pre-checksum (version 1) files, which carry nothing
-// to verify; use Checksummed to distinguish.
 func (f *File) Verify() error {
-	if !f.Checksummed() {
-		return nil
-	}
 	head := make([]byte, f.headerSize)
 	if _, err := f.src.ReadAt(head, 0); err != nil && err != io.EOF {
 		return fmt.Errorf("bat: verify header: %w", err)
@@ -612,7 +601,7 @@ func (ci *CompressionInfo) Ratio() float64 {
 }
 
 // Compression returns the file's codec configuration, or nil for
-// uncompressed (version <= 2) files.
+// uncompressed (version 2) files.
 func (f *File) Compression() *CompressionInfo {
 	if f.attrBounds == nil {
 		return nil
@@ -629,12 +618,21 @@ func (f *File) Compression() *CompressionInfo {
 
 // SectionInfo describes one position or attribute section of one treelet: the
 // codec the section actually used (which may be a raw fallback even in a
-// compressed file) and its raw vs. on-disk encoded size.
+// compressed file), its raw vs. on-disk encoded size, and how its packed
+// blocks are framed.
 type SectionInfo struct {
 	Attr     string
 	Codec    uint8
 	RawBytes int
 	EncBytes int
+	// Mode is a quant-for section's frame mode, "one-frame" or "per-node";
+	// empty for every other codec.
+	Mode string
+	// Widths lists the bit widths of the section's packed blocks in stream
+	// order: one per node range (for, per-node quant-for), one in all
+	// (one-frame quant-for), or the fine and LOD widths (quant). Nil for raw
+	// and delta sections.
+	Widths []uint8
 }
 
 // PositionSections is the number of rows TreeletSections lists ahead of the
@@ -643,62 +641,55 @@ const PositionSections = 3
 
 var positionNames = [PositionSections]string{"x", "y", "z"}
 
-// TreeletSections reads treelet ti's section framing — per-section codec id
-// and encoded length — without decoding any payload: the three position
-// columns first, then one row per attribute. Columns stored without framing
-// (every column of a version <= 2 file, unpacked positions) list as raw.
-// Used by batinspect.
+// TreeletSections lists treelet ti's columns as parseTreelet reads them: the
+// three position columns first, then one row per attribute. Columns stored
+// without framing (every column of a version-2 file, unpacked positions) list
+// as raw. Used by batinspect.
 func (f *File) TreeletSections(ctx context.Context, ti int) ([]SectionInfo, error) {
 	if ti < 0 || ti >= len(f.leaves) {
 		return nil, fmt.Errorf("bat: treelet %d out of range (%d treelets)", ti, len(f.leaves))
 	}
-	ref := f.leaves[ti]
-	nA := f.Schema.NumAttrs()
-	nPoints := int(ref.numPoints)
-	out := make([]SectionInfo, 0, PositionSections+nA)
-	var buf []byte
+	secs := make([]SectionInfo, 0, PositionSections+f.Schema.NumAttrs())
+	_, err := f.parseTreelet(ctx, ti, &secs)
+	return secs, err
+}
+
+// StoredBytes says where a file's bytes are (batinspect -bytes): the header
+// with its shallow tree and dictionary, the treelets' node tables, position
+// columns and attribute columns (section framing included), the page padding
+// ahead of each treelet, and the checksum footer.
+type StoredBytes struct {
+	Header, NodeTables, Positions, Attributes, Padding, Footer int64
+}
+
+// StoredBytes reads every treelet's sections and adds the file up.
+func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
+	sb := StoredBytes{Header: int64(f.headerSize), Footer: footerFixedLen + 4*int64(len(f.leaves))}
 	if f.Version >= 3 {
-		buf = make([]byte, ref.byteLen)
-		if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
-			return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
-		}
+		sb.Footer += int64(footerV3ExtraLen(f.Schema.NumAttrs()))
 	}
-	p := 8 + int(ref.numNodes)*(treeletNodeBytes+2*nA)
-	// section appends one row: framed sections read their codec and length
-	// from buf at p, unframed columns are raw at their full size.
-	section := func(name string, rawBytes int, framed bool) error {
-		info := SectionInfo{Attr: name, Codec: codecRaw, RawBytes: rawBytes, EncBytes: rawBytes}
-		if framed {
-			if p+5 > len(buf) {
-				return fmt.Errorf("bat: treelet %d section %q: truncated codec stream", ti, name)
+	sb.Padding = f.size - sb.Header - sb.Footer
+	for ti, ref := range f.leaves {
+		secs, err := f.TreeletSections(ctx, ti)
+		if err != nil {
+			return sb, err
+		}
+		sb.Padding -= int64(ref.byteLen)
+		sb.NodeTables += int64(ref.byteLen)
+		for i, sec := range secs {
+			part, framed := &sb.Attributes, f.Version >= 3
+			if i < PositionSections {
+				part, framed = &sb.Positions, f.PackedPositions
 			}
-			encLen := binary.LittleEndian.Uint32(buf[p+1:])
-			if int64(encLen) > int64(len(buf)-p-5) {
-				return fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
-					ti, name, encLen, len(buf)-p-5)
+			n := int64(sec.EncBytes)
+			if framed {
+				n += sectionFrameLen
 			}
-			info.Codec, info.EncBytes = buf[p], int(encLen)
-			p += 5
-		}
-		p += info.EncBytes
-		out = append(out, info)
-		return nil
-	}
-	posBytes := 4
-	if f.Quantized {
-		posBytes = 2
-	}
-	for _, name := range positionNames {
-		if err := section(name, nPoints*posBytes, f.PackedPositions); err != nil {
-			return nil, err
+			*part += n
+			sb.NodeTables -= n
 		}
 	}
-	for _, desc := range f.Schema.Attrs {
-		if err := section(desc.Name, nPoints*desc.Type.Size(), f.Version >= 3); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return sb, nil
 }
 
 // validChildRef reports whether a shallow-tree child reference points at an
@@ -793,7 +784,7 @@ func (f *File) RootBitmaps() []bitmap.Bitmap {
 // semantics.
 func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) {
 	return f.cache.get(ctx, cacheKey{f.leaf, ti}, func(ctx context.Context) (*parsedTreelet, error) {
-		return f.parseTreelet(ctx, ti)
+		return f.parseTreelet(ctx, ti, nil)
 	})
 }
 
@@ -822,17 +813,16 @@ func (f *File) prefetch(ctx context.Context, ti int, slots int) {
 	}()
 }
 
-// parseTreelet reads and parses treelet ti from the underlying source.
-func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error) {
+// parseTreelet reads and parses treelet ti from the underlying source. secs,
+// when non-nil, receives one row per column (TreeletSections).
+func (f *File) parseTreelet(ctx context.Context, ti int, secs *[]SectionInfo) (*parsedTreelet, error) {
 	ref := f.leaves[ti]
 	buf := make([]byte, ref.byteLen)
 	if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
 		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
 	}
-	if f.treeletCRCs != nil {
-		if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
-			return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
-		}
+	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
+		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
 	}
 	c := &cursor{buf: buf, size: int64(len(buf))}
 	nNodes, err := c.u32()
@@ -904,7 +894,25 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			nodeSeen[ref] = true
 		}
 	}
-	// section reads one framed codec section: codec u8, encLen u32, payload.
+	// Every packed column of a version-3 treelet is blocked by the node
+	// ranges, so they must tile the treelet's points in node order.
+	if f.Version >= 3 {
+		if err := checkBlockRanges(t.nodes, nPoints); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+		}
+	}
+	// column starts the next column: info is its row of secs, listed as a raw
+	// column of elemBytes a point until section says otherwise, or nil when
+	// nobody is listing.
+	var info *SectionInfo
+	column := func(name string, elemBytes int) {
+		if secs != nil {
+			raw := int(nPoints) * elemBytes
+			*secs = append(*secs, SectionInfo{Attr: name, Codec: codecRaw, RawBytes: raw, EncBytes: raw})
+			info = &(*secs)[len(*secs)-1]
+		}
+	}
+	// section reads the column's frame: codec u8, encLen u32, payload.
 	section := func(name string) (uint8, []byte, error) {
 		codec, err := c.u8()
 		if err != nil {
@@ -918,29 +926,29 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
 				ti, name, encLen, remain)
 		}
+		if info != nil {
+			info.Codec, info.EncBytes = codec, int(encLen)
+		}
 		payload, err := c.need(int(encLen))
 		return codec, payload, err
 	}
 	var cols [3][]float32
-	switch {
-	case f.PackedPositions:
-		if err := checkBlockRanges(t.nodes, nPoints); err != nil {
-			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-		}
-		for ax, name := range positionNames {
+	for ax, name := range positionNames {
+		switch {
+		case f.PackedPositions:
+			column(name, 4)
 			codec, payload, err := section(name)
 			if err != nil {
 				return nil, err
 			}
-			if cols[ax], err = decodePosSection(codec, payload, t.nodes, int(nPoints)); err != nil {
+			if cols[ax], err = decodePosSection(codec, payload, t.nodes, int(nPoints), info); err != nil {
 				return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 			}
-		}
-	case f.Quantized:
-		// Quantized positions decode to the center of their 16-bit cell
-		// within the treelet bounds.
-		lo, sz := ref.bounds.Lower, ref.bounds.Size()
-		for ax, frame := range [3][2]float64{{lo.X, sz.X}, {lo.Y, sz.Y}, {lo.Z, sz.Z}} {
+		case f.Quantized:
+			// Quantized positions decode to the center of their 16-bit cell
+			// within the treelet bounds.
+			column(name, 2)
+			lo, sz := ref.bounds.Lower.Component(geom.Axis(ax)), ref.bounds.Size().Component(geom.Axis(ax))
 			payload, err := c.need(2 * int(nPoints))
 			if err != nil {
 				return nil, err
@@ -948,12 +956,11 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 			out := make([]float32, nPoints)
 			for i := range out {
 				q := binary.LittleEndian.Uint16(payload[2*i:])
-				out[i] = float32(frame[0] + (float64(q)+0.5)/65536*frame[1])
+				out[i] = float32(lo + (float64(q)+0.5)/65536*sz)
 			}
 			cols[ax] = out
-		}
-	default:
-		for ax := range cols {
+		default:
+			column(name, 4)
 			payload, err := c.need(4 * int(nPoints))
 			if err != nil {
 				return nil, err
@@ -965,41 +972,29 @@ func (f *File) parseTreelet(ctx context.Context, ti int) (*parsedTreelet, error)
 	}
 	t.x, t.y, t.z = cols[0], cols[1], cols[2]
 	t.attrs = make([][]float64, nA)
-	if f.Version >= 3 {
-		// Version-3 framed codec sections. Decoding runs right here — i.e.
-		// inside whichever query worker triggered the load — so decode
-		// overlaps other workers' pfs reads, and the cache stores the
-		// decoded float64 columns so hits pay nothing. The LOD mask is
-		// derived from the node records at most once per treelet, and only
-		// when a quant section actually needs it.
-		var lodOnce []bool
-		lodMask := func() []bool {
-			if lodOnce == nil {
-				lodOnce = lodMaskFromDisk(t.nodes, int(nPoints))
-			}
-			return lodOnce
-		}
-		for a := 0; a < nA; a++ {
-			codec, payload, err := section(f.Schema.Attrs[a].Name)
+	for a, desc := range f.Schema.Attrs {
+		column(desc.Name, desc.Type.Size())
+		if f.Version < 3 {
+			payload, err := c.need(int(nPoints) * desc.Type.Size())
 			if err != nil {
 				return nil, err
 			}
-			vals, err := decodeAttrSection(codec, payload, int(nPoints),
-				f.Schema.Attrs[a].Type, f.attrBounds[a], f.lodScale, lodMask)
-			if err != nil {
-				return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, f.Schema.Attrs[a].Name, err)
+			if t.attrs[a], err = decodeRaw(payload, int(nPoints), desc.Type); err != nil {
+				return nil, err
 			}
-			t.attrs[a] = vals
+			continue
 		}
-		return t, nil
-	}
-	for a, desc := range f.Schema.Attrs {
-		payload, err := c.need(int(nPoints) * desc.Type.Size())
+		// A version-3 framed codec section. Decoding runs right here — i.e.
+		// inside whichever query worker triggered the load — so decode
+		// overlaps other workers' pfs reads, and the cache stores the decoded
+		// float64 columns so hits pay nothing.
+		codec, payload, err := section(desc.Name)
 		if err != nil {
 			return nil, err
 		}
-		if t.attrs[a], err = decodeRaw(payload, int(nPoints), desc.Type); err != nil {
-			return nil, err
+		if t.attrs[a], err = decodeAttrSection(codec, payload, t.nodes, int(nPoints),
+			desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, desc.Name, err)
 		}
 	}
 	return t, nil

@@ -204,7 +204,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	// Phase a: build the aggregation plan (Figure 1a) — either centrally
 	// on rank 0 (gather all infos, build, scatter assignments) or via the
 	// distributed protocol in which every rank keeps its own info and no
-	// rank ever holds all P of them (DESIGN §15). Both modes produce the
+	// rank ever holds all P of them (DESIGN §14). Both modes produce the
 	// identical plan; centralized remains the small-world fast path and
 	// the oracle.
 	mode := cfg.Plan.resolve(cfg.Strategy, c.Size())

@@ -2,8 +2,12 @@ package meta
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
+
+	"libbat/internal/checksum"
 )
 
 func encodedFixture(t *testing.T) []byte {
@@ -58,27 +62,39 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
-// TestV1StillDecodes synthesizes a pre-checksum (version 1) file — the v2
-// image minus its trailer, version field patched — and requires it to
-// parse identically. This is the backward-compatibility guarantee for
-// datasets written before the format bump.
-func TestV1StillDecodes(t *testing.T) {
+// TestV1Rejected: a pre-checksum (version 1) buffer — the v2 image minus its
+// trailer, version field patched — carries nothing Decode can verify and is
+// refused.
+func TestV1Rejected(t *testing.T) {
 	buf := encodedFixture(t)
-	v2, err := Decode(buf)
+	v1buf := append([]byte(nil), buf[:len(buf)-trailerLen]...)
+	v1buf[4] = 1
+	if _, err := Decode(v1buf); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Decode error %v, want unsupported version 1", err)
+	}
+}
+
+// TestVersionFieldFlipsRejected: no single flipped bit of the version field
+// decodes, for uncompressed (version 2) and compressed (version 3) metadata
+// alike. 3 -> 1 is one bit, and while version 1 was readable it skipped the
+// CRC: the rest of the buffer was parsed unverified.
+func TestVersionFieldFlipsRejected(t *testing.T) {
+	tr, schema, reports := fixture(t)
+	m, err := Build(tr, tr.Leaves, schema, reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1buf := append([]byte(nil), buf[:len(buf)-trailerLen]...)
-	v1buf[4] = 1
-	v1, err := Decode(v1buf)
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
-	}
-	if v1.TotalCount() != v2.TotalCount() || len(v1.Leaves) != len(v2.Leaves) ||
-		len(v1.Nodes) != len(v2.Nodes) {
-		t.Errorf("v1 decode differs: %d/%d/%d vs %d/%d/%d",
-			v1.TotalCount(), len(v1.Leaves), len(v1.Nodes),
-			v2.TotalCount(), len(v2.Leaves), len(v2.Nodes))
+	v2 := m.Encode()
+	m.Compression = &CompressionMeta{ErrorBounds: []float64{1e-3, 0}, LODScale: 1}
+	v3 := m.Encode()
+	for name, buf := range map[string][]byte{"v2": v2, "v3": v3} {
+		for bit := 0; bit < 32; bit++ {
+			mut := append([]byte(nil), buf...)
+			mut[4+bit/8] ^= 1 << (bit % 8)
+			if _, err := Decode(mut); err == nil {
+				t.Errorf("%s: version field bit %d flipped still decodes", name, bit)
+			}
+		}
 	}
 }
 
@@ -108,17 +124,20 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("BATM"))
 	if len(valid) > 10 {
 		f.Add(valid[:10])
-		v1 := append([]byte(nil), valid[:len(valid)-trailerLen]...)
-		v1[4] = 1
-		f.Add(v1) // uncheck-summed path reaches the body parser
+		f.Add(valid[:len(valid)-trailerLen]) // a body: reaches the parser under the fresh trailer below
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if err != nil {
-			return
+		// As it is, and again under a trailer computed for it: no mutation
+		// gets past the whole-buffer CRC to the body parser otherwise.
+		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), data...), checksum.CRC32C(data))
+		for _, buf := range [][]byte{data, append(sealed, trailerMagic...)} {
+			m, err := Decode(buf)
+			if err != nil {
+				continue
+			}
+			// Whatever decoded must be safe to traverse.
+			m.TotalCount()
+			m.SelectLeaves(nil, nil)
 		}
-		// Whatever decoded must be safe to traverse.
-		m.TotalCount()
-		m.SelectLeaves(nil, nil)
 	})
 }

@@ -22,16 +22,18 @@ import (
 
 const magic = "BATM"
 
-// version is the newest readable format; version 2 appended a CRC32C
-// trailer (checksum u32 over every preceding byte, then trailer magic)
-// verified before the body is parsed, and version 3 appended the dataset's
-// compression declaration (per-attribute error bounds + LOD error scale)
-// after the leaf records. Version 3 is written only when Compression is
-// set, so uncompressed datasets keep producing byte-identical version-2
-// metadata; version-1 files, which have no trailer, are still read.
+// version is the newest readable format and minVersion the oldest. Every
+// readable buffer ends in a CRC32C trailer (checksum u32 over every preceding
+// byte, then trailer magic) verified before the body is parsed; version 3
+// appended the dataset's compression declaration (per-attribute error bounds
+// + LOD error scale) after the leaf records. Version 3 is written only when
+// Compression is set, so uncompressed datasets keep producing byte-identical
+// version-2 metadata. Version 1, which had no trailer, is no longer read:
+// nothing in it can be verified, and one flipped bit of the version field
+// turned a version-3 buffer into one.
 const (
 	version      = 3
-	minVersion   = 1
+	minVersion   = 2
 	trailerMagic = "BMCK"
 	trailerLen   = 8
 )
@@ -450,19 +452,17 @@ func Decode(buf []byte) (*Meta, error) {
 	if ver < minVersion || ver > version {
 		return nil, fmt.Errorf("meta: unsupported version %d (supported: %d-%d)", ver, minVersion, version)
 	}
-	if ver >= 2 {
-		// Verify the whole-buffer CRC before trusting any field beyond
-		// the version: a single flipped bit anywhere is detected here.
-		if len(buf) < trailerLen+8 {
-			return nil, fmt.Errorf("meta: buffer too small for checksum trailer")
-		}
-		if string(buf[len(buf)-4:]) != trailerMagic {
-			return nil, fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, buf[len(buf)-4:])
-		}
-		want := binary.LittleEndian.Uint32(buf[len(buf)-trailerLen:])
-		if got := checksum.CRC32C(buf[:len(buf)-trailerLen]); got != want {
-			return nil, fmt.Errorf("%w: CRC %08x != %08x", ErrChecksum, got, want)
-		}
+	// Verify the whole-buffer CRC before trusting any field beyond the
+	// version: a single flipped bit anywhere is detected here.
+	if len(buf) < trailerLen+8 {
+		return nil, fmt.Errorf("meta: buffer too small for checksum trailer")
+	}
+	if string(buf[len(buf)-4:]) != trailerMagic {
+		return nil, fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, buf[len(buf)-4:])
+	}
+	want := binary.LittleEndian.Uint32(buf[len(buf)-trailerLen:])
+	if got := checksum.CRC32C(buf[:len(buf)-trailerLen]); got != want {
+		return nil, fmt.Errorf("%w: CRC %08x != %08x", ErrChecksum, got, want)
 	}
 	nA32, err := r.u32()
 	if err != nil {

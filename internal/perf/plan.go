@@ -95,7 +95,7 @@ func (p Profile) ModelCentralizedPlan(n int, pp PlanParams) PlanCost {
 }
 
 // ModelDistributedPlan charges the two-phase distributed protocol (DESIGN
-// §15: global-stats allreduce, then replicated refinement over records that
+// §14: global-stats allreduce, then replicated refinement over records that
 // stay on their ranks) on a real interconnect for a world of n ranks
 // producing files leaves.
 //

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet the whole module, run the concurrency-
 # sensitive packages under the race detector, smoke the benchmarks, and
-# (unless CHECK_FUZZ=0) give the five decode fuzzers a short pass. Run it
+# (unless CHECK_FUZZ=0) give the six decode fuzzers a short pass. Run it
 # from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
@@ -69,10 +69,12 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 
 # The v3 codec layer under the race detector: the max-error property
 # (random per-attribute bounds, lossless bit-exactness of attributes and
-# positions, LOD two-grid bounds), the position codec's round-trip property,
-# plus encode determinism across worker counts, with decode running fused
-# inside the concurrent query workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked' ./internal/bat/
+# positions, LOD two-grid bounds), the position and attribute block codecs'
+# round-trip properties (both quant-for frame modes, the flat quant stream of
+# earlier writers through the same unpack loop), plus encode determinism
+# across worker counts, with decode running fused inside the concurrent query
+# workers.
+run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
 # vs Workers=1 multiset identity, the treelet cache singleflight, the
@@ -100,9 +102,13 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestDatasetLeaf|TestAdmission' \
 	./internal/bat/ ./internal/core/ ./cmd/batserve/ .
 
-# Bench smoke: one iteration of every BAT build benchmark, just to keep the
-# benchmark code compiling and runnable (no timing assertions).
+# Bench smoke: one iteration of every BAT build benchmark and of the section
+# kernels' (the ns/value figures DESIGN §13 and results/blocked-attrs quote),
+# just to keep the benchmark code compiling and runnable (no timing
+# assertions; BenchmarkDecodeSection does check that the flat quant stream and
+# the quant-for section of the same indices decode to the same values).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
+run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
@@ -182,10 +188,11 @@ assert all(r["source"] == "batserve:/points" for r in q)
 }
 run "batserve smoke" batserve_smoke
 
-# Short fuzz pass over the decoders uintcast guards (BAT files, the v3
-# section codecs underneath them — raw, quant, delta and the position
-# codec, fed payloads and node tables directly —, the metadata file, particle
-# wire encoding, .bata sidecars): seconds, not a soak — enough to catch
+# Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
+# parser behind their checksums, the v3 section codecs underneath it — raw,
+# quant, delta, quant-for and the position codec, fed payloads and node tables
+# directly —, the metadata file, particle wire encoding, .bata sidecars):
+# seconds, not a soak — enough to catch
 # parser regressions on the corpus + fresh mutations. The bat patterns are
 # anchored: -fuzz refuses a pattern that matches two targets.
 # (-fuzzminimizetime keeps a newly found interesting input from eating the
@@ -193,6 +200,7 @@ run "batserve smoke" batserve_smoke
 # iterations.
 if [ "${CHECK_FUZZ:-1}" != "0" ]; then
 	run "fuzz FuzzDecode bat" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
+	run "fuzz FuzzTreelet bat" go test -fuzz='^FuzzTreelet$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecode meta" go test -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
 	run "fuzz FuzzUnmarshal particles" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
