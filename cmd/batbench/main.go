@@ -9,25 +9,26 @@
 //
 //	batbench -all                  # everything (scaled-down vis reads)
 //	batbench -fig 5 -system summit # one figure
-//	batbench -table 1              # Table I
+//	batbench -fig 9,10 -table 1    # several (-fig and -table also repeat)
 //	batbench -filestats -overhead
 //	batbench -csv                  # emit CSV instead of aligned text
+//
+// The experiments themselves are the registry bench.Experiments; the flags
+// only pick entries from it. Where the time of a measured write goes is
+// batwrite -stats/-trace (one write) or go run ./benchmark --trace 1.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"libbat"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"libbat/internal/bench"
-	"libbat/internal/cliutil"
-	"libbat/internal/obs"
 	"libbat/internal/perf"
 )
 
@@ -60,249 +61,127 @@ func saveTable(dir string, seq int, t *bench.Table) error {
 	return os.WriteFile(base+".csv", csvBuf.Bytes(), 0o644)
 }
 
-func main() {
+// options is a parsed command line.
+type options struct {
+	keys   map[string]bool // selected registry keys
+	env    bench.Env
+	csv    bool
+	outdir string
+}
+
+// parseArgs turns the command line into the set of registry entries to run
+// and the Env to run them in. Selector flags only name registry keys and are
+// checked against the registry as they are parsed, before anything runs. On
+// a bad command line (reported on stderr) or -h it returns nil and the exit
+// status.
+func parseArgs(args []string, stderr io.Writer) (*options, int) {
+	opts := &options{keys: map[string]bool{}}
+	known := map[string]bool{}
+	for _, ex := range bench.Experiments() {
+		known[ex.Key] = true
+	}
+	// pick selects prefix+id for each id of a comma list ("-fig 5,9").
+	pick := func(prefix string) func(string) error {
+		return func(ids string) error {
+			for _, id := range strings.Split(ids, ",") {
+				key := prefix + strings.TrimSpace(id)
+				if !known[key] {
+					return fmt.Errorf("no such experiment %q", key)
+				}
+				opts.keys[key] = true
+			}
+			return nil
+		}
+	}
+	fs := flag.NewFlagSet("batbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Func("fig", "regenerate figures (5 to 13; repeatable or comma-listed)", pick("fig"))
+	fs.Func("table", "regenerate tables (1, 2; repeatable or comma-listed)", pick("table"))
+	for _, group := range [][2]string{
+		{"filestats", "output-file statistics (§VI-A.2)"},
+		{"overhead", "layout memory overhead (§VI-B)"},
+		{"ablate", "ablation studies of the design choices"},
+		{"extensions", "extension experiments (cosmology workload, auto target size)"},
+		{"measured", "full-fidelity measured pipeline breakdown"},
+	} {
+		fs.BoolFunc(group[0], group[1], func(string) error { return pick("")(group[0]) })
+	}
 	var (
-		all       = flag.Bool("all", false, "run every benchmark")
-		fig       = flag.Int("fig", 0, "regenerate one figure (5, 6, 7, 8, 9, 10, 11, 12, 13)")
-		table     = flag.Int("table", 0, "regenerate one table (1 or 2)")
-		fileStats = flag.Bool("filestats", false, "output-file statistics (§VI-A.2)")
-		overhead  = flag.Bool("overhead", false, "layout memory overhead (§VI-B)")
-		ablate    = flag.Bool("ablate", false, "ablation studies of the design choices")
-		ext       = flag.Bool("extensions", false, "extension experiments (cosmology workload, auto target size)")
-		system    = flag.String("system", "both", "system profile: stampede2, summit, or both")
-		measured  = flag.Bool("measured", false, "full-fidelity measured pipeline breakdown")
-		csv       = flag.Bool("csv", false, "emit CSV")
-		outdir    = flag.String("outdir", "", "also save each table as .txt and .csv under this directory")
-		dir       = flag.String("dir", "", "directory for materialized datasets (default: in-memory)")
-		visRanks  = flag.Int("vis-ranks", 32, "ranks for the materialized visualization benchmarks")
-		visScale  = flag.Int64("vis-particles", 300_000, "particles for the materialized benchmarks")
-		statsOut  = flag.String("stats", "", "write telemetry from the materialized runs as JSON to this file")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event timeline of the materialized runs to this file")
-		jsonOut   = flag.String("json", "", "write machine-readable per-phase timings of the materialized runs to this file")
-		buildWkrs = flag.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
+		all      = fs.Bool("all", false, "run every benchmark")
+		system   = fs.String("system", "both", "system profile: stampede2, summit, or both")
+		dir      = fs.String("dir", "", "directory for materialized datasets (default: in-memory)")
+		visRanks = fs.Int("vis-ranks", 32, "ranks for the materialized visualization benchmarks")
+		visScale = fs.Int64("vis-particles", 300_000, "particles for the materialized benchmarks")
 	)
-	flag.Parse()
-	if *buildWkrs < 0 {
-		fmt.Fprintf(os.Stderr, "batbench: -build-workers must be >= 0, got %d\n", *buildWkrs)
-		os.Exit(2)
+	fs.BoolVar(&opts.csv, "csv", false, "emit CSV")
+	fs.StringVar(&opts.outdir, "outdir", "", "also save each table as .txt and .csv under this directory")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2 // the flag package has reported it
 	}
-	bench.BuildWorkers = *buildWkrs
-	obsFlags := cliutil.ObsFlags{StatsPath: *statsOut, TracePath: *traceOut}
-	col := obsFlags.Collector()
-	if col == nil && *jsonOut != "" {
-		// -json needs span telemetry even when -stats/-trace are off.
-		col = obs.New()
+	profiles := map[string][]perf.Profile{
+		"stampede2": {perf.Stampede2()},
+		"summit":    {perf.Summit()},
+		"both":      {perf.Stampede2(), perf.Summit()},
 	}
-	if col != nil {
-		bench.Observer = col
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "batbench: unexpected argument %q\n", fs.Arg(0))
+		return nil, 2
+	case profiles[*system] == nil:
+		fmt.Fprintf(stderr, "batbench: unknown -system %q (stampede2, summit, both)\n", *system)
+		return nil, 2
+	case *all:
+		opts.keys = known
+	case len(opts.keys) == 0:
+		fs.Usage()
+		return nil, 2
 	}
-	if !*all && *fig == 0 && *table == 0 && !*fileStats && !*overhead && !*ablate && !*ext && !*measured {
-		flag.Usage()
-		os.Exit(2)
+	opts.env = bench.Env{
+		Profiles:  profiles[*system],
+		Vis:       bench.DefaultVisRead(*visRanks, *dir),
+		Particles: *visScale,
 	}
+	return opts, 0
+}
 
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams passed in; it returns the
+// exit status: 2 for a bad command line, 1 for a failed experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	opts, code := parseArgs(args, stderr)
+	if opts == nil {
+		return code
+	}
 	tableSeq := 0
-	emit := func(t *bench.Table, err error) {
+	for _, ex := range bench.Experiments() {
+		if !opts.keys[ex.Key] {
+			continue
+		}
+		tables, err := ex.Run(opts.env)
+		for _, t := range tables {
+			if opts.csv {
+				t.CSV(stdout)
+			} else {
+				t.Fprint(stdout)
+			}
+			if opts.outdir != "" {
+				if err := saveTable(opts.outdir, tableSeq, t); err != nil {
+					fmt.Fprintln(stderr, "batbench: saving table:", err)
+					return 1
+				}
+				tableSeq++
+			}
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "batbench:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			t.CSV(os.Stdout)
-		} else {
-			t.Fprint(os.Stdout)
-		}
-		if *outdir != "" {
-			if err := saveTable(*outdir, tableSeq, t); err != nil {
-				fmt.Fprintln(os.Stderr, "batbench: saving table:", err)
-				os.Exit(1)
-			}
-			tableSeq++
+			fmt.Fprintf(stderr, "batbench: %s: %v\n", ex.Key, err)
+			return 1
 		}
 	}
-	profiles := func() []perf.Profile {
-		switch *system {
-		case "stampede2":
-			return []perf.Profile{perf.Stampede2()}
-		case "summit":
-			return []perf.Profile{perf.Summit()}
-		default:
-			return []perf.Profile{perf.Stampede2(), perf.Summit()}
-		}
-	}
-	visCfg := bench.VisReadConfig{
-		Ranks:       *visRanks,
-		Steps:       []int{0, 50, 100},
-		TargetSizes: []int64{1 << 20, 2 << 20, 4 << 20, 8 << 20},
-		Dir:         *dir,
-	}
-
-	run := func(id int) {
-		switch id {
-		case 5:
-			for _, p := range profiles() {
-				emit(bench.Fig5WriteScaling(bench.DefaultWeakScaling(p)))
-			}
-		case 6:
-			for _, p := range profiles() {
-				emit(bench.Fig6Breakdown(bench.DefaultWeakScaling(p)))
-			}
-		case 7:
-			for _, p := range profiles() {
-				emit(bench.Fig7ReadScaling(bench.DefaultWeakScaling(p)))
-			}
-		case 8:
-			emit(bench.Fig8DatasetStats(1536))
-		case 9:
-			w, r, err := bench.Fig9CoalBoiler(bench.DefaultCoalBoilerCompare())
-			emit(w, err)
-			emit(r, nil)
-		case 10:
-			emit(bench.Fig10Breakdown(bench.DefaultCoalBoilerCompare()))
-		case 11:
-			for _, big := range []bool{false, true} {
-				cfg, total := bench.DefaultDamBreakCompare(big)
-				w, r, err := bench.Fig11DamBreak(cfg, total)
-				emit(w, err)
-				emit(r, nil)
-			}
-		case 12:
-			cfg, total := bench.DefaultDamBreakCompare(true)
-			emit(bench.Fig12Breakdown(cfg, total))
-		case 13:
-			emit(bench.Fig13Quality(visCfg, *visScale))
-		default:
-			fmt.Fprintf(os.Stderr, "batbench: unknown figure %d\n", id)
-			os.Exit(2)
-		}
-	}
-	runTable := func(id int) {
-		switch id {
-		case 1:
-			emit(bench.Table1CoalBoiler(visCfg, *visScale/2, *visScale))
-		case 2:
-			emit(bench.Table2DamBreak(visCfg, *visScale))
-		default:
-			fmt.Fprintf(os.Stderr, "batbench: unknown table %d\n", id)
-			os.Exit(2)
-		}
-	}
-
-	if *fig != 0 {
-		run(*fig)
-	}
-	if *table != 0 {
-		runTable(*table)
-	}
-	if *fileStats || *all {
-		emit(bench.FileStats(1536, 4501, 8<<20))
-	}
-	if *overhead || *all {
-		emit(bench.Overhead(visCfg, *visScale))
-	}
-	if *ext || *all {
-		emit(bench.CosmoCompare(bench.CompareConfig{
-			Profile:     perf.Stampede2(),
-			Ranks:       1536,
-			Steps:       []int{0, 250, 500, 750, 1000},
-			TargetSizes: []int64{8 << 20, 32 << 20},
-		}, 20_000_000, 24))
-		emit(bench.RecommendCheck(perf.Stampede2(), []int{96, 384, 1536, 6144, 24576},
-			bench.UniformPerRank, bench.UniformAttrs, libbat.RecommendTargetSize))
-	}
-	if *measured || *all {
-		emit(bench.MeasuredBreakdown(*visRanks, *visScale, 2<<20))
-	}
-	if *ablate || *all {
-		emit(bench.AblateOverfull(1536, 2501, 8<<20))
-		emit(bench.AblateSplitAxes(1536, 1001, 3<<20))
-		emit(bench.AblateLOD(*visRanks, *visScale/2))
-		emit(bench.AblateBitmapDictionary(int(*visScale)))
-		emit(bench.AblateAggregatorSpread(1536, 2501, 8<<20))
-	}
-	if *all {
-		for _, id := range []int{5, 6, 7, 8, 9, 10, 11, 12, 13} {
-			run(id)
-		}
-		runTable(1)
-		runTable(2)
-	}
-	if bench.Observer != nil {
-		phases := phaseAgg()
-		emit(phaseBreakdown(phases), nil)
-		if *jsonOut != "" {
-			if err := writePhaseJSON(*jsonOut, phases); err != nil {
-				fmt.Fprintln(os.Stderr, "batbench: writing phase timings:", err)
-				os.Exit(1)
-			}
-		}
-		if err := obsFlags.Dump(bench.Observer); err != nil {
-			fmt.Fprintln(os.Stderr, "batbench:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// phaseTiming is one aggregated phase row, as emitted by -json: phase name,
-// span count, and total/mean wall time in nanoseconds.
-type phaseTiming struct {
-	Phase   string `json:"phase"`
-	Spans   int64  `json:"spans"`
-	TotalNs int64  `json:"total_ns"`
-	MeanNs  int64  `json:"mean_ns"`
-}
-
-// phaseAgg condenses the collector's spans into per-phase totals
-// (aggregated over ranks and runs), in first-appearance order.
-func phaseAgg() []phaseTiming {
-	byPhase := map[string]int{}
-	var out []phaseTiming
-	for _, sp := range bench.Observer.Snapshot().Spans {
-		i, ok := byPhase[sp.Name]
-		if !ok {
-			i = len(out)
-			byPhase[sp.Name] = i
-			out = append(out, phaseTiming{Phase: sp.Name})
-		}
-		out[i].Spans += sp.Count
-		out[i].TotalNs += int64(sp.TotalNs)
-	}
-	for i := range out {
-		if out[i].Spans > 0 {
-			out[i].MeanNs = out[i].TotalNs / out[i].Spans
-		}
-	}
-	return out
-}
-
-// phaseBreakdown renders the aggregated phases as a table printed alongside
-// the benchmark totals.
-func phaseBreakdown(phases []phaseTiming) *bench.Table {
-	t := &bench.Table{
-		Title:  "Telemetry: per-phase time across all materialized runs",
-		Header: []string{"phase", "spans", "total", "mean"},
-	}
-	for _, p := range phases {
-		t.AddRow(p.Phase, fmt.Sprintf("%d", p.Spans),
-			time.Duration(p.TotalNs).Round(time.Microsecond).String(),
-			time.Duration(p.MeanNs).Round(time.Microsecond).String())
-	}
-	t.Notes = append(t.Notes, "spans cover the full-fidelity (materialized) pipelines only; modeled runs have no telemetry")
-	return t
-}
-
-// writePhaseJSON emits the aggregated phase timings as a JSON array, the
-// machine-readable form the repo's benchmark trajectory accumulates.
-func writePhaseJSON(path string, phases []phaseTiming) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(fh)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(phases); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
+	return 0
 }

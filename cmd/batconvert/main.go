@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"libbat"
@@ -20,61 +21,74 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams passed in; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("batconvert", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		csvPath  = flag.String("csv", "", "input CSV file (header: x,y,z,attr...)")
-		out      = flag.String("out", "bat-out", "output dataset directory")
-		in       = flag.String("in", "bat-out", "input dataset directory (for -export)")
-		name     = flag.String("name", "imported", "dataset base name")
-		target   = flag.String("target", "4MB", "target file size")
-		vranks   = flag.Int("ranks", 0, "virtual ranks for aggregation (0 = auto)")
-		quantize = flag.Bool("quantize", false, "store positions as 16-bit fixed point")
-		export   = flag.Bool("export", false, "export a dataset to CSV on stdout instead")
+		csvPath  = fs.String("csv", "", "input CSV file (header: x,y,z,attr...)")
+		out      = fs.String("out", "bat-out", "output dataset directory")
+		in       = fs.String("in", "bat-out", "input dataset directory (for -export)")
+		name     = fs.String("name", "imported", "dataset base name")
+		target   = fs.String("target", "4MB", "target file size")
+		vranks   = fs.Int("ranks", 0, "virtual ranks for aggregation (0 = auto)")
+		quantize = fs.Bool("quantize", false, "store positions as 16-bit fixed point")
+		export   = fs.Bool("export", false, "export a dataset to CSV on stdout instead")
 	)
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "batconvert:", err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "batconvert:", err)
+		return 1
+	}
+	if *name == "" {
+		return fail(fmt.Errorf("-name must not be empty"))
 	}
 
 	if *export {
 		store, err := libbat.DirStorage(*in)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		ds, err := libbat.OpenDataset(store, *name)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer ds.Close()
 		set, err := ds.ReadAll()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if err := convert.WriteCSV(os.Stdout, set); err != nil {
-			fail(err)
+		if err := convert.WriteCSV(stdout, set); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	if *csvPath == "" {
-		fail(fmt.Errorf("-csv is required (or use -export)"))
+		return fail(fmt.Errorf("-csv is required (or use -export)"))
 	}
 	f, err := os.Open(*csvPath)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	set, err := convert.ReadCSV(f)
 	f.Close()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	ts, err := cliutil.ParseSize(*target)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	store, err := pfs.NewOS(*out)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	cfg := core.DefaultWriteConfig(ts)
 	cfg.BAT.QuantizePositions = *quantize
@@ -83,9 +97,10 @@ func main() {
 		Write:        cfg,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("converted %d particles (%d attributes) into %s/%s: %d files, largest %s\n",
+	fmt.Fprintf(stdout, "converted %d particles (%d attributes) into %s/%s: %d files, largest %s\n",
 		stats.TotalCount, set.Schema.NumAttrs(), *out, *name, stats.NumFiles,
 		cliutil.FormatSize(stats.LeafSizes.MaxB))
+	return 0
 }

@@ -99,10 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	obsFlags := cliutil.ObsFlags{StatsPath: *statsOut, TracePath: *traceOut}
 	col := obsFlags.Collector()
-	if col != nil {
-		store = pfs.Observe(store, col)
-		bench.Observer = col
-	}
+	store = pfs.Observe(store, col)
 	// finish dumps the telemetry and, with -access-out, persists rec's
 	// snapshot as a sidecar file (same format batserve -access-persist
 	// writes and batinspect -access reads).

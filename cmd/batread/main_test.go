@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -131,6 +134,70 @@ func TestUsageErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code == 0 || stderr.Len() == 0 || stdout.Len() != 0 {
 			t.Errorf("batread %v: exit %d, stdout %q, stderr %q", args, code, stdout.String(), stderr.String())
+		}
+	}
+}
+
+// metaCounters runs batread with -stats and returns how often the dataset's
+// .batm file was opened and how many bytes were read from it.
+func metaCounters(t *testing.T, args ...string) (opens, readBytes int64) {
+	t.Helper()
+	statsPath := filepath.Join(t.TempDir(), "stats.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(append(args, "-stats", statsPath), &stdout, &stderr); code != 0 {
+		t.Fatalf("batread %v: exit %d\n%s", args, code, stderr.String())
+	}
+	raw, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Counters []struct {
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+			Value  int64             `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range stats.Counters {
+		if c.Labels["file"] != "two.batm" {
+			continue
+		}
+		switch c.Name {
+		case "pfs_open_calls_total":
+			opens = c.Value
+		case "pfs_read_bytes_total":
+			readBytes = c.Value
+		}
+	}
+	return opens, readBytes
+}
+
+// TestStatsCountStorageCallsOnce: under -stats every storage call is counted
+// once, on every route. The metadata file is opened and read whole exactly
+// once by -vis and -count, and once by the command plus once per reader rank
+// on the collective route. (-vis used to observe the store twice and report
+// 2 opens and twice the file's bytes.)
+func TestStatsCountStorageCallsOnce(t *testing.T) {
+	dir, _, _ := writeTwoLeaves(t)
+	fi, err := os.Stat(filepath.Join(dir, "two.batm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode  []string
+		opens int64
+	}{
+		{[]string{"-vis"}, 1},
+		{[]string{"-count"}, 1},
+		{[]string{"-ranks", "3"}, 1 + 3},
+	} {
+		opens, readBytes := metaCounters(t, append([]string{"-in", dir, "-name", "two"}, tc.mode...)...)
+		if opens != tc.opens || readBytes != tc.opens*fi.Size() {
+			t.Errorf("batread %v -stats: two.batm (%d bytes) counted %d opens, %d bytes read; want %d opens, %d bytes",
+				tc.mode, fi.Size(), opens, readBytes, tc.opens, tc.opens*fi.Size())
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"libbat"
-	"libbat/internal/bench"
 	"libbat/internal/cliutil"
 	"libbat/internal/core"
 	"libbat/internal/obs"
@@ -125,7 +124,7 @@ func run(args []string, out io.Writer) error {
 	col := obsFlags.Collector()
 
 	start := time.Now()
-	stats, err := bench.WriteDatasetObserved(w, *step, store, name, cfg, col)
+	stats, err := core.WriteWorld(w.Decomp().NumRanks(), store, name, cfg, col, workloads.RankInput(w, *step))
 	if err != nil {
 		return err
 	}

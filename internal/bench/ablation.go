@@ -28,10 +28,6 @@ func AblateOverfull(ranks, step int, target int64) (*Table, error) {
 		Title:  fmt.Sprintf("Ablation: overfull leaves (coal boiler step %d, %s target)", step, sizeMB(target)),
 		Header: []string{"overfull", "files", "avg MB", "stddev MB", "max MB", "write ms"},
 	}
-	var total int64
-	for _, ri := range infos {
-		total += ri.Count
-	}
 	for _, allow := range []bool{true, false} {
 		cfg := aggtree.DefaultConfig(target, bpp)
 		cfg.AllowOverfull = allow
@@ -47,7 +43,7 @@ func AblateOverfull(ranks, step int, target int64) (*Table, error) {
 			fmt.Sprintf("%.1f", st.MeanB/(1<<20)),
 			fmt.Sprintf("%.1f", st.StddevB/(1<<20)),
 			fmt.Sprintf("%.1f", float64(st.MaxB)/(1<<20)),
-			fmt.Sprintf("%.2f", float64(bd.Total())/float64(time.Millisecond)))
+			ms(bd.Total()))
 	}
 	return t, nil
 }
@@ -107,26 +103,16 @@ func AblateLOD(ranks int, particles int64) (*Table, error) {
 		wc.BAT.LODPerNode = cfg.lod
 		wc.BAT.MaxLeafSize = cfg.leaf
 		base := fmt.Sprintf("ablate-%d-%d", cfg.lod, cfg.leaf)
-		if _, err := WriteDataset(cb, 0, store, base, wc); err != nil {
+		if _, err := writeStep(cb, 0, store, base, wc); err != nil {
 			return nil, err
 		}
 		res, err := ProgressiveRead(store, base)
 		if err != nil {
 			return nil, err
 		}
-		// Overhead from the written bytes.
-		names, err := store.List()
+		fileBytes, err := storedBytes(store)
 		if err != nil {
 			return nil, err
-		}
-		var fileBytes int64
-		for _, n := range names {
-			f, err := store.Open(n)
-			if err != nil {
-				return nil, err
-			}
-			fileBytes += f.Size()
-			f.Close()
 		}
 		raw := particles * int64(cb.Schema().BytesPerParticle())
 		t.AddRow(fmt.Sprintf("%d", cfg.lod), fmt.Sprintf("%d", cfg.leaf),
@@ -146,11 +132,7 @@ func AblateBitmapDictionary(particles int) (*Table, error) {
 	}
 	cb.SetGrowth(0, 1, int64(particles), int64(particles))
 	set := cb.Generate(0, heaviestRank(cb, 0))
-	bcfg := bat.DefaultBuildConfig()
-	if BuildWorkers != 0 {
-		bcfg.Workers = BuildWorkers
-	}
-	built, err := bat.Build(set, cb.Decomp().Domain, bcfg)
+	built, err := bat.Build(set, cb.Decomp().Domain, bat.DefaultBuildConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -180,10 +162,7 @@ func AblateAggregatorSpread(ranks, step int, target int64) (*Table, error) {
 	bpp := cb.Schema().BytesPerParticle()
 	infos := workloads.RankInfos(cb, step)
 	p := perf.Stampede2()
-	var total int64
-	for _, ri := range infos {
-		total += ri.Count
-	}
+	total := workloads.TotalCount(cb, step)
 	tr, err := aggtree.Build(infos, aggtree.DefaultConfig(target, bpp))
 	if err != nil {
 		return nil, err
@@ -207,7 +186,7 @@ func AblateAggregatorSpread(ranks, step int, target int64) (*Table, error) {
 		if !spread {
 			name = "first-fit"
 		}
-		t.AddRow(name, fmt.Sprintf("%.2f", float64(bd.Total())/float64(time.Millisecond)),
+		t.AddRow(name, ms(bd.Total()),
 			mbs(ior.Bandwidth(total*int64(bpp), bd.Total())))
 	}
 	return t, nil

@@ -2,19 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"libbat/internal/aggtree"
-	"libbat/internal/aug"
 	"libbat/internal/ior"
 	"libbat/internal/perf"
 	"libbat/internal/workloads"
 )
-
-// augBuild runs the AUG baseline grouping.
-func augBuild(infos []aggtree.RankInfo, target int64, bpp int) ([]aggtree.Leaf, error) {
-	return aug.Build(infos, aug.Config{TargetFileSize: target, BytesPerParticle: bpp})
-}
 
 // CompareConfig parameterizes the adaptive-vs-AUG comparisons of Figures
 // 9-12, run on the Stampede2 profile as in the paper.
@@ -65,10 +58,7 @@ func compareTable(title string, w workloads.Workload, cfg CompareConfig, reads b
 	nA := w.Schema().NumAttrs()
 	for _, step := range cfg.Steps {
 		infos := workloads.RankInfos(w, step)
-		var total int64
-		for _, ri := range infos {
-			total += ri.Count
-		}
+		total := workloads.TotalCount(w, step)
 		row := []string{fmt.Sprintf("%d", step), fmt.Sprintf("%.1fM", float64(total)/1e6)}
 		for _, ts := range cfg.TargetSizes {
 			for _, adaptive := range []bool{true, false} {
@@ -76,12 +66,7 @@ func compareTable(title string, w workloads.Workload, cfg CompareConfig, reads b
 				if err != nil {
 					return nil, err
 				}
-				var d time.Duration
-				if reads {
-					d = cfg.Profile.ModelTwoPhaseRead(cfg.Ranks, loads, metaBytesPerLeaf(nA)).Total()
-				} else {
-					d = cfg.Profile.ModelTwoPhaseWrite(cfg.Ranks, loads, metaBytesPerLeaf(nA)).Total()
-				}
+				d := modelTime(cfg.Profile, cfg.Ranks, loads, nA, reads)
 				row = append(row, mbs(ior.Bandwidth(total*int64(bpp), d)))
 			}
 		}
@@ -129,7 +114,6 @@ func breakdownTable(title string, w workloads.Workload, cfg CompareConfig, targe
 		Header: []string{"step", "strategy", "files", "tree", "gather/scatter",
 			"transfer", "bat-build", "file-write", "metadata", "total"},
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond)) }
 	bpp := w.Schema().BytesPerParticle()
 	nA := w.Schema().NumAttrs()
 	for _, step := range cfg.Steps {
@@ -140,11 +124,7 @@ func breakdownTable(title string, w workloads.Workload, cfg CompareConfig, targe
 				return nil, err
 			}
 			bd := cfg.Profile.ModelTwoPhaseWrite(cfg.Ranks, loads, metaBytesPerLeaf(nA))
-			name := "adaptive"
-			if !adaptive {
-				name = "aug"
-			}
-			t.AddRow(fmt.Sprintf("%d", step), name, fmt.Sprintf("%d", len(leaves)),
+			t.AddRow(fmt.Sprintf("%d", step), strategyName(adaptive), fmt.Sprintf("%d", len(leaves)),
 				ms(bd.TreeBuild), ms(bd.GatherScatter), ms(bd.Transfer),
 				ms(bd.BATBuild), ms(bd.FileWrite), ms(bd.Metadata), ms(bd.Total()))
 		}
@@ -193,11 +173,7 @@ func FileStats(ranks, step int, target int64) (*Table, error) {
 			return nil, err
 		}
 		st := aggtree.LeafSizeStats(leaves, bpp)
-		name := "adaptive"
-		if !adaptive {
-			name = "aug"
-		}
-		t.AddRow(name, fmt.Sprintf("%d", st.NumFiles),
+		t.AddRow(strategyName(adaptive), fmt.Sprintf("%d", st.NumFiles),
 			fmt.Sprintf("%.1f", st.MeanB/(1<<20)),
 			fmt.Sprintf("%.1f", st.StddevB/(1<<20)),
 			fmt.Sprintf("%.1f", float64(st.MaxB)/(1<<20)))

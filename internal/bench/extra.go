@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"libbat/internal/core"
 	"libbat/internal/ior"
@@ -52,8 +51,7 @@ func RecommendCheck(p perf.Profile, rankCounts []int, perRank int64, numAttrs in
 			if err != nil {
 				return 0, err
 			}
-			var d time.Duration = p.ModelTwoPhaseWrite(n, loads, metaBytesPerLeaf(numAttrs)).Total()
-			return ior.Bandwidth(total, d), nil
+			return ior.Bandwidth(total, modelTime(p, n, loads, numAttrs, false)), nil
 		}
 		rec := recommend(n, bytesPerRank)
 		recBW, err := bw(rec)
@@ -95,7 +93,6 @@ func MeasuredBreakdown(ranks int, particles int64, target int64) (*Table, error)
 		Header: []string{"strategy", "files", "tree", "gather/scatter", "transfer",
 			"bat-build", "file-write", "metadata", "total"},
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond)) }
 	for _, strategy := range []core.Strategy{core.Adaptive, core.AUG} {
 		store, err := makeStore("")
 		if err != nil {
@@ -103,7 +100,7 @@ func MeasuredBreakdown(ranks int, particles int64, target int64) (*Table, error)
 		}
 		cfg := core.DefaultWriteConfig(target)
 		cfg.Strategy = strategy
-		stats, err := WriteDataset(cb, 0, store, "measured-"+strategy.String(), cfg)
+		stats, err := writeStep(cb, 0, store, "measured-"+strategy.String(), cfg)
 		if err != nil {
 			return nil, err
 		}

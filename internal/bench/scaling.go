@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"libbat/internal/aggtree"
+	"libbat/internal/aug"
 	"libbat/internal/ior"
 	"libbat/internal/perf"
 	"libbat/internal/workloads"
@@ -35,27 +36,30 @@ func planLeafLoads(infos []aggtree.RankInfo, worldSize int, target int64,
 		leaves = tr.Leaves
 	} else {
 		var err error
-		leaves, err = augBuild(infos, target, bpp)
+		leaves, err = aug.Build(infos, aug.Config{TargetFileSize: target, BytesPerParticle: bpp})
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 	aggtree.AssignAggregators(leaves, worldSize)
-	loads := make([]perf.LeafLoad, len(leaves))
-	for i, l := range leaves {
-		ld := perf.LeafLoad{
-			Bytes:      l.Bytes(bpp),
-			Count:      l.Count,
-			Aggregator: l.Aggregator,
-			Ranks:      l.Ranks,
-		}
-		ld.MemberBytes = make([]int64, len(l.Ranks))
-		for j, r := range l.Ranks {
-			ld.MemberBytes[j] = infos[r].Count * int64(bpp)
-		}
-		loads[i] = ld
+	return toLoads(leaves, infos, bpp), leaves, nil
+}
+
+// modelTime is the modeled duration of one two-phase write (or read) of the
+// leaf loads on p.
+func modelTime(p perf.Profile, ranks int, loads []perf.LeafLoad, numAttrs int, reads bool) time.Duration {
+	if reads {
+		return p.ModelTwoPhaseRead(ranks, loads, metaBytesPerLeaf(numAttrs)).Total()
 	}
-	return loads, leaves, nil
+	return p.ModelTwoPhaseWrite(ranks, loads, metaBytesPerLeaf(numAttrs)).Total()
+}
+
+// strategyName labels a table row by its aggregation strategy.
+func strategyName(adaptive bool) string {
+	if adaptive {
+		return "adaptive"
+	}
+	return "aug"
 }
 
 // WeakScalingConfig parameterizes Figures 5 and 7.
@@ -121,12 +125,7 @@ func scalingTable(cfg WeakScalingConfig, reads bool) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var d time.Duration
-			if reads {
-				d = cfg.Profile.ModelTwoPhaseRead(n, loads, metaBytesPerLeaf(cfg.NumAttrs)).Total()
-			} else {
-				d = cfg.Profile.ModelTwoPhaseWrite(n, loads, metaBytesPerLeaf(cfg.NumAttrs)).Total()
-			}
+			d := modelTime(cfg.Profile, n, loads, cfg.NumAttrs, reads)
 			row = append(row, gbs(ior.Bandwidth(total, d)))
 		}
 		t.AddRow(row...)
@@ -155,7 +154,6 @@ func Fig6Breakdown(cfg WeakScalingConfig) (*Table, error) {
 		Header: []string{"ranks", "target", "tree", "gather/scatter", "transfer",
 			"bat-build", "file-write", "metadata", "total"},
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond)) }
 	for _, n := range cfg.RankCounts {
 		w, err := workloads.NewUniform(n, cfg.PerRank, cfg.NumAttrs)
 		if err != nil {

@@ -3,13 +3,15 @@
 // the real aggregation algorithms on real per-rank particle counts and
 // charge data movement to the perf cost models at the paper's full rank
 // counts; the visualization-read tables build real BAT files on local disk
-// and time real progressive queries.
+// and time real progressive queries. Experiments (registry.go) is the one
+// list of them; everything an experiment depends on arrives in its Env.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 )
 
 // Table is a printable result table (one per paper figure or table).
@@ -87,6 +89,9 @@ func gbs(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
 
 // mbs formats a bytes/second value as MB/s.
 func mbs(v float64) string { return fmt.Sprintf("%.1f", v/1e6) }
+
+// ms formats a duration as milliseconds.
+func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond)) }
 
 // sizeMB formats a target size in MB.
 func sizeMB(b int64) string {

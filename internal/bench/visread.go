@@ -3,64 +3,20 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"libbat/internal/bat"
 	"libbat/internal/core"
-	"libbat/internal/fabric"
 	"libbat/internal/geom"
-	"libbat/internal/obs"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
 )
 
-// Observer, when set before benchmarks run, attaches telemetry to every
-// materialized (full-fidelity) pipeline run: fabrics and stores are
-// instrumented, so batbench's -stats/-trace flags capture the per-phase
-// and per-rank breakdown alongside the tables. Nil (default) disables it.
-var Observer *obs.Collector
-
-// BuildWorkers, when nonzero, overrides the BAT build worker-pool size of
-// every materialized pipeline run (batbench's -build-workers flag).
-var BuildWorkers int
-
-// WriteDataset writes one workload timestep through the full two-phase
-// pipeline (real goroutine ranks, real BAT files) into store, attaching
-// the package Observer if one is set.
-func WriteDataset(w workloads.Workload, step int, store pfs.Storage, base string,
+// writeStep materializes one workload timestep through the full two-phase
+// pipeline (real goroutine ranks, real BAT files) into store.
+func writeStep(w workloads.Workload, step int, store pfs.Storage, base string,
 	cfg core.WriteConfig) (*core.WriteStats, error) {
-	return WriteDatasetObserved(w, step, store, base, cfg, Observer)
-}
-
-// WriteDatasetObserved is WriteDataset with an explicit telemetry
-// collector (nil disables) wired into the fabric and the store.
-func WriteDatasetObserved(w workloads.Workload, step int, store pfs.Storage, base string,
-	cfg core.WriteConfig, col *obs.Collector) (*core.WriteStats, error) {
-
-	if BuildWorkers != 0 {
-		cfg.BAT.Workers = BuildWorkers
-	}
-	n := w.Decomp().NumRanks()
-	store = pfs.Observe(store, col)
-	f := fabric.New(n)
-	f.SetObserver(col)
-	var mu sync.Mutex
-	var rootStats *core.WriteStats
-	err := f.Run(func(c *fabric.Comm) error {
-		local := w.Generate(step, c.Rank())
-		st, err := core.Write(c, store, base, local, w.Decomp().RankBounds(c.Rank()), cfg)
-		if err != nil {
-			return fmt.Errorf("rank %d: %w", c.Rank(), err)
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			rootStats = st
-			mu.Unlock()
-		}
-		return nil
-	})
-	return rootStats, err
+	return core.WriteWorld(w.Decomp().NumRanks(), store, base, cfg, nil, workloads.RankInput(w, step))
 }
 
 // ProgressiveResult is one measured progressive read sequence.
@@ -78,7 +34,7 @@ type ProgressiveResult struct {
 func ProgressiveRead(store pfs.Storage, base string) (ProgressiveResult, error) {
 	var res ProgressiveResult
 	ctx := context.Background()
-	ds, err := core.OpenDataset(ctx, pfs.Observe(store, Observer), base)
+	ds, err := core.OpenDataset(ctx, store, base)
 	if err != nil {
 		return res, err
 	}
@@ -165,7 +121,7 @@ func visReadTable(t *Table, w workloads.Workload, cfg VisReadConfig) (*Table, er
 				return nil, err
 			}
 			base := fmt.Sprintf("%s-s%d-t%d", w.Name(), step, target)
-			if _, err := WriteDataset(w, step, store, base, core.DefaultWriteConfig(target)); err != nil {
+			if _, err := writeStep(w, step, store, base, core.DefaultWriteConfig(target)); err != nil {
 				return nil, err
 			}
 			res, err := ProgressiveRead(store, base)
@@ -182,6 +138,24 @@ func visReadTable(t *Table, w workloads.Workload, cfg VisReadConfig) (*Table, er
 	}
 	t.Notes = append(t.Notes, "real single-threaded reads of real BAT files (quality 0.1 to 1.0 in 0.1 steps)")
 	return t, nil
+}
+
+// storedBytes adds up the size of every file in store.
+func storedBytes(store pfs.Storage) (int64, error) {
+	names, err := store.List()
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, n := range names {
+		f, err := store.Open(n)
+		if err != nil {
+			return 0, err
+		}
+		total += f.Size()
+		f.Close()
+	}
+	return total, nil
 }
 
 func makeStore(dir string) (pfs.Storage, error) {
@@ -212,7 +186,7 @@ func Fig13Quality(cfg VisReadConfig, particles int64) (*Table, error) {
 	if len(cfg.TargetSizes) > 0 {
 		target = cfg.TargetSizes[0]
 	}
-	if _, err := WriteDataset(cb, 0, store, "fig13", core.DefaultWriteConfig(target)); err != nil {
+	if _, err := writeStep(cb, 0, store, "fig13", core.DefaultWriteConfig(target)); err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
@@ -255,21 +229,12 @@ func Overhead(cfg VisReadConfig, particles int64) (*Table, error) {
 		return nil, err
 	}
 	target := int64(8 << 20)
-	if _, err := WriteDataset(cb, 0, store, "overhead", core.DefaultWriteConfig(target)); err != nil {
+	if _, err := writeStep(cb, 0, store, "overhead", core.DefaultWriteConfig(target)); err != nil {
 		return nil, err
 	}
-	names, err := store.List()
+	fileBytes, err := storedBytes(store)
 	if err != nil {
 		return nil, err
-	}
-	var fileBytes int64
-	for _, n := range names {
-		f, err := store.Open(n)
-		if err != nil {
-			return nil, err
-		}
-		fileBytes += f.Size()
-		f.Close()
 	}
 	raw := particles * int64(cb.Schema().BytesPerParticle())
 	t.AddRow("coal-boiler",

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"libbat/internal/core"
-	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
@@ -161,15 +160,9 @@ func ToDataset(set *particles.Set, store pfs.Storage, base string, opts Options)
 		parts[r].Append(p, attrs)
 	}
 
-	var rootStats *core.WriteStats
-	err = fabric.Run(vranks, func(c *fabric.Comm) error {
-		st, err := core.Write(c, store, base, parts[c.Rank()], decomp.RankBounds(c.Rank()), opts.Write)
-		if c.Rank() == 0 {
-			rootStats = st
-		}
-		return err
+	return core.WriteWorld(vranks, store, base, opts.Write, nil, func(rank int) (*particles.Set, geom.Box) {
+		return parts[rank], decomp.RankBounds(rank)
 	})
-	return rootStats, err
 }
 
 func clampInt(v, max int) int {

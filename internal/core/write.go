@@ -478,6 +478,33 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	return stats, nil
 }
 
+// WriteWorld runs one collective Write on a fresh in-process world of
+// `ranks` goroutine ranks and returns rank 0's stats. input(r) supplies rank
+// r's particles and spatial bounds, called on that rank's goroutine. col
+// (nil disables telemetry) observes the fabric and the store. It is how the
+// commands and the figure harness materialize a dataset; a simulation linking
+// the library calls Write on the ranks it already has.
+func WriteWorld(ranks int, store pfs.Storage, base string, cfg WriteConfig, col *obs.Collector,
+	input func(rank int) (*particles.Set, geom.Box)) (*WriteStats, error) {
+
+	store = pfs.Observe(store, col)
+	f := fabric.New(ranks)
+	f.SetObserver(col)
+	var rootStats *WriteStats // written by rank 0 only, read after Run returns
+	err := f.Run(func(c *fabric.Comm) error {
+		local, bounds := input(c.Rank())
+		st, err := Write(c, store, base, local, bounds, cfg)
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+		if c.Rank() == 0 {
+			rootStats = st
+		}
+		return nil
+	})
+	return rootStats, err
+}
+
 // writeBody runs phases b-c on every rank: send local data to the
 // assigned aggregator, and, when aggregating, receive each leaf's data,
 // build its BAT, write the file, and report to rank 0. It returns the

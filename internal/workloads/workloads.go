@@ -122,6 +122,15 @@ func RankInfos(w Workload, step int) []aggtree.RankInfo {
 	return infos
 }
 
+// RankInput returns what each rank of a collective write of one timestep
+// contributes — its generated particles and its subdomain — in the shape
+// core.WriteWorld takes.
+func RankInput(w Workload, step int) func(rank int) (*particles.Set, geom.Box) {
+	return func(rank int) (*particles.Set, geom.Box) {
+		return w.Generate(step, rank), w.Decomp().RankBounds(rank)
+	}
+}
+
 // TotalCount sums a workload's particles at a timestep.
 func TotalCount(w Workload, step int) int64 {
 	var n int64

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Pre-PR check: batlint + vet the whole module, run the concurrency-
-# sensitive packages under the race detector, smoke the benchmarks, and
-# (unless CHECK_FUZZ=0) give the six decode fuzzers a short pass. Run it
-# from the repository root before sending a PR.
+# Pre-PR check: batlint + vet + test the whole module, run the concurrency-
+# sensitive packages under the race detector, smoke the benchmarks and the
+# quickstart example, and (unless CHECK_FUZZ=0) give the six decode fuzzers
+# a short pass. Run it from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
 # summary at the end and exits non-zero if anything failed.
@@ -34,6 +34,13 @@ run() {
 run "batlint ./..." go run ./cmd/batlint ./...
 
 run "go vet ./..." go vet ./...
+
+# The whole suite once without the race detector. This is where the figure
+# harness is held: cmd/batbench's tests run every registry entry at a small
+# scale and compare the modeled tables with their goldens byte for byte (no
+# separate stage), next to the batconvert round trip and batlint's
+# TestRepoClean.
+run "go test ./..." go test ./...
 
 run "go test -race fabric+core" go test -race ./internal/fabric/... ./internal/core/...
 
@@ -109,6 +116,16 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 # the quant-for section of the same indices decode to the same values).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
+
+# The examples are only compiled by the stages above; run the quickstart end
+# to end (public API only: collective write, open, box / filter / progressive
+# counts) and require the particle count it reports.
+quickstart_smoke() {
+	out="$(go run ./examples/quickstart)" || return 1
+	echo "$out" | grep -q '^dataset: 80000 particles, ' ||
+		{ echo "quickstart printed:"; echo "$out"; return 1; }
+}
+run "examples quickstart" quickstart_smoke
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
