@@ -8,7 +8,8 @@
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -bytes
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
-// attribute sections, node tables, page padding, headers and footers.
+// attribute sections, node tables, page padding (none between the packed
+// treelets of a compressed dataset), headers and footers.
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -214,10 +215,22 @@ func inspectLeaf(w io.Writer, ds *core.Dataset, li int) error {
 	return ds.Close()
 }
 
+// bitsRange formats the min/median/max of a column's block bit widths, each
+// block once whatever its length ("-" when the column has no packed block).
+func bitsRange(widths []uint8) string {
+	n := len(widths)
+	if n == 0 {
+		return "-"
+	}
+	sort.Slice(widths, func(a, b int) bool { return widths[a] < widths[b] })
+	return fmt.Sprintf("%d/%d/%d", widths[0], widths[n/2], widths[n-1])
+}
+
 // printCompression reports a v3 file's codec layer: the declared per-
 // attribute configuration, each position and attribute column's section-level
 // codec usage, frame modes, block bit widths and byte totals (aggregated over
-// every treelet), and the whole-file attribute ratio.
+// every treelet), the whole-file attribute ratio, and how the treelets' node
+// tables are stored (fixed records, or packed columns with their bytes).
 func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 	fmt.Fprintf(w, "  compression (v3): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
@@ -228,13 +241,26 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 		kinds  map[string]int
 		widths []uint8
 	}
-	// Rows follow TreeletSections: x, y, z, then the attributes.
-	var aggs []colAgg
+	// Rows follow TreeletLayout: x, y, z, then the attributes; nodeCols are
+	// the columns of the packed node tables.
+	var aggs, nodeCols []colAgg
+	var nodes, nodeBytes int64
 	for ti := 0; ti < f.NumTreelets(); ti++ {
-		secs, err := f.TreeletSections(context.Background(), ti)
+		lay, err := f.TreeletLayout(context.Background(), ti)
 		if err != nil {
 			return err
 		}
+		nodes += int64(lay.NodeTable.Nodes)
+		nodeBytes += int64(lay.NodeTable.Bytes)
+		if nodeCols == nil {
+			nodeCols = make([]colAgg, len(lay.NodeTable.Columns))
+		}
+		for i, col := range lay.NodeTable.Columns {
+			nodeCols[i].name = col.Name
+			nodeCols[i].enc += int64(col.Bytes)
+			nodeCols[i].widths = append(nodeCols[i].widths, col.Width)
+		}
+		secs := lay.Sections
 		if aggs == nil {
 			aggs = make([]colAgg, len(secs))
 			for i, sec := range secs {
@@ -280,18 +306,19 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 		for j, name := range kinds {
 			kinds[j] = fmt.Sprintf("%s x%d", name, agg.kinds[name])
 		}
-		// Min/median/max over the column's packed blocks, each block once
-		// whatever its length.
-		bits := "-"
-		if n := len(agg.widths); n > 0 {
-			sort.Slice(agg.widths, func(a, b int) bool { return agg.widths[a] < agg.widths[b] })
-			bits = fmt.Sprintf("%d/%d/%d", agg.widths[0], agg.widths[n/2], agg.widths[n-1])
-		}
 		fmt.Fprintf(w, "    %-12s %-10s %-10s %12d %12d %6.2fx  %-14s %s\n",
-			agg.name, codec, bound, agg.raw, agg.enc, ratio, bits, strings.Join(kinds, ", "))
+			agg.name, codec, bound, agg.raw, agg.enc, ratio, bitsRange(agg.widths), strings.Join(kinds, ", "))
 	}
 	fmt.Fprintf(w, "    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
 		ci.RawPayloadBytes, ci.EncPayloadBytes, ci.Ratio())
+	encoding := "fixed records"
+	if f.PackedNodes {
+		encoding = "packed columns, implicit topology, treelets unpadded"
+	}
+	fmt.Fprintf(w, "    node tables: %d nodes in %d treelets, %d bytes (%s)\n", nodes, f.NumTreelets(), nodeBytes, encoding)
+	for _, col := range nodeCols {
+		fmt.Fprintf(w, "      %-14s %12d bytes  block bits %s\n", col.name, col.enc, bitsRange(col.widths))
+	}
 	return nil
 }
 

@@ -12,7 +12,9 @@
 //     every node, deduplicated through a 16-bit-ID dictionary.
 //
 // The compacted byte-buffer form (see format.go) is what aggregators write
-// to disk; treelets are 4 KB page aligned for memory-mapped access.
+// to disk; treelets are 4 KB page aligned for memory-mapped access, except in
+// compressed files, whose treelets are decoded, never mapped, and lie back to
+// back.
 //
 // The build runs as a parallel pipeline (chunked Morton encoding, a stable
 // parallel radix sort, fused treelet+bitmap workers over per-worker scratch
@@ -154,8 +156,9 @@ func (c BuildConfig) AttrBounds(nA int) []float64 {
 }
 
 // packsPositions reports whether the build stores positions as framed codec
-// sections (flagPackedPositions): every Compress build whose positions are
-// not already 16-bit fixed point.
+// sections (flagPackedPositions) — and with them the node tables as packed
+// columns in unpadded treelets (flagPackedNodes): every Compress build whose
+// positions are not already 16-bit fixed point.
 func (c BuildConfig) packsPositions() bool { return c.Compress && !c.QuantizePositions }
 
 // EffectiveLODScale resolves LODErrorScale's 0-means-1 default.
@@ -244,7 +247,9 @@ type BuildStats struct {
 	BitmapsInterned int
 	FileBytes       int64
 	RawDataBytes    int64
-	PaddingBytes    int64
+	// PaddingBytes is the page padding ahead of the treelets: 0 when the
+	// build packs them (Compress without QuantizePositions).
+	PaddingBytes int64
 	// AttrPayloadRawBytes / AttrPayloadEncBytes are the attribute payload
 	// sizes before and after the v3 codec layer (codec.go); equal — and
 	// excluding the 5-byte per-section codec framing — for uncompressed

@@ -237,7 +237,7 @@ func TestCompressedLODScale(t *testing.T) {
 
 // TestCompressionInfoAndSections checks the footer accounting: the
 // Compression() totals must equal both the BuildStats payload fields and
-// the sum over every TreeletSections frame, and a smooth dataset at a
+// the sum over every TreeletLayout section frame, and a smooth dataset at a
 // loose bound must actually compress.
 func TestCompressionInfoAndSections(t *testing.T) {
 	s, domain := cosmoSet(5000, 13)
@@ -274,10 +274,11 @@ func TestCompressionInfoAndSections(t *testing.T) {
 	// the build's position totals.
 	var sumRaw, sumEnc, posRaw, posEnc int
 	for ti := 0; ti < f.NumTreelets(); ti++ {
-		secs, err := f.TreeletSections(context.Background(), ti)
+		lay, err := f.TreeletLayout(context.Background(), ti)
 		if err != nil {
 			t.Fatal(err)
 		}
+		secs := lay.Sections
 		for i, sec := range secs {
 			if i < PositionSections {
 				if sec.Attr != positionNames[i] || (sec.Codec != codecFOR && sec.Codec != codecRaw) {

@@ -39,7 +39,7 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenV3Config is the compressed build all three version-3 goldens were
+// goldenV3Config is the compressed build all four version-3 goldens were
 // made with: "mass" within 1e-3, "id" lossless.
 func goldenV3Config() BuildConfig {
 	cfg := goldenConfig()
@@ -88,12 +88,15 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
 // legitimately changes (which for v1/v2 should be never).
 //
-// Two goldens are not among them and cannot be regenerated; each is
+// Three goldens are not among them and cannot be regenerated; each is
 // goldenV3Config's build by the last writer of a layout, and pins the read
 // path of the files that writer left behind. golden_v3_rawpos.bat: version-3
 // positions as raw f32 columns (commit c90a2ea, the parent of the position
 // codec). golden_v3_flatquant.bat: packed positions, lossy attributes as
 // codecQuant sections (commit 1f5afd1, the parent of codecQuantFOR).
+// golden_v3_nodetable.bat: today's sections behind node tables of fixed
+// records in page-aligned treelets (commit 9f77046, the parent of
+// flagPackedNodes).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -127,12 +130,13 @@ func TestGoldenRegenerate(t *testing.T) {
 // TestGoldenBackwardCompat opens the checked-in files of every layout a
 // writer has produced. Version 1 (no checksums) must be refused. Version 2,
 // version 3 with raw position columns, version 3 with packed positions and
-// flat quant attributes, and today's version 3 must decode to the same
-// particle multiset as the day they were written: positions and the lossless
-// id bit-exact everywhere, mass exact in version 2 and within its declared
-// bound in version 3 — where all three files return the same rows bit for
-// bit, since each writer changed how the same grid indices are stored and
-// never the grid.
+// flat quant attributes, version 3 with quant-for attributes behind node
+// records, and today's version 3 must decode to the same particle multiset as
+// the day they were written: positions and the lossless id bit-exact
+// everywhere, mass exact in version 2 and within its declared bound in
+// version 3 — where all four files return the same rows bit for bit, since
+// each writer changed how the same grid indices are stored and never the
+// grid.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
@@ -140,16 +144,18 @@ func TestGoldenBackwardCompat(t *testing.T) {
 	var v3rows [][]goldenRow
 	var v3secs [][]sectionSeed
 	for _, tc := range []struct {
-		file      string
-		version   int
-		packed    bool
-		massCodec uint8
+		file        string
+		version     int
+		packed      bool
+		packedNodes bool
+		massCodec   uint8
 	}{
-		{"golden_v1.bat", 1, false, codecRaw},
-		{"golden_v2.bat", 2, false, codecRaw},
-		{"golden_v3_rawpos.bat", 3, false, codecQuant},
-		{"golden_v3_flatquant.bat", 3, true, codecQuant},
-		{"golden_v3.bat", 3, true, codecQuantFOR},
+		{"golden_v1.bat", 1, false, false, codecRaw},
+		{"golden_v2.bat", 2, false, false, codecRaw},
+		{"golden_v3_rawpos.bat", 3, false, false, codecQuant},
+		{"golden_v3_flatquant.bat", 3, true, false, codecQuant},
+		{"golden_v3_nodetable.bat", 3, true, false, codecQuantFOR},
+		{"golden_v3.bat", 3, true, true, codecQuantFOR},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -166,8 +172,9 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Version != tc.version || f.PackedPositions != tc.packed {
-				t.Fatalf("Version = %d, PackedPositions = %v; want %d, %v", f.Version, f.PackedPositions, tc.version, tc.packed)
+			if f.Version != tc.version || f.PackedPositions != tc.packed || f.PackedNodes != tc.packedNodes {
+				t.Fatalf("Version = %d, PackedPositions = %v, PackedNodes = %v; want %d, %v, %v",
+					f.Version, f.PackedPositions, f.PackedNodes, tc.version, tc.packed, tc.packedNodes)
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)
@@ -201,8 +208,8 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 		})
 	}
-	if len(v3rows) != 3 {
-		t.Fatalf("%d of 3 version-3 goldens decoded", len(v3rows))
+	if len(v3rows) != 4 {
+		t.Fatalf("%d of 4 version-3 goldens decoded", len(v3rows))
 	}
 	for _, rows := range v3rows[1:] {
 		for i := range rows {
@@ -218,6 +225,23 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		if i < len(before) && after[i].attr == before[i].attr && before[i].codec == codecFOR &&
 			(after[i].codec != codecFOR || !bytes.Equal(after[i].payload, before[i].payload)) {
 			t.Fatalf("section %d (%s): position stream differs from golden_v3_flatquant.bat", i, after[i].attr)
+		}
+	}
+	// Packing the node table moved every section and changed none: apart from
+	// the node-table seeds of the packed file, the two files hold the same
+	// streams in the same order.
+	before, after = v3secs[2], nil
+	for _, sec := range v3secs[3] {
+		if sec.attr != nodeTableSeed {
+			after = append(after, sec)
+		}
+	}
+	if len(after) != len(before) {
+		t.Fatalf("golden_v3.bat holds %d sections, golden_v3_nodetable.bat %d", len(after), len(before))
+	}
+	for i := range after {
+		if after[i].attr != before[i].attr || after[i].codec != before[i].codec || !bytes.Equal(after[i].payload, before[i].payload) {
+			t.Fatalf("section %d (%s): stream differs from golden_v3_nodetable.bat", i, after[i].attr)
 		}
 	}
 }

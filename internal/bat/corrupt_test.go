@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -159,11 +160,8 @@ func TestV1FileRejected(t *testing.T) {
 // every checksum off: a version-3 file without the packed-positions flag
 // opened as version 1 and served its framed sections as raw columns.
 func TestVersionFieldFlipsRejected(t *testing.T) {
-	rawpos, err := os.ReadFile(filepath.Join("testdata", "golden_v3_rawpos.bat"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string][]byte{"v2": builtSample(t), "v3": compressedSample(t), "v3 raw positions": rawpos} {
+	for name, buf := range map[string][]byte{"v2": builtSample(t), "v3": compressedSample(t),
+		"v3 raw positions": goldenFile(t, "golden_v3_rawpos.bat"), "v3 node records": goldenFile(t, "golden_v3_nodetable.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[4+bit/8] ^= 1 << (bit % 8)
@@ -220,14 +218,29 @@ func mutateFooter(t *testing.T, buf []byte, mutate func(foot []byte)) []byte {
 }
 
 // positionOffset locates treelet ti's position data within its byte range
-// (after the node records): the x section's frame in a packed file.
-func positionOffset(t *testing.T, buf []byte, ti int) int {
+// (after the count words and the node table, whichever way that is stored):
+// the x section's frame in a packed file.
+func positionOffset(t testing.TB, buf []byte, ti int) int {
 	t.Helper()
 	f, err := FromBuffer(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 8 + int(f.leaves[ti].numNodes)*(treeletNodeBytes+2*f.Schema.NumAttrs())
+	lay, err := f.TreeletLayout(context.Background(), ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 8 + lay.NodeTable.Bytes
+}
+
+// goldenFile reads a checked-in golden image.
+func goldenFile(t testing.TB, name string) []byte {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // firstSectionOffset locates treelet ti's first attribute section within
@@ -238,10 +251,11 @@ func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, err := f.TreeletSections(context.Background(), ti)
+	lay, err := f.TreeletLayout(context.Background(), ti)
 	if err != nil {
 		t.Fatal(err)
 	}
+	secs := lay.Sections
 	secOff = positionOffset(t, buf, ti)
 	for _, sec := range secs[:PositionSections] {
 		if f.PackedPositions {
@@ -306,10 +320,7 @@ func TestV3TruncatedCodecStream(t *testing.T) {
 // corrupt; and a flat quant section of an earlier writer, which stores its
 // steps, is corrupt when they exceed what the footer declares.
 func TestV3ErrorBoundMismatch(t *testing.T) {
-	flat, err := os.ReadFile(filepath.Join("testdata", "golden_v3_flatquant.bat"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := goldenFile(t, "golden_v3_flatquant.bat")
 	for _, tc := range []struct {
 		name  string
 		buf   []byte
@@ -325,10 +336,11 @@ func TestV3ErrorBoundMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			nT := f.NumTreelets()
-			secs, err := f.TreeletSections(context.Background(), 0)
+			lay, err := f.TreeletLayout(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			secs := lay.Sections
 			if c := secs[PositionSections].Codec; c != tc.codec {
 				t.Fatalf("attribute 0 section is %s, want %s; pick different sample data", CodecName(c), CodecName(tc.codec))
 			}
@@ -432,10 +444,13 @@ func TestHeaderFlagValidation(t *testing.T) {
 		buf  []byte
 		want string
 	}{
-		{"unknown bit 2", mutateHeader(t, v3, setFlags(flagPackedPositions|1<<2)), "unknown header flag bits 0x4"},
+		{"unknown bit 3", mutateHeader(t, v3, setFlags(flagPackedPositions|flagPackedNodes|1<<3)), "unknown header flag bits 0x8"},
 		{"unknown top bit", mutateHeader(t, v2, setFlags(1<<31)), "unknown header flag bits"},
 		{"quantized and packed", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedPositions)), "exclude quantized"},
 		{"packed in v2", mutateHeader(t, v2, setFlags(flagPackedPositions)), "need version 3"},
+		{"packed nodes, raw positions", mutateHeader(t, v3, setFlags(flagPackedNodes)), "packed node tables need"},
+		{"packed nodes, quantized positions", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedNodes)), "packed node tables need"},
+		{"packed nodes in v2", mutateHeader(t, v2, setFlags(flagPackedNodes)), "packed node tables need version 3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := FromBuffer(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -444,8 +459,74 @@ func TestHeaderFlagValidation(t *testing.T) {
 		})
 	}
 	// The flags a current writer sets still open.
-	if f, err := FromBuffer(v3); err != nil || !f.PackedPositions || f.Quantized {
+	if f, err := FromBuffer(v3); err != nil || !f.PackedPositions || !f.PackedNodes || f.Quantized {
 		t.Fatalf("compressed sample: err %v, file %+v", err, f)
+	}
+}
+
+// TestUnpaddedTreeletsTile: in a flagPackedNodes file the treelets lie back to
+// back from the end of the header to the footer, so no byte is outside a
+// checksum; a leaf table that leaves a gap, overlaps, is out of order or stops
+// short of the footer is rejected at open, checksums right or not.
+func TestUnpaddedTreeletsTile(t *testing.T) {
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.leaves) < 2 {
+		t.Fatalf("%d treelets; pick different sample data", len(f.leaves))
+	}
+	if first, last := f.leaves[0], f.leaves[len(f.leaves)-1]; first.offset != uint64(f.headerSize) ||
+		int64(last.offset)+int64(last.byteLen)+f.footerLen() != f.size {
+		t.Fatalf("treelets span [%d,%d) of a %d-byte file with a %d-byte header and a %d-byte footer",
+			first.offset, last.offset+uint64(last.byteLen), f.size, f.headerSize, f.footerLen())
+	}
+	// Leaf records end the header just before the dictionary: offset u64,
+	// byteLen u32, ...
+	recLen := shallowLeafBytes + 2*f.Schema.NumAttrs()
+	leafRec := func(head []byte, li int) []byte {
+		return head[f.headerSize-(4+4*f.dict.Len())-(len(f.leaves)-li)*recLen:]
+	}
+	addOffset := func(li, d int) func([]byte) {
+		return func(head []byte) {
+			rec := leafRec(head, li)
+			binary.LittleEndian.PutUint64(rec, uint64(int(binary.LittleEndian.Uint64(rec))+d))
+		}
+	}
+	addLen := func(li, d int) func([]byte) {
+		return func(head []byte) {
+			rec := leafRec(head, li)[8:]
+			binary.LittleEndian.PutUint32(rec, uint32(int(binary.LittleEndian.Uint32(rec))+d))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(head []byte)
+		want   string
+	}{
+		{"gap", func(head []byte) { addOffset(1, 1)(head); addLen(1, -1)(head) }, "treelet 1 starts at byte"},
+		{"overlap", addOffset(1, -1), "treelet 1 starts at byte"},
+		{"first treelet past the header", addOffset(0, 1), "treelet 0 starts at byte"},
+		{"short treelet leaves a gap", addLen(0, -1), "treelet 1 starts at byte"},
+		{"out of order", func(head []byte) {
+			var tmp [12]byte
+			a, b := leafRec(head, 0), leafRec(head, 1)
+			copy(tmp[:], a)
+			copy(a[:12], b[:12])
+			copy(b[:12], tmp[:])
+		}, "treelet 0 starts at byte"},
+		{"stops short of the footer", addLen(len(f.leaves)-1, -1), "the checksum footer starts at"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := FromBuffer(mutateHeader(t, buf, tc.mutate)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// The same leaf tables in a padded file are what its writer produced.
+	if _, err := FromBuffer(goldenFile(t, "golden_v3_nodetable.bat")); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -470,58 +551,81 @@ func TestLeafPointCountBound(t *testing.T) {
 }
 
 // TestPackedPositionCorruption is the corruption matrix for packed position
-// sections: every case must fail the treelet load with a clean error.
+// sections, and for the node records they are blocked by in a file without
+// flagPackedNodes (the frozen golden_v3_nodetable.bat): every case must fail
+// the treelet load with a clean error.
 func TestPackedPositionCorruption(t *testing.T) {
-	buf := compressedSample(t)
-	f, err := FromBuffer(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, err := f.TreeletSections(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := f.leaves[0]
-	if ref.numNodes < 3 || secs[0].Codec != codecFOR || secs[1].Codec != codecFOR {
-		t.Fatalf("treelet 0 has %d nodes, x/y sections %s/%s; pick different sample data",
-			ref.numNodes, CodecName(secs[0].Codec), CodecName(secs[1].Codec))
-	}
-	xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
-	nodeOff := func(ni int) int { return 8 + ni*(treeletNodeBytes+2*f.Schema.NumAttrs()) }
-	const startOff, countOff = 1 + 8 + 4 + 4, 1 + 8 + 4 + 4 + 4
-	addU32 := func(b []byte, d int) {
-		binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(tre []byte)
-		want   string
+	for _, layout := range []struct {
+		name        string
+		buf         []byte
+		packedNodes bool
 	}{
-		{"node range starts late", func(tre []byte) { addU32(tre[nodeOff(1)+startOff:], 1) }, "does not continue"},
-		{"node ranges swapped", func(tre []byte) {
-			a, b := tre[nodeOff(1)+startOff:], tre[nodeOff(2)+startOff:]
-			var tmp [8]byte
-			copy(tmp[:], a[:8])
-			copy(a[:8], b[:8])
-			copy(b[:8], tmp[:])
-		}, "does not continue"},
-		{"node ranges sum short", func(tre []byte) { addU32(tre[nodeOff(int(ref.numNodes)-1)+countOff:], -1) }, "cover"},
-		{"block width 33", func(tre []byte) { tre[xOff+5+4] = 33 }, "exceeds 32"},
-		{"section one byte short", func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
-		{"section cut inside a frame", func(tre []byte) { binary.LittleEndian.PutUint32(tre[xOff+1:], 3) }, "truncated"},
-		{"section swallows the next one", func(tre []byte) { addU32(tre[xOff+1:], 5+secs[1].EncBytes) }, "trailing bytes"},
-		{"section longer than the treelet", func(tre []byte) {
-			binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
-		}, "truncated codec stream"},
-		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec"},
-		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
-		{"base past the key range", func(tre []byte) {
-			binary.LittleEndian.PutUint32(tre[xOff+5:], math.MaxUint32)
-		}, "overflows"},
+		{"packed nodes", compressedSample(t), true},
+		{"node records", goldenFile(t, "golden_v3_nodetable.bat"), false},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
-		})
+		buf := layout.buf
+		f, err := FromBuffer(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := f.TreeletLayout(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs := lay.Sections
+		ref := f.leaves[0]
+		if ref.numNodes < 3 || secs[0].Codec != codecFOR || secs[1].Codec != codecFOR || f.PackedNodes != layout.packedNodes {
+			t.Fatalf("%s: treelet 0 has %d nodes, x/y sections %s/%s, PackedNodes %v; pick different sample data",
+				layout.name, ref.numNodes, CodecName(secs[0].Codec), CodecName(secs[1].Codec), f.PackedNodes)
+		}
+		xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
+		nodeOff := func(ni int) int { return 8 + ni*(treeletNodeBytes+2*f.Schema.NumAttrs()) }
+		const startOff, countOff = 1 + 8 + 4 + 4, 1 + 8 + 4 + 4 + 4
+		addU32 := func(b []byte, d int) {
+			binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
+		}
+		type corruption struct {
+			name   string
+			mutate func(tre []byte)
+			want   string
+		}
+		cases := []corruption{
+			{"block width 33", func(tre []byte) { tre[xOff+5+4] = 33 }, "exceeds 32"},
+			{"section one byte short", func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
+			{"section cut inside a frame", func(tre []byte) { binary.LittleEndian.PutUint32(tre[xOff+1:], 3) }, "truncated"},
+			{"section swallows the next one", func(tre []byte) { addU32(tre[xOff+1:], 5+secs[1].EncBytes) }, "trailing bytes"},
+			{"section longer than the treelet", func(tre []byte) {
+				binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
+			}, "truncated codec stream"},
+			{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec"},
+			{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
+			{"base past the key range", func(tre []byte) {
+				binary.LittleEndian.PutUint32(tre[xOff+5:], math.MaxUint32)
+			}, "overflows"},
+		}
+		if !layout.packedNodes {
+			for i := range cases {
+				cases[i].name += " behind node records"
+			}
+			// A packed table has no range starts to get wrong; its own matrix
+			// is TestPackedNodeTableCorruption.
+			cases = append(cases,
+				corruption{"node range starts late", func(tre []byte) { addU32(tre[nodeOff(1)+startOff:], 1) }, "does not continue"},
+				corruption{"node ranges swapped", func(tre []byte) {
+					a, b := tre[nodeOff(1)+startOff:], tre[nodeOff(2)+startOff:]
+					var tmp [8]byte
+					copy(tmp[:], a[:8])
+					copy(a[:8], b[:8])
+					copy(b[:8], tmp[:])
+				}, "does not continue"},
+				corruption{"node ranges sum short", func(tre []byte) { addU32(tre[nodeOff(int(ref.numNodes)-1)+countOff:], -1) }, "cover"},
+			)
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
+			})
+		}
 	}
 }
 
@@ -576,30 +680,29 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a real
-// version-2 and a real version-3 file, with the checksums fixed up after
-// them: every readable file is checksummed, so no mutation FuzzDecode makes
-// gets past the treelet CRC to the node-table and section parsing.
+// version-2 file, a real version-3 file (packed node table) and the golden
+// version-3 file with node records, with the checksums fixed up after them:
+// every readable file is checksummed, so no mutation FuzzDecode makes gets
+// past the treelet CRC to the node-table and section parsing.
 func FuzzTreelet(f *testing.F) {
-	var files [][]byte
 	s, domain := randomSet(60, 1)
+	v2, err := Build(s, domain, DefaultBuildConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
 	cs, cdomain := cosmoSet(60, 3)
-	for _, build := range []func() (*Built, error){
-		func() (*Built, error) { return Build(s, domain, DefaultBuildConfig()) },
-		func() (*Built, error) {
-			return Build(cs, cdomain, compressedConfig([]float64{1e-3, 1e-1, 1e-3, 0}))
-		},
-	} {
-		b, err := build()
-		if err != nil {
-			f.Fatal(err)
-		}
-		file, err := FromBuffer(b.Buf)
+	v3, err := Build(cs, cdomain, compressedConfig([]float64{1e-3, 1e-1, 1e-3, 0}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	files := [][]byte{v2.Buf, v3.Buf, goldenFile(f, "golden_v3_nodetable.bat")}
+	for _, buf := range files {
+		file, err := FromBuffer(buf)
 		if err != nil {
 			f.Fatal(err)
 		}
 		ref := file.leaves[0]
-		files = append(files, b.Buf)
-		f.Add(b.Buf[ref.offset : ref.offset+uint64(ref.byteLen)])
+		f.Add(buf[ref.offset : ref.offset+uint64(ref.byteLen)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, buf := range files {
@@ -628,7 +731,9 @@ func FuzzTreelet(f *testing.F) {
 }
 
 // sectionSeed is one real section — its column name, codec and payload — with
-// the node table and point count it decodes against.
+// the node table and point count it decodes against. A packed node table is a
+// seed too (attr nodeTableSeed): its bytes are the payload, its attribute
+// count the codec, and the node table's length gives its node count.
 type sectionSeed struct {
 	attr    string
 	codec   uint8
@@ -640,6 +745,43 @@ type sectionSeed struct {
 // fuzzNodeBytes is FuzzDecodeSections' node record: start u16, count u16,
 // axis u8.
 const fuzzNodeBytes = 5
+
+const nodeTableSeed = "(node table)"
+
+// checkUnpackedNodes holds the nodes unpackNodeTable returned to what the
+// traversal and the block decoders rely on, checked the way parseNodeRecords
+// checks a table of records: children in range, one parent each — with the
+// children behind their parent, so no cycle — and ranges that tile the points.
+func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
+	seen := make([]bool, len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
+		if len(n.ids) != nA {
+			return fmt.Errorf("node %d has %d of %d bitmap IDs", i, len(n.ids), nA)
+		}
+		if n.axis > uint8(leafAxis) {
+			return fmt.Errorf("node %d has axis %d", i, n.axis)
+		}
+		if n.axis == uint8(leafAxis) {
+			continue
+		}
+		for _, ref := range [2]int32{n.left, n.right} {
+			if int(ref) <= i || int(ref) >= len(nodes) {
+				return fmt.Errorf("node %d of %d has child %d", i, len(nodes), ref)
+			}
+			if seen[ref] {
+				return fmt.Errorf("node %d has two parents", ref)
+			}
+			seen[ref] = true
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		if !seen[i] {
+			return fmt.Errorf("node %d has no parent", i)
+		}
+	}
+	return checkBlockRanges(nodes, nPoints)
+}
 
 // fuzzNodes reads a node table of fuzzNodeBytes records. ok is false when a
 // range runs past nPoints: parseTreelet rejects such a table before it reads
@@ -679,12 +821,16 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			table = binary.LittleEndian.AppendUint16(table, uint16(n.count))
 			table = append(table, n.axis)
 		}
-		secs, err := f.TreeletSections(context.Background(), ti)
+		lay, err := f.TreeletLayout(context.Background(), ti)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		p := int(ref.offset) + 8 + len(pt.nodes)*(treeletNodeBytes+2*f.Schema.NumAttrs())
-		for i, sec := range secs {
+		p := int(ref.offset) + 8
+		if f.PackedNodes {
+			seeds = append(seeds, sectionSeed{nodeTableSeed, uint8(f.Schema.NumAttrs()), buf[p : p+lay.NodeTable.Bytes], table, uint16(ref.numPoints)})
+		}
+		p += lay.NodeTable.Bytes
+		for i, sec := range lay.Sections {
 			if framed := f.Version >= 3 && (i >= PositionSections || f.PackedPositions); framed {
 				p += 5
 			}
@@ -707,12 +853,8 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	flat, err := os.ReadFile(filepath.Join("testdata", "golden_v3_flatquant.bat"))
-	if err != nil {
-		tb.Fatal(err)
-	}
 	var seeds []sectionSeed
-	for _, buf := range [][]byte{b.Buf, flat} {
+	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3_flatquant.bat")} {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
@@ -724,8 +866,10 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 
 // FuzzDecodeSections feeds arbitrary payloads and node tables to the five
 // section decoders (raw, quant, delta, FOR, quant-for), past the checksums and
-// the file structure FuzzDecode has to get through first. Errors are fine;
-// panics, and columns of any length but nPoints, are not.
+// the file structure FuzzDecode has to get through first, and the payload to
+// the packed node-table decoder as a table of as many nodes as the node table
+// has and of codec attributes. Errors are fine; panics, columns of any length
+// but nPoints and node tables that are not a tree over the points are not.
 func FuzzDecodeSections(f *testing.F) {
 	for _, s := range sectionSeeds(f) {
 		f.Add(s.codec, s.payload, s.table, s.nPoints)
@@ -734,6 +878,15 @@ func FuzzDecodeSections(f *testing.F) {
 	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, []byte{0, 0, 1, 0, 3}, uint16(1))
 	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNode, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 48}, []byte{0, 0, 1, 0, 3}, uint16(1))
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16) {
+		nA := int(codec % 8)
+		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, nil); err == nil {
+			if n > len(payload) {
+				t.Fatalf("node table of %d bytes read from %d", n, len(payload))
+			}
+			if err := checkUnpackedNodes(unpacked, uint32(nPoints), nA); err != nil {
+				t.Fatalf("unpackNodeTable accepted a malformed table: %v", err)
+			}
+		}
 		// parseTreelet reads no section of a treelet whose node ranges do
 		// not tile its points, and the block decoders rely on that.
 		nodes, ok := fuzzNodes(table, nPoints)
@@ -759,12 +912,26 @@ func FuzzDecodeSections(f *testing.F) {
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
+	nodeTables := 0
 	for i, s := range sectionSeeds(t) {
-		seen[s.codec] = true
 		nodes, ok := fuzzNodes(s.table, s.nPoints)
 		if !ok || checkBlockRanges(nodes, uint32(s.nPoints)) != nil {
 			t.Fatalf("seed %d: node table does not tile its %d points", i, s.nPoints)
 		}
+		if s.attr == nodeTableSeed {
+			unpacked, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), nil)
+			if err != nil || n != len(s.payload) {
+				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
+			}
+			for ni := range nodes {
+				if u := unpacked[ni]; u.axis != nodes[ni].axis || u.start != nodes[ni].start || u.count != nodes[ni].count {
+					t.Fatalf("seed %d node %d: unpacked %+v, parsed %+v", i, ni, u, nodes[ni])
+				}
+			}
+			nodeTables++
+			continue
+		}
+		seen[s.codec] = true
 		var info SectionInfo
 		_, err32 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float32, fuzzSectionBound, fuzzSectionLODScale, &info)
 		_, err64 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
@@ -781,5 +948,8 @@ func TestSectionSeedsDecode(t *testing.T) {
 	}
 	if !modes["one-frame"] || !modes["per-node"] {
 		t.Errorf("quant-for frame modes among the seeds: %v, want both", modes)
+	}
+	if nodeTables == 0 {
+		t.Error("no packed node table among the seeds")
 	}
 }

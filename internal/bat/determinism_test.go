@@ -86,8 +86,9 @@ func TestBuildDeterminism(t *testing.T) {
 				base.LODPerNode = 4
 				base.QuantizePositions = mode.quantize
 				// Compress adds the attribute codecs and, unless the positions
-				// are quantized, the packed position sections: both encode in
-				// the fused treelet workers from per-worker arenas.
+				// are quantized, the packed position sections — both encode in
+				// the fused treelet workers from per-worker arenas — and the
+				// packed node tables of the unpadded layout.
 				base.Compress = mode.compress
 				base.ErrorBound = 1e-3
 
@@ -102,11 +103,18 @@ func TestBuildDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					// The packed node tables are sized serially and packed by
+					// the fill workers; they and the missing padding go with
+					// the packed positions.
+					if packs := !mode.quantize; f.PackedNodes != packs || (packs && want.Stats.PaddingBytes != 0) {
+						t.Fatalf("%+v: PackedNodes %v, %d padding bytes", mode, f.PackedNodes, want.Stats.PaddingBytes)
+					}
 					for ti := 0; ti < f.NumTreelets(); ti++ {
-						secs, err := f.TreeletSections(context.Background(), ti)
+						lay, err := f.TreeletLayout(context.Background(), ti)
 						if err != nil {
 							t.Fatal(err)
 						}
+						secs := lay.Sections
 						for _, sec := range secs {
 							if sec.Codec == codecQuantFOR {
 								frameModes[sec.Mode] = true

@@ -6,6 +6,9 @@
 //	    flag bit 0  flagQuantized: positions are u16 fixed point
 //	    flag bit 1  flagPackedPositions: positions are framed codec
 //	                sections (version 3 only, never with bit 0)
+//	    flag bit 2  flagPackedNodes: treelet node tables are packed
+//	                columns with implicit topology and the treelets are
+//	                unpadded (version 3 only, only with bit 1)
 //	    any other bit is rejected at open
 //	  numParticles u64
 //	  domain bounds: 6 x f64
@@ -21,10 +24,23 @@
 //	                       treelet bounds 6 x f64,
 //	                       bitmapID u16 per attribute
 //	  bitmap dictionary:   count u32, entries u32 each
-//	Treelets, each aligned to a 4 KB page boundary:
+//	Treelets, each aligned to a 4 KB page boundary — or, when flagPackedNodes
+//	is set, back to back from the end of the header to the footer:
 //	  numNodes u32, numPoints u32
 //	  nodes: axis u8 (3 = leaf), pos f64, left i32, right i32,
 //	         start u32, count u32, bitmapID u16 per attribute
+//	    or, when flagPackedNodes is set, 3 + numAttrs columns over the
+//	    nodes in node (breadth-first) order, each one block of the position
+//	    codec — base u32, width u8, ceil(n*width/8) bytes of (value - base),
+//	    LSB-first (codec.go):
+//	         axis      numNodes values 0..3 (3 = leaf)
+//	         count     numNodes values
+//	         split     one value per inner node: f32Key of the split plane,
+//	                   which is a particle coordinate
+//	         bitmapID  numNodes values, one column per attribute
+//	    left, right and start are not stored: the k-th inner node's children
+//	    are nodes 2k+1 and 2k+2, and a node's particles start where the
+//	    node before it ends
 //	  particle data: X, Y, Z, then one array per attribute. X, Y, Z are
 //	                 f32 arrays; u16 fixed point relative to the treelet
 //	                 bounds when flagQuantized is set; or, when
@@ -59,7 +75,8 @@
 // the same layout without the footer, is no longer read: nothing in such a
 // file can be verified, and one flipped bit of the version field turned a
 // version-3 file into one. Padding between treelets is not checksummed — it
-// is never interpreted.
+// is never interpreted. A flagPackedNodes file has none: its treelets tile the
+// bytes between header and footer, so every byte of it is under a checksum.
 package bat
 
 import (
@@ -85,8 +102,8 @@ const (
 	// Version 3 is written only when BuildConfig.Compress is set —
 	// uncompressed builds keep producing byte-identical version-2 files.
 	// Version-3 writers since the position codec also set
-	// flagPackedPositions; version-3 files without it (raw f32 position
-	// columns) keep reading.
+	// flagPackedPositions, and since the packed node table flagPackedNodes
+	// with it; version-3 files without either keep reading.
 	version    = 3
 	minVersion = 2
 	// footerMagic terminates the checksum footer.
@@ -100,8 +117,12 @@ const (
 	// flagPackedPositions marks X, Y, Z stored as three framed codec
 	// sections (version 3 only; never together with flagQuantized).
 	flagPackedPositions = 1 << 1
+	// flagPackedNodes marks treelet node tables stored as packed columns with
+	// implicit topology, and treelets laid back to back without page padding
+	// (version 3 only; only together with flagPackedPositions).
+	flagPackedNodes = 1 << 2
 	// knownFlags is every header flag bit this reader understands.
-	knownFlags = flagQuantized | flagPackedPositions
+	knownFlags = flagQuantized | flagPackedPositions | flagPackedNodes
 )
 
 // writer is a little-endian positional writer over a preallocated buffer.
@@ -171,7 +192,8 @@ const shallowLeafBytes = 8 + 4 + 4 + 4 + 48
 func footerV3ExtraLen(nA int) int { return 4 + nA*(1+8) + 8 + 8 + 8 }
 
 // compact assembles the file image: header + shallow tree + dictionary up
-// front, then page-aligned treelets (paper §III-C3). Bitmaps are interned
+// front, then the treelets, page-aligned (paper §III-C3) unless the build
+// packs them, which nothing maps. Bitmaps are interned
 // into the dictionary serially (ID assignment is first-use order, a format
 // invariant); the per-treelet bounds scans, payload copies, and section
 // CRCs then run across the worker pool, largest treelet first. Every
@@ -184,42 +206,44 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	nA := set.Schema.NumAttrs()
 	dict := bitmap.NewDictionary()
 	interned := 0
-	intern := func(bms []bitmap.Bitmap) ([]bitmap.ID, error) {
-		ids := make([]bitmap.ID, len(bms))
-		for i, b := range bms {
+	// intern returns bms' dictionary IDs in the next len(bms) slots of
+	// backing, which is one array per caller, not one per node.
+	intern := func(backing *[]bitmap.ID, bms []bitmap.Bitmap) ([]bitmap.ID, error) {
+		from := len(*backing)
+		for _, b := range bms {
 			id, err := dict.Intern(b)
 			if err != nil {
 				return nil, err
 			}
-			ids[i] = id
+			*backing = append(*backing, id)
 		}
 		interned += len(bms)
-		return ids, nil
+		return (*backing)[from:len(*backing):len(*backing)], nil
 	}
 
 	// Intern every node bitmap first so the dictionary size is known
 	// before the header is laid out.
+	shallowBacking := make([]bitmap.ID, 0, len(shallowNodes)*nA)
 	shallowIDs := make([][]bitmap.ID, len(shallowNodes))
 	for i, n := range shallowNodes {
-		ids, err := intern(n.bitmaps)
+		ids, err := intern(&shallowBacking, n.bitmaps)
 		if err != nil {
 			return nil, err
 		}
 		shallowIDs[i] = ids
 	}
-	treeletIDs := make([][][]bitmap.ID, len(treelets))
+	// treeletIDs[ti] holds treelet ti's IDs node by node, nA each.
+	treeletIDs := make([][]bitmap.ID, len(treelets))
 	rootIDs := make([][]bitmap.ID, len(treelets))
 	for ti, t := range treelets {
-		treeletIDs[ti] = make([][]bitmap.ID, len(t.nodes))
+		treeletIDs[ti] = make([]bitmap.ID, 0, len(t.nodes)*nA)
 		for ni := range t.nodes {
-			ids, err := intern(t.nodes[ni].bitmaps)
-			if err != nil {
+			if _, err := intern(&treeletIDs[ti], t.nodes[ni].bitmaps); err != nil {
 				return nil, err
 			}
-			treeletIDs[ti][ni] = ids
 		}
 		if len(t.nodes) > 0 {
-			rootIDs[ti] = treeletIDs[ti][0]
+			rootIDs[ti] = treeletIDs[ti][:nA]
 		} else {
 			rootIDs[ti] = make([]bitmap.ID, nA)
 		}
@@ -244,7 +268,9 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	}
 	packed := cfg.packsPositions()
 	if packed {
-		flags |= flagPackedPositions
+		// Packed position sections and the packed, unpadded node tables go
+		// together: one kind of compressed treelet is written.
+		flags |= flagPackedPositions | flagPackedNodes
 	}
 
 	// The file version is chosen per build: compressed builds write the
@@ -263,17 +289,30 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	var posRawPayload, posEncPayload int64
 	maxDepth := 0
 	numNodes := 0
+	var colScratch []uint64 // packNodeTable's, for the size pass
 	for ti, t := range treelets {
 		if t.depth > maxDepth {
 			maxDepth = t.depth
 		}
 		numNodes += len(t.nodes)
-		if rem := off % PageSize; rem != 0 {
+		if rem := off % PageSize; rem != 0 && !packed {
 			padding += PageSize - rem
 			off += PageSize - rem
 		}
 		offsets[ti] = uint64(off)
 		sz := 8 + len(t.nodes)*(treeletNodeBytes+2*nA)
+		if packed {
+			// The table is sized here, as soon as the IDs exist, and packed
+			// by the treelet's fill task below.
+			if cap(colScratch) < len(t.nodes) {
+				colScratch = make([]uint64, len(t.nodes))
+			}
+			tableLen, err := packNodeTable(nil, t, treeletIDs[ti], nA, colScratch)
+			if err != nil {
+				return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+			}
+			sz = 8 + tableLen
+		}
 		posRawPayload += int64(len(t.order) * posBytes)
 		if packed {
 			for _, pe := range t.posEnc {
@@ -325,15 +364,28 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		w := &writer{buf: buf, pos: sectionStart}
 		w.u32(uint32(len(t.nodes)))
 		w.u32(uint32(len(t.order)))
-		for ni, n := range t.nodes {
-			w.u8(uint8(n.axis))
-			w.f64(n.pos)
-			w.i32(n.left)
-			w.i32(n.right)
-			w.u32(n.start)
-			w.u32(n.count)
-			for _, id := range treeletIDs[ti][ni] {
-				w.u16(uint16(id))
+		if packed {
+			// The packer's eight-byte stores run up to packSlack past the
+			// table's end: onto the three position section frames, which are
+			// this treelet's and written next. The slice ends with the
+			// treelet, so a store can never reach another task's bytes.
+			n, err := packNodeTable(buf[w.pos:sectionStart+int(sizes[ti])], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
+			if err != nil {
+				fillErrs[ti] = fmt.Errorf("bat: treelet %d: %w", ti, err)
+				return
+			}
+			w.pos += n
+		} else {
+			for ni, n := range t.nodes {
+				w.u8(uint8(n.axis))
+				w.f64(n.pos)
+				w.i32(n.left)
+				w.i32(n.right)
+				w.u32(n.start)
+				w.u32(n.count)
+				for _, id := range treeletIDs[ti][ni*nA : (ni+1)*nA] {
+					w.u16(uint16(id))
+				}
 			}
 		}
 		if cfg.QuantizePositions {

@@ -1,0 +1,259 @@
+package bat
+
+import (
+	"context"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"libbat/internal/bitmap"
+	"libbat/internal/geom"
+	"libbat/internal/particles"
+)
+
+// packedTreelets builds one treelet per group of set's Morton order, cut at
+// cuts, and compacts them into a flagPackedNodes image without a shallow tree
+// (the reader needs none to load a treelet). It returns the builder's treelets
+// next to the opened file.
+func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg BuildConfig, cuts []int) ([]*treelet, *File) {
+	t.Helper()
+	ranges := attrRanges(set, 1)
+	_, order := sortByMorton(set, domain, 1)
+	var groups []group
+	from := 0
+	for _, to := range append(cuts, set.Len()) {
+		groups = append(groups, group{from: from, to: to})
+		from = to
+	}
+	treelets := buildTreelets(set, order, groups, cfg, ranges, 2)
+	built, err := compact(set, domain, cfg, ranges, nil, treelets, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Stats.PaddingBytes != 0 {
+		t.Fatalf("a packed image has %d padding bytes", built.Stats.PaddingBytes)
+	}
+	f, err := FromBuffer(built.Buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.PackedNodes {
+		t.Fatal("a compressed build did not set flagPackedNodes")
+	}
+	return treelets, f
+}
+
+// TestPackedNodeTableMatchesBuilder is the packed node table's property: what
+// the reader unpacks is the builder's node, field by field — the fields the
+// table stores (axis, split, count, bitmap IDs) and the ones it leaves to the
+// breadth-first order (left, right, start) — over random sets cut into random
+// treelets, among them an empty treelet, treelets of one node and a leaf that
+// holds thousands of coincident particles because no plane splits them.
+func TestPackedNodeTableMatchesBuilder(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	shapes := map[string]int{}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(3000)
+		set := particles.NewSet(particles.NewSchema("a", "b", "c"), n)
+		clump := geom.V3(r.Float64(), r.Float64(), r.Float64())
+		for i := 0; i < n; i++ {
+			p := geom.V3(r.NormFloat64(), r.NormFloat64(), r.NormFloat64()).Scale(0.2)
+			if trial%4 == 0 && i%3 != 0 {
+				p = clump // a third of the trials: two particles in three coincide
+			}
+			set.Append(p, []float64{r.Float64(), p.X + r.Float64()*1e-3, float64(i % 5)})
+		}
+		domain := geom.NewBox(geom.V3(-2, -2, -2), geom.V3(2, 2, 2))
+		cfg := DefaultBuildConfig()
+		cfg.MaxLeafSize = 1 + r.Intn(64)
+		cfg.LODPerNode = 1 + r.Intn(min(cfg.MaxLeafSize, 8)) // stratifiedSampleInPlace needs a remainder to split
+		cfg.Compress = true
+		cfg.ErrorBound = 1e-3
+		// Random cuts, one of them doubled: the group between is empty.
+		cuts := []int{r.Intn(n + 1), r.Intn(n + 1), r.Intn(n + 1)}
+		cuts[2] = cuts[1]
+		sort.Ints(cuts)
+		treelets, f := packedTreelets(t, set, domain, cfg, cuts)
+		for ti, bt := range treelets {
+			pt, err := f.loadTreelet(context.Background(), ti)
+			if err != nil {
+				t.Fatalf("trial %d treelet %d: %v", trial, ti, err)
+			}
+			if len(pt.nodes) != len(bt.nodes) || len(pt.x) != len(bt.order) {
+				t.Fatalf("trial %d treelet %d: read %d nodes and %d points, built %d and %d",
+					trial, ti, len(pt.nodes), len(pt.x), len(bt.nodes), len(bt.order))
+			}
+			switch {
+			case len(bt.nodes) == 0:
+				shapes["empty"]++
+			case len(bt.nodes) == 1 && len(bt.order) > cfg.MaxLeafSize:
+				shapes["coincident leaf"]++
+			case len(bt.nodes) == 1:
+				shapes["one node"]++
+			default:
+				shapes["tree"]++
+			}
+			for ni := range bt.nodes {
+				b, p := &bt.nodes[ni], &pt.nodes[ni]
+				if p.axis != uint8(b.axis) || p.pos != b.pos || p.left != b.left || p.right != b.right ||
+					p.start != b.start || p.count != b.count || len(p.ids) != len(b.bitmaps) {
+					t.Fatalf("trial %d treelet %d node %d: read %+v, built axis %d pos %v children %d/%d range [%d,+%d)",
+						trial, ti, ni, *p, b.axis, b.pos, b.left, b.right, b.start, b.count)
+				}
+				for a, id := range p.ids {
+					if f.dict.Lookup(id) != b.bitmaps[a] {
+						t.Fatalf("trial %d treelet %d node %d attribute %d: bitmap %#x, built %#x",
+							trial, ti, ni, a, f.dict.Lookup(id), b.bitmaps[a])
+					}
+				}
+			}
+		}
+	}
+	for _, shape := range []string{"empty", "one node", "coincident leaf", "tree"} {
+		if shapes[shape] == 0 {
+			t.Errorf("no %s treelet among the trials: %v", shape, shapes)
+		}
+	}
+}
+
+// nodeTableOf packs a table of the given axes and counts (splits at 0.5, 1.5,
+// ... and IDs 7, 8, ... for one attribute) the way compact does.
+func nodeTableOf(t *testing.T, axes []geom.Axis, counts []uint32) (table []byte, nPoints uint32) {
+	t.Helper()
+	tr := &treelet{}
+	var ids []bitmap.ID
+	for i, ax := range axes {
+		n := treeletNode{axis: ax, count: counts[i], start: nPoints}
+		if ax != leafAxis {
+			n.pos = float64(i) + 0.5
+		}
+		tr.nodes = append(tr.nodes, n)
+		ids = append(ids, bitmap.ID(7+i))
+		nPoints += counts[i]
+	}
+	vals := make([]uint64, len(axes))
+	size, err := packNodeTable(nil, tr, ids, 1, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table = make([]byte, size+packSlack)
+	if n, err := packNodeTable(table, tr, ids, 1, vals); err != nil || n != size {
+		t.Fatalf("packed %d bytes (error %v), sized %d", n, err, size)
+	}
+	return table[:size], nPoints
+}
+
+// TestPackedNodeTableCorruption drives unpackNodeTable with tables the packer
+// cannot produce: each is an error, none a panic, and none allocates by a
+// count the bytes do not back.
+func TestPackedNodeTableCorruption(t *testing.T) {
+	axes := []geom.Axis{geom.X, geom.Y, leafAxis, leafAxis, leafAxis}
+	counts := []uint32{4, 4, 100, 90, 110}
+	good, nPoints := nodeTableOf(t, axes, counts)
+	nodes, n, err := unpackNodeTable(good, 5, nPoints, 1, nil)
+	if err != nil || n != len(good) {
+		t.Fatalf("the packer's own table: read %d of %d bytes, error %v", n, len(good), err)
+	}
+	if err := checkUnpackedNodes(nodes, nPoints, 1); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].left != 1 || nodes[0].right != 2 || nodes[1].left != 3 || nodes[1].right != 4 ||
+		nodes[0].pos != 0.5 || nodes[1].pos != 1.5 || nodes[4].start != 198 || nodes[3].ids[0] != 10 {
+		t.Fatalf("unpacked %+v", nodes)
+	}
+	// Frame offsets: every column is base u32, width u8, then its block. The
+	// axis values need 2 bits, the counts 7, the IDs 3; five nodes of each fit
+	// 2, 5 and 2 bytes, and the two split keys 4 bytes of some width.
+	const axisFrame, countFrame = 0, forFrameLen + 2
+	splitFrame := countFrame + forFrameLen + 5
+	idFrame := len(good) - forFrameLen - 2
+	if good[axisFrame+4] != 2 || good[countFrame+4] != 7 || good[idFrame+4] != 3 {
+		t.Fatalf("column widths %d/%d/../%d; the offsets below are off", good[axisFrame+4], good[countFrame+4], good[idFrame+4])
+	}
+	unpack := func(table []byte, nNodes, nPoints uint32) error {
+		_, _, err := unpackNodeTable(table, nNodes, nPoints, 1, nil)
+		return err
+	}
+	mutated := func(mutate func(tb []byte)) []byte {
+		tb := append([]byte(nil), good...)
+		mutate(tb)
+		return tb
+	}
+	for _, tc := range []struct {
+		name    string
+		table   []byte
+		nNodes  uint32
+		nPoints uint32
+		want    string
+	}{
+		{"one node too many", good, 6, nPoints, ""},
+		{"one node too few", good, 4, nPoints, "no breadth-first tree"},
+		{"an inner node turned leaf", mutated(func(tb []byte) { tb[axisFrame+forFrameLen] |= 3 << 2 }), 5, nPoints, "2 x inner + 1"},
+		{"counts add up short", good, 5, nPoints + 1, "add up to"},
+		{"counts add up long", good, 5, nPoints - 1, "remain"},
+		{"count base past the points", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[countFrame:], math.MaxUint32) }), 5, nPoints, "remain"},
+		{"axis width 3", mutated(func(tb []byte) { tb[axisFrame+4] = 3 }), 5, nPoints, "exceeds 2"},
+		{"axis value 5", mutated(func(tb []byte) { tb[axisFrame] = 2 }), 5, nPoints, "has axis 5"},
+		{"count width 33", mutated(func(tb []byte) { tb[countFrame+4] = 33 }), 5, nPoints, "exceeds 32"},
+		{"split width 33", mutated(func(tb []byte) { tb[splitFrame+4] = 33 }), 5, nPoints, "exceeds 32"},
+		{"split key past the key range", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[splitFrame:], math.MaxUint32) }), 5, nPoints, "overflows its frame"},
+		{"ID width 17", mutated(func(tb []byte) { tb[idFrame+4] = 17 }), 5, nPoints, "exceeds 16"},
+		{"ID past 16 bits", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[idFrame:], math.MaxUint16) }), 5, nPoints, "overflows 16 bits"},
+		{"cut inside the last block", good[:len(good)-1], 5, nPoints, "truncated"},
+		{"cut inside a frame", good[:idFrame+3], 5, nPoints, "truncated"},
+		{"cut to nothing", nil, 5, nPoints, "truncated"},
+		{"root is a leaf", mutated(func(tb []byte) { tb[axisFrame+forFrameLen] |= 3 }), 5, nPoints, "no breadth-first tree"},
+		{"all leaves", mutated(func(tb []byte) { tb[axisFrame], tb[axisFrame+4] = 3, 0 }), 5, nPoints, ""},
+		{"all inner", mutated(func(tb []byte) { tb[axisFrame], tb[axisFrame+4] = 0, 0 }), 5, nPoints, "no breadth-first tree"},
+		{"node count past the bytes", good, 8*uint32(len(good)) + 1, nPoints, "exceeds what a table"},
+		{"node count past int32", good, math.MaxUint32, nPoints, "exceeds what a table"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := unpack(tc.table, tc.nNodes, tc.nPoints)
+			if err == nil {
+				t.Fatal("a malformed table unpacked")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+
+	// Inside a file the same errors fail the treelet load, checksums fixed up.
+	buf := compressedSample(t)
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[8+4] = 3 }), "exceeds 2")
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[8+forFrameLen] |= 3 }), "no breadth-first tree")
+	// An ID the dictionary does not hold is the file's to reject, not the
+	// table's.
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idOff := positionOffset(t, buf, 0)
+	lay, err := f.TreeletLayout(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idOff -= lay.NodeTable.Columns[len(lay.NodeTable.Columns)-1].Bytes
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) {
+		binary.LittleEndian.PutUint32(tre[idOff:], uint32(f.dict.Len()))
+	}), "outside dictionary")
+}
+
+// TestPackedNodeTableEmpty: a treelet without nodes packs to its column
+// frames, and only a table of no nodes and no points reads them back.
+func TestPackedNodeTableEmpty(t *testing.T) {
+	table, _ := nodeTableOf(t, nil, nil)
+	if len(table) != (nodeColIDs+1)*forFrameLen {
+		t.Fatalf("an empty table is %d bytes, want %d frames of %d", len(table), nodeColIDs+1, forFrameLen)
+	}
+	if nodes, n, err := unpackNodeTable(table, 0, 0, 1, nil); err != nil || n != len(table) || len(nodes) != 0 {
+		t.Fatalf("unpacked %d nodes from %d of %d bytes, error %v", len(nodes), n, len(table), err)
+	}
+	if _, _, err := unpackNodeTable(table, 0, 1, 1, nil); err == nil {
+		t.Fatal("no nodes hold a point")
+	}
+}

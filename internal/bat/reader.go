@@ -1,8 +1,8 @@
 // Reading, traversal, and progressive multiresolution queries over a
 // compacted BAT (paper §V). The reader parses the header (shallow tree +
-// bitmap dictionary) eagerly and loads 4 KB-aligned treelets lazily through
-// an io.ReaderAt, relying on the OS page cache for repeated access the way
-// the paper's memory-mapped implementation does.
+// bitmap dictionary) eagerly and loads treelets lazily through an
+// io.ReaderAt, relying on the OS page cache for repeated access the way the
+// paper's memory-mapped implementation does.
 package bat
 
 import (
@@ -68,6 +68,9 @@ type File struct {
 	// PackedPositions reports that X, Y, Z are stored as framed codec
 	// sections (flagPackedPositions) rather than raw columns.
 	PackedPositions bool
+	// PackedNodes reports that treelet node tables are packed columns with
+	// implicit topology and the treelets are unpadded (flagPackedNodes).
+	PackedNodes     bool
 	Domain          geom.Box
 	SubprefixBits   int
 	LODPerNode      int
@@ -214,16 +217,18 @@ func (c *cursor) box() (geom.Box, error) {
 	return geom.NewBox(geom.V3(vals[0], vals[1], vals[2]), geom.V3(vals[3], vals[4], vals[5])), nil
 }
 
-func (c *cursor) ids(n int) ([]bitmap.ID, error) {
-	out := make([]bitmap.ID, n)
-	for i := range out {
-		v, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = bitmap.ID(v)
+// ids reads the next n bitmap IDs into the tail of backing — one array for
+// all the nodes of a tree, not one per node — and returns them.
+func (c *cursor) ids(backing *[]bitmap.ID, n int) ([]bitmap.ID, error) {
+	b, err := c.need(2 * n)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	from := len(*backing)
+	for i := 0; i < n; i++ {
+		*backing = append(*backing, bitmap.ID(binary.LittleEndian.Uint16(b[2*i:])))
+	}
+	return (*backing)[from:len(*backing):len(*backing)], nil
 }
 
 // Decode parses a BAT file image accessible through src.
@@ -264,6 +269,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
 	f.Quantized = flags&flagQuantized != 0
 	f.PackedPositions = flags&flagPackedPositions != 0
+	f.PackedNodes = flags&flagPackedNodes != 0
 	if f.NumParticles, err = c.u64(); err != nil {
 		return nil, err
 	}
@@ -338,6 +344,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		return nil, fmt.Errorf("bat: node counts %d/%d exceed file size %d", nInner, nLeaves, size)
 	}
 	f.shallow = make([]shallowNode, nInner)
+	idBacking := make([]bitmap.ID, 0, (int(nInner)+int(nLeaves))*nA)
 	for i := range f.shallow {
 		n := &f.shallow[i]
 		ax, err := c.u8()
@@ -358,7 +365,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			!validChildRef(n.right, int(nInner), int(nLeaves)) {
 			return nil, fmt.Errorf("bat: shallow node %d has invalid children", i)
 		}
-		if n.ids, err = c.ids(nA); err != nil {
+		if n.ids, err = c.ids(&idBacking, nA); err != nil {
 			return nil, err
 		}
 	}
@@ -389,7 +396,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		if uint64(l.numPoints) > f.NumParticles {
 			return nil, fmt.Errorf("bat: treelet %d holds %d points, the file %d", i, l.numPoints, f.NumParticles)
 		}
-		if l.ids, err = c.ids(nA); err != nil {
+		if l.ids, err = c.ids(&idBacking, nA); err != nil {
 			return nil, err
 		}
 	}
@@ -455,12 +462,39 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if f.PackedPositions && (f.Quantized || ver < 3) {
 		return nil, fmt.Errorf("bat: header flags %#x: packed positions need version 3 and exclude quantized positions (version %d)", flags, ver)
 	}
+	if f.PackedNodes && !f.PackedPositions {
+		return nil, fmt.Errorf("bat: header flags %#x: packed node tables need version 3 and packed positions (version %d)", flags, ver)
+	}
+	// Unpadded treelets tile the bytes between header and footer, in order:
+	// no byte of the file is outside a checksum.
+	if f.PackedNodes {
+		next := uint64(f.headerSize)
+		for i, l := range f.leaves {
+			if l.offset != next {
+				return nil, fmt.Errorf("bat: treelet %d starts at byte %d, the bytes before it end at %d (unpadded treelets lie back to back)", i, l.offset, next)
+			}
+			next += uint64(l.byteLen)
+		}
+		if footerStart := uint64(f.size - f.footerLen()); next != footerStart {
+			return nil, fmt.Errorf("bat: treelets end at byte %d, the checksum footer starts at %d", next, footerStart)
+		}
+	}
 	return f, nil
 }
 
 // ErrChecksum marks data whose CRC32C does not match its checksum —
 // on-disk corruption (or a torn write) rather than a malformed layout.
 var ErrChecksum = errors.New("bat: checksum mismatch")
+
+// footerLen is the length of the checksum footer of a file of f's version,
+// treelet count and attribute count.
+func (f *File) footerLen() int64 {
+	n := int64(footerFixedLen) + 4*int64(len(f.leaves))
+	if f.Version >= 3 {
+		n += int64(footerV3ExtraLen(f.Schema.NumAttrs()))
+	}
+	return n
+}
 
 // loadFooter reads and verifies the checksum footer; c has just
 // parsed the header, so c.pos is the header length and c.buf its bytes.
@@ -494,11 +528,7 @@ func (f *File) loadFooter(c *cursor) error {
 		return fmt.Errorf("%w: footer lists %d treelets, header %d", ErrChecksum, nT, len(f.leaves))
 	}
 	nA := f.Schema.NumAttrs()
-	wantLen := int64(footerFixedLen) + 4*int64(nT)
-	if f.Version >= 3 {
-		wantLen += int64(footerV3ExtraLen(nA))
-	}
-	if wantLen != fLen {
+	if wantLen := f.footerLen(); wantLen != fLen {
 		return fmt.Errorf("%w: footer length %d, want %d for %d treelets", ErrChecksum, fLen, wantLen, nT)
 	}
 	if got := checksum.CRC32C(c.buf[:c.pos]); got != f.headerCRC {
@@ -635,48 +665,72 @@ type SectionInfo struct {
 	Widths []uint8
 }
 
-// PositionSections is the number of rows TreeletSections lists ahead of the
+// PositionSections is the number of rows TreeletLayout lists ahead of the
 // attribute rows, named by positionNames.
 const PositionSections = 3
 
 var positionNames = [PositionSections]string{"x", "y", "z"}
 
-// TreeletSections lists treelet ti's columns as parseTreelet reads them: the
-// three position columns first, then one row per attribute. Columns stored
-// without framing (every column of a version-2 file, unpacked positions) list
-// as raw. Used by batinspect.
-func (f *File) TreeletSections(ctx context.Context, ti int) ([]SectionInfo, error) {
+// NodeTableInfo describes how one treelet's node table is stored.
+type NodeTableInfo struct {
+	Nodes int
+	// Bytes is the table's length, the treelet's two count words excluded.
+	Bytes int
+	// Columns lists a packed table's columns in stream order: axis, count,
+	// split, then each attribute's bitmap IDs. Nil for the fixed records of a
+	// file without flagPackedNodes.
+	Columns []NodeColumnInfo
+}
+
+// NodeColumnInfo is one column of a packed node table: its bytes, frame
+// included, and the bit width of its block.
+type NodeColumnInfo struct {
+	Name  string
+	Bytes int
+	Width uint8
+}
+
+// TreeletLayout is how one treelet is stored, as parseTreelet reads it: the
+// node table, then one row per column — the three position columns first,
+// then one per attribute. Columns stored without framing (every column of a
+// version-2 file, unpacked positions) list as raw.
+type TreeletLayout struct {
+	NodeTable NodeTableInfo
+	Sections  []SectionInfo
+}
+
+// TreeletLayout reads treelet ti and reports how it is stored. Used by
+// batinspect.
+func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error) {
 	if ti < 0 || ti >= len(f.leaves) {
-		return nil, fmt.Errorf("bat: treelet %d out of range (%d treelets)", ti, len(f.leaves))
+		return TreeletLayout{}, fmt.Errorf("bat: treelet %d out of range (%d treelets)", ti, len(f.leaves))
 	}
-	secs := make([]SectionInfo, 0, PositionSections+f.Schema.NumAttrs())
-	_, err := f.parseTreelet(ctx, ti, &secs)
-	return secs, err
+	lay := TreeletLayout{Sections: make([]SectionInfo, 0, PositionSections+f.Schema.NumAttrs())}
+	_, err := f.parseTreelet(ctx, ti, &lay)
+	return lay, err
 }
 
 // StoredBytes says where a file's bytes are (batinspect -bytes): the header
-// with its shallow tree and dictionary, the treelets' node tables, position
-// columns and attribute columns (section framing included), the page padding
-// ahead of each treelet, and the checksum footer.
+// with its shallow tree and dictionary, the treelets' node tables (their
+// count words included), position columns and attribute columns (section
+// framing included), the page padding ahead of each treelet (none in a
+// flagPackedNodes file), and the checksum footer.
 type StoredBytes struct {
 	Header, NodeTables, Positions, Attributes, Padding, Footer int64
 }
 
 // StoredBytes reads every treelet's sections and adds the file up.
 func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
-	sb := StoredBytes{Header: int64(f.headerSize), Footer: footerFixedLen + 4*int64(len(f.leaves))}
-	if f.Version >= 3 {
-		sb.Footer += int64(footerV3ExtraLen(f.Schema.NumAttrs()))
-	}
+	sb := StoredBytes{Header: int64(f.headerSize), Footer: f.footerLen()}
 	sb.Padding = f.size - sb.Header - sb.Footer
 	for ti, ref := range f.leaves {
-		secs, err := f.TreeletSections(ctx, ti)
+		lay, err := f.TreeletLayout(ctx, ti)
 		if err != nil {
 			return sb, err
 		}
 		sb.Padding -= int64(ref.byteLen)
-		sb.NodeTables += int64(ref.byteLen)
-		for i, sec := range secs {
+		sb.NodeTables += 8 + int64(lay.NodeTable.Bytes)
+		for i, sec := range lay.Sections {
 			part, framed := &sb.Attributes, f.Version >= 3
 			if i < PositionSections {
 				part, framed = &sb.Positions, f.PackedPositions
@@ -686,7 +740,6 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 				n += sectionFrameLen
 			}
 			*part += n
-			sb.NodeTables -= n
 		}
 	}
 	return sb, nil
@@ -813,40 +866,22 @@ func (f *File) prefetch(ctx context.Context, ti int, slots int) {
 	}()
 }
 
-// parseTreelet reads and parses treelet ti from the underlying source. secs,
-// when non-nil, receives one row per column (TreeletSections).
-func (f *File) parseTreelet(ctx context.Context, ti int, secs *[]SectionInfo) (*parsedTreelet, error) {
-	ref := f.leaves[ti]
-	buf := make([]byte, ref.byteLen)
-	if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
-		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
-	}
-	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
-		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
-	}
-	c := &cursor{buf: buf, size: int64(len(buf))}
-	nNodes, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	nPoints, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nNodes != ref.numNodes || nPoints != ref.numPoints {
-		return nil, fmt.Errorf("bat: treelet %d header mismatch: %d/%d nodes, %d/%d points",
-			ti, nNodes, ref.numNodes, nPoints, ref.numPoints)
-	}
+// parseNodeRecords reads a treelet's node table in the fixed-record layout of
+// every file without flagPackedNodes, which spells out child indices and range
+// starts and so has to be checked for the trees it can describe that are none.
+func (f *File) parseNodeRecords(c *cursor, ti int, nNodes, nPoints uint32) ([]diskNode, error) {
 	nA := f.Schema.NumAttrs()
 	// Unpacked positions cost at least 6 bytes a point; packed ones were
 	// bounded against the file's particle count at open.
-	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > int64(ref.byteLen) ||
-		(!f.PackedPositions && int64(nPoints)*6 > int64(ref.byteLen)) {
+	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > c.size ||
+		(!f.PackedPositions && int64(nPoints)*6 > c.size) {
 		return nil, fmt.Errorf("bat: treelet %d counts exceed its byte length", ti)
 	}
-	t := &parsedTreelet{nodes: make([]diskNode, nNodes)}
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	nodes := make([]diskNode, nNodes)
+	idBacking := make([]bitmap.ID, 0, int(nNodes)*nA)
+	var err error
+	for i := range nodes {
+		n := &nodes[i]
 		if n.axis, err = c.u8(); err != nil {
 			return nil, err
 		}
@@ -872,18 +907,15 @@ func (f *File) parseTreelet(ctx context.Context, ti int, secs *[]SectionInfo) (*
 			(n.left < 0 || n.left >= int32(nNodes) || n.right < 0 || n.right >= int32(nNodes)) {
 			return nil, fmt.Errorf("bat: treelet %d node %d has invalid children", ti, i)
 		}
-		if n.ids, err = c.ids(nA); err != nil {
+		if n.ids, err = c.ids(&idBacking, nA); err != nil {
 			return nil, err
-		}
-		if err := f.checkIDs(n.ids); err != nil {
-			return nil, fmt.Errorf("bat: treelet %d node %d: %w", ti, i, err)
 		}
 	}
 	// Same single-parent requirement as the shallow tree: inner-node
 	// links that share children would make the recursive walk exponential.
 	nodeSeen := make([]bool, nNodes)
-	for i := range t.nodes {
-		n := &t.nodes[i]
+	for i := range nodes {
+		n := &nodes[i]
 		if n.axis == uint8(leafAxis) {
 			continue
 		}
@@ -897,19 +929,73 @@ func (f *File) parseTreelet(ctx context.Context, ti int, secs *[]SectionInfo) (*
 	// Every packed column of a version-3 treelet is blocked by the node
 	// ranges, so they must tile the treelet's points in node order.
 	if f.Version >= 3 {
-		if err := checkBlockRanges(t.nodes, nPoints); err != nil {
+		if err := checkBlockRanges(nodes, nPoints); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 		}
 	}
-	// column starts the next column: info is its row of secs, listed as a raw
-	// column of elemBytes a point until section says otherwise, or nil when
-	// nobody is listing.
+	return nodes, nil
+}
+
+// parseTreelet reads and parses treelet ti from the underlying source. lay,
+// when non-nil, receives how the treelet is stored (TreeletLayout).
+func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*parsedTreelet, error) {
+	ref := f.leaves[ti]
+	buf := make([]byte, ref.byteLen)
+	if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
+		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
+	}
+	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
+		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
+	}
+	c := &cursor{buf: buf, size: int64(len(buf))}
+	nNodes, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	nPoints, err := c.u32()
+	if err != nil {
+		return nil, err
+	}
+	if nNodes != ref.numNodes || nPoints != ref.numPoints {
+		return nil, fmt.Errorf("bat: treelet %d header mismatch: %d/%d nodes, %d/%d points",
+			ti, nNodes, ref.numNodes, nPoints, ref.numPoints)
+	}
+	nA := f.Schema.NumAttrs()
+	t := &parsedTreelet{}
+	if f.PackedNodes {
+		var table *NodeTableInfo
+		if lay != nil {
+			table = &lay.NodeTable
+		}
+		nodes, n, err := unpackNodeTable(buf[c.pos:], nNodes, nPoints, nA, table)
+		if err != nil {
+			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+		}
+		t.nodes = nodes
+		c.pos += n
+	} else if t.nodes, err = f.parseNodeRecords(c, ti, nNodes, nPoints); err != nil {
+		return nil, err
+	}
+	for i := range t.nodes {
+		if err := f.checkIDs(t.nodes[i].ids); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d node %d: %w", ti, i, err)
+		}
+	}
+	if lay != nil {
+		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), c.pos-8
+		for i := range lay.NodeTable.Columns {
+			lay.NodeTable.Columns[i].Name = nodeColumnName(i, f.Schema)
+		}
+	}
+	// column starts the next column: info is its row of lay.Sections, listed
+	// as a raw column of elemBytes a point until section says otherwise, or nil
+	// when nobody is listing.
 	var info *SectionInfo
 	column := func(name string, elemBytes int) {
-		if secs != nil {
+		if lay != nil {
 			raw := int(nPoints) * elemBytes
-			*secs = append(*secs, SectionInfo{Attr: name, Codec: codecRaw, RawBytes: raw, EncBytes: raw})
-			info = &(*secs)[len(*secs)-1]
+			lay.Sections = append(lay.Sections, SectionInfo{Attr: name, Codec: codecRaw, RawBytes: raw, EncBytes: raw})
+			info = &lay.Sections[len(lay.Sections)-1]
 		}
 	}
 	// section reads the column's frame: codec u8, encLen u32, payload.

@@ -78,10 +78,12 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 # (random per-attribute bounds, lossless bit-exactness of attributes and
 # positions, LOD two-grid bounds), the position and attribute block codecs'
 # round-trip properties (both quant-for frame modes, the flat quant stream of
-# earlier writers through the same unpack loop), plus encode determinism
-# across worker counts, with decode running fused inside the concurrent query
-# workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
+# earlier writers through the same unpack loop), the packed node table
+# (TestPackedNodeTable*: what the reader unpacks is the builder's node, field
+# by field; its corruption matrix) and the tiling of unpadded treelets
+# (TestUnpaddedTreeletsTile), plus encode determinism across worker counts,
+# with decode running fused inside the concurrent query workers.
+run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked|TestUnpadded|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
 # vs Workers=1 multiset identity, the treelet cache singleflight, the
@@ -207,8 +209,8 @@ run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
 # parser behind their checksums, the v3 section codecs underneath it — raw,
-# quant, delta, quant-for and the position codec, fed payloads and node tables
-# directly —, the metadata file, particle wire encoding, .bata sidecars):
+# quant, delta, quant-for, the position codec and the packed node table, fed
+# payloads and node tables directly —, the metadata file, particle wire encoding, .bata sidecars):
 # seconds, not a soak — enough to catch
 # parser regressions on the corpus + fresh mutations. The bat patterns are
 # anchored: -fuzz refuses a pattern that matches two targets.
