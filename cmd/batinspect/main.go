@@ -8,8 +8,9 @@
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -bytes
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
-// attribute sections, node tables, page padding (none between the packed
-// treelets of a compressed dataset), headers and footers.
+// attribute sections (and how many of their bytes are block frames stored
+// inside them), node tables, page padding (none between the packed treelets
+// of a compressed dataset), headers and footers.
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -201,8 +202,14 @@ func inspectLeaf(w io.Writer, ds *core.Dataset, li int) error {
 		f.SubprefixBits, f.LODPerNode, f.MaxLeafSize)
 	fmt.Fprintf(w, "  domain: %v\n", f.Domain)
 	raw := int64(f.NumParticles) * int64(f.Schema.BytesPerParticle())
-	fmt.Fprintf(w, "  raw payload: %d bytes, layout overhead: %.2f%%\n",
-		raw, 100*float64(f.Size()-raw)/float64(raw))
+	if f.Compression() != nil {
+		// A compressed file is smaller than its payload: "overhead" would be
+		// negative and say nothing about the layout.
+		fmt.Fprintf(w, "  raw payload: %d bytes, stored / raw: %.4f\n", raw, float64(f.Size())/float64(raw))
+	} else {
+		fmt.Fprintf(w, "  raw payload: %d bytes, layout overhead: %.2f%%\n",
+			raw, 100*float64(f.Size()-raw)/float64(raw))
+	}
 	fmt.Fprintf(w, "  local attribute ranges:\n")
 	for a, d := range f.Schema.Attrs {
 		fmt.Fprintf(w, "    %-12s [%g, %g]\n", d.Name, f.Ranges[a].Min, f.Ranges[a].Max)
@@ -282,7 +289,9 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
 	for i, agg := range aggs {
 		// The footer declares attribute codecs only; a position column is
-		// the lossless block codec when packed, a raw column otherwise.
+		// the lossless block codec when packed (its sections say which
+		// stream: cell-for, or the for of earlier writers), a raw column
+		// otherwise.
 		codec, bound := "raw", "lossless"
 		if a := i - bat.PositionSections; a >= 0 {
 			codec = bat.CodecName(ci.Codecs[a])
@@ -344,6 +353,8 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		sum.Attributes += sb.Attributes
 		sum.Padding += sb.Padding
 		sum.Footer += sb.Footer
+		sum.PositionFrames += sb.PositionFrames
+		sum.AttributeFrames += sb.AttributeFrames
 		// One leaf open at a time: Close releases it and ds stays usable.
 		if err := ds.Close(); err != nil {
 			return err
@@ -363,17 +374,23 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 	for _, row := range []struct {
 		part  string
 		bytes int64
+		// frames, when >= 0, is how many of bytes are block frames stored
+		// inside the sections: a share of the row above it, not a part.
+		frames int64
 	}{
-		{"positions", sum.Positions},
-		{"attributes", sum.Attributes},
-		{"node tables", sum.NodeTables},
-		{"page padding", sum.Padding},
-		{"headers + footers", sum.Header + sum.Footer},
-		{core.MetaFileName(name), metaBytes},
+		{"positions", sum.Positions, sum.PositionFrames},
+		{"attributes", sum.Attributes, sum.AttributeFrames},
+		{"node tables", sum.NodeTables, -1},
+		{"page padding", sum.Padding, -1},
+		{"headers + footers", sum.Header + sum.Footer, -1},
+		{core.MetaFileName(name), metaBytes, -1},
 	} {
-		fmt.Fprintf(w, "  %-20s %12d B %10.6f B/particle\n", row.part, row.bytes, float64(row.bytes)/n)
+		fmt.Fprintf(w, "  %-26s %12d B %10.6f B/particle\n", row.part, row.bytes, float64(row.bytes)/n)
+		if row.frames >= 0 {
+			fmt.Fprintf(w, "    %-24s %12d B %10.6f B/particle\n", "of which block frames", row.frames, float64(row.frames)/n)
+		}
 		total += row.bytes
 	}
-	fmt.Fprintf(w, "  %-20s %12d B %10.6f B/particle\n", "total", total, float64(total)/n)
+	fmt.Fprintf(w, "  %-26s %12d B %10.6f B/particle\n", "total", total, float64(total)/n)
 	return nil
 }

@@ -187,8 +187,9 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	}
 	for _, want := range []string{
 		`(?m)^\s+column\s+codec\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
-		`(?m)^\s+x\s+for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+for x\d+$`,
-		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node) x\d+`,
+		`(?m)^\s+raw payload: \d+ bytes, stored / raw: 0\.\d+$`,
+		`(?m)^\s+x\s+for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
+		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node-cols) x\d+`,
 		`(?m)^\s+whole-file attribute payload: \d+ -> \d+ bytes`,
 		`(?m)^\s+node tables: \d+ nodes in \d+ treelets, \d+ bytes \(packed columns`,
 		`(?m)^\s+axis\s+\d+ bytes\s+block bits \d/\d/\d$`,
@@ -202,8 +203,10 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	}
 }
 
-// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage,
-// and a compressed dataset's treelets are unpadded.
+// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, a
+// compressed dataset's treelets are unpadded, and the "of which block frames"
+// lines are shares of the row above them: nothing in an uncompressed dataset,
+// nothing in cell-for positions, the frames of the quant-for sections.
 func TestStoredBytesAddUp(t *testing.T) {
 	for name, store := range map[string]pfs.Storage{"v2": writeDataset(t), "v3": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -218,10 +221,18 @@ func TestStoredBytesAddUp(t *testing.T) {
 		for li := range ds.Meta().Leaves {
 			onStorage += int64(len(slurp(t, store, core.LeafFileName("ds", li))))
 		}
-		var parts []int64
-		for _, m := range regexp.MustCompile(`(?m)^\s+\S.*?\s(\d+) B `).FindAllStringSubmatch(out.String(), -1) {
-			n, _ := strconv.ParseInt(m[1], 10, 64)
-			parts = append(parts, n)
+		var parts, frames []int64
+		for _, m := range regexp.MustCompile(`(?m)^\s+(\S.*?)\s+(\d+) B `).FindAllStringSubmatch(out.String(), -1) {
+			n, _ := strconv.ParseInt(m[2], 10, 64)
+			if m[1] == "of which block frames" {
+				frames = append(frames, n)
+			} else {
+				parts = append(parts, n)
+			}
+		}
+		// Position frames, then attribute frames.
+		if len(frames) != 2 || frames[0] != 0 || (frames[1] > 0) != (name == "v3") || frames[1] >= parts[1] {
+			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())
 		}
 		if len(parts) != 7 {
 			t.Fatalf("%s: %d rows, want six parts and a total:\n%s", name, len(parts), out.String())

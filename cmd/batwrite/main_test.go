@@ -13,8 +13,8 @@ import (
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
 // compares every byte it leaves behind with a recorded digest (the
-// uncompressed ones at commit ab46756, the compressed one when codecQuantFOR
-// landed): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
+// uncompressed ones at commit ab46756, the compressed one when the frames
+// left the v3 sections: cell-for positions, quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
 //
@@ -35,10 +35,10 @@ func TestGoldenDatasets(t *testing.T) {
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
 			5, "709b76aaf851d1d2d9dd75aeda2a744bfe43ff392b9e4965a123d01fcc9819f4",
 		},
-		{ // the same plumes as version-3 files: packed positions, quant-for attributes in both frame modes
+		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-compress", "-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "07a25527aff2129729361387fcd3faa61e15e471fdd0a00e73973239d261086d",
+			5, "e24ea471f744f8729bfaa9099d8b3402b4bd77bd9255eb25c6f5b09afa0cc2f4",
 		},
 	} {
 		// Both planners must leave the same bytes.

@@ -23,12 +23,14 @@ type buildArena struct {
 
 	// Codec scratch (v3 compressed builds): type-rounded reference
 	// values, the column being packed (an attribute's grid indices, then a
-	// position column's keys), and its per-node frames. Like the buffers
-	// above, these grow to the largest treelet seen and are reused; encoded
-	// payloads are allocated exactly (they outlive the arena).
+	// position column's keys), its per-node frames, and an attribute's two
+	// frame columns. Like the buffers above, these grow to the largest
+	// treelet seen and are reused; encoded payloads are allocated exactly
+	// (they outlive the arena).
 	refVals []float64
 	qbuf    []uint64
-	frames  []forFrame
+	frames  []blockFrame
+	cols    []uint64
 }
 
 // ensure grows the arena to hold a treelet of n particles sampling k LOD

@@ -24,6 +24,7 @@
 package bat
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -206,9 +207,12 @@ type treelet struct {
 	// for v3 builds; nil when the build is uncompressed. Filled by the
 	// same fused worker that built the treelet, so encoding overlaps
 	// across treelets exactly like node construction does. posEnc holds
-	// the X, Y, Z sections the same way when the build packs positions.
+	// the X, Y, Z sections the same way when the build packs positions, and
+	// cells the extremes of the keys they were packed from: the root cell of
+	// the position frames, which compact stores as the treelet bounds.
 	attrEnc []encodedAttr
 	posEnc  [3]encodedAttr
+	cells   [3]keyCell
 }
 
 // builtShallowNode is an in-memory shallow tree inner node.
@@ -344,8 +348,11 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	// Steps 3+4 fused: each worker builds a treelet and computes its
 	// bottom-up bitmaps in the same task, reusing its own scratch arena.
 	spTreelets := col.Start(cfg.ObsRank, "bat_build_treelets")
-	treelets := buildTreelets(set, order, groups, cfg, ranges, workers)
+	treelets, err := buildTreelets(set, order, groups, cfg, ranges, workers)
 	spTreelets.End()
+	if err != nil {
+		return nil, err
+	}
 
 	// Step 5: flatten the shallow radix tree and propagate bitmaps up it.
 	shallowNodes := flattenShallow(shallow, treelets, domain, cfg.SubprefixBits, set.Schema.NumAttrs())
@@ -414,9 +421,10 @@ func attrRanges(set *particles.Set, workers int) []bitmap.Range {
 // treelet picked up last cannot become a straggler tail. Results land in
 // input order, so the scheduling order never reaches the output.
 func buildTreelets(set *particles.Set, order []int, groups []group,
-	cfg BuildConfig, ranges []bitmap.Range, workers int) []*treelet {
+	cfg BuildConfig, ranges []bitmap.Range, workers int) ([]*treelet, error) {
 
 	treelets := make([]*treelet, len(groups))
+	errs := make([]error, len(groups))
 	var bounds []float64
 	lodScale := cfg.EffectiveLODScale()
 	if cfg.Compress {
@@ -431,7 +439,7 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 			encodeTreeletAttrs(set, t, bounds, lodScale, a)
 		}
 		if cfg.packsPositions() {
-			encodeTreeletPositions(set, t, a)
+			errs[gi] = encodeTreeletPositions(set, t, a)
 		}
 		treelets[gi] = t
 	}
@@ -440,7 +448,7 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		for gi := range groups {
 			task(gi, &a)
 		}
-		return treelets
+		return treelets, errors.Join(errs...)
 	}
 	sched := make([]int, len(groups))
 	for i := range sched {
@@ -474,7 +482,7 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		}()
 	}
 	wg.Wait()
-	return treelets
+	return treelets, errors.Join(errs...)
 }
 
 // buildTreelet constructs a median-split k-d treelet over the particles in

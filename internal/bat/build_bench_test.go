@@ -2,7 +2,6 @@ package bat
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,128 +61,166 @@ func BenchmarkBATBuild(b *testing.B) {
 // sectionBenchN is the column length of the section kernels' benchmarks.
 const sectionBenchN = 1 << 20
 
-// sectionBenchCase is one column of sectionBenchN values laid out as a single
-// treelet whose node ranges alternate an inner node's 8 LOD samples with a
-// leaf's ~90 particles — the shapes DefaultBuildConfig produces.
-type sectionBenchCase struct {
-	name  string
-	t     *treelet
-	nodes []diskNode
-	pos   []float32 // a position column, or
-	attr  []float64 // an attribute column under sectionBenchBound
-	mode  string    // the frame mode the attribute column must choose
-	// flat is attr's grid indices as the flat quant stream writers before
-	// codecQuantFOR stored: decode only, nothing writes it any more.
-	flat bool
-}
-
 const sectionBenchBound = 1e-3
 
-func sectionBenchCases() []sectionBenchCase {
+// sectionBench is one treelet of sectionBenchN clustered particles, built by
+// the real k-d builder with DefaultBuildConfig — inner nodes of 8 LOD samples
+// over leaves of up to 128 particles — with an attribute that follows the
+// position ("smooth": neighbours in the layout are neighbours in value) and
+// one that ignores it ("noise").
+type sectionBench struct {
+	set    *particles.Set
+	t      *treelet
+	nodes  []diskNode
+	bounds geom.Box
+}
+
+const sectionBenchSmooth, sectionBenchNoise = 0, 1
+
+func newSectionBench(tb testing.TB) *sectionBench {
 	r := rand.New(rand.NewSource(7))
-	var counts []int
-	for n := 0; n < sectionBenchN; {
-		c := 8
-		if len(counts)%2 == 1 {
-			c = 60 + r.Intn(61)
-		}
-		c = min(c, sectionBenchN-n)
-		counts = append(counts, c)
-		n += c
+	set := particles.NewSet(particles.NewSchema("smooth", "noise"), sectionBenchN)
+	centers := make([]geom.Vec3, 32)
+	for i := range centers {
+		centers[i] = geom.V3(r.Float64(), r.Float64(), r.Float64())
 	}
-	t, nodes := forTreelet(counts)
-	// Positions and the smooth attribute follow their node: neighbours in
-	// the layout are neighbours in space. The noise attribute ignores it.
-	pos := make([]float32, sectionBenchN)
-	smooth := make([]float64, sectionBenchN)
-	noise := make([]float64, sectionBenchN)
-	for ni, n := range nodes {
-		centre := 0.5 + 0.4*math.Sin(float64(ni)/400)
-		for i := n.start; i < n.start+n.count; i++ {
-			pos[i] = float32(centre + 0.002*r.Float64())
-			smooth[i] = centre + 0.02*r.Float64()
-			noise[i] = r.Float64()
-		}
+	for i := 0; i < sectionBenchN; i++ {
+		c := centers[i%len(centers)]
+		p := geom.V3(c.X+r.NormFloat64()*0.02, c.Y+r.NormFloat64()*0.02, c.Z+r.NormFloat64()*0.02)
+		set.Append(p, []float64{p.X + 0.004*r.Float64(), r.Float64()})
 	}
+	_, order := sortByMorton(set, geom.NewBox(geom.V3(-0.5, -0.5, -0.5), geom.V3(1.5, 1.5, 1.5)), 1)
+	var a buildArena
+	t := buildTreelet(set, order, DefaultBuildConfig(), &a)
+	if err := encodeTreeletPositions(set, t, &a); err != nil {
+		tb.Fatal(err)
+	}
+	return &sectionBench{set: set, t: t, nodes: diskNodesOf(t), bounds: cellBounds(t.cells)}
+}
+
+// sectionBenchCase is one stream of one column of the bench treelet.
+type sectionBenchCase struct {
+	name string
+	pos  bool // the X column; otherwise attribute attr under sectionBenchBound
+	attr int
+	// mode is the frame mode the attribute column's encoder must choose.
+	mode string
+	// old names a read-only stream holding the same values as the case before
+	// it: decode only, nothing writes it any more.
+	old string
+}
+
+func sectionBenchCases() []sectionBenchCase {
 	return []sectionBenchCase{
-		{name: "positions", t: t, nodes: nodes, pos: pos},
-		{name: "quant-flat", t: t, nodes: nodes, attr: noise, flat: true},
-		{name: "quant-for/one-frame", t: t, nodes: nodes, attr: noise, mode: "one-frame"},
-		{name: "quant-flat/smooth", t: t, nodes: nodes, attr: smooth, flat: true},
-		{name: "quant-for/per-node", t: t, nodes: nodes, attr: smooth, mode: "per-node"},
+		{name: "positions/cell-for", pos: true},
+		{name: "positions/inline", pos: true, old: "for"},
+		{name: "quant-for/one-frame", attr: sectionBenchNoise, mode: "one-frame"},
+		{name: "quant-flat", attr: sectionBenchNoise, mode: "one-frame", old: "quant"},
+		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, mode: "per-node-cols"},
+		{name: "quant-for/per-node", attr: sectionBenchSmooth, mode: "per-node-cols", old: "per-node"},
+		{name: "quant-flat/smooth", attr: sectionBenchSmooth, mode: "per-node-cols", old: "quant"},
 	}
 }
 
 // sectionSink keeps the benchmarked encoders' results alive.
 var sectionSink encodedAttr
 
-// encode runs the case's encoder once.
-func (c *sectionBenchCase) encode(a *buildArena) encodedAttr {
-	if c.pos != nil {
-		return encodeFOR(c.pos, c.t, a)
+// encode runs the case's encoder once: all three position columns (the X
+// section is returned), or the one attribute column.
+func (c *sectionBenchCase) encode(b *testing.B, sb *sectionBench, a *buildArena) encodedAttr {
+	if c.pos {
+		if err := encodeTreeletPositions(sb.set, sb.t, a); err != nil {
+			b.Fatal(err)
+		}
+		return sb.t.posEnc[0]
 	}
-	return encodeAttr(c.attr, c.t, particles.Float64, sectionBenchBound, 1, a)
+	return encodeAttr(sb.set.Attrs[c.attr], sb.t, particles.Float64, sectionBenchBound, 1, a)
 }
 
 // reportPerValue adds ns/value, the figure the write-ups quote.
-func reportPerValue(b *testing.B) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/sectionBenchN, "ns/value")
+func reportPerValue(b *testing.B, values int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 }
 
-// BenchmarkEncodeSection times the section encoders on one million values:
-// a position column, and an attribute column that keeps one frame (noise) or
-// takes one per node range (spatially coherent).
+// BenchmarkEncodeSection times the section encoders on the bench treelet:
+// its three position columns, and an attribute column that keeps one frame
+// (noise) or takes one per node range (smooth).
 func BenchmarkEncodeSection(b *testing.B) {
+	sb := newSectionBench(b)
 	for _, c := range sectionBenchCases() {
-		if c.flat {
+		if c.old != "" {
 			continue
 		}
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena
-			b.SetBytes(int64(len(c.encode(&a).data)))
+			values := sectionBenchN
+			if c.pos {
+				values *= 3
+			}
+			b.SetBytes(int64(len(c.encode(b, sb, &a).data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sectionSink = c.encode(&a)
+				sectionSink = c.encode(b, sb, &a)
 			}
-			reportPerValue(b)
+			reportPerValue(b, values)
 		})
 	}
 }
 
-// BenchmarkDecodeSection times the section decoders on the same columns,
-// plus the flat quant stream of earlier writers holding the same grid indices
-// as each quant-for case, through the same unpack loop.
+// BenchmarkDecodeSection times the section decoders on the same columns, each
+// stream today's writer emits next to the read-only streams of earlier
+// writers holding the same values — inline frames against cell frames for the
+// X column, the inline per-node frames and the flat quant stream against the
+// frame columns for the attributes — all through the same block loop, and
+// requires each pair to decode to the same column.
 func BenchmarkDecodeSection(b *testing.B) {
+	sb := newSectionBench(b)
+	nb := newNodeBlocks(sb.nodes, sectionBenchN)
 	for _, c := range sectionBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena
-			enc := c.encode(&a)
-			if c.pos != nil {
+			enc := c.encode(b, sb, &a)
+			if c.pos {
+				want, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, nil)
+				if err != nil || enc.codec != codecCellFOR {
+					b.Fatalf("the X column encoded as %s: %v", CodecName(enc.codec), err)
+				}
+				if c.old != "" {
+					enc = inlineFORStream(sb.set.X, sb.t)
+				}
 				b.SetBytes(int64(len(enc.data)))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := decodeFOR(enc.data, c.nodes, sectionBenchN, nil); err != nil {
+					got, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, nil)
+					if err != nil {
 						b.Fatal(err)
 					}
+					if i == 0 && !slices.Equal(got, want) {
+						b.Fatal("decoded column differs from the cell-for decode of the same keys")
+					}
 				}
-				reportPerValue(b)
+				reportPerValue(b, sectionBenchN)
 				return
 			}
 			var info SectionInfo
-			want, err := decodeAttrSection(enc.codec, enc.data, c.nodes, sectionBenchN, particles.Float64, sectionBenchBound, 1, &info)
+			want, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, sectionBenchBound, 1, &info)
 			if err != nil {
 				b.Fatal(err)
 			}
+			if info.Mode != c.mode {
+				b.Fatalf("column chose %s frames, the case needs %s", info.Mode, c.mode)
+			}
 			codec, payload := enc.codec, enc.data
-			if c.flat {
-				codec, payload = codecQuant, flatQuantStream(c.nodes, want, enc.data, sectionBenchBound, 1)
-			} else if info.Mode != c.mode {
-				b.Fatalf("column chose %s frames, the case is named for %s", info.Mode, c.mode)
+			switch c.old {
+			case "quant":
+				codec, payload = codecQuant, flatQuantStream(sb.nodes, want, enc.data, sectionBenchBound, 1)
+			case "per-node":
+				payload = inlineQuantStream(sb.nodes, want, enc.data, sectionBenchBound, 1)
 			}
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, err := decodeAttrSection(codec, payload, c.nodes, sectionBenchN, particles.Float64, sectionBenchBound, 1, nil)
+				got, err := decodeAttrSection(codec, payload, nb, particles.Float64, sectionBenchBound, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +228,7 @@ func BenchmarkDecodeSection(b *testing.B) {
 					b.Fatal("decoded column differs from the quant-for decode of the same indices")
 				}
 			}
-			reportPerValue(b)
+			reportPerValue(b, sectionBenchN)
 		})
 	}
 }

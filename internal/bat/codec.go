@@ -10,11 +10,14 @@
 // treelets a query touches, nothing else. Every packed column — position keys
 // and quantized attribute indices alike — is a run of frame-of-reference
 // blocks over the treelet's node particle ranges, written by one pack loop
-// (packBlock) and read by one unpack loop (unpackBits). reorderBFS lays the node
-// ranges out back to back in node order, and the decoder knows them from the
-// node table it parsed just before, so no block index is stored. When the
-// header's flagPackedNodes is set that node table is itself a run of the same
-// blocks, one per column (see "node table" below). The codecs:
+// (packBits) and read by one block loop (nodeBlocks.unpack over unpackBits).
+// reorderBFS lays the node ranges out back to back in node order, and the
+// decoder knows them from the node table it parsed just before, so no block
+// index is stored; a section's frames are known before its first block is
+// read, and in what today's writer emits the blocks follow one another bit
+// for bit, so every block's bit offset is a prefix sum over the node table.
+// When the header's flagPackedNodes is set that node table is itself a run of
+// the same blocks, one per column (see "node table" below). The codecs:
 //
 //	codecRaw      (0): the version-2 byte layout (f64 or f32 per the schema
 //	                  type). Always valid; the fallback when nothing smaller
@@ -28,18 +31,13 @@
 //	                  columns (particle IDs, type tags). Chosen only when
 //	                  every value is a small-magnitude integer and the
 //	                  stream actually shrinks.
-//	codecFOR      (3): lossless, position columns only. Each float32 is
-//	                  mapped through f32Key, the order-preserving bijection
-//	                  of float32 bit patterns onto uint32 (every bit pattern
-//	                  round-trips: ±0, denormals, ±Inf, NaN payloads); a k-d
-//	                  leaf's particles and an inner node's LOD samples are
-//	                  spatial neighbours, so their keys share high bits. Per
-//	                  node range:
+//	codecFOR      (3): read only — what writers before codecCellFOR emitted
+//	                  for positions. The keys of codecCellFOR under the tight
+//	                  frame of each block, stored inline ahead of it. Per node
+//	                  range:
 //	                    base u32   smallest key of the block
 //	                    width u8   bits of the largest (key - base), 0..32
 //	                    ceil(count*width/8) bytes of (key - base), LSB-first
-//	                  A column whose stream would not be smaller than its raw
-//	                  f32 bytes is stored as codecRaw.
 //	codecQuantFOR (4): error-bounded uniform quantization (the bit-adaptive
 //	                  scheme of Ren et al., arXiv:2404.02826). Values are
 //	                  snapped to a grid anchored at the section minimum whose
@@ -50,13 +48,48 @@
 //	                  stores neither:
 //	                    vmin f64   grid anchor
 //	                    mode u8    0: one frame over the whole treelet
-//	                               1: one frame per node range, in node order
-//	                    per frame: base uvarint, width u8 (0..48), then
-//	                               ceil(count*width/8) bytes of (index - base)
-//	                  The encoder sizes both modes and keeps the shorter
+//	                               1: read only — one frame per node range,
+//	                                  inline ahead of its byte-aligned block
+//	                               2: one frame per node range, as columns
+//	                    mode 0, and each frame of mode 1: base uvarint,
+//	                               width u8 (0..48), then ceil(count*width/8)
+//	                               bytes of (index - base)
+//	                    mode 2:    the nodes' bases, then the nodes' widths,
+//	                               each column packed like a mode-0 run (base
+//	                               uvarint, width u8, offsets); then every
+//	                               node's (index - base) at its own width, the
+//	                               blocks bit-contiguous, zero bits up to the
+//	                               section's last byte
+//	                  The encoder sizes modes 0 and 2 and keeps the shorter
 //	                  stream: spatially coherent columns shrink under their
 //	                  nodes' own frames, noise keeps the one frame and pays no
-//	                  per-node headers.
+//	                  per-node columns.
+//	codecCellFOR  (5): lossless, position columns only. Each float32 is
+//	                  mapped through f32Key, the order-preserving bijection
+//	                  of float32 bit patterns onto uint32 (every bit pattern
+//	                  round-trips: ±0, denormals, ±Inf, NaN payloads). The
+//	                  payload is only the blocks, bit-contiguous in node
+//	                  order, padded with zero bits to a byte; the frames are
+//	                  the nodes' k-d cells, which the file already stores.
+//	                  The root's cell on an axis is [key(lo), key(hi)] of the
+//	                  treelet bounds in the shallow leaf record — exactly the
+//	                  float32 extremes of the treelet's coordinates — and an
+//	                  inner node that splits that axis at s hands its left
+//	                  child [key(lo), key(s)] and its right child
+//	                  [key(s), key(hi)], both sides inclusive (the builder
+//	                  sends coordinates below s left and the rest right, and s
+//	                  is one of them); any other node hands its cell down
+//	                  unchanged. Node i's block stores key - key(lo_i) in
+//	                  bits.Len(key(hi_i) - key(lo_i)) bits: one top-down pass
+//	                  over the breadth-first node table, parents before
+//	                  children (cellFrames), gives every frame. An offset past
+//	                  key(hi_i) - key(lo_i) is a particle outside its k-d
+//	                  cell, where no traversal would look for it: corrupt. The
+//	                  encoder checks every key against its cell and stores a
+//	                  column as codecRaw when one escapes (NaN coordinates,
+//	                  which no cell orders; -0 and +0 on either side of a
+//	                  split at zero) or when the stream would not be smaller
+//	                  than the raw f32 bytes.
 //
 // The encoder guarantees |decoded − stored| ≤ bound for every value, where
 // "stored" is the value the lossless layout would keep (Float32 attributes
@@ -77,19 +110,22 @@ import (
 	"math/bits"
 
 	"libbat/internal/bitmap"
+	"libbat/internal/geom"
 	"libbat/internal/particles"
 )
 
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
 // attribute, whichever of the two quant streams its sections hold, codecDelta
-// for a lossless one — so codecFOR and codecQuantFOR never appear there.
+// for a lossless one — so codecFOR, codecQuantFOR and codecCellFOR never
+// appear there.
 const (
 	codecRaw      uint8 = 0
 	codecQuant    uint8 = 1
 	codecDelta    uint8 = 2
 	codecFOR      uint8 = 3
 	codecQuantFOR uint8 = 4
+	codecCellFOR  uint8 = 5
 )
 
 // CodecName returns the human-readable name of a codec id (batinspect).
@@ -105,6 +141,8 @@ func CodecName(c uint8) string {
 		return "for"
 	case codecQuantFOR:
 		return "quant-for"
+	case codecCellFOR:
+		return "cell-for"
 	}
 	return fmt.Sprintf("unknown(%d)", c)
 }
@@ -113,6 +151,13 @@ func CodecName(c uint8) string {
 // they stay well inside float64's 53-bit integer range, and a width plus the
 // packer's 7-bit carry stays inside a 64-bit accumulator.
 const maxQuantBits = 48
+
+// maxQuantIndex is the largest grid index a quant section may hold.
+const maxQuantIndex = 1<<maxQuantBits - 1
+
+// quantWidthBits is the widest block of a column of block widths: they are
+// at most maxQuantBits.
+const quantWidthBits = 6
 
 // encodedAttr is one encoded section (an attribute, or a position column
 // with typ Float32) for a treelet being built. data is nil for codecRaw:
@@ -140,6 +185,16 @@ type forFrame struct {
 	width uint8
 }
 
+// blockFrame is a node range's block as the block loop reads it: its frame,
+// the largest offset a valid stream holds under it, and the bit of the
+// section payload its first offset starts at. The encoders fill the frame
+// only.
+type blockFrame struct {
+	forFrame
+	span uint64
+	bit  int
+}
+
 // frameOf returns the frame of blk (the zero frame for an empty block).
 func frameOf(blk []uint64) forFrame {
 	if len(blk) == 0 {
@@ -156,36 +211,32 @@ func frameOf(blk []uint64) forFrame {
 	return forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}
 }
 
-// nodeFrames computes one frame per node range of t over vals (the treelet's
-// column in layout order) into the arena, and the total byte length of the
-// blocks packed under them, frames excluded.
-func nodeFrames(vals []uint64, t *treelet, a *buildArena) (frames []forFrame, blockBytes int) {
-	frames = a.frames[:0]
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		fr := frameOf(vals[n.start : n.start+n.count])
-		frames = append(frames, fr)
-		blockBytes += packedLen(int(n.count), fr.width)
+// nodeFrames returns the arena's frame scratch sized for a treelet of n nodes.
+func (a *buildArena) nodeFrames(n int) []blockFrame {
+	if cap(a.frames) < n {
+		a.frames = make([]blockFrame, n)
 	}
-	a.frames = frames[:0] // keep the (possibly grown) backing array
-	return frames, blockBytes
+	return a.frames[:n]
 }
 
 // packedLen is the byte length of a block of n width-bit values.
 func packedLen(n int, width uint8) int { return (n*int(width) + 7) / 8 }
 
-// packSlack is how far past a stream's end packBlock may store: it drains its
+// packSlack is how far past a stream's end packBits may store: it drains its
 // accumulator with eight-byte stores, whose upper bytes are zero or rewritten
 // by the next store.
 const packSlack = 8
 
-// packBlock writes vals as fr.width-bit offsets from fr.base, LSB-first, at
-// buf[pos:] and returns the position after the block's last (partial) byte.
-// The accumulator is drained of its whole bytes whenever the next value would
-// not fit, which leaves at most seven bits: any width up to maxQuantBits does.
-func packBlock(buf []byte, pos int, vals []uint64, fr forFrame) int {
-	var acc uint64
-	var nb uint
+// packBits writes vals as fr.width-bit offsets from fr.base, LSB-first,
+// starting bit bits into buf — the bits of that byte below the start are kept,
+// so blocks follow one another without padding — and returns the bit after
+// the last one. The accumulator is drained of its whole bytes whenever the
+// next value would not fit, which leaves at most seven bits: any width up to
+// maxQuantBits does.
+func packBits(buf []byte, bit int, vals []uint64, fr forFrame) int {
+	pos := bit >> 3
+	nb := uint(bit) & 7
+	acc := uint64(buf[pos]) & (1<<nb - 1)
 	lim := 64 - uint(fr.width)
 	for _, v := range vals {
 		if nb > lim {
@@ -198,7 +249,13 @@ func packBlock(buf []byte, pos int, vals []uint64, fr forFrame) int {
 		nb += uint(fr.width)
 	}
 	binary.LittleEndian.PutUint64(buf[pos:], acc)
-	return pos + int(nb+7)>>3
+	return pos<<3 + int(nb)
+}
+
+// packBlock is packBits for a block that starts on byte pos and is padded to
+// a whole byte: it returns the position after the block's last byte.
+func packBlock(buf []byte, pos int, vals []uint64, fr forFrame) int {
+	return (packBits(buf, pos<<3, vals, fr) + 7) >> 3
 }
 
 // unpackBits reads len(dst) width-bit values from src, LSB-first, starting
@@ -259,6 +316,125 @@ func checkBlockRanges(nodes []diskNode, nPoints uint32) error {
 	}
 	if next != nPoints {
 		return fmt.Errorf("bat: node particle ranges cover %d of %d points", next, nPoints)
+	}
+	return nil
+}
+
+// nodeBlocks is what a treelet gives its packed sections to decode against:
+// the node table, whose particle ranges are the blocks (they have passed
+// checkBlockRanges for nPoints), and room for one frame per node, refilled by
+// every section. A section decoder first resolves its stream to frames — from
+// the k-d cells, from frame columns, or by walking the inline headers of the
+// read-only streams — checking that every block lies inside the payload, then
+// runs unpack.
+type nodeBlocks struct {
+	nodes   []diskNode
+	nPoints int
+	frames  []blockFrame
+	col     []uint64 // a frame column being read, a value per node; nil until a section has one
+}
+
+func newNodeBlocks(nodes []diskNode, nPoints int) *nodeBlocks {
+	return &nodeBlocks{nodes: nodes, nPoints: nPoints, frames: make([]blockFrame, len(nodes))}
+}
+
+// widths appends the frames' bit widths, in node order, to info (batinspect).
+func (nb *nodeBlocks) widths(info *SectionInfo) {
+	if info == nil {
+		return
+	}
+	for i := range nb.frames {
+		info.Widths = append(info.Widths, nb.frames[i].width)
+	}
+}
+
+// layRun lays the blocks of the frames, whose base and width are set, back to
+// back from bit start of payload in node order. The run must end in the
+// payload's last byte, and the bits left over in it must be zero: a run may
+// be neither cut short nor carry anything behind it.
+func (nb *nodeBlocks) layRun(payload []byte, start int) error {
+	bit := start // at most 2^32 points of at most 48 bits: an int holds it
+	for i := range nb.nodes {
+		nb.frames[i].bit = bit
+		bit += int(nb.nodes[i].count) * int(nb.frames[i].width)
+	}
+	if need := (bit + 7) >> 3; need > len(payload) {
+		return fmt.Errorf("truncated: the blocks end at byte %d, the section at %d", need, len(payload))
+	} else if need < len(payload) {
+		return fmt.Errorf("%d trailing bytes", len(payload)-need)
+	}
+	if pad := bit & 7; pad != 0 && payload[len(payload)-1]>>pad != 0 {
+		return fmt.Errorf("non-zero padding bits after the last block")
+	}
+	return nil
+}
+
+// readFrame reads a frame stored as base uvarint, width u8 at payload[pos:]
+// and checks that count values of it follow; it returns the position after
+// the frame. limit bounds base + offset.
+func readFrame(payload []byte, pos int, count uint32, maxWidth uint8, limit uint64) (forFrame, int, error) {
+	base, k := binary.Uvarint(payload[pos:])
+	if k <= 0 || pos+k >= len(payload) {
+		return forFrame{}, 0, fmt.Errorf("truncated at frame")
+	}
+	if base > limit {
+		return forFrame{}, 0, fmt.Errorf("frame base %#x overflows %#x", base, limit)
+	}
+	fr := forFrame{base: base, width: payload[pos+k]}
+	pos += k + 1
+	return fr, pos, checkBlock(len(payload)-pos, count, fr.width, maxWidth)
+}
+
+// layInline walks a read-only stream whose frames sit inline, each ahead of
+// its byte-aligned block, from byte pos of payload to its end, and returns how
+// many of those bytes are frames. A frame is base u32, width u8 (codecFOR)
+// or, with varint set, base uvarint, width u8 (quant-for mode 1); limit
+// bounds base + offset.
+func (nb *nodeBlocks) layInline(payload []byte, pos int, varint bool, maxWidth uint8, limit uint64) (frameBytes int, err error) {
+	for i := range nb.nodes {
+		count := nb.nodes[i].count
+		var fr forFrame
+		block := pos
+		if varint {
+			fr, block, err = readFrame(payload, pos, count, maxWidth, limit)
+		} else if len(payload)-pos < forFrameLen {
+			err = fmt.Errorf("truncated at frame")
+		} else {
+			fr = forFrame{base: uint64(binary.LittleEndian.Uint32(payload[pos:])), width: payload[pos+4]}
+			block = pos + forFrameLen
+			err = checkBlock(len(payload)-block, count, fr.width, maxWidth)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("block %d of %d: %w", i, len(nb.nodes), err)
+		}
+		nb.frames[i] = blockFrame{forFrame: fr, span: limit - fr.base, bit: block << 3}
+		frameBytes += block - pos
+		pos = block + packedLen(int(count), fr.width)
+	}
+	if pos != len(payload) {
+		return 0, fmt.Errorf("%d trailing bytes", len(payload)-pos)
+	}
+	return frameBytes, nil
+}
+
+// unpack is the one block loop of every packed section: it reads each node
+// range's offsets under the node's frame, a chunk at a time, and hands them
+// to sink with the node's index and the chunk's place in the column. The
+// frames have been laid inside payload (layRun, layInline).
+func (nb *nodeBlocks) unpack(payload []byte, sink func(ni, at int, offs []uint64) error) error {
+	var q unpackScratch
+	for i := range nb.nodes {
+		fr := &nb.frames[i]
+		bit := fr.bit
+		for at, end := int(nb.nodes[i].start), int(nb.nodes[i].start+nb.nodes[i].count); at < end; {
+			c := min(end-at, len(q))
+			unpackBits(q[:c], payload, bit, fr.width)
+			if err := sink(i, at, q[:c]); err != nil {
+				return fmt.Errorf("block %d: %w", i, err)
+			}
+			at += c
+			bit += c * int(fr.width)
+		}
 	}
 	return nil
 }
@@ -325,11 +501,16 @@ func encodeAttr(vals []float64, t *treelet, typ particles.AttrType,
 // minimum f64, mode u8.
 const quantFORHeaderLen = 8 + 1
 
-// The frame modes of a codecQuantFOR section.
+// The frame modes of a codecQuantFOR section. No writer emits
+// quantPerNodeInline any more.
 const (
-	quantOneFrame uint8 = 0
-	quantPerNode  uint8 = 1
+	quantOneFrame      uint8 = 0
+	quantPerNodeInline uint8 = 1
+	quantPerNodeCols   uint8 = 2
 )
+
+// quantModeNames names the frame modes (SectionInfo.Mode).
+var quantModeNames = [...]string{"one-frame", "per-node", "per-node-cols"}
 
 // quantSteps returns the grid steps of a lossy attribute's leaf and LOD
 // ranges. Encoder and decoder both call it — one with the build's bound and
@@ -341,6 +522,19 @@ func quantSteps(bound, lodScale float64) (fineStep, lodStep float64) {
 
 // uvarintLen is the encoded length of binary.PutUvarint(v).
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// runLen is the byte length of n values stored as one frame and its block:
+// base uvarint, width u8, offsets. A one-frame section's indices and each
+// frame column of a per-node section are such runs.
+func runLen(n int, fr forFrame) int { return uvarintLen(fr.base) + 1 + packedLen(n, fr.width) }
+
+// putRun writes vals as one frame and its block at buf[pos:] and returns the
+// position after the block's last byte.
+func putRun(buf []byte, pos int, vals []uint64, fr forFrame) int {
+	pos += binary.PutUvarint(buf[pos:], fr.base)
+	buf[pos] = fr.width
+	return packBlock(buf, pos+1, vals, fr)
+}
 
 // encodeQuantFOR quantizes ref (t's column in layout order) onto the
 // two-step grid and packs the indices under one frame or one per node range,
@@ -398,15 +592,30 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 	}
 
 	one := frameOf(qs)
-	size := uvarintLen(one.base) + 1 + packedLen(len(qs), one.width)
-	frames, perNode := nodeFrames(qs, t, a)
-	perNode += len(frames)
-	for _, fr := range frames {
-		perNode += uvarintLen(fr.base)
+	mode, size := quantOneFrame, runLen(len(qs), one)
+
+	// One frame per node range, the bases and the widths as two columns ahead
+	// of the blocks. The decoder accepts a frame only if no offset under it
+	// can pass the index limit, so a column with a frame that could keeps the
+	// one frame.
+	nN := len(t.nodes)
+	frames := a.nodeFrames(nN)
+	if cap(a.cols) < 2*nN {
+		a.cols = make([]uint64, 2*nN)
 	}
-	mode := quantOneFrame
-	if perNode < size {
-		mode, size = quantPerNode, perNode
+	bases, widths := a.cols[:nN], a.cols[nN:2*nN]
+	blockBits, fits := 0, true
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		fr := frameOf(qs[n.start : n.start+n.count])
+		frames[i].forFrame = fr
+		bases[i], widths[i] = fr.base, uint64(fr.width)
+		blockBits += int(n.count) * int(fr.width)
+		fits = fits && fr.base+(1<<fr.width-1) <= maxQuantIndex
+	}
+	baseFr, widthFr := frameOf(bases), frameOf(widths)
+	if perNode := runLen(nN, baseFr) + runLen(nN, widthFr) + (blockBits+7)/8; fits && perNode < size {
+		mode, size = quantPerNodeCols, perNode
 	}
 	size += quantFORHeaderLen
 	if size >= rawLen {
@@ -417,20 +626,16 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 	binary.LittleEndian.PutUint64(out, math.Float64bits(vmin))
 	out[8] = mode
 	pos := quantFORHeaderLen
-	putFrame := func(fr forFrame) {
-		pos += binary.PutUvarint(out[pos:], fr.base)
-		out[pos] = fr.width
-		pos++
-	}
 	if mode == quantOneFrame {
-		putFrame(one)
-		pos = packBlock(out, pos, qs, one)
+		pos = putRun(out, pos, qs, one)
 	} else {
-		for i, fr := range frames {
+		pos = putRun(out, pos, bases, baseFr)
+		bit := putRun(out, pos, widths, widthFr) << 3
+		for i := range t.nodes {
 			n := &t.nodes[i]
-			putFrame(fr)
-			pos = packBlock(out, pos, qs[n.start:n.start+n.count], fr)
+			bit = packBits(out, bit, qs[n.start:n.start+n.count], frames[i].forFrame)
 		}
+		pos = (bit + 7) >> 3
 	}
 	if pos != size {
 		return nil, false // defensive: the size pass and the packer must agree
@@ -470,23 +675,23 @@ func encodeDelta(ref []float64, rawLen int) ([]byte, bool) {
 // --- attribute decoding ---
 
 // decodeAttrSection decodes one v3 attribute section payload into a fresh
-// []float64 column. nodes must have passed checkBlockRanges for nPoints.
-// declaredBound/lodScale come from the file footer: a quant-for section takes
-// its grid steps from them, and a quant section whose stored steps exceed
-// them is corrupt (error-bound mismatch). info, when non-nil, receives the
-// section's frame mode and block widths (batinspect).
-func decodeAttrSection(codec uint8, payload []byte, nodes []diskNode, nPoints int,
+// []float64 column. declaredBound/lodScale come from the file footer: a
+// quant-for section takes its grid steps from them, and a quant section whose
+// stored steps exceed them is corrupt (error-bound mismatch). info, when
+// non-nil, receives the section's frame mode, frame bytes and block widths
+// (batinspect).
+func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
 	typ particles.AttrType, declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
 
 	switch codec {
 	case codecRaw:
-		return decodeRaw(payload, nPoints, typ)
+		return decodeRaw(payload, nb.nPoints, typ)
 	case codecQuant:
-		return decodeQuant(payload, nodes, nPoints, declaredBound, lodScale, info)
+		return decodeQuant(payload, nb, declaredBound, lodScale, info)
 	case codecDelta:
-		return decodeDelta(payload, nPoints)
+		return decodeDelta(payload, nb.nPoints)
 	case codecQuantFOR:
-		return decodeQuantFOR(payload, nodes, nPoints, declaredBound, lodScale, info)
+		return decodeQuantFOR(payload, nb, declaredBound, lodScale, info)
 	}
 	return nil, fmt.Errorf("bat: unknown attribute codec id %d", codec)
 }
@@ -509,37 +714,80 @@ func decodeRaw(payload []byte, nPoints int, typ particles.AttrType) ([]float64, 
 	return out, nil
 }
 
-// dequantBlock reconstructs one run of grid indices — len(dst) values of
-// fr.width bits starting bit bits into src, offsets from fr.base — as
-// vmin + index·step. An index at or past 2^maxQuantBits is corrupt: the
-// encoder never writes one.
-func dequantBlock(dst []float64, src []byte, bit int, fr forFrame, vmin, step float64, q *unpackScratch) error {
-	for len(dst) > 0 {
-		n := min(len(dst), len(q))
-		unpackBits(q[:n], src, bit, fr.width)
-		for i, off := range q[:n] {
-			idx := fr.base + off
-			if idx>>maxQuantBits != 0 {
-				return fmt.Errorf("grid index %#x overflows %d bits (base %#x)", idx, maxQuantBits, fr.base)
-			}
-			dst[i] = vmin + float64(idx)*step
+// dequant runs the block loop over a quant section whose frames are laid:
+// every offset becomes vmin + (base + offset)·step at its node range's step.
+// An index past maxQuantIndex is corrupt: the encoder never writes one.
+func (nb *nodeBlocks) dequant(payload []byte, vmin, fineStep, lodStep float64) ([]float64, error) {
+	out := make([]float64, nb.nPoints)
+	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+		fr := nb.frames[ni]
+		step := fineStep
+		if nb.nodes[ni].axis != uint8(leafAxis) {
+			step = lodStep // LOD samples of inner nodes use the coarser grid
 		}
-		dst = dst[n:]
-		bit += n * int(fr.width)
-	}
-	return nil
+		dst := out[at : at+len(offs)]
+		for i, off := range offs {
+			if off > fr.span {
+				return fmt.Errorf("grid index %#x overflows %d bits (base %#x)", fr.base+off, maxQuantBits, fr.base)
+			}
+			dst[i] = vmin + float64(fr.base+off)*step
+		}
+		return nil
+	})
+	return out, err
 }
 
-// quantStep picks a node range's grid step: LOD samples of inner nodes use
-// the coarser one.
-func quantStep(n *diskNode, fineStep, lodStep float64) float64 {
-	if n.axis != uint8(leafAxis) {
-		return lodStep
+// readRun reads a run of len(dst) values — one frame (base uvarint, width u8)
+// and its byte-aligned block — at payload[pos:] into dst and returns the
+// position after the block. limit bounds the frame's base, so base + offset
+// cannot wrap; the caller checks the values.
+func readRun(dst []uint64, payload []byte, pos int, maxWidth uint8, limit uint64) (int, error) {
+	fr, pos, err := readFrame(payload, pos, uint32(len(dst)), maxWidth, limit)
+	if err != nil {
+		return 0, err
 	}
-	return fineStep
+	unpackBits(dst, payload, pos<<3, fr.width)
+	for i := range dst {
+		dst[i] += fr.base
+	}
+	return pos + packedLen(len(dst), fr.width), nil
 }
 
-func decodeQuantFOR(payload []byte, nodes []diskNode, nPoints int,
+// layColumns reads the two frame columns of a quant-for mode-2 section at
+// payload[pos:] — the nodes' bases, then the nodes' widths — into the frames
+// and lays the block run that follows them. Both are checked against the
+// payload before anything is read under them: a width is at most
+// maxQuantBits, and base + 2^width - 1 stays within maxQuantIndex, so no
+// offset under an accepted frame can pass the index limit. It returns the
+// position after the columns.
+func (nb *nodeBlocks) layColumns(payload []byte, pos int) (int, error) {
+	if nb.col == nil {
+		nb.col = make([]uint64, len(nb.nodes))
+	}
+	col := nb.col
+	pos, err := readRun(col, payload, pos, maxQuantBits, maxQuantIndex)
+	if err != nil {
+		return 0, fmt.Errorf("base column: %w", err)
+	}
+	for i, v := range col {
+		nb.frames[i].base = v
+	}
+	if pos, err = readRun(col, payload, pos, quantWidthBits, maxQuantBits); err != nil {
+		return 0, fmt.Errorf("width column: %w", err)
+	}
+	for i, v := range col {
+		if v > maxQuantBits {
+			return 0, fmt.Errorf("frame %d: bit width %d exceeds %d", i, v, maxQuantBits)
+		}
+		fr := &nb.frames[i]
+		if fr.width, fr.span = uint8(v), 1<<v-1; fr.base+fr.span > maxQuantIndex {
+			return 0, fmt.Errorf("frame %d (base %#x, width %d) overflows %d bits", i, fr.base, v, maxQuantBits)
+		}
+	}
+	return pos, nb.layRun(payload, pos<<3)
+}
+
+func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 	declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
 
 	if len(payload) < quantFORHeaderLen {
@@ -555,50 +803,44 @@ func decodeQuantFOR(payload []byte, nodes []diskNode, nPoints int,
 	if declaredBound <= 0 {
 		return nil, fmt.Errorf("bat: quant-for section in attribute declared lossless (error-bound mismatch)")
 	}
-	if mode > quantPerNode {
+	if int(mode) >= len(quantModeNames) {
 		return nil, fmt.Errorf("bat: quant-for section has unknown frame mode %d", mode)
 	}
+	// Resolve the stream to one frame per node range before any value is read.
+	pos := quantFORHeaderLen // the frames of modes 0 and 2 end here
+	var one forFrame
+	var inlineFrameBytes int
+	var err error
+	switch mode {
+	case quantOneFrame:
+		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), maxQuantBits, maxQuantIndex); err != nil {
+			break
+		}
+		for i := range nb.frames {
+			nb.frames[i] = blockFrame{forFrame: one, span: maxQuantIndex - one.base}
+		}
+		err = nb.layRun(payload, pos<<3)
+	case quantPerNodeInline:
+		inlineFrameBytes, err = nb.layInline(payload, pos, true, maxQuantBits, maxQuantIndex)
+	case quantPerNodeCols:
+		pos, err = nb.layColumns(payload, pos)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bat: quant-for %s stream: %w", quantModeNames[mode], err)
+	}
 	if info != nil {
-		info.Mode = [...]string{"one-frame", "per-node"}[mode]
+		info.Mode = quantModeNames[mode]
+		info.FrameBytes = pos - quantFORHeaderLen + inlineFrameBytes
+		if mode == quantOneFrame {
+			info.Widths = append(info.Widths, one.width)
+		} else {
+			nb.widths(info)
+		}
 	}
 	fineStep, lodStep := quantSteps(declaredBound, lodScale)
-	out := make([]float64, nPoints)
-	var q unpackScratch
-	var fr forFrame
-	bit := 8 * quantFORHeaderLen
-	for i := range nodes {
-		n := &nodes[i]
-		if mode == quantPerNode || i == 0 {
-			// A frame starts on the byte after the previous block.
-			pos := (bit + 7) >> 3
-			base, k := binary.Uvarint(payload[pos:])
-			if k <= 0 || pos+k >= len(payload) {
-				return nil, fmt.Errorf("bat: quant-for stream truncated at frame %d of %d", i, len(nodes))
-			}
-			if base>>maxQuantBits != 0 {
-				return nil, fmt.Errorf("bat: quant-for frame %d base %#x overflows %d bits", i, base, maxQuantBits)
-			}
-			fr = forFrame{base: base, width: payload[pos+k]}
-			pos += k + 1
-			count := n.count
-			if mode == quantOneFrame {
-				count = uint32(nPoints)
-			}
-			if err := checkBlock(len(payload)-pos, count, fr.width, maxQuantBits); err != nil {
-				return nil, fmt.Errorf("bat: quant-for block %d: %w", i, err)
-			}
-			if info != nil {
-				info.Widths = append(info.Widths, fr.width)
-			}
-			bit = 8 * pos
-		}
-		if err := dequantBlock(out[n.start:n.start+n.count], payload, bit, fr, vmin, quantStep(n, fineStep, lodStep), &q); err != nil {
-			return nil, fmt.Errorf("bat: quant-for block %d: %w", i, err)
-		}
-		bit += int(n.count) * int(fr.width)
-	}
-	if pos := (bit + 7) >> 3; pos != len(payload) {
-		return nil, fmt.Errorf("bat: quant-for section has %d trailing bytes", len(payload)-pos)
+	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
+	if err != nil {
+		return nil, fmt.Errorf("bat: quant-for %w", err)
 	}
 	return out, nil
 }
@@ -610,7 +852,7 @@ const quantHeaderLen = 8 + 8 + 8 + 1 + 1
 // decodeQuant reads the flat quant stream of earlier writers: every index is
 // an offset from zero, leaf ranges at the section's fine width and step,
 // inner-node ranges at its LOD width and step, packed back to back.
-func decodeQuant(payload []byte, nodes []diskNode, nPoints int,
+func decodeQuant(payload []byte, nb *nodeBlocks,
 	declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
 
 	if len(payload) < quantHeaderLen {
@@ -645,29 +887,19 @@ func decodeQuant(payload []byte, nodes []diskNode, nPoints int,
 	if info != nil {
 		info.Widths = []uint8{fineBits, lodBits}
 	}
-	width := func(n *diskNode) uint8 {
-		if n.axis != uint8(leafAxis) {
-			return lodBits
+	for i := range nb.nodes {
+		fr := blockFrame{forFrame: forFrame{width: fineBits}, span: maxQuantIndex}
+		if nb.nodes[i].axis != uint8(leafAxis) {
+			fr.width = lodBits
 		}
-		return fineBits
+		nb.frames[i] = fr
 	}
-	var totalBits uint64
-	for i := range nodes {
-		totalBits += uint64(nodes[i].count) * uint64(width(&nodes[i]))
+	if err := nb.layRun(payload, quantHeaderLen<<3); err != nil {
+		return nil, fmt.Errorf("bat: quant section of bit widths %d/%d (truncated codec stream?): %w", fineBits, lodBits, err)
 	}
-	if want := uint64(quantHeaderLen) + (totalBits+7)/8; uint64(len(payload)) != want {
-		return nil, fmt.Errorf("bat: quant section holds %d bytes, bit widths require %d (truncated codec stream)", len(payload), want)
-	}
-	out := make([]float64, nPoints)
-	var q unpackScratch
-	bit := 8 * quantHeaderLen
-	for i := range nodes {
-		n := &nodes[i]
-		fr := forFrame{width: width(n)}
-		if err := dequantBlock(out[n.start:n.start+n.count], payload, bit, fr, vmin, quantStep(n, fineStep, lodStep), &q); err != nil {
-			return nil, fmt.Errorf("bat: quant block %d: %w", i, err)
-		}
-		bit += int(n.count) * int(fr.width)
+	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
+	if err != nil {
+		return nil, fmt.Errorf("bat: quant %w", err)
 	}
 	return out, nil
 }
@@ -715,55 +947,216 @@ func f32Key(b uint32) uint32 { return b ^ (uint32(int32(b)>>31) | 1<<31) }
 // f32FromKey inverts f32Key.
 func f32FromKey(k uint32) uint32 { return k ^ ((k>>31 - 1) | 1<<31) }
 
-// forFrameLen is the per-block prefix of a codecFOR stream: base u32,
-// width u8.
+// keyOf is the key of a coordinate.
+func keyOf(v float32) uint32 { return f32Key(math.Float32bits(v)) }
+
+// The keys of -Inf and +Inf: every key between them is a number, every key
+// outside a NaN, which no k-d cell orders.
+const keyNegInf, keyPosInf uint32 = 0x007fffff, 0xff800000
+
+// forFrameLen is a frame stored as base u32, width u8: ahead of each block of
+// a codecFOR stream and of each column of a packed node table.
 const forFrameLen = 4 + 1
 
-// encodeTreeletPositions encodes the three position columns of a freshly
-// built treelet, next to encodeTreeletAttrs in the fused treelet worker.
-func encodeTreeletPositions(set *particles.Set, t *treelet, a *buildArena) {
-	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
-		t.posEnc[ax] = encodeFOR(col, t, a)
+// keyCell is a treelet's extent on one axis in key space: the smallest and
+// the largest key among its coordinates that are numbers, lo > hi when it has
+// none. The encoder takes it from the keys it packs, the header stores it as
+// the treelet's bounds, and the decoder reads it back from there.
+type keyCell struct{ lo, hi uint32 }
+
+// cellBounds is the bounding box compact stores for a treelet of these
+// cells: exact, a float32 widens to float64 and back unchanged.
+func cellBounds(cells [3]keyCell) geom.Box {
+	var lo, hi [3]float64
+	for ax, c := range cells {
+		lo[ax], hi[ax] = math.Inf(1), math.Inf(-1) // geom.EmptyBox
+		if c.lo <= c.hi {
+			lo[ax] = float64(math.Float32frombits(f32FromKey(c.lo)))
+			hi[ax] = float64(math.Float32frombits(f32FromKey(c.hi)))
+		}
 	}
+	return geom.NewBox(geom.V3(lo[0], lo[1], lo[2]), geom.V3(hi[0], hi[1], hi[2]))
 }
 
-// encodeFOR encodes one position column of a treelet as a codecFOR stream,
-// one block per node in node order. It returns a codecRaw section when the
-// stream would not be smaller than the column's 4 bytes per value. The
-// stream is a pure function of the values, so builds stay byte-identical for
-// any worker count.
-func encodeFOR(col []float32, t *treelet, a *buildArena) encodedAttr {
-	keys := a.qbuf[:0]
-	for _, p := range t.order {
-		keys = append(keys, uint64(f32Key(math.Float32bits(col[p]))))
+// boundsCell inverts cellBounds on one axis.
+func boundsCell(b geom.Box, ax geom.Axis) keyCell {
+	return keyCell{keyOf(float32(b.Lower.Component(ax))), keyOf(float32(b.Upper.Component(ax)))}
+}
+
+// cellFrames derives every node's frame on axis ax from the treelet's cell
+// there and the split planes of the node table: the rule of codecCellFOR in
+// the comment at the top of this file, in one pass in node order. link
+// returns node i's axis (leafAxis for a leaf), split plane and children. The
+// pass needs what a breadth-first table guarantees — every node but the root
+// hangs under exactly one earlier node — and what the builder guarantees — an
+// inner node's split plane is a float32 inside the node's own cell — and
+// reports a table or bounds that break either.
+func cellFrames(frames []blockFrame, link func(i int) (axis uint8, split float64, left, right int32), root keyCell, ax geom.Axis) error {
+	if len(frames) == 0 {
+		return nil
 	}
-	a.qbuf = keys[:0] // keep the (possibly grown) backing array
-	frames, size := nodeFrames(keys, t, a)
-	size += forFrameLen * len(frames)
+	if root.lo > root.hi {
+		return fmt.Errorf("treelet bounds are empty on axis %d", ax)
+	}
+	const unset = 0xff // no frame is this wide
+	for i := range frames {
+		frames[i].width = unset
+	}
+	setCell := func(i int, lo, hi uint64) {
+		frames[i] = blockFrame{forFrame: forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}, span: hi - lo}
+	}
+	setCell(0, uint64(root.lo), uint64(root.hi))
+	for i := range frames {
+		if frames[i].width == unset {
+			return fmt.Errorf("node %d hangs under no earlier node", i)
+		}
+		axis, split, left, right := link(i)
+		if axis == uint8(leafAxis) {
+			continue
+		}
+		for _, c := range [2]int32{left, right} {
+			if int(c) <= i || int(c) >= len(frames) || frames[c].width != unset || left == right {
+				return fmt.Errorf("node %d has child %d: not a breadth-first tree of %d nodes", i, c, len(frames))
+			}
+		}
+		lo, hi := frames[i].base, frames[i].base+frames[i].span
+		if axis != uint8(ax) {
+			setCell(int(left), lo, hi)
+			setCell(int(right), lo, hi)
+			continue
+		}
+		s32 := float32(split)
+		s := uint64(keyOf(s32))
+		if float64(s32) != split || s < lo || s > hi {
+			return fmt.Errorf("node %d splits axis %d at %v, outside its cell", i, ax, split)
+		}
+		setCell(int(left), lo, s)
+		setCell(int(right), s, hi)
+	}
+	return nil
+}
+
+// encodeTreeletPositions encodes the three position columns of a freshly
+// built treelet, next to encodeTreeletAttrs in the fused treelet worker, and
+// records the treelet's cells — the one scan of its coordinates' extremes,
+// which compact stores as the treelet bounds.
+func encodeTreeletPositions(set *particles.Set, t *treelet, a *buildArena) error {
+	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+		keys := a.qbuf[:0]
+		cell := keyCell{lo: math.MaxUint32, hi: 0}
+		for _, p := range t.order {
+			k := keyOf(col[p])
+			keys = append(keys, uint64(k))
+			if k >= keyNegInf && k <= keyPosInf {
+				cell.lo, cell.hi = min(cell.lo, k), max(cell.hi, k)
+			}
+		}
+		a.qbuf = keys[:0] // keep the (possibly grown) backing array
+		t.cells[ax] = cell
+		var err error
+		if t.posEnc[ax], err = encodeCellFOR(keys, t, cell, geom.Axis(ax), a); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeCellFOR encodes one position column of a treelet — keys, in layout
+// order — as a codecCellFOR stream: the blocks only, one per node in node
+// order, each under the frame of the node's k-d cell. It returns a codecRaw
+// section when a key lies outside its node's cell or the stream would not be
+// smaller than the column's 4 bytes per value, and an error when a key that
+// is a number lies outside the treelet's own cell, which was just taken from
+// these keys. The stream is a pure function of the values, so builds stay
+// byte-identical for any worker count.
+func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *buildArena) (encodedAttr, error) {
+	raw := encodedAttr{codec: codecRaw}
+	if len(keys) == 0 {
+		return raw, nil
+	}
+	frames := a.nodeFrames(len(t.nodes))
+	if cellFrames(frames, func(i int) (uint8, float64, int32, int32) {
+		n := &t.nodes[i]
+		return uint8(n.axis), n.pos, n.left, n.right
+	}, root, ax) != nil {
+		return raw, nil
+	}
+	totalBits := 0
+	for i := range t.nodes {
+		n, fr := &t.nodes[i], &frames[i]
+		for _, k := range keys[n.start : n.start+n.count] {
+			if k-fr.base <= fr.span { // below base wraps past any span
+				continue
+			}
+			if numeric := k >= uint64(keyNegInf) && k <= uint64(keyPosInf); numeric && (k < uint64(root.lo) || k > uint64(root.hi)) {
+				return raw, fmt.Errorf("bat: coordinate key %#x on axis %d lies outside the treelet bounds [%#x, %#x] scanned from the same keys", k, ax, root.lo, root.hi)
+			}
+			return raw, nil
+		}
+		totalBits += int(n.count) * int(fr.width)
+	}
+	size := (totalBits + 7) / 8
 	if size >= 4*len(keys) {
-		return encodedAttr{codec: codecRaw}
+		return raw, nil
 	}
 	buf := make([]byte, size+packSlack)
-	pos := 0
-	for i, fr := range frames {
+	bit := 0
+	for i := range t.nodes {
 		n := &t.nodes[i]
-		binary.LittleEndian.PutUint64(buf[pos:], fr.base) // a key: the upper four bytes are zero, and overwritten next
-		buf[pos+4] = fr.width
-		pos = packBlock(buf, pos+forFrameLen, keys[n.start:n.start+n.count], fr)
+		bit = packBits(buf, bit, keys[n.start:n.start+n.count], frames[i].forFrame)
 	}
-	return encodedAttr{codec: codecFOR, data: buf[:size]}
+	return encodedAttr{codec: codecCellFOR, data: buf[:size]}, nil
 }
 
-// decodePosSection decodes one framed position section into a fresh float32
-// column. nodes must have passed checkBlockRanges for nPoints.
-func decodePosSection(codec uint8, payload []byte, nodes []diskNode, nPoints int, info *SectionInfo) ([]float32, error) {
+// decodePosSection decodes the framed section of the position column on axis
+// ax into a fresh float32 column. bounds are the treelet's, from its shallow
+// leaf record: a cell-for section takes its frames from them.
+func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, bounds geom.Box, ax geom.Axis, info *SectionInfo) ([]float32, error) {
+	outside := "value overflows its frame of reference"
 	switch codec {
 	case codecRaw:
-		return decodeRawF32(payload, nPoints)
+		return decodeRawF32(payload, nb.nPoints)
 	case codecFOR:
-		return decodeFOR(payload, nodes, nPoints, info)
+		frameBytes, err := nb.layInline(payload, 0, false, 32, math.MaxUint32)
+		if err != nil {
+			return nil, fmt.Errorf("bat: position stream: %w", err)
+		}
+		if info != nil {
+			info.FrameBytes = frameBytes
+		}
+	case codecCellFOR:
+		err := cellFrames(nb.frames, func(i int) (uint8, float64, int32, int32) {
+			n := &nb.nodes[i]
+			return n.axis, n.pos, n.left, n.right
+		}, boundsCell(bounds, ax), ax)
+		if err == nil {
+			err = nb.layRun(payload, 0)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bat: cell-for position stream: %w", err)
+		}
+		outside = "particle outside its k-d cell"
+	default:
+		return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
 	}
-	return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
+	nb.widths(info)
+	out := make([]float32, nb.nPoints)
+	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+		fr := nb.frames[ni]
+		dst := out[at : at+len(offs)]
+		for i, off := range offs {
+			k := fr.base + off
+			if off > fr.span || k > math.MaxUint32 {
+				return fmt.Errorf("%s (offset %#x from base %#x, at most %#x)", outside, off, fr.base, fr.span)
+			}
+			dst[i] = math.Float32frombits(f32FromKey(uint32(k)))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bat: position %w", err)
+	}
+	return out, nil
 }
 
 // decodeRawF32 decodes a raw little-endian float32 column.
@@ -776,54 +1169,6 @@ func decodeRawF32(payload []byte, nPoints int) ([]float32, error) {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
 	return out, nil
-}
-
-func decodeFOR(payload []byte, nodes []diskNode, nPoints int, info *SectionInfo) ([]float32, error) {
-	out := make([]float32, nPoints)
-	var q unpackScratch
-	pos := 0
-	for i := range nodes {
-		n := &nodes[i]
-		if len(payload)-pos < forFrameLen {
-			return nil, fmt.Errorf("bat: position stream truncated at block %d of %d", i, len(nodes))
-		}
-		fr := forFrame{base: uint64(binary.LittleEndian.Uint32(payload[pos:])), width: payload[pos+4]}
-		pos += forFrameLen
-		if err := checkBlock(len(payload)-pos, n.count, fr.width, 32); err != nil {
-			return nil, fmt.Errorf("bat: position block %d: %w", i, err)
-		}
-		if info != nil {
-			info.Widths = append(info.Widths, fr.width)
-		}
-		if err := unkeyBlock(out[n.start:n.start+n.count], payload[pos:], fr, &q); err != nil {
-			return nil, fmt.Errorf("bat: position block %d: %w", i, err)
-		}
-		pos += packedLen(int(n.count), fr.width)
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("bat: position section has %d trailing bytes", len(payload)-pos)
-	}
-	return out, nil
-}
-
-// unkeyBlock decodes one position block into dst. A key past the uint32
-// range (base + offset wrapped) is corrupt: the encoder's base is the block
-// minimum, so it never produces one.
-func unkeyBlock(dst []float32, src []byte, fr forFrame, q *unpackScratch) error {
-	for bit := 0; len(dst) > 0; {
-		n := min(len(dst), len(q))
-		unpackBits(q[:n], src, bit, fr.width)
-		for i, off := range q[:n] {
-			k := fr.base + off
-			if k > math.MaxUint32 {
-				return fmt.Errorf("value overflows its frame of reference (base %#x)", fr.base)
-			}
-			dst[i] = math.Float32frombits(f32FromKey(uint32(k)))
-		}
-		dst = dst[n:]
-		bit += n * int(fr.width)
-	}
-	return nil
 }
 
 // --- node table ---

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -281,7 +282,7 @@ func TestCompressionInfoAndSections(t *testing.T) {
 		secs := lay.Sections
 		for i, sec := range secs {
 			if i < PositionSections {
-				if sec.Attr != positionNames[i] || (sec.Codec != codecFOR && sec.Codec != codecRaw) {
+				if sec.Attr != positionNames[i] || (sec.Codec != codecCellFOR && sec.Codec != codecRaw) {
 					t.Fatalf("treelet %d row %d is %q/%s, want a %q position section", ti, i, sec.Attr, CodecName(sec.Codec), positionNames[i])
 				}
 				posRaw += sec.RawBytes
@@ -406,6 +407,16 @@ func TestBitPackRoundTrip(t *testing.T) {
 	}
 }
 
+// diskNodesOf is t's node table as the reader parses it
+// (TestPackedNodeTableMatchesBuilder holds the two equal field by field).
+func diskNodesOf(t *treelet) []diskNode {
+	nodes := make([]diskNode, len(t.nodes))
+	for i, n := range t.nodes {
+		nodes[i] = diskNode{axis: uint8(n.axis), pos: n.pos, left: n.left, right: n.right, start: n.start, count: n.count}
+	}
+	return nodes
+}
+
 // forTreelet lays a column out as a treelet whose node ranges hold counts[i]
 // values each, in order — the shape the block encoders and decoders agree on.
 // Even nodes are inner nodes (their ranges hold LOD samples), odd ones leaves.
@@ -427,8 +438,46 @@ func forTreelet(counts []int) (*treelet, []diskNode) {
 	return t, nodes
 }
 
-// forRoundTrip encodes col blocked by counts and, when the encoder chose
-// codecFOR, requires the decoder to return every bit pattern unchanged.
+// inlineFORStream encodes one position column of a treelet as the codecFOR
+// stream writers before codecCellFOR stored — nothing in the package writes
+// one any more: each node range's keys under their own tight frame, stored
+// inline (base u32, width u8) ahead of its byte-aligned block. Like that
+// writer it returns a codecRaw section when the stream would not be smaller
+// than the column's 4 bytes per value.
+func inlineFORStream(col []float32, t *treelet) encodedAttr {
+	keys := make([]uint64, 0, len(t.order))
+	for _, p := range t.order {
+		keys = append(keys, uint64(keyOf(col[p])))
+	}
+	size := 0
+	frames := make([]forFrame, len(t.nodes))
+	for i, n := range t.nodes {
+		frames[i] = frameOf(keys[n.start : n.start+n.count])
+		size += forFrameLen + packedLen(int(n.count), frames[i].width)
+	}
+	if size >= 4*len(keys) {
+		return encodedAttr{codec: codecRaw}
+	}
+	buf := make([]byte, size+packSlack)
+	pos := 0
+	for i, fr := range frames {
+		n := &t.nodes[i]
+		binary.LittleEndian.PutUint32(buf[pos:], uint32(fr.base))
+		buf[pos+4] = fr.width
+		pos = packBlock(buf, pos+forFrameLen, keys[n.start:n.start+n.count], fr)
+	}
+	return encodedAttr{codec: codecFOR, data: buf[:size]}
+}
+
+// decodeFOR decodes a codecFOR stream, which needs neither bounds nor an
+// axis.
+func decodeFOR(payload []byte, nodes []diskNode, nPoints int) ([]float32, error) {
+	return decodePosSection(codecFOR, payload, newNodeBlocks(nodes, nPoints), geom.Box{}, geom.X, nil)
+}
+
+// forRoundTrip encodes col blocked by counts as the inline stream and, unless
+// it fell back to raw, requires the decoder to return every bit pattern
+// unchanged.
 func forRoundTrip(t *testing.T, col []float32, counts []int) encodedAttr {
 	t.Helper()
 	tr, nodes := forTreelet(counts)
@@ -438,12 +487,11 @@ func forRoundTrip(t *testing.T, col []float32, counts []int) encodedAttr {
 	if err := checkBlockRanges(nodes, uint32(len(col))); err != nil {
 		t.Fatal(err)
 	}
-	var a buildArena
-	enc := encodeFOR(col, tr, &a)
+	enc := inlineFORStream(col, tr)
 	if enc.codec == codecRaw {
 		return enc
 	}
-	got, err := decodePosSection(enc.codec, enc.data, nodes, len(col), nil)
+	got, err := decodeFOR(enc.data, nodes, len(col))
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
 	}
@@ -465,6 +513,9 @@ func TestF32KeyOrderAndInverse(t *testing.T) {
 			t.Fatalf("key(%v) = %#x is not below key(%v) = %#x", ordered[i-1], lo, ordered[i], hi)
 		}
 	}
+	if lo, hi := keyOf(float32(math.Inf(-1))), keyOf(float32(math.Inf(1))); lo != keyNegInf || hi != keyPosInf {
+		t.Fatalf("keys of the infinities %#x, %#x; the constants say %#x, %#x", lo, hi, keyNegInf, keyPosInf)
+	}
 	r := rand.New(rand.NewSource(3))
 	for _, b := range []uint32{0, 1, 1 << 31, 1<<31 | 1, 0x7fc00001, 0xffc12345, math.MaxUint32} {
 		if got := f32FromKey(f32Key(b)); got != b {
@@ -478,7 +529,8 @@ func TestF32KeyOrderAndInverse(t *testing.T) {
 	}
 }
 
-// TestFORRoundTripProperty is the position codec's guarantee: for random
+// TestFORRoundTripProperty is the guarantee of the inline position stream,
+// which files of earlier writers hold: for random
 // block shapes (empty and single-element ranges included) over coordinates
 // of random magnitude, sign and spread, every float32 bit pattern survives.
 func TestFORRoundTripProperty(t *testing.T) {
@@ -574,8 +626,7 @@ func TestFORDecodeRejects(t *testing.T) {
 	}
 	counts := []int{8, 32}
 	tr, nodes := forTreelet(counts)
-	var a buildArena
-	enc := encodeFOR(col, tr, &a)
+	enc := inlineFORStream(col, tr)
 	if enc.codec != codecFOR {
 		t.Fatal("sample column did not encode as codecFOR")
 	}
@@ -604,7 +655,7 @@ func TestFORDecodeRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeFOR(tc.payload, tc.nodes, len(col), nil)
+			_, err := decodeFOR(tc.payload, tc.nodes, len(col))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -621,6 +672,156 @@ func TestFORDecodeRejects(t *testing.T) {
 		if err := checkBlockRanges(bad, uint32(len(col))); err == nil {
 			t.Errorf("node table %q accepted as a block list", name)
 		}
+	}
+}
+
+// TestCellFORRoundTripProperty is the position codec's guarantee, through the
+// real k-d builder and the real read path: over random sets cut into random
+// treelets — scatter around the origin (negative and positive keys), a clump
+// of coincident particles that no plane splits, coordinates snapped to a
+// lattice so duplicates lie on the split planes, ±0 and denormals around
+// zero, NaN and ±Inf coordinates, empty treelets and treelets of one node —
+// every float32 bit pattern comes back unchanged, every section is cell-for
+// or raw, a column with a NaN in it is raw and exact, and the bounds the
+// header stores for a treelet are the extremes of its coordinates.
+func TestCellFORRoundTripProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	negZero := float32(math.Copysign(0, -1))
+	tiny := []float32{0, negZero, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff), 1e-30, -1e-30, 1, -1}
+	odd := []float32{float32(math.NaN()), math.Float32frombits(0xffc12345), float32(math.Inf(1)), float32(math.Inf(-1))}
+	kinds := map[string]int{}
+	shapes := map[string]int{}
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(2500)
+		shape := []string{"scatter", "clump", "lattice", "around zero", "non-finite"}[trial%5]
+		set := particles.NewSet(particles.NewSchema("a"), n)
+		coord := func() float32 {
+			switch shape {
+			case "lattice":
+				return float32(r.Intn(9)-4) / 4 // exact multiples of 1/4, negative and positive
+			case "around zero":
+				return tiny[r.Intn(len(tiny))] * float32(1+r.Intn(3))
+			}
+			return float32(r.NormFloat64() * 0.2)
+		}
+		clump := [3]float32{coord(), coord(), coord()}
+		for i := 0; i < n; i++ {
+			c := [3]float32{coord(), coord(), coord()}
+			if shape == "clump" && i%3 != 0 {
+				c = clump
+			}
+			if shape == "non-finite" && r.Intn(40) == 0 {
+				c[0] = odd[r.Intn(len(odd))] // x only: y and z keep their cells
+			}
+			set.X, set.Y, set.Z = append(set.X, c[0]), append(set.Y, c[1]), append(set.Z, c[2])
+			set.Attrs[0] = append(set.Attrs[0], float64(i))
+		}
+		domain := geom.NewBox(geom.V3(-2, -2, -2), geom.V3(2, 2, 2))
+		cfg := DefaultBuildConfig()
+		cfg.MaxLeafSize = 1 + r.Intn(64)
+		cfg.LODPerNode = 1 + r.Intn(min(cfg.MaxLeafSize, 8))
+		cfg.Compress = true
+		cuts := []int{r.Intn(n + 1), r.Intn(n + 1), r.Intn(n + 1)}
+		cuts[2] = cuts[1] // the group between is empty
+		sort.Ints(cuts)
+		treelets, f := packedTreelets(t, set, domain, cfg, cuts)
+		for ti, bt := range treelets {
+			pt, err := f.loadTreelet(context.Background(), ti)
+			if err != nil {
+				t.Fatalf("trial %d (%s) treelet %d: %v", trial, shape, ti, err)
+			}
+			lay, err := f.TreeletLayout(context.Background(), ti)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case len(bt.nodes) == 0:
+				shapes["empty"]++
+			case len(bt.nodes) == 1 && len(bt.order) > cfg.MaxLeafSize:
+				shapes["coincident leaf"]++
+			case len(bt.nodes) == 1:
+				shapes["one node"]++
+			}
+			for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+				got := [3][]float32{pt.x, pt.y, pt.z}[ax]
+				if len(got) != len(bt.order) {
+					t.Fatalf("trial %d (%s) treelet %d: %d of %d points", trial, shape, ti, len(got), len(bt.order))
+				}
+				lo, hi, hasNaN := float32(math.Inf(1)), float32(math.Inf(-1)), false
+				for i, p := range bt.order {
+					if g, w := math.Float32bits(got[i]), math.Float32bits(col[p]); g != w {
+						t.Fatalf("trial %d (%s) treelet %d axis %d point %d: %#08x != %#08x", trial, shape, ti, ax, i, g, w)
+					}
+					lo, hi, hasNaN = min(lo, col[p]), max(hi, col[p]), hasNaN || col[p] != col[p]
+				}
+				sec := lay.Sections[ax]
+				if sec.Codec != codecCellFOR && sec.Codec != codecRaw || sec.FrameBytes != 0 || (hasNaN && sec.Codec != codecRaw) {
+					t.Fatalf("trial %d (%s) treelet %d axis %d: a %s section with %d frame bytes (NaN in the column: %v)",
+						trial, shape, ti, ax, CodecName(sec.Codec), sec.FrameBytes, hasNaN)
+				}
+				if len(bt.order) > 0 {
+					kinds[shape+" "+CodecName(sec.Codec)]++
+				}
+				// min and max order -0 below +0, as the keys do, and skip nothing
+				// but NaN, which they would return: scan those columns by key.
+				b := f.leaves[ti].bounds
+				if gl, gh := b.Lower.Component(geom.Axis(ax)), b.Upper.Component(geom.Axis(ax)); !hasNaN && len(bt.order) > 0 &&
+					(math.Float64bits(gl) != math.Float64bits(float64(lo)) || math.Float64bits(gh) != math.Float64bits(float64(hi))) {
+					t.Fatalf("trial %d (%s) treelet %d axis %d: stored bounds [%v, %v], coordinates span [%v, %v]", trial, shape, ti, ax, gl, gh, lo, hi)
+				}
+			}
+		}
+	}
+	for _, want := range []string{"scatter cell-for", "clump cell-for", "lattice cell-for", "around zero cell-for", "non-finite cell-for", "non-finite raw"} {
+		if kinds[want] < 5 {
+			t.Errorf("%d %q sections: the property is near vacuous there (all: %v)", kinds[want], want, kinds)
+		}
+	}
+	for _, want := range []string{"empty", "coincident leaf", "one node"} {
+		if shapes[want] == 0 {
+			t.Errorf("no %s treelet among the trials: %v", want, shapes)
+		}
+	}
+}
+
+// TestCellFORBoundsHandOff: the treelet bounds have one source, the key
+// extremes encodeTreeletPositions takes from the keys it packs. A number
+// outside the root cell those keys are said to span — a second scan that
+// disagrees with the first — fails the build; a NaN, which no scan counts, only
+// sends its column to raw.
+func TestCellFORBoundsHandOff(t *testing.T) {
+	set := particles.NewSet(particles.NewSchema(), 200)
+	for i := 0; i < 200; i++ {
+		set.Append(geom.V3(float64(i)/200, 0.5, -float64(i%7)), nil)
+	}
+	idx := make([]int, set.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	var a buildArena
+	tr := buildTreelet(set, idx, DefaultBuildConfig(), &a)
+	if err := encodeTreeletPositions(set, tr, &a); err != nil {
+		t.Fatal(err)
+	}
+	if want := tightBounds(set, tr.order); cellBounds(tr.cells) != want {
+		t.Fatalf("cells give bounds %v, a scan of the coordinates %v", cellBounds(tr.cells), want)
+	}
+	keys := make([]uint64, len(tr.order))
+	for i, p := range tr.order {
+		keys[i] = uint64(keyOf(set.X[p]))
+	}
+	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecCellFOR {
+		t.Fatalf("the x column under its own cell: %s, %v", CodecName(enc.codec), err)
+	}
+	short := tr.cells[0]
+	short.hi-- // the largest x is now outside the bounds
+	if _, err := encodeCellFOR(keys, tr, short, geom.X, &a); err == nil || !strings.Contains(err.Error(), "outside the treelet bounds") {
+		t.Fatalf("a root cell that misses a coordinate: error %v", err)
+	}
+	keys[len(keys)/2] = uint64(keyOf(float32(math.NaN())))
+	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecRaw {
+		t.Fatalf("a NaN in the column: %s, %v; want the raw fallback", CodecName(enc.codec), err)
 	}
 }
 
@@ -663,16 +864,36 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 	}
 }
 
+// gridIndices recovers the grid indices of a decoded quant-for column: vals
+// is the decoded column and quantFOR the section it came from (for its vmin).
+func gridIndices(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) (vmin float64, qs []uint64) {
+	vmin = math.Float64frombits(binary.LittleEndian.Uint64(quantFOR))
+	fineStep, lodStep := quantSteps(bound, lodScale)
+	qs = make([]uint64, len(vals))
+	for ni := range nodes {
+		n := &nodes[ni]
+		step := fineStep
+		if n.axis != uint8(leafAxis) {
+			step = lodStep
+		}
+		for i := n.start; i < n.start+n.count; i++ {
+			qs[i] = uint64(math.Round((vals[i] - vmin) / step))
+			if vmin+float64(qs[i])*step != vals[i] {
+				panic("gridIndices: value is not on the section's grid")
+			}
+		}
+	}
+	return vmin, qs
+}
+
 // flatQuantStream re-encodes a decoded quant-for column as the codecQuant
 // stream writers before codecQuantFOR stored — nothing in the package writes
 // one any more: a 26-byte header (vmin, both steps, fine and LOD widths),
 // then every grid index from zero, leaf ranges at the fine width and
-// inner-node ranges at the LOD width, back to back. vals is the decoded
-// column and quantFOR the section it came from (for its vmin).
+// inner-node ranges at the LOD width, back to back.
 func flatQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) []byte {
-	vmin := math.Float64frombits(binary.LittleEndian.Uint64(quantFOR))
+	vmin, qs := gridIndices(nodes, vals, quantFOR, bound, lodScale)
 	fineStep, lodStep := quantSteps(bound, lodScale)
-	qs := make([]uint64, len(vals))
 	var widths [2]uint8 // fine, LOD
 	var totalBits int
 	class := func(n *diskNode) int {
@@ -684,13 +905,8 @@ func flatQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, l
 	for pass := 0; pass < 2; pass++ {
 		for ni := range nodes {
 			n := &nodes[ni]
-			step := quantStep(n, fineStep, lodStep)
-			for i := n.start; i < n.start+n.count; i++ {
-				qs[i] = uint64(math.Round((vals[i] - vmin) / step))
-				if vmin+float64(qs[i])*step != vals[i] {
-					panic("flatQuantStream: value is not on the section's grid")
-				}
-				widths[class(n)] = max(widths[class(n)], uint8(bits.Len64(qs[i])))
+			for _, q := range qs[n.start : n.start+n.count] {
+				widths[class(n)] = max(widths[class(n)], uint8(bits.Len64(q)))
 			}
 			if pass == 1 {
 				totalBits += int(n.count) * int(widths[class(n)])
@@ -705,13 +921,30 @@ func flatQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, l
 	bit := 8 * quantHeaderLen
 	for ni := range nodes {
 		n := &nodes[ni]
-		for _, q := range qs[n.start : n.start+n.count] {
-			w := binary.LittleEndian.Uint64(out[bit>>3:])
-			binary.LittleEndian.PutUint64(out[bit>>3:], w|q<<(bit&7))
-			bit += int(widths[class(n)])
-		}
+		bit = packBits(out, bit, qs[n.start:n.start+n.count], forFrame{width: widths[class(n)]})
 	}
 	return out[:len(out)-packSlack]
+}
+
+// inlineQuantStream re-encodes a decoded quant-for column as the mode-1
+// quant-for section writers before mode 2 stored for node-coherent columns —
+// nothing in the package writes one any more: vmin, the mode byte, then per
+// node range its own tight frame (base uvarint, width u8) ahead of its
+// byte-aligned block.
+func inlineQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) []byte {
+	vmin, qs := gridIndices(nodes, vals, quantFOR, bound, lodScale)
+	out := make([]byte, quantFORHeaderLen, quantFORHeaderLen+len(nodes)*(binary.MaxVarintLen64+1)+8*len(qs)+packSlack)
+	binary.LittleEndian.PutUint64(out, math.Float64bits(vmin))
+	out[8] = quantPerNodeInline
+	for ni := range nodes {
+		blk := qs[nodes[ni].start : nodes[ni].start+nodes[ni].count]
+		fr := frameOf(blk)
+		pos := len(out)
+		out = out[:pos+runLen(len(blk), fr)+packSlack]
+		clear(out[pos:])
+		out = out[:putRun(out, pos, blk, fr)]
+	}
+	return out
 }
 
 // quantRoundTrip encodes col (blocked by counts, see forTreelet) under bound
@@ -737,9 +970,23 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	if len(enc.data) >= len(col)*typ.Size() {
 		t.Fatalf("quant-for section of %d bytes is not smaller than the %d raw ones", len(enc.data), len(col)*typ.Size())
 	}
-	got, err := decodeAttrSection(enc.codec, enc.data, nodes, len(col), typ, bound, lodScale, &info)
+	nb := newNodeBlocks(nodes, len(col))
+	got, err := decodeAttrSection(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
+	}
+	// The same grid indices under the inline per-node frames earlier writers
+	// stored decode, through the same block loop, to the same values bit for
+	// bit: how the frames are stored never moves a value.
+	var inlineInfo SectionInfo
+	inline, err := decodeAttrSection(codecQuantFOR, inlineQuantStream(nodes, got, enc.data, bound, lodScale), nb, typ, bound, lodScale, &inlineInfo)
+	if err != nil || inlineInfo.Mode != "per-node" {
+		t.Fatalf("decoding the %s stream of blocks %v: %v", inlineInfo.Mode, counts, err)
+	}
+	for i := range got {
+		if math.Float64bits(inline[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("value %d (blocks %v): %s frames decode to %v, inline per-node frames to %v", i, counts, info.Mode, got[i], inline[i])
+		}
 	}
 	for _, n := range nodes {
 		tol := bound
@@ -814,7 +1061,7 @@ func TestQuantFORMaxErrorProperty(t *testing.T) {
 			}
 		}
 	}
-	if quant < 150 || raw < 30 || wide < 5 || modes["one-frame"] < 20 || modes["per-node"] < 20 {
+	if quant < 150 || raw < 30 || wide < 5 || modes["one-frame"] < 20 || modes["per-node-cols"] < 20 {
 		t.Fatalf("%d quant-for sections (%v, %d with a block over 40 bits), %d raw: the property is near vacuous somewhere", quant, modes, wide, raw)
 	}
 }
@@ -848,7 +1095,7 @@ func TestQuantFORModes(t *testing.T) {
 		maxWidth uint8
 	}{
 		{"noise keeps one frame", noise, "one-frame", 9},
-		{"node-coherent values take a frame per node", smooth, "per-node", 3},
+		{"node-coherent values take a frame per node", smooth, "per-node-cols", 3},
 		{"a constant column is width 0", constant, "one-frame", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -861,7 +1108,7 @@ func TestQuantFORModes(t *testing.T) {
 					t.Fatalf("block widths %v, want none above %d", info.Widths, tc.maxWidth)
 				}
 			}
-			if tc.mode == "per-node" && len(info.Widths) != len(counts) {
+			if tc.mode == "per-node-cols" && len(info.Widths) != len(counts) {
 				t.Fatalf("%d frames for %d node ranges", len(info.Widths), len(counts))
 			}
 		})
@@ -893,7 +1140,7 @@ func TestQuantFORModes(t *testing.T) {
 			col = append(col, hi+float64(i%50)*step)
 		}
 		enc, info := quantRoundTrip(t, col, []int{200, 200}, particles.Float64, bound, 1)
-		if enc.codec != codecQuantFOR || info.Mode != "per-node" || info.Widths[1] > 7 {
+		if enc.codec != codecQuantFOR || info.Mode != "per-node-cols" || info.Widths[1] > 7 {
 			t.Fatalf("encoded as %s %s widths %v, want per-node frames of a few bits", CodecName(enc.codec), info.Mode, info.Widths)
 		}
 		// One more doubling puts an index at 2^48: not representable.
@@ -930,12 +1177,13 @@ func TestFlatQuantDecodesLikeQuantFOR(t *testing.T) {
 			continue
 		}
 		_, nodes := forTreelet(counts)
-		want, err := decodeQuantFOR(enc.data, nodes, len(col), bound, lodScale, nil)
+		nb := newNodeBlocks(nodes, len(col))
+		want, err := decodeQuantFOR(enc.data, nb, bound, lodScale, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var info SectionInfo
-		got, err := decodeQuant(flatQuantStream(nodes, want, enc.data, bound, lodScale), nodes, len(col), bound, lodScale, &info)
+		got, err := decodeQuant(flatQuantStream(nodes, want, enc.data, bound, lodScale), nb, bound, lodScale, &info)
 		if err != nil {
 			t.Fatalf("trial %d: flat stream of widths %v: %v", trial, info.Widths, err)
 		}
@@ -957,8 +1205,8 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 	const bound = 1e-3
 	sections := map[string][]byte{}
 	for name, gen := range map[string]func(b int) float64{
-		"one-frame": func(int) float64 { return 10 + r.Float64() },
-		"per-node":  func(b int) float64 { return 10 + float64(b) + 0.02*r.Float64() },
+		"one-frame":     func(int) float64 { return 10 + r.Float64() },
+		"per-node-cols": func(b int) float64 { return 10 + float64(b) + 0.02*r.Float64() },
 	} {
 		var col []float64
 		for b, c := range counts {
@@ -972,7 +1220,14 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		}
 		sections[name] = enc.data
 	}
-	one, per := sections["one-frame"], sections["per-node"]
+	// The inline per-node stream of earlier writers, holding the grid indices
+	// of the per-node-cols sample.
+	one, cols := sections["one-frame"], sections["per-node-cols"]
+	colVals, err := decodeQuantFOR(cols, newNodeBlocks(nodes, n), bound, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := inlineQuantStream(nodes, colVals, cols, bound, 1)
 	mut := func(valid []byte, f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
 	// Both samples' first frame is `base, width` in one byte each right after
 	// the header: every index is under 128 grid cells from the minimum.
@@ -987,7 +1242,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"empty section", nil, bound, "truncated"},
 		{"header only", one[:quantFORHeaderLen], bound, "truncated at frame"},
 		{"frame without its width", one[:frame+1], bound, "truncated at frame"},
-		{"unknown mode 2", mut(one, func(b []byte) []byte { b[8] = 2; return b }), bound, "unknown frame mode"},
+		{"unknown mode 3", mut(one, func(b []byte) []byte { b[8] = 3; return b }), bound, "unknown frame mode"},
 		{"unknown mode 255", mut(per, func(b []byte) []byte { b[8] = 255; return b }), bound, "unknown frame mode"},
 		{"width 49", mut(one, func(b []byte) []byte { b[frame+1] = 49; return b }), bound, "exceeds 48"},
 		{"width 255 in a later frame", mut(per, func(b []byte) []byte {
@@ -998,7 +1253,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"truncated last block", per[:len(per)-1], bound, "truncated"},
 		{"trailing byte", mut(one, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
 		{"trailing byte after the last node's block", mut(per, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
-		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNode; return b }), bound, ""},
+		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNodeInline; return b }), bound, ""},
 		{"per-node stream read as one frame", mut(per, func(b []byte) []byte { b[8] = quantOneFrame; return b }), bound, ""},
 		{"base of 2^48", mut(one, func(b []byte) []byte {
 			return append(append(append([]byte(nil), b[:frame]...), binary.AppendUvarint(nil, 1<<maxQuantBits)...), b[frame+1:]...)
@@ -1016,7 +1271,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeQuantFOR(tc.payload, nodes, n, tc.bound, 1, nil)
+			_, err := decodeQuantFOR(tc.payload, newNodeBlocks(nodes, n), tc.bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}

@@ -39,7 +39,7 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenV3Config is the compressed build all four version-3 goldens were
+// goldenV3Config is the compressed build all five version-3 goldens were
 // made with: "mass" within 1e-3, "id" lossless.
 func goldenV3Config() BuildConfig {
 	cfg := goldenConfig()
@@ -88,15 +88,18 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
 // legitimately changes (which for v1/v2 should be never).
 //
-// Three goldens are not among them and cannot be regenerated; each is
+// Four goldens are not among them and cannot be regenerated; each is
 // goldenV3Config's build by the last writer of a layout, and pins the read
 // path of the files that writer left behind. golden_v3_rawpos.bat: version-3
 // positions as raw f32 columns (commit c90a2ea, the parent of the position
 // codec). golden_v3_flatquant.bat: packed positions, lossy attributes as
 // codecQuant sections (commit 1f5afd1, the parent of codecQuantFOR).
-// golden_v3_nodetable.bat: today's sections behind node tables of fixed
-// records in page-aligned treelets (commit 9f77046, the parent of
-// flagPackedNodes).
+// golden_v3_nodetable.bat: codecFOR positions and quant-for attributes behind
+// node tables of fixed records in page-aligned treelets (commit 9f77046, the
+// parent of flagPackedNodes). golden_v3_inlineframes.bat: the same sections
+// behind packed node tables in unpadded treelets — codecFOR positions, their
+// frames inline ahead of each block (commit 4e54d5f, the parent of
+// codecCellFOR).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -149,13 +152,15 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		packed      bool
 		packedNodes bool
 		massCodec   uint8
+		posCodec    uint8 // of the position sections that are not raw
 	}{
-		{"golden_v1.bat", 1, false, false, codecRaw},
-		{"golden_v2.bat", 2, false, false, codecRaw},
-		{"golden_v3_rawpos.bat", 3, false, false, codecQuant},
-		{"golden_v3_flatquant.bat", 3, true, false, codecQuant},
-		{"golden_v3_nodetable.bat", 3, true, false, codecQuantFOR},
-		{"golden_v3.bat", 3, true, true, codecQuantFOR},
+		{"golden_v1.bat", 1, false, false, codecRaw, codecRaw},
+		{"golden_v2.bat", 2, false, false, codecRaw, codecRaw},
+		{"golden_v3_rawpos.bat", 3, false, false, codecQuant, codecRaw},
+		{"golden_v3_flatquant.bat", 3, true, false, codecQuant, codecFOR},
+		{"golden_v3_nodetable.bat", 3, true, false, codecQuantFOR, codecFOR},
+		{"golden_v3_inlineframes.bat", 3, true, true, codecQuantFOR, codecFOR},
+		{"golden_v3.bat", 3, true, true, codecQuantFOR, codecCellFOR},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -180,11 +185,22 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			secs := fileSections(t, f, buf)
+			packedPos := 0
 			for _, sec := range secs {
 				if sec.attr == "mass" && sec.codec != tc.massCodec {
 					t.Fatalf("a mass section is %s, want %s: the file does not pin the layout it is named for",
 						CodecName(sec.codec), CodecName(tc.massCodec))
 				}
+				if pos := sec.attr == "x" || sec.attr == "y" || sec.attr == "z"; pos && sec.codec != codecRaw {
+					if sec.codec != tc.posCodec {
+						t.Fatalf("a position section is %s, want %s: the file does not pin the layout it is named for",
+							CodecName(sec.codec), CodecName(tc.posCodec))
+					}
+					packedPos++
+				}
+			}
+			if tc.posCodec != codecRaw && packedPos == 0 {
+				t.Fatalf("no %s position section in the file", CodecName(tc.posCodec))
 			}
 			got := readRows(t, f)
 			if len(got) != len(want) {
@@ -208,8 +224,8 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 		})
 	}
-	if len(v3rows) != 4 {
-		t.Fatalf("%d of 4 version-3 goldens decoded", len(v3rows))
+	if len(v3rows) != 5 {
+		t.Fatalf("%d of 5 version-3 goldens decoded", len(v3rows))
 	}
 	for _, rows := range v3rows[1:] {
 		for i := range rows {
@@ -237,11 +253,41 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		}
 	}
 	if len(after) != len(before) {
-		t.Fatalf("golden_v3.bat holds %d sections, golden_v3_nodetable.bat %d", len(after), len(before))
+		t.Fatalf("golden_v3_inlineframes.bat holds %d sections, golden_v3_nodetable.bat %d", len(after), len(before))
 	}
 	for i := range after {
 		if after[i].attr != before[i].attr || after[i].codec != before[i].codec || !bytes.Equal(after[i].payload, before[i].payload) {
 			t.Fatalf("section %d (%s): stream differs from golden_v3_nodetable.bat", i, after[i].attr)
+		}
+	}
+	// Taking the frames out of the sections changed nothing else: the node
+	// tables, whose split planes the position frames now come from, the
+	// lossless id sections and the mass sections that keep their one frame are
+	// byte for byte the parent writer's; a mass section that differs went from
+	// one frame to frame columns because that is shorter.
+	before, after = v3secs[3], v3secs[4]
+	if len(after) != len(before) {
+		t.Fatalf("golden_v3.bat holds %d sections, golden_v3_inlineframes.bat %d", len(after), len(before))
+	}
+	for i := range after {
+		if after[i].attr != before[i].attr {
+			t.Fatalf("section %d is %s, %s in golden_v3_inlineframes.bat", i, after[i].attr, before[i].attr)
+		}
+		// A position column is raw where no stream was smaller; without frames
+		// to pay for, one more of the golden set's is.
+		if pos := before[i].codec == codecFOR || before[i].codec == codecRaw && after[i].codec == codecCellFOR; pos {
+			if after[i].codec != codecCellFOR || len(after[i].payload) >= len(before[i].payload) {
+				t.Fatalf("section %d (%s): %s of %d bytes, %s of %d with inline frames", i, after[i].attr,
+					CodecName(after[i].codec), len(after[i].payload), CodecName(before[i].codec), len(before[i].payload))
+			}
+		} else if cols := after[i].codec == codecQuantFOR && after[i].payload[8] == quantPerNodeCols; cols {
+			if before[i].codec != codecQuantFOR || before[i].payload[8] != quantOneFrame || len(after[i].payload) >= len(before[i].payload) {
+				t.Fatalf("section %d (%s): frame columns in %d bytes, %s mode %d in %d before", i, after[i].attr,
+					len(after[i].payload), CodecName(before[i].codec), before[i].payload[8], len(before[i].payload))
+			}
+		} else if after[i].codec != before[i].codec || !bytes.Equal(after[i].payload, before[i].payload) {
+			t.Fatalf("section %d (%s, %s): differs from golden_v3_inlineframes.bat (%s) in more than the position frames",
+				i, after[i].attr, CodecName(after[i].codec), CodecName(before[i].codec))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,6 +232,18 @@ func positionOffset(t testing.TB, buf []byte, ti int) int {
 		t.Fatal(err)
 	}
 	return 8 + lay.NodeTable.Bytes
+}
+
+// addU32 adds d to the little-endian u32 at b.
+func addU32(b []byte, d int) {
+	binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
+}
+
+// leafRecordOffset is where treelet 0's shallow leaf record — offset u64,
+// byteLen u32, numNodes u32, numPoints u32, bounds 6 x f64, bitmap IDs —
+// starts in f's header: the leaf records end just before the dictionary.
+func leafRecordOffset(f *File) int {
+	return f.headerSize - (4 + 4*f.dict.Len()) - len(f.leaves)*(shallowLeafBytes+2*f.Schema.NumAttrs())
 }
 
 // goldenFile reads a checked-in golden image.
@@ -539,11 +552,8 @@ func TestLeafPointCountBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nA := f.Schema.NumAttrs()
-	// Leaf records end the header just before the dictionary.
-	leaf0 := f.headerSize - (4 + 4*f.dict.Len()) - len(f.leaves)*(shallowLeafBytes+2*nA)
 	mut := mutateHeader(t, buf, func(head []byte) {
-		binary.LittleEndian.PutUint32(head[leaf0+8+4+4:], uint32(f.NumParticles)+1)
+		binary.LittleEndian.PutUint32(head[leafRecordOffset(f)+8+4+4:], uint32(f.NumParticles)+1)
 	})
 	if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "points, the file") {
 		t.Fatalf("open error %v, want the point-count bound", err)
@@ -560,7 +570,7 @@ func TestPackedPositionCorruption(t *testing.T) {
 		buf         []byte
 		packedNodes bool
 	}{
-		{"packed nodes", compressedSample(t), true},
+		{"packed nodes", goldenFile(t, "golden_v3_inlineframes.bat"), true},
 		{"node records", goldenFile(t, "golden_v3_nodetable.bat"), false},
 	} {
 		buf := layout.buf
@@ -581,9 +591,6 @@ func TestPackedPositionCorruption(t *testing.T) {
 		xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
 		nodeOff := func(ni int) int { return 8 + ni*(treeletNodeBytes+2*f.Schema.NumAttrs()) }
 		const startOff, countOff = 1 + 8 + 4 + 4, 1 + 8 + 4 + 4 + 4
-		addU32 := func(b []byte, d int) {
-			binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
-		}
 		type corruption struct {
 			name   string
 			mutate func(tre []byte)
@@ -627,6 +634,214 @@ func TestPackedPositionCorruption(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCellFORCorruption is the corruption matrix for cell-for position
+// sections in a real file: the stream holds no frame to get wrong, so what a
+// CRC-valid hostile file can still say is an offset outside its node's k-d
+// cell — a particle where no traversal would look for it —, a block run that
+// is short, long or padded with something, and bounds or a node table the
+// cells cannot be derived from. Every case must fail the treelet load with a
+// clean error.
+func TestCellFORCorruption(t *testing.T) {
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := f.loadTreelet(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := f.TreeletLayout(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := f.leaves[0]
+	// The x section's frame (codec u8, encLen u32) and payload, and the frames
+	// its blocks decode under.
+	xOff := positionOffset(t, buf, 0)
+	xLen := lay.Sections[0].EncBytes
+	if lay.Sections[0].Codec != codecCellFOR || lay.Sections[0].FrameBytes != 0 || ref.numNodes < 3 {
+		t.Fatalf("treelet 0's x section is %s with %d frame bytes over %d nodes; pick different sample data",
+			CodecName(lay.Sections[0].Codec), lay.Sections[0].FrameBytes, ref.numNodes)
+	}
+	nb := newNodeBlocks(pt.nodes, len(pt.x))
+	if _, err := decodePosSection(codecCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, ref.bounds, geom.X, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A block whose cell is not a whole power of two wide has offsets its
+	// width can spell and its cell does not hold.
+	loose, padBits := -1, 0
+	for i, fr := range nb.frames {
+		if loose < 0 && pt.nodes[i].count > 0 && fr.span != 1<<fr.width-1 {
+			loose = i
+		}
+		padBits = (padBits + int(pt.nodes[i].count)*int(fr.width)) % 8
+	}
+	firstXSplit := -1
+	for i, n := range pt.nodes {
+		if n.axis == uint8(geom.X) {
+			firstXSplit = i
+			break
+		}
+	}
+	if loose < 0 || padBits == 0 || firstXSplit < 0 {
+		t.Fatalf("x section: loose block %d, %d padding bits, first x split at node %d; pick different sample data", loose, padBits, firstXSplit)
+	}
+	// Treelet 0's bounds in its shallow leaf record: six f64 after offset,
+	// byteLen and the two counts.
+	bounds0 := leafRecordOffset(f) + 8 + 4 + 4 + 4
+	putF64 := func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+	for _, tc := range []struct {
+		name   string
+		header func(head []byte)
+		mutate func(tre []byte)
+		want   string
+	}{
+		{"offset past the cell", nil, func(tre []byte) {
+			fr := nb.frames[loose]
+			for b := fr.bit; b < fr.bit+int(fr.width); b++ {
+				tre[xOff+5+b>>3] |= 1 << (b & 7)
+			}
+		}, "particle outside its k-d cell"},
+		{"run one byte short", nil, func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
+		{"run one byte long", nil, func(tre []byte) { addU32(tre[xOff+1:], 1) }, "trailing bytes"},
+		{"bits in the padding", nil, func(tre []byte) { tre[xOff+5+xLen-1] |= 0x80 }, "non-zero padding bits"},
+		{"inline-frame codec over the run", nil, func(tre []byte) { tre[xOff] = codecFOR }, ""},
+		{"cell-for on an attribute", nil, func(tre []byte) {
+			_, secOff := firstSectionOffset(t, buf, 0)
+			tre[secOff] = codecCellFOR
+		}, "unknown attribute codec"},
+		{"bounds that end below a split plane", func(head []byte) {
+			putF64(head[bounds0+24:], pt.nodes[firstXSplit].pos-1) // upper x
+			putF64(head[bounds0:], pt.nodes[firstXSplit].pos-2)    // lower x
+		}, nil, "outside its cell"},
+		{"empty bounds", func(head []byte) {
+			putF64(head[bounds0:], 1)
+			putF64(head[bounds0+24:], -1)
+		}, nil, "bounds are empty"},
+		{"a split plane moved out of its cell", nil, func(tre []byte) {
+			// The split column's base: every split key moves up by 2^31.
+			base := tre[8+lay.NodeTable.Columns[0].Bytes+lay.NodeTable.Columns[1].Bytes:]
+			binary.LittleEndian.PutUint32(base, binary.LittleEndian.Uint32(base)^1<<31)
+		}, "outside its cell"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := buf
+			if tc.header != nil {
+				mut = mutateHeader(t, mut, tc.header)
+			}
+			if tc.mutate != nil {
+				mut = mutateTreelet(t, mut, 0, tc.mutate)
+			}
+			expectLoadError(t, mut, tc.want)
+		})
+	}
+}
+
+// quantColsStream writes a quant-for section in frame mode 2 from whatever
+// frames it is given, valid or not: vmin, the mode byte, the bases and the
+// widths as two runs, then qs' node ranges under their frames, bit-contiguous.
+func quantColsStream(nodes []diskNode, frames []forFrame, qs []uint64) []byte {
+	bases, widths := make([]uint64, len(frames)), make([]uint64, len(frames))
+	for i, fr := range frames {
+		bases[i], widths[i] = fr.base, uint64(fr.width)
+	}
+	out := make([]byte, quantFORHeaderLen+2*(binary.MaxVarintLen64+1)+16*len(frames)+8*len(qs)+packSlack)
+	out[8] = quantPerNodeCols
+	pos := putRun(out, quantFORHeaderLen, bases, frameOf(bases))
+	bit := putRun(out, pos, widths, frameOf(widths)) << 3
+	for i, n := range nodes {
+		bit = packBits(out, bit, qs[n.start:n.start+n.count], frames[i])
+	}
+	return out[:(bit+7)>>3]
+}
+
+// TestFrameColumnCorruption drives the quant-for decoder with mode-2 sections
+// the encoder cannot produce: the two frame columns are checked — against the
+// node table's node count, the 48-bit index range and the payload — before
+// anything is sized by them or read under them, and the block run has to end
+// exactly where the section does. Each must be an error, none a panic; the
+// valid stream the cases are cut from decodes.
+func TestFrameColumnCorruption(t *testing.T) {
+	const bound = 0.5
+	_, nodes := forTreelet([]int{3, 9, 0, 5})
+	qs := []uint64{100, 101, 102, 7, 7, 9, 12, 7, 8, 9, 10, 11, 5000, 5001, 5003, 5002, 5000}
+	good := []forFrame{{100, 2}, {7, 3}, {0, 0}, {5000, 2}}
+	valid := quantColsStream(nodes, good, qs)
+	nb := newNodeBlocks(nodes, len(qs))
+	var info SectionInfo
+	vals, err := decodeQuantFOR(valid, nb, bound, 1, &info)
+	if err != nil || info.Mode != "per-node-cols" || info.FrameBytes == 0 {
+		t.Fatalf("the valid stream: mode %q, %d frame bytes, error %v", info.Mode, info.FrameBytes, err)
+	}
+	for i, q := range qs {
+		if vals[i] != float64(q) { // vmin 0, step 2 x bound = 1
+			t.Fatalf("value %d decodes to %v, want %d", i, vals[i], q)
+		}
+	}
+	if padBits := (3*2 + 9*3 + 5*2) % 8; padBits == 0 {
+		t.Fatal("the sample run has no padding bits")
+	}
+	with := func(i int, fr forFrame) []forFrame {
+		frames := slices.Clone(good)
+		frames[i] = fr
+		return frames
+	}
+	basesEnd := quantFORHeaderLen + runLen(len(good), forFrame{0, 13})
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		nodes   []diskNode
+		want    string
+	}{
+		{"width 49", quantColsStream(nodes, with(2, forFrame{0, 49}), qs), nodes, "exceeds 48"},
+		{"width column of 7-bit entries", append(slices.Clone(valid[:basesEnd+1]), 7, 0xff, 0xff, 0xff, 0xff), nodes, "exceeds 6"},
+		{"base + 2^width - 1 past 48 bits", quantColsStream(nodes, with(2, forFrame{1<<48 - 4, 3}), qs), nodes, "overflows 48 bits"},
+		{"one node more than the columns hold", valid, append(slices.Clone(nodes), diskNode{axis: uint8(leafAxis), start: uint32(len(qs))}), ""},
+		{"one node fewer than the columns hold", valid, []diskNode{nodes[0], nodes[1], {axis: uint8(leafAxis), start: 12, count: 5}}, ""},
+		{"cut inside the base column", valid[:quantFORHeaderLen+3], nodes, "truncated"},
+		{"cut before the width column", valid[:basesEnd], nodes, "truncated at frame"},
+		{"cut inside the width column", valid[:basesEnd+2], nodes, "truncated"},
+		{"no block run", valid[:basesEnd+runLen(len(good), forFrame{0, 2})], nodes, "truncated"},
+		{"run one byte short", valid[:len(valid)-1], nodes, "truncated"},
+		{"run one byte long", append(slices.Clone(valid), 0), nodes, "trailing bytes"},
+		{"bits in the padding", append(slices.Clone(valid[:len(valid)-1]), valid[len(valid)-1]|0x80), nodes, "non-zero padding bits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 0
+			for _, nd := range tc.nodes {
+				n += int(nd.count)
+			}
+			_, err := decodeQuantFOR(tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// And in a real file: the first per-node-cols section of treelet 0, its
+	// block run one byte short behind valid checksums.
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := f.TreeletLayout(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := positionOffset(t, buf, 0)
+	for i, sec := range lay.Sections {
+		if i >= PositionSections && sec.Mode == "per-node-cols" {
+			expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) {
+				binary.LittleEndian.PutUint32(tre[off+1:], uint32(sec.EncBytes-1))
+			}), "truncated")
+			return
+		}
+		off += 5 + sec.EncBytes
+	}
+	t.Fatal("treelet 0 of the sample has no per-node-cols section; pick different sample data")
 }
 
 func TestZeroAndTinyInputs(t *testing.T) {
@@ -731,7 +946,8 @@ func FuzzTreelet(f *testing.F) {
 }
 
 // sectionSeed is one real section — its column name, codec and payload — with
-// the node table and point count it decodes against. A packed node table is a
+// the node table and point count it decodes against and, for a position
+// section, its axis and the treelet's bounds on it. A packed node table is a
 // seed too (attr nodeTableSeed): its bytes are the payload, its attribute
 // count the codec, and the node table's length gives its node count.
 type sectionSeed struct {
@@ -740,11 +956,22 @@ type sectionSeed struct {
 	payload []byte
 	table   []byte
 	nPoints uint16
+	axis    uint8
+	lo, hi  float32
+}
+
+// bounds is the box a position seed decodes against: [lo, hi] on every axis.
+func (s sectionSeed) bounds() geom.Box { return fuzzBounds(s.lo, s.hi) }
+
+func fuzzBounds(lo, hi float32) geom.Box {
+	l, h := float64(lo), float64(hi)
+	return geom.NewBox(geom.V3(l, l, l), geom.V3(h, h, h))
 }
 
 // fuzzNodeBytes is FuzzDecodeSections' node record: start u16, count u16,
-// axis u8.
-const fuzzNodeBytes = 5
+// axis u8, split plane f32. Children are implicit, as in a packed node table:
+// the k-th record that is not a leaf has records 2k+1 and 2k+2.
+const fuzzNodeBytes = 9
 
 const nodeTableSeed = "(node table)"
 
@@ -788,12 +1015,18 @@ func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
 // any section, and the decoders rely on that.
 func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
 	nodes = make([]diskNode, len(table)/fuzzNodeBytes)
+	inner := int32(0)
 	for i := range nodes {
 		rec := table[i*fuzzNodeBytes:]
 		nodes[i] = diskNode{
 			axis:  rec[4] & 3,
+			pos:   float64(math.Float32frombits(binary.LittleEndian.Uint32(rec[5:]))),
 			start: uint32(binary.LittleEndian.Uint16(rec)),
 			count: uint32(binary.LittleEndian.Uint16(rec[2:])),
+		}
+		if nodes[i].axis != uint8(leafAxis) {
+			nodes[i].left, nodes[i].right = 2*inner+1, 2*inner+2
+			inner++
 		}
 		if nodes[i].start+nodes[i].count > uint32(nPoints) {
 			return nil, false
@@ -820,6 +1053,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			table = binary.LittleEndian.AppendUint16(table, uint16(n.start))
 			table = binary.LittleEndian.AppendUint16(table, uint16(n.count))
 			table = append(table, n.axis)
+			table = binary.LittleEndian.AppendUint32(table, math.Float32bits(float32(n.pos)))
 		}
 		lay, err := f.TreeletLayout(context.Background(), ti)
 		if err != nil {
@@ -827,14 +1061,19 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 		}
 		p := int(ref.offset) + 8
 		if f.PackedNodes {
-			seeds = append(seeds, sectionSeed{nodeTableSeed, uint8(f.Schema.NumAttrs()), buf[p : p+lay.NodeTable.Bytes], table, uint16(ref.numPoints)})
+			seeds = append(seeds, sectionSeed{attr: nodeTableSeed, codec: uint8(f.Schema.NumAttrs()), payload: buf[p : p+lay.NodeTable.Bytes], table: table, nPoints: uint16(ref.numPoints)})
 		}
 		p += lay.NodeTable.Bytes
 		for i, sec := range lay.Sections {
 			if framed := f.Version >= 3 && (i >= PositionSections || f.PackedPositions); framed {
 				p += 5
 			}
-			seeds = append(seeds, sectionSeed{sec.Attr, sec.Codec, buf[p : p+sec.EncBytes], table, uint16(ref.numPoints)})
+			seed := sectionSeed{attr: sec.Attr, codec: sec.Codec, payload: buf[p : p+sec.EncBytes], table: table, nPoints: uint16(ref.numPoints)}
+			if i < PositionSections {
+				ax := geom.Axis(i)
+				seed.axis, seed.lo, seed.hi = uint8(i), float32(ref.bounds.Lower.Component(ax)), float32(ref.bounds.Upper.Component(ax))
+			}
+			seeds = append(seeds, seed)
 			p += sec.EncBytes
 		}
 	}
@@ -842,9 +1081,9 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 }
 
 // sectionSeeds builds a small compressed file and cuts every section of every
-// treelet out of it, then adds the sections of the flat-quant golden, which
-// no writer produces any more, so the fuzzer starts from streams each decoder
-// accepts.
+// treelet out of it, then adds the sections of the flat-quant and the
+// inline-frames goldens, which no writer produces any more, so the fuzzer
+// starts from streams each decoder accepts.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
@@ -854,30 +1093,51 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		tb.Fatal(err)
 	}
 	var seeds []sectionSeed
-	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3_flatquant.bat")} {
+	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3_flatquant.bat"), goldenFile(tb, "golden_v3_inlineframes.bat")} {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		seeds = append(seeds, fileSections(tb, f, buf)...)
 	}
+	// No golden holds a quant-for section with inline per-node frames (the
+	// golden set's mass column keeps one frame): re-encode the fresh build's
+	// per-node sections as the stream the writer before the frame columns
+	// stored.
+	for _, s := range seeds {
+		if s.codec != codecQuantFOR || s.payload[8] != quantPerNodeCols {
+			continue
+		}
+		nodes, _ := fuzzNodes(s.table, s.nPoints)
+		vals, err := decodeQuantFOR(s.payload, newNodeBlocks(nodes, int(s.nPoints)), fuzzSectionBound, fuzzSectionLODScale, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		s.payload = inlineQuantStream(nodes, vals, s.payload, fuzzSectionBound, fuzzSectionLODScale)
+		seeds = append(seeds, s)
+	}
 	return seeds
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
-// section decoders (raw, quant, delta, FOR, quant-for), past the checksums and
-// the file structure FuzzDecode has to get through first, and the payload to
-// the packed node-table decoder as a table of as many nodes as the node table
-// has and of codec attributes. Errors are fine; panics, columns of any length
-// but nPoints and node tables that are not a tree over the points are not.
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the six
+// section decoders (raw, quant, delta, FOR, quant-for, cell-for — the last
+// against a treelet bounds box of [lo, hi] on the section's axis), past the
+// checksums and the file structure FuzzDecode has to get through first, and
+// the payload to the packed node-table decoder as a table of as many nodes as
+// the node table has and of codec attributes. Errors are fine; panics, columns
+// of any length but nPoints and node tables that are not a tree over the
+// points are not.
 func FuzzDecodeSections(f *testing.F) {
 	for _, s := range sectionSeeds(f) {
-		f.Add(s.codec, s.payload, s.table, s.nPoints)
+		f.Add(s.codec, s.payload, s.table, s.nPoints, s.axis, s.lo, s.hi)
 	}
-	f.Add(codecFOR, []byte{}, []byte{}, uint16(0))
-	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, []byte{0, 0, 1, 0, 3}, uint16(1))
-	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNode, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 48}, []byte{0, 0, 1, 0, 3}, uint16(1))
-	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16) {
+	oneLeaf := []byte{0, 0, 1, 0, 3, 0, 0, 0, 0}
+	f.Add(codecFOR, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
+	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNodeInline, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 48}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1))
+	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lo, hi float32) {
 		nA := int(codec % 8)
 		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, nil); err == nil {
 			if n > len(payload) {
@@ -893,21 +1153,29 @@ func FuzzDecodeSections(f *testing.F) {
 		if !ok || checkBlockRanges(nodes, uint32(nPoints)) != nil {
 			return
 		}
+		nb := newNodeBlocks(nodes, int(nPoints))
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
-			vals, err := decodeAttrSection(codec, payload, nodes, int(nPoints), typ, fuzzSectionBound, fuzzSectionLODScale, nil)
+			vals, err := decodeAttrSection(codec, payload, nb, typ, fuzzSectionBound, fuzzSectionLODScale, nil)
 			if err == nil && len(vals) != int(nPoints) {
 				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
 			}
 		}
-		col, err := decodePosSection(codec, payload, nodes, int(nPoints), nil)
+		col, err := decodePosSection(codec, payload, nb, fuzzBounds(lo, hi), geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
+		}
+		// A cell-for column cannot hold a coordinate outside the bounds it was
+		// decoded against: every frame is a cell inside them.
+		for _, v := range col {
+			if codec == codecCellFOR && !(v >= lo && v <= hi) {
+				t.Fatalf("cell-for decoded %v outside the treelet bounds [%v, %v]", v, lo, hi)
+			}
 		}
 	})
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// is accepted by the decoder it was cut from, and all five codecs and both
+// is accepted by the decoder it was cut from, and all six codecs and all three
 // quant-for frame modes occur.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
@@ -933,21 +1201,22 @@ func TestSectionSeedsDecode(t *testing.T) {
 		}
 		seen[s.codec] = true
 		var info SectionInfo
-		_, err32 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float32, fuzzSectionBound, fuzzSectionLODScale, &info)
-		_, err64 := decodeAttrSection(s.codec, s.payload, nodes, int(s.nPoints), particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
-		_, errPos := decodePosSection(s.codec, s.payload, nodes, int(s.nPoints), nil)
+		nb := newNodeBlocks(nodes, int(s.nPoints))
+		_, err32 := decodeAttrSection(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, &info)
+		_, err64 := decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+		_, errPos := decodePosSection(s.codec, s.payload, nb, s.bounds(), geom.Axis(s.axis), nil)
 		if err32 != nil && err64 != nil && errPos != nil {
 			t.Fatalf("seed %d (%s, %d bytes) decodes nowhere: %v / %v / %v", i, CodecName(s.codec), len(s.payload), err32, err64, errPos)
 		}
 		modes[info.Mode] = true
 	}
-	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR, codecQuantFOR} {
+	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR, codecQuantFOR, codecCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
 	}
-	if !modes["one-frame"] || !modes["per-node"] {
-		t.Errorf("quant-for frame modes among the seeds: %v, want both", modes)
+	if !modes["one-frame"] || !modes["per-node"] || !modes["per-node-cols"] {
+		t.Errorf("quant-for frame modes among the seeds: %v, want all three", modes)
 	}
 	if nodeTables == 0 {
 		t.Error("no packed node table among the seeds")

@@ -116,8 +116,11 @@ func TestBuildDeterminism(t *testing.T) {
 						}
 						secs := lay.Sections
 						for _, sec := range secs {
-							if sec.Codec == codecQuantFOR {
+							switch sec.Codec {
+							case codecQuantFOR:
 								frameModes[sec.Mode] = true
+							case codecCellFOR:
+								frameModes["cell-for"] = true
 							}
 						}
 					}
@@ -138,8 +141,8 @@ func TestBuildDeterminism(t *testing.T) {
 			}
 		})
 	}
-	if !frameModes["one-frame"] || !frameModes["per-node"] {
-		t.Errorf("quant-for frame modes among the compressed builds: %v, want both covered", frameModes)
+	if !frameModes["one-frame"] || !frameModes["per-node-cols"] || !frameModes["cell-for"] {
+		t.Errorf("frame kinds among the compressed builds: %v, want cell-for positions and both quant-for modes covered", frameModes)
 	}
 }
 

@@ -46,16 +46,25 @@
 //	                 bounds when flagQuantized is set; or, when
 //	                 flagPackedPositions is set (version 3 only), three
 //	                 framed codec sections like the attributes', holding
-//	                 codecFOR or codecRaw. In version 2 each attribute
+//	                 codecCellFOR or codecRaw (codecFOR in files of writers
+//	                 before codecCellFOR). A codecCellFOR section stores no
+//	                 frame: its blocks are framed by the nodes' k-d cells,
+//	                 derived from the treelet bounds in the shallow leaf
+//	                 record above — which a packing writer takes from the
+//	                 same float32 keys it packs — and the split planes of
+//	                 the node table. In version 2 each attribute
 //	                 is a raw f64 or f32 column (per its schema type); in
 //	                 version 3 each attribute is a framed codec section:
 //	                 codec u8, encLen u32, then encLen payload bytes (see
 //	                 codec.go for the codec streams: codecQuantFOR for a
-//	                 lossy attribute, codecDelta for a lossless one, codecRaw
-//	                 when neither shrinks it; codecQuant in files of writers
-//	                 before codecQuantFOR). The section's own codec byte says
-//	                 which stream it holds, so neither a header flag nor the
-//	                 version tells the two quant streams apart
+//	                 lossy attribute — one frame, or the nodes' frames as
+//	                 two packed columns ahead of the blocks; inline per-node
+//	                 frames in files of earlier writers —, codecDelta for a
+//	                 lossless one, codecRaw when neither shrinks it;
+//	                 codecQuant in files of writers before codecQuantFOR).
+//	                 The section's own codec byte, and a quant-for section's
+//	                 mode byte, say which stream it holds, so neither a
+//	                 header flag nor the version tells the streams apart
 //	Checksum footer, after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32
@@ -195,8 +204,10 @@ func footerV3ExtraLen(nA int) int { return 4 + nA*(1+8) + 8 + 8 + 8 }
 // front, then the treelets, page-aligned (paper §III-C3) unless the build
 // packs them, which nothing maps. Bitmaps are interned
 // into the dictionary serially (ID assignment is first-use order, a format
-// invariant); the per-treelet bounds scans, payload copies, and section
-// CRCs then run across the worker pool, largest treelet first. Every
+// invariant); the per-treelet bounds (scanned here only when the treelet
+// worker has not packed the positions and kept their extremes), payload
+// copies, and section CRCs then run across the worker pool, largest treelet
+// first. Every
 // section's extent is precomputed, so workers write disjoint byte ranges
 // and the image is identical for any worker count.
 func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
@@ -351,15 +362,20 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	}
 	buf := make([]byte, off+int64(footerLen))
 
-	// Fill the treelet sections: bounds scan, node records, payload
-	// gather, and the section CRC for the footer. Each task touches only
-	// buf[offsets[ti]:offsets[ti]+sizes[ti]].
+	// Fill the treelet sections: bounds (the cells the position encoder took
+	// from its keys, a scan where positions are not packed), node records,
+	// payload gather, and the section CRC for the footer. Each task touches
+	// only buf[offsets[ti]:offsets[ti]+sizes[ti]].
 	tBounds := make([]geom.Box, len(treelets))
 	crcs := make([]uint32, len(treelets))
 	fillErrs := make([]error, len(treelets))
 	fillTreelet := func(ti int) {
 		t := treelets[ti]
-		tBounds[ti] = tightBounds(set, t.order)
+		if packed {
+			tBounds[ti] = cellBounds(t.cells)
+		} else {
+			tBounds[ti] = tightBounds(set, t.order)
+		}
 		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
 		w := &writer{buf: buf, pos: sectionStart}
 		w.u32(uint32(len(t.nodes)))

@@ -28,7 +28,10 @@ func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg Build
 		groups = append(groups, group{from: from, to: to})
 		from = to
 	}
-	treelets := buildTreelets(set, order, groups, cfg, ranges, 2)
+	treelets, err := buildTreelets(set, order, groups, cfg, ranges, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	built, err := compact(set, domain, cfg, ranges, nil, treelets, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -655,13 +655,19 @@ type SectionInfo struct {
 	Codec    uint8
 	RawBytes int
 	EncBytes int
-	// Mode is a quant-for section's frame mode, "one-frame" or "per-node";
-	// empty for every other codec.
+	// Mode is a quant-for section's frame mode, "one-frame", "per-node"
+	// (frames inline, files of earlier writers) or "per-node-cols"; empty for
+	// every other codec.
 	Mode string
+	// FrameBytes is how many of EncBytes hold block frames: the inline frames
+	// of a for or per-node quant-for section, the one frame of a one-frame
+	// section, the two frame columns of a per-node-cols one. 0 for cell-for,
+	// whose frames are the k-d cells the node table already stores.
+	FrameBytes int
 	// Widths lists the bit widths of the section's packed blocks in stream
-	// order: one per node range (for, per-node quant-for), one in all
-	// (one-frame quant-for), or the fine and LOD widths (quant). Nil for raw
-	// and delta sections.
+	// order: one per node range (for, cell-for, per-node quant-for), one in
+	// all (one-frame quant-for), or the fine and LOD widths (quant). Nil for
+	// raw and delta sections.
 	Widths []uint8
 }
 
@@ -714,9 +720,12 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 // with its shallow tree and dictionary, the treelets' node tables (their
 // count words included), position columns and attribute columns (section
 // framing included), the page padding ahead of each treelet (none in a
-// flagPackedNodes file), and the checksum footer.
+// flagPackedNodes file), and the checksum footer. PositionFrames and
+// AttributeFrames are the parts of Positions and Attributes that are block
+// frames stored inside the sections (SectionInfo.FrameBytes).
 type StoredBytes struct {
 	Header, NodeTables, Positions, Attributes, Padding, Footer int64
+	PositionFrames, AttributeFrames                            int64
 }
 
 // StoredBytes reads every treelet's sections and adds the file up.
@@ -731,15 +740,16 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 		sb.Padding -= int64(ref.byteLen)
 		sb.NodeTables += 8 + int64(lay.NodeTable.Bytes)
 		for i, sec := range lay.Sections {
-			part, framed := &sb.Attributes, f.Version >= 3
+			part, frames, framed := &sb.Attributes, &sb.AttributeFrames, f.Version >= 3
 			if i < PositionSections {
-				part, framed = &sb.Positions, f.PackedPositions
+				part, frames, framed = &sb.Positions, &sb.PositionFrames, f.PackedPositions
 			}
 			n := int64(sec.EncBytes)
 			if framed {
 				n += sectionFrameLen
 			}
 			*part += n
+			*frames += int64(sec.FrameBytes)
 		}
 	}
 	return sb, nil
@@ -1018,6 +1028,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		payload, err := c.need(int(encLen))
 		return codec, payload, err
 	}
+	blocks := newNodeBlocks(t.nodes, int(nPoints))
 	var cols [3][]float32
 	for ax, name := range positionNames {
 		switch {
@@ -1027,7 +1038,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			if err != nil {
 				return nil, err
 			}
-			if cols[ax], err = decodePosSection(codec, payload, t.nodes, int(nPoints), info); err != nil {
+			if cols[ax], err = decodePosSection(codec, payload, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
 				return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 			}
 		case f.Quantized:
@@ -1078,7 +1089,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		if err != nil {
 			return nil, err
 		}
-		if t.attrs[a], err = decodeAttrSection(codec, payload, t.nodes, int(nPoints),
+		if t.attrs[a], err = decodeAttrSection(codec, payload, blocks,
 			desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, desc.Name, err)
 		}

@@ -77,13 +77,15 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 # The v3 codec layer under the race detector: the max-error property
 # (random per-attribute bounds, lossless bit-exactness of attributes and
 # positions, LOD two-grid bounds), the position and attribute block codecs'
-# round-trip properties (both quant-for frame modes, the flat quant stream of
-# earlier writers through the same unpack loop), the packed node table
+# round-trip properties (cell-for positions over real k-d treelets, every
+# quant-for frame mode, the inline-frame and flat quant streams of earlier
+# writers through the same block loop), the corruption matrices of the
+# frameless streams (TestCellFOR*, TestFrameColumn*), the packed node table
 # (TestPackedNodeTable*: what the reader unpacks is the builder's node, field
 # by field; its corruption matrix) and the tiling of unpadded treelets
 # (TestUnpaddedTreeletsTile), plus encode determinism across worker counts,
 # with decode running fused inside the concurrent query workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestPacked|TestUnpadded|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
+run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestCellFOR|TestFrameColumn|TestPacked|TestUnpadded|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
 # vs Workers=1 multiset identity, the treelet cache singleflight, the
@@ -112,10 +114,11 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 	./internal/bat/ ./internal/core/ ./cmd/batserve/ .
 
 # Bench smoke: one iteration of every BAT build benchmark and of the section
-# kernels' (the ns/value figures DESIGN §13 and results/blocked-attrs quote),
+# kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote),
 # just to keep the benchmark code compiling and runnable (no timing
-# assertions; BenchmarkDecodeSection does check that the flat quant stream and
-# the quant-for section of the same indices decode to the same values).
+# assertions; BenchmarkDecodeSection does check that each read-only stream —
+# inline position frames, inline per-node attribute frames, flat quant — and
+# today's section of the same values decode to the same column).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 
@@ -209,8 +212,8 @@ run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
 # parser behind their checksums, the v3 section codecs underneath it — raw,
-# quant, delta, quant-for, the position codec and the packed node table, fed
-# payloads and node tables directly —, the metadata file, particle wire encoding, .bata sidecars):
+# quant, delta, quant-for, both position codecs and the packed node table, fed
+# payloads, node tables and a bounds box directly —, the metadata file, particle wire encoding, .bata sidecars):
 # seconds, not a soak — enough to catch
 # parser regressions on the corpus + fresh mutations. The bat patterns are
 # anchored: -fuzz refuses a pattern that matches two targets.
