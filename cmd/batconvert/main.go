@@ -30,14 +30,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("batconvert", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		csvPath  = fs.String("csv", "", "input CSV file (header: x,y,z,attr...)")
-		out      = fs.String("out", "bat-out", "output dataset directory")
-		in       = fs.String("in", "bat-out", "input dataset directory (for -export)")
-		name     = fs.String("name", "imported", "dataset base name")
-		target   = fs.String("target", "4MB", "target file size")
-		vranks   = fs.Int("ranks", 0, "virtual ranks for aggregation (0 = auto)")
-		quantize = fs.Bool("quantize", false, "store positions as 16-bit fixed point")
-		export   = fs.Bool("export", false, "export a dataset to CSV on stdout instead")
+		csvPath = fs.String("csv", "", "input CSV file (header: x,y,z,attr...)")
+		out     = fs.String("out", "bat-out", "output dataset directory")
+		in      = fs.String("in", "bat-out", "input dataset directory (for -export)")
+		name    = fs.String("name", "imported", "dataset base name")
+		target  = fs.String("target", "4MB", "target file size")
+		vranks  = fs.Int("ranks", 0, "virtual ranks for aggregation (0 = auto)")
+		export  = fs.Bool("export", false, "export a dataset to CSV on stdout instead")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,11 +89,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := core.DefaultWriteConfig(ts)
-	cfg.BAT.QuantizePositions = *quantize
 	stats, err := convert.ToDataset(set, store, *name, convert.Options{
 		VirtualRanks: *vranks,
-		Write:        cfg,
+		Write:        core.DefaultWriteConfig(ts),
 	})
 	if err != nil {
 		return fail(err)

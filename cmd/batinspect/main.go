@@ -8,9 +8,9 @@
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -bytes
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
-// attribute sections (and how many of their bytes are block frames stored
-// inside them), node tables, page padding (none between the packed treelets
-// of a compressed dataset), headers and footers.
+// attribute sections (and how many of the attribute bytes are block frames
+// stored inside them), node tables, page padding (none between the packed
+// treelets of a compressed dataset), headers and footers.
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -237,7 +237,7 @@ func bitsRange(widths []uint8) string {
 // attribute configuration, each position and attribute column's section-level
 // codec usage, frame modes, block bit widths and byte totals (aggregated over
 // every treelet), the whole-file attribute ratio, and how the treelets' node
-// tables are stored (fixed records, or packed columns with their bytes).
+// tables are stored (packed columns, with their bytes).
 func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 	fmt.Fprintf(w, "  compression (v3): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
@@ -288,20 +288,15 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 	fmt.Fprintf(w, "    %-12s %-10s %-10s %12s %12s %7s  %-14s sections\n",
 		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
 	for i, agg := range aggs {
-		// The footer declares attribute codecs only; a position column is
-		// the lossless block codec when packed (its sections say which
-		// stream: cell-for, or the for of earlier writers), a raw column
-		// otherwise.
-		codec, bound := "raw", "lossless"
+		// The footer declares attribute codecs only; a position column of a
+		// version-3 file is the lossless cell-for codec (its sections say
+		// where one fell back to raw).
+		codec, bound := "cell-for", "lossless"
 		if a := i - bat.PositionSections; a >= 0 {
 			codec = bat.CodecName(ci.Codecs[a])
 			if ci.Bounds[a] > 0 {
 				bound = fmt.Sprintf("%.3g", ci.Bounds[a])
 			}
-		} else if f.PackedPositions {
-			codec = "for"
-		} else if f.Quantized {
-			bound = "16-bit"
 		}
 		ratio := 0.0
 		if agg.enc > 0 {
@@ -320,11 +315,8 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 	}
 	fmt.Fprintf(w, "    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
 		ci.RawPayloadBytes, ci.EncPayloadBytes, ci.Ratio())
-	encoding := "fixed records"
-	if f.PackedNodes {
-		encoding = "packed columns, implicit topology, treelets unpadded"
-	}
-	fmt.Fprintf(w, "    node tables: %d nodes in %d treelets, %d bytes (%s)\n", nodes, f.NumTreelets(), nodeBytes, encoding)
+	fmt.Fprintf(w, "    node tables: %d nodes in %d treelets, %d bytes (packed columns, implicit topology, treelets unpadded)\n",
+		nodes, f.NumTreelets(), nodeBytes)
 	for _, col := range nodeCols {
 		fmt.Fprintf(w, "      %-14s %12d bytes  block bits %s\n", col.name, col.enc, bitsRange(col.widths))
 	}
@@ -353,7 +345,6 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		sum.Attributes += sb.Attributes
 		sum.Padding += sb.Padding
 		sum.Footer += sb.Footer
-		sum.PositionFrames += sb.PositionFrames
 		sum.AttributeFrames += sb.AttributeFrames
 		// One leaf open at a time: Close releases it and ds stays usable.
 		if err := ds.Close(); err != nil {
@@ -378,7 +369,7 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		// inside the sections: a share of the row above it, not a part.
 		frames int64
 	}{
-		{"positions", sum.Positions, sum.PositionFrames},
+		{"positions", sum.Positions, -1},
 		{"attributes", sum.Attributes, sum.AttributeFrames},
 		{"node tables", sum.NodeTables, -1},
 		{"page padding", sum.Padding, -1},

@@ -188,7 +188,7 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	for _, want := range []string{
 		`(?m)^\s+column\s+codec\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
 		`(?m)^\s+raw payload: \d+ bytes, stored / raw: 0\.\d+$`,
-		`(?m)^\s+x\s+for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
+		`(?m)^\s+x\s+cell-for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
 		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node-cols) x\d+`,
 		`(?m)^\s+whole-file attribute payload: \d+ -> \d+ bytes`,
 		`(?m)^\s+node tables: \d+ nodes in \d+ treelets, \d+ bytes \(packed columns`,
@@ -205,8 +205,8 @@ func TestInspectCompressedLeaf(t *testing.T) {
 
 // TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, a
 // compressed dataset's treelets are unpadded, and the "of which block frames"
-// lines are shares of the row above them: nothing in an uncompressed dataset,
-// nothing in cell-for positions, the frames of the quant-for sections.
+// line is a share of the attribute row above it: nothing in an uncompressed
+// dataset, the frames of the quant-for sections in a compressed one.
 func TestStoredBytesAddUp(t *testing.T) {
 	for name, store := range map[string]pfs.Storage{"v2": writeDataset(t), "v3": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -230,8 +230,7 @@ func TestStoredBytesAddUp(t *testing.T) {
 				parts = append(parts, n)
 			}
 		}
-		// Position frames, then attribute frames.
-		if len(frames) != 2 || frames[0] != 0 || (frames[1] > 0) != (name == "v3") || frames[1] >= parts[1] {
+		if len(frames) != 1 || (frames[0] > 0) != (name == "v3") || frames[0] >= parts[1] {
 			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())
 		}
 		if len(parts) != 7 {

@@ -157,10 +157,7 @@ func TestBuiltSummaryMatchesFile(t *testing.T) {
 	v3 := DefaultBuildConfig()
 	v3.Compress = true
 	v3.ErrorBound = 1e-3
-	quantized := DefaultBuildConfig()
-	quantized.QuantizePositions = true
 	big, domain := randomSet(20000, 5)
-	clustered, _ := clusteredSet(6000, 6)
 	// Every point in one subprefix cell: a single treelet, no shallow node.
 	one := particles.NewSet(particles.NewSchema("mass", "id"), 40)
 	for i := 0; i < 40; i++ {
@@ -175,7 +172,6 @@ func TestBuiltSummaryMatchesFile(t *testing.T) {
 	}{
 		{"v2", big, DefaultBuildConfig()},
 		{"v3", big, v3},
-		{"quantized", clustered, quantized},
 		{"one-treelet", one, DefaultBuildConfig()},
 		{"empty", empty, DefaultBuildConfig()},
 	} {
@@ -718,110 +714,6 @@ func BenchmarkProgressiveRead(b *testing.B) {
 			}
 			prev = q
 		}
-	}
-}
-
-func TestQuantizedPositionsRoundTrip(t *testing.T) {
-	s, domain := clusteredSet(8000, 23)
-	cfg := DefaultBuildConfig()
-	cfg.QuantizePositions = true
-	f, b := buildAndOpen(t, s, domain, cfg)
-	if !f.Quantized {
-		t.Fatal("file not flagged quantized")
-	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != s.Len() {
-		t.Fatalf("read %d of %d", got.Len(), s.Len())
-	}
-	// Quantized file is smaller than the float32 one.
-	plain, err := Build(s, domain, DefaultBuildConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Buf) >= len(plain.Buf) {
-		t.Errorf("quantized file %d B >= plain %d B", len(b.Buf), len(plain.Buf))
-	}
-	// Attributes are exact; positions within the per-treelet quantization
-	// error. Match particles on the unique attribute and bound the error
-	// by the domain extent (treelet extents are smaller).
-	orig := make(map[float64]geom.Vec3, s.Len())
-	for i := 0; i < s.Len(); i++ {
-		orig[s.Attrs[0][i]] = s.Position(i)
-	}
-	maxErr := 0.0
-	for i := 0; i < got.Len(); i++ {
-		p0, ok := orig[got.Attrs[0][i]]
-		if !ok {
-			t.Fatal("attribute value not found (attrs must be lossless)")
-		}
-		d := got.Position(i).Sub(p0)
-		for _, v := range []float64{d.X, d.Y, d.Z} {
-			if math.Abs(v) > maxErr {
-				maxErr = math.Abs(v)
-			}
-		}
-	}
-	// Error bound: largest treelet extent / 65536; the domain is 1 wide so
-	// 1/65536 is a safe upper bound (with slack for float32 storage).
-	if maxErr > 1.0/65536+1e-5 {
-		t.Errorf("quantization error %g exceeds bound", maxErr)
-	}
-}
-
-func TestQuantizedQueriesConsistent(t *testing.T) {
-	// Spatial and progressive queries behave identically modulo the
-	// quantization epsilon: counts over a box should be close to the
-	// unquantized counts, and progressive tiling remains exact.
-	s, domain := randomSet(6000, 24)
-	cfg := DefaultBuildConfig()
-	cfg.QuantizePositions = true
-	f, _ := buildAndOpen(t, s, domain, cfg)
-	plain, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	box := geom.NewBox(geom.V3(0.25, 0.25, 0.25), geom.V3(0.75, 0.75, 0.75))
-	nq, err := f.CountMatching(Query{Bounds: &box})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := plain.CountMatching(Query{Bounds: &box})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(float64(nq - np)); diff > float64(np)/100+10 {
-		t.Errorf("quantized box count %d far from plain %d", nq, np)
-	}
-	// Progressive reads still tile exactly (ordering is unaffected).
-	var total int64
-	prev := 0.0
-	for step := 1; step <= 5; step++ {
-		q := float64(step) / 5
-		n, err := f.CountMatching(Query{PrevQuality: prev, Quality: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
-		prev = q
-	}
-	if total != int64(s.Len()) {
-		t.Errorf("quantized progressive total %d != %d", total, s.Len())
-	}
-}
-
-func TestQuantizedCompressionRatio(t *testing.T) {
-	// With 1 attribute (8B) + positions, quantized storage should save
-	// roughly 6 bytes of 20 per particle (~30%) at scale.
-	s, domain := clusteredSet(100000, 25)
-	cfg := DefaultBuildConfig()
-	cfg.QuantizePositions = true
-	b, err := Build(s, domain, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(b.Stats.FileBytes) / float64(b.Stats.RawDataBytes)
-	if ratio > 0.80 {
-		t.Errorf("quantized file is %.0f%% of raw; expected <= 80%%", ratio*100)
 	}
 }
 

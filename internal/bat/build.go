@@ -64,18 +64,12 @@ type BuildConfig struct {
 	// whole build runs serially on the calling goroutine (the in-transit
 	// friendly mode); the output bytes are identical for every count.
 	Workers int
-	// QuantizePositions stores positions as 16-bit fixed point relative
-	// to each treelet's bounds (6 bytes per particle instead of 12),
-	// implementing the quantization extension the paper leaves as future
-	// work (§VII-A). The quantization error is bounded by the treelet
-	// extent divided by 65536 per axis.
-	QuantizePositions bool
 	// Compress enables the version-3 codec layer: each treelet's attribute
 	// columns are stored through an error-bounded codec instead of raw
-	// float arrays, and its position columns through the lossless block
-	// frame-of-reference codec (see codec.go; with QuantizePositions the
-	// positions stay 16-bit fixed point). Uncompressed builds keep writing
-	// byte-identical version-2 files.
+	// float arrays, its position columns through the lossless block
+	// frame-of-reference codec, and its node table as packed columns (see
+	// codec.go). Uncompressed builds keep writing byte-identical version-2
+	// files.
 	Compress bool
 	// ErrorBound is the absolute error bound applied to every attribute
 	// when Compress is set. 0 (the default) means lossless: columns are
@@ -156,12 +150,6 @@ func (c BuildConfig) AttrBounds(nA int) []float64 {
 	return out
 }
 
-// packsPositions reports whether the build stores positions as framed codec
-// sections (flagPackedPositions) — and with them the node tables as packed
-// columns in unpadded treelets (flagPackedNodes): every Compress build whose
-// positions are not already 16-bit fixed point.
-func (c BuildConfig) packsPositions() bool { return c.Compress && !c.QuantizePositions }
-
 // EffectiveLODScale resolves LODErrorScale's 0-means-1 default.
 func (c BuildConfig) EffectiveLODScale() float64 {
 	if c.LODErrorScale <= 0 {
@@ -207,9 +195,9 @@ type treelet struct {
 	// for v3 builds; nil when the build is uncompressed. Filled by the
 	// same fused worker that built the treelet, so encoding overlaps
 	// across treelets exactly like node construction does. posEnc holds
-	// the X, Y, Z sections the same way when the build packs positions, and
-	// cells the extremes of the keys they were packed from: the root cell of
-	// the position frames, which compact stores as the treelet bounds.
+	// the X, Y, Z sections the same way, and cells the extremes of the keys
+	// they were packed from: the root cell of the position frames, which
+	// compact stores as the treelet bounds.
 	attrEnc []encodedAttr
 	posEnc  [3]encodedAttr
 	cells   [3]keyCell
@@ -252,7 +240,7 @@ type BuildStats struct {
 	FileBytes       int64
 	RawDataBytes    int64
 	// PaddingBytes is the page padding ahead of the treelets: 0 when the
-	// build packs them (Compress without QuantizePositions).
+	// build packs them (Compress).
 	PaddingBytes int64
 	// AttrPayloadRawBytes / AttrPayloadEncBytes are the attribute payload
 	// sizes before and after the v3 codec layer (codec.go); equal — and
@@ -261,9 +249,8 @@ type BuildStats struct {
 	AttrPayloadRawBytes int64
 	AttrPayloadEncBytes int64
 	// PosPayloadRawBytes / PosPayloadEncBytes are the same pair for the
-	// position columns: raw is 12 bytes per particle (6 with
-	// QuantizePositions), enc what the sections hold, framing excluded;
-	// equal unless the build packs positions.
+	// position columns: raw is 12 bytes per particle, enc what the sections
+	// hold, framing excluded; equal for uncompressed builds.
 	PosPayloadRawBytes int64
 	PosPayloadEncBytes int64
 }
@@ -437,8 +424,6 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		computeTreeletBitmaps(set, t, ranges)
 		if cfg.Compress {
 			encodeTreeletAttrs(set, t, bounds, lodScale, a)
-		}
-		if cfg.packsPositions() {
 			errs[gi] = encodeTreeletPositions(set, t, a)
 		}
 		treelets[gi] = t

@@ -3,7 +3,6 @@ package bat
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"libbat/internal/geom"
@@ -105,20 +104,13 @@ type sectionBenchCase struct {
 	attr int
 	// mode is the frame mode the attribute column's encoder must choose.
 	mode string
-	// old names a read-only stream holding the same values as the case before
-	// it: decode only, nothing writes it any more.
-	old string
 }
 
 func sectionBenchCases() []sectionBenchCase {
 	return []sectionBenchCase{
 		{name: "positions/cell-for", pos: true},
-		{name: "positions/inline", pos: true, old: "for"},
 		{name: "quant-for/one-frame", attr: sectionBenchNoise, mode: "one-frame"},
-		{name: "quant-flat", attr: sectionBenchNoise, mode: "one-frame", old: "quant"},
 		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, mode: "per-node-cols"},
-		{name: "quant-for/per-node", attr: sectionBenchSmooth, mode: "per-node-cols", old: "per-node"},
-		{name: "quant-flat/smooth", attr: sectionBenchSmooth, mode: "per-node-cols", old: "quant"},
 	}
 }
 
@@ -148,9 +140,6 @@ func reportPerValue(b *testing.B, values int) {
 func BenchmarkEncodeSection(b *testing.B) {
 	sb := newSectionBench(b)
 	for _, c := range sectionBenchCases() {
-		if c.old != "" {
-			continue
-		}
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena
 			values := sectionBenchN
@@ -167,12 +156,7 @@ func BenchmarkEncodeSection(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeSection times the section decoders on the same columns, each
-// stream today's writer emits next to the read-only streams of earlier
-// writers holding the same values — inline frames against cell frames for the
-// X column, the inline per-node frames and the flat quant stream against the
-// frame columns for the attributes — all through the same block loop, and
-// requires each pair to decode to the same column.
+// BenchmarkDecodeSection times the section decoders on the same columns.
 func BenchmarkDecodeSection(b *testing.B) {
 	sb := newSectionBench(b)
 	nb := newNodeBlocks(sb.nodes, sectionBenchN)
@@ -180,52 +164,26 @@ func BenchmarkDecodeSection(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena
 			enc := c.encode(b, sb, &a)
-			if c.pos {
-				want, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, nil)
-				if err != nil || enc.codec != codecCellFOR {
-					b.Fatalf("the X column encoded as %s: %v", CodecName(enc.codec), err)
-				}
-				if c.old != "" {
-					enc = inlineFORStream(sb.set.X, sb.t)
-				}
-				b.SetBytes(int64(len(enc.data)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 && !slices.Equal(got, want) {
-						b.Fatal("decoded column differs from the cell-for decode of the same keys")
-					}
-				}
-				reportPerValue(b, sectionBenchN)
-				return
-			}
 			var info SectionInfo
-			want, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, sectionBenchBound, 1, &info)
-			if err != nil {
+			decode := func(info *SectionInfo) error {
+				if c.pos {
+					_, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, info)
+					return err
+				}
+				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, sectionBenchBound, 1, info)
+				return err
+			}
+			if err := decode(&info); err != nil {
 				b.Fatal(err)
 			}
-			if info.Mode != c.mode {
-				b.Fatalf("column chose %s frames, the case needs %s", info.Mode, c.mode)
+			if c.pos && enc.codec != codecCellFOR || info.Mode != c.mode {
+				b.Fatalf("the column encoded as %s %s, the case needs %s %s", CodecName(enc.codec), info.Mode, c.name, c.mode)
 			}
-			codec, payload := enc.codec, enc.data
-			switch c.old {
-			case "quant":
-				codec, payload = codecQuant, flatQuantStream(sb.nodes, want, enc.data, sectionBenchBound, 1)
-			case "per-node":
-				payload = inlineQuantStream(sb.nodes, want, enc.data, sectionBenchBound, 1)
-			}
-			b.SetBytes(int64(len(payload)))
+			b.SetBytes(int64(len(enc.data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, err := decodeAttrSection(codec, payload, nb, particles.Float64, sectionBenchBound, 1, nil)
-				if err != nil {
+				if err := decode(nil); err != nil {
 					b.Fatal(err)
-				}
-				if i == 0 && !slices.Equal(got, want) {
-					b.Fatal("decoded column differs from the quant-for decode of the same indices")
 				}
 			}
 			reportPerValue(b, sectionBenchN)

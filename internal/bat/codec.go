@@ -1,8 +1,7 @@
 // Compression codecs for version-3 treelet sections.
 //
-// A v3 treelet stores each attribute column — and, when the header's
-// flagPackedPositions is set, each of the X, Y, Z columns ahead of them — as
-// an independent section:
+// A v3 treelet stores each of its X, Y, Z columns and then each attribute
+// column as an independent section:
 //
 //	codec u8, encodedLen u32, payload [encodedLen]byte
 //
@@ -14,30 +13,18 @@
 // reorderBFS lays the node ranges out back to back in node order, and the
 // decoder knows them from the node table it parsed just before, so no block
 // index is stored; a section's frames are known before its first block is
-// read, and in what today's writer emits the blocks follow one another bit
-// for bit, so every block's bit offset is a prefix sum over the node table.
-// When the header's flagPackedNodes is set that node table is itself a run of
-// the same blocks, one per column (see "node table" below). The codecs:
+// read, and the blocks follow one another bit for bit, so every block's bit
+// offset is a prefix sum over the node table. That node table is itself a run
+// of the same blocks, one per column (see "node table" below). The codecs a
+// reader decodes:
 //
 //	codecRaw      (0): the version-2 byte layout (f64 or f32 per the schema
 //	                  type). Always valid; the fallback when nothing smaller
 //	                  can honor the attribute's error bound.
-//	codecQuant    (1): read only — what writers before codecQuantFOR
-//	                  emitted for lossy attributes. The same grid as
-//	                  codecQuantFOR with the steps and two bit widths (leaf
-//	                  ranges, LOD ranges) stored in a 26-byte header and the
-//	                  indices packed back to back from zero.
 //	codecDelta    (2): lossless delta + zigzag + varint for integral-valued
 //	                  columns (particle IDs, type tags). Chosen only when
 //	                  every value is a small-magnitude integer and the
 //	                  stream actually shrinks.
-//	codecFOR      (3): read only — what writers before codecCellFOR emitted
-//	                  for positions. The keys of codecCellFOR under the tight
-//	                  frame of each block, stored inline ahead of it. Per node
-//	                  range:
-//	                    base u32   smallest key of the block
-//	                    width u8   bits of the largest (key - base), 0..32
-//	                    ceil(count*width/8) bytes of (key - base), LSB-first
 //	codecQuantFOR (4): error-bounded uniform quantization (the bit-adaptive
 //	                  scheme of Ren et al., arXiv:2404.02826). Values are
 //	                  snapped to a grid anchored at the section minimum whose
@@ -48,12 +35,9 @@
 //	                  stores neither:
 //	                    vmin f64   grid anchor
 //	                    mode u8    0: one frame over the whole treelet
-//	                               1: read only — one frame per node range,
-//	                                  inline ahead of its byte-aligned block
 //	                               2: one frame per node range, as columns
-//	                    mode 0, and each frame of mode 1: base uvarint,
-//	                               width u8 (0..48), then ceil(count*width/8)
-//	                               bytes of (index - base)
+//	                    mode 0:    base uvarint, width u8 (0..48), then
+//	                               ceil(count*width/8) bytes of (index - base)
 //	                    mode 2:    the nodes' bases, then the nodes' widths,
 //	                               each column packed like a mode-0 run (base
 //	                               uvarint, width u8, offsets); then every
@@ -91,6 +75,12 @@
 //	                  split at zero) or when the stream would not be smaller
 //	                  than the raw f32 bytes.
 //
+// Ids 1 and 3 and quant-for mode 1 are retired: earlier writers stored flat
+// quant attributes (1), positions under inline per-block frames (3) and
+// quant-for frames inline ahead of each block (mode 1), and a reader refuses
+// a section that holds one as an unknown codec or frame mode. Id 1 lives on
+// as the footer's class of a lossy attribute.
+//
 // The encoder guarantees |decoded − stored| ≤ bound for every value, where
 // "stored" is the value the lossless layout would keep (Float32 attributes
 // are first rounded to float32, exactly as codecRaw stores them). The
@@ -116,14 +106,13 @@ import (
 
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
-// attribute, whichever of the two quant streams its sections hold, codecDelta
-// for a lossless one — so codecFOR, codecQuantFOR and codecCellFOR never
-// appear there.
+// attribute, codecDelta for a lossless one — so codecQuantFOR and
+// codecCellFOR never appear there, and codecQuant, retired as a section
+// codec, appears nowhere else.
 const (
 	codecRaw      uint8 = 0
 	codecQuant    uint8 = 1
 	codecDelta    uint8 = 2
-	codecFOR      uint8 = 3
 	codecQuantFOR uint8 = 4
 	codecCellFOR  uint8 = 5
 )
@@ -137,8 +126,6 @@ func CodecName(c uint8) string {
 		return "quant"
 	case codecDelta:
 		return "delta"
-	case codecFOR:
-		return "for"
 	case codecQuantFOR:
 		return "quant-for"
 	case codecCellFOR:
@@ -300,33 +287,13 @@ func checkBlock(remain int, count uint32, width, maxWidth uint8) error {
 	return nil
 }
 
-// checkBlockRanges validates what every packed column relies on: the node
-// particle ranges, taken in node order, tile [0, nPoints) back to back. The
-// builder lays them out that way; a file whose node table says otherwise has
-// no block list to decode against.
-func checkBlockRanges(nodes []diskNode, nPoints uint32) error {
-	next := uint32(0)
-	for i := range nodes {
-		n := &nodes[i]
-		if n.start != next || n.count > nPoints-next {
-			return fmt.Errorf("bat: node %d particle range [%d,+%d) does not continue at %d of %d (packed sections need consecutive node ranges)",
-				i, n.start, n.count, next, nPoints)
-		}
-		next += n.count
-	}
-	if next != nPoints {
-		return fmt.Errorf("bat: node particle ranges cover %d of %d points", next, nPoints)
-	}
-	return nil
-}
-
 // nodeBlocks is what a treelet gives its packed sections to decode against:
-// the node table, whose particle ranges are the blocks (they have passed
-// checkBlockRanges for nPoints), and room for one frame per node, refilled by
-// every section. A section decoder first resolves its stream to frames — from
-// the k-d cells, from frame columns, or by walking the inline headers of the
-// read-only streams — checking that every block lies inside the payload, then
-// runs unpack.
+// the node table, whose particle ranges are the blocks (unpackNodeTable lays
+// them back to back over nPoints), and room for one frame per node, refilled
+// by every section. A section decoder first resolves its stream to frames —
+// from the k-d cells, or from the one frame or the frame columns ahead of
+// the blocks — checking that every block lies inside the payload, then runs
+// unpack.
 type nodeBlocks struct {
 	nodes   []diskNode
 	nPoints int
@@ -385,42 +352,10 @@ func readFrame(payload []byte, pos int, count uint32, maxWidth uint8, limit uint
 	return fr, pos, checkBlock(len(payload)-pos, count, fr.width, maxWidth)
 }
 
-// layInline walks a read-only stream whose frames sit inline, each ahead of
-// its byte-aligned block, from byte pos of payload to its end, and returns how
-// many of those bytes are frames. A frame is base u32, width u8 (codecFOR)
-// or, with varint set, base uvarint, width u8 (quant-for mode 1); limit
-// bounds base + offset.
-func (nb *nodeBlocks) layInline(payload []byte, pos int, varint bool, maxWidth uint8, limit uint64) (frameBytes int, err error) {
-	for i := range nb.nodes {
-		count := nb.nodes[i].count
-		var fr forFrame
-		block := pos
-		if varint {
-			fr, block, err = readFrame(payload, pos, count, maxWidth, limit)
-		} else if len(payload)-pos < forFrameLen {
-			err = fmt.Errorf("truncated at frame")
-		} else {
-			fr = forFrame{base: uint64(binary.LittleEndian.Uint32(payload[pos:])), width: payload[pos+4]}
-			block = pos + forFrameLen
-			err = checkBlock(len(payload)-block, count, fr.width, maxWidth)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("block %d of %d: %w", i, len(nb.nodes), err)
-		}
-		nb.frames[i] = blockFrame{forFrame: fr, span: limit - fr.base, bit: block << 3}
-		frameBytes += block - pos
-		pos = block + packedLen(int(count), fr.width)
-	}
-	if pos != len(payload) {
-		return 0, fmt.Errorf("%d trailing bytes", len(payload)-pos)
-	}
-	return frameBytes, nil
-}
-
 // unpack is the one block loop of every packed section: it reads each node
 // range's offsets under the node's frame, a chunk at a time, and hands them
 // to sink with the node's index and the chunk's place in the column. The
-// frames have been laid inside payload (layRun, layInline).
+// frames have been laid inside payload (layRun).
 func (nb *nodeBlocks) unpack(payload []byte, sink func(ni, at int, offs []uint64) error) error {
 	var q unpackScratch
 	for i := range nb.nodes {
@@ -501,16 +436,15 @@ func encodeAttr(vals []float64, t *treelet, typ particles.AttrType,
 // minimum f64, mode u8.
 const quantFORHeaderLen = 8 + 1
 
-// The frame modes of a codecQuantFOR section. No writer emits
-// quantPerNodeInline any more.
+// The frame modes of a codecQuantFOR section. Mode 1, inline per-node frames,
+// is retired.
 const (
-	quantOneFrame      uint8 = 0
-	quantPerNodeInline uint8 = 1
-	quantPerNodeCols   uint8 = 2
+	quantOneFrame    uint8 = 0
+	quantPerNodeCols uint8 = 2
 )
 
-// quantModeNames names the frame modes (SectionInfo.Mode).
-var quantModeNames = [...]string{"one-frame", "per-node", "per-node-cols"}
+// quantModeNames names the frame modes a reader decodes (SectionInfo.Mode).
+var quantModeNames = map[uint8]string{quantOneFrame: "one-frame", quantPerNodeCols: "per-node-cols"}
 
 // quantSteps returns the grid steps of a lossy attribute's leaf and LOD
 // ranges. Encoder and decoder both call it — one with the build's bound and
@@ -676,9 +610,8 @@ func encodeDelta(ref []float64, rawLen int) ([]byte, bool) {
 
 // decodeAttrSection decodes one v3 attribute section payload into a fresh
 // []float64 column. declaredBound/lodScale come from the file footer: a
-// quant-for section takes its grid steps from them, and a quant section whose
-// stored steps exceed them is corrupt (error-bound mismatch). info, when
-// non-nil, receives the section's frame mode, frame bytes and block widths
+// quant-for section takes its grid steps from them. info, when non-nil,
+// receives the section's frame mode, frame bytes and block widths
 // (batinspect).
 func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
 	typ particles.AttrType, declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
@@ -686,8 +619,6 @@ func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
 	switch codec {
 	case codecRaw:
 		return decodeRaw(payload, nb.nPoints, typ)
-	case codecQuant:
-		return decodeQuant(payload, nb, declaredBound, lodScale, info)
 	case codecDelta:
 		return decodeDelta(payload, nb.nPoints)
 	case codecQuantFOR:
@@ -803,34 +734,30 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 	if declaredBound <= 0 {
 		return nil, fmt.Errorf("bat: quant-for section in attribute declared lossless (error-bound mismatch)")
 	}
-	if int(mode) >= len(quantModeNames) {
+	name, ok := quantModeNames[mode]
+	if !ok {
 		return nil, fmt.Errorf("bat: quant-for section has unknown frame mode %d", mode)
 	}
 	// Resolve the stream to one frame per node range before any value is read.
-	pos := quantFORHeaderLen // the frames of modes 0 and 2 end here
+	pos := quantFORHeaderLen
 	var one forFrame
-	var inlineFrameBytes int
 	var err error
-	switch mode {
-	case quantOneFrame:
-		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), maxQuantBits, maxQuantIndex); err != nil {
-			break
+	if mode == quantOneFrame {
+		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), maxQuantBits, maxQuantIndex); err == nil {
+			for i := range nb.frames {
+				nb.frames[i] = blockFrame{forFrame: one, span: maxQuantIndex - one.base}
+			}
+			err = nb.layRun(payload, pos<<3)
 		}
-		for i := range nb.frames {
-			nb.frames[i] = blockFrame{forFrame: one, span: maxQuantIndex - one.base}
-		}
-		err = nb.layRun(payload, pos<<3)
-	case quantPerNodeInline:
-		inlineFrameBytes, err = nb.layInline(payload, pos, true, maxQuantBits, maxQuantIndex)
-	case quantPerNodeCols:
+	} else {
 		pos, err = nb.layColumns(payload, pos)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("bat: quant-for %s stream: %w", quantModeNames[mode], err)
+		return nil, fmt.Errorf("bat: quant-for %s stream: %w", name, err)
 	}
 	if info != nil {
-		info.Mode = quantModeNames[mode]
-		info.FrameBytes = pos - quantFORHeaderLen + inlineFrameBytes
+		info.Mode = name
+		info.FrameBytes = pos - quantFORHeaderLen
 		if mode == quantOneFrame {
 			info.Widths = append(info.Widths, one.width)
 		} else {
@@ -841,65 +768,6 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
 	if err != nil {
 		return nil, fmt.Errorf("bat: quant-for %w", err)
-	}
-	return out, nil
-}
-
-// quantHeaderLen is the fixed prefix of a codecQuant payload: grid minimum
-// f64, fine step f64, LOD step f64, fine bit width u8, LOD bit width u8.
-const quantHeaderLen = 8 + 8 + 8 + 1 + 1
-
-// decodeQuant reads the flat quant stream of earlier writers: every index is
-// an offset from zero, leaf ranges at the section's fine width and step,
-// inner-node ranges at its LOD width and step, packed back to back.
-func decodeQuant(payload []byte, nb *nodeBlocks,
-	declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
-
-	if len(payload) < quantHeaderLen {
-		return nil, fmt.Errorf("bat: quant section truncated: %d bytes, header needs %d", len(payload), quantHeaderLen)
-	}
-	vmin := math.Float64frombits(binary.LittleEndian.Uint64(payload[0:]))
-	fineStep := math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
-	lodStep := math.Float64frombits(binary.LittleEndian.Uint64(payload[16:]))
-	fineBits := payload[24]
-	lodBits := payload[25]
-	if math.IsNaN(vmin) || math.IsInf(vmin, 0) ||
-		!(fineStep > 0) || math.IsInf(fineStep, 0) ||
-		!(lodStep > 0) || math.IsInf(lodStep, 0) {
-		return nil, fmt.Errorf("bat: quant section has invalid grid (min %g, steps %g/%g)", vmin, fineStep, lodStep)
-	}
-	if fineBits > maxQuantBits || lodBits > maxQuantBits {
-		return nil, fmt.Errorf("bat: quant section bit widths %d/%d exceed %d", fineBits, lodBits, maxQuantBits)
-	}
-	// The footer's declared bound is a format invariant: a section whose
-	// grid is coarser than the declaration would silently exceed the error
-	// the file promises. The 1e-9 slack only absorbs the f64 arithmetic
-	// here; the encoder wrote steps of exactly 2·bound.
-	if declaredBound <= 0 {
-		return nil, fmt.Errorf("bat: quant section in attribute declared lossless (error-bound mismatch)")
-	}
-	if fineStep > 2*declaredBound*(1+1e-9) {
-		return nil, fmt.Errorf("bat: quant fine step %g exceeds declared error bound %g (error-bound mismatch)", fineStep, declaredBound)
-	}
-	if lodStep > 2*declaredBound*lodScale*(1+1e-9) {
-		return nil, fmt.Errorf("bat: quant LOD step %g exceeds declared error bound %g x scale %g (error-bound mismatch)", lodStep, declaredBound, lodScale)
-	}
-	if info != nil {
-		info.Widths = []uint8{fineBits, lodBits}
-	}
-	for i := range nb.nodes {
-		fr := blockFrame{forFrame: forFrame{width: fineBits}, span: maxQuantIndex}
-		if nb.nodes[i].axis != uint8(leafAxis) {
-			fr.width = lodBits
-		}
-		nb.frames[i] = fr
-	}
-	if err := nb.layRun(payload, quantHeaderLen<<3); err != nil {
-		return nil, fmt.Errorf("bat: quant section of bit widths %d/%d (truncated codec stream?): %w", fineBits, lodBits, err)
-	}
-	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
-	if err != nil {
-		return nil, fmt.Errorf("bat: quant %w", err)
 	}
 	return out, nil
 }
@@ -954,8 +822,8 @@ func keyOf(v float32) uint32 { return f32Key(math.Float32bits(v)) }
 // outside a NaN, which no k-d cell orders.
 const keyNegInf, keyPosInf uint32 = 0x007fffff, 0xff800000
 
-// forFrameLen is a frame stored as base u32, width u8: ahead of each block of
-// a codecFOR stream and of each column of a packed node table.
+// forFrameLen is a frame stored as base u32, width u8: ahead of each column of
+// a packed node table.
 const forFrameLen = 4 + 1
 
 // keyCell is a treelet's extent on one axis in key space: the smallest and
@@ -1112,42 +980,31 @@ func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *bui
 // ax into a fresh float32 column. bounds are the treelet's, from its shallow
 // leaf record: a cell-for section takes its frames from them.
 func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, bounds geom.Box, ax geom.Axis, info *SectionInfo) ([]float32, error) {
-	outside := "value overflows its frame of reference"
-	switch codec {
-	case codecRaw:
+	if codec == codecRaw {
 		return decodeRawF32(payload, nb.nPoints)
-	case codecFOR:
-		frameBytes, err := nb.layInline(payload, 0, false, 32, math.MaxUint32)
-		if err != nil {
-			return nil, fmt.Errorf("bat: position stream: %w", err)
-		}
-		if info != nil {
-			info.FrameBytes = frameBytes
-		}
-	case codecCellFOR:
-		err := cellFrames(nb.frames, func(i int) (uint8, float64, int32, int32) {
-			n := &nb.nodes[i]
-			return n.axis, n.pos, n.left, n.right
-		}, boundsCell(bounds, ax), ax)
-		if err == nil {
-			err = nb.layRun(payload, 0)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bat: cell-for position stream: %w", err)
-		}
-		outside = "particle outside its k-d cell"
-	default:
+	}
+	if codec != codecCellFOR {
 		return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
+	}
+	err := cellFrames(nb.frames, func(i int) (uint8, float64, int32, int32) {
+		n := &nb.nodes[i]
+		return n.axis, n.pos, n.left, n.right
+	}, boundsCell(bounds, ax), ax)
+	if err == nil {
+		err = nb.layRun(payload, 0)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bat: cell-for position stream: %w", err)
 	}
 	nb.widths(info)
 	out := make([]float32, nb.nPoints)
-	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+	err = nb.unpack(payload, func(ni, at int, offs []uint64) error {
 		fr := nb.frames[ni]
 		dst := out[at : at+len(offs)]
 		for i, off := range offs {
 			k := fr.base + off
 			if off > fr.span || k > math.MaxUint32 {
-				return fmt.Errorf("%s (offset %#x from base %#x, at most %#x)", outside, off, fr.base, fr.span)
+				return fmt.Errorf("particle outside its k-d cell (offset %#x from base %#x, at most %#x)", off, fr.base, fr.span)
 			}
 			dst[i] = math.Float32frombits(f32FromKey(uint32(k)))
 		}
@@ -1173,9 +1030,9 @@ func decodeRawF32(payload []byte, nPoints int) ([]float32, error) {
 
 // --- node table ---
 
-// A packed node table (flagPackedNodes) stores a treelet's nodes as 3 + nA
-// columns in node order, each one block in codecFOR's block format (base u32,
-// width u8, offsets): axis, count, the f32Key of every inner node's split
+// A version-3 treelet's node table (flagPackedNodes) stores its nodes as
+// 3 + nA columns in node order, each one block behind its own frame (base
+// u32, width u8, offsets): axis, count, the f32Key of every inner node's split
 // plane, then each attribute's bitmap IDs. reorderBFS makes the rest of a node
 // a function of its index — the k-th inner node's children are nodes 2k+1 and
 // 2k+2, a node's particles start where the previous node's end — and

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -134,9 +133,6 @@ func TestCompressedLosslessBitExact(t *testing.T) {
 	byID := make(map[float64]int, s.Len())
 	for i := 0; i < s.Len(); i++ {
 		byID[s.Attrs[3][i]] = i
-	}
-	if !f.PackedPositions {
-		t.Fatal("compressed build did not pack its positions")
 	}
 	for i := 0; i < got.Len(); i++ {
 		oi := byID[got.Attrs[3][i]]
@@ -438,71 +434,6 @@ func forTreelet(counts []int) (*treelet, []diskNode) {
 	return t, nodes
 }
 
-// inlineFORStream encodes one position column of a treelet as the codecFOR
-// stream writers before codecCellFOR stored — nothing in the package writes
-// one any more: each node range's keys under their own tight frame, stored
-// inline (base u32, width u8) ahead of its byte-aligned block. Like that
-// writer it returns a codecRaw section when the stream would not be smaller
-// than the column's 4 bytes per value.
-func inlineFORStream(col []float32, t *treelet) encodedAttr {
-	keys := make([]uint64, 0, len(t.order))
-	for _, p := range t.order {
-		keys = append(keys, uint64(keyOf(col[p])))
-	}
-	size := 0
-	frames := make([]forFrame, len(t.nodes))
-	for i, n := range t.nodes {
-		frames[i] = frameOf(keys[n.start : n.start+n.count])
-		size += forFrameLen + packedLen(int(n.count), frames[i].width)
-	}
-	if size >= 4*len(keys) {
-		return encodedAttr{codec: codecRaw}
-	}
-	buf := make([]byte, size+packSlack)
-	pos := 0
-	for i, fr := range frames {
-		n := &t.nodes[i]
-		binary.LittleEndian.PutUint32(buf[pos:], uint32(fr.base))
-		buf[pos+4] = fr.width
-		pos = packBlock(buf, pos+forFrameLen, keys[n.start:n.start+n.count], fr)
-	}
-	return encodedAttr{codec: codecFOR, data: buf[:size]}
-}
-
-// decodeFOR decodes a codecFOR stream, which needs neither bounds nor an
-// axis.
-func decodeFOR(payload []byte, nodes []diskNode, nPoints int) ([]float32, error) {
-	return decodePosSection(codecFOR, payload, newNodeBlocks(nodes, nPoints), geom.Box{}, geom.X, nil)
-}
-
-// forRoundTrip encodes col blocked by counts as the inline stream and, unless
-// it fell back to raw, requires the decoder to return every bit pattern
-// unchanged.
-func forRoundTrip(t *testing.T, col []float32, counts []int) encodedAttr {
-	t.Helper()
-	tr, nodes := forTreelet(counts)
-	if len(tr.order) != len(col) {
-		t.Fatalf("counts cover %d of %d values", len(tr.order), len(col))
-	}
-	if err := checkBlockRanges(nodes, uint32(len(col))); err != nil {
-		t.Fatal(err)
-	}
-	enc := inlineFORStream(col, tr)
-	if enc.codec == codecRaw {
-		return enc
-	}
-	got, err := decodeFOR(enc.data, nodes, len(col))
-	if err != nil {
-		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
-	}
-	for i := range col {
-		if g, w := math.Float32bits(got[i]), math.Float32bits(col[i]); g != w {
-			t.Fatalf("value %d of blocks %v: %#08x != %#08x", i, counts, g, w)
-		}
-	}
-	return enc
-}
-
 // TestF32KeyOrderAndInverse: the key map is a bijection whose unsigned order
 // is the numeric order of the floats.
 func TestF32KeyOrderAndInverse(t *testing.T) {
@@ -525,152 +456,6 @@ func TestF32KeyOrderAndInverse(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		if b := r.Uint32(); f32FromKey(f32Key(b)) != b || f32Key(f32FromKey(b)) != b {
 			t.Fatalf("bits %#08x do not round-trip", b)
-		}
-	}
-}
-
-// TestFORRoundTripProperty is the guarantee of the inline position stream,
-// which files of earlier writers hold: for random
-// block shapes (empty and single-element ranges included) over coordinates
-// of random magnitude, sign and spread, every float32 bit pattern survives.
-func TestFORRoundTripProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	sawFOR := 0
-	for trial := 0; trial < 300; trial++ {
-		var counts []int
-		var col []float32
-		for b, nb := 0, r.Intn(12); b < nb; b++ {
-			c := r.Intn(200)
-			if r.Intn(4) == 0 {
-				c = r.Intn(2) // empty or single-element range
-			}
-			counts = append(counts, c)
-			center := (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(12)-6))
-			spread := math.Abs(center) * math.Pow(2, -float64(r.Intn(24)))
-			if r.Intn(8) == 0 {
-				center, spread = 0, math.Pow(10, float64(r.Intn(40)-45)) // straddles zero, down into denormals
-			}
-			for i := 0; i < c; i++ {
-				col = append(col, float32(center+spread*(r.Float64()-0.5)))
-			}
-		}
-		if forRoundTrip(t, col, counts).codec == codecFOR {
-			sawFOR++
-		}
-	}
-	if sawFOR < 100 {
-		t.Fatalf("only %d of 300 trials chose codecFOR; the property is near vacuous", sawFOR)
-	}
-}
-
-// TestFORSpecialValues pins the bit patterns a numeric codec would lose and
-// the two ends of the width range.
-func TestFORSpecialValues(t *testing.T) {
-	negZero := float32(math.Copysign(0, -1))
-	nan := func(payload uint32) float32 { return math.Float32frombits(0x7f800000 | payload) }
-	filler := make([]float32, 64) // one compressible block, so the section stays codecFOR
-	for i := range filler {
-		filler[i] = 0.5 + float32(i)*1e-6
-	}
-	cases := []struct {
-		name   string
-		col    []float32
-		counts []int
-	}{
-		{"signed zeros", []float32{0, negZero, 0, negZero}, []int{4}},
-		{"denormals", []float32{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
-			math.Float32frombits(0x007fffff), math.Float32frombits(0x807fffff)}, []int{4}},
-		{"infinities apart", []float32{float32(math.Inf(1)), float32(math.Inf(-1))}, []int{1, 1}},
-		{"NaN payloads", []float32{nan(1), nan(0x400000), nan(0x7fffff), -nan(0x123456)}, []int{3, 1}},
-		{"empty and single ranges", []float32{3, -7}, []int{0, 1, 0, 0, 1, 0}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			col := append(append([]float32(nil), tc.col...), filler...)
-			enc := forRoundTrip(t, col, append(append([]int(nil), tc.counts...), len(filler)))
-			if enc.codec != codecFOR {
-				t.Fatalf("section fell back to %s; the case was not exercised", CodecName(enc.codec))
-			}
-		})
-	}
-
-	t.Run("all-equal block is width 0", func(t *testing.T) {
-		col := make([]float32, 100)
-		for i := range col {
-			col[i] = -2.5
-		}
-		enc := forRoundTrip(t, col, []int{100})
-		if enc.codec != codecFOR || len(enc.data) != forFrameLen || enc.data[4] != 0 {
-			t.Fatalf("100 equal values encoded as %s, % x; want one 5-byte frame of width 0", CodecName(enc.codec), enc.data)
-		}
-	})
-	t.Run("full-range block falls back to raw", func(t *testing.T) {
-		col := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), 0, 1, -1, 2, -2, 3}
-		if enc := forRoundTrip(t, col, []int{len(col)}); enc.codec != codecRaw || enc.data != nil {
-			t.Fatalf("a 32-bit-wide block encoded as %s (%d bytes), want the raw fallback", CodecName(enc.codec), len(enc.data))
-		}
-	})
-	t.Run("empty treelet", func(t *testing.T) {
-		if enc := forRoundTrip(t, nil, nil); enc.codec != codecRaw {
-			t.Fatalf("no values encoded as %s, want raw", CodecName(enc.codec))
-		}
-	})
-}
-
-// TestFORDecodeRejects drives decodeFOR with streams the encoder cannot
-// produce: each must be an error, none a panic.
-func TestFORDecodeRejects(t *testing.T) {
-	col := make([]float32, 40)
-	for i := range col {
-		col[i] = 1 + float32(i)/64
-	}
-	counts := []int{8, 32}
-	tr, nodes := forTreelet(counts)
-	enc := inlineFORStream(col, tr)
-	if enc.codec != codecFOR {
-		t.Fatal("sample column did not encode as codecFOR")
-	}
-	valid := enc.data
-	mut := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
-	cases := []struct {
-		name    string
-		payload []byte
-		nodes   []diskNode
-		want    string
-	}{
-		{"width 33", mut(func(b []byte) []byte { b[4] = 33; return b }), nodes, "exceeds 32"},
-		{"width 255", mut(func(b []byte) []byte { b[4] = 255; return b }), nodes, "exceeds 32"},
-		{"truncated block", valid[:len(valid)-1], nodes, "truncated"},
-		{"truncated frame", valid[:forFrameLen+3], nodes, "truncated"},
-		{"empty stream", nil, nodes, "truncated"},
-		{"trailing bytes", mut(func(b []byte) []byte { return append(b, 0) }), nodes, "trailing bytes"},
-		{"narrower last block", mut(func(b []byte) []byte {
-			b[forFrameLen+int(b[4])+4]-- // second block's width: 8 values of b[4] bits fill b[4] bytes
-			return b
-		}), nodes, "trailing bytes"},
-		{"base overflow", mut(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b, math.MaxUint32)
-			return b
-		}), nodes, "overflows"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeFOR(tc.payload, tc.nodes, len(col))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want one containing %q", err, tc.want)
-			}
-		})
-	}
-	for name, bad := range map[string][]diskNode{
-		"gap":       {{start: 0, count: 8}, {start: 9, count: 31}},
-		"overlap":   {{start: 0, count: 8}, {start: 7, count: 33}},
-		"reordered": {{start: 8, count: 32}, {start: 0, count: 8}},
-		"short":     {{start: 0, count: 8}, {start: 8, count: 31}},
-		"long":      {{start: 0, count: 8}, {start: 8, count: 33}},
-		"wrapping":  {{start: 0, count: 8}, {start: 8, count: math.MaxUint32}},
-	} {
-		if err := checkBlockRanges(bad, uint32(len(col))); err == nil {
-			t.Errorf("node table %q accepted as a block list", name)
 		}
 	}
 }
@@ -864,89 +649,6 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 	}
 }
 
-// gridIndices recovers the grid indices of a decoded quant-for column: vals
-// is the decoded column and quantFOR the section it came from (for its vmin).
-func gridIndices(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) (vmin float64, qs []uint64) {
-	vmin = math.Float64frombits(binary.LittleEndian.Uint64(quantFOR))
-	fineStep, lodStep := quantSteps(bound, lodScale)
-	qs = make([]uint64, len(vals))
-	for ni := range nodes {
-		n := &nodes[ni]
-		step := fineStep
-		if n.axis != uint8(leafAxis) {
-			step = lodStep
-		}
-		for i := n.start; i < n.start+n.count; i++ {
-			qs[i] = uint64(math.Round((vals[i] - vmin) / step))
-			if vmin+float64(qs[i])*step != vals[i] {
-				panic("gridIndices: value is not on the section's grid")
-			}
-		}
-	}
-	return vmin, qs
-}
-
-// flatQuantStream re-encodes a decoded quant-for column as the codecQuant
-// stream writers before codecQuantFOR stored — nothing in the package writes
-// one any more: a 26-byte header (vmin, both steps, fine and LOD widths),
-// then every grid index from zero, leaf ranges at the fine width and
-// inner-node ranges at the LOD width, back to back.
-func flatQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) []byte {
-	vmin, qs := gridIndices(nodes, vals, quantFOR, bound, lodScale)
-	fineStep, lodStep := quantSteps(bound, lodScale)
-	var widths [2]uint8 // fine, LOD
-	var totalBits int
-	class := func(n *diskNode) int {
-		if n.axis != uint8(leafAxis) {
-			return 1
-		}
-		return 0
-	}
-	for pass := 0; pass < 2; pass++ {
-		for ni := range nodes {
-			n := &nodes[ni]
-			for _, q := range qs[n.start : n.start+n.count] {
-				widths[class(n)] = max(widths[class(n)], uint8(bits.Len64(q)))
-			}
-			if pass == 1 {
-				totalBits += int(n.count) * int(widths[class(n)])
-			}
-		}
-	}
-	out := make([]byte, quantHeaderLen+(totalBits+7)/8+packSlack)
-	binary.LittleEndian.PutUint64(out[0:], math.Float64bits(vmin))
-	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(fineStep))
-	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(lodStep))
-	out[24], out[25] = widths[0], widths[1]
-	bit := 8 * quantHeaderLen
-	for ni := range nodes {
-		n := &nodes[ni]
-		bit = packBits(out, bit, qs[n.start:n.start+n.count], forFrame{width: widths[class(n)]})
-	}
-	return out[:len(out)-packSlack]
-}
-
-// inlineQuantStream re-encodes a decoded quant-for column as the mode-1
-// quant-for section writers before mode 2 stored for node-coherent columns —
-// nothing in the package writes one any more: vmin, the mode byte, then per
-// node range its own tight frame (base uvarint, width u8) ahead of its
-// byte-aligned block.
-func inlineQuantStream(nodes []diskNode, vals []float64, quantFOR []byte, bound, lodScale float64) []byte {
-	vmin, qs := gridIndices(nodes, vals, quantFOR, bound, lodScale)
-	out := make([]byte, quantFORHeaderLen, quantFORHeaderLen+len(nodes)*(binary.MaxVarintLen64+1)+8*len(qs)+packSlack)
-	binary.LittleEndian.PutUint64(out, math.Float64bits(vmin))
-	out[8] = quantPerNodeInline
-	for ni := range nodes {
-		blk := qs[nodes[ni].start : nodes[ni].start+nodes[ni].count]
-		fr := frameOf(blk)
-		pos := len(out)
-		out = out[:pos+runLen(len(blk), fr)+packSlack]
-		clear(out[pos:])
-		out = out[:putRun(out, pos, blk, fr)]
-	}
-	return out
-}
-
 // quantRoundTrip encodes col (blocked by counts, see forTreelet) under bound
 // and lodScale and, when the encoder chose codecQuantFOR, decodes it against
 // the same declaration and holds every value to its range's bound: bound in
@@ -974,19 +676,6 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	got, err := decodeAttrSection(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
-	}
-	// The same grid indices under the inline per-node frames earlier writers
-	// stored decode, through the same block loop, to the same values bit for
-	// bit: how the frames are stored never moves a value.
-	var inlineInfo SectionInfo
-	inline, err := decodeAttrSection(codecQuantFOR, inlineQuantStream(nodes, got, enc.data, bound, lodScale), nb, typ, bound, lodScale, &inlineInfo)
-	if err != nil || inlineInfo.Mode != "per-node" {
-		t.Fatalf("decoding the %s stream of blocks %v: %v", inlineInfo.Mode, counts, err)
-	}
-	for i := range got {
-		if math.Float64bits(inline[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("value %d (blocks %v): %s frames decode to %v, inline per-node frames to %v", i, counts, info.Mode, got[i], inline[i])
-		}
 	}
 	for _, n := range nodes {
 		tol := bound
@@ -1153,48 +842,6 @@ func TestQuantFORModes(t *testing.T) {
 	})
 }
 
-// TestFlatQuantDecodesLikeQuantFOR: the codecQuant stream earlier writers
-// stored and the codecQuantFOR section holding the same grid indices decode,
-// through the same unpack loop, to the same float64s bit for bit — at both
-// LOD scales, so with one width for the whole section and with two.
-func TestFlatQuantDecodesLikeQuantFOR(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 60; trial++ {
-		var counts []int
-		var col []float64
-		for b, nb := 0, 1+r.Intn(10); b < nb; b++ {
-			c := r.Intn(300)
-			counts = append(counts, c)
-			local := r.Float64() * 100
-			for i := 0; i < c; i++ {
-				col = append(col, local+r.NormFloat64())
-			}
-		}
-		bound := math.Pow(10, -4*r.Float64())
-		lodScale := []float64{1, 4}[trial%2]
-		enc, _ := quantRoundTrip(t, col, counts, particles.Float64, bound, lodScale)
-		if enc.codec != codecQuantFOR {
-			continue
-		}
-		_, nodes := forTreelet(counts)
-		nb := newNodeBlocks(nodes, len(col))
-		want, err := decodeQuantFOR(enc.data, nb, bound, lodScale, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var info SectionInfo
-		got, err := decodeQuant(flatQuantStream(nodes, want, enc.data, bound, lodScale), nb, bound, lodScale, &info)
-		if err != nil {
-			t.Fatalf("trial %d: flat stream of widths %v: %v", trial, info.Widths, err)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d value %d: flat quant decodes to %v, quant-for to %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestQuantFORDecodeRejects drives decodeQuantFOR with streams the encoder
 // cannot produce: each must be an error, none a panic.
 func TestQuantFORDecodeRejects(t *testing.T) {
@@ -1220,18 +867,21 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		}
 		sections[name] = enc.data
 	}
-	// The inline per-node stream of earlier writers, holding the grid indices
-	// of the per-node-cols sample.
 	one, cols := sections["one-frame"], sections["per-node-cols"]
-	colVals, err := decodeQuantFOR(cols, newNodeBlocks(nodes, n), bound, 1, nil)
+	mut := func(valid []byte, f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
+	// The one-frame sample's frame is `base, width` in one byte each right
+	// after the header: the grid is anchored at the section minimum, so the
+	// base is 0.
+	const frame = quantFORHeaderLen
+	// The per-node-cols sample's second frame is the width column's, behind
+	// the base column's run.
+	baseCol, widthAt, err := readFrame(cols, frame, uint32(len(counts)), maxQuantBits, maxQuantIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := inlineQuantStream(nodes, colVals, cols, bound, 1)
-	mut := func(valid []byte, f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
-	// Both samples' first frame is `base, width` in one byte each right after
-	// the header: every index is under 128 grid cells from the minimum.
-	const frame = quantFORHeaderLen
+	widthAt += packedLen(len(counts), baseCol.width)
+	_, k := binary.Uvarint(cols[widthAt:])
+	widthAt += k
 	hugeBase := binary.AppendUvarint(nil, 1<<maxQuantBits-1)
 	for _, tc := range []struct {
 		name    string
@@ -1243,18 +893,16 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"header only", one[:quantFORHeaderLen], bound, "truncated at frame"},
 		{"frame without its width", one[:frame+1], bound, "truncated at frame"},
 		{"unknown mode 3", mut(one, func(b []byte) []byte { b[8] = 3; return b }), bound, "unknown frame mode"},
-		{"unknown mode 255", mut(per, func(b []byte) []byte { b[8] = 255; return b }), bound, "unknown frame mode"},
+		{"unknown mode 255", mut(cols, func(b []byte) []byte { b[8] = 255; return b }), bound, "unknown frame mode"},
+		{"retired mode 1", mut(cols, func(b []byte) []byte { b[8] = 1; return b }), bound, "unknown frame mode 1"},
 		{"width 49", mut(one, func(b []byte) []byte { b[frame+1] = 49; return b }), bound, "exceeds 48"},
-		{"width 255 in a later frame", mut(per, func(b []byte) []byte {
-			b[frame+2+packedLen(counts[0], b[frame+1])+1] = 255 // the second node's frame follows the first's block
-			return b
-		}), bound, "exceeds 48"},
+		{"width 255 in a later frame", mut(cols, func(b []byte) []byte { b[widthAt] = 255; return b }), bound, "bit width 255 exceeds"},
 		{"truncated block", one[:len(one)-1], bound, "truncated"},
-		{"truncated last block", per[:len(per)-1], bound, "truncated"},
+		{"truncated last block", cols[:len(cols)-1], bound, "truncated"},
 		{"trailing byte", mut(one, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
-		{"trailing byte after the last node's block", mut(per, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
-		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNodeInline; return b }), bound, ""},
-		{"per-node stream read as one frame", mut(per, func(b []byte) []byte { b[8] = quantOneFrame; return b }), bound, ""},
+		{"trailing byte after the last node's block", mut(cols, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
+		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNodeCols; return b }), bound, ""},
+		{"per-node stream read as one frame", mut(cols, func(b []byte) []byte { b[8] = quantOneFrame; return b }), bound, ""},
 		{"base of 2^48", mut(one, func(b []byte) []byte {
 			return append(append(append([]byte(nil), b[:frame]...), binary.AppendUvarint(nil, 1<<maxQuantBits)...), b[frame+1:]...)
 		}), bound, "overflows"},

@@ -1,7 +1,7 @@
 package bat
 
 import (
-	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -88,17 +88,19 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
 // legitimately changes (which for v1/v2 should be never).
 //
-// Four goldens are not among them and cannot be regenerated; each is
-// goldenV3Config's build by the last writer of a layout, and pins the read
-// path of the files that writer left behind. golden_v3_rawpos.bat: version-3
-// positions as raw f32 columns (commit c90a2ea, the parent of the position
-// codec). golden_v3_flatquant.bat: packed positions, lossy attributes as
-// codecQuant sections (commit 1f5afd1, the parent of codecQuantFOR).
-// golden_v3_nodetable.bat: codecFOR positions and quant-for attributes behind
-// node tables of fixed records in page-aligned treelets (commit 9f77046, the
-// parent of flagPackedNodes). golden_v3_inlineframes.bat: the same sections
-// behind packed node tables in unpadded treelets — codecFOR positions, their
-// frames inline ahead of each block (commit 4e54d5f, the parent of
+// Five goldens are not among them and cannot be regenerated; each is the
+// golden set's build by the last writer of a layout this reader refuses, and
+// pins that refusal. golden_v2_quant16.bat: goldenConfig with 16-bit
+// fixed-point positions, header flag bit 0 (commit caac3aa, the parent of the
+// one layout per version). The other four are goldenV3Config's build:
+// golden_v3_rawpos.bat, version-3 positions as raw f32 columns (commit
+// c90a2ea, the parent of the position codec); golden_v3_flatquant.bat, packed
+// positions and lossy attributes as flat quant sections, codec id 1 (commit
+// 1f5afd1, the parent of codecQuantFOR); golden_v3_nodetable.bat, positions
+// under inline frames (codec id 3) behind node tables of fixed records in
+// page-aligned treelets (commit 9f77046, the parent of flagPackedNodes);
+// golden_v3_inlineframes.bat, the same sections behind packed node tables in
+// unpadded treelets, today's header flags (commit 4e54d5f, the parent of
 // codecCellFOR).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
@@ -130,37 +132,32 @@ func TestGoldenRegenerate(t *testing.T) {
 	}
 }
 
-// TestGoldenBackwardCompat opens the checked-in files of every layout a
-// writer has produced. Version 1 (no checksums) must be refused. Version 2,
-// version 3 with raw position columns, version 3 with packed positions and
-// flat quant attributes, version 3 with quant-for attributes behind node
-// records, and today's version 3 must decode to the same particle multiset as
-// the day they were written: positions and the lossless id bit-exact
-// everywhere, mass exact in version 2 and within its declared bound in
-// version 3 — where all four files return the same rows bit for bit, since
-// each writer changed how the same grid indices are stored and never the
-// grid.
+// TestGoldenBackwardCompat opens the checked-in file of every layout a writer
+// has produced. The two this reader accepts — version 2 and today's version 3
+// — must decode to the same particle multiset as the day they were written:
+// positions and the lossless id bit-exact, mass exact in version 2 and within
+// its declared bound in version 3. Every retired layout is refused with a
+// named error and returns no rows: version 1 (no checksums) and the header
+// flags of a retired layout at open, the inline position frames behind
+// today's flags at the first treelet load.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
 	massBound := goldenV3Config().AttrErrorBounds[0]
-	var v3rows [][]goldenRow
-	var v3secs [][]sectionSeed
 	for _, tc := range []struct {
-		file        string
-		version     int
-		packed      bool
-		packedNodes bool
-		massCodec   uint8
-		posCodec    uint8 // of the position sections that are not raw
+		file    string
+		version int
+		// openErr refuses the file at open, loadErr at its first treelet load.
+		openErr, loadErr string
 	}{
-		{"golden_v1.bat", 1, false, false, codecRaw, codecRaw},
-		{"golden_v2.bat", 2, false, false, codecRaw, codecRaw},
-		{"golden_v3_rawpos.bat", 3, false, false, codecQuant, codecRaw},
-		{"golden_v3_flatquant.bat", 3, true, false, codecQuant, codecFOR},
-		{"golden_v3_nodetable.bat", 3, true, false, codecQuantFOR, codecFOR},
-		{"golden_v3_inlineframes.bat", 3, true, true, codecQuantFOR, codecFOR},
-		{"golden_v3.bat", 3, true, true, codecQuantFOR, codecCellFOR},
+		{"golden_v1.bat", 1, "unsupported version 1", ""},
+		{"golden_v2.bat", 2, "", ""},
+		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", ""},
+		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", ""},
+		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", ""},
+		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", ""},
+		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3"},
+		{"golden_v3.bat", 3, "", ""},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -168,39 +165,29 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				t.Fatalf("%v (regenerate with BAT_REGEN_GOLDEN=1 go test -run TestGoldenRegenerate)", err)
 			}
 			f, err := FromBuffer(buf)
-			if tc.version < minVersion {
-				if err == nil || !strings.Contains(err.Error(), "unsupported version") {
-					t.Fatalf("version-%d file: open error %v, want unsupported version", tc.version, err)
+			if tc.openErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
+					t.Fatalf("open error %v, want one containing %q", err, tc.openErr)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Version != tc.version || f.PackedPositions != tc.packed || f.PackedNodes != tc.packedNodes {
-				t.Fatalf("Version = %d, PackedPositions = %v, PackedNodes = %v; want %d, %v, %v",
-					f.Version, f.PackedPositions, f.PackedNodes, tc.version, tc.packed, tc.packedNodes)
+			if f.Version != tc.version {
+				t.Fatalf("Version = %d, want %d", f.Version, tc.version)
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			secs := fileSections(t, f, buf)
-			packedPos := 0
-			for _, sec := range secs {
-				if sec.attr == "mass" && sec.codec != tc.massCodec {
-					t.Fatalf("a mass section is %s, want %s: the file does not pin the layout it is named for",
-						CodecName(sec.codec), CodecName(tc.massCodec))
+			if tc.loadErr != "" {
+				if _, err := f.loadTreelet(context.Background(), 0); err == nil || !strings.Contains(err.Error(), tc.loadErr) {
+					t.Fatalf("treelet 0: load error %v, want one containing %q", err, tc.loadErr)
 				}
-				if pos := sec.attr == "x" || sec.attr == "y" || sec.attr == "z"; pos && sec.codec != codecRaw {
-					if sec.codec != tc.posCodec {
-						t.Fatalf("a position section is %s, want %s: the file does not pin the layout it is named for",
-							CodecName(sec.codec), CodecName(tc.posCodec))
-					}
-					packedPos++
+				if got, err := f.ReadAll(); err == nil || got.Len() != 0 {
+					t.Fatalf("ReadAll returned %d rows, error %v; want none and an error", got.Len(), err)
 				}
-			}
-			if tc.posCodec != codecRaw && packedPos == 0 {
-				t.Fatalf("no %s position section in the file", CodecName(tc.posCodec))
+				return
 			}
 			got := readRows(t, f)
 			if len(got) != len(want) {
@@ -218,77 +205,7 @@ func TestGoldenBackwardCompat(t *testing.T) {
 					t.Fatalf("row %d: %+v != %+v", i, got[i], want[i])
 				}
 			}
-			if tc.version >= 3 {
-				v3rows = append(v3rows, got)
-				v3secs = append(v3secs, secs)
-			}
 		})
-	}
-	if len(v3rows) != 5 {
-		t.Fatalf("%d of 5 version-3 goldens decoded", len(v3rows))
-	}
-	for _, rows := range v3rows[1:] {
-		for i := range rows {
-			if rows[i] != v3rows[0][i] {
-				t.Fatalf("row %d: %+v != %+v of the raw-position golden", i, rows[i], v3rows[0][i])
-			}
-		}
-	}
-	// The shared pack loop writes position sections byte for byte as the
-	// writer before it did.
-	before, after := v3secs[1], v3secs[2]
-	for i := range after {
-		if i < len(before) && after[i].attr == before[i].attr && before[i].codec == codecFOR &&
-			(after[i].codec != codecFOR || !bytes.Equal(after[i].payload, before[i].payload)) {
-			t.Fatalf("section %d (%s): position stream differs from golden_v3_flatquant.bat", i, after[i].attr)
-		}
-	}
-	// Packing the node table moved every section and changed none: apart from
-	// the node-table seeds of the packed file, the two files hold the same
-	// streams in the same order.
-	before, after = v3secs[2], nil
-	for _, sec := range v3secs[3] {
-		if sec.attr != nodeTableSeed {
-			after = append(after, sec)
-		}
-	}
-	if len(after) != len(before) {
-		t.Fatalf("golden_v3_inlineframes.bat holds %d sections, golden_v3_nodetable.bat %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i].attr != before[i].attr || after[i].codec != before[i].codec || !bytes.Equal(after[i].payload, before[i].payload) {
-			t.Fatalf("section %d (%s): stream differs from golden_v3_nodetable.bat", i, after[i].attr)
-		}
-	}
-	// Taking the frames out of the sections changed nothing else: the node
-	// tables, whose split planes the position frames now come from, the
-	// lossless id sections and the mass sections that keep their one frame are
-	// byte for byte the parent writer's; a mass section that differs went from
-	// one frame to frame columns because that is shorter.
-	before, after = v3secs[3], v3secs[4]
-	if len(after) != len(before) {
-		t.Fatalf("golden_v3.bat holds %d sections, golden_v3_inlineframes.bat %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i].attr != before[i].attr {
-			t.Fatalf("section %d is %s, %s in golden_v3_inlineframes.bat", i, after[i].attr, before[i].attr)
-		}
-		// A position column is raw where no stream was smaller; without frames
-		// to pay for, one more of the golden set's is.
-		if pos := before[i].codec == codecFOR || before[i].codec == codecRaw && after[i].codec == codecCellFOR; pos {
-			if after[i].codec != codecCellFOR || len(after[i].payload) >= len(before[i].payload) {
-				t.Fatalf("section %d (%s): %s of %d bytes, %s of %d with inline frames", i, after[i].attr,
-					CodecName(after[i].codec), len(after[i].payload), CodecName(before[i].codec), len(before[i].payload))
-			}
-		} else if cols := after[i].codec == codecQuantFOR && after[i].payload[8] == quantPerNodeCols; cols {
-			if before[i].codec != codecQuantFOR || before[i].payload[8] != quantOneFrame || len(after[i].payload) >= len(before[i].payload) {
-				t.Fatalf("section %d (%s): frame columns in %d bytes, %s mode %d in %d before", i, after[i].attr,
-					len(after[i].payload), CodecName(before[i].codec), before[i].payload[8], len(before[i].payload))
-			}
-		} else if after[i].codec != before[i].codec || !bytes.Equal(after[i].payload, before[i].payload) {
-			t.Fatalf("section %d (%s, %s): differs from golden_v3_inlineframes.bat (%s) in more than the position frames",
-				i, after[i].attr, CodecName(after[i].codec), CodecName(before[i].codec))
-		}
 	}
 }
 

@@ -158,11 +158,13 @@ func TestV1FileRejected(t *testing.T) {
 
 // TestVersionFieldFlipsRejected: no single flipped bit of the version field
 // opens. 3 -> 1 is one bit, and while version 1 was readable it switched
-// every checksum off: a version-3 file without the packed-positions flag
-// opened as version 1 and served its framed sections as raw columns.
+// every checksum off: a version-3 file opened as version 1 and served its
+// framed sections as raw columns. 3 -> 2 is one bit too, and a version-2
+// reading of a version-3 treelet is garbage: the flags word each version
+// requires tells them apart.
 func TestVersionFieldFlipsRejected(t *testing.T) {
 	for name, buf := range map[string][]byte{"v2": builtSample(t), "v3": compressedSample(t),
-		"v3 raw positions": goldenFile(t, "golden_v3_rawpos.bat"), "v3 node records": goldenFile(t, "golden_v3_nodetable.bat")} {
+		"v2 golden": goldenFile(t, "golden_v2.bat"), "v3 golden": goldenFile(t, "golden_v3.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[4+bit/8] ^= 1 << (bit % 8)
@@ -257,7 +259,8 @@ func goldenFile(t testing.TB, name string) []byte {
 }
 
 // firstSectionOffset locates treelet ti's first attribute section within
-// its byte range (after the node records and position columns).
+// the byte range of a version-3 treelet (after the node table and the three
+// position sections).
 func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, secOff int) {
 	t.Helper()
 	f, err := FromBuffer(buf)
@@ -271,10 +274,7 @@ func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, se
 	secs := lay.Sections
 	secOff = positionOffset(t, buf, ti)
 	for _, sec := range secs[:PositionSections] {
-		if f.PackedPositions {
-			secOff += 5
-		}
-		secOff += sec.EncBytes
+		secOff += sectionFrameLen + sec.EncBytes
 	}
 	return f.leaves[ti].offset, secOff
 }
@@ -330,55 +330,31 @@ func TestV3TruncatedCodecStream(t *testing.T) {
 
 // TestV3ErrorBoundMismatch: a quant-for section takes its grid steps from the
 // footer, so one inside a file whose footer claims the attribute lossless is
-// corrupt; and a flat quant section of an earlier writer, which stores its
-// steps, is corrupt when they exceed what the footer declares.
+// corrupt.
 func TestV3ErrorBoundMismatch(t *testing.T) {
-	flat := goldenFile(t, "golden_v3_flatquant.bat")
-	for _, tc := range []struct {
-		name  string
-		buf   []byte
-		codec uint8
-	}{
-		{"quant-for", compressedSample(t), codecQuantFOR},
-		{"flat quant", flat, codecQuant},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, secOff := firstSectionOffset(t, tc.buf, 0)
-			f, err := FromBuffer(tc.buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nT := f.NumTreelets()
-			lay, err := f.TreeletLayout(context.Background(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			secs := lay.Sections
-			if c := secs[PositionSections].Codec; c != tc.codec {
-				t.Fatalf("attribute 0 section is %s, want %s; pick different sample data", CodecName(c), CodecName(tc.codec))
-			}
-			// Rewrite the footer to declare attribute 0 lossless while its
-			// sections are still quantized.
-			declaredLossless := mutateFooter(t, tc.buf, func(foot []byte) {
-				p := 8 + 4*nT + 4 // numAttrs, then attr 0's codec byte
-				foot[p] = codecDelta
-				binary.LittleEndian.PutUint64(foot[p+1:], math.Float64bits(0))
-			})
-			expectLoadError(t, declaredLossless, "error-bound mismatch")
-			if tc.codec != codecQuant {
-				return
-			}
-			// Inflate the stored fine step 10x beyond the declared bound. The
-			// fine step sits 8 bytes into the quant header, after the codec
-			// byte and encLen frame.
-			stepOff := secOff + 5 + 8
-			inflated := mutateTreelet(t, tc.buf, 0, func(tre []byte) {
-				step := math.Float64frombits(binary.LittleEndian.Uint64(tre[stepOff:]))
-				binary.LittleEndian.PutUint64(tre[stepOff:], math.Float64bits(step*10))
-			})
-			expectLoadError(t, inflated, "error-bound mismatch")
+	t.Run("quant-for", func(t *testing.T) {
+		buf := compressedSample(t)
+		f, err := FromBuffer(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nT := f.NumTreelets()
+		lay, err := f.TreeletLayout(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := lay.Sections[PositionSections].Codec; c != codecQuantFOR {
+			t.Fatalf("attribute 0 section is %s, want quant-for; pick different sample data", CodecName(c))
+		}
+		// Rewrite the footer to declare attribute 0 lossless while its
+		// sections are still quantized.
+		declaredLossless := mutateFooter(t, buf, func(foot []byte) {
+			p := 8 + 4*nT + 4 // numAttrs, then attr 0's codec byte
+			foot[p] = codecDelta
+			binary.LittleEndian.PutUint64(foot[p+1:], math.Float64bits(0))
 		})
-	}
+		expectLoadError(t, declaredLossless, "error-bound mismatch")
+	})
 }
 
 // TestV3FooterValidation: out-of-range declarations in the footer's v3
@@ -442,42 +418,56 @@ func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 	})
 }
 
-// TestHeaderFlagValidation: flag bits this reader does not know, and flag
-// combinations no writer produces, are rejected at open even when every
-// checksum is right — a reader that ignored them would parse packed
-// positions as raw columns.
+// TestHeaderFlagValidation: each version has one layout, and exactly one
+// flags word opens it — 0 in version 2, flagPackedPositions|flagPackedNodes
+// in version 3. Every other combination of bits 0-2, an unknown bit and the
+// top bit are rejected at open even when every checksum is right: a reader
+// that ignored them would parse a retired layout's treelets as today's.
 func TestHeaderFlagValidation(t *testing.T) {
 	const flagsOff = 8
-	v2, v3 := builtSample(t), compressedSample(t)
-	setFlags := func(flags uint32) func([]byte) {
-		return func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], flags) }
-	}
+	samples := map[uint32][]byte{2: builtSample(t), 3: compressedSample(t)}
+	opened := map[uint32]int{}
 	for _, tc := range []struct {
-		name string
-		buf  []byte
-		want string
+		ver, flags uint32
+		name       string
 	}{
-		{"unknown bit 3", mutateHeader(t, v3, setFlags(flagPackedPositions|flagPackedNodes|1<<3)), "unknown header flag bits 0x8"},
-		{"unknown top bit", mutateHeader(t, v2, setFlags(1<<31)), "unknown header flag bits"},
-		{"quantized and packed", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedPositions)), "exclude quantized"},
-		{"packed in v2", mutateHeader(t, v2, setFlags(flagPackedPositions)), "need version 3"},
-		{"packed nodes, raw positions", mutateHeader(t, v3, setFlags(flagPackedNodes)), "packed node tables need"},
-		{"packed nodes, quantized positions", mutateHeader(t, v3, setFlags(flagQuantized|flagPackedNodes)), "packed node tables need"},
-		{"packed nodes in v2", mutateHeader(t, v2, setFlags(flagPackedNodes)), "packed node tables need version 3"},
+		{2, 0, "the v2 layout"},
+		{2, 1, "quantized in v2"},
+		{2, 2, "packed in v2"},
+		{2, 3, "quantized and packed in v2"},
+		{2, 4, "packed nodes in v2"},
+		{2, 5, "packed nodes, quantized positions in v2"},
+		{2, 6, "the v3 flags in v2"},
+		{2, 7, "all three bits in v2"},
+		{3, 0, "raw positions and node records"},
+		{3, 1, "quantized in v3"},
+		{3, 2, "packed positions behind node records"},
+		{3, 3, "quantized and packed"},
+		{3, 4, "packed nodes, raw positions"},
+		{3, 5, "packed nodes, quantized positions"},
+		{3, 6, "the v3 layout"},
+		{3, 7, "all three bits in v3"},
+		{3, 6 | 1<<3, "unknown bit 3"},
+		{2, 1 << 31, "unknown top bit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromBuffer(tc.buf); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("open error %v, want one containing %q", err, tc.want)
+			mut := mutateHeader(t, samples[tc.ver], func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], tc.flags) })
+			_, err := FromBuffer(mut)
+			if err == nil {
+				opened[tc.ver]++
+				return
+			}
+			if want := fmt.Sprintf("version %d file with header flags %#x", tc.ver, tc.flags); !strings.Contains(err.Error(), want) {
+				t.Fatalf("open error %v, want one containing %q", err, want)
 			}
 		})
 	}
-	// The flags a current writer sets still open.
-	if f, err := FromBuffer(v3); err != nil || !f.PackedPositions || !f.PackedNodes || f.Quantized {
-		t.Fatalf("compressed sample: err %v, file %+v", err, f)
+	if opened[2] != 1 || opened[3] != 1 {
+		t.Fatalf("flags words that open: %d in version 2, %d in version 3; want one each", opened[2], opened[3])
 	}
 }
 
-// TestUnpaddedTreeletsTile: in a flagPackedNodes file the treelets lie back to
+// TestUnpaddedTreeletsTile: in a version-3 file the treelets lie back to
 // back from the end of the header to the footer, so no byte is outside a
 // checksum; a leaf table that leaves a gap, overlaps, is out of order or stops
 // short of the footer is rejected at open, checksums right or not.
@@ -537,8 +527,8 @@ func TestUnpaddedTreeletsTile(t *testing.T) {
 			}
 		})
 	}
-	// The same leaf tables in a padded file are what its writer produced.
-	if _, err := FromBuffer(goldenFile(t, "golden_v3_nodetable.bat")); err != nil {
+	// Padding between treelets is what a version-2 writer produces.
+	if _, err := FromBuffer(builtSample(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -560,79 +550,41 @@ func TestLeafPointCountBound(t *testing.T) {
 	}
 }
 
-// TestPackedPositionCorruption is the corruption matrix for packed position
-// sections, and for the node records they are blocked by in a file without
-// flagPackedNodes (the frozen golden_v3_nodetable.bat): every case must fail
-// the treelet load with a clean error.
+// TestPackedPositionCorruption is the corruption matrix for the framing of a
+// version-3 treelet's position sections: every case must fail the treelet
+// load with a clean error. What a cell-for stream inside its frame can say
+// wrong is TestCellFORCorruption's.
 func TestPackedPositionCorruption(t *testing.T) {
-	for _, layout := range []struct {
-		name        string
-		buf         []byte
-		packedNodes bool
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := f.TreeletLayout(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := lay.Sections
+	if secs[0].Codec != codecCellFOR || secs[1].Codec != codecCellFOR {
+		t.Fatalf("treelet 0's x/y sections are %s/%s; pick different sample data", CodecName(secs[0].Codec), CodecName(secs[1].Codec))
+	}
+	xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
+	for _, tc := range []struct {
+		name   string
+		mutate func(tre []byte)
+		want   string
 	}{
-		{"packed nodes", goldenFile(t, "golden_v3_inlineframes.bat"), true},
-		{"node records", goldenFile(t, "golden_v3_nodetable.bat"), false},
+		{"section one byte short", func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
+		{"section swallows the next one", func(tre []byte) { addU32(tre[xOff+1:], sectionFrameLen+secs[1].EncBytes) }, "trailing bytes"},
+		{"section longer than the treelet", func(tre []byte) {
+			binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
+		}, "truncated codec stream"},
+		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuantFOR }, "unknown position codec"},
+		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
 	} {
-		buf := layout.buf
-		f, err := FromBuffer(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay, err := f.TreeletLayout(context.Background(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		secs := lay.Sections
-		ref := f.leaves[0]
-		if ref.numNodes < 3 || secs[0].Codec != codecFOR || secs[1].Codec != codecFOR || f.PackedNodes != layout.packedNodes {
-			t.Fatalf("%s: treelet 0 has %d nodes, x/y sections %s/%s, PackedNodes %v; pick different sample data",
-				layout.name, ref.numNodes, CodecName(secs[0].Codec), CodecName(secs[1].Codec), f.PackedNodes)
-		}
-		xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
-		nodeOff := func(ni int) int { return 8 + ni*(treeletNodeBytes+2*f.Schema.NumAttrs()) }
-		const startOff, countOff = 1 + 8 + 4 + 4, 1 + 8 + 4 + 4 + 4
-		type corruption struct {
-			name   string
-			mutate func(tre []byte)
-			want   string
-		}
-		cases := []corruption{
-			{"block width 33", func(tre []byte) { tre[xOff+5+4] = 33 }, "exceeds 32"},
-			{"section one byte short", func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
-			{"section cut inside a frame", func(tre []byte) { binary.LittleEndian.PutUint32(tre[xOff+1:], 3) }, "truncated"},
-			{"section swallows the next one", func(tre []byte) { addU32(tre[xOff+1:], 5+secs[1].EncBytes) }, "trailing bytes"},
-			{"section longer than the treelet", func(tre []byte) {
-				binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
-			}, "truncated codec stream"},
-			{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec"},
-			{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
-			{"base past the key range", func(tre []byte) {
-				binary.LittleEndian.PutUint32(tre[xOff+5:], math.MaxUint32)
-			}, "overflows"},
-		}
-		if !layout.packedNodes {
-			for i := range cases {
-				cases[i].name += " behind node records"
-			}
-			// A packed table has no range starts to get wrong; its own matrix
-			// is TestPackedNodeTableCorruption.
-			cases = append(cases,
-				corruption{"node range starts late", func(tre []byte) { addU32(tre[nodeOff(1)+startOff:], 1) }, "does not continue"},
-				corruption{"node ranges swapped", func(tre []byte) {
-					a, b := tre[nodeOff(1)+startOff:], tre[nodeOff(2)+startOff:]
-					var tmp [8]byte
-					copy(tmp[:], a[:8])
-					copy(a[:8], b[:8])
-					copy(b[:8], tmp[:])
-				}, "does not continue"},
-				corruption{"node ranges sum short", func(tre []byte) { addU32(tre[nodeOff(int(ref.numNodes)-1)+countOff:], -1) }, "cover"},
-			)
-		}
-		for _, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) {
-				expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
+		})
 	}
 }
 
@@ -708,7 +660,7 @@ func TestCellFORCorruption(t *testing.T) {
 		{"run one byte short", nil, func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
 		{"run one byte long", nil, func(tre []byte) { addU32(tre[xOff+1:], 1) }, "trailing bytes"},
 		{"bits in the padding", nil, func(tre []byte) { tre[xOff+5+xLen-1] |= 0x80 }, "non-zero padding bits"},
-		{"inline-frame codec over the run", nil, func(tre []byte) { tre[xOff] = codecFOR }, ""},
+		{"inline-frame codec over the run", nil, func(tre []byte) { tre[xOff] = 3 }, "unknown position codec id 3"}, // retired id
 		{"cell-for on an attribute", nil, func(tre []byte) {
 			_, secOff := firstSectionOffset(t, buf, 0)
 			tre[secOff] = codecCellFOR
@@ -895,8 +847,8 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a real
-// version-2 file, a real version-3 file (packed node table) and the golden
-// version-3 file with node records, with the checksums fixed up after them:
+// version-2 file, a real version-3 file and the golden version-3 file, with
+// the checksums fixed up after them:
 // every readable file is checksummed, so no mutation FuzzDecode makes gets
 // past the treelet CRC to the node-table and section parsing.
 func FuzzTreelet(f *testing.F) {
@@ -910,7 +862,7 @@ func FuzzTreelet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{v2.Buf, v3.Buf, goldenFile(f, "golden_v3_nodetable.bat")}
+	files := [][]byte{v2.Buf, v3.Buf, goldenFile(f, "golden_v3.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {
@@ -975,6 +927,20 @@ const fuzzNodeBytes = 9
 
 const nodeTableSeed = "(node table)"
 
+// rangesTile reports whether the node particle ranges, taken in node order,
+// tile [0, nPoints) back to back: what unpackNodeTable guarantees and every
+// block decoder relies on.
+func rangesTile(nodes []diskNode, nPoints uint32) bool {
+	next := uint32(0)
+	for _, n := range nodes {
+		if n.start != next || n.count > nPoints-next {
+			return false
+		}
+		next += n.count
+	}
+	return next == nPoints
+}
+
 // checkUnpackedNodes holds the nodes unpackNodeTable returned to what the
 // traversal and the block decoders rely on, checked the way parseNodeRecords
 // checks a table of records: children in range, one parent each — with the
@@ -1007,12 +973,15 @@ func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
 			return fmt.Errorf("node %d has no parent", i)
 		}
 	}
-	return checkBlockRanges(nodes, nPoints)
+	if !rangesTile(nodes, nPoints) {
+		return fmt.Errorf("node ranges do not tile %d points", nPoints)
+	}
+	return nil
 }
 
-// fuzzNodes reads a node table of fuzzNodeBytes records. ok is false when a
-// range runs past nPoints: parseTreelet rejects such a table before it reads
-// any section, and the decoders rely on that.
+// fuzzNodes reads a node table of fuzzNodeBytes records. ok is false when the
+// ranges do not tile nPoints: unpackNodeTable returns no such table, and the
+// decoders rely on that.
 func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
 	nodes = make([]diskNode, len(table)/fuzzNodeBytes)
 	inner := int32(0)
@@ -1028,11 +997,8 @@ func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
 			nodes[i].left, nodes[i].right = 2*inner+1, 2*inner+2
 			inner++
 		}
-		if nodes[i].start+nodes[i].count > uint32(nPoints) {
-			return nil, false
-		}
 	}
-	return nodes, true
+	return nodes, rangesTile(nodes, uint32(nPoints))
 }
 
 // fuzzSectionBound / fuzzSectionLODScale are the footer declaration the
@@ -1060,13 +1026,14 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			tb.Fatal(err)
 		}
 		p := int(ref.offset) + 8
-		if f.PackedNodes {
+		v3 := f.Version >= 3
+		if v3 {
 			seeds = append(seeds, sectionSeed{attr: nodeTableSeed, codec: uint8(f.Schema.NumAttrs()), payload: buf[p : p+lay.NodeTable.Bytes], table: table, nPoints: uint16(ref.numPoints)})
 		}
 		p += lay.NodeTable.Bytes
 		for i, sec := range lay.Sections {
-			if framed := f.Version >= 3 && (i >= PositionSections || f.PackedPositions); framed {
-				p += 5
+			if v3 {
+				p += sectionFrameLen
 			}
 			seed := sectionSeed{attr: sec.Attr, codec: sec.Codec, payload: buf[p : p+sec.EncBytes], table: table, nPoints: uint16(ref.numPoints)}
 			if i < PositionSections {
@@ -1080,10 +1047,9 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 	return seeds
 }
 
-// sectionSeeds builds a small compressed file and cuts every section of every
-// treelet out of it, then adds the sections of the flat-quant and the
-// inline-frames goldens, which no writer produces any more, so the fuzzer
-// starts from streams each decoder accepts.
+// sectionSeeds cuts every section of every treelet out of a small fresh
+// compressed build and out of golden_v3.bat, so the fuzzer starts from
+// streams each decoder accepts.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
@@ -1093,48 +1059,57 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		tb.Fatal(err)
 	}
 	var seeds []sectionSeed
-	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3_flatquant.bat"), goldenFile(tb, "golden_v3_inlineframes.bat")} {
+	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3.bat")} {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		seeds = append(seeds, fileSections(tb, f, buf)...)
 	}
-	// No golden holds a quant-for section with inline per-node frames (the
-	// golden set's mass column keeps one frame): re-encode the fresh build's
-	// per-node sections as the stream the writer before the frame columns
-	// stored.
-	for _, s := range seeds {
-		if s.codec != codecQuantFOR || s.payload[8] != quantPerNodeCols {
-			continue
-		}
-		nodes, _ := fuzzNodes(s.table, s.nPoints)
-		vals, err := decodeQuantFOR(s.payload, newNodeBlocks(nodes, int(s.nPoints)), fuzzSectionBound, fuzzSectionLODScale, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		s.payload = inlineQuantStream(nodes, vals, s.payload, fuzzSectionBound, fuzzSectionLODScale)
-		seeds = append(seeds, s)
-	}
 	return seeds
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the six
-// section decoders (raw, quant, delta, FOR, quant-for, cell-for — the last
-// against a treelet bounds box of [lo, hi] on the section's axis), past the
+// retiredSeeds relabels live sections with the section codec ids and the
+// frame mode earlier writers emitted and no reader decodes: every quant-for
+// section as flat quant (id 1), every cell-for section as positions under
+// inline frames (id 3), every per-node-cols section as inline per-node frames
+// (mode 1). Every decoder must refuse them.
+func retiredSeeds(live []sectionSeed) []sectionSeed {
+	var out []sectionSeed
+	for _, s := range live {
+		switch s.codec {
+		case codecQuantFOR:
+			flat := s
+			flat.codec = codecQuant
+			out = append(out, flat)
+			if s.payload[8] == quantPerNodeCols {
+				s.payload = append([]byte(nil), s.payload...)
+				s.payload[8] = 1
+				out = append(out, s)
+			}
+		case codecCellFOR:
+			s.codec = 3
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the four
+// section decoders (raw, delta, quant-for, cell-for — the last against a
+// treelet bounds box of [lo, hi] on the section's axis), past the
 // checksums and the file structure FuzzDecode has to get through first, and
 // the payload to the packed node-table decoder as a table of as many nodes as
 // the node table has and of codec attributes. Errors are fine; panics, columns
 // of any length but nPoints and node tables that are not a tree over the
 // points are not.
 func FuzzDecodeSections(f *testing.F) {
-	for _, s := range sectionSeeds(f) {
+	seeds := sectionSeeds(f)
+	for _, s := range append(seeds, retiredSeeds(seeds)...) {
 		f.Add(s.codec, s.payload, s.table, s.nPoints, s.axis, s.lo, s.hi)
 	}
 	oneLeaf := []byte{0, 0, 1, 0, 3, 0, 0, 0, 0}
-	f.Add(codecFOR, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
-	f.Add(codecFOR, []byte{0, 0, 0, 0, 33}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
-	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNodeInline, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 48}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
 	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
 	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1))
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lo, hi float32) {
@@ -1147,10 +1122,8 @@ func FuzzDecodeSections(f *testing.F) {
 				t.Fatalf("unpackNodeTable accepted a malformed table: %v", err)
 			}
 		}
-		// parseTreelet reads no section of a treelet whose node ranges do
-		// not tile its points, and the block decoders rely on that.
 		nodes, ok := fuzzNodes(table, nPoints)
-		if !ok || checkBlockRanges(nodes, uint32(nPoints)) != nil {
+		if !ok {
 			return
 		}
 		nb := newNodeBlocks(nodes, int(nPoints))
@@ -1175,18 +1148,28 @@ func FuzzDecodeSections(f *testing.F) {
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// is accepted by the decoder it was cut from, and all six codecs and all three
-// quant-for frame modes occur.
+// cut from a file is accepted by the decoder it was cut from, and all four
+// codecs and both quant-for frame modes occur; every retired seed — codec 1,
+// codec 3, mode 1 — is refused by every decoder.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
 	nodeTables := 0
-	for i, s := range sectionSeeds(t) {
+	decode := func(s sectionSeed, info *SectionInfo) (err32, err64, errPos error) {
 		nodes, ok := fuzzNodes(s.table, s.nPoints)
-		if !ok || checkBlockRanges(nodes, uint32(s.nPoints)) != nil {
-			t.Fatalf("seed %d: node table does not tile its %d points", i, s.nPoints)
+		if !ok {
+			t.Fatalf("seed of %s: node table does not tile its %d points", CodecName(s.codec), s.nPoints)
 		}
+		nb := newNodeBlocks(nodes, int(s.nPoints))
+		_, err32 = decodeAttrSection(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, info)
+		_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+		_, errPos = decodePosSection(s.codec, s.payload, nb, s.bounds(), geom.Axis(s.axis), nil)
+		return
+	}
+	seeds := sectionSeeds(t)
+	for i, s := range seeds {
 		if s.attr == nodeTableSeed {
+			nodes, _ := fuzzNodes(s.table, s.nPoints)
 			unpacked, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), nil)
 			if err != nil || n != len(s.payload) {
 				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
@@ -1201,24 +1184,34 @@ func TestSectionSeedsDecode(t *testing.T) {
 		}
 		seen[s.codec] = true
 		var info SectionInfo
-		nb := newNodeBlocks(nodes, int(s.nPoints))
-		_, err32 := decodeAttrSection(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, &info)
-		_, err64 := decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
-		_, errPos := decodePosSection(s.codec, s.payload, nb, s.bounds(), geom.Axis(s.axis), nil)
-		if err32 != nil && err64 != nil && errPos != nil {
+		if err32, err64, errPos := decode(s, &info); err32 != nil && err64 != nil && errPos != nil {
 			t.Fatalf("seed %d (%s, %d bytes) decodes nowhere: %v / %v / %v", i, CodecName(s.codec), len(s.payload), err32, err64, errPos)
 		}
 		modes[info.Mode] = true
 	}
-	for _, c := range []uint8{codecRaw, codecQuant, codecDelta, codecFOR, codecQuantFOR, codecCellFOR} {
+	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
 	}
-	if !modes["one-frame"] || !modes["per-node"] || !modes["per-node-cols"] {
-		t.Errorf("quant-for frame modes among the seeds: %v, want all three", modes)
+	if !modes["one-frame"] || !modes["per-node-cols"] {
+		t.Errorf("quant-for frame modes among the seeds: %v, want both", modes)
 	}
 	if nodeTables == 0 {
 		t.Error("no packed node table among the seeds")
+	}
+	retired := map[string]bool{}
+	for _, s := range retiredSeeds(seeds) {
+		kind := fmt.Sprintf("codec %d", s.codec)
+		if s.codec == codecQuantFOR {
+			kind = fmt.Sprintf("mode %d", s.payload[8])
+		}
+		retired[kind] = true
+		if err32, err64, errPos := decode(s, nil); err32 == nil || err64 == nil || errPos == nil {
+			t.Errorf("retired %s seed decodes: %v / %v / %v", kind, err32, err64, errPos)
+		}
+	}
+	if !retired["codec 1"] || !retired["codec 3"] || !retired["mode 1"] {
+		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1", retired)
 	}
 }

@@ -78,18 +78,15 @@ func TestBuildDeterminism(t *testing.T) {
 	frameModes := map[string]bool{}
 	for _, c := range determinismCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			for _, mode := range []struct{ quantize, compress bool }{
-				{false, false}, {true, false}, {false, true}, {true, true},
-			} {
+			for _, compress := range []bool{false, true} {
 				base := DefaultBuildConfig()
 				base.MaxLeafSize = 64
 				base.LODPerNode = 4
-				base.QuantizePositions = mode.quantize
-				// Compress adds the attribute codecs and, unless the positions
-				// are quantized, the packed position sections — both encode in
-				// the fused treelet workers from per-worker arenas — and the
-				// packed node tables of the unpadded layout.
-				base.Compress = mode.compress
+				// Compress adds the attribute codecs and the packed position
+				// sections — both encode in the fused treelet workers from
+				// per-worker arenas — and the packed node tables of the
+				// unpadded layout.
+				base.Compress = compress
 				base.ErrorBound = 1e-3
 
 				ref := base
@@ -98,16 +95,15 @@ func TestBuildDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("serial build: %v", err)
 				}
-				if mode.compress {
+				if compress {
 					f, err := FromBuffer(want.Buf)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// The packed node tables are sized serially and packed by
-					// the fill workers; they and the missing padding go with
-					// the packed positions.
-					if packs := !mode.quantize; f.PackedNodes != packs || (packs && want.Stats.PaddingBytes != 0) {
-						t.Fatalf("%+v: PackedNodes %v, %d padding bytes", mode, f.PackedNodes, want.Stats.PaddingBytes)
+					// the fill workers, and the treelets carry no padding.
+					if f.Version != 3 || want.Stats.PaddingBytes != 0 {
+						t.Fatalf("version %d, %d padding bytes", f.Version, want.Stats.PaddingBytes)
 					}
 					for ti := 0; ti < f.NumTreelets(); ti++ {
 						lay, err := f.TreeletLayout(context.Background(), ti)
@@ -134,8 +130,8 @@ func TestBuildDeterminism(t *testing.T) {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
 					if !bytes.Equal(got.Buf, want.Buf) {
-						t.Fatalf("%+v workers=%d: output differs from serial build (%d vs %d bytes)",
-							mode, workers, len(got.Buf), len(want.Buf))
+						t.Fatalf("compress=%v workers=%d: output differs from serial build (%d vs %d bytes)",
+							compress, workers, len(got.Buf), len(want.Buf))
 					}
 				}
 			}

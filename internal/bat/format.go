@@ -1,15 +1,26 @@
 // On-disk format of a BAT file (paper Figure 2). All integers are little
 // endian.
 //
+// A readable file is one of two layouts, and its version says which:
+//
+//	version 2  flags 0: node records, page-aligned treelets, raw f32
+//	           positions, raw attribute columns
+//	version 3  flags flagPackedPositions|flagPackedNodes: packed node
+//	           tables, unpadded treelets, codec sections for positions and
+//	           attributes (codec.go)
+//
+// Any other flags word is rejected at open (layoutFlags). That includes the
+// layouts earlier writers left behind: version 2 with bit 0 set (16-bit
+// fixed-point positions), version 3 with flags 0 (raw position columns) and
+// version 3 with bit 1 alone (packed positions behind node records).
+//
 //	Header:
 //	  magic "BAT1", version u32, flags u32
-//	    flag bit 0  flagQuantized: positions are u16 fixed point
-//	    flag bit 1  flagPackedPositions: positions are framed codec
-//	                sections (version 3 only, never with bit 0)
+//	    flag bit 0  retired (16-bit fixed-point positions)
+//	    flag bit 1  flagPackedPositions: positions are codec sections
 //	    flag bit 2  flagPackedNodes: treelet node tables are packed
 //	                columns with implicit topology and the treelets are
-//	                unpadded (version 3 only, only with bit 1)
-//	    any other bit is rejected at open
+//	                unpadded
 //	  numParticles u64
 //	  domain bounds: 6 x f64
 //	  subprefixBits, lodPerNode, maxLeafSize, maxTreeletDepth u32
@@ -24,15 +35,15 @@
 //	                       treelet bounds 6 x f64,
 //	                       bitmapID u16 per attribute
 //	  bitmap dictionary:   count u32, entries u32 each
-//	Treelets, each aligned to a 4 KB page boundary — or, when flagPackedNodes
-//	is set, back to back from the end of the header to the footer:
+//	Treelets, each aligned to a 4 KB page boundary (version 2) or back to
+//	back from the end of the header to the footer (version 3):
 //	  numNodes u32, numPoints u32
 //	  nodes: axis u8 (3 = leaf), pos f64, left i32, right i32,
 //	         start u32, count u32, bitmapID u16 per attribute
-//	    or, when flagPackedNodes is set, 3 + numAttrs columns over the
-//	    nodes in node (breadth-first) order, each one block of the position
-//	    codec — base u32, width u8, ceil(n*width/8) bytes of (value - base),
-//	    LSB-first (codec.go):
+//	    or, in version 3, 3 + numAttrs columns over the nodes in node
+//	    (breadth-first) order, each one frame-of-reference block — base
+//	    u32, width u8, ceil(n*width/8) bytes of (value - base), LSB-first
+//	    (codec.go):
 //	         axis      numNodes values 0..3 (3 = leaf)
 //	         count     numNodes values
 //	         split     one value per inner node: f32Key of the split plane,
@@ -41,30 +52,23 @@
 //	    left, right and start are not stored: the k-th inner node's children
 //	    are nodes 2k+1 and 2k+2, and a node's particles start where the
 //	    node before it ends
-//	  particle data: X, Y, Z, then one array per attribute. X, Y, Z are
-//	                 f32 arrays; u16 fixed point relative to the treelet
-//	                 bounds when flagQuantized is set; or, when
-//	                 flagPackedPositions is set (version 3 only), three
-//	                 framed codec sections like the attributes', holding
-//	                 codecCellFOR or codecRaw (codecFOR in files of writers
-//	                 before codecCellFOR). A codecCellFOR section stores no
-//	                 frame: its blocks are framed by the nodes' k-d cells,
-//	                 derived from the treelet bounds in the shallow leaf
-//	                 record above — which a packing writer takes from the
-//	                 same float32 keys it packs — and the split planes of
-//	                 the node table. In version 2 each attribute
-//	                 is a raw f64 or f32 column (per its schema type); in
-//	                 version 3 each attribute is a framed codec section:
-//	                 codec u8, encLen u32, then encLen payload bytes (see
-//	                 codec.go for the codec streams: codecQuantFOR for a
+//	  particle data: X, Y, Z, then one array per attribute. In version 2
+//	                 X, Y, Z are f32 arrays and each attribute is a raw f64
+//	                 or f32 column (per its schema type). In version 3 each
+//	                 of them is a framed codec section: codec u8, encLen
+//	                 u32, then encLen payload bytes (see codec.go for the
+//	                 codec streams). A position section holds codecCellFOR
+//	                 or codecRaw; a codecCellFOR section stores no frame:
+//	                 its blocks are framed by the nodes' k-d cells, derived
+//	                 from the treelet bounds in the shallow leaf record
+//	                 above — which the writer takes from the same float32
+//	                 keys it packs — and the split planes of the node
+//	                 table. An attribute section holds codecQuantFOR for a
 //	                 lossy attribute — one frame, or the nodes' frames as
-//	                 two packed columns ahead of the blocks; inline per-node
-//	                 frames in files of earlier writers —, codecDelta for a
-//	                 lossless one, codecRaw when neither shrinks it;
-//	                 codecQuant in files of writers before codecQuantFOR).
-//	                 The section's own codec byte, and a quant-for section's
-//	                 mode byte, say which stream it holds, so neither a
-//	                 header flag nor the version tells the streams apart
+//	                 two packed columns ahead of the blocks —, codecDelta
+//	                 for a lossless one, codecRaw when neither shrinks it.
+//	                 The section's own codec byte, and a quant-for
+//	                 section's mode byte, say which stream it holds
 //	Checksum footer, after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32
@@ -84,7 +88,7 @@
 // the same layout without the footer, is no longer read: nothing in such a
 // file can be verified, and one flipped bit of the version field turned a
 // version-3 file into one. Padding between treelets is not checksummed — it
-// is never interpreted. A flagPackedNodes file has none: its treelets tile the
+// is never interpreted. A version-3 file has none: its treelets tile the
 // bytes between header and footer, so every byte of it is under a checksum.
 package bat
 
@@ -110,9 +114,6 @@ const (
 	// treelet sections (codec.go) and the footer's codec declarations.
 	// Version 3 is written only when BuildConfig.Compress is set —
 	// uncompressed builds keep producing byte-identical version-2 files.
-	// Version-3 writers since the position codec also set
-	// flagPackedPositions, and since the packed node table flagPackedNodes
-	// with it; version-3 files without either keep reading.
 	version    = 3
 	minVersion = 2
 	// footerMagic terminates the checksum footer.
@@ -121,18 +122,22 @@ const (
 	footerFixedLen = 4 + 4 + 4 + 4 + 4
 	// PageSize is the alignment of treelets in the file (§III-C3).
 	PageSize = 4096
-	// flagQuantized marks 16-bit fixed-point position storage.
-	flagQuantized = 1 << 0
 	// flagPackedPositions marks X, Y, Z stored as three framed codec
-	// sections (version 3 only; never together with flagQuantized).
+	// sections.
 	flagPackedPositions = 1 << 1
 	// flagPackedNodes marks treelet node tables stored as packed columns with
-	// implicit topology, and treelets laid back to back without page padding
-	// (version 3 only; only together with flagPackedPositions).
+	// implicit topology, and treelets laid back to back without page padding.
 	flagPackedNodes = 1 << 2
-	// knownFlags is every header flag bit this reader understands.
-	knownFlags = flagQuantized | flagPackedPositions | flagPackedNodes
 )
+
+// layoutFlags is the header flags word of a file of version ver: the one
+// layout per version a writer emits and a reader accepts.
+func layoutFlags(ver uint32) uint32 {
+	if ver >= 3 {
+		return flagPackedPositions | flagPackedNodes
+	}
+	return 0
+}
 
 // writer is a little-endian positional writer over a preallocated buffer.
 // The file image is laid out size-first (every section offset is computed
@@ -187,6 +192,9 @@ const sectionFrameLen = 1 + 4
 // treeletNodeBytes is the per-node record size excluding bitmap IDs.
 const treeletNodeBytes = 1 + 8 + 4 + 4 + 4 + 4
 
+// rawPosBytes is a point's X, Y and Z as raw f32 columns.
+const rawPosBytes = 3 * 4
+
 // shallowInnerBytes is the per-shallow-inner record size excluding IDs.
 const shallowInnerBytes = 1 + 8 + 4 + 4
 
@@ -201,11 +209,11 @@ const shallowLeafBytes = 8 + 4 + 4 + 4 + 48
 func footerV3ExtraLen(nA int) int { return 4 + nA*(1+8) + 8 + 8 + 8 }
 
 // compact assembles the file image: header + shallow tree + dictionary up
-// front, then the treelets, page-aligned (paper §III-C3) unless the build
-// packs them, which nothing maps. Bitmaps are interned
+// front, then the treelets, page-aligned (paper §III-C3) in version 2 and
+// back to back in version 3, which nothing maps. Bitmaps are interned
 // into the dictionary serially (ID assignment is first-use order, a format
-// invariant); the per-treelet bounds (scanned here only when the treelet
-// worker has not packed the positions and kept their extremes), payload
+// invariant); the per-treelet bounds (scanned here only in version 2: a
+// version-3 treelet worker kept the extremes of the keys it packed), payload
 // copies, and section CRCs then run across the worker pool, largest treelet
 // first. Every
 // section's extent is precomputed, so workers write disjoint byte ranges
@@ -270,28 +278,15 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	headerSize += len(treelets) * (shallowLeafBytes + 2*nA)
 	headerSize += 4 + 4*dict.Len()
 
-	// Treelet byte sizes and offsets.
-	posBytes := 12
-	var flags uint32
-	if cfg.QuantizePositions {
-		posBytes = 6
-		flags |= flagQuantized
-	}
-	packed := cfg.packsPositions()
-	if packed {
-		// Packed position sections and the packed, unpadded node tables go
-		// together: one kind of compressed treelet is written.
-		flags |= flagPackedPositions | flagPackedNodes
-	}
-
 	// The file version is chosen per build: compressed builds write the
-	// version-3 section framing; uncompressed builds stay byte-identical
-	// version-2 files.
+	// version-3 layout (packed node tables, codec sections, no page padding);
+	// uncompressed builds stay byte-identical version-2 files.
 	fileVer := uint32(2)
 	if cfg.Compress {
 		fileVer = 3
 	}
 
+	// Treelet byte sizes and offsets.
 	offsets := make([]uint64, len(treelets))
 	sizes := make([]uint32, len(treelets))
 	off := int64(headerSize)
@@ -306,13 +301,14 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			maxDepth = t.depth
 		}
 		numNodes += len(t.nodes)
-		if rem := off % PageSize; rem != 0 && !packed {
+		if rem := off % PageSize; rem != 0 && !cfg.Compress {
 			padding += PageSize - rem
 			off += PageSize - rem
 		}
 		offsets[ti] = uint64(off)
 		sz := 8 + len(t.nodes)*(treeletNodeBytes+2*nA)
-		if packed {
+		posRawPayload += int64(len(t.order) * rawPosBytes)
+		if cfg.Compress {
 			// The table is sized here, as soon as the IDs exist, and packed
 			// by the treelet's fill task below.
 			if cap(colScratch) < len(t.nodes) {
@@ -323,19 +319,11 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 			}
 			sz = 8 + tableLen
-		}
-		posRawPayload += int64(len(t.order) * posBytes)
-		if packed {
 			for _, pe := range t.posEnc {
 				enc := pe.encodedLen(len(t.order), particles.Float32)
 				sz += sectionFrameLen + enc
 				posEncPayload += int64(enc)
 			}
-		} else {
-			sz += len(t.order) * posBytes
-			posEncPayload += int64(len(t.order) * posBytes)
-		}
-		if cfg.Compress {
 			for a, desc := range set.Schema.Attrs {
 				raw := len(t.order) * desc.Type.Size()
 				enc := t.attrEnc[a].encodedLen(len(t.order), desc.Type)
@@ -344,6 +332,8 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				encPayload += int64(enc)
 			}
 		} else {
+			sz += len(t.order) * rawPosBytes
+			posEncPayload += int64(len(t.order) * rawPosBytes)
 			for _, desc := range set.Schema.Attrs {
 				raw := len(t.order) * desc.Type.Size()
 				sz += raw
@@ -363,15 +353,15 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	buf := make([]byte, off+int64(footerLen))
 
 	// Fill the treelet sections: bounds (the cells the position encoder took
-	// from its keys, a scan where positions are not packed), node records,
-	// payload gather, and the section CRC for the footer. Each task touches
-	// only buf[offsets[ti]:offsets[ti]+sizes[ti]].
+	// from its keys, a scan in version 2), node table, payload gather, and the
+	// section CRC for the footer. Each task touches only
+	// buf[offsets[ti]:offsets[ti]+sizes[ti]].
 	tBounds := make([]geom.Box, len(treelets))
 	crcs := make([]uint32, len(treelets))
 	fillErrs := make([]error, len(treelets))
 	fillTreelet := func(ti int) {
 		t := treelets[ti]
-		if packed {
+		if cfg.Compress {
 			tBounds[ti] = cellBounds(t.cells)
 		} else {
 			tBounds[ti] = tightBounds(set, t.order)
@@ -380,7 +370,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		w := &writer{buf: buf, pos: sectionStart}
 		w.u32(uint32(len(t.nodes)))
 		w.u32(uint32(len(t.order)))
-		if packed {
+		if cfg.Compress {
 			// The packer's eight-byte stores run up to packSlack past the
 			// table's end: onto the three position section frames, which are
 			// this treelet's and written next. The slice ends with the
@@ -404,46 +394,19 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				}
 			}
 		}
-		if cfg.QuantizePositions {
-			b := tBounds[ti]
-			quant := func(v, lo, extent float64) uint16 {
-				if extent <= 0 {
-					return 0
+		for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+			if cfg.Compress {
+				// Same section framing as the attributes below.
+				enc := t.posEnc[ax]
+				w.u8(enc.codec)
+				w.u32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
+				if enc.codec != codecRaw {
+					w.bytes(enc.data)
+					continue
 				}
-				q := int((v - lo) / extent * 65536)
-				if q < 0 {
-					q = 0
-				}
-				if q > 65535 {
-					q = 65535
-				}
-				return uint16(q)
-			}
-			sz := b.Size()
-			for _, p := range t.order {
-				w.u16(quant(float64(set.X[p]), b.Lower.X, sz.X))
 			}
 			for _, p := range t.order {
-				w.u16(quant(float64(set.Y[p]), b.Lower.Y, sz.Y))
-			}
-			for _, p := range t.order {
-				w.u16(quant(float64(set.Z[p]), b.Lower.Z, sz.Z))
-			}
-		} else {
-			for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
-				if packed {
-					// Same section framing as the attributes below.
-					enc := t.posEnc[ax]
-					w.u8(enc.codec)
-					w.u32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
-					if enc.codec != codecRaw {
-						w.bytes(enc.data)
-						continue
-					}
-				}
-				for _, p := range t.order {
-					w.f32(col[p])
-				}
+				w.f32(col[p])
 			}
 		}
 		for a, desc := range set.Schema.Attrs {
@@ -530,7 +493,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	w := &writer{buf: buf}
 	w.bytes([]byte(magic))
 	w.u32(fileVer)
-	w.u32(flags)
+	w.u32(layoutFlags(fileVer))
 	w.u64(uint64(set.Len()))
 	w.box(domain)
 	w.u32(uint32(cfg.SubprefixBits))

@@ -15,7 +15,7 @@ import (
 )
 
 // packedTreelets builds one treelet per group of set's Morton order, cut at
-// cuts, and compacts them into a flagPackedNodes image without a shallow tree
+// cuts, and compacts them into a version-3 image without a shallow tree
 // (the reader needs none to load a treelet). It returns the builder's treelets
 // next to the opened file.
 func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg BuildConfig, cuts []int) ([]*treelet, *File) {
@@ -43,8 +43,8 @@ func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg Build
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.PackedNodes {
-		t.Fatal("a compressed build did not set flagPackedNodes")
+	if f.Version != 3 {
+		t.Fatalf("a compressed build wrote version %d", f.Version)
 	}
 	return treelets, f
 }

@@ -61,16 +61,10 @@ type File struct {
 	src  io.ReaderAt
 	size int64
 
-	// Version is the on-disk format version the file was written with.
-	Version      int
-	NumParticles uint64
-	Quantized    bool
-	// PackedPositions reports that X, Y, Z are stored as framed codec
-	// sections (flagPackedPositions) rather than raw columns.
-	PackedPositions bool
-	// PackedNodes reports that treelet node tables are packed columns with
-	// implicit topology and the treelets are unpadded (flagPackedNodes).
-	PackedNodes     bool
+	// Version is the on-disk format version the file was written with, and
+	// says which of the two layouts it holds (format.go).
+	Version         int
+	NumParticles    uint64
 	Domain          geom.Box
 	SubprefixBits   int
 	LODPerNode      int
@@ -267,9 +261,6 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		return nil, err
 	}
 	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
-	f.Quantized = flags&flagQuantized != 0
-	f.PackedPositions = flags&flagPackedPositions != 0
-	f.PackedNodes = flags&flagPackedNodes != 0
 	if f.NumParticles, err = c.u64(); err != nil {
 		return nil, err
 	}
@@ -451,23 +442,17 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if err := f.loadFooter(c); err != nil {
 		return nil, err
 	}
-	// Reject what the header cannot mean. This comes after the footer so a
-	// damaged flags field reports as the checksum error it is; a header
-	// that passes its CRC with these flags is from a writer this reader
-	// does not know, and parsing its positions as raw columns would return
-	// garbage.
-	if unknown := flags &^ knownFlags; unknown != 0 {
-		return nil, fmt.Errorf("bat: unknown header flag bits %#x (file from a newer writer?)", unknown)
-	}
-	if f.PackedPositions && (f.Quantized || ver < 3) {
-		return nil, fmt.Errorf("bat: header flags %#x: packed positions need version 3 and exclude quantized positions (version %d)", flags, ver)
-	}
-	if f.PackedNodes && !f.PackedPositions {
-		return nil, fmt.Errorf("bat: header flags %#x: packed node tables need version 3 and packed positions (version %d)", flags, ver)
+	// Each version has one layout, and its flags word says so. This comes
+	// after the footer so a damaged flags field reports as the checksum error
+	// it is; a header that passes its CRC with other flags is from a writer
+	// whose layout this reader does not read — a retired one, or a newer one —
+	// and parsing its treelets as either layout would return garbage.
+	if want := layoutFlags(ver); flags != want {
+		return nil, fmt.Errorf("bat: version %d file with header flags %#x: this reader reads version %d with flags %#x only (a retired layout, or a newer writer)", ver, flags, ver, want)
 	}
 	// Unpadded treelets tile the bytes between header and footer, in order:
 	// no byte of the file is outside a checksum.
-	if f.PackedNodes {
+	if f.Version >= 3 {
 		next := uint64(f.headerSize)
 		for i, l := range f.leaves {
 			if l.offset != next {
@@ -655,19 +640,16 @@ type SectionInfo struct {
 	Codec    uint8
 	RawBytes int
 	EncBytes int
-	// Mode is a quant-for section's frame mode, "one-frame", "per-node"
-	// (frames inline, files of earlier writers) or "per-node-cols"; empty for
-	// every other codec.
+	// Mode is a quant-for section's frame mode, "one-frame" or
+	// "per-node-cols"; empty for every other codec.
 	Mode string
-	// FrameBytes is how many of EncBytes hold block frames: the inline frames
-	// of a for or per-node quant-for section, the one frame of a one-frame
-	// section, the two frame columns of a per-node-cols one. 0 for cell-for,
-	// whose frames are the k-d cells the node table already stores.
+	// FrameBytes is how many of EncBytes hold block frames: the one frame of a
+	// one-frame section, the two frame columns of a per-node-cols one. 0 for
+	// cell-for, whose frames are the k-d cells the node table already stores.
 	FrameBytes int
 	// Widths lists the bit widths of the section's packed blocks in stream
-	// order: one per node range (for, cell-for, per-node quant-for), one in
-	// all (one-frame quant-for), or the fine and LOD widths (quant). Nil for
-	// raw and delta sections.
+	// order: one per node range (cell-for, per-node-cols quant-for) or one in
+	// all (one-frame quant-for). Nil for raw and delta sections.
 	Widths []uint8
 }
 
@@ -684,7 +666,7 @@ type NodeTableInfo struct {
 	Bytes int
 	// Columns lists a packed table's columns in stream order: axis, count,
 	// split, then each attribute's bitmap IDs. Nil for the fixed records of a
-	// file without flagPackedNodes.
+	// version-2 file.
 	Columns []NodeColumnInfo
 }
 
@@ -698,8 +680,8 @@ type NodeColumnInfo struct {
 
 // TreeletLayout is how one treelet is stored, as parseTreelet reads it: the
 // node table, then one row per column — the three position columns first,
-// then one per attribute. Columns stored without framing (every column of a
-// version-2 file, unpacked positions) list as raw.
+// then one per attribute. The unframed columns of a version-2 file list as
+// raw.
 type TreeletLayout struct {
 	NodeTable NodeTableInfo
 	Sections  []SectionInfo
@@ -720,12 +702,12 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 // with its shallow tree and dictionary, the treelets' node tables (their
 // count words included), position columns and attribute columns (section
 // framing included), the page padding ahead of each treelet (none in a
-// flagPackedNodes file), and the checksum footer. PositionFrames and
-// AttributeFrames are the parts of Positions and Attributes that are block
-// frames stored inside the sections (SectionInfo.FrameBytes).
+// version-3 file), and the checksum footer. AttributeFrames is the part of
+// Attributes that is block frames stored inside the sections
+// (SectionInfo.FrameBytes); a position section stores none.
 type StoredBytes struct {
 	Header, NodeTables, Positions, Attributes, Padding, Footer int64
-	PositionFrames, AttributeFrames                            int64
+	AttributeFrames                                            int64
 }
 
 // StoredBytes reads every treelet's sections and adds the file up.
@@ -740,16 +722,15 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 		sb.Padding -= int64(ref.byteLen)
 		sb.NodeTables += 8 + int64(lay.NodeTable.Bytes)
 		for i, sec := range lay.Sections {
-			part, frames, framed := &sb.Attributes, &sb.AttributeFrames, f.Version >= 3
+			part := &sb.Attributes
 			if i < PositionSections {
-				part, frames, framed = &sb.Positions, &sb.PositionFrames, f.PackedPositions
+				part = &sb.Positions
 			}
-			n := int64(sec.EncBytes)
-			if framed {
-				n += sectionFrameLen
+			*part += int64(sec.EncBytes)
+			if f.Version >= 3 {
+				*part += sectionFrameLen
 			}
-			*part += n
-			*frames += int64(sec.FrameBytes)
+			sb.AttributeFrames += int64(sec.FrameBytes)
 		}
 	}
 	return sb, nil
@@ -876,15 +857,12 @@ func (f *File) prefetch(ctx context.Context, ti int, slots int) {
 	}()
 }
 
-// parseNodeRecords reads a treelet's node table in the fixed-record layout of
-// every file without flagPackedNodes, which spells out child indices and range
-// starts and so has to be checked for the trees it can describe that are none.
+// parseNodeRecords reads a version-2 treelet's node table of fixed records,
+// which spells out child indices and range starts and so has to be checked
+// for the trees it can describe that are none.
 func (f *File) parseNodeRecords(c *cursor, ti int, nNodes, nPoints uint32) ([]diskNode, error) {
 	nA := f.Schema.NumAttrs()
-	// Unpacked positions cost at least 6 bytes a point; packed ones were
-	// bounded against the file's particle count at open.
-	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > c.size ||
-		(!f.PackedPositions && int64(nPoints)*6 > c.size) {
+	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > c.size || int64(nPoints)*rawPosBytes > c.size {
 		return nil, fmt.Errorf("bat: treelet %d counts exceed its byte length", ti)
 	}
 	nodes := make([]diskNode, nNodes)
@@ -936,13 +914,6 @@ func (f *File) parseNodeRecords(c *cursor, ti int, nNodes, nPoints uint32) ([]di
 			nodeSeen[ref] = true
 		}
 	}
-	// Every packed column of a version-3 treelet is blocked by the node
-	// ranges, so they must tile the treelet's points in node order.
-	if f.Version >= 3 {
-		if err := checkBlockRanges(nodes, nPoints); err != nil {
-			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-		}
-	}
 	return nodes, nil
 }
 
@@ -972,7 +943,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	}
 	nA := f.Schema.NumAttrs()
 	t := &parsedTreelet{}
-	if f.PackedNodes {
+	if f.Version >= 3 {
 		var table *NodeTableInfo
 		if lay != nil {
 			table = &lay.NodeTable
@@ -1031,33 +1002,8 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	blocks := newNodeBlocks(t.nodes, int(nPoints))
 	var cols [3][]float32
 	for ax, name := range positionNames {
-		switch {
-		case f.PackedPositions:
-			column(name, 4)
-			codec, payload, err := section(name)
-			if err != nil {
-				return nil, err
-			}
-			if cols[ax], err = decodePosSection(codec, payload, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
-				return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
-			}
-		case f.Quantized:
-			// Quantized positions decode to the center of their 16-bit cell
-			// within the treelet bounds.
-			column(name, 2)
-			lo, sz := ref.bounds.Lower.Component(geom.Axis(ax)), ref.bounds.Size().Component(geom.Axis(ax))
-			payload, err := c.need(2 * int(nPoints))
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float32, nPoints)
-			for i := range out {
-				q := binary.LittleEndian.Uint16(payload[2*i:])
-				out[i] = float32(lo + (float64(q)+0.5)/65536*sz)
-			}
-			cols[ax] = out
-		default:
-			column(name, 4)
+		column(name, 4)
+		if f.Version < 3 {
 			payload, err := c.need(4 * int(nPoints))
 			if err != nil {
 				return nil, err
@@ -1065,6 +1011,14 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			if cols[ax], err = decodeRawF32(payload, int(nPoints)); err != nil {
 				return nil, err
 			}
+			continue
+		}
+		codec, payload, err := section(name)
+		if err != nil {
+			return nil, err
+		}
+		if cols[ax], err = decodePosSection(codec, payload, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 		}
 	}
 	t.x, t.y, t.z = cols[0], cols[1], cols[2]

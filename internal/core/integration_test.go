@@ -217,41 +217,6 @@ func TestLargeFabricWrite(t *testing.T) {
 	}
 }
 
-// TestQuantizedPipeline runs the full pipeline with quantized positions.
-func TestQuantizedPipeline(t *testing.T) {
-	w, err := workloads.NewUniform(8, 500, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := pfs.NewMem()
-	cfg := DefaultWriteConfig(30 * 1024)
-	cfg.BAT.QuantizePositions = true
-	stats := runWrite(t, w, 0, store, "quant", cfg)
-	if stats.TotalCount != 8*500 {
-		t.Fatalf("wrote %d", stats.TotalCount)
-	}
-	err = fabric.Run(4, func(c *fabric.Comm) error {
-		got, _, err := Read(c, store, "quant", w.Decomp().Domain)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && int64(got.Len()) != stats.TotalCount {
-			return fmt.Errorf("full read %d != %d", got.Len(), stats.TotalCount)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The quantized store is smaller than an unquantized one.
-	plain := pfs.NewMem()
-	runWrite(t, w, 0, plain, "plain", DefaultWriteConfig(30*1024))
-	if store.Stats().BytesWritten >= plain.Stats().BytesWritten {
-		t.Errorf("quantized store %d B >= plain %d B",
-			store.Stats().BytesWritten, plain.Stats().BytesWritten)
-	}
-}
-
 // TestReadQueryFiltered exercises the distributed in situ analytics path:
 // collective reads with attribute filters and LOD windows.
 func TestReadQueryFiltered(t *testing.T) {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, run the concurrency-
 # sensitive packages under the race detector, smoke the benchmarks and the
-# quickstart example, and (unless CHECK_FUZZ=0) give the six decode fuzzers
+# quickstart, restart and in-transit examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
 # a short pass. Run it from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
@@ -77,15 +77,15 @@ run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'Te
 # The v3 codec layer under the race detector: the max-error property
 # (random per-attribute bounds, lossless bit-exactness of attributes and
 # positions, LOD two-grid bounds), the position and attribute block codecs'
-# round-trip properties (cell-for positions over real k-d treelets, every
-# quant-for frame mode, the inline-frame and flat quant streams of earlier
-# writers through the same block loop), the corruption matrices of the
-# frameless streams (TestCellFOR*, TestFrameColumn*), the packed node table
+# round-trip properties (cell-for positions over real k-d treelets, both
+# quant-for frame modes), the goldens (today's two layouts read, every retired
+# one refused), the corruption matrices of the frameless streams
+# (TestCellFOR*, TestFrameColumn*), the packed node table
 # (TestPackedNodeTable*: what the reader unpacks is the builder's node, field
 # by field; its corruption matrix) and the tiling of unpadded treelets
 # (TestUnpaddedTreeletsTile), plus encode determinism across worker counts,
 # with decode running fused inside the concurrent query workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestFOR|TestCellFOR|TestFrameColumn|TestPacked|TestUnpadded|TestQuantFOR|TestFlatQuant|TestBitPack' ./internal/bat/
+run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestCellFOR|TestFrameColumn|TestPacked|TestUnpadded|TestQuantFOR|TestBitPack' ./internal/bat/
 
 # The query engine under the race detector: shared-File queries, Workers=N
 # vs Workers=1 multiset identity, the treelet cache singleflight, the
@@ -116,21 +116,25 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 # Bench smoke: one iteration of every BAT build benchmark and of the section
 # kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote),
 # just to keep the benchmark code compiling and runnable (no timing
-# assertions; BenchmarkDecodeSection does check that each read-only stream —
-# inline position frames, inline per-node attribute frames, flat quant — and
-# today's section of the same values decode to the same column).
+# assertions; BenchmarkDecodeSection does check that each column encodes to
+# the stream its case names and decodes).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 
-# The examples are only compiled by the stages above; run the quickstart end
-# to end (public API only: collective write, open, box / filter / progressive
-# counts) and require the particle count it reports.
-quickstart_smoke() {
-	out="$(go run ./examples/quickstart)" || return 1
-	echo "$out" | grep -q '^dataset: 80000 particles, ' ||
-		{ echo "quickstart printed:"; echo "$out"; return 1; }
+# The examples are only compiled by the stages above; run three end to end
+# and require the line each prints when its own check holds: the quickstart
+# (public API only: collective write, open, box / filter / progressive
+# counts) its particle count, the restart (checkpoint, crash, restart on a
+# different rank count) an exact recovery, the in-transit one (query the
+# in-memory image, write it, read it back) that both views agree.
+example_smoke() {
+	out="$(go run "./examples/$1")" || return 1
+	echo "$out" | grep -q "$2" ||
+		{ echo "$1 printed:"; echo "$out"; return 1; }
 }
-run "examples quickstart" quickstart_smoke
+run "examples quickstart" example_smoke quickstart '^dataset: 80000 particles, '
+run "examples restart" example_smoke restart '^restart successful$'
+run "examples instransit" example_smoke instransit 'in situ and post hoc views agree$'
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
@@ -212,8 +216,9 @@ run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
 # parser behind their checksums, the v3 section codecs underneath it — raw,
-# quant, delta, quant-for, both position codecs and the packed node table, fed
-# payloads, node tables and a bounds box directly —, the metadata file, particle wire encoding, .bata sidecars):
+# delta, quant-for, cell-for and the packed node table, fed payloads, node
+# tables and a bounds box directly, the retired codec ids and frame mode
+# among the seeds —, the metadata file, particle wire encoding, .bata sidecars):
 # seconds, not a soak — enough to catch
 # parser regressions on the corpus + fresh mutations. The bat patterns are
 # anchored: -fuzz refuses a pattern that matches two targets.
