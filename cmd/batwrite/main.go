@@ -63,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		outDir    = fs.String("out", "bat-out", "output directory")
 		step      = fs.Int("step", 0, "workload timestep")
 		strategy  = fs.String("strategy", "adaptive", "aggregation: adaptive or aug")
-		plan      = fs.String("plan", "auto", "planning mode: auto, centralized, or distributed")
 		base      = fs.String("name", "", "dataset base name (default <workload>-<step>)")
 		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
@@ -91,9 +90,6 @@ func run(args []string, out io.Writer) error {
 		cfg.Strategy = core.AUG
 	} else if *strategy != "adaptive" {
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	if cfg.Plan, err = core.ParsePlanMode(*plan); err != nil {
-		return err
 	}
 	if *buildWkrs < 0 {
 		return fmt.Errorf("-build-workers must be >= 0, got %d", *buildWkrs)
@@ -152,7 +148,8 @@ func run(args []string, out io.Writer) error {
 
 // printFabricTraffic summarizes the fabric's per-collective counters
 // (bat_fabric_<op>_calls / bat_fabric_<op>_bytes, summed over ranks) so a
-// -stats run shows on stdout where the planning traffic went.
+// -stats run shows on stdout which collectives the write used and how many
+// bytes each moved.
 func printFabricTraffic(out io.Writer, col *obs.Collector) {
 	calls := map[string]int64{}
 	bytes := map[string]int64{}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -41,14 +40,11 @@ func TestGoldenDatasets(t *testing.T) {
 			5, "e24ea471f744f8729bfaa9099d8b3402b4bd77bd9255eb25c6f5b09afa0cc2f4",
 		},
 	} {
-		// Both planners must leave the same bytes.
-		for _, plan := range []string{"auto", "distributed"} {
-			args := append(slices.Clone(tc.args), "-plan", plan, "-out", t.TempDir())
-			files, digest := runAndDigest(t, args)
-			if files != tc.files || digest != tc.digest {
-				t.Errorf("batwrite %v: %d files, digest %s; want %d files, digest %s",
-					args, files, digest, tc.files, tc.digest)
-			}
+		args := append(tc.args, "-out", t.TempDir())
+		files, digest := runAndDigest(t, args)
+		if files != tc.files || digest != tc.digest {
+			t.Errorf("batwrite %v: %d files, digest %s; want %d files, digest %s",
+				args, files, digest, tc.files, tc.digest)
 		}
 	}
 }

@@ -41,8 +41,10 @@ type DistConfig struct {
 	ConsolidateMembers int
 }
 
-// AggLeaf is one leaf this rank aggregates: everything the write pipeline
-// needs to receive the member ranks' data and write the output file.
+// AggLeaf is one leaf this rank aggregates: the member ranks and counts an
+// aggregator would receive and the bounds of the file it would write. The
+// write pipeline plans centrally and does not read it; only the
+// equivalence tests do.
 type AggLeaf struct {
 	// Index is the leaf's global index in depth-first tree order.
 	Index int
@@ -68,7 +70,9 @@ type DistStats struct {
 	Rounds int
 }
 
-// DistPlan is one rank's view of the collectively built plan.
+// DistPlan is one rank's view of the collectively built plan. Its consumers
+// are the equivalence tests, which diff it against Build, and the
+// benchmark's planning probe, which reads Stats; core.Write plans centrally.
 type DistPlan struct {
 	// Domain is the union of all active ranks' bounds.
 	Domain geom.Box

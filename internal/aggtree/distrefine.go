@@ -463,10 +463,8 @@ type treeFrag struct {
 // nil on other ranks). It is a collective: every rank contributes its
 // owned subtree fragments through one tree Gather, and rank 0 stitches
 // them into the skeleton in depth-first order — reproducing, node for node
-// and leaf for leaf, the flattening the centralized Build emits. The write
-// pipeline defers this to metadata time, where rank 0 already handles
-// O(files) state, keeping the planning phase itself free of any O(P)
-// materialization.
+// and leaf for leaf, the flattening the centralized Build emits. Only the
+// equivalence tests call it, to diff the assembled tree against Build's.
 func (p *DistPlan) AssembleTree(c *fabric.Comm) (*Tree, error) {
 	frags := make([]treeFrag, 0, len(p.subs))
 	for _, sub := range p.subs {

@@ -1,10 +1,10 @@
-// Package analyzers holds the repo's custom static-analysis suite: seven
+// Package analyzers holds the repo's custom static-analysis suite: six
 // checks that mechanically enforce invariants the pipeline otherwise relies
 // on by convention — little-endian on-disk serialization, uint64s bounded
 // before they are narrowed in the format packages, a clock/rand/map-order-
-// free BAT build, consumed fabric/pfs errors, paired obs spans,
-// cancellation-aware sleeps (pfs.SleepContext over time.Sleep), and named
-// contexts that are used rather than dropped or replaced. Each check is a
+// free BAT build, consumed fabric/pfs errors, cancellation-aware sleeps
+// (pfs.SleepContext over time.Sleep), and named contexts that are used
+// rather than dropped or replaced. Each check is a
 // local rule over one package. cmd/batlint drives the suite; DESIGN.md §9
 // maps each analyzer to the bug class that motivated it and audits what
 // each has found. Findings are suppressed only by an auditable
@@ -21,7 +21,7 @@ import (
 
 // All returns the full suite in a stable order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Endian, UintCast, Determinism, FabricErr, SpanPair, CtxSleep, CtxFlow}
+	return []*analysis.Analyzer{Endian, UintCast, Determinism, FabricErr, CtxSleep, CtxFlow}
 }
 
 // inScope reports whether a package import path contains any of elems as a

@@ -31,10 +31,6 @@ func TestFabricErr(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.FabricErr, "fabricerr/core")
 }
 
-func TestSpanPair(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analyzers.SpanPair, "spanpair/core")
-}
-
 func TestCtxSleep(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.CtxSleep, "ctxsleep/bat", "ctxsleep/fabric")
 }

@@ -34,67 +34,17 @@ func (s Strategy) String() string {
 	return "adaptive"
 }
 
-// PlanMode selects how phase (a) builds the aggregation plan.
-type PlanMode int
-
-const (
-	// PlanAuto plans centrally below the threshold world size and
-	// distributedly above it (adaptive strategy only; the AUG baseline
-	// always plans centrally).
-	PlanAuto PlanMode = iota
-	// PlanCentralized is the paper's original design: gather all rank
-	// infos on rank 0, build there, scatter assignments. Kept as the
-	// small-world fast path and the oracle the distributed plan is tested
-	// against.
-	PlanCentralized
-	// PlanDistributed builds the identical plan collectively via
-	// aggtree.DistributedBuild; no rank materializes all P rank infos.
-	PlanDistributed
-)
-
-func (m PlanMode) String() string {
-	switch m {
-	case PlanCentralized:
-		return "centralized"
-	case PlanDistributed:
-		return "distributed"
-	}
-	return "auto"
-}
-
-// ParsePlanMode parses a -plan CLI value.
-func ParsePlanMode(s string) (PlanMode, error) {
-	switch s {
-	case "auto", "":
-		return PlanAuto, nil
-	case "centralized":
-		return PlanCentralized, nil
-	case "distributed":
-		return PlanDistributed, nil
-	}
-	return PlanAuto, fmt.Errorf("core: unknown plan mode %q (want auto, centralized, or distributed)", s)
-}
-
-// DefaultDistPlanThreshold is the world size at which PlanAuto switches to
-// distributed planning: the crossover perf.PlanCrossover finds between
-// perf.ModelCentralizedPlan and perf.ModelDistributedPlan on both system
-// profiles (TestPlanModeResolve recomputes it). No world this repository can
-// run is near it: at 512 ranks the benchmark's uniform512-plan layer metrics
-// put the centralized plan at ~1 ms (aggtree.build_ms) and the
-// distributed protocol's ~1 900 collective rounds (aggtree.dist_rounds)
-// at ~1.3 s (aggtree.dist_build_ms), so below the crossover auto must plan
-// centrally. TestPlanModeAutoNotSlower holds the default to that measurement.
+// DefaultDistPlanThreshold is the world size at which the modeled cost of
+// aggtree.DistributedBuild (perf.ModelDistributedPlan) drops below that of
+// the centralized plan Write runs (perf.ModelCentralizedPlan): the crossover
+// perf.PlanCrossover finds on both system profiles, which
+// TestDistPlanThresholdIsModeledCrossover pins. Write does not read it; the
+// benchmark uses it to pick the model its perf.plan_model_ratio compares
+// against. No world this repository can run is near it: at 512 ranks the
+// benchmark's uniform512-plan layer metrics put the centralized plan at
+// ~1 ms (aggtree.build_ms) and the distributed protocol's ~1 900 collective
+// rounds (aggtree.dist_rounds) at ~1.3 s (aggtree.dist_build_ms).
 const DefaultDistPlanThreshold = 1 << 19
-
-func (m PlanMode) resolve(s Strategy, size int) PlanMode {
-	if m != PlanAuto {
-		return m
-	}
-	if s == Adaptive && size >= DefaultDistPlanThreshold {
-		return PlanDistributed
-	}
-	return PlanCentralized
-}
 
 // WriteConfig configures a collective write.
 type WriteConfig struct {
@@ -102,8 +52,6 @@ type WriteConfig struct {
 	TargetFileSize int64
 	// Strategy picks adaptive (default) or AUG aggregation.
 	Strategy Strategy
-	// Plan selects centralized or distributed planning (default PlanAuto).
-	Plan PlanMode
 	// Tree holds the adaptive tree options; TargetFileSize and
 	// BytesPerParticle are filled in from this config and the schema.
 	Tree aggtree.Config
@@ -201,52 +149,15 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	whole := col.Start(c.Rank(), "write")
 	defer whole.End()
 
-	// Phase a: build the aggregation plan (Figure 1a) — either centrally
-	// on rank 0 (gather all infos, build, scatter assignments) or via the
-	// distributed protocol in which every rank keeps its own info and no
-	// rank ever holds all P of them (DESIGN §14). Both modes produce the
-	// identical plan; centralized remains the small-world fast path and
-	// the oracle.
-	mode := cfg.Plan.resolve(cfg.Strategy, c.Size())
-	if mode == PlanDistributed && cfg.Strategy != Adaptive {
-		// Every rank evaluates this identically before any message is
-		// exchanged, so returning here keeps the collective aligned.
-		return nil, fmt.Errorf("core: distributed planning supports only the adaptive strategy")
-	}
+	// Phase a: build the aggregation plan (Figure 1a). Rank 0 gathers every
+	// rank's count and bounds, builds the tree, and scatters each rank its
+	// assignment.
 	start := time.Now()
 	var asg assignMsg
 	var asgErr error // rank failed to obtain its assignment; skip the body
 	var tree *aggtree.Tree
 	var leaves []aggtree.Leaf
-	var dplan *aggtree.DistPlan
-	if mode == PlanDistributed {
-		planSp := col.Start(c.Rank(), "write.dist-plan")
-		tcfg := cfg.Tree
-		tcfg.TargetFileSize = cfg.TargetFileSize
-		tcfg.BytesPerParticle = bpp
-		var err error
-		dplan, err = aggtree.DistributedBuild(c,
-			aggtree.RankInfo{Rank: c.Rank(), Bounds: bounds, Count: int64(local.Len())},
-			aggtree.DistConfig{Config: tcfg})
-		planSp.End()
-		if err != nil {
-			// DistributedBuild fails only on configuration validation,
-			// which every rank evaluates identically before communicating:
-			// all ranks return the same error and no abort scatter is
-			// needed.
-			return nil, err
-		}
-		stats.TreeBuild = time.Since(start)
-		stats.NumFiles = dplan.NumLeaves
-		stats.TotalCount = dplan.TotalCount
-		asg.Aggregator = dplan.OwnAggregator
-		for _, al := range dplan.AggLeaves {
-			asg.Leaves = append(asg.Leaves, leafAssign{
-				Leaf: al.Index, Bounds: al.Bounds,
-				Senders: al.Senders, Counts: al.Counts,
-			})
-		}
-	} else if c.Rank() == 0 {
+	if c.Rank() == 0 {
 		gatherSp := col.Start(c.Rank(), "write.gather")
 		infos := c.Gather(0, encode(infoMsg{Count: int64(local.Len()), Bounds: bounds}))
 		gatherSp.End()
@@ -283,9 +194,6 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 			}
 			stats.TreeBuild = time.Since(treeStart)
 			rankAgg := aggtree.AssignAggregators(leaves, c.Size())
-			if tree != nil {
-				tree.Leaves = leaves
-			}
 			stats.NumFiles = len(leaves)
 			stats.LeafSizes = aggtree.LeafSizeStats(leaves, bpp)
 			for _, l := range leaves {
@@ -354,29 +262,6 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	}
 	localErr := bodyErr
 
-	if dplan != nil {
-		// Distributed planning never materialized the full tree; the
-		// metadata file is the first consumer that needs it, and rank 0
-		// already pays O(files) in this phase, so the subtree fragments
-		// are stitched together only now.
-		asmStart := time.Now()
-		asmSp := col.Start(c.Rank(), "write.assemble-tree")
-		at, err := dplan.AssembleTree(c)
-		asmSp.End()
-		stats.Metadata += time.Since(asmStart)
-		if c.Rank() == 0 {
-			if err != nil {
-				if localErr == nil {
-					localErr = err
-				}
-			} else {
-				tree = at
-				leaves = at.Leaves
-				stats.LeafSizes = aggtree.LeafSizeStats(leaves, bpp)
-			}
-		}
-	}
-
 	// Gather every rank's phase timings so rank 0 can report the
 	// critical-path breakdown (the view Figures 6/10/12 plot).
 	phaseGather := c.Gather(0, encode(stats.PhaseTimes))
@@ -402,20 +287,13 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		// timeout rather than a hang.
 		metaStart := time.Now()
 		metaSp := col.Start(c.Rank(), "write.metadata")
-		// The report count is known even if distributed tree assembly
-		// failed, so the aggregators' buffered reports are always drained
-		// and cannot leak into a later collective on the same fabric.
-		numReports := len(leaves)
-		if dplan != nil {
-			numReports = dplan.NumLeaves
-		}
-		reports := make([]meta.LeafReport, 0, numReports)
+		reports := make([]meta.LeafReport, 0, len(leaves))
 		var leafErr error
-		for received := 0; received < numReports; received++ {
+		for received := 0; received < len(leaves); received++ {
 			raw, _, err := c.RecvTimeout(fabric.AnySource, tagReport, cfg.Timeout)
 			if err != nil {
 				leafErr = fmt.Errorf("core: collecting leaf reports (%d of %d): %w",
-					received, numReports, err)
+					received, len(leaves), err)
 				break
 			}
 			var rm reportMsg

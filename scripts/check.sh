@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, run the concurrency-
 # sensitive packages under the race detector, smoke the benchmarks and the
-# quickstart, restart and in-transit examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
+# five examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
 # a short pass. Run it from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
@@ -27,7 +27,7 @@ run() {
 
 # The repo's own static-analysis suite: format endianness, unguarded
 # narrowing of uint64s in the format packages, build-pipeline determinism,
-# dropped fabric/pfs errors, unpaired obs spans, uncancellable bare
+# dropped fabric/pfs errors, uncancellable bare
 # time.Sleep, dropped or replaced contexts. Zero unwaived findings is the
 # bar (go test ./cmd/batlint holds the same bar plus the expected waiver
 # list).
@@ -47,14 +47,11 @@ run "go test -race fabric+core" go test -race ./internal/fabric/... ./internal/c
 # The distributed-planning equivalence property under the race detector:
 # DistributedBuild must reproduce the centralized oracle byte-for-byte
 # across world sizes, bounds distributions, and consolidation thresholds
-# with the per-rank peak state independent of the world size, and both plan
-# modes must leave identical datasets behind. GOMAXPROCS forced above
-# 1 so the per-rank goroutines of the simulated fabric truly interleave.
-# TestPlanModeAutoNotSlower rides along (matched by TestPlanMode): it times
-# both planners at 512 ranks and fails if PlanAuto picks the one > 2x slower.
+# with the per-rank peak state independent of the world size. GOMAXPROCS
+# forced above 1 so the per-rank goroutines of the simulated fabric truly
+# interleave.
 run "go test -race distributed plan" env GOMAXPROCS=4 go test -race \
-	-run 'TestDistributed|TestPlanMode|TestPlanModes|TestPlanDistributed' \
-	./internal/aggtree/ ./internal/core/
+	-run 'TestDistributed' ./internal/aggtree/
 
 # The generators under the race detector: every rank of one workload value
 # generated at once (the calls benchmark/ and the fabric ranks make) against
@@ -121,12 +118,14 @@ run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 
-# The examples are only compiled by the stages above; run three end to end
-# and require the line each prints when its own check holds: the quickstart
+# The examples are only compiled by the stages above; run each end to end
+# and require the line it prints when its own check holds: the quickstart
 # (public API only: collective write, open, box / filter / progressive
 # counts) its particle count, the restart (checkpoint, crash, restart on a
 # different rank count) an exact recovery, the in-transit one (query the
-# in-memory image, write it, read it back) that both views agree.
+# in-memory image, write it, read it back) that both views agree, the coal
+# boiler (growing injection, adaptive vs AUG dumps) its filtered sample, the
+# dam break (imbalanced dumps) the final dump's particle count.
 example_smoke() {
 	out="$(go run "./examples/$1")" || return 1
 	echo "$out" | grep -q "$2" ||
@@ -135,6 +134,8 @@ example_smoke() {
 run "examples quickstart" example_smoke quickstart '^dataset: 80000 particles, '
 run "examples restart" example_smoke restart '^restart successful$'
 run "examples instransit" example_smoke instransit 'in situ and post hoc views agree$'
+run "examples coalboiler" example_smoke coalboiler '^hot lower-boiler sample: '
+run "examples dambreak" example_smoke dambreak '^final dump holds 12000 particles'
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
