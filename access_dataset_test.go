@@ -89,7 +89,7 @@ func TestDatasetAccessTelemetry(t *testing.T) {
 
 // TestCollectiveReadAccessRegistry checks the fabric/core wiring: a
 // registry attached to the fabric collects per-rank serve records during a
-// collective ReadQuery.
+// collective ReadQueryCtx.
 func TestCollectiveReadAccessRegistry(t *testing.T) {
 	store, _ := writeTestDataset(t, "car", 30*1024)
 	reg := NewAccessRegistry(AccessOptions{})
@@ -98,7 +98,7 @@ func TestCollectiveReadAccessRegistry(t *testing.T) {
 	err := f.Run(func(c *Comm) error {
 		lo := V3(float64(c.Rank()), 0, 0)
 		box := NewBox(lo, lo.Add(V3(1, 2, 1)))
-		got, _, err := ReadQuery(c, store, "car", Query{Bounds: &box})
+		got, _, err := ReadQueryCtx(context.Background(), c, store, "car", Query{Bounds: &box})
 		if err != nil {
 			return err
 		}

@@ -72,7 +72,7 @@ func writeCompressedDataset(t *testing.T) pfs.Storage {
 		}
 		cfg := libbat.DefaultWriteConfig(8 << 10)
 		cfg.BAT.Compress = true
-		cfg.BAT.ErrorBound = 1e-3
+		cfg.BAT.AttrErrorBounds = []float64{1e-3}
 		_, err := libbat.Write(c, store, "ds", local,
 			libbat.NewBox(lo, lo.Add(libbat.V3(1, 1, 1))), cfg)
 		return err

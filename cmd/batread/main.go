@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,23 +29,11 @@ type filterFlags []libbat.AttrFilter
 func (f *filterFlags) String() string { return fmt.Sprintf("%d filters", len(*f)) }
 
 func (f *filterFlags) Set(v string) error {
-	parts := strings.Split(v, ",")
-	if len(parts) != 3 {
-		return fmt.Errorf("want attr,min,max")
-	}
-	attr, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+	flt, err := cliutil.ParseFilter(v)
 	if err != nil {
 		return err
 	}
-	min, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil {
-		return err
-	}
-	max, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-	if err != nil {
-		return err
-	}
-	*f = append(*f, libbat.AttrFilter{Attr: attr, Min: min, Max: max})
+	*f = append(*f, flt)
 	return nil
 }
 

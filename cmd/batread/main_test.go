@@ -138,6 +138,19 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestFilterRejectsNonFinite: a NaN or infinite -filter bound is a usage
+// error naming the bad value, not a filter that silently matches nothing
+// (batserve answers 400 to the same ?filter=).
+func TestFilterRejectsNonFinite(t *testing.T) {
+	for _, flt := range []string{"0,nan,1", "0,0,inf", "0,-Inf,1"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-count", "-in", t.TempDir(), "-name", "absent", "-filter", flt}, &stdout, &stderr)
+		if code == 0 || !strings.Contains(stderr.String(), "is not a finite number") {
+			t.Errorf("batread -filter %s: exit %d, stderr %q", flt, code, stderr.String())
+		}
+	}
+}
+
 // metaCounters runs batread with -stats and returns how often the dataset's
 // .batm file was opened and how many bytes were read from it.
 func metaCounters(t *testing.T, args ...string) (opens, readBytes int64) {

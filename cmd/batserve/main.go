@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"libbat"
+	"libbat/internal/cliutil"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 )
@@ -381,21 +382,6 @@ func parseFloats(s string, n int) ([]float64, error) {
 	return out, nil
 }
 
-// parseFilter parses one filter=attr,min,max parameter. The attribute must
-// be an integer index; its range is checked once the dataset is open.
-func parseFilter(s string) (libbat.AttrFilter, error) {
-	idx, interval, _ := strings.Cut(s, ",")
-	attr, err := strconv.Atoi(strings.TrimSpace(idx))
-	if err != nil {
-		return libbat.AttrFilter{}, fmt.Errorf("attribute index: %v", err)
-	}
-	vals, err := parseFloats(interval, 2)
-	if err != nil {
-		return libbat.AttrFilter{}, err
-	}
-	return libbat.AttrFilter{Attr: attr, Min: vals[0], Max: vals[1]}, nil
-}
-
 func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	q := libbat.Query{Quality: 1}
 	for _, p := range []struct {
@@ -421,7 +407,8 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		q.Bounds = &box
 	}
 	for _, v := range r.URL.Query()["filter"] {
-		flt, err := parseFilter(v)
+		// The attribute's range is checked once the dataset is open.
+		flt, err := cliutil.ParseFilter(v)
 		if err != nil {
 			jsonError(w, http.StatusBadRequest, fmt.Errorf("bad filter: %v", err))
 			return

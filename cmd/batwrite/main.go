@@ -102,14 +102,17 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
+		nA := w.Schema().NumAttrs()
 		if len(bounds) == 1 {
-			cfg.BAT.ErrorBound = bounds[0]
-		} else {
-			if got, want := len(bounds), w.Schema().NumAttrs(); got != want {
-				return fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", got, want)
+			one := bounds[0]
+			bounds = make([]float64, nA)
+			for a := range bounds {
+				bounds[a] = one
 			}
-			cfg.BAT.AttrErrorBounds = bounds
+		} else if len(bounds) != nA {
+			return fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", len(bounds), nA)
 		}
+		cfg.BAT.AttrErrorBounds = bounds
 	}
 	name := *base
 	if name == "" {

@@ -39,6 +39,11 @@ func TestGoldenDatasets(t *testing.T) {
 				"-compress", "-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
 			5, "e24ea471f744f8729bfaa9099d8b3402b4bd77bd9255eb25c6f5b09afa0cc2f4",
 		},
+		{ // one -error-bound for every attribute (digest recorded at commit 970c8b6)
+			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
+				"-compress", "-error-bound", "1e-3", "-lod-error-scale", "4"},
+			5, "6bb92fb2e0107690ed7a5b5bd89d4847d07e586816354d75b3f3b84772876fd1",
+		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())
 		files, digest := runAndDigest(t, args)

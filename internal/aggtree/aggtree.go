@@ -341,14 +341,6 @@ func (t *Tree) TotalCount() int64 {
 	return n
 }
 
-// AssignAggregators assigns each leaf to an aggregator rank, distributing
-// assignments evenly across the rank space [0, worldSize), and returns the
-// per-rank view: agg[r] is the aggregator rank r must send its data to, or
-// -1 if rank r owns no particles.
-func (t *Tree) AssignAggregators(worldSize int) []int {
-	return AssignAggregators(t.Leaves, worldSize)
-}
-
 // AssignAggregators assigns each leaf in the slice to an aggregator rank,
 // spreading assignments evenly across the rank space (shared by the
 // adaptive tree and the AUG baseline so both are compared under the same
@@ -369,37 +361,6 @@ func AssignAggregators(leaves []Leaf, worldSize int) []int {
 		}
 	}
 	return agg
-}
-
-// QueryOverlapping appends to out the indices of all leaves whose bounds
-// overlap the query box, and returns out.
-func (t *Tree) QueryOverlapping(q geom.Box, out []int) []int {
-	if len(t.Leaves) == 0 {
-		return out
-	}
-	if len(t.Nodes) == 0 {
-		if t.Leaves[0].Bounds.Overlaps(q) {
-			out = append(out, 0)
-		}
-		return out
-	}
-	var rec func(ref int32)
-	rec = func(ref int32) {
-		if li, ok := IsLeafRef(ref); ok {
-			if t.Leaves[li].Bounds.Overlaps(q) {
-				out = append(out, li)
-			}
-			return
-		}
-		n := &t.Nodes[ref]
-		if !n.Bounds.Overlaps(q) {
-			return
-		}
-		rec(n.Left)
-		rec(n.Right)
-	}
-	rec(0)
-	return out
 }
 
 // LeafOfRank returns the index of the leaf containing the given rank, or -1.

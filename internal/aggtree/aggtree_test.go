@@ -257,7 +257,7 @@ func TestAssignAggregators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := tr.AssignAggregators(64)
+	agg := AssignAggregators(tr.Leaves, 64)
 	// Every member rank's aggregator matches its leaf's.
 	for li, l := range tr.Leaves {
 		if l.Aggregator < 0 || l.Aggregator >= 64 {
@@ -291,7 +291,7 @@ func TestAssignAggregatorsEmptyRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := tr.AssignAggregators(4)
+	agg := AssignAggregators(tr.Leaves, 4)
 	for r, a := range agg {
 		empty := ranks[r].Count == 0
 		if empty && a != -1 {
@@ -300,62 +300,6 @@ func TestAssignAggregatorsEmptyRanks(t *testing.T) {
 		if !empty && a == -1 {
 			t.Errorf("rank %d with particles has no aggregator", r)
 		}
-	}
-}
-
-func TestQueryOverlapping(t *testing.T) {
-	ranks := gridRanks(8, 1, 1, func(_, _, _ int) int64 { return 1000 })
-	tr, err := Build(ranks, DefaultConfig(1000*bpp, bpp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumLeaves() != 8 {
-		t.Fatalf("want 8 leaves, got %d", tr.NumLeaves())
-	}
-	// Query covering the left half.
-	q := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.49, 1, 1))
-	got := tr.QueryOverlapping(q, nil)
-	if len(got) < 4 || len(got) > 5 {
-		t.Errorf("left-half query hit %d leaves", len(got))
-	}
-	// Full-domain query hits everything.
-	all := tr.QueryOverlapping(tr.Domain, nil)
-	if len(all) != 8 {
-		t.Errorf("full query hit %d leaves", len(all))
-	}
-	// Disjoint query hits nothing.
-	none := tr.QueryOverlapping(geom.NewBox(geom.V3(5, 5, 5), geom.V3(6, 6, 6)), nil)
-	if len(none) != 0 {
-		t.Errorf("disjoint query hit %d leaves", len(none))
-	}
-}
-
-func TestQueryMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ranks := gridRanks(4, 4, 2, func(_, _, _ int) int64 { return rng.Int63n(2000) })
-		tr, err := Build(ranks, DefaultConfig(2000*bpp, bpp))
-		if err != nil {
-			return false
-		}
-		for trial := 0; trial < 10; trial++ {
-			lo := geom.V3(rng.Float64(), rng.Float64(), rng.Float64())
-			hi := lo.Add(geom.V3(rng.Float64()*0.5, rng.Float64()*0.5, rng.Float64()*0.5))
-			q := geom.NewBox(lo, hi)
-			got := map[int]bool{}
-			for _, li := range tr.QueryOverlapping(q, nil) {
-				got[li] = true
-			}
-			for li, l := range tr.Leaves {
-				if l.Bounds.Overlaps(q) != got[li] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // The guard detection is syntactic and local — any <, >, <=, >= comparison
 // whose operand prints identically to the converted expression, earlier in
 // the same function — plus one deliberate cross-function rule: a struct
-// field compared in a Decode* function (Decode, DecodeCtx) is trusted
-// everywhere in the package. Decode is where the format packages validate
+// field compared in a Decode* function (bat.DecodeLeaf, meta.Decode) is
+// trusted everywhere in the package. Decode is where the format packages validate
 // untrusted header fields against the file size before storing them, so a
 // field that was bounds-checked there (File.NumParticles, leafRef.offset)
 // is safe to narrow at query time without a waiver. Fields checked
@@ -81,8 +81,8 @@ func runUintCast(pass *analysis.Pass) error {
 }
 
 // decodeCheckedFields collects every struct field that appears as a bare
-// operand of a relational comparison inside a Decode* function (Decode,
-// DecodeCtx) in this package. Those comparisons are the format layer's
+// operand of a relational comparison inside a Decode* function
+// (bat.DecodeLeaf, meta.Decode) in this package. Those comparisons are the format layer's
 // validation of untrusted on-disk values (typically against the file
 // size), so the fields they bound are trusted for narrowing conversions
 // package-wide.

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -123,21 +124,6 @@ func TestSchemaAndRangesRoundTrip(t *testing.T) {
 		t.Errorf("config fields wrong: subprefix=%d lod=%d leaf=%d",
 			f.SubprefixBits, f.LODPerNode, f.MaxLeafSize)
 	}
-	// With FixedSubprefix the configured width is used verbatim.
-	small, smallDomain := randomSet(500, 33)
-	cfg := DefaultBuildConfig()
-	cfg.FixedSubprefix = true
-	bb, err := Build(small, smallDomain, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := FromBuffer(bb.Buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf.SubprefixBits != 12 {
-		t.Errorf("fixed subprefix = %d, want 12", bf.SubprefixBits)
-	}
 }
 
 func TestEmptyBuild(t *testing.T) {
@@ -156,7 +142,7 @@ func TestEmptyBuild(t *testing.T) {
 func TestBuiltSummaryMatchesFile(t *testing.T) {
 	v3 := DefaultBuildConfig()
 	v3.Compress = true
-	v3.ErrorBound = 1e-3
+	v3.AttrErrorBounds = []float64{1e-3, 1e-3}
 	big, domain := randomSet(20000, 5)
 	// Every point in one subprefix cell: a single treelet, no shallow node.
 	one := particles.NewSet(particles.NewSchema("mass", "id"), 40)
@@ -412,7 +398,7 @@ func TestVisitorErrorAborts(t *testing.T) {
 	}
 }
 
-// decodeFile opens path for pread access: Decode over an *os.File.
+// decodeFile opens path for pread access: DecodeCtx over an *os.File.
 func decodeFile(t *testing.T, path string) *File {
 	t.Helper()
 	fh, err := os.Open(path)
@@ -423,7 +409,7 @@ func decodeFile(t *testing.T, path string) *File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decode(fh, st.Size())
+	f, err := DecodeCtx(context.Background(), fh, st.Size())
 	if err != nil {
 		fh.Close()
 		t.Fatal(err)
@@ -883,13 +869,16 @@ func TestCorruptionRobustness(t *testing.T) {
 }
 
 func TestSpatialQueryDeepShallowTree(t *testing.T) {
-	// Force the full 12-bit subprefix on a modest set so the shallow
-	// radix tree is deep and its derived split planes (Morton cell
-	// midplanes) do the spatial pruning. Any error in the plane
-	// derivation loses particles versus brute force.
+	// Tiny leaves keep the subprefix auto-reduction from shrinking the
+	// width much on a modest set (7 of 12 bits here), so the shallow radix
+	// tree is deep and its derived split planes (Morton cell midplanes) do
+	// the spatial pruning. Any error in the plane derivation loses
+	// particles versus brute force. LODPerNode stays <= MaxLeafSize so every
+	// inner node keeps particles to split.
 	s, domain := clusteredSet(30000, 31)
 	cfg := DefaultBuildConfig()
-	cfg.FixedSubprefix = true
+	cfg.MaxLeafSize = 4
+	cfg.LODPerNode = 4
 	f, b := buildAndOpen(t, s, domain, cfg)
 	if b.Stats.NumShallowNodes < 50 {
 		t.Fatalf("want a deep shallow tree, got %d inner nodes", b.Stats.NumShallowNodes)

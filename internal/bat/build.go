@@ -44,14 +44,11 @@ import (
 // DefaultBuildConfig.
 type BuildConfig struct {
 	// SubprefixBits is the Morton subprefix width merged to form the
-	// shallow tree's leaves (paper: 12 bits). Unless FixedSubprefix is
-	// set, the width is reduced automatically for small particle counts
-	// so each treelet holds enough particles to form an LOD hierarchy;
-	// at the paper's scales (millions of particles per aggregator) the
-	// full width is used.
+	// shallow tree's leaves (paper: 12 bits). The width is reduced
+	// automatically for small particle counts so each treelet holds enough
+	// particles to form an LOD hierarchy; at the paper's scales (millions
+	// of particles per aggregator) the full width is used.
 	SubprefixBits int
-	// FixedSubprefix disables the automatic subprefix reduction.
-	FixedSubprefix bool
 	// LODPerNode is the number of LOD particles set aside at each treelet
 	// inner node (paper evaluation: 8).
 	LODPerNode int
@@ -71,15 +68,13 @@ type BuildConfig struct {
 	// codec.go). Uncompressed builds keep writing byte-identical version-2
 	// files.
 	Compress bool
-	// ErrorBound is the absolute error bound applied to every attribute
-	// when Compress is set. 0 (the default) means lossless: columns are
-	// stored raw or, when integral-valued, delta+varint coded. The bound
-	// is measured against the value the attribute's schema type stores
-	// (Float32 attributes round through float32 either way).
-	ErrorBound float64
-	// AttrErrorBounds overrides ErrorBound per attribute (indexed like
-	// the schema). Nil applies ErrorBound uniformly; when set, its length
-	// must equal the schema's attribute count.
+	// AttrErrorBounds are the absolute error bounds applied per attribute
+	// (indexed like the schema) when Compress is set; when set, its length
+	// must equal the schema's attribute count. Nil, like a bound of 0,
+	// means lossless: columns are stored raw or, when integral-valued,
+	// delta+varint coded. A bound is measured against the value the
+	// attribute's schema type stores (Float32 attributes round through
+	// float32 either way).
 	AttrErrorBounds []float64
 	// LODErrorScale loosens the bound for values inside inner-node LOD
 	// sample ranges: those values may err up to bound × LODErrorScale,
@@ -121,9 +116,6 @@ func (c BuildConfig) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("bat: workers must be >= 0 (0 = GOMAXPROCS), got %d", c.Workers)
 	}
-	if c.ErrorBound < 0 || math.IsNaN(c.ErrorBound) || math.IsInf(c.ErrorBound, 0) {
-		return fmt.Errorf("bat: error bound must be finite and >= 0, got %g", c.ErrorBound)
-	}
 	for a, b := range c.AttrErrorBounds {
 		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
 			return fmt.Errorf("bat: attribute %d error bound must be finite and >= 0, got %g", a, b)
@@ -136,17 +128,11 @@ func (c BuildConfig) validate() error {
 }
 
 // AttrBounds resolves the per-attribute error bounds for a schema of nA
-// attributes: AttrErrorBounds verbatim when set, ErrorBound uniformly
+// attributes: a copy of AttrErrorBounds when set, all zeros (lossless)
 // otherwise. Meaningful only when Compress is set.
 func (c BuildConfig) AttrBounds(nA int) []float64 {
 	out := make([]float64, nA)
-	for a := range out {
-		if c.AttrErrorBounds != nil {
-			out[a] = c.AttrErrorBounds[a]
-		} else {
-			out[a] = c.ErrorBound
-		}
-	}
+	copy(out, c.AttrErrorBounds)
 	return out
 }
 
@@ -287,17 +273,15 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	}
 	n := set.Len()
 	workers := cfg.effectiveWorkers()
-	if !cfg.FixedSubprefix {
-		// Shrink the subprefix until the average treelet holds a few
-		// dozen leaves' worth of particles: deep enough for useful LOD
-		// levels and large enough that the 4 KB page alignment padding
-		// stays around 1% of the data (§VI-B's memory overhead).
-		for cfg.SubprefixBits > 0 && n>>uint(cfg.SubprefixBits) < 32*cfg.MaxLeafSize {
-			cfg.SubprefixBits--
-		}
-		if cfg.SubprefixBits == 0 {
-			cfg.SubprefixBits = 1
-		}
+	// Shrink the subprefix until the average treelet holds a few dozen
+	// leaves' worth of particles: deep enough for useful LOD levels and
+	// large enough that the 4 KB page alignment padding stays around 1% of
+	// the data (§VI-B's memory overhead).
+	for cfg.SubprefixBits > 0 && n>>uint(cfg.SubprefixBits) < 32*cfg.MaxLeafSize {
+		cfg.SubprefixBits--
+	}
+	if cfg.SubprefixBits == 0 {
+		cfg.SubprefixBits = 1
 	}
 	col := cfg.Obs
 

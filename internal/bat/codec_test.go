@@ -121,7 +121,6 @@ func TestCompressedMaxErrorProperty(t *testing.T) {
 func TestCompressedLosslessBitExact(t *testing.T) {
 	s, domain := cosmoSet(3000, 11)
 	cfg := compressedConfig(nil)
-	cfg.ErrorBound = 0
 	f, _ := buildAndOpen(t, s, domain, cfg)
 	if f.Version != 3 {
 		t.Fatalf("version = %d, want 3", f.Version)
@@ -309,11 +308,11 @@ func TestCompressConfigValidation(t *testing.T) {
 	bad := []BuildConfig{}
 	c1 := DefaultBuildConfig()
 	c1.Compress = true
-	c1.ErrorBound = -1
+	c1.AttrErrorBounds = []float64{-1, 0, 0, 0}
 	bad = append(bad, c1)
 	c2 := DefaultBuildConfig()
 	c2.Compress = true
-	c2.ErrorBound = math.Inf(1)
+	c2.AttrErrorBounds = []float64{math.Inf(1), 0, 0, 0}
 	bad = append(bad, c2)
 	c3 := DefaultBuildConfig()
 	c3.Compress = true
@@ -618,7 +617,7 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 	c := determinismCorpora()[2] // coincident
 	cfg := DefaultBuildConfig()
 	cfg.Compress = true
-	cfg.ErrorBound = 1e-2
+	cfg.AttrErrorBounds = []float64{1e-2, 1e-2}
 	f, _ := buildAndOpen(t, c.set, c.domain, cfg)
 	dense := false
 	for _, l := range f.leaves {

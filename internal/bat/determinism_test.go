@@ -87,7 +87,7 @@ func TestBuildDeterminism(t *testing.T) {
 				// per-worker arenas — and the packed node tables of the
 				// unpadded layout.
 				base.Compress = compress
-				base.ErrorBound = 1e-3
+				base.AttrErrorBounds = []float64{1e-3, 1e-3}
 
 				ref := base
 				ref.Workers = 1

@@ -74,7 +74,7 @@ func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 		cfg.MaxLeafSize = 1 + r.Intn(64)
 		cfg.LODPerNode = 1 + r.Intn(min(cfg.MaxLeafSize, 8)) // stratifiedSampleInPlace needs a remainder to split
 		cfg.Compress = true
-		cfg.ErrorBound = 1e-3
+		cfg.AttrErrorBounds = []float64{1e-3, 1e-3, 1e-3}
 		// Random cuts, one of them doubled: the group between is empty.
 		cuts := []int{r.Intn(n + 1), r.Intn(n + 1), r.Intn(n + 1)}
 		cuts[2] = cuts[1]

@@ -189,11 +189,6 @@ func (c *cursor) i32() (int32, error) {
 	return int32(v), err
 }
 
-func (c *cursor) f32() (float32, error) {
-	v, err := c.u32()
-	return math.Float32frombits(v), err
-}
-
 func (c *cursor) f64() (float64, error) {
 	v, err := c.u64()
 	return math.Float64frombits(v), err
@@ -225,14 +220,10 @@ func (c *cursor) ids(backing *[]bitmap.ID, n int) ([]bitmap.ID, error) {
 	return (*backing)[from:len(*backing):len(*backing)], nil
 }
 
-// Decode parses a BAT file image accessible through src.
-func Decode(src io.ReaderAt, size int64) (*File, error) {
-	return DecodeCtx(context.Background(), src, size)
-}
-
-// DecodeCtx is Decode honoring ctx: the header parse aborts when ctx ends,
-// and the context threads into footer reads. Treelet loads are governed by
-// the context of the query that triggers them, not by ctx.
+// DecodeCtx parses a BAT file image accessible through src. The header
+// parse aborts when ctx ends, and the context threads into footer reads.
+// Treelet loads are governed by the context of the query that triggers
+// them, not by ctx.
 func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) {
 	return DecodeLeaf(ctx, src, size, NewCache(), 0)
 }
@@ -758,7 +749,7 @@ func (f *File) checkIDs(ids []bitmap.ID) error {
 // FromBuffer opens an in-memory BAT image (e.g. for in-transit analysis on
 // an aggregator before the buffer is written to disk).
 func FromBuffer(buf []byte) (*File, error) {
-	return Decode(readerAt(buf), int64(len(buf)))
+	return DecodeCtx(context.Background(), readerAt(buf), int64(len(buf)))
 }
 
 type readerAt []byte

@@ -82,15 +82,6 @@ func OfValue(v float64, r Range) Bitmap {
 	return 1 << uint(r.Bin(v))
 }
 
-// OfValues builds the index of a set of values relative to range r.
-func OfValues(vs []float64, r Range) Bitmap {
-	var b Bitmap
-	for _, v := range vs {
-		b |= OfValue(v, r)
-	}
-	return b
-}
-
 // OfQuery returns the bitmap matching every bin that overlaps the query
 // interval [lo, hi] relative to range r. Testing a node's bitmap with
 // Overlaps against this mask conservatively answers "could any contained

@@ -52,6 +52,16 @@ func TestBin(t *testing.T) {
 	}
 }
 
+// ofValues builds the index of a set of values relative to range r, the
+// way a BAT node's bitmap indexes the values it contains.
+func ofValues(vs []float64, r Range) Bitmap {
+	var b Bitmap
+	for _, v := range vs {
+		b |= OfValue(v, r)
+	}
+	return b
+}
+
 func TestOfValuesAndQueryNoFalseNegatives(t *testing.T) {
 	// Any value matching the query interval must be detected by the
 	// bitmap overlap test.
@@ -63,7 +73,7 @@ func TestOfValuesAndQueryNoFalseNegatives(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.Min + rng.Float64()*r.Width()
 		}
-		idx := OfValues(vals, r)
+		idx := ofValues(vals, r)
 		lo := r.Min + rng.Float64()*r.Width()
 		hi := lo + rng.Float64()*r.Width()/2
 		q := OfQuery(lo, hi, r)
@@ -134,7 +144,7 @@ func TestRemapConservative(t *testing.T) {
 		for i := range vals {
 			vals[i] = local.Min + rng.Float64()*local.Width()
 		}
-		localBM := OfValues(vals, local)
+		localBM := ofValues(vals, local)
 		remapped := localBM.Remap(local, global)
 		for _, v := range vals {
 			if !remapped.Overlaps(OfValue(v, global)) {
@@ -243,18 +253,5 @@ func TestDictionaryFull(t *testing.T) {
 	// Existing entries still intern fine.
 	if _, err = d.Intern(Bitmap(5)); err != nil {
 		t.Errorf("existing entry errored: %v", err)
-	}
-}
-
-func BenchmarkOfValues(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	vals := make([]float64, 4096)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	r := Range{Min: 0, Max: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = OfValues(vals, r)
 	}
 }

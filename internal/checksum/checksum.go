@@ -12,9 +12,3 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func CRC32C(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
 }
-
-// Update extends crc with data, allowing sections to be checksummed
-// incrementally.
-func Update(crc uint32, data []byte) uint32 {
-	return crc32.Update(crc, castagnoli, data)
-}

@@ -9,15 +9,6 @@ func TestKnownValue(t *testing.T) {
 	}
 }
 
-func TestUpdateMatchesWhole(t *testing.T) {
-	data := []byte("adaptive spatially aware i/o for multiresolution particle data")
-	whole := CRC32C(data)
-	split := Update(CRC32C(data[:17]), data[17:])
-	if whole != split {
-		t.Errorf("incremental CRC %#x != whole %#x", split, whole)
-	}
-}
-
 func TestSingleBitFlipDetected(t *testing.T) {
 	data := make([]byte, 256)
 	for i := range data {

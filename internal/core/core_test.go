@@ -320,7 +320,7 @@ func TestLeafFilesAreValidBATs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := bat.Decode(fh, fh.Size())
+		f, err := bat.DecodeCtx(context.Background(), fh, fh.Size())
 		if err != nil {
 			t.Fatalf("leaf %s: %v", l.FileName, err)
 		}

@@ -362,13 +362,6 @@ func (r *Request) WaitTimeout(timeout time.Duration) ([]byte, Status, error) {
 	return d, st, nil
 }
 
-// WaitAll completes every request.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() {
 	c.noteCollective("barrier")

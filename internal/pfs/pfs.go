@@ -53,7 +53,6 @@ type OS struct {
 	files  atomic.Int64
 	bytes  atomic.Int64
 	tmpSeq atomic.Int64
-	sync   bool
 }
 
 // NewOS creates (if needed) and wraps a directory. Temp files left behind
@@ -72,12 +71,6 @@ func NewOS(root string) (*OS, error) {
 	}
 	return &OS{root: root}, nil
 }
-
-// SetSync enables fsync-before-rename on every write, making the atomic
-// temp-file-then-rename sequence durable across power loss (at a
-// per-file latency cost). Off by default: benchmarks and tests only need
-// crash atomicity, which the rename alone provides.
-func (s *OS) SetSync(sync bool) { s.sync = sync }
 
 // Root returns the backing directory.
 func (s *OS) Root() string { return s.root }
@@ -103,7 +96,8 @@ func (s *OS) path(name string) (string, error) {
 // rename into place. A crash at any point leaves either the old file or
 // the new one visible, never a torn mixture — concurrent writers cannot
 // collide on the temp name because each write draws a fresh sequence
-// number.
+// number. Nothing is fsynced: the rename gives atomicity, not durability
+// across power loss.
 func (s *OS) WriteFile(name string, data []byte) error {
 	p, err := s.path(name)
 	if err != nil {
@@ -118,13 +112,6 @@ func (s *OS) WriteFile(name string, data []byte) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
-	}
-	if s.sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)

@@ -123,12 +123,6 @@ const (
 // V3 constructs a Vec3.
 func V3(x, y, z float64) Vec3 { return geom.V3(x, y, z) }
 
-// UnmarshalParticles reverses ParticleSet.Marshal (used when moving
-// particle payloads over the fabric by hand, e.g. migration exchanges).
-func UnmarshalParticles(buf []byte, schema Schema) (*ParticleSet, error) {
-	return particles.Unmarshal(buf, schema)
-}
-
 // Exchange performs an all-to-all particle migration: outgoing[r] is sent
 // to rank r, and the result is everything addressed to this rank. Use it
 // to rebalance particles onto their owning ranks before a collective
@@ -178,17 +172,12 @@ func Read(c *Comm, store Storage, base string, bounds Box) (*ParticleSet, *ReadS
 	return core.Read(c, store, base, bounds)
 }
 
-// ReadQuery is the collective read with a full query per rank — spatial
+// ReadQueryCtx is the collective read with a full query per rank — spatial
 // bounds, attribute filters, and a progressive quality window — the
-// distributed in situ analytics path of paper §IV-B.
-func ReadQuery(c *Comm, store Storage, base string, q Query) (*ParticleSet, *ReadStats, error) {
-	return core.ReadQueryCtx(context.Background(), c, store, base, q)
-}
-
-// ReadQueryCtx is ReadQuery honoring ctx. Cancellation never abandons the
-// collective protocol (the other ranks would hang); instead this rank's
-// leaf serves fail fast with the context's error and the call returns
-// ErrPartial with per-leaf errors once the collective completes.
+// distributed in situ analytics path of paper §IV-B. Cancellation never
+// abandons the collective protocol (the other ranks would hang); instead
+// this rank's leaf serves fail fast with the context's error and the call
+// returns ErrPartial with per-leaf errors once the collective completes.
 func ReadQueryCtx(ctx context.Context, c *Comm, store Storage, base string, q Query) (*ParticleSet, *ReadStats, error) {
 	return core.ReadQueryCtx(ctx, c, store, base, q)
 }

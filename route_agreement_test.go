@@ -88,7 +88,7 @@ func TestRouteAgreement(t *testing.T) {
 			cfg := DefaultWriteConfig(20 * 1024)
 			if ver == "v3" {
 				cfg.BAT.Compress = true
-				cfg.BAT.ErrorBound = 1e-3
+				cfg.BAT.AttrErrorBounds = []float64{1e-3, 1e-3}
 			}
 			store := writeTestDatasetCfg(t, "ra", cfg)
 			ds, err := OpenDataset(store, "ra")

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Pre-PR check: batlint + vet + test the whole module, run the concurrency-
-# sensitive packages under the race detector, smoke the benchmarks and the
-# five examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
-# a short pass. Run it from the repository root before sending a PR.
+# Pre-PR check: batlint + vet + test the whole module, once plain and once
+# under the race detector, smoke the benchmarks and the five examples, and
+# (unless CHECK_FUZZ=0) give the six decode fuzzers a short pass. Run it
+# from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
 # summary at the end and exits non-zero if anything failed.
@@ -38,77 +38,17 @@ run "go vet ./..." go vet ./...
 # The whole suite once without the race detector. This is where the figure
 # harness is held: cmd/batbench's tests run every registry entry at a small
 # scale and compare the modeled tables with their goldens byte for byte (no
-# separate stage), next to the batconvert round trip and batlint's
-# TestRepoClean.
+# separate stage), next to batlint's TestRepoClean.
 run "go test ./..." go test ./...
 
-run "go test -race fabric+core" go test -race ./internal/fabric/... ./internal/core/...
-
-# The distributed-planning equivalence property under the race detector:
-# DistributedBuild must reproduce the centralized oracle byte-for-byte
-# across world sizes, bounds distributions, and consolidation thresholds
-# with the per-rank peak state independent of the world size. GOMAXPROCS
-# forced above 1 so the per-rank goroutines of the simulated fabric truly
-# interleave.
-run "go test -race distributed plan" env GOMAXPROCS=4 go test -race \
-	-run 'TestDistributed' ./internal/aggtree/
-
-# The generators under the race detector: every rank of one workload value
-# generated at once (the calls benchmark/ and the fabric ranks make) against
-# the shared Counts memo, plus the golden digests and the cut-off evaluator's
-# bit-equality property.
-run "go test -race workloads+particles" env GOMAXPROCS=4 go test -race ./internal/workloads/ ./internal/particles/
-
-# The chaos suite injects storage faults into full 16-rank collectives;
-# running it under the race detector is the strongest deadlock/race signal
-# the repo has, so it gets its own invocation even though the package run
-# above already covered it once.
-run "go test -race TestChaos" go test -race -run 'TestChaos' ./internal/core/
-
-# The BAT build byte-identity property (serial path vs every worker count)
-# under the race detector, with GOMAXPROCS forced above 1 so the fused
-# treelet/bitmap workers and the parallel compact stage actually interleave
-# even on single-core CI runners.
-run "go test -race TestBuildDeterminism" env GOMAXPROCS=4 go test -race -run 'TestBuildDeterminism' ./internal/bat/
-
-# The v3 codec layer under the race detector: the max-error property
-# (random per-attribute bounds, lossless bit-exactness of attributes and
-# positions, LOD two-grid bounds), the position and attribute block codecs'
-# round-trip properties (cell-for positions over real k-d treelets, both
-# quant-for frame modes), the goldens (today's two layouts read, every retired
-# one refused), the corruption matrices of the frameless streams
-# (TestCellFOR*, TestFrameColumn*), the packed node table
-# (TestPackedNodeTable*: what the reader unpacks is the builder's node, field
-# by field; its corruption matrix) and the tiling of unpadded treelets
-# (TestUnpaddedTreeletsTile), plus encode determinism across worker counts,
-# with decode running fused inside the concurrent query workers.
-run "go test -race compression" env GOMAXPROCS=4 go test -race -run 'TestCompressed|TestCompressionInfo|TestGolden|TestCellFOR|TestFrameColumn|TestPacked|TestUnpadded|TestQuantFOR|TestBitPack' ./internal/bat/
-
-# The query engine under the race detector: shared-File queries, Workers=N
-# vs Workers=1 multiset identity, the treelet cache singleflight, the
-# batserve overlapping-request tests and batread's -count smoke (one cache
-# budget over two leaf files at -query-workers 1 and 2). GOMAXPROCS forced
-# above 1 so the traversal workers genuinely interleave on single-core
-# runners.
-run "go test -race query engine" env GOMAXPROCS=4 go test -race -run 'TestConcurrent|TestParallel|TestOrdered|TestCache|TestFileCache|TestReadahead|TestCloseWaits|TestProgressiveTiles' ./internal/bat/
-run "go test -race batserve+batread" env GOMAXPROCS=4 go test -race ./cmd/batserve/ ./cmd/batread/
-# The one dataset reader under every read route: libbat.Dataset's suites
-# (TestDatasetCacheBudget holds the one-budget contract of the dataset-wide
-# treelet cache under overlapping queries), the shared leaf singleflight
-# table (internal/core) and the route-agreement test (Dataset vs collective
-# read on 1 and 4 ranks vs brute force).
-run "go test -race Dataset" env GOMAXPROCS=4 go test -race -run 'TestDataset|TestOpenDataset|TestRouteAgreement' . ./internal/core/
-
-# Chaos-latency: the cancellation/deadline suites across every read-path
-# layer under combined error+latency injection — cancel storms against the
-# traversal engine, singleflight detach, stalled-mount 504s, batserve
-# kill/restart cycles. The short -timeout means a wedged goroutine fails
-# the stage with a full goroutine dump (go test's panic output; leak
-# failures print their own dump via internal/leakcheck) instead of hanging
-# the script.
-run "go test -race chaos-latency" env GOMAXPROCS=4 go test -race -timeout 120s \
-	-run 'TestChaos|TestCancel|TestReadQueryCtx|TestDatasetQueryCtx|TestDatasetLeaf|TestAdmission' \
-	./internal/bat/ ./internal/core/ ./cmd/batserve/ .
+# The whole suite again under the race detector, with GOMAXPROCS forced
+# above 1 so the simulated fabric's per-rank goroutines, the fused BAT build
+# workers, the query engine's traversal workers and batserve's handlers
+# truly interleave even on single-core runners. The -timeout means a wedged
+# goroutine fails the stage with a full goroutine dump (go test's panic
+# output; leak failures print their own dump via internal/leakcheck)
+# instead of hanging the script.
+run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 
 # Bench smoke: one iteration of every BAT build benchmark and of the section
 # kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote),
