@@ -15,10 +15,13 @@ import (
 // DensityGrid voxelizes the particles matched by q onto an nx*ny*nz grid
 // over the dataset bounds, returning particle counts in x-major order
 // (index = (iz*ny + iy)*nx + ix). It is the data backing a splatting/volume
-// view of the particles.
+// view of the particles. A grid whose byte size overflows int is an error.
 func (d *Dataset) DensityGrid(nx, ny, nz int, q Query) ([]int64, error) {
 	if nx < 1 || ny < 1 || nz < 1 {
 		return nil, fmt.Errorf("libbat: invalid grid %dx%dx%d", nx, ny, nz)
+	}
+	if ny > math.MaxInt/8/nx || nz > math.MaxInt/8/(nx*ny) {
+		return nil, fmt.Errorf("libbat: grid %dx%dx%d has too many cells", nx, ny, nz)
 	}
 	b := d.Bounds()
 	sz := b.Size()
@@ -94,8 +97,13 @@ func (d *Dataset) Summarize(attr int, q Query) (AttrSummary, error) {
 // skips attribute averaging). This is the standard first look at halos,
 // plumes, and droplets.
 func (d *Dataset) RadialProfile(center Vec3, radius float64, bins, attr int, q Query) (counts []int64, means []float64, err error) {
-	if bins < 1 || radius <= 0 {
+	if bins < 1 || !(radius > 0) || math.IsInf(radius, 1) {
 		return nil, nil, fmt.Errorf("libbat: invalid profile (bins=%d, radius=%g)", bins, radius)
+	}
+	for _, c := range []float64{center.X, center.Y, center.Z} {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return nil, nil, fmt.Errorf("libbat: profile center %v is not finite", center)
+		}
 	}
 	if attr >= d.meta.Schema.NumAttrs() {
 		return nil, nil, fmt.Errorf("libbat: attribute %d out of range", attr)
@@ -104,7 +112,7 @@ func (d *Dataset) RadialProfile(center Vec3, radius float64, bins, attr int, q Q
 	sums := make([]float64, bins)
 	err = d.Query(q, func(p Vec3, attrs []float64) error {
 		r := p.Sub(center).Length()
-		if r >= radius {
+		if !(r < radius) { // also skips a NaN distance
 			return nil
 		}
 		b := int(r / radius * float64(bins))

@@ -43,6 +43,13 @@ func TestDensityGrid(t *testing.T) {
 	if _, err := ds.DensityGrid(0, 1, 1, Query{}); err == nil {
 		t.Error("invalid grid should error")
 	}
+	// A cell count that overflows int, or wraps it to zero, is an error,
+	// not a makeslice or index panic.
+	for _, n := range []int{1 << 21, 1 << 22} {
+		if _, err := ds.DensityGrid(n, n, n, Query{}); err == nil {
+			t.Errorf("%d^3 grid should error", n)
+		}
+	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -143,6 +150,21 @@ func TestRadialProfile(t *testing.T) {
 	}
 	if _, _, err := ds.RadialProfile(center, 0, 3, 0, Query{}); err == nil {
 		t.Error("zero radius should error")
+	}
+	// Non-finite arguments are errors, not an int(NaN) shell index.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		center Vec3
+		radius float64
+	}{
+		{V3(nan, 0, 0), 1},
+		{V3(0, -inf, 0), 1},
+		{center, nan},
+		{center, inf},
+	} {
+		if _, _, err := ds.RadialProfile(c.center, c.radius, 4, -1, Query{}); err == nil {
+			t.Errorf("center %v radius %g should error", c.center, c.radius)
+		}
 	}
 	if _, _, err := ds.RadialProfile(center, 1, 3, 99, Query{}); err == nil {
 		t.Error("bad attr should error")

@@ -33,13 +33,12 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "bat-out", "dataset directory")
-		name    = flag.String("name", "", "dataset base name (required)")
-		leaf    = flag.Int("leaf", -1, "inspect one leaf BAT file")
-		tree    = flag.Bool("tree", false, "print the aggregation tree hierarchy")
-		verify  = flag.Bool("verify", false, "verify all checksums in the dataset; exit non-zero on corruption")
-		bytesF  = flag.Bool("bytes", false, "print where the dataset's stored bytes are, summed over every leaf file")
-		accessF = flag.Bool("access", false, "print the dataset's access-telemetry sidecar (batserve -access-persist / batread -access-out)")
+		in     = flag.String("in", "bat-out", "dataset directory")
+		name   = flag.String("name", "", "dataset base name (required)")
+		leaf   = flag.Int("leaf", -1, "inspect one leaf BAT file")
+		tree   = flag.Bool("tree", false, "print the aggregation tree hierarchy")
+		verify = flag.Bool("verify", false, "verify all checksums in the dataset; exit non-zero on corruption")
+		bytesF = flag.Bool("bytes", false, "print where the dataset's stored bytes are, summed over every leaf file")
 	)
 	flag.Parse()
 	fail := func(err error) {
@@ -52,12 +51,6 @@ func main() {
 	store, err := pfs.NewOS(*in)
 	if err != nil {
 		fail(err)
-	}
-	if *accessF {
-		if err := printAccess(os.Stdout, store, *name); err != nil {
-			fail(err)
-		}
-		return
 	}
 	if *verify {
 		if !verifyDataset(os.Stdout, store, *name) {

@@ -48,18 +48,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var filters filterFlags
 	var (
-		in        = fs.String("in", "bat-out", "dataset directory")
-		name      = fs.String("name", "", "dataset base name (required)")
-		ranks     = fs.Int("ranks", 8, "number of simulated reader ranks")
-		vis       = fs.Bool("vis", false, "run the progressive visualization read benchmark instead")
-		quality   = fs.Float64("quality", 1, "LOD quality in (0,1] for -count queries")
-		count     = fs.Bool("count", false, "count particles matching -filter/-quality and exit")
-		workers   = fs.Int("query-workers", 0, "traversal goroutines per query for -count (0 = GOMAXPROCS, 1 = serial)")
-		cacheMB   = fs.Int64("cache-mb", 0, "treelet cache budget in MiB for -count, one budget over all leaf files (0 = unbounded)")
-		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
-		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
-		accessOut = fs.String("access-out", "", "write the access-telemetry snapshot as a .bata sidecar to this file (batinspect -access reads it)")
-		timeout   = fs.Duration("timeout", 0,
+		in       = fs.String("in", "bat-out", "dataset directory")
+		name     = fs.String("name", "", "dataset base name (required)")
+		ranks    = fs.Int("ranks", 8, "number of simulated reader ranks")
+		vis      = fs.Bool("vis", false, "run the progressive visualization read benchmark instead")
+		quality  = fs.Float64("quality", 1, "LOD quality in (0,1] for -count queries")
+		count    = fs.Bool("count", false, "count particles matching -filter/-quality and exit")
+		workers  = fs.Int("query-workers", 0, "traversal goroutines per query for -count (0 = GOMAXPROCS, 1 = serial)")
+		cacheMB  = fs.Int64("cache-mb", 0, "treelet cache budget in MiB for -count, one budget over all leaf files (0 = unbounded)")
+		statsOut = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
+		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
+		timeout  = fs.Duration("timeout", 0,
 			"overall read deadline; on a stalled filesystem the collective read degrades to the healthy leaves and reports the rest as partial (0 = none)")
 	)
 	fs.Var(&filters, "filter", "attribute filter attr,min,max (repeatable, with -count)")
@@ -86,24 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	obsFlags := cliutil.ObsFlags{StatsPath: *statsOut, TracePath: *traceOut}
 	col := obsFlags.Collector()
 	store = pfs.Observe(store, col)
-	// finish dumps the telemetry and, with -access-out, persists rec's
-	// snapshot as a sidecar file (same format batserve -access-persist
-	// writes and batinspect -access reads).
-	finish := func(rec *libbat.AccessRecorder) int {
+	// finish dumps the telemetry after a successful read.
+	finish := func() int {
 		if err := obsFlags.Dump(col); err != nil {
-			return fail(err)
-		}
-		if *accessOut == "" {
-			return 0
-		}
-		if rec == nil {
-			return fail(fmt.Errorf("-access-out: no access telemetry was recorded"))
-		}
-		buf, err := rec.Snapshot().Marshal()
-		if err == nil {
-			err = os.WriteFile(*accessOut, buf, 0o644)
-		}
-		if err != nil {
 			return fail(err)
 		}
 		return 0
@@ -126,9 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if col != nil {
 			ds.SetObserver(col)
 		}
-		if *accessOut != "" {
-			ds.SetAccessRecorder(libbat.NewAccessRecorder(*name, ds.Bounds(), libbat.AccessOptions{}))
-		}
 		n, err := ds.CountCtx(ctx, libbat.Query{Filters: filters, Quality: *quality})
 		if err != nil {
 			return fail(err)
@@ -138,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cs := ds.CacheStats()
 		fmt.Fprintf(stdout, "treelet cache: %d treelets, %d bytes resident, %d loads, %d evictions\n",
 			cs.Entries, cs.Bytes, cs.Misses, cs.Evictions)
-		return finish(ds.AccessRecorder())
+		return finish()
 	}
 
 	if *vis {
@@ -148,10 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "progressive read (quality 0.1..1.0): avg %.2f ms/read, %.0f pts/ms, %d points total\n",
 			res.AvgReadMs, res.PtsPerMs, res.TotalPts)
-		if err := obsFlags.Dump(col); err != nil {
-			return fail(err)
-		}
-		return 0
+		return finish()
 	}
 
 	ds, err := libbat.OpenDataset(store, *name)
@@ -167,11 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	f := libbat.NewFabric(*ranks)
 	f.SetObserver(col)
-	var accessReg *libbat.AccessRegistry // nil without -access-out: Lookup then finds nothing
-	if *accessOut != "" {
-		accessReg = libbat.NewAccessRegistry(libbat.AccessOptions{})
-		f.SetAccessRegistry(accessReg)
-	}
 	err = f.Run(func(c *libbat.Comm) error {
 		// Each reader takes a slab of the domain along the longest axis.
 		axis := domain.LongestAxis()
@@ -203,5 +176,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "read %d particles (dataset holds %d) on %d ranks in %v\n",
 		sumParticles, total, *ranks, time.Since(start).Round(time.Millisecond))
-	return finish(accessReg.Lookup(*name))
+	return finish()
 }

@@ -1,6 +1,6 @@
 // Live introspection endpoints: access-telemetry snapshots, the recent-
-// query log, and opt-in pprof. These are what a batcompact daemon (or an
-// operator) reads to find hot treelets and regions worth reorganizing.
+// query log, and opt-in pprof. An operator reads them to find the hot
+// treelets and regions of a running server; nothing is persisted.
 //
 //	GET /debug/access              per-dataset access snapshots (JSON)
 //	GET /debug/access?format=prometheus   the same as Prometheus series
@@ -10,7 +10,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -72,45 +71,4 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// loadAccessSidecar merges a dataset's persisted access snapshot (written
-// by a previous batserve run) into its live recorder. A missing sidecar is
-// the normal first-run case; a corrupt or mismatched one is skipped with
-// its error returned for logging.
-func (s *server) loadAccessSidecar(name string, rec *access.Recorder) error {
-	f, err := s.store.Open(access.SidecarName(name))
-	if err != nil {
-		return nil // no sidecar yet
-	}
-	buf := make([]byte, f.Size())
-	_, rerr := f.ReadAt(buf, 0)
-	if err := errors.Join(rerr, f.Close()); err != nil {
-		return fmt.Errorf("reading access sidecar for %s: %w", name, err)
-	}
-	snap, err := access.Unmarshal(buf)
-	if err != nil {
-		return fmt.Errorf("parsing access sidecar for %s: %w", name, err)
-	}
-	if err := rec.MergeSnapshot(snap); err != nil {
-		return fmt.Errorf("merging access sidecar for %s: %w", name, err)
-	}
-	return nil
-}
-
-// persistAccess writes every recorder's snapshot to its dataset's sidecar
-// file, so the next batserve run (or a batcompact pass) resumes from the
-// accumulated access pattern.
-func (s *server) persistAccess() error {
-	var firstErr error
-	for _, snap := range s.access.Snapshots() {
-		buf, err := snap.Marshal()
-		if err == nil {
-			err = s.store.WriteFile(access.SidecarName(snap.Dataset), buf)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("persisting access sidecar for %s: %w", snap.Dataset, err)
-		}
-	}
-	return firstErr
 }

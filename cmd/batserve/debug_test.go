@@ -9,6 +9,7 @@ import (
 
 	"libbat"
 	"libbat/internal/geom"
+	"libbat/internal/morton"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
 )
@@ -20,7 +21,7 @@ func accessServer(t *testing.T) *server {
 	t.Helper()
 	s, _ := testServer(t)
 	s.col = obs.New()
-	s.access = libbat.NewAccessRegistry(libbat.AccessOptions{GridBits: 3, RingSize: 32})
+	s.access = libbat.NewAccessRegistry(libbat.AccessOptions{RingSize: 32})
 	return s
 }
 
@@ -71,12 +72,14 @@ func TestDebugAccessHotRegion(t *testing.T) {
 			t.Errorf("treelet (%d,%d) listed with zero hits", ts.Leaf, ts.Treelet)
 		}
 	}
-	hotBox := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.9, 1, 1))
-	hot := snap.HotCells(1)
-	if len(hot) != 1 {
+	if snap.GridBits != access.DefGridBits {
+		t.Errorf("grid_bits = %d, want %d", snap.GridBits, access.DefGridBits)
+	}
+	cb, ok := hottestCell(snap)
+	if !ok {
 		t.Fatal("no heatmap mass")
 	}
-	cb := snap.CellBox(hot[0].Cell)
+	hotBox := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.9, 1, 1))
 	if !cb.Overlaps(hotBox) {
 		t.Errorf("hottest cell %v does not overlap the clustered region %v", cb, hotBox)
 	}
@@ -97,6 +100,23 @@ func TestDebugAccessHotRegion(t *testing.T) {
 			t.Errorf("prometheus access output missing %q", want)
 		}
 	}
+}
+
+// hottestCell returns the box of the snapshot's highest-count heatmap cell
+// (the lowest cell index on a tie), or false for an empty heatmap.
+func hottestCell(snap access.Snapshot) (geom.Box, bool) {
+	if len(snap.Heatmap) == 0 {
+		return geom.Box{}, false
+	}
+	hot := snap.Heatmap[0]
+	for _, h := range snap.Heatmap[1:] {
+		if h.Count > hot.Count {
+			hot = h
+		}
+	}
+	b := snap.Bounds
+	frame := geom.NewBox(geom.V3(b[0], b[1], b[2]), geom.V3(b[3], b[4], b[5]))
+	return morton.CellBounds(morton.Code(hot.Cell), 3*snap.GridBits, frame), true
 }
 
 func TestDebugQueriesEndpoint(t *testing.T) {
@@ -162,55 +182,6 @@ func TestDebugEndpointsNilRegistry(t *testing.T) {
 	s.debugQueries(w, httptest.NewRequest("GET", "/debug/queries", nil))
 	if w.Code != 200 {
 		t.Errorf("nil-registry /debug/queries: %d", w.Code)
-	}
-}
-
-// TestAccessSidecarPersistence drives the restart path: queries recorded by
-// one server are persisted to the .bata sidecar, CRC-verified on reload,
-// and merged into the next server's live recorder.
-func TestAccessSidecarPersistence(t *testing.T) {
-	s := accessServer(t)
-	s.persist = true
-	clusterQueries(t, s, 4)
-	firstSnap := s.access.Lookup("srv").Snapshot()
-	if err := s.persistAccess(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": a fresh server over the same store resumes the counters.
-	s2 := &server{store: s.store, names: s.names, open: map[int]*libbat.Dataset{},
-		col: obs.New(), persist: true,
-		access: libbat.NewAccessRegistry(libbat.AccessOptions{GridBits: 3, RingSize: 32})}
-	t.Cleanup(s2.closeDatasets)
-	clusterQueries(t, s2, 2)
-	snap := s2.access.Lookup("srv").Snapshot()
-	if snap.Queries != firstSnap.Queries+2 {
-		t.Errorf("restarted queries_total = %d, want %d", snap.Queries, firstSnap.Queries+2)
-	}
-	if snap.TreeletHits <= firstSnap.TreeletHits {
-		t.Errorf("restarted treelet hits = %d, not above persisted %d", snap.TreeletHits, firstSnap.TreeletHits)
-	}
-
-	// A corrupted sidecar is rejected through the CRC path and does not
-	// poison the recorder.
-	f, err := s.store.Open(access.SidecarName("srv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, f.Size())
-	f.ReadAt(buf, 0)
-	f.Close()
-	buf[len(buf)/2] ^= 0x01
-	if err := s.store.WriteFile(access.SidecarName("srv"), buf); err != nil {
-		t.Fatal(err)
-	}
-	rec := libbat.NewAccessRecorder("srv", libbat.NewBox(libbat.V3(0, 0, 0), libbat.V3(4, 1, 1)),
-		libbat.AccessOptions{GridBits: 3})
-	if err := s2.loadAccessSidecar("srv", rec); err == nil {
-		t.Error("corrupt sidecar loaded without error")
-	}
-	if rec.Snapshot().Queries != 0 {
-		t.Error("corrupt sidecar modified the recorder")
 	}
 }
 

@@ -60,10 +60,8 @@ type server struct {
 	cacheBytes int64
 
 	// access holds one recorder per open dataset, served on /debug/access
-	// and /debug/queries. persist loads/saves .bata sidecars across runs;
-	// pprofOn mounts net/http/pprof under /debug/pprof/.
+	// and /debug/queries; pprofOn mounts net/http/pprof under /debug/pprof/.
 	access  *libbat.AccessRegistry
-	persist bool
 	pprofOn bool
 
 	// queryTimeout bounds each /points query (0 = no deadline); adm is the
@@ -147,13 +145,7 @@ func (s *server) dataset(i int) (*libbat.Dataset, error) {
 		ds.SetCacheLimit(s.cacheBytes)
 	}
 	ds.SetObserver(s.col, obs.L("step", strconv.Itoa(i)))
-	rec := s.access.Get(s.names[i], ds.Bounds())
-	if s.persist {
-		if err := s.loadAccessSidecar(s.names[i], rec); err != nil {
-			log.Printf("batserve: %v", err)
-		}
-	}
-	ds.SetAccessRecorder(rec)
+	ds.SetAccessRecorder(s.access.Get(s.names[i], ds.Bounds()))
 	s.open[i] = ds
 	return ds, nil
 }
@@ -235,8 +227,6 @@ func main() {
 			"allow out-of-order point delivery within a query (lower latency, nondeterministic stream order)")
 		cacheMB = flag.Int64("cache-mb", 0,
 			"treelet cache budget per dataset in MiB, one budget over all of its leaf files (0 = unbounded)")
-		accessPersist = flag.Bool("access-persist", false,
-			"load and save per-dataset access telemetry sidecars (<name>.bata) across runs")
 		accessRing = flag.Int("access-ring", 0,
 			"recent-query ring size per dataset (0 = default)")
 		pprofOn = flag.Bool("pprof", false,
@@ -267,8 +257,7 @@ func main() {
 	s := &server{store: store, names: names, open: map[int]*libbat.Dataset{},
 		col: obs.New(), qcfg: qcfg, cacheBytes: *cacheMB << 20,
 		access:  libbat.NewAccessRegistry(libbat.AccessOptions{RingSize: *accessRing}),
-		persist: *accessPersist, pprofOn: *pprofOn,
-		queryTimeout: *queryTimeout}
+		pprofOn: *pprofOn, queryTimeout: *queryTimeout}
 	s.adm = newAdmission(s.col, *maxInflight, *queueDepth)
 	ds, err := s.dataset(0)
 	if err != nil {
@@ -297,11 +286,6 @@ func main() {
 		log.Printf("batserve: shutdown: %v", err)
 	}
 	s.closeDatasets()
-	if s.persist {
-		if err := s.persistAccess(); err != nil {
-			log.Printf("batserve: %v", err)
-		}
-	}
 	log.Printf("batserve: stopped")
 }
 

@@ -16,17 +16,15 @@ import (
 
 	"libbat"
 	"libbat/internal/obs"
+	"libbat/internal/pfs"
 )
 
-// testServer writes a small dataset and wraps it in a server.
-func testServer(t *testing.T) (*server, int) {
+// testServer writes a small in-memory dataset and wraps it in a server.
+func testServer(t testing.TB) (*server, int) {
 	t.Helper()
-	store, err := libbat.DirStorage(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := pfs.NewMem()
 	const ranks, perRank = 4, 2000
-	err = libbat.Run(ranks, func(c *libbat.Comm) error {
+	err := libbat.Run(ranks, func(c *libbat.Comm) error {
 		r := rand.New(rand.NewSource(int64(c.Rank())))
 		lo := libbat.V3(float64(c.Rank()), 0, 0)
 		local := libbat.NewParticleSet(libbat.NewSchema("val"), perRank)
@@ -169,6 +167,43 @@ func TestPointsBadParams(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", url, rec.Code)
 		}
 	}
+}
+
+// FuzzPointsQuery drives /points with arbitrary raw query strings: the
+// handler must not panic, must answer 200 or 400, and a 200 body must hold
+// whole records, 12 bytes each (16 with ?attr=).
+func FuzzPointsQuery(f *testing.F) {
+	for _, seed := range []string{
+		"", "quality=1", "quality=0.5", "prev=0&quality=0.3", "prev=0.3&quality=0.7",
+		"quality=0", "quality=-1&prev=-2", "prev=0.5&quality=0.5", "prev=0.7&quality=0.3",
+		"box=0,0,0,1,1,1&attr=0", "box=0,0,0,0.9,1,1", "box=3,0,0,4,1,1", "filter=0,3,4",
+		"quality=abc", "prev=x", "box=1,2,3", "filter=1", "attr=99", "quality=NaN",
+		"quality=Inf", "prev=-Inf", "box=0,0,0,1,NaN,1", "filter=0,0,Inf", "filter=0.7,0,1",
+		"filter=1,0,1", "filter=-1,0,1", "quality=0&filter=9,0,1", "box=a,b,c,d,e,f",
+		"step=0", "step=9",
+	} {
+		f.Add(seed)
+	}
+	s, _ := testServer(f)
+	f.Fuzz(func(t *testing.T, raw string) {
+		req := httptest.NewRequest("GET", "/points", nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		s.points(rec, req)
+		switch rec.Code {
+		case 200:
+			stride := 12
+			if req.URL.Query().Get("attr") != "" {
+				stride = 16
+			}
+			if n := rec.Body.Len(); n%stride != 0 {
+				t.Fatalf("%q: 200 with %d bytes, not a multiple of %d", raw, n, stride)
+			}
+		case 400:
+		default:
+			t.Fatalf("%q: status %d: %s", raw, rec.Code, rec.Body.String())
+		}
+	})
 }
 
 func TestBadParamsJSONBody(t *testing.T) {

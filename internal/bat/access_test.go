@@ -21,7 +21,7 @@ func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Quer
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rec := access.New("t", f.Domain, access.Options{GridBits: 3})
+	rec := access.New("t", f.Domain, access.Options{})
 	f.cache.SetAccessRecorder(rec)
 	for _, q := range queries {
 		if _, err := f.QueryWithConfig(q, cfg, func(geom.Vec3, []float64) error { return nil }); err != nil {

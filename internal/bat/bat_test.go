@@ -70,6 +70,39 @@ func TestBuildValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestBuildLODAboveLeafSize: with LODPerNode above MaxLeafSize, a node
+// holding between the two counts is one the LOD sample would take whole. It
+// must become a leaf, serially and on the worker pool, with the same bytes
+// either way and every particle stored once.
+func TestBuildLODAboveLeafSize(t *testing.T) {
+	s, domain := randomSet(4000, 2)
+	for _, compress := range []bool{false, true} {
+		var first []byte
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultBuildConfig()
+			cfg.LODPerNode, cfg.MaxLeafSize, cfg.Workers, cfg.Compress = 64, 8, workers, compress
+			f, b := buildAndOpen(t, s, domain, cfg)
+			if first == nil {
+				first = b.Buf
+			} else if !reflect.DeepEqual(b.Buf, first) {
+				t.Fatalf("compress=%v: Workers %d bytes differ from Workers 1", compress, workers)
+			}
+			got, err := f.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[float64]bool, got.Len())
+			for i := 0; i < got.Len(); i++ {
+				seen[got.Attrs[1][i]] = true
+			}
+			if got.Len() != s.Len() || len(seen) != s.Len() {
+				t.Fatalf("compress=%v workers=%d: read %d particles, %d distinct, want %d",
+					compress, workers, got.Len(), len(seen), s.Len())
+			}
+		}
+	}
+}
+
 func TestRoundTripAllParticles(t *testing.T) {
 	s, domain := randomSet(5000, 2)
 	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())

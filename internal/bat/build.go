@@ -472,7 +472,9 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 			t.depth = depth
 		}
 		me := int32(len(t.nodes))
-		if len(pts) <= cfg.MaxLeafSize {
+		// A node the LOD sample would take whole (LODPerNode above
+		// MaxLeafSize) leaves nothing to split: it is a leaf too.
+		if len(pts) <= cfg.MaxLeafSize || len(pts) <= cfg.LODPerNode {
 			t.nodes = append(t.nodes, treeletNode{axis: leafAxis, pts: pts})
 			return me
 		}

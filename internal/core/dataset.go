@@ -27,7 +27,6 @@ import (
 type Dataset struct {
 	store pfs.Storage
 	meta  *meta.Meta
-	rank  int // serving rank stamped on access records (collective reads)
 	// cache is the one treelet cache every leaf file parses into; the
 	// byte budget, the obs counters and the access recorder live on it.
 	cache *bat.Cache
@@ -196,7 +195,6 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 	}
 	rec.Record(access.QueryRecord{
 		Source:         access.SourceOf(ctx, "dataset"),
-		Rank:           d.rank,
 		Box:            access.BoxRecord(q.Bounds),
 		Filters:        access.FilterRanges(d.meta.Schema, q.Filters),
 		PrevQuality:    q.PrevQuality,

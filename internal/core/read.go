@@ -12,7 +12,6 @@ import (
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/obs"
-	"libbat/internal/obs/access"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
 )
@@ -100,11 +99,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	stats.Metadata = time.Since(metaStart)
 	defer ds.Close()
 	m := ds.meta
-	// Access telemetry (nil registry → nil recorder → no-ops throughout):
-	// the aggregator side records which treelets and regions each served
-	// leaf query touches, keyed by dataset base name.
-	ds.rank = c.Rank()
-	ds.SetAccessRecorder(c.AccessRegistry().Get(base, m.Domain))
 	nLeaves := len(m.Leaves)
 	if nLeaves == 0 {
 		c.Barrier()
@@ -175,7 +169,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	if nWorkers < 1 {
 		nWorkers = 1
 	}
-	serveCtx := access.WithSource(ctx, "core.read")
 	jobs := make(chan serveJob, nWorkers)
 	results := make(chan serveResult, 2*nWorkers)
 	var workers sync.WaitGroup
@@ -184,7 +177,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		go func() {
 			defer workers.Done()
 			for j := range jobs {
-				results <- serveLeafJob(serveCtx, col, ds, j)
+				results <- serveLeafJob(ctx, col, c.Rank(), ds, j)
 			}
 		}()
 	}
@@ -389,12 +382,12 @@ type serveResult struct {
 }
 
 // serveLeafJob runs on a pool worker: query the leaf through ds and package
-// the outcome. It never touches the communicator. ctx carries the "core.read"
-// source tag; if it ends before or during the serve, its error becomes a
+// the outcome on the serving rank's span lane. It never touches the
+// communicator. If ctx ends before or during the serve, its error becomes a
 // per-leaf error reply, and since ds never caches a failed open a later read
 // retries the leaf cleanly.
-func serveLeafJob(ctx context.Context, col *obs.Collector, ds *Dataset, j serveJob) serveResult {
-	sp := col.Start(ds.rank, "read.serve")
+func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, j serveJob) serveResult {
+	sp := col.Start(rank, "read.serve")
 	defer sp.End()
 	start := time.Now()
 	sub := particles.NewSet(ds.meta.Schema, 0)

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"libbat/internal/obs"
-	"libbat/internal/obs/access"
 )
 
 // ErrTimeout is returned (wrapped) by deadline-aware receives when no
@@ -90,11 +89,6 @@ type Fabric struct {
 	// telemetry; hot paths then pay only nil checks.
 	col *obs.Collector
 
-	// accessReg, when set, hands per-dataset access recorders to the
-	// collective read pipelines through Comm.AccessRegistry. Nil disables
-	// access telemetry the same way.
-	accessReg *access.Registry
-
 	barrierMu   sync.Mutex
 	barrierCond *sync.Cond
 	barrierGen  uint64
@@ -124,13 +118,6 @@ func (f *Fabric) SetObserver(c *obs.Collector) { f.col = c }
 
 // Observer returns the attached collector (nil when telemetry is off).
 func (f *Fabric) Observer() *obs.Collector { return f.col }
-
-// SetAccessRegistry attaches per-dataset access-telemetry recorders to the
-// fabric. Like SetObserver, call it before ranks start reading.
-func (f *Fabric) SetAccessRegistry(r *access.Registry) { f.accessReg = r }
-
-// AccessRegistry returns the attached registry (nil when disabled).
-func (f *Fabric) AccessRegistry() *access.Registry { return f.accessReg }
 
 // BytesSent returns the total bytes moved through the fabric so far.
 func (f *Fabric) BytesSent() int64 { return f.bytesSent.Load() }
@@ -169,10 +156,6 @@ func (f *Fabric) Comm(rank int) *Comm {
 // Observer returns the fabric's telemetry collector (nil when disabled),
 // letting collective pipelines record spans on this rank's timeline.
 func (c *Comm) Observer() *obs.Collector { return c.f.col }
-
-// AccessRegistry returns the fabric's access-telemetry registry (nil when
-// disabled), letting collective read pipelines record per-dataset access.
-func (c *Comm) AccessRegistry() *access.Registry { return c.f.accessReg }
 
 // noteRecv counts one completed receive.
 func (c *Comm) noteRecv(n int) {

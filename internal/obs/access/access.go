@@ -3,12 +3,9 @@
 // Recorder captures per-treelet hit/byte/load counts, a coarse spatial
 // heatmap binned on a fixed-depth Morton grid of the dataset bounds,
 // per-attribute touch counts, and a bounded ring of recent structured query
-// records. Snapshots are exportable as JSON or Prometheus series and
-// persistable to a versioned, CRC32C-checksummed sidecar file, so a future
-// batcompact daemon can merge observed access patterns across batserve
-// restarts and replicas and rewrite hot datasets with read-optimized
-// parameters (the query-driven reorganization of Wan et al.,
-// arXiv:2107.07108).
+// records. The telemetry lives in memory only: snapshots are exported live
+// as JSON or Prometheus series (batserve's /debug/access and
+// /debug/queries) and are gone when the process exits.
 //
 // Like internal/obs, the package is nil-safe when disabled: every method on
 // a nil *Recorder (or nil *Registry) is a no-op, so instrumented hot paths
@@ -28,13 +25,12 @@ import (
 	"libbat/internal/particles"
 )
 
-// Default telemetry shape. GridBits is bits per axis of the heatmap grid:
-// 4 bits gives a 16x16x16 grid (4096 cells, 32 KiB of counters), coarse
-// enough to be cheap and fine enough to localize a hot region.
+// Telemetry shape. DefGridBits is the heatmap depth in bits per axis: a
+// 16x16x16 grid (4096 cells, 32 KiB of counters), coarse enough to be cheap
+// and fine enough to localize a hot region.
 const (
 	DefGridBits = 4
 	DefRingSize = 256
-	maxGridBits = 6 // 64^3 cells = 2 MiB of counters; beyond that is not "coarse"
 )
 
 // accessShards spreads the treelet-count map over independently locked
@@ -43,26 +39,8 @@ const accessShards = 16
 
 // Options shapes a Recorder. The zero value selects the defaults.
 type Options struct {
-	// GridBits is the heatmap resolution in bits per axis (grid is
-	// 2^GridBits cells per axis). 0 selects DefGridBits; values are
-	// clamped to [1, 6].
-	GridBits int
 	// RingSize bounds the recent-query ring. 0 selects DefRingSize.
 	RingSize int
-}
-
-func (o Options) gridBits() int {
-	b := o.GridBits
-	if b == 0 {
-		b = DefGridBits
-	}
-	if b < 1 {
-		b = 1
-	}
-	if b > maxGridBits {
-		b = maxGridBits
-	}
-	return b
 }
 
 func (o Options) ringSize() int {
@@ -126,8 +104,7 @@ func SourceOf(ctx context.Context, def string) string {
 // query asked for and what answering it cost.
 type QueryRecord struct {
 	UnixNano int64  `json:"unix_nano"`
-	Source   string `json:"source,omitempty"` // e.g. "dataset", "batserve:/points", "core.read"
-	Rank     int    `json:"rank,omitempty"`   // collective reads: the serving rank
+	Source   string `json:"source,omitempty"` // e.g. "dataset", "batserve:/points"
 
 	// Box is the query bounds as [x0,y0,z0,x1,y1,z1]; nil for full-domain.
 	Box         *[6]float64   `json:"box,omitempty"`
@@ -168,12 +145,11 @@ type treeletShard struct {
 // Recorder captures the observed access pattern of one dataset. Create
 // with New; a nil *Recorder is the disabled state and every method no-ops.
 type Recorder struct {
-	name     string
-	bounds   geom.Box
-	gridBits int
-	ringCap  int
+	name    string
+	bounds  geom.Box
+	ringCap int
 
-	cells []atomic.Int64 // heatmap, 1 << (3*gridBits) Morton-ordered cells
+	cells []atomic.Int64 // heatmap, 1 << (3*DefGridBits) Morton-ordered cells
 
 	queries      atomic.Int64
 	treeletHits  atomic.Int64
@@ -208,13 +184,12 @@ func New(name string, bounds geom.Box, opts Options) *Recorder {
 		bounds.Upper.Z = bounds.Lower.Z + 1
 	}
 	r := &Recorder{
-		name:     name,
-		bounds:   bounds,
-		gridBits: opts.gridBits(),
-		ringCap:  opts.ringSize(),
-		attrs:    map[string]*atomic.Int64{},
+		name:    name,
+		bounds:  bounds,
+		ringCap: opts.ringSize(),
+		cells:   make([]atomic.Int64, 1<<(3*DefGridBits)),
+		attrs:   map[string]*atomic.Int64{},
 	}
-	r.cells = make([]atomic.Int64, 1<<(3*r.gridBits))
 	r.ring = make([]QueryRecord, r.ringCap)
 	for i := range r.shards {
 		r.shards[i].m = map[uint64]*treeletCounts{}
@@ -228,14 +203,6 @@ func (r *Recorder) Name() string {
 		return ""
 	}
 	return r.name
-}
-
-// Bounds returns the heatmap's spatial reference frame.
-func (r *Recorder) Bounds() geom.Box {
-	if r == nil {
-		return geom.Box{}
-	}
-	return r.bounds
 }
 
 // treeletKey packs a (leaf file, treelet) pair into one map key.
@@ -257,11 +224,11 @@ func (r *Recorder) counts(leaf, treelet int) *treeletCounts {
 	return c
 }
 
-// cellOf maps a point to its heatmap cell: the top 3*gridBits bits of the
-// point's Morton code relative to the dataset bounds, so cell indices are
-// Morton prefixes and morton.CellBounds recovers each cell's box.
+// cellOf maps a point to its heatmap cell: the top 3*DefGridBits bits of
+// the point's Morton code relative to the dataset bounds, so cell indices
+// are Morton prefixes and morton.CellBounds recovers each cell's box.
 func (r *Recorder) cellOf(p geom.Vec3) uint32 {
-	return uint32(morton.FromPoint(p, r.bounds).Subprefix(3 * r.gridBits))
+	return uint32(morton.FromPoint(p, r.bounds).Subprefix(3 * DefGridBits))
 }
 
 // Treelet records one query traversal touching a treelet: hit and byte
@@ -281,7 +248,7 @@ func (r *Recorder) Treelet(leaf, treelet int, bytes int64, center geom.Vec3) {
 
 // TreeletLoad records a treelet cache miss: the treelet was parsed from
 // storage (rather than served from memory). The hits-to-loads ratio per
-// treelet is the cache-thrash signal a reorganizer watches.
+// treelet is the cache-thrash signal.
 func (r *Recorder) TreeletLoad(leaf, treelet int) {
 	if r == nil {
 		return
@@ -341,9 +308,9 @@ func (r *Recorder) RecentQueries() []QueryRecord {
 	return out
 }
 
-// Registry holds one Recorder per dataset, for processes (batserve, the
-// collective read path) that serve many datasets. Nil-safe: a nil
-// *Registry returns nil Recorders, keeping telemetry fully disabled.
+// Registry holds one Recorder per dataset, for a process (batserve) that
+// serves many datasets. Nil-safe: a nil *Registry returns nil Recorders,
+// keeping telemetry fully disabled.
 type Registry struct {
 	opts Options
 	mu   sync.Mutex
@@ -371,33 +338,18 @@ func (g *Registry) Get(name string, bounds geom.Box) *Recorder {
 	return r
 }
 
-// Lookup returns the recorder for the named dataset, or nil if none was
-// created yet.
-func (g *Registry) Lookup(name string) *Recorder {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.m[name]
-}
-
 // Recorders returns every recorder, sorted by dataset name.
 func (g *Registry) Recorders() []*Recorder {
 	if g == nil {
 		return nil
 	}
 	g.mu.Lock()
-	names := make([]string, 0, len(g.m))
-	for n := range g.m {
-		names = append(names, n)
+	out := make([]*Recorder, 0, len(g.m))
+	for _, r := range g.m {
+		out = append(out, r)
 	}
 	g.mu.Unlock()
-	sort.Strings(names)
-	out := make([]*Recorder, len(names))
-	for i, n := range names {
-		out[i] = g.Lookup(n)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

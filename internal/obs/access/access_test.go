@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"libbat/internal/geom"
+	"libbat/internal/morton"
 )
 
 func unitBox() geom.Box { return geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1)) }
@@ -23,15 +24,12 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if s.Queries != 0 || len(s.Treelets) != 0 {
 		t.Errorf("nil recorder snapshot = %+v", s)
 	}
-	if err := r.MergeSnapshot(Snapshot{GridBits: 9}); err != nil {
-		t.Errorf("nil recorder MergeSnapshot = %v", err)
-	}
 	if r.Name() != "" {
 		t.Errorf("nil recorder Name = %q", r.Name())
 	}
 
 	var g *Registry
-	if g.Get("x", unitBox()) != nil || g.Lookup("x") != nil {
+	if g.Get("x", unitBox()) != nil {
 		t.Error("nil registry returned a recorder")
 	}
 	if g.Recorders() != nil || g.Snapshots() != nil {
@@ -72,18 +70,16 @@ func TestRecorderCounts(t *testing.T) {
 	}
 	// The two touched corners must land in different cells, and each
 	// cell's recovered box must contain the touch point.
-	lowCell, hiCell := s.Heatmap[0], s.Heatmap[1]
-	if !s.CellBox(lowCell.Cell).Contains(geom.V3(0.1, 0.1, 0.1)) {
-		t.Errorf("cell %d box %v does not contain the low corner", lowCell.Cell, s.CellBox(lowCell.Cell))
+	cellBox := func(c HeatCell) geom.Box {
+		return morton.CellBounds(morton.Code(c.Cell), 3*s.GridBits, unitBox())
 	}
-	if !s.CellBox(hiCell.Cell).Contains(geom.V3(0.9, 0.9, 0.9)) {
-		t.Errorf("cell %d box %v does not contain the high corner", hiCell.Cell, s.CellBox(hiCell.Cell))
+	for i, p := range []geom.Vec3{geom.V3(0.1, 0.1, 0.1), geom.V3(0.9, 0.9, 0.9)} {
+		if b := cellBox(s.Heatmap[i]); !b.Contains(p) {
+			t.Errorf("cell %d box %v does not contain %v", s.Heatmap[i].Cell, b, p)
+		}
 	}
-	if hot := s.HotCells(1); len(hot) != 1 || hot[0].Count != 2 {
-		t.Errorf("HotCells = %+v", hot)
-	}
-	if hot := s.HotTreelets(1); len(hot) != 1 || (hot[0].Leaf != 0 || hot[0].Treelet != 3) {
-		t.Errorf("HotTreelets = %+v", hot)
+	if s.Heatmap[0].Count != 2 || s.Heatmap[1].Count != 1 {
+		t.Errorf("heatmap counts = %+v", s.Heatmap)
 	}
 	if len(s.Attrs) != 1 || s.Attrs[0] != (AttrStat{Name: "mass", Count: 2}) {
 		t.Errorf("attrs = %+v", s.Attrs)
@@ -112,18 +108,6 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
-func TestGridBitsClamped(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{0, DefGridBits}, {-3, 1}, {2, 2}, {99, maxGridBits}} {
-		r := New("ds", unitBox(), Options{GridBits: tc.in})
-		if r.gridBits != tc.want {
-			t.Errorf("GridBits %d -> %d, want %d", tc.in, r.gridBits, tc.want)
-		}
-		if len(r.cells) != 1<<(3*tc.want) {
-			t.Errorf("GridBits %d -> %d cells", tc.in, len(r.cells))
-		}
-	}
-}
-
 func TestDegenerateBounds(t *testing.T) {
 	// A flat (2D) domain must not produce NaN cells.
 	flat := geom.NewBox(geom.V3(0, 0, 5), geom.V3(1, 1, 5))
@@ -139,7 +123,7 @@ func TestDegenerateBounds(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	g := NewRegistry(Options{GridBits: 3})
+	g := NewRegistry(Options{})
 	a := g.Get("b-ds", unitBox())
 	if a == nil || g.Get("b-ds", unitBox()) != a {
 		t.Fatal("Get is not idempotent")
@@ -149,11 +133,8 @@ func TestRegistry(t *testing.T) {
 	if len(recs) != 2 || recs[0].Name() != "a-ds" || recs[1].Name() != "b-ds" {
 		t.Fatalf("recorders = %v", recs)
 	}
-	if g.Lookup("missing") != nil {
-		t.Error("Lookup invented a recorder")
-	}
 	snaps := g.Snapshots()
-	if len(snaps) != 2 || snaps[0].Dataset != "a-ds" || snaps[0].GridBits != 3 {
+	if len(snaps) != 2 || snaps[0].Dataset != "a-ds" || snaps[0].GridBits != DefGridBits {
 		t.Fatalf("snapshots = %+v", snaps)
 	}
 }

@@ -1,46 +1,15 @@
-// Snapshot export and the persisted sidecar format.
+// Snapshot export.
 //
-// A Snapshot is the consistent, mergeable copy of a Recorder's state. It
-// serializes two ways: as plain JSON (the /debug/access endpoint) and as a
-// sidecar file — a small binary envelope around the JSON payload carrying a
-// magic, a format version, and a CRC32C over the whole image, following the
-// same versioning/checksum discipline as the v2 BAT and metadata formats.
-// The envelope is what lets a batcompact run trust telemetry written by an
-// earlier batserve generation (or reject a torn write) before merging it.
+// A Snapshot is a consistent copy of a Recorder's state, served live as
+// plain JSON (the /debug/access endpoint) or as Prometheus series.
 package access
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"time"
-
-	"libbat/internal/checksum"
-	"libbat/internal/geom"
-	"libbat/internal/morton"
 )
-
-// Sidecar envelope constants.
-const (
-	sidecarMagic = "BATA"
-	// SidecarVersion is the current sidecar format version. Readers accept
-	// exactly the versions in [1, SidecarVersion].
-	SidecarVersion = 1
-	// sidecar layout: magic(4) version(4) payloadLen(4) payload crc(4)
-	sidecarOverhead = 16
-)
-
-// ErrChecksum marks a sidecar whose CRC32C does not match its contents —
-// on-disk corruption or a torn write rather than a format mismatch.
-var ErrChecksum = errors.New("access: sidecar checksum mismatch")
-
-// SidecarName returns the conventional sidecar file name for a dataset
-// base name (stored next to the dataset's .batm metadata).
-func SidecarName(base string) string { return base + ".bata" }
 
 // TreeletStat is one treelet's access counters at snapshot time.
 type TreeletStat struct {
@@ -52,7 +21,8 @@ type TreeletStat struct {
 }
 
 // HeatCell is one non-empty heatmap cell. Cell is the Morton prefix of the
-// cell (3*GridBits bits); CellBox recovers its spatial bounds.
+// cell (3*GridBits bits) relative to the snapshot's Bounds, so
+// morton.CellBounds recovers its spatial box.
 type HeatCell struct {
 	Cell  uint32 `json:"cell"`
 	Count int64  `json:"count"`
@@ -65,12 +35,12 @@ type AttrStat struct {
 }
 
 // Snapshot is a Recorder's exported state: every slice is sorted so equal
-// states marshal to identical bytes (the sidecar golden-file property).
+// states marshal to identical bytes.
 type Snapshot struct {
 	Dataset  string     `json:"dataset"`
-	Bounds   [6]float64 `json:"bounds"` // x0,y0,z0,x1,y1,z1 heatmap frame
-	GridBits int        `json:"grid_bits"`
-	WallUnix int64      `json:"wall_unix,omitempty"` // snapshot time (0 in golden fixtures)
+	Bounds   [6]float64 `json:"bounds"`              // x0,y0,z0,x1,y1,z1 heatmap frame
+	GridBits int        `json:"grid_bits"`           // heatmap depth, DefGridBits
+	WallUnix int64      `json:"wall_unix,omitempty"` // snapshot time
 
 	Queries      int64 `json:"queries_total"`
 	TreeletHits  int64 `json:"treelet_hits_total"`
@@ -94,7 +64,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	s = Snapshot{
 		Dataset:      r.name,
 		Bounds:       [6]float64{b.Lower.X, b.Lower.Y, b.Lower.Z, b.Upper.X, b.Upper.Y, b.Upper.Z},
-		GridBits:     r.gridBits,
+		GridBits:     DefGridBits,
 		WallUnix:     time.Now().Unix(),
 		Queries:      r.queries.Load(),
 		TreeletHits:  r.treeletHits.Load(),
@@ -136,213 +106,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	sort.Slice(s.Attrs, func(i, j int) bool { return s.Attrs[i].Name < s.Attrs[j].Name })
 	s.Recent = r.RecentQueries()
 	return s
-}
-
-// MergeSnapshot folds a previously persisted snapshot into the live
-// recorder — how batserve resumes telemetry across restarts. The snapshot
-// must describe the same heatmap frame (grid depth); counts are summed and
-// the persisted recent queries are replayed into the ring (oldest first)
-// without recounting them in Queries beyond their recorded total.
-func (r *Recorder) MergeSnapshot(s Snapshot) error {
-	if r == nil {
-		return nil
-	}
-	if s.GridBits != r.gridBits {
-		return fmt.Errorf("access: cannot merge grid depth %d into %d", s.GridBits, r.gridBits)
-	}
-	for _, t := range s.Treelets {
-		c := r.counts(t.Leaf, t.Treelet)
-		c.hits.Add(t.Hits)
-		c.bytes.Add(t.Bytes)
-		c.loads.Add(t.Loads)
-	}
-	r.treeletHits.Add(s.TreeletHits)
-	r.treeletBytes.Add(s.TreeletBytes)
-	r.treeletLoads.Add(s.TreeletLoads)
-	for _, h := range s.Heatmap {
-		if int(h.Cell) < len(r.cells) {
-			r.cells[h.Cell].Add(h.Count)
-		}
-	}
-	for _, a := range s.Attrs {
-		r.TouchAttr(a.Name, a.Count)
-	}
-	// Replay the ring, then correct the query total: Record counted each
-	// replayed entry once, but the snapshot's Queries already includes
-	// them (plus any that aged out of its ring).
-	for _, q := range s.Recent {
-		if q.UnixNano == 0 {
-			q.UnixNano = -1 // keep persisted zero-stamps from being re-stamped
-		}
-		r.Record(q)
-	}
-	r.queries.Add(s.Queries - int64(len(s.Recent)))
-	return nil
-}
-
-// Merge folds other into s (summing counters, concatenating recent queries
-// in time order). Both snapshots must share a grid depth. This is the
-// cross-replica combine a batcompact run applies before ranking datasets.
-func (s *Snapshot) Merge(other Snapshot) error {
-	if s.GridBits != other.GridBits {
-		return fmt.Errorf("access: cannot merge grid depth %d into %d", other.GridBits, s.GridBits)
-	}
-	if s.Dataset == "" {
-		s.Dataset = other.Dataset
-		s.Bounds = other.Bounds
-	}
-	if other.WallUnix > s.WallUnix {
-		s.WallUnix = other.WallUnix
-	}
-	s.Queries += other.Queries
-	s.TreeletHits += other.TreeletHits
-	s.TreeletBytes += other.TreeletBytes
-	s.TreeletLoads += other.TreeletLoads
-
-	byTreelet := map[uint64]int{}
-	for i, t := range s.Treelets {
-		byTreelet[treeletKey(t.Leaf, t.Treelet)] = i
-	}
-	for _, t := range other.Treelets {
-		if i, ok := byTreelet[treeletKey(t.Leaf, t.Treelet)]; ok {
-			s.Treelets[i].Hits += t.Hits
-			s.Treelets[i].Bytes += t.Bytes
-			s.Treelets[i].Loads += t.Loads
-		} else {
-			s.Treelets = append(s.Treelets, t)
-		}
-	}
-	sort.Slice(s.Treelets, func(i, j int) bool {
-		if s.Treelets[i].Leaf != s.Treelets[j].Leaf {
-			return s.Treelets[i].Leaf < s.Treelets[j].Leaf
-		}
-		return s.Treelets[i].Treelet < s.Treelets[j].Treelet
-	})
-
-	byCell := map[uint32]int{}
-	for i, h := range s.Heatmap {
-		byCell[h.Cell] = i
-	}
-	for _, h := range other.Heatmap {
-		if i, ok := byCell[h.Cell]; ok {
-			s.Heatmap[i].Count += h.Count
-		} else {
-			s.Heatmap = append(s.Heatmap, h)
-		}
-	}
-	sort.Slice(s.Heatmap, func(i, j int) bool { return s.Heatmap[i].Cell < s.Heatmap[j].Cell })
-
-	byAttr := map[string]int{}
-	for i, a := range s.Attrs {
-		byAttr[a.Name] = i
-	}
-	for _, a := range other.Attrs {
-		if i, ok := byAttr[a.Name]; ok {
-			s.Attrs[i].Count += a.Count
-		} else {
-			s.Attrs = append(s.Attrs, a)
-		}
-	}
-	sort.Slice(s.Attrs, func(i, j int) bool { return s.Attrs[i].Name < s.Attrs[j].Name })
-
-	s.Recent = append(s.Recent, other.Recent...)
-	sort.SliceStable(s.Recent, func(i, j int) bool { return s.Recent[i].UnixNano < s.Recent[j].UnixNano })
-	return nil
-}
-
-// Box returns the heatmap frame as a geom.Box.
-func (s Snapshot) Box() geom.Box {
-	return geom.NewBox(geom.V3(s.Bounds[0], s.Bounds[1], s.Bounds[2]),
-		geom.V3(s.Bounds[3], s.Bounds[4], s.Bounds[5]))
-}
-
-// CellBox returns the spatial bounds of a heatmap cell index under the
-// snapshot's grid.
-func (s Snapshot) CellBox(cell uint32) geom.Box {
-	return morton.CellBounds(morton.Code(cell), 3*s.GridBits, s.Box())
-}
-
-// HotCells returns the n highest-count heatmap cells, hottest first (ties
-// broken by cell index for determinism).
-func (s Snapshot) HotCells(n int) []HeatCell {
-	out := append([]HeatCell(nil), s.Heatmap...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Cell < out[j].Cell
-	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// HotTreelets returns the n most-hit treelets, hottest first.
-func (s Snapshot) HotTreelets(n int) []TreeletStat {
-	out := append([]TreeletStat(nil), s.Treelets...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		if out[i].Leaf != out[j].Leaf {
-			return out[i].Leaf < out[j].Leaf
-		}
-		return out[i].Treelet < out[j].Treelet
-	})
-	if n >= 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// Marshal serializes the snapshot as a sidecar image: magic, format
-// version, payload length, JSON payload, and a trailing CRC32C over
-// everything before it. Equal snapshots marshal to identical bytes.
-func (s Snapshot) Marshal() ([]byte, error) {
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) > math.MaxUint32 {
-		return nil, fmt.Errorf("access: snapshot payload %d bytes exceeds sidecar limit", len(payload))
-	}
-	buf := make([]byte, 0, sidecarOverhead+len(payload))
-	buf = append(buf, sidecarMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, SidecarVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, checksum.CRC32C(buf))
-	return buf, nil
-}
-
-// Unmarshal parses and verifies a sidecar image: the magic and version
-// must be recognized and the trailing CRC32C must match (ErrChecksum
-// otherwise).
-func Unmarshal(buf []byte) (Snapshot, error) {
-	var s Snapshot
-	if len(buf) < sidecarOverhead {
-		return s, fmt.Errorf("access: sidecar too short (%d bytes)", len(buf))
-	}
-	if string(buf[:4]) != sidecarMagic {
-		return s, fmt.Errorf("access: bad sidecar magic %q", buf[:4])
-	}
-	ver := binary.LittleEndian.Uint32(buf[4:])
-	if ver < 1 || ver > SidecarVersion {
-		return s, fmt.Errorf("access: unsupported sidecar version %d (supported: 1-%d)", ver, SidecarVersion)
-	}
-	payloadLen := binary.LittleEndian.Uint32(buf[8:])
-	if int64(payloadLen) != int64(len(buf)-sidecarOverhead) {
-		return s, fmt.Errorf("access: sidecar payload length %d does not match file size %d", payloadLen, len(buf))
-	}
-	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if got := checksum.CRC32C(buf[:len(buf)-4]); got != want {
-		return s, fmt.Errorf("%w: %08x != %08x", ErrChecksum, got, want)
-	}
-	if err := json.Unmarshal(buf[12:len(buf)-4], &s); err != nil {
-		return s, fmt.Errorf("access: sidecar payload: %w", err)
-	}
-	return s, nil
 }
 
 // WritePrometheus renders the snapshot's series in the Prometheus text

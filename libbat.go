@@ -88,10 +88,10 @@ type (
 	AccessRecorder = access.Recorder
 	// AccessRegistry holds one AccessRecorder per dataset.
 	AccessRegistry = access.Registry
-	// AccessOptions shapes recorders: heatmap resolution, query-ring size.
+	// AccessOptions shapes recorders: the query-ring size.
 	AccessOptions = access.Options
 	// AccessSnapshot is a point-in-time export of an AccessRecorder,
-	// persistable to a checksummed sidecar and mergeable across replicas.
+	// exported live as JSON or Prometheus series; it is never persisted.
 	AccessSnapshot = access.Snapshot
 	// AccessQueryRecord is one entry of the recent-query ring.
 	AccessQueryRecord = access.QueryRecord

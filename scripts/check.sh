@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
 # under the race detector, smoke the benchmarks and the five examples, and
-# (unless CHECK_FUZZ=0) give the six decode fuzzers a short pass. Run it
+# (unless CHECK_FUZZ=0) give the five decode fuzzers and the /points query
+# fuzzer a short pass. Run it
 # from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
@@ -93,8 +94,7 @@ batserve_smoke() {
 		go run ./cmd/batwrite -workload uniform -ranks 4 -particles 20000 \
 			-out "$dir/data" -name smoke >/dev/null || break
 		go build -o "$bin" ./cmd/batserve || break
-		"$bin" -in "$dir/data" -name smoke -addr "127.0.0.1:$port" \
-			-access-persist >"$log" 2>&1 &
+		"$bin" -in "$dir/data" -name smoke -addr "127.0.0.1:$port" >"$log" 2>&1 &
 		pid=$!
 		up=""
 		for _ in $(seq 1 50); do
@@ -124,17 +124,29 @@ batserve_smoke() {
 			{ echo "/metrics missing go runtime series"; break; }
 		curl -sf "$base/metrics" | grep -q '_p99' ||
 			{ echo "/metrics missing quantile gauges"; break; }
+		# The live export's shape: the snapshot and query-record keys and
+		# the fixed heatmap depth.
 		curl -sf "$base/debug/access" | python3 -c '
 import json, sys
 d = json.load(sys.stdin)["datasets"]
 assert d and d[0]["treelets"], "no per-treelet hits"
 assert d[0]["heatmap"], "no heatmap mass"
+assert d[0]["grid_bits"] == 4, d[0]["grid_bits"]
+keys = {"dataset", "bounds", "grid_bits", "wall_unix", "queries_total",
+        "treelet_hits_total", "treelet_bytes_total", "treelet_loads_total",
+        "treelets", "heatmap", "attrs", "recent_queries"}
+assert set(d[0]) == keys, sorted(set(d[0]) ^ keys)
+assert d[0]["queries_total"] == 4, d[0]["queries_total"]
 ' || { echo "/debug/access malformed"; break; }
 		curl -sf "$base/debug/queries?n=2" | python3 -c '
 import json, sys
 q = json.load(sys.stdin)["queries"]
 assert len(q) == 2, f"n=2 returned {len(q)}"
 assert all(r["source"] == "batserve:/points" for r in q)
+keys = {"dataset", "unix_nano", "source", "box", "quality", "workers",
+        "treelets", "particles", "pruned", "seconds", "cache_hit_ratio"}
+assert keys <= set(q[-1]), sorted(keys - set(q[-1]))
+assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 ' || { echo "/debug/queries malformed"; break; }
 		curl -sf "$base/debug/access?format=prometheus" | grep -q '^access_queries_total' ||
 			{ echo "/debug/access prometheus export malformed"; break; }
@@ -145,11 +157,6 @@ assert all(r["source"] == "batserve:/points" for r in q)
 		kill -TERM "$pid" 2>/dev/null
 		wait "$pid" 2>/dev/null
 	fi
-	# -access-persist: the shutdown path must have written the sidecar.
-	if [ "$rc" = 0 ] && [ ! -s "$dir/data/smoke.bata" ]; then
-		echo "access sidecar not persisted on shutdown"
-		rc=1
-	fi
 	rm -rf "$dir"
 	return $rc
 }
@@ -159,10 +166,10 @@ run "batserve smoke" batserve_smoke
 # parser behind their checksums, the v3 section codecs underneath it — raw,
 # delta, quant-for, cell-for and the packed node table, fed payloads, node
 # tables and a bounds box directly, the retired codec ids and frame mode
-# among the seeds —, the metadata file, particle wire encoding, .bata sidecars):
-# seconds, not a soak — enough to catch
-# parser regressions on the corpus + fresh mutations. The bat patterns are
-# anchored: -fuzz refuses a pattern that matches two targets.
+# among the seeds —, the metadata file, particle wire encoding) and over
+# batserve's /points query-string parser: seconds, not a soak — enough to
+# catch parser regressions on the corpus + fresh mutations. The bat patterns
+# are anchored: -fuzz refuses a pattern that matches two targets.
 # (-fuzzminimizetime keeps a newly found interesting input from eating the
 # whole budget in minimization.) CHECK_FUZZ=0 skips it for quick local
 # iterations.
@@ -172,7 +179,7 @@ if [ "${CHECK_FUZZ:-1}" != "0" ]; then
 	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecode meta" go test -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
 	run "fuzz FuzzUnmarshal particles" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
-	run "fuzz FuzzUnmarshal access" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/obs/access/
+	run "fuzz FuzzPointsQuery batserve" go test -fuzz='^FuzzPointsQuery$' -fuzztime=10s -fuzzminimizetime=5x ./cmd/batserve/
 else
 	echo "== fuzz stages skipped (CHECK_FUZZ=0)"
 fi
