@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if qw == 0 {
 			qw = -1 // bat: negative means GOMAXPROCS
 		}
-		ds.SetQueryConfig(libbat.QueryConfig{Workers: qw, Readahead: 2})
+		ds.SetQueryConfig(libbat.QueryConfig{Workers: qw})
 		if *cacheMB > 0 {
 			ds.SetCacheLimit(*cacheMB << 20)
 		}

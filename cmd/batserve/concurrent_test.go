@@ -19,7 +19,7 @@ import (
 // parallel traversal — byte-identical. Run under -race via check.sh.
 func TestOverlappingQueries(t *testing.T) {
 	s, total := testServer(t)
-	s.qcfg = libbat.QueryConfig{Workers: 4, Ordered: true, Readahead: 2}
+	s.qcfg = libbat.QueryConfig{Workers: 4, Ordered: true}
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 

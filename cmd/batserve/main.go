@@ -27,7 +27,6 @@ import (
 	"math"
 	"net/http"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,17 +152,10 @@ func (s *server) dataset(i int) (*libbat.Dataset, error) {
 // seriesOf finds the dataset base names matching prefix (all of them when
 // the prefix names a series; exactly one when it names a single dataset).
 func seriesOf(store libbat.Storage, prefix string) ([]string, error) {
-	all, err := store.List()
+	names, err := libbat.ListDatasets(store, prefix)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, n := range all {
-		if strings.HasSuffix(n, ".batm") && strings.HasPrefix(n, prefix) {
-			names = append(names, strings.TrimSuffix(n, ".batm"))
-		}
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, fmt.Errorf("no datasets matching %q", prefix)
 	}
@@ -250,7 +242,7 @@ func main() {
 	if err != nil {
 		log.Fatal("batserve: ", err)
 	}
-	qcfg := libbat.QueryConfig{Workers: *queryWorkers, Ordered: !*unordered, Readahead: 2}
+	qcfg := libbat.QueryConfig{Workers: *queryWorkers, Ordered: !*unordered}
 	if qcfg.Workers == 0 {
 		qcfg.Workers = -1 // bat: negative means GOMAXPROCS
 	}

@@ -14,14 +14,13 @@ import (
 // its own progress loops cannot be the thing that stops).
 var ctxSleepExempt = []string{"fabric"}
 
-// CtxSleep flags bare time.Sleep calls in non-test code. A time.Sleep is
-// invisible to context cancellation: a retry backoff or injected-latency
+// CtxSleep flags bare time.Sleep calls in non-test code. The rule: a wait
+// on a path that has a context must end when the context does. A
+// time.Sleep is invisible to cancellation, so a backoff or injected-latency
 // delay written with it keeps a canceled query (and whatever goroutine,
-// lock, or singleflight slot it holds) alive for the full duration — the
-// exact bug PR 7 fixed in pfs.Retry, where exponential backoff stacked
-// uncancellable sleeps in front of every stalled read. pfs.SleepContext
-// sleeps the same duration but returns early with ctx.Err() when the
-// caller gives up. Sites that genuinely must not be interrupted carry a
+// lock, or singleflight slot it holds) alive for the full duration.
+// pfs.SleepContext sleeps the same duration but returns early with
+// ctx.Err() when the caller gives up. Sites that genuinely must not be interrupted carry a
 // //batlint:ignore ctxsleep waiver saying why.
 var CtxSleep = &analysis.Analyzer{
 	Name: "ctxsleep",

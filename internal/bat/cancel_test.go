@@ -1,9 +1,13 @@
 package bat
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,7 +67,7 @@ func TestCancelStalledRead(t *testing.T) {
 		cfg  QueryConfig
 	}{
 		{"serial", QueryConfig{}},
-		{"parallel", QueryConfig{Workers: 4, Readahead: 2}},
+		{"parallel", QueryConfig{Workers: 4}},
 		{"ordered", QueryConfig{Workers: 4, Ordered: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -267,7 +271,7 @@ func TestCancelStorm(t *testing.T) {
 		{},
 		{Workers: 4},
 		{Workers: 4, Ordered: true},
-		{Workers: 2, Readahead: 2},
+		{Workers: 2},
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
@@ -308,5 +312,106 @@ func TestCancelStorm(t *testing.T) {
 	}
 	if fau.Delays() == 0 {
 		t.Fatal("latency injection never fired during the storm")
+	}
+}
+
+// countingReaderAt counts ReadAt calls, and separately the ones still
+// running or begun after the test marks the query as returned. Reads at or
+// past slowFrom take a few milliseconds, so a read the query issued for a
+// treelet it never waits on would still be in flight when it returns.
+type countingReaderAt struct {
+	src      io.ReaderAt
+	slowFrom int64 // set before the query starts
+	returned atomic.Bool
+	reads    atomic.Int64
+	late     atomic.Int64
+}
+
+func (r *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.reads.Add(1)
+	if r.slowFrom > 0 && off >= r.slowFrom {
+		time.Sleep(2 * time.Millisecond)
+	}
+	n, err := r.src.ReadAt(p, off)
+	if r.returned.Load() {
+		r.late.Add(1)
+	}
+	return n, err
+}
+
+// TestQueryReadsBeforeReturn: every storage read a query causes has
+// finished before Query returns — on success, on a visitor error and on a
+// ctx cancelled mid-scan, for every worker count and delivery order. Each
+// case opens a cold File over a counting source whose reads past the first
+// treelet are slow; leakcheck's cleanup (registered after the late-read
+// check, so it runs first) waits out any goroutine the query left behind
+// before the late reads are counted.
+func TestQueryReadsBeforeReturn(t *testing.T) {
+	s, domain := randomSet(20000, 61)
+	cfg := DefaultBuildConfig()
+	cfg.MaxLeafSize = 16 // smaller leaves, more treelets
+	b, err := Build(s, domain, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBail := errors.New("bail")
+	for _, cfg := range []QueryConfig{
+		{Workers: 1},
+		{Workers: 1, Ordered: true},
+		{Workers: 4},
+		{Workers: 4, Ordered: true},
+	} {
+		for _, mode := range []string{"complete", "visitor-error", "cancel"} {
+			t.Run(fmt.Sprintf("w%d-ordered=%v-%s", cfg.Workers, cfg.Ordered, mode), func(t *testing.T) {
+				src := &countingReaderAt{src: bytes.NewReader(b.Buf)}
+				t.Cleanup(func() {
+					if n := src.late.Load(); n != 0 {
+						t.Errorf("%d ReadAt calls after Query returned", n)
+					}
+				})
+				leakcheck.Check(t)
+				f, err := DecodeCtx(context.Background(), src, int64(len(b.Buf)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.NumTreelets() < 8 {
+					t.Fatalf("only %d treelets; the scan must span several", f.NumTreelets())
+				}
+				first := f.leaves[0]
+				src.slowFrom = int64(first.offset) + int64(first.byteLen)
+				opened := src.reads.Load()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var n int64
+				_, err = f.Query(ctx, Query{}, cfg, func(geom.Vec3, []float64) error {
+					n++
+					switch {
+					case mode == "visitor-error":
+						return errBail
+					case mode == "cancel" && n == 100:
+						cancel()
+					}
+					return nil
+				})
+				src.returned.Store(true)
+				switch mode {
+				case "complete":
+					if err != nil || n != int64(s.Len()) {
+						t.Fatalf("got %d points, err %v; want %d, nil", n, err, s.Len())
+					}
+				case "visitor-error":
+					if !errors.Is(err, errBail) {
+						t.Fatalf("err = %v, want the visitor's", err)
+					}
+				case "cancel":
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+				}
+				if src.reads.Load() == opened {
+					t.Fatal("the query read nothing; the check would be vacuous")
+				}
+			})
+		}
 	}
 }

@@ -88,7 +88,7 @@ func TestConcurrentQuerySharedFile(t *testing.T) {
 		{Workers: 1},
 		{Workers: 2},
 		{Workers: 4, Ordered: true},
-		{Workers: 4, Readahead: 2},
+		{Workers: 4},
 		{Workers: -1},
 	}
 	const perCfg = 3
@@ -165,7 +165,7 @@ func TestParallelMatchesSerialMultiset(t *testing.T) {
 					{Workers: 2},
 					{Workers: 4},
 					{Workers: 4, Ordered: true},
-					{Workers: 8, Readahead: 4},
+					{Workers: 8},
 				} {
 					name := fmt.Sprintf("query %d cfg %+v", qi, cfg)
 					par, pStats := collectVisits(t, f, q, cfg)
@@ -231,49 +231,6 @@ func TestParallelVisitorError(t *testing.T) {
 		}
 		if st.Visited != 100 {
 			t.Fatalf("cfg %+v: Visited = %d, want the 100 particles delivered", cfg, st.Visited)
-		}
-	}
-}
-
-// TestReadaheadSerialIdentical: readahead only warms the cache; the serial
-// visit sequence must be byte-identical with it on or off.
-func TestReadaheadSerialIdentical(t *testing.T) {
-	s, domain := randomSet(5000, 41)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	defer f.Close()
-
-	plain, pStats := collectVisits(t, f, Query{}, QueryConfig{Workers: 1})
-	ahead, aStats := collectVisits(t, f, Query{}, QueryConfig{Workers: 1, Readahead: 3})
-	if len(plain) != len(ahead) {
-		t.Fatalf("readahead changed visit count: %d vs %d", len(plain), len(ahead))
-	}
-	for i := range plain {
-		if plain[i].key() != ahead[i].key() {
-			t.Fatalf("visit %d differs with readahead", i)
-		}
-	}
-	if pStats != aStats {
-		t.Fatalf("stats diverge: %+v vs %+v", pStats, aStats)
-	}
-}
-
-// TestCloseWaitsForPrefetch: closing a File right after a readahead query
-// must not race with in-flight prefetch goroutines.
-func TestCloseWaitsForPrefetch(t *testing.T) {
-	for i := 0; i < 5; i++ {
-		s, domain := randomSet(3000, int64(50+i))
-		f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-		box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.3, 0.3, 0.3))
-		if _, err := f.QueryWithConfig(Query{Bounds: &box}, QueryConfig{}, func(geom.Vec3, []float64) error {
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Kick off prefetches and close immediately.
-		_, _ = f.QueryWithConfig(Query{}, QueryConfig{Workers: 2, Readahead: 8},
-			func(geom.Vec3, []float64) error { return errors.New("bail") })
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -39,22 +39,6 @@ func (c *cancelFlag) set() {
 	}
 }
 
-// readahead is called as candidate i is claimed by one of w workers. It
-// keeps the r candidates past the w being collected warming in the cache:
-// the first claim fills that window, every later one slides it by one.
-func (f *File) readahead(ctx context.Context, cands []int, i, w, r int) {
-	if r <= 0 {
-		return
-	}
-	from := i + w + r - 1
-	if i == 0 {
-		from = w
-	}
-	for j := from; j < i+w+r && j < len(cands); j++ {
-		f.prefetch(ctx, cands[j], r)
-	}
-}
-
 // run collects the candidate treelets and hands each selection to e on the
 // calling goroutine. cancel is the shared abort flag, already wired to ctx
 // when ctx is cancellable.
@@ -62,8 +46,7 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 	w := min(cfg.effectiveWorkers(), len(cands))
 	if w <= 1 {
 		var sel selection
-		for i, li := range cands {
-			f.readahead(ctx, cands, i, 1, cfg.Readahead)
+		for _, li := range cands {
 			f.collect(ctx, s, li, cancel, &sel)
 			if err := e.deliver(ctx, &sel); err != nil {
 				return err
@@ -98,7 +81,6 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 					<-tokens
 					return
 				}
-				f.readahead(ctx, cands, idx, w, cfg.Readahead)
 				sel := &selection{idx: idx}
 				f.collect(ctx, s, cands[idx], cancel, sel)
 				results <- sel

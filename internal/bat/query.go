@@ -50,7 +50,7 @@ type Visitor func(p geom.Vec3, attrs []float64) error
 // particles a query matches — only how the work is scheduled.
 //
 // The zero value traverses on the calling goroutine, one treelet at a time
-// in deterministic tree order, with no readahead.
+// in deterministic tree order.
 type QueryConfig struct {
 	// Workers is the number of goroutines collecting treelets. 0 or 1 runs
 	// the same collect-then-deliver step inline, starting no goroutine.
@@ -62,11 +62,6 @@ type QueryConfig struct {
 	// buffered until their turn). When false, visits arrive as treelets
 	// complete — same particle multiset, lower latency and memory.
 	Ordered bool
-
-	// Readahead is the number of candidate treelets to keep warming in the
-	// cache beyond the ones being collected (0 = off). Prefetches are
-	// best-effort and bounded; they only warm the cache.
-	Readahead int
 }
 
 // effectiveWorkers resolves the Workers field to a concrete count.

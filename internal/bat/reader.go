@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
@@ -105,13 +104,6 @@ type File struct {
 	// lifecycle vs. use).
 	cache *Cache
 	leaf  int
-
-	// prefetches tracks readahead goroutines so Close can wait them out
-	// instead of unmapping a buffer a prefetch is still parsing.
-	prefetches sync.WaitGroup
-	// prefetchSlots bounds in-flight readahead; nil until first use.
-	prefetchMu    sync.Mutex
-	prefetchSlots chan struct{}
 }
 
 // cursor reads sequentially from an io.ReaderAt, buffering ahead; each
@@ -768,11 +760,9 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Close releases the underlying file, if any. It waits out in-flight
-// readahead goroutines first; callers must still not race Close with
-// in-flight Query calls.
+// Close releases the underlying file, if any. Callers must not race Close
+// with in-flight Query calls.
 func (f *File) Close() error {
-	f.prefetches.Wait()
 	if f.closer != nil {
 		return f.closer.Close()
 	}
@@ -821,31 +811,6 @@ func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) 
 	return f.cache.get(ctx, cacheKey{f.leaf, ti}, func(ctx context.Context) (*parsedTreelet, error) {
 		return f.parseTreelet(ctx, ti, nil)
 	})
-}
-
-// prefetch schedules a bounded background load of treelet ti (readahead
-// for box traversals). Best-effort: when every readahead slot is busy the
-// prefetch is skipped rather than queued. The prefetch runs under the
-// requesting query's ctx, so a canceled query stops issuing warm-up I/O.
-func (f *File) prefetch(ctx context.Context, ti int, slots int) {
-	f.prefetchMu.Lock()
-	if f.prefetchSlots == nil {
-		f.prefetchSlots = make(chan struct{}, slots)
-	}
-	f.prefetchMu.Unlock()
-	select {
-	case f.prefetchSlots <- struct{}{}:
-	default:
-		return
-	}
-	f.prefetches.Add(1)
-	go func() {
-		defer f.prefetches.Done()
-		// The treelet lands in the cache (or the error is dropped; the
-		// demand load will surface it); readahead is purely a warm-up.
-		f.loadTreelet(ctx, ti)
-		<-f.prefetchSlots
-	}()
 }
 
 // parseNodeRecords reads a version-2 treelet's node table of fixed records,

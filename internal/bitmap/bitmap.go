@@ -102,9 +102,6 @@ func OfQuery(lo, hi float64, r Range) Bitmap {
 	return b
 }
 
-// Merge returns the union of two bitmaps (bitwise OR).
-func (b Bitmap) Merge(o Bitmap) Bitmap { return b | o }
-
 // Overlaps reports whether any bin is set in both bitmaps (bitwise AND).
 func (b Bitmap) Overlaps(o Bitmap) bool { return b&o != 0 }
 

@@ -115,12 +115,9 @@ func TestOfQueryEdges(t *testing.T) {
 	}
 }
 
-func TestMergeOverlapPopCount(t *testing.T) {
+func TestOverlapPopCount(t *testing.T) {
 	a := Bitmap(0b0011)
 	b := Bitmap(0b0110)
-	if got := a.Merge(b); got != 0b0111 {
-		t.Errorf("Merge = %b", got)
-	}
 	if !a.Overlaps(b) {
 		t.Error("should overlap")
 	}

@@ -81,16 +81,3 @@ func ParseBounds(s string) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// FormatSize renders a byte count with a binary unit suffix.
-func FormatSize(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	}
-	return fmt.Sprintf("%dB", b)
-}

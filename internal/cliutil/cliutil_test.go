@@ -12,6 +12,8 @@ func TestParseSize(t *testing.T) {
 		" 2mb ": 2 << 20,
 		"0":     0,
 		"0.5MB": 1 << 19,
+		"2.0KB": 2 << 10,
+		"1.0GB": 1 << 30,
 	}
 	for in, want := range cases {
 		got, err := ParseSize(in)
@@ -42,34 +44,6 @@ func TestParseFilter(t *testing.T) {
 		"0,nan,1", "0,0,Inf", "0,-inf,0", "0,a,1"} {
 		if _, err := ParseFilter(bad); err == nil {
 			t.Errorf("ParseFilter(%q) should error", bad)
-		}
-	}
-}
-
-func TestFormatSize(t *testing.T) {
-	cases := map[int64]string{
-		100:         "100B",
-		2048:        "2.0KB",
-		8 << 20:     "8.0MB",
-		3 << 29:     "1.5GB",
-		1<<20 + 512: "1.0MB",
-	}
-	for in, want := range cases {
-		if got := FormatSize(in); got != want {
-			t.Errorf("FormatSize(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	for _, b := range []int64{100, 2048, 8 << 20, 1 << 30} {
-		s := FormatSize(b)
-		got, err := ParseSize(s)
-		if err != nil {
-			t.Fatalf("round trip %d -> %q: %v", b, s, err)
-		}
-		if got != b {
-			t.Errorf("round trip %d -> %q -> %d", b, s, got)
 		}
 	}
 }

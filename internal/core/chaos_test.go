@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"libbat/internal/bat"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
+	"libbat/internal/leakcheck"
 	"libbat/internal/meta"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -51,15 +53,20 @@ func readAll(t *testing.T, store pfs.Storage, name string) []byte {
 	return buf
 }
 
-// TestChaosTransientFaults runs the full 16-rank write→read pipeline over
-// a storage layer that injects seeded transient faults (failed writes,
-// torn writes, failed opens, failed reads) and requires the retry policy
-// to mask every one of them: the write must succeed and a full-domain
-// read on every rank must return the complete dataset. MaxConsecutive
-// below MaxAttempts makes the outcome deterministic per seed.
+// TestChaosTransientFaults runs the 16-rank write pipeline straight over a
+// storage layer that injects seeded transient faults (failed writes, torn
+// writes, failed opens, failed reads), with nothing retrying them. Each
+// run must end complete or absent: either every rank's write succeeds and
+// a full-domain read on every rank returns the whole dataset, or every
+// rank returns an error and no leaf or metadata file of the dataset is
+// left in storage. After a successful write the same injector serves one
+// read, where each rank must return the whole dataset or an error, never a
+// silently short result; completeness itself is read back from the storage
+// under the injector.
 func TestChaosTransientFaults(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			leakcheck.Check(t)
 			w, err := workloads.NewUniform(16, 200, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -76,44 +83,70 @@ func TestChaosTransientFaults(t *testing.T) {
 				ReadFailProb:   0.10,
 				MaxConsecutive: 2,
 			})
-			store := pfs.NewRetry(faulty, pfs.RetryConfig{
-				MaxAttempts: 5,
-				BaseDelay:   100 * time.Microsecond,
-				Seed:        seed,
-			})
 
 			cfg := DefaultWriteConfig(16 * 1024)
 			cfg.Timeout = 30 * time.Second
+			var mu sync.Mutex
+			errs := make([]error, 16)
 			err = runRanks(t, 16, func(c *fabric.Comm) error {
 				local := w.Generate(0, c.Rank())
-				_, werr := Write(c, store, "chaos", local, w.Decomp().RankBounds(c.Rank()), cfg)
-				return werr
-			})
-			if err != nil {
-				t.Fatalf("write under transient faults: %v", err)
-			}
-
-			total := 16 * 200
-			err = runRanks(t, 16, func(c *fabric.Comm) error {
-				got, _, rerr := Read(c, store, "chaos", fullDomain())
-				if rerr != nil {
-					return fmt.Errorf("rank %d: %w", c.Rank(), rerr)
-				}
-				if got.Len() != total {
-					return fmt.Errorf("rank %d read %d particles, want %d", c.Rank(), got.Len(), total)
-				}
+				_, werr := Write(c, faulty, "chaos", local, w.Decomp().RankBounds(c.Rank()), cfg)
+				mu.Lock()
+				errs[c.Rank()] = werr
+				mu.Unlock()
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("read under transient faults: %v", err)
+				t.Fatal(err)
+			}
+			failed := 0
+			for _, werr := range errs {
+				if werr != nil {
+					failed++
+				}
+			}
+			switch failed {
+			case 0:
+				total := 16 * 200
+				readAllRanks := func(store pfs.Storage, faulted bool) error {
+					return runRanks(t, 16, func(c *fabric.Comm) error {
+						got, _, rerr := Read(c, store, "chaos", fullDomain())
+						if rerr != nil {
+							if faulted {
+								return nil // reported, not silent
+							}
+							return fmt.Errorf("rank %d: %w", c.Rank(), rerr)
+						}
+						if got.Len() != total {
+							return fmt.Errorf("rank %d read %d particles and no error, want %d", c.Rank(), got.Len(), total)
+						}
+						return nil
+					})
+				}
+				if err := readAllRanks(faulty, true); err != nil {
+					t.Fatalf("read under transient faults lost particles silently: %v", err)
+				}
+				if err := readAllRanks(osStore, false); err != nil {
+					t.Fatalf("write succeeded but the dataset is incomplete: %v", err)
+				}
+			case len(errs):
+				names, err := osStore.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range names {
+					if strings.HasPrefix(n, "chaos") && (strings.HasSuffix(n, ".bat") || strings.HasSuffix(n, ".batm")) {
+						t.Errorf("failed write left %s behind", n)
+					}
+				}
+			default:
+				t.Fatalf("%d of %d ranks failed; the write must succeed or fail on every rank: %v",
+					failed, len(errs), errs)
 			}
 			if faulty.Injected() == 0 {
 				t.Error("fault injector fired zero faults; chaos test exercised nothing")
 			}
-			if store.Retries() == 0 {
-				t.Error("retry layer recorded zero retries")
-			}
-			t.Logf("seed %d: %d faults injected, %d retries", seed, faulty.Injected(), store.Retries())
+			t.Logf("seed %d: %d faults injected, %d of %d ranks failed", seed, faulty.Injected(), failed, len(errs))
 		})
 	}
 }

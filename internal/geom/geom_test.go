@@ -19,9 +19,6 @@ func TestVecOps(t *testing.T) {
 	if got := a.Scale(2); got != V3(2, 4, 6) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Mul(b); got != V3(4, 10, 18) {
-		t.Errorf("Mul = %v", got)
-	}
 	if got := a.Dot(b); got != 32 {
 		t.Errorf("Dot = %v", got)
 	}

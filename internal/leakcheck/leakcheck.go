@@ -1,7 +1,7 @@
 // Package leakcheck asserts that a test leaves no goroutines behind. It is
 // the shared helper for the suites that exercise cancellation and
-// close-during-query paths, where the failure mode is a worker, prefetch,
-// or singleflight waiter wedged forever — invisible to assertions on
+// close-during-query paths, where the failure mode is a query worker or a
+// singleflight waiter wedged forever — invisible to assertions on
 // results, fatal to a long-running server.
 package leakcheck
 

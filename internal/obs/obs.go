@@ -116,14 +116,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.Observe(d.Seconds())
-}
-
 // DefLatencyBuckets covers 10µs to ~42s in powers of 4 — wide enough for
 // both in-memory query latencies and cold parallel-filesystem reads.
 func DefLatencyBuckets() []float64 {

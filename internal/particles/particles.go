@@ -83,16 +83,6 @@ func (s Schema) BytesPerParticle() int {
 	return n
 }
 
-// AttrIndex returns the index of the named attribute, or -1.
-func (s Schema) AttrIndex(name string) int {
-	for i, a := range s.Attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Equal reports whether two schemas describe the same attributes.
 func (s Schema) Equal(o Schema) bool {
 	if len(s.Attrs) != len(o.Attrs) {

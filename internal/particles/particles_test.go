@@ -26,9 +26,6 @@ func TestSchema(t *testing.T) {
 	if s.BytesPerParticle() != 12+16 {
 		t.Errorf("BytesPerParticle = %d", s.BytesPerParticle())
 	}
-	if s.AttrIndex("temp") != 1 || s.AttrIndex("nope") != -1 {
-		t.Error("AttrIndex wrong")
-	}
 	u := UniformSchema(14)
 	if u.NumAttrs() != 14 || u.BytesPerParticle() != 12+14*8 {
 		t.Errorf("uniform schema wrong: %d attrs, %d B", u.NumAttrs(), u.BytesPerParticle())

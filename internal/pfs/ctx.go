@@ -1,7 +1,7 @@
 // Context plumbing for the storage layer. Storage and File are kept free
 // of context parameters (most backends cannot abort a syscall mid-flight
 // anyway); instead, backends that CAN honor cancellation — the fault
-// injector's stalls and delays, the retry decorator's backoff — implement
+// injector's stalls and delays — implement
 // the optional CtxOpener/CtxReaderAt interfaces, and callers go through
 // OpenContext/ReadAtContext, which fall back to a plain call after a
 // before-call deadline check. The resulting model: ctx-aware backends
@@ -75,8 +75,8 @@ func SleepContext(ctx context.Context, d time.Duration) error {
 }
 
 // IsContextErr reports whether err is (or wraps) a cancellation or
-// deadline error. Such errors are never retryable: the caller asked to
-// stop, so masking them with backoff would defeat the point.
+// deadline error: the caller asked to stop, as opposed to the operation
+// failing.
 func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -5,66 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"libbat/internal/obs"
 )
-
-// TestRetryBackoffCancel is the regression test for the uninterruptible
-// backoff bug: a huge BaseDelay would formerly block do() in time.Sleep
-// regardless of cancellation. With the timer-with-context select, a
-// cancel mid-backoff must abort promptly.
-func TestRetryBackoffCancel(t *testing.T) {
-	mem := NewMem()
-	mem.WriteFile("a", []byte("x"))
-	fau := NewFaulty(mem, FaultConfig{})
-	fau.FailNextOpens("a", 100) // keep every attempt failing transiently
-	r := NewRetry(fau, RetryConfig{
-		MaxAttempts: 10,
-		BaseDelay:   time.Hour, // without interruption the test would hang
-		MaxDelay:    time.Hour,
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := r.OpenCtx(ctx, "a")
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let it reach the backoff sleep
-	cancel()
-
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("OpenCtx = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not abort the backoff sleep")
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("backoff abort took %v, want prompt return", el)
-	}
-}
-
-// TestRetryNoRetryAfterContextErr: a context error from the operation
-// itself must surface immediately even if the classifier would retry it.
-func TestRetryNoRetryAfterContextErr(t *testing.T) {
-	r := NewRetry(NewMem(), RetryConfig{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		Retryable:   func(error) bool { return true }, // retry everything
-	})
-	calls := 0
-	err := r.doCtx(context.Background(), func() error {
-		calls++
-		return context.DeadlineExceeded
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("doCtx = %v, want DeadlineExceeded", err)
-	}
-	if calls != 1 {
-		t.Fatalf("op called %d times, want 1 (context errors are not retryable)", calls)
-	}
-}
 
 // TestFaultyStallRead: a stalled read blocks until the context deadline,
 // returns ctx.Err(), and proceeds normally once released.
@@ -193,17 +136,17 @@ func TestFaultyDelays(t *testing.T) {
 	}
 }
 
-// TestDecoratorsForwardCtx: the observed and retry decorators must not
-// hide the wrapped storage's context support — a stall behind both
-// decorators still aborts on deadline.
+// TestDecoratorsForwardCtx: the observing decorator must not hide the
+// wrapped storage's context support — a stall behind it still aborts on
+// deadline.
 func TestDecoratorsForwardCtx(t *testing.T) {
 	mem := NewMem()
 	mem.WriteFile("leaf", []byte("data"))
 	fau := NewFaulty(mem, FaultConfig{})
-	var store Storage = NewRetry(fau, RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	store := Observe(fau, obs.New())
 
 	if _, ok := store.(CtxOpener); !ok {
-		t.Fatal("Retry does not implement CtxOpener")
+		t.Fatal("the observed store does not implement CtxOpener")
 	}
 	f, err := OpenContext(context.Background(), store, "leaf")
 	if err != nil {
@@ -211,14 +154,14 @@ func TestDecoratorsForwardCtx(t *testing.T) {
 	}
 	defer f.Close()
 	if _, ok := f.(CtxReaderAt); !ok {
-		t.Fatal("retryFile does not implement CtxReaderAt")
+		t.Fatal("the observed file does not implement CtxReaderAt")
 	}
 
 	fau.StallReads("leaf")
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := ReadAtContext(ctx, f, make([]byte, 4), 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("stalled read through decorators = %v, want DeadlineExceeded", err)
+		t.Fatalf("stalled read through the decorator = %v, want DeadlineExceeded", err)
 	}
 	fau.ReleaseStalls()
 }

@@ -18,28 +18,6 @@ import (
 // ErrInjected is returned (wrapped) by Faulty for every injected fault.
 var ErrInjected = errors.New("pfs: injected fault")
 
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() + " (transient)" }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so IsTransient reports true. Retry decorators use
-// this classification to distinguish faults worth retrying from permanent
-// failures that must surface immediately.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // FaultConfig configures probabilistic fault injection. Probabilities are
 // in [0,1] and rolled independently per operation from the injector's
 // seeded generator.
@@ -64,9 +42,9 @@ type FaultConfig struct {
 	BitFlipProb float64
 	// MaxConsecutive caps the consecutive probabilistic faults injected
 	// per (operation, file); after the cap the next attempt is let
-	// through. 0 means uncapped. A retry policy with more attempts than
-	// this cap is guaranteed to mask every probabilistic fault, which
-	// keeps seeded chaos tests deterministic.
+	// through. 0 means uncapped. A caller that tries more times than this
+	// cap is guaranteed to get past every probabilistic fault, which keeps
+	// seeded chaos tests deterministic.
 	MaxConsecutive int
 
 	// Latency injection: with probability *DelayProb the operation sleeps
@@ -88,18 +66,17 @@ type FaultConfig struct {
 // safe for concurrent use by aggregator goroutines.
 type Faulty struct {
 	Storage
-	// FailWrites and FailOpens name files whose writes/opens fail
-	// permanently (never retryable). They may be set at construction;
-	// use FailWritesPermanently/FailOpensPermanently to add names once
-	// the injector is shared between goroutines.
+	// FailWrites and FailOpens name files whose writes/opens fail on
+	// every attempt. They may be set at construction; use
+	// FailWritesPermanently/FailOpensPermanently to add names once the
+	// injector is shared between goroutines.
 	FailWrites map[string]bool
 	FailOpens  map[string]bool
 
 	mu         sync.Mutex
 	cfg        FaultConfig
 	rng        *rand.Rand
-	nextWrites map[string]int // remaining scheduled transient write faults
-	nextOpens  map[string]int
+	nextOpens  map[string]int // remaining scheduled transient open faults
 	streak     map[string]int // consecutive probabilistic faults per op:name
 	injected   int64
 	delays     int64
@@ -143,16 +120,6 @@ func (f *Faulty) allowFault(key string, fault bool) bool {
 		f.streak[key] = 0
 	}
 	return fault
-}
-
-// FailNextWrites schedules the next n writes of name to fail transiently.
-func (f *Faulty) FailNextWrites(name string, n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.nextWrites == nil {
-		f.nextWrites = make(map[string]int)
-	}
-	f.nextWrites[name] = n
 }
 
 // FailNextOpens schedules the next n opens of name to fail transiently.
@@ -310,12 +277,6 @@ func (f *Faulty) WriteFile(name string, data []byte) error {
 		f.mu.Unlock()
 		return fmt.Errorf("%w: write %s", ErrInjected, name)
 	}
-	if n := f.nextWrites[name]; n > 0 {
-		f.nextWrites[name] = n - 1
-		f.injected++
-		f.mu.Unlock()
-		return Transient(fmt.Errorf("%w: write %s", ErrInjected, name))
-	}
 	torn := f.allowFault("torn:"+name, f.roll(f.cfg.TornWriteProb))
 	fail := torn
 	if !torn {
@@ -332,12 +293,12 @@ func (f *Faulty) WriteFile(name string, data []byte) error {
 
 	if torn {
 		// Persist a prefix so the damaged state is visible to readers
-		// that race the retry, then report the failure.
+		// that race a later attempt, then report the failure.
 		f.Storage.WriteFile(name, data[:prefix])
-		return Transient(fmt.Errorf("%w: torn write %s (%d of %d bytes)", ErrInjected, name, prefix, len(data)))
+		return fmt.Errorf("%w: torn write %s (%d of %d bytes)", ErrInjected, name, prefix, len(data))
 	}
 	if fail {
-		return Transient(fmt.Errorf("%w: write %s", ErrInjected, name))
+		return fmt.Errorf("%w: write %s", ErrInjected, name)
 	}
 	return f.Storage.WriteFile(name, data)
 }
@@ -367,7 +328,7 @@ func (f *Faulty) OpenCtx(ctx context.Context, name string) (File, error) {
 		f.nextOpens[name] = n - 1
 		f.injected++
 		f.mu.Unlock()
-		return nil, Transient(fmt.Errorf("%w: open %s", ErrInjected, name))
+		return nil, fmt.Errorf("%w: open %s", ErrInjected, name)
 	}
 	fail := f.allowFault("open:"+name, f.roll(f.cfg.OpenFailProb))
 	if fail {
@@ -375,7 +336,7 @@ func (f *Faulty) OpenCtx(ctx context.Context, name string) (File, error) {
 	}
 	f.mu.Unlock()
 	if fail {
-		return nil, Transient(fmt.Errorf("%w: open %s", ErrInjected, name))
+		return nil, fmt.Errorf("%w: open %s", ErrInjected, name)
 	}
 	h, err := OpenContext(ctx, f.Storage, name)
 	if err != nil {
@@ -422,7 +383,7 @@ func (ff *faultyFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, 
 	}
 	f.mu.Unlock()
 	if fail {
-		return 0, Transient(fmt.Errorf("%w: read %s at %d", ErrInjected, ff.name, off))
+		return 0, fmt.Errorf("%w: read %s at %d", ErrInjected, ff.name, off)
 	}
 	n, err := ReadAtContext(ctx, ff.File, p, off)
 	if flip && n > flipAt {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFaultyPermanent(t *testing.T) {
@@ -14,10 +13,10 @@ func TestFaultyPermanent(t *testing.T) {
 		FailWrites: map[string]bool{"bad": true},
 		FailOpens:  map[string]bool{"sealed": true},
 	}
-	if err := f.WriteFile("bad", nil); err == nil {
-		t.Error("injected write should fail")
-	} else if IsTransient(err) {
-		t.Error("permanent fault must not be transient")
+	for i := 0; i < 2; i++ {
+		if err := f.WriteFile("bad", nil); !errors.Is(err, ErrInjected) {
+			t.Errorf("write %d: want an injected error, got %v", i, err)
+		}
 	}
 	if err := f.WriteFile("good", []byte("x")); err != nil {
 		t.Errorf("clean write failed: %v", err)
@@ -36,22 +35,17 @@ func TestFaultyPermanent(t *testing.T) {
 
 func TestFaultyFailFirstN(t *testing.T) {
 	f := NewFaulty(NewMem(), FaultConfig{Seed: 1})
-	f.FailNextWrites("a", 2)
-	f.FailNextOpens("a", 1)
+	if err := f.WriteFile("a", []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	f.FailNextOpens("a", 2)
 	for i := 0; i < 2; i++ {
-		err := f.WriteFile("a", []byte("data"))
-		if err == nil || !IsTransient(err) || !errors.Is(err, ErrInjected) {
-			t.Fatalf("write %d: want transient injected error, got %v", i, err)
+		if _, err := f.Open("a"); !errors.Is(err, ErrInjected) {
+			t.Fatalf("open %d: want an injected error, got %v", i, err)
 		}
 	}
-	if err := f.WriteFile("a", []byte("data")); err != nil {
-		t.Fatalf("third write should pass: %v", err)
-	}
-	if _, err := f.Open("a"); err == nil || !IsTransient(err) {
-		t.Fatalf("first open: want transient error, got %v", err)
-	}
 	if _, err := f.Open("a"); err != nil {
-		t.Fatalf("second open should pass: %v", err)
+		t.Fatalf("third open should pass: %v", err)
 	}
 }
 
@@ -60,8 +54,8 @@ func TestFaultyTornWrite(t *testing.T) {
 	f := NewFaulty(mem, FaultConfig{Seed: 7, TornWriteProb: 1, MaxConsecutive: 1})
 	data := bytes.Repeat([]byte("payload!"), 64)
 	err := f.WriteFile("t", data)
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("torn write must report a transient error, got %v", err)
+	if !errors.Is(err, ErrInjected) {
+		t.Fatalf("torn write must report an injected error, got %v", err)
 	}
 	// The underlying store saw only a prefix.
 	h, err := mem.Open("t")
@@ -72,9 +66,9 @@ func TestFaultyTornWrite(t *testing.T) {
 	if h.Size() >= int64(len(data)) {
 		t.Errorf("torn write persisted %d bytes, want < %d", h.Size(), len(data))
 	}
-	// The streak cap lets the retry through.
+	// The streak cap lets the next attempt through.
 	if err := f.WriteFile("t", data); err != nil {
-		t.Fatalf("capped retry should pass: %v", err)
+		t.Fatalf("capped second attempt should pass: %v", err)
 	}
 }
 
@@ -131,7 +125,7 @@ func TestFaultyConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := string(rune('a' + g%4))
-			f.FailNextWrites(name, 1)
+			f.FailNextOpens(name, 1)
 			for i := 0; i < 50; i++ {
 				f.WriteFile(name, []byte("data"))
 				if h, err := f.Open(name); err == nil {
@@ -145,65 +139,6 @@ func TestFaultyConcurrent(t *testing.T) {
 	wg.Wait()
 	if f.Injected() == 0 {
 		t.Error("no faults injected")
-	}
-}
-
-func TestRetryMasksTransient(t *testing.T) {
-	mem := NewMem()
-	f := NewFaulty(mem, FaultConfig{Seed: 1})
-	f.FailNextWrites("a", 3)
-	f.FailNextOpens("a", 2)
-	r := NewRetry(f, RetryConfig{MaxAttempts: 5, BaseDelay: time.Microsecond, Seed: 2})
-	if err := r.WriteFile("a", []byte("hello")); err != nil {
-		t.Fatalf("retry did not mask transient writes: %v", err)
-	}
-	h, err := r.Open("a")
-	if err != nil {
-		t.Fatalf("retry did not mask transient opens: %v", err)
-	}
-	defer h.Close()
-	buf := make([]byte, 5)
-	if _, err := h.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "hello" {
-		t.Errorf("read back %q", buf)
-	}
-	if r.Retries() < 5 {
-		t.Errorf("Retries() = %d, want >= 5", r.Retries())
-	}
-}
-
-func TestRetryGivesUp(t *testing.T) {
-	f := NewFaulty(NewMem(), FaultConfig{Seed: 1})
-	f.FailNextWrites("a", 10)
-	r := NewRetry(f, RetryConfig{MaxAttempts: 3, BaseDelay: time.Microsecond, Seed: 2})
-	err := r.WriteFile("a", nil)
-	if err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected error after exhausting attempts, got %v", err)
-	}
-}
-
-func TestRetryDoesNotRetryPermanent(t *testing.T) {
-	f := &Faulty{Storage: NewMem(), FailWrites: map[string]bool{"a": true}}
-	r := NewRetry(f, RetryConfig{MaxAttempts: 5, BaseDelay: time.Microsecond})
-	if err := r.WriteFile("a", nil); err == nil {
-		t.Fatal("permanent fault must surface")
-	}
-	if f.Injected() != 1 {
-		t.Errorf("permanent fault was attempted %d times, want 1", f.Injected())
-	}
-}
-
-func TestRetryBackoffBounds(t *testing.T) {
-	r := NewRetry(NewMem(), RetryConfig{
-		BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0.5, Seed: 4,
-	})
-	for attempt := 0; attempt < 10; attempt++ {
-		d := r.delay(attempt)
-		if d <= 0 || d > 8*time.Millisecond {
-			t.Errorf("delay(%d) = %v out of (0, 8ms]", attempt, d)
-		}
 	}
 }
 

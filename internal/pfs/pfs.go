@@ -72,9 +72,6 @@ func NewOS(root string) (*OS, error) {
 	return &OS{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (s *OS) Root() string { return s.root }
-
 // validName is the one naming rule of every store: a flat, non-empty name
 // that cannot step out of the root. Mem enforces it too, so a suite on Mem
 // catches a name that would fail on disk.

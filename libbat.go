@@ -70,8 +70,8 @@ type (
 	// Visitor receives query results. Its attrs slice is reused for the
 	// next particle: valid only until the visitor returns.
 	Visitor = bat.Visitor
-	// QueryConfig tunes query execution: traversal workers, ordered vs.
-	// order-tolerant delivery, and treelet readahead.
+	// QueryConfig tunes query execution: traversal workers and ordered vs.
+	// order-tolerant delivery.
 	QueryConfig = bat.QueryConfig
 	// QueryStats reports what a traversal visited, rejected, and pruned.
 	QueryStats = bat.QueryStats

@@ -80,8 +80,10 @@ run "examples dambreak" example_smoke dambreak '^final dump holds 12000 particle
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
-# to answer well-formed. This is the only stage that exercises the real
-# binary over a real socket.
+# to answer well-formed. Then restart the binary with the flags the
+# benchmark starts it with (two unordered query workers, a bounded cache)
+# and require the same box query to return the same number of bytes. This
+# is the only stage that exercises the real binary over a real socket.
 batserve_smoke() {
 	dir="$(mktemp -d)" || return 1
 	bin="$dir/batserve"
@@ -90,26 +92,30 @@ batserve_smoke() {
 	base="http://127.0.0.1:$port"
 	rc=1
 	pid=""
+	# serve <flags...> starts the binary and waits for /info to answer.
+	serve() {
+		"$bin" -in "$dir/data" -name smoke -addr "127.0.0.1:$port" "$@" >"$log" 2>&1 &
+		pid=$!
+		for _ in $(seq 1 50); do
+			curl -sf "$base/info" >/dev/null 2>&1 && return 0
+			kill -0 "$pid" 2>/dev/null || break
+			sleep 0.2
+		done
+		echo "batserve $* never came up; log:"
+		cat "$log"
+		return 1
+	}
+	stop() {
+		kill -TERM "$pid" 2>/dev/null
+		wait "$pid" 2>/dev/null
+		pid=""
+	}
+	box="$base/points?box=0.1,0.2,0.3,0.6,0.7,0.8"
 	while :; do
 		go run ./cmd/batwrite -workload uniform -ranks 4 -particles 20000 \
 			-out "$dir/data" -name smoke >/dev/null || break
 		go build -o "$bin" ./cmd/batserve || break
-		"$bin" -in "$dir/data" -name smoke -addr "127.0.0.1:$port" >"$log" 2>&1 &
-		pid=$!
-		up=""
-		for _ in $(seq 1 50); do
-			if curl -sf "$base/info" >/dev/null 2>&1; then
-				up=1
-				break
-			fi
-			kill -0 "$pid" 2>/dev/null || break
-			sleep 0.2
-		done
-		if [ -z "$up" ]; then
-			echo "batserve never came up; log:"
-			cat "$log"
-			break
-		fi
+		serve || break
 		# A clustered workload plus one filtered query, so the telemetry
 		# endpoints have per-treelet hits, heatmap mass, and a query log.
 		ok=1
@@ -150,13 +156,18 @@ assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 ' || { echo "/debug/queries malformed"; break; }
 		curl -sf "$base/debug/access?format=prometheus" | grep -q '^access_queries_total' ||
 			{ echo "/debug/access prometheus export malformed"; break; }
+		want=$(curl -sf "$box" -o /dev/null -w '%{size_download}') ||
+			{ echo "box query failed under default flags"; break; }
+		stop
+		serve -query-workers 2 -query-unordered -cache-mb 1 || break
+		got=$(curl -sf "$box" -o /dev/null -w '%{size_download}') ||
+			{ echo "box query failed under the benchmark's flags"; break; }
+		[ "$got" = "$want" ] && [ "$want" -gt 0 ] ||
+			{ echo "box query: $got bytes under the benchmark's flags, $want under the defaults"; break; }
 		rc=0
 		break
 	done
-	if [ -n "$pid" ]; then
-		kill -TERM "$pid" 2>/dev/null
-		wait "$pid" 2>/dev/null
-	fi
+	[ -z "$pid" ] || stop
 	rm -rf "$dir"
 	return $rc
 }
