@@ -10,7 +10,7 @@ import (
 // formatPkgs are the on-disk format packages: every byte they serialize or
 // parse is little-endian by contract (DESIGN.md §9), so readers on any
 // host decode the same layout.
-var formatPkgs = []string{"bat", "meta", "particles", "checksum"}
+var formatPkgs = []string{"binfmt", "bat", "meta", "particles", "checksum"}
 
 // Endian enforces that contract mechanically: inside a format package it
 // forbids binary.BigEndian and binary.NativeEndian outright, requires the
@@ -20,7 +20,7 @@ var formatPkgs = []string{"bat", "meta", "particles", "checksum"}
 // that would let call sites vary the order at runtime).
 var Endian = &analysis.Analyzer{
 	Name: "endian",
-	Doc: "on-disk format packages (" + "bat, meta, particles, checksum" + ") must serialize " +
+	Doc: "on-disk format packages (" + "binfmt, bat, meta, particles, checksum" + ") must serialize " +
 		"exclusively via binary.LittleEndian: no BigEndian/NativeEndian, no variable byte order",
 	Run: runEndian,
 }

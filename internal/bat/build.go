@@ -32,6 +32,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/morton"
@@ -270,6 +271,11 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	if cfg.AttrErrorBounds != nil && len(cfg.AttrErrorBounds) != set.Schema.NumAttrs() {
 		return nil, fmt.Errorf("bat: %d per-attribute error bounds for %d attributes",
 			len(cfg.AttrErrorBounds), set.Schema.NumAttrs())
+	}
+	for _, a := range set.Schema.Attrs {
+		if len(a.Name) > binfmt.MaxStrLen {
+			return nil, fmt.Errorf("bat: attribute name of %d bytes exceeds the format's %d", len(a.Name), binfmt.MaxStrLen)
+		}
 	}
 	n := set.Len()
 	workers := cfg.effectiveWorkers()

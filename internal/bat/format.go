@@ -93,13 +93,12 @@
 package bat
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
@@ -137,52 +136,6 @@ func layoutFlags(ver uint32) uint32 {
 		return flagPackedPositions | flagPackedNodes
 	}
 	return 0
-}
-
-// writer is a little-endian positional writer over a preallocated buffer.
-// The file image is laid out size-first (every section offset is computed
-// before a byte is written), so disjoint sections — the header and each
-// page-aligned treelet — can be filled concurrently by workers holding
-// independent writers over the same backing array.
-type writer struct {
-	buf []byte
-	pos int
-}
-
-func (w *writer) u8(v uint8) {
-	w.buf[w.pos] = v
-	w.pos++
-}
-func (w *writer) u16(v uint16) {
-	binary.LittleEndian.PutUint16(w.buf[w.pos:], v)
-	w.pos += 2
-}
-func (w *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[w.pos:], v)
-	w.pos += 4
-}
-func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[w.pos:], v)
-	w.pos += 8
-}
-func (w *writer) i32(v int32) { w.u32(uint32(v)) }
-func (w *writer) f32(v float32) {
-	w.u32(math.Float32bits(v))
-}
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *writer) bytes(b []byte) {
-	copy(w.buf[w.pos:], b)
-	w.pos += len(b)
-}
-func (w *writer) box(b geom.Box) {
-	w.f64(b.Lower.X)
-	w.f64(b.Lower.Y)
-	w.f64(b.Lower.Z)
-	w.f64(b.Upper.X)
-	w.f64(b.Upper.Y)
-	w.f64(b.Upper.Z)
 }
 
 // sectionFrameLen is the framing ahead of a codec section's payload: codec
@@ -367,46 +320,44 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			tBounds[ti] = tightBounds(set, t.order)
 		}
 		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
-		w := &writer{buf: buf, pos: sectionStart}
-		w.u32(uint32(len(t.nodes)))
-		w.u32(uint32(len(t.order)))
+		w := binfmt.Writer{Buf: buf[sectionStart : sectionStart : sectionStart+int(sizes[ti])]}
+		w.U32(uint32(len(t.nodes)))
+		w.U32(uint32(len(t.order)))
 		if cfg.Compress {
 			// The packer's eight-byte stores run up to packSlack past the
 			// table's end: onto the three position section frames, which are
-			// this treelet's and written next. The slice ends with the
+			// this treelet's and written next. The window ends with the
 			// treelet, so a store can never reach another task's bytes.
-			n, err := packNodeTable(buf[w.pos:sectionStart+int(sizes[ti])], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
+			n, err := packNodeTable(w.Buf[len(w.Buf):cap(w.Buf)], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
 			if err != nil {
 				fillErrs[ti] = fmt.Errorf("bat: treelet %d: %w", ti, err)
 				return
 			}
-			w.pos += n
+			w.Buf = w.Buf[:len(w.Buf)+n]
 		} else {
 			for ni, n := range t.nodes {
-				w.u8(uint8(n.axis))
-				w.f64(n.pos)
-				w.i32(n.left)
-				w.i32(n.right)
-				w.u32(n.start)
-				w.u32(n.count)
-				for _, id := range treeletIDs[ti][ni*nA : (ni+1)*nA] {
-					w.u16(uint16(id))
-				}
+				w.U8(uint8(n.axis))
+				w.F64(n.pos)
+				w.I32(n.left)
+				w.I32(n.right)
+				w.U32(n.start)
+				w.U32(n.count)
+				w.IDs(treeletIDs[ti][ni*nA : (ni+1)*nA])
 			}
 		}
 		for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
 			if cfg.Compress {
 				// Same section framing as the attributes below.
 				enc := t.posEnc[ax]
-				w.u8(enc.codec)
-				w.u32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
+				w.U8(enc.codec)
+				w.U32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
 				if enc.codec != codecRaw {
-					w.bytes(enc.data)
+					w.Bytes(enc.data)
 					continue
 				}
 			}
 			for _, p := range t.order {
-				w.f32(col[p])
+				w.F32(col[p])
 			}
 		}
 		for a, desc := range set.Schema.Attrs {
@@ -414,11 +365,11 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			writeRawCol := func() {
 				if desc.Type == particles.Float32 {
 					for _, p := range t.order {
-						w.f32(float32(vals[p]))
+						w.F32(float32(vals[p]))
 					}
 				} else {
 					for _, p := range t.order {
-						w.f64(vals[p])
+						w.F64(vals[p])
 					}
 				}
 			}
@@ -427,20 +378,20 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				// payload. Raw sections stream the v2 column bytes
 				// directly; encoded sections copy the arena-built stream.
 				enc := t.attrEnc[a]
-				w.u8(enc.codec)
-				w.u32(uint32(enc.encodedLen(len(t.order), desc.Type)))
+				w.U8(enc.codec)
+				w.U32(uint32(enc.encodedLen(len(t.order), desc.Type)))
 				if enc.codec == codecRaw {
 					writeRawCol()
 				} else {
-					w.bytes(enc.data)
+					w.Bytes(enc.data)
 				}
 			} else {
 				writeRawCol()
 			}
 		}
-		if w.pos != sectionStart+int(sizes[ti]) {
+		if len(w.Buf) != int(sizes[ti]) {
 			fillErrs[ti] = fmt.Errorf("bat: treelet %d layout error: wrote %d bytes, computed %d",
-				ti, w.pos-sectionStart, sizes[ti])
+				ti, len(w.Buf), sizes[ti])
 			return
 		}
 		crcs[ti] = checksum.CRC32C(buf[offsets[ti] : offsets[ti]+uint64(sizes[ti])])
@@ -490,62 +441,52 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	}
 
 	// Header (depends on the treelet bounds, so written after the fill).
-	w := &writer{buf: buf}
-	w.bytes([]byte(magic))
-	w.u32(fileVer)
-	w.u32(layoutFlags(fileVer))
-	w.u64(uint64(set.Len()))
-	w.box(domain)
-	w.u32(uint32(cfg.SubprefixBits))
-	w.u32(uint32(cfg.LODPerNode))
-	w.u32(uint32(cfg.MaxLeafSize))
-	w.u32(uint32(maxDepth))
-	w.u32(uint32(nA))
+	w := binfmt.Writer{Buf: buf[:0:headerSize]}
+	w.Bytes([]byte(magic))
+	w.U32(fileVer)
+	w.U32(layoutFlags(fileVer))
+	w.U64(uint64(set.Len()))
+	w.Box(domain)
+	w.U32(uint32(cfg.SubprefixBits))
+	w.U32(uint32(cfg.LODPerNode))
+	w.U32(uint32(cfg.MaxLeafSize))
+	w.U32(uint32(maxDepth))
+	w.U32(uint32(nA))
 	for a, desc := range set.Schema.Attrs {
-		w.u16(uint16(len(desc.Name)))
-		w.bytes([]byte(desc.Name))
-		w.u8(uint8(desc.Type))
-		r := ranges[a]
-		w.f64(r.Min)
-		w.f64(r.Max)
+		w.Str(desc.Name)
+		w.U8(uint8(desc.Type))
+		w.Range(ranges[a])
 	}
-	w.u32(uint32(len(shallowNodes)))
-	w.u32(uint32(len(treelets)))
+	w.U32(uint32(len(shallowNodes)))
+	w.U32(uint32(len(treelets)))
 	for i, n := range shallowNodes {
-		w.u8(uint8(n.axis))
-		w.f64(n.pos)
-		w.i32(n.left)
-		w.i32(n.right)
-		for _, id := range shallowIDs[i] {
-			w.u16(uint16(id))
-		}
+		w.U8(uint8(n.axis))
+		w.F64(n.pos)
+		w.I32(n.left)
+		w.I32(n.right)
+		w.IDs(shallowIDs[i])
 	}
 	for ti, t := range treelets {
-		w.u64(offsets[ti])
-		w.u32(sizes[ti])
-		w.u32(uint32(len(t.nodes)))
-		w.u32(uint32(len(t.order)))
-		w.box(tBounds[ti])
-		for _, id := range rootIDs[ti] {
-			w.u16(uint16(id))
-		}
+		w.U64(offsets[ti])
+		w.U32(sizes[ti])
+		w.U32(uint32(len(t.nodes)))
+		w.U32(uint32(len(t.order)))
+		w.Box(tBounds[ti])
+		w.IDs(rootIDs[ti])
 	}
-	w.u32(uint32(dict.Len()))
-	for _, e := range dict.Entries() {
-		w.u32(uint32(e))
-	}
-	if w.pos != headerSize {
-		return nil, fmt.Errorf("bat: header layout error: wrote %d bytes, computed %d", w.pos, headerSize)
+	w.U32(uint32(dict.Len()))
+	w.Bitmaps(dict.Entries())
+	if len(w.Buf) != headerSize {
+		return nil, fmt.Errorf("bat: header layout error: wrote %d bytes, computed %d", len(w.Buf), headerSize)
 	}
 
 	// Checksum footer: header CRC plus one CRC per treelet section, then
 	// a CRC over the footer itself so its own corruption is detected.
-	footerStart := int(off)
-	w.pos = footerStart
-	w.u32(checksum.CRC32C(buf[:headerSize]))
-	w.u32(uint32(len(treelets)))
+	w = binfmt.Writer{Buf: buf[off:off:len(buf)]}
+	w.U32(checksum.CRC32C(buf[:headerSize]))
+	w.U32(uint32(len(treelets)))
 	for ti := range treelets {
-		w.u32(crcs[ti])
+		w.U32(crcs[ti])
 	}
 	if cfg.Compress {
 		// Version-3 extension: the declared per-attribute codec class and
@@ -553,24 +494,24 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		// the LOD error scale, and the payload byte totals so readers can
 		// report the whole-file ratio without scanning sections.
 		bounds := cfg.AttrBounds(nA)
-		w.u32(uint32(nA))
+		w.U32(uint32(nA))
 		for _, b := range bounds {
 			c := uint8(codecDelta)
 			if b > 0 {
 				c = codecQuant
 			}
-			w.u8(c)
-			w.f64(b)
+			w.U8(c)
+			w.F64(b)
 		}
-		w.f64(cfg.EffectiveLODScale())
-		w.u64(uint64(rawPayload))
-		w.u64(uint64(encPayload))
+		w.F64(cfg.EffectiveLODScale())
+		w.U64(uint64(rawPayload))
+		w.U64(uint64(encPayload))
 	}
-	w.u32(checksum.CRC32C(buf[footerStart:w.pos]))
-	w.u32(uint32(w.pos - footerStart + 8))
-	w.bytes([]byte(footerMagic))
-	if w.pos != len(buf) {
-		return nil, fmt.Errorf("bat: footer layout error: ended at %d of %d bytes", w.pos, len(buf))
+	w.U32(checksum.CRC32C(w.Buf))
+	w.U32(uint32(len(w.Buf) + 8))
+	w.Bytes([]byte(footerMagic))
+	if len(w.Buf) != footerLen {
+		return nil, fmt.Errorf("bat: footer layout error: wrote %d bytes, computed %d", len(w.Buf), footerLen)
 	}
 
 	stats := BuildStats{

@@ -7,12 +7,12 @@ package bat
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
+	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
@@ -106,112 +106,6 @@ type File struct {
 	leaf  int
 }
 
-// cursor reads sequentially from an io.ReaderAt, buffering ahead; each
-// refill goes through pfs.ReadAtContext so a canceled caller stops issuing
-// reads and ctx-aware sources abort mid-read. A cursor over bytes already
-// in memory is just buf and size = len(buf): it never refills.
-type cursor struct {
-	src  io.ReaderAt
-	size int64
-	off  int64
-	buf  []byte
-	pos  int
-	ctx  context.Context
-}
-
-func (c *cursor) need(n int) ([]byte, error) {
-	for c.pos+n > len(c.buf) {
-		// Extend the buffer.
-		grow := 1 << 16
-		if grow < n {
-			grow = n
-		}
-		start := c.off + int64(len(c.buf))
-		if start >= c.size {
-			return nil, io.ErrUnexpectedEOF
-		}
-		if start+int64(grow) > c.size {
-			grow = int(c.size - start)
-		}
-		chunk := make([]byte, grow)
-		if _, err := pfs.ReadAtContext(c.ctx, c.src, chunk, start); err != nil {
-			return nil, err
-		}
-		c.buf = append(c.buf, chunk...)
-	}
-	b := c.buf[c.pos : c.pos+n]
-	c.pos += n
-	return b, nil
-}
-
-func (c *cursor) u8() (uint8, error) {
-	b, err := c.need(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	b, err := c.need(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.need(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	b, err := c.need(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *cursor) i32() (int32, error) {
-	v, err := c.u32()
-	return int32(v), err
-}
-
-func (c *cursor) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-func (c *cursor) box() (geom.Box, error) {
-	var vals [6]float64
-	for i := range vals {
-		v, err := c.f64()
-		if err != nil {
-			return geom.Box{}, err
-		}
-		vals[i] = v
-	}
-	return geom.NewBox(geom.V3(vals[0], vals[1], vals[2]), geom.V3(vals[3], vals[4], vals[5])), nil
-}
-
-// ids reads the next n bitmap IDs into the tail of backing — one array for
-// all the nodes of a tree, not one per node — and returns them.
-func (c *cursor) ids(backing *[]bitmap.ID, n int) ([]bitmap.ID, error) {
-	b, err := c.need(2 * n)
-	if err != nil {
-		return nil, err
-	}
-	from := len(*backing)
-	for i := 0; i < n; i++ {
-		*backing = append(*backing, bitmap.ID(binary.LittleEndian.Uint16(b[2*i:])))
-	}
-	return (*backing)[from:len(*backing):len(*backing)], nil
-}
-
 // DecodeCtx parses a BAT file image accessible through src. The header
 // parse aborts when ctx ends, and the context threads into footer reads.
 // Treelet loads are governed by the context of the query that triggers
@@ -224,28 +118,26 @@ func DecodeCtx(ctx context.Context, src io.ReaderAt, size int64) (*File, error) 
 // keeps its parsed treelets in cache, which the dataset's other leaf files
 // share, and reports its accesses to the cache's recorder under leaf.
 func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, leaf int) (*File, error) {
-	c := &cursor{src: src, size: size, ctx: ctx}
-	mg, err := c.need(4)
-	if err != nil {
+	r := binfmt.NewReaderAt(ctx, src, size)
+	mg := r.Bytes(4)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bat: reading magic: %w", err)
 	}
 	if string(mg) != magic {
 		return nil, fmt.Errorf("bat: bad magic %q", mg)
 	}
-	ver, err := c.u32()
-	if err != nil {
-		return nil, err
+	ver := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
 	if ver < minVersion || ver > version {
 		return nil, fmt.Errorf("bat: unsupported version %d (supported: %d-%d)", ver, minVersion, version)
 	}
-	flags, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
+	flags := r.U32()
 	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
-	if f.NumParticles, err = c.u64(); err != nil {
-		return nil, err
+	f.NumParticles = r.U64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
 	// A particle occupies several bytes of payload, so a claimed count
 	// beyond the file size is corrupt. Establishing the bound here also
@@ -254,62 +146,25 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if f.NumParticles > uint64(size) {
 		return nil, fmt.Errorf("bat: particle count %d exceeds file size %d", f.NumParticles, size)
 	}
-	if f.Domain, err = c.box(); err != nil {
-		return nil, err
+	f.Domain = r.Box()
+	f.SubprefixBits, f.LODPerNode = int(r.U32()), int(r.U32())
+	f.MaxLeafSize, f.MaxTreeletDepth = int(r.U32()), int(r.U32())
+	nA := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
-	var sb, lod, mls, mtd uint32
-	if sb, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if lod, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if mls, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if mtd, err = c.u32(); err != nil {
-		return nil, err
-	}
-	f.SubprefixBits, f.LODPerNode, f.MaxLeafSize, f.MaxTreeletDepth = int(sb), int(lod), int(mls), int(mtd)
-	nA32, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	nA := int(nA32)
 	if nA > 4096 {
 		return nil, fmt.Errorf("bat: implausible attribute count %d", nA)
 	}
 	f.Schema = particles.Schema{Attrs: make([]particles.AttrDesc, nA)}
 	f.Ranges = make([]bitmap.Range, nA)
 	for a := 0; a < nA; a++ {
-		nameLen, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		nameB, err := c.need(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		name := string(nameB)
-		typ, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		f.Schema.Attrs[a] = particles.AttrDesc{Name: name, Type: particles.AttrType(typ)}
-		if f.Ranges[a].Min, err = c.f64(); err != nil {
-			return nil, err
-		}
-		if f.Ranges[a].Max, err = c.f64(); err != nil {
-			return nil, err
-		}
+		f.Schema.Attrs[a] = particles.AttrDesc{Name: r.Str(), Type: particles.AttrType(r.U8())}
+		f.Ranges[a] = r.Range()
 	}
-	nInner, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	nLeaves, err := c.u32()
-	if err != nil {
-		return nil, err
+	nInner, nLeaves := r.U32(), r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
 	// Sanity: every record occupies at least shallowInnerBytes /
 	// shallowLeafBytes, so the counts cannot exceed the file size.
@@ -321,46 +176,18 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	idBacking := make([]bitmap.ID, 0, (int(nInner)+int(nLeaves))*nA)
 	for i := range f.shallow {
 		n := &f.shallow[i]
-		ax, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		n.axis = geom.Axis(ax)
-		if n.pos, err = c.f64(); err != nil {
-			return nil, err
-		}
-		if n.left, err = c.i32(); err != nil {
-			return nil, err
-		}
-		if n.right, err = c.i32(); err != nil {
-			return nil, err
-		}
+		n.axis, n.pos, n.left, n.right = geom.Axis(r.U8()), r.F64(), r.I32(), r.I32()
 		if !validChildRef(n.left, int(nInner), int(nLeaves)) ||
 			!validChildRef(n.right, int(nInner), int(nLeaves)) {
 			return nil, fmt.Errorf("bat: shallow node %d has invalid children", i)
 		}
-		if n.ids, err = c.ids(&idBacking, nA); err != nil {
-			return nil, err
-		}
+		n.ids = r.IDs(&idBacking, nA)
 	}
 	f.leaves = make([]leafRef, nLeaves)
 	for i := range f.leaves {
 		l := &f.leaves[i]
-		if l.offset, err = c.u64(); err != nil {
-			return nil, err
-		}
-		if l.byteLen, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if l.numNodes, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if l.numPoints, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if l.bounds, err = c.box(); err != nil {
-			return nil, err
-		}
+		l.offset, l.byteLen, l.numNodes, l.numPoints = r.U64(), r.U32(), r.U32(), r.U32()
+		l.bounds = r.Box()
 		if l.offset > uint64(size) || l.offset+uint64(l.byteLen) > uint64(size) {
 			return nil, fmt.Errorf("bat: treelet %d extends past end of file", i)
 		}
@@ -370,9 +197,10 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		if uint64(l.numPoints) > f.NumParticles {
 			return nil, fmt.Errorf("bat: treelet %d holds %d points, the file %d", i, l.numPoints, f.NumParticles)
 		}
-		if l.ids, err = c.ids(&idBacking, nA); err != nil {
-			return nil, err
-		}
+		l.ids = r.IDs(&idBacking, nA)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
 	// The shallow hierarchy must be an actual tree: at most one parent
 	// per node. Range checks alone admit diamond-shaped DAGs whose
@@ -395,22 +223,17 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			}
 		}
 	}
-	dictLen, err := c.u32()
-	if err != nil {
-		return nil, err
+	dictLen := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
 	if dictLen > bitmap.MaxDictSize {
 		return nil, fmt.Errorf("bat: dictionary size %d exceeds 16-bit ID space", dictLen)
 	}
-	entries := make([]bitmap.Bitmap, dictLen)
-	for i := range entries {
-		v, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		entries[i] = bitmap.Bitmap(v)
+	f.dict = bitmap.FromEntries(r.Bitmaps(int(dictLen)))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: %w", err)
 	}
-	f.dict = bitmap.FromEntries(entries)
 	// Every stored bitmap ID must resolve in the dictionary.
 	for i := range f.shallow {
 		if err := f.checkIDs(f.shallow[i].ids); err != nil {
@@ -422,7 +245,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			return nil, fmt.Errorf("bat: leaf %d: %w", i, err)
 		}
 	}
-	if err := f.loadFooter(c); err != nil {
+	if err := f.loadFooter(ctx, r.Consumed()); err != nil {
 		return nil, err
 	}
 	// Each version has one layout, and its flags word says so. This comes
@@ -464,34 +287,38 @@ func (f *File) footerLen() int64 {
 	return n
 }
 
-// loadFooter reads and verifies the checksum footer; c has just
-// parsed the header, so c.pos is the header length and c.buf its bytes.
-func (f *File) loadFooter(c *cursor) error {
-	f.headerSize = c.pos
-	if f.size < int64(c.pos)+footerFixedLen {
+// loadFooter reads and verifies the checksum footer of a file whose header
+// is the bytes in head.
+func (f *File) loadFooter(ctx context.Context, head []byte) error {
+	f.headerSize = len(head)
+	if f.size < int64(f.headerSize)+footerFixedLen {
 		return fmt.Errorf("bat: file too small for checksum footer")
 	}
 	tail := make([]byte, 8)
-	if _, err := pfs.ReadAtContext(c.ctx, f.src, tail, f.size-8); err != nil && err != io.EOF {
+	if _, err := pfs.ReadAtContext(ctx, f.src, tail, f.size-8); err != nil && err != io.EOF {
 		return fmt.Errorf("bat: reading footer: %w", err)
 	}
 	if string(tail[4:]) != footerMagic {
 		return fmt.Errorf("%w: bad footer magic %q", ErrChecksum, tail[4:])
 	}
-	fLen := int64(binary.LittleEndian.Uint32(tail))
-	if fLen < footerFixedLen || fLen > f.size-int64(c.pos) {
+	fLen := int64(binfmt.NewReader(tail).U32())
+	if fLen < footerFixedLen || fLen > f.size-int64(f.headerSize) {
 		return fmt.Errorf("%w: implausible footer length %d", ErrChecksum, fLen)
 	}
 	foot := make([]byte, fLen-8) // footer minus the trailing length+magic
-	if _, err := pfs.ReadAtContext(c.ctx, f.src, foot, f.size-fLen); err != nil && err != io.EOF {
+	if _, err := pfs.ReadAtContext(ctx, f.src, foot, f.size-fLen); err != nil && err != io.EOF {
 		return fmt.Errorf("bat: reading footer: %w", err)
 	}
-	wantFootCRC := binary.LittleEndian.Uint32(foot[len(foot)-4:])
-	if got := checksum.CRC32C(foot[:len(foot)-4]); got != wantFootCRC {
-		return fmt.Errorf("%w: footer CRC %08x != %08x", ErrChecksum, got, wantFootCRC)
+	fr := binfmt.NewReader(foot)
+	body := fr.Bytes(len(foot) - 4)
+	if got, want := checksum.CRC32C(body), fr.U32(); got != want {
+		return fmt.Errorf("%w: footer CRC %08x != %08x", ErrChecksum, got, want)
 	}
-	f.headerCRC = binary.LittleEndian.Uint32(foot)
-	nT := binary.LittleEndian.Uint32(foot[4:])
+	// The footer's length matches its treelet and attribute counts before
+	// anything past the counts is read, so no read below runs short.
+	r := binfmt.NewReader(body)
+	f.headerCRC = r.U32()
+	nT := r.U32()
 	if int(nT) != len(f.leaves) {
 		return fmt.Errorf("%w: footer lists %d treelets, header %d", ErrChecksum, nT, len(f.leaves))
 	}
@@ -499,30 +326,24 @@ func (f *File) loadFooter(c *cursor) error {
 	if wantLen := f.footerLen(); wantLen != fLen {
 		return fmt.Errorf("%w: footer length %d, want %d for %d treelets", ErrChecksum, fLen, wantLen, nT)
 	}
-	if got := checksum.CRC32C(c.buf[:c.pos]); got != f.headerCRC {
+	if got := checksum.CRC32C(head); got != f.headerCRC {
 		return fmt.Errorf("%w: header CRC %08x != %08x", ErrChecksum, got, f.headerCRC)
 	}
 	f.treeletCRCs = make([]uint32, nT)
 	for i := range f.treeletCRCs {
-		f.treeletCRCs[i] = binary.LittleEndian.Uint32(foot[8+4*i:])
+		f.treeletCRCs[i] = r.U32()
 	}
 	if f.Version >= 3 {
 		// The v3 extension sits between the treelet CRCs and the footer
 		// CRC (already verified above, so out-of-range values here mean a
 		// writer bug or a crafted file, not a torn write).
-		p := 8 + 4*int(nT)
-		fnA := binary.LittleEndian.Uint32(foot[p:])
-		p += 4
-		if int(fnA) != nA {
+		if fnA := r.U32(); int(fnA) != nA {
 			return fmt.Errorf("%w: footer declares %d attributes, header %d", ErrChecksum, fnA, nA)
 		}
 		f.attrCodecs = make([]uint8, nA)
 		f.attrBounds = make([]float64, nA)
 		for a := 0; a < nA; a++ {
-			f.attrCodecs[a] = foot[p]
-			p++
-			f.attrBounds[a] = math.Float64frombits(binary.LittleEndian.Uint64(foot[p:]))
-			p += 8
+			f.attrCodecs[a], f.attrBounds[a] = r.U8(), r.F64()
 			if f.attrCodecs[a] > codecDelta {
 				return fmt.Errorf("bat: footer attribute %d declares unknown codec id %d", a, f.attrCodecs[a])
 			}
@@ -530,14 +351,14 @@ func (f *File) loadFooter(c *cursor) error {
 				return fmt.Errorf("bat: footer attribute %d declares invalid error bound %v", a, b)
 			}
 		}
-		f.lodScale = math.Float64frombits(binary.LittleEndian.Uint64(foot[p:]))
-		p += 8
+		f.lodScale = r.F64()
 		if math.IsNaN(f.lodScale) || math.IsInf(f.lodScale, 0) || f.lodScale < 1 {
 			return fmt.Errorf("bat: footer declares invalid LOD error scale %v", f.lodScale)
 		}
-		f.rawPayload = binary.LittleEndian.Uint64(foot[p:])
-		p += 8
-		f.encPayload = binary.LittleEndian.Uint64(foot[p:])
+		f.rawPayload, f.encPayload = r.U64(), r.U64()
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("bat: footer: %w", err)
 	}
 	// No treelet may extend into the footer region.
 	dataEnd := uint64(f.size - fLen)
@@ -816,34 +637,18 @@ func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) 
 // parseNodeRecords reads a version-2 treelet's node table of fixed records,
 // which spells out child indices and range starts and so has to be checked
 // for the trees it can describe that are none.
-func (f *File) parseNodeRecords(c *cursor, ti int, nNodes, nPoints uint32) ([]diskNode, error) {
+func (f *File) parseNodeRecords(r *binfmt.Reader, ti int, nNodes, nPoints uint32) ([]diskNode, error) {
 	nA := f.Schema.NumAttrs()
-	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > c.size || int64(nPoints)*rawPosBytes > c.size {
+	size := int64(f.leaves[ti].byteLen)
+	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > size || int64(nPoints)*rawPosBytes > size {
 		return nil, fmt.Errorf("bat: treelet %d counts exceed its byte length", ti)
 	}
 	nodes := make([]diskNode, nNodes)
 	idBacking := make([]bitmap.ID, 0, int(nNodes)*nA)
-	var err error
 	for i := range nodes {
 		n := &nodes[i]
-		if n.axis, err = c.u8(); err != nil {
-			return nil, err
-		}
-		if n.pos, err = c.f64(); err != nil {
-			return nil, err
-		}
-		if n.left, err = c.i32(); err != nil {
-			return nil, err
-		}
-		if n.right, err = c.i32(); err != nil {
-			return nil, err
-		}
-		if n.start, err = c.u32(); err != nil {
-			return nil, err
-		}
-		if n.count, err = c.u32(); err != nil {
-			return nil, err
-		}
+		n.axis, n.pos, n.left, n.right = r.U8(), r.F64(), r.I32(), r.I32()
+		n.start, n.count = r.U32(), r.U32()
 		if n.start+n.count < n.start || n.start+n.count > nPoints {
 			return nil, fmt.Errorf("bat: treelet %d node %d particle range out of bounds", ti, i)
 		}
@@ -851,9 +656,10 @@ func (f *File) parseNodeRecords(c *cursor, ti int, nNodes, nPoints uint32) ([]di
 			(n.left < 0 || n.left >= int32(nNodes) || n.right < 0 || n.right >= int32(nNodes)) {
 			return nil, fmt.Errorf("bat: treelet %d node %d has invalid children", ti, i)
 		}
-		if n.ids, err = c.ids(&idBacking, nA); err != nil {
-			return nil, err
-		}
+		n.ids = r.IDs(&idBacking, nA)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 	}
 	// Same single-parent requirement as the shallow tree: inner-node
 	// links that share children would make the recursive walk exponential.
@@ -884,14 +690,10 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
 		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
 	}
-	c := &cursor{buf: buf, size: int64(len(buf))}
-	nNodes, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	nPoints, err := c.u32()
-	if err != nil {
-		return nil, err
+	r := binfmt.NewReader(buf)
+	nNodes, nPoints := r.U32(), r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 	}
 	if nNodes != ref.numNodes || nPoints != ref.numPoints {
 		return nil, fmt.Errorf("bat: treelet %d header mismatch: %d/%d nodes, %d/%d points",
@@ -904,14 +706,18 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		if lay != nil {
 			table = &lay.NodeTable
 		}
-		nodes, n, err := unpackNodeTable(buf[c.pos:], nNodes, nPoints, nA, table)
+		nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, table)
 		if err != nil {
 			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 		}
 		t.nodes = nodes
-		c.pos += n
-	} else if t.nodes, err = f.parseNodeRecords(c, ti, nNodes, nPoints); err != nil {
-		return nil, err
+		r.Bytes(n)
+	} else {
+		nodes, err := f.parseNodeRecords(r, ti, nNodes, nPoints)
+		if err != nil {
+			return nil, err
+		}
+		t.nodes = nodes
 	}
 	for i := range t.nodes {
 		if err := f.checkIDs(t.nodes[i].ids); err != nil {
@@ -919,7 +725,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		}
 	}
 	if lay != nil {
-		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), c.pos-8
+		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), r.Offset()-8
 		for i := range lay.NodeTable.Columns {
 			lay.NodeTable.Columns[i].Name = nodeColumnName(i, f.Schema)
 		}
@@ -935,45 +741,40 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			info = &lay.Sections[len(lay.Sections)-1]
 		}
 	}
-	// section reads the column's frame: codec u8, encLen u32, payload.
-	section := func(name string) (uint8, []byte, error) {
-		codec, err := c.u8()
-		if err != nil {
-			return 0, nil, err
+	// payload reads the column's bytes: a version-2 column of elemBytes a
+	// point, or a version-3 frame — codec u8, encLen u32, payload.
+	payload := func(name string, elemBytes int) (uint8, []byte, error) {
+		codec, n := uint8(codecRaw), int64(nPoints)*int64(elemBytes)
+		if f.Version >= 3 {
+			codec, n = r.U8(), int64(r.U32())
+			if remain := r.Remaining(); r.Err() == nil && n > remain {
+				return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
+					ti, name, n, remain)
+			}
+			if info != nil {
+				info.Codec, info.EncBytes = codec, int(n)
+			}
 		}
-		encLen, err := c.u32()
-		if err != nil {
-			return 0, nil, err
+		b := r.Bytes(int(n))
+		if err := r.Err(); err != nil {
+			return 0, nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 		}
-		if remain := int(c.size) - c.pos; int64(encLen) > int64(remain) {
-			return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
-				ti, name, encLen, remain)
-		}
-		if info != nil {
-			info.Codec, info.EncBytes = codec, int(encLen)
-		}
-		payload, err := c.need(int(encLen))
-		return codec, payload, err
+		return codec, b, nil
 	}
 	blocks := newNodeBlocks(t.nodes, int(nPoints))
 	var cols [3][]float32
 	for ax, name := range positionNames {
 		column(name, 4)
-		if f.Version < 3 {
-			payload, err := c.need(4 * int(nPoints))
-			if err != nil {
-				return nil, err
-			}
-			if cols[ax], err = decodeRawF32(payload, int(nPoints)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		codec, payload, err := section(name)
+		codec, b, err := payload(name, 4)
 		if err != nil {
 			return nil, err
 		}
-		if cols[ax], err = decodePosSection(codec, payload, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
+		if f.Version < 3 {
+			cols[ax], err = decodeRawF32(b, int(nPoints))
+		} else {
+			cols[ax], err = decodePosSection(codec, b, blocks, ref.bounds, geom.Axis(ax), info)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 		}
 	}
@@ -981,26 +782,20 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	t.attrs = make([][]float64, nA)
 	for a, desc := range f.Schema.Attrs {
 		column(desc.Name, desc.Type.Size())
-		if f.Version < 3 {
-			payload, err := c.need(int(nPoints) * desc.Type.Size())
-			if err != nil {
-				return nil, err
-			}
-			if t.attrs[a], err = decodeRaw(payload, int(nPoints), desc.Type); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		// A version-3 framed codec section. Decoding runs right here — i.e.
-		// inside whichever query worker triggered the load — so decode
-		// overlaps other workers' pfs reads, and the cache stores the decoded
-		// float64 columns so hits pay nothing.
-		codec, payload, err := section(desc.Name)
+		codec, b, err := payload(desc.Name, desc.Type.Size())
 		if err != nil {
 			return nil, err
 		}
-		if t.attrs[a], err = decodeAttrSection(codec, payload, blocks,
-			desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
+		// Decoding runs right here — i.e. inside whichever query worker
+		// triggered the load — so decode overlaps other workers' pfs reads,
+		// and the cache stores the decoded float64 columns so hits pay
+		// nothing.
+		if f.Version < 3 {
+			t.attrs[a], err = decodeRaw(b, int(nPoints), desc.Type)
+		} else {
+			t.attrs[a], err = decodeAttrSection(codec, b, blocks, desc.Type, f.attrBounds[a], f.lodScale, info)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, desc.Name, err)
 		}
 	}

@@ -8,12 +8,12 @@
 package meta
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"libbat/internal/aggtree"
+	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
@@ -103,6 +103,11 @@ type Meta struct {
 // frame and inner-node bitmaps merged bottom-up (§III-D).
 func Build(tree *aggtree.Tree, leaves []aggtree.Leaf, schema particles.Schema, reports []LeafReport) (*Meta, error) {
 	nA := schema.NumAttrs()
+	for _, a := range schema.Attrs {
+		if len(a.Name) > binfmt.MaxStrLen {
+			return nil, fmt.Errorf("meta: attribute name of %d bytes exceeds the format's %d", len(a.Name), binfmt.MaxStrLen)
+		}
+	}
 	m := &Meta{
 		Schema:       schema,
 		GlobalRanges: make([]bitmap.Range, nA),
@@ -118,6 +123,9 @@ func Build(tree *aggtree.Tree, leaves []aggtree.Leaf, schema particles.Schema, r
 		}
 		if seen[r.Leaf] {
 			return nil, fmt.Errorf("meta: duplicate report for leaf %d", r.Leaf)
+		}
+		if len(r.FileName) > binfmt.MaxStrLen {
+			return nil, fmt.Errorf("meta: leaf %d file name of %d bytes exceeds the format's %d", r.Leaf, len(r.FileName), binfmt.MaxStrLen)
 		}
 		if len(r.LocalRanges) != nA || len(r.RootBitmaps) != nA {
 			return nil, fmt.Errorf("meta: leaf %d report has %d/%d attrs, want %d",
@@ -259,35 +267,6 @@ func validRef(ref int32, nNodes, nLeaves int) bool {
 	return int(^ref) < nLeaves
 }
 
-// --- binary encoding ---
-
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v uint8)    { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16)  { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) str(s string) {
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *writer) box(b geom.Box) {
-	for _, v := range []float64{b.Lower.X, b.Lower.Y, b.Lower.Z, b.Upper.X, b.Upper.Y, b.Upper.Z} {
-		w.f64(v)
-	}
-}
-func (w *writer) rng(r bitmap.Range) {
-	w.f64(r.Min)
-	w.f64(r.Max)
-}
-func (w *writer) bitmaps(bms []bitmap.Bitmap) {
-	for _, b := range bms {
-		w.u32(uint32(b))
-	}
-}
-
 // Encode serializes the metadata. Version 3 is emitted only when the
 // compression declaration is present; uncompressed datasets encode to
 // byte-identical version-2 buffers.
@@ -296,35 +275,35 @@ func (m *Meta) Encode() []byte {
 	if m.Compression != nil {
 		ver = 3
 	}
-	w := &writer{}
-	w.buf = append(w.buf, magic...)
-	w.u32(ver)
+	w := &binfmt.Writer{}
+	w.Bytes([]byte(magic))
+	w.U32(ver)
 	nA := m.Schema.NumAttrs()
-	w.u32(uint32(nA))
+	w.U32(uint32(nA))
 	for a, d := range m.Schema.Attrs {
-		w.str(d.Name)
-		w.u8(uint8(d.Type))
-		w.rng(m.GlobalRanges[a])
+		w.Str(d.Name)
+		w.U8(uint8(d.Type))
+		w.Range(m.GlobalRanges[a])
 	}
-	w.box(m.Domain)
-	w.u32(uint32(len(m.Nodes)))
-	w.u32(uint32(len(m.Leaves)))
+	w.Box(m.Domain)
+	w.U32(uint32(len(m.Nodes)))
+	w.U32(uint32(len(m.Leaves)))
 	for _, n := range m.Nodes {
-		w.u8(uint8(n.Axis))
-		w.f64(n.Pos)
-		w.box(n.Bounds)
-		w.i32(n.Left)
-		w.i32(n.Right)
-		w.bitmaps(n.Bitmaps)
+		w.U8(uint8(n.Axis))
+		w.F64(n.Pos)
+		w.Box(n.Bounds)
+		w.I32(n.Left)
+		w.I32(n.Right)
+		w.Bitmaps(n.Bitmaps)
 	}
 	for _, l := range m.Leaves {
-		w.str(l.FileName)
-		w.box(l.Bounds)
-		w.u64(uint64(l.Count))
+		w.Str(l.FileName)
+		w.Box(l.Bounds)
+		w.U64(uint64(l.Count))
 		for a := 0; a < nA; a++ {
-			w.rng(l.LocalRanges[a])
+			w.Range(l.LocalRanges[a])
 		}
-		w.bitmaps(l.Bitmaps)
+		w.Bitmaps(l.Bitmaps)
 	}
 	if m.Compression != nil {
 		for a := 0; a < nA; a++ {
@@ -332,122 +311,26 @@ func (m *Meta) Encode() []byte {
 			if a < len(m.Compression.ErrorBounds) {
 				b = m.Compression.ErrorBounds[a]
 			}
-			w.f64(b)
+			w.F64(b)
 		}
-		scale := m.Compression.LODScale
-		if scale < 1 {
-			scale = 1
-		}
-		w.f64(scale)
+		w.F64(max(m.Compression.LODScale, 1))
 	}
 	// Checksum trailer over everything above.
-	w.u32(checksum.CRC32C(w.buf))
-	w.buf = append(w.buf, trailerMagic...)
-	return w.buf
-}
-
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) need(n int) ([]byte, error) {
-	if r.off+n > len(r.buf) {
-		return nil, fmt.Errorf("meta: truncated at offset %d", r.off)
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (uint8, error) {
-	b, err := r.need(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	b, err := r.need(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.need(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.need(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.need(int(n))
-	return string(b), err
-}
-
-func (r *reader) box() (geom.Box, error) {
-	var v [6]float64
-	for i := range v {
-		var err error
-		if v[i], err = r.f64(); err != nil {
-			return geom.Box{}, err
-		}
-	}
-	return geom.NewBox(geom.V3(v[0], v[1], v[2]), geom.V3(v[3], v[4], v[5])), nil
-}
-
-func (r *reader) rng() (bitmap.Range, error) {
-	min, err := r.f64()
-	if err != nil {
-		return bitmap.Range{}, err
-	}
-	max, err := r.f64()
-	return bitmap.Range{Min: min, Max: max}, err
-}
-
-func (r *reader) bitmaps(n int) ([]bitmap.Bitmap, error) {
-	out := make([]bitmap.Bitmap, n)
-	for i := range out {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = bitmap.Bitmap(v)
-	}
-	return out, nil
+	w.U32(checksum.CRC32C(w.Buf))
+	w.Bytes([]byte(trailerMagic))
+	return w.Buf
 }
 
 // Decode parses metadata produced by Encode.
 func Decode(buf []byte) (*Meta, error) {
-	r := &reader{buf: buf}
-	mg, err := r.need(4)
-	if err != nil || string(mg) != magic {
+	r := binfmt.NewReader(buf)
+	mg := r.Bytes(4)
+	if r.Err() != nil || string(mg) != magic {
 		return nil, fmt.Errorf("meta: bad magic")
 	}
-	ver, err := r.u32()
-	if err != nil {
-		return nil, err
+	ver := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("meta: %w", err)
 	}
 	if ver < minVersion || ver > version {
 		return nil, fmt.Errorf("meta: unsupported version %d (supported: %d-%d)", ver, minVersion, version)
@@ -457,18 +340,18 @@ func Decode(buf []byte) (*Meta, error) {
 	if len(buf) < trailerLen+8 {
 		return nil, fmt.Errorf("meta: buffer too small for checksum trailer")
 	}
-	if string(buf[len(buf)-4:]) != trailerMagic {
-		return nil, fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, buf[len(buf)-4:])
+	body, trailer := buf[:len(buf)-trailerLen], binfmt.NewReader(buf[len(buf)-trailerLen:])
+	want, tmg := trailer.U32(), trailer.Bytes(4)
+	if string(tmg) != trailerMagic {
+		return nil, fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, tmg)
 	}
-	want := binary.LittleEndian.Uint32(buf[len(buf)-trailerLen:])
-	if got := checksum.CRC32C(buf[:len(buf)-trailerLen]); got != want {
+	if got := checksum.CRC32C(body); got != want {
 		return nil, fmt.Errorf("%w: CRC %08x != %08x", ErrChecksum, got, want)
 	}
-	nA32, err := r.u32()
-	if err != nil {
-		return nil, err
+	nA := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("meta: %w", err)
 	}
-	nA := int(nA32)
 	if nA > 4096 {
 		return nil, fmt.Errorf("meta: implausible attribute count %d", nA)
 	}
@@ -477,29 +360,13 @@ func Decode(buf []byte) (*Meta, error) {
 		GlobalRanges: make([]bitmap.Range, nA),
 	}
 	for a := 0; a < nA; a++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		m.Schema.Attrs[a] = particles.AttrDesc{Name: name, Type: particles.AttrType(typ)}
-		if m.GlobalRanges[a], err = r.rng(); err != nil {
-			return nil, err
-		}
+		m.Schema.Attrs[a] = particles.AttrDesc{Name: r.Str(), Type: particles.AttrType(r.U8())}
+		m.GlobalRanges[a] = r.Range()
 	}
-	if m.Domain, err = r.box(); err != nil {
-		return nil, err
-	}
-	nNodes, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nLeaves, err := r.u32()
-	if err != nil {
-		return nil, err
+	m.Domain = r.Box()
+	nNodes, nLeaves := r.U32(), r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("meta: %w", err)
 	}
 	// Each record occupies at least its fixed-size fields, so counts are
 	// bounded by the buffer length.
@@ -509,78 +376,47 @@ func Decode(buf []byte) (*Meta, error) {
 	m.Nodes = make([]Node, nNodes)
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
-		ax, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		n.Axis = geom.Axis(ax)
-		if n.Pos, err = r.f64(); err != nil {
-			return nil, err
-		}
-		if n.Bounds, err = r.box(); err != nil {
-			return nil, err
-		}
-		l32, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		n.Left = int32(l32)
-		r32, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		n.Right = int32(r32)
+		n.Axis, n.Pos, n.Bounds = geom.Axis(r.U8()), r.F64(), r.Box()
+		n.Left, n.Right = r.I32(), r.I32()
 		if !validRef(n.Left, int(nNodes), int(nLeaves)) || !validRef(n.Right, int(nNodes), int(nLeaves)) {
 			return nil, fmt.Errorf("meta: node %d has invalid children", i)
 		}
-		if n.Bitmaps, err = r.bitmaps(nA); err != nil {
-			return nil, err
-		}
+		n.Bitmaps = r.Bitmaps(nA)
 	}
 	m.Leaves = make([]LeafMeta, nLeaves)
 	for i := range m.Leaves {
 		l := &m.Leaves[i]
-		if l.FileName, err = r.str(); err != nil {
-			return nil, err
-		}
-		if l.Bounds, err = r.box(); err != nil {
-			return nil, err
-		}
-		cnt, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
+		l.FileName, l.Bounds = r.Str(), r.Box()
+		cnt := r.U64()
 		if cnt > math.MaxInt64 {
 			return nil, fmt.Errorf("meta: leaf %d particle count %d overflows int64", i, cnt)
 		}
 		l.Count = int64(cnt)
 		l.LocalRanges = make([]bitmap.Range, nA)
-		for a := 0; a < nA; a++ {
-			if l.LocalRanges[a], err = r.rng(); err != nil {
-				return nil, err
-			}
+		for a := range l.LocalRanges {
+			l.LocalRanges[a] = r.Range()
 		}
-		if l.Bitmaps, err = r.bitmaps(nA); err != nil {
-			return nil, err
-		}
+		l.Bitmaps = r.Bitmaps(nA)
 	}
 	if ver >= 3 {
 		cm := &CompressionMeta{ErrorBounds: make([]float64, nA)}
-		for a := 0; a < nA; a++ {
-			if cm.ErrorBounds[a], err = r.f64(); err != nil {
-				return nil, err
-			}
+		for a := range cm.ErrorBounds {
+			cm.ErrorBounds[a] = r.F64()
 			if b := cm.ErrorBounds[a]; math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
 				return nil, fmt.Errorf("meta: attribute %d declares invalid error bound %v", a, b)
 			}
 		}
-		if cm.LODScale, err = r.f64(); err != nil {
-			return nil, err
+		cm.LODScale = r.F64()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("meta: %w", err)
 		}
 		if math.IsNaN(cm.LODScale) || math.IsInf(cm.LODScale, 0) || cm.LODScale < 1 {
 			return nil, fmt.Errorf("meta: invalid LOD error scale %v", cm.LODScale)
 		}
 		m.Compression = cm
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("meta: %w", err)
 	}
 	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"libbat/internal/aggtree"
@@ -98,6 +99,18 @@ func TestBuildValidatesReports(t *testing.T) {
 	short[0].RootBitmaps = short[0].RootBitmaps[:1]
 	if _, err := Build(tr, tr.Leaves, schema, short); err == nil {
 		t.Error("wrong attr count should error")
+	}
+	// Names are stored behind a u16 length.
+	long := strings.Repeat("n", 1<<16)
+	longName := append([]LeafReport{}, reports...)
+	longName[0].FileName = long
+	if _, err := Build(tr, tr.Leaves, schema, longName); err == nil {
+		t.Error("a 65536-byte leaf file name should error")
+	}
+	longAttr := particles.Schema{Attrs: append([]particles.AttrDesc{}, schema.Attrs...)}
+	longAttr.Attrs[0].Name = long
+	if _, err := Build(tr, tr.Leaves, longAttr, reports); err == nil {
+		t.Error("a 65536-byte attribute name should error")
 	}
 }
 

@@ -3,6 +3,7 @@ package libbat
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -259,5 +260,34 @@ func TestListDatasets(t *testing.T) {
 	none, err := ListDatasets(store, "zzz")
 	if err != nil || len(none) != 0 {
 		t.Errorf("missing prefix = %v, %v", none, err)
+	}
+}
+
+// TestWriteRejectsLongAttributeName: the formats store a name's length as a
+// u16, so a longer attribute name must fail the write and leave nothing
+// behind, not write a dataset whose metadata cannot be decoded.
+func TestWriteRejectsLongAttributeName(t *testing.T) {
+	store := MemStorage()
+	name := strings.Repeat("a", 70000)
+	err := Run(2, func(c *Comm) error {
+		lo := V3(float64(c.Rank()), 0, 0)
+		local := NewParticleSet(NewSchema(name), 10)
+		for i := 0; i < 10; i++ {
+			local.Append(lo.Add(V3(0.5, 0.5, 0.5)), []float64{1})
+		}
+		_, err := Write(c, store, "long", local, NewBox(lo, lo.Add(V3(1, 1, 1))), DefaultWriteConfig(1<<20))
+		return err
+	})
+	if err == nil {
+		t.Fatal("Write with a 70000-byte attribute name succeeded")
+	}
+	files, lerr := store.List()
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, ".bat") || strings.HasSuffix(f, ".batm") {
+			t.Errorf("failed write left %q behind", f)
+		}
 	}
 }

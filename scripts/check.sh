@@ -179,8 +179,9 @@ run "batserve smoke" batserve_smoke
 # tables and a bounds box directly, the retired codec ids and frame mode
 # among the seeds —, the metadata file, particle wire encoding) and over
 # batserve's /points query-string parser: seconds, not a soak — enough to
-# catch parser regressions on the corpus + fresh mutations. The bat patterns
-# are anchored: -fuzz refuses a pattern that matches two targets.
+# catch parser regressions on the corpus + fresh mutations. Every pattern is
+# anchored: -fuzz refuses a pattern that matches two targets, so a second
+# target added to a package cannot break its stage.
 # (-fuzzminimizetime keeps a newly found interesting input from eating the
 # whole budget in minimization.) CHECK_FUZZ=0 skips it for quick local
 # iterations.
@@ -188,8 +189,8 @@ if [ "${CHECK_FUZZ:-1}" != "0" ]; then
 	run "fuzz FuzzDecode bat" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzTreelet bat" go test -fuzz='^FuzzTreelet$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
-	run "fuzz FuzzDecode meta" go test -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
-	run "fuzz FuzzUnmarshal particles" go test -fuzz=FuzzUnmarshal -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
+	run "fuzz FuzzDecode meta" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
+	run "fuzz FuzzUnmarshal particles" go test -fuzz='^FuzzUnmarshal$' -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
 	run "fuzz FuzzPointsQuery batserve" go test -fuzz='^FuzzPointsQuery$' -fuzztime=10s -fuzzminimizetime=5x ./cmd/batserve/
 else
 	echo "== fuzz stages skipped (CHECK_FUZZ=0)"
