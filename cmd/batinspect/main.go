@@ -9,8 +9,8 @@
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
 // attribute sections (and how many of the attribute bytes are block frames
-// stored inside them), node tables, page padding (none between the packed
-// treelets of a compressed dataset), headers and footers.
+// stored inside them), node tables, page padding (only a version-2 file,
+// which no writer produces any more, has any), headers and footers.
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.

@@ -54,8 +54,8 @@ func slurp(t *testing.T, store pfs.Storage, name string) []byte {
 	return buf
 }
 
-// writeCompressedDataset is writeDataset with the v3 codec layer enabled
-// at a loose bound on the single "v" attribute.
+// writeCompressedDataset is writeDataset with a loose error bound declared on
+// the single "v" attribute.
 func writeCompressedDataset(t *testing.T) pfs.Storage {
 	t.Helper()
 	store, err := libbat.DirStorage(t.TempDir())
@@ -203,12 +203,14 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	}
 }
 
-// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, a
-// compressed dataset's treelets are unpadded, and the "of which block frames"
-// line is a share of the attribute row above it: nothing in an uncompressed
-// dataset, the frames of the quant-for sections in a compressed one.
+// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, the
+// treelets of a written dataset are unpadded, and the "of which block frames"
+// line is a share of the attribute row above it: nothing in a lossless
+// dataset, the frames of the quant-for sections in a lossy one. (The page
+// padding of a version-2 file, which no writer produces any more, is
+// internal/bat's TestTreeletPageAlignment.)
 func TestStoredBytesAddUp(t *testing.T) {
-	for name, store := range map[string]pfs.Storage{"v2": writeDataset(t), "v3": writeCompressedDataset(t)} {
+	for name, store := range map[string]pfs.Storage{"lossless": writeDataset(t), "lossy": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +232,7 @@ func TestStoredBytesAddUp(t *testing.T) {
 				parts = append(parts, n)
 			}
 		}
-		if len(frames) != 1 || (frames[0] > 0) != (name == "v3") || frames[0] >= parts[1] {
+		if len(frames) != 1 || (frames[0] > 0) != (name == "lossy") || frames[0] >= parts[1] {
 			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())
 		}
 		if len(parts) != 7 {
@@ -239,7 +241,7 @@ func TestStoredBytesAddUp(t *testing.T) {
 		sum := int64(0)
 		for i, n := range parts[:6] {
 			const paddingRow = 3
-			if padded := name == "v2" || i != paddingRow; (n > 0) != padded || n < 0 {
+			if (n > 0) != (i != paddingRow) || n < 0 {
 				t.Errorf("%s: a part of %d bytes:\n%s", name, n, out.String())
 			}
 			sum += n

@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
 		buildWkrs = fs.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
-		compress  = fs.Bool("compress", false, "write BAT v3 files with per-attribute compressed treelet sections")
+		compress  = fs.Bool("compress", false, "apply -error-bound and -lod-error-scale and declare them in the metadata (without it every attribute is stored lossless)")
 		errBound  = fs.String("error-bound", "0", "absolute error bound for -compress: one value for every attribute, or a comma-separated per-attribute list (0 = lossless)")
 		lodScale  = fs.Float64("lod-error-scale", 1, "multiply the error bound for values referenced by LOD samples (>= 1)")
 	)

@@ -11,9 +11,10 @@ import (
 )
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
-// compares every byte it leaves behind with a recorded digest (the
-// uncompressed ones at commit ab46756, the compressed one when the frames
-// left the v3 sections: cell-for positions, quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
+// compares every byte it leaves behind with a recorded digest (the lossless
+// ones when every build began to write the packed version-3 layout, the
+// lossy one when the frames left the v3 sections: cell-for positions,
+// quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
 //
@@ -28,11 +29,11 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "eae8657b98f26d251724c84c2b0b042bd8adf00f7353a396cef09a34297b8774",
+			5, "b19dbf961bf143796676dd3dc06c812039c41b4be02b9b5c72ea26aeb8c75d89",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "709b76aaf851d1d2d9dd75aeda2a744bfe43ff392b9e4965a123d01fcc9819f4",
+			5, "2a3b3345a71c4a98cc7c6fb58d5e46ada75ed9623990fff559ee5ab04f6aca89",
 		},
 		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",

@@ -12,9 +12,8 @@
 //     every node, deduplicated through a 16-bit-ID dictionary.
 //
 // The compacted byte-buffer form (see format.go) is what aggregators write
-// to disk; treelets are 4 KB page aligned for memory-mapped access, except in
-// compressed files, whose treelets are decoded, never mapped, and lie back to
-// back.
+// to disk. Its treelets are decoded, never mapped, so they lie back to back
+// with no page alignment.
 //
 // The build runs as a parallel pipeline (chunked Morton encoding, a stable
 // parallel radix sort, fused treelet+bitmap workers over per-worker scratch
@@ -62,20 +61,19 @@ type BuildConfig struct {
 	// whole build runs serially on the calling goroutine (the in-transit
 	// friendly mode); the output bytes are identical for every count.
 	Workers int
-	// Compress enables the version-3 codec layer: each treelet's attribute
-	// columns are stored through an error-bounded codec instead of raw
-	// float arrays, its position columns through the lossless block
-	// frame-of-reference codec, and its node table as packed columns (see
-	// codec.go). Uncompressed builds keep writing byte-identical version-2
-	// files.
+	// Compress applies AttrErrorBounds and LODErrorScale: without it every
+	// attribute is stored lossless whatever the bounds say, and the
+	// dataset's metadata declares no codec configuration. The file layout is
+	// the same either way: every build packs positions, node tables and
+	// attributes (codec.go).
 	Compress bool
 	// AttrErrorBounds are the absolute error bounds applied per attribute
 	// (indexed like the schema) when Compress is set; when set, its length
 	// must equal the schema's attribute count. Nil, like a bound of 0,
-	// means lossless: columns are stored raw or, when integral-valued,
-	// delta+varint coded. A bound is measured against the value the
-	// attribute's schema type stores (Float32 attributes round through
-	// float32 either way).
+	// means lossless: a column is stored delta+varint coded when it is
+	// integral-valued and that shrinks it, raw otherwise. A bound is
+	// measured against the value the attribute's schema type stores
+	// (Float32 attributes round through float32 either way).
 	AttrErrorBounds []float64
 	// LODErrorScale loosens the bound for values inside inner-node LOD
 	// sample ranges: those values may err up to bound × LODErrorScale,
@@ -129,17 +127,21 @@ func (c BuildConfig) validate() error {
 }
 
 // AttrBounds resolves the per-attribute error bounds for a schema of nA
-// attributes: a copy of AttrErrorBounds when set, all zeros (lossless)
-// otherwise. Meaningful only when Compress is set.
+// attributes: a copy of AttrErrorBounds when Compress is set, all zeros
+// (lossless) otherwise.
 func (c BuildConfig) AttrBounds(nA int) []float64 {
 	out := make([]float64, nA)
-	copy(out, c.AttrErrorBounds)
+	if c.Compress {
+		copy(out, c.AttrErrorBounds)
+	}
 	return out
 }
 
-// EffectiveLODScale resolves LODErrorScale's 0-means-1 default.
+// EffectiveLODScale resolves the LOD error scale a build applies and
+// declares: LODErrorScale with its 0-means-1 default when Compress is set,
+// 1 otherwise.
 func (c BuildConfig) EffectiveLODScale() float64 {
-	if c.LODErrorScale <= 0 {
+	if !c.Compress || c.LODErrorScale <= 0 {
 		return 1
 	}
 	return c.LODErrorScale
@@ -178,13 +180,12 @@ type treelet struct {
 	order  []int // particle indices (into the set) in file layout order
 	depth  int   // max node depth, root = 0
 	prefix morton.Code
-	// attrEnc holds the compressed attribute sections (one per attribute)
-	// for v3 builds; nil when the build is uncompressed. Filled by the
-	// same fused worker that built the treelet, so encoding overlaps
-	// across treelets exactly like node construction does. posEnc holds
-	// the X, Y, Z sections the same way, and cells the extremes of the keys
-	// they were packed from: the root cell of the position frames, which
-	// compact stores as the treelet bounds.
+	// attrEnc holds the encoded attribute sections (one per attribute),
+	// filled by the same fused worker that built the treelet, so encoding
+	// overlaps across treelets exactly like node construction does. posEnc
+	// holds the X, Y, Z sections the same way, and cells the extremes of the
+	// keys they were packed from: the root cell of the position frames,
+	// which compact stores as the treelet bounds.
 	attrEnc []encodedAttr
 	posEnc  [3]encodedAttr
 	cells   [3]keyCell
@@ -226,19 +227,14 @@ type BuildStats struct {
 	BitmapsInterned int
 	FileBytes       int64
 	RawDataBytes    int64
-	// PaddingBytes is the page padding ahead of the treelets: 0 when the
-	// build packs them (Compress).
-	PaddingBytes int64
 	// AttrPayloadRawBytes / AttrPayloadEncBytes are the attribute payload
-	// sizes before and after the v3 codec layer (codec.go); equal — and
-	// excluding the 5-byte per-section codec framing — for uncompressed
-	// builds. The ratio raw/enc is the attribute compression ratio.
+	// sizes before and after the codec layer (codec.go), excluding the
+	// 5-byte per-section codec framing. The ratio raw/enc is the attribute
+	// compression ratio.
 	AttrPayloadRawBytes int64
 	AttrPayloadEncBytes int64
-	// PosPayloadRawBytes / PosPayloadEncBytes are the same pair for the
-	// position columns: raw is 12 bytes per particle, enc what the sections
-	// hold, framing excluded; equal for uncompressed builds.
-	PosPayloadRawBytes int64
+	// PosPayloadEncBytes is what the position sections hold, framing
+	// excluded; raw they take 12 bytes per particle.
 	PosPayloadEncBytes int64
 }
 
@@ -280,9 +276,9 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	n := set.Len()
 	workers := cfg.effectiveWorkers()
 	// Shrink the subprefix until the average treelet holds a few dozen
-	// leaves' worth of particles: deep enough for useful LOD levels and
-	// large enough that the 4 KB page alignment padding stays around 1% of
-	// the data (§VI-B's memory overhead).
+	// leaves' worth of particles: deep enough for useful LOD levels, and few
+	// enough treelets that their shallow-leaf records and section frames stay
+	// a small share of the data (§VI-B's memory overhead).
 	for cfg.SubprefixBits > 0 && n>>uint(cfg.SubprefixBits) < 32*cfg.MaxLeafSize {
 		cfg.SubprefixBits--
 	}
@@ -402,20 +398,15 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 
 	treelets := make([]*treelet, len(groups))
 	errs := make([]error, len(groups))
-	var bounds []float64
+	bounds := cfg.AttrBounds(set.Schema.NumAttrs())
 	lodScale := cfg.EffectiveLODScale()
-	if cfg.Compress {
-		bounds = cfg.AttrBounds(set.Schema.NumAttrs())
-	}
 	task := func(gi int, a *buildArena) {
 		g := groups[gi]
 		t := buildTreelet(set, order[g.from:g.to], cfg, a)
 		t.prefix = g.code
 		computeTreeletBitmaps(set, t, ranges)
-		if cfg.Compress {
-			encodeTreeletAttrs(set, t, bounds, lodScale, a)
-			errs[gi] = encodeTreeletPositions(set, t, a)
-		}
+		encodeTreeletAttrs(set, t, bounds, lodScale, a)
+		errs[gi] = encodeTreeletPositions(set, t, a)
 		treelets[gi] = t
 	}
 	if workers <= 1 || len(groups) <= 1 {

@@ -148,7 +148,7 @@ const quantWidthBits = 6
 
 // encodedAttr is one encoded section (an attribute, or a position column
 // with typ Float32) for a treelet being built. data is nil for codecRaw:
-// the compactor streams the v2 byte layout directly from the particle set
+// the compactor streams the raw column bytes directly from the particle set
 // instead of materializing a copy.
 type encodedAttr struct {
 	codec uint8
@@ -582,10 +582,12 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 const integralMagnitude = 1 << 52
 
 // encodeDelta encodes ref as zigzag-varint first differences when every
-// value is an exactly representable integer and the stream shrinks.
+// value is an exactly representable integer and the stream shrinks. -0
+// would decode as +0, so a column holding it stays raw.
 func encodeDelta(ref []float64, rawLen int) ([]byte, bool) {
 	for _, v := range ref {
-		if v != math.Trunc(v) || math.IsNaN(v) || v > integralMagnitude || v < -integralMagnitude {
+		if v != math.Trunc(v) || math.IsNaN(v) || v > integralMagnitude || v < -integralMagnitude ||
+			(v == 0 && math.Signbit(v)) {
 			return nil, false
 		}
 	}

@@ -175,17 +175,106 @@ func TestCompressedBuildDeterminism(t *testing.T) {
 	}
 }
 
-// TestUncompressedStaysV2 pins the compatibility contract: builds without
-// Compress keep writing byte-for-byte version-2 files — the v3 machinery
-// must be invisible to them.
-func TestUncompressedStaysV2(t *testing.T) {
-	s, domain := cosmoSet(2000, 7)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	if f.Version != 2 {
-		t.Fatalf("uncompressed build wrote version %d, want 2", f.Version)
+// TestDefaultBuildLosslessV3 pins what a build that declares no error bound
+// writes: version 3, a footer that declares every attribute lossless with
+// bound 0, and positions and attributes that read back bit for bit — NaN
+// payloads, ±0, denormals and infinities included; an integral column that
+// holds -0 keeps it too. Bounds or a LOD scale set without Compress, or
+// Compress without bounds, change no byte of it.
+func TestDefaultBuildLosslessV3(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x7ff8000000000123),
+		math.Float64frombits(0xfff0000000000001), math.Inf(1), math.Inf(-1)}
+	special32 := []float32{0, float32(negZero), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.Float32frombits(0x007fffff), math.Float32frombits(0x7fc12345), math.Float32frombits(0xffc00001)}
+	s, domain := cosmoSet(3000, 11)
+	for i := range s.Attrs[1] {
+		s.Attrs[1][i] = math.Round(s.Attrs[1][i]) // vx: integral, with -0 at resting particles
+		if i%9 == 0 {
+			s.Attrs[1][i] = negZero
+		}
 	}
-	if f.Compression() != nil {
-		t.Fatal("uncompressed file reports compression info")
+	for i := 0; i < s.Len(); i += 7 {
+		k := i / 7
+		s.Attrs[0][i] = special[k%len(special)]                  // mass, float64
+		s.Attrs[2][i] = float64(special32[(k+3)%len(special32)]) // phi, float32
+		if i%40 == 0 {
+			s.X[i] = special32[k%len(special32)] // NaNs send a column to raw
+		}
+		if i%21 == 0 {
+			s.Y[i] = special32[k%4] // ±0 and denormals stay in cell-for
+		}
+	}
+	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
+	if f.Version != 3 {
+		t.Fatalf("a default build wrote version %d, want 3", f.Version)
+	}
+	ci := f.Compression()
+	for a := range s.Schema.Attrs {
+		if ci.Codecs[a] != codecDelta || ci.Bounds[a] != 0 {
+			t.Fatalf("attribute %d declared %s with bound %v, want lossless with 0", a, CodecName(ci.Codecs[a]), ci.Bounds[a])
+		}
+	}
+	if ci.LODScale != 1 {
+		t.Fatalf("LOD scale %v, want 1", ci.LODScale)
+	}
+	unapplied := DefaultBuildConfig()
+	unapplied.AttrErrorBounds = []float64{0.5, 0.5, 0.5, 0}
+	unscaled := DefaultBuildConfig()
+	unscaled.LODErrorScale = 2
+	noBounds := DefaultBuildConfig()
+	noBounds.Compress = true
+	for name, cfg := range map[string]BuildConfig{"bounds without Compress": unapplied,
+		"LOD scale without Compress": unscaled, "Compress without bounds": noBounds} {
+		if b2, err := Build(s, domain, cfg); err != nil || !bytes.Equal(b2.Buf, b.Buf) {
+			t.Fatalf("%s changed the build (error %v)", name, err)
+		}
+	}
+	byID := make(map[float64]int, s.Len())
+	for i := 0; i < s.Len(); i++ {
+		byID[s.Attrs[3][i]] = i
+	}
+	// Read treelet by treelet: a query's box test would skip a NaN coordinate.
+	seen, codecs := 0, map[uint8]bool{}
+	for ti := 0; ti < f.NumTreelets(); ti++ {
+		pt, err := f.loadTreelet(context.Background(), ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lay, err := f.TreeletLayout(context.Background(), ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range lay.Sections {
+			codecs[sec.Codec] = true
+		}
+		for i, id := range pt.attrs[3] {
+			oi, ok := byID[id]
+			if !ok {
+				t.Fatalf("treelet %d: id %v read twice or never written", ti, id)
+			}
+			delete(byID, id)
+			seen++
+			for ax, cols := range [3][2][]float32{{pt.x, s.X}, {pt.y, s.Y}, {pt.z, s.Z}} {
+				if g, w := math.Float32bits(cols[0][i]), math.Float32bits(cols[1][oi]); g != w {
+					t.Fatalf("particle %v axis %d: position bits %#08x != %#08x", id, ax, g, w)
+				}
+			}
+			for a := range s.Schema.Attrs {
+				if g, w := math.Float64bits(pt.attrs[a][i]), math.Float64bits(typedValue(s.Attrs[a][oi], s.Schema.Attrs[a].Type)); g != w {
+					t.Fatalf("particle %v attribute %d: bits %#016x != %#016x", id, a, g, w)
+				}
+			}
+		}
+	}
+	if seen != s.Len() {
+		t.Fatalf("read %d of %d particles", seen, s.Len())
+	}
+	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta} {
+		if !codecs[c] {
+			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
+		}
 	}
 }
 
@@ -292,9 +381,8 @@ func TestCompressionInfoAndSections(t *testing.T) {
 		t.Fatalf("section sums %d/%d != footer totals %d/%d",
 			sumRaw, sumEnc, ci.RawPayloadBytes, ci.EncPayloadBytes)
 	}
-	if int64(posRaw) != b.Stats.PosPayloadRawBytes || int64(posEnc) != b.Stats.PosPayloadEncBytes {
-		t.Fatalf("position section sums %d/%d != stats %d/%d",
-			posRaw, posEnc, b.Stats.PosPayloadRawBytes, b.Stats.PosPayloadEncBytes)
+	if int64(posEnc) != b.Stats.PosPayloadEncBytes {
+		t.Fatalf("position section sum %d != stats %d", posEnc, b.Stats.PosPayloadEncBytes)
 	}
 	if posRaw != 12*s.Len() || posEnc >= posRaw {
 		t.Fatalf("positions %d -> %d bytes for %d particles: want 12 per particle in, fewer out", posRaw, posEnc, s.Len())

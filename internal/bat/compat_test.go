@@ -84,62 +84,57 @@ func readRows(t *testing.T, f *File) []goldenRow {
 	return rows
 }
 
-// TestGoldenRegenerate rewrites the checked-in golden files from the
-// current builder. Run manually with BAT_REGEN_GOLDEN=1 when the format
-// legitimately changes (which for v1/v2 should be never).
+// TestGoldenRegenerate rewrites the goldens today's writer can rebuild:
+// golden_v3.bat (goldenV3Config) and golden_v3_lossless.bat (goldenConfig).
+// Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
-// Five goldens are not among them and cannot be regenerated; each is the
-// golden set's build by the last writer of a layout this reader refuses, and
-// pins that refusal. golden_v2_quant16.bat: goldenConfig with 16-bit
-// fixed-point positions, header flag bit 0 (commit caac3aa, the parent of the
-// one layout per version). The other four are goldenV3Config's build:
-// golden_v3_rawpos.bat, version-3 positions as raw f32 columns (commit
-// c90a2ea, the parent of the position codec); golden_v3_flatquant.bat, packed
-// positions and lossy attributes as flat quant sections, codec id 1 (commit
-// 1f5afd1, the parent of codecQuantFOR); golden_v3_nodetable.bat, positions
-// under inline frames (codec id 3) behind node tables of fixed records in
-// page-aligned treelets (commit 9f77046, the parent of flagPackedNodes);
-// golden_v3_inlineframes.bat, the same sections behind packed node tables in
-// unpadded treelets, today's header flags (commit 4e54d5f, the parent of
-// codecCellFOR).
+// Every other golden is frozen: no writer in the tree can rebuild it. Three
+// are version-2 images from the last version-2 writer (commit 3bb0b42, the
+// parent of the one writer): golden_v2.bat, goldenConfig's build;
+// golden_v1.bat, the same image with its footer removed and its version field
+// patched to 1 (stripToV1), the layout version-1 writers produced; and
+// golden_v2_clustered.bat, clusteredSet(20000, 14) under DefaultBuildConfig,
+// four padded, page-aligned treelets that seed the reader's fuzzers and
+// corruption tests. Five more are the golden set's build by the last writer of
+// a layout this reader refuses, and pin that refusal. golden_v2_quant16.bat:
+// goldenConfig with 16-bit fixed-point positions, header flag bit 0 (commit
+// caac3aa, the parent of the one layout per version). The other four are
+// goldenV3Config's build: golden_v3_rawpos.bat, version-3 positions as raw f32
+// columns (commit c90a2ea, the parent of the position codec);
+// golden_v3_flatquant.bat, packed positions and lossy attributes as flat quant
+// sections, codec id 1 (commit 1f5afd1, the parent of codecQuantFOR);
+// golden_v3_nodetable.bat, positions under inline frames (codec id 3) behind
+// node tables of fixed records in page-aligned treelets (commit 9f77046, the
+// parent of flagPackedNodes); golden_v3_inlineframes.bat, the same sections
+// behind packed node tables in unpadded treelets, today's header flags (commit
+// 4e54d5f, the parent of codecCellFOR).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
 	}
 	s, domain := goldenSet()
-	b, err := Build(s, domain, goldenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join("testdata", "golden_v2.bat"), b.Buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The v1 golden is the v2 image with the footer removed and the
-	// version field patched, exactly the layout version-1 writers
-	// produced.
-	if err := os.WriteFile(filepath.Join("testdata", "golden_v1.bat"), stripToV1(t, b.Buf), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b3, err := Build(s, domain, goldenV3Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join("testdata", "golden_v3.bat"), b3.Buf, 0o644); err != nil {
-		t.Fatal(err)
+	for file, cfg := range map[string]BuildConfig{"golden_v3.bat": goldenV3Config(), "golden_v3_lossless.bat": goldenConfig()} {
+		b, err := Build(s, domain, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata", file), b.Buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestGoldenBackwardCompat opens the checked-in file of every layout a writer
 // has produced. The two this reader accepts — version 2 and today's version 3
 // — must decode to the same particle multiset as the day they were written:
-// positions and the lossless id bit-exact, mass exact in version 2 and within
-// its declared bound in version 3. Every retired layout is refused with a
-// named error and returns no rows: version 1 (no checksums) and the header
-// flags of a retired layout at open, the inline position frames behind
-// today's flags at the first treelet load.
+// positions and the lossless id bit-exact, mass exact in version 2 and in the
+// lossless version-3 build, and within its declared bound in golden_v3.bat.
+// Every retired layout is refused with a named error and returns no rows:
+// version 1 (no checksums) and the header flags of a retired layout at open,
+// the inline position frames behind today's flags at the first treelet load.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
@@ -149,15 +144,18 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		version int
 		// openErr refuses the file at open, loadErr at its first treelet load.
 		openErr, loadErr string
+		// massBound is how far a decoded mass may be from the golden set's.
+		massBound float64
 	}{
-		{"golden_v1.bat", 1, "unsupported version 1", ""},
-		{"golden_v2.bat", 2, "", ""},
-		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", ""},
-		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", ""},
-		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", ""},
-		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", ""},
-		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3"},
-		{"golden_v3.bat", 3, "", ""},
+		{"golden_v1.bat", 1, "unsupported version 1", "", 0},
+		{"golden_v2.bat", 2, "", "", 0},
+		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", "", 0},
+		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", "", 0},
+		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", "", 0},
+		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", "", 0},
+		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3", 0},
+		{"golden_v3.bat", 3, "", "", massBound},
+		{"golden_v3_lossless.bat", 3, "", "", 0},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -195,12 +193,10 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 			for i := range got {
 				g, w := got[i], want[i]
-				if tc.version >= 3 {
-					if math.Abs(g.mass-w.mass) > massBound {
-						t.Fatalf("row %d: mass %v is not within %v of %v", i, g.mass, massBound, w.mass)
-					}
-					g.mass = w.mass
+				if math.Abs(g.mass-w.mass) > tc.massBound {
+					t.Fatalf("row %d: mass %v is not within %v of %v", i, g.mass, tc.massBound, w.mass)
 				}
+				g.mass = w.mass
 				if g != w {
 					t.Fatalf("row %d: %+v != %+v", i, got[i], want[i])
 				}
@@ -209,17 +205,17 @@ func TestGoldenBackwardCompat(t *testing.T) {
 	}
 }
 
-// TestGoldenV2ByteIdentity rebuilds the golden dataset with the current
-// builder and requires the image to be byte-identical to the checked-in v2
-// file: uncompressed builds must keep producing exactly the v2 bytes.
-func TestGoldenV2ByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v2.bat", goldenConfig())
-}
-
-// TestGoldenV3ByteIdentity is the same pin for compressed builds: the packed
-// version-3 layout, codec choices included, is what golden_v3.bat holds.
+// TestGoldenV3ByteIdentity rebuilds the golden dataset with the current
+// builder under declared error bounds and requires the image to be
+// byte-identical to golden_v3.bat: the packed layout, codec choices included.
 func TestGoldenV3ByteIdentity(t *testing.T) {
 	requireRebuildIdentical(t, "golden_v3.bat", goldenV3Config())
+}
+
+// TestGoldenV3LosslessByteIdentity is the same pin for a build that declares
+// no bound: the layout every default build writes.
+func TestGoldenV3LosslessByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v3_lossless.bat", goldenConfig())
 }
 
 func requireRebuildIdentical(t *testing.T, file string, cfg BuildConfig) {

@@ -17,7 +17,13 @@ import (
 	"libbat/internal/particles"
 )
 
-// builtSample returns a deterministic multi-treelet file image.
+// v2Sample is golden_v2_clustered.bat, a multi-treelet version-2 image: no
+// writer produces one any more, so the reader's version-2 tests and fuzz seeds
+// take their padded, page-aligned treelets from it.
+func v2Sample(t testing.TB) []byte { return goldenFile(t, "golden_v2_clustered.bat") }
+
+// builtSample returns a deterministic multi-treelet image of a default
+// (lossless) build.
 func builtSample(t *testing.T) []byte {
 	t.Helper()
 	s, domain := randomSet(600, 2)
@@ -44,17 +50,18 @@ func collect(t *testing.T, f *File) []float64 {
 	return out
 }
 
-// TestDecodeTruncatedNeverPanics: every proper prefix of a v2 file must
-// fail to open (the footer is gone or mangled), never panic.
+// TestDecodeTruncatedNeverPanics: every proper prefix of a file must fail to
+// open (the footer is gone or mangled), never panic.
 func TestDecodeTruncatedNeverPanics(t *testing.T) {
-	buf := builtSample(t)
-	for l := 0; l < len(buf); l += 7 {
-		if _, err := FromBuffer(buf[:l]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes opened", l, len(buf))
+	for _, buf := range [][]byte{builtSample(t), goldenFile(t, "golden_v2.bat")} {
+		for l := 0; l < len(buf); l += 7 {
+			if _, err := FromBuffer(buf[:l]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes opened", l, len(buf))
+			}
 		}
-	}
-	if _, err := FromBuffer(buf[:len(buf)-1]); err == nil {
-		t.Error("file short by one byte opened")
+		if _, err := FromBuffer(buf[:len(buf)-1]); err == nil {
+			t.Error("file short by one byte opened")
+		}
 	}
 }
 
@@ -62,13 +69,16 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 // requires each one to be caught at open, by Verify, or at query time —
 // or, if it landed in inter-section padding, to leave the query results
 // bit-identical to the original. A silently different result is the one
-// outcome the checksums exist to prevent.
+// outcome the checksums exist to prevent. The matrix runs over a default
+// build and over golden_v2.bat, whose page padding is the one place a flip
+// can land outside every checksum.
 func TestBitFlipNoSilentCorruption(t *testing.T) {
 	bitFlipMatrix(t, builtSample(t))
+	bitFlipMatrix(t, goldenFile(t, "golden_v2.bat"))
 }
 
-// TestBitFlipNoSilentCorruptionV3 runs the same matrix over a compressed
-// (version 3) image: the codec sections are checksummed like any other
+// TestBitFlipNoSilentCorruptionV3 runs the same matrix over an image with
+// lossy attributes: the quant-for sections are checksummed like any other
 // treelet bytes, so flips there must be detected too.
 func TestBitFlipNoSilentCorruptionV3(t *testing.T) {
 	bitFlipMatrix(t, compressedSample(t))
@@ -134,7 +144,7 @@ func TestHeaderFlipIsChecksumError(t *testing.T) {
 	}
 }
 
-// stripToV1 converts a v2 image into its version-1 equivalent: footer
+// stripToV1 converts a version-2 image into its version-1 equivalent: footer
 // removed, version field patched.
 func stripToV1(t testing.TB, buf []byte) []byte {
 	t.Helper()
@@ -151,7 +161,7 @@ func stripToV1(t testing.TB, buf []byte) []byte {
 // checksum footer — carries nothing a reader can verify and is refused at
 // open.
 func TestV1FileRejected(t *testing.T) {
-	if _, err := FromBuffer(stripToV1(t, builtSample(t))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+	if _, err := FromBuffer(stripToV1(t, v2Sample(t))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("open error %v, want unsupported version 1", err)
 	}
 }
@@ -163,7 +173,7 @@ func TestV1FileRejected(t *testing.T) {
 // reading of a version-3 treelet is garbage: the flags word each version
 // requires tells them apart.
 func TestVersionFieldFlipsRejected(t *testing.T) {
-	for name, buf := range map[string][]byte{"v2": builtSample(t), "v3": compressedSample(t),
+	for name, buf := range map[string][]byte{"v2": v2Sample(t), "lossless": builtSample(t), "lossy": compressedSample(t),
 		"v2 golden": goldenFile(t, "golden_v2.bat"), "v3 golden": goldenFile(t, "golden_v3.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
@@ -425,7 +435,7 @@ func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 // that ignored them would parse a retired layout's treelets as today's.
 func TestHeaderFlagValidation(t *testing.T) {
 	const flagsOff = 8
-	samples := map[uint32][]byte{2: builtSample(t), 3: compressedSample(t)}
+	samples := map[uint32][]byte{2: v2Sample(t), 3: compressedSample(t)}
 	opened := map[uint32]int{}
 	for _, tc := range []struct {
 		ver, flags uint32
@@ -527,8 +537,8 @@ func TestUnpaddedTreeletsTile(t *testing.T) {
 			}
 		})
 	}
-	// Padding between treelets is what a version-2 writer produces.
-	if _, err := FromBuffer(builtSample(t)); err != nil {
+	// Padding between treelets is what the version-2 writer produced.
+	if _, err := FromBuffer(v2Sample(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -809,15 +819,15 @@ var errStopFuzz = errors.New("fuzz visit cap")
 // FuzzDecode feeds arbitrary bytes to the reader: errors are fine,
 // panics are not. Inputs that open are also verified and queried.
 func FuzzDecode(f *testing.F) {
+	v2 := v2Sample(f)
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
+	f.Add(stripToV1(f, v2)) // refused at the version field
 	s, domain := randomSet(60, 1)
 	if b, err := Build(s, domain, DefaultBuildConfig()); err == nil {
 		f.Add(b.Buf)
-		if len(b.Buf) > 16 {
-			f.Add(b.Buf[:len(b.Buf)/2])
-			f.Add(stripToV1(f, b.Buf)) // refused at the version field
-		}
 	}
-	// A compressed (version 3) seed so mutations reach the codec layer.
+	// A seed with lossy attributes so mutations reach the quant-for decoder.
 	cs, cdomain := cosmoSet(60, 3)
 	ccfg := DefaultBuildConfig()
 	ccfg.Compress = true
@@ -846,23 +856,23 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a real
-// version-2 file, a real version-3 file and the golden version-3 file, with
-// the checksums fixed up after them:
-// every readable file is checksummed, so no mutation FuzzDecode makes gets
-// past the treelet CRC to the node-table and section parsing.
+// FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of the
+// frozen version-2 file, a default (lossless) build, a build with lossy
+// attributes and the golden version-3 file, with the checksums fixed up after
+// them: every readable file is checksummed, so no mutation FuzzDecode makes
+// gets past the treelet CRC to the node-table and section parsing.
 func FuzzTreelet(f *testing.F) {
 	s, domain := randomSet(60, 1)
-	v2, err := Build(s, domain, DefaultBuildConfig())
+	lossless, err := Build(s, domain, DefaultBuildConfig())
 	if err != nil {
 		f.Fatal(err)
 	}
 	cs, cdomain := cosmoSet(60, 3)
-	v3, err := Build(cs, cdomain, compressedConfig([]float64{1e-3, 1e-1, 1e-3, 0}))
+	lossy, err := Build(cs, cdomain, compressedConfig([]float64{1e-3, 1e-1, 1e-3, 0}))
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{v2.Buf, v3.Buf, goldenFile(f, "golden_v3.bat")}
+	files := [][]byte{v2Sample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {

@@ -82,10 +82,9 @@ func TestBuildDeterminism(t *testing.T) {
 				base := DefaultBuildConfig()
 				base.MaxLeafSize = 64
 				base.LODPerNode = 4
-				// Compress adds the attribute codecs and the packed position
-				// sections — both encode in the fused treelet workers from
-				// per-worker arenas — and the packed node tables of the
-				// unpadded layout.
+				// Every build encodes its position and attribute sections
+				// in the fused treelet workers from per-worker arenas;
+				// Compress adds the lossy quant-for attribute codec.
 				base.Compress = compress
 				base.AttrErrorBounds = []float64{1e-3, 1e-3}
 
@@ -95,29 +94,26 @@ func TestBuildDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("serial build: %v", err)
 				}
-				if compress {
-					f, err := FromBuffer(want.Buf)
+				f, err := FromBuffer(want.Buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The packed node tables are sized serially and packed by
+				// the fill workers.
+				if f.Version != 3 {
+					t.Fatalf("version %d", f.Version)
+				}
+				for ti := 0; ti < f.NumTreelets(); ti++ {
+					lay, err := f.TreeletLayout(context.Background(), ti)
 					if err != nil {
 						t.Fatal(err)
 					}
-					// The packed node tables are sized serially and packed by
-					// the fill workers, and the treelets carry no padding.
-					if f.Version != 3 || want.Stats.PaddingBytes != 0 {
-						t.Fatalf("version %d, %d padding bytes", f.Version, want.Stats.PaddingBytes)
-					}
-					for ti := 0; ti < f.NumTreelets(); ti++ {
-						lay, err := f.TreeletLayout(context.Background(), ti)
-						if err != nil {
-							t.Fatal(err)
-						}
-						secs := lay.Sections
-						for _, sec := range secs {
-							switch sec.Codec {
-							case codecQuantFOR:
-								frameModes[sec.Mode] = true
-							case codecCellFOR:
-								frameModes["cell-for"] = true
-							}
+					for _, sec := range lay.Sections {
+						switch sec.Codec {
+						case codecQuantFOR:
+							frameModes[sec.Mode] = true
+						case codecCellFOR:
+							frameModes["cell-for"] = true
 						}
 					}
 				}
@@ -138,7 +134,7 @@ func TestBuildDeterminism(t *testing.T) {
 		})
 	}
 	if !frameModes["one-frame"] || !frameModes["per-node-cols"] || !frameModes["cell-for"] {
-		t.Errorf("frame kinds among the compressed builds: %v, want cell-for positions and both quant-for modes covered", frameModes)
+		t.Errorf("frame kinds among the builds: %v, want cell-for positions and both quant-for modes covered", frameModes)
 	}
 }
 

@@ -9,6 +9,10 @@
 //	           tables, unpadded treelets, codec sections for positions and
 //	           attributes (codec.go)
 //
+// Every build writes version 3; version 2 is read only, for the files earlier
+// writers left. A build with no error bound declared is lossless: positions
+// and attributes read back bit for bit.
+//
 // Any other flags word is rejected at open (layoutFlags). That includes the
 // layouts earlier writers left behind: version 2 with bit 0 set (16-bit
 // fixed-point positions), version 3 with flags 0 (raw position columns) and
@@ -35,8 +39,9 @@
 //	                       treelet bounds 6 x f64,
 //	                       bitmapID u16 per attribute
 //	  bitmap dictionary:   count u32, entries u32 each
-//	Treelets, each aligned to a 4 KB page boundary (version 2) or back to
-//	back from the end of the header to the footer (version 3):
+//	Treelets, each aligned to a 4 KB page boundary (version 2; paper
+//	§III-C3) or back to back from the end of the header to the footer
+//	(version 3):
 //	  numNodes u32, numPoints u32
 //	  nodes: axis u8 (3 = leaf), pos f64, left i32, right i32,
 //	         start u32, count u32, bitmapID u16 per attribute
@@ -111,16 +116,13 @@ const (
 	// readable. Version 2 is the first with the CRC32C checksum footer, which
 	// every readable file carries; version 3 added per-attribute compressed
 	// treelet sections (codec.go) and the footer's codec declarations.
-	// Version 3 is written only when BuildConfig.Compress is set —
-	// uncompressed builds keep producing byte-identical version-2 files.
+	// Every build writes version 3.
 	version    = 3
 	minVersion = 2
 	// footerMagic terminates the checksum footer.
 	footerMagic = "BATF"
 	// footerFixedLen is the v2 footer size excluding the per-treelet CRCs.
 	footerFixedLen = 4 + 4 + 4 + 4 + 4
-	// PageSize is the alignment of treelets in the file (§III-C3).
-	PageSize = 4096
 	// flagPackedPositions marks X, Y, Z stored as three framed codec
 	// sections.
 	flagPackedPositions = 1 << 1
@@ -142,7 +144,7 @@ func layoutFlags(ver uint32) uint32 {
 // u8, encLen u32.
 const sectionFrameLen = 1 + 4
 
-// treeletNodeBytes is the per-node record size excluding bitmap IDs.
+// treeletNodeBytes is a version-2 node record's size excluding bitmap IDs.
 const treeletNodeBytes = 1 + 8 + 4 + 4 + 4 + 4
 
 // rawPosBytes is a point's X, Y and Z as raw f32 columns.
@@ -162,15 +164,12 @@ const shallowLeafBytes = 8 + 4 + 4 + 4 + 48
 func footerV3ExtraLen(nA int) int { return 4 + nA*(1+8) + 8 + 8 + 8 }
 
 // compact assembles the file image: header + shallow tree + dictionary up
-// front, then the treelets, page-aligned (paper §III-C3) in version 2 and
-// back to back in version 3, which nothing maps. Bitmaps are interned
-// into the dictionary serially (ID assignment is first-use order, a format
-// invariant); the per-treelet bounds (scanned here only in version 2: a
-// version-3 treelet worker kept the extremes of the keys it packed), payload
-// copies, and section CRCs then run across the worker pool, largest treelet
-// first. Every
-// section's extent is precomputed, so workers write disjoint byte ranges
-// and the image is identical for any worker count.
+// front, then the treelets back to back, which nothing maps. Bitmaps are
+// interned into the dictionary serially (ID assignment is first-use order, a
+// format invariant); the node tables, payload copies and section CRCs then run
+// across the worker pool, largest treelet first. Every section's extent is
+// precomputed, so workers write disjoint byte ranges and the image is
+// identical for any worker count.
 func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	ranges []bitmap.Range, shallowNodes []builtShallowNode, treelets []*treelet,
 	workers int) (*Built, error) {
@@ -231,21 +230,12 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	headerSize += len(treelets) * (shallowLeafBytes + 2*nA)
 	headerSize += 4 + 4*dict.Len()
 
-	// The file version is chosen per build: compressed builds write the
-	// version-3 layout (packed node tables, codec sections, no page padding);
-	// uncompressed builds stay byte-identical version-2 files.
-	fileVer := uint32(2)
-	if cfg.Compress {
-		fileVer = 3
-	}
-
-	// Treelet byte sizes and offsets.
+	// Treelet byte sizes and offsets. Each node table is sized here, as soon
+	// as the IDs exist, and packed by the treelet's fill task below.
 	offsets := make([]uint64, len(treelets))
 	sizes := make([]uint32, len(treelets))
 	off := int64(headerSize)
-	var padding int64
-	var rawPayload, encPayload int64
-	var posRawPayload, posEncPayload int64
+	var rawPayload, encPayload, posEncPayload int64
 	maxDepth := 0
 	numNodes := 0
 	var colScratch []uint64 // packNodeTable's, for the size pass
@@ -254,139 +244,85 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			maxDepth = t.depth
 		}
 		numNodes += len(t.nodes)
-		if rem := off % PageSize; rem != 0 && !cfg.Compress {
-			padding += PageSize - rem
-			off += PageSize - rem
-		}
 		offsets[ti] = uint64(off)
-		sz := 8 + len(t.nodes)*(treeletNodeBytes+2*nA)
-		posRawPayload += int64(len(t.order) * rawPosBytes)
-		if cfg.Compress {
-			// The table is sized here, as soon as the IDs exist, and packed
-			// by the treelet's fill task below.
-			if cap(colScratch) < len(t.nodes) {
-				colScratch = make([]uint64, len(t.nodes))
-			}
-			tableLen, err := packNodeTable(nil, t, treeletIDs[ti], nA, colScratch)
-			if err != nil {
-				return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-			}
-			sz = 8 + tableLen
-			for _, pe := range t.posEnc {
-				enc := pe.encodedLen(len(t.order), particles.Float32)
-				sz += sectionFrameLen + enc
-				posEncPayload += int64(enc)
-			}
-			for a, desc := range set.Schema.Attrs {
-				raw := len(t.order) * desc.Type.Size()
-				enc := t.attrEnc[a].encodedLen(len(t.order), desc.Type)
-				sz += sectionFrameLen + enc
-				rawPayload += int64(raw)
-				encPayload += int64(enc)
-			}
-		} else {
-			sz += len(t.order) * rawPosBytes
-			posEncPayload += int64(len(t.order) * rawPosBytes)
-			for _, desc := range set.Schema.Attrs {
-				raw := len(t.order) * desc.Type.Size()
-				sz += raw
-				rawPayload += int64(raw)
-				encPayload += int64(raw)
-			}
+		if cap(colScratch) < len(t.nodes) {
+			colScratch = make([]uint64, len(t.nodes))
+		}
+		tableLen, err := packNodeTable(nil, t, treeletIDs[ti], nA, colScratch)
+		if err != nil {
+			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+		}
+		sz := 8 + tableLen
+		for _, pe := range t.posEnc {
+			enc := pe.encodedLen(len(t.order), particles.Float32)
+			sz += sectionFrameLen + enc
+			posEncPayload += int64(enc)
+		}
+		for a, desc := range set.Schema.Attrs {
+			enc := t.attrEnc[a].encodedLen(len(t.order), desc.Type)
+			sz += sectionFrameLen + enc
+			rawPayload += int64(len(t.order) * desc.Type.Size())
+			encPayload += int64(enc)
 		}
 		sizes[ti] = uint32(sz)
 		off += int64(sz)
 	}
 
-	// The whole image, padding pre-zeroed, with room for the footer.
-	footerLen := footerFixedLen + 4*len(treelets)
-	if cfg.Compress {
-		footerLen += footerV3ExtraLen(nA)
-	}
+	// The whole image, with room for the footer.
+	footerLen := footerFixedLen + 4*len(treelets) + footerV3ExtraLen(nA)
 	buf := make([]byte, off+int64(footerLen))
 
-	// Fill the treelet sections: bounds (the cells the position encoder took
-	// from its keys, a scan in version 2), node table, payload gather, and the
-	// section CRC for the footer. Each task touches only
+	// Fill the treelet sections: node table, payload gather, and the section
+	// CRC for the footer. Each task touches only
 	// buf[offsets[ti]:offsets[ti]+sizes[ti]].
-	tBounds := make([]geom.Box, len(treelets))
 	crcs := make([]uint32, len(treelets))
 	fillErrs := make([]error, len(treelets))
 	fillTreelet := func(ti int) {
 		t := treelets[ti]
-		if cfg.Compress {
-			tBounds[ti] = cellBounds(t.cells)
-		} else {
-			tBounds[ti] = tightBounds(set, t.order)
-		}
 		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
 		w := binfmt.Writer{Buf: buf[sectionStart : sectionStart : sectionStart+int(sizes[ti])]}
 		w.U32(uint32(len(t.nodes)))
 		w.U32(uint32(len(t.order)))
-		if cfg.Compress {
-			// The packer's eight-byte stores run up to packSlack past the
-			// table's end: onto the three position section frames, which are
-			// this treelet's and written next. The window ends with the
-			// treelet, so a store can never reach another task's bytes.
-			n, err := packNodeTable(w.Buf[len(w.Buf):cap(w.Buf)], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
-			if err != nil {
-				fillErrs[ti] = fmt.Errorf("bat: treelet %d: %w", ti, err)
-				return
-			}
-			w.Buf = w.Buf[:len(w.Buf)+n]
-		} else {
-			for ni, n := range t.nodes {
-				w.U8(uint8(n.axis))
-				w.F64(n.pos)
-				w.I32(n.left)
-				w.I32(n.right)
-				w.U32(n.start)
-				w.U32(n.count)
-				w.IDs(treeletIDs[ti][ni*nA : (ni+1)*nA])
-			}
+		// The packer's eight-byte stores run up to packSlack past the table's
+		// end: onto the three position section frames, which are this
+		// treelet's and written next. The window ends with the treelet, so a
+		// store can never reach another task's bytes.
+		n, err := packNodeTable(w.Buf[len(w.Buf):cap(w.Buf)], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
+		if err != nil {
+			fillErrs[ti] = fmt.Errorf("bat: treelet %d: %w", ti, err)
+			return
 		}
+		w.Buf = w.Buf[:len(w.Buf)+n]
+		// Every column is a section: codec id, encoded length, payload. Raw
+		// sections stream the column bytes directly; encoded sections copy the
+		// stream the treelet worker built.
 		for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
-			if cfg.Compress {
-				// Same section framing as the attributes below.
-				enc := t.posEnc[ax]
-				w.U8(enc.codec)
-				w.U32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
-				if enc.codec != codecRaw {
-					w.Bytes(enc.data)
-					continue
-				}
+			enc := t.posEnc[ax]
+			w.U8(enc.codec)
+			w.U32(uint32(enc.encodedLen(len(t.order), particles.Float32)))
+			if enc.codec != codecRaw {
+				w.Bytes(enc.data)
+				continue
 			}
 			for _, p := range t.order {
 				w.F32(col[p])
 			}
 		}
 		for a, desc := range set.Schema.Attrs {
-			vals := set.Attrs[a]
-			writeRawCol := func() {
-				if desc.Type == particles.Float32 {
-					for _, p := range t.order {
-						w.F32(float32(vals[p]))
-					}
-				} else {
-					for _, p := range t.order {
-						w.F64(vals[p])
-					}
+			enc, vals := t.attrEnc[a], set.Attrs[a]
+			w.U8(enc.codec)
+			w.U32(uint32(enc.encodedLen(len(t.order), desc.Type)))
+			switch {
+			case enc.codec != codecRaw:
+				w.Bytes(enc.data)
+			case desc.Type == particles.Float32:
+				for _, p := range t.order {
+					w.F32(float32(vals[p]))
 				}
-			}
-			if cfg.Compress {
-				// Version-3 section framing: codec id, encoded length,
-				// payload. Raw sections stream the v2 column bytes
-				// directly; encoded sections copy the arena-built stream.
-				enc := t.attrEnc[a]
-				w.U8(enc.codec)
-				w.U32(uint32(enc.encodedLen(len(t.order), desc.Type)))
-				if enc.codec == codecRaw {
-					writeRawCol()
-				} else {
-					w.Bytes(enc.data)
+			default:
+				for _, p := range t.order {
+					w.F64(vals[p])
 				}
-			} else {
-				writeRawCol()
 			}
 		}
 		if len(w.Buf) != int(sizes[ti]) {
@@ -440,11 +376,11 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		}
 	}
 
-	// Header (depends on the treelet bounds, so written after the fill).
+	// Header.
 	w := binfmt.Writer{Buf: buf[:0:headerSize]}
 	w.Bytes([]byte(magic))
-	w.U32(fileVer)
-	w.U32(layoutFlags(fileVer))
+	w.U32(version)
+	w.U32(layoutFlags(version))
 	w.U64(uint64(set.Len()))
 	w.Box(domain)
 	w.U32(uint32(cfg.SubprefixBits))
@@ -471,7 +407,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		w.U32(sizes[ti])
 		w.U32(uint32(len(t.nodes)))
 		w.U32(uint32(len(t.order)))
-		w.Box(tBounds[ti])
+		w.Box(cellBounds(t.cells))
 		w.IDs(rootIDs[ti])
 	}
 	w.U32(uint32(dict.Len()))
@@ -488,25 +424,22 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	for ti := range treelets {
 		w.U32(crcs[ti])
 	}
-	if cfg.Compress {
-		// Version-3 extension: the declared per-attribute codec class and
-		// error bound (validated against every section at decode time),
-		// the LOD error scale, and the payload byte totals so readers can
-		// report the whole-file ratio without scanning sections.
-		bounds := cfg.AttrBounds(nA)
-		w.U32(uint32(nA))
-		for _, b := range bounds {
-			c := uint8(codecDelta)
-			if b > 0 {
-				c = codecQuant
-			}
-			w.U8(c)
-			w.F64(b)
+	// The extension: the declared per-attribute codec class and error bound
+	// (validated against every section at decode time), the LOD error scale,
+	// and the payload byte totals so readers can report the whole-file ratio
+	// without scanning sections.
+	w.U32(uint32(nA))
+	for _, b := range cfg.AttrBounds(nA) {
+		c := uint8(codecDelta)
+		if b > 0 {
+			c = codecQuant
 		}
-		w.F64(cfg.EffectiveLODScale())
-		w.U64(uint64(rawPayload))
-		w.U64(uint64(encPayload))
+		w.U8(c)
+		w.F64(b)
 	}
+	w.F64(cfg.EffectiveLODScale())
+	w.U64(uint64(rawPayload))
+	w.U64(uint64(encPayload))
 	w.U32(checksum.CRC32C(w.Buf))
 	w.U32(uint32(len(w.Buf) + 8))
 	w.Bytes([]byte(footerMagic))
@@ -524,11 +457,9 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		BitmapsInterned: interned,
 		FileBytes:       int64(len(buf)),
 		RawDataBytes:    int64(set.Len()) * int64(set.Schema.BytesPerParticle()),
-		PaddingBytes:    padding,
 
 		AttrPayloadRawBytes: rawPayload,
 		AttrPayloadEncBytes: encPayload,
-		PosPayloadRawBytes:  posRawPayload,
 		PosPayloadEncBytes:  posEncPayload,
 	}
 	return &Built{Buf: buf, Stats: stats}, nil

@@ -87,7 +87,7 @@ type File struct {
 	// Codec state (version >= 3, from the footer extension): the declared
 	// per-attribute codec class and absolute error bound, the LOD error
 	// scale, and the file-wide payload byte totals. attrBounds == nil for
-	// uncompressed files.
+	// version-2 files.
 	attrCodecs []uint8
 	attrBounds []float64
 	lodScale   float64
@@ -419,8 +419,8 @@ func (ci *CompressionInfo) Ratio() float64 {
 	return float64(ci.RawPayloadBytes) / float64(ci.EncPayloadBytes)
 }
 
-// Compression returns the file's codec configuration, or nil for
-// uncompressed (version 2) files.
+// Compression returns the file's codec configuration, or nil for version-2
+// files.
 func (f *File) Compression() *CompressionInfo {
 	if f.attrBounds == nil {
 		return nil

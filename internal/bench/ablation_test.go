@@ -53,8 +53,10 @@ func TestAblateLOD(t *testing.T) {
 		if parseCell(t, tb, r, 3) <= 0 {
 			t.Errorf("row %d: no throughput", r)
 		}
-		if over := parseCell(t, tb, r, 4); over < 0 || over > 25 {
-			t.Errorf("row %d: overhead %.2f%% out of range", r, over)
+		// One-sided: the packed layout may be smaller than the raw payload
+		// (EXPERIMENTS.md), never costlier than the paper's 0.9%.
+		if over := parseCell(t, tb, r, 4); over > 0.9 {
+			t.Errorf("row %d: overhead %.2f%%, above the paper's 0.9%%", r, over)
 		}
 	}
 	var buf bytes.Buffer

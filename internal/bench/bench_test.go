@@ -279,9 +279,10 @@ func TestOverheadNearPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over := parseCell(t, tb, 0, 3)
-	if over < 0 || over > 5 {
-		t.Errorf("overhead %.2f%%, paper reports ~0.9%%", over)
+	// One-sided: the packed layout is smaller than the raw payload
+	// (EXPERIMENTS.md), and must never cost more than the paper's 0.9%.
+	if over := parseCell(t, tb, 0, 3); over > 0.9 {
+		t.Errorf("overhead %.2f%%, above the paper's ~0.9%%", over)
 	}
 	var buf bytes.Buffer
 	tb.Fprint(&buf)

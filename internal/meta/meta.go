@@ -27,8 +27,8 @@ const magic = "BATM"
 // byte, then trailer magic) verified before the body is parsed; version 3
 // appended the dataset's compression declaration (per-attribute error bounds
 // + LOD error scale) after the leaf records. Version 3 is written only when
-// Compression is set, so uncompressed datasets keep producing byte-identical
-// version-2 metadata. Version 1, which had no trailer, is no longer read:
+// Compression is set, so datasets written without declared error bounds keep
+// producing byte-identical version-2 metadata. Version 1, which had no trailer, is no longer read:
 // nothing in it can be verified, and one flipped bit of the version field
 // turned a version-3 buffer into one.
 const (
@@ -91,8 +91,8 @@ type Meta struct {
 	GlobalRanges []bitmap.Range
 	Nodes        []Node
 	Leaves       []LeafMeta
-	// Compression is the dataset's codec declaration; nil when the leaf
-	// files are uncompressed (version <= 2 metadata).
+	// Compression is the dataset's codec declaration; nil when the write
+	// declared no error bounds (version <= 2 metadata).
 	Compression *CompressionMeta
 }
 
@@ -268,7 +268,7 @@ func validRef(ref int32, nNodes, nLeaves int) bool {
 }
 
 // Encode serializes the metadata. Version 3 is emitted only when the
-// compression declaration is present; uncompressed datasets encode to
+// compression declaration is present; datasets without one encode to
 // byte-identical version-2 buffers.
 func (m *Meta) Encode() []byte {
 	ver := uint32(2)

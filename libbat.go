@@ -306,7 +306,8 @@ func (d *Dataset) NumParticles() int64 { return d.meta.TotalCount() }
 func (d *Dataset) NumFiles() int { return len(d.meta.Leaves) }
 
 // Compression returns the dataset's codec declaration from the top-level
-// metadata, or nil when the leaf files are uncompressed.
+// metadata, or nil when the write declared no error bounds (every attribute
+// lossless).
 func (d *Dataset) Compression() *CompressionMeta {
 	if d.meta.Compression == nil {
 		return nil

@@ -83,6 +83,8 @@ func TestRouteAgreement(t *testing.T) {
 		t.Fatalf("seeded positions collide: %d unique of %d", len(input), testRanks*testPerRank)
 	}
 
+	// The "v2" case is a default (lossless) write, the "v3" case one with
+	// declared error bounds.
 	for _, ver := range []string{"v2", "v3"} {
 		t.Run(ver, func(t *testing.T) {
 			cfg := DefaultWriteConfig(20 * 1024)
