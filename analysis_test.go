@@ -2,10 +2,15 @@ package libbat
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"libbat/internal/oracle"
 )
 
-func analysisDataset(t *testing.T) (*Dataset, *ParticleSet) {
+// analysisDataset opens writeTestDataset's output and returns it with the
+// oracle over the input it was written from.
+func analysisDataset(t *testing.T) (*Dataset, *oracle.Reference) {
 	t.Helper()
 	store, _ := writeTestDataset(t, "an", 20*1024)
 	ds, err := OpenDataset(store, "an")
@@ -13,32 +18,23 @@ func analysisDataset(t *testing.T) (*Dataset, *ParticleSet) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ds.Close() })
-	all, err := ds.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, all
+	return ds, oracle.New(DefaultWriteConfig(0).BAT, testWorld.Sets()...)
+}
+
+// near reports whether got equals want to a relative 1e-9, the slack a
+// differently ordered floating-point sum needs; NaN equals NaN.
+func near(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*math.Abs(want) || got != got && want != want
 }
 
 func TestDensityGrid(t *testing.T) {
-	ds, all := analysisDataset(t)
+	ds, ref := analysisDataset(t)
 	grid, err := ds.DensityGrid(4, 2, 1, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
-	for _, c := range grid {
-		sum += c
-	}
-	if sum != int64(all.Len()) {
-		t.Fatalf("grid sums to %d, want %d", sum, all.Len())
-	}
-	// The test dataset is a 4x2 grid of unit rank cubes with 800 each:
-	// every voxel of a 4x2x1 grid should hold ~800.
-	for i, c := range grid {
-		if c < 700 || c > 900 {
-			t.Errorf("voxel %d = %d, want ~800", i, c)
-		}
+	if want := oracle.DensityGrid(ref.Select(Query{}), ds.Bounds(), 4, 2, 1); !reflect.DeepEqual(grid, want) {
+		t.Fatalf("grid %v, oracle %v", grid, want)
 	}
 	if _, err := ds.DensityGrid(0, 1, 1, Query{}); err == nil {
 		t.Error("invalid grid should error")
@@ -53,99 +49,46 @@ func TestDensityGrid(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	ds, all := analysisDataset(t)
-	s, err := ds.Summarize(0, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != int64(all.Len()) {
-		t.Fatalf("count = %d", s.Count)
-	}
-	// Brute force comparison.
-	var sum float64
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range all.Attrs[0] {
-		sum += v
-		min = math.Min(min, v)
-		max = math.Max(max, v)
-	}
-	mean := sum / float64(all.Len())
-	if math.Abs(s.Mean-mean) > 1e-9*math.Abs(mean) {
-		t.Errorf("mean %g != %g", s.Mean, mean)
-	}
-	if s.Min != min || s.Max != max {
-		t.Errorf("range [%g,%g] != [%g,%g]", s.Min, s.Max, min, max)
-	}
-	var m2 float64
-	for _, v := range all.Attrs[0] {
-		m2 += (v - mean) * (v - mean)
-	}
-	want := math.Sqrt(m2 / float64(all.Len()))
-	if math.Abs(s.Stddev-want) > 1e-9*want {
-		t.Errorf("stddev %g != %g", s.Stddev, want)
-	}
-	// Filtered summary respects the filter.
-	fs, err := ds.Summarize(0, Query{Filters: []AttrFilter{{Attr: 0, Min: 100, Max: 200}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Min < 100 || fs.Max > 200 {
-		t.Errorf("filtered range [%g,%g] escapes filter", fs.Min, fs.Max)
+	ds, ref := analysisDataset(t)
+	// The whole set, a filtered subset, and an empty result.
+	for _, q := range []Query{
+		{},
+		{Filters: []AttrFilter{{Attr: 0, Min: 100, Max: 200}}},
+		{Filters: []AttrFilter{{Attr: 0, Min: 1e9, Max: 2e9}}},
+	} {
+		got, err := ds.Summarize(0, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle.Summarize(ref.Select(q), 0)
+		if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
+			!near(got.Mean, want.Mean) || !near(got.Stddev, want.Stddev) {
+			t.Errorf("filters %v: summary %+v, oracle %+v", q.Filters, got, want)
+		}
 	}
 	if _, err := ds.Summarize(9, Query{}); err == nil {
 		t.Error("bad attr should error")
 	}
-	// Empty query result.
-	es, err := ds.Summarize(0, Query{Filters: []AttrFilter{{Attr: 0, Min: 1e9, Max: 2e9}}})
-	if err != nil || es.Count != 0 {
-		t.Errorf("empty summary: %+v, %v", es, err)
-	}
 }
 
 func TestRadialProfile(t *testing.T) {
-	ds, all := analysisDataset(t)
+	ds, ref := analysisDataset(t)
 	center := ds.Bounds().Center()
 	radius := 2.5
-	counts, means, err := ds.RadialProfile(center, radius, 5, 0, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Brute force.
-	wantCounts := make([]int64, 5)
-	wantSums := make([]float64, 5)
-	for i := 0; i < all.Len(); i++ {
-		r := all.Position(i).Sub(center).Length()
-		if r >= radius {
-			continue
-		}
-		b := int(r / radius * 5)
-		if b >= 5 {
-			b = 4
-		}
-		wantCounts[b]++
-		wantSums[b] += all.Attrs[0][i]
-	}
-	for i := range counts {
-		if counts[i] != wantCounts[i] {
-			t.Fatalf("shell %d count %d != %d", i, counts[i], wantCounts[i])
-		}
-		if wantCounts[i] > 0 {
-			want := wantSums[i] / float64(wantCounts[i])
-			if math.Abs(means[i]-want) > 1e-9*math.Abs(want) {
-				t.Fatalf("shell %d mean %g != %g", i, means[i], want)
-			}
-		} else if !math.IsNaN(means[i]) {
-			t.Fatalf("empty shell %d mean should be NaN", i)
-		}
-	}
 	// attr < 0 skips averaging (means all NaN).
-	_, meansOnly, err := ds.RadialProfile(center, radius, 3, -1, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range meansOnly {
-		if !math.IsNaN(m) {
-			t.Error("attr<0 should produce NaN means")
+	for _, attr := range []int{0, -1} {
+		counts, means, err := ds.RadialProfile(center, radius, 5, attr, Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCounts, wantMeans := oracle.RadialProfile(ref.Select(Query{}), center, radius, 5, attr)
+		if !reflect.DeepEqual(counts, wantCounts) {
+			t.Fatalf("attr %d: shell counts %v, oracle %v", attr, counts, wantCounts)
+		}
+		for i := range means {
+			if !near(means[i], wantMeans[i]) {
+				t.Fatalf("attr %d: shell %d mean %g, oracle %g", attr, i, means[i], wantMeans[i])
+			}
 		}
 	}
 	if _, _, err := ds.RadialProfile(center, 0, 3, 0, Query{}); err == nil {

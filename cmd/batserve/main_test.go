@@ -10,30 +10,40 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"libbat"
 	"libbat/internal/obs"
+	"libbat/internal/oracle"
 	"libbat/internal/pfs"
 )
+
+const serverRanks, serverPerRank = 4, 2000
+
+// serverRankSet is rank's part of testServer's dataset: uniform in the unit
+// cell at x = rank, val = x.
+func serverRankSet(rank int) (*libbat.ParticleSet, libbat.Box) {
+	r := rand.New(rand.NewSource(int64(rank)))
+	lo := libbat.V3(float64(rank), 0, 0)
+	local := libbat.NewParticleSet(libbat.NewSchema("val"), serverPerRank)
+	for i := 0; i < serverPerRank; i++ {
+		p := lo.Add(libbat.V3(r.Float64(), r.Float64(), r.Float64()))
+		local.Append(p, []float64{p.X})
+	}
+	return local, libbat.NewBox(lo, lo.Add(libbat.V3(1, 1, 1)))
+}
 
 // testServer writes a small in-memory dataset and wraps it in a server.
 func testServer(t testing.TB) (*server, int) {
 	t.Helper()
 	store := pfs.NewMem()
-	const ranks, perRank = 4, 2000
-	err := libbat.Run(ranks, func(c *libbat.Comm) error {
-		r := rand.New(rand.NewSource(int64(c.Rank())))
-		lo := libbat.V3(float64(c.Rank()), 0, 0)
-		local := libbat.NewParticleSet(libbat.NewSchema("val"), perRank)
-		for i := 0; i < perRank; i++ {
-			p := lo.Add(libbat.V3(r.Float64(), r.Float64(), r.Float64()))
-			local.Append(p, []float64{p.X})
-		}
-		_, err := libbat.Write(c, store, "srv", local,
-			libbat.NewBox(lo, lo.Add(libbat.V3(1, 1, 1))), libbat.DefaultWriteConfig(50<<10))
+	err := libbat.Run(serverRanks, func(c *libbat.Comm) error {
+		local, bounds := serverRankSet(c.Rank())
+		_, err := libbat.Write(c, store, "srv", local, bounds, libbat.DefaultWriteConfig(50<<10))
 		return err
 	})
 	if err != nil {
@@ -49,7 +59,7 @@ func testServer(t testing.TB) (*server, int) {
 			ds.Close()
 		}
 	})
-	return s, ranks * perRank
+	return s, serverRanks * serverPerRank
 }
 
 func TestInfoEndpoint(t *testing.T) {
@@ -140,6 +150,91 @@ func TestPointsFiltersAndAttr(t *testing.T) {
 	body, _ = io.ReadAll(rec.Body)
 	if n := len(body) / 12; n > 2100 || n < 1900 {
 		t.Errorf("filter query returned %d points, expected ~2000", n)
+	}
+}
+
+// pointsURL encodes q as a /points request.
+func pointsURL(q libbat.Query) string {
+	v := url.Values{}
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	if b := q.Bounds; b != nil {
+		v.Set("box", strings.Join([]string{f(b.Lower.X), f(b.Lower.Y), f(b.Lower.Z), f(b.Upper.X), f(b.Upper.Y), f(b.Upper.Z)}, ","))
+	}
+	for _, flt := range q.Filters {
+		v.Add("filter", strconv.Itoa(flt.Attr)+","+f(flt.Min)+","+f(flt.Max))
+	}
+	if q.PrevQuality > 0 {
+		v.Set("prev", f(q.PrevQuality))
+	}
+	if q.Quality > 0 {
+		v.Set("quality", f(q.Quality))
+	}
+	return "/points?" + v.Encode()
+}
+
+// TestPointsMatchOracle: /points over HTTP returns exactly what the oracle
+// allows for every kind of query the generator draws, and the answers to
+// four progressive windows of each query tile it. The server runs once
+// with the default engine and once with two unordered workers over a
+// one-byte cache, where every treelet lookup evicts the rest; the second
+// must return the first's answers.
+func TestPointsMatchOracle(t *testing.T) {
+	sets := make([]*libbat.ParticleSet, serverRanks)
+	for r := range sets {
+		sets[r], _ = serverRankSet(r)
+	}
+	ref := oracle.New(libbat.DefaultWriteConfig(0).BAT, sets...)
+	first := map[string][]oracle.Row{} // the default server's answers by query kind
+	for _, tc := range []struct {
+		name       string
+		qcfg       libbat.QueryConfig
+		cacheBytes int64
+	}{
+		{"default", libbat.QueryConfig{}, 0},
+		{"2 unordered workers, one-byte cache", libbat.QueryConfig{Workers: 2}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := testServer(t)
+			s.qcfg, s.cacheBytes = tc.qcfg, tc.cacheBytes
+			srv := httptest.NewServer(s.routes())
+			defer srv.Close()
+			get := func(q libbat.Query) []oracle.Row {
+				resp, err := http.Get(srv.URL + pointsURL(q))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != 200 || len(body)%12 != 0 {
+					t.Fatalf("%s: status %d, %d bytes, %v", pointsURL(q), resp.StatusCode, len(body), err)
+				}
+				rows := make([]oracle.Row, len(body)/12)
+				for i := range rows {
+					for k := range rows[i].Pos {
+						rows[i].Pos[k] = math.Float32frombits(binary.LittleEndian.Uint32(body[12*i+4*k:]))
+					}
+				}
+				return rows
+			}
+			for _, nq := range ref.Queries(3) {
+				got := get(nq.Query)
+				if err := ref.Check(nq.Query, got); err != nil {
+					t.Errorf("%s query: %v", nq.Name, err)
+				}
+				if prev, ok := first[nq.Name]; !ok {
+					first[nq.Name] = got
+				} else if err := oracle.Same(prev, got); err != nil {
+					t.Errorf("%s query: not the default server's answer: %v", nq.Name, err)
+				}
+				var tiled []oracle.Row
+				for _, w := range oracle.Windows(nq.Query, 4) {
+					tiled = append(tiled, get(w)...)
+				}
+				if err := oracle.Same(got, tiled); err != nil {
+					t.Errorf("%s query: four windows do not tile it: %v", nq.Name, err)
+				}
+			}
+		})
 	}
 }
 

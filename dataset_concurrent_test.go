@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"libbat/internal/leakcheck"
+	"libbat/internal/oracle"
 )
 
 // TestDatasetConcurrentQuery: one Dataset, many goroutines, mixed query
@@ -22,10 +23,7 @@ func TestDatasetConcurrentQuery(t *testing.T) {
 	ds.SetQueryConfig(QueryConfig{Workers: 2})
 
 	box := NewBox(V3(0.5, 0.5, 0), V3(3.5, 1.5, 1))
-	wantBox, err := ds.Count(Query{Bounds: &box})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantBox, _ := oracle.New(DefaultWriteConfig(0).BAT, testWorld.Sets()...).Count(Query{Bounds: &box})
 
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -98,8 +96,8 @@ func TestDatasetCacheLimit(t *testing.T) {
 // scanned repeatedly by both engines and queried with overlapping boxes
 // from several goroutines; after every query the resident bytes are within
 // the limit plus one treelet (the one a lookup is returning is never
-// evicted), treelets were evicted, and every count equals the unbounded
-// one. With one 16-way sharded cache per leaf and the budget dealt out as
+// evicted), treelets were evicted, and every count equals the oracle's.
+// With one 16-way sharded cache per leaf and the budget dealt out as
 // limit / leaves / 16 (before PR 19) each shard kept its newest treelet
 // whatever its size, and this dataset sat at 100 % of its decoded size —
 // as cosmo64-cachebound did at 35.72 MB under an 8 MiB limit.
@@ -114,9 +112,8 @@ func TestDatasetCacheBudget(t *testing.T) {
 		return ds
 	}
 
-	// The unbounded answers, and the decoded size of the whole dataset.
-	ref := open()
-	defer ref.Close()
+	// The oracle's answers, and the decoded size of the whole dataset.
+	ref := oracle.New(DefaultWriteConfig(0).BAT, testWorld.Sets()...)
 	boxes := []Box{
 		NewBox(V3(0.5, 0.5, 0), V3(3.5, 1.5, 1)),
 		NewBox(V3(0, 0, 0), V3(2.2, 1.1, 0.6)),
@@ -125,16 +122,14 @@ func TestDatasetCacheBudget(t *testing.T) {
 	}
 	wantBox := make([]int64, len(boxes))
 	for i := range boxes {
-		n, err := ref.Count(Query{Bounds: &boxes[i]})
-		if err != nil || n == 0 {
-			t.Fatalf("unbounded box %d: %d, %v", i, n, err)
-		}
-		wantBox[i] = n
+		wantBox[i], _ = ref.Count(Query{Bounds: &boxes[i]})
 	}
-	if n, err := ref.Count(Query{}); err != nil || n != int64(total) {
+	unbounded := open()
+	defer unbounded.Close()
+	if n, err := unbounded.Count(Query{}); err != nil || n != int64(total) {
 		t.Fatalf("unbounded scan: %d, %v; want %d", n, err, total)
 	}
-	decoded := ref.CacheStats().Bytes
+	decoded := unbounded.CacheStats().Bytes
 
 	// The largest parsed treelet: under a 1-byte budget the serial engine
 	// keeps exactly the treelet whose particles it is visiting.

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"libbat/internal/geom"
 	"libbat/internal/particles"
@@ -103,43 +102,6 @@ func TestBuildLODAboveLeafSize(t *testing.T) {
 	}
 }
 
-func TestRoundTripAllParticles(t *testing.T) {
-	s, domain := randomSet(5000, 2)
-	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	if f.NumParticles != 5000 {
-		t.Fatalf("NumParticles = %d", f.NumParticles)
-	}
-	if b.Stats.NumParticles != 5000 {
-		t.Fatalf("stats particles = %d", b.Stats.NumParticles)
-	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 5000 {
-		t.Fatalf("ReadAll returned %d particles", got.Len())
-	}
-	// Every original particle must come back exactly once: match on the
-	// unique "id" attribute.
-	seen := make(map[float64]geom.Vec3, 5000)
-	for i := 0; i < got.Len(); i++ {
-		id := got.Attrs[1][i]
-		if _, dup := seen[id]; dup {
-			t.Fatalf("particle id %v returned twice", id)
-		}
-		seen[id] = got.Position(i)
-	}
-	for i := 0; i < s.Len(); i++ {
-		p, ok := seen[s.Attrs[1][i]]
-		if !ok {
-			t.Fatalf("particle %d missing", i)
-		}
-		if p != s.Position(i) {
-			t.Fatalf("particle %d position %v != %v", i, p, s.Position(i))
-		}
-	}
-}
-
 func TestSchemaAndRangesRoundTrip(t *testing.T) {
 	s, domain := randomSet(500, 3)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -218,77 +180,6 @@ func TestSingleParticle(t *testing.T) {
 	}
 }
 
-func TestSpatialQueryMatchesBruteForce(t *testing.T) {
-	s, domain := clusteredSet(8000, 4)
-	cfg := DefaultBuildConfig()
-	cfg.MaxLeafSize = 32 // deeper trees exercise more traversal
-	f, _ := buildAndOpen(t, s, domain, cfg)
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		lo := geom.V3(r.Float64(), r.Float64(), r.Float64())
-		q := geom.NewBox(lo, lo.Add(geom.V3(r.Float64()*0.4, r.Float64()*0.4, r.Float64()*0.4)))
-		var want int
-		for i := 0; i < s.Len(); i++ {
-			if q.Contains(s.Position(i)) {
-				want++
-			}
-		}
-		got, err := f.CountMatching(Query{Bounds: &q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(got) != want {
-			t.Fatalf("trial %d: spatial query returned %d, brute force %d", trial, got, want)
-		}
-	}
-}
-
-func TestAttributeQueryMatchesBruteForce(t *testing.T) {
-	s, domain := randomSet(6000, 5)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		lo := r.Float64() * 100
-		hi := lo + r.Float64()*30
-		var want int
-		for i := 0; i < s.Len(); i++ {
-			if v := s.Attrs[0][i]; v >= lo && v <= hi {
-				want++
-			}
-		}
-		got, err := f.CountMatching(Query{Filters: []AttrFilter{{Attr: 0, Min: lo, Max: hi}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(got) != want {
-			t.Fatalf("trial %d: attr query [%g,%g] returned %d, want %d", trial, lo, hi, got, want)
-		}
-	}
-}
-
-func TestCombinedQueryMatchesBruteForce(t *testing.T) {
-	s, domain := randomSet(5000, 6)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.8, 0.8, 0.8))
-	var want int
-	for i := 0; i < s.Len(); i++ {
-		v := s.Attrs[0][i]
-		if box.Contains(s.Position(i)) && v >= 20 && v <= 60 {
-			want++
-		}
-	}
-	got, err := f.CountMatching(Query{
-		Bounds:  &box,
-		Filters: []AttrFilter{{Attr: 0, Min: 20, Max: 60}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(got) != want {
-		t.Fatalf("combined query returned %d, want %d", got, want)
-	}
-}
-
 func TestFilterOutsideLocalRange(t *testing.T) {
 	s, domain := randomSet(1000, 8)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -300,46 +191,6 @@ func TestFilterOutsideLocalRange(t *testing.T) {
 	got, err = f.CountMatching(Query{Filters: []AttrFilter{{Attr: 99, Min: 0, Max: 1}}})
 	if err != nil || got != 0 {
 		t.Errorf("bad attr filter returned %d, err %v", got, err)
-	}
-}
-
-func TestProgressiveTilesExactly(t *testing.T) {
-	// Reading in quality steps 0->0.1->...->1.0 must visit every particle
-	// exactly once (the paper's Table I/II access pattern), however the
-	// traversal is scheduled.
-	s, domain := clusteredSet(4000, 9)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	valMult := map[float64]int{}
-	for _, v := range s.Attrs[0] {
-		valMult[v]++
-	}
-	for _, cfg := range []QueryConfig{{Workers: 1}, {Workers: 4}, {Workers: 4, Ordered: true}} {
-		counts := map[float64]int{}
-		prev := 0.0
-		for step := 1; step <= 10; step++ {
-			qual := float64(step) / 10
-			_, err := f.QueryWithConfig(Query{PrevQuality: prev, Quality: qual}, cfg, func(p geom.Vec3, attrs []float64) error {
-				counts[attrs[0]]++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev = qual
-		}
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != s.Len() {
-			t.Fatalf("cfg %+v: progressive read visited %d points total, want %d", cfg, total, s.Len())
-		}
-		// No value should be visited more than its multiplicity in the data.
-		for v, c := range counts {
-			if c != valMult[v] {
-				t.Fatalf("cfg %+v: value %v visited %d times, multiplicity %d", cfg, v, c, valMult[v])
-			}
-		}
 	}
 }
 
@@ -547,26 +398,6 @@ func TestStorageOverheadSmall(t *testing.T) {
 	}
 }
 
-func TestLODSubsetInvariant(t *testing.T) {
-	// A coarse read's points must be a subset of the full data (no
-	// representative/duplicated particles; paper §III-C2).
-	s, domain := randomSet(3000, 16)
-	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	all := map[float64]bool{}
-	for _, v := range s.Attrs[1] {
-		all[v] = true
-	}
-	_, err := f.QueryWithConfig(Query{Quality: 0.3}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
-		if !all[attrs[1]] {
-			t.Fatal("LOD read returned a particle not in the input")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLODSpatialCoverage(t *testing.T) {
 	// Stratified sampling: a coarse read of a uniform distribution should
 	// cover all octants of the domain.
@@ -669,41 +500,6 @@ func TestParallelMatchesSerialBuild(t *testing.T) {
 		if bp.Buf[i] != bs.Buf[i] {
 			t.Fatalf("builds differ at byte %d", i)
 		}
-	}
-}
-
-func TestQueryQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 200 + int(seed%800)
-		if n < 0 {
-			n = 200
-		}
-		s, domain := randomSet(n, seed)
-		cfg := DefaultBuildConfig()
-		cfg.MaxLeafSize = 16
-		cfg.LODPerNode = 4
-		b, err := Build(s, domain, cfg)
-		if err != nil {
-			return false
-		}
-		fl, err := FromBuffer(b.Buf)
-		if err != nil {
-			return false
-		}
-		lo := geom.V3(r.Float64()*0.8, r.Float64()*0.8, r.Float64()*0.8)
-		box := geom.NewBox(lo, lo.Add(geom.V3(0.3, 0.3, 0.3)))
-		want := 0
-		for i := 0; i < s.Len(); i++ {
-			if box.Contains(s.Position(i)) {
-				want++
-			}
-		}
-		got, err := fl.CountMatching(Query{Bounds: &box})
-		return err == nil && int(got) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -923,50 +719,5 @@ func TestCorruptionRobustness(t *testing.T) {
 	// Truncations at every granularity.
 	for cut := len(b.Buf); cut >= 0; cut -= 97 {
 		run(b.Buf[:cut])
-	}
-}
-
-func TestSpatialQueryDeepShallowTree(t *testing.T) {
-	// Tiny leaves keep the subprefix auto-reduction from shrinking the
-	// width much on a modest set (7 of 12 bits here), so the shallow radix
-	// tree is deep and its derived split planes (Morton cell midplanes) do
-	// the spatial pruning. Any error in the plane derivation loses
-	// particles versus brute force. LODPerNode stays <= MaxLeafSize so every
-	// inner node keeps particles to split.
-	s, domain := clusteredSet(30000, 31)
-	cfg := DefaultBuildConfig()
-	cfg.MaxLeafSize = 4
-	cfg.LODPerNode = 4
-	f, b := buildAndOpen(t, s, domain, cfg)
-	if b.Stats.NumShallowNodes < 50 {
-		t.Fatalf("want a deep shallow tree, got %d inner nodes", b.Stats.NumShallowNodes)
-	}
-	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 30; trial++ {
-		lo := geom.V3(r.Float64(), r.Float64(), r.Float64())
-		sz := 0.02 + r.Float64()*0.3
-		q := geom.NewBox(lo, lo.Add(geom.V3(sz, sz, sz)))
-		want := 0
-		for i := 0; i < s.Len(); i++ {
-			if q.Contains(s.Position(i)) {
-				want++
-			}
-		}
-		got, err := f.CountMatching(Query{Bounds: &q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(got) != want {
-			t.Fatalf("trial %d: deep shallow tree query returned %d, brute force %d", trial, got, want)
-		}
-	}
-	// Pruning must actually engage on a tight query.
-	tiny := geom.NewBox(geom.V3(0.01, 0.01, 0.01), geom.V3(0.03, 0.03, 0.03))
-	st, err := f.QueryWithConfig(Query{Bounds: &tiny}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PrunedSubtrees == 0 {
-		t.Error("tight spatial query pruned nothing in the deep shallow tree")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/meta"
+	"libbat/internal/oracle"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -63,14 +64,13 @@ func TestWriteReadRoundTripAdaptive(t *testing.T) {
 	}
 
 	// Collective read on a different rank count (the paper supports
-	// reading at different scales); verify against brute force.
-	written := particles.NewSet(w.Schema(), 0)
-	for r := 0; r < 16; r++ {
-		written.AppendSet(w.Generate(0, r))
+	// reading at different scales); verify against the oracle.
+	sets := make([]*particles.Set, 16)
+	for r := range sets {
+		sets[r] = w.Generate(0, r)
 	}
+	ref := oracle.New(cfg.BAT, sets...)
 	readers := 8
-	var mu sync.Mutex
-	total := 0
 	err = fabric.Run(readers, func(c *fabric.Comm) error {
 		// Give each reader a horizontal slab.
 		lo := float64(c.Rank()) / float64(readers)
@@ -80,27 +80,13 @@ func TestWriteReadRoundTripAdaptive(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("rank %d: %w", c.Rank(), err)
 		}
-		want := 0
-		for i := 0; i < written.Len(); i++ {
-			// float32 storage: compare in the same precision.
-			p := written.Position(i)
-			if box.Contains(geom.V3(float64(float32(p.X)), float64(float32(p.Y)), float64(float32(p.Z)))) {
-				want++
-			}
+		if err := ref.Check(bat.Query{Bounds: &box}, oracle.RowsOf(got)); err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
 		}
-		if got.Len() != want {
-			return fmt.Errorf("rank %d: read %d particles, brute force %d", c.Rank(), got.Len(), want)
-		}
-		mu.Lock()
-		total += got.Len()
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if total < written.Len() {
-		t.Errorf("slab reads returned %d of %d particles", total, written.Len())
 	}
 }
 

@@ -3,14 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"libbat/internal/bat"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
+	"libbat/internal/oracle"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -111,68 +110,43 @@ func TestMissingMetadata(t *testing.T) {
 	}
 }
 
-// TestPipelinePropertyBased pushes random small workloads through the full
-// write/read pipeline and cross-checks against brute force.
+// TestPipelinePropertyBased pushes the generator's cases through the full
+// write/read pipeline: each case's world written under its own config, then
+// one collective read in which every rank asks a different one of the
+// case's queries, each answer held against the oracle.
 func TestPipelinePropertyBased(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ranks := 2 + rng.Intn(6)
-		perRank := 50 + rng.Intn(300)
-		target := int64(1024 * (4 + rng.Intn(60)))
-		schema := particles.NewSchema("v")
+	for seed := int64(0); seed < 15; seed++ {
+		c := oracle.Generate(seed)
+		cfg := DefaultWriteConfig(c.Target)
+		cfg.BAT = c.Build
+		if c.AUG {
+			cfg.Strategy = AUG
+		}
 		store := pfs.NewMem()
-
-		written := particles.NewSet(schema, 0)
-		var mu sync.Mutex
-		err := fabric.Run(ranks, func(c *fabric.Comm) error {
-			r := rand.New(rand.NewSource(seed*100 + int64(c.Rank())))
-			lo := geom.V3(float64(c.Rank()), 0, 0)
-			local := particles.NewSet(schema, perRank)
-			for i := 0; i < perRank; i++ {
-				p := lo.Add(geom.V3(r.Float64(), r.Float64(), r.Float64()))
-				local.Append(p, []float64{p.X * 7})
-			}
-			mu.Lock()
-			written.AppendSet(local)
-			mu.Unlock()
-			cfg := DefaultWriteConfig(target)
-			if seed%2 == 0 {
-				cfg.Strategy = AUG
-			}
-			_, err := Write(c, store, "prop", local,
-				geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1))), cfg)
+		err := fabric.Run(c.Ranks, func(comm *fabric.Comm) error {
+			local, bounds := c.Rank(comm.Rank())
+			_, err := Write(comm, store, "prop", local, bounds, cfg)
 			return err
 		})
 		if err != nil {
-			t.Logf("seed %d write: %v", seed, err)
-			return false
+			t.Fatalf("seed %d write: %v", seed, err)
 		}
-		// Random box read on one rank vs brute force.
-		ok := true
-		err = fabric.Run(2, func(c *fabric.Comm) error {
-			r := rand.New(rand.NewSource(seed + int64(c.Rank())))
-			lo := geom.V3(r.Float64()*float64(ranks), r.Float64()*0.5, r.Float64()*0.5)
-			box := geom.NewBox(lo, lo.Add(geom.V3(1.5, 0.8, 0.8)))
-			got, _, err := Read(c, store, "prop", box)
+		ref := c.Reference()
+		qs := ref.Queries(seed)
+		err = fabric.Run(len(qs), func(comm *fabric.Comm) error {
+			nq := qs[comm.Rank()]
+			got, _, err := ReadQueryCtx(context.Background(), comm, store, "prop", nq.Query)
+			if err == nil {
+				err = ref.Check(nq.Query, oracle.RowsOf(got))
+			}
 			if err != nil {
-				return err
-			}
-			want := 0
-			for i := 0; i < written.Len(); i++ {
-				if box.Contains(written.Position(i)) {
-					want++
-				}
-			}
-			if got.Len() != want {
-				t.Logf("seed %d rank %d: got %d want %d", seed, c.Rank(), got.Len(), want)
-				ok = false
+				return fmt.Errorf("seed %d, rank %d, %s query: %w", seed, comm.Rank(), nq.Name, err)
 			}
 			return nil
 		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -225,24 +199,18 @@ func TestReadQueryFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := pfs.NewMem()
-	runWrite(t, w, 0, store, "rq", DefaultWriteConfig(25*1024))
-	// Brute force reference.
-	all := particles.NewSet(w.Schema(), 0)
-	for r := 0; r < 8; r++ {
-		all.AppendSet(w.Generate(0, r))
+	cfg := DefaultWriteConfig(25 * 1024)
+	runWrite(t, w, 0, store, "rq", cfg)
+	sets := make([]*particles.Set, 8)
+	for r := range sets {
+		sets[r] = w.Generate(0, r)
 	}
-	// Attribute 0 correlates with x (uniform workload); filter [2, 6].
-	wantFiltered := 0
-	for i := 0; i < all.Len(); i++ {
-		if v := all.Attrs[0][i]; v >= 2 && v <= 6 {
-			wantFiltered++
-		}
-	}
+	ref := oracle.New(cfg.BAT, sets...)
+	// Attribute 0 correlates with x (uniform workload); rank 0 filters it
+	// to [2, 6] while the others run a tiny spatial query to vary traffic.
 	err = fabric.Run(4, func(c *fabric.Comm) error {
 		q := bat.Query{Filters: []bat.AttrFilter{{Attr: 0, Min: 2, Max: 6}}}
 		if c.Rank() != 0 {
-			// Other ranks ask for disjoint quality windows of the same
-			// filter; here just run a tiny spatial query to vary traffic.
 			box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(0.1, 0.1, 0.1))
 			q = bat.Query{Bounds: &box}
 		}
@@ -250,25 +218,18 @@ func TestReadQueryFiltered(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 && got.Len() != wantFiltered {
-			return fmt.Errorf("filtered read %d != brute force %d", got.Len(), wantFiltered)
-		}
-		return nil
+		return ref.Check(q, oracle.RowsOf(got))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A collective LOD read: quality windows tile to the full count on
-	// one rank while others idle on an empty region.
-	var sum int
-	prev := 0.0
-	for step := 1; step <= 4; step++ {
-		qual := float64(step) / 4
+	// A collective LOD read: quality windows tile the full set on one rank
+	// while others idle on an empty region.
+	var tiled []oracle.Row
+	for _, win := range oracle.Windows(bat.Query{}, 4) {
 		err = fabric.Run(2, func(c *fabric.Comm) error {
-			var q bat.Query
-			if c.Rank() == 0 {
-				q = bat.Query{PrevQuality: prev, Quality: qual}
-			} else {
+			q := win
+			if c.Rank() != 0 {
 				far := geom.NewBox(geom.V3(99, 99, 99), geom.V3(100, 100, 100))
 				q = bat.Query{Bounds: &far}
 			}
@@ -277,7 +238,7 @@ func TestReadQueryFiltered(t *testing.T) {
 				return err
 			}
 			if c.Rank() == 0 {
-				sum += got.Len()
+				tiled = append(tiled, oracle.RowsOf(got)...)
 			} else if got.Len() != 0 {
 				return fmt.Errorf("far query returned %d", got.Len())
 			}
@@ -286,10 +247,9 @@ func TestReadQueryFiltered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev = qual
 	}
-	if sum != all.Len() {
-		t.Errorf("LOD windows summed to %d of %d", sum, all.Len())
+	if err := ref.Check(bat.Query{}, tiled); err != nil {
+		t.Errorf("four LOD windows: %v", err)
 	}
 }
 

@@ -2,28 +2,22 @@ package libbat
 
 import (
 	"fmt"
-	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"libbat/internal/oracle"
 )
 
-// writeTestDataset writes an 8-rank clustered dataset and returns its
-// store and the number of particles written.
 const testRanks, testPerRank = 8, 800
 
-// testRankSet is the seeded input of writeTestDataset: rank's particles in
-// its unit cell of the [0,4]x[0,2]x[0,1] domain, temp = 100*x, id unique.
-func testRankSet(rank int) (*ParticleSet, Box) {
-	r := rand.New(rand.NewSource(int64(rank)))
-	lo := V3(float64(rank%4), float64(rank/4), 0)
-	local := NewParticleSet(NewSchema("temp", "id"), testPerRank)
-	for i := 0; i < testPerRank; i++ {
-		p := lo.Add(V3(r.Float64(), r.Float64(), r.Float64()))
-		local.Append(p, []float64{p.X * 100, float64(rank*testPerRank + i)})
-	}
-	return local, NewBox(lo, lo.Add(V3(1, 1, 1)))
-}
+// testWorld is the seeded input of writeTestDataset: 8 ranks of 800
+// particles, each in its unit cell of the [0,4]x[0,2]x[0,1] domain,
+// temp = 100*x, id unique.
+var testWorld = oracle.Workload{Ranks: testRanks, PerRank: testPerRank}
 
+// writeTestDataset writes testWorld and returns its store and the number
+// of particles written.
 func writeTestDataset(t *testing.T, base string, target int64) (Storage, int) {
 	t.Helper()
 	return writeTestDatasetCfg(t, base, DefaultWriteConfig(target)), testRanks * testPerRank
@@ -33,7 +27,7 @@ func writeTestDatasetCfg(t *testing.T, base string, cfg WriteConfig) Storage {
 	t.Helper()
 	store := MemStorage()
 	err := Run(testRanks, func(c *Comm) error {
-		local, bounds := testRankSet(c.Rank())
+		local, bounds := testWorld.Rank(c.Rank())
 		_, err := Write(c, store, base, local, bounds, cfg)
 		return err
 	})
@@ -183,31 +177,10 @@ func TestDatasetHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
-	for _, c := range h {
-		sum += c
-	}
-	if sum != int64(total) {
-		t.Fatalf("histogram sums to %d, want %d", sum, total)
-	}
-	// Matches brute force binning of ReadAll.
-	all, _ := ds.ReadAll()
+	// Matches the oracle's binning of the written input.
 	min, max, _ := ds.AttrRange(0)
-	want := make([]int64, 8)
-	for i := 0; i < all.Len(); i++ {
-		b := int((all.Attrs[0][i] - min) / (max - min) * 8)
-		if b > 7 {
-			b = 7
-		}
-		if b < 0 {
-			b = 0
-		}
-		want[b]++
-	}
-	for i := range h {
-		if h[i] != want[i] {
-			t.Fatalf("bin %d: %d != %d", i, h[i], want[i])
-		}
+	if want := oracle.Histogram(testWorld.All(), 0, min, max, 8); !reflect.DeepEqual(h, want) {
+		t.Fatalf("histogram %v, oracle %v", h, want)
 	}
 	// LOD histogram is a subsample.
 	lod, err := ds.Histogram(0, 8, Query{Quality: 0.2})
@@ -218,8 +191,8 @@ func TestDatasetHistogram(t *testing.T) {
 	for _, c := range lod {
 		lodSum += c
 	}
-	if lodSum == 0 || lodSum >= sum {
-		t.Errorf("LOD histogram has %d of %d samples", lodSum, sum)
+	if lodSum == 0 || lodSum >= int64(total) {
+		t.Errorf("LOD histogram has %d of %d samples", lodSum, total)
 	}
 	// Errors.
 	if _, err := ds.Histogram(9, 8, Query{}); err == nil {

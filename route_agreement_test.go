@@ -3,88 +3,111 @@ package libbat
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"testing"
+
+	"libbat/internal/oracle"
 )
 
-// routePoint is one returned particle in comparable form.
-type routePoint struct {
-	pos   [3]float32
-	attrs [2]float64
+// datasetRoute is one way to ask a written dataset: it returns one answer,
+// or one per rank of a collective read.
+type datasetRoute struct {
+	name string
+	ask  func(q Query) ([][]oracle.Row, error)
 }
 
-func sortPoints(pts []routePoint) {
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		for k := range a.pos {
-			if a.pos[k] != b.pos[k] {
-				return a.pos[k] < b.pos[k]
+// datasetRoutes are every route to an answer over the dataset base in
+// store: Dataset.QueryCtx serially over an unbounded cache and on four
+// unordered workers over a one-byte cache, and the collective ReadQueryCtx
+// on 1 and 4 ranks, where every rank asks the same query.
+func datasetRoutes(t *testing.T, store Storage, base string) []datasetRoute {
+	t.Helper()
+	open := func(cfg QueryConfig, cacheLimit int64) *Dataset {
+		ds, err := OpenDataset(store, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		ds.SetQueryConfig(cfg)
+		ds.SetCacheLimit(cacheLimit)
+		return ds
+	}
+	dataset := func(ds *Dataset) func(Query) ([][]oracle.Row, error) {
+		return func(q Query) ([][]oracle.Row, error) {
+			var rows []oracle.Row
+			err := ds.QueryCtx(context.Background(), q, oracle.Collect(&rows))
+			return [][]oracle.Row{rows}, err
+		}
+	}
+	collective := func(ranks int) func(Query) ([][]oracle.Row, error) {
+		return func(q Query) ([][]oracle.Row, error) {
+			answers := make([][]oracle.Row, ranks)
+			err := Run(ranks, func(c *Comm) error {
+				set, _, err := ReadQueryCtx(context.Background(), c, store, base, q)
+				if err != nil {
+					return err
+				}
+				answers[c.Rank()] = oracle.RowsOf(set)
+				return nil
+			})
+			return answers, err
+		}
+	}
+	return []datasetRoute{
+		{"dataset", dataset(open(QueryConfig{}, 0))},
+		{"dataset, 4 workers, one-byte cache", dataset(open(QueryConfig{Workers: 4}, 1))},
+		{"collective, 1 rank", collective(1)},
+		{"collective, 4 ranks", collective(4)},
+	}
+}
+
+// checkRoutes requires every route, and every rank of a collective one, to
+// return the first route's answer to q, and the answers to q's four
+// progressive windows together to be that same answer; it holds the one
+// answer against the oracle. Where the oracle leaves a choice (which
+// particles a quality window takes, which edge particles a lossy filter
+// keeps), every route must still make the same one.
+func checkRoutes(t *testing.T, ref *oracle.Reference, routes []datasetRoute, q Query) {
+	t.Helper()
+	var first []oracle.Row
+	for ri, r := range routes {
+		answers, err := r.ask(q)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if ri == 0 {
+			first = answers[0]
+		}
+		tiled := make([][]oracle.Row, len(answers))
+		for _, w := range oracle.Windows(q, 4) {
+			parts, err := r.ask(w)
+			if err != nil {
+				t.Fatalf("%s, window %+v: %v", r.name, w, err)
+			}
+			for k := range tiled {
+				tiled[k] = append(tiled[k], parts[k]...)
 			}
 		}
-		return a.attrs[1] < b.attrs[1]
-	})
-}
-
-func collectPoints(into *[]routePoint) Visitor {
-	return func(p Vec3, attrs []float64) error {
-		*into = append(*into, routePoint{
-			pos:   [3]float32{float32(p.X), float32(p.Y), float32(p.Z)},
-			attrs: [2]float64{attrs[0], attrs[1]},
-		})
-		return nil
-	}
-}
-
-func samePoints(a, b []routePoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		for k := range answers {
+			if err := oracle.Same(first, answers[k]); err != nil {
+				t.Errorf("%s, answer %d is not the %s route's: %v", r.name, k, routes[0].name, err)
+			}
+			if err := oracle.Same(answers[k], tiled[k]); err != nil {
+				t.Errorf("%s, answer %d: four windows do not tile it: %v", r.name, k, err)
+			}
 		}
 	}
-	return true
+	if err := ref.Check(q, first); err != nil {
+		t.Errorf("%s: %v", routes[0].name, err)
+	}
 }
 
-// TestRouteAgreement is the first slice of ROADMAP's "one oracle, every
-// path": every route to an answer — Dataset.QueryCtx, the collective
-// ReadQueryCtx on 1 and 4 ranks — returns the same multiset, and that
-// multiset is what a brute-force pass over the written input allows. Under
-// the lossy v3 codec "allows" means within the declared error bounds:
-// attribute values may differ by the bound, and a filter must return every
-// particle at least a bound inside its interval and none more than a bound
-// outside it.
+// TestRouteAgreement: every route to an answer returns the same multiset,
+// and it is what the oracle allows for the written input, for each kind of
+// query the generator draws.
+// The "v2" case is a lossless write, the "v3" case one with declared error
+// bounds, where attribute values may differ by the bound and a filter's
+// edge particles may go either way.
 func TestRouteAgreement(t *testing.T) {
-	box := NewBox(V3(0.5, 0.5, 0), V3(2.5, 1.5, 1))
-	temp := []AttrFilter{{Attr: 0, Min: 100, Max: 220}}
-	queries := []struct {
-		name string
-		q    Query
-	}{
-		{"full", Query{}},
-		{"box", Query{Bounds: &box}},
-		{"filter", Query{Filters: temp}},
-		{"box+filter", Query{Bounds: &box, Filters: temp}},
-		{"quality window", Query{PrevQuality: 0.3, Quality: 0.7}},
-	}
-
-	// The brute-force side: the input particles by position (float32
-	// positions are stored exactly, and the seeded positions are unique).
-	input := map[[3]float32][2]float64{}
-	for r := 0; r < testRanks; r++ {
-		s, _ := testRankSet(r)
-		for i := 0; i < s.Len(); i++ {
-			input[[3]float32{s.X[i], s.Y[i], s.Z[i]}] = [2]float64{s.Attrs[0][i], s.Attrs[1][i]}
-		}
-	}
-	if len(input) != testRanks*testPerRank {
-		t.Fatalf("seeded positions collide: %d unique of %d", len(input), testRanks*testPerRank)
-	}
-
-	// The "v2" case is a default (lossless) write, the "v3" case one with
-	// declared error bounds.
 	for _, ver := range []string{"v2", "v3"} {
 		t.Run(ver, func(t *testing.T) {
 			cfg := DefaultWriteConfig(20 * 1024)
@@ -93,96 +116,55 @@ func TestRouteAgreement(t *testing.T) {
 				cfg.BAT.AttrErrorBounds = []float64{1e-3, 1e-3}
 			}
 			store := writeTestDatasetCfg(t, "ra", cfg)
+			ref := oracle.New(cfg.BAT, testWorld.Sets()...)
+			routes := datasetRoutes(t, store, "ra")
 			ds, err := OpenDataset(store, "ra")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ds.Close()
-			var bound [2]float64
-			if cm := ds.Compression(); cm != nil {
-				copy(bound[:], cm.ErrorBounds)
-			} else if ver == "v3" {
-				t.Fatal("v3 dataset declares no compression")
-			}
-
-			for _, tc := range queries {
-				t.Run(tc.name, func(t *testing.T) {
-					var want []routePoint
-					if err := ds.QueryCtx(context.Background(), tc.q, collectPoints(&want)); err != nil {
-						t.Fatal(err)
+			for _, nq := range ref.Queries(1) {
+				t.Run(nq.Name, func(t *testing.T) {
+					if _, may := ref.Count(nq.Query); may == 0 {
+						t.Fatal("the query selects nothing; the row tests nothing")
 					}
-					sortPoints(want)
-					if len(want) == 0 {
-						t.Fatal("query returned nothing; the row tests nothing")
+					checkRoutes(t, ref, routes, nq.Query)
+					n, err := ds.CountCtx(context.Background(), nq.Query)
+					if must, may := ref.Count(nq.Query); err != nil || n < must || n > may {
+						t.Errorf("Count = %d, %v; oracle allows [%d, %d]", n, err, must, may)
 					}
-
-					for _, ranks := range []int{1, 4} {
-						err := Run(ranks, func(c *Comm) error {
-							set, _, err := ReadQueryCtx(context.Background(), c, store, "ra", tc.q)
-							if err != nil {
-								return err
-							}
-							got := make([]routePoint, set.Len())
-							for i := range got {
-								got[i] = routePoint{
-									pos:   [3]float32{set.X[i], set.Y[i], set.Z[i]},
-									attrs: [2]float64{set.Attrs[0][i], set.Attrs[1][i]},
-								}
-							}
-							sortPoints(got)
-							if !samePoints(got, want) {
-								return fmt.Errorf("rank %d of %d returned %d particles that are not the Dataset route's %d",
-									c.Rank(), ranks, len(got), len(want))
-							}
-							return nil
-						})
-						if err != nil {
-							t.Error(err)
-						}
-					}
-
-					checkAgainstInput(t, tc.q, want, input, bound)
 				})
 			}
 		})
 	}
 }
 
-// checkAgainstInput holds one route's answer against the written input.
-func checkAgainstInput(t *testing.T, q Query, got []routePoint, input map[[3]float32][2]float64, bound [2]float64) {
-	t.Helper()
-	// A quality window returns a layout-chosen subset, so brute force can
-	// only bound it from above.
-	window := q.PrevQuality > 0 || (q.Quality > 0 && q.Quality < 1)
-	seen := make(map[[3]float32]bool, len(got))
-	for _, p := range got {
-		in, ok := input[p.pos]
-		if !ok {
-			t.Fatalf("returned particle at %v was never written", p.pos)
-		}
-		if seen[p.pos] {
-			t.Fatalf("particle at %v returned twice", p.pos)
-		}
-		seen[p.pos] = true
-		for a := range in {
-			if math.Abs(p.attrs[a]-in[a]) > bound[a] {
-				t.Fatalf("particle at %v: attr %d = %g, written %g, bound %g", p.pos, a, p.attrs[a], in[a], bound[a])
+// TestGeneratedCasesAgree writes each generated case — its world, target
+// file size, aggregation strategy and leaf layout — collectively and holds
+// every dataset route to the oracle on the case's queries.
+func TestGeneratedCasesAgree(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		c := oracle.Generate(seed)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			cfg := DefaultWriteConfig(c.Target)
+			cfg.BAT = c.Build
+			if c.AUG {
+				cfg.Strategy = AUG
 			}
-		}
-	}
-	for pos, in := range input {
-		inBox := q.Bounds == nil || q.Bounds.Contains(V3(float64(pos[0]), float64(pos[1]), float64(pos[2])))
-		must, may := inBox && !window, inBox
-		for _, f := range q.Filters {
-			v, b := in[f.Attr], bound[f.Attr]
-			must = must && v >= f.Min+b && v <= f.Max-b
-			may = may && v >= f.Min-b && v <= f.Max+b
-		}
-		if must && !seen[pos] {
-			t.Fatalf("particle at %v (attrs %v) matches the query but was not returned", pos, in)
-		}
-		if !may && seen[pos] {
-			t.Fatalf("particle at %v (attrs %v) does not match the query but was returned", pos, in)
-		}
+			store := MemStorage()
+			err := Run(c.Ranks, func(comm *Comm) error {
+				local, bounds := c.Rank(comm.Rank())
+				_, err := Write(comm, store, "gen", local, bounds, cfg)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := c.Reference()
+			routes := datasetRoutes(t, store, "gen")
+			for _, nq := range ref.Queries(seed) {
+				checkRoutes(t, ref, routes, nq.Query)
+			}
+		})
 	}
 }
