@@ -236,8 +236,9 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 	type colAgg struct {
 		name     string
 		raw, enc int64
-		// kinds counts the column's sections by codec name, a quant-for
-		// section's frame mode appended; widths collects every block's bits.
+		// kinds counts the column's sections by codec name, a quant-for or
+		// key-for section's frame mode appended; widths collects every
+		// block's bits.
 		kinds  map[string]int
 		widths []uint8
 	}
@@ -279,17 +280,14 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 		}
 	}
 	fmt.Fprintf(w, "    %-12s %-10s %-10s %12s %12s %7s  %-14s sections\n",
-		"column", "codec", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
+		"column", "class", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
 	for i, agg := range aggs {
-		// The footer declares attribute codecs only; a position column of a
-		// version-3 file is the lossless cell-for codec (its sections say
-		// where one fell back to raw).
-		codec, bound := "cell-for", "lossless"
-		if a := i - bat.PositionSections; a >= 0 {
-			codec = bat.CodecName(ci.Codecs[a])
-			if ci.Bounds[a] > 0 {
-				bound = fmt.Sprintf("%.3g", ci.Bounds[a])
-			}
+		// The footer declares an attribute's class only, lossy (quant) or
+		// lossless, and a position column is lossless; the sections column
+		// says what each column stores.
+		class, bound := "lossless", "0"
+		if a := i - bat.PositionSections; a >= 0 && ci.Bounds[a] > 0 {
+			class, bound = bat.CodecName(ci.Codecs[a]), fmt.Sprintf("%.3g", ci.Bounds[a])
 		}
 		ratio := 0.0
 		if agg.enc > 0 {
@@ -304,7 +302,7 @@ func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
 			kinds[j] = fmt.Sprintf("%s x%d", name, agg.kinds[name])
 		}
 		fmt.Fprintf(w, "    %-12s %-10s %-10s %12d %12d %6.2fx  %-14s %s\n",
-			agg.name, codec, bound, agg.raw, agg.enc, ratio, bitsRange(agg.widths), strings.Join(kinds, ", "))
+			agg.name, class, bound, agg.raw, agg.enc, ratio, bitsRange(agg.widths), strings.Join(kinds, ", "))
 	}
 	fmt.Fprintf(w, "    whole-file attribute payload: %d -> %d bytes (%.2fx)\n",
 		ci.RawPayloadBytes, ci.EncPayloadBytes, ci.Ratio())

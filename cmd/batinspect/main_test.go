@@ -174,7 +174,8 @@ func TestVerifyMissingLeaf(t *testing.T) {
 }
 
 // TestInspectCompressedLeaf: -leaf on a version-3 file lists every column
-// with the codec, frame mode and block bit widths its sections actually use.
+// with its declared class and the codec, frame mode and block bit widths its
+// sections actually use.
 func TestInspectCompressedLeaf(t *testing.T) {
 	store := writeCompressedDataset(t)
 	ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -186,9 +187,9 @@ func TestInspectCompressedLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`(?m)^\s+column\s+codec\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
+		`(?m)^\s+column\s+class\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
 		`(?m)^\s+raw payload: \d+ bytes, stored / raw: 0\.\d+$`,
-		`(?m)^\s+x\s+cell-for\s+lossless\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
+		`(?m)^\s+x\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
 		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node-cols) x\d+`,
 		`(?m)^\s+whole-file attribute payload: \d+ -> \d+ bytes`,
 		`(?m)^\s+node tables: \d+ nodes in \d+ treelets, \d+ bytes \(packed columns`,
@@ -203,10 +204,31 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	}
 }
 
+// TestInspectLosslessLeaf: -leaf on a dataset written without error bounds
+// prints the class lossless for the float attribute, not the footer's
+// integral codec, and the sections column says it is stored key-for.
+func TestInspectLosslessLeaf(t *testing.T) {
+	ds, err := core.OpenDataset(context.Background(), writeDataset(t), "ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := inspectLeaf(&out, ds, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := `(?m)^\s+v\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+key-for (one-frame|per-node-cols) x\d+`
+	if !regexp.MustCompile(want).Match(out.Bytes()) {
+		t.Errorf("-leaf output has no line matching %s:\n%s", want, out.String())
+	}
+	if regexp.MustCompile(`(?m)^\s+\S+\s+delta\s`).Match(out.Bytes()) {
+		t.Errorf("-leaf output prints the class delta:\n%s", out.String())
+	}
+}
+
 // TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, the
 // treelets of a written dataset are unpadded, and the "of which block frames"
-// line is a share of the attribute row above it: nothing in a lossless
-// dataset, the frames of the quant-for sections in a lossy one. (The page
+// line is a share of the attribute row above it: the frames of the key-for
+// sections in a lossless dataset, of the quant-for sections in a lossy one. (The page
 // padding of a version-2 file, which no writer produces any more, is
 // internal/bat's TestTreeletPageAlignment.)
 func TestStoredBytesAddUp(t *testing.T) {
@@ -232,7 +254,7 @@ func TestStoredBytesAddUp(t *testing.T) {
 				parts = append(parts, n)
 			}
 		}
-		if len(frames) != 1 || (frames[0] > 0) != (name == "lossy") || frames[0] >= parts[1] {
+		if len(frames) != 1 || frames[0] <= 0 || frames[0] >= parts[1] {
 			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())
 		}
 		if len(parts) != 7 {

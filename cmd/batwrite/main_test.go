@@ -29,11 +29,11 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "b19dbf961bf143796676dd3dc06c812039c41b4be02b9b5c72ea26aeb8c75d89",
+			5, "846f6c371ad1cdcb449a6a6e4aa6becb28ccf7b0d72fce03600af40f4f8690e2",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "2a3b3345a71c4a98cc7c6fb58d5e46ada75ed9623990fff559ee5ab04f6aca89",
+			5, "8789bb582089c9225af5189ebadfdd3d6b1bc6622556ae14fdf2769b09cb54d6",
 		},
 		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",

@@ -66,7 +66,8 @@ const sectionBenchBound = 1e-3
 // the real k-d builder with DefaultBuildConfig — inner nodes of 8 LOD samples
 // over leaves of up to 128 particles — with an attribute that follows the
 // position ("smooth": neighbours in the layout are neighbours in value) and
-// one that ignores it ("noise").
+// one that ignores it ("noise", uniform in [1, 2): one binade, so a node's
+// own frame saves no key bits over the treelet's).
 type sectionBench struct {
 	set    *particles.Set
 	t      *treelet
@@ -86,7 +87,7 @@ func newSectionBench(tb testing.TB) *sectionBench {
 	for i := 0; i < sectionBenchN; i++ {
 		c := centers[i%len(centers)]
 		p := geom.V3(c.X+r.NormFloat64()*0.02, c.Y+r.NormFloat64()*0.02, c.Z+r.NormFloat64()*0.02)
-		set.Append(p, []float64{p.X + 0.004*r.Float64(), r.Float64()})
+		set.Append(p, []float64{p.X + 0.004*r.Float64(), 1 + r.Float64()})
 	}
 	_, order := sortByMorton(set, geom.NewBox(geom.V3(-0.5, -0.5, -0.5), geom.V3(1.5, 1.5, 1.5)), 1)
 	var a buildArena
@@ -100,17 +101,24 @@ func newSectionBench(tb testing.TB) *sectionBench {
 // sectionBenchCase is one stream of one column of the bench treelet.
 type sectionBenchCase struct {
 	name string
-	pos  bool // the X column; otherwise attribute attr under sectionBenchBound
+	pos  bool // the X column; otherwise attribute attr under bound
 	attr int
-	// mode is the frame mode the attribute column's encoder must choose.
-	mode string
+	// bound is the attribute's error bound: sectionBenchBound, or 0 for the
+	// lossless key-for stream.
+	bound float64
+	// codec and mode are the codec and frame mode the column's encoder must
+	// choose.
+	codec uint8
+	mode  string
 }
 
 func sectionBenchCases() []sectionBenchCase {
 	return []sectionBenchCase{
-		{name: "positions/cell-for", pos: true},
-		{name: "quant-for/one-frame", attr: sectionBenchNoise, mode: "one-frame"},
-		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, mode: "per-node-cols"},
+		{name: "positions/cell-for", pos: true, codec: codecCellFOR},
+		{name: "quant-for/one-frame", attr: sectionBenchNoise, bound: sectionBenchBound, codec: codecQuantFOR, mode: "one-frame"},
+		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, bound: sectionBenchBound, codec: codecQuantFOR, mode: "per-node-cols"},
+		{name: "key-for/one-frame", attr: sectionBenchNoise, codec: codecKeyFOR, mode: "one-frame"},
+		{name: "key-for/per-node-cols", attr: sectionBenchSmooth, codec: codecKeyFOR, mode: "per-node-cols"},
 	}
 }
 
@@ -126,7 +134,7 @@ func (c *sectionBenchCase) encode(b *testing.B, sb *sectionBench, a *buildArena)
 		}
 		return sb.t.posEnc[0]
 	}
-	return encodeAttr(sb.set.Attrs[c.attr], sb.t, particles.Float64, sectionBenchBound, 1, a)
+	return encodeAttr(sb.set.Attrs[c.attr], sb.t, particles.Float64, c.bound, 1, a)
 }
 
 // reportPerValue adds ns/value, the figure the write-ups quote.
@@ -135,8 +143,8 @@ func reportPerValue(b *testing.B, values int) {
 }
 
 // BenchmarkEncodeSection times the section encoders on the bench treelet:
-// its three position columns, and an attribute column that keeps one frame
-// (noise) or takes one per node range (smooth).
+// its three position columns, and an attribute column, lossy or lossless,
+// that keeps one frame (noise) or takes one per node range (smooth).
 func BenchmarkEncodeSection(b *testing.B) {
 	sb := newSectionBench(b)
 	for _, c := range sectionBenchCases() {
@@ -170,13 +178,13 @@ func BenchmarkDecodeSection(b *testing.B) {
 					_, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, info)
 					return err
 				}
-				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, sectionBenchBound, 1, info)
+				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)
 				return err
 			}
 			if err := decode(&info); err != nil {
 				b.Fatal(err)
 			}
-			if c.pos && enc.codec != codecCellFOR || info.Mode != c.mode {
+			if enc.codec != c.codec || info.Mode != c.mode {
 				b.Fatalf("the column encoded as %s %s, the case needs %s %s", CodecName(enc.codec), info.Mode, c.name, c.mode)
 			}
 			b.SetBytes(int64(len(enc.data)))

@@ -19,8 +19,8 @@
 // reader decodes:
 //
 //	codecRaw      (0): the version-2 byte layout (f64 or f32 per the schema
-//	                  type). Always valid; the fallback when nothing smaller
-//	                  can honor the attribute's error bound.
+//	                  type). Always valid; the fallback when no other codec
+//	                  shrinks the column.
 //	codecDelta    (2): lossless delta + zigzag + varint for integral-valued
 //	                  columns (particle IDs, type tags). Chosen only when
 //	                  every value is a small-magnitude integer and the
@@ -47,7 +47,11 @@
 //	                  The encoder sizes modes 0 and 2 and keeps the shorter
 //	                  stream: spatially coherent columns shrink under their
 //	                  nodes' own frames, noise keeps the one frame and pays no
-//	                  per-node columns.
+//	                  per-node columns. A mode-2 frame must keep base +
+//	                  2^width - 1 within the stream's value limit (here
+//	                  2^48 - 1) or be as wide as the limit (48 bits here),
+//	                  whose offsets the decoder checks one by one; a column
+//	                  with any other frame keeps the one frame.
 //	codecCellFOR  (5): lossless, position columns only. Each float32 is
 //	                  mapped through f32Key, the order-preserving bijection
 //	                  of float32 bit patterns onto uint32 (every bit pattern
@@ -74,8 +78,25 @@
 //	                  which no cell orders; -0 and +0 on either side of a
 //	                  split at zero) or when the stream would not be smaller
 //	                  than the raw f32 bytes.
+//	codecKeyFOR   (6): lossless float attributes. Each value — the float32
+//	                  codecRaw would store for a Float32 attribute, the
+//	                  float64 itself otherwise — is mapped through the
+//	                  order-preserving bijection of its bit pattern (f32Key,
+//	                  or its float64 twin f64Key), so NaN payloads, ±0,
+//	                  denormals and ±Inf round-trip bit for bit, and the keys
+//	                  are stored in quant-for's two frame modes with step 1
+//	                  and no grid anchor:
+//	                    mode u8    0 or 2, as in quant-for
+//	                    frames and blocks as quant-for's, the value limit
+//	                    2^32 - 1 (Float32) or 2^64 - 1 (Float64): a block
+//	                    or a width column entry is 0..32 or 0..64 bits
+//	                  Values inside one k-d node share sign, exponent and
+//	                  leading mantissa bits, so their keys share high bits.
+//	                  A lossless float column is stored as the smallest of
+//	                  delta, key-for and raw; a lossy one that cannot be
+//	                  quantized falls back to key-for before raw.
 //
-// Ids 1 and 3 and quant-for mode 1 are retired: earlier writers stored flat
+// Ids 1 and 3 and frame mode 1 are retired: earlier writers stored flat
 // quant attributes (1), positions under inline per-block frames (3) and
 // quant-for frames inline ahead of each block (mode 1), and a reader refuses
 // a section that holds one as an unknown codec or frame mode. Id 1 lives on
@@ -88,7 +109,8 @@
 // the grid the reconstruction is checked and the grid index nudged by one
 // when floating-point rounding pushed it over — so no combination of
 // magnitudes and bounds can break it; sections where even that fails (e.g.
-// bound far below one ulp) fall back to codecRaw. Every choice is a pure
+// bound far below one ulp) fall back to the lossless codecKeyFOR, or to
+// codecRaw when that does not shrink them. Every choice is a pure
 // function of the input values, keeping builds byte-deterministic across
 // worker counts.
 package bat
@@ -106,8 +128,8 @@ import (
 
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
-// attribute, codecDelta for a lossless one — so codecQuantFOR and
-// codecCellFOR never appear there, and codecQuant, retired as a section
+// attribute, codecDelta for a lossless one — so codecQuantFOR, codecCellFOR
+// and codecKeyFOR never appear there, and codecQuant, retired as a section
 // codec, appears nowhere else.
 const (
 	codecRaw      uint8 = 0
@@ -115,6 +137,7 @@ const (
 	codecDelta    uint8 = 2
 	codecQuantFOR uint8 = 4
 	codecCellFOR  uint8 = 5
+	codecKeyFOR   uint8 = 6
 )
 
 // CodecName returns the human-readable name of a codec id (batinspect).
@@ -130,21 +153,32 @@ func CodecName(c uint8) string {
 		return "quant-for"
 	case codecCellFOR:
 		return "cell-for"
+	case codecKeyFOR:
+		return "key-for"
 	}
 	return fmt.Sprintf("unknown(%d)", c)
 }
 
-// maxQuantBits caps the packed bit width and the grid indices themselves:
-// they stay well inside float64's 53-bit integer range, and a width plus the
-// packer's 7-bit carry stays inside a 64-bit accumulator.
+// maxQuantBits caps the grid indices of a quant section: they stay well
+// inside float64's 53-bit integer range.
 const maxQuantBits = 48
 
 // maxQuantIndex is the largest grid index a quant section may hold.
 const maxQuantIndex = 1<<maxQuantBits - 1
 
-// quantWidthBits is the widest block of a column of block widths: they are
-// at most maxQuantBits.
-const quantWidthBits = 6
+// keyLimit is the largest key a key-for section of an attribute of type typ
+// may hold: an f32Key or an f64Key.
+func keyLimit(typ particles.AttrType) uint64 {
+	if typ == particles.Float32 {
+		return math.MaxUint32
+	}
+	return math.MaxUint64
+}
+
+// limitWidth is the widest block under a value limit: a framed stream's
+// blocks are at most bits.Len64(limit) wide, and so are the entries of its
+// base column; its width column's entries are at most limitWidth(limit).
+func limitWidth(limit uint64) uint8 { return uint8(bits.Len64(limit)) }
 
 // encodedAttr is one encoded section (an attribute, or a position column
 // with typ Float32) for a treelet being built. data is nil for codecRaw:
@@ -214,29 +248,55 @@ func packedLen(n int, width uint8) int { return (n*int(width) + 7) / 8 }
 // by the next store.
 const packSlack = 8
 
+// laneBits is the widest value the pack and unpack loops move in one piece:
+// a drained accumulator keeps at most seven bits, and a 64-bit load from the
+// byte a value starts in holds at least 57 of its bits. A wider block (up to
+// 64 bits, key-for's float64 keys) moves each value as its low 32 bits, then
+// its high width - 32 bits: the same LSB-first bitstream, at one branch per
+// block.
+const laneBits = 64 - 7
+
 // packBits writes vals as fr.width-bit offsets from fr.base, LSB-first,
 // starting bit bits into buf — the bits of that byte below the start are kept,
 // so blocks follow one another without padding — and returns the bit after
 // the last one. The accumulator is drained of its whole bytes whenever the
-// next value would not fit, which leaves at most seven bits: any width up to
-// maxQuantBits does.
+// next piece would not fit, which leaves at most seven bits: any piece up to
+// laneBits does.
 func packBits(buf []byte, bit int, vals []uint64, fr forFrame) int {
 	pos := bit >> 3
 	nb := uint(bit) & 7
 	acc := uint64(buf[pos]) & (1<<nb - 1)
-	lim := 64 - uint(fr.width)
-	for _, v := range vals {
-		if nb > lim {
-			binary.LittleEndian.PutUint64(buf[pos:], acc)
-			pos += int(nb >> 3)
-			acc >>= nb &^ 7
-			nb &= 7
+	if w := uint(fr.width); w <= laneBits {
+		lim := 64 - w
+		for _, v := range vals {
+			if nb > lim {
+				pos, acc, nb = drain(buf, pos, acc, nb)
+			}
+			acc |= (v - fr.base) << nb
+			nb += w
 		}
-		acc |= (v - fr.base) << nb
-		nb += uint(fr.width)
+	} else {
+		hi := w - 32
+		for _, v := range vals {
+			if nb > 32 {
+				pos, acc, nb = drain(buf, pos, acc, nb)
+			}
+			off := v - fr.base
+			acc |= (off & math.MaxUint32) << nb
+			pos, acc, nb = drain(buf, pos, acc, nb+32)
+			acc |= off >> 32 << nb
+			nb += hi
+		}
 	}
 	binary.LittleEndian.PutUint64(buf[pos:], acc)
 	return pos<<3 + int(nb)
+}
+
+// drain stores the accumulator acc of nb bits at buf[pos:] and returns the
+// position after its whole bytes and what is left of it: at most seven bits.
+func drain(buf []byte, pos int, acc uint64, nb uint) (int, uint64, uint) {
+	binary.LittleEndian.PutUint64(buf[pos:], acc)
+	return pos + int(nb>>3), acc >> (nb &^ 7), nb & 7
 }
 
 // packBlock is packBits for a block that starts on byte pos and is padded to
@@ -248,26 +308,41 @@ func packBlock(buf []byte, pos int, vals []uint64, fr forFrame) int {
 // unpackBits reads len(dst) width-bit values from src, LSB-first, starting
 // bit bits in. The caller has checked that those bits are inside src, which
 // runs on to the end of the section, so each value is one 64-bit load, shift
-// and mask; only loads within eight bytes of the section's end take the
+// and mask — two for a block wider than laneBits, its low 32 bits and then
+// the rest —; only loads within eight bytes of the section's end take the
 // copying path. Not inlined: inside a decoder the loop's five live values
 // spill to the stack (positions 4.2 ns/value against 3.2 on its own).
 //
 //go:noinline
 func unpackBits(dst []uint64, src []byte, bit int, width uint8) {
+	if width > laneBits {
+		hiMask := uint64(1)<<(width-32) - 1
+		for i := range dst {
+			dst[i] = wordAt(src, bit)&math.MaxUint32 | wordAt(src, bit+32)&hiMask<<32
+			bit += int(width)
+		}
+		return
+	}
 	mask := uint64(1)<<width - 1
 	for i := range dst {
-		p := uint(bit) >> 3
-		var w uint64
-		if p+8 <= uint(len(src)) {
-			w = binary.LittleEndian.Uint64(src[p : p+8])
-		} else {
-			var tail [8]byte
-			copy(tail[:], src[p:])
-			w = binary.LittleEndian.Uint64(tail[:])
-		}
-		dst[i] = w >> (uint(bit) & 7) & mask
+		dst[i] = wordAt(src, bit) & mask
 		bit += int(width)
 	}
+}
+
+// wordAt returns the 64 bits of src from bit on, zeros past its end: at least
+// laneBits of them when bit is inside src.
+func wordAt(src []byte, bit int) uint64 {
+	p := uint(bit) >> 3
+	var w uint64
+	if p+8 <= uint(len(src)) {
+		w = binary.LittleEndian.Uint64(src[p : p+8])
+	} else {
+		var tail [8]byte
+		copy(tail[:], src[p:])
+		w = binary.LittleEndian.Uint64(tail[:])
+	}
+	return w >> (uint(bit) & 7)
 }
 
 // unpackScratch is the stack buffer a section decoder unpacks into, a chunk
@@ -320,7 +395,7 @@ func (nb *nodeBlocks) widths(info *SectionInfo) {
 // payload's last byte, and the bits left over in it must be zero: a run may
 // be neither cut short nor carry anything behind it.
 func (nb *nodeBlocks) layRun(payload []byte, start int) error {
-	bit := start // at most 2^32 points of at most 48 bits: an int holds it
+	bit := start // at most 2^32 points of at most 64 bits: an int holds it
 	for i := range nb.nodes {
 		nb.frames[i].bit = bit
 		bit += int(nb.nodes[i].count) * int(nb.frames[i].width)
@@ -424,10 +499,15 @@ func encodeAttr(vals []float64, t *treelet, typ particles.AttrType,
 		if data, ok := encodeQuantFOR(ref, bound, lodScale, t, rawLen, a); ok {
 			return encodedAttr{codec: codecQuantFOR, data: data}
 		}
-		return encodedAttr{codec: codecRaw}
-	}
-	if data, ok := encodeDelta(ref, rawLen); ok {
+	} else if data, ok := encodeDelta(ref, rawLen); ok {
+		// The shorter of delta and key-for; delta on a tie.
+		if keys, ok := encodeKeyFOR(ref, typ, t, len(data), a); ok {
+			return encodedAttr{codec: codecKeyFOR, data: keys}
+		}
 		return encodedAttr{codec: codecDelta, data: data}
+	}
+	if data, ok := encodeKeyFOR(ref, typ, t, rawLen, a); ok {
+		return encodedAttr{codec: codecKeyFOR, data: data}
 	}
 	return encodedAttr{codec: codecRaw}
 }
@@ -436,15 +516,18 @@ func encodeAttr(vals []float64, t *treelet, typ particles.AttrType,
 // minimum f64, mode u8.
 const quantFORHeaderLen = 8 + 1
 
-// The frame modes of a codecQuantFOR section. Mode 1, inline per-node frames,
-// is retired.
+// keyFORHeaderLen is the fixed prefix of a codecKeyFOR payload: mode u8.
+const keyFORHeaderLen = 1
+
+// The frame modes of a framed (quant-for or key-for) section. Mode 1, inline
+// per-node frames, is retired.
 const (
-	quantOneFrame    uint8 = 0
-	quantPerNodeCols uint8 = 2
+	modeOneFrame    uint8 = 0
+	modePerNodeCols uint8 = 2
 )
 
-// quantModeNames names the frame modes a reader decodes (SectionInfo.Mode).
-var quantModeNames = map[uint8]string{quantOneFrame: "one-frame", quantPerNodeCols: "per-node-cols"}
+// frameModeNames names the frame modes a reader decodes (SectionInfo.Mode).
+var frameModeNames = map[uint8]string{modeOneFrame: "one-frame", modePerNodeCols: "per-node-cols"}
 
 // quantSteps returns the grid steps of a lossy attribute's leaf and LOD
 // ranges. Encoder and decoder both call it — one with the build's bound and
@@ -524,14 +607,47 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 	if len(qs) != len(ref) {
 		return nil, false // defensive: the node ranges must tile the column
 	}
+	out, ok := packFramed(qs, t, quantFORHeaderLen, maxQuantIndex, rawLen, a)
+	if ok {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(vmin))
+	}
+	return out, ok
+}
 
-	one := frameOf(qs)
-	mode, size := quantOneFrame, runLen(len(qs), one)
+// encodeKeyFOR maps ref (t's column in layout order, type-rounded) to its
+// keys — f32Key of the float32 codecRaw would store for a Float32 attribute,
+// f64Key otherwise — and packs them as a framed stream. ok=false means the
+// stream would not be shorter than maxLen.
+func encodeKeyFOR(ref []float64, typ particles.AttrType, t *treelet, maxLen int, a *buildArena) ([]byte, bool) {
+	keys := a.qbuf[:0]
+	if typ == particles.Float32 {
+		for _, v := range ref {
+			keys = append(keys, uint64(f32Key(math.Float32bits(float32(v)))))
+		}
+	} else {
+		for _, v := range ref {
+			keys = append(keys, f64Key(math.Float64bits(v)))
+		}
+	}
+	a.qbuf = keys[:0] // keep the (possibly grown) backing array
+	return packFramed(keys, t, keyFORHeaderLen, keyLimit(typ), maxLen, a)
+}
 
-	// One frame per node range, the bases and the widths as two columns ahead
-	// of the blocks. The decoder accepts a frame only if no offset under it
-	// can pass the index limit, so a column with a frame that could keeps the
-	// one frame.
+// packFramed packs vals — t's column in layout order, none above limit —
+// behind a header of hdrLen bytes whose last byte it sets to the frame mode,
+// and leaves the rest of the header to the caller: one frame over the
+// treelet (modeOneFrame) or one per node range, the bases and the widths as
+// two runs ahead of the bit-contiguous blocks (modePerNodeCols), whichever
+// stream is shorter. ok=false means the stream would not be shorter than
+// maxLen.
+func packFramed(vals []uint64, t *treelet, hdrLen int, limit uint64, maxLen int, a *buildArena) ([]byte, bool) {
+	one := frameOf(vals)
+	mode, size := modeOneFrame, runLen(len(vals), one)
+
+	// The decoder accepts a node's frame only if no offset under it can pass
+	// the limit, or if it is as wide as the limit itself (layColumns), so a
+	// column with another frame keeps the one frame.
+	maxWidth := limitWidth(limit)
 	nN := len(t.nodes)
 	frames := a.nodeFrames(nN)
 	if cap(a.cols) < 2*nN {
@@ -541,33 +657,32 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 	blockBits, fits := 0, true
 	for i := range t.nodes {
 		n := &t.nodes[i]
-		fr := frameOf(qs[n.start : n.start+n.count])
+		fr := frameOf(vals[n.start : n.start+n.count])
 		frames[i].forFrame = fr
 		bases[i], widths[i] = fr.base, uint64(fr.width)
 		blockBits += int(n.count) * int(fr.width)
-		fits = fits && fr.base+(1<<fr.width-1) <= maxQuantIndex
+		fits = fits && (fr.width == maxWidth || uint64(1)<<fr.width-1 <= limit-fr.base)
 	}
 	baseFr, widthFr := frameOf(bases), frameOf(widths)
 	if perNode := runLen(nN, baseFr) + runLen(nN, widthFr) + (blockBits+7)/8; fits && perNode < size {
-		mode, size = quantPerNodeCols, perNode
+		mode, size = modePerNodeCols, perNode
 	}
-	size += quantFORHeaderLen
-	if size >= rawLen {
+	size += hdrLen
+	if size >= maxLen {
 		return nil, false
 	}
 
 	out := make([]byte, size+packSlack)
-	binary.LittleEndian.PutUint64(out, math.Float64bits(vmin))
-	out[8] = mode
-	pos := quantFORHeaderLen
-	if mode == quantOneFrame {
-		pos = putRun(out, pos, qs, one)
+	out[hdrLen-1] = mode
+	pos := hdrLen
+	if mode == modeOneFrame {
+		pos = putRun(out, pos, vals, one)
 	} else {
 		pos = putRun(out, pos, bases, baseFr)
 		bit := putRun(out, pos, widths, widthFr) << 3
 		for i := range t.nodes {
 			n := &t.nodes[i]
-			bit = packBits(out, bit, qs[n.start:n.start+n.count], frames[i].forFrame)
+			bit = packBits(out, bit, vals[n.start:n.start+n.count], frames[i].forFrame)
 		}
 		pos = (bit + 7) >> 3
 	}
@@ -625,6 +740,8 @@ func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
 		return decodeDelta(payload, nb.nPoints)
 	case codecQuantFOR:
 		return decodeQuantFOR(payload, nb, declaredBound, lodScale, info)
+	case codecKeyFOR:
+		return decodeKeyFOR(payload, nb, typ, info)
 	}
 	return nil, fmt.Errorf("bat: unknown attribute codec id %d", codec)
 }
@@ -672,52 +789,103 @@ func (nb *nodeBlocks) dequant(payload []byte, vmin, fineStep, lodStep float64) (
 
 // readRun reads a run of len(dst) values — one frame (base uvarint, width u8)
 // and its byte-aligned block — at payload[pos:] into dst and returns the
-// position after the block. limit bounds the frame's base, so base + offset
-// cannot wrap; the caller checks the values.
+// position after the block. Every value is base + offset, and none may pass
+// limit: the frame's base is checked first and every offset against what
+// limit leaves above it, so no sum can wrap.
 func readRun(dst []uint64, payload []byte, pos int, maxWidth uint8, limit uint64) (int, error) {
 	fr, pos, err := readFrame(payload, pos, uint32(len(dst)), maxWidth, limit)
 	if err != nil {
 		return 0, err
 	}
 	unpackBits(dst, payload, pos<<3, fr.width)
-	for i := range dst {
-		dst[i] += fr.base
+	for i, off := range dst {
+		if off > limit-fr.base {
+			return 0, fmt.Errorf("entry %d: %#x + %#x exceeds %d", i, fr.base, off, limit)
+		}
+		dst[i] = fr.base + off
 	}
 	return pos + packedLen(len(dst), fr.width), nil
 }
 
-// layColumns reads the two frame columns of a quant-for mode-2 section at
-// payload[pos:] — the nodes' bases, then the nodes' widths — into the frames
-// and lays the block run that follows them. Both are checked against the
-// payload before anything is read under them: a width is at most
-// maxQuantBits, and base + 2^width - 1 stays within maxQuantIndex, so no
-// offset under an accepted frame can pass the index limit. It returns the
-// position after the columns.
-func (nb *nodeBlocks) layColumns(payload []byte, pos int) (int, error) {
+// layColumns reads the two frame columns of a mode-2 section at payload[pos:]
+// — the nodes' bases, then the nodes' widths — into the frames and lays the
+// block run that follows them. Both are checked against the payload before
+// anything is read under them: a base is at most limit, a width at most
+// limitWidth(limit), and base + 2^width - 1 stays within limit, so no offset
+// under an accepted frame can pass it — except under a frame as wide as the
+// limit, which keeps that sum within it only on a base of 0: its span is what
+// the limit leaves above the base, and the block loop checks every offset
+// against it, as under the one frame of mode 0. It returns the position after
+// the columns.
+func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, error) {
 	if nb.col == nil {
 		nb.col = make([]uint64, len(nb.nodes))
 	}
 	col := nb.col
-	pos, err := readRun(col, payload, pos, maxQuantBits, maxQuantIndex)
+	maxWidth := limitWidth(limit)
+	pos, err := readRun(col, payload, pos, maxWidth, limit)
 	if err != nil {
 		return 0, fmt.Errorf("base column: %w", err)
 	}
 	for i, v := range col {
 		nb.frames[i].base = v
 	}
-	if pos, err = readRun(col, payload, pos, quantWidthBits, maxQuantBits); err != nil {
+	if pos, err = readRun(col, payload, pos, limitWidth(uint64(maxWidth)), uint64(maxWidth)); err != nil {
 		return 0, fmt.Errorf("width column: %w", err)
 	}
 	for i, v := range col {
-		if v > maxQuantBits {
-			return 0, fmt.Errorf("frame %d: bit width %d exceeds %d", i, v, maxQuantBits)
+		if v > uint64(maxWidth) { // readRun has bounded it; checked next to the narrowing
+			return 0, fmt.Errorf("frame %d: bit width %d exceeds %d", i, v, maxWidth)
 		}
 		fr := &nb.frames[i]
-		if fr.width, fr.span = uint8(v), 1<<v-1; fr.base+fr.span > maxQuantIndex {
-			return 0, fmt.Errorf("frame %d (base %#x, width %d) overflows %d bits", i, fr.base, v, maxQuantBits)
+		if fr.width, fr.span = uint8(v), 1<<v-1; fr.span > limit-fr.base {
+			if fr.width != maxWidth {
+				return 0, fmt.Errorf("frame %d (base %#x, width %d) overflows %d bits", i, fr.base, v, maxWidth)
+			}
+			fr.span = limit - fr.base
 		}
 	}
 	return pos, nb.layRun(payload, pos<<3)
+}
+
+// layFramed resolves a framed (quant-for or key-for) stream — its mode byte
+// at payload[pos-1], its frames from pos on — to one frame per node range
+// before any value is read, and lays the block run behind them: the one frame
+// (modeOneFrame), whose offsets the block loop checks against limit, or the
+// frame columns (modePerNodeCols). info, when non-nil, receives the mode, the
+// frame bytes and the block widths.
+func (nb *nodeBlocks) layFramed(payload []byte, pos int, limit uint64, info *SectionInfo) error {
+	mode := payload[pos-1]
+	name, ok := frameModeNames[mode]
+	if !ok {
+		return fmt.Errorf("section has unknown frame mode %d", mode)
+	}
+	start := pos
+	var one forFrame
+	var err error
+	if mode == modeOneFrame {
+		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), limitWidth(limit), limit); err == nil {
+			for i := range nb.frames {
+				nb.frames[i] = blockFrame{forFrame: one, span: limit - one.base}
+			}
+			err = nb.layRun(payload, pos<<3)
+		}
+	} else {
+		pos, err = nb.layColumns(payload, pos, limit)
+	}
+	if err != nil {
+		return fmt.Errorf("%s stream: %w", name, err)
+	}
+	if info != nil {
+		info.Mode = name
+		info.FrameBytes = pos - start
+		if mode == modeOneFrame {
+			info.Widths = append(info.Widths, one.width)
+		} else {
+			nb.widths(info)
+		}
+	}
+	return nil
 }
 
 func decodeQuantFOR(payload []byte, nb *nodeBlocks,
@@ -727,7 +895,6 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 		return nil, fmt.Errorf("bat: quant-for section truncated: %d bytes, header needs %d", len(payload), quantFORHeaderLen)
 	}
 	vmin := math.Float64frombits(binary.LittleEndian.Uint64(payload))
-	mode := payload[8]
 	if math.IsNaN(vmin) || math.IsInf(vmin, 0) {
 		return nil, fmt.Errorf("bat: quant-for section has invalid grid minimum %g", vmin)
 	}
@@ -736,35 +903,8 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 	if declaredBound <= 0 {
 		return nil, fmt.Errorf("bat: quant-for section in attribute declared lossless (error-bound mismatch)")
 	}
-	name, ok := quantModeNames[mode]
-	if !ok {
-		return nil, fmt.Errorf("bat: quant-for section has unknown frame mode %d", mode)
-	}
-	// Resolve the stream to one frame per node range before any value is read.
-	pos := quantFORHeaderLen
-	var one forFrame
-	var err error
-	if mode == quantOneFrame {
-		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), maxQuantBits, maxQuantIndex); err == nil {
-			for i := range nb.frames {
-				nb.frames[i] = blockFrame{forFrame: one, span: maxQuantIndex - one.base}
-			}
-			err = nb.layRun(payload, pos<<3)
-		}
-	} else {
-		pos, err = nb.layColumns(payload, pos)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("bat: quant-for %s stream: %w", name, err)
-	}
-	if info != nil {
-		info.Mode = name
-		info.FrameBytes = pos - quantFORHeaderLen
-		if mode == quantOneFrame {
-			info.Widths = append(info.Widths, one.width)
-		} else {
-			nb.widths(info)
-		}
+	if err := nb.layFramed(payload, quantFORHeaderLen, maxQuantIndex, info); err != nil {
+		return nil, fmt.Errorf("bat: quant-for %w", err)
 	}
 	fineStep, lodStep := quantSteps(declaredBound, lodScale)
 	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
@@ -772,6 +912,48 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 		return nil, fmt.Errorf("bat: quant-for %w", err)
 	}
 	return out, nil
+}
+
+// decodeKeyFOR decodes a key-for section of an attribute of type typ. It is
+// lossless, so it is valid whatever bound the footer declares: a lossless
+// attribute's column, or a lossy one's that could not be quantized.
+func decodeKeyFOR(payload []byte, nb *nodeBlocks, typ particles.AttrType, info *SectionInfo) ([]float64, error) {
+	if len(payload) < keyFORHeaderLen {
+		return nil, fmt.Errorf("bat: key-for section truncated: no frame mode")
+	}
+	if err := nb.layFramed(payload, keyFORHeaderLen, keyLimit(typ), info); err != nil {
+		return nil, fmt.Errorf("bat: key-for %w", err)
+	}
+	out, err := nb.unkey(payload, typ)
+	if err != nil {
+		return nil, fmt.Errorf("bat: key-for %w", err)
+	}
+	return out, nil
+}
+
+// unkey runs the block loop over a key-for section whose frames are laid:
+// every offset becomes the float of type typ whose key is base + offset. A key
+// past keyLimit(typ) is corrupt: the encoder never writes one.
+func (nb *nodeBlocks) unkey(payload []byte, typ particles.AttrType) ([]float64, error) {
+	out := make([]float64, nb.nPoints)
+	limit, f32 := keyLimit(typ), typ == particles.Float32
+	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+		fr := nb.frames[ni]
+		dst := out[at : at+len(offs)]
+		for i, off := range offs {
+			k := fr.base + off
+			if off > fr.span || k > limit {
+				return fmt.Errorf("key offset %#x overflows its frame (base %#x, at most %#x)", off, fr.base, fr.span)
+			}
+			if f32 {
+				dst[i] = float64(math.Float32frombits(f32FromKey(uint32(k))))
+			} else {
+				dst[i] = math.Float64frombits(f64FromKey(k))
+			}
+		}
+		return nil
+	})
+	return out, err
 }
 
 func decodeDelta(payload []byte, nPoints int) ([]float64, error) {
@@ -816,6 +998,14 @@ func f32Key(b uint32) uint32 { return b ^ (uint32(int32(b)>>31) | 1<<31) }
 
 // f32FromKey inverts f32Key.
 func f32FromKey(k uint32) uint32 { return k ^ ((k>>31 - 1) | 1<<31) }
+
+// f64Key is f32Key's float64 twin: the uint64 whose unsigned order is the
+// numeric order of the float64 with bit pattern b, a bijection on all 2^64
+// patterns (the key of a key-for attribute section).
+func f64Key(b uint64) uint64 { return b ^ (-(b >> 63) | 1<<63) }
+
+// f64FromKey inverts f64Key.
+func f64FromKey(k uint64) uint64 { return k ^ ((k>>63 - 1) | 1<<63) }
 
 // keyOf is the key of a coordinate.
 func keyOf(v float32) uint32 { return f32Key(math.Float32bits(v)) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -117,7 +118,7 @@ func TestCompressedMaxErrorProperty(t *testing.T) {
 
 // TestCompressedLosslessBitExact pins the all-bounds-zero configuration:
 // the file is version 3 (framed sections) but every value round-trips
-// bit-exact through the delta/raw fallbacks.
+// bit-exact through the lossless delta, key-for and raw sections.
 func TestCompressedLosslessBitExact(t *testing.T) {
 	s, domain := cosmoSet(3000, 11)
 	cfg := compressedConfig(nil)
@@ -195,10 +196,26 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 			s.Attrs[1][i] = negZero
 		}
 	}
+	// The specials go to one corner only, so the nodes elsewhere keep narrow
+	// key frames and mass and phi still store key-for sections. A counter over
+	// the corner's particles cycles through every special of both types.
+	written64, written32 := map[uint64]bool{}, map[uint32]bool{}
+	for i, c := 0, 0; i < s.Len(); i++ {
+		if s.X[i] < 0.2 && s.Y[i] < 0.2 {
+			v, v32 := special[c%len(special)], special32[c%len(special32)]
+			s.Attrs[0][i] = v            // mass, float64
+			s.Attrs[2][i] = float64(v32) // phi, float32
+			written64[math.Float64bits(v)] = true
+			written32[math.Float32bits(v32)] = true
+			c++
+		}
+	}
+	if len(written64) != len(special) || len(written32) != len(special32) {
+		t.Fatalf("the corner took %d of %d float64 and %d of %d float32 specials",
+			len(written64), len(special), len(written32), len(special32))
+	}
 	for i := 0; i < s.Len(); i += 7 {
 		k := i / 7
-		s.Attrs[0][i] = special[k%len(special)]                  // mass, float64
-		s.Attrs[2][i] = float64(special32[(k+3)%len(special32)]) // phi, float32
 		if i%40 == 0 {
 			s.X[i] = special32[k%len(special32)] // NaNs send a column to raw
 		}
@@ -237,6 +254,7 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	}
 	// Read treelet by treelet: a query's box test would skip a NaN coordinate.
 	seen, codecs := 0, map[uint8]bool{}
+	keyed64, keyed32 := map[uint64]bool{}, map[uint32]bool{} // specials read back from key-for sections
 	for ti := 0; ti < f.NumTreelets(); ti++ {
 		pt, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
@@ -246,8 +264,18 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		attrCodec := map[string]uint8{}
 		for _, sec := range lay.Sections {
 			codecs[sec.Codec] = true
+			attrCodec[sec.Attr] = sec.Codec
+		}
+		for i := range pt.attrs[0] {
+			if b := math.Float64bits(pt.attrs[0][i]); attrCodec["mass"] == codecKeyFOR && written64[b] {
+				keyed64[b] = true
+			}
+			if b := math.Float32bits(float32(pt.attrs[2][i])); attrCodec["phi"] == codecKeyFOR && written32[b] {
+				keyed32[b] = true
+			}
 		}
 		for i, id := range pt.attrs[3] {
 			oi, ok := byID[id]
@@ -271,10 +299,14 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	if seen != s.Len() {
 		t.Fatalf("read %d of %d particles", seen, s.Len())
 	}
-	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta} {
+	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta, codecKeyFOR} {
 		if !codecs[c] {
 			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
 		}
+	}
+	if len(keyed64) != len(special) || len(keyed32) != len(special32) {
+		t.Errorf("key-for sections carried %d of %d float64 and %d of %d float32 specials",
+			len(keyed64), len(special), len(keyed32), len(special32))
 	}
 }
 
@@ -486,6 +518,186 @@ func TestBitPackRoundTrip(t *testing.T) {
 			if base+got[i] != vals[i] {
 				t.Fatalf("trial %d (width %d) index %d: %d != %d", trial, width, i, base+got[i], vals[i])
 			}
+		}
+	}
+}
+
+// TestBitPackEveryWidth packs a block of every width 0..64 from every start
+// bit 0..7 and holds the stream to a bit-by-bit LSB-first reference — the
+// wide lane above laneBits included — with the bits below the start kept,
+// and reads it back whole and one value at a time.
+func TestBitPackEveryWidth(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	const n = 13
+	for width := uint8(0); width <= 64; width++ {
+		for start := 0; start < 8; start++ {
+			base := r.Uint64() >> width // 0 at width 64: base + offset never wraps
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = base + r.Uint64()&(uint64(1)<<width-1)
+			}
+			vals[n-1] = base + (uint64(1)<<width - 1) // every bit of the widest offset
+			lead := byte(r.Intn(256))
+			buf := make([]byte, packedLen(n, width)+1+packSlack)
+			buf[0] = lead
+			end := packBits(buf, start, vals, forFrame{base: base, width: width})
+			if want := start + n*int(width); end != want {
+				t.Fatalf("width %d start %d: packBits ended at bit %d, want %d", width, start, end, want)
+			}
+			ref := make([]byte, (end+7)/8+1)
+			ref[0] = lead & (1<<start - 1)
+			for i, v := range vals {
+				for j := 0; j < int(width); j++ {
+					if (v-base)>>j&1 == 1 {
+						b := start + i*int(width) + j
+						ref[b>>3] |= 1 << (b & 7)
+					}
+				}
+			}
+			if got := buf[:(end+7)/8]; !bytes.Equal(got, ref[:len(got)]) {
+				t.Fatalf("width %d start %d: stream %x, want %x", width, start, got, ref[:len(got)])
+			}
+			src := buf[:max(1, (end+7)/8)]
+			got := make([]uint64, n)
+			unpackBits(got, src, start, width)
+			for i := range vals {
+				var one [1]uint64
+				unpackBits(one[:], src, start+i*int(width), width)
+				if base+got[i] != vals[i] || base+one[0] != vals[i] {
+					t.Fatalf("width %d start %d value %d: read %#x and %#x, want %#x", width, start, i, base+got[i], base+one[0], vals[i])
+				}
+			}
+		}
+	}
+}
+
+// TestKeyFORRoundTripProperty is the lossless attribute codec's guarantee at
+// the section level: over random treelet shapes whose node ranges are
+// coherent, constant, zero-mean noise (keys 63-64 bits apart) or the float
+// values no arithmetic keeps — NaNs with quiet and signalling payloads of
+// either sign, -0 next to +0, ±Inf, denormals, ±MaxFloat64 — in both schema
+// types, a column that key-for shrinks reads back bit for bit, in either
+// frame mode — per-node frames 64 bits wide on a base above 0 included.
+func TestKeyFORRoundTripProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	bitsOf := math.Float64frombits
+	special := []float64{bitsOf(0x7ff8000000000001), bitsOf(0x7ff0000000000001), bitsOf(0xfff8000000abcdef),
+		bitsOf(0xfff0000000000002), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, bitsOf(0x000fffffffffffff), bitsOf(0x800fffffffffffff),
+		math.MaxFloat64, -math.MaxFloat64, float64(math.Float32frombits(0x7fc12345)), float64(math.Float32frombits(0x00000001))}
+	seen := map[string]int{}
+	for trial := 0; trial < 300; trial++ {
+		var counts []int
+		var col []float64
+		kinds := map[string]bool{}
+		for b, nb := 0, 1+r.Intn(10); b < nb; b++ {
+			kind := []string{"coherent", "coherent", "coherent", "coherent", "coherent", "constant", "noise", "special"}[r.Intn(8)]
+			c := r.Intn(120)
+			if kind == "noise" || kind == "special" {
+				c = r.Intn(12) // a few wide blocks among narrow ones still pay
+			}
+			counts = append(counts, c)
+			mag := math.Pow(10, float64(r.Intn(600)-300))
+			centre := (r.Float64() - 0.5) * mag
+			for i := 0; i < c; i++ {
+				v := centre
+				switch kind {
+				case "coherent":
+					v += r.Float64() * mag * 1e-6
+				case "noise":
+					v = r.NormFloat64()
+				case "special":
+					v = special[r.Intn(len(special))]
+				}
+				col = append(col, v)
+			}
+			kinds[kind] = kinds[kind] || c > 0
+		}
+		typ := particles.Float64
+		if trial%3 == 0 {
+			typ = particles.Float32
+		}
+		tr, nodes := forTreelet(counts)
+		var a buildArena
+		enc := encodeAttr(col, tr, typ, 0, 1, &a)
+		if enc.codec != codecKeyFOR {
+			seen["not key-for"]++
+			continue
+		}
+		if len(enc.data) >= len(col)*typ.Size() {
+			t.Fatalf("trial %d: key-for section of %d bytes for %d raw ones", trial, len(enc.data), len(col)*typ.Size())
+		}
+		var info SectionInfo
+		got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), typ, 0, 1, &info)
+		if err != nil {
+			t.Fatalf("trial %d (%v, blocks %v): %v", trial, typ, counts, err)
+		}
+		for i, v := range col {
+			if g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, typ)); g != w {
+				t.Fatalf("trial %d (%v) value %d: bits %#016x, want %#016x", trial, typ, i, g, w)
+			}
+		}
+		seen[fmt.Sprintf("%v %s", typ, info.Mode)]++
+		for kind := range kinds {
+			seen[kind]++
+		}
+		for _, w := range info.Widths {
+			if w == 0 {
+				seen["width 0"]++
+			}
+			if w >= 63 {
+				seen["width 63-64"]++
+			}
+			if w == 64 && info.Mode == "per-node-cols" {
+				seen["per-node width 64"]++ // wider than base + 2^64 - 1 can stay: offsets checked one by one
+			}
+		}
+	}
+	for _, want := range []string{"float32 one-frame", "float32 per-node-cols", "float64 one-frame", "float64 per-node-cols",
+		"special", "noise", "constant", "width 0", "width 63-64", "per-node width 64"} {
+		if seen[want] < 3 {
+			t.Errorf("%d key-for sections with %q: the property is near vacuous there (%v)", seen[want], want, seen)
+		}
+	}
+	t.Run("an all-equal column is one frame of width 0", func(t *testing.T) {
+		counts := []int{8, 90, 0, 70}
+		col := make([]float64, 168)
+		for i := range col {
+			col[i] = -7.25
+		}
+		tr, nodes := forTreelet(counts)
+		var a buildArena
+		enc := encodeAttr(col, tr, particles.Float64, 0, 1, &a)
+		var info SectionInfo
+		if _, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
+			enc.codec != codecKeyFOR || info.Mode != "one-frame" || len(info.Widths) != 1 || info.Widths[0] != 0 {
+			t.Fatalf("encoded as %s %s widths %v (error %v), want key-for one-frame of width 0", CodecName(enc.codec), info.Mode, info.Widths, err)
+		}
+		if want := keyFORHeaderLen + uvarintLen(f64Key(math.Float64bits(-7.25))) + 1; len(enc.data) != want {
+			t.Fatalf("%d equal values in %d bytes, want %d (mode, base, width 0)", len(col), len(enc.data), want)
+		}
+	})
+}
+
+// TestF64KeyOrderAndInverse: f64Key is a bijection whose unsigned order is the
+// numeric order of the floats, like f32Key.
+func TestF64KeyOrderAndInverse(t *testing.T) {
+	ordered := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
+	for i := 1; i < len(ordered); i++ {
+		if lo, hi := f64Key(math.Float64bits(ordered[i-1])), f64Key(math.Float64bits(ordered[i])); lo >= hi {
+			t.Fatalf("key(%v) = %#x is not below key(%v) = %#x", ordered[i-1], lo, ordered[i], hi)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, b := range []uint64{0, 1, 1 << 63, 1<<63 | 1, 0x7ff0000000000001, 0xfff8000000000123, math.MaxUint64} {
+		if got := f64FromKey(f64Key(b)); got != b {
+			t.Fatalf("bits %#016x came back as %#016x", b, got)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		if b := r.Uint64(); f64FromKey(f64Key(b)) != b || f64Key(f64FromKey(b)) != b {
+			t.Fatalf("bits %#016x do not round-trip", b)
 		}
 	}
 }
@@ -739,8 +951,10 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 // quantRoundTrip encodes col (blocked by counts, see forTreelet) under bound
 // and lodScale and, when the encoder chose codecQuantFOR, decodes it against
 // the same declaration and holds every value to its range's bound: bound in
-// leaf ranges, bound·lodScale in inner-node ranges. It returns the section and
-// what the decoder reported about its frames.
+// leaf ranges, bound·lodScale in inner-node ranges. A column it could not
+// quantize must fall back to the lossless key-for, which reads back bit for
+// bit, or to raw. It returns the section and what the decoder reported about
+// its frames.
 func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.AttrType, bound, lodScale float64) (encodedAttr, SectionInfo) {
 	t.Helper()
 	tr, nodes := forTreelet(counts)
@@ -750,19 +964,29 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	var a buildArena
 	enc := encodeAttr(col, tr, typ, bound, lodScale, &a)
 	var info SectionInfo
-	if enc.codec != codecQuantFOR {
-		if enc.codec != codecRaw || enc.data != nil {
-			t.Fatalf("a lossy column encoded as %s (%d bytes); want quant-for or the raw fallback", CodecName(enc.codec), len(enc.data))
-		}
+	switch {
+	case enc.codec == codecRaw && enc.data == nil:
 		return enc, info
+	case enc.codec == codecKeyFOR:
+		bound = 0
+	case enc.codec != codecQuantFOR:
+		t.Fatalf("a lossy column encoded as %s (%d bytes); want quant-for or a lossless fallback", CodecName(enc.codec), len(enc.data))
 	}
 	if len(enc.data) >= len(col)*typ.Size() {
-		t.Fatalf("quant-for section of %d bytes is not smaller than the %d raw ones", len(enc.data), len(col)*typ.Size())
+		t.Fatalf("%s section of %d bytes is not smaller than the %d raw ones", CodecName(enc.codec), len(enc.data), len(col)*typ.Size())
 	}
 	nb := newNodeBlocks(nodes, len(col))
 	got, err := decodeAttrSection(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
+	}
+	if enc.codec == codecKeyFOR {
+		for i, v := range col {
+			if g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, typ)); g != w {
+				t.Fatalf("key-for value %d: bits %#016x, want %#016x", i, g, w)
+			}
+		}
+		return enc, info
 	}
 	for _, n := range nodes {
 		tol := bound
@@ -781,10 +1005,11 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 
 // TestQuantFORMaxErrorProperty is the attribute codec's guarantee at the
 // section level: over random block shapes (empty and single-element ranges
-// included), magnitudes from 1e-6 to 1e9, bounds from far below one ulp (raw
-// fallback) up to the whole range (width 0), grids fine enough to put the
-// indices near 2^48, both schema types and LODErrorScale 1 and 4, a section
-// is either raw or decodes within its bounds.
+// included), magnitudes from 1e-6 to 1e9, bounds from far below one ulp
+// (lossless fallback) up to the whole range (width 0), grids fine enough to
+// put the indices near 2^48, both schema types and LODErrorScale 1 and 4, a
+// section either decodes within its bounds or falls back to key-for, which
+// reads back bit for bit, or to raw.
 func TestQuantFORMaxErrorProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	var quant, raw, wide int
@@ -824,8 +1049,8 @@ func TestQuantFORMaxErrorProperty(t *testing.T) {
 		bound := mag * math.Pow(10, 1-19*r.Float64())
 		lodScale := []float64{1, 4}[r.Intn(2)]
 		enc, info := quantRoundTrip(t, col, counts, typ, bound, lodScale)
-		if enc.codec == codecRaw {
-			raw++
+		if enc.codec != codecQuantFOR {
+			raw++ // a lossless fallback
 			continue
 		}
 		quant++
@@ -838,7 +1063,7 @@ func TestQuantFORMaxErrorProperty(t *testing.T) {
 		}
 	}
 	if quant < 150 || raw < 30 || wide < 5 || modes["one-frame"] < 20 || modes["per-node-cols"] < 20 {
-		t.Fatalf("%d quant-for sections (%v, %d with a block over 40 bits), %d raw: the property is near vacuous somewhere", quant, modes, wide, raw)
+		t.Fatalf("%d quant-for sections (%v, %d with a block over 40 bits), %d lossless fallbacks: the property is near vacuous somewhere", quant, modes, wide, raw)
 	}
 }
 
@@ -895,12 +1120,12 @@ func TestQuantFORModes(t *testing.T) {
 			t.Fatalf("%d equal values encoded in %d bytes, want %d (vmin, mode, base 0, width 0)", n, len(enc.data), want)
 		}
 	})
-	t.Run("a bound below one ulp falls back to raw", func(t *testing.T) {
+	t.Run("a bound below one ulp falls back to key-for", func(t *testing.T) {
 		// ulp(1e15) is 0.125: a grid of step 2e-15 over a range of 3 has more
 		// cells than 48 bits index.
 		col := []float64{1e15, 1e15 + 1, 1e15 + 2, 1e15 + 3}
-		if enc, _ := quantRoundTrip(t, col, []int{4}, particles.Float64, 1e-15, 1); enc.codec != codecRaw {
-			t.Fatalf("encoded as %s, want raw", CodecName(enc.codec))
+		if enc, _ := quantRoundTrip(t, col, []int{4}, particles.Float64, 1e-15, 1); enc.codec != codecKeyFOR {
+			t.Fatalf("encoded as %s, want key-for", CodecName(enc.codec))
 		}
 	})
 	t.Run("indices just under 2^48", func(t *testing.T) {
@@ -923,8 +1148,8 @@ func TestQuantFORModes(t *testing.T) {
 		for i := 200; i < 400; i++ {
 			col[i] += hi
 		}
-		if enc, _ := quantRoundTrip(t, col, []int{200, 200}, particles.Float64, bound, 1); enc.codec != codecRaw {
-			t.Fatalf("indices past 2^48 encoded as %s, want raw", CodecName(enc.codec))
+		if enc, _ := quantRoundTrip(t, col, []int{200, 200}, particles.Float64, bound, 1); enc.codec != codecKeyFOR {
+			t.Fatalf("indices past 2^48 encoded as %s, want key-for", CodecName(enc.codec))
 		}
 	})
 }
@@ -988,8 +1213,8 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"truncated last block", cols[:len(cols)-1], bound, "truncated"},
 		{"trailing byte", mut(one, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
 		{"trailing byte after the last node's block", mut(cols, func(b []byte) []byte { return append(b, 0) }), bound, "trailing bytes"},
-		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = quantPerNodeCols; return b }), bound, ""},
-		{"per-node stream read as one frame", mut(cols, func(b []byte) []byte { b[8] = quantOneFrame; return b }), bound, ""},
+		{"one-frame stream read per node", mut(one, func(b []byte) []byte { b[8] = modePerNodeCols; return b }), bound, ""},
+		{"per-node stream read as one frame", mut(cols, func(b []byte) []byte { b[8] = modeOneFrame; return b }), bound, ""},
 		{"base of 2^48", mut(one, func(b []byte) []byte {
 			return append(append(append([]byte(nil), b[:frame]...), binary.AppendUvarint(nil, 1<<maxQuantBits)...), b[frame+1:]...)
 		}), bound, "overflows"},

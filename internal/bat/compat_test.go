@@ -95,7 +95,10 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // patched to 1 (stripToV1), the layout version-1 writers produced; and
 // golden_v2_clustered.bat, clusteredSet(20000, 14) under DefaultBuildConfig,
 // four padded, page-aligned treelets that seed the reader's fuzzers and
-// corruption tests. Five more are the golden set's build by the last writer of
+// corruption tests. golden_v3_rawattrs.bat is goldenConfig's build by the last
+// writer that stored a lossless float attribute raw (commit 67d7397, the
+// parent of codecKeyFOR): today's layout, whose raw float sections must keep
+// decoding bit for bit. Five more are the golden set's build by the last writer of
 // a layout this reader refuses, and pin that refusal. golden_v2_quant16.bat:
 // goldenConfig with 16-bit fixed-point positions, header flag bit 0 (commit
 // caac3aa, the parent of the one layout per version). The other four are
@@ -131,7 +134,9 @@ func TestGoldenRegenerate(t *testing.T) {
 // has produced. The two this reader accepts — version 2 and today's version 3
 // — must decode to the same particle multiset as the day they were written:
 // positions and the lossless id bit-exact, mass exact in version 2 and in the
-// lossless version-3 build, and within its declared bound in golden_v3.bat.
+// lossless version-3 builds, and within its declared bound in golden_v3.bat;
+// the lossless mass is stored raw in golden_v3_rawattrs.bat and key-for in
+// golden_v3_lossless.bat.
 // Every retired layout is refused with a named error and returns no rows:
 // version 1 (no checksums) and the header flags of a retired layout at open,
 // the inline position frames behind today's flags at the first treelet load.
@@ -146,16 +151,19 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		openErr, loadErr string
 		// massBound is how far a decoded mass may be from the golden set's.
 		massBound float64
+		// massCodec, when set, is the codec of every mass section.
+		massCodec string
 	}{
-		{"golden_v1.bat", 1, "unsupported version 1", "", 0},
-		{"golden_v2.bat", 2, "", "", 0},
-		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", "", 0},
-		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", "", 0},
-		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", "", 0},
-		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", "", 0},
-		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3", 0},
-		{"golden_v3.bat", 3, "", "", massBound},
-		{"golden_v3_lossless.bat", 3, "", "", 0},
+		{"golden_v1.bat", 1, "unsupported version 1", "", 0, ""},
+		{"golden_v2.bat", 2, "", "", 0, ""},
+		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", "", 0, ""},
+		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", "", 0, ""},
+		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", "", 0, ""},
+		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", "", 0, ""},
+		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3", 0, ""},
+		{"golden_v3.bat", 3, "", "", massBound, "quant-for"},
+		{"golden_v3_rawattrs.bat", 3, "", "", 0, "raw"},
+		{"golden_v3_lossless.bat", 3, "", "", 0, "key-for"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -186,6 +194,15 @@ func TestGoldenBackwardCompat(t *testing.T) {
 					t.Fatalf("ReadAll returned %d rows, error %v; want none and an error", got.Len(), err)
 				}
 				return
+			}
+			for ti := 0; tc.massCodec != "" && ti < f.NumTreelets(); ti++ {
+				lay, err := f.TreeletLayout(context.Background(), ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c := CodecName(lay.Sections[PositionSections].Codec); c != tc.massCodec {
+					t.Fatalf("treelet %d stores mass as %s, want %s", ti, c, tc.massCodec)
+				}
 			}
 			got := readRows(t, f)
 			if len(got) != len(want) {

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -711,7 +712,7 @@ func quantColsStream(nodes []diskNode, frames []forFrame, qs []uint64) []byte {
 		bases[i], widths[i] = fr.base, uint64(fr.width)
 	}
 	out := make([]byte, quantFORHeaderLen+2*(binary.MaxVarintLen64+1)+16*len(frames)+8*len(qs)+packSlack)
-	out[8] = quantPerNodeCols
+	out[8] = modePerNodeCols
 	pos := putRun(out, quantFORHeaderLen, bases, frameOf(bases))
 	bit := putRun(out, pos, widths, frameOf(widths)) << 3
 	for i, n := range nodes {
@@ -922,6 +923,14 @@ type sectionSeed struct {
 	lo, hi  float32
 }
 
+// modeAt is where a framed (quant-for or key-for) seed keeps its frame mode.
+func (s sectionSeed) modeAt() int {
+	if s.codec == codecKeyFOR {
+		return keyFORHeaderLen - 1
+	}
+	return quantFORHeaderLen - 1
+}
+
 // bounds is the box a position seed decodes against: [lo, hi] on every axis.
 func (s sectionSeed) bounds() geom.Box { return fuzzBounds(s.lo, s.hi) }
 
@@ -1058,18 +1067,33 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 }
 
 // sectionSeeds cuts every section of every treelet out of a small fresh
-// compressed build and out of golden_v3.bat, so the fuzzer starts from
-// streams each decoder accepts.
+// compressed build, the same particles built lossless (key-for attributes), a
+// lossless build of a float64 that crosses zero smoothly (the nodes that
+// straddle it need key frames of 63 and 64 bits, the rest far fewer),
+// golden_v3.bat and golden_v3_rawattrs.bat (raw float attributes), so the
+// fuzzer starts from streams each decoder accepts.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
 	cfg.LODErrorScale = fuzzSectionLODScale
-	b, err := Build(s, domain, cfg)
-	if err != nil {
-		tb.Fatal(err)
+	zs := particles.NewSet(particles.NewSchema("v"), 300)
+	for i := 0; i < 300; i++ {
+		x := float64(i) / 300
+		zs.Append(geom.V3(x, float64(i%7)/7, 0.5), []float64{x - 0.5})
+	}
+	var bufs [][]byte
+	for _, build := range []struct {
+		set *particles.Set
+		cfg BuildConfig
+	}{{s, cfg}, {s, compressedConfig(nil)}, {zs, compressedConfig(nil)}} {
+		b, err := Build(build.set, domain, build.cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bufs = append(bufs, b.Buf)
 	}
 	var seeds []sectionSeed
-	for _, buf := range [][]byte{b.Buf, goldenFile(tb, "golden_v3.bat")} {
+	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat"), goldenFile(tb, "golden_v3_rawattrs.bat")) {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
@@ -1082,19 +1106,21 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 // retiredSeeds relabels live sections with the section codec ids and the
 // frame mode earlier writers emitted and no reader decodes: every quant-for
 // section as flat quant (id 1), every cell-for section as positions under
-// inline frames (id 3), every per-node-cols section as inline per-node frames
-// (mode 1). Every decoder must refuse them.
+// inline frames (id 3), every per-node-cols section — quant-for or key-for —
+// as inline per-node frames (mode 1). Every decoder must refuse them.
 func retiredSeeds(live []sectionSeed) []sectionSeed {
 	var out []sectionSeed
 	for _, s := range live {
 		switch s.codec {
-		case codecQuantFOR:
-			flat := s
-			flat.codec = codecQuant
-			out = append(out, flat)
-			if s.payload[8] == quantPerNodeCols {
+		case codecQuantFOR, codecKeyFOR:
+			if s.codec == codecQuantFOR {
+				flat := s
+				flat.codec = codecQuant
+				out = append(out, flat)
+			}
+			if m := s.modeAt(); s.payload[m] == modePerNodeCols {
 				s.payload = append([]byte(nil), s.payload...)
-				s.payload[8] = 1
+				s.payload[m] = 1
 				out = append(out, s)
 			}
 		case codecCellFOR:
@@ -1105,8 +1131,8 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 	return out
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the four
-// section decoders (raw, delta, quant-for, cell-for — the last against a
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
+// section decoders (raw, delta, quant-for, key-for, cell-for — the last against a
 // treelet bounds box of [lo, hi] on the section's axis), past the
 // checksums and the file structure FuzzDecode has to get through first, and
 // the payload to the packed node-table decoder as a table of as many nodes as
@@ -1120,8 +1146,13 @@ func FuzzDecodeSections(f *testing.F) {
 	}
 	oneLeaf := []byte{0, 0, 1, 0, 3, 0, 0, 0, 0}
 	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
-	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, quantPerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
 	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1))
+	// Width-64 key-for frames on a base near 2^64: base + span must be refused,
+	// never wrapped, in either mode.
+	for _, p := range keyFOROverflowSeeds() {
+		f.Add(codecKeyFOR, p, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+	}
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lo, hi float32) {
 		nA := int(codec % 8)
 		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, nil); err == nil {
@@ -1157,13 +1188,29 @@ func FuzzDecodeSections(f *testing.F) {
 	})
 }
 
+// keyFOROverflowSeeds are key-for streams of one value whose frame is 64 bits
+// wide on a base 5 below 2^64: one frame, whose offset passes what the base
+// leaves, and a frame column entry, whose base + 2^64 - 1 would wrap.
+func keyFOROverflowSeeds() [][]byte {
+	base := binary.AppendUvarint(nil, math.MaxUint64-5)
+	ones := bytes.Repeat([]byte{0xff}, 8)
+	one := append(append(append([]byte{modeOneFrame}, base...), 64), ones...)
+	// Mode 2: the base column and the width column are runs of one entry
+	// under width-0 frames, then the block.
+	cols := append(append(append([]byte{modePerNodeCols}, base...), 0, 64, 0), ones...)
+	return [][]byte{one, cols}
+}
+
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// cut from a file is accepted by the decoder it was cut from, and all four
-// codecs and both quant-for frame modes occur; every retired seed — codec 1,
-// codec 3, mode 1 — is refused by every decoder.
+// cut from a file is accepted by the decoder it was cut from, all five codecs
+// occur, quant-for and key-for each in both frame modes, and a key-for block
+// of at least 58 bits (the packer's wide lane); every retired seed — codec 1,
+// codec 3, mode 1 — is refused by every decoder, and so are the hand-made
+// key-for frames that would wrap past 2^64.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
+	var widest uint8
 	nodeTables := 0
 	decode := func(s sectionSeed, info *SectionInfo) (err32, err64, errPos error) {
 		nodes, ok := fuzzNodes(s.table, s.nPoints)
@@ -1172,7 +1219,12 @@ func TestSectionSeedsDecode(t *testing.T) {
 		}
 		nb := newNodeBlocks(nodes, int(s.nPoints))
 		_, err32 = decodeAttrSection(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, info)
-		_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+		if err32 != nil && info != nil {
+			*info = SectionInfo{} // a float64 key-for section reports through its own decode
+			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, info)
+		} else {
+			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+		}
 		_, errPos = decodePosSection(s.codec, s.payload, nb, s.bounds(), geom.Axis(s.axis), nil)
 		return
 	}
@@ -1197,15 +1249,33 @@ func TestSectionSeedsDecode(t *testing.T) {
 		if err32, err64, errPos := decode(s, &info); err32 != nil && err64 != nil && errPos != nil {
 			t.Fatalf("seed %d (%s, %d bytes) decodes nowhere: %v / %v / %v", i, CodecName(s.codec), len(s.payload), err32, err64, errPos)
 		}
-		modes[info.Mode] = true
+		if info.Mode != "" {
+			modes[CodecName(s.codec)+" "+info.Mode] = true
+		}
+		for _, w := range info.Widths {
+			if s.codec == codecKeyFOR {
+				widest = max(widest, w)
+			}
+		}
 	}
-	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecCellFOR} {
+	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
 	}
-	if !modes["one-frame"] || !modes["per-node-cols"] {
-		t.Errorf("quant-for frame modes among the seeds: %v, want both", modes)
+	for _, m := range []string{"quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols"} {
+		if !modes[m] {
+			t.Errorf("no %s section among the seeds: %v", m, modes)
+		}
+	}
+	if widest <= laneBits {
+		t.Errorf("the widest key-for block among the seeds is %d bits; the wide lane is not exercised", widest)
+	}
+	oneLeaf, _ := fuzzNodes([]byte{0, 0, 1, 0, 3, 0, 0, 0, 0}, 1)
+	for i, p := range keyFOROverflowSeeds() {
+		if _, err := decodeAttrSection(codecKeyFOR, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("overflow seed %d: error %v, want one containing \"overflows\"", i, err)
+		}
 	}
 	if nodeTables == 0 {
 		t.Error("no packed node table among the seeds")
@@ -1213,15 +1283,15 @@ func TestSectionSeedsDecode(t *testing.T) {
 	retired := map[string]bool{}
 	for _, s := range retiredSeeds(seeds) {
 		kind := fmt.Sprintf("codec %d", s.codec)
-		if s.codec == codecQuantFOR {
-			kind = fmt.Sprintf("mode %d", s.payload[8])
+		if s.codec == codecQuantFOR || s.codec == codecKeyFOR {
+			kind = fmt.Sprintf("%s mode %d", CodecName(s.codec), s.payload[s.modeAt()])
 		}
 		retired[kind] = true
 		if err32, err64, errPos := decode(s, nil); err32 == nil || err64 == nil || errPos == nil {
 			t.Errorf("retired %s seed decodes: %v / %v / %v", kind, err32, err64, errPos)
 		}
 	}
-	if !retired["codec 1"] || !retired["codec 3"] || !retired["mode 1"] {
-		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1", retired)
+	if !retired["codec 1"] || !retired["codec 3"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] {
+		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1 of quant-for and key-for", retired)
 	}
 }

@@ -83,8 +83,9 @@ func TestBuildDeterminism(t *testing.T) {
 				base.MaxLeafSize = 64
 				base.LODPerNode = 4
 				// Every build encodes its position and attribute sections
-				// in the fused treelet workers from per-worker arenas;
-				// Compress adds the lossy quant-for attribute codec.
+				// in the fused treelet workers from per-worker arenas: the
+				// lossless key-for attribute codec, and with Compress the
+				// lossy quant-for one.
 				base.Compress = compress
 				base.AttrErrorBounds = []float64{1e-3, 1e-3}
 
@@ -110,8 +111,8 @@ func TestBuildDeterminism(t *testing.T) {
 					}
 					for _, sec := range lay.Sections {
 						switch sec.Codec {
-						case codecQuantFOR:
-							frameModes[sec.Mode] = true
+						case codecQuantFOR, codecKeyFOR:
+							frameModes[CodecName(sec.Codec)+" "+sec.Mode] = true
 						case codecCellFOR:
 							frameModes["cell-for"] = true
 						}
@@ -133,8 +134,11 @@ func TestBuildDeterminism(t *testing.T) {
 			}
 		})
 	}
-	if !frameModes["one-frame"] || !frameModes["per-node-cols"] || !frameModes["cell-for"] {
-		t.Errorf("frame kinds among the builds: %v, want cell-for positions and both quant-for modes covered", frameModes)
+	for _, want := range []string{"cell-for", "quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols"} {
+		if !frameModes[want] {
+			t.Errorf("frame kinds among the builds: %v, want cell-for positions and both modes of quant-for and key-for covered", frameModes)
+			break
+		}
 	}
 }
 

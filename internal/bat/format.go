@@ -70,10 +70,13 @@
 //	                 keys it packs — and the split planes of the node
 //	                 table. An attribute section holds codecQuantFOR for a
 //	                 lossy attribute — one frame, or the nodes' frames as
-//	                 two packed columns ahead of the blocks —, codecDelta
-//	                 for a lossless one, codecRaw when neither shrinks it.
-//	                 The section's own codec byte, and a quant-for
-//	                 section's mode byte, say which stream it holds
+//	                 two packed columns ahead of the blocks —, and for a
+//	                 lossless one (or a lossy one no grid can hold) the
+//	                 smallest of codecDelta, codecKeyFOR (the values'
+//	                 order-preserving integer keys in the same two frame
+//	                 modes) and codecRaw. The section's own codec byte,
+//	                 and a quant-for or key-for section's mode byte, say
+//	                 which stream it holds
 //	Checksum footer, after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32

@@ -396,9 +396,10 @@ func (f *File) Verify() error {
 // whole-file payload accounting, read from the footer extension.
 type CompressionInfo struct {
 	// Codecs is the declared codec class per attribute (see CodecName):
-	// quant for lossy attributes, delta for lossless ones. Individual
-	// sections may still fall back to raw when encoding would not shrink
-	// them.
+	// quant for lossy attributes, delta for lossless ones. The class says
+	// nothing about what a section stores: a lossless attribute's sections
+	// are delta, key-for or raw, whichever is smallest, and a lossy one's
+	// fall back to key-for or raw where no grid can hold them.
 	Codecs []uint8
 	// Bounds is the absolute error bound per attribute; 0 means lossless.
 	Bounds []float64
@@ -444,7 +445,7 @@ type SectionInfo struct {
 	Codec    uint8
 	RawBytes int
 	EncBytes int
-	// Mode is a quant-for section's frame mode, "one-frame" or
+	// Mode is a quant-for or key-for section's frame mode, "one-frame" or
 	// "per-node-cols"; empty for every other codec.
 	Mode string
 	// FrameBytes is how many of EncBytes hold block frames: the one frame of a
@@ -452,8 +453,8 @@ type SectionInfo struct {
 	// cell-for, whose frames are the k-d cells the node table already stores.
 	FrameBytes int
 	// Widths lists the bit widths of the section's packed blocks in stream
-	// order: one per node range (cell-for, per-node-cols quant-for) or one in
-	// all (one-frame quant-for). Nil for raw and delta sections.
+	// order: one per node range (cell-for, per-node-cols) or one in all
+	// (one-frame). Nil for raw and delta sections.
 	Widths []uint8
 }
 

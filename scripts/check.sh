@@ -174,10 +174,10 @@ assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
-# parser behind their checksums, the v3 section codecs underneath it — raw,
-# delta, quant-for, cell-for and the packed node table, fed payloads, node
-# tables and a bounds box directly, the retired codec ids and frame mode
-# among the seeds —, the metadata file, particle wire encoding) and over
+# parser behind their checksums, the five v3 section codecs underneath it —
+# raw, delta, quant-for, key-for, cell-for — and the packed node table, fed
+# payloads, node tables and a bounds box directly, the retired codec ids and
+# frame mode among the seeds, the metadata file, particle wire encoding) and over
 # batserve's /points query-string parser: seconds, not a soak — enough to
 # catch parser regressions on the corpus + fresh mutations. Every pattern is
 # anchored: -fuzz refuses a pattern that matches two targets, so a second
