@@ -67,8 +67,7 @@ func run(args []string, out io.Writer) error {
 		statsOut  = fs.String("stats", "", "write telemetry counters/histograms/spans as JSON to this file")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON timeline to this file (open in Perfetto)")
 		buildWkrs = fs.Int("build-workers", 0, "BAT build worker goroutines per aggregator (0 = GOMAXPROCS)")
-		compress  = fs.Bool("compress", false, "apply -error-bound and -lod-error-scale and declare them in the metadata (without it every attribute is stored lossless)")
-		errBound  = fs.String("error-bound", "0", "absolute error bound for -compress: one value for every attribute, or a comma-separated per-attribute list (0 = lossless)")
+		errBound  = fs.String("error-bound", "0", "absolute error bound: one value for every attribute, or a comma-separated per-attribute list (0 = lossless; any bound > 0 makes the write lossy)")
 		lodScale  = fs.Float64("lod-error-scale", 1, "multiply the error bound for values referenced by LOD samples (>= 1)")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage text, as before
@@ -95,24 +94,29 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-build-workers must be >= 0, got %d", *buildWkrs)
 	}
 	cfg.BAT.Workers = *buildWkrs
-	if *compress {
-		cfg.BAT.Compress = true
-		cfg.BAT.LODErrorScale = *lodScale
-		bounds, err := cliutil.ParseBounds(*errBound)
-		if err != nil {
-			return err
+	bounds, err := cliutil.ParseBounds(*errBound)
+	if err != nil {
+		return err
+	}
+	nA := w.Schema().NumAttrs()
+	if len(bounds) == 1 {
+		one := bounds[0]
+		bounds = make([]float64, nA)
+		for a := range bounds {
+			bounds[a] = one
 		}
-		nA := w.Schema().NumAttrs()
-		if len(bounds) == 1 {
-			one := bounds[0]
-			bounds = make([]float64, nA)
-			for a := range bounds {
-				bounds[a] = one
-			}
-		} else if len(bounds) != nA {
-			return fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", len(bounds), nA)
+	} else if len(bounds) != nA {
+		return fmt.Errorf("-error-bound lists %d bounds, workload has %d attributes", len(bounds), nA)
+	}
+	// A write is lossy exactly when some bound is > 0; an all-zero list
+	// writes what no -error-bound writes.
+	for _, b := range bounds {
+		if b > 0 {
+			cfg.BAT.Compress = true
+			cfg.BAT.AttrErrorBounds = bounds
+			cfg.BAT.LODErrorScale = *lodScale
+			break
 		}
-		cfg.BAT.AttrErrorBounds = bounds
 	}
 	name := *base
 	if name == "" {

@@ -37,13 +37,19 @@ func TestGoldenDatasets(t *testing.T) {
 		},
 		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
-				"-compress", "-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
+				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
 			5, "e24ea471f744f8729bfaa9099d8b3402b4bd77bd9255eb25c6f5b09afa0cc2f4",
 		},
 		{ // one -error-bound for every attribute (digest recorded at commit 970c8b6)
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
-				"-compress", "-error-bound", "1e-3", "-lod-error-scale", "4"},
+				"-error-bound", "1e-3", "-lod-error-scale", "4"},
 			5, "6bb92fb2e0107690ed7a5b5bd89d4847d07e586816354d75b3f3b84772876fd1",
+		},
+		{ // a bound > 0 alone makes the write lossy: the digest of the same
+			// bound under the retired -compress flag (recorded at commit 0e89b22)
+			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
+				"-error-bound", "1e-3"},
+			5, "a12b9ba7af774c6a4051c83750610f10daf996b7b28c9735a525ef1e52dd340d",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

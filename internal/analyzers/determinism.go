@@ -8,10 +8,10 @@ import (
 	"libbat/internal/analyzers/analysis"
 )
 
-// determinismPkgs is the byte-identity domain: the BAT build pipeline and
-// the radix sort underneath it, whose output TestBuildDeterminism requires
-// to be identical for any worker count.
-var determinismPkgs = []string{"bat", "radix"}
+// determinismPkgs is the byte-identity domain: the BAT build pipeline, the
+// radix sort underneath it and the parallel loops that schedule both, whose
+// output TestBuildDeterminism requires to be identical for any worker count.
+var determinismPkgs = []string{"bat", "radix", "par"}
 
 // Determinism protects that property at the source level: inside the build
 // pipeline it forbids wall-clock reads (time.Now, time.Since), the
@@ -49,7 +49,7 @@ func runDeterminism(pass *analysis.Pass) error {
 				fn := calleeFunc(pass.TypesInfo, n)
 				if fn != nil && pkgPathOf(fn) == "time" && (fn.Name() == "Now" || fn.Name() == "Since") {
 					pass.Reportf(n.Pos(),
-						"time.%s in the deterministic build pipeline: route timing through the obs collector outside bat/radix", fn.Name())
+						"time.%s in the deterministic build pipeline: route timing through the obs collector outside bat/radix/par", fn.Name())
 				}
 			case *ast.RangeStmt:
 				checkMapRange(pass, f, n)

@@ -24,7 +24,7 @@ func TestUintCast(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analyzers.Determinism,
-		"determinism/bat", "determinism/radix", "determinism/other")
+		"determinism/bat", "determinism/radix", "determinism/par", "determinism/other")
 }
 
 func TestFabricErr(t *testing.T) {

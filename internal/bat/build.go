@@ -17,9 +17,10 @@
 //
 // The build runs as a parallel pipeline (chunked Morton encoding, a stable
 // parallel radix sort, fused treelet+bitmap workers over per-worker scratch
-// arenas, and a parallel payload compaction); every stage is deterministic,
-// so the output bytes are identical for any worker count, including the
-// fully serial build of BuildConfig.Workers=1.
+// arenas, and a parallel payload compaction), every stage through one of
+// internal/par's two loops; every stage is deterministic, so the output
+// bytes are identical for any worker count, including the fully serial
+// build of BuildConfig.Workers=1.
 package bat
 
 import (
@@ -28,14 +29,13 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/morton"
 	"libbat/internal/obs"
+	"libbat/internal/par"
 	"libbat/internal/particles"
 	"libbat/internal/radix"
 )
@@ -55,11 +55,12 @@ type BuildConfig struct {
 	// MaxLeafSize is the maximum number of particles in a treelet leaf
 	// (paper evaluation: 128).
 	MaxLeafSize int
-	// Workers caps the build's worker pool (Morton encoding, the radix
-	// sort, treelet construction, payload compaction). 0 means
-	// runtime.GOMAXPROCS(0); values below 0 are rejected. With 1 the
-	// whole build runs serially on the calling goroutine (the in-transit
-	// friendly mode); the output bytes are identical for every count.
+	// Workers caps the build's worker pool (attribute ranges, Morton
+	// encoding, the radix sort, the shallow tree, treelet construction,
+	// payload compaction). 0 means runtime.GOMAXPROCS(0); values below 0
+	// are rejected. With 1 the whole build runs serially on the calling
+	// goroutine (the in-transit friendly mode); the output bytes are
+	// identical for every count.
 	Workers int
 	// Compress applies AttrErrorBounds and LODErrorScale: without it every
 	// attribute is stored lossless whatever the bounds say, and the
@@ -260,7 +261,7 @@ type group struct {
 // aggregation-tree leaf bounds); it must contain all particles.
 //
 // The build is deterministic: for a given set, domain, and layout options
-// the returned bytes are identical regardless of Parallel and Workers.
+// the returned bytes are identical for every Workers value.
 func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -316,7 +317,7 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	spSort.End()
 
 	spShallow := col.Start(cfg.ObsRank, "bat_build_shallow")
-	shallow := radix.Build(leafCodes)
+	shallow := radix.Build(leafCodes, workers)
 	spShallow.End()
 
 	// Steps 3+4 fused: each worker builds a treelet and computes its
@@ -366,34 +367,23 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	return built, nil
 }
 
-// attrRanges scans each attribute's value range, one attribute per task.
+// attrRanges scans each attribute's value range, the attributes split
+// across the workers.
 func attrRanges(set *particles.Set, workers int) []bitmap.Range {
 	ranges := make([]bitmap.Range, set.Schema.NumAttrs())
-	if workers <= 1 || len(ranges) <= 1 {
-		for a := range ranges {
+	par.Range(len(ranges), workers, func(_, lo, hi int) {
+		for a := lo; a < hi; a++ {
 			ranges[a] = set.AttrRange(a)
 		}
-		return ranges
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for a := range ranges {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(a int) {
-			defer wg.Done()
-			ranges[a] = set.AttrRange(a)
-			<-sem
-		}(a)
-	}
-	wg.Wait()
+	})
 	return ranges
 }
 
 // buildTreelets runs the fused treelet+bitmap stage: one task per shallow
 // leaf, scheduled largest-group-first across the worker pool so a huge
-// treelet picked up last cannot become a straggler tail. Results land in
-// input order, so the scheduling order never reaches the output.
+// treelet picked up last cannot become a straggler tail. Each worker reuses
+// one scratch arena. Results land in input order, so the scheduling order
+// never reaches the output.
 func buildTreelets(set *particles.Set, order []int, groups []group,
 	cfg BuildConfig, ranges []bitmap.Range, workers int) ([]*treelet, error) {
 
@@ -401,7 +391,10 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 	errs := make([]error, len(groups))
 	bounds := cfg.AttrBounds(set.Schema.NumAttrs())
 	lodScale := cfg.EffectiveLODScale()
-	task := func(gi int, a *buildArena) {
+	arenas := make([]buildArena, min(workers, len(groups)))
+	sched := largestFirst(len(groups), func(gi int) int { return groups[gi].to - groups[gi].from })
+	par.Each(sched, workers, func(w, gi int) {
+		a := &arenas[w]
 		g := groups[gi]
 		t := buildTreelet(set, order[g.from:g.to], cfg, a)
 		t.prefix = g.code
@@ -409,47 +402,25 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		encodeTreeletAttrs(set, t, bounds, lodScale, a)
 		errs[gi] = encodeTreeletPositions(set, t, a)
 		treelets[gi] = t
-	}
-	if workers <= 1 || len(groups) <= 1 {
-		var a buildArena
-		for gi := range groups {
-			task(gi, &a)
-		}
-		return treelets, errors.Join(errs...)
-	}
-	sched := make([]int, len(groups))
+	})
+	return treelets, errors.Join(errs...)
+}
+
+// largestFirst returns the indices 0..n-1 by descending size, ties by
+// index: the schedule of a stage whose tasks vary widely in cost, so the
+// biggest one cannot start last and stretch the stage.
+func largestFirst(n int, size func(i int) int) []int {
+	sched := make([]int, n)
 	for i := range sched {
 		sched[i] = i
 	}
 	sort.Slice(sched, func(a, b int) bool {
-		sa := groups[sched[a]].to - groups[sched[a]].from
-		sb := groups[sched[b]].to - groups[sched[b]].from
-		if sa != sb {
+		if sa, sb := size(sched[a]), size(sched[b]); sa != sb {
 			return sa > sb
 		}
 		return sched[a] < sched[b]
 	})
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var a buildArena
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sched) {
-					return
-				}
-				task(sched[i], &a)
-			}
-		}()
-	}
-	wg.Wait()
-	return treelets, errors.Join(errs...)
+	return sched
 }
 
 // buildTreelet constructs a median-split k-d treelet over the particles in

@@ -102,14 +102,12 @@ package bat
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
+	"libbat/internal/par"
 	"libbat/internal/particles"
 )
 
@@ -280,7 +278,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	// buf[offsets[ti]:offsets[ti]+sizes[ti]].
 	crcs := make([]uint32, len(treelets))
 	fillErrs := make([]error, len(treelets))
-	fillTreelet := func(ti int) {
+	fillTreelet := func(_, ti int) {
 		t := treelets[ti]
 		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
 		w := binfmt.Writer{Buf: buf[sectionStart : sectionStart : sectionStart+int(sizes[ti])]}
@@ -335,44 +333,8 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		}
 		crcs[ti] = checksum.CRC32C(buf[offsets[ti] : offsets[ti]+uint64(sizes[ti])])
 	}
-	if workers <= 1 || len(treelets) <= 1 {
-		for ti := range treelets {
-			fillTreelet(ti)
-		}
-	} else {
-		// Largest section first, so one big payload copy scheduled late
-		// cannot stretch the stage.
-		sched := make([]int, len(treelets))
-		for i := range sched {
-			sched[i] = i
-		}
-		sort.Slice(sched, func(a, b int) bool {
-			if sizes[sched[a]] != sizes[sched[b]] {
-				return sizes[sched[a]] > sizes[sched[b]]
-			}
-			return sched[a] < sched[b]
-		})
-		nw := workers
-		if nw > len(treelets) {
-			nw = len(treelets)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < nw; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(sched) {
-						return
-					}
-					fillTreelet(sched[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	sched := largestFirst(len(treelets), func(ti int) int { return int(sizes[ti]) })
+	par.Each(sched, workers, fillTreelet)
 	for _, err := range fillErrs {
 		if err != nil {
 			return nil, err

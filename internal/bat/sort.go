@@ -7,17 +7,12 @@
 package bat
 
 import (
-	"sync"
-
 	"libbat/internal/geom"
 	"libbat/internal/morton"
+	"libbat/internal/par"
 	"libbat/internal/particles"
 	"libbat/internal/radix"
 )
-
-// encodeSerialCutoff is the particle count below which forking goroutines
-// for the encode costs more than the encode itself.
-const encodeSerialCutoff = 1 << 14
 
 // sortByMorton returns the particles' Morton codes in sorted order together
 // with the matching particle order: sortedCodes[i] is the code of particle
@@ -29,26 +24,12 @@ func sortByMorton(set *particles.Set, domain geom.Box, workers int) (sortedCodes
 	for i := range order {
 		order[i] = i
 	}
-
-	if workers <= 1 || n < encodeSerialCutoff {
-		morton.FromPoints(codes, set.X, set.Y, set.Z, domain)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				morton.FromPoints(codes[lo:hi], set.X[lo:hi], set.Y[lo:hi], set.Z[lo:hi], domain)
-			}(lo, hi)
-		}
-		wg.Wait()
+	if n < radix.SerialCutoff {
+		workers = 1
 	}
-
+	par.Range(n, workers, func(_, lo, hi int) {
+		morton.FromPoints(codes[lo:hi], set.X[lo:hi], set.Y[lo:hi], set.Z[lo:hi], domain)
+	})
 	radix.SortPairs(codes, order, workers)
 	return codes, order
 }

@@ -11,10 +11,9 @@ package radix
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"libbat/internal/morton"
+	"libbat/internal/par"
 )
 
 // Node is an internal radix tree node. Child references >= 0 index internal
@@ -56,45 +55,25 @@ func delta(codes []morton.Code, i, j int) int {
 }
 
 // Build constructs the radix tree over codes, which must be sorted
-// ascending and unique. The construction runs one task per internal node,
-// parallelized across CPUs for large inputs.
-func Build(codes []morton.Code) *Tree {
+// ascending and unique. Every internal node is one independent task; up to
+// workers goroutines build them, and workers <= 1, like a tree of fewer than
+// 4096 internal nodes, builds them all on the calling goroutine. The tree is
+// the same for every worker count.
+func Build(codes []morton.Code, workers int) *Tree {
 	t := &Tree{Codes: codes}
 	n := len(codes)
 	if n < 2 {
 		return t
 	}
 	t.Nodes = make([]Node, n-1)
-
-	buildRange := func(lo, hi int) {
+	if n-1 < 4096 {
+		workers = 1
+	}
+	par.Range(n-1, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t.buildNode(i)
 		}
-	}
-	const parallelThreshold = 4096
-	if n-1 < parallelThreshold {
-		buildRange(0, n-1)
-		return t
-	}
-	workers := runtime.GOMAXPROCS(0)
-	chunk := (n - 1 + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n-1 {
-			hi = n - 1
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			buildRange(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return t
 }
 

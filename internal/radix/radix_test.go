@@ -2,6 +2,7 @@ package radix
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -74,20 +75,20 @@ func validate(t *testing.T, tr *Tree) {
 }
 
 func TestBuildTiny(t *testing.T) {
-	if tr := Build(nil); tr.NumLeaves() != 0 || len(tr.Nodes) != 0 {
+	if tr := Build(nil, 1); tr.NumLeaves() != 0 || len(tr.Nodes) != 0 {
 		t.Error("empty build wrong")
 	}
-	if tr := Build([]morton.Code{5}); tr.NumLeaves() != 1 || len(tr.Nodes) != 0 {
+	if tr := Build([]morton.Code{5}, 1); tr.NumLeaves() != 1 || len(tr.Nodes) != 0 {
 		t.Error("single leaf build wrong")
 	}
-	tr := Build([]morton.Code{2, 9})
+	tr := Build([]morton.Code{2, 9}, 1)
 	validate(t, tr)
 }
 
 func TestBuildSmallKnown(t *testing.T) {
 	// The example-style input: codes with clear prefix structure.
 	codes := []morton.Code{0b00001, 0b00010, 0b00100, 0b00101, 0b10011, 0b11000, 0b11001, 0b11110}
-	tr := Build(codes)
+	tr := Build(codes, 1)
 	validate(t, tr)
 	// Root splits between 0b00101 (index 3) and 0b10011 (index 4): the
 	// top differing bit.
@@ -109,7 +110,7 @@ func TestBuildRandomized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + int(sizeRaw)%300
 		codes := uniqueSortedCodes(r, n, 1<<20)
-		tr := Build(codes)
+		tr := Build(codes, 1)
 		// Inline validation (return false instead of Fatal).
 		ok := true
 		var rec func(ref int32) (int, int)
@@ -140,22 +141,29 @@ func TestBuildDense(t *testing.T) {
 	for i := range codes {
 		codes[i] = morton.Code(i)
 	}
-	tr := Build(codes)
+	tr := Build(codes, 1)
 	validate(t, tr)
 }
 
 func TestBuildParallelLarge(t *testing.T) {
-	// Above the parallel threshold; validates the concurrent path.
+	// Above the parallel threshold: the concurrent build is a valid tree,
+	// node for node the one the calling goroutine builds alone.
 	r := rand.New(rand.NewSource(11))
 	codes := uniqueSortedCodes(r, 10000, 1<<40)
-	tr := Build(codes)
+	tr := Build(codes, 8)
 	validate(t, tr)
+	serial := Build(codes, 1)
+	for i := range serial.Nodes {
+		if tr.Nodes[i] != serial.Nodes[i] {
+			t.Fatalf("node %d: %+v with 8 workers, %+v with 1", i, tr.Nodes[i], serial.Nodes[i])
+		}
+	}
 }
 
 func TestSharedPrefix(t *testing.T) {
 	// 4-bit codes: 0b0000, 0b0011, 0b1100, 0b1111.
 	codes := []morton.Code{0b0000, 0b0011, 0b1100, 0b1111}
-	tr := Build(codes)
+	tr := Build(codes, 1)
 	validate(t, tr)
 	// Root shares no bits.
 	if _, l := tr.SharedPrefix(0, 4); l != 0 {
@@ -183,7 +191,7 @@ func TestSharedPrefixConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const codeBits = 24
 	codes := uniqueSortedCodes(r, 500, 1<<codeBits)
-	tr := Build(codes)
+	tr := Build(codes, 1)
 	for i := range tr.Nodes {
 		p, l := tr.SharedPrefix(i, codeBits)
 		for j := tr.Nodes[i].First; j <= tr.Nodes[i].Last; j++ {
@@ -199,6 +207,6 @@ func BenchmarkBuild64k(b *testing.B) {
 	codes := uniqueSortedCodes(r, 65536, 1<<45)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(codes)
+		Build(codes, runtime.GOMAXPROCS(0))
 	}
 }

@@ -10,24 +10,28 @@ package radix
 
 import (
 	"runtime"
-	"sync"
+
+	"libbat/internal/par"
 )
 
 const (
 	sortDigitBits = 8
 	sortBuckets   = 1 << sortDigitBits
 	sortPasses    = 64 / sortDigitBits
-	// sortSerialCutoff is the input size below which the per-pass goroutine
-	// fan-out costs more than it saves.
-	sortSerialCutoff = 1 << 14
 )
+
+// SerialCutoff is the key count below which a pass over the keys runs on
+// one worker: forking costs more than it saves. SortPairs applies it, and so
+// does the BAT build's Morton encoding ahead of the sort.
+const SerialCutoff = 1 << 14
 
 // SortPairs stably sorts keys ascending, permuting vals alongside, using an
 // LSD radix sort on 8-bit digits. Digit positions on which every key agrees
 // are skipped (Morton codes share their high bytes whenever the domain is
 // much larger than the data extent), so the typical build pays for five or
-// six passes, not eight. workers <= 1 runs serially; the sorted result is
-// identical either way. The key type is any uint64-shaped integer so
+// six passes, not eight. workers < 1 means runtime.GOMAXPROCS(0), and 1
+// runs every pass on the calling goroutine; the sorted result is identical
+// for every count. The key type is any uint64-shaped integer so
 // morton.Code sorts without a copy.
 func SortPairs[K ~uint64](keys []K, vals []int, workers int) {
 	n := len(keys)
@@ -37,7 +41,7 @@ func SortPairs[K ~uint64](keys []K, vals []int, workers int) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if n < sortSerialCutoff {
+	if n < SerialCutoff {
 		workers = 1
 	}
 	if workers > n {
@@ -68,32 +72,17 @@ func SortPairs[K ~uint64](keys []K, vals []int, workers int) {
 }
 
 // countAll fills hist with the digit histogram of every pass in one sweep
-// over keys, fanned out across workers.
+// over keys, one partial histogram per worker chunk.
 func countAll[K ~uint64](keys []K, workers int, hist *[sortPasses][sortBuckets]int64) {
-	if workers <= 1 {
-		for _, k := range keys {
+	part := make([][sortPasses][sortBuckets]int64, workers)
+	par.Range(len(keys), workers, func(w, lo, hi int) {
+		h := &part[w]
+		for _, k := range keys[lo:hi] {
 			for p := 0; p < sortPasses; p++ {
-				hist[p][(uint64(k)>>(uint(p)*sortDigitBits))&(sortBuckets-1)]++
+				h[p][(uint64(k)>>(uint(p)*sortDigitBits))&(sortBuckets-1)]++
 			}
 		}
-		return
-	}
-	part := make([][sortPasses][sortBuckets]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkRange(len(keys), workers, w)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := &part[w]
-			for _, k := range keys[lo:hi] {
-				for p := 0; p < sortPasses; p++ {
-					h[p][(uint64(k)>>(uint(p)*sortDigitBits))&(sortBuckets-1)]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	for w := range part {
 		for p := 0; p < sortPasses; p++ {
 			for b := 0; b < sortBuckets; b++ {
@@ -121,39 +110,13 @@ func isSingleBucket(h *[sortBuckets]int64, n int64) bool {
 // workers scatter concurrently. Chunk-major offsets within a digit keep the
 // pass stable, so the output does not depend on the worker count.
 func scatterPass[K ~uint64](src []K, srcV []int, dst []K, dstV []int, shift uint, workers int) {
-	n := len(src)
-	if workers <= 1 {
-		var count [sortBuckets]int
-		for _, k := range src {
-			count[(uint64(k)>>shift)&(sortBuckets-1)]++
-		}
-		sum := 0
-		for b := 0; b < sortBuckets; b++ {
-			count[b], sum = sum, sum+count[b]
-		}
-		for i, k := range src {
-			d := (k >> shift) & (sortBuckets - 1)
-			dst[count[d]] = k
-			dstV[count[d]] = srcV[i]
-			count[d]++
-		}
-		return
-	}
-
 	counts := make([][sortBuckets]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkRange(n, workers, w)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := &counts[w]
-			for _, k := range src[lo:hi] {
-				c[(uint64(k)>>shift)&(sortBuckets-1)]++
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	par.Range(len(src), workers, func(w, lo, hi int) {
+		c := &counts[w]
+		for _, k := range src[lo:hi] {
+			c[(uint64(k)>>shift)&(sortBuckets-1)]++
+		}
+	})
 
 	// Digit-major, then chunk-major: worker w's run of digit d starts after
 	// every earlier digit and after digit-d runs of earlier workers.
@@ -164,35 +127,20 @@ func scatterPass[K ~uint64](src []K, srcV []int, dst []K, dstV []int, shift uint
 		}
 	}
 
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkRange(n, workers, w)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := &counts[w]
-			for i := lo; i < hi; i++ {
-				k := src[i]
-				d := (k >> shift) & (sortBuckets - 1)
-				dst[c[d]] = k
-				dstV[c[d]] = srcV[i]
-				c[d]++
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	par.Range(len(src), workers, func(w, lo, hi int) {
+		scatter(src[lo:hi], srcV[lo:hi], dst, dstV, shift, counts[w])
+	})
 }
 
-// chunkRange splits [0, n) into workers near-equal chunks and returns the
-// w-th one. The split depends only on n and workers, never on scheduling.
-func chunkRange(n, workers, w int) (lo, hi int) {
-	chunk := (n + workers - 1) / workers
-	lo = w * chunk
-	hi = lo + chunk
-	if lo > n {
-		lo = n
+// scatter moves each key of src, with its value, to the next free slot of
+// its digit's region, starting from the offsets next. next is a copy: the
+// loop runs faster over a local array than through a pointer the closure
+// holds.
+func scatter[K ~uint64](src []K, srcV []int, dst []K, dstV []int, shift uint, next [sortBuckets]int) {
+	for i, k := range src {
+		d := (k >> shift) & (sortBuckets - 1)
+		dst[next[d]] = k
+		dstV[next[d]] = srcV[i]
+		next[d]++
 	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }

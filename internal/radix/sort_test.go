@@ -46,7 +46,7 @@ func genKeys(r *rand.Rand, n int, shape string) []uint64 {
 func TestSortPairsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	shapes := []string{"uniform63", "dup-heavy", "low-bits", "sorted", "reversed"}
-	sizes := []int{0, 1, 2, 3, 100, 1000, sortSerialCutoff + 500}
+	sizes := []int{0, 1, 2, 3, 100, 1000, SerialCutoff + 500}
 	for _, shape := range shapes {
 		for _, n := range sizes {
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -73,7 +73,7 @@ func TestSortPairsMatchesReference(t *testing.T) {
 
 func TestSortPairsWorkerCountInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	n := sortSerialCutoff * 2
+	n := SerialCutoff * 2
 	keys := genKeys(r, n, "uniform63")
 	vals := make([]int, n)
 	for i := range vals {
@@ -92,29 +92,6 @@ func TestSortPairsWorkerCountInvariant(t *testing.T) {
 		for i := range k {
 			if k[i] != refK[i] || v[i] != refV[i] {
 				t.Fatalf("workers=%d diverges at %d", workers, i)
-			}
-		}
-	}
-}
-
-func TestChunkRangeCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 17, 100} {
-		for workers := 1; workers <= 8; workers++ {
-			covered := 0
-			prevHi := 0
-			for w := 0; w < workers; w++ {
-				lo, hi := chunkRange(n, workers, w)
-				if lo < prevHi {
-					t.Fatalf("n=%d w=%d/%d: overlap lo=%d prevHi=%d", n, w, workers, lo, prevHi)
-				}
-				if lo != prevHi && lo < n {
-					t.Fatalf("n=%d w=%d/%d: gap before %d", n, w, workers, lo)
-				}
-				covered += hi - lo
-				prevHi = hi
-			}
-			if covered != n {
-				t.Fatalf("n=%d workers=%d: covered %d", n, workers, covered)
 			}
 		}
 	}
