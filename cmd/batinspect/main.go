@@ -9,8 +9,9 @@
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
 // attribute sections (and how many of the attribute bytes are block frames
-// stored inside them), node tables, page padding (only a version-2 file,
-// which no writer produces any more, has any), headers and footers.
+// stored inside them), node tables, headers and footers. Every leaf file is a
+// version-3 BAT file, the one layout the reader accepts; a file of any other
+// version is refused at open ("unsupported version 2").
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -112,7 +113,8 @@ func main() {
 
 // verifyDataset checks every checksum in the dataset: the metadata trailer
 // first (nothing else can be trusted without it), then each leaf file's
-// header CRC, per-treelet CRCs, and particle count against the metadata.
+// header CRC and per-treelet CRCs (opening a leaf already checked its
+// particle count against the metadata).
 // It prints one line per file and reports whether everything passed.
 func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 	ctx := context.Background()
@@ -136,14 +138,9 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 		}
 		if err := f.Verify(); err != nil {
 			bad(lm.FileName, err)
-		} else if int64(f.NumParticles) != lm.Count {
-			bad(lm.FileName, fmt.Errorf("holds %d particles, metadata says %d", f.NumParticles, lm.Count))
-		} else if ci := f.Compression(); ci != nil {
-			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v3 ratio %.2fx\n",
-				lm.FileName, f.NumTreelets(), f.NumParticles, ci.Ratio())
 		} else {
-			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles\n",
-				lm.FileName, f.NumTreelets(), f.NumParticles)
+			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v3 ratio %.2fx\n",
+				lm.FileName, f.NumTreelets(), f.NumParticles, f.Compression().Ratio())
 		}
 		// One leaf open at a time: Close releases it and ds stays usable.
 		if cerr := ds.Close(); cerr != nil {
@@ -194,23 +191,16 @@ func inspectLeaf(w io.Writer, ds *core.Dataset, li int) error {
 	fmt.Fprintf(w, "  build config: subprefix=%d bits, %d LOD/node, <=%d particles/leaf\n",
 		f.SubprefixBits, f.LODPerNode, f.MaxLeafSize)
 	fmt.Fprintf(w, "  domain: %v\n", f.Domain)
+	// A packed file is smaller than its payload: "overhead" would be
+	// negative and say nothing about the layout.
 	raw := int64(f.NumParticles) * int64(f.Schema.BytesPerParticle())
-	if f.Compression() != nil {
-		// A compressed file is smaller than its payload: "overhead" would be
-		// negative and say nothing about the layout.
-		fmt.Fprintf(w, "  raw payload: %d bytes, stored / raw: %.4f\n", raw, float64(f.Size())/float64(raw))
-	} else {
-		fmt.Fprintf(w, "  raw payload: %d bytes, layout overhead: %.2f%%\n",
-			raw, 100*float64(f.Size()-raw)/float64(raw))
-	}
+	fmt.Fprintf(w, "  raw payload: %d bytes, stored / raw: %.4f\n", raw, float64(f.Size())/float64(raw))
 	fmt.Fprintf(w, "  local attribute ranges:\n")
 	for a, d := range f.Schema.Attrs {
 		fmt.Fprintf(w, "    %-12s [%g, %g]\n", d.Name, f.Ranges[a].Min, f.Ranges[a].Max)
 	}
-	if ci := f.Compression(); ci != nil {
-		if err := printCompression(w, f, ci); err != nil {
-			return err
-		}
+	if err := printCompression(w, f); err != nil {
+		return err
 	}
 	return ds.Close()
 }
@@ -226,12 +216,13 @@ func bitsRange(widths []uint8) string {
 	return fmt.Sprintf("%d/%d/%d", widths[0], widths[n/2], widths[n-1])
 }
 
-// printCompression reports a v3 file's codec layer: the declared per-
+// printCompression reports a file's codec layer: the declared per-
 // attribute configuration, each position and attribute column's section-level
 // codec usage, frame modes, block bit widths and byte totals (aggregated over
 // every treelet), the whole-file attribute ratio, and how the treelets' node
 // tables are stored (packed columns, with their bytes).
-func printCompression(w io.Writer, f *bat.File, ci *bat.CompressionInfo) error {
+func printCompression(w io.Writer, f *bat.File) error {
+	ci := f.Compression()
 	fmt.Fprintf(w, "  compression (v3): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
 		name     string
@@ -334,7 +325,6 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		sum.NodeTables += sb.NodeTables
 		sum.Positions += sb.Positions
 		sum.Attributes += sb.Attributes
-		sum.Padding += sb.Padding
 		sum.Footer += sb.Footer
 		sum.AttributeFrames += sb.AttributeFrames
 		// One leaf open at a time: Close releases it and ds stays usable.
@@ -363,7 +353,6 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		{"positions", sum.Positions, -1},
 		{"attributes", sum.Attributes, sum.AttributeFrames},
 		{"node tables", sum.NodeTables, -1},
-		{"page padding", sum.Padding, -1},
 		{"headers + footers", sum.Header + sum.Footer, -1},
 		{core.MetaFileName(name), metaBytes, -1},
 	} {

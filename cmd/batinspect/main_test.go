@@ -225,12 +225,10 @@ func TestInspectLosslessLeaf(t *testing.T) {
 	}
 }
 
-// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage, the
-// treelets of a written dataset are unpadded, and the "of which block frames"
-// line is a share of the attribute row above it: the frames of the key-for
-// sections in a lossless dataset, of the quant-for sections in a lossy one. (The page
-// padding of a version-2 file, which no writer produces any more, is
-// internal/bat's TestTreeletPageAlignment.)
+// TestStoredBytesAddUp: the parts -bytes prints are every byte on storage,
+// each of them non-empty, and the "of which block frames" line is a share of
+// the attribute row above it: the frames of the key-for sections in a
+// lossless dataset, of the quant-for sections in a lossy one.
 func TestStoredBytesAddUp(t *testing.T) {
 	for name, store := range map[string]pfs.Storage{"lossless": writeDataset(t), "lossy": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -257,19 +255,18 @@ func TestStoredBytesAddUp(t *testing.T) {
 		if len(frames) != 1 || frames[0] <= 0 || frames[0] >= parts[1] {
 			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())
 		}
-		if len(parts) != 7 {
-			t.Fatalf("%s: %d rows, want six parts and a total:\n%s", name, len(parts), out.String())
+		if len(parts) != 6 {
+			t.Fatalf("%s: %d rows, want five parts and a total:\n%s", name, len(parts), out.String())
 		}
 		sum := int64(0)
-		for i, n := range parts[:6] {
-			const paddingRow = 3
-			if (n > 0) != (i != paddingRow) || n < 0 {
+		for _, n := range parts[:5] {
+			if n <= 0 {
 				t.Errorf("%s: a part of %d bytes:\n%s", name, n, out.String())
 			}
 			sum += n
 		}
-		if sum != parts[6] || sum != onStorage {
-			t.Errorf("%s: parts add up to %d, total row %d, files on storage %d:\n%s", name, sum, parts[6], onStorage, out.String())
+		if sum != parts[5] || sum != onStorage {
+			t.Errorf("%s: parts add up to %d, total row %d, files on storage %d:\n%s", name, sum, parts[5], onStorage, out.String())
 		}
 	}
 }

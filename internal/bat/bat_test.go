@@ -337,47 +337,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestTreeletPageAlignment reads the frozen version-2 image: its treelets sit
-// on 4 KB page boundaries (§III-C3) behind page padding, which StoredBytes
-// counts, and it reads back to the set it was built from.
-func TestTreeletPageAlignment(t *testing.T) {
-	const pageSize = 4096
-	f, err := FromBuffer(v2Sample(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Version != 2 || f.NumTreelets() < 2 {
-		t.Fatalf("version %d with %d treelets, want a multi-treelet version-2 file", f.Version, f.NumTreelets())
-	}
-	for i, l := range f.leaves {
-		if l.offset%pageSize != 0 {
-			t.Errorf("treelet %d at offset %d not page aligned", i, l.offset)
-		}
-	}
-	sb, err := f.StoredBytes(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.Padding <= 0 {
-		t.Errorf("%d bytes of page padding, want some", sb.Padding)
-	}
-	rows := func(s *particles.Set) map[[4]uint64]int {
-		m := make(map[[4]uint64]int, s.Len())
-		for i := 0; i < s.Len(); i++ {
-			m[[4]uint64{uint64(math.Float32bits(s.X[i])), uint64(math.Float32bits(s.Y[i])), uint64(math.Float32bits(s.Z[i])), math.Float64bits(s.Attrs[0][i])}]++
-		}
-		return m
-	}
-	got, err := f.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := clusteredSet(20000, 14)
-	if !reflect.DeepEqual(rows(got), rows(want)) {
-		t.Fatalf("read %d particles that differ from the %d it was built from", got.Len(), want.Len())
-	}
-}
-
 func TestStorageOverheadSmall(t *testing.T) {
 	// Paper §VI-B: ~0.9% overhead. With a realistic schema (7 doubles) ours
 	// is below that: the packed positions and node tables take fewer bytes

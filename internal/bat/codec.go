@@ -18,8 +18,8 @@
 // of the same blocks, one per column (see "node table" below). The codecs a
 // reader decodes:
 //
-//	codecRaw      (0): the version-2 byte layout (f64 or f32 per the schema
-//	                  type). Always valid; the fallback when no other codec
+//	codecRaw      (0): the column's values as they are (f64 or f32 per the
+//	                  schema type). Always valid; the fallback when no other codec
 //	                  shrinks the column.
 //	codecDelta    (2): lossless delta + zigzag + varint for integral-valued
 //	                  columns (particle IDs, type tags). Chosen only when

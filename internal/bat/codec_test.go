@@ -80,9 +80,6 @@ func TestCompressedMaxErrorProperty(t *testing.T) {
 			bounds[0] = 0 // exercise lossless fallback on a float field too
 		}
 		f, _ := buildAndOpen(t, s, domain, compressedConfig(bounds))
-		if f.Version != 3 {
-			t.Fatalf("compressed build wrote version %d, want 3", f.Version)
-		}
 		got, err := f.ReadAll()
 		if err != nil {
 			t.Fatal(err)
@@ -117,15 +114,12 @@ func TestCompressedMaxErrorProperty(t *testing.T) {
 }
 
 // TestCompressedLosslessBitExact pins the all-bounds-zero configuration:
-// the file is version 3 (framed sections) but every value round-trips
-// bit-exact through the lossless delta, key-for and raw sections.
+// every value round-trips bit-exact through the lossless delta, key-for and
+// raw sections.
 func TestCompressedLosslessBitExact(t *testing.T) {
 	s, domain := cosmoSet(3000, 11)
 	cfg := compressedConfig(nil)
 	f, _ := buildAndOpen(t, s, domain, cfg)
-	if f.Version != 3 {
-		t.Fatalf("version = %d, want 3", f.Version)
-	}
 	got, err := f.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +218,6 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 		}
 	}
 	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
-	if f.Version != 3 {
-		t.Fatalf("a default build wrote version %d, want 3", f.Version)
-	}
 	ci := f.Compression()
 	for a := range s.Schema.Attrs {
 		if ci.Codecs[a] != codecDelta || ci.Bounds[a] != 0 {
@@ -361,9 +352,6 @@ func TestCompressionInfoAndSections(t *testing.T) {
 	bounds := []float64{1e-3, 1e-1, 1e-3, 0}
 	f, b := buildAndOpen(t, s, domain, compressedConfig(bounds))
 	ci := f.Compression()
-	if ci == nil {
-		t.Fatal("Compression() = nil for a version-3 file")
-	}
 	for a, want := range bounds {
 		if ci.Bounds[a] != want {
 			t.Fatalf("attr %d bound %v != %v", a, ci.Bounds[a], want)

@@ -88,22 +88,19 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // golden_v3.bat (goldenV3Config) and golden_v3_lossless.bat (goldenConfig).
 // Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
-// Every other golden is frozen: no writer in the tree can rebuild it. Three
-// are version-2 images from the last version-2 writer (commit 3bb0b42, the
-// parent of the one writer): golden_v2.bat, goldenConfig's build;
-// golden_v1.bat, the same image with its footer removed and its version field
-// patched to 1 (stripToV1), the layout version-1 writers produced; and
-// golden_v2_clustered.bat, clusteredSet(20000, 14) under DefaultBuildConfig,
-// four padded, page-aligned treelets that seed the reader's fuzzers and
-// corruption tests. golden_v3_rawattrs.bat is goldenConfig's build by the last
-// writer that stored a lossless float attribute raw (commit 67d7397, the
-// parent of codecKeyFOR): today's layout, whose raw float sections must keep
-// decoding bit for bit. Five more are the golden set's build by the last writer of
-// a layout this reader refuses, and pin that refusal. golden_v2_quant16.bat:
-// goldenConfig with 16-bit fixed-point positions, header flag bit 0 (commit
-// caac3aa, the parent of the one layout per version). The other four are
-// goldenV3Config's build: golden_v3_rawpos.bat, version-3 positions as raw f32
-// columns (commit c90a2ea, the parent of the position codec);
+// Every other golden is frozen: no writer in the tree can rebuild it.
+// golden_v3_rawattrs.bat is goldenConfig's build by the last writer that
+// stored a lossless float attribute raw (commit 67d7397, the parent of
+// codecKeyFOR): today's layout, whose raw float sections must keep decoding
+// bit for bit. The others are the golden set's build by the last writer of a
+// layout this reader refuses, and pin that refusal. golden_v2.bat is
+// goldenConfig's build by the last version-2 writer (commit 3bb0b42, the
+// parent of the one writer): node records, page-aligned treelets, raw
+// columns. golden_v1.bat is the same image with its footer removed and its
+// version field patched to 1 (stripToV1), the layout version-1 writers
+// produced. The other four are goldenV3Config's build: golden_v3_rawpos.bat,
+// version-3 positions as raw f32 columns (commit c90a2ea, the parent of the
+// position codec);
 // golden_v3_flatquant.bat, packed positions and lossy attributes as flat quant
 // sections, codec id 1 (commit 1f5afd1, the parent of codecQuantFOR);
 // golden_v3_nodetable.bat, positions under inline frames (codec id 3) behind
@@ -131,22 +128,21 @@ func TestGoldenRegenerate(t *testing.T) {
 }
 
 // TestGoldenBackwardCompat opens the checked-in file of every layout a writer
-// has produced. The two this reader accepts — version 2 and today's version 3
-// — must decode to the same particle multiset as the day they were written:
-// positions and the lossless id bit-exact, mass exact in version 2 and in the
-// lossless version-3 builds, and within its declared bound in golden_v3.bat;
-// the lossless mass is stored raw in golden_v3_rawattrs.bat and key-for in
-// golden_v3_lossless.bat.
+// has produced. The one this reader accepts, today's version 3, must decode
+// to the same particle multiset as the day it was written: positions and the
+// lossless id bit-exact, mass exact in the lossless builds and within its
+// declared bound in golden_v3.bat; the lossless mass is stored raw in
+// golden_v3_rawattrs.bat and key-for in golden_v3_lossless.bat.
 // Every retired layout is refused with a named error and returns no rows:
-// version 1 (no checksums) and the header flags of a retired layout at open,
-// the inline position frames behind today's flags at the first treelet load.
+// versions 1 (no checksums) and 2 (page-aligned treelets) and the header
+// flags of a retired version-3 layout at open, the inline position frames
+// behind today's flags at the first treelet load.
 func TestGoldenBackwardCompat(t *testing.T) {
 	s, _ := goldenSet()
 	want := goldenRows(s)
 	massBound := goldenV3Config().AttrErrorBounds[0]
 	for _, tc := range []struct {
-		file    string
-		version int
+		file string
 		// openErr refuses the file at open, loadErr at its first treelet load.
 		openErr, loadErr string
 		// massBound is how far a decoded mass may be from the golden set's.
@@ -154,16 +150,15 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		// massCodec, when set, is the codec of every mass section.
 		massCodec string
 	}{
-		{"golden_v1.bat", 1, "unsupported version 1", "", 0, ""},
-		{"golden_v2.bat", 2, "", "", 0, ""},
-		{"golden_v2_quant16.bat", 2, "version 2 file with header flags 0x1", "", 0, ""},
-		{"golden_v3_rawpos.bat", 3, "version 3 file with header flags 0x0", "", 0, ""},
-		{"golden_v3_flatquant.bat", 3, "version 3 file with header flags 0x2", "", 0, ""},
-		{"golden_v3_nodetable.bat", 3, "version 3 file with header flags 0x2", "", 0, ""},
-		{"golden_v3_inlineframes.bat", 3, "", "unknown position codec id 3", 0, ""},
-		{"golden_v3.bat", 3, "", "", massBound, "quant-for"},
-		{"golden_v3_rawattrs.bat", 3, "", "", 0, "raw"},
-		{"golden_v3_lossless.bat", 3, "", "", 0, "key-for"},
+		{"golden_v1.bat", "unsupported version 1", "", 0, ""},
+		{"golden_v2.bat", "unsupported version 2", "", 0, ""},
+		{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, ""},
+		{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, ""},
+		{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, ""},
+		{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, ""},
+		{"golden_v3.bat", "", "", massBound, "quant-for"},
+		{"golden_v3_rawattrs.bat", "", "", 0, "raw"},
+		{"golden_v3_lossless.bat", "", "", 0, "key-for"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -179,9 +174,6 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if f.Version != tc.version {
-				t.Fatalf("Version = %d, want %d", f.Version, tc.version)
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)

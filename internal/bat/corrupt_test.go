@@ -18,10 +18,18 @@ import (
 	"libbat/internal/particles"
 )
 
-// v2Sample is golden_v2_clustered.bat, a multi-treelet version-2 image: no
-// writer produces one any more, so the reader's version-2 tests and fuzz seeds
-// take their padded, page-aligned treelets from it.
-func v2Sample(t testing.TB) []byte { return goldenFile(t, "golden_v2_clustered.bat") }
+// clusteredSample returns a default (lossless) build of clusteredSet(20000,
+// 14): several treelets of deep, skewed k-d trees, which seed the reader's
+// fuzzers.
+func clusteredSample(t testing.TB) []byte {
+	t.Helper()
+	s, domain := clusteredSet(20000, 14)
+	b, err := Build(s, domain, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Buf
+}
 
 // builtSample returns a deterministic multi-treelet image of a default
 // (lossless) build.
@@ -35,26 +43,10 @@ func builtSample(t *testing.T) []byte {
 	return b.Buf
 }
 
-// collect runs a full unfiltered query and returns the visited particles
-// as a flat float slice (positions then attributes, traversal order).
-func collect(t *testing.T, f *File) []float64 {
-	t.Helper()
-	var out []float64
-	_, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
-		out = append(out, p.X, p.Y, p.Z)
-		out = append(out, attrs...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestDecodeTruncatedNeverPanics: every proper prefix of a file must fail to
 // open (the footer is gone or mangled), never panic.
 func TestDecodeTruncatedNeverPanics(t *testing.T) {
-	for _, buf := range [][]byte{builtSample(t), goldenFile(t, "golden_v2.bat")} {
+	for _, buf := range [][]byte{builtSample(t), compressedSample(t)} {
 		for l := 0; l < len(buf); l += 7 {
 			if _, err := FromBuffer(buf[:l]); err == nil {
 				t.Fatalf("truncation to %d of %d bytes opened", l, len(buf))
@@ -67,15 +59,12 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 }
 
 // TestBitFlipNoSilentCorruption flips single bits across the file and
-// requires each one to be caught at open, by Verify, or at query time —
-// or, if it landed in inter-section padding, to leave the query results
-// bit-identical to the original. A silently different result is the one
-// outcome the checksums exist to prevent. The matrix runs over a default
-// build and over golden_v2.bat, whose page padding is the one place a flip
-// can land outside every checksum.
+// requires each one to be caught at open, by Verify, or at query time: the
+// treelets tile the bytes between header and footer, so no byte of a readable
+// file is outside a checksum, and a flip that went unnoticed could silently
+// change a result. The matrix runs over a default build.
 func TestBitFlipNoSilentCorruption(t *testing.T) {
 	bitFlipMatrix(t, builtSample(t))
-	bitFlipMatrix(t, goldenFile(t, "golden_v2.bat"))
 }
 
 // TestBitFlipNoSilentCorruptionV3 runs the same matrix over an image with
@@ -87,13 +76,6 @@ func TestBitFlipNoSilentCorruptionV3(t *testing.T) {
 
 func bitFlipMatrix(t *testing.T, buf []byte) {
 	t.Helper()
-	orig, err := FromBuffer(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collect(t, orig)
-
-	detected := 0
 	offsets := []int{0, 4, 8, len(buf) / 2, len(buf) - 1, len(buf) - 6}
 	for off := 13; off < len(buf); off += 97 {
 		offsets = append(offsets, off)
@@ -103,34 +85,15 @@ func bitFlipMatrix(t *testing.T, buf []byte) {
 		mut[off] ^= 1 << (off % 8)
 		f, err := FromBuffer(mut)
 		if err != nil {
-			detected++
 			continue
 		}
 		if err := f.Verify(); err != nil {
-			detected++
 			continue
 		}
-		var got []float64
-		_, qerr := f.QueryWithConfig(Query{}, QueryConfig{}, func(p geom.Vec3, attrs []float64) error {
-			got = append(got, p.X, p.Y, p.Z)
-			got = append(got, attrs...)
-			return nil
-		})
-		if qerr != nil {
-			detected++
+		if _, err := f.QueryWithConfig(Query{}, QueryConfig{}, func(geom.Vec3, []float64) error { return nil }); err != nil {
 			continue
 		}
-		if len(got) != len(want) {
-			t.Fatalf("flip at %d silently changed result count: %d vs %d", off, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("flip at %d silently changed value %d", off, i)
-			}
-		}
-	}
-	if detected == 0 {
-		t.Error("no flip was detected at all")
+		t.Fatalf("flip at byte %d of %d went unnoticed", off, len(buf))
 	}
 }
 
@@ -145,8 +108,8 @@ func TestHeaderFlipIsChecksumError(t *testing.T) {
 	}
 }
 
-// stripToV1 converts a version-2 image into its version-1 equivalent: footer
-// removed, version field patched.
+// stripToV1 cuts an image to the shape version-1 writers produced: footer
+// removed, version field patched to 1.
 func stripToV1(t testing.TB, buf []byte) []byte {
 	t.Helper()
 	footerLen := binary.LittleEndian.Uint32(buf[len(buf)-8:])
@@ -158,11 +121,10 @@ func stripToV1(t testing.TB, buf []byte) []byte {
 	return v1
 }
 
-// TestV1FileRejected: a version-1 file — the version-2 layout without the
-// checksum footer — carries nothing a reader can verify and is refused at
-// open.
+// TestV1FileRejected: a version-1 file — no checksum footer — carries
+// nothing a reader can verify and is refused at open.
 func TestV1FileRejected(t *testing.T) {
-	if _, err := FromBuffer(stripToV1(t, v2Sample(t))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+	if _, err := FromBuffer(stripToV1(t, builtSample(t))); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("open error %v, want unsupported version 1", err)
 	}
 }
@@ -170,17 +132,17 @@ func TestV1FileRejected(t *testing.T) {
 // TestVersionFieldFlipsRejected: no single flipped bit of the version field
 // opens. 3 -> 1 is one bit, and while version 1 was readable it switched
 // every checksum off: a version-3 file opened as version 1 and served its
-// framed sections as raw columns. 3 -> 2 is one bit too, and a version-2
-// reading of a version-3 treelet is garbage: the flags word each version
-// requires tells them apart.
+// framed sections as raw columns. 3 -> 2 is one bit too, and while version 2
+// was readable only the flags word each version required kept a version-2
+// reading of a version-3 treelet from returning garbage.
 func TestVersionFieldFlipsRejected(t *testing.T) {
-	for name, buf := range map[string][]byte{"v2": v2Sample(t), "lossless": builtSample(t), "lossy": compressedSample(t),
-		"v2 golden": goldenFile(t, "golden_v2.bat"), "v3 golden": goldenFile(t, "golden_v3.bat")} {
+	for name, buf := range map[string][]byte{"lossless": builtSample(t), "lossy": compressedSample(t),
+		"golden": goldenFile(t, "golden_v3.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[4+bit/8] ^= 1 << (bit % 8)
-			if f, err := FromBuffer(mut); err == nil {
-				t.Errorf("%s: version field bit %d flipped (version %d) still opens", name, bit, f.Version)
+			if _, err := FromBuffer(mut); err == nil {
+				t.Errorf("%s: version field bit %d flipped still opens", name, bit)
 			}
 		}
 	}
@@ -429,52 +391,44 @@ func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 	})
 }
 
-// TestHeaderFlagValidation: each version has one layout, and exactly one
-// flags word opens it — 0 in version 2, flagPackedPositions|flagPackedNodes
-// in version 3. Every other combination of bits 0-2, an unknown bit and the
-// top bit are rejected at open even when every checksum is right: a reader
-// that ignored them would parse a retired layout's treelets as today's.
+// TestHeaderFlagValidation: the one layout has one flags word,
+// flagPackedPositions|flagPackedNodes, and it is the only one that opens.
+// Every other combination of bits 0-2, an unknown bit and the top bit are
+// rejected at open even when every checksum is right: a reader that ignored
+// them would parse a retired layout's treelets as today's.
 func TestHeaderFlagValidation(t *testing.T) {
 	const flagsOff = 8
-	samples := map[uint32][]byte{2: v2Sample(t), 3: compressedSample(t)}
-	opened := map[uint32]int{}
+	sample := compressedSample(t)
+	opened := 0
 	for _, tc := range []struct {
-		ver, flags uint32
-		name       string
+		flags uint32
+		name  string
 	}{
-		{2, 0, "the v2 layout"},
-		{2, 1, "quantized in v2"},
-		{2, 2, "packed in v2"},
-		{2, 3, "quantized and packed in v2"},
-		{2, 4, "packed nodes in v2"},
-		{2, 5, "packed nodes, quantized positions in v2"},
-		{2, 6, "the v3 flags in v2"},
-		{2, 7, "all three bits in v2"},
-		{3, 0, "raw positions and node records"},
-		{3, 1, "quantized in v3"},
-		{3, 2, "packed positions behind node records"},
-		{3, 3, "quantized and packed"},
-		{3, 4, "packed nodes, raw positions"},
-		{3, 5, "packed nodes, quantized positions"},
-		{3, 6, "the v3 layout"},
-		{3, 7, "all three bits in v3"},
-		{3, 6 | 1<<3, "unknown bit 3"},
-		{2, 1 << 31, "unknown top bit"},
+		{0, "raw positions and node records"},
+		{1, "quantized in v3"},
+		{2, "packed positions behind node records"},
+		{3, "quantized and packed"},
+		{4, "packed nodes, raw positions"},
+		{5, "packed nodes, quantized positions"},
+		{6, "the v3 layout"},
+		{7, "all three bits in v3"},
+		{6 | 1<<3, "unknown bit 3"},
+		{1 << 31, "unknown top bit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := mutateHeader(t, samples[tc.ver], func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], tc.flags) })
+			mut := mutateHeader(t, sample, func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], tc.flags) })
 			_, err := FromBuffer(mut)
 			if err == nil {
-				opened[tc.ver]++
+				opened++
 				return
 			}
-			if want := fmt.Sprintf("version %d file with header flags %#x", tc.ver, tc.flags); !strings.Contains(err.Error(), want) {
+			if want := fmt.Sprintf("version 3 file with header flags %#x", tc.flags); !strings.Contains(err.Error(), want) {
 				t.Fatalf("open error %v, want one containing %q", err, want)
 			}
 		})
 	}
-	if opened[2] != 1 || opened[3] != 1 {
-		t.Fatalf("flags words that open: %d in version 2, %d in version 3; want one each", opened[2], opened[3])
+	if opened != 1 {
+		t.Fatalf("%d flags words open, want one", opened)
 	}
 }
 
@@ -537,10 +491,6 @@ func TestUnpaddedTreeletsTile(t *testing.T) {
 				t.Fatalf("open error %v, want one containing %q", err, tc.want)
 			}
 		})
-	}
-	// Padding between treelets is what the version-2 writer produced.
-	if _, err := FromBuffer(v2Sample(t)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -820,10 +770,10 @@ var errStopFuzz = errors.New("fuzz visit cap")
 // FuzzDecode feeds arbitrary bytes to the reader: errors are fine,
 // panics are not. Inputs that open are also verified and queried.
 func FuzzDecode(f *testing.F) {
-	v2 := v2Sample(f)
-	f.Add(v2)
-	f.Add(v2[:len(v2)/2])
-	f.Add(stripToV1(f, v2)) // refused at the version field
+	clustered := clusteredSample(f)
+	f.Add(clustered)
+	f.Add(clustered[:len(clustered)/2])
+	f.Add(stripToV1(f, clustered)) // refused at the version field
 	s, domain := randomSet(60, 1)
 	if b, err := Build(s, domain, DefaultBuildConfig()); err == nil {
 		f.Add(b.Buf)
@@ -857,11 +807,12 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of the
-// frozen version-2 file, a default (lossless) build, a build with lossy
-// attributes and the golden version-3 file, with the checksums fixed up after
-// them: every readable file is checksummed, so no mutation FuzzDecode makes
-// gets past the treelet CRC to the node-table and section parsing.
+// FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a
+// multi-treelet clustered build, a small default (lossless) build, a build
+// with lossy attributes and the golden version-3 file, with the checksums
+// fixed up after them: every readable file is checksummed, so no mutation
+// FuzzDecode makes gets past the treelet CRC to the node-table and section
+// parsing.
 func FuzzTreelet(f *testing.F) {
 	s, domain := randomSet(60, 1)
 	lossless, err := Build(s, domain, DefaultBuildConfig())
@@ -873,7 +824,7 @@ func FuzzTreelet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{v2Sample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat")}
+	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {
@@ -961,9 +912,9 @@ func rangesTile(nodes []diskNode, nPoints uint32) bool {
 }
 
 // checkUnpackedNodes holds the nodes unpackNodeTable returned to what the
-// traversal and the block decoders rely on, checked the way parseNodeRecords
-// checks a table of records: children in range, one parent each — with the
-// children behind their parent, so no cycle — and ranges that tile the points.
+// traversal and the block decoders rely on: children in range, one parent
+// each — with the children behind their parent, so no cycle — and ranges that
+// tile the points.
 func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
 	seen := make([]bool, len(nodes))
 	for i := range nodes {
@@ -1045,15 +996,10 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			tb.Fatal(err)
 		}
 		p := int(ref.offset) + 8
-		v3 := f.Version >= 3
-		if v3 {
-			seeds = append(seeds, sectionSeed{attr: nodeTableSeed, codec: uint8(f.Schema.NumAttrs()), payload: buf[p : p+lay.NodeTable.Bytes], table: table, nPoints: uint16(ref.numPoints)})
-		}
+		seeds = append(seeds, sectionSeed{attr: nodeTableSeed, codec: uint8(f.Schema.NumAttrs()), payload: buf[p : p+lay.NodeTable.Bytes], table: table, nPoints: uint16(ref.numPoints)})
 		p += lay.NodeTable.Bytes
 		for i, sec := range lay.Sections {
-			if v3 {
-				p += sectionFrameLen
-			}
+			p += sectionFrameLen
 			seed := sectionSeed{attr: sec.Attr, codec: sec.Codec, payload: buf[p : p+sec.EncBytes], table: table, nPoints: uint16(ref.numPoints)}
 			if i < PositionSections {
 				ax := geom.Axis(i)

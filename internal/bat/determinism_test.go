@@ -101,9 +101,6 @@ func TestBuildDeterminism(t *testing.T) {
 				}
 				// The packed node tables are sized serially and packed by
 				// the fill workers.
-				if f.Version != 3 {
-					t.Fatalf("version %d", f.Version)
-				}
 				for ti := 0; ti < f.NumTreelets(); ti++ {
 					lay, err := f.TreeletLayout(context.Background(), ti)
 					if err != nil {

@@ -1,22 +1,17 @@
 // On-disk format of a BAT file (paper Figure 2). All integers are little
 // endian.
 //
-// A readable file is one of two layouts, and its version says which:
+// A readable file is version 3 with header flags
+// flagPackedPositions|flagPackedNodes: packed node tables, unpadded treelets,
+// codec sections for positions and attributes (codec.go). It is the one layout
+// every build writes, and the one the reader accepts. A build with no error
+// bound declared is lossless: positions and attributes read back bit for bit.
 //
-//	version 2  flags 0: node records, page-aligned treelets, raw f32
-//	           positions, raw attribute columns
-//	version 3  flags flagPackedPositions|flagPackedNodes: packed node
-//	           tables, unpadded treelets, codec sections for positions and
-//	           attributes (codec.go)
-//
-// Every build writes version 3; version 2 is read only, for the files earlier
-// writers left. A build with no error bound declared is lossless: positions
-// and attributes read back bit for bit.
-//
-// Any other flags word is rejected at open (layoutFlags). That includes the
-// layouts earlier writers left behind: version 2 with bit 0 set (16-bit
-// fixed-point positions), version 3 with flags 0 (raw position columns) and
-// version 3 with bit 1 alone (packed positions behind node records).
+// Any other version or flags word is refused at open. That includes every
+// layout earlier writers left behind: version 1 (no checksum footer), version 2
+// (node records, page-aligned treelets, raw columns), version 3 with flags 0
+// (raw position columns) and version 3 with bit 1 alone (packed positions
+// behind node records).
 //
 //	Header:
 //	  magic "BAT1", version u32, flags u32
@@ -39,16 +34,13 @@
 //	                       treelet bounds 6 x f64,
 //	                       bitmapID u16 per attribute
 //	  bitmap dictionary:   count u32, entries u32 each
-//	Treelets, each aligned to a 4 KB page boundary (version 2; paper
-//	§III-C3) or back to back from the end of the header to the footer
-//	(version 3):
+//	Treelets, back to back from the end of the header to the footer (the
+//	paper aligns them to 4 KB pages to map them, §III-C3; this reader
+//	decodes them instead):
 //	  numNodes u32, numPoints u32
-//	  nodes: axis u8 (3 = leaf), pos f64, left i32, right i32,
-//	         start u32, count u32, bitmapID u16 per attribute
-//	    or, in version 3, 3 + numAttrs columns over the nodes in node
-//	    (breadth-first) order, each one frame-of-reference block — base
-//	    u32, width u8, ceil(n*width/8) bytes of (value - base), LSB-first
-//	    (codec.go):
+//	  nodes: 3 + numAttrs columns over the nodes in node (breadth-first)
+//	    order, each one frame-of-reference block — base u32, width u8,
+//	    ceil(n*width/8) bytes of (value - base), LSB-first (codec.go):
 //	         axis      numNodes values 0..3 (3 = leaf)
 //	         count     numNodes values
 //	         split     one value per inner node: f32Key of the split plane,
@@ -57,12 +49,10 @@
 //	    left, right and start are not stored: the k-th inner node's children
 //	    are nodes 2k+1 and 2k+2, and a node's particles start where the
 //	    node before it ends
-//	  particle data: X, Y, Z, then one array per attribute. In version 2
-//	                 X, Y, Z are f32 arrays and each attribute is a raw f64
-//	                 or f32 column (per its schema type). In version 3 each
-//	                 of them is a framed codec section: codec u8, encLen
-//	                 u32, then encLen payload bytes (see codec.go for the
-//	                 codec streams). A position section holds codecCellFOR
+//	  particle data: X, Y, Z, then one array per attribute, each a framed
+//	                 codec section: codec u8, encLen u32, then encLen
+//	                 payload bytes (see codec.go for the codec streams).
+//	                 A position section holds codecCellFOR
 //	                 or codecRaw; a codecCellFOR section stores no frame:
 //	                 its blocks are framed by the nodes' k-d cells, derived
 //	                 from the treelet bounds in the shallow leaf record
@@ -81,23 +71,19 @@
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32
 //	  treeletCRC u32 each  CRC32C of each treelet's byteLen bytes
-//	  version 3 only:
-//	    numAttrs u32
-//	    per attribute: declared codec class u8 (codecQuant: lossy,
-//	                   codecDelta: lossless), absolute error bound f64
-//	    lodErrorScale f64
-//	    rawPayloadBytes u64  attribute payload before encoding
-//	    encPayloadBytes u64  attribute payload after encoding
+//	  numAttrs u32
+//	  per attribute: declared codec class u8 (codecQuant: lossy,
+//	                 codecDelta: lossless), absolute error bound f64
+//	  lodErrorScale f64
+//	  rawPayloadBytes u64  attribute payload before encoding
+//	  encPayloadBytes u64  attribute payload after encoding
 //	  footerCRC u32        CRC32C of the footer bytes above
 //	  footerLen u32        total footer length, trailing magic included
 //	  magic "BATF"
 //
-// The footer is located from the end of the file (magic + length). Version 1,
-// the same layout without the footer, is no longer read: nothing in such a
-// file can be verified, and one flipped bit of the version field turned a
-// version-3 file into one. Padding between treelets is not checksummed — it
-// is never interpreted. A version-3 file has none: its treelets tile the
-// bytes between header and footer, so every byte of it is under a checksum.
+// The footer is located from the end of the file (magic + length). The
+// treelets tile the bytes between header and footer, so every byte of a
+// readable file is under a checksum.
 package bat
 
 import (
@@ -113,16 +99,12 @@ import (
 
 const (
 	magic = "BAT1"
-	// version is the newest readable format; minVersion..version are
-	// readable. Version 2 is the first with the CRC32C checksum footer, which
-	// every readable file carries; version 3 added per-attribute compressed
-	// treelet sections (codec.go) and the footer's codec declarations.
-	// Every build writes version 3.
-	version    = 3
-	minVersion = 2
+	// version is the one format every build writes and the reader reads.
+	version = 3
 	// footerMagic terminates the checksum footer.
 	footerMagic = "BATF"
-	// footerFixedLen is the v2 footer size excluding the per-treelet CRCs.
+	// footerFixedLen is the footer size excluding the per-treelet CRCs and
+	// the codec extension (footerV3ExtraLen).
 	footerFixedLen = 4 + 4 + 4 + 4 + 4
 	// flagPackedPositions marks X, Y, Z stored as three framed codec
 	// sections.
@@ -130,26 +112,14 @@ const (
 	// flagPackedNodes marks treelet node tables stored as packed columns with
 	// implicit topology, and treelets laid back to back without page padding.
 	flagPackedNodes = 1 << 2
+	// layoutFlags is the header flags word of the one layout a writer emits
+	// and a reader accepts.
+	layoutFlags = flagPackedPositions | flagPackedNodes
 )
-
-// layoutFlags is the header flags word of a file of version ver: the one
-// layout per version a writer emits and a reader accepts.
-func layoutFlags(ver uint32) uint32 {
-	if ver >= 3 {
-		return flagPackedPositions | flagPackedNodes
-	}
-	return 0
-}
 
 // sectionFrameLen is the framing ahead of a codec section's payload: codec
 // u8, encLen u32.
 const sectionFrameLen = 1 + 4
-
-// treeletNodeBytes is a version-2 node record's size excluding bitmap IDs.
-const treeletNodeBytes = 1 + 8 + 4 + 4 + 4 + 4
-
-// rawPosBytes is a point's X, Y and Z as raw f32 columns.
-const rawPosBytes = 3 * 4
 
 // shallowInnerBytes is the per-shallow-inner record size excluding IDs.
 const shallowInnerBytes = 1 + 8 + 4 + 4
@@ -158,7 +128,7 @@ const shallowInnerBytes = 1 + 8 + 4 + 4
 // offset, byteLen, node/point counts, and the treelet bounds.
 const shallowLeafBytes = 8 + 4 + 4 + 4 + 48
 
-// footerV3ExtraLen is the size of the version-3 footer extension for nA
+// footerV3ExtraLen is the size of the footer's codec extension for nA
 // attributes, inserted between the per-treelet CRCs and the footer CRC:
 // numAttrs u32; per attribute codec u8 + error bound f64; LOD error scale
 // f64; raw and encoded attribute payload byte totals u64 each.
@@ -345,7 +315,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	w := binfmt.Writer{Buf: buf[:0:headerSize]}
 	w.Bytes([]byte(magic))
 	w.U32(version)
-	w.U32(layoutFlags(version))
+	w.U32(layoutFlags)
 	w.U64(uint64(set.Len()))
 	w.Box(domain)
 	w.U32(uint32(cfg.SubprefixBits))

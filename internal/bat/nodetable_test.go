@@ -40,9 +40,6 @@ func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg Build
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Version != 3 {
-		t.Fatalf("a build wrote version %d", f.Version)
-	}
 	return treelets, f
 }
 

@@ -60,9 +60,6 @@ type File struct {
 	src  io.ReaderAt
 	size int64
 
-	// Version is the on-disk format version the file was written with, and
-	// says which of the two layouts it holds (format.go).
-	Version         int
 	NumParticles    uint64
 	Domain          geom.Box
 	SubprefixBits   int
@@ -84,10 +81,9 @@ type File struct {
 	headerCRC   uint32
 	treeletCRCs []uint32
 
-	// Codec state (version >= 3, from the footer extension): the declared
-	// per-attribute codec class and absolute error bound, the LOD error
-	// scale, and the file-wide payload byte totals. attrBounds == nil for
-	// version-2 files.
+	// Codec state from the footer extension: the declared per-attribute
+	// codec class and absolute error bound, the LOD error scale, and the
+	// file-wide payload byte totals.
 	attrCodecs []uint8
 	attrBounds []float64
 	lodScale   float64
@@ -130,11 +126,11 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bat: %w", err)
 	}
-	if ver < minVersion || ver > version {
-		return nil, fmt.Errorf("bat: unsupported version %d (supported: %d-%d)", ver, minVersion, version)
+	if ver != version {
+		return nil, fmt.Errorf("bat: unsupported version %d (this reader reads version %d only)", ver, version)
 	}
 	flags := r.U32()
-	f := &File{src: src, size: size, Version: int(ver), cache: cache, leaf: leaf}
+	f := &File{src: src, size: size, cache: cache, leaf: leaf}
 	f.NumParticles = r.U64()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bat: %w", err)
@@ -248,27 +244,25 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if err := f.loadFooter(ctx, r.Consumed()); err != nil {
 		return nil, err
 	}
-	// Each version has one layout, and its flags word says so. This comes
-	// after the footer so a damaged flags field reports as the checksum error
-	// it is; a header that passes its CRC with other flags is from a writer
-	// whose layout this reader does not read — a retired one, or a newer one —
-	// and parsing its treelets as either layout would return garbage.
-	if want := layoutFlags(ver); flags != want {
-		return nil, fmt.Errorf("bat: version %d file with header flags %#x: this reader reads version %d with flags %#x only (a retired layout, or a newer writer)", ver, flags, ver, want)
+	// The one layout has one flags word. This comes after the footer so a
+	// damaged flags field reports as the checksum error it is; a header that
+	// passes its CRC with other flags is from a writer whose layout this
+	// reader does not read — a retired one, or a newer one — and parsing its
+	// treelets as this layout would return garbage.
+	if flags != layoutFlags {
+		return nil, fmt.Errorf("bat: version %d file with header flags %#x: this reader reads flags %#x only (a retired layout, or a newer writer)", ver, flags, layoutFlags)
 	}
 	// Unpadded treelets tile the bytes between header and footer, in order:
 	// no byte of the file is outside a checksum.
-	if f.Version >= 3 {
-		next := uint64(f.headerSize)
-		for i, l := range f.leaves {
-			if l.offset != next {
-				return nil, fmt.Errorf("bat: treelet %d starts at byte %d, the bytes before it end at %d (unpadded treelets lie back to back)", i, l.offset, next)
-			}
-			next += uint64(l.byteLen)
+	next := uint64(f.headerSize)
+	for i, l := range f.leaves {
+		if l.offset != next {
+			return nil, fmt.Errorf("bat: treelet %d starts at byte %d, the bytes before it end at %d (unpadded treelets lie back to back)", i, l.offset, next)
 		}
-		if footerStart := uint64(f.size - f.footerLen()); next != footerStart {
-			return nil, fmt.Errorf("bat: treelets end at byte %d, the checksum footer starts at %d", next, footerStart)
-		}
+		next += uint64(l.byteLen)
+	}
+	if footerStart := uint64(f.size - f.footerLen()); next != footerStart {
+		return nil, fmt.Errorf("bat: treelets end at byte %d, the checksum footer starts at %d", next, footerStart)
 	}
 	return f, nil
 }
@@ -277,14 +271,10 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 // on-disk corruption (or a torn write) rather than a malformed layout.
 var ErrChecksum = errors.New("bat: checksum mismatch")
 
-// footerLen is the length of the checksum footer of a file of f's version,
-// treelet count and attribute count.
+// footerLen is the length of the checksum footer of a file of f's treelet
+// count and attribute count.
 func (f *File) footerLen() int64 {
-	n := int64(footerFixedLen) + 4*int64(len(f.leaves))
-	if f.Version >= 3 {
-		n += int64(footerV3ExtraLen(f.Schema.NumAttrs()))
-	}
-	return n
+	return int64(footerFixedLen) + 4*int64(len(f.leaves)) + int64(footerV3ExtraLen(f.Schema.NumAttrs()))
 }
 
 // loadFooter reads and verifies the checksum footer of a file whose header
@@ -333,30 +323,28 @@ func (f *File) loadFooter(ctx context.Context, head []byte) error {
 	for i := range f.treeletCRCs {
 		f.treeletCRCs[i] = r.U32()
 	}
-	if f.Version >= 3 {
-		// The v3 extension sits between the treelet CRCs and the footer
-		// CRC (already verified above, so out-of-range values here mean a
-		// writer bug or a crafted file, not a torn write).
-		if fnA := r.U32(); int(fnA) != nA {
-			return fmt.Errorf("%w: footer declares %d attributes, header %d", ErrChecksum, fnA, nA)
-		}
-		f.attrCodecs = make([]uint8, nA)
-		f.attrBounds = make([]float64, nA)
-		for a := 0; a < nA; a++ {
-			f.attrCodecs[a], f.attrBounds[a] = r.U8(), r.F64()
-			if f.attrCodecs[a] > codecDelta {
-				return fmt.Errorf("bat: footer attribute %d declares unknown codec id %d", a, f.attrCodecs[a])
-			}
-			if b := f.attrBounds[a]; math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-				return fmt.Errorf("bat: footer attribute %d declares invalid error bound %v", a, b)
-			}
-		}
-		f.lodScale = r.F64()
-		if math.IsNaN(f.lodScale) || math.IsInf(f.lodScale, 0) || f.lodScale < 1 {
-			return fmt.Errorf("bat: footer declares invalid LOD error scale %v", f.lodScale)
-		}
-		f.rawPayload, f.encPayload = r.U64(), r.U64()
+	// The codec extension sits between the treelet CRCs and the footer CRC
+	// (already verified above, so out-of-range values here mean a writer bug
+	// or a crafted file, not a torn write).
+	if fnA := r.U32(); int(fnA) != nA {
+		return fmt.Errorf("%w: footer declares %d attributes, header %d", ErrChecksum, fnA, nA)
 	}
+	f.attrCodecs = make([]uint8, nA)
+	f.attrBounds = make([]float64, nA)
+	for a := 0; a < nA; a++ {
+		f.attrCodecs[a], f.attrBounds[a] = r.U8(), r.F64()
+		if f.attrCodecs[a] > codecDelta {
+			return fmt.Errorf("bat: footer attribute %d declares unknown codec id %d", a, f.attrCodecs[a])
+		}
+		if b := f.attrBounds[a]; math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
+			return fmt.Errorf("bat: footer attribute %d declares invalid error bound %v", a, b)
+		}
+	}
+	f.lodScale = r.F64()
+	if math.IsNaN(f.lodScale) || math.IsInf(f.lodScale, 0) || f.lodScale < 1 {
+		return fmt.Errorf("bat: footer declares invalid LOD error scale %v", f.lodScale)
+	}
+	f.rawPayload, f.encPayload = r.U64(), r.U64()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("bat: footer: %w", err)
 	}
@@ -392,8 +380,8 @@ func (f *File) Verify() error {
 	return nil
 }
 
-// CompressionInfo describes a version-3 file's codec configuration and
-// whole-file payload accounting, read from the footer extension.
+// CompressionInfo describes a file's codec configuration and whole-file
+// payload accounting, read from the footer extension.
 type CompressionInfo struct {
 	// Codecs is the declared codec class per attribute (see CodecName):
 	// quant for lossy attributes, delta for lossless ones. The class says
@@ -420,20 +408,17 @@ func (ci *CompressionInfo) Ratio() float64 {
 	return float64(ci.RawPayloadBytes) / float64(ci.EncPayloadBytes)
 }
 
-// Compression returns the file's codec configuration, or nil for version-2
-// files.
+// Compression returns the file's codec configuration from its footer
+// extension, which every readable file carries: a lossless build declares
+// bound 0 for every attribute.
 func (f *File) Compression() *CompressionInfo {
-	if f.attrBounds == nil {
-		return nil
-	}
-	ci := &CompressionInfo{
+	return &CompressionInfo{
 		Codecs:          append([]uint8(nil), f.attrCodecs...),
 		Bounds:          append([]float64(nil), f.attrBounds...),
 		LODScale:        f.lodScale,
 		RawPayloadBytes: f.rawPayload,
 		EncPayloadBytes: f.encPayload,
 	}
-	return ci
 }
 
 // SectionInfo describes one position or attribute section of one treelet: the
@@ -469,9 +454,8 @@ type NodeTableInfo struct {
 	Nodes int
 	// Bytes is the table's length, the treelet's two count words excluded.
 	Bytes int
-	// Columns lists a packed table's columns in stream order: axis, count,
-	// split, then each attribute's bitmap IDs. Nil for the fixed records of a
-	// version-2 file.
+	// Columns lists the packed table's columns in stream order: axis, count,
+	// split, then each attribute's bitmap IDs.
 	Columns []NodeColumnInfo
 }
 
@@ -484,9 +468,8 @@ type NodeColumnInfo struct {
 }
 
 // TreeletLayout is how one treelet is stored, as parseTreelet reads it: the
-// node table, then one row per column — the three position columns first,
-// then one per attribute. The unframed columns of a version-2 file list as
-// raw.
+// node table, then one row per section — the three position sections first,
+// then one per attribute.
 type TreeletLayout struct {
 	NodeTable NodeTableInfo
 	Sections  []SectionInfo
@@ -505,36 +488,32 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 
 // StoredBytes says where a file's bytes are (batinspect -bytes): the header
 // with its shallow tree and dictionary, the treelets' node tables (their
-// count words included), position columns and attribute columns (section
-// framing included), the page padding ahead of each treelet (none in a
-// version-3 file), and the checksum footer. AttributeFrames is the part of
-// Attributes that is block frames stored inside the sections
-// (SectionInfo.FrameBytes); a position section stores none.
+// count words included), position sections and attribute sections (their
+// framing included), and the checksum footer: the treelets tile the bytes
+// between header and footer, so the parts add up to the file's size.
+// AttributeFrames is the part of Attributes that is block frames stored
+// inside the sections (SectionInfo.FrameBytes); a position section stores
+// none.
 type StoredBytes struct {
-	Header, NodeTables, Positions, Attributes, Padding, Footer int64
-	AttributeFrames                                            int64
+	Header, NodeTables, Positions, Attributes, Footer int64
+	AttributeFrames                                   int64
 }
 
 // StoredBytes reads every treelet's sections and adds the file up.
 func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 	sb := StoredBytes{Header: int64(f.headerSize), Footer: f.footerLen()}
-	sb.Padding = f.size - sb.Header - sb.Footer
-	for ti, ref := range f.leaves {
+	for ti := range f.leaves {
 		lay, err := f.TreeletLayout(ctx, ti)
 		if err != nil {
 			return sb, err
 		}
-		sb.Padding -= int64(ref.byteLen)
 		sb.NodeTables += 8 + int64(lay.NodeTable.Bytes)
 		for i, sec := range lay.Sections {
 			part := &sb.Attributes
 			if i < PositionSections {
 				part = &sb.Positions
 			}
-			*part += int64(sec.EncBytes)
-			if f.Version >= 3 {
-				*part += sectionFrameLen
-			}
+			*part += sectionFrameLen + int64(sec.EncBytes)
 			sb.AttributeFrames += int64(sec.FrameBytes)
 		}
 	}
@@ -635,51 +614,6 @@ func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) 
 	})
 }
 
-// parseNodeRecords reads a version-2 treelet's node table of fixed records,
-// which spells out child indices and range starts and so has to be checked
-// for the trees it can describe that are none.
-func (f *File) parseNodeRecords(r *binfmt.Reader, ti int, nNodes, nPoints uint32) ([]diskNode, error) {
-	nA := f.Schema.NumAttrs()
-	size := int64(f.leaves[ti].byteLen)
-	if int64(nNodes)*int64(treeletNodeBytes+2*nA) > size || int64(nPoints)*rawPosBytes > size {
-		return nil, fmt.Errorf("bat: treelet %d counts exceed its byte length", ti)
-	}
-	nodes := make([]diskNode, nNodes)
-	idBacking := make([]bitmap.ID, 0, int(nNodes)*nA)
-	for i := range nodes {
-		n := &nodes[i]
-		n.axis, n.pos, n.left, n.right = r.U8(), r.F64(), r.I32(), r.I32()
-		n.start, n.count = r.U32(), r.U32()
-		if n.start+n.count < n.start || n.start+n.count > nPoints {
-			return nil, fmt.Errorf("bat: treelet %d node %d particle range out of bounds", ti, i)
-		}
-		if n.axis != uint8(leafAxis) &&
-			(n.left < 0 || n.left >= int32(nNodes) || n.right < 0 || n.right >= int32(nNodes)) {
-			return nil, fmt.Errorf("bat: treelet %d node %d has invalid children", ti, i)
-		}
-		n.ids = r.IDs(&idBacking, nA)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-	}
-	// Same single-parent requirement as the shallow tree: inner-node
-	// links that share children would make the recursive walk exponential.
-	nodeSeen := make([]bool, nNodes)
-	for i := range nodes {
-		n := &nodes[i]
-		if n.axis == uint8(leafAxis) {
-			continue
-		}
-		for _, ref := range [2]int32{n.left, n.right} {
-			if nodeSeen[ref] {
-				return nil, fmt.Errorf("bat: treelet %d node %d has multiple parents", ti, ref)
-			}
-			nodeSeen[ref] = true
-		}
-	}
-	return nodes, nil
-}
-
 // parseTreelet reads and parses treelet ti from the underlying source. lay,
 // when non-nil, receives how the treelet is stored (TreeletLayout).
 func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*parsedTreelet, error) {
@@ -701,25 +635,16 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			ti, nNodes, ref.numNodes, nPoints, ref.numPoints)
 	}
 	nA := f.Schema.NumAttrs()
-	t := &parsedTreelet{}
-	if f.Version >= 3 {
-		var table *NodeTableInfo
-		if lay != nil {
-			table = &lay.NodeTable
-		}
-		nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, table)
-		if err != nil {
-			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-		}
-		t.nodes = nodes
-		r.Bytes(n)
-	} else {
-		nodes, err := f.parseNodeRecords(r, ti, nNodes, nPoints)
-		if err != nil {
-			return nil, err
-		}
-		t.nodes = nodes
+	var table *NodeTableInfo
+	if lay != nil {
+		table = &lay.NodeTable
 	}
+	nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, table)
+	if err != nil {
+		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+	}
+	t := &parsedTreelet{nodes: nodes}
+	r.Bytes(n)
 	for i := range t.nodes {
 		if err := f.checkIDs(t.nodes[i].ids); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d node %d: %w", ti, i, err)
@@ -731,59 +656,41 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			lay.NodeTable.Columns[i].Name = nodeColumnName(i, f.Schema)
 		}
 	}
-	// column starts the next column: info is its row of lay.Sections, listed
-	// as a raw column of elemBytes a point until section says otherwise, or nil
-	// when nobody is listing.
+	// section reads the next framed section — codec u8, encLen u32, payload —
+	// and, when someone is listing (lay != nil), appends its row to
+	// lay.Sections: info is that row for the decoder to fill in, or nil.
 	var info *SectionInfo
-	column := func(name string, elemBytes int) {
-		if lay != nil {
-			raw := int(nPoints) * elemBytes
-			lay.Sections = append(lay.Sections, SectionInfo{Attr: name, Codec: codecRaw, RawBytes: raw, EncBytes: raw})
-			info = &lay.Sections[len(lay.Sections)-1]
-		}
-	}
-	// payload reads the column's bytes: a version-2 column of elemBytes a
-	// point, or a version-3 frame — codec u8, encLen u32, payload.
-	payload := func(name string, elemBytes int) (uint8, []byte, error) {
-		codec, n := uint8(codecRaw), int64(nPoints)*int64(elemBytes)
-		if f.Version >= 3 {
-			codec, n = r.U8(), int64(r.U32())
-			if remain := r.Remaining(); r.Err() == nil && n > remain {
-				return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
-					ti, name, n, remain)
-			}
-			if info != nil {
-				info.Codec, info.EncBytes = codec, int(n)
-			}
+	section := func(name string, elemBytes int) (uint8, []byte, error) {
+		codec, n := r.U8(), int64(r.U32())
+		if remain := r.Remaining(); r.Err() == nil && n > remain {
+			return 0, nil, fmt.Errorf("bat: treelet %d section %q: truncated codec stream (%d bytes declared, %d remain)",
+				ti, name, n, remain)
 		}
 		b := r.Bytes(int(n))
 		if err := r.Err(); err != nil {
 			return 0, nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
+		}
+		if lay != nil {
+			lay.Sections = append(lay.Sections, SectionInfo{Attr: name, Codec: codec, RawBytes: int(nPoints) * elemBytes, EncBytes: int(n)})
+			info = &lay.Sections[len(lay.Sections)-1]
 		}
 		return codec, b, nil
 	}
 	blocks := newNodeBlocks(t.nodes, int(nPoints))
 	var cols [3][]float32
 	for ax, name := range positionNames {
-		column(name, 4)
-		codec, b, err := payload(name, 4)
+		codec, b, err := section(name, 4)
 		if err != nil {
 			return nil, err
 		}
-		if f.Version < 3 {
-			cols[ax], err = decodeRawF32(b, int(nPoints))
-		} else {
-			cols[ax], err = decodePosSection(codec, b, blocks, ref.bounds, geom.Axis(ax), info)
-		}
-		if err != nil {
+		if cols[ax], err = decodePosSection(codec, b, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 		}
 	}
 	t.x, t.y, t.z = cols[0], cols[1], cols[2]
 	t.attrs = make([][]float64, nA)
 	for a, desc := range f.Schema.Attrs {
-		column(desc.Name, desc.Type.Size())
-		codec, b, err := payload(desc.Name, desc.Type.Size())
+		codec, b, err := section(desc.Name, desc.Type.Size())
 		if err != nil {
 			return nil, err
 		}
@@ -791,12 +698,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		// triggered the load — so decode overlaps other workers' pfs reads,
 		// and the cache stores the decoded float64 columns so hits pay
 		// nothing.
-		if f.Version < 3 {
-			t.attrs[a], err = decodeRaw(b, int(nPoints), desc.Type)
-		} else {
-			t.attrs[a], err = decodeAttrSection(codec, b, blocks, desc.Type, f.attrBounds[a], f.lodScale, info)
-		}
-		if err != nil {
+		if t.attrs[a], err = decodeAttrSection(codec, b, blocks, desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, desc.Name, err)
 		}
 	}

@@ -134,13 +134,19 @@ func (d *Dataset) Leaf(ctx context.Context, li int) (*bat.File, error) {
 }
 
 // openLeaf is the one place a leaf file handle becomes a bat.File, attached
-// to the dataset's cache under its leaf index.
+// to the dataset's cache under its leaf index. The metadata's particle count
+// for the leaf is trusted only once the file agrees with it: the file's own
+// count is bounded by its size.
 func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
-	h, err := pfs.OpenContext(ctx, d.store, d.meta.Leaves[li].FileName)
+	lm := d.meta.Leaves[li]
+	h, err := pfs.OpenContext(ctx, d.store, lm.FileName)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening leaf %d: %w", li, err)
 	}
 	f, err := bat.DecodeLeaf(ctx, h, h.Size(), d.cache, li)
+	if err == nil && int64(f.NumParticles) != lm.Count {
+		err = fmt.Errorf("file holds %d particles, metadata says %d", f.NumParticles, lm.Count)
+	}
 	if err != nil {
 		if cerr := h.Close(); cerr != nil {
 			err = errors.Join(err, cerr)

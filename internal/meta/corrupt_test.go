@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -105,6 +107,65 @@ func TestEncodeEndsWithTrailer(t *testing.T) {
 	}
 }
 
+// diamondMeta encodes an Aggregation Tree of n inner nodes in which each
+// node points both children at the next node, and the last both at leaf 0:
+// every node but the root, and the leaf, has two parents, and the leaf sits
+// at the end of 2^n root-to-leaf paths.
+func diamondMeta(n int) []byte {
+	m := &Meta{Leaves: []LeafMeta{{FileName: "leaf0000.bat", Count: 1}}}
+	for i := 0; i < n; i++ {
+		child := int32(i + 1)
+		if i == n-1 {
+			child = ^int32(0)
+		}
+		m.Nodes = append(m.Nodes, Node{Left: child, Right: child})
+	}
+	return m.Encode()
+}
+
+// countsMeta encodes a flat dataset of one leaf per count.
+func countsMeta(counts ...int64) []byte {
+	m := &Meta{}
+	for i, c := range counts {
+		m.Leaves = append(m.Leaves, LeafMeta{FileName: fmt.Sprintf("leaf%04d.bat", i), Count: c})
+	}
+	return m.Encode()
+}
+
+// TestDecodeRejectsDiamond: a node or leaf with two parents is refused, as the
+// BAT shallow tree refuses one. Decoded, the 64-node diamond would keep
+// SelectLeaves walking its 2^64 paths, and the 24-node one returns its leaf
+// 16,777,216 times.
+func TestDecodeRejectsDiamond(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  string
+	}{
+		{1, "leaf 0 has multiple parents"},
+		{24, "node 1 has multiple parents"},
+		{64, "node 1 has multiple parents"},
+	} {
+		if _, err := Decode(diamondMeta(tc.nodes)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d-node diamond: Decode error %v, want one containing %q", tc.nodes, err, tc.want)
+		}
+	}
+}
+
+// TestDecodeRejectsCountOverflow: leaf counts whose sum is past int64 are
+// refused, so TotalCount never wraps negative. One leaf claiming 2^62 still
+// decodes: its count fits, and the leaf file, which must agree with it,
+// is what refuses it.
+func TestDecodeRejectsCountOverflow(t *testing.T) {
+	if m, err := Decode(countsMeta(1 << 62)); err != nil || m.TotalCount() != 1<<62 {
+		t.Fatalf("one leaf of 2^62: %v, total %v", err, m)
+	}
+	for _, counts := range [][]int64{{1 << 62, 1 << 62}, {math.MaxInt64, 1}, {1, 1 << 62, math.MaxInt64 - 1<<62}} {
+		if _, err := Decode(countsMeta(counts...)); err == nil || !strings.Contains(err.Error(), "past int64") {
+			t.Errorf("counts %v: Decode error %v, want the int64 bound", counts, err)
+		}
+	}
+}
+
 // FuzzDecode throws arbitrary bytes at the parser: it must return an
 // error or a usable Meta, never panic.
 func FuzzDecode(f *testing.F) {
@@ -126,6 +187,10 @@ func FuzzDecode(f *testing.F) {
 		f.Add(valid[:10])
 		f.Add(valid[:len(valid)-trailerLen]) // a body: reaches the parser under the fresh trailer below
 	}
+	// Structures Decode refuses behind a valid CRC: a diamond-shaped tree and
+	// leaf counts past int64.
+	f.Add(diamondMeta(24))
+	f.Add(countsMeta(1<<62, 1<<62))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// As it is, and again under a trailer computed for it: no mutation
 		// gets past the whole-buffer CRC to the body parser otherwise.

@@ -374,6 +374,11 @@ func Decode(buf []byte) (*Meta, error) {
 		return nil, fmt.Errorf("meta: node counts %d/%d exceed buffer size %d", nNodes, nLeaves, len(buf))
 	}
 	m.Nodes = make([]Node, nNodes)
+	// The Aggregation Tree must be a tree: at most one parent per node and per
+	// leaf. Range checks alone admit diamond-shaped DAGs, which SelectLeaves
+	// walks once per path — exponentially often — returning a shared leaf
+	// once per path.
+	nodeSeen, leafSeen := make([]bool, nNodes), make([]bool, nLeaves)
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
 		n.Axis, n.Pos, n.Bounds = geom.Axis(r.U8()), r.F64(), r.Box()
@@ -381,17 +386,31 @@ func Decode(buf []byte) (*Meta, error) {
 		if !validRef(n.Left, int(nNodes), int(nLeaves)) || !validRef(n.Right, int(nNodes), int(nLeaves)) {
 			return nil, fmt.Errorf("meta: node %d has invalid children", i)
 		}
+		for _, ref := range [2]int32{n.Left, n.Right} {
+			seen, kind, j := nodeSeen, "node", int(ref)
+			if li, ok := aggtree.IsLeafRef(ref); ok {
+				seen, kind, j = leafSeen, "leaf", li
+			}
+			if seen[j] {
+				return nil, fmt.Errorf("meta: %s %d has multiple parents", kind, j)
+			}
+			seen[j] = true
+		}
 		n.Bitmaps = r.Bitmaps(nA)
 	}
 	m.Leaves = make([]LeafMeta, nLeaves)
+	// total is the particle count so far; TotalCount sums the same int64s, so
+	// no prefix of them may overflow.
+	var total int64
 	for i := range m.Leaves {
 		l := &m.Leaves[i]
 		l.FileName, l.Bounds = r.Str(), r.Box()
 		cnt := r.U64()
-		if cnt > math.MaxInt64 {
-			return nil, fmt.Errorf("meta: leaf %d particle count %d overflows int64", i, cnt)
+		if cnt > uint64(math.MaxInt64-total) {
+			return nil, fmt.Errorf("meta: leaf %d particle count %d takes the dataset total past int64", i, cnt)
 		}
 		l.Count = int64(cnt)
+		total += l.Count
 		l.LocalRanges = make([]bitmap.Range, nA)
 		for a := range l.LocalRanges {
 			l.LocalRanges[a] = r.Range()

@@ -307,7 +307,8 @@ func (d *Dataset) NumFiles() int { return len(d.meta.Leaves) }
 
 // Compression returns the dataset's codec declaration from the top-level
 // metadata, or nil when the write declared no error bounds (every attribute
-// lossless).
+// lossless). Each leaf file declares its codecs in its own footer either way
+// (batinspect -leaf prints them); this is the dataset-wide summary.
 func (d *Dataset) Compression() *CompressionMeta {
 	if d.meta.Compression == nil {
 		return nil
@@ -360,9 +361,20 @@ func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
 	return n, err
 }
 
-// ReadAll collects every particle into one set.
+// ReadAll collects every particle into one set. The set is sized from the
+// leaf files' own particle counts, each bounded by its file's size and
+// checked against the metadata's when the leaf opens, never from the
+// metadata's counts alone.
 func (d *Dataset) ReadAll() (*ParticleSet, error) {
-	out := particles.NewSet(d.meta.Schema, int(d.meta.TotalCount()))
+	n := 0
+	for li := range d.meta.Leaves {
+		f, err := d.r.Leaf(context.Background(), li)
+		if err != nil {
+			return nil, err
+		}
+		n += int(f.NumParticles)
+	}
+	out := particles.NewSet(d.meta.Schema, n)
 	err := d.Query(Query{}, func(p Vec3, attrs []float64) error {
 		out.Append(p, attrs)
 		return nil

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"libbat/internal/core"
+	"libbat/internal/meta"
 	"libbat/internal/oracle"
 )
 
@@ -262,5 +264,59 @@ func TestWriteRejectsLongAttributeName(t *testing.T) {
 		if strings.HasSuffix(f, ".bat") || strings.HasSuffix(f, ".batm") {
 			t.Errorf("failed write left %q behind", f)
 		}
+	}
+}
+
+// TestHostileLeafCounts: a CRC-valid metadata file whose leaf particle
+// counts are not the leaf files' is refused, never trusted to size an
+// allocation. A leaf claiming 2^62 leaves the dataset open (the count fits
+// an int64) but ReadAll fails when that leaf's file disagrees; two such
+// leaves take the total past int64 and the dataset does not open.
+func TestHostileLeafCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		counts           map[int]int64
+		openErr, readErr string
+	}{
+		{"one leaf claims 2^62", map[int]int64{0: 1 << 62}, "", "metadata says 4611686018427387904"},
+		{"two leaves overflow int64", map[int]int64{0: 1 << 62, 1: 1 << 62}, "past int64", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, _ := writeTestDataset(t, "hc", 20*1024)
+			name := core.MetaFileName("hc")
+			h, err := store.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, h.Size())
+			if _, err := h.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			h.Close()
+			m, err := meta.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, c := range tc.counts {
+				m.Leaves[li].Count = c
+			}
+			if err := store.WriteFile(name, m.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := OpenDataset(store, "hc")
+			if tc.openErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
+					t.Fatalf("OpenDataset error %v, want one containing %q", err, tc.openErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if got, err := ds.ReadAll(); got != nil || err == nil || !strings.Contains(err.Error(), tc.readErr) {
+				t.Fatalf("ReadAll error %v; want no set and an error containing %q", err, tc.readErr)
+			}
+		})
 	}
 }

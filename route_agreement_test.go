@@ -104,14 +104,14 @@ func checkRoutes(t *testing.T, ref *oracle.Reference, routes []datasetRoute, q Q
 // TestRouteAgreement: every route to an answer returns the same multiset,
 // and it is what the oracle allows for the written input, for each kind of
 // query the generator draws.
-// The "v2" case is a lossless write, the "v3" case one with declared error
-// bounds, where attribute values may differ by the bound and a filter's
-// edge particles may go either way.
+// The "lossless" case is a write without error bounds, the "lossy" case one
+// with declared error bounds, where attribute values may differ by the bound
+// and a filter's edge particles may go either way.
 func TestRouteAgreement(t *testing.T) {
-	for _, ver := range []string{"v2", "v3"} {
-		t.Run(ver, func(t *testing.T) {
+	for _, mode := range []string{"lossless", "lossy"} {
+		t.Run(mode, func(t *testing.T) {
 			cfg := DefaultWriteConfig(20 * 1024)
-			if ver == "v3" {
+			if mode == "lossy" {
 				cfg.BAT.Compress = true
 				cfg.BAT.AttrErrorBounds = []float64{1e-3, 1e-3}
 			}

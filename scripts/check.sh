@@ -173,11 +173,13 @@ assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 }
 run "batserve smoke" batserve_smoke
 
-# Short fuzz pass over the decoders uintcast guards (BAT files, the treelet
-# parser behind their checksums, the five v3 section codecs underneath it —
+# Short fuzz pass over the decoders uintcast guards (BAT files and the
+# treelet parser behind their checksums, both seeded from version-3 builds,
+# a multi-treelet one among them; the five section codecs underneath —
 # raw, delta, quant-for, key-for, cell-for — and the packed node table, fed
 # payloads, node tables and a bounds box directly, the retired codec ids and
-# frame mode among the seeds, the metadata file, particle wire encoding) and over
+# frame mode among the seeds; the metadata file, a diamond-shaped tree and
+# leaf counts past int64 among its seeds; particle wire encoding) and over
 # batserve's /points query-string parser: seconds, not a soak — enough to
 # catch parser regressions on the corpus + fresh mutations. Every pattern is
 # anchored: -fuzz refuses a pattern that matches two targets, so a second
