@@ -267,7 +267,8 @@ func Unmarshal(buf []byte, schema Schema) (*Set, error) {
 	if len(buf) != want {
 		return nil, fmt.Errorf("particles: buffer is %d bytes, want %d for %d particles", len(buf), want, n)
 	}
-	s := NewSet(schema, n)
+	// The columns are filled in place: NewSet's would be thrown away.
+	s := &Set{Schema: schema, Attrs: make([][]float64, schema.NumAttrs())}
 	off := 8
 	read32 := func() []float32 {
 		a := make([]float32, n)

@@ -1,7 +1,9 @@
 package particles
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -168,6 +170,35 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := Unmarshal(buf, NewSchema("a", "b", "c")); err == nil {
 		t.Error("wrong schema size should error")
+	}
+}
+
+// TestUnmarshalAllocatesOnce: decoding a message allocates its columns
+// once, so the bytes allocated stay within the payload plus a small
+// constant (the set header and the size-class rounding of ten columns).
+func TestUnmarshalAllocatesOnce(t *testing.T) {
+	const n = 100_000
+	schema := NewSchema("a", "b", "c", "d", "e", "f", "g")
+	s := NewSet(schema, n)
+	attrs := make([]float64, schema.NumAttrs())
+	for i := 0; i < n; i++ {
+		s.Append(geom.V3(float64(i), 1, 2), attrs)
+	}
+	buf := s.Marshal()
+	payload := uint64(len(buf) - 8)
+	allocated := uint64(math.MaxUint64)
+	for range 3 { // the least of three, past any stray background allocation
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Unmarshal(buf, schema)
+		runtime.ReadMemStats(&after)
+		if err != nil || got.Len() != n {
+			t.Fatalf("Unmarshal: %v, %d particles", err, got.Len())
+		}
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	if allocated > payload+64<<10 {
+		t.Errorf("Unmarshal of a %d-byte payload allocated %d bytes, want at most the payload + 64 KiB", payload, allocated)
 	}
 }
 

@@ -138,7 +138,8 @@ func (c *CoalBoiler) plumesAt(f float64) []plumeState {
 
 // plumeDensity evaluates the (unnormalized) particle density at a point.
 // Unlike Cosmo's mixture the sum has no positive floor (it starts at zero),
-// so no term is ever provably negligible and every plume is evaluated.
+// so no term is ever provably negligible and every plume is evaluated;
+// Generate calls it only where plumeBounds cannot decide.
 func plumeDensity(plumes []plumeState, pt geom.Vec3) float64 {
 	var d float64
 	for i := range plumes {
@@ -149,6 +150,103 @@ func plumeDensity(plumes []plumeState, pt geom.Vec3) float64 {
 		d += p.weight * math.Exp(-0.5*(dx*dx+dy*dy+dz*dz))
 	}
 	return d
+}
+
+// The rejection test's bracket grid (DESIGN §3.1).
+const (
+	// boundCells is the grid's resolution per axis over a rank box.
+	boundCells = 8
+	// boundPad widens every cell on each side, as a fraction of the cell,
+	// far past the few ulps by which a candidate can round out of the cell
+	// its index names.
+	boundPad = 1e-6
+	// boundRel widens every bracket relatively: a bound and the exact sum
+	// are each off by parts in 10^13 at most.
+	boundRel = 1e-9
+	// boundFloor widens every bracket absolutely, past the error of a
+	// subnormal term, which boundRel does not cover.
+	boundFloor = 1e-300
+)
+
+// plumeBounds brackets plumeDensity over a boundCells^3 grid of cells laid
+// on one rank box, so that most rejection tests are decided without the
+// exact sum. A cell is filled on the first candidate that lands in it; hi
+// == 0 marks it unfilled (a filled hi is at least boundFloor).
+type plumeBounds struct {
+	plumes           []plumeState
+	lower, cell, inv geom.Vec3
+	cells            [boundCells * boundCells * boundCells]struct{ lo, hi float64 }
+	// candidates counts the rejection tests made, exact those of them
+	// that needed plumeDensity.
+	candidates, exact int
+}
+
+func newPlumeBounds(plumes []plumeState, b geom.Box) *plumeBounds {
+	cell := b.Size().Scale(1.0 / boundCells)
+	return &plumeBounds{
+		plumes: plumes,
+		lower:  b.Lower,
+		cell:   cell,
+		inv:    geom.Vec3{X: 1 / cell.X, Y: 1 / cell.Y, Z: 1 / cell.Z},
+	}
+}
+
+// rejects reports t > plumeDensity(pt), computing the sum only when t
+// falls inside pt's cell bracket.
+func (pb *plumeBounds) rejects(pt geom.Vec3, t float64) bool {
+	pb.candidates++
+	lo, hi := pb.bracket(pt)
+	if t <= lo {
+		return false
+	}
+	if t > hi {
+		return true
+	}
+	pb.exact++
+	return t > plumeDensity(pb.plumes, pt)
+}
+
+// bracket returns lo <= plumeDensity(pt) <= hi for any pt of the box; a
+// point rounded just outside it is clamped into the nearest cell, whose
+// padding still covers it.
+func (pb *plumeBounds) bracket(pt geom.Vec3) (lo, hi float64) {
+	ix := cellIndex(pt.X, pb.lower.X, pb.inv.X)
+	iy := cellIndex(pt.Y, pb.lower.Y, pb.inv.Y)
+	iz := cellIndex(pt.Z, pb.lower.Z, pb.inv.Z)
+	cell := &pb.cells[(iz*boundCells+iy)*boundCells+ix]
+	if cell.hi == 0 {
+		cell.lo, cell.hi = pb.fill(ix, iy, iz)
+	}
+	return cell.lo, cell.hi
+}
+
+func cellIndex(v, lower, inv float64) int {
+	return min(max(int((v-lower)*inv), 0), boundCells-1)
+}
+
+// fill bounds the plume sum over one padded cell: each plume's term is
+// smallest at the cell's farthest corner and largest at the cell point
+// nearest its centre.
+func (pb *plumeBounds) fill(ix, iy, iz int) (lo, hi float64) {
+	for i := range pb.plumes {
+		p := &pb.plumes[i]
+		nx, fx := axisReach(pb.lower.X, pb.cell.X, ix, p.center.X, p.sigma.X)
+		ny, fy := axisReach(pb.lower.Y, pb.cell.Y, iy, p.center.Y, p.sigma.Y)
+		nz, fz := axisReach(pb.lower.Z, pb.cell.Z, iz, p.center.Z, p.sigma.Z)
+		lo += p.weight * math.Exp(-0.5*(fx+fy+fz))
+		hi += p.weight * math.Exp(-0.5*(nx+ny+nz))
+	}
+	return lo*(1-boundRel) - boundFloor, hi*(1+boundRel) + boundFloor
+}
+
+// axisReach returns the squared distances, in units of s, from c to the
+// nearest and the farthest point of padded cell i along one axis.
+func axisReach(lower, cell float64, i int, c, s float64) (near, far float64) {
+	a := lower + (float64(i)-boundPad)*cell
+	b := lower + (float64(i+1)+boundPad)*cell
+	dn := (min(max(c, a), b) - c) / s
+	df := max(c-a, b-c) / s
+	return dn * dn, df * df
 }
 
 // Counts implements Workload: each rank's share of the step's population is
@@ -181,6 +279,13 @@ func (c *CoalBoiler) counts(step int) []int64 {
 // correlated (temperature falls with height, velocity follows the plume
 // drift).
 func (c *CoalBoiler) Generate(step, rank int) *particles.Set {
+	s, _ := c.generate(step, rank)
+	return s
+}
+
+// generate is Generate, also returning the rank's rejection-test bracket
+// with its counters.
+func (c *CoalBoiler) generate(step, rank int) (*particles.Set, *plumeBounds) {
 	want := c.counts(step)[rank]
 	r := rng(c.seed, step, rank)
 	f := c.progress(step)
@@ -200,29 +305,40 @@ func (c *CoalBoiler) Generate(step, rank int) *particles.Set {
 		}
 	}
 	dmax *= 1.5
-	s := particles.NewSet(c.schema, int(want))
-	attrs := make([]float64, c.schema.NumAttrs())
-	for int64(s.Len()) < want {
+	bounds := newPlumeBounds(plumes, b)
+	// The columns are filled in place: Append's per-call slice bookkeeping
+	// cost a sixth of the loop.
+	n := int(want)
+	s := particles.NewSet(c.schema, n)
+	s.X, s.Y, s.Z = s.X[:n], s.Y[:n], s.Z[:n]
+	for a := range s.Attrs {
+		s.Attrs[a] = s.Attrs[a][:n]
+	}
+	temp, mass, vx, vy, vz := s.Attrs[0], s.Attrs[1], s.Attrs[2], s.Attrs[3], s.Attrs[4]
+	char, moisture := s.Attrs[5], s.Attrs[6]
+	height := c.decomp.Domain.Size().Z
+	for i := 0; i < n; {
 		pt := geom.Vec3{
 			X: b.Lower.X + r.Float64()*sz.X,
 			Y: b.Lower.Y + r.Float64()*sz.Y,
 			Z: b.Lower.Z + r.Float64()*sz.Z,
 		}
-		if dmax > 0 && r.Float64()*dmax > plumeDensity(plumes, pt) {
+		if dmax > 0 && bounds.rejects(pt, r.Float64()*dmax) {
 			// Cap rejection work: accept uniformly after enough tries by
 			// decaying the threshold.
 			dmax *= 0.999
 			continue
 		}
-		h := pt.Z / c.decomp.Domain.Size().Z
-		attrs[0] = 1800 - 900*h + 30*r.NormFloat64() // temp
-		attrs[1] = 1e-6 * (1 + 0.2*r.NormFloat64())  // mass
-		attrs[2] = 2 + r.NormFloat64()*0.3           // vx
-		attrs[3] = r.NormFloat64() * 0.3             // vy
-		attrs[4] = 4 + 2*h + r.NormFloat64()*0.5     // vz
-		attrs[5] = math.Max(0, 1-f-0.1*r.Float64())  // char
-		attrs[6] = math.Max(0, 0.3-0.3*h)            // moisture
-		s.Append(pt, attrs)
+		h := pt.Z / height
+		s.X[i], s.Y[i], s.Z[i] = float32(pt.X), float32(pt.Y), float32(pt.Z)
+		temp[i] = 1800 - 900*h + 30*r.NormFloat64()
+		mass[i] = 1e-6 * (1 + 0.2*r.NormFloat64())
+		vx[i] = 2 + r.NormFloat64()*0.3
+		vy[i] = r.NormFloat64() * 0.3
+		vz[i] = 4 + 2*h + r.NormFloat64()*0.5
+		char[i] = math.Max(0, 1-f-0.1*r.Float64())
+		moisture[i] = math.Max(0, 0.3-0.3*h)
+		i++
 	}
-	return s
+	return s, bounds
 }

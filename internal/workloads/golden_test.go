@@ -90,12 +90,23 @@ func TestGoldenDigests(t *testing.T) {
 	}
 	allHalo.MaxClustered = 1
 
-	cases := []struct {
+	// The benchmark's -quick coal shape: growth pinned around step = seed.
+	quickCoal := func(seed int) Workload {
+		w, err := NewCoalBoiler(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetGrowth(seed-2000, seed+2000, 20_000, 20_000)
+		return w
+	}
+
+	type golden struct {
 		name string
 		w    Workload
 		step int
 		want string
-	}{
+	}
+	cases := []golden{
 		{"uniform", uniform, 0, "afb13b2c311fff8352808837dec6274ed69a925cf4a95f8fe50b440b2ad032d9"},
 		{"uniform", uniform, 3, "a0429328d3649c9461c8b0732007b537f4581b2a61e94466af59b65750f7573c"},
 		{"coal", coal, 100, "facb17c554cc2689e75c1b184ea00e6b48e09e36ed86279cb59504b5c2876670"},
@@ -109,6 +120,27 @@ func TestGoldenDigests(t *testing.T) {
 		{"cosmo", cosmo, 1000, "227f8111bb5a714f04845fd237212a454aec8bc02d49a38c1cd4c3210a9d50c5"}, // fully formed, cl = MaxClustered
 		{"cosmo-formed", formed, 7, "ce79b11b1e13694b56ecb8bb66cc6ee87514bd95e5ba7bb017b10dc6ef0ba180"},
 		{"cosmo-all-halo", allHalo, 1000, "70b1b42cf5aedd92b625f8593b083884c8ddbf51927f2c7cf7e8ba86ce1b69a0"},
+		// Recorded at commit 362fce3, before Generate's per-cell density bracket.
+		{"coal-quick", quickCoal(1), 1, "dada19a6b68173a88cdbafaca81c92717b618340f361cb2f361fa5a7149f55bc"},
+		{"coal-quick", quickCoal(2), 2, "cf9a291da074316f5b7e3415a7bc324191c32192a03644ad04f75cb4edbae376"},
+		{"coal-quick", quickCoal(3), 3, "98d53e0400552512d405df3b3222cb89296752a0bb2992329eb6bbe738acb0be"},
+	}
+	if !testing.Short() {
+		// The benchmark's coal16-v2 world at seed 1, and the paper's
+		// 1 536-rank world at its first step (4.6 M particles).
+		coal16, err := NewCoalBoiler(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coal16.SetGrowth(1-2000, 1+2000, 1_000_000, 1_000_000)
+		paper, err := NewCoalBoiler(1536)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			golden{"coal16-v2", coal16, 1, "619e2f76251c97e87a36b2380bce6b784455834040cdd97c56d68380a1a957f5"},
+			golden{"coal-1536", paper, 501, "ebc43dde38fbbfc10e514cc011ae624f336f48a0f8b7ca6083a5f8e266519217"},
+		)
 	}
 	for _, c := range cases {
 		if got := worldDigest(c.w, c.step); got != c.want {

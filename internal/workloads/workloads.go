@@ -41,8 +41,10 @@ func NewDecomp(domain geom.Box, nx, ny, nz int) (*Decomp, error) {
 	return &Decomp{Domain: domain, Dims: [3]int{nx, ny, nz}}, nil
 }
 
-// Factor3D chooses a near-cubic factorization of n ranks, preferring
-// factors proportional to the domain extents.
+// Factor3D chooses a near-cubic factorization of n ranks: the triple with
+// the least a·b + b·c + a·c (surface to volume), largest factor first. It
+// never sees a domain; a caller with a non-cubic one orients the factors
+// itself (NewCoalBoiler puts the largest on the tall z axis).
 func Factor3D(n int) (nx, ny, nz int) {
 	best := [3]int{n, 1, 1}
 	bestCost := math.Inf(1)

@@ -51,13 +51,15 @@ run "go test ./..." go test ./...
 # instead of hanging the script.
 run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 
-# Bench smoke: one iteration of every BAT build benchmark and of the section
-# kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote),
-# just to keep the benchmark code compiling and runnable (no timing
+# Bench smoke: one iteration of every BAT build benchmark, of the section
+# kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote)
+# and of the generators' (the ns/particle and ns/rank figures EXPERIMENTS.md
+# quotes), just to keep the benchmark code compiling and runnable (no timing
 # assertions; BenchmarkDecodeSection does check that each column encodes to
 # the stream its case names and decodes).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
+run "bench smoke generators" go test -run=NONE -bench='Generate|Counts' -benchtime=1x ./internal/workloads/
 
 # The examples are only compiled by the stages above; run each end to end
 # and require the line it prints when its own check holds: the quickstart
