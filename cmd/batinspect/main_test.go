@@ -15,7 +15,8 @@ import (
 	"libbat/internal/pfs"
 )
 
-// writeDataset produces a small on-disk dataset and returns its store.
+// writeDataset produces a small on-disk dataset and returns its store. Its
+// attribute "v" is of one sign, "w" zero-mean.
 func writeDataset(t *testing.T) pfs.Storage {
 	t.Helper()
 	store, err := libbat.DirStorage(t.TempDir())
@@ -25,10 +26,10 @@ func writeDataset(t *testing.T) pfs.Storage {
 	err = libbat.Run(4, func(c *libbat.Comm) error {
 		r := rand.New(rand.NewSource(int64(c.Rank())))
 		lo := libbat.V3(float64(c.Rank()), 0, 0)
-		local := libbat.NewParticleSet(libbat.NewSchema("v"), 500)
+		local := libbat.NewParticleSet(libbat.NewSchema("v", "w"), 500)
 		for i := 0; i < 500; i++ {
 			p := lo.Add(libbat.V3(r.Float64(), r.Float64(), r.Float64()))
-			local.Append(p, []float64{p.Y})
+			local.Append(p, []float64{p.Y, (p.Y - 0.5) * float64(1-2*(i%2))})
 		}
 		_, err := libbat.Write(c, store, "ds", local,
 			libbat.NewBox(lo, lo.Add(libbat.V3(1, 1, 1))), libbat.DefaultWriteConfig(8<<10))
@@ -205,8 +206,9 @@ func TestInspectCompressedLeaf(t *testing.T) {
 }
 
 // TestInspectLosslessLeaf: -leaf on a dataset written without error bounds
-// prints the class lossless for the float attribute, not the footer's
-// integral codec, and the sections column says it is stored key-for.
+// prints the class lossless for the float attributes, not the footer's
+// integral codec, and the sections column says the one of one sign is stored
+// key-for, the zero-mean one sign-key-for.
 func TestInspectLosslessLeaf(t *testing.T) {
 	ds, err := core.OpenDataset(context.Background(), writeDataset(t), "ds")
 	if err != nil {
@@ -216,9 +218,13 @@ func TestInspectLosslessLeaf(t *testing.T) {
 	if err := inspectLeaf(&out, ds, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := `(?m)^\s+v\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+key-for (one-frame|per-node-cols) x\d+`
-	if !regexp.MustCompile(want).Match(out.Bytes()) {
-		t.Errorf("-leaf output has no line matching %s:\n%s", want, out.String())
+	for _, want := range []string{
+		`(?m)^\s+v\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+key-for (one-frame|per-node-cols) x\d+`,
+		`(?m)^\s+w\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+sign-key-for (one-frame|per-node-cols) x\d+`,
+	} {
+		if !regexp.MustCompile(want).Match(out.Bytes()) {
+			t.Errorf("-leaf output has no line matching %s:\n%s", want, out.String())
+		}
 	}
 	if regexp.MustCompile(`(?m)^\s+\S+\s+delta\s`).Match(out.Bytes()) {
 		t.Errorf("-leaf output prints the class delta:\n%s", out.String())
@@ -227,8 +233,8 @@ func TestInspectLosslessLeaf(t *testing.T) {
 
 // TestStoredBytesAddUp: the parts -bytes prints are every byte on storage,
 // each of them non-empty, and the "of which block frames" line is a share of
-// the attribute row above it: the frames of the key-for sections in a
-// lossless dataset, of the quant-for sections in a lossy one.
+// the attribute row above it: the frames of the key-for and sign-key-for
+// sections in a lossless dataset, of the quant-for sections in a lossy one.
 func TestStoredBytesAddUp(t *testing.T) {
 	for name, store := range map[string]pfs.Storage{"lossless": writeDataset(t), "lossy": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")

@@ -12,9 +12,9 @@ import (
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
 // compares every byte it leaves behind with a recorded digest (the lossless
-// ones when every build began to write the packed version-3 layout, the
-// lossy one when the frames left the v3 sections: cell-for positions,
-// quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
+// ones when float attributes that cross zero began to take sign-key-for
+// sections, the lossy one when the frames left the v3 sections: cell-for
+// positions, quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
 //
@@ -29,11 +29,11 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "846f6c371ad1cdcb449a6a6e4aa6becb28ccf7b0d72fce03600af40f4f8690e2",
+			5, "e4af325f13cd1febd53fabac392fb2bac74f89d000d11e272c4033978410e3d9",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "8789bb582089c9225af5189ebadfdd3d6b1bc6622556ae14fdf2769b09cb54d6",
+			5, "67d42439cde3fe847b1664681df9525e2825acdbdec74cbaf137dc21a4c25a67",
 		},
 		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",

@@ -73,7 +73,8 @@ type BuildConfig struct {
 	// must equal the schema's attribute count. Nil, like a bound of 0,
 	// means lossless: a column is stored as the smallest of delta+varint
 	// (integral values only), key-for (the values' order-preserving keys
-	// under per-treelet or per-node frames) and raw. A bound is
+	// under per-treelet or per-node frames), sign-key-for (the same over
+	// keys that hold the sign in their lowest bit) and raw. A bound is
 	// measured against the value the attribute's schema type stores
 	// (Float32 attributes round through float32 either way).
 	AttrErrorBounds []float64

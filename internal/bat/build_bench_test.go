@@ -65,9 +65,11 @@ const sectionBenchBound = 1e-3
 // sectionBench is one treelet of sectionBenchN clustered particles, built by
 // the real k-d builder with DefaultBuildConfig — inner nodes of 8 LOD samples
 // over leaves of up to 128 particles — with an attribute that follows the
-// position ("smooth": neighbours in the layout are neighbours in value) and
-// one that ignores it ("noise", uniform in [1, 2): one binade, so a node's
-// own frame saves no key bits over the treelet's).
+// position ("smooth": neighbours in the layout are neighbours in value), one
+// that ignores it ("noise", uniform in [1, 2): one binade, so a node's own
+// frame saves no key bits over the treelet's), and the two under random signs
+// ("signed smooth", "signed noise": zero-mean columns, whose order keys span
+// 64 bits where their sign keys do not).
 type sectionBench struct {
 	set    *particles.Set
 	t      *treelet
@@ -75,11 +77,12 @@ type sectionBench struct {
 	bounds geom.Box
 }
 
-const sectionBenchSmooth, sectionBenchNoise = 0, 1
+const sectionBenchSmooth, sectionBenchNoise, sectionBenchSignedSmooth, sectionBenchSignedNoise = 0, 1, 2, 3
 
 func newSectionBench(tb testing.TB) *sectionBench {
 	r := rand.New(rand.NewSource(7))
-	set := particles.NewSet(particles.NewSchema("smooth", "noise"), sectionBenchN)
+	signs := rand.New(rand.NewSource(8)) // r's draws stay those of the unsigned columns
+	set := particles.NewSet(particles.NewSchema("smooth", "noise", "signed smooth", "signed noise"), sectionBenchN)
 	centers := make([]geom.Vec3, 32)
 	for i := range centers {
 		centers[i] = geom.V3(r.Float64(), r.Float64(), r.Float64())
@@ -87,7 +90,9 @@ func newSectionBench(tb testing.TB) *sectionBench {
 	for i := 0; i < sectionBenchN; i++ {
 		c := centers[i%len(centers)]
 		p := geom.V3(c.X+r.NormFloat64()*0.02, c.Y+r.NormFloat64()*0.02, c.Z+r.NormFloat64()*0.02)
-		set.Append(p, []float64{p.X + 0.004*r.Float64(), 1 + r.Float64()})
+		smooth, noise := p.X+0.004*r.Float64(), 1+r.Float64()
+		sign := float64(1 - 2*signs.Intn(2))
+		set.Append(p, []float64{smooth, noise, sign * smooth, sign * noise})
 	}
 	_, order := sortByMorton(set, geom.NewBox(geom.V3(-0.5, -0.5, -0.5), geom.V3(1.5, 1.5, 1.5)), 1)
 	var a buildArena
@@ -104,7 +109,7 @@ type sectionBenchCase struct {
 	pos  bool // the X column; otherwise attribute attr under bound
 	attr int
 	// bound is the attribute's error bound: sectionBenchBound, or 0 for the
-	// lossless key-for stream.
+	// lossless key-for and sign-key-for streams.
 	bound float64
 	// codec and mode are the codec and frame mode the column's encoder must
 	// choose.
@@ -119,6 +124,8 @@ func sectionBenchCases() []sectionBenchCase {
 		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, bound: sectionBenchBound, codec: codecQuantFOR, mode: "per-node-cols"},
 		{name: "key-for/one-frame", attr: sectionBenchNoise, codec: codecKeyFOR, mode: "one-frame"},
 		{name: "key-for/per-node-cols", attr: sectionBenchSmooth, codec: codecKeyFOR, mode: "per-node-cols"},
+		{name: "sign-key-for/one-frame", attr: sectionBenchSignedNoise, codec: codecSignKeyFOR, mode: "one-frame"},
+		{name: "sign-key-for/per-node-cols", attr: sectionBenchSignedSmooth, codec: codecSignKeyFOR, mode: "per-node-cols"},
 	}
 }
 
@@ -144,7 +151,8 @@ func reportPerValue(b *testing.B, values int) {
 
 // BenchmarkEncodeSection times the section encoders on the bench treelet:
 // its three position columns, and an attribute column, lossy or lossless,
-// that keeps one frame (noise) or takes one per node range (smooth).
+// that keeps one frame (noise) or takes one per node range (smooth) — the
+// zero-mean ones as sign-key-for.
 func BenchmarkEncodeSection(b *testing.B) {
 	sb := newSectionBench(b)
 	for _, c := range sectionBenchCases() {

@@ -93,8 +93,30 @@
 //	                  Values inside one k-d node share sign, exponent and
 //	                  leading mantissa bits, so their keys share high bits.
 //	                  A lossless float column is stored as the smallest of
-//	                  delta, key-for and raw; a lossy one that cannot be
-//	                  quantized falls back to key-for before raw.
+//	                  delta, key-for, sign-key-for and raw; a lossy one that
+//	                  cannot be quantized falls back to key-for or
+//	                  sign-key-for before raw.
+//	codecSignKeyFOR (7): lossless float attributes whose values cross zero.
+//	                  Exactly key-for's payload, frame modes, value limits
+//	                  and checks; only the key differs: the value's bit
+//	                  pattern rotated left by one bit (signKey32, signKey64),
+//	                  which moves the sign to the lowest bit. It is a
+//	                  bijection on every pattern too, and it puts -x next to
+//	                  +x, where the order key mirrors them about 2^63 (2^31),
+//	                  2b + 1 apart for b the magnitude's bit pattern,
+//	                  exponent field included: a zero-mean column's keys
+//	                  span the bits its magnitudes differ in plus one
+//	                  instead of 63 or 64. The
+//	                  encoder sizes both key streams of every lossless float
+//	                  column and keeps the shorter, key-for on a tie. Under
+//	                  one sign the rotated keys are the order keys' offsets
+//	                  doubled, so a node of one sign has its sign-key frame
+//	                  from its order-key frame, one bit wider unless it is
+//	                  constant, and only the nodes that hold both signs are
+//	                  scanned twice. A column of one sign therefore keeps
+//	                  key-for unless its frames alone make the sign keys
+//	                  shorter (a constant column of positives: its order-key
+//	                  base takes ten uvarint bytes, its sign-key base nine).
 //
 // Ids 1 and 3 and frame mode 1 are retired: earlier writers stored flat
 // quant attributes (1), positions under inline per-block frames (3) and
@@ -109,10 +131,10 @@
 // the grid the reconstruction is checked and the grid index nudged by one
 // when floating-point rounding pushed it over — so no combination of
 // magnitudes and bounds can break it; sections where even that fails (e.g.
-// bound far below one ulp) fall back to the lossless codecKeyFOR, or to
-// codecRaw when that does not shrink them. Every choice is a pure
-// function of the input values, keeping builds byte-deterministic across
-// worker counts.
+// bound far below one ulp) fall back to the lossless codecKeyFOR or
+// codecSignKeyFOR, or to codecRaw when neither shrinks them. Every choice is
+// a pure function of the input values, keeping builds byte-deterministic
+// across worker counts.
 package bat
 
 import (
@@ -128,16 +150,17 @@ import (
 
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
-// attribute, codecDelta for a lossless one — so codecQuantFOR, codecCellFOR
-// and codecKeyFOR never appear there, and codecQuant, retired as a section
-// codec, appears nowhere else.
+// attribute, codecDelta for a lossless one — so codecQuantFOR, codecCellFOR,
+// codecKeyFOR and codecSignKeyFOR never appear there, and codecQuant, retired
+// as a section codec, appears nowhere else.
 const (
-	codecRaw      uint8 = 0
-	codecQuant    uint8 = 1
-	codecDelta    uint8 = 2
-	codecQuantFOR uint8 = 4
-	codecCellFOR  uint8 = 5
-	codecKeyFOR   uint8 = 6
+	codecRaw        uint8 = 0
+	codecQuant      uint8 = 1
+	codecDelta      uint8 = 2
+	codecQuantFOR   uint8 = 4
+	codecCellFOR    uint8 = 5
+	codecKeyFOR     uint8 = 6
+	codecSignKeyFOR uint8 = 7
 )
 
 // CodecName returns the human-readable name of a codec id (batinspect).
@@ -155,6 +178,8 @@ func CodecName(c uint8) string {
 		return "cell-for"
 	case codecKeyFOR:
 		return "key-for"
+	case codecSignKeyFOR:
+		return "sign-key-for"
 	}
 	return fmt.Sprintf("unknown(%d)", c)
 }
@@ -166,8 +191,8 @@ const maxQuantBits = 48
 // maxQuantIndex is the largest grid index a quant section may hold.
 const maxQuantIndex = 1<<maxQuantBits - 1
 
-// keyLimit is the largest key a key-for section of an attribute of type typ
-// may hold: an f32Key or an f64Key.
+// keyLimit is the largest key a key-for or sign-key-for section of an
+// attribute of type typ may hold: a 32-bit key or a 64-bit one.
 func keyLimit(typ particles.AttrType) uint64 {
 	if typ == particles.Float32 {
 		return math.MaxUint32
@@ -208,8 +233,8 @@ type forFrame struct {
 
 // blockFrame is a node range's block as the block loop reads it: its frame,
 // the largest offset a valid stream holds under it, and the bit of the
-// section payload its first offset starts at. The encoders fill the frame
-// only.
+// section payload its first offset starts at. The encoders fill the frame and
+// the span, the largest offset their block holds.
 type blockFrame struct {
 	forFrame
 	span uint64
@@ -217,9 +242,13 @@ type blockFrame struct {
 }
 
 // frameOf returns the frame of blk (the zero frame for an empty block).
-func frameOf(blk []uint64) forFrame {
+func frameOf(blk []uint64) forFrame { return spanOf(blk).forFrame }
+
+// spanOf returns the frame of blk with its span set to the largest offset
+// under it (the zero frame for an empty block).
+func spanOf(blk []uint64) blockFrame {
 	if len(blk) == 0 {
-		return forFrame{}
+		return blockFrame{}
 	}
 	lo, hi := blk[0], blk[0]
 	for _, v := range blk[1:] {
@@ -229,7 +258,7 @@ func frameOf(blk []uint64) forFrame {
 			hi = v
 		}
 	}
-	return forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}
+	return blockFrame{forFrame: forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}, span: hi - lo}
 }
 
 // nodeFrames returns the arena's frame scratch sized for a treelet of n nodes.
@@ -500,27 +529,25 @@ func encodeAttr(vals []float64, t *treelet, typ particles.AttrType,
 			return encodedAttr{codec: codecQuantFOR, data: data}
 		}
 	} else if data, ok := encodeDelta(ref, rawLen); ok {
-		// The shorter of delta and key-for; delta on a tie.
-		if keys, ok := encodeKeyFOR(ref, typ, t, len(data), a); ok {
-			return encodedAttr{codec: codecKeyFOR, data: keys}
+		// The shortest of delta and the key streams; delta on a tie.
+		if keys := encodeKeys(ref, typ, t, len(data), a); keys.codec != codecRaw {
+			return keys
 		}
 		return encodedAttr{codec: codecDelta, data: data}
 	}
-	if data, ok := encodeKeyFOR(ref, typ, t, rawLen, a); ok {
-		return encodedAttr{codec: codecKeyFOR, data: data}
-	}
-	return encodedAttr{codec: codecRaw}
+	return encodeKeys(ref, typ, t, rawLen, a)
 }
 
 // quantFORHeaderLen is the fixed prefix of a codecQuantFOR payload: grid
 // minimum f64, mode u8.
 const quantFORHeaderLen = 8 + 1
 
-// keyFORHeaderLen is the fixed prefix of a codecKeyFOR payload: mode u8.
+// keyFORHeaderLen is the fixed prefix of a codecKeyFOR or codecSignKeyFOR
+// payload: mode u8.
 const keyFORHeaderLen = 1
 
-// The frame modes of a framed (quant-for or key-for) section. Mode 1, inline
-// per-node frames, is retired.
+// The frame modes of a framed (quant-for, key-for or sign-key-for) section.
+// Mode 1, inline per-node frames, is retired.
 const (
 	modeOneFrame    uint8 = 0
 	modePerNodeCols uint8 = 2
@@ -614,72 +641,206 @@ func encodeQuantFOR(ref []float64, bound, lodScale float64, t *treelet,
 	return out, ok
 }
 
-// encodeKeyFOR maps ref (t's column in layout order, type-rounded) to its
-// keys — f32Key of the float32 codecRaw would store for a Float32 attribute,
-// f64Key otherwise — and packs them as a framed stream. ok=false means the
-// stream would not be shorter than maxLen.
-func encodeKeyFOR(ref []float64, typ particles.AttrType, t *treelet, maxLen int, a *buildArena) ([]byte, bool) {
-	keys := a.qbuf[:0]
-	if typ == particles.Float32 {
-		for _, v := range ref {
-			keys = append(keys, uint64(f32Key(math.Float32bits(float32(v)))))
-		}
-	} else {
-		for _, v := range ref {
-			keys = append(keys, f64Key(math.Float64bits(v)))
-		}
-	}
+// encodeKeys stores ref (t's column in layout order, type-rounded) as a
+// key-for or a sign-key-for section, whichever stream is shorter — key-for on
+// a tie —, or returns codecRaw when neither would be shorter than maxLen. Both
+// streams are sized from their node frames — a node of one sign has its
+// sign-key frame from its order-key frame (signFrames), so only the nodes
+// that hold both signs are read twice — and only the stream kept is packed.
+func encodeKeys(ref []float64, typ particles.AttrType, t *treelet, maxLen int, a *buildArena) encodedAttr {
+	keys := orderKeys(a.qbuf[:0], ref, typ)
 	a.qbuf = keys[:0] // keep the (possibly grown) backing array
-	return packFramed(keys, t, keyFORHeaderLen, keyLimit(typ), maxLen, a)
+	nN := len(t.nodes)
+	frames := a.nodeFrames(2 * nN)
+	order, sign := frames[:nN], frames[nN:]
+	setFrames(order, keys, t)
+	signFrames(sign, order, ref, typ, t)
+	limit := keyLimit(typ)
+	codec, frames, plan := codecKeyFOR, order, planFramed(order, t, limit)
+	if signPlan := planFramed(sign, t, limit); signPlan.size < plan.size {
+		codec, frames, plan = codecSignKeyFOR, sign, signPlan
+	}
+	if keyFORHeaderLen+plan.size >= maxLen {
+		return encodedAttr{codec: codecRaw}
+	}
+	if codec == codecSignKeyFOR {
+		keys = signKeys(keys[:0], ref, typ)
+	}
+	data, ok := writeFramed(keys, frames, t, keyFORHeaderLen, plan, a)
+	if !ok {
+		return encodedAttr{codec: codecRaw}
+	}
+	return encodedAttr{codec: codec, data: data}
 }
 
-// packFramed packs vals — t's column in layout order, none above limit —
-// behind a header of hdrLen bytes whose last byte it sets to the frame mode,
-// and leaves the rest of the header to the caller: one frame over the
-// treelet (modeOneFrame) or one per node range, the bases and the widths as
-// two runs ahead of the bit-contiguous blocks (modePerNodeCols), whichever
-// stream is shorter. ok=false means the stream would not be shorter than
-// maxLen.
-func packFramed(vals []uint64, t *treelet, hdrLen int, limit uint64, maxLen int, a *buildArena) ([]byte, bool) {
-	one := frameOf(vals)
-	mode, size := modeOneFrame, runLen(len(vals), one)
+// orderKeys appends key-for's key of every value of ref to dst: f32Key of the
+// float32 codecRaw would store for a Float32 attribute, f64Key otherwise.
+func orderKeys(dst []uint64, ref []float64, typ particles.AttrType) []uint64 {
+	if typ == particles.Float32 {
+		for _, v := range ref {
+			dst = append(dst, uint64(f32Key(math.Float32bits(float32(v)))))
+		}
+		return dst
+	}
+	for _, v := range ref {
+		dst = append(dst, f64Key(math.Float64bits(v)))
+	}
+	return dst
+}
 
+// signKeys appends sign-key-for's key of every value of ref to dst: signKey32
+// of the float32 codecRaw would store for a Float32 attribute, signKey64
+// otherwise.
+func signKeys(dst []uint64, ref []float64, typ particles.AttrType) []uint64 {
+	if typ == particles.Float32 {
+		for _, v := range ref {
+			dst = append(dst, uint64(signKey32(math.Float32bits(float32(v)))))
+		}
+		return dst
+	}
+	for _, v := range ref {
+		dst = append(dst, signKey64(math.Float64bits(v)))
+	}
+	return dst
+}
+
+// signFrames sets sign[i] to the frame node i's values take under sign-key-for
+// from order, their frames under key-for. A node whose order keys all lie on
+// one side of the key of +0 holds values of one sign, and its sign-key frame
+// runs between the sign keys of its order frame's two ends (signOfOrder): the
+// span doubled, so a block of two or more distinct values is exactly one bit
+// wider and a constant one stays zero bits. Only a node that holds both signs
+// is scanned.
+func signFrames(sign, order []blockFrame, ref []float64, typ particles.AttrType, t *treelet) {
+	plusZero := uint64(1) << 63
+	if typ == particles.Float32 {
+		plusZero = 1 << 31
+	}
+	for i := range t.nodes {
+		n, fr := &t.nodes[i], order[i]
+		lo, hi := fr.base, fr.base+fr.span
+		switch {
+		case n.count == 0:
+			sign[i] = blockFrame{}
+			continue
+		case lo < plusZero && hi >= plusZero:
+			lo, hi = signSpan(ref[n.start:n.start+n.count], typ)
+		case lo >= plusZero:
+			lo, hi = signOfOrder(lo, plusZero), signOfOrder(hi, plusZero)
+		default:
+			lo, hi = signOfOrder(hi, plusZero), signOfOrder(lo, plusZero)
+		}
+		sign[i] = blockFrame{forFrame: forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}, span: hi - lo}
+	}
+}
+
+// signOfOrder returns the sign key of the value whose order key is k, with
+// plusZero the order key of +0 (2^63, or 2^31 for a Float32 attribute): the
+// magnitude bits doubled, plus one for a negative value. Above plusZero the
+// magnitude bits are k - plusZero, so the map rises with k; below it they are
+// plusZero - 1 - k, so it falls.
+func signOfOrder(k, plusZero uint64) uint64 {
+	if k >= plusZero {
+		return 2 * (k - plusZero)
+	}
+	return 2*(plusZero-1-k) + 1
+}
+
+// signSpan returns the smallest and the largest sign key of the values of
+// ref, which is not empty.
+func signSpan(ref []float64, typ particles.AttrType) (lo, hi uint64) {
+	lo, hi = math.MaxUint64, 0
+	if typ == particles.Float32 {
+		for _, v := range ref {
+			k := uint64(signKey32(math.Float32bits(float32(v))))
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		return lo, hi
+	}
+	for _, v := range ref {
+		k := signKey64(math.Float64bits(v))
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// setFrames sets frames[i] to the frame of node i's range of vals, with span
+// its largest offset (the zero frame for an empty node).
+func setFrames(frames []blockFrame, vals []uint64, t *treelet) {
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		frames[i] = spanOf(vals[n.start : n.start+n.count])
+	}
+}
+
+// framePlan is a framed stream sized from its node frames: its mode, its
+// length after the header, and the frames its runs are stored under — the one
+// frame over the treelet (modeOneFrame), or the frames of the base and the
+// width column (modePerNodeCols).
+type framePlan struct {
+	mode          uint8
+	size          int
+	one           forFrame
+	bases, widths forFrame
+}
+
+// planFramed sizes a column whose node frames are set (setFrames) in both
+// frame modes — one frame over the treelet, or one per node range with the
+// bases and the widths as two runs ahead of the bit-contiguous blocks — and
+// plans the shorter. The one frame spans the node frames, so no value is read.
+func planFramed(frames []blockFrame, t *treelet, limit uint64) framePlan {
 	// The decoder accepts a node's frame only if no offset under it can pass
 	// the limit, or if it is as wide as the limit itself (layColumns), so a
 	// column with another frame keeps the one frame.
 	maxWidth := limitWidth(limit)
-	nN := len(t.nodes)
-	frames := a.nodeFrames(nN)
-	if cap(a.cols) < 2*nN {
-		a.cols = make([]uint64, 2*nN)
-	}
-	bases, widths := a.cols[:nN], a.cols[nN:2*nN]
-	blockBits, fits := 0, true
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	baseLo, baseHi := uint64(math.MaxUint64), uint64(0)
+	widthLo, widthHi := maxWidth, uint8(0)
+	n, blockBits, fits := 0, 0, true
 	for i := range t.nodes {
-		n := &t.nodes[i]
-		fr := frameOf(vals[n.start : n.start+n.count])
-		frames[i].forFrame = fr
-		bases[i], widths[i] = fr.base, uint64(fr.width)
-		blockBits += int(n.count) * int(fr.width)
+		fr, count := &frames[i], int(t.nodes[i].count)
+		if count > 0 {
+			lo, hi = min(lo, fr.base), max(hi, fr.base+fr.span)
+		}
+		baseLo, baseHi = min(baseLo, fr.base), max(baseHi, fr.base)
+		widthLo, widthHi = min(widthLo, fr.width), max(widthHi, fr.width)
+		n += count
+		blockBits += count * int(fr.width)
 		fits = fits && (fr.width == maxWidth || uint64(1)<<fr.width-1 <= limit-fr.base)
 	}
-	baseFr, widthFr := frameOf(bases), frameOf(widths)
-	if perNode := runLen(nN, baseFr) + runLen(nN, widthFr) + (blockBits+7)/8; fits && perNode < size {
-		mode, size = modePerNodeCols, perNode
+	p := framePlan{mode: modeOneFrame, one: forFrame{base: lo, width: uint8(bits.Len64(hi - lo))}}
+	p.size = runLen(n, p.one)
+	p.bases = forFrame{base: baseLo, width: uint8(bits.Len64(baseHi - baseLo))}
+	p.widths = forFrame{base: uint64(widthLo), width: uint8(bits.Len8(widthHi - widthLo))}
+	nN := len(t.nodes)
+	if perNode := runLen(nN, p.bases) + runLen(nN, p.widths) + (blockBits+7)/8; fits && perNode < p.size {
+		p.mode, p.size = modePerNodeCols, perNode
 	}
-	size += hdrLen
-	if size >= maxLen {
-		return nil, false
-	}
+	return p
+}
 
+// writeFramed packs vals — t's column in layout order, under the node frames
+// p was planned from — as p plans, behind a header of hdrLen bytes whose last
+// byte it sets to the frame mode; the rest of the header is the caller's.
+// ok=false means the plan and the packer disagree.
+func writeFramed(vals []uint64, frames []blockFrame, t *treelet, hdrLen int, p framePlan, a *buildArena) ([]byte, bool) {
+	size := hdrLen + p.size
 	out := make([]byte, size+packSlack)
-	out[hdrLen-1] = mode
+	out[hdrLen-1] = p.mode
 	pos := hdrLen
-	if mode == modeOneFrame {
-		pos = putRun(out, pos, vals, one)
+	if p.mode == modeOneFrame {
+		pos = putRun(out, pos, vals, p.one)
 	} else {
-		pos = putRun(out, pos, bases, baseFr)
-		bit := putRun(out, pos, widths, widthFr) << 3
+		nN := len(t.nodes)
+		if cap(a.cols) < 2*nN {
+			a.cols = make([]uint64, 2*nN)
+		}
+		bases, widths := a.cols[:nN], a.cols[nN:2*nN]
+		for i := range t.nodes {
+			bases[i], widths[i] = frames[i].base, uint64(frames[i].width)
+		}
+		pos = putRun(out, pos, bases, p.bases)
+		bit := putRun(out, pos, widths, p.widths) << 3
 		for i := range t.nodes {
 			n := &t.nodes[i]
 			bit = packBits(out, bit, vals[n.start:n.start+n.count], frames[i].forFrame)
@@ -687,9 +848,22 @@ func packFramed(vals []uint64, t *treelet, hdrLen int, limit uint64, maxLen int,
 		pos = (bit + 7) >> 3
 	}
 	if pos != size {
-		return nil, false // defensive: the size pass and the packer must agree
+		return nil, false // defensive: the plan and the packer must agree
 	}
 	return out[:size], true
+}
+
+// packFramed packs vals — t's column in layout order, none above limit — as
+// planFramed plans them, behind a header of hdrLen bytes (writeFramed).
+// ok=false means the stream would not be shorter than maxLen.
+func packFramed(vals []uint64, t *treelet, hdrLen int, limit uint64, maxLen int, a *buildArena) ([]byte, bool) {
+	frames := a.nodeFrames(len(t.nodes))
+	setFrames(frames, vals, t)
+	p := planFramed(frames, t, limit)
+	if hdrLen+p.size >= maxLen {
+		return nil, false
+	}
+	return writeFramed(vals, frames, t, hdrLen, p, a)
 }
 
 // integralMagnitude is the largest magnitude codecDelta accepts: integers
@@ -740,8 +914,8 @@ func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
 		return decodeDelta(payload, nb.nPoints)
 	case codecQuantFOR:
 		return decodeQuantFOR(payload, nb, declaredBound, lodScale, info)
-	case codecKeyFOR:
-		return decodeKeyFOR(payload, nb, typ, info)
+	case codecKeyFOR, codecSignKeyFOR:
+		return decodeKeyFOR(codec, payload, nb, typ, info)
 	}
 	return nil, fmt.Errorf("bat: unknown attribute codec id %d", codec)
 }
@@ -848,12 +1022,12 @@ func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, er
 	return pos, nb.layRun(payload, pos<<3)
 }
 
-// layFramed resolves a framed (quant-for or key-for) stream — its mode byte
-// at payload[pos-1], its frames from pos on — to one frame per node range
-// before any value is read, and lays the block run behind them: the one frame
-// (modeOneFrame), whose offsets the block loop checks against limit, or the
-// frame columns (modePerNodeCols). info, when non-nil, receives the mode, the
-// frame bytes and the block widths.
+// layFramed resolves a framed (quant-for, key-for or sign-key-for) stream —
+// its mode byte at payload[pos-1], its frames from pos on — to one frame per
+// node range before any value is read, and lays the block run behind them:
+// the one frame (modeOneFrame), whose offsets the block loop checks against
+// limit, or the frame columns (modePerNodeCols). info, when non-nil, receives
+// the mode, the frame bytes and the block widths.
 func (nb *nodeBlocks) layFramed(payload []byte, pos int, limit uint64, info *SectionInfo) error {
 	mode := payload[pos-1]
 	name, ok := frameModeNames[mode]
@@ -914,46 +1088,97 @@ func decodeQuantFOR(payload []byte, nb *nodeBlocks,
 	return out, nil
 }
 
-// decodeKeyFOR decodes a key-for section of an attribute of type typ. It is
-// lossless, so it is valid whatever bound the footer declares: a lossless
-// attribute's column, or a lossy one's that could not be quantized.
-func decodeKeyFOR(payload []byte, nb *nodeBlocks, typ particles.AttrType, info *SectionInfo) ([]float64, error) {
+// decodeKeyFOR decodes a key-for or sign-key-for section (codec) of an
+// attribute of type typ. It is lossless, so it is valid whatever bound the
+// footer declares: a lossless attribute's column, or a lossy one's that could
+// not be quantized.
+func decodeKeyFOR(codec uint8, payload []byte, nb *nodeBlocks, typ particles.AttrType, info *SectionInfo) ([]float64, error) {
+	name := CodecName(codec)
 	if len(payload) < keyFORHeaderLen {
-		return nil, fmt.Errorf("bat: key-for section truncated: no frame mode")
+		return nil, fmt.Errorf("bat: %s section truncated: no frame mode", name)
 	}
 	if err := nb.layFramed(payload, keyFORHeaderLen, keyLimit(typ), info); err != nil {
-		return nil, fmt.Errorf("bat: key-for %w", err)
+		return nil, fmt.Errorf("bat: %s %w", name, err)
 	}
-	out, err := nb.unkey(payload, typ)
+	out, err := nb.unkey(payload, fromKeys(codec, typ))
 	if err != nil {
-		return nil, fmt.Errorf("bat: key-for %w", err)
+		return nil, fmt.Errorf("bat: %s %w", name, err)
 	}
 	return out, nil
 }
 
-// unkey runs the block loop over a key-for section whose frames are laid:
-// every offset becomes the float of type typ whose key is base + offset. A key
-// past keyLimit(typ) is corrupt: the encoder never writes one.
-func (nb *nodeBlocks) unkey(payload []byte, typ particles.AttrType) ([]float64, error) {
+// unkey runs the block loop over a key-for or sign-key-for section whose
+// frames are laid: every offset becomes the float whose key is base + offset,
+// under the section's inverse key map (fromKeys). A key past keyLimit(typ) is
+// corrupt: the encoder never writes one.
+func (nb *nodeBlocks) unkey(payload []byte, fromKeys keyDecoder) ([]float64, error) {
 	out := make([]float64, nb.nPoints)
-	limit, f32 := keyLimit(typ), typ == particles.Float32
 	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
-		fr := nb.frames[ni]
-		dst := out[at : at+len(offs)]
-		for i, off := range offs {
-			k := fr.base + off
-			if off > fr.span || k > limit {
-				return fmt.Errorf("key offset %#x overflows its frame (base %#x, at most %#x)", off, fr.base, fr.span)
-			}
-			if f32 {
-				dst[i] = float64(math.Float32frombits(f32FromKey(uint32(k))))
-			} else {
-				dst[i] = math.Float64frombits(f64FromKey(k))
-			}
+		fr := &nb.frames[ni]
+		if i := fromKeys(out[at:at+len(offs)], fr, offs); i < len(offs) {
+			return fmt.Errorf("key offset %#x overflows its frame (base %#x, at most %#x)", offs[i], fr.base, fr.span)
 		}
 		return nil
 	})
 	return out, err
+}
+
+// A keyDecoder sets dst[i] to the float whose key is fr.base + offs[i], for
+// every i up to the first offset past fr.span or key past the key limit,
+// whose index it returns (len(offs) when there is none).
+type keyDecoder func(dst []float64, fr *blockFrame, offs []uint64) int
+
+// fromKeys returns the inverse key map of a codec (key-for or sign-key-for)
+// for an attribute of type typ. The decoder picks it once per section: each
+// of the four is a loop of its own, with no per-value branch on the map.
+func fromKeys(codec uint8, typ particles.AttrType) keyDecoder {
+	switch {
+	case typ == particles.Float32 && codec == codecSignKeyFOR:
+		return func(dst []float64, fr *blockFrame, offs []uint64) int {
+			dst = dst[:len(offs)]
+			for i, off := range offs {
+				k := fr.base + off
+				if off > fr.span || k > math.MaxUint32 {
+					return i
+				}
+				dst[i] = float64(math.Float32frombits(signFromKey32(uint32(k))))
+			}
+			return len(offs)
+		}
+	case typ == particles.Float32:
+		return func(dst []float64, fr *blockFrame, offs []uint64) int {
+			dst = dst[:len(offs)]
+			for i, off := range offs {
+				k := fr.base + off
+				if off > fr.span || k > math.MaxUint32 {
+					return i
+				}
+				dst[i] = float64(math.Float32frombits(f32FromKey(uint32(k))))
+			}
+			return len(offs)
+		}
+	case codec == codecSignKeyFOR:
+		return func(dst []float64, fr *blockFrame, offs []uint64) int {
+			dst = dst[:len(offs)]
+			for i, off := range offs {
+				if off > fr.span {
+					return i
+				}
+				dst[i] = math.Float64frombits(signFromKey64(fr.base + off))
+			}
+			return len(offs)
+		}
+	}
+	return func(dst []float64, fr *blockFrame, offs []uint64) int {
+		dst = dst[:len(offs)]
+		for i, off := range offs {
+			if off > fr.span {
+				return i
+			}
+			dst[i] = math.Float64frombits(f64FromKey(fr.base + off))
+		}
+		return len(offs)
+	}
 }
 
 func decodeDelta(payload []byte, nPoints int) ([]float64, error) {
@@ -1006,6 +1231,22 @@ func f64Key(b uint64) uint64 { return b ^ (-(b >> 63) | 1<<63) }
 
 // f64FromKey inverts f64Key.
 func f64FromKey(k uint64) uint64 { return k ^ ((k>>63 - 1) | 1<<63) }
+
+// signKey32 maps a float32 bit pattern onto the uint32 that holds its
+// magnitude bits above its sign bit: the pattern rotated left by one. A value
+// and its negation get neighbouring keys, so a block of values of both signs
+// and similar magnitude spans a small key range. It is a bijection on all
+// 2^32 patterns (the key of a sign-key-for section of a Float32 attribute).
+func signKey32(b uint32) uint32 { return bits.RotateLeft32(b, 1) }
+
+// signFromKey32 inverts signKey32.
+func signFromKey32(k uint32) uint32 { return bits.RotateLeft32(k, -1) }
+
+// signKey64 is signKey32's float64 twin.
+func signKey64(b uint64) uint64 { return bits.RotateLeft64(b, 1) }
+
+// signFromKey64 inverts signKey64.
+func signFromKey64(k uint64) uint64 { return bits.RotateLeft64(k, -1) }
 
 // keyOf is the key of a coordinate.
 func keyOf(v float32) uint32 { return f32Key(math.Float32bits(v)) }

@@ -173,8 +173,9 @@ func TestCompressedBuildDeterminism(t *testing.T) {
 // TestDefaultBuildLosslessV3 pins what a build that declares no error bound
 // writes: version 3, a footer that declares every attribute lossless with
 // bound 0, and positions and attributes that read back bit for bit — NaN
-// payloads, ±0, denormals and infinities included; an integral column that
-// holds -0 keeps it too. Bounds or a LOD scale set without Compress, or
+// payloads, ±0, denormals and infinities included, through key-for and
+// sign-key-for sections of both float types; an integral column that holds
+// -0 keeps it too. Bounds or a LOD scale set without Compress, or
 // Compress without bounds, change no byte of it.
 func TestDefaultBuildLosslessV3(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -190,22 +191,43 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 			s.Attrs[1][i] = negZero
 		}
 	}
-	// The specials go to one corner only, so the nodes elsewhere keep narrow
-	// key frames and mass and phi still store key-for sections. A counter over
-	// the corner's particles cycles through every special of both types.
+	// The specials go to two corners only, so the nodes elsewhere keep narrow
+	// key frames and mass and phi still store key sections. Mass and phi are
+	// made negative: their order keys lie in the lower half of the key space,
+	// so a node's key frame fits under the key limit whatever specials join
+	// it, and the treelets around the corner at the origin, where every
+	// particle takes a special, keep key-for. Around the far corner mass and
+	// phi take alternating signs, and with a special at every fourth particle
+	// there those treelets store sign-key-for. A counter over each corner's
+	// particles cycles through every special of both types.
 	written64, written32 := map[uint64]bool{}, map[uint32]bool{}
-	for i, c := 0, 0; i < s.Len(); i++ {
-		if s.X[i] < 0.2 && s.Y[i] < 0.2 {
-			v, v32 := special[c%len(special)], special32[c%len(special32)]
-			s.Attrs[0][i] = v            // mass, float64
-			s.Attrs[2][i] = float64(v32) // phi, float32
-			written64[math.Float64bits(v)] = true
-			written32[math.Float32bits(v32)] = true
-			c++
+	near, far := 0, 0
+	for i := 0; i < s.Len(); i++ {
+		s.Attrs[0][i], s.Attrs[2][i] = -s.Attrs[0][i], s.Attrs[2][i]-2
+		c := -1
+		switch {
+		case s.X[i] < 0.2 && s.Y[i] < 0.2:
+			c = near
+			near++
+		case s.X[i] > 0.5 && s.Y[i] > 0.5:
+			if i%2 == 0 {
+				s.Attrs[0][i], s.Attrs[2][i] = -s.Attrs[0][i], -s.Attrs[2][i]
+			}
+			if far++; far%4 == 0 {
+				c = far / 4
+			}
 		}
+		if c < 0 {
+			continue
+		}
+		v, v32 := special[c%len(special)], special32[c%len(special32)]
+		s.Attrs[0][i] = v            // mass, float64
+		s.Attrs[2][i] = float64(v32) // phi, float32
+		written64[math.Float64bits(v)] = true
+		written32[math.Float32bits(v32)] = true
 	}
 	if len(written64) != len(special) || len(written32) != len(special32) {
-		t.Fatalf("the corner took %d of %d float64 and %d of %d float32 specials",
+		t.Fatalf("the corners took %d of %d float64 and %d of %d float32 specials",
 			len(written64), len(special), len(written32), len(special32))
 	}
 	for i := 0; i < s.Len(); i += 7 {
@@ -245,7 +267,11 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	}
 	// Read treelet by treelet: a query's box test would skip a NaN coordinate.
 	seen, codecs := 0, map[uint8]bool{}
-	keyed64, keyed32 := map[uint64]bool{}, map[uint32]bool{} // specials read back from key-for sections
+	// The specials read back from key-for and from sign-key-for sections.
+	keyed64, keyed32 := map[uint8]map[uint64]bool{}, map[uint8]map[uint32]bool{}
+	for _, c := range []uint8{codecKeyFOR, codecSignKeyFOR} {
+		keyed64[c], keyed32[c] = map[uint64]bool{}, map[uint32]bool{}
+	}
 	for ti := 0; ti < f.NumTreelets(); ti++ {
 		pt, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
@@ -261,11 +287,11 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 			attrCodec[sec.Attr] = sec.Codec
 		}
 		for i := range pt.attrs[0] {
-			if b := math.Float64bits(pt.attrs[0][i]); attrCodec["mass"] == codecKeyFOR && written64[b] {
-				keyed64[b] = true
+			if b, c := math.Float64bits(pt.attrs[0][i]), attrCodec["mass"]; keyed64[c] != nil && written64[b] {
+				keyed64[c][b] = true
 			}
-			if b := math.Float32bits(float32(pt.attrs[2][i])); attrCodec["phi"] == codecKeyFOR && written32[b] {
-				keyed32[b] = true
+			if b, c := math.Float32bits(float32(pt.attrs[2][i])), attrCodec["phi"]; keyed32[c] != nil && written32[b] {
+				keyed32[c][b] = true
 			}
 		}
 		for i, id := range pt.attrs[3] {
@@ -290,14 +316,16 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	if seen != s.Len() {
 		t.Fatalf("read %d of %d particles", seen, s.Len())
 	}
-	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta, codecKeyFOR} {
+	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta, codecKeyFOR, codecSignKeyFOR} {
 		if !codecs[c] {
 			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
 		}
 	}
-	if len(keyed64) != len(special) || len(keyed32) != len(special32) {
-		t.Errorf("key-for sections carried %d of %d float64 and %d of %d float32 specials",
-			len(keyed64), len(special), len(keyed32), len(special32))
+	for _, c := range []uint8{codecKeyFOR, codecSignKeyFOR} {
+		if len(keyed64[c]) != len(special) || len(keyed32[c]) != len(special32) {
+			t.Errorf("%s sections carried %d of %d float64 and %d of %d float32 specials",
+				CodecName(c), len(keyed64[c]), len(special), len(keyed32[c]), len(special32))
+		}
 	}
 }
 
@@ -559,27 +587,42 @@ func TestBitPackEveryWidth(t *testing.T) {
 	}
 }
 
-// TestKeyFORRoundTripProperty is the lossless attribute codec's guarantee at
+// TestKeyFORRoundTripProperty is the lossless attribute codecs' guarantee at
 // the section level: over random treelet shapes whose node ranges are
-// coherent, constant, zero-mean noise (keys 63-64 bits apart) or the float
-// values no arithmetic keeps — NaNs with quiet and signalling payloads of
-// either sign, -0 next to +0, ±Inf, denormals, ±MaxFloat64 — in both schema
-// types, a column that key-for shrinks reads back bit for bit, in either
-// frame mode — per-node frames 64 bits wide on a base above 0 included.
+// coherent, constant, coherent magnitudes under random signs, zero-mean noise
+// (order keys 63-64 bits apart) or the float values no arithmetic keeps —
+// NaNs with quiet and signalling payloads of either sign, -0 next to +0, ±Inf,
+// denormals, ±MaxFloat — in both schema types, a column that key-for or
+// sign-key-for shrinks reads back bit for bit, in either frame mode —
+// per-node frames 64 bits wide on a base above 0 included —, and every
+// special of either type reads back through both key maps.
 func TestKeyFORRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
-	bitsOf := math.Float64frombits
-	special := []float64{bitsOf(0x7ff8000000000001), bitsOf(0x7ff0000000000001), bitsOf(0xfff8000000abcdef),
-		bitsOf(0xfff0000000000002), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, bitsOf(0x000fffffffffffff), bitsOf(0x800fffffffffffff),
-		math.MaxFloat64, -math.MaxFloat64, float64(math.Float32frombits(0x7fc12345)), float64(math.Float32frombits(0x00000001))}
+	bitsOf, bits32 := math.Float64frombits, func(b uint32) float64 { return float64(math.Float32frombits(b)) }
+	specials := map[particles.AttrType][]float64{
+		particles.Float64: {bitsOf(0x7ff8000000000001), bitsOf(0x7ff0000000000001), bitsOf(0xfff8000000abcdef),
+			bitsOf(0xfff0000000000002), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, bitsOf(0x000fffffffffffff), bitsOf(0x800fffffffffffff),
+			math.MaxFloat64, -math.MaxFloat64, bits32(0x7fc12345), bits32(0x00000001)},
+		// Quiet NaNs only: a float32 signalling NaN widened to float64 comes
+		// back quiet, so no Float32 column holds one.
+		particles.Float32: {bits32(0x7fc12345), bits32(0xffc00001), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, bits32(0x007fffff), bits32(0x807fffff),
+			math.MaxFloat32, -math.MaxFloat32},
+	}
 	seen := map[string]int{}
-	for trial := 0; trial < 300; trial++ {
+	carried := map[string]map[uint64]bool{} // codec and type -> the specials read back from its sections
+	for trial := 0; trial < 600; trial++ {
+		typ := particles.Float64
+		if trial%3 == 0 {
+			typ = particles.Float32
+		}
+		special := specials[typ]
 		var counts []int
 		var col []float64
 		kinds := map[string]bool{}
 		for b, nb := 0, 1+r.Intn(10); b < nb; b++ {
-			kind := []string{"coherent", "coherent", "coherent", "coherent", "coherent", "constant", "noise", "special"}[r.Intn(8)]
+			kind := []string{"coherent", "coherent", "coherent", "coherent", "coherent", "constant", "noise", "special", "signed", "signed"}[r.Intn(10)]
 			c := r.Intn(120)
 			if kind == "noise" || kind == "special" {
 				c = r.Intn(12) // a few wide blocks among narrow ones still pay
@@ -592,6 +635,8 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 				switch kind {
 				case "coherent":
 					v += r.Float64() * mag * 1e-6
+				case "signed":
+					v = math.Copysign(math.Abs(centre)+r.Float64()*mag*1e-6, r.Float64()-0.5)
 				case "noise":
 					v = r.NormFloat64()
 				case "special":
@@ -601,50 +646,64 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			}
 			kinds[kind] = kinds[kind] || c > 0
 		}
-		typ := particles.Float64
-		if trial%3 == 0 {
-			typ = particles.Float32
-		}
 		tr, nodes := forTreelet(counts)
 		var a buildArena
 		enc := encodeAttr(col, tr, typ, 0, 1, &a)
-		if enc.codec != codecKeyFOR {
-			seen["not key-for"]++
+		if enc.codec != codecKeyFOR && enc.codec != codecSignKeyFOR {
+			seen["neither key codec"]++
 			continue
 		}
+		name := CodecName(enc.codec)
 		if len(enc.data) >= len(col)*typ.Size() {
-			t.Fatalf("trial %d: key-for section of %d bytes for %d raw ones", trial, len(enc.data), len(col)*typ.Size())
+			t.Fatalf("trial %d: %s section of %d bytes for %d raw ones", trial, name, len(enc.data), len(col)*typ.Size())
 		}
 		var info SectionInfo
 		got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), typ, 0, 1, &info)
 		if err != nil {
-			t.Fatalf("trial %d (%v, blocks %v): %v", trial, typ, counts, err)
+			t.Fatalf("trial %d (%s, %v, blocks %v): %v", trial, name, typ, counts, err)
+		}
+		key := fmt.Sprintf("%s %v", name, typ)
+		if carried[key] == nil {
+			carried[key] = map[uint64]bool{}
 		}
 		for i, v := range col {
-			if g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, typ)); g != w {
-				t.Fatalf("trial %d (%v) value %d: bits %#016x, want %#016x", trial, typ, i, g, w)
+			g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, typ))
+			if g != w {
+				t.Fatalf("trial %d (%s, %v) value %d: bits %#016x, want %#016x", trial, name, typ, i, g, w)
+			}
+			for _, sp := range special {
+				if math.Float64bits(sp) == w {
+					carried[key][w] = true
+				}
 			}
 		}
-		seen[fmt.Sprintf("%v %s", typ, info.Mode)]++
+		seen[fmt.Sprintf("%s %v %s", name, typ, info.Mode)]++
 		for kind := range kinds {
-			seen[kind]++
+			seen[name+" "+kind]++
 		}
 		for _, w := range info.Widths {
 			if w == 0 {
-				seen["width 0"]++
+				seen[name+" width 0"]++
 			}
 			if w >= 63 {
-				seen["width 63-64"]++
+				seen[name+" width 63-64"]++
 			}
 			if w == 64 && info.Mode == "per-node-cols" {
-				seen["per-node width 64"]++ // wider than base + 2^64 - 1 can stay: offsets checked one by one
+				seen[name+" per-node width 64"]++ // wider than base + 2^64 - 1 can stay: offsets checked one by one
 			}
 		}
 	}
-	for _, want := range []string{"float32 one-frame", "float32 per-node-cols", "float64 one-frame", "float64 per-node-cols",
-		"special", "noise", "constant", "width 0", "width 63-64", "per-node width 64"} {
-		if seen[want] < 3 {
-			t.Errorf("%d key-for sections with %q: the property is near vacuous there (%v)", seen[want], want, seen)
+	for _, codec := range []string{"key-for", "sign-key-for"} {
+		for _, want := range []string{"float32 one-frame", "float32 per-node-cols", "float64 one-frame", "float64 per-node-cols",
+			"special", "noise", "constant", "width 0", "width 63-64", "per-node width 64"} {
+			if seen[codec+" "+want] < 3 {
+				t.Errorf("%d %s sections with %q: the property is near vacuous there (%v)", seen[codec+" "+want], codec, want, seen)
+			}
+		}
+		for typ, special := range specials {
+			if got := carried[fmt.Sprintf("%s %v", codec, typ)]; len(got) != len(special) {
+				t.Errorf("%s sections of %v carried %d of the %d specials", codec, typ, len(got), len(special))
+			}
 		}
 	}
 	t.Run("an all-equal column is one frame of width 0", func(t *testing.T) {
@@ -665,6 +724,150 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			t.Fatalf("%d equal values in %d bytes, want %d (mode, base, width 0)", len(col), len(enc.data), want)
 		}
 	})
+}
+
+// TestSignKeyChoiceProperty holds the encoder's choice between the two key
+// maps to brute force: over random columns of one sign or of both, in both
+// schema types, encodeKeys — which sizes the sign-key stream from the
+// order-key frames and scans only the nodes that hold both signs — stores
+// exactly the shorter of the two streams packed from every value (key-for on
+// a tie), or raw when neither is shorter. On a column of one sign every node's
+// sign-key frame is its order-key frame one bit wider, or zero bits wide where
+// that is: the blocks never get shorter, so such a column can take
+// sign-key-for only for shorter frames, and does for a few of them (a constant
+// column of positives: its order-key base takes ten uvarint bytes, its
+// sign-key base nine). A zero-mean column takes sign-key-for.
+func TestSignKeyChoiceProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	seen := map[string]int{}
+	for trial := 0; trial < 1200; trial++ {
+		typ := particles.Float64
+		if trial%3 == 0 {
+			typ = particles.Float32
+		}
+		signs := []string{"positive", "negative", "both"}[trial/3%3]
+		var counts []int
+		var col []float64
+		for b, nb := 0, 1+r.Intn(10); b < nb; b++ {
+			c := r.Intn(120)
+			if r.Intn(4) == 0 {
+				c = r.Intn(3)
+			}
+			counts = append(counts, c)
+			mag := math.Pow(10, float64(r.Intn(40)-20))
+			centre, kind := r.Float64()*mag, r.Intn(3)
+			// The share of the block's values that are negative: in a column
+			// of both signs none, half or all, block by block.
+			neg := map[string]float64{"positive": 0, "negative": 1, "both": []float64{0, 0.5, 1}[r.Intn(3)]}[signs]
+			for i := 0; i < c; i++ {
+				v := centre
+				switch kind {
+				case 0:
+					v += r.Float64() * mag * 1e-6
+				case 1:
+					v = r.Float64() * mag
+				}
+				if r.Float64() < neg {
+					v = -v
+				}
+				col = append(col, typedValue(v, typ))
+			}
+		}
+		if len(col) == 0 {
+			continue
+		}
+		tr, _ := forTreelet(counts)
+		var a buildArena
+		rawLen := len(col) * typ.Size()
+		enc := encodeKeys(col, typ, tr, rawLen, &a)
+		orderKeys, signKeys := orderKeys(nil, col, typ), signKeys(nil, col, typ)
+		order, _ := packFramed(orderKeys, tr, keyFORHeaderLen, keyLimit(typ), math.MaxInt, &a)
+		sign, _ := packFramed(signKeys, tr, keyFORHeaderLen, keyLimit(typ), math.MaxInt, &a)
+		want := encodedAttr{codec: codecRaw}
+		switch {
+		case min(len(order), len(sign)) >= rawLen:
+		case len(order) <= len(sign):
+			want = encodedAttr{codec: codecKeyFOR, data: order}
+		default:
+			want = encodedAttr{codec: codecSignKeyFOR, data: sign}
+		}
+		if enc.codec != want.codec || !bytes.Equal(enc.data, want.data) {
+			t.Fatalf("trial %d (%v %s, blocks %v): stored %s in %d bytes; key-for takes %d, sign-key-for %d, raw %d",
+				trial, typ, signs, counts, CodecName(enc.codec), len(enc.data), len(order), len(sign), rawLen)
+		}
+		seen[signs+" "+CodecName(enc.codec)]++
+		if signs == "both" {
+			continue
+		}
+		orderFrames, signFrames := make([]blockFrame, len(counts)), make([]blockFrame, len(counts))
+		setFrames(orderFrames, orderKeys, tr)
+		setFrames(signFrames, signKeys, tr)
+		for i, fr := range orderFrames {
+			if w := signFrames[i].width; w != fr.width+1 && !(w == 0 && fr.width == 0) {
+				t.Fatalf("trial %d (%v %s) node %d: sign-key frame %d bits wide, order-key frame %d", trial, typ, signs, i, w, fr.width)
+			}
+		}
+	}
+	t.Logf("sections stored: %v", seen)
+	for _, want := range []string{"positive key-for", "negative key-for", "both sign-key-for", "both key-for"} {
+		if seen[want] < 20 {
+			t.Errorf("%d columns of %q: the property is near vacuous there (%v)", seen[want], want, seen)
+		}
+	}
+
+	t.Run("a zero-mean column takes sign-key-for", func(t *testing.T) {
+		counts := []int{8, 90, 8, 70, 0, 1, 8, 120}
+		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
+			var col []float64
+			for _, c := range counts {
+				for i := 0; i < c; i++ {
+					col = append(col, typedValue(r.NormFloat64(), typ))
+				}
+			}
+			tr, nodes := forTreelet(counts)
+			var a buildArena
+			enc := encodeAttr(col, tr, typ, 0, 1, &a)
+			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), typ, 0, 1, nil)
+			if err != nil || enc.codec != codecSignKeyFOR {
+				t.Fatalf("%v: encoded as %s (error %v), want sign-key-for", typ, CodecName(enc.codec), err)
+			}
+			for i, v := range col {
+				if math.Float64bits(got[i]) != math.Float64bits(v) {
+					t.Fatalf("%v value %d: %v, want %v", typ, i, got[i], v)
+				}
+			}
+		}
+	})
+}
+
+// TestSignKeyInverse: the sign keys are bijections that move the sign bit to
+// the lowest bit, so a value and its negation are neighbours, and signOfOrder
+// takes an order key to the same value's sign key.
+func TestSignKeyInverse(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for i := 0; i < 10000; i++ {
+		b64, b32 := r.Uint64(), r.Uint32()
+		if signFromKey64(signKey64(b64)) != b64 || signKey64(signFromKey64(b64)) != b64 {
+			t.Fatalf("bits %#016x do not round-trip", b64)
+		}
+		if signFromKey32(signKey32(b32)) != b32 || signKey32(signFromKey32(b32)) != b32 {
+			t.Fatalf("bits %#08x do not round-trip", b32)
+		}
+		if got := signOfOrder(f64Key(b64), 1<<63); got != signKey64(b64) {
+			t.Fatalf("bits %#016x: signOfOrder gives %#x, signKey64 %#x", b64, got, signKey64(b64))
+		}
+		if got := signOfOrder(uint64(f32Key(b32)), 1<<31); got != uint64(signKey32(b32)) {
+			t.Fatalf("bits %#08x: signOfOrder gives %#x, signKey32 %#x", b32, got, signKey32(b32))
+		}
+	}
+	for _, v := range []float64{0, 1, 2.5, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		if p, n := signKey64(math.Float64bits(v)), signKey64(math.Float64bits(-v)); n != p+1 {
+			t.Fatalf("keys of %v and its negation: %#x and %#x, want neighbours", v, p, n)
+		}
+		if p, n := signKey32(math.Float32bits(float32(v))), signKey32(math.Float32bits(-float32(v))); n != p+1 {
+			t.Fatalf("float32 keys of %v and its negation: %#x and %#x, want neighbours", v, p, n)
+		}
+	}
 }
 
 // TestF64KeyOrderAndInverse: f64Key is a bijection whose unsigned order is the
@@ -940,8 +1143,8 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 // and lodScale and, when the encoder chose codecQuantFOR, decodes it against
 // the same declaration and holds every value to its range's bound: bound in
 // leaf ranges, bound·lodScale in inner-node ranges. A column it could not
-// quantize must fall back to the lossless key-for, which reads back bit for
-// bit, or to raw. It returns the section and what the decoder reported about
+// quantize must fall back to the lossless key-for or sign-key-for, which read
+// back bit for bit, or to raw. It returns the section and what the decoder reported about
 // its frames.
 func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.AttrType, bound, lodScale float64) (encodedAttr, SectionInfo) {
 	t.Helper()
@@ -955,7 +1158,7 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	switch {
 	case enc.codec == codecRaw && enc.data == nil:
 		return enc, info
-	case enc.codec == codecKeyFOR:
+	case enc.codec == codecKeyFOR || enc.codec == codecSignKeyFOR:
 		bound = 0
 	case enc.codec != codecQuantFOR:
 		t.Fatalf("a lossy column encoded as %s (%d bytes); want quant-for or a lossless fallback", CodecName(enc.codec), len(enc.data))
@@ -968,10 +1171,10 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
 	}
-	if enc.codec == codecKeyFOR {
+	if bound == 0 {
 		for i, v := range col {
 			if g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, typ)); g != w {
-				t.Fatalf("key-for value %d: bits %#016x, want %#016x", i, g, w)
+				t.Fatalf("%s value %d: bits %#016x, want %#016x", CodecName(enc.codec), i, g, w)
 			}
 		}
 		return enc, info
@@ -996,8 +1199,8 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 // included), magnitudes from 1e-6 to 1e9, bounds from far below one ulp
 // (lossless fallback) up to the whole range (width 0), grids fine enough to
 // put the indices near 2^48, both schema types and LODErrorScale 1 and 4, a
-// section either decodes within its bounds or falls back to key-for, which
-// reads back bit for bit, or to raw.
+// section either decodes within its bounds or falls back to key-for or
+// sign-key-for, which read back bit for bit, or to raw.
 func TestQuantFORMaxErrorProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	var quant, raw, wide int

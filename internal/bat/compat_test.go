@@ -32,6 +32,16 @@ func goldenSet() (*particles.Set, geom.Box) {
 	return s, geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
 }
 
+// goldenSignedSet is goldenSet with every other particle's mass negated: a
+// zero-mean attribute, which golden_v3_signkeys.bat stores as sign-key-for.
+func goldenSignedSet() (*particles.Set, geom.Box) {
+	s, domain := goldenSet()
+	for i := 1; i < s.Len(); i += 2 {
+		s.Attrs[0][i] = -s.Attrs[0][i]
+	}
+	return s, domain
+}
+
 func goldenConfig() BuildConfig {
 	cfg := DefaultBuildConfig()
 	cfg.MaxLeafSize = 32
@@ -85,7 +95,8 @@ func readRows(t *testing.T, f *File) []goldenRow {
 }
 
 // TestGoldenRegenerate rewrites the goldens today's writer can rebuild:
-// golden_v3.bat (goldenV3Config) and golden_v3_lossless.bat (goldenConfig).
+// golden_v3.bat (goldenV3Config) and golden_v3_lossless.bat (goldenConfig)
+// from goldenSet, golden_v3_signkeys.bat (goldenConfig) from goldenSignedSet.
 // Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
 // Every other golden is frozen: no writer in the tree can rebuild it.
@@ -112,12 +123,12 @@ func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
 	}
-	s, domain := goldenSet()
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for file, cfg := range map[string]BuildConfig{"golden_v3.bat": goldenV3Config(), "golden_v3_lossless.bat": goldenConfig()} {
-		b, err := Build(s, domain, cfg)
+	for file, rebuild := range goldenRebuilds() {
+		s, domain := rebuild.set()
+		b, err := Build(s, domain, rebuild.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,19 +138,35 @@ func TestGoldenRegenerate(t *testing.T) {
 	}
 }
 
+// goldenRebuild is how today's writer rebuilds a golden: the set and the
+// configuration.
+type goldenRebuild struct {
+	set func() (*particles.Set, geom.Box)
+	cfg BuildConfig
+}
+
+// goldenRebuilds are the goldens today's writer rebuilds byte for byte.
+func goldenRebuilds() map[string]goldenRebuild {
+	return map[string]goldenRebuild{
+		"golden_v3.bat":          {goldenSet, goldenV3Config()},
+		"golden_v3_lossless.bat": {goldenSet, goldenConfig()},
+		"golden_v3_signkeys.bat": {goldenSignedSet, goldenConfig()},
+	}
+}
+
 // TestGoldenBackwardCompat opens the checked-in file of every layout a writer
 // has produced. The one this reader accepts, today's version 3, must decode
 // to the same particle multiset as the day it was written: positions and the
 // lossless id bit-exact, mass exact in the lossless builds and within its
 // declared bound in golden_v3.bat; the lossless mass is stored raw in
-// golden_v3_rawattrs.bat and key-for in golden_v3_lossless.bat.
+// golden_v3_rawattrs.bat, key-for in golden_v3_lossless.bat and, negated at
+// every other particle (goldenSignedSet), sign-key-for in
+// golden_v3_signkeys.bat.
 // Every retired layout is refused with a named error and returns no rows:
 // versions 1 (no checksums) and 2 (page-aligned treelets) and the header
 // flags of a retired version-3 layout at open, the inline position frames
 // behind today's flags at the first treelet load.
 func TestGoldenBackwardCompat(t *testing.T) {
-	s, _ := goldenSet()
-	want := goldenRows(s)
 	massBound := goldenV3Config().AttrErrorBounds[0]
 	for _, tc := range []struct {
 		file string
@@ -159,6 +186,7 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		{"golden_v3.bat", "", "", massBound, "quant-for"},
 		{"golden_v3_rawattrs.bat", "", "", 0, "raw"},
 		{"golden_v3_lossless.bat", "", "", 0, "key-for"},
+		{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -196,6 +224,12 @@ func TestGoldenBackwardCompat(t *testing.T) {
 					t.Fatalf("treelet %d stores mass as %s, want %s", ti, c, tc.massCodec)
 				}
 			}
+			set := goldenSet // the frozen goldens' set
+			if rebuild, ok := goldenRebuilds()[tc.file]; ok {
+				set = rebuild.set
+			}
+			s, _ := set()
+			want := goldenRows(s)
 			got := readRows(t, f)
 			if len(got) != len(want) {
 				t.Fatalf("decoded %d particles, want %d", len(got), len(want))
@@ -218,23 +252,30 @@ func TestGoldenBackwardCompat(t *testing.T) {
 // builder under declared error bounds and requires the image to be
 // byte-identical to golden_v3.bat: the packed layout, codec choices included.
 func TestGoldenV3ByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v3.bat", goldenV3Config())
+	requireRebuildIdentical(t, "golden_v3.bat")
 }
 
 // TestGoldenV3LosslessByteIdentity is the same pin for a build that declares
 // no bound: the layout every default build writes.
 func TestGoldenV3LosslessByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v3_lossless.bat", goldenConfig())
+	requireRebuildIdentical(t, "golden_v3_lossless.bat")
 }
 
-func requireRebuildIdentical(t *testing.T, file string, cfg BuildConfig) {
+// TestGoldenV3SignKeysByteIdentity is the same pin for a lossless build of a
+// zero-mean attribute: its sign-key-for sections.
+func TestGoldenV3SignKeysByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v3_signkeys.bat")
+}
+
+func requireRebuildIdentical(t *testing.T, file string) {
 	t.Helper()
 	buf, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatalf("%v (regenerate with BAT_REGEN_GOLDEN=1 go test -run TestGoldenRegenerate)", err)
 	}
-	s, domain := goldenSet()
-	b, err := Build(s, domain, cfg)
+	rebuild := goldenRebuilds()[file]
+	s, domain := rebuild.set()
+	b, err := Build(s, domain, rebuild.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,13 +267,13 @@ func expectLoadError(t *testing.T, buf []byte, want string) {
 	}
 }
 
-// TestV3BadCodecID: an unknown codec id in a section frame must produce a
-// clean error at load time.
+// TestV3BadCodecID: an unknown codec id in a section frame — 8, the first
+// unassigned one — must produce a clean error at load time.
 func TestV3BadCodecID(t *testing.T) {
 	buf := compressedSample(t)
 	_, secOff := firstSectionOffset(t, buf, 0)
 	mut := mutateTreelet(t, buf, 0, func(tre []byte) {
-		tre[secOff] = 7
+		tre[secOff] = 8
 	})
 	expectLoadError(t, mut, "unknown attribute codec")
 }
@@ -541,6 +541,7 @@ func TestPackedPositionCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(tre[xOff+1:], uint32(len(tre)))
 		}, "truncated codec stream"},
 		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuantFOR }, "unknown position codec"},
+		{"sign-key-for on a position", func(tre []byte) { tre[xOff] = codecSignKeyFOR }, "unknown position codec id 7"},
 		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -874,9 +875,10 @@ type sectionSeed struct {
 	lo, hi  float32
 }
 
-// modeAt is where a framed (quant-for or key-for) seed keeps its frame mode.
+// modeAt is where a framed (quant-for, key-for or sign-key-for) seed keeps
+// its frame mode.
 func (s sectionSeed) modeAt() int {
-	if s.codec == codecKeyFOR {
+	if s.codec == codecKeyFOR || s.codec == codecSignKeyFOR {
 		return keyFORHeaderLen - 1
 	}
 	return quantFORHeaderLen - 1
@@ -1014,18 +1016,23 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 
 // sectionSeeds cuts every section of every treelet out of a small fresh
 // compressed build, the same particles built lossless (key-for attributes), a
-// lossless build of a float64 that crosses zero smoothly (the nodes that
-// straddle it need key frames of 63 and 64 bits, the rest far fewer),
+// lossless build of four float64 columns — one that crosses zero smoothly
+// (key-for: the nodes that straddle zero need key frames of 62 and 63 bits,
+// the rest far fewer), the same under alternating signs and zero-mean noise
+// (sign-key-for, in both frame modes), and one of one sign across some 2000
+// binades (key-for blocks of over 58 bits, the packer's wide lane) —,
 // golden_v3.bat and golden_v3_rawattrs.bat (raw float attributes), so the
 // fuzzer starts from streams each decoder accepts.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
 	cfg.LODErrorScale = fuzzSectionLODScale
-	zs := particles.NewSet(particles.NewSchema("v"), 300)
+	zs := particles.NewSet(particles.NewSchema("v", "signed", "noise", "binades"), 300)
 	for i := 0; i < 300; i++ {
-		x := float64(i) / 300
-		zs.Append(geom.V3(x, float64(i%7)/7, 0.5), []float64{x - 0.5})
+		x, sign := float64(i)/300, float64(i%2)-0.5
+		frac := float64(i*7919%1000) / 1000
+		zs.Append(geom.V3(x, float64(i%7)/7, 0.5), []float64{x - 0.5, (x - 0.5) * sign,
+			math.Copysign(1+frac, sign), math.Ldexp(1+frac, i*37%2000-1000)})
 	}
 	var bufs [][]byte
 	for _, build := range []struct {
@@ -1052,13 +1059,14 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 // retiredSeeds relabels live sections with the section codec ids and the
 // frame mode earlier writers emitted and no reader decodes: every quant-for
 // section as flat quant (id 1), every cell-for section as positions under
-// inline frames (id 3), every per-node-cols section — quant-for or key-for —
-// as inline per-node frames (mode 1). Every decoder must refuse them.
+// inline frames (id 3), every per-node-cols section — quant-for, key-for or
+// sign-key-for — as inline per-node frames (mode 1). Every decoder must
+// refuse them.
 func retiredSeeds(live []sectionSeed) []sectionSeed {
 	var out []sectionSeed
 	for _, s := range live {
 		switch s.codec {
-		case codecQuantFOR, codecKeyFOR:
+		case codecQuantFOR, codecKeyFOR, codecSignKeyFOR:
 			if s.codec == codecQuantFOR {
 				flat := s
 				flat.codec = codecQuant
@@ -1077,14 +1085,14 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 	return out
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
-// section decoders (raw, delta, quant-for, key-for, cell-for — the last against a
-// treelet bounds box of [lo, hi] on the section's axis), past the
-// checksums and the file structure FuzzDecode has to get through first, and
-// the payload to the packed node-table decoder as a table of as many nodes as
-// the node table has and of codec attributes. Errors are fine; panics, columns
-// of any length but nPoints and node tables that are not a tree over the
-// points are not.
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the six
+// section decoders (raw, delta, quant-for, key-for, sign-key-for, cell-for —
+// the last against a treelet bounds box of [lo, hi] on the section's axis),
+// past the checksums and the file structure FuzzDecode has to get through
+// first, and the payload to the packed node-table decoder as a table of as
+// many nodes as the node table has and of codec attributes. Errors are fine;
+// panics, columns of any length but nPoints and node tables that are not a
+// tree over the points are not.
 func FuzzDecodeSections(f *testing.F) {
 	seeds := sectionSeeds(f)
 	for _, s := range append(seeds, retiredSeeds(seeds)...) {
@@ -1094,10 +1102,12 @@ func FuzzDecodeSections(f *testing.F) {
 	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
 	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
 	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1))
-	// Width-64 key-for frames on a base near 2^64: base + span must be refused,
-	// never wrapped, in either mode.
+	// Width-64 key frames on a base near 2^64: base + span must be refused,
+	// never wrapped, in either mode, under either key map.
 	for _, p := range keyFOROverflowSeeds() {
-		f.Add(codecKeyFOR, p, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+		for _, codec := range []uint8{codecKeyFOR, codecSignKeyFOR} {
+			f.Add(codec, p, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+		}
 	}
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lo, hi float32) {
 		nA := int(codec % 8)
@@ -1134,9 +1144,10 @@ func FuzzDecodeSections(f *testing.F) {
 	})
 }
 
-// keyFOROverflowSeeds are key-for streams of one value whose frame is 64 bits
-// wide on a base 5 below 2^64: one frame, whose offset passes what the base
-// leaves, and a frame column entry, whose base + 2^64 - 1 would wrap.
+// keyFOROverflowSeeds are key-for (and sign-key-for) streams of one value
+// whose frame is 64 bits wide on a base 5 below 2^64: one frame, whose offset
+// passes what the base leaves, and a frame column entry, whose base +
+// 2^64 - 1 would wrap.
 func keyFOROverflowSeeds() [][]byte {
 	base := binary.AppendUvarint(nil, math.MaxUint64-5)
 	ones := bytes.Repeat([]byte{0xff}, 8)
@@ -1148,11 +1159,11 @@ func keyFOROverflowSeeds() [][]byte {
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// cut from a file is accepted by the decoder it was cut from, all five codecs
-// occur, quant-for and key-for each in both frame modes, and a key-for block
-// of at least 58 bits (the packer's wide lane); every retired seed — codec 1,
-// codec 3, mode 1 — is refused by every decoder, and so are the hand-made
-// key-for frames that would wrap past 2^64.
+// cut from a file is accepted by the decoder it was cut from, all six codecs
+// occur, quant-for, key-for and sign-key-for each in both frame modes, and a
+// key-for block of at least 58 bits (the packer's wide lane); every retired
+// seed — codec 1, codec 3, mode 1 — is refused by every decoder, and so are
+// the hand-made key frames that would wrap past 2^64, under either key map.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
@@ -1204,12 +1215,13 @@ func TestSectionSeedsDecode(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecCellFOR} {
+	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
 	}
-	for _, m := range []string{"quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols"} {
+	for _, m := range []string{"quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols",
+		"sign-key-for one-frame", "sign-key-for per-node-cols"} {
 		if !modes[m] {
 			t.Errorf("no %s section among the seeds: %v", m, modes)
 		}
@@ -1219,8 +1231,10 @@ func TestSectionSeedsDecode(t *testing.T) {
 	}
 	oneLeaf, _ := fuzzNodes([]byte{0, 0, 1, 0, 3, 0, 0, 0, 0}, 1)
 	for i, p := range keyFOROverflowSeeds() {
-		if _, err := decodeAttrSection(codecKeyFOR, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
-			t.Errorf("overflow seed %d: error %v, want one containing \"overflows\"", i, err)
+		for _, codec := range []uint8{codecKeyFOR, codecSignKeyFOR} {
+			if _, err := decodeAttrSection(codec, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("%s overflow seed %d: error %v, want one containing \"overflows\"", CodecName(codec), i, err)
+			}
 		}
 	}
 	if nodeTables == 0 {
@@ -1229,7 +1243,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 	retired := map[string]bool{}
 	for _, s := range retiredSeeds(seeds) {
 		kind := fmt.Sprintf("codec %d", s.codec)
-		if s.codec == codecQuantFOR || s.codec == codecKeyFOR {
+		if s.codec == codecQuantFOR || s.codec == codecKeyFOR || s.codec == codecSignKeyFOR {
 			kind = fmt.Sprintf("%s mode %d", CodecName(s.codec), s.payload[s.modeAt()])
 		}
 		retired[kind] = true
@@ -1237,7 +1251,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 			t.Errorf("retired %s seed decodes: %v / %v / %v", kind, err32, err64, errPos)
 		}
 	}
-	if !retired["codec 1"] || !retired["codec 3"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] {
-		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1 of quant-for and key-for", retired)
+	if !retired["codec 1"] || !retired["codec 3"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] || !retired["sign-key-for mode 1"] {
+		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1 of quant-for, key-for and sign-key-for", retired)
 	}
 }

@@ -15,7 +15,8 @@ import (
 
 // determinismCorpora builds the particle-set shapes the byte-identity
 // property is asserted over: seeded random, clustered, coincident-heavy
-// (maximal Morton-code ties), and small edge sizes.
+// (maximal Morton-code ties), clustered with zero-mean attributes, and small
+// edge sizes.
 func determinismCorpora() []struct {
 	name   string
 	set    *particles.Set
@@ -50,6 +51,16 @@ func determinismCorpora() []struct {
 		p := geom.V3(cx+r.NormFloat64()*0.01, cy+r.NormFloat64()*0.01, cz+r.NormFloat64()*0.01)
 		return p, []float64{r.Float64() * 10, p.X + 3*p.Y + r.Float64()*1e-3}
 	}
+	signed := func(r *rand.Rand, i int) (geom.Vec3, []float64) {
+		// clustered's columns under random signs: zero-mean, so the
+		// lossless sections are sign-key-for, one frame for a and per-node
+		// frames for b.
+		p, attrs := clustered(r, i)
+		if r.Intn(2) == 0 {
+			attrs[0], attrs[1] = -attrs[0], -attrs[1]
+		}
+		return p, attrs
+	}
 	coincident := func(r *rand.Rand, i int) (geom.Vec3, []float64) {
 		// Eight distinct positions shared by thousands of particles:
 		// every treelet sees massive Morton ties and degenerate splits.
@@ -64,6 +75,7 @@ func determinismCorpora() []struct {
 		mk("uniform", 20000, uniform),
 		mk("clustered", 20000, clustered),
 		mk("coincident", 8000, coincident),
+		mk("signed", 20000, signed),
 		mk("tiny", 3, uniform),
 		mk("empty", 0, uniform),
 	}
@@ -84,8 +96,8 @@ func TestBuildDeterminism(t *testing.T) {
 				base.LODPerNode = 4
 				// Every build encodes its position and attribute sections
 				// in the fused treelet workers from per-worker arenas: the
-				// lossless key-for attribute codec, and with Compress the
-				// lossy quant-for one.
+				// lossless key-for and sign-key-for attribute codecs, and with
+				// Compress the lossy quant-for one.
 				base.Compress = compress
 				base.AttrErrorBounds = []float64{1e-3, 1e-3}
 
@@ -108,7 +120,7 @@ func TestBuildDeterminism(t *testing.T) {
 					}
 					for _, sec := range lay.Sections {
 						switch sec.Codec {
-						case codecQuantFOR, codecKeyFOR:
+						case codecQuantFOR, codecKeyFOR, codecSignKeyFOR:
 							frameModes[CodecName(sec.Codec)+" "+sec.Mode] = true
 						case codecCellFOR:
 							frameModes["cell-for"] = true
@@ -131,9 +143,10 @@ func TestBuildDeterminism(t *testing.T) {
 			}
 		})
 	}
-	for _, want := range []string{"cell-for", "quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols"} {
+	for _, want := range []string{"cell-for", "quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols",
+		"sign-key-for one-frame", "sign-key-for per-node-cols"} {
 		if !frameModes[want] {
-			t.Errorf("frame kinds among the builds: %v, want cell-for positions and both modes of quant-for and key-for covered", frameModes)
+			t.Errorf("frame kinds among the builds: %v, want cell-for positions and both modes of quant-for, key-for and sign-key-for covered", frameModes)
 			break
 		}
 	}

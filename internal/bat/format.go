@@ -64,9 +64,15 @@
 //	                 lossless one (or a lossy one no grid can hold) the
 //	                 smallest of codecDelta, codecKeyFOR (the values'
 //	                 order-preserving integer keys in the same two frame
-//	                 modes) and codecRaw. The section's own codec byte,
-//	                 and a quant-for or key-for section's mode byte, say
-//	                 which stream it holds
+//	                 modes), codecSignKeyFOR (the same stream over the
+//	                 values' bit patterns rotated left by one, sign bit
+//	                 lowest: for columns that cross zero) and codecRaw.
+//	                 The section's own codec byte, and a quant-for,
+//	                 key-for or sign-key-for section's mode byte, say which
+//	                 stream it holds. A reader that predates
+//	                 codecSignKeyFOR refuses a file holding it at the first
+//	                 treelet load that meets one ("unknown attribute codec
+//	                 id 7")
 //	Checksum footer, after the last treelet:
 //	  headerCRC u32        CRC32C of the header bytes
 //	  numTreelets u32

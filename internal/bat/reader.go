@@ -386,8 +386,9 @@ type CompressionInfo struct {
 	// Codecs is the declared codec class per attribute (see CodecName):
 	// quant for lossy attributes, delta for lossless ones. The class says
 	// nothing about what a section stores: a lossless attribute's sections
-	// are delta, key-for or raw, whichever is smallest, and a lossy one's
-	// fall back to key-for or raw where no grid can hold them.
+	// are delta, key-for, sign-key-for or raw, whichever is smallest, and a
+	// lossy one's fall back to key-for, sign-key-for or raw where no grid can
+	// hold them.
 	Codecs []uint8
 	// Bounds is the absolute error bound per attribute; 0 means lossless.
 	Bounds []float64
@@ -430,8 +431,8 @@ type SectionInfo struct {
 	Codec    uint8
 	RawBytes int
 	EncBytes int
-	// Mode is a quant-for or key-for section's frame mode, "one-frame" or
-	// "per-node-cols"; empty for every other codec.
+	// Mode is a quant-for, key-for or sign-key-for section's frame mode,
+	// "one-frame" or "per-node-cols"; empty for every other codec.
 	Mode string
 	// FrameBytes is how many of EncBytes hold block frames: the one frame of a
 	// one-frame section, the two frame columns of a per-node-cols one. 0 for
