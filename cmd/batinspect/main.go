@@ -8,8 +8,10 @@
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -bytes
 //
 // With -bytes it adds up where the dataset's stored bytes are: position and
-// attribute sections (and how many of the attribute bytes are block frames
-// stored inside them), node tables, headers and footers. Every leaf file is a
+// attribute sections (how many of each position column's bytes are
+// Elias–Fano blocks of sorted-cell-for sections, over how many nodes and
+// particles, and how many of the attribute bytes are block frames stored
+// inside them), node tables, headers and footers. Every leaf file is a
 // version-3 BAT file, the one layout the reader accepts; a file of any other
 // version is refused at open ("unsupported version 2").
 // With -verify it instead walks every file of the dataset checking the
@@ -327,6 +329,9 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		sum.Attributes += sb.Attributes
 		sum.Footer += sb.Footer
 		sum.AttributeFrames += sb.AttributeFrames
+		for ax := range sum.PositionEF {
+			sum.PositionEF[ax].Add(sb.PositionEF[ax])
+		}
 		// One leaf open at a time: Close releases it and ds stays usable.
 		if err := ds.Close(); err != nil {
 			return err
@@ -357,6 +362,15 @@ func printStoredBytes(w io.Writer, store pfs.Storage, ds *core.Dataset, name str
 		{core.MetaFileName(name), metaBytes, -1},
 	} {
 		fmt.Fprintf(w, "  %-26s %12d B %10.6f B/particle\n", row.part, row.bytes, float64(row.bytes)/n)
+		if row.part == "positions" {
+			// Shares of the row above, like the block frames below: the
+			// Elias–Fano blocks of each position column.
+			for ax, ef := range sum.PositionEF {
+				efBytes := (int64(ef.Bits) + 7) / 8
+				fmt.Fprintf(w, "    %-24s %12d B %10.6f B/particle  (%d nodes, %d particles)\n",
+					"of which "+"xyz"[ax:ax+1]+" Elias–Fano", efBytes, float64(efBytes)/n, ef.Nodes, ef.Particles)
+			}
+		}
 		if row.frames >= 0 {
 			fmt.Fprintf(w, "    %-24s %12d B %10.6f B/particle\n", "of which block frames", row.frames, float64(row.frames)/n)
 		}

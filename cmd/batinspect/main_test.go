@@ -190,7 +190,7 @@ func TestInspectCompressedLeaf(t *testing.T) {
 	for _, want := range []string{
 		`(?m)^\s+column\s+class\s+bound\s+raw bytes\s+enc bytes\s+ratio\s+block bits\s+sections$`,
 		`(?m)^\s+raw payload: \d+ bytes, stored / raw: 0\.\d+$`,
-		`(?m)^\s+x\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+cell-for x\d+$`,
+		`(?m)^\s+x\s+lossless\s+0\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+sorted-cell-for x\d+$`,
 		`(?m)^\s+v\s+quant\s+0\.001\s+\d+\s+\d+\s+[\d.]+x\s+\d+/\d+/\d+\s+quant-for (one-frame|per-node-cols) x\d+`,
 		`(?m)^\s+whole-file attribute payload: \d+ -> \d+ bytes`,
 		`(?m)^\s+node tables: \d+ nodes in \d+ treelets, \d+ bytes \(packed columns`,
@@ -232,9 +232,11 @@ func TestInspectLosslessLeaf(t *testing.T) {
 }
 
 // TestStoredBytesAddUp: the parts -bytes prints are every byte on storage,
-// each of them non-empty, and the "of which block frames" line is a share of
-// the attribute row above it: the frames of the key-for and sign-key-for
-// sections in a lossless dataset, of the quant-for sections in a lossy one.
+// each of them non-empty, the "of which block frames" line is a share of
+// the attribute row above it — the frames of the key-for and sign-key-for
+// sections in a lossless dataset, of the quant-for sections in a lossy one —,
+// and the three "of which <axis> Elias–Fano" lines are shares of the
+// position row, each over some nodes and particles.
 func TestStoredBytesAddUp(t *testing.T) {
 	for name, store := range map[string]pfs.Storage{"lossless": writeDataset(t), "lossy": writeCompressedDataset(t)} {
 		ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -249,14 +251,21 @@ func TestStoredBytesAddUp(t *testing.T) {
 		for li := range ds.Meta().Leaves {
 			onStorage += int64(len(slurp(t, store, core.LeafFileName("ds", li))))
 		}
-		var parts, frames []int64
+		var parts, frames, ef []int64
 		for _, m := range regexp.MustCompile(`(?m)^\s+(\S.*?)\s+(\d+) B `).FindAllStringSubmatch(out.String(), -1) {
 			n, _ := strconv.ParseInt(m[2], 10, 64)
-			if m[1] == "of which block frames" {
+			switch {
+			case m[1] == "of which block frames":
 				frames = append(frames, n)
-			} else {
+			case strings.HasSuffix(m[1], " Elias–Fano"):
+				ef = append(ef, n)
+			default:
 				parts = append(parts, n)
 			}
+		}
+		efRows := regexp.MustCompile(`(?m)^\s+of which [xyz] Elias–Fano\s+\d+ B\s+[\d.]+ B/particle  \([1-9]\d* nodes, [1-9]\d* particles\)$`)
+		if n := len(efRows.FindAllString(out.String(), -1)); n != 3 || len(ef) != 3 || ef[0]+ef[1]+ef[2] >= parts[0] {
+			t.Errorf("%s: %d Elias–Fano rows of %v bytes:\n%s", name, n, ef, out.String())
 		}
 		if len(frames) != 1 || frames[0] <= 0 || frames[0] >= parts[1] {
 			t.Errorf("%s: block frames of %d bytes:\n%s", name, frames, out.String())

@@ -11,10 +11,10 @@ import (
 )
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
-// compares every byte it leaves behind with a recorded digest (the lossless
-// ones when float attributes that cross zero began to take sign-key-for
-// sections, the lossy one when the frames left the v3 sections: cell-for
-// positions, quant-for frame columns): SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
+// compares every byte it leaves behind with a recorded digest (all five
+// recorded when every node's particles began to be sorted along its widest
+// cell axis and positions to take sorted-cell-for sections):
+// SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
 //
@@ -29,27 +29,26 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "e4af325f13cd1febd53fabac392fb2bac74f89d000d11e272c4033978410e3d9",
+			5, "952a4df83605d350869aeb3d86f188f5d7a124df3a07a71012622e82edd21084",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "67d42439cde3fe847b1664681df9525e2825acdbdec74cbaf137dc21a4c25a67",
+			5, "9035e48ed66b27815fa77f1adbf8c7bb0304fab8fcb67906607883b9111e81b1",
 		},
-		{ // the same plumes as version-3 files: cell-for positions, quant-for attributes in both frame modes
+		{ // the same plumes as version-3 files: sorted-cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "e24ea471f744f8729bfaa9099d8b3402b4bd77bd9255eb25c6f5b09afa0cc2f4",
+			5, "3e44af0681e5ce2770756f3137d2543be3e857c5f8fd5928c453e50d9406f07d",
 		},
-		{ // one -error-bound for every attribute (digest recorded at commit 970c8b6)
+		{ // one -error-bound for every attribute
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3", "-lod-error-scale", "4"},
-			5, "6bb92fb2e0107690ed7a5b5bd89d4847d07e586816354d75b3f3b84772876fd1",
+			5, "2c9da80a7ce44b479af756b0c2426bf4f587b46ae4e776ec54108a320a1e9675",
 		},
-		{ // a bound > 0 alone makes the write lossy: the digest of the same
-			// bound under the retired -compress flag (recorded at commit 0e89b22)
+		{ // a bound > 0 alone makes the write lossy, with no LOD error scale
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3"},
-			5, "a12b9ba7af774c6a4051c83750610f10daf996b7b28c9735a525ef1e52dd340d",
+			5, "2cd60850c7f255cfcf2f05ddeb79684777423b0297d17b47186299473f54cda6",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

@@ -31,6 +31,11 @@ type buildArena struct {
 	qbuf    []uint64
 	frames  []blockFrame
 	cols    []uint64
+
+	// Position scratch (sortNodes): each axis's keys in layout order, kept
+	// for encodeTreeletPositions, and one node range's sort words.
+	keys      [3][]uint64
+	sortWords []uint64
 }
 
 // ensure grows the arena to hold a treelet of n particles sampling k LOD

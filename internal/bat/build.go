@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"libbat/internal/binfmt"
@@ -188,10 +189,12 @@ type treelet struct {
 	// overlaps across treelets exactly like node construction does. posEnc
 	// holds the X, Y, Z sections the same way, and cells the extremes of the
 	// keys they were packed from: the root cell of the position frames,
-	// which compact stores as the treelet bounds.
+	// which compact stores as the treelet bounds. axes holds every node's
+	// sort axis (sortNodes); nil before the sort.
 	attrEnc []encodedAttr
 	posEnc  [3]encodedAttr
 	cells   [3]keyCell
+	axes    []uint8
 }
 
 // builtShallowNode is an in-memory shallow tree inner node.
@@ -399,9 +402,10 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		g := groups[gi]
 		t := buildTreelet(set, order[g.from:g.to], cfg, a)
 		t.prefix = g.code
+		sortNodes(set, t, a)
 		computeTreeletBitmaps(set, t, ranges)
 		encodeTreeletAttrs(set, t, bounds, lodScale, a)
-		errs[gi] = encodeTreeletPositions(set, t, a)
+		errs[gi] = encodeTreeletPositions(t, a)
 		treelets[gi] = t
 	})
 	return treelets, errors.Join(errs...)
@@ -473,6 +477,74 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 	build(idx, 0)
 	t.reorderBFS(len(idx))
 	return t
+}
+
+// sortNodes puts every node's particle range of t.order in key order along
+// the node's sort axis (sortAxes), ties in the order the build left them: a
+// node's particles are a set, and sorted they let a sorted-cell-for section
+// store that axis as Elias–Fano offsets. On the way it takes the keys of the
+// three position columns, once, and the treelet's cells from them — the
+// extremes of the keys that are numbers, which compact stores as the treelet
+// bounds —, and it leaves the keys in a, in the sorted layout order, for
+// encodeTreeletPositions. The sort is over key<<32 | slot words, slot the
+// particle's place in its node range before the sort, so it is a pure
+// function of the treelet and builds stay byte-identical for any worker count.
+func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
+	n := len(t.order)
+	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
+		if cap(a.keys[ax]) < n {
+			a.keys[ax] = make([]uint64, 0, n)
+		}
+		keys := a.keys[ax][:0]
+		cell := keyCell{lo: math.MaxUint32, hi: 0}
+		for _, p := range t.order {
+			k := keyOf(col[p])
+			keys = append(keys, uint64(k))
+			if k >= keyNegInf && k <= keyPosInf {
+				cell.lo, cell.hi = min(cell.lo, k), max(cell.hi, k)
+			}
+		}
+		a.keys[ax] = keys
+		t.cells[ax] = cell
+	}
+	t.axes = make([]uint8, len(t.nodes))
+	sortAxes(t.axes, a.nodeFrames(len(t.nodes)), t.link, t.cells)
+	if cap(a.parts) < n {
+		a.parts = make([]int, n)
+	}
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		lo, hi := int(nd.start), int(nd.start+nd.count)
+		if hi-lo < 2 {
+			continue
+		}
+		sa := int(t.axes[i])
+		words := a.sortWords[:0]
+		for slot, k := range a.keys[sa][lo:hi] {
+			words = append(words, k<<32|uint64(slot))
+		}
+		a.sortWords = words
+		slices.Sort(words)
+		// Permute the range of the layout order and of the other two key
+		// columns through the sorted slots, each via a copy of the range;
+		// the sort axis's keys are the words' high halves.
+		order := a.parts[:hi-lo]
+		copy(order, t.order[lo:hi])
+		for j, w := range words {
+			t.order[lo+j] = order[w&math.MaxUint32]
+			a.keys[sa][lo+j] = w >> 32
+		}
+		for ax := range a.keys {
+			if ax == sa {
+				continue
+			}
+			keys := append(a.qbuf[:0], a.keys[ax][lo:hi]...)
+			a.qbuf = keys
+			for j, w := range words {
+				a.keys[ax][lo+j] = keys[w&math.MaxUint32]
+			}
+		}
+	}
 }
 
 // quickselect returns the k-th smallest element of a (0-based), mutating a.

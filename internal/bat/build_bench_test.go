@@ -97,7 +97,8 @@ func newSectionBench(tb testing.TB) *sectionBench {
 	_, order := sortByMorton(set, geom.NewBox(geom.V3(-0.5, -0.5, -0.5), geom.V3(1.5, 1.5, 1.5)), 1)
 	var a buildArena
 	t := buildTreelet(set, order, DefaultBuildConfig(), &a)
-	if err := encodeTreeletPositions(set, t, &a); err != nil {
+	sortNodes(set, t, &a)
+	if err := encodeTreeletPositions(t, &a); err != nil {
 		tb.Fatal(err)
 	}
 	return &sectionBench{set: set, t: t, nodes: diskNodesOf(t), bounds: cellBounds(t.cells)}
@@ -106,7 +107,7 @@ func newSectionBench(tb testing.TB) *sectionBench {
 // sectionBenchCase is one stream of one column of the bench treelet.
 type sectionBenchCase struct {
 	name string
-	pos  bool // the X column; otherwise attribute attr under bound
+	pos  bool // the X column, as codec; otherwise attribute attr under bound
 	attr int
 	// bound is the attribute's error bound: sectionBenchBound, or 0 for the
 	// lossless key-for and sign-key-for streams.
@@ -120,6 +121,7 @@ type sectionBenchCase struct {
 func sectionBenchCases() []sectionBenchCase {
 	return []sectionBenchCase{
 		{name: "positions/cell-for", pos: true, codec: codecCellFOR},
+		{name: "positions/sorted-cell-for", pos: true, codec: codecSortedCellFOR},
 		{name: "quant-for/one-frame", attr: sectionBenchNoise, bound: sectionBenchBound, codec: codecQuantFOR, mode: "one-frame"},
 		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, bound: sectionBenchBound, codec: codecQuantFOR, mode: "per-node-cols"},
 		{name: "key-for/one-frame", attr: sectionBenchNoise, codec: codecKeyFOR, mode: "one-frame"},
@@ -133,10 +135,16 @@ func sectionBenchCases() []sectionBenchCase {
 var sectionSink encodedAttr
 
 // encode runs the case's encoder once: all three position columns (the X
-// section is returned), or the one attribute column.
+// section is returned) — their keys and the node sort, which finds the bench
+// treelet sorted, then the packing, with no sort axes for cell-for —, or the
+// one attribute column.
 func (c *sectionBenchCase) encode(b *testing.B, sb *sectionBench, a *buildArena) encodedAttr {
 	if c.pos {
-		if err := encodeTreeletPositions(sb.set, sb.t, a); err != nil {
+		sortNodes(sb.set, sb.t, a)
+		if c.codec == codecCellFOR {
+			sb.t.axes = nil
+		}
+		if err := encodeTreeletPositions(sb.t, a); err != nil {
 			b.Fatal(err)
 		}
 		return sb.t.posEnc[0]

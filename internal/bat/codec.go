@@ -78,6 +78,35 @@
 //	                  which no cell orders; -0 and +0 on either side of a
 //	                  split at zero) or when the stream would not be smaller
 //	                  than the raw f32 bytes.
+//	codecSortedCellFOR (8): lossless, position columns only: cell-for in
+//	                  which each node's block on its sort axis may be
+//	                  Elias–Fano offsets instead. A node's particles are a
+//	                  set — no query, LOD window or route depends on their
+//	                  order inside a node — and cell-for spends about
+//	                  log2(n!) bits a node on whatever order the build left
+//	                  them in. So the builder sorts every node's range by key
+//	                  along its sort axis (ties keep the build's order): the
+//	                  axis of the node's widest cell frame, the largest
+//	                  bits.Len(span), ties to the lowest axis; an axis whose
+//	                  cells cannot be derived counts as width 0 (sortAxes).
+//	                  On that axis a node's n offsets are non-decreasing in
+//	                  [0, span], and Elias–Fano stores them as
+//	                    L = ⌊log2((span+1)/n)⌋, 0 when span+1 < n
+//	                    n·L bits: every offset's low L bits, in order
+//	                    n + (span>>L) + 1 bits: offset j's high part h_j as
+//	                      a one at bit h_j + j, every other bit zero
+//	                  The node uses it exactly when that is fewer bits than
+//	                  cell-for's n·width; every other block — the node's
+//	                  other two axes, and a sort axis where Elias–Fano is not
+//	                  smaller — is its cell-for block. n comes from the node
+//	                  table and span from the cells, so nothing is stored per
+//	                  node, no flag either, and every block's bit length is
+//	                  still a prefix sum over the node table. A decoder
+//	                  refuses a high part that does not hold exactly n ones
+//	                  and an offset above span; the run's length and padding
+//	                  are checked as cell-for's. One decoder reads both
+//	                  codecs: a cell-for section is a sorted-cell-for one
+//	                  with no Elias–Fano node, and stays readable.
 //	codecKeyFOR   (6): lossless float attributes. Each value — the float32
 //	                  codecRaw would store for a Float32 attribute, the
 //	                  float64 itself otherwise — is mapped through the
@@ -151,16 +180,17 @@ import (
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
 // attribute, codecDelta for a lossless one — so codecQuantFOR, codecCellFOR,
-// codecKeyFOR and codecSignKeyFOR never appear there, and codecQuant, retired
-// as a section codec, appears nowhere else.
+// codecSortedCellFOR, codecKeyFOR and codecSignKeyFOR never appear there,
+// and codecQuant, retired as a section codec, appears nowhere else.
 const (
-	codecRaw        uint8 = 0
-	codecQuant      uint8 = 1
-	codecDelta      uint8 = 2
-	codecQuantFOR   uint8 = 4
-	codecCellFOR    uint8 = 5
-	codecKeyFOR     uint8 = 6
-	codecSignKeyFOR uint8 = 7
+	codecRaw           uint8 = 0
+	codecQuant         uint8 = 1
+	codecDelta         uint8 = 2
+	codecQuantFOR      uint8 = 4
+	codecCellFOR       uint8 = 5
+	codecKeyFOR        uint8 = 6
+	codecSignKeyFOR    uint8 = 7
+	codecSortedCellFOR uint8 = 8
 )
 
 // CodecName returns the human-readable name of a codec id (batinspect).
@@ -180,6 +210,8 @@ func CodecName(c uint8) string {
 		return "key-for"
 	case codecSignKeyFOR:
 		return "sign-key-for"
+	case codecSortedCellFOR:
+		return "sorted-cell-for"
 	}
 	return fmt.Sprintf("unknown(%d)", c)
 }
@@ -234,11 +266,55 @@ type forFrame struct {
 // blockFrame is a node range's block as the block loop reads it: its frame,
 // the largest offset a valid stream holds under it, and the bit of the
 // section payload its first offset starts at. The encoders fill the frame and
-// the span, the largest offset their block holds.
+// the span, the largest offset their block holds. ef marks a sorted-cell-for
+// block stored as Elias–Fano offsets over [0, span], low their low-part width
+// (efFrame); every other block is width bits a value.
 type blockFrame struct {
 	forFrame
 	span uint64
 	bit  int
+	ef   bool
+	low  uint8
+}
+
+// bits is the bit length of the block of n values under fr.
+func (fr *blockFrame) bits(n uint32) int {
+	if fr.ef {
+		return efBits(int(n), fr.span, fr.low)
+	}
+	return int(n) * int(fr.width)
+}
+
+// efBits is the bit length of an Elias–Fano block of n offsets in [0, span]
+// with low-part width low: the low parts, then the high part's n ones and
+// (span>>low) + 1 zeros. A cell's span is a difference of two uint32 keys;
+// past that no block is short enough to choose (math.MaxInt).
+func efBits(n int, span uint64, low uint8) int {
+	high := span >> low
+	if high > math.MaxUint32 {
+		return math.MaxInt
+	}
+	return n*int(low) + n + int(high) + 1
+}
+
+// efFrame makes fr, the cell frame of a node of n particles on its sort axis,
+// an Elias–Fano block when that takes fewer bits than the cell-for block,
+// and reports whether it did. The low part is ⌊log2((span+1)/n)⌋ bits wide,
+// 0 when span+1 < n; span is a cell's, below 2^32 (efBits refuses any
+// other), so span+1 does not wrap.
+func efFrame(fr *blockFrame, n uint32) bool {
+	if n == 0 {
+		return false
+	}
+	low := uint8(0)
+	if q := (fr.span + 1) / uint64(n); q > 1 {
+		low = uint8(bits.Len64(q) - 1)
+	}
+	if efBits(int(n), fr.span, low) >= int(n)*int(fr.width) {
+		return false
+	}
+	fr.ef, fr.low = true, low
+	return true
 }
 
 // frameOf returns the frame of blk (the zero frame for an empty block).
@@ -403,6 +479,10 @@ type nodeBlocks struct {
 	nPoints int
 	frames  []blockFrame
 	col     []uint64 // a frame column being read, a value per node; nil until a section has one
+	// axes are the nodes' sort axes under axesBounds (sortAxes); nil until
+	// a sorted-cell-for section needs them.
+	axes       []uint8
+	axesBounds geom.Box
 }
 
 func newNodeBlocks(nodes []diskNode, nPoints int) *nodeBlocks {
@@ -427,7 +507,7 @@ func (nb *nodeBlocks) layRun(payload []byte, start int) error {
 	bit := start // at most 2^32 points of at most 64 bits: an int holds it
 	for i := range nb.nodes {
 		nb.frames[i].bit = bit
-		bit += int(nb.nodes[i].count) * int(nb.frames[i].width)
+		bit += nb.frames[i].bits(nb.nodes[i].count)
 	}
 	if need := (bit + 7) >> 3; need > len(payload) {
 		return fmt.Errorf("truncated: the blocks end at byte %d, the section at %d", need, len(payload))
@@ -464,18 +544,79 @@ func (nb *nodeBlocks) unpack(payload []byte, sink func(ni, at int, offs []uint64
 	var q unpackScratch
 	for i := range nb.nodes {
 		fr := &nb.frames[i]
-		bit := fr.bit
-		for at, end := int(nb.nodes[i].start), int(nb.nodes[i].start+nb.nodes[i].count); at < end; {
+		start, end := int(nb.nodes[i].start), int(nb.nodes[i].start+nb.nodes[i].count)
+		bit, width := fr.bit, fr.width
+		var hi efHigh
+		if fr.ef {
+			width = fr.low
+			var err error
+			if hi, err = newEFHigh(payload, fr, end-start); err != nil {
+				return fmt.Errorf("block %d: %w", i, err)
+			}
+		}
+		for at := start; at < end; {
 			c := min(end-at, len(q))
-			unpackBits(q[:c], payload, bit, fr.width)
+			unpackBits(q[:c], payload, bit, width)
+			if fr.ef {
+				hi.next(q[:c], payload, fr.low)
+			}
 			if err := sink(i, at, q[:c]); err != nil {
 				return fmt.Errorf("block %d: %w", i, err)
 			}
 			at += c
-			bit += c * int(fr.width)
+			bit += c * int(width)
 		}
 	}
 	return nil
+}
+
+// efHigh reads the high part of an Elias–Fano block: word holds the bits
+// from bit on that are not read yet, the next offset's one is word's lowest
+// set bit, and base is where that one would be were the offset's high part
+// 0 — the part's first bit plus the offset's index.
+type efHigh struct {
+	word      uint64
+	bit, base int
+}
+
+// efWordBits is how many bits of a wordAt load efHigh takes at a time: at
+// least that many are valid whatever the load's bit offset in its byte.
+const efWordBits = 56
+
+// newEFHigh finds the high part of fr's Elias–Fano block of n offsets, laid
+// inside payload, and checks that it holds exactly n ones: then the n ones
+// next reads are all inside it.
+func newEFHigh(payload []byte, fr *blockFrame, n int) (efHigh, error) {
+	start := fr.bit + n*int(fr.low)
+	end := fr.bit + efBits(n, fr.span, fr.low)
+	ones := 0
+	for b := start; b < end; b += efWordBits {
+		w := wordAt(payload, b)
+		if k := end - b; k < efWordBits {
+			w &= 1<<k - 1
+		}
+		ones += bits.OnesCount64(w & (1<<efWordBits - 1))
+	}
+	if ones != n {
+		return efHigh{}, fmt.Errorf("Elias–Fano high part holds %d ones, the node %d particles", ones, n)
+	}
+	return efHigh{word: wordAt(payload, start) & (1<<efWordBits - 1), bit: start, base: start}, nil
+}
+
+// next adds the next len(offs) high parts, shifted past the low bits, to the
+// low parts in offs.
+func (h *efHigh) next(offs []uint64, payload []byte, low uint8) {
+	word, bit, base := h.word, h.bit, h.base
+	for i := range offs {
+		for word == 0 {
+			bit += efWordBits
+			word = wordAt(payload, bit) & (1<<efWordBits - 1)
+		}
+		at := bit + bits.TrailingZeros64(word)
+		word &= word - 1
+		offs[i] |= uint64(at-base-i) << low
+	}
+	h.word, h.bit, h.base = word, bit, base+len(offs)
 }
 
 // --- attribute encoding ---
@@ -1002,7 +1143,7 @@ func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, er
 		return 0, fmt.Errorf("base column: %w", err)
 	}
 	for i, v := range col {
-		nb.frames[i].base = v
+		nb.frames[i] = blockFrame{forFrame: forFrame{base: v}}
 	}
 	if pos, err = readRun(col, payload, pos, limitWidth(uint64(maxWidth)), uint64(maxWidth)); err != nil {
 		return 0, fmt.Errorf("width column: %w", err)
@@ -1284,15 +1425,19 @@ func boundsCell(b geom.Box, ax geom.Axis) keyCell {
 	return keyCell{keyOf(float32(b.Lower.Component(ax))), keyOf(float32(b.Upper.Component(ax)))}
 }
 
+// nodeLink returns node i's axis (leafAxis for a leaf), split plane and
+// children: what cellFrames needs of a node table, the builder's or the
+// reader's.
+type nodeLink func(i int) (axis uint8, split float64, left, right int32)
+
 // cellFrames derives every node's frame on axis ax from the treelet's cell
 // there and the split planes of the node table: the rule of codecCellFOR in
-// the comment at the top of this file, in one pass in node order. link
-// returns node i's axis (leafAxis for a leaf), split plane and children. The
-// pass needs what a breadth-first table guarantees — every node but the root
-// hangs under exactly one earlier node — and what the builder guarantees — an
-// inner node's split plane is a float32 inside the node's own cell — and
-// reports a table or bounds that break either.
-func cellFrames(frames []blockFrame, link func(i int) (axis uint8, split float64, left, right int32), root keyCell, ax geom.Axis) error {
+// the comment at the top of this file, in one pass in node order. The pass
+// needs what a breadth-first table guarantees — every node but the root hangs
+// under exactly one earlier node — and what the builder guarantees — an inner
+// node's split plane is a float32 inside the node's own cell — and reports a
+// table or bounds that break either.
+func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) error {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -1337,25 +1482,71 @@ func cellFrames(frames []blockFrame, link func(i int) (axis uint8, split float64
 	return nil
 }
 
-// encodeTreeletPositions encodes the three position columns of a freshly
-// built treelet, next to encodeTreeletAttrs in the fused treelet worker, and
-// records the treelet's cells — the one scan of its coordinates' extremes,
-// which compact stores as the treelet bounds.
-func encodeTreeletPositions(set *particles.Set, t *treelet, a *buildArena) error {
-	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
-		keys := a.qbuf[:0]
-		cell := keyCell{lo: math.MaxUint32, hi: 0}
-		for _, p := range t.order {
-			k := keyOf(col[p])
-			keys = append(keys, uint64(k))
-			if k >= keyNegInf && k <= keyPosInf {
-				cell.lo, cell.hi = min(cell.lo, k), max(cell.hi, k)
+// sortAxes sets axes[i] to node i's sort axis: the axis on which its cell
+// frame is widest, ties to the lowest axis. An axis whose cells cannot be
+// derived from cells (cellFrames fails: a treelet with no number on that
+// axis) counts as width 0 on every node. frames is scratch. The builder sorts
+// every node along its sort axis, and a sorted-cell-for decoder derives the
+// same axes from the node table and the bounds.
+func sortAxes(axes []uint8, frames []blockFrame, link nodeLink, cells [3]keyCell) {
+	// While the axes are compared, axes[i] holds the widest width so far
+	// above the two bits of its axis: a cell frame is at most 32 bits wide.
+	clear(axes)
+	for ax := range cells {
+		if cellFrames(frames, link, cells[ax], geom.Axis(ax)) != nil {
+			continue
+		}
+		for i := range axes {
+			if w := frames[i].width; w > axes[i]>>2 {
+				axes[i] = w<<2 | uint8(ax)
 			}
 		}
-		a.qbuf = keys[:0] // keep the (possibly grown) backing array
-		t.cells[ax] = cell
+	}
+	for i := range axes {
+		axes[i] &= 3
+	}
+}
+
+// link is the builder's node table as cellFrames reads it.
+func (t *treelet) link(i int) (uint8, float64, int32, int32) {
+	n := &t.nodes[i]
+	return uint8(n.axis), n.pos, n.left, n.right
+}
+
+// link is the reader's node table as cellFrames reads it.
+func (nb *nodeBlocks) link(i int) (uint8, float64, int32, int32) {
+	n := &nb.nodes[i]
+	return n.axis, n.pos, n.left, n.right
+}
+
+// sortAxes returns the sort axes of the treelet's nodes under bounds,
+// computed on the first call with these bounds and kept for the other
+// position sections.
+func (nb *nodeBlocks) sortAxes(bounds geom.Box) []uint8 {
+	if nb.axes == nil || nb.axesBounds != bounds {
+		nb.axes = make([]uint8, len(nb.nodes))
+		nb.axesBounds = bounds
+		var cells [3]keyCell
+		for ax := range cells {
+			cells[ax] = boundsCell(bounds, geom.Axis(ax))
+		}
+		sortAxes(nb.axes, nb.frames, nb.link, cells)
+	}
+	return nb.axes
+}
+
+// encodeTreeletPositions encodes the three position columns of a treelet
+// that sortNodes has sorted, next to encodeTreeletAttrs in the fused treelet
+// worker, from the keys sortNodes left in the arena and under the cells it
+// recorded.
+func encodeTreeletPositions(t *treelet, a *buildArena) error {
+	for ax := range t.posEnc {
+		keys := a.keys[ax]
+		if len(keys) != len(t.order) {
+			return fmt.Errorf("bat: %d position keys for a treelet of %d particles", len(keys), len(t.order))
+		}
 		var err error
-		if t.posEnc[ax], err = encodeCellFOR(keys, t, cell, geom.Axis(ax), a); err != nil {
+		if t.posEnc[ax], err = encodeCellFOR(keys, t, t.cells[ax], geom.Axis(ax), a); err != nil {
 			return err
 		}
 	}
@@ -1363,24 +1554,27 @@ func encodeTreeletPositions(set *particles.Set, t *treelet, a *buildArena) error
 }
 
 // encodeCellFOR encodes one position column of a treelet — keys, in layout
-// order — as a codecCellFOR stream: the blocks only, one per node in node
-// order, each under the frame of the node's k-d cell. It returns a codecRaw
-// section when a key lies outside its node's cell or the stream would not be
-// smaller than the column's 4 bytes per value, and an error when a key that
-// is a number lies outside the treelet's own cell, which was just taken from
-// these keys. The stream is a pure function of the values, so builds stay
-// byte-identical for any worker count.
+// order — as a codecSortedCellFOR stream, or as a codecCellFOR one when the
+// treelet has no sort axes (t.axes nil): the blocks only, one per node in
+// node order, each under the frame of the node's k-d cell, as Elias–Fano
+// offsets where efFrame says so on the node's sort axis. It returns a
+// codecRaw section when a key lies outside its node's cell or the stream
+// would not be smaller than the column's 4 bytes per value, and an error
+// when a key that is a number lies outside the treelet's own cell, which was
+// just taken from these keys. The stream is a pure function of the values,
+// so builds stay byte-identical for any worker count.
 func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *buildArena) (encodedAttr, error) {
 	raw := encodedAttr{codec: codecRaw}
 	if len(keys) == 0 {
 		return raw, nil
 	}
 	frames := a.nodeFrames(len(t.nodes))
-	if cellFrames(frames, func(i int) (uint8, float64, int32, int32) {
-		n := &t.nodes[i]
-		return uint8(n.axis), n.pos, n.left, n.right
-	}, root, ax) != nil {
+	if cellFrames(frames, t.link, root, ax) != nil {
 		return raw, nil
+	}
+	codec := codecCellFOR
+	if t.axes != nil {
+		codec = codecSortedCellFOR
 	}
 	totalBits := 0
 	for i := range t.nodes {
@@ -1394,7 +1588,10 @@ func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *bui
 			}
 			return raw, nil
 		}
-		totalBits += int(n.count) * int(fr.width)
+		if codec == codecSortedCellFOR && t.axes[i] == uint8(ax) {
+			efFrame(fr, n.count)
+		}
+		totalBits += fr.bits(n.count)
 	}
 	size := (totalBits + 7) / 8
 	if size >= 4*len(keys) {
@@ -1403,31 +1600,66 @@ func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *bui
 	buf := make([]byte, size+packSlack)
 	bit := 0
 	for i := range t.nodes {
-		n := &t.nodes[i]
-		bit = packBits(buf, bit, keys[n.start:n.start+n.count], frames[i].forFrame)
+		n, fr := &t.nodes[i], &frames[i]
+		if fr.ef {
+			bit = packEF(buf, bit, keys[n.start:n.start+n.count], fr)
+		} else {
+			bit = packBits(buf, bit, keys[n.start:n.start+n.count], fr.forFrame)
+		}
 	}
-	return encodedAttr{codec: codecCellFOR, data: buf[:size]}, nil
+	return encodedAttr{codec: codec, data: buf[:size]}, nil
+}
+
+// packEF writes vals — ascending, inside fr's cell — as the Elias–Fano block
+// of fr from bit bit of buf on and returns the bit after it. The block's bits
+// in buf are zero, and so are the packSlack bytes behind it: packBits stores
+// zeros past the end of what it writes, and buf starts zeroed.
+func packEF(buf []byte, bit int, vals []uint64, fr *blockFrame) int {
+	if fr.low > 0 {
+		mask := uint64(1)<<fr.low - 1
+		for j, v := range vals {
+			b := bit + j*int(fr.low)
+			p := b >> 3
+			binary.LittleEndian.PutUint64(buf[p:], binary.LittleEndian.Uint64(buf[p:])|((v-fr.base)&mask)<<(b&7))
+		}
+	}
+	high := bit + len(vals)*int(fr.low)
+	for j, v := range vals {
+		b := uint64(high+j) + (v-fr.base)>>fr.low
+		buf[b>>3] |= 1 << (b & 7)
+	}
+	return bit + efBits(len(vals), fr.span, fr.low)
 }
 
 // decodePosSection decodes the framed section of the position column on axis
 // ax into a fresh float32 column. bounds are the treelet's, from its shallow
-// leaf record: a cell-for section takes its frames from them.
+// leaf record: a cell-for or sorted-cell-for section takes its frames from
+// them, and a sorted-cell-for section its nodes' sort axes as well. A
+// cell-for section is a sorted-cell-for one with no Elias–Fano block.
 func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, bounds geom.Box, ax geom.Axis, info *SectionInfo) ([]float32, error) {
 	if codec == codecRaw {
 		return decodeRawF32(payload, nb.nPoints)
 	}
-	if codec != codecCellFOR {
+	if codec != codecCellFOR && codec != codecSortedCellFOR {
 		return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
 	}
-	err := cellFrames(nb.frames, func(i int) (uint8, float64, int32, int32) {
-		n := &nb.nodes[i]
-		return n.axis, n.pos, n.left, n.right
-	}, boundsCell(bounds, ax), ax)
+	var axes []uint8
+	if codec == codecSortedCellFOR {
+		axes = nb.sortAxes(bounds)
+	}
+	err := cellFrames(nb.frames, nb.link, boundsCell(bounds, ax), ax)
 	if err == nil {
+		for i := range axes {
+			if axes[i] == uint8(ax) && efFrame(&nb.frames[i], nb.nodes[i].count) && info != nil {
+				info.EF.Nodes++
+				info.EF.Particles += int(nb.nodes[i].count)
+				info.EF.Bits += nb.frames[i].bits(nb.nodes[i].count)
+			}
+		}
 		err = nb.layRun(payload, 0)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("bat: cell-for position stream: %w", err)
+		return nil, fmt.Errorf("bat: %s position stream: %w", CodecName(codec), err)
 	}
 	nb.widths(info)
 	out := make([]float32, nb.nPoints)

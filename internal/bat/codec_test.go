@@ -316,7 +316,7 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	if seen != s.Len() {
 		t.Fatalf("read %d of %d particles", seen, s.Len())
 	}
-	for _, c := range []uint8{codecCellFOR, codecRaw, codecDelta, codecKeyFOR, codecSignKeyFOR} {
+	for _, c := range []uint8{codecSortedCellFOR, codecRaw, codecDelta, codecKeyFOR, codecSignKeyFOR} {
 		if !codecs[c] {
 			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
 		}
@@ -414,7 +414,7 @@ func TestCompressionInfoAndSections(t *testing.T) {
 		secs := lay.Sections
 		for i, sec := range secs {
 			if i < PositionSections {
-				if sec.Attr != positionNames[i] || (sec.Codec != codecCellFOR && sec.Codec != codecRaw) {
+				if sec.Attr != positionNames[i] || (sec.Codec != codecSortedCellFOR && sec.Codec != codecRaw) {
 					t.Fatalf("treelet %d row %d is %q/%s, want a %q position section", ti, i, sec.Attr, CodecName(sec.Codec), positionNames[i])
 				}
 				posRaw += sec.RawBytes
@@ -956,8 +956,8 @@ func TestF32KeyOrderAndInverse(t *testing.T) {
 // of coincident particles that no plane splits, coordinates snapped to a
 // lattice so duplicates lie on the split planes, ±0 and denormals around
 // zero, NaN and ±Inf coordinates, empty treelets and treelets of one node —
-// every float32 bit pattern comes back unchanged, every section is cell-for
-// or raw, a column with a NaN in it is raw and exact, and the bounds the
+// every float32 bit pattern comes back unchanged, every section is
+// sorted-cell-for or raw, a column with a NaN in it is raw and exact, and the bounds the
 // header stores for a treelet are the extremes of its coordinates.
 func TestCellFORRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
@@ -1031,7 +1031,7 @@ func TestCellFORRoundTripProperty(t *testing.T) {
 					lo, hi, hasNaN = min(lo, col[p]), max(hi, col[p]), hasNaN || col[p] != col[p]
 				}
 				sec := lay.Sections[ax]
-				if sec.Codec != codecCellFOR && sec.Codec != codecRaw || sec.FrameBytes != 0 || (hasNaN && sec.Codec != codecRaw) {
+				if sec.Codec != codecSortedCellFOR && sec.Codec != codecRaw || sec.FrameBytes != 0 || (hasNaN && sec.Codec != codecRaw) {
 					t.Fatalf("trial %d (%s) treelet %d axis %d: a %s section with %d frame bytes (NaN in the column: %v)",
 						trial, shape, ti, ax, CodecName(sec.Codec), sec.FrameBytes, hasNaN)
 				}
@@ -1048,7 +1048,7 @@ func TestCellFORRoundTripProperty(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"scatter cell-for", "clump cell-for", "lattice cell-for", "around zero cell-for", "non-finite cell-for", "non-finite raw"} {
+	for _, want := range []string{"scatter sorted-cell-for", "clump sorted-cell-for", "lattice sorted-cell-for", "around zero sorted-cell-for", "non-finite sorted-cell-for", "non-finite raw"} {
 		if kinds[want] < 5 {
 			t.Errorf("%d %q sections: the property is near vacuous there (all: %v)", kinds[want], want, kinds)
 		}
@@ -1061,7 +1061,7 @@ func TestCellFORRoundTripProperty(t *testing.T) {
 }
 
 // TestCellFORBoundsHandOff: the treelet bounds have one source, the key
-// extremes encodeTreeletPositions takes from the keys it packs. A number
+// extremes sortNodes takes from the keys encodeTreeletPositions packs. A number
 // outside the root cell those keys are said to span — a second scan that
 // disagrees with the first — fails the build; a NaN, which no scan counts, only
 // sends its column to raw.
@@ -1076,7 +1076,8 @@ func TestCellFORBoundsHandOff(t *testing.T) {
 	}
 	var a buildArena
 	tr := buildTreelet(set, idx, DefaultBuildConfig(), &a)
-	if err := encodeTreeletPositions(set, tr, &a); err != nil {
+	sortNodes(set, tr, &a)
+	if err := encodeTreeletPositions(tr, &a); err != nil {
 		t.Fatal(err)
 	}
 	if want := tightBounds(set, tr.order); cellBounds(tr.cells) != want {
@@ -1086,7 +1087,7 @@ func TestCellFORBoundsHandOff(t *testing.T) {
 	for i, p := range tr.order {
 		keys[i] = uint64(keyOf(set.X[p]))
 	}
-	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecCellFOR {
+	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecSortedCellFOR {
 		t.Fatalf("the x column under its own cell: %s, %v", CodecName(enc.codec), err)
 	}
 	short := tr.cells[0]
@@ -1427,5 +1428,76 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSortedNodesDecodeNonDecreasing: in every build of the determinism
+// corpora, lossless and lossy, every node's particles read back in key order
+// along the node's sort axis — the axis sortAxes derives from the node table
+// and the bounds alone —, so every Elias–Fano block decodes non-decreasing on
+// its axis; and the builds hold Elias–Fano blocks on every axis.
+func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
+	var efNodes [3]int
+	for _, c := range determinismCorpora() {
+		for _, compress := range []bool{false, true} {
+			cfg := DefaultBuildConfig()
+			cfg.MaxLeafSize, cfg.LODPerNode = 64, 4
+			cfg.Compress, cfg.AttrErrorBounds = compress, []float64{1e-3, 1e-3}
+			b, err := Build(c.set, c.domain, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := FromBuffer(b.Buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, ref := range f.leaves {
+				pt, err := f.loadTreelet(context.Background(), ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lay, err := f.TreeletLayout(context.Background(), ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cols := [3][]float32{pt.x, pt.y, pt.z}
+				axes := newNodeBlocks(pt.nodes, len(pt.x)).sortAxes(ref.bounds)
+				p := int(ref.offset) + 8 + lay.NodeTable.Bytes
+				for ax, sec := range lay.Sections[:PositionSections] {
+					p += sectionFrameLen
+					payload := b.Buf[p : p+sec.EncBytes]
+					p += sec.EncBytes
+					if sec.Codec == codecRaw {
+						continue
+					}
+					nb := newNodeBlocks(pt.nodes, len(pt.x))
+					if _, err := decodePosSection(sec.Codec, payload, nb, ref.bounds, geom.Axis(ax), nil); err != nil {
+						t.Fatal(err)
+					}
+					for i := range pt.nodes {
+						if nb.frames[i].ef {
+							if axes[i] != uint8(ax) {
+								t.Fatalf("%s treelet %d node %d: an Elias–Fano block on axis %d, its sort axis is %d", c.name, ti, i, ax, axes[i])
+							}
+							efNodes[ax]++
+						}
+					}
+				}
+				for i, n := range pt.nodes {
+					col := cols[axes[i]][n.start : n.start+n.count]
+					for j := 1; j < len(col); j++ {
+						if keyOf(col[j]) < keyOf(col[j-1]) {
+							t.Fatalf("%s (compress %v) treelet %d node %d: %v after %v on its sort axis %d",
+								c.name, compress, ti, i, col[j], col[j-1], axes[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	for ax, n := range efNodes {
+		if n == 0 {
+			t.Errorf("no Elias–Fano block on axis %d among the builds (%v)", ax, efNodes)
+		}
 	}
 }

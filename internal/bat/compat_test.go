@@ -33,7 +33,8 @@ func goldenSet() (*particles.Set, geom.Box) {
 }
 
 // goldenSignedSet is goldenSet with every other particle's mass negated: a
-// zero-mean attribute, which golden_v3_signkeys.bat stores as sign-key-for.
+// zero-mean attribute, which golden_v3_signkeys.bat and
+// golden_v3_cellfor_signkeys.bat store as sign-key-for.
 func goldenSignedSet() (*particles.Set, geom.Box) {
 	s, domain := goldenSet()
 	for i := 1; i < s.Len(); i += 2 {
@@ -103,7 +104,11 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // golden_v3_rawattrs.bat is goldenConfig's build by the last writer that
 // stored a lossless float attribute raw (commit 67d7397, the parent of
 // codecKeyFOR): today's layout, whose raw float sections must keep decoding
-// bit for bit. The others are the golden set's build by the last writer of a
+// bit for bit. golden_v3_cellfor.bat, golden_v3_cellfor_lossless.bat and
+// golden_v3_cellfor_signkeys.bat are the three rebuilt goldens as the last
+// writer of cell-for positions wrote them (commit d1aa93b, the parent of
+// codecSortedCellFOR): node ranges in build order, every position section
+// cell-for, which must keep decoding to the same particles. The others are the golden set's build by the last writer of a
 // layout this reader refuses, and pin that refusal. golden_v2.bat is
 // goldenConfig's build by the last version-2 writer (commit 3bb0b42, the
 // parent of the one writer): node records, page-aligned treelets, raw
@@ -158,10 +163,13 @@ func goldenRebuilds() map[string]goldenRebuild {
 // has produced. The one this reader accepts, today's version 3, must decode
 // to the same particle multiset as the day it was written: positions and the
 // lossless id bit-exact, mass exact in the lossless builds and within its
-// declared bound in golden_v3.bat; the lossless mass is stored raw in
-// golden_v3_rawattrs.bat, key-for in golden_v3_lossless.bat and, negated at
+// declared bound in golden_v3.bat and golden_v3_cellfor.bat; the lossless
+// mass is stored raw in golden_v3_rawattrs.bat, key-for in
+// golden_v3_lossless.bat and golden_v3_cellfor_lossless.bat and, negated at
 // every other particle (goldenSignedSet), sign-key-for in
-// golden_v3_signkeys.bat.
+// golden_v3_signkeys.bat and golden_v3_cellfor_signkeys.bat. The three
+// rebuilt goldens store positions sorted-cell-for, the cellfor ones and
+// golden_v3_rawattrs.bat cell-for.
 // Every retired layout is refused with a named error and returns no rows:
 // versions 1 (no checksums) and 2 (page-aligned treelets) and the header
 // flags of a retired version-3 layout at open, the inline position frames
@@ -174,19 +182,25 @@ func TestGoldenBackwardCompat(t *testing.T) {
 		openErr, loadErr string
 		// massBound is how far a decoded mass may be from the golden set's.
 		massBound float64
-		// massCodec, when set, is the codec of every mass section.
-		massCodec string
+		// massCodec, when set, is the codec of every mass section, and
+		// posCodec of every x section.
+		massCodec, posCodec string
+		// signed marks a build of goldenSignedSet.
+		signed bool
 	}{
-		{"golden_v1.bat", "unsupported version 1", "", 0, ""},
-		{"golden_v2.bat", "unsupported version 2", "", 0, ""},
-		{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, ""},
-		{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, ""},
-		{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, ""},
-		{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, ""},
-		{"golden_v3.bat", "", "", massBound, "quant-for"},
-		{"golden_v3_rawattrs.bat", "", "", 0, "raw"},
-		{"golden_v3_lossless.bat", "", "", 0, "key-for"},
-		{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for"},
+		{"golden_v1.bat", "unsupported version 1", "", 0, "", "", false},
+		{"golden_v2.bat", "unsupported version 2", "", 0, "", "", false},
+		{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, "", "", false},
+		{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
+		{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
+		{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, "", "", false},
+		{"golden_v3.bat", "", "", massBound, "quant-for", "sorted-cell-for", false},
+		{"golden_v3_rawattrs.bat", "", "", 0, "raw", "cell-for", false},
+		{"golden_v3_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
+		{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
+		{"golden_v3_cellfor.bat", "", "", massBound, "quant-for", "cell-for", false},
+		{"golden_v3_cellfor_lossless.bat", "", "", 0, "key-for", "cell-for", false},
+		{"golden_v3_cellfor_signkeys.bat", "", "", 0, "sign-key-for", "cell-for", true},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
@@ -223,10 +237,13 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				if c := CodecName(lay.Sections[PositionSections].Codec); c != tc.massCodec {
 					t.Fatalf("treelet %d stores mass as %s, want %s", ti, c, tc.massCodec)
 				}
+				if c := CodecName(lay.Sections[0].Codec); c != tc.posCodec {
+					t.Fatalf("treelet %d stores x as %s, want %s", ti, c, tc.posCodec)
+				}
 			}
-			set := goldenSet // the frozen goldens' set
-			if rebuild, ok := goldenRebuilds()[tc.file]; ok {
-				set = rebuild.set
+			set := goldenSet
+			if tc.signed {
+				set = goldenSignedSet
 			}
 			s, _ := set()
 			want := goldenRows(s)

@@ -513,8 +513,9 @@ func TestLeafPointCountBound(t *testing.T) {
 
 // TestPackedPositionCorruption is the corruption matrix for the framing of a
 // version-3 treelet's position sections: every case must fail the treelet
-// load with a clean error. What a cell-for stream inside its frame can say
-// wrong is TestCellFORCorruption's.
+// load with a clean error. What a sorted-cell-for stream inside its frame can
+// say wrong is TestCellFORCorruption's (its cell-for blocks) and
+// TestSortedCellFORCorruption's (its Elias–Fano blocks).
 func TestPackedPositionCorruption(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
@@ -526,7 +527,7 @@ func TestPackedPositionCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	secs := lay.Sections
-	if secs[0].Codec != codecCellFOR || secs[1].Codec != codecCellFOR {
+	if secs[0].Codec != codecSortedCellFOR || secs[1].Codec != codecSortedCellFOR {
 		t.Fatalf("treelet 0's x/y sections are %s/%s; pick different sample data", CodecName(secs[0].Codec), CodecName(secs[1].Codec))
 	}
 	xOff := positionOffset(t, buf, 0) // x section frame: codec u8, encLen u32
@@ -542,6 +543,7 @@ func TestPackedPositionCorruption(t *testing.T) {
 		}, "truncated codec stream"},
 		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuantFOR }, "unknown position codec"},
 		{"sign-key-for on a position", func(tre []byte) { tre[xOff] = codecSignKeyFOR }, "unknown position codec id 7"},
+		{"cell-for over Elias–Fano blocks", func(tre []byte) { tre[xOff] = codecCellFOR }, "cell-for position stream"},
 		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -550,13 +552,13 @@ func TestPackedPositionCorruption(t *testing.T) {
 	}
 }
 
-// TestCellFORCorruption is the corruption matrix for cell-for position
-// sections in a real file: the stream holds no frame to get wrong, so what a
-// CRC-valid hostile file can still say is an offset outside its node's k-d
-// cell — a particle where no traversal would look for it —, a block run that
-// is short, long or padded with something, and bounds or a node table the
-// cells cannot be derived from. Every case must fail the treelet load with a
-// clean error.
+// TestCellFORCorruption is the corruption matrix for the cell-for blocks of
+// a sorted-cell-for position section in a real file: the stream holds no
+// frame to get wrong, so what a CRC-valid hostile file can still say is an
+// offset outside its node's k-d cell — a particle where no traversal would
+// look for it —, a block run that is short, long or padded with something,
+// and bounds or a node table the cells cannot be derived from. Every case
+// must fail the treelet load with a clean error.
 func TestCellFORCorruption(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
@@ -576,22 +578,22 @@ func TestCellFORCorruption(t *testing.T) {
 	// its blocks decode under.
 	xOff := positionOffset(t, buf, 0)
 	xLen := lay.Sections[0].EncBytes
-	if lay.Sections[0].Codec != codecCellFOR || lay.Sections[0].FrameBytes != 0 || ref.numNodes < 3 {
+	if lay.Sections[0].Codec != codecSortedCellFOR || lay.Sections[0].FrameBytes != 0 || ref.numNodes < 3 {
 		t.Fatalf("treelet 0's x section is %s with %d frame bytes over %d nodes; pick different sample data",
 			CodecName(lay.Sections[0].Codec), lay.Sections[0].FrameBytes, ref.numNodes)
 	}
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	if _, err := decodePosSection(codecCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, ref.bounds, geom.X, nil); err != nil {
+	if _, err := decodePosSection(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, ref.bounds, geom.X, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A block whose cell is not a whole power of two wide has offsets its
-	// width can spell and its cell does not hold.
+	// A cell-for block whose cell is not a whole power of two wide has
+	// offsets its width can spell and its cell does not hold.
 	loose, padBits := -1, 0
 	for i, fr := range nb.frames {
-		if loose < 0 && pt.nodes[i].count > 0 && fr.span != 1<<fr.width-1 {
+		if loose < 0 && !fr.ef && pt.nodes[i].count > 0 && fr.span != 1<<fr.width-1 {
 			loose = i
 		}
-		padBits = (padBits + int(pt.nodes[i].count)*int(fr.width)) % 8
+		padBits = (padBits + fr.bits(pt.nodes[i].count)) % 8
 	}
 	firstXSplit := -1
 	for i, n := range pt.nodes {
@@ -627,6 +629,10 @@ func TestCellFORCorruption(t *testing.T) {
 			_, secOff := firstSectionOffset(t, buf, 0)
 			tre[secOff] = codecCellFOR
 		}, "unknown attribute codec"},
+		{"sorted-cell-for on an attribute", nil, func(tre []byte) {
+			_, secOff := firstSectionOffset(t, buf, 0)
+			tre[secOff] = codecSortedCellFOR
+		}, "unknown attribute codec id 8"},
 		{"bounds that end below a split plane", func(head []byte) {
 			putF64(head[bounds0+24:], pt.nodes[firstXSplit].pos-1) // upper x
 			putF64(head[bounds0:], pt.nodes[firstXSplit].pos-2)    // lower x
@@ -650,6 +656,88 @@ func TestCellFORCorruption(t *testing.T) {
 				mut = mutateTreelet(t, mut, 0, tc.mutate)
 			}
 			expectLoadError(t, mut, tc.want)
+		})
+	}
+}
+
+// TestSortedCellFORCorruption is the corruption matrix for the Elias–Fano
+// blocks of sorted-cell-for position sections in a real file: the reader
+// sizes every block from the node table and the cells alone, so what a
+// CRC-valid hostile file can still say is a high part with a one missing or
+// one too many, an offset above its cell's span, a high part that runs past
+// the section and bits in the padding behind it. Every case must fail the
+// treelet load with a clean error.
+func TestSortedCellFORCorruption(t *testing.T) {
+	buf := compressedSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := f.loadTreelet(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := f.TreeletLayout(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := f.leaves[0]
+	// The first position section of treelet 0 whose last block is an
+	// Elias–Fano one: its frame's offset in the treelet and its frames.
+	secOff, off := -1, positionOffset(t, buf, 0)
+	var frames []blockFrame
+	for ax, sec := range lay.Sections[:PositionSections] {
+		nb := newNodeBlocks(pt.nodes, len(pt.x))
+		if _, err := decodePosSection(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, ref.bounds, geom.Axis(ax), nil); err != nil {
+			t.Fatal(err)
+		}
+		if sec.Codec == codecSortedCellFOR && nb.frames[len(nb.frames)-1].ef {
+			secOff, frames = off, nb.frames
+			break
+		}
+		off += sectionFrameLen + sec.EncBytes
+	}
+	if secOff < 0 {
+		t.Fatal("no position section of treelet 0 ends in an Elias–Fano block; pick different sample data")
+	}
+	last := len(frames) - 1
+	fr, n := frames[last], int(pt.nodes[last].count)
+	high := fr.bit + n*int(fr.low)
+	end := high + n + int(fr.span>>fr.low) + 1
+	payload := buf[int(ref.offset)+secOff+sectionFrameLen:]
+	firstOne, firstZero, lastOne := -1, -1, -1
+	for b := high; b < end; b++ {
+		if payload[b>>3]>>(b&7)&1 != 0 {
+			if firstOne < 0 {
+				firstOne = b
+			}
+			lastOne = b
+		} else if firstZero < 0 {
+			firstZero = b
+		}
+	}
+	if firstOne < 0 || firstZero < 0 || lastOne == end-1 || end%8 == 0 {
+		t.Fatalf("last block: ones from bit %d to %d, first zero %d, ends at bit %d; pick different sample data", firstOne, lastOne, firstZero, end)
+	}
+	flip := func(tre []byte, b int) { tre[secOff+sectionFrameLen+b>>3] ^= 1 << (b & 7) }
+	for _, tc := range []struct {
+		name   string
+		mutate func(tre []byte)
+		want   string
+	}{
+		{"a one missing from the high part", func(tre []byte) { flip(tre, firstOne) }, fmt.Sprintf("holds %d ones, the node %d particles", n-1, n)},
+		{"an extra one in the high part", func(tre []byte) { flip(tre, firstZero) }, fmt.Sprintf("holds %d ones, the node %d particles", n+1, n)},
+		{"an offset above its cell", func(tre []byte) {
+			// The last one moves to the part's last bit: a high part one
+			// above span>>low.
+			flip(tre, lastOne)
+			flip(tre, end-1)
+		}, "particle outside its k-d cell"},
+		{"a high part past the section", func(tre []byte) { addU32(tre[secOff+1:], -1) }, "truncated: the blocks end at byte"},
+		{"bits in the padding", func(tre []byte) { flip(tre, end) }, "non-zero padding bits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			expectLoadError(t, mutateTreelet(t, buf, 0, tc.mutate), tc.want)
 		})
 	}
 }
@@ -810,7 +898,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a
 // multi-treelet clustered build, a small default (lossless) build, a build
-// with lossy attributes and the golden version-3 file, with the checksums
+// with lossy attributes, the golden version-3 file — all of them
+// sorted-cell-for positions — and its cell-for fixture, with the checksums
 // fixed up after them: every readable file is checksummed, so no mutation
 // FuzzDecode makes gets past the treelet CRC to the node-table and section
 // parsing.
@@ -825,7 +914,7 @@ func FuzzTreelet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat")}
+	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat"), goldenFile(f, "golden_v3_cellfor.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {
@@ -862,7 +951,8 @@ func FuzzTreelet(f *testing.F) {
 
 // sectionSeed is one real section — its column name, codec and payload — with
 // the node table and point count it decodes against and, for a position
-// section, its axis and the treelet's bounds on it. A packed node table is a
+// section, its axis and the treelet's bounds — all three axes: a
+// sorted-cell-for section takes its nodes' sort axes from them. A packed node table is a
 // seed too (attr nodeTableSeed): its bytes are the payload, its attribute
 // count the codec, and the node table's length gives its node count.
 type sectionSeed struct {
@@ -872,7 +962,7 @@ type sectionSeed struct {
 	table   []byte
 	nPoints uint16
 	axis    uint8
-	lo, hi  float32
+	lo, hi  [3]float32
 }
 
 // modeAt is where a framed (quant-for, key-for or sign-key-for) seed keeps
@@ -884,12 +974,12 @@ func (s sectionSeed) modeAt() int {
 	return quantFORHeaderLen - 1
 }
 
-// bounds is the box a position seed decodes against: [lo, hi] on every axis.
+// bounds is the box a position seed decodes against.
 func (s sectionSeed) bounds() geom.Box { return fuzzBounds(s.lo, s.hi) }
 
-func fuzzBounds(lo, hi float32) geom.Box {
-	l, h := float64(lo), float64(hi)
-	return geom.NewBox(geom.V3(l, l, l), geom.V3(h, h, h))
+func fuzzBounds(lo, hi [3]float32) geom.Box {
+	return geom.NewBox(geom.V3(float64(lo[0]), float64(lo[1]), float64(lo[2])),
+		geom.V3(float64(hi[0]), float64(hi[1]), float64(hi[2])))
 }
 
 // fuzzNodeBytes is FuzzDecodeSections' node record: start u16, count u16,
@@ -1004,8 +1094,11 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			p += sectionFrameLen
 			seed := sectionSeed{attr: sec.Attr, codec: sec.Codec, payload: buf[p : p+sec.EncBytes], table: table, nPoints: uint16(ref.numPoints)}
 			if i < PositionSections {
-				ax := geom.Axis(i)
-				seed.axis, seed.lo, seed.hi = uint8(i), float32(ref.bounds.Lower.Component(ax)), float32(ref.bounds.Upper.Component(ax))
+				seed.axis = uint8(i)
+				for ax := range seed.lo {
+					seed.lo[ax] = float32(ref.bounds.Lower.Component(geom.Axis(ax)))
+					seed.hi[ax] = float32(ref.bounds.Upper.Component(geom.Axis(ax)))
+				}
 			}
 			seeds = append(seeds, seed)
 			p += sec.EncBytes
@@ -1021,8 +1114,10 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 // the rest far fewer), the same under alternating signs and zero-mean noise
 // (sign-key-for, in both frame modes), and one of one sign across some 2000
 // binades (key-for blocks of over 58 bits, the packer's wide lane) —,
-// golden_v3.bat and golden_v3_rawattrs.bat (raw float attributes), so the
-// fuzzer starts from streams each decoder accepts.
+// golden_v3.bat, golden_v3_rawattrs.bat (raw float attributes) and
+// golden_v3_cellfor.bat (cell-for positions), so the fuzzer starts from
+// streams each decoder accepts; every fresh build's positions are
+// sorted-cell-for.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
@@ -1046,7 +1141,7 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		bufs = append(bufs, b.Buf)
 	}
 	var seeds []sectionSeed
-	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat"), goldenFile(tb, "golden_v3_rawattrs.bat")) {
+	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat"), goldenFile(tb, "golden_v3_rawattrs.bat"), goldenFile(tb, "golden_v3_cellfor.bat")) {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
@@ -1077,7 +1172,7 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 				s.payload[m] = 1
 				out = append(out, s)
 			}
-		case codecCellFOR:
+		case codecCellFOR, codecSortedCellFOR:
 			s.codec = 3
 			out = append(out, s)
 		}
@@ -1086,8 +1181,9 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 }
 
 // FuzzDecodeSections feeds arbitrary payloads and node tables to the six
-// section decoders (raw, delta, quant-for, key-for, sign-key-for, cell-for —
-// the last against a treelet bounds box of [lo, hi] on the section's axis),
+// section decoders (raw, delta, quant-for, key-for, sign-key-for, and the one
+// for cell-for and sorted-cell-for — the last against a treelet bounds box,
+// whose three axes give a sorted-cell-for section its nodes' sort axes),
 // past the checksums and the file structure FuzzDecode has to get through
 // first, and the payload to the packed node-table decoder as a table of as
 // many nodes as the node table has and of codec attributes. Errors are fine;
@@ -1096,20 +1192,21 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 func FuzzDecodeSections(f *testing.F) {
 	seeds := sectionSeeds(f)
 	for _, s := range append(seeds, retiredSeeds(seeds)...) {
-		f.Add(s.codec, s.payload, s.table, s.nPoints, s.axis, s.lo, s.hi)
+		f.Add(s.codec, s.payload, s.table, s.nPoints, s.axis, s.lo[0], s.hi[0], s.lo[1], s.hi[1], s.lo[2], s.hi[2])
 	}
 	oneLeaf := []byte{0, 0, 1, 0, 3, 0, 0, 0, 0}
-	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), float32(0), float32(0))
-	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
-	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1))
+	var zero float32
+	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), zero, zero, zero, zero, zero, zero)
+	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), zero, zero, zero, zero, zero, zero)
+	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1), float32(-1), float32(1), float32(-1), float32(1))
 	// Width-64 key frames on a base near 2^64: base + span must be refused,
 	// never wrapped, in either mode, under either key map.
 	for _, p := range keyFOROverflowSeeds() {
 		for _, codec := range []uint8{codecKeyFOR, codecSignKeyFOR} {
-			f.Add(codec, p, oneLeaf, uint16(1), uint8(0), float32(0), float32(0))
+			f.Add(codec, p, oneLeaf, uint16(1), uint8(0), zero, zero, zero, zero, zero, zero)
 		}
 	}
-	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lo, hi float32) {
+	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lx, hx, ly, hy, lz, hz float32) {
 		nA := int(codec % 8)
 		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, nil); err == nil {
 			if n > len(payload) {
@@ -1130,15 +1227,19 @@ func FuzzDecodeSections(f *testing.F) {
 				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
 			}
 		}
+		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
 		col, err := decodePosSection(codec, payload, nb, fuzzBounds(lo, hi), geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
-		// A cell-for column cannot hold a coordinate outside the bounds it was
-		// decoded against: every frame is a cell inside them.
-		for _, v := range col {
-			if codec == codecCellFOR && !(v >= lo && v <= hi) {
-				t.Fatalf("cell-for decoded %v outside the treelet bounds [%v, %v]", v, lo, hi)
+		// A cell-for or sorted-cell-for column cannot hold a coordinate
+		// outside the bounds it was decoded against: every frame is a cell
+		// inside them, an Elias–Fano block's too.
+		if ax := axis % 3; codec == codecCellFOR || codec == codecSortedCellFOR {
+			for _, v := range col {
+				if !(v >= lo[ax] && v <= hi[ax]) {
+					t.Fatalf("%s decoded %v outside the treelet bounds [%v, %v]", CodecName(codec), v, lo[ax], hi[ax])
+				}
 			}
 		}
 	})
@@ -1159,16 +1260,17 @@ func keyFOROverflowSeeds() [][]byte {
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// cut from a file is accepted by the decoder it was cut from, all six codecs
-// occur, quant-for, key-for and sign-key-for each in both frame modes, and a
-// key-for block of at least 58 bits (the packer's wide lane); every retired
+// cut from a file is accepted by the decoder it was cut from, all seven codecs
+// occur, quant-for, key-for and sign-key-for each in both frame modes,
+// sorted-cell-for with Elias–Fano blocks, and a key-for block of at least 58
+// bits (the packer's wide lane); every retired
 // seed — codec 1, codec 3, mode 1 — is refused by every decoder, and so are
 // the hand-made key frames that would wrap past 2^64, under either key map.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
 	var widest uint8
-	nodeTables := 0
+	nodeTables, efNodes := 0, 0
 	decode := func(s sectionSeed, info *SectionInfo) (err32, err64, errPos error) {
 		nodes, ok := fuzzNodes(s.table, s.nPoints)
 		if !ok {
@@ -1214,8 +1316,19 @@ func TestSectionSeedsDecode(t *testing.T) {
 				widest = max(widest, w)
 			}
 		}
+		if s.codec == codecSortedCellFOR {
+			nodes, _ := fuzzNodes(s.table, s.nPoints)
+			var pos SectionInfo
+			if _, err := decodePosSection(s.codec, s.payload, newNodeBlocks(nodes, int(s.nPoints)), s.bounds(), geom.Axis(s.axis), &pos); err != nil {
+				t.Fatalf("seed %d (sorted-cell-for): %v", i, err)
+			}
+			efNodes += pos.EF.Nodes
+		}
 	}
-	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecCellFOR} {
+	if efNodes == 0 {
+		t.Error("no Elias–Fano block among the sorted-cell-for seeds")
+	}
+	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecCellFOR, codecSortedCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}

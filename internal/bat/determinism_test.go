@@ -122,8 +122,10 @@ func TestBuildDeterminism(t *testing.T) {
 						switch sec.Codec {
 						case codecQuantFOR, codecKeyFOR, codecSignKeyFOR:
 							frameModes[CodecName(sec.Codec)+" "+sec.Mode] = true
-						case codecCellFOR:
-							frameModes["cell-for"] = true
+						case codecSortedCellFOR:
+							if sec.EF.Nodes > 0 {
+								frameModes["sorted-cell-for"] = true
+							}
 						}
 					}
 				}
@@ -143,10 +145,10 @@ func TestBuildDeterminism(t *testing.T) {
 			}
 		})
 	}
-	for _, want := range []string{"cell-for", "quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols",
+	for _, want := range []string{"sorted-cell-for", "quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols",
 		"sign-key-for one-frame", "sign-key-for per-node-cols"} {
 		if !frameModes[want] {
-			t.Errorf("frame kinds among the builds: %v, want cell-for positions and both modes of quant-for, key-for and sign-key-for covered", frameModes)
+			t.Errorf("frame kinds among the builds: %v, want sorted-cell-for positions with Elias–Fano blocks and both modes of quant-for, key-for and sign-key-for covered", frameModes)
 			break
 		}
 	}

@@ -52,13 +52,21 @@
 //	  particle data: X, Y, Z, then one array per attribute, each a framed
 //	                 codec section: codec u8, encLen u32, then encLen
 //	                 payload bytes (see codec.go for the codec streams).
-//	                 A position section holds codecCellFOR
-//	                 or codecRaw; a codecCellFOR section stores no frame:
-//	                 its blocks are framed by the nodes' k-d cells, derived
-//	                 from the treelet bounds in the shallow leaf record
-//	                 above — which the writer takes from the same float32
-//	                 keys it packs — and the split planes of the node
-//	                 table. An attribute section holds codecQuantFOR for a
+//	                 A position section holds codecSortedCellFOR (or
+//	                 codecCellFOR, which writers up to the one before
+//	                 sorted-cell-for wrote, and which reads as
+//	                 sorted-cell-for with no Elias–Fano block) or codecRaw;
+//	                 neither stores a frame: its blocks are framed by the
+//	                 nodes' k-d cells, derived from the treelet bounds in
+//	                 the shallow leaf record above — which the writer takes
+//	                 from the same float32 keys it packs — and the split
+//	                 planes of the node table, and a sorted-cell-for
+//	                 section's Elias–Fano blocks (each node's particles are
+//	                 sorted along its widest cell axis) are sized by the
+//	                 same cells and the node counts. A reader that predates
+//	                 codecSortedCellFOR refuses a file holding it at the
+//	                 first treelet load ("unknown position codec id 8").
+//	                 An attribute section holds codecQuantFOR for a
 //	                 lossy attribute — one frame, or the nodes' frames as
 //	                 two packed columns ahead of the blocks —, and for a
 //	                 lossless one (or a lossy one no grid can hold) the

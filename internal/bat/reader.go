@@ -439,9 +439,25 @@ type SectionInfo struct {
 	// cell-for, whose frames are the k-d cells the node table already stores.
 	FrameBytes int
 	// Widths lists the bit widths of the section's packed blocks in stream
-	// order: one per node range (cell-for, per-node-cols) or one in all
-	// (one-frame). Nil for raw and delta sections.
+	// order: one per node range (cell-for, sorted-cell-for, per-node-cols;
+	// an Elias–Fano block's is its cell's) or one in all (one-frame). Nil for
+	// raw and delta sections.
 	Widths []uint8
+	// EF is what of a sorted-cell-for section is Elias–Fano blocks.
+	EF EFStats
+}
+
+// EFStats counts the Elias–Fano blocks of sorted-cell-for position sections:
+// their nodes, the particles in them and their bits.
+type EFStats struct {
+	Nodes, Particles, Bits int
+}
+
+// Add adds o to s.
+func (s *EFStats) Add(o EFStats) {
+	s.Nodes += o.Nodes
+	s.Particles += o.Particles
+	s.Bits += o.Bits
 }
 
 // PositionSections is the number of rows TreeletLayout lists ahead of the
@@ -494,10 +510,12 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 // between header and footer, so the parts add up to the file's size.
 // AttributeFrames is the part of Attributes that is block frames stored
 // inside the sections (SectionInfo.FrameBytes); a position section stores
-// none.
+// none. PositionEF is, per position column, what of Positions is Elias–Fano
+// blocks.
 type StoredBytes struct {
 	Header, NodeTables, Positions, Attributes, Footer int64
 	AttributeFrames                                   int64
+	PositionEF                                        [PositionSections]EFStats
 }
 
 // StoredBytes reads every treelet's sections and adds the file up.
@@ -513,6 +531,7 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 			part := &sb.Attributes
 			if i < PositionSections {
 				part = &sb.Positions
+				sb.PositionEF[i].Add(sec.EF)
 			}
 			*part += sectionFrameLen + int64(sec.EncBytes)
 			sb.AttributeFrames += int64(sec.FrameBytes)

@@ -78,14 +78,18 @@ func (v Vec3) SetComponent(a Axis, val float64) Vec3 {
 	return v
 }
 
-// Min returns the component-wise minimum of v and o.
+// Min returns the component-wise minimum of v and o. The builtin min orders
+// -0 below +0 and returns NaN when either operand is NaN — math.Min's rules,
+// except that math.Min(-Inf, NaN) is -Inf — and it inlines, so Box.Extend
+// does too.
 func (v Vec3) Min(o Vec3) Vec3 {
-	return Vec3{math.Min(v.X, o.X), math.Min(v.Y, o.Y), math.Min(v.Z, o.Z)}
+	return Vec3{min(v.X, o.X), min(v.Y, o.Y), min(v.Z, o.Z)}
 }
 
-// Max returns the component-wise maximum of v and o.
+// Max returns the component-wise maximum of v and o, by the builtin max: +0
+// above -0, NaN when either operand is NaN (math.Max(+Inf, NaN) is +Inf).
 func (v Vec3) Max(o Vec3) Vec3 {
-	return Vec3{math.Max(v.X, o.X), math.Max(v.Y, o.Y), math.Max(v.Z, o.Z)}
+	return Vec3{max(v.X, o.X), max(v.Y, o.Y), max(v.Z, o.Z)}
 }
 
 // Box is an axis-aligned bounding box. A box with Lower > Upper on any axis
@@ -179,7 +183,7 @@ func (b Box) Intersect(o Box) Box {
 // SplitAt cuts the box with a plane perpendicular to axis at position pos,
 // returning the lower and upper halves. pos is clamped into the box.
 func (b Box) SplitAt(axis Axis, pos float64) (lo, hi Box) {
-	pos = math.Max(b.Lower.Component(axis), math.Min(b.Upper.Component(axis), pos))
+	pos = max(b.Lower.Component(axis), min(b.Upper.Component(axis), pos))
 	lo, hi = b, b
 	lo.Upper = lo.Upper.SetComponent(axis, pos)
 	hi.Lower = hi.Lower.SetComponent(axis, pos)

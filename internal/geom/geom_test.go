@@ -248,3 +248,59 @@ func TestVolumeMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMinMaxMatchMath holds Vec3.Min and Vec3.Max, which use the builtin min
+// and max, to math.Min and math.Max over every pair of NaN, ±0, ±Inf and two
+// finite values, on every axis, bit for bit: -0 orders below +0, and a NaN
+// operand gives NaN. The one difference is the pair of a NaN and the infinity
+// math lets win — math.Min(-Inf, NaN) is -Inf, math.Max(+Inf, NaN) is +Inf —,
+// where the builtins return NaN too.
+func TestMinMaxMatchMath(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{math.NaN(), negZero, 0, math.Inf(-1), math.Inf(1), -1.5, 2}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			nan := math.IsNaN(a) || math.IsNaN(b)
+			wantMin, wantMax := math.Min(a, b), math.Max(a, b)
+			if nan && math.IsInf(wantMin, -1) {
+				wantMin = math.NaN()
+			}
+			if nan && math.IsInf(wantMax, 1) {
+				wantMax = math.NaN()
+			}
+			for ax := X; ax <= Z; ax++ {
+				va, vb := Vec3{}.SetComponent(ax, a), Vec3{}.SetComponent(ax, b)
+				if got := va.Min(vb).Component(ax); !same(got, wantMin) {
+					t.Errorf("Min(%v, %v) on axis %v = %v, want %v", a, b, ax, got, wantMin)
+				}
+				if got := va.Max(vb).Component(ax); !same(got, wantMax) {
+					t.Errorf("Max(%v, %v) on axis %v = %v, want %v", a, b, ax, got, wantMax)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBoxExtend times folding Box.Extend over a point cloud, the loop
+// of particles.Set.Bounds.
+func BenchmarkBoxExtend(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	pts := make([]Vec3, 1<<16)
+	for i := range pts {
+		pts[i] = V3(r.Float64(), r.Float64(), r.Float64())
+	}
+	var box Box
+	for i := 0; i < b.N; i++ {
+		box = EmptyBox()
+		for _, p := range pts {
+			box = box.Extend(p)
+		}
+	}
+	if box.IsEmpty() {
+		b.Fatal("empty")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
+}

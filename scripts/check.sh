@@ -52,14 +52,17 @@ run "go test ./..." go test ./...
 run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 
 # Bench smoke: one iteration of every BAT build benchmark, of the section
-# kernels' (the ns/value figures DESIGN §13 and results/cell-frames quote)
-# and of the generators' (the ns/particle and ns/rank figures EXPERIMENTS.md
-# quotes), just to keep the benchmark code compiling and runnable (no timing
-# assertions; BenchmarkDecodeSection does check that each column encodes to
-# the stream its case names and decodes).
+# kernels' (the ns/value figures DESIGN §13, results/cell-frames and
+# results/sorted-nodes quote: positions as cell-for and as sorted-cell-for,
+# then the attribute codecs), of the generators' (the ns/particle and ns/rank
+# figures EXPERIMENTS.md quotes) and of Box.Extend's, just to keep the
+# benchmark code compiling and runnable (no timing assertions;
+# BenchmarkDecodeSection does check that each column encodes to the stream its
+# case names and decodes).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 run "bench smoke generators" go test -run=NONE -bench='Generate|Counts' -benchtime=1x ./internal/workloads/
+run "bench smoke geom" go test -run=NONE -bench=BoxExtend -benchtime=1x ./internal/geom/
 
 # The examples are only compiled by the stages above; run each end to end
 # and require the line it prints when its own check holds: the quickstart
@@ -177,8 +180,9 @@ run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files and the
 # treelet parser behind their checksums, both seeded from version-3 builds,
-# a multi-treelet one among them; the five section codecs underneath —
-# raw, delta, quant-for, key-for, cell-for — and the packed node table, fed
+# a multi-treelet one among them; the six section decoders underneath —
+# raw, delta, quant-for, key-for, sign-key-for, and the one for cell-for and
+# sorted-cell-for — and the packed node table, fed
 # payloads, node tables and a bounds box directly, the retired codec ids and
 # frame mode among the seeds; the metadata file, a diamond-shaped tree and
 # leaf counts past int64 among its seeds; particle wire encoding) and over
