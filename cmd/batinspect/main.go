@@ -87,30 +87,52 @@ func main() {
 		return
 	}
 
-	fmt.Printf("dataset %s\n", *name)
-	fmt.Printf("  domain: %v\n", m.Domain)
-	fmt.Printf("  particles: %d in %d leaf files (%d aggregation-tree inner nodes)\n",
+	if err := printSummary(os.Stdout, ds, *name); err != nil {
+		fail(err)
+	}
+}
+
+// printSummary prints the top-level metadata — domain, counts, each
+// attribute's global range, the leaf files — with each attribute's error
+// bound ("lossless" for none) and, when one is lossy, the LOD error scale.
+// The metadata declares no codecs: every leaf's footer declares the same,
+// and the first leaf's is read.
+func printSummary(w io.Writer, ds *core.Dataset, name string) error {
+	m := ds.Meta()
+	var ci *bat.CompressionInfo
+	if len(m.Leaves) > 0 {
+		f, err := ds.Leaf(context.Background(), 0)
+		if err != nil {
+			return err
+		}
+		ci = f.Compression()
+		if err := ds.Close(); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(w, "dataset %s\n  domain: %v\n", name, m.Domain)
+	fmt.Fprintf(w, "  particles: %d in %d leaf files (%d aggregation-tree inner nodes)\n  attributes:\n",
 		m.TotalCount(), len(m.Leaves), len(m.Nodes))
-	fmt.Printf("  attributes:\n")
+	lossy := false
 	for a, d := range m.Schema.Attrs {
 		r := m.GlobalRanges[a]
-		line := fmt.Sprintf("    %-12s %-8s global range [%g, %g]", d.Name, d.Type, r.Min, r.Max)
-		if c := m.Compression; c != nil && a < len(c.ErrorBounds) {
-			if b := c.ErrorBounds[a]; b > 0 {
-				line += fmt.Sprintf("  error bound %g", b)
-			} else {
-				line += "  lossless"
-			}
+		fmt.Fprintf(w, "    %-12s %-8s global range [%g, %g]", d.Name, d.Type, r.Min, r.Max)
+		if ci != nil && ci.Bounds[a] > 0 {
+			fmt.Fprintf(w, "  error bound %g", ci.Bounds[a])
+			lossy = true
+		} else if ci != nil {
+			fmt.Fprint(w, "  lossless")
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w)
 	}
-	if c := m.Compression; c != nil {
-		fmt.Printf("  compression: enabled (LOD error scale %g)\n", c.LODScale)
+	if lossy {
+		fmt.Fprintf(w, "  LOD error scale: %g\n", ci.LODScale)
 	}
-	fmt.Printf("  leaves:\n")
+	fmt.Fprintf(w, "  leaves:\n")
 	for i, l := range m.Leaves {
-		fmt.Printf("    %3d %-28s %9d particles  %v\n", i, l.FileName, l.Count, l.Bounds)
+		fmt.Fprintf(w, "    %3d %-28s %9d particles  %v\n", i, l.FileName, l.Count, l.Bounds)
 	}
+	return nil
 }
 
 // verifyDataset checks every checksum in the dataset: the metadata trailer

@@ -93,20 +93,12 @@ func TestVerifyCompressedDataset(t *testing.T) {
 	if !strings.Contains(out.String(), "v3 ratio") {
 		t.Errorf("verify output does not report the compression ratio:\n%s", out.String())
 	}
-	// The dataset-level metadata must carry the codec declaration.
+	// The data must still be queryable within the bound.
 	ds, err := libbat.OpenDataset(store, "ds")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	cm := ds.Compression()
-	if cm == nil {
-		t.Fatal("compressed dataset reports no compression metadata")
-	}
-	if len(cm.ErrorBounds) != 1 || cm.ErrorBounds[0] != 1e-3 || cm.LODScale != 1 {
-		t.Fatalf("compression metadata = %+v", cm)
-	}
-	// And the data must still be queryable within the bound.
 	all, err := ds.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +110,45 @@ func TestVerifyCompressedDataset(t *testing.T) {
 		want := float64(float32(all.Position(i).Y)) // positions round-trip via f32
 		if diff := all.Attrs[0][i] - want; diff > 1e-3+1e-6 || diff < -(1e-3+1e-6) {
 			t.Fatalf("particle %d: v=%v differs from y=%v beyond the bound", i, all.Attrs[0][i], want)
+		}
+	}
+}
+
+// TestSummaryBounds: the dataset summary takes each attribute's error bound
+// and the LOD error scale from the first leaf's footer: a lossy attribute
+// prints its bound and the scale follows, a lossless dataset prints
+// "lossless" for every attribute and no scale.
+func TestSummaryBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		store     pfs.Storage
+		want, not []string
+	}{
+		{"lossy", writeCompressedDataset(t), []string{"error bound 0.001", "LOD error scale: 1\n"}, []string{"lossless"}},
+		{"lossless", writeDataset(t), []string{"lossless"}, []string{"error bound", "LOD error scale"}},
+	} {
+		ds, err := core.OpenDataset(context.Background(), tc.store, "ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := printSummary(&out, ds, "ds"); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, "global range") && !strings.Contains(line, "error bound") && !strings.HasSuffix(line, "  lossless") {
+				t.Errorf("%s: attribute line %q names no bound", tc.name, line)
+			}
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: summary lacks %q:\n%s", tc.name, w, out.String())
+			}
+		}
+		for _, w := range tc.not {
+			if strings.Contains(out.String(), w) {
+				t.Errorf("%s: summary holds %q:\n%s", tc.name, w, out.String())
+			}
 		}
 	}
 }

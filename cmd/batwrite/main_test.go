@@ -11,9 +11,11 @@ import (
 )
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
-// compares every byte it leaves behind with a recorded digest (all five
-// recorded when every node's particles began to be sorted along its widest
-// cell axis and positions to take sorted-cell-for sections):
+// compares every byte it leaves behind with a recorded digest (the two
+// lossless ones recorded when every node's particles began to be sorted along
+// its widest cell axis and positions to take sorted-cell-for sections, the
+// three lossy ones when the .batm stopped copying the leaf footers' error
+// bounds, which left every .bat byte where it was):
 // SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
@@ -38,17 +40,17 @@ func TestGoldenDatasets(t *testing.T) {
 		{ // the same plumes as version-3 files: sorted-cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "3e44af0681e5ce2770756f3137d2543be3e857c5f8fd5928c453e50d9406f07d",
+			5, "8f54c766c45b96f0551c1d1d52cfdf3dd18c7ee87961857149fe9e1a97209d62",
 		},
 		{ // one -error-bound for every attribute
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3", "-lod-error-scale", "4"},
-			5, "2c9da80a7ce44b479af756b0c2426bf4f587b46ae4e776ec54108a320a1e9675",
+			5, "dbb2d437a2cc79194b5e1701dde51231b5467b3d3563f735313feb0b206c7220",
 		},
 		{ // a bound > 0 alone makes the write lossy, with no LOD error scale
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3"},
-			5, "2cd60850c7f255cfcf2f05ddeb79684777423b0297d17b47186299473f54cda6",
+			5, "10df2b45389050134773de25e7ef1248ce38a9609467f70193e4ad6cdc5f7470",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

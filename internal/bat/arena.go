@@ -32,9 +32,11 @@ type buildArena struct {
 	frames  []blockFrame
 	cols    []uint64
 
-	// Position scratch (sortNodes): each axis's keys in layout order, kept
-	// for encodeTreeletPositions, and one node range's sort words.
+	// Position scratch (sortNodes): each axis's keys in layout order and the
+	// treelet's k-d cells, kept for encodeTreeletPositions, and one node
+	// range's sort words.
 	keys      [3][]uint64
+	kd        kdCells
 	sortWords []uint64
 }
 

@@ -189,12 +189,10 @@ type treelet struct {
 	// overlaps across treelets exactly like node construction does. posEnc
 	// holds the X, Y, Z sections the same way, and cells the extremes of the
 	// keys they were packed from: the root cell of the position frames,
-	// which compact stores as the treelet bounds. axes holds every node's
-	// sort axis (sortNodes); nil before the sort.
+	// which compact stores as the treelet bounds.
 	attrEnc []encodedAttr
 	posEnc  [3]encodedAttr
 	cells   [3]keyCell
-	axes    []uint8
 }
 
 // builtShallowNode is an in-memory shallow tree inner node.
@@ -480,15 +478,16 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 }
 
 // sortNodes puts every node's particle range of t.order in key order along
-// the node's sort axis (sortAxes), ties in the order the build left them: a
+// the node's sort axis (kdCells), ties in the order the build left them: a
 // node's particles are a set, and sorted they let a sorted-cell-for section
 // store that axis as Elias–Fano offsets. On the way it takes the keys of the
 // three position columns, once, and the treelet's cells from them — the
 // extremes of the keys that are numbers, which compact stores as the treelet
-// bounds —, and it leaves the keys in a, in the sorted layout order, for
-// encodeTreeletPositions. The sort is over key<<32 | slot words, slot the
-// particle's place in its node range before the sort, so it is a pure
-// function of the treelet and builds stay byte-identical for any worker count.
+// bounds —, and it leaves the keys in a, in the sorted layout order, and the
+// k-d cells it derived from them for encodeTreeletPositions. The sort is
+// over key<<32 | slot words, slot the particle's place in its node range
+// before the sort, so it is a pure function of the treelet and builds stay
+// byte-identical for any worker count.
 func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
 	n := len(t.order)
 	for ax, col := range [3][]float32{set.X, set.Y, set.Z} {
@@ -507,8 +506,7 @@ func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
 		a.keys[ax] = keys
 		t.cells[ax] = cell
 	}
-	t.axes = make([]uint8, len(t.nodes))
-	sortAxes(t.axes, a.nodeFrames(len(t.nodes)), t.link, t.cells)
+	a.kd.derive(len(t.nodes), t.link, t.cells)
 	if cap(a.parts) < n {
 		a.parts = make([]int, n)
 	}
@@ -518,7 +516,7 @@ func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
 		if hi-lo < 2 {
 			continue
 		}
-		sa := int(t.axes[i])
+		sa := int(a.kd.axes[i])
 		words := a.sortWords[:0]
 		for slot, k := range a.keys[sa][lo:hi] {
 			words = append(words, k<<32|uint64(slot))

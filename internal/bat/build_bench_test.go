@@ -120,7 +120,6 @@ type sectionBenchCase struct {
 
 func sectionBenchCases() []sectionBenchCase {
 	return []sectionBenchCase{
-		{name: "positions/cell-for", pos: true, codec: codecCellFOR},
 		{name: "positions/sorted-cell-for", pos: true, codec: codecSortedCellFOR},
 		{name: "quant-for/one-frame", attr: sectionBenchNoise, bound: sectionBenchBound, codec: codecQuantFOR, mode: "one-frame"},
 		{name: "quant-for/per-node-cols", attr: sectionBenchSmooth, bound: sectionBenchBound, codec: codecQuantFOR, mode: "per-node-cols"},
@@ -135,15 +134,12 @@ func sectionBenchCases() []sectionBenchCase {
 var sectionSink encodedAttr
 
 // encode runs the case's encoder once: all three position columns (the X
-// section is returned) — their keys and the node sort, which finds the bench
-// treelet sorted, then the packing, with no sort axes for cell-for —, or the
-// one attribute column.
+// section is returned) — their keys, the k-d cells and the node sort, which
+// finds the bench treelet sorted, then the packing —, or the one attribute
+// column.
 func (c *sectionBenchCase) encode(b *testing.B, sb *sectionBench, a *buildArena) encodedAttr {
 	if c.pos {
 		sortNodes(sb.set, sb.t, a)
-		if c.codec == codecCellFOR {
-			sb.t.axes = nil
-		}
 		if err := encodeTreeletPositions(sb.t, a); err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +176,9 @@ func BenchmarkEncodeSection(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeSection times the section decoders on the same columns.
+// BenchmarkDecodeSection times the section decoders on the same columns; the
+// X column's time includes deriving the k-d cells, which a treelet load does
+// once for its three position sections.
 func BenchmarkDecodeSection(b *testing.B) {
 	sb := newSectionBench(b)
 	nb := newNodeBlocks(sb.nodes, sectionBenchN)
@@ -191,7 +189,7 @@ func BenchmarkDecodeSection(b *testing.B) {
 			var info SectionInfo
 			decode := func(info *SectionInfo) error {
 				if c.pos {
-					_, err := decodePosSection(enc.codec, enc.data, nb, sb.bounds, geom.X, info)
+					_, err := decodePosSection(enc.codec, enc.data, nb, nb.kdCells(sb.bounds), geom.X, info)
 					return err
 				}
 				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)

@@ -52,61 +52,53 @@
 //	                  2^48 - 1) or be as wide as the limit (48 bits here),
 //	                  whose offsets the decoder checks one by one; a column
 //	                  with any other frame keeps the one frame.
-//	codecCellFOR  (5): lossless, position columns only. Each float32 is
-//	                  mapped through f32Key, the order-preserving bijection
-//	                  of float32 bit patterns onto uint32 (every bit pattern
-//	                  round-trips: ±0, denormals, ±Inf, NaN payloads). The
-//	                  payload is only the blocks, bit-contiguous in node
-//	                  order, padded with zero bits to a byte; the frames are
-//	                  the nodes' k-d cells, which the file already stores.
-//	                  The root's cell on an axis is [key(lo), key(hi)] of the
-//	                  treelet bounds in the shallow leaf record — exactly the
-//	                  float32 extremes of the treelet's coordinates — and an
-//	                  inner node that splits that axis at s hands its left
-//	                  child [key(lo), key(s)] and its right child
-//	                  [key(s), key(hi)], both sides inclusive (the builder
-//	                  sends coordinates below s left and the rest right, and s
-//	                  is one of them); any other node hands its cell down
-//	                  unchanged. Node i's block stores key - key(lo_i) in
-//	                  bits.Len(key(hi_i) - key(lo_i)) bits: one top-down pass
+//	codecSortedCellFOR (8): lossless, position columns only. Each float32
+//	                  is mapped through f32Key, the order-preserving
+//	                  bijection of float32 bit patterns onto uint32 (every
+//	                  bit pattern round-trips: ±0, denormals, ±Inf, NaN
+//	                  payloads). The payload is only the blocks,
+//	                  bit-contiguous in node order, padded with zero bits to
+//	                  a byte; the frames are the nodes' k-d cells, which the
+//	                  file already stores. The root's cell on an axis is
+//	                  [key(lo), key(hi)] of the treelet bounds in the shallow
+//	                  leaf record — exactly the float32 extremes of the
+//	                  treelet's coordinates — and an inner node that splits
+//	                  that axis at s hands its left child [key(lo), key(s)]
+//	                  and its right child [key(s), key(hi)], both sides
+//	                  inclusive (the builder sends coordinates below s left
+//	                  and the rest right, and s is one of them); any other
+//	                  node hands its cell down unchanged. One top-down pass
 //	                  over the breadth-first node table, parents before
-//	                  children (cellFrames), gives every frame. An offset past
-//	                  key(hi_i) - key(lo_i) is a particle outside its k-d
-//	                  cell, where no traversal would look for it: corrupt. The
-//	                  encoder checks every key against its cell and stores a
-//	                  column as codecRaw when one escapes (NaN coordinates,
-//	                  which no cell orders; -0 and +0 on either side of a
-//	                  split at zero) or when the stream would not be smaller
-//	                  than the raw f32 bytes.
-//	codecSortedCellFOR (8): lossless, position columns only: cell-for in
-//	                  which each node's block on its sort axis may be
-//	                  Elias–Fano offsets instead. A node's particles are a
-//	                  set — no query, LOD window or route depends on their
-//	                  order inside a node — and cell-for spends about
-//	                  log2(n!) bits a node on whatever order the build left
-//	                  them in. So the builder sorts every node's range by key
-//	                  along its sort axis (ties keep the build's order): the
-//	                  axis of the node's widest cell frame, the largest
-//	                  bits.Len(span), ties to the lowest axis; an axis whose
-//	                  cells cannot be derived counts as width 0 (sortAxes).
-//	                  On that axis a node's n offsets are non-decreasing in
-//	                  [0, span], and Elias–Fano stores them as
+//	                  children (cellFrames), gives every node's cell on one
+//	                  axis, and kdCells keeps all three.
+//	                  A node's particles are a set — no query, LOD window or
+//	                  route depends on their order inside a node — so the
+//	                  builder sorts every node's range by key along its sort
+//	                  axis (ties keep the build's order): the axis of the
+//	                  node's widest cell, the largest bits.Len(span), ties to
+//	                  the lowest axis; an axis whose cells cannot be derived
+//	                  counts as width 0. On that axis a node's n offsets are
+//	                  non-decreasing in [0, span], and its block is
+//	                  Elias–Fano offsets
 //	                    L = ⌊log2((span+1)/n)⌋, 0 when span+1 < n
 //	                    n·L bits: every offset's low L bits, in order
 //	                    n + (span>>L) + 1 bits: offset j's high part h_j as
 //	                      a one at bit h_j + j, every other bit zero
-//	                  The node uses it exactly when that is fewer bits than
-//	                  cell-for's n·width; every other block — the node's
-//	                  other two axes, and a sort axis where Elias–Fano is not
-//	                  smaller — is its cell-for block. n comes from the node
-//	                  table and span from the cells, so nothing is stored per
-//	                  node, no flag either, and every block's bit length is
-//	                  still a prefix sum over the node table. A decoder
-//	                  refuses a high part that does not hold exactly n ones
-//	                  and an offset above span; the run's length and padding
-//	                  are checked as cell-for's. One decoder reads both
-//	                  codecs: a cell-for section is a sorted-cell-for one
-//	                  with no Elias–Fano node, and stays readable.
+//	                  exactly when that is fewer bits than n·width. Every
+//	                  other block — the node's other two axes, and a sort
+//	                  axis where Elias–Fano is not smaller — stores key -
+//	                  key(lo_i) in width = bits.Len(key(hi_i) - key(lo_i))
+//	                  bits. n comes from the node table and span from the
+//	                  cells, so nothing is stored per node, no flag either,
+//	                  and every block's bit length is a prefix sum over the
+//	                  node table. An offset past key(hi_i) - key(lo_i) is a
+//	                  particle outside its k-d cell, where no traversal would
+//	                  look for it: corrupt, and so is a high part that does
+//	                  not hold exactly n ones. The encoder checks every key
+//	                  against its cell and stores a column as codecRaw when
+//	                  one escapes (NaN coordinates, which no cell orders; -0
+//	                  and +0 on either side of a split at zero) or when the
+//	                  stream would not be smaller than the raw f32 bytes.
 //	codecKeyFOR   (6): lossless float attributes. Each value — the float32
 //	                  codecRaw would store for a Float32 attribute, the
 //	                  float64 itself otherwise — is mapped through the
@@ -147,11 +139,13 @@
 //	                  shorter (a constant column of positives: its order-key
 //	                  base takes ten uvarint bytes, its sign-key base nine).
 //
-// Ids 1 and 3 and frame mode 1 are retired: earlier writers stored flat
-// quant attributes (1), positions under inline per-block frames (3) and
-// quant-for frames inline ahead of each block (mode 1), and a reader refuses
-// a section that holds one as an unknown codec or frame mode. Id 1 lives on
-// as the footer's class of a lossy attribute.
+// Ids 1, 3 and 5 and frame mode 1 are retired: earlier writers stored flat
+// quant attributes (1), positions under inline per-block frames (3),
+// positions under their k-d cells in the order the build left them, with no
+// Elias–Fano block (5, cell-for), and quant-for frames inline ahead of each
+// block (mode 1), and a reader refuses a section that holds one as an unknown
+// codec or frame mode. Id 1 lives on as the footer's class of a lossy
+// attribute.
 //
 // The encoder guarantees |decoded − stored| ≤ bound for every value, where
 // "stored" is the value the lossless layout would keep (Float32 attributes
@@ -171,6 +165,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
@@ -179,7 +174,7 @@ import (
 
 // Codec identifiers stored in v3 section headers and the footer. The footer
 // declares an attribute's codec class only — codecQuant for every lossy
-// attribute, codecDelta for a lossless one — so codecQuantFOR, codecCellFOR,
+// attribute, codecDelta for a lossless one — so codecQuantFOR,
 // codecSortedCellFOR, codecKeyFOR and codecSignKeyFOR never appear there,
 // and codecQuant, retired as a section codec, appears nowhere else.
 const (
@@ -187,11 +182,19 @@ const (
 	codecQuant         uint8 = 1
 	codecDelta         uint8 = 2
 	codecQuantFOR      uint8 = 4
-	codecCellFOR       uint8 = 5
 	codecKeyFOR        uint8 = 6
 	codecSignKeyFOR    uint8 = 7
 	codecSortedCellFOR uint8 = 8
 )
+
+// attrClass is the codec class the footer declares for an attribute of error
+// bound b: codecQuant when it is lossy, codecDelta when it is lossless.
+func attrClass(b float64) uint8 {
+	if b > 0 {
+		return codecQuant
+	}
+	return codecDelta
+}
 
 // CodecName returns the human-readable name of a codec id (batinspect).
 func CodecName(c uint8) string {
@@ -204,8 +207,6 @@ func CodecName(c uint8) string {
 		return "delta"
 	case codecQuantFOR:
 		return "quant-for"
-	case codecCellFOR:
-		return "cell-for"
 	case codecKeyFOR:
 		return "key-for"
 	case codecSignKeyFOR:
@@ -298,23 +299,22 @@ func efBits(n int, span uint64, low uint8) int {
 }
 
 // efFrame makes fr, the cell frame of a node of n particles on its sort axis,
-// an Elias–Fano block when that takes fewer bits than the cell-for block,
-// and reports whether it did. The low part is ⌊log2((span+1)/n)⌋ bits wide,
-// 0 when span+1 < n; span is a cell's, below 2^32 (efBits refuses any
-// other), so span+1 does not wrap.
-func efFrame(fr *blockFrame, n uint32) bool {
+// an Elias–Fano block when that takes fewer bits than n offsets of fr's
+// width. The low part is ⌊log2((span+1)/n)⌋ bits wide, 0 when span+1 < n;
+// span is a cell's, below 2^32 (efBits refuses any other), so span+1 does
+// not wrap.
+func efFrame(fr *blockFrame, n uint32) {
 	if n == 0 {
-		return false
+		return
 	}
 	low := uint8(0)
 	if q := (fr.span + 1) / uint64(n); q > 1 {
 		low = uint8(bits.Len64(q) - 1)
 	}
 	if efBits(int(n), fr.span, low) >= int(n)*int(fr.width) {
-		return false
+		return
 	}
 	fr.ef, fr.low = true, low
-	return true
 }
 
 // frameOf returns the frame of blk (the zero frame for an empty block).
@@ -470,19 +470,15 @@ func checkBlock(remain int, count uint32, width, maxWidth uint8) error {
 // nodeBlocks is what a treelet gives its packed sections to decode against:
 // the node table, whose particle ranges are the blocks (unpackNodeTable lays
 // them back to back over nPoints), and room for one frame per node, refilled
-// by every section. A section decoder first resolves its stream to frames —
-// from the k-d cells, or from the one frame or the frame columns ahead of
-// the blocks — checking that every block lies inside the payload, then runs
-// unpack.
+// by every attribute section. A section decoder first resolves its stream to
+// frames — the k-d cells of a position section (kdCells), the one frame or
+// the frame columns ahead of an attribute section's blocks — checking that
+// every block lies inside the payload, then runs unpack.
 type nodeBlocks struct {
 	nodes   []diskNode
 	nPoints int
 	frames  []blockFrame
 	col     []uint64 // a frame column being read, a value per node; nil until a section has one
-	// axes are the nodes' sort axes under axesBounds (sortAxes); nil until
-	// a sorted-cell-for section needs them.
-	axes       []uint8
-	axesBounds geom.Box
 }
 
 func newNodeBlocks(nodes []diskNode, nPoints int) *nodeBlocks {
@@ -1425,18 +1421,18 @@ func boundsCell(b geom.Box, ax geom.Axis) keyCell {
 	return keyCell{keyOf(float32(b.Lower.Component(ax))), keyOf(float32(b.Upper.Component(ax)))}
 }
 
-// nodeLink returns node i's axis (leafAxis for a leaf), split plane and
-// children: what cellFrames needs of a node table, the builder's or the
-// reader's.
-type nodeLink func(i int) (axis uint8, split float64, left, right int32)
+// nodeLink returns node i's axis (leafAxis for a leaf), split plane, children
+// and particle count: what kdCells needs of a node table, the builder's or
+// the reader's.
+type nodeLink func(i int) (axis uint8, split float64, left, right int32, count uint32)
 
 // cellFrames derives every node's frame on axis ax from the treelet's cell
-// there and the split planes of the node table: the rule of codecCellFOR in
-// the comment at the top of this file, in one pass in node order. The pass
-// needs what a breadth-first table guarantees — every node but the root hangs
-// under exactly one earlier node — and what the builder guarantees — an inner
-// node's split plane is a float32 inside the node's own cell — and reports a
-// table or bounds that break either.
+// there and the split planes of the node table: the rule of
+// codecSortedCellFOR in the comment at the top of this file, in one pass in
+// node order. The pass needs what a breadth-first table guarantees — every
+// node but the root hangs under exactly one earlier node — and what the
+// builder guarantees — an inner node's split plane is a float32 inside the
+// node's own cell — and reports a table or bounds that break either.
 func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) error {
 	if len(frames) == 0 {
 		return nil
@@ -1456,7 +1452,7 @@ func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) 
 		if frames[i].width == unset {
 			return fmt.Errorf("node %d hangs under no earlier node", i)
 		}
-		axis, split, left, right := link(i)
+		axis, split, left, right, _ := link(i)
 		if axis == uint8(leafAxis) {
 			continue
 		}
@@ -1482,63 +1478,77 @@ func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) 
 	return nil
 }
 
-// sortAxes sets axes[i] to node i's sort axis: the axis on which its cell
-// frame is widest, ties to the lowest axis. An axis whose cells cannot be
-// derived from cells (cellFrames fails: a treelet with no number on that
-// axis) counts as width 0 on every node. frames is scratch. The builder sorts
-// every node along its sort axis, and a sorted-cell-for decoder derives the
-// same axes from the node table and the bounds.
-func sortAxes(axes []uint8, frames []blockFrame, link nodeLink, cells [3]keyCell) {
+// kdCells is a treelet's k-d cells as the frames of its three position
+// sections: frames[ax] holds every node's cell on axis ax (cellFrames), or
+// errs[ax] says why the axis has none (a treelet with no number on it, or a
+// node table or bounds that break the cell rule). axes holds every node's
+// sort axis: the axis on which its cell is widest, ties to the lowest, an
+// axis without cells counting as width 0 on every node. On its sort axis a
+// node's frame is already its Elias–Fano block where efFrame chooses one. The
+// builder derives the cells once per treelet to sort its nodes and encode its
+// positions, a reader once per treelet load to decode them.
+type kdCells struct {
+	frames [3][]blockFrame
+	errs   [3]error
+	axes   []uint8
+}
+
+// derive fills kd for the n nodes of link under the treelet's cells, reusing
+// kd's slices where they are large enough.
+func (kd *kdCells) derive(n int, link nodeLink, cells [3]keyCell) {
 	// While the axes are compared, axes[i] holds the widest width so far
 	// above the two bits of its axis: a cell frame is at most 32 bits wide.
-	clear(axes)
+	kd.axes = slices.Grow(kd.axes[:0], n)[:n]
+	clear(kd.axes)
 	for ax := range cells {
-		if cellFrames(frames, link, cells[ax], geom.Axis(ax)) != nil {
+		frames := slices.Grow(kd.frames[ax][:0], n)[:n]
+		kd.frames[ax] = frames
+		if kd.errs[ax] = cellFrames(frames, link, cells[ax], geom.Axis(ax)); kd.errs[ax] != nil {
 			continue
 		}
-		for i := range axes {
-			if w := frames[i].width; w > axes[i]>>2 {
-				axes[i] = w<<2 | uint8(ax)
+		for i := range kd.axes {
+			if w := frames[i].width; w > kd.axes[i]>>2 {
+				kd.axes[i] = w<<2 | uint8(ax)
 			}
 		}
 	}
-	for i := range axes {
-		axes[i] &= 3
-	}
-}
-
-// link is the builder's node table as cellFrames reads it.
-func (t *treelet) link(i int) (uint8, float64, int32, int32) {
-	n := &t.nodes[i]
-	return uint8(n.axis), n.pos, n.left, n.right
-}
-
-// link is the reader's node table as cellFrames reads it.
-func (nb *nodeBlocks) link(i int) (uint8, float64, int32, int32) {
-	n := &nb.nodes[i]
-	return n.axis, n.pos, n.left, n.right
-}
-
-// sortAxes returns the sort axes of the treelet's nodes under bounds,
-// computed on the first call with these bounds and kept for the other
-// position sections.
-func (nb *nodeBlocks) sortAxes(bounds geom.Box) []uint8 {
-	if nb.axes == nil || nb.axesBounds != bounds {
-		nb.axes = make([]uint8, len(nb.nodes))
-		nb.axesBounds = bounds
-		var cells [3]keyCell
-		for ax := range cells {
-			cells[ax] = boundsCell(bounds, geom.Axis(ax))
+	for i := range kd.axes {
+		kd.axes[i] &= 3
+		if sa := kd.axes[i]; kd.errs[sa] == nil {
+			_, _, _, _, count := link(i)
+			efFrame(&kd.frames[sa][i], count)
 		}
-		sortAxes(nb.axes, nb.frames, nb.link, cells)
 	}
-	return nb.axes
+}
+
+// link is the builder's node table as kdCells reads it.
+func (t *treelet) link(i int) (uint8, float64, int32, int32, uint32) {
+	n := &t.nodes[i]
+	return uint8(n.axis), n.pos, n.left, n.right, n.count
+}
+
+// link is the reader's node table as kdCells reads it.
+func (nb *nodeBlocks) link(i int) (uint8, float64, int32, int32, uint32) {
+	n := &nb.nodes[i]
+	return n.axis, n.pos, n.left, n.right, n.count
+}
+
+// kdCells derives the k-d cells of the node table under bounds, the
+// treelet's bounds from its shallow leaf record.
+func (nb *nodeBlocks) kdCells(bounds geom.Box) *kdCells {
+	var cells [3]keyCell
+	for ax := range cells {
+		cells[ax] = boundsCell(bounds, geom.Axis(ax))
+	}
+	kd := &kdCells{}
+	kd.derive(len(nb.nodes), nb.link, cells)
+	return kd
 }
 
 // encodeTreeletPositions encodes the three position columns of a treelet
 // that sortNodes has sorted, next to encodeTreeletAttrs in the fused treelet
-// worker, from the keys sortNodes left in the arena and under the cells it
-// recorded.
+// worker, from the keys sortNodes left in the arena and under the k-d cells
+// it derived there.
 func encodeTreeletPositions(t *treelet, a *buildArena) error {
 	for ax := range t.posEnc {
 		keys := a.keys[ax]
@@ -1546,7 +1556,7 @@ func encodeTreeletPositions(t *treelet, a *buildArena) error {
 			return fmt.Errorf("bat: %d position keys for a treelet of %d particles", len(keys), len(t.order))
 		}
 		var err error
-		if t.posEnc[ax], err = encodeCellFOR(keys, t, t.cells[ax], geom.Axis(ax), a); err != nil {
+		if t.posEnc[ax], err = encodeCellFOR(keys, t, &a.kd, geom.Axis(ax)); err != nil {
 			return err
 		}
 	}
@@ -1554,28 +1564,21 @@ func encodeTreeletPositions(t *treelet, a *buildArena) error {
 }
 
 // encodeCellFOR encodes one position column of a treelet — keys, in layout
-// order — as a codecSortedCellFOR stream, or as a codecCellFOR one when the
-// treelet has no sort axes (t.axes nil): the blocks only, one per node in
-// node order, each under the frame of the node's k-d cell, as Elias–Fano
-// offsets where efFrame says so on the node's sort axis. It returns a
-// codecRaw section when a key lies outside its node's cell or the stream
-// would not be smaller than the column's 4 bytes per value, and an error
-// when a key that is a number lies outside the treelet's own cell, which was
-// just taken from these keys. The stream is a pure function of the values,
-// so builds stay byte-identical for any worker count.
-func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *buildArena) (encodedAttr, error) {
+// order — as a codecSortedCellFOR stream: the blocks only, one per node in
+// node order, each under the frame of the node's k-d cell on axis ax in kd,
+// as Elias–Fano offsets where kd says so. It returns a codecRaw section when
+// the axis has no cells, a key lies outside its node's cell or the stream
+// would not be smaller than the column's 4 bytes per value, and an error when
+// a key that is a number lies outside the root's cell, the treelet's own,
+// which was just taken from these keys. The stream is a pure function of the
+// values, so builds stay byte-identical for any worker count.
+func encodeCellFOR(keys []uint64, t *treelet, kd *kdCells, ax geom.Axis) (encodedAttr, error) {
 	raw := encodedAttr{codec: codecRaw}
-	if len(keys) == 0 {
+	if len(keys) == 0 || kd.errs[ax] != nil {
 		return raw, nil
 	}
-	frames := a.nodeFrames(len(t.nodes))
-	if cellFrames(frames, t.link, root, ax) != nil {
-		return raw, nil
-	}
-	codec := codecCellFOR
-	if t.axes != nil {
-		codec = codecSortedCellFOR
-	}
+	frames := kd.frames[ax]
+	root := frames[0]
 	totalBits := 0
 	for i := range t.nodes {
 		n, fr := &t.nodes[i], &frames[i]
@@ -1583,13 +1586,10 @@ func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *bui
 			if k-fr.base <= fr.span { // below base wraps past any span
 				continue
 			}
-			if numeric := k >= uint64(keyNegInf) && k <= uint64(keyPosInf); numeric && (k < uint64(root.lo) || k > uint64(root.hi)) {
-				return raw, fmt.Errorf("bat: coordinate key %#x on axis %d lies outside the treelet bounds [%#x, %#x] scanned from the same keys", k, ax, root.lo, root.hi)
+			if numeric := k >= uint64(keyNegInf) && k <= uint64(keyPosInf); numeric && k-root.base > root.span {
+				return raw, fmt.Errorf("bat: coordinate key %#x on axis %d lies outside the treelet bounds [%#x, %#x] scanned from the same keys", k, ax, root.base, root.base+root.span)
 			}
 			return raw, nil
-		}
-		if codec == codecSortedCellFOR && t.axes[i] == uint8(ax) {
-			efFrame(fr, n.count)
 		}
 		totalBits += fr.bits(n.count)
 	}
@@ -1607,7 +1607,7 @@ func encodeCellFOR(keys []uint64, t *treelet, root keyCell, ax geom.Axis, a *bui
 			bit = packBits(buf, bit, keys[n.start:n.start+n.count], fr.forFrame)
 		}
 	}
-	return encodedAttr{codec: codec, data: buf[:size]}, nil
+	return encodedAttr{codec: codecSortedCellFOR, data: buf[:size]}, nil
 }
 
 // packEF writes vals — ascending, inside fr's cell — as the Elias–Fano block
@@ -1631,40 +1631,39 @@ func packEF(buf []byte, bit int, vals []uint64, fr *blockFrame) int {
 	return bit + efBits(len(vals), fr.span, fr.low)
 }
 
-// decodePosSection decodes the framed section of the position column on axis
-// ax into a fresh float32 column. bounds are the treelet's, from its shallow
-// leaf record: a cell-for or sorted-cell-for section takes its frames from
-// them, and a sorted-cell-for section its nodes' sort axes as well. A
-// cell-for section is a sorted-cell-for one with no Elias–Fano block.
-func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, bounds geom.Box, ax geom.Axis, info *SectionInfo) ([]float32, error) {
+// decodePosSection decodes the section of the position column on axis ax
+// into a fresh float32 column. A sorted-cell-for section takes its frames
+// from kd, the k-d cells of nb's node table under the treelet's bounds.
+func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) ([]float32, error) {
 	if codec == codecRaw {
 		return decodeRawF32(payload, nb.nPoints)
 	}
-	if codec != codecCellFOR && codec != codecSortedCellFOR {
+	if codec != codecSortedCellFOR {
 		return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
 	}
-	var axes []uint8
-	if codec == codecSortedCellFOR {
-		axes = nb.sortAxes(bounds)
-	}
-	err := cellFrames(nb.frames, nb.link, boundsCell(bounds, ax), ax)
+	// The section's blocks are laid over kd's frames themselves: a treelet
+	// decodes each axis once.
+	cells := &nodeBlocks{nodes: nb.nodes, nPoints: nb.nPoints, frames: kd.frames[ax]}
+	err := kd.errs[ax]
 	if err == nil {
-		for i := range axes {
-			if axes[i] == uint8(ax) && efFrame(&nb.frames[i], nb.nodes[i].count) && info != nil {
-				info.EF.Nodes++
-				info.EF.Particles += int(nb.nodes[i].count)
-				info.EF.Bits += nb.frames[i].bits(nb.nodes[i].count)
-			}
-		}
-		err = nb.layRun(payload, 0)
+		err = cells.layRun(payload, 0)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("bat: %s position stream: %w", CodecName(codec), err)
 	}
-	nb.widths(info)
+	if info != nil {
+		for i := range cells.frames {
+			if fr := &cells.frames[i]; fr.ef {
+				info.EF.Nodes++
+				info.EF.Particles += int(nb.nodes[i].count)
+				info.EF.Bits += fr.bits(nb.nodes[i].count)
+			}
+		}
+		cells.widths(info)
+	}
 	out := make([]float32, nb.nPoints)
-	err = nb.unpack(payload, func(ni, at int, offs []uint64) error {
-		fr := nb.frames[ni]
+	err = cells.unpack(payload, func(ni, at int, offs []uint64) error {
+		fr := &cells.frames[ni]
 		dst := out[at : at+len(offs)]
 		for i, off := range offs {
 			k := fr.base + off

@@ -175,7 +175,8 @@ func TestCompressedBuildDeterminism(t *testing.T) {
 // bound 0, and positions and attributes that read back bit for bit — NaN
 // payloads, ±0, denormals and infinities included, through key-for and
 // sign-key-for sections of both float types; an integral column that holds
-// -0 keeps it too. Bounds or a LOD scale set without Compress, or
+// -0 keeps it too, in a raw float section (delta would drop the sign).
+// Bounds or a LOD scale set without Compress, or
 // Compress without bounds, change no byte of it.
 func TestDefaultBuildLosslessV3(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -236,7 +237,7 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 			s.X[i] = special32[k%len(special32)] // NaNs send a column to raw
 		}
 		if i%21 == 0 {
-			s.Y[i] = special32[k%4] // ±0 and denormals stay in cell-for
+			s.Y[i] = special32[k%4] // ±0 and denormals stay in sorted-cell-for
 		}
 	}
 	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -266,7 +267,7 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 		byID[s.Attrs[3][i]] = i
 	}
 	// Read treelet by treelet: a query's box test would skip a NaN coordinate.
-	seen, codecs := 0, map[uint8]bool{}
+	seen, codecs, rawAttr := 0, map[uint8]bool{}, false
 	// The specials read back from key-for and from sign-key-for sections.
 	keyed64, keyed32 := map[uint8]map[uint64]bool{}, map[uint8]map[uint32]bool{}
 	for _, c := range []uint8{codecKeyFOR, codecSignKeyFOR} {
@@ -282,9 +283,10 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 			t.Fatal(err)
 		}
 		attrCodec := map[string]uint8{}
-		for _, sec := range lay.Sections {
+		for i, sec := range lay.Sections {
 			codecs[sec.Codec] = true
 			attrCodec[sec.Attr] = sec.Codec
+			rawAttr = rawAttr || i >= PositionSections && sec.Codec == codecRaw
 		}
 		for i := range pt.attrs[0] {
 			if b, c := math.Float64bits(pt.attrs[0][i]), attrCodec["mass"]; keyed64[c] != nil && written64[b] {
@@ -320,6 +322,9 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 		if !codecs[c] {
 			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
 		}
+	}
+	if !rawAttr {
+		t.Error("no raw attribute section in the build; the case is not exercised")
 	}
 	for _, c := range []uint8{codecKeyFOR, codecSignKeyFOR} {
 		if len(keyed64[c]) != len(special) || len(keyed32[c]) != len(special32) {
@@ -1087,16 +1092,18 @@ func TestCellFORBoundsHandOff(t *testing.T) {
 	for i, p := range tr.order {
 		keys[i] = uint64(keyOf(set.X[p]))
 	}
-	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecSortedCellFOR {
+	if enc, err := encodeCellFOR(keys, tr, &a.kd, geom.X); err != nil || enc.codec != codecSortedCellFOR {
 		t.Fatalf("the x column under its own cell: %s, %v", CodecName(enc.codec), err)
 	}
-	short := tr.cells[0]
-	short.hi-- // the largest x is now outside the bounds
-	if _, err := encodeCellFOR(keys, tr, short, geom.X, &a); err == nil || !strings.Contains(err.Error(), "outside the treelet bounds") {
+	short := tr.cells
+	short[0].hi-- // the largest x is now outside the bounds
+	var shortKD kdCells
+	shortKD.derive(len(tr.nodes), tr.link, short)
+	if _, err := encodeCellFOR(keys, tr, &shortKD, geom.X); err == nil || !strings.Contains(err.Error(), "outside the treelet bounds") {
 		t.Fatalf("a root cell that misses a coordinate: error %v", err)
 	}
 	keys[len(keys)/2] = uint64(keyOf(float32(math.NaN())))
-	if enc, err := encodeCellFOR(keys, tr, tr.cells[0], geom.X, &a); err != nil || enc.codec != codecRaw {
+	if enc, err := encodeCellFOR(keys, tr, &a.kd, geom.X); err != nil || enc.codec != codecRaw {
 		t.Fatalf("a NaN in the column: %s, %v; want the raw fallback", CodecName(enc.codec), err)
 	}
 }
@@ -1433,7 +1440,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 
 // TestSortedNodesDecodeNonDecreasing: in every build of the determinism
 // corpora, lossless and lossy, every node's particles read back in key order
-// along the node's sort axis — the axis sortAxes derives from the node table
+// along the node's sort axis — the axis kdCells derives from the node table
 // and the bounds alone —, so every Elias–Fano block decodes non-decreasing on
 // its axis; and the builds hold Elias–Fano blocks on every axis.
 func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
@@ -1461,7 +1468,9 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 					t.Fatal(err)
 				}
 				cols := [3][]float32{pt.x, pt.y, pt.z}
-				axes := newNodeBlocks(pt.nodes, len(pt.x)).sortAxes(ref.bounds)
+				nb := newNodeBlocks(pt.nodes, len(pt.x))
+				kd := nb.kdCells(ref.bounds)
+				axes := kd.axes
 				p := int(ref.offset) + 8 + lay.NodeTable.Bytes
 				for ax, sec := range lay.Sections[:PositionSections] {
 					p += sectionFrameLen
@@ -1470,12 +1479,11 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 					if sec.Codec == codecRaw {
 						continue
 					}
-					nb := newNodeBlocks(pt.nodes, len(pt.x))
-					if _, err := decodePosSection(sec.Codec, payload, nb, ref.bounds, geom.Axis(ax), nil); err != nil {
+					if _, err := decodePosSection(sec.Codec, payload, nb, kd, geom.Axis(ax), nil); err != nil {
 						t.Fatal(err)
 					}
 					for i := range pt.nodes {
-						if nb.frames[i].ef {
+						if kd.frames[ax][i].ef {
 							if axes[i] != uint8(ax) {
 								t.Fatalf("%s treelet %d node %d: an Elias–Fano block on axis %d, its sort axis is %d", c.name, ti, i, ax, axes[i])
 							}

@@ -33,8 +33,7 @@ func goldenSet() (*particles.Set, geom.Box) {
 }
 
 // goldenSignedSet is goldenSet with every other particle's mass negated: a
-// zero-mean attribute, which golden_v3_signkeys.bat and
-// golden_v3_cellfor_signkeys.bat store as sign-key-for.
+// zero-mean attribute, which golden_v3_signkeys.bat stores as sign-key-for.
 func goldenSignedSet() (*particles.Set, geom.Box) {
 	s, domain := goldenSet()
 	for i := 1; i < s.Len(); i += 2 {
@@ -50,8 +49,9 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenV3Config is the compressed build all five version-3 goldens were
-// made with: "mass" within 1e-3, "id" lossless.
+// goldenV3Config is the compressed build every version-3 golden but
+// golden_v3_lossless.bat and golden_v3_signkeys.bat was made with: "mass"
+// within 1e-3, "id" lossless.
 func goldenV3Config() BuildConfig {
 	cfg := goldenConfig()
 	cfg.Compress = true
@@ -100,30 +100,24 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // from goldenSet, golden_v3_signkeys.bat (goldenConfig) from goldenSignedSet.
 // Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
-// Every other golden is frozen: no writer in the tree can rebuild it.
-// golden_v3_rawattrs.bat is goldenConfig's build by the last writer that
-// stored a lossless float attribute raw (commit 67d7397, the parent of
-// codecKeyFOR): today's layout, whose raw float sections must keep decoding
-// bit for bit. golden_v3_cellfor.bat, golden_v3_cellfor_lossless.bat and
-// golden_v3_cellfor_signkeys.bat are the three rebuilt goldens as the last
-// writer of cell-for positions wrote them (commit d1aa93b, the parent of
-// codecSortedCellFOR): node ranges in build order, every position section
-// cell-for, which must keep decoding to the same particles. The others are the golden set's build by the last writer of a
-// layout this reader refuses, and pin that refusal. golden_v2.bat is
-// goldenConfig's build by the last version-2 writer (commit 3bb0b42, the
-// parent of the one writer): node records, page-aligned treelets, raw
-// columns. golden_v1.bat is the same image with its footer removed and its
-// version field patched to 1 (stripToV1), the layout version-1 writers
-// produced. The other four are goldenV3Config's build: golden_v3_rawpos.bat,
-// version-3 positions as raw f32 columns (commit c90a2ea, the parent of the
-// position codec);
-// golden_v3_flatquant.bat, packed positions and lossy attributes as flat quant
-// sections, codec id 1 (commit 1f5afd1, the parent of codecQuantFOR);
-// golden_v3_nodetable.bat, positions under inline frames (codec id 3) behind
-// node tables of fixed records in page-aligned treelets (commit 9f77046, the
-// parent of flagPackedNodes); golden_v3_inlineframes.bat, the same sections
-// behind packed node tables in unpadded treelets, today's header flags (commit
-// 4e54d5f, the parent of codecCellFOR).
+// Every other golden is frozen: no writer in the tree can rebuild it. Each
+// is the golden set's build by the last writer of a layout this reader
+// refuses, and pins that refusal. golden_v2.bat is goldenConfig's build by the
+// last version-2 writer (commit 3bb0b42, the parent of the one writer): node
+// records, page-aligned treelets, raw columns. golden_v1.bat is the same image
+// with its footer removed and its version field patched to 1 (stripToV1), the
+// layout version-1 writers produced. The other five are goldenV3Config's
+// build: golden_v3_rawpos.bat, version-3 positions as raw f32 columns (commit
+// c90a2ea, the parent of the position codec); golden_v3_flatquant.bat, packed
+// positions and lossy attributes as flat quant sections, codec id 1 (commit
+// 1f5afd1, the parent of codecQuantFOR); golden_v3_nodetable.bat, positions
+// under inline frames (codec id 3) behind node tables of fixed records in
+// page-aligned treelets (commit 9f77046, the parent of flagPackedNodes);
+// golden_v3_inlineframes.bat, the same sections behind packed node tables in
+// unpadded treelets, today's header flags (commit 4e54d5f, the parent of
+// cell-for, codec id 5); golden_v3_cellfor.bat, every position section
+// cell-for over node ranges in build order (commit d1aa93b, the parent of
+// codecSortedCellFOR).
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -159,49 +153,49 @@ func goldenRebuilds() map[string]goldenRebuild {
 	}
 }
 
+// goldenCase is one checked-in golden file and what the reader makes of it.
+type goldenCase struct {
+	file string
+	// openErr refuses the file at open, loadErr at its first treelet load.
+	openErr, loadErr string
+	// massBound is how far a decoded mass may be from the golden set's.
+	massBound float64
+	// massCodec, when set, is the codec of every mass section, and
+	// posCodec of every x section.
+	massCodec, posCodec string
+	// signed marks a build of goldenSignedSet.
+	signed bool
+}
+
+// goldens is every file in testdata: TestGoldenFixturesPinned holds the
+// directory to it, so a retired layout cannot leave a file behind that
+// nothing opens.
+var goldens = []goldenCase{
+	{"golden_v1.bat", "unsupported version 1", "", 0, "", "", false},
+	{"golden_v2.bat", "unsupported version 2", "", 0, "", "", false},
+	{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, "", "", false},
+	{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
+	{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
+	{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, "", "", false},
+	{"golden_v3_cellfor.bat", "", "unknown position codec id 5", 0, "", "", false},
+	{"golden_v3.bat", "", "", goldenV3Config().AttrErrorBounds[0], "quant-for", "sorted-cell-for", false},
+	{"golden_v3_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
+	{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
+}
+
 // TestGoldenBackwardCompat opens the checked-in file of every layout a writer
 // has produced. The one this reader accepts, today's version 3, must decode
 // to the same particle multiset as the day it was written: positions and the
-// lossless id bit-exact, mass exact in the lossless builds and within its
-// declared bound in golden_v3.bat and golden_v3_cellfor.bat; the lossless
-// mass is stored raw in golden_v3_rawattrs.bat, key-for in
-// golden_v3_lossless.bat and golden_v3_cellfor_lossless.bat and, negated at
-// every other particle (goldenSignedSet), sign-key-for in
-// golden_v3_signkeys.bat and golden_v3_cellfor_signkeys.bat. The three
-// rebuilt goldens store positions sorted-cell-for, the cellfor ones and
-// golden_v3_rawattrs.bat cell-for.
+// lossless id bit-exact, mass within its declared bound in golden_v3.bat,
+// stored key-for and exact in golden_v3_lossless.bat and, negated at every
+// other particle (goldenSignedSet), sign-key-for and exact in
+// golden_v3_signkeys.bat; every position section is sorted-cell-for.
 // Every retired layout is refused with a named error and returns no rows:
 // versions 1 (no checksums) and 2 (page-aligned treelets) and the header
 // flags of a retired version-3 layout at open, the inline position frames
-// behind today's flags at the first treelet load.
+// and cell-for behind today's flags at the first treelet load.
 func TestGoldenBackwardCompat(t *testing.T) {
-	massBound := goldenV3Config().AttrErrorBounds[0]
-	for _, tc := range []struct {
-		file string
-		// openErr refuses the file at open, loadErr at its first treelet load.
-		openErr, loadErr string
-		// massBound is how far a decoded mass may be from the golden set's.
-		massBound float64
-		// massCodec, when set, is the codec of every mass section, and
-		// posCodec of every x section.
-		massCodec, posCodec string
-		// signed marks a build of goldenSignedSet.
-		signed bool
-	}{
-		{"golden_v1.bat", "unsupported version 1", "", 0, "", "", false},
-		{"golden_v2.bat", "unsupported version 2", "", 0, "", "", false},
-		{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, "", "", false},
-		{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
-		{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
-		{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, "", "", false},
-		{"golden_v3.bat", "", "", massBound, "quant-for", "sorted-cell-for", false},
-		{"golden_v3_rawattrs.bat", "", "", 0, "raw", "cell-for", false},
-		{"golden_v3_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
-		{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
-		{"golden_v3_cellfor.bat", "", "", massBound, "quant-for", "cell-for", false},
-		{"golden_v3_cellfor_lossless.bat", "", "", 0, "key-for", "cell-for", false},
-		{"golden_v3_cellfor_signkeys.bat", "", "", 0, "sign-key-for", "cell-for", true},
-	} {
+	for _, tc := range goldens {
 		t.Run(tc.file, func(t *testing.T) {
 			buf, err := os.ReadFile(filepath.Join("testdata", tc.file))
 			if err != nil {
@@ -262,6 +256,28 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGoldenFixturesPinned: every .bat file in testdata is a row of goldens,
+// and every row's file is there.
+func TestGoldenFixturesPinned(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.bat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]bool{}
+	for _, g := range goldens {
+		pinned[g.file] = true
+	}
+	for _, f := range files {
+		if !pinned[filepath.Base(f)] {
+			t.Errorf("%s is in no row of goldens: pin what the reader makes of it, or delete it", f)
+		}
+		delete(pinned, filepath.Base(f))
+	}
+	for f := range pinned {
+		t.Errorf("goldens pins %s, which testdata does not hold", f)
 	}
 }
 

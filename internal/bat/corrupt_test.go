@@ -331,7 +331,9 @@ func TestV3ErrorBoundMismatch(t *testing.T) {
 }
 
 // TestV3FooterValidation: out-of-range declarations in the footer's v3
-// extension are rejected at open even with a valid CRC.
+// extension are rejected at open even with a valid CRC, and so is a codec
+// class that is not the one compact writes for its bound — quant exactly when
+// the bound is above 0, delta otherwise. Attribute 0 of the sample is lossy.
 func TestV3FooterValidation(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
@@ -340,25 +342,27 @@ func TestV3FooterValidation(t *testing.T) {
 	}
 	nT := f.NumTreelets()
 	nA := f.Schema.NumAttrs()
+	class0 := 8 + 4*nT + 4 // attribute 0's class, then its bound
+	putBound := func(foot []byte, b float64) { binary.LittleEndian.PutUint64(foot[class0+1:], math.Float64bits(b)) }
 	cases := []struct {
 		name   string
 		mutate func(foot []byte)
+		want   string
 	}{
-		{"bad codec id", func(foot []byte) { foot[8+4*nT+4] = 9 }},
-		{"negative bound", func(foot []byte) {
-			binary.LittleEndian.PutUint64(foot[8+4*nT+4+1:], math.Float64bits(-1))
-		}},
-		{"NaN bound", func(foot []byte) {
-			binary.LittleEndian.PutUint64(foot[8+4*nT+4+1:], math.Float64bits(math.NaN()))
-		}},
+		{"bad codec id", func(foot []byte) { foot[class0] = 9 }, "codec class unknown(9)"},
+		{"negative bound", func(foot []byte) { putBound(foot, -1) }, "invalid error bound"},
+		{"NaN bound", func(foot []byte) { putBound(foot, math.NaN()) }, "invalid error bound"},
 		{"LOD scale below 1", func(foot []byte) {
-			binary.LittleEndian.PutUint64(foot[8+4*nT+4+9*nA:], math.Float64bits(0.25))
-		}},
+			binary.LittleEndian.PutUint64(foot[class0+9*nA:], math.Float64bits(0.25))
+		}, "invalid LOD error scale"},
+		{"class 0", func(foot []byte) { foot[class0] = codecRaw }, "codec class raw for bound 0.001, want quant"},
+		{"quant with bound 0", func(foot []byte) { putBound(foot, 0) }, "codec class quant for bound 0, want delta"},
+		{"delta with bound 1e-3", func(foot []byte) { foot[class0] = codecDelta }, "codec class delta for bound 0.001, want quant"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromBuffer(mutateFooter(t, buf, tc.mutate)); err == nil {
-				t.Fatal("invalid footer declaration accepted")
+			if _, err := FromBuffer(mutateFooter(t, buf, tc.mutate)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open error %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
@@ -513,8 +517,10 @@ func TestLeafPointCountBound(t *testing.T) {
 
 // TestPackedPositionCorruption is the corruption matrix for the framing of a
 // version-3 treelet's position sections: every case must fail the treelet
-// load with a clean error. What a sorted-cell-for stream inside its frame can
-// say wrong is TestCellFORCorruption's (its cell-for blocks) and
+// load with a clean error, and so must every retired position codec id over
+// a sorted-cell-for run — flat quant (1), inline frames (3) and cell-for
+// (5). What a sorted-cell-for stream inside its frame can say wrong is
+// TestCellFORCorruption's (its blocks of width bits a value) and
 // TestSortedCellFORCorruption's (its Elias–Fano blocks).
 func TestPackedPositionCorruption(t *testing.T) {
 	buf := compressedSample(t)
@@ -543,7 +549,9 @@ func TestPackedPositionCorruption(t *testing.T) {
 		}, "truncated codec stream"},
 		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuantFOR }, "unknown position codec"},
 		{"sign-key-for on a position", func(tre []byte) { tre[xOff] = codecSignKeyFOR }, "unknown position codec id 7"},
-		{"cell-for over Elias–Fano blocks", func(tre []byte) { tre[xOff] = codecCellFOR }, "cell-for position stream"},
+		{"flat quant on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec id 1"},
+		{"inline-frame codec over the run", func(tre []byte) { tre[xOff] = 3 }, "unknown position codec id 3"},
+		{"cell-for over Elias–Fano blocks", func(tre []byte) { tre[xOff] = 5 }, "unknown position codec id 5"},
 		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -552,8 +560,9 @@ func TestPackedPositionCorruption(t *testing.T) {
 	}
 }
 
-// TestCellFORCorruption is the corruption matrix for the cell-for blocks of
-// a sorted-cell-for position section in a real file: the stream holds no
+// TestCellFORCorruption is the corruption matrix for the blocks of width bits
+// a value of a sorted-cell-for position section in a real file, the frames of
+// the k-d cells as they are, and for the cells: the stream holds no
 // frame to get wrong, so what a CRC-valid hostile file can still say is an
 // offset outside its node's k-d cell — a particle where no traversal would
 // look for it —, a block run that is short, long or padded with something,
@@ -583,13 +592,15 @@ func TestCellFORCorruption(t *testing.T) {
 			CodecName(lay.Sections[0].Codec), lay.Sections[0].FrameBytes, ref.numNodes)
 	}
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	if _, err := decodePosSection(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, ref.bounds, geom.X, nil); err != nil {
+	kd := nb.kdCells(ref.bounds)
+	if _, err := decodePosSection(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, kd, geom.X, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A cell-for block whose cell is not a whole power of two wide has
-	// offsets its width can spell and its cell does not hold.
+	// A block of width bits a value whose cell is not a whole power of two
+	// wide has offsets its width can spell and its cell does not hold.
+	xFrames := kd.frames[geom.X]
 	loose, padBits := -1, 0
-	for i, fr := range nb.frames {
+	for i, fr := range xFrames {
 		if loose < 0 && !fr.ef && pt.nodes[i].count > 0 && fr.span != 1<<fr.width-1 {
 			loose = i
 		}
@@ -616,7 +627,7 @@ func TestCellFORCorruption(t *testing.T) {
 		want   string
 	}{
 		{"offset past the cell", nil, func(tre []byte) {
-			fr := nb.frames[loose]
+			fr := xFrames[loose]
 			for b := fr.bit; b < fr.bit+int(fr.width); b++ {
 				tre[xOff+5+b>>3] |= 1 << (b & 7)
 			}
@@ -624,11 +635,10 @@ func TestCellFORCorruption(t *testing.T) {
 		{"run one byte short", nil, func(tre []byte) { addU32(tre[xOff+1:], -1) }, "truncated"},
 		{"run one byte long", nil, func(tre []byte) { addU32(tre[xOff+1:], 1) }, "trailing bytes"},
 		{"bits in the padding", nil, func(tre []byte) { tre[xOff+5+xLen-1] |= 0x80 }, "non-zero padding bits"},
-		{"inline-frame codec over the run", nil, func(tre []byte) { tre[xOff] = 3 }, "unknown position codec id 3"}, // retired id
 		{"cell-for on an attribute", nil, func(tre []byte) {
 			_, secOff := firstSectionOffset(t, buf, 0)
-			tre[secOff] = codecCellFOR
-		}, "unknown attribute codec"},
+			tre[secOff] = 5 // retired
+		}, "unknown attribute codec id 5"},
 		{"sorted-cell-for on an attribute", nil, func(tre []byte) {
 			_, secOff := firstSectionOffset(t, buf, 0)
 			tre[secOff] = codecSortedCellFOR
@@ -686,13 +696,14 @@ func TestSortedCellFORCorruption(t *testing.T) {
 	// Elias–Fano one: its frame's offset in the treelet and its frames.
 	secOff, off := -1, positionOffset(t, buf, 0)
 	var frames []blockFrame
+	nb := newNodeBlocks(pt.nodes, len(pt.x))
+	kd := nb.kdCells(ref.bounds)
 	for ax, sec := range lay.Sections[:PositionSections] {
-		nb := newNodeBlocks(pt.nodes, len(pt.x))
-		if _, err := decodePosSection(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, ref.bounds, geom.Axis(ax), nil); err != nil {
+		if _, err := decodePosSection(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, kd, geom.Axis(ax), nil); err != nil {
 			t.Fatal(err)
 		}
-		if sec.Codec == codecSortedCellFOR && nb.frames[len(nb.frames)-1].ef {
-			secOff, frames = off, nb.frames
+		if fr := kd.frames[ax]; sec.Codec == codecSortedCellFOR && fr[len(fr)-1].ef {
+			secOff, frames = off, fr
 			break
 		}
 		off += sectionFrameLen + sec.EncBytes
@@ -899,7 +910,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a
 // multi-treelet clustered build, a small default (lossless) build, a build
 // with lossy attributes, the golden version-3 file — all of them
-// sorted-cell-for positions — and its cell-for fixture, with the checksums
+// sorted-cell-for positions — and its retired cell-for fixture, with the checksums
 // fixed up after them: every readable file is checksummed, so no mutation
 // FuzzDecode makes gets past the treelet CRC to the node-table and section
 // parsing.
@@ -1113,11 +1124,11 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 // (key-for: the nodes that straddle zero need key frames of 62 and 63 bits,
 // the rest far fewer), the same under alternating signs and zero-mean noise
 // (sign-key-for, in both frame modes), and one of one sign across some 2000
-// binades (key-for blocks of over 58 bits, the packer's wide lane) —,
-// golden_v3.bat, golden_v3_rawattrs.bat (raw float attributes) and
-// golden_v3_cellfor.bat (cell-for positions), so the fuzzer starts from
-// streams each decoder accepts; every fresh build's positions are
-// sorted-cell-for.
+// binades (key-for blocks of over 58 bits, the packer's wide lane) —, a
+// lossless build of one column of scattered float64 bit patterns, which no
+// codec shrinks (raw), over x columns with a NaN in some treelets (raw too),
+// and golden_v3.bat, so the fuzzer starts from streams each decoder accepts;
+// every other position section is sorted-cell-for.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
@@ -1129,11 +1140,19 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		zs.Append(geom.V3(x, float64(i%7)/7, 0.5), []float64{x - 0.5, (x - 0.5) * sign,
 			math.Copysign(1+frac, sign), math.Ldexp(1+frac, i*37%2000-1000)})
 	}
+	rs := particles.NewSet(particles.NewSchema("bits"), 300)
+	for i := 0; i < 300; i++ {
+		x := float64(i) / 300
+		if i%97 == 0 {
+			x = math.NaN()
+		}
+		rs.Append(geom.V3(x, float64(i%11)/11, float64(i%5)/5), []float64{math.Float64frombits(uint64(i+1) * 0x9e3779b97f4a7c15)})
+	}
 	var bufs [][]byte
 	for _, build := range []struct {
 		set *particles.Set
 		cfg BuildConfig
-	}{{s, cfg}, {s, compressedConfig(nil)}, {zs, compressedConfig(nil)}} {
+	}{{s, cfg}, {s, compressedConfig(nil)}, {zs, compressedConfig(nil)}, {rs, compressedConfig(nil)}} {
 		b, err := Build(build.set, domain, build.cfg)
 		if err != nil {
 			tb.Fatal(err)
@@ -1141,7 +1160,7 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		bufs = append(bufs, b.Buf)
 	}
 	var seeds []sectionSeed
-	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat"), goldenFile(tb, "golden_v3_rawattrs.bat"), goldenFile(tb, "golden_v3_cellfor.bat")) {
+	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat")) {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)
@@ -1153,10 +1172,10 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 
 // retiredSeeds relabels live sections with the section codec ids and the
 // frame mode earlier writers emitted and no reader decodes: every quant-for
-// section as flat quant (id 1), every cell-for section as positions under
-// inline frames (id 3), every per-node-cols section — quant-for, key-for or
-// sign-key-for — as inline per-node frames (mode 1). Every decoder must
-// refuse them.
+// section as flat quant (id 1), every sorted-cell-for section as positions
+// under inline frames (id 3) and as cell-for (id 5), every per-node-cols
+// section — quant-for, key-for or sign-key-for — as inline per-node frames
+// (mode 1). Every decoder must refuse them.
 func retiredSeeds(live []sectionSeed) []sectionSeed {
 	var out []sectionSeed
 	for _, s := range live {
@@ -1172,18 +1191,21 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 				s.payload[m] = 1
 				out = append(out, s)
 			}
-		case codecCellFOR, codecSortedCellFOR:
-			s.codec = 3
-			out = append(out, s)
+		case codecSortedCellFOR:
+			for _, id := range []uint8{3, 5} {
+				s.codec = id
+				out = append(out, s)
+			}
 		}
 	}
 	return out
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the six
-// section decoders (raw, delta, quant-for, key-for, sign-key-for, and the one
-// for cell-for and sorted-cell-for — the last against a treelet bounds box,
-// whose three axes give a sorted-cell-for section its nodes' sort axes),
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
+// section decoders (raw, delta, quant-for, the one for key-for and
+// sign-key-for, and sorted-cell-for — the last against a treelet bounds box,
+// whose three axes give a sorted-cell-for section its k-d cells and its
+// nodes' sort axes),
 // past the checksums and the file structure FuzzDecode has to get through
 // first, and the payload to the packed node-table decoder as a table of as
 // many nodes as the node table has and of codec attributes. Errors are fine;
@@ -1198,7 +1220,7 @@ func FuzzDecodeSections(f *testing.F) {
 	var zero float32
 	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), zero, zero, zero, zero, zero, zero)
 	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), zero, zero, zero, zero, zero, zero)
-	f.Add(codecCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1), float32(-1), float32(1), float32(-1), float32(1))
+	f.Add(codecSortedCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1), float32(-1), float32(1), float32(-1), float32(1))
 	// Width-64 key frames on a base near 2^64: base + span must be refused,
 	// never wrapped, in either mode, under either key map.
 	for _, p := range keyFOROverflowSeeds() {
@@ -1228,14 +1250,14 @@ func FuzzDecodeSections(f *testing.F) {
 			}
 		}
 		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
-		col, err := decodePosSection(codec, payload, nb, fuzzBounds(lo, hi), geom.Axis(axis%3), nil)
+		col, err := decodePosSection(codec, payload, nb, nb.kdCells(fuzzBounds(lo, hi)), geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
-		// A cell-for or sorted-cell-for column cannot hold a coordinate
-		// outside the bounds it was decoded against: every frame is a cell
-		// inside them, an Elias–Fano block's too.
-		if ax := axis % 3; codec == codecCellFOR || codec == codecSortedCellFOR {
+		// A sorted-cell-for column cannot hold a coordinate outside the
+		// bounds it was decoded against: every frame is a cell inside them,
+		// an Elias–Fano block's too.
+		if ax := axis % 3; codec == codecSortedCellFOR {
 			for _, v := range col {
 				if !(v >= lo[ax] && v <= hi[ax]) {
 					t.Fatalf("%s decoded %v outside the treelet bounds [%v, %v]", CodecName(codec), v, lo[ax], hi[ax])
@@ -1260,11 +1282,11 @@ func keyFOROverflowSeeds() [][]byte {
 }
 
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
-// cut from a file is accepted by the decoder it was cut from, all seven codecs
+// cut from a file is accepted by the decoder it was cut from, all six codecs
 // occur, quant-for, key-for and sign-key-for each in both frame modes,
 // sorted-cell-for with Elias–Fano blocks, and a key-for block of at least 58
 // bits (the packer's wide lane); every retired
-// seed — codec 1, codec 3, mode 1 — is refused by every decoder, and so are
+// seed — codecs 1, 3 and 5, mode 1 — is refused by every decoder, and so are
 // the hand-made key frames that would wrap past 2^64, under either key map.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
@@ -1284,7 +1306,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 		} else {
 			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
 		}
-		_, errPos = decodePosSection(s.codec, s.payload, nb, s.bounds(), geom.Axis(s.axis), nil)
+		_, errPos = decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.bounds()), geom.Axis(s.axis), nil)
 		return
 	}
 	seeds := sectionSeeds(t)
@@ -1319,7 +1341,8 @@ func TestSectionSeedsDecode(t *testing.T) {
 		if s.codec == codecSortedCellFOR {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
 			var pos SectionInfo
-			if _, err := decodePosSection(s.codec, s.payload, newNodeBlocks(nodes, int(s.nPoints)), s.bounds(), geom.Axis(s.axis), &pos); err != nil {
+			nb := newNodeBlocks(nodes, int(s.nPoints))
+			if _, err := decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.bounds()), geom.Axis(s.axis), &pos); err != nil {
 				t.Fatalf("seed %d (sorted-cell-for): %v", i, err)
 			}
 			efNodes += pos.EF.Nodes
@@ -1328,7 +1351,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 	if efNodes == 0 {
 		t.Error("no Elias–Fano block among the sorted-cell-for seeds")
 	}
-	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecCellFOR, codecSortedCellFOR} {
+	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecSortedCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
@@ -1364,7 +1387,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 			t.Errorf("retired %s seed decodes: %v / %v / %v", kind, err32, err64, errPos)
 		}
 	}
-	if !retired["codec 1"] || !retired["codec 3"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] || !retired["sign-key-for mode 1"] {
-		t.Errorf("retired seeds: %v, want codec 1, codec 3 and mode 1 of quant-for, key-for and sign-key-for", retired)
+	if !retired["codec 1"] || !retired["codec 3"] || !retired["codec 5"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] || !retired["sign-key-for mode 1"] {
+		t.Errorf("retired seeds: %v, want codecs 1, 3 and 5 and mode 1 of quant-for, key-for and sign-key-for", retired)
 	}
 }

@@ -52,20 +52,21 @@
 //	  particle data: X, Y, Z, then one array per attribute, each a framed
 //	                 codec section: codec u8, encLen u32, then encLen
 //	                 payload bytes (see codec.go for the codec streams).
-//	                 A position section holds codecSortedCellFOR (or
-//	                 codecCellFOR, which writers up to the one before
-//	                 sorted-cell-for wrote, and which reads as
-//	                 sorted-cell-for with no Elias–Fano block) or codecRaw;
-//	                 neither stores a frame: its blocks are framed by the
-//	                 nodes' k-d cells, derived from the treelet bounds in
-//	                 the shallow leaf record above — which the writer takes
-//	                 from the same float32 keys it packs — and the split
-//	                 planes of the node table, and a sorted-cell-for
-//	                 section's Elias–Fano blocks (each node's particles are
-//	                 sorted along its widest cell axis) are sized by the
-//	                 same cells and the node counts. A reader that predates
-//	                 codecSortedCellFOR refuses a file holding it at the
-//	                 first treelet load ("unknown position codec id 8").
+//	                 A position section holds codecSortedCellFOR or
+//	                 codecRaw. Neither stores a frame: sorted-cell-for
+//	                 blocks are framed by the nodes' k-d cells, derived from
+//	                 the treelet bounds in the shallow leaf record above —
+//	                 which the writer takes from the same float32 keys it
+//	                 packs — and the split planes of the node table, and its
+//	                 Elias–Fano blocks (each node's particles are sorted
+//	                 along its widest cell axis) are sized by the same cells
+//	                 and the node counts. The retired position codecs 3
+//	                 (inline frames) and 5 (cell-for: the same cells over
+//	                 node ranges in build order) are refused at the first
+//	                 treelet load that meets one ("unknown position codec id
+//	                 5"), and a reader that predates codecSortedCellFOR
+//	                 refuses a file holding it the same way ("unknown
+//	                 position codec id 8").
 //	                 An attribute section holds codecQuantFOR for a
 //	                 lossy attribute — one frame, or the nodes' frames as
 //	                 two packed columns ahead of the blocks —, and for a
@@ -86,8 +87,9 @@
 //	  numTreelets u32
 //	  treeletCRC u32 each  CRC32C of each treelet's byteLen bytes
 //	  numAttrs u32
-//	  per attribute: declared codec class u8 (codecQuant: lossy,
-//	                 codecDelta: lossless), absolute error bound f64
+//	  per attribute: declared codec class u8 (codecQuant exactly when the
+//	                 bound is above 0, codecDelta otherwise; any other
+//	                 class is refused at open), absolute error bound f64
 //	  lodErrorScale f64
 //	  rawPayloadBytes u64  attribute payload before encoding
 //	  encPayloadBytes u64  attribute payload after encoding
@@ -379,11 +381,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	// without scanning sections.
 	w.U32(uint32(nA))
 	for _, b := range cfg.AttrBounds(nA) {
-		c := uint8(codecDelta)
-		if b > 0 {
-			c = codecQuant
-		}
-		w.U8(c)
+		w.U8(attrClass(b))
 		w.F64(b)
 	}
 	w.F64(cfg.EffectiveLODScale())

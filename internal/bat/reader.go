@@ -82,9 +82,8 @@ type File struct {
 	treeletCRCs []uint32
 
 	// Codec state from the footer extension: the declared per-attribute
-	// codec class and absolute error bound, the LOD error scale, and the
-	// file-wide payload byte totals.
-	attrCodecs []uint8
+	// absolute error bound (the codec class beside it is attrClass of it),
+	// the LOD error scale, and the file-wide payload byte totals.
 	attrBounds []float64
 	lodScale   float64
 	rawPayload uint64
@@ -329,16 +328,18 @@ func (f *File) loadFooter(ctx context.Context, head []byte) error {
 	if fnA := r.U32(); int(fnA) != nA {
 		return fmt.Errorf("%w: footer declares %d attributes, header %d", ErrChecksum, fnA, nA)
 	}
-	f.attrCodecs = make([]uint8, nA)
 	f.attrBounds = make([]float64, nA)
 	for a := 0; a < nA; a++ {
-		f.attrCodecs[a], f.attrBounds[a] = r.U8(), r.F64()
-		if f.attrCodecs[a] > codecDelta {
-			return fmt.Errorf("bat: footer attribute %d declares unknown codec id %d", a, f.attrCodecs[a])
-		}
-		if b := f.attrBounds[a]; math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
+		c, b := r.U8(), r.F64()
+		if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
 			return fmt.Errorf("bat: footer attribute %d declares invalid error bound %v", a, b)
 		}
+		// The class is the one compact writes for the bound: quant exactly
+		// when the attribute is lossy.
+		if want := attrClass(b); c != want {
+			return fmt.Errorf("bat: footer attribute %d declares codec class %s for bound %v, want %s", a, CodecName(c), b, CodecName(want))
+		}
+		f.attrBounds[a] = b
 	}
 	f.lodScale = r.F64()
 	if math.IsNaN(f.lodScale) || math.IsInf(f.lodScale, 0) || f.lodScale < 1 {
@@ -413,8 +414,12 @@ func (ci *CompressionInfo) Ratio() float64 {
 // extension, which every readable file carries: a lossless build declares
 // bound 0 for every attribute.
 func (f *File) Compression() *CompressionInfo {
+	codecs := make([]uint8, len(f.attrBounds))
+	for a, b := range f.attrBounds {
+		codecs[a] = attrClass(b)
+	}
 	return &CompressionInfo{
-		Codecs:          append([]uint8(nil), f.attrCodecs...),
+		Codecs:          codecs,
 		Bounds:          append([]float64(nil), f.attrBounds...),
 		LODScale:        f.lodScale,
 		RawPayloadBytes: f.rawPayload,
@@ -436,10 +441,11 @@ type SectionInfo struct {
 	Mode string
 	// FrameBytes is how many of EncBytes hold block frames: the one frame of a
 	// one-frame section, the two frame columns of a per-node-cols one. 0 for
-	// cell-for, whose frames are the k-d cells the node table already stores.
+	// sorted-cell-for, whose frames are the k-d cells the node table already
+	// stores.
 	FrameBytes int
 	// Widths lists the bit widths of the section's packed blocks in stream
-	// order: one per node range (cell-for, sorted-cell-for, per-node-cols;
+	// order: one per node range (sorted-cell-for, per-node-cols;
 	// an Elias–Fano block's is its cell's) or one in all (one-frame). Nil for
 	// raw and delta sections.
 	Widths []uint8
@@ -697,13 +703,14 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		return codec, b, nil
 	}
 	blocks := newNodeBlocks(t.nodes, int(nPoints))
+	kd := blocks.kdCells(ref.bounds)
 	var cols [3][]float32
 	for ax, name := range positionNames {
 		codec, b, err := section(name, 4)
 		if err != nil {
 			return nil, err
 		}
-		if cols[ax], err = decodePosSection(codec, b, blocks, ref.bounds, geom.Axis(ax), info); err != nil {
+		if cols[ax], err = decodePosSection(codec, b, blocks, kd, geom.Axis(ax), info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
 		}
 	}

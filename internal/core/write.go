@@ -311,15 +311,6 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		}
 		if leafErr == nil && localErr == nil {
 			m, err := meta.Build(tree, leaves, schema, reports)
-			if err == nil && cfg.BAT.Compress {
-				// Mirror the leaf files' codec declaration into the
-				// top-level metadata so tools see the configuration
-				// without opening a leaf.
-				m.Compression = &meta.CompressionMeta{
-					ErrorBounds: cfg.BAT.AttrBounds(schema.NumAttrs()),
-					LODScale:    cfg.BAT.EffectiveLODScale(),
-				}
-			}
 			if err == nil {
 				err = store.WriteFile(MetaFileName(base), m.Encode())
 			}

@@ -77,26 +77,57 @@ func TestV1Rejected(t *testing.T) {
 }
 
 // TestVersionFieldFlipsRejected: no single flipped bit of the version field
-// decodes, for uncompressed (version 2) and compressed (version 3) metadata
-// alike. 3 -> 1 is one bit, and while version 1 was readable it skipped the
-// CRC: the rest of the buffer was parsed unverified.
+// decodes. 2 -> 3 is one bit, and version 3 is retired; 3 -> 1 was one bit
+// too, and while version 1 was readable it skipped the CRC: the rest of the
+// buffer was parsed unverified.
 func TestVersionFieldFlipsRejected(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := m.Encode()
-	m.Compression = &CompressionMeta{ErrorBounds: []float64{1e-3, 0}, LODScale: 1}
-	v3 := m.Encode()
-	for name, buf := range map[string][]byte{"v2": v2, "v3": v3} {
-		for bit := 0; bit < 32; bit++ {
-			mut := append([]byte(nil), buf...)
-			mut[4+bit/8] ^= 1 << (bit % 8)
-			if _, err := Decode(mut); err == nil {
-				t.Errorf("%s: version field bit %d flipped still decodes", name, bit)
-			}
+	buf := encodedFixture(t)
+	for bit := 0; bit < 32; bit++ {
+		mut := append([]byte(nil), buf...)
+		mut[4+bit/8] ^= 1 << (bit % 8)
+		if _, err := Decode(mut); err == nil {
+			t.Errorf("version field bit %d flipped still decodes", bit)
 		}
+	}
+}
+
+// retiredV3Image is the version-3 image of the fixture as the writers that
+// declared error bounds in the metadata wrote it: the version-2 body, each
+// attribute's bound and the LOD error scale as f64s, the version field 3
+// and a fresh CRC trailer.
+func retiredV3Image(t *testing.T) []byte {
+	t.Helper()
+	buf := encodedFixture(t)
+	nA := int(binary.LittleEndian.Uint32(buf[8:]))
+	img := append([]byte(nil), buf[:len(buf)-trailerLen]...)
+	for a := 0; a < nA; a++ {
+		img = binary.LittleEndian.AppendUint64(img, math.Float64bits(1e-3))
+	}
+	img = binary.LittleEndian.AppendUint64(img, math.Float64bits(4))
+	binary.LittleEndian.PutUint32(img[4:], retiredVersion)
+	return seal(img)
+}
+
+// seal appends a CRC32C trailer over body.
+func seal(body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(body, checksum.CRC32C(body)), trailerMagic...)
+}
+
+// TestV3Retired: metadata that copies the leaf footers' codec declaration is
+// refused by name, and the same bytes under version 2 are refused for what
+// trails the leaf records: the one writer puts nothing there.
+func TestV3Retired(t *testing.T) {
+	img := retiredV3Image(t)
+	if len(img) != len(encodedFixture(t))+8*(2+1) {
+		t.Fatalf("retired image is %d bytes, want the version-2 image plus 8 x (2 attributes + 1)", len(img))
+	}
+	if _, err := Decode(img); err == nil || !strings.Contains(err.Error(), "retired version 3") {
+		t.Fatalf("Decode error %v, want the retired version 3", err)
+	}
+	v2 := append([]byte(nil), img[:len(img)-trailerLen]...)
+	binary.LittleEndian.PutUint32(v2[4:], version)
+	if _, err := Decode(seal(v2)); err == nil || !strings.Contains(err.Error(), "bytes before the trailer") {
+		t.Fatalf("Decode error %v, want the bytes behind the leaf records refused", err)
 	}
 }
 

@@ -4,7 +4,8 @@
 // value range, and per-node bitmap indices remapped from each aggregator's
 // local range into the global range — so a reader can treat the whole
 // dataset as a single file, pruning leaves spatially and by attribute
-// before touching them.
+// before touching them. It says nothing about codecs: every leaf file
+// declares its own error bounds in its footer, where decoding reads them.
 package meta
 
 import (
@@ -22,20 +23,19 @@ import (
 
 const magic = "BATM"
 
-// version is the newest readable format and minVersion the oldest. Every
-// readable buffer ends in a CRC32C trailer (checksum u32 over every preceding
-// byte, then trailer magic) verified before the body is parsed; version 3
-// appended the dataset's compression declaration (per-attribute error bounds
-// + LOD error scale) after the leaf records. Version 3 is written only when
-// Compression is set, so datasets written without declared error bounds keep
-// producing byte-identical version-2 metadata. Version 1, which had no trailer, is no longer read:
-// nothing in it can be verified, and one flipped bit of the version field
-// turned a version-3 buffer into one.
+// version is the one format Encode writes and Decode reads. Every buffer
+// ends in a CRC32C trailer (checksum u32 over every preceding byte, then
+// trailer magic) verified before the body is parsed. Version 1, which had no
+// trailer, is no longer read: nothing in it can be verified, and one flipped
+// bit of the version field turned a version-3 buffer into one. Version 3
+// (retiredVersion) appended a copy of the leaf footers' codec declaration —
+// per-attribute error bounds and the LOD error scale — after the leaf
+// records; the footers hold it, so it is refused by name.
 const (
-	version      = 3
-	minVersion   = 2
-	trailerMagic = "BMCK"
-	trailerLen   = 8
+	version        = 2
+	retiredVersion = 3
+	trailerMagic   = "BMCK"
+	trailerLen     = 8
 )
 
 // ErrChecksum marks a metadata buffer whose CRC32C does not match its
@@ -75,15 +75,6 @@ type Node struct {
 	Bitmaps     []bitmap.Bitmap
 }
 
-// CompressionMeta declares how the dataset's leaf files were compressed:
-// the absolute error bound per attribute (0 = lossless) and the LOD error
-// scale, mirroring the BAT v3 footer so tools can report the configuration
-// without opening a leaf file.
-type CompressionMeta struct {
-	ErrorBounds []float64
-	LODScale    float64
-}
-
 // Meta is the parsed top-level metadata.
 type Meta struct {
 	Schema       particles.Schema
@@ -91,9 +82,6 @@ type Meta struct {
 	GlobalRanges []bitmap.Range
 	Nodes        []Node
 	Leaves       []LeafMeta
-	// Compression is the dataset's codec declaration; nil when the write
-	// declared no error bounds (version <= 2 metadata).
-	Compression *CompressionMeta
 }
 
 // Build assembles the metadata from the aggregation tree (nil for flat
@@ -267,17 +255,11 @@ func validRef(ref int32, nNodes, nLeaves int) bool {
 	return int(^ref) < nLeaves
 }
 
-// Encode serializes the metadata. Version 3 is emitted only when the
-// compression declaration is present; datasets without one encode to
-// byte-identical version-2 buffers.
+// Encode serializes the metadata.
 func (m *Meta) Encode() []byte {
-	ver := uint32(2)
-	if m.Compression != nil {
-		ver = 3
-	}
 	w := &binfmt.Writer{}
 	w.Bytes([]byte(magic))
-	w.U32(ver)
+	w.U32(version)
 	nA := m.Schema.NumAttrs()
 	w.U32(uint32(nA))
 	for a, d := range m.Schema.Attrs {
@@ -305,16 +287,6 @@ func (m *Meta) Encode() []byte {
 		}
 		w.Bitmaps(l.Bitmaps)
 	}
-	if m.Compression != nil {
-		for a := 0; a < nA; a++ {
-			b := 0.0
-			if a < len(m.Compression.ErrorBounds) {
-				b = m.Compression.ErrorBounds[a]
-			}
-			w.F64(b)
-		}
-		w.F64(max(m.Compression.LODScale, 1))
-	}
 	// Checksum trailer over everything above.
 	w.U32(checksum.CRC32C(w.Buf))
 	w.Bytes([]byte(trailerMagic))
@@ -332,8 +304,11 @@ func Decode(buf []byte) (*Meta, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
 	}
-	if ver < minVersion || ver > version {
-		return nil, fmt.Errorf("meta: unsupported version %d (supported: %d-%d)", ver, minVersion, version)
+	if ver == retiredVersion {
+		return nil, fmt.Errorf("meta: retired version %d: a copy of the codec declaration the leaf footers hold", ver)
+	}
+	if ver != version {
+		return nil, fmt.Errorf("meta: unsupported version %d (supported: %d)", ver, version)
 	}
 	// Verify the whole-buffer CRC before trusting any field beyond the
 	// version: a single flipped bit anywhere is detected here.
@@ -417,25 +392,11 @@ func Decode(buf []byte) (*Meta, error) {
 		}
 		l.Bitmaps = r.Bitmaps(nA)
 	}
-	if ver >= 3 {
-		cm := &CompressionMeta{ErrorBounds: make([]float64, nA)}
-		for a := range cm.ErrorBounds {
-			cm.ErrorBounds[a] = r.F64()
-			if b := cm.ErrorBounds[a]; math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-				return nil, fmt.Errorf("meta: attribute %d declares invalid error bound %v", a, b)
-			}
-		}
-		cm.LODScale = r.F64()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("meta: %w", err)
-		}
-		if math.IsNaN(cm.LODScale) || math.IsInf(cm.LODScale, 0) || cm.LODScale < 1 {
-			return nil, fmt.Errorf("meta: invalid LOD error scale %v", cm.LODScale)
-		}
-		m.Compression = cm
-	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
+	}
+	if extra := r.Remaining() - trailerLen; extra != 0 {
+		return nil, fmt.Errorf("meta: the leaf records end %d bytes before the trailer", extra)
 	}
 	return m, nil
 }

@@ -1,16 +1,13 @@
 package meta
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"libbat/internal/aggtree"
 	"libbat/internal/bitmap"
-	"libbat/internal/checksum"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
 )
@@ -331,113 +328,4 @@ func TestDecodeCorruptionRobustness(t *testing.T) {
 	for cut := len(valid); cut >= 0; cut -= 13 {
 		run(valid[:cut])
 	}
-}
-
-func TestCompressionMetaRoundTrip(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := m.Encode()
-
-	m.Compression = &CompressionMeta{ErrorBounds: []float64{1e-3, 0}, LODScale: 8}
-	buf := m.Encode()
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := got.Compression
-	if c == nil {
-		t.Fatal("Compression lost in round trip")
-	}
-	if len(c.ErrorBounds) != 2 || c.ErrorBounds[0] != 1e-3 || c.ErrorBounds[1] != 0 || c.LODScale != 8 {
-		t.Fatalf("Compression round-tripped to %+v", c)
-	}
-
-	// Without compression the encoding stays the byte-identical v2 image,
-	// and decoding it yields no compression block.
-	m.Compression = nil
-	again := m.Encode()
-	if len(again) != len(plain) {
-		t.Fatalf("uncompressed re-encode changed size: %d vs %d", len(again), len(plain))
-	}
-	for i := range plain {
-		if again[i] != plain[i] {
-			t.Fatalf("uncompressed re-encode differs at byte %d", i)
-		}
-	}
-	back, err := Decode(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Compression != nil {
-		t.Fatal("v2 metadata decoded with a compression block")
-	}
-}
-
-func TestCompressionMetaValidation(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Compression = &CompressionMeta{ErrorBounds: []float64{1e-3, 0}, LODScale: 2}
-	valid := m.Encode()
-	// Find the bounds block: it sits right before the LOD scale, which is
-	// the last 8 bytes ahead of the CRC trailer... locate by value instead:
-	// corrupt each f64 slot near the tail and require Decode to reject
-	// non-finite or negative bounds rather than accept them.
-	for _, bad := range [][]byte{
-		f64bytes(-1), f64bytes(nan()), f64bytes(inf()),
-	} {
-		buf := append([]byte(nil), valid...)
-		off := findF64(buf, 1e-3)
-		if off < 0 {
-			t.Fatal("bound value not found in encoding")
-		}
-		copy(buf[off:], bad)
-		fixTrailer(buf)
-		if _, err := Decode(buf); err == nil {
-			t.Errorf("bound %v accepted", bad)
-		}
-	}
-	// LOD scale below 1 is invalid.
-	buf := append([]byte(nil), valid...)
-	off := findF64(buf, 2)
-	if off < 0 {
-		t.Fatal("LOD scale value not found in encoding")
-	}
-	copy(buf[off:], f64bytes(0.5))
-	fixTrailer(buf)
-	if _, err := Decode(buf); err == nil {
-		t.Error("LOD scale 0.5 accepted")
-	}
-}
-
-// Helpers for TestCompressionMetaValidation: locate and overwrite f64
-// fields in an encoded buffer, then re-fix the CRC trailer so the
-// corruption reaches the field validation rather than the checksum.
-func f64bytes(v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return b[:]
-}
-
-func nan() float64 { return math.NaN() }
-func inf() float64 { return math.Inf(1) }
-
-func findF64(buf []byte, v float64) int {
-	want := math.Float64bits(v)
-	for off := len(buf) - trailerLen - 8; off >= 0; off-- {
-		if binary.LittleEndian.Uint64(buf[off:]) == want {
-			return off
-		}
-	}
-	return -1
-}
-
-func fixTrailer(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[len(buf)-trailerLen:],
-		checksum.CRC32C(buf[:len(buf)-trailerLen]))
 }

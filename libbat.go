@@ -80,9 +80,6 @@ type (
 	// CompressionInfo describes a BAT v3 leaf file's codec configuration
 	// (per-attribute error bounds, LOD error scale, payload ratio).
 	CompressionInfo = bat.CompressionInfo
-	// CompressionMeta is the dataset-level codec declaration mirrored
-	// into the top-level metadata at write time.
-	CompressionMeta = meta.CompressionMeta
 	// AccessRecorder captures which treelets, spatial regions, and
 	// attributes queries touch (nil = telemetry disabled).
 	AccessRecorder = access.Recorder
@@ -304,19 +301,6 @@ func (d *Dataset) NumParticles() int64 { return d.meta.TotalCount() }
 
 // NumFiles returns the number of leaf files.
 func (d *Dataset) NumFiles() int { return len(d.meta.Leaves) }
-
-// Compression returns the dataset's codec declaration from the top-level
-// metadata, or nil when the write declared no error bounds (every attribute
-// lossless). Each leaf file declares its codecs in its own footer either way
-// (batinspect -leaf prints them); this is the dataset-wide summary.
-func (d *Dataset) Compression() *CompressionMeta {
-	if d.meta.Compression == nil {
-		return nil
-	}
-	cm := *d.meta.Compression
-	cm.ErrorBounds = append([]float64(nil), cm.ErrorBounds...)
-	return &cm
-}
 
 // AttrRange returns the global value range of an attribute.
 func (d *Dataset) AttrRange(attr int) (min, max float64, err error) {

@@ -53,8 +53,8 @@ run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 
 # Bench smoke: one iteration of every BAT build benchmark, of the section
 # kernels' (the ns/value figures DESIGN §13, results/cell-frames and
-# results/sorted-nodes quote: positions as cell-for and as sorted-cell-for,
-# then the attribute codecs), of the generators' (the ns/particle and ns/rank
+# results/sorted-nodes quote: positions as sorted-cell-for, then the
+# attribute codecs), of the generators' (the ns/particle and ns/rank
 # figures EXPERIMENTS.md quotes) and of Box.Extend's, just to keep the
 # benchmark code compiling and runnable (no timing assertions;
 # BenchmarkDecodeSection does check that each column encodes to the stream its
@@ -180,8 +180,8 @@ run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files and the
 # treelet parser behind their checksums, both seeded from version-3 builds,
-# a multi-treelet one among them; the six section decoders underneath —
-# raw, delta, quant-for, key-for, sign-key-for, and the one for cell-for and
+# a multi-treelet one among them; the five section decoders underneath —
+# raw, delta, quant-for, the one for key-for and sign-key-for, and
 # sorted-cell-for — and the packed node table, fed
 # payloads, node tables and a bounds box directly, the retired codec ids and
 # frame mode among the seeds; the metadata file, a diamond-shaped tree and
