@@ -12,8 +12,8 @@
 // Elias–Fano blocks of sorted-cell-for sections, over how many nodes and
 // particles, and how many of the attribute bytes are block frames stored
 // inside them), node tables, headers and footers. Every leaf file is a
-// version-3 BAT file, the one layout the reader accepts; a file of any other
-// version is refused at open ("unsupported version 2").
+// version-4 BAT file, the one layout the reader accepts; a file of any other
+// version is refused at open ("unsupported version 3").
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -163,7 +163,7 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 		if err := f.Verify(); err != nil {
 			bad(lm.FileName, err)
 		} else {
-			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v3 ratio %.2fx\n",
+			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v4 ratio %.2fx\n",
 				lm.FileName, f.NumTreelets(), f.NumParticles, f.Compression().Ratio())
 		}
 		// One leaf open at a time: Close releases it and ds stays usable.
@@ -247,7 +247,7 @@ func bitsRange(widths []uint8) string {
 // tables are stored (packed columns, with their bytes).
 func printCompression(w io.Writer, f *bat.File) error {
 	ci := f.Compression()
-	fmt.Fprintf(w, "  compression (v3): LOD error scale %g\n", ci.LODScale)
+	fmt.Fprintf(w, "  compression (v4): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
 		name     string
 		raw, enc int64
@@ -297,12 +297,12 @@ func printCompression(w io.Writer, f *bat.File) error {
 	fmt.Fprintf(w, "    %-12s %-10s %-10s %12s %12s %7s  %-14s sections\n",
 		"column", "class", "bound", "raw bytes", "enc bytes", "ratio", "block bits")
 	for i, agg := range aggs {
-		// The footer declares an attribute's class only, lossy (quant) or
-		// lossless, and a position column is lossless; the sections column
+		// The class is the footer's bound, quant above 0 and lossless
+		// otherwise, and a position column is lossless; the sections column
 		// says what each column stores.
 		class, bound := "lossless", "0"
 		if a := i - bat.PositionSections; a >= 0 && ci.Bounds[a] > 0 {
-			class, bound = bat.CodecName(ci.Codecs[a]), fmt.Sprintf("%.3g", ci.Bounds[a])
+			class, bound = "quant", fmt.Sprintf("%.3g", ci.Bounds[a])
 		}
 		ratio := 0.0
 		if agg.enc > 0 {

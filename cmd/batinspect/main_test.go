@@ -90,7 +90,7 @@ func TestVerifyCompressedDataset(t *testing.T) {
 	if !verifyDataset(&out, store, "ds") {
 		t.Fatalf("clean compressed dataset failed verification:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "v3 ratio") {
+	if !strings.Contains(out.String(), "v4 ratio") {
 		t.Errorf("verify output does not report the compression ratio:\n%s", out.String())
 	}
 	// The data must still be queryable within the bound.
@@ -205,9 +205,9 @@ func TestVerifyMissingLeaf(t *testing.T) {
 	}
 }
 
-// TestInspectCompressedLeaf: -leaf on a version-3 file lists every column
-// with its declared class and the codec, frame mode and block bit widths its
-// sections actually use.
+// TestInspectCompressedLeaf: -leaf on a lossy leaf file lists every column
+// with its class — quant where the footer's bound is above 0 — and the
+// codec, frame mode and block bit widths its sections actually use.
 func TestInspectCompressedLeaf(t *testing.T) {
 	store := writeCompressedDataset(t)
 	ds, err := core.OpenDataset(context.Background(), store, "ds")
@@ -237,8 +237,8 @@ func TestInspectCompressedLeaf(t *testing.T) {
 }
 
 // TestInspectLosslessLeaf: -leaf on a dataset written without error bounds
-// prints the class lossless for the float attributes, not the footer's
-// integral codec, and the sections column says the one of one sign is stored
+// prints the class lossless for the float attributes, never a section codec
+// such as delta, and the sections column says the one of one sign is stored
 // key-for, the zero-mean one sign-key-for.
 func TestInspectLosslessLeaf(t *testing.T) {
 	ds, err := core.OpenDataset(context.Background(), writeDataset(t), "ds")

@@ -43,7 +43,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	sort.Strings(waived)
 	want := []string{
-		"internal/bat/format.go uintcast",
 		"internal/core/read.go ctxsleep",
 		"internal/leakcheck/leakcheck.go ctxsleep",
 	}

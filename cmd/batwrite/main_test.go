@@ -11,11 +11,9 @@ import (
 )
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
-// compares every byte it leaves behind with a recorded digest (the two
-// lossless ones recorded when every node's particles began to be sorted along
-// its widest cell axis and positions to take sorted-cell-for sections, the
-// three lossy ones when the .batm stopped copying the leaf footers' error
-// bounds, which left every .bat byte where it was):
+// compares every byte it leaves behind with a recorded digest (all five
+// recorded when the leaf files became version 4, which stopped storing the
+// facts version 3 stored twice and left every .batm byte where it was):
 // SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
@@ -31,26 +29,26 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "952a4df83605d350869aeb3d86f188f5d7a124df3a07a71012622e82edd21084",
+			5, "3a01c1618f4207510dcefb6f86a8fab20004d84903adce9eeb2c4c977f3a87c5",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "9035e48ed66b27815fa77f1adbf8c7bb0304fab8fcb67906607883b9111e81b1",
+			5, "164508efe24616efe5e04a0c40d8ccab3856d03ba91fdcc25e179a1886315681",
 		},
-		{ // the same plumes as version-3 files: sorted-cell-for positions, quant-for attributes in both frame modes
+		{ // the same plumes lossy: sorted-cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "8f54c766c45b96f0551c1d1d52cfdf3dd18c7ee87961857149fe9e1a97209d62",
+			5, "7cd46f4b393bc7556ba08e86b6c05b0dbb04508e157039fdf10674d1024898d3",
 		},
 		{ // one -error-bound for every attribute
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3", "-lod-error-scale", "4"},
-			5, "dbb2d437a2cc79194b5e1701dde51231b5467b3d3563f735313feb0b206c7220",
+			5, "b39d1f421215f5426c3c2a20ca7395e7bee6016e70e52ed23236cd710fc2e2bb",
 		},
 		{ // a bound > 0 alone makes the write lossy, with no LOD error scale
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3"},
-			5, "10df2b45389050134773de25e7ef1248ce38a9609467f70193e4ad6cdc5f7470",
+			5, "f9e95b4a7390a7f9a0efcf3c1c11e4bbe147ad1af8dd995e0a12fe599e246948",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

@@ -25,8 +25,10 @@ import (
 // field compared in a Decode* function (bat.DecodeLeaf, meta.Decode) is
 // trusted everywhere in the package. Decode is where the format packages validate
 // untrusted header fields against the file size before storing them, so a
-// field that was bounds-checked there (File.NumParticles, leafRef.offset)
-// is safe to narrow at query time without a waiver. Fields checked
+// uint64 field bounds-checked there would be safe to narrow at query time
+// without a waiver. (No field leans on the rule today: the BAT reader
+// derives its particle count and treelet offsets as int64 sums of u32
+// fields, and the .batm reader bounds its counts as locals.) Fields checked
 // anywhere else, or never, still require a local guard or a
 // //batlint:ignore uintcast waiver — as does a bound established in a
 // helper, or an encoder-side value that never held decoded input: the rule

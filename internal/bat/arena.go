@@ -21,10 +21,9 @@ type buildArena struct {
 	parts  []int     // stable three-way partition staging
 	lod    []int     // stratified-sample staging (LODPerNode picks)
 
-	// Codec scratch (v3 compressed builds): type-rounded reference
-	// values, the column being packed (an attribute's grid indices, then a
-	// position column's keys), its per-node frames, and an attribute's two
-	// frame columns. Like the buffers above, these grow to the largest
+	// Codec scratch: type-rounded reference values, the column being
+	// packed (an attribute's grid indices, then a position column's keys),
+	// its per-node frames, and an attribute's two frame columns. Like the buffers above, these grow to the largest
 	// treelet seen and are reused; encoded payloads are allocated exactly
 	// (they outlive the arena).
 	refVals []float64

@@ -439,6 +439,32 @@ func TestCoincidentParticles(t *testing.T) {
 	}
 }
 
+// TestCoincidentConstantSetsOpen: coincident particles under one constant
+// attribute pack their sections into a few bytes, fewer than the treelet has
+// particles; the writer stores their positions raw instead, so the file opens
+// under the reader's points-per-byte bound and reads back every row.
+func TestCoincidentConstantSetsOpen(t *testing.T) {
+	for _, n := range []int{1000, 100000} {
+		s := particles.NewSet(particles.NewSchema("a"), n)
+		for i := 0; i < n; i++ {
+			s.Append(geom.V3(0.25, 0.5, 0.75), []float64{3})
+		}
+		f, b := buildAndOpen(t, s, geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1)), DefaultBuildConfig())
+		if b.Stats.PosPayloadEncBytes != int64(12*n) {
+			t.Errorf("%d particles: %d position bytes, want them raw, %d", n, b.Stats.PosPayloadEncBytes, 12*n)
+		}
+		got, err := f.ReadAll()
+		if err != nil || got.Len() != n {
+			t.Fatalf("%d particles: ReadAll returned %d rows, error %v", n, got.Len(), err)
+		}
+		for i := 0; i < n; i++ {
+			if p, a := got.Position(i), got.Attrs[0][i]; p != geom.V3(0.25, 0.5, 0.75) || a != 3 {
+				t.Fatalf("%d particles: row %d is %v, %v", n, i, p, a)
+			}
+		}
+	}
+}
+
 func TestParallelMatchesSerialBuild(t *testing.T) {
 	s, domain := clusteredSet(10000, 18)
 	cfgP := DefaultBuildConfig()

@@ -404,9 +404,29 @@ func buildTreelets(set *particles.Set, order []int, groups []group,
 		computeTreeletBitmaps(set, t, ranges)
 		encodeTreeletAttrs(set, t, bounds, lodScale, a)
 		errs[gi] = encodeTreeletPositions(t, a)
+		// The reader bounds a treelet's point count by its byte length, the
+		// one bound on its column allocations: a treelet that would pack
+		// tighter (coincident particles under constant attributes) stores
+		// its positions raw, 12 bytes a particle.
+		if t.sectionsLen(set.Schema) < len(t.order) {
+			t.posEnc = [3]encodedAttr{{codec: codecRaw}, {codec: codecRaw}, {codec: codecRaw}}
+		}
 		treelets[gi] = t
 	})
 	return treelets, errors.Join(errs...)
+}
+
+// sectionsLen is the bytes of t's position and attribute sections, their
+// framing included: the treelet's length but for its node table.
+func (t *treelet) sectionsLen(schema particles.Schema) int {
+	n := 0
+	for _, pe := range t.posEnc {
+		n += sectionFrameLen + pe.encodedLen(len(t.order), particles.Float32)
+	}
+	for a, desc := range schema.Attrs {
+		n += sectionFrameLen + t.attrEnc[a].encodedLen(len(t.order), desc.Type)
+	}
+	return n
 }
 
 // largestFirst returns the indices 0..n-1 by descending size, ties by

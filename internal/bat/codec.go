@@ -1,6 +1,6 @@
-// Compression codecs for version-3 treelet sections.
+// Compression codecs for treelet sections.
 //
-// A v3 treelet stores each of its X, Y, Z columns and then each attribute
+// A treelet stores each of its X, Y, Z columns and then each attribute
 // column as an independent section:
 //
 //	codec u8, encodedLen u32, payload [encodedLen]byte
@@ -144,8 +144,7 @@
 // positions under their k-d cells in the order the build left them, with no
 // Elias–Fano block (5, cell-for), and quant-for frames inline ahead of each
 // block (mode 1), and a reader refuses a section that holds one as an unknown
-// codec or frame mode. Id 1 lives on as the footer's class of a lossy
-// attribute.
+// codec or frame mode.
 //
 // The encoder guarantees |decoded − stored| ≤ bound for every value, where
 // "stored" is the value the lossless layout would keep (Float32 attributes
@@ -172,11 +171,8 @@ import (
 	"libbat/internal/particles"
 )
 
-// Codec identifiers stored in v3 section headers and the footer. The footer
-// declares an attribute's codec class only — codecQuant for every lossy
-// attribute, codecDelta for a lossless one — so codecQuantFOR,
-// codecSortedCellFOR, codecKeyFOR and codecSignKeyFOR never appear there,
-// and codecQuant, retired as a section codec, appears nowhere else.
+// Codec identifiers stored in section frames. codecQuant is retired: the
+// flat quant sections earlier writers stored, which no reader decodes.
 const (
 	codecRaw           uint8 = 0
 	codecQuant         uint8 = 1
@@ -187,22 +183,11 @@ const (
 	codecSortedCellFOR uint8 = 8
 )
 
-// attrClass is the codec class the footer declares for an attribute of error
-// bound b: codecQuant when it is lossy, codecDelta when it is lossless.
-func attrClass(b float64) uint8 {
-	if b > 0 {
-		return codecQuant
-	}
-	return codecDelta
-}
-
 // CodecName returns the human-readable name of a codec id (batinspect).
 func CodecName(c uint8) string {
 	switch c {
 	case codecRaw:
 		return "raw"
-	case codecQuant:
-		return "quant"
 	case codecDelta:
 		return "delta"
 	case codecQuantFOR:
@@ -1036,7 +1021,7 @@ func encodeDelta(ref []float64, rawLen int) ([]byte, bool) {
 
 // --- attribute decoding ---
 
-// decodeAttrSection decodes one v3 attribute section payload into a fresh
+// decodeAttrSection decodes one attribute section payload into a fresh
 // []float64 column. declaredBound/lodScale come from the file footer: a
 // quant-for section takes its grid steps from them. info, when non-nil,
 // receives the section's frame mode, frame bytes and block widths
@@ -1694,10 +1679,10 @@ func decodeRawF32(payload []byte, nPoints int) ([]float32, error) {
 
 // --- node table ---
 
-// A version-3 treelet's node table (flagPackedNodes) stores its nodes as
-// 3 + nA columns in node order, each one block behind its own frame (base
-// u32, width u8, offsets): axis, count, the f32Key of every inner node's split
-// plane, then each attribute's bitmap IDs. reorderBFS makes the rest of a node
+// A treelet's node table stores its nodes as 3 + nA columns in node order,
+// each one block behind its own frame (base u32, width u8, offsets): axis,
+// count, the f32Key of every inner node's split plane, then each attribute's
+// bitmap IDs. reorderBFS makes the rest of a node
 // a function of its index — the k-th inner node's children are nodes 2k+1 and
 // 2k+2, a node's particles start where the previous node's end — and
 // medianPartition only ever splits at a particle coordinate, a float32.

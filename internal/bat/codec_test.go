@@ -171,7 +171,7 @@ func TestCompressedBuildDeterminism(t *testing.T) {
 }
 
 // TestDefaultBuildLosslessV3 pins what a build that declares no error bound
-// writes: version 3, a footer that declares every attribute lossless with
+// writes: version 4, a footer that declares every attribute lossless with
 // bound 0, and positions and attributes that read back bit for bit — NaN
 // payloads, ±0, denormals and infinities included, through key-for and
 // sign-key-for sections of both float types; an integral column that holds
@@ -243,8 +243,8 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	f, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
 	ci := f.Compression()
 	for a := range s.Schema.Attrs {
-		if ci.Codecs[a] != codecDelta || ci.Bounds[a] != 0 {
-			t.Fatalf("attribute %d declared %s with bound %v, want lossless with 0", a, CodecName(ci.Codecs[a]), ci.Bounds[a])
+		if ci.Bounds[a] != 0 {
+			t.Fatalf("attribute %d declared bound %v, want lossless with 0", a, ci.Bounds[a])
 		}
 	}
 	if ci.LODScale != 1 {
@@ -390,25 +390,19 @@ func TestCompressionInfoAndSections(t *testing.T) {
 			t.Fatalf("attr %d bound %v != %v", a, ci.Bounds[a], want)
 		}
 	}
-	wantCodecs := []uint8{codecQuant, codecQuant, codecQuant, codecDelta}
-	for a, want := range wantCodecs {
-		if ci.Codecs[a] != want {
-			t.Fatalf("attr %d codec %s != %s", a, CodecName(ci.Codecs[a]), CodecName(want))
-		}
-	}
 	if ci.LODScale != 1 {
 		t.Fatalf("LOD scale %v != 1", ci.LODScale)
 	}
 	if int64(ci.RawPayloadBytes) != b.Stats.AttrPayloadRawBytes ||
 		int64(ci.EncPayloadBytes) != b.Stats.AttrPayloadEncBytes {
-		t.Fatalf("footer payload totals %d/%d != stats %d/%d",
+		t.Fatalf("payload totals %d/%d != stats %d/%d",
 			ci.RawPayloadBytes, ci.EncPayloadBytes,
 			b.Stats.AttrPayloadRawBytes, b.Stats.AttrPayloadEncBytes)
 	}
 	if ci.Ratio() < 2 {
 		t.Fatalf("compression ratio %.2f < 2 on a smooth dataset", ci.Ratio())
 	}
-	// The footer totals stay attribute-only; the position rows add up to
+	// The payload totals stay attribute-only; the position rows add up to
 	// the build's position totals.
 	var sumRaw, sumEnc, posRaw, posEnc int
 	for ti := 0; ti < f.NumTreelets(); ti++ {
@@ -431,7 +425,7 @@ func TestCompressionInfoAndSections(t *testing.T) {
 		}
 	}
 	if uint64(sumRaw) != ci.RawPayloadBytes || uint64(sumEnc) != ci.EncPayloadBytes {
-		t.Fatalf("section sums %d/%d != footer totals %d/%d",
+		t.Fatalf("section sums %d/%d != payload totals %d/%d",
 			sumRaw, sumEnc, ci.RawPayloadBytes, ci.EncPayloadBytes)
 	}
 	if int64(posEnc) != b.Stats.PosPayloadEncBytes {
@@ -1471,7 +1465,7 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 				nb := newNodeBlocks(pt.nodes, len(pt.x))
 				kd := nb.kdCells(ref.bounds)
 				axes := kd.axes
-				p := int(ref.offset) + 8 + lay.NodeTable.Bytes
+				p := int(ref.offset) + lay.NodeTable.Bytes
 				for ax, sec := range lay.Sections[:PositionSections] {
 					p += sectionFrameLen
 					payload := b.Buf[p : p+sec.EncBytes]

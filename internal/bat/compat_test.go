@@ -33,7 +33,7 @@ func goldenSet() (*particles.Set, geom.Box) {
 }
 
 // goldenSignedSet is goldenSet with every other particle's mass negated: a
-// zero-mean attribute, which golden_v3_signkeys.bat stores as sign-key-for.
+// zero-mean attribute, which golden_v4_signkeys.bat stores as sign-key-for.
 func goldenSignedSet() (*particles.Set, geom.Box) {
 	s, domain := goldenSet()
 	for i := 1; i < s.Len(); i += 2 {
@@ -49,10 +49,9 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenV3Config is the compressed build every version-3 golden but
-// golden_v3_lossless.bat and golden_v3_signkeys.bat was made with: "mass"
-// within 1e-3, "id" lossless.
-func goldenV3Config() BuildConfig {
+// goldenLossyConfig is the compressed build golden_v4.bat and
+// golden_v3.bat were made with: "mass" within 1e-3, "id" lossless.
+func goldenLossyConfig() BuildConfig {
 	cfg := goldenConfig()
 	cfg.Compress = true
 	cfg.AttrErrorBounds = []float64{1e-3, 0}
@@ -96,28 +95,22 @@ func readRows(t *testing.T, f *File) []goldenRow {
 }
 
 // TestGoldenRegenerate rewrites the goldens today's writer can rebuild:
-// golden_v3.bat (goldenV3Config) and golden_v3_lossless.bat (goldenConfig)
-// from goldenSet, golden_v3_signkeys.bat (goldenConfig) from goldenSignedSet.
+// golden_v4.bat (goldenLossyConfig) and golden_v4_lossless.bat (goldenConfig)
+// from goldenSet, golden_v4_signkeys.bat (goldenConfig) from goldenSignedSet.
 // Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
 // Every other golden is frozen: no writer in the tree can rebuild it. Each
-// is the golden set's build by the last writer of a layout this reader
-// refuses, and pins that refusal. golden_v2.bat is goldenConfig's build by the
-// last version-2 writer (commit 3bb0b42, the parent of the one writer): node
-// records, page-aligned treelets, raw columns. golden_v1.bat is the same image
-// with its footer removed and its version field patched to 1 (stripToV1), the
-// layout version-1 writers produced. The other five are goldenV3Config's
-// build: golden_v3_rawpos.bat, version-3 positions as raw f32 columns (commit
-// c90a2ea, the parent of the position codec); golden_v3_flatquant.bat, packed
-// positions and lossy attributes as flat quant sections, codec id 1 (commit
-// 1f5afd1, the parent of codecQuantFOR); golden_v3_nodetable.bat, positions
-// under inline frames (codec id 3) behind node tables of fixed records in
-// page-aligned treelets (commit 9f77046, the parent of flagPackedNodes);
-// golden_v3_inlineframes.bat, the same sections behind packed node tables in
-// unpadded treelets, today's header flags (commit 4e54d5f, the parent of
-// cell-for, codec id 5); golden_v3_cellfor.bat, every position section
-// cell-for over node ranges in build order (commit d1aa93b, the parent of
-// codecSortedCellFOR).
+// is the golden set's build by the last writer of a version this reader
+// refuses, and pins that refusal. golden_v3.bat is goldenLossyConfig's build
+// by the last version-3 writer (commit 54027ef, the parent of version 4):
+// today's node tables and sections behind a header that stores a flags word,
+// the particle count and each treelet's offset, treelets that open with
+// their node and point counts, and a footer that copies the header's counts
+// and declares a codec class per attribute. golden_v2.bat is goldenConfig's
+// build by the last version-2 writer (commit 3bb0b42, the parent of the one
+// writer): node records, page-aligned treelets, raw columns. golden_v1.bat
+// is the same image with its footer removed and its version field patched to
+// 1 (stripToV1), the layout version-1 writers produced.
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -147,9 +140,9 @@ type goldenRebuild struct {
 // goldenRebuilds are the goldens today's writer rebuilds byte for byte.
 func goldenRebuilds() map[string]goldenRebuild {
 	return map[string]goldenRebuild{
-		"golden_v3.bat":          {goldenSet, goldenV3Config()},
-		"golden_v3_lossless.bat": {goldenSet, goldenConfig()},
-		"golden_v3_signkeys.bat": {goldenSignedSet, goldenConfig()},
+		"golden_v4.bat":          {goldenSet, goldenLossyConfig()},
+		"golden_v4_lossless.bat": {goldenSet, goldenConfig()},
+		"golden_v4_signkeys.bat": {goldenSignedSet, goldenConfig()},
 	}
 }
 
@@ -173,27 +166,23 @@ type goldenCase struct {
 var goldens = []goldenCase{
 	{"golden_v1.bat", "unsupported version 1", "", 0, "", "", false},
 	{"golden_v2.bat", "unsupported version 2", "", 0, "", "", false},
-	{"golden_v3_rawpos.bat", "version 3 file with header flags 0x0", "", 0, "", "", false},
-	{"golden_v3_flatquant.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
-	{"golden_v3_nodetable.bat", "version 3 file with header flags 0x2", "", 0, "", "", false},
-	{"golden_v3_inlineframes.bat", "", "unknown position codec id 3", 0, "", "", false},
-	{"golden_v3_cellfor.bat", "", "unknown position codec id 5", 0, "", "", false},
-	{"golden_v3.bat", "", "", goldenV3Config().AttrErrorBounds[0], "quant-for", "sorted-cell-for", false},
-	{"golden_v3_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
-	{"golden_v3_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
+	{"golden_v3.bat", "unsupported version 3", "", 0, "", "", false},
+	{"golden_v4.bat", "", "", goldenLossyConfig().AttrErrorBounds[0], "quant-for", "sorted-cell-for", false},
+	{"golden_v4_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
+	{"golden_v4_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
 }
 
-// TestGoldenBackwardCompat opens the checked-in file of every layout a writer
-// has produced. The one this reader accepts, today's version 3, must decode
-// to the same particle multiset as the day it was written: positions and the
-// lossless id bit-exact, mass within its declared bound in golden_v3.bat,
-// stored key-for and exact in golden_v3_lossless.bat and, negated at every
-// other particle (goldenSignedSet), sign-key-for and exact in
-// golden_v3_signkeys.bat; every position section is sorted-cell-for.
-// Every retired layout is refused with a named error and returns no rows:
-// versions 1 (no checksums) and 2 (page-aligned treelets) and the header
-// flags of a retired version-3 layout at open, the inline position frames
-// and cell-for behind today's flags at the first treelet load.
+// TestGoldenBackwardCompat opens the checked-in file of every version a
+// writer has produced. The one this reader accepts, today's version 4, must
+// decode to the same particle multiset as the day it was written: positions
+// and the lossless id bit-exact, mass within its declared bound in
+// golden_v4.bat, stored key-for and exact in golden_v4_lossless.bat and,
+// negated at every other particle (goldenSignedSet), sign-key-for and exact
+// in golden_v4_signkeys.bat; every position section is sorted-cell-for.
+// Every retired version — 1 (no checksums), 2 (page-aligned treelets) and 3
+// (the same treelets as today's beside stored copies of derived facts) — is
+// refused at open with a named error. A case may instead name the error of
+// a layout refused at its first treelet load; it then returns no rows.
 func TestGoldenBackwardCompat(t *testing.T) {
 	for _, tc := range goldens {
 		t.Run(tc.file, func(t *testing.T) {
@@ -281,23 +270,23 @@ func TestGoldenFixturesPinned(t *testing.T) {
 	}
 }
 
-// TestGoldenV3ByteIdentity rebuilds the golden dataset with the current
+// TestGoldenV4ByteIdentity rebuilds the golden dataset with the current
 // builder under declared error bounds and requires the image to be
-// byte-identical to golden_v3.bat: the packed layout, codec choices included.
-func TestGoldenV3ByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v3.bat")
+// byte-identical to golden_v4.bat: the packed layout, codec choices included.
+func TestGoldenV4ByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v4.bat")
 }
 
-// TestGoldenV3LosslessByteIdentity is the same pin for a build that declares
+// TestGoldenV4LosslessByteIdentity is the same pin for a build that declares
 // no bound: the layout every default build writes.
-func TestGoldenV3LosslessByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v3_lossless.bat")
+func TestGoldenV4LosslessByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v4_lossless.bat")
 }
 
-// TestGoldenV3SignKeysByteIdentity is the same pin for a lossless build of a
+// TestGoldenV4SignKeysByteIdentity is the same pin for a lossless build of a
 // zero-mean attribute: its sign-key-for sections.
-func TestGoldenV3SignKeysByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v3_signkeys.bat")
+func TestGoldenV4SignKeysByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v4_signkeys.bat")
 }
 
 func requireRebuildIdentical(t *testing.T, file string) {

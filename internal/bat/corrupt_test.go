@@ -102,7 +102,7 @@ func bitFlipMatrix(t *testing.T, buf []byte) {
 func TestHeaderFlipIsChecksumError(t *testing.T) {
 	buf := builtSample(t)
 	mut := append([]byte(nil), buf...)
-	mut[9] ^= 0x40 // inside the flags field, past magic+version
+	mut[9] ^= 0x40 // inside the domain bounds, past magic+version
 	if _, err := FromBuffer(mut); !errors.Is(err, ErrChecksum) {
 		t.Errorf("header flip: want ErrChecksum, got %v", err)
 	}
@@ -112,11 +112,11 @@ func TestHeaderFlipIsChecksumError(t *testing.T) {
 // removed, version field patched to 1.
 func stripToV1(t testing.TB, buf []byte) []byte {
 	t.Helper()
-	footerLen := binary.LittleEndian.Uint32(buf[len(buf)-8:])
-	if int(footerLen) >= len(buf) {
-		t.Fatalf("implausible footer length %d", footerLen)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v1 := append([]byte(nil), buf[:len(buf)-int(footerLen)]...)
+	v1 := append([]byte(nil), buf[:f.size-f.footerLen()]...)
 	binary.LittleEndian.PutUint32(v1[4:], 1)
 	return v1
 }
@@ -130,14 +130,12 @@ func TestV1FileRejected(t *testing.T) {
 }
 
 // TestVersionFieldFlipsRejected: no single flipped bit of the version field
-// opens. 3 -> 1 is one bit, and while version 1 was readable it switched
-// every checksum off: a version-3 file opened as version 1 and served its
-// framed sections as raw columns. 3 -> 2 is one bit too, and while version 2
-// was readable only the flags word each version required kept a version-2
-// reading of a version-3 treelet from returning garbage.
+// opens. The reader reads one version, so a flipped one is a version it
+// refuses, and a reader that read another — version 1 switched every
+// checksum off — would read this layout's bytes as that one's.
 func TestVersionFieldFlipsRejected(t *testing.T) {
 	for name, buf := range map[string][]byte{"lossless": builtSample(t), "lossy": compressedSample(t),
-		"golden": goldenFile(t, "golden_v3.bat")} {
+		"golden": goldenFile(t, "golden_v4.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[4+bit/8] ^= 1 << (bit % 8)
@@ -148,8 +146,8 @@ func TestVersionFieldFlipsRejected(t *testing.T) {
 	}
 }
 
-// compressedSample returns a deterministic multi-treelet version-3 image
-// with one lossy and one lossless attribute.
+// compressedSample returns a deterministic multi-treelet image with lossy
+// attributes and one lossless one.
 func compressedSample(t *testing.T) []byte {
 	t.Helper()
 	s, domain := cosmoSet(600, 2)
@@ -171,31 +169,37 @@ func mutateTreelet(t testing.TB, buf []byte, ti int, mutate func(tre []byte)) []
 	}
 	ref := orig.leaves[ti]
 	mut := append([]byte(nil), buf...)
-	tre := mut[ref.offset : ref.offset+uint64(ref.byteLen)]
+	tre := mut[ref.offset : ref.offset+int64(ref.byteLen)]
 	mutate(tre)
-	footerLen := binary.LittleEndian.Uint32(mut[len(mut)-8:])
-	footerStart := len(mut) - int(footerLen)
-	binary.LittleEndian.PutUint32(mut[footerStart+8+4*ti:], checksum.CRC32C(tre))
-	binary.LittleEndian.PutUint32(mut[len(mut)-12:], checksum.CRC32C(mut[footerStart:len(mut)-12]))
+	foot := mut[orig.size-orig.footerLen():]
+	binary.LittleEndian.PutUint32(foot[4+4*ti:], checksum.CRC32C(tre))
+	resealFooter(foot)
 	return mut
 }
 
-// mutateFooter applies a targeted mutation to the footer's v3 extension and
-// re-fixes the footer CRC. The callback receives the footer bytes starting
-// at headerCRC.
+// mutateFooter applies a targeted mutation to the footer and re-fixes the
+// footer CRC. The callback receives the footer bytes starting at headerCRC.
 func mutateFooter(t *testing.T, buf []byte, mutate func(foot []byte)) []byte {
 	t.Helper()
+	orig, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mut := append([]byte(nil), buf...)
-	footerLen := binary.LittleEndian.Uint32(mut[len(mut)-8:])
-	footerStart := len(mut) - int(footerLen)
-	mutate(mut[footerStart:])
-	binary.LittleEndian.PutUint32(mut[len(mut)-12:], checksum.CRC32C(mut[footerStart:len(mut)-12]))
+	foot := mut[orig.size-orig.footerLen():]
+	mutate(foot)
+	resealFooter(foot)
 	return mut
 }
 
-// positionOffset locates treelet ti's position data within its byte range
-// (after the count words and the node table, whichever way that is stored):
-// the x section's frame in a packed file.
+// resealFooter rewrites the CRC of footer foot — the footer's bytes from
+// headerCRC to the magic — over the bytes ahead of it.
+func resealFooter(foot []byte) {
+	binary.LittleEndian.PutUint32(foot[len(foot)-8:], checksum.CRC32C(foot[:len(foot)-8]))
+}
+
+// positionOffset locates treelet ti's position data within its byte range,
+// after the node table: the x section's frame.
 func positionOffset(t testing.TB, buf []byte, ti int) int {
 	t.Helper()
 	f, err := FromBuffer(buf)
@@ -206,7 +210,7 @@ func positionOffset(t testing.TB, buf []byte, ti int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return 8 + lay.NodeTable.Bytes
+	return lay.NodeTable.Bytes
 }
 
 // addU32 adds d to the little-endian u32 at b.
@@ -214,9 +218,9 @@ func addU32(b []byte, d int) {
 	binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
 }
 
-// leafRecordOffset is where treelet 0's shallow leaf record — offset u64,
-// byteLen u32, numNodes u32, numPoints u32, bounds 6 x f64, bitmap IDs —
-// starts in f's header: the leaf records end just before the dictionary.
+// leafRecordOffset is where treelet 0's shallow leaf record — byteLen u32,
+// numNodes u32, numPoints u32, bounds 6 x f64, bitmap IDs — starts in f's
+// header: the leaf records end just before the dictionary.
 func leafRecordOffset(f *File) int {
 	return f.headerSize - (4 + 4*f.dict.Len()) - len(f.leaves)*(shallowLeafBytes+2*f.Schema.NumAttrs())
 }
@@ -232,9 +236,9 @@ func goldenFile(t testing.TB, name string) []byte {
 }
 
 // firstSectionOffset locates treelet ti's first attribute section within
-// the byte range of a version-3 treelet (after the node table and the three
-// position sections).
-func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff uint64, secOff int) {
+// the treelet's byte range (after the node table and the three position
+// sections).
+func firstSectionOffset(t *testing.T, buf []byte, ti int) (treeletOff int64, secOff int) {
 	t.Helper()
 	f, err := FromBuffer(buf)
 	if err != nil {
@@ -322,18 +326,14 @@ func TestV3ErrorBoundMismatch(t *testing.T) {
 		// Rewrite the footer to declare attribute 0 lossless while its
 		// sections are still quantized.
 		declaredLossless := mutateFooter(t, buf, func(foot []byte) {
-			p := 8 + 4*nT + 4 // numAttrs, then attr 0's codec byte
-			foot[p] = codecDelta
-			binary.LittleEndian.PutUint64(foot[p+1:], math.Float64bits(0))
+			binary.LittleEndian.PutUint64(foot[4+4*nT:], math.Float64bits(0)) // attr 0's bound
 		})
 		expectLoadError(t, declaredLossless, "error-bound mismatch")
 	})
 }
 
-// TestV3FooterValidation: out-of-range declarations in the footer's v3
-// extension are rejected at open even with a valid CRC, and so is a codec
-// class that is not the one compact writes for its bound — quant exactly when
-// the bound is above 0, delta otherwise. Attribute 0 of the sample is lossy.
+// TestV3FooterValidation: out-of-range declarations in the footer are
+// rejected at open even with a valid CRC.
 func TestV3FooterValidation(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
@@ -342,22 +342,18 @@ func TestV3FooterValidation(t *testing.T) {
 	}
 	nT := f.NumTreelets()
 	nA := f.Schema.NumAttrs()
-	class0 := 8 + 4*nT + 4 // attribute 0's class, then its bound
-	putBound := func(foot []byte, b float64) { binary.LittleEndian.PutUint64(foot[class0+1:], math.Float64bits(b)) }
+	bound0 := 4 + 4*nT // attribute 0's bound, after the header and treelet CRCs
+	putBound := func(foot []byte, b float64) { binary.LittleEndian.PutUint64(foot[bound0:], math.Float64bits(b)) }
 	cases := []struct {
 		name   string
 		mutate func(foot []byte)
 		want   string
 	}{
-		{"bad codec id", func(foot []byte) { foot[class0] = 9 }, "codec class unknown(9)"},
 		{"negative bound", func(foot []byte) { putBound(foot, -1) }, "invalid error bound"},
 		{"NaN bound", func(foot []byte) { putBound(foot, math.NaN()) }, "invalid error bound"},
 		{"LOD scale below 1", func(foot []byte) {
-			binary.LittleEndian.PutUint64(foot[class0+9*nA:], math.Float64bits(0.25))
+			binary.LittleEndian.PutUint64(foot[bound0+8*nA:], math.Float64bits(0.25))
 		}, "invalid LOD error scale"},
-		{"class 0", func(foot []byte) { foot[class0] = codecRaw }, "codec class raw for bound 0.001, want quant"},
-		{"quant with bound 0", func(foot []byte) { putBound(foot, 0) }, "codec class quant for bound 0, want delta"},
-		{"delta with bound 1e-3", func(foot []byte) { foot[class0] = codecDelta }, "codec class delta for bound 0.001, want quant"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -390,117 +386,46 @@ func mutateHeader(t *testing.T, buf []byte, mutate func(head []byte)) []byte {
 	}
 	mut := append([]byte(nil), buf...)
 	mutate(mut[:orig.headerSize])
-	return mutateFooter(t, mut, func(foot []byte) {
-		binary.LittleEndian.PutUint32(foot, checksum.CRC32C(mut[:orig.headerSize]))
-	})
+	foot := mut[orig.size-orig.footerLen():]
+	binary.LittleEndian.PutUint32(foot, checksum.CRC32C(mut[:orig.headerSize]))
+	resealFooter(foot)
+	return mut
 }
 
-// TestHeaderFlagValidation: the one layout has one flags word,
-// flagPackedPositions|flagPackedNodes, and it is the only one that opens.
-// Every other combination of bits 0-2, an unknown bit and the top bit are
-// rejected at open even when every checksum is right: a reader that ignored
-// them would parse a retired layout's treelets as today's.
-func TestHeaderFlagValidation(t *testing.T) {
-	const flagsOff = 8
-	sample := compressedSample(t)
-	opened := 0
-	for _, tc := range []struct {
-		flags uint32
-		name  string
-	}{
-		{0, "raw positions and node records"},
-		{1, "quantized in v3"},
-		{2, "packed positions behind node records"},
-		{3, "quantized and packed"},
-		{4, "packed nodes, raw positions"},
-		{5, "packed nodes, quantized positions"},
-		{6, "the v3 layout"},
-		{7, "all three bits in v3"},
-		{6 | 1<<3, "unknown bit 3"},
-		{1 << 31, "unknown top bit"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mut := mutateHeader(t, sample, func(head []byte) { binary.LittleEndian.PutUint32(head[flagsOff:], tc.flags) })
-			_, err := FromBuffer(mut)
-			if err == nil {
-				opened++
-				return
-			}
-			if want := fmt.Sprintf("version 3 file with header flags %#x", tc.flags); !strings.Contains(err.Error(), want) {
-				t.Fatalf("open error %v, want one containing %q", err, want)
-			}
-		})
-	}
-	if opened != 1 {
-		t.Fatalf("%d flags words open, want one", opened)
-	}
-}
-
-// TestUnpaddedTreeletsTile: in a version-3 file the treelets lie back to
-// back from the end of the header to the footer, so no byte is outside a
-// checksum; a leaf table that leaves a gap, overlaps, is out of order or stops
-// short of the footer is rejected at open, checksums right or not.
+// TestUnpaddedTreeletsTile: the treelets lie back to back from the end of
+// the header, so a leaf table whose byte lengths do not end where the footer
+// starts is rejected at open, checksums right or not: no byte is outside a
+// checksum.
 func TestUnpaddedTreeletsTile(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.leaves) < 2 {
-		t.Fatalf("%d treelets; pick different sample data", len(f.leaves))
-	}
-	if first, last := f.leaves[0], f.leaves[len(f.leaves)-1]; first.offset != uint64(f.headerSize) ||
-		int64(last.offset)+int64(last.byteLen)+f.footerLen() != f.size {
+	if first, last := f.leaves[0], f.leaves[len(f.leaves)-1]; first.offset != int64(f.headerSize) ||
+		last.offset+int64(last.byteLen)+f.footerLen() != f.size {
 		t.Fatalf("treelets span [%d,%d) of a %d-byte file with a %d-byte header and a %d-byte footer",
-			first.offset, last.offset+uint64(last.byteLen), f.size, f.headerSize, f.footerLen())
-	}
-	// Leaf records end the header just before the dictionary: offset u64,
-	// byteLen u32, ...
-	recLen := shallowLeafBytes + 2*f.Schema.NumAttrs()
-	leafRec := func(head []byte, li int) []byte {
-		return head[f.headerSize-(4+4*f.dict.Len())-(len(f.leaves)-li)*recLen:]
-	}
-	addOffset := func(li, d int) func([]byte) {
-		return func(head []byte) {
-			rec := leafRec(head, li)
-			binary.LittleEndian.PutUint64(rec, uint64(int(binary.LittleEndian.Uint64(rec))+d))
-		}
-	}
-	addLen := func(li, d int) func([]byte) {
-		return func(head []byte) {
-			rec := leafRec(head, li)[8:]
-			binary.LittleEndian.PutUint32(rec, uint32(int(binary.LittleEndian.Uint32(rec))+d))
-		}
+			first.offset, last.offset+int64(last.byteLen), f.size, f.headerSize, f.footerLen())
 	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(head []byte)
-		want   string
+		name string
+		d    int
 	}{
-		{"gap", func(head []byte) { addOffset(1, 1)(head); addLen(1, -1)(head) }, "treelet 1 starts at byte"},
-		{"overlap", addOffset(1, -1), "treelet 1 starts at byte"},
-		{"first treelet past the header", addOffset(0, 1), "treelet 0 starts at byte"},
-		{"short treelet leaves a gap", addLen(0, -1), "treelet 1 starts at byte"},
-		{"out of order", func(head []byte) {
-			var tmp [12]byte
-			a, b := leafRec(head, 0), leafRec(head, 1)
-			copy(tmp[:], a)
-			copy(a[:12], b[:12])
-			copy(b[:12], tmp[:])
-		}, "treelet 0 starts at byte"},
-		{"stops short of the footer", addLen(len(f.leaves)-1, -1), "the checksum footer starts at"},
+		{"stops short of the footer", -1},
+		{"runs into the footer", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromBuffer(mutateHeader(t, buf, tc.mutate)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("open error %v, want one containing %q", err, tc.want)
+			mut := mutateHeader(t, buf, func(head []byte) { addU32(head[leafRecordOffset(f):], tc.d) })
+			if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "the checksum footer starts at") {
+				t.Fatalf("open error %v, want one containing %q", err, "the checksum footer starts at")
 			}
 		})
 	}
 }
 
-// TestLeafPointCountBound: a shallow leaf claiming more points than the file
-// holds is rejected at open (packed treelets have no bytes-per-point floor to
-// bound the column allocations with).
+// TestLeafPointCountBound: a shallow leaf claiming more points than its
+// treelet has bytes is rejected at open: the bound keeps the treelet's
+// column allocations within bytes the file holds.
 func TestLeafPointCountBound(t *testing.T) {
 	buf := compressedSample(t)
 	f, err := FromBuffer(buf)
@@ -508,9 +433,9 @@ func TestLeafPointCountBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	mut := mutateHeader(t, buf, func(head []byte) {
-		binary.LittleEndian.PutUint32(head[leafRecordOffset(f)+8+4+4:], uint32(f.NumParticles)+1)
+		binary.LittleEndian.PutUint32(head[leafRecordOffset(f)+4+4:], f.leaves[0].byteLen+1)
 	})
-	if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "points, the file") {
+	if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "treelet 0 claims") {
 		t.Fatalf("open error %v, want the point-count bound", err)
 	}
 }
@@ -616,9 +541,9 @@ func TestCellFORCorruption(t *testing.T) {
 	if loose < 0 || padBits == 0 || firstXSplit < 0 {
 		t.Fatalf("x section: loose block %d, %d padding bits, first x split at node %d; pick different sample data", loose, padBits, firstXSplit)
 	}
-	// Treelet 0's bounds in its shallow leaf record: six f64 after offset,
-	// byteLen and the two counts.
-	bounds0 := leafRecordOffset(f) + 8 + 4 + 4 + 4
+	// Treelet 0's bounds in its shallow leaf record: six f64 after byteLen
+	// and the two counts.
+	bounds0 := leafRecordOffset(f) + 4 + 4 + 4
 	putF64 := func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 	for _, tc := range []struct {
 		name   string
@@ -653,7 +578,7 @@ func TestCellFORCorruption(t *testing.T) {
 		}, nil, "bounds are empty"},
 		{"a split plane moved out of its cell", nil, func(tre []byte) {
 			// The split column's base: every split key moves up by 2^31.
-			base := tre[8+lay.NodeTable.Columns[0].Bytes+lay.NodeTable.Columns[1].Bytes:]
+			base := tre[lay.NodeTable.Columns[0].Bytes+lay.NodeTable.Columns[1].Bytes:]
 			binary.LittleEndian.PutUint32(base, binary.LittleEndian.Uint32(base)^1<<31)
 		}, "outside its cell"},
 	} {
@@ -909,8 +834,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzTreelet feeds arbitrary bytes to parseTreelet as treelet 0 of a
 // multi-treelet clustered build, a small default (lossless) build, a build
-// with lossy attributes, the golden version-3 file — all of them
-// sorted-cell-for positions — and its retired cell-for fixture, with the checksums
+// with lossy attributes, the lossy golden file and the one of sign-key-for
+// attributes — all of them sorted-cell-for positions —, with the checksums
 // fixed up after them: every readable file is checksummed, so no mutation
 // FuzzDecode makes gets past the treelet CRC to the node-table and section
 // parsing.
@@ -925,14 +850,14 @@ func FuzzTreelet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v3.bat"), goldenFile(f, "golden_v3_cellfor.bat")}
+	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v4.bat"), goldenFile(f, "golden_v4_signkeys.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {
 			f.Fatal(err)
 		}
 		ref := file.leaves[0]
-		f.Add(buf[ref.offset : ref.offset+uint64(ref.byteLen)])
+		f.Add(buf[ref.offset : ref.offset+int64(ref.byteLen)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, buf := range files {
@@ -1098,7 +1023,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		p := int(ref.offset) + 8
+		p := int(ref.offset)
 		seeds = append(seeds, sectionSeed{attr: nodeTableSeed, codec: uint8(f.Schema.NumAttrs()), payload: buf[p : p+lay.NodeTable.Bytes], table: table, nPoints: uint16(ref.numPoints)})
 		p += lay.NodeTable.Bytes
 		for i, sec := range lay.Sections {
@@ -1127,7 +1052,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 // binades (key-for blocks of over 58 bits, the packer's wide lane) —, a
 // lossless build of one column of scattered float64 bit patterns, which no
 // codec shrinks (raw), over x columns with a NaN in some treelets (raw too),
-// and golden_v3.bat, so the fuzzer starts from streams each decoder accepts;
+// and golden_v4.bat, so the fuzzer starts from streams each decoder accepts;
 // every other position section is sorted-cell-for.
 func sectionSeeds(tb testing.TB) []sectionSeed {
 	s, domain := cosmoSet(300, 5)
@@ -1160,7 +1085,7 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		bufs = append(bufs, b.Buf)
 	}
 	var seeds []sectionSeed
-	for _, buf := range append(bufs, goldenFile(tb, "golden_v3.bat")) {
+	for _, buf := range append(bufs, goldenFile(tb, "golden_v4.bat")) {
 		f, err := FromBuffer(buf)
 		if err != nil {
 			tb.Fatal(err)

@@ -1,26 +1,21 @@
 // On-disk format of a BAT file (paper Figure 2). All integers are little
 // endian.
 //
-// A readable file is version 3 with header flags
-// flagPackedPositions|flagPackedNodes: packed node tables, unpadded treelets,
-// codec sections for positions and attributes (codec.go). It is the one layout
+// A readable file is version 4: packed node tables, unpadded treelets, codec
+// sections for positions and attributes (codec.go). It is the one layout
 // every build writes, and the one the reader accepts. A build with no error
 // bound declared is lossless: positions and attributes read back bit for bit.
 //
-// Any other version or flags word is refused at open. That includes every
-// layout earlier writers left behind: version 1 (no checksum footer), version 2
-// (node records, page-aligned treelets, raw columns), version 3 with flags 0
-// (raw position columns) and version 3 with bit 1 alone (packed positions
-// behind node records).
+// Every other version is refused at open ("unsupported version 3"). That
+// includes every layout earlier writers left behind: version 1 (no checksum
+// footer), version 2 (node records, page-aligned treelets, raw columns) and
+// version 3 (these treelets behind a constant flags word and stored copies
+// of facts version 4 derives: the particle count, the treelet offsets, each
+// treelet's counts, the footer's counts, codec classes and raw payload
+// total).
 //
 //	Header:
-//	  magic "BAT1", version u32, flags u32
-//	    flag bit 0  retired (16-bit fixed-point positions)
-//	    flag bit 1  flagPackedPositions: positions are codec sections
-//	    flag bit 2  flagPackedNodes: treelet node tables are packed
-//	                columns with implicit topology and the treelets are
-//	                unpadded
-//	  numParticles u64
+//	  magic "BAT1", version u32
 //	  domain bounds: 6 x f64
 //	  subprefixBits, lodPerNode, maxLeafSize, maxTreeletDepth u32
 //	  numAttrs u32
@@ -29,15 +24,19 @@
 //	  numShallowInner u32, numTreelets u32
 //	  shallow inner nodes: axis u8, pos f64, left i32, right i32,
 //	                       bitmapID u16 per attribute
-//	  shallow leaves:      treelet offset u64, byteLen u32,
-//	                       numNodes u32, numPoints u32,
+//	  shallow leaves:      byteLen u32, numNodes u32, numPoints u32,
 //	                       treelet bounds 6 x f64,
 //	                       bitmapID u16 per attribute
 //	  bitmap dictionary:   count u32, entries u32 each
-//	Treelets, back to back from the end of the header to the footer (the
-//	paper aligns them to 4 KB pages to map them, §III-C3; this reader
-//	decodes them instead):
-//	  numNodes u32, numPoints u32
+//	The file's particle count is the sum of the leaves' numPoints, and a
+//	leaf's numPoints is at most its byteLen: the writer stores a treelet's
+//	positions raw where its sections would come to fewer bytes than it has
+//	particles, so each treelet's column allocations are bounded by bytes the
+//	file holds.
+//	Treelets, back to back from the end of the header to the footer, in leaf
+//	order: a treelet starts where the one before it ends (the paper aligns
+//	them to 4 KB pages to map them, §III-C3; this reader decodes them
+//	instead), and its node and point counts are its leaf record's:
 //	  nodes: 3 + numAttrs columns over the nodes in node (breadth-first)
 //	    order, each one frame-of-reference block — base u32, width u8,
 //	    ceil(n*width/8) bytes of (value - base), LSB-first (codec.go):
@@ -82,23 +81,20 @@
 //	                 codecSignKeyFOR refuses a file holding it at the first
 //	                 treelet load that meets one ("unknown attribute codec
 //	                 id 7")
-//	Checksum footer, after the last treelet:
+//	Checksum footer, after the last treelet; its length is footerLen of the
+//	header's treelet and attribute counts, so the reader reads it at
+//	size − footerLen:
 //	  headerCRC u32        CRC32C of the header bytes
-//	  numTreelets u32
 //	  treeletCRC u32 each  CRC32C of each treelet's byteLen bytes
-//	  numAttrs u32
-//	  per attribute: declared codec class u8 (codecQuant exactly when the
-//	                 bound is above 0, codecDelta otherwise; any other
-//	                 class is refused at open), absolute error bound f64
+//	  per attribute: absolute error bound f64 (0: lossless)
 //	  lodErrorScale f64
-//	  rawPayloadBytes u64  attribute payload before encoding
-//	  encPayloadBytes u64  attribute payload after encoding
+//	  encPayloadBytes u64  attribute payload after encoding (the payload
+//	                       before encoding is the particle count times the
+//	                       attribute sizes)
 //	  footerCRC u32        CRC32C of the footer bytes above
-//	  footerLen u32        total footer length, trailing magic included
 //	  magic "BATF"
 //
-// The footer is located from the end of the file (magic + length). The
-// treelets tile the bytes between header and footer, so every byte of a
+// The treelets tile the bytes between header and footer, so every byte of a
 // readable file is under a checksum.
 package bat
 
@@ -116,21 +112,9 @@ import (
 const (
 	magic = "BAT1"
 	// version is the one format every build writes and the reader reads.
-	version = 3
+	version = 4
 	// footerMagic terminates the checksum footer.
 	footerMagic = "BATF"
-	// footerFixedLen is the footer size excluding the per-treelet CRCs and
-	// the codec extension (footerV3ExtraLen).
-	footerFixedLen = 4 + 4 + 4 + 4 + 4
-	// flagPackedPositions marks X, Y, Z stored as three framed codec
-	// sections.
-	flagPackedPositions = 1 << 1
-	// flagPackedNodes marks treelet node tables stored as packed columns with
-	// implicit topology, and treelets laid back to back without page padding.
-	flagPackedNodes = 1 << 2
-	// layoutFlags is the header flags word of the one layout a writer emits
-	// and a reader accepts.
-	layoutFlags = flagPackedPositions | flagPackedNodes
 )
 
 // sectionFrameLen is the framing ahead of a codec section's payload: codec
@@ -141,14 +125,13 @@ const sectionFrameLen = 1 + 4
 const shallowInnerBytes = 1 + 8 + 4 + 4
 
 // shallowLeafBytes is the per-shallow-leaf record size excluding IDs:
-// offset, byteLen, node/point counts, and the treelet bounds.
-const shallowLeafBytes = 8 + 4 + 4 + 4 + 48
+// byteLen, node/point counts, and the treelet bounds.
+const shallowLeafBytes = 4 + 4 + 4 + 48
 
-// footerV3ExtraLen is the size of the footer's codec extension for nA
-// attributes, inserted between the per-treelet CRCs and the footer CRC:
-// numAttrs u32; per attribute codec u8 + error bound f64; LOD error scale
-// f64; raw and encoded attribute payload byte totals u64 each.
-func footerV3ExtraLen(nA int) int { return 4 + nA*(1+8) + 8 + 8 + 8 }
+// footerLen is the checksum footer's size for nT treelets and nA attributes:
+// header CRC, one CRC per treelet, one error bound per attribute, LOD error
+// scale, encoded payload total, footer CRC and magic.
+func footerLen(nT, nA int) int { return 4 + 4*nT + 8*nA + 8 + 8 + 4 + 4 }
 
 // compact assembles the file image: header + shallow tree + dictionary up
 // front, then the treelets back to back, which nothing maps. Bitmaps are
@@ -208,7 +191,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	}
 
 	// Compute the header size to locate the first treelet.
-	headerSize := 4 + 4 + 4 + 8 + 48 + 16 + 4
+	headerSize := 4 + 4 + 48 + 16 + 4
 	for _, a := range set.Schema.Attrs {
 		headerSize += 2 + len(a.Name) + 1 + 16
 	}
@@ -219,9 +202,9 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 
 	// Treelet byte sizes and offsets. Each node table is sized here, as soon
 	// as the IDs exist, and packed by the treelet's fill task below.
-	offsets := make([]uint64, len(treelets))
-	sizes := make([]uint32, len(treelets))
-	off := int64(headerSize)
+	offsets := make([]int, len(treelets))
+	sizes := make([]int, len(treelets))
+	off := headerSize
 	var rawPayload, encPayload, posEncPayload int64
 	maxDepth := 0
 	numNodes := 0
@@ -231,7 +214,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 			maxDepth = t.depth
 		}
 		numNodes += len(t.nodes)
-		offsets[ti] = uint64(off)
+		offsets[ti] = off
 		if cap(colScratch) < len(t.nodes) {
 			colScratch = make([]uint64, len(t.nodes))
 		}
@@ -239,25 +222,20 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		if err != nil {
 			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 		}
-		sz := 8 + tableLen
 		for _, pe := range t.posEnc {
-			enc := pe.encodedLen(len(t.order), particles.Float32)
-			sz += sectionFrameLen + enc
-			posEncPayload += int64(enc)
+			posEncPayload += int64(pe.encodedLen(len(t.order), particles.Float32))
 		}
 		for a, desc := range set.Schema.Attrs {
-			enc := t.attrEnc[a].encodedLen(len(t.order), desc.Type)
-			sz += sectionFrameLen + enc
 			rawPayload += int64(len(t.order) * desc.Type.Size())
-			encPayload += int64(enc)
+			encPayload += int64(t.attrEnc[a].encodedLen(len(t.order), desc.Type))
 		}
-		sizes[ti] = uint32(sz)
-		off += int64(sz)
+		sizes[ti] = tableLen + t.sectionsLen(set.Schema)
+		off += sizes[ti]
 	}
 
 	// The whole image, with room for the footer.
-	footerLen := footerFixedLen + 4*len(treelets) + footerV3ExtraLen(nA)
-	buf := make([]byte, off+int64(footerLen))
+	footLen := footerLen(len(treelets), nA)
+	buf := make([]byte, off+footLen)
 
 	// Fill the treelet sections: node table, payload gather, and the section
 	// CRC for the footer. Each task touches only
@@ -266,10 +244,8 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	fillErrs := make([]error, len(treelets))
 	fillTreelet := func(_, ti int) {
 		t := treelets[ti]
-		sectionStart := int(offsets[ti]) //batlint:ignore uintcast encoder-side: offsets[ti] was stored from an int64 cursor above, never decoded
-		w := binfmt.Writer{Buf: buf[sectionStart : sectionStart : sectionStart+int(sizes[ti])]}
-		w.U32(uint32(len(t.nodes)))
-		w.U32(uint32(len(t.order)))
+		start := offsets[ti]
+		w := binfmt.Writer{Buf: buf[start : start : start+sizes[ti]]}
 		// The packer's eight-byte stores run up to packSlack past the table's
 		// end: onto the three position section frames, which are this
 		// treelet's and written next. The window ends with the treelet, so a
@@ -312,14 +288,14 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 				}
 			}
 		}
-		if len(w.Buf) != int(sizes[ti]) {
+		if len(w.Buf) != sizes[ti] {
 			fillErrs[ti] = fmt.Errorf("bat: treelet %d layout error: wrote %d bytes, computed %d",
 				ti, len(w.Buf), sizes[ti])
 			return
 		}
-		crcs[ti] = checksum.CRC32C(buf[offsets[ti] : offsets[ti]+uint64(sizes[ti])])
+		crcs[ti] = checksum.CRC32C(w.Buf)
 	}
-	sched := largestFirst(len(treelets), func(ti int) int { return int(sizes[ti]) })
+	sched := largestFirst(len(treelets), func(ti int) int { return sizes[ti] })
 	par.Each(sched, workers, fillTreelet)
 	for _, err := range fillErrs {
 		if err != nil {
@@ -331,8 +307,6 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	w := binfmt.Writer{Buf: buf[:0:headerSize]}
 	w.Bytes([]byte(magic))
 	w.U32(version)
-	w.U32(layoutFlags)
-	w.U64(uint64(set.Len()))
 	w.Box(domain)
 	w.U32(uint32(cfg.SubprefixBits))
 	w.U32(uint32(cfg.LODPerNode))
@@ -354,8 +328,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		w.IDs(shallowIDs[i])
 	}
 	for ti, t := range treelets {
-		w.U64(offsets[ti])
-		w.U32(sizes[ti])
+		w.U32(uint32(sizes[ti]))
 		w.U32(uint32(len(t.nodes)))
 		w.U32(uint32(len(t.order)))
 		w.Box(cellBounds(t.cells))
@@ -371,27 +344,21 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	// a CRC over the footer itself so its own corruption is detected.
 	w = binfmt.Writer{Buf: buf[off:off:len(buf)]}
 	w.U32(checksum.CRC32C(buf[:headerSize]))
-	w.U32(uint32(len(treelets)))
 	for ti := range treelets {
 		w.U32(crcs[ti])
 	}
-	// The extension: the declared per-attribute codec class and error bound
-	// (validated against every section at decode time), the LOD error scale,
-	// and the payload byte totals so readers can report the whole-file ratio
-	// without scanning sections.
-	w.U32(uint32(nA))
+	// The per-attribute error bounds (validated against every section at
+	// decode time), the LOD error scale, and the encoded payload total so
+	// readers can report the whole-file ratio without scanning sections.
 	for _, b := range cfg.AttrBounds(nA) {
-		w.U8(attrClass(b))
 		w.F64(b)
 	}
 	w.F64(cfg.EffectiveLODScale())
-	w.U64(uint64(rawPayload))
 	w.U64(uint64(encPayload))
 	w.U32(checksum.CRC32C(w.Buf))
-	w.U32(uint32(len(w.Buf) + 8))
 	w.Bytes([]byte(footerMagic))
-	if len(w.Buf) != footerLen {
-		return nil, fmt.Errorf("bat: footer layout error: wrote %d bytes, computed %d", len(w.Buf), footerLen)
+	if len(w.Buf) != footLen {
+		return nil, fmt.Errorf("bat: footer layout error: wrote %d bytes, computed %d", len(w.Buf), footLen)
 	}
 
 	stats := BuildStats{

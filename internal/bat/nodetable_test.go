@@ -221,8 +221,8 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 
 	// Inside a file the same errors fail the treelet load, checksums fixed up.
 	buf := compressedSample(t)
-	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[8+4] = 3 }), "exceeds 2")
-	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[8+forFrameLen] |= 3 }), "no breadth-first tree")
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[4] = 3 }), "exceeds 2")
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[forFrameLen] |= 3 }), "no breadth-first tree")
 	// An ID the dictionary does not hold is the file's to reject, not the
 	// table's.
 	f, err := FromBuffer(buf)

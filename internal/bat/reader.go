@@ -29,9 +29,10 @@ type shallowNode struct {
 }
 
 // leafRef is a parsed shallow leaf: the location of its treelet and the
-// treelet's tight point bounds (the quantization frame).
+// treelet's tight point bounds (the quantization frame). offset is not
+// stored: the treelets lie back to back from the end of the header.
 type leafRef struct {
-	offset    uint64
+	offset    int64
 	byteLen   uint32
 	numNodes  uint32
 	numPoints uint32
@@ -60,7 +61,8 @@ type File struct {
 	src  io.ReaderAt
 	size int64
 
-	NumParticles    uint64
+	// NumParticles is the sum of the treelets' point counts.
+	NumParticles    int64
 	Domain          geom.Box
 	SubprefixBits   int
 	LODPerNode      int
@@ -81,12 +83,11 @@ type File struct {
 	headerCRC   uint32
 	treeletCRCs []uint32
 
-	// Codec state from the footer extension: the declared per-attribute
-	// absolute error bound (the codec class beside it is attrClass of it),
-	// the LOD error scale, and the file-wide payload byte totals.
+	// Codec state from the footer: the declared per-attribute absolute
+	// error bound, the LOD error scale, and the file-wide encoded payload
+	// byte total.
 	attrBounds []float64
 	lodScale   float64
-	rawPayload uint64
 	encPayload uint64
 
 	closer io.Closer
@@ -128,19 +129,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if ver != version {
 		return nil, fmt.Errorf("bat: unsupported version %d (this reader reads version %d only)", ver, version)
 	}
-	flags := r.U32()
 	f := &File{src: src, size: size, cache: cache, leaf: leaf}
-	f.NumParticles = r.U64()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("bat: %w", err)
-	}
-	// A particle occupies several bytes of payload, so a claimed count
-	// beyond the file size is corrupt. Establishing the bound here also
-	// keeps the int(f.NumParticles) conversions downstream (ReadAll)
-	// from wrapping on a crafted header.
-	if f.NumParticles > uint64(size) {
-		return nil, fmt.Errorf("bat: particle count %d exceeds file size %d", f.NumParticles, size)
-	}
 	f.Domain = r.Box()
 	f.SubprefixBits, f.LODPerNode = int(r.U32()), int(r.U32())
 	f.MaxLeafSize, f.MaxTreeletDepth = int(r.U32()), int(r.U32())
@@ -181,17 +170,15 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	f.leaves = make([]leafRef, nLeaves)
 	for i := range f.leaves {
 		l := &f.leaves[i]
-		l.offset, l.byteLen, l.numNodes, l.numPoints = r.U64(), r.U32(), r.U32(), r.U32()
+		l.byteLen, l.numNodes, l.numPoints = r.U32(), r.U32(), r.U32()
 		l.bounds = r.Box()
-		if l.offset > uint64(size) || l.offset+uint64(l.byteLen) > uint64(size) {
-			return nil, fmt.Errorf("bat: treelet %d extends past end of file", i)
+		// The writer never packs a treelet into fewer bytes than it has
+		// points, so a larger count is corrupt; the bound keeps the
+		// treelet's column allocations within bytes the file holds.
+		if l.numPoints > l.byteLen {
+			return nil, fmt.Errorf("bat: treelet %d claims %d points in %d bytes", i, l.numPoints, l.byteLen)
 		}
-		// A packed treelet can hold many points in few bytes, so its point
-		// count is bounded by the file's particle count (itself bounded by
-		// the file size above) rather than by its byte length.
-		if uint64(l.numPoints) > f.NumParticles {
-			return nil, fmt.Errorf("bat: treelet %d holds %d points, the file %d", i, l.numPoints, f.NumParticles)
-		}
+		f.NumParticles += int64(l.numPoints)
 		l.ids = r.IDs(&idBacking, nA)
 	}
 	if err := r.Err(); err != nil {
@@ -243,24 +230,19 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	if err := f.loadFooter(ctx, r.Consumed()); err != nil {
 		return nil, err
 	}
-	// The one layout has one flags word. This comes after the footer so a
-	// damaged flags field reports as the checksum error it is; a header that
-	// passes its CRC with other flags is from a writer whose layout this
-	// reader does not read — a retired one, or a newer one — and parsing its
-	// treelets as this layout would return garbage.
-	if flags != layoutFlags {
-		return nil, fmt.Errorf("bat: version %d file with header flags %#x: this reader reads flags %#x only (a retired layout, or a newer writer)", ver, flags, layoutFlags)
-	}
-	// Unpadded treelets tile the bytes between header and footer, in order:
-	// no byte of the file is outside a checksum.
-	next := uint64(f.headerSize)
-	for i, l := range f.leaves {
-		if l.offset != next {
-			return nil, fmt.Errorf("bat: treelet %d starts at byte %d, the bytes before it end at %d (unpadded treelets lie back to back)", i, l.offset, next)
+	// The treelets lie back to back from the end of the header, each where
+	// the one before it ends, and their byte lengths must end where the
+	// footer starts: no byte of the file is outside a checksum. This comes
+	// after the footer so a damaged length reports as the checksum error it
+	// is, and the sum stops past the footer so it cannot wrap.
+	next, footerStart := int64(f.headerSize), f.size-f.footerLen()
+	for i := range f.leaves {
+		f.leaves[i].offset = next
+		if next += int64(f.leaves[i].byteLen); next > footerStart {
+			break
 		}
-		next += uint64(l.byteLen)
 	}
-	if footerStart := uint64(f.size - f.footerLen()); next != footerStart {
+	if next != footerStart {
 		return nil, fmt.Errorf("bat: treelets end at byte %d, the checksum footer starts at %d", next, footerStart)
 	}
 	return f, nil
@@ -273,71 +255,47 @@ var ErrChecksum = errors.New("bat: checksum mismatch")
 // footerLen is the length of the checksum footer of a file of f's treelet
 // count and attribute count.
 func (f *File) footerLen() int64 {
-	return int64(footerFixedLen) + 4*int64(len(f.leaves)) + int64(footerV3ExtraLen(f.Schema.NumAttrs()))
+	return int64(footerLen(len(f.leaves), f.Schema.NumAttrs()))
 }
 
 // loadFooter reads and verifies the checksum footer of a file whose header
-// is the bytes in head.
+// is the bytes in head. The footer's length is the one the header's treelet
+// and attribute counts give, so it sits at size − footerLen.
 func (f *File) loadFooter(ctx context.Context, head []byte) error {
 	f.headerSize = len(head)
-	if f.size < int64(f.headerSize)+footerFixedLen {
+	fLen := f.footerLen()
+	if f.size-fLen < int64(f.headerSize) {
 		return fmt.Errorf("bat: file too small for checksum footer")
 	}
-	tail := make([]byte, 8)
-	if _, err := pfs.ReadAtContext(ctx, f.src, tail, f.size-8); err != nil && err != io.EOF {
-		return fmt.Errorf("bat: reading footer: %w", err)
-	}
-	if string(tail[4:]) != footerMagic {
-		return fmt.Errorf("%w: bad footer magic %q", ErrChecksum, tail[4:])
-	}
-	fLen := int64(binfmt.NewReader(tail).U32())
-	if fLen < footerFixedLen || fLen > f.size-int64(f.headerSize) {
-		return fmt.Errorf("%w: implausible footer length %d", ErrChecksum, fLen)
-	}
-	foot := make([]byte, fLen-8) // footer minus the trailing length+magic
+	foot := make([]byte, fLen)
 	if _, err := pfs.ReadAtContext(ctx, f.src, foot, f.size-fLen); err != nil && err != io.EOF {
 		return fmt.Errorf("bat: reading footer: %w", err)
 	}
 	fr := binfmt.NewReader(foot)
-	body := fr.Bytes(len(foot) - 4)
-	if got, want := checksum.CRC32C(body), fr.U32(); got != want {
-		return fmt.Errorf("%w: footer CRC %08x != %08x", ErrChecksum, got, want)
+	body := fr.Bytes(len(foot) - 8)
+	crc, mg := fr.U32(), fr.Bytes(4)
+	if string(mg) != footerMagic {
+		return fmt.Errorf("%w: bad footer magic %q", ErrChecksum, mg)
 	}
-	// The footer's length matches its treelet and attribute counts before
-	// anything past the counts is read, so no read below runs short.
+	if got := checksum.CRC32C(body); got != crc {
+		return fmt.Errorf("%w: footer CRC %08x != %08x", ErrChecksum, got, crc)
+	}
 	r := binfmt.NewReader(body)
 	f.headerCRC = r.U32()
-	nT := r.U32()
-	if int(nT) != len(f.leaves) {
-		return fmt.Errorf("%w: footer lists %d treelets, header %d", ErrChecksum, nT, len(f.leaves))
-	}
-	nA := f.Schema.NumAttrs()
-	if wantLen := f.footerLen(); wantLen != fLen {
-		return fmt.Errorf("%w: footer length %d, want %d for %d treelets", ErrChecksum, fLen, wantLen, nT)
-	}
 	if got := checksum.CRC32C(head); got != f.headerCRC {
 		return fmt.Errorf("%w: header CRC %08x != %08x", ErrChecksum, got, f.headerCRC)
 	}
-	f.treeletCRCs = make([]uint32, nT)
+	f.treeletCRCs = make([]uint32, len(f.leaves))
 	for i := range f.treeletCRCs {
 		f.treeletCRCs[i] = r.U32()
 	}
-	// The codec extension sits between the treelet CRCs and the footer CRC
-	// (already verified above, so out-of-range values here mean a writer bug
-	// or a crafted file, not a torn write).
-	if fnA := r.U32(); int(fnA) != nA {
-		return fmt.Errorf("%w: footer declares %d attributes, header %d", ErrChecksum, fnA, nA)
-	}
-	f.attrBounds = make([]float64, nA)
-	for a := 0; a < nA; a++ {
-		c, b := r.U8(), r.F64()
+	// The values below passed the footer CRC, so an out-of-range one means a
+	// writer bug or a crafted file, not a torn write.
+	f.attrBounds = make([]float64, f.Schema.NumAttrs())
+	for a := range f.attrBounds {
+		b := r.F64()
 		if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
 			return fmt.Errorf("bat: footer attribute %d declares invalid error bound %v", a, b)
-		}
-		// The class is the one compact writes for the bound: quant exactly
-		// when the attribute is lossy.
-		if want := attrClass(b); c != want {
-			return fmt.Errorf("bat: footer attribute %d declares codec class %s for bound %v, want %s", a, CodecName(c), b, CodecName(want))
 		}
 		f.attrBounds[a] = b
 	}
@@ -345,16 +303,9 @@ func (f *File) loadFooter(ctx context.Context, head []byte) error {
 	if math.IsNaN(f.lodScale) || math.IsInf(f.lodScale, 0) || f.lodScale < 1 {
 		return fmt.Errorf("bat: footer declares invalid LOD error scale %v", f.lodScale)
 	}
-	f.rawPayload, f.encPayload = r.U64(), r.U64()
+	f.encPayload = r.U64()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("bat: footer: %w", err)
-	}
-	// No treelet may extend into the footer region.
-	dataEnd := uint64(f.size - fLen)
-	for i, l := range f.leaves {
-		if l.offset+uint64(l.byteLen) > dataEnd {
-			return fmt.Errorf("bat: treelet %d overlaps checksum footer", i)
-		}
 	}
 	return nil
 }
@@ -371,7 +322,7 @@ func (f *File) Verify() error {
 	}
 	for ti, ref := range f.leaves {
 		buf := make([]byte, ref.byteLen)
-		if _, err := f.src.ReadAt(buf, int64(ref.offset)); err != nil && err != io.EOF {
+		if _, err := f.src.ReadAt(buf, ref.offset); err != nil && err != io.EOF {
 			return fmt.Errorf("bat: verify treelet %d: %w", ti, err)
 		}
 		if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
@@ -382,21 +333,19 @@ func (f *File) Verify() error {
 }
 
 // CompressionInfo describes a file's codec configuration and whole-file
-// payload accounting, read from the footer extension.
+// payload accounting, read from the footer.
 type CompressionInfo struct {
-	// Codecs is the declared codec class per attribute (see CodecName):
-	// quant for lossy attributes, delta for lossless ones. The class says
-	// nothing about what a section stores: a lossless attribute's sections
-	// are delta, key-for, sign-key-for or raw, whichever is smallest, and a
-	// lossy one's fall back to key-for, sign-key-for or raw where no grid can
-	// hold them.
-	Codecs []uint8
 	// Bounds is the absolute error bound per attribute; 0 means lossless.
+	// The bound says nothing about what a section stores: a lossless
+	// attribute's sections are delta, key-for, sign-key-for or raw,
+	// whichever is smallest, and a lossy one's are quant-for, or key-for,
+	// sign-key-for or raw where no grid can hold them.
 	Bounds []float64
 	// LODScale multiplies the bound for values referenced by LOD samples.
 	LODScale float64
 	// RawPayloadBytes / EncPayloadBytes are the attribute payload sizes
-	// before and after encoding, summed over every treelet.
+	// before and after encoding, summed over every treelet. The raw size is
+	// the particle count times the attribute sizes.
 	RawPayloadBytes uint64
 	EncPayloadBytes uint64
 }
@@ -410,19 +359,18 @@ func (ci *CompressionInfo) Ratio() float64 {
 	return float64(ci.RawPayloadBytes) / float64(ci.EncPayloadBytes)
 }
 
-// Compression returns the file's codec configuration from its footer
-// extension, which every readable file carries: a lossless build declares
-// bound 0 for every attribute.
+// Compression returns the file's codec configuration from its footer, which
+// every readable file carries: a lossless build declares bound 0 for every
+// attribute.
 func (f *File) Compression() *CompressionInfo {
-	codecs := make([]uint8, len(f.attrBounds))
-	for a, b := range f.attrBounds {
-		codecs[a] = attrClass(b)
+	var attrBytes int64
+	for _, desc := range f.Schema.Attrs {
+		attrBytes += int64(desc.Type.Size())
 	}
 	return &CompressionInfo{
-		Codecs:          codecs,
 		Bounds:          append([]float64(nil), f.attrBounds...),
 		LODScale:        f.lodScale,
-		RawPayloadBytes: f.rawPayload,
+		RawPayloadBytes: uint64(f.NumParticles * attrBytes),
 		EncPayloadBytes: f.encPayload,
 	}
 }
@@ -475,7 +423,7 @@ var positionNames = [PositionSections]string{"x", "y", "z"}
 // NodeTableInfo describes how one treelet's node table is stored.
 type NodeTableInfo struct {
 	Nodes int
-	// Bytes is the table's length, the treelet's two count words excluded.
+	// Bytes is the table's length.
 	Bytes int
 	// Columns lists the packed table's columns in stream order: axis, count,
 	// split, then each attribute's bitmap IDs.
@@ -510,8 +458,8 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 }
 
 // StoredBytes says where a file's bytes are (batinspect -bytes): the header
-// with its shallow tree and dictionary, the treelets' node tables (their
-// count words included), position sections and attribute sections (their
+// with its shallow tree and dictionary, the treelets' node tables, position
+// sections and attribute sections (their
 // framing included), and the checksum footer: the treelets tile the bytes
 // between header and footer, so the parts add up to the file's size.
 // AttributeFrames is the part of Attributes that is block frames stored
@@ -532,7 +480,7 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 		if err != nil {
 			return sb, err
 		}
-		sb.NodeTables += 8 + int64(lay.NodeTable.Bytes)
+		sb.NodeTables += int64(lay.NodeTable.Bytes)
 		for i, sec := range lay.Sections {
 			part := &sb.Attributes
 			if i < PositionSections {
@@ -645,21 +593,14 @@ func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) 
 func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*parsedTreelet, error) {
 	ref := f.leaves[ti]
 	buf := make([]byte, ref.byteLen)
-	if _, err := pfs.ReadAtContext(ctx, f.src, buf, int64(ref.offset)); err != nil {
+	if _, err := pfs.ReadAtContext(ctx, f.src, buf, ref.offset); err != nil {
 		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
 	}
 	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
 		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
 	}
 	r := binfmt.NewReader(buf)
-	nNodes, nPoints := r.U32(), r.U32()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-	}
-	if nNodes != ref.numNodes || nPoints != ref.numPoints {
-		return nil, fmt.Errorf("bat: treelet %d header mismatch: %d/%d nodes, %d/%d points",
-			ti, nNodes, ref.numNodes, nPoints, ref.numPoints)
-	}
+	nNodes, nPoints := ref.numNodes, ref.numPoints
 	nA := f.Schema.NumAttrs()
 	var table *NodeTableInfo
 	if lay != nil {
@@ -677,7 +618,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		}
 	}
 	if lay != nil {
-		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), r.Offset()-8
+		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), r.Offset()
 		for i := range lay.NodeTable.Columns {
 			lay.NodeTable.Columns[i].Name = nodeColumnName(i, f.Schema)
 		}

@@ -77,7 +77,7 @@ type (
 	QueryStats = bat.QueryStats
 	// CacheStats snapshots treelet cache hit/miss/eviction counters.
 	CacheStats = bat.CacheStats
-	// CompressionInfo describes a BAT v3 leaf file's codec configuration
+	// CompressionInfo describes a BAT leaf file's codec configuration
 	// (per-attribute error bounds, LOD error scale, payload ratio).
 	CompressionInfo = bat.CompressionInfo
 	// AccessRecorder captures which treelets, spatial regions, and
