@@ -251,8 +251,8 @@ func printCompression(w io.Writer, f *bat.File) error {
 	type colAgg struct {
 		name     string
 		raw, enc int64
-		// kinds counts the column's sections by codec name, a quant-for,
-		// key-for or sign-key-for section's frame mode appended; widths
+		// kinds counts the column's sections by codec name, a framed
+		// section's frame mode appended; widths
 		// collects every block's bits.
 		kinds  map[string]int
 		widths []uint8

@@ -238,7 +238,7 @@ func TestInspectCompressedLeaf(t *testing.T) {
 
 // TestInspectLosslessLeaf: -leaf on a dataset written without error bounds
 // prints the class lossless for the float attributes, never a section codec
-// such as delta, and the sections column says the one of one sign is stored
+// such as int-for, and the sections column says the one of one sign is stored
 // key-for, the zero-mean one sign-key-for.
 func TestInspectLosslessLeaf(t *testing.T) {
 	ds, err := core.OpenDataset(context.Background(), writeDataset(t), "ds")
@@ -257,8 +257,8 @@ func TestInspectLosslessLeaf(t *testing.T) {
 			t.Errorf("-leaf output has no line matching %s:\n%s", want, out.String())
 		}
 	}
-	if regexp.MustCompile(`(?m)^\s+\S+\s+delta\s`).Match(out.Bytes()) {
-		t.Errorf("-leaf output prints the class delta:\n%s", out.String())
+	if regexp.MustCompile(`(?m)^\s+\S+\s+int-for\s`).Match(out.Bytes()) {
+		t.Errorf("-leaf output prints the class int-for:\n%s", out.String())
 	}
 }
 

@@ -72,10 +72,11 @@ type BuildConfig struct {
 	// AttrErrorBounds are the absolute error bounds applied per attribute
 	// (indexed like the schema) when Compress is set; when set, its length
 	// must equal the schema's attribute count. Nil, like a bound of 0,
-	// means lossless: a column is stored as the smallest of delta+varint
-	// (integral values only), key-for (the values' order-preserving keys
-	// under per-treelet or per-node frames), sign-key-for (the same over
-	// keys that hold the sign in their lowest bit) and raw. A bound is
+	// means lossless: a column is stored as the smallest of int-for
+	// (integral values only, at grid step 1), key-for (the values'
+	// order-preserving keys under per-treelet or per-node frames),
+	// sign-key-for (the same over keys that hold the sign in their lowest
+	// bit) and raw. A bound is
 	// measured against the value the attribute's schema type stores
 	// (Float32 attributes round through float32 either way).
 	AttrErrorBounds []float64

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -114,7 +115,7 @@ func TestCompressedMaxErrorProperty(t *testing.T) {
 }
 
 // TestCompressedLosslessBitExact pins the all-bounds-zero configuration:
-// every value round-trips bit-exact through the lossless delta, key-for and
+// every value round-trips bit-exact through the lossless int-for, key-for and
 // raw sections.
 func TestCompressedLosslessBitExact(t *testing.T) {
 	s, domain := cosmoSet(3000, 11)
@@ -170,15 +171,16 @@ func TestCompressedBuildDeterminism(t *testing.T) {
 	}
 }
 
-// TestDefaultBuildLosslessV3 pins what a build that declares no error bound
+// TestDefaultBuildLosslessV4 pins what a build that declares no error bound
 // writes: version 4, a footer that declares every attribute lossless with
 // bound 0, and positions and attributes that read back bit for bit — NaN
 // payloads, ±0, denormals and infinities included, through key-for and
 // sign-key-for sections of both float types; an integral column that holds
-// -0 keeps it too, in a raw float section (delta would drop the sign).
+// -0 keeps it too, in a key-for, sign-key-for or raw section (int-for would
+// drop the sign).
 // Bounds or a LOD scale set without Compress, or
 // Compress without bounds, change no byte of it.
-func TestDefaultBuildLosslessV3(t *testing.T) {
+func TestDefaultBuildLosslessV4(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	special := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x7ff8000000000123),
@@ -318,7 +320,7 @@ func TestDefaultBuildLosslessV3(t *testing.T) {
 	if seen != s.Len() {
 		t.Fatalf("read %d of %d particles", seen, s.Len())
 	}
-	for _, c := range []uint8{codecSortedCellFOR, codecRaw, codecDelta, codecKeyFOR, codecSignKeyFOR} {
+	for _, c := range []uint8{codecSortedCellFOR, codecRaw, codecIntFOR, codecKeyFOR, codecSignKeyFOR} {
 		if !codecs[c] {
 			t.Errorf("no %s section in the build (%v); the case is not exercised", CodecName(c), codecs)
 		}
@@ -468,29 +470,64 @@ func TestCompressConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDeltaCodec unit-tests the lossless integral codec directly:
-// round-trip for integral streams, rejection of non-integral and
-// out-of-range values.
-func TestDeltaCodec(t *testing.T) {
-	vals := []float64{0, 1, -1, 1000, -999, 1 << 40, -(1 << 40), 42}
-	enc, ok := encodeDelta(vals, len(vals)*8)
-	if !ok {
-		t.Fatal("integral stream rejected")
+// TestIntFORGate holds the lossless encoder's int-for gate to its edges: a
+// column whose type-rounded values are all integers within ±2^52, none -0,
+// whose span fits the 48-bit grid, is int-for and reads back bit for bit;
+// -0, NaN, a value one past 2^52 and a span of 2^48 each send the column to a
+// key codec instead, which reads back bit for bit too.
+func TestIntFORGate(t *testing.T) {
+	counts := []int{5, 40, 0, 30}
+	column := func(v func(i int) float64) []float64 {
+		col := make([]float64, 75)
+		for i := range col {
+			col[i] = v(i)
+		}
+		return col
 	}
-	dec, err := decodeDelta(enc, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if dec[i] != vals[i] {
-			t.Fatalf("index %d: %v != %v", i, dec[i], vals[i])
+	ids := func(i int) float64 { return float64(1000 + i) }
+	with := func(at int, x float64) func(i int) float64 {
+		return func(i int) float64 {
+			if i == at {
+				return x
+			}
+			return ids(i)
 		}
 	}
-	if _, ok := encodeDelta([]float64{1.5, 2}, 16); ok {
-		t.Fatal("non-integral stream accepted")
-	}
-	if _, ok := encodeDelta([]float64{float64(uint64(1) << 53)}, 8); ok {
-		t.Fatal("out-of-range magnitude accepted")
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		typ  particles.AttrType
+		col  []float64
+		want uint8
+	}{
+		{"ids", particles.Float64, column(ids), codecIntFOR},
+		{"2-bit tags, float32", particles.Float32, column(func(i int) float64 { return float64(i * 7 % 4) }), codecIntFOR},
+		{"up to +2^52", particles.Float64, column(func(i int) float64 { return integralMagnitude - float64(i) }), codecIntFOR},
+		{"down to -2^52", particles.Float64, column(func(i int) float64 { return -integralMagnitude + float64(i) }), codecIntFOR},
+		{"span of 2^48 - 1", particles.Float64, column(with(40, 1000+1<<maxQuantBits-1)), codecIntFOR},
+		{"-0", particles.Float64, column(with(40, negZero)), codecKeyFOR},
+		{"NaN", particles.Float64, column(with(40, math.NaN())), codecKeyFOR},
+		{"one past +2^52", particles.Float64, column(func(i int) float64 { return integralMagnitude + 1 - float64(i) }), codecKeyFOR},
+		{"one past -2^52", particles.Float64, column(func(i int) float64 { return -integralMagnitude - 1 + float64(i) }), codecKeyFOR},
+		{"span of 2^48", particles.Float64, column(with(40, 1000+1<<maxQuantBits)), codecKeyFOR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, nodes := forTreelet(counts)
+			var a buildArena
+			enc := encodeAttr(tc.col, tr, tc.typ, 0, 1, &a)
+			if enc.codec != tc.want {
+				t.Fatalf("stored as %s (%d bytes), want %s", CodecName(enc.codec), len(enc.data), CodecName(tc.want))
+			}
+			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(tc.col)), tc.typ, 0, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range tc.col {
+				if g, w := math.Float64bits(got[i]), math.Float64bits(typedValue(v, tc.typ)); g != w {
+					t.Fatalf("value %d: bits %#016x, want %#016x", i, g, w)
+				}
+			}
+		})
 	}
 }
 
@@ -1424,7 +1461,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeQuantFOR(tc.payload, newNodeBlocks(nodes, n), tc.bound, 1, nil)
+			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(nodes, n), tc.bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1502,4 +1539,137 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 			t.Errorf("no Elias–Fano block on axis %d among the builds (%v)", ax, efNodes)
 		}
 	}
+}
+
+// nodeAddressable decodes every section of every treelet of the image buf
+// twice — whole, as a treelet load does, and node by node — and requires
+// each node's values, bit for bit, to be its slice of the whole column. It
+// returns how many sections of each codec it checked.
+func nodeAddressable(buf []byte) (map[string]int, error) {
+	f, err := FromBuffer(buf)
+	if err != nil {
+		return nil, err
+	}
+	checked := map[string]int{}
+	for ti, ref := range f.leaves {
+		pt, err := f.loadTreelet(context.Background(), ti)
+		if err != nil {
+			return nil, err
+		}
+		lay, err := f.TreeletLayout(context.Background(), ti)
+		if err != nil {
+			return nil, err
+		}
+		nb := newNodeBlocks(pt.nodes, int(ref.numPoints))
+		kd := nb.kdCells(ref.bounds)
+		p := int(ref.offset) + lay.NodeTable.Bytes
+		for si, sec := range lay.Sections {
+			p += sectionFrameLen
+			payload := buf[p : p+sec.EncBytes]
+			p += sec.EncBytes
+			var whole []uint64
+			typ, bound := particles.Float32, 0.0
+			if si < PositionSections {
+				for _, v := range [PositionSections][]float32{pt.x, pt.y, pt.z}[si] {
+					whole = append(whole, uint64(math.Float32bits(v)))
+				}
+			} else {
+				a := si - PositionSections
+				typ, bound = f.Schema.Attrs[a].Type, f.attrBounds[a]
+				for _, v := range pt.attrs[a] {
+					whole = append(whole, math.Float64bits(v))
+				}
+			}
+			for ni, n := range pt.nodes {
+				got, err := decodeNodeBlock(sec.Codec, payload, nb, kd, si, typ, bound, f.lodScale, ni)
+				if err != nil {
+					return nil, fmt.Errorf("treelet %d section %s node %d: %w", ti, sec.Attr, ni, err)
+				}
+				if want := whole[n.start : n.start+n.count]; !slices.Equal(got, want) {
+					return nil, fmt.Errorf("treelet %d %s section %s node %d decodes alone to %#x, in the whole column to %#x",
+						ti, CodecName(sec.Codec), sec.Attr, ni, got, want)
+				}
+			}
+			checked[CodecName(sec.Codec)]++
+		}
+	}
+	return checked, nil
+}
+
+// decodeNodeBlock decodes node ni's values of one section of a treelet (si
+// its row in TreeletLayout) from the node's block alone, as bit patterns: a
+// position's float32 bits, an attribute's float64 ones. A raw node is
+// count values from its particle range's start on. A packed node's block
+// starts where the section's block run does, plus the bits of the nodes
+// ahead of it under their frames — the k-d cells of a sorted-cell-for
+// section, the frames a framed attribute section stores ahead of its run.
+func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, si int, typ particles.AttrType,
+	bound, lodScale float64, ni int) ([]uint64, error) {
+
+	n := nb.nodes[ni]
+	position := si < PositionSections
+	var out []uint64
+	if codec == codecRaw {
+		size := typ.Size()
+		lo, hi := int(n.start)*size, int(n.start+n.count)*size
+		if hi > len(payload) {
+			return nil, fmt.Errorf("raw node range ends at byte %d of %d", hi, len(payload))
+		}
+		if position {
+			for p := lo; p < hi; p += size {
+				out = append(out, uint64(binary.LittleEndian.Uint32(payload[p:])))
+			}
+			return out, nil
+		}
+		vals, err := decodeRaw(payload[lo:hi], int(n.count), typ)
+		for _, v := range vals {
+			out = append(out, math.Float64bits(v))
+		}
+		return out, err
+	}
+	var frames []blockFrame
+	var err error
+	switch {
+	case position && codec == codecSortedCellFOR:
+		frames, err = kd.frames[si], kd.errs[si]
+	case !position && (codec == codecQuantFOR || codec == codecIntFOR):
+		err = nb.layFramed(payload, quantFORHeaderLen, maxQuantIndex, nil)
+		frames = nb.frames
+	case !position && (codec == codecKeyFOR || codec == codecSignKeyFOR):
+		err = nb.layFramed(payload, keyFORHeaderLen, keyLimit(typ), nil)
+		frames = nb.frames
+	default:
+		return nil, fmt.Errorf("%s sections hold no block per node", CodecName(codec))
+	}
+	if err != nil {
+		return nil, err
+	}
+	fr := frames[ni]
+	fr.bit = frames[0].bit
+	for j := range ni {
+		fr.bit += frames[j].bits(nb.nodes[j].count)
+	}
+	one := &nodeBlocks{nodes: []diskNode{{axis: n.axis, count: n.count}}, nPoints: int(n.count), frames: []blockFrame{fr}}
+	var vals []float64
+	switch codec {
+	case codecSortedCellFOR:
+		return out, one.unpack(payload, func(_, _ int, offs []uint64) error {
+			for _, off := range offs {
+				out = append(out, uint64(f32FromKey(uint32(fr.base+off))))
+			}
+			return nil
+		})
+	case codecQuantFOR, codecIntFOR:
+		if codec == codecIntFOR {
+			bound, lodScale = intFORBound, 1
+		}
+		fineStep, lodStep := quantSteps(bound, lodScale)
+		vals, err = one.dequant(payload, math.Float64frombits(binary.LittleEndian.Uint64(payload)), fineStep, lodStep)
+	default:
+		vals, err = one.unkey(payload, fromKeys(codec, typ))
+	}
+	for _, v := range vals {
+		out = append(out, math.Float64bits(v))
+	}
+	return out, err
 }

@@ -110,7 +110,9 @@ func readRows(t *testing.T, f *File) []goldenRow {
 // build by the last version-2 writer (commit 3bb0b42, the parent of the one
 // writer): node records, page-aligned treelets, raw columns. golden_v1.bat
 // is the same image with its footer removed and its version field patched to
-// 1 (stripToV1), the layout version-1 writers produced.
+// 1 (stripToV1), the layout version-1 writers produced. golden_v4_delta.bat
+// is goldenConfig's build by the last writer of delta sections (commit
+// c4dad65): today's layout, but its id sections are the retired codec 2.
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -153,9 +155,9 @@ type goldenCase struct {
 	openErr, loadErr string
 	// massBound is how far a decoded mass may be from the golden set's.
 	massBound float64
-	// massCodec, when set, is the codec of every mass section, and
-	// posCodec of every x section.
-	massCodec, posCodec string
+	// massCodec, when set, is the codec of every mass section, idCodec of
+	// every id section and posCodec of every x section.
+	massCodec, idCodec, posCodec string
 	// signed marks a build of goldenSignedSet.
 	signed bool
 }
@@ -164,12 +166,13 @@ type goldenCase struct {
 // directory to it, so a retired layout cannot leave a file behind that
 // nothing opens.
 var goldens = []goldenCase{
-	{"golden_v1.bat", "unsupported version 1", "", 0, "", "", false},
-	{"golden_v2.bat", "unsupported version 2", "", 0, "", "", false},
-	{"golden_v3.bat", "unsupported version 3", "", 0, "", "", false},
-	{"golden_v4.bat", "", "", goldenLossyConfig().AttrErrorBounds[0], "quant-for", "sorted-cell-for", false},
-	{"golden_v4_lossless.bat", "", "", 0, "key-for", "sorted-cell-for", false},
-	{"golden_v4_signkeys.bat", "", "", 0, "sign-key-for", "sorted-cell-for", true},
+	{"golden_v1.bat", "unsupported version 1", "", 0, "", "", "", false},
+	{"golden_v2.bat", "unsupported version 2", "", 0, "", "", "", false},
+	{"golden_v3.bat", "unsupported version 3", "", 0, "", "", "", false},
+	{"golden_v4.bat", "", "", goldenLossyConfig().AttrErrorBounds[0], "quant-for", "int-for", "sorted-cell-for", false},
+	{"golden_v4_lossless.bat", "", "", 0, "key-for", "int-for", "sorted-cell-for", false},
+	{"golden_v4_signkeys.bat", "", "", 0, "sign-key-for", "int-for", "sorted-cell-for", true},
+	{"golden_v4_delta.bat", "", "unknown attribute codec id 2", 0, "", "", "", false},
 }
 
 // TestGoldenBackwardCompat opens the checked-in file of every version a
@@ -178,11 +181,13 @@ var goldens = []goldenCase{
 // and the lossless id bit-exact, mass within its declared bound in
 // golden_v4.bat, stored key-for and exact in golden_v4_lossless.bat and,
 // negated at every other particle (goldenSignedSet), sign-key-for and exact
-// in golden_v4_signkeys.bat; every position section is sorted-cell-for.
-// Every retired version — 1 (no checksums), 2 (page-aligned treelets) and 3
-// (the same treelets as today's beside stored copies of derived facts) — is
-// refused at open with a named error. A case may instead name the error of
-// a layout refused at its first treelet load; it then returns no rows.
+// in golden_v4_signkeys.bat; every id section is int-for and every position
+// section sorted-cell-for. Every retired version — 1 (no checksums), 2
+// (page-aligned treelets) and 3 (the same treelets as today's beside stored
+// copies of derived facts) — is refused at open with a named error. A case
+// may instead name the error of a layout refused at its first treelet load —
+// golden_v4_delta.bat, whose id sections are the retired delta codec 2 —; it
+// then returns no rows.
 func TestGoldenBackwardCompat(t *testing.T) {
 	for _, tc := range goldens {
 		t.Run(tc.file, func(t *testing.T) {
@@ -219,6 +224,9 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				}
 				if c := CodecName(lay.Sections[PositionSections].Codec); c != tc.massCodec {
 					t.Fatalf("treelet %d stores mass as %s, want %s", ti, c, tc.massCodec)
+				}
+				if c := CodecName(lay.Sections[PositionSections+1].Codec); c != tc.idCodec {
+					t.Fatalf("treelet %d stores id as %s, want %s", ti, c, tc.idCodec)
 				}
 				if c := CodecName(lay.Sections[0].Codec); c != tc.posCodec {
 					t.Fatalf("treelet %d stores x as %s, want %s", ti, c, tc.posCodec)

@@ -474,7 +474,7 @@ func TestPackedPositionCorruption(t *testing.T) {
 		}, "truncated codec stream"},
 		{"attribute codec on a position", func(tre []byte) { tre[xOff] = codecQuantFOR }, "unknown position codec"},
 		{"sign-key-for on a position", func(tre []byte) { tre[xOff] = codecSignKeyFOR }, "unknown position codec id 7"},
-		{"flat quant on a position", func(tre []byte) { tre[xOff] = codecQuant }, "unknown position codec id 1"},
+		{"flat quant on a position", func(tre []byte) { tre[xOff] = 1 }, "unknown position codec id 1"},
 		{"inline-frame codec over the run", func(tre []byte) { tre[xOff] = 3 }, "unknown position codec id 3"},
 		{"cell-for over Elias–Fano blocks", func(tre []byte) { tre[xOff] = 5 }, "unknown position codec id 5"},
 		{"raw codec over a packed stream", func(tre []byte) { tre[xOff] = codecRaw }, "raw position column"},
@@ -710,7 +710,7 @@ func TestFrameColumnCorruption(t *testing.T) {
 	valid := quantColsStream(nodes, good, qs)
 	nb := newNodeBlocks(nodes, len(qs))
 	var info SectionInfo
-	vals, err := decodeQuantFOR(valid, nb, bound, 1, &info)
+	vals, err := decodeQuantFOR(codecQuantFOR, valid, nb, bound, 1, &info)
 	if err != nil || info.Mode != "per-node-cols" || info.FrameBytes == 0 {
 		t.Fatalf("the valid stream: mode %q, %d frame bytes, error %v", info.Mode, info.FrameBytes, err)
 	}
@@ -752,7 +752,7 @@ func TestFrameColumnCorruption(t *testing.T) {
 			for _, nd := range tc.nodes {
 				n += int(nd.count)
 			}
-			_, err := decodeQuantFOR(tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
+			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -901,8 +901,8 @@ type sectionSeed struct {
 	lo, hi  [3]float32
 }
 
-// modeAt is where a framed (quant-for, key-for or sign-key-for) seed keeps
-// its frame mode.
+// modeAt is where a framed (quant-for, int-for, key-for or sign-key-for)
+// seed keeps its frame mode.
 func (s sectionSeed) modeAt() int {
 	if s.codec == codecKeyFOR || s.codec == codecSignKeyFOR {
 		return keyFORHeaderLen - 1
@@ -1044,26 +1044,42 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 }
 
 // sectionSeeds cuts every section of every treelet out of a small fresh
-// compressed build, the same particles built lossless (key-for attributes), a
-// lossless build of four float64 columns — one that crosses zero smoothly
-// (key-for: the nodes that straddle zero need key frames of 62 and 63 bits,
-// the rest far fewer), the same under alternating signs and zero-mean noise
-// (sign-key-for, in both frame modes), and one of one sign across some 2000
-// binades (key-for blocks of over 58 bits, the packer's wide lane) —, a
-// lossless build of one column of scattered float64 bit patterns, which no
+// compressed build, the same particles built lossless (key-for attributes,
+// int-for ids in one frame), a lossless build of five float64 columns — one
+// that crosses zero smoothly (key-for: the nodes that straddle zero need key
+// frames of 62 and 63 bits, the rest far fewer), the same under alternating
+// signs and zero-mean noise (sign-key-for, in both frame modes), one of one
+// sign across some 2000 binades (key-for blocks of over 58 bits, the packer's
+// wide lane) and ids that rise along x (int-for in the nodes' own frames) —,
+// a lossless build of one column of scattered float64 bit patterns, which no
 // codec shrinks (raw), over x columns with a NaN in some treelets (raw too),
-// and golden_v4.bat, so the fuzzer starts from streams each decoder accepts;
-// every other position section is sorted-cell-for.
+// and golden_v4.bat and golden_v4_lossless.bat (int-for ids beside a lossy
+// and a lossless mass), so the fuzzer starts from streams each decoder
+// accepts; every other position section is sorted-cell-for.
+// sectionSeedBuilds returns the images.
 func sectionSeeds(tb testing.TB) []sectionSeed {
+	var seeds []sectionSeed
+	for _, buf := range sectionSeedBuilds(tb) {
+		f, err := FromBuffer(buf)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, fileSections(tb, f, buf)...)
+	}
+	return seeds
+}
+
+// sectionSeedBuilds are the images sectionSeeds cuts its seeds from.
+func sectionSeedBuilds(tb testing.TB) [][]byte {
 	s, domain := cosmoSet(300, 5)
 	cfg := compressedConfig([]float64{fuzzSectionBound, fuzzSectionBound, 0, 0})
 	cfg.LODErrorScale = fuzzSectionLODScale
-	zs := particles.NewSet(particles.NewSchema("v", "signed", "noise", "binades"), 300)
+	zs := particles.NewSet(particles.NewSchema("v", "signed", "noise", "binades", "id"), 300)
 	for i := 0; i < 300; i++ {
 		x, sign := float64(i)/300, float64(i%2)-0.5
 		frac := float64(i*7919%1000) / 1000
 		zs.Append(geom.V3(x, float64(i%7)/7, 0.5), []float64{x - 0.5, (x - 0.5) * sign,
-			math.Copysign(1+frac, sign), math.Ldexp(1+frac, i*37%2000-1000)})
+			math.Copysign(1+frac, sign), math.Ldexp(1+frac, i*37%2000-1000), float64(i)})
 	}
 	rs := particles.NewSet(particles.NewSchema("bits"), 300)
 	for i := 0; i < 300; i++ {
@@ -1084,31 +1100,24 @@ func sectionSeeds(tb testing.TB) []sectionSeed {
 		}
 		bufs = append(bufs, b.Buf)
 	}
-	var seeds []sectionSeed
-	for _, buf := range append(bufs, goldenFile(tb, "golden_v4.bat")) {
-		f, err := FromBuffer(buf)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		seeds = append(seeds, fileSections(tb, f, buf)...)
-	}
-	return seeds
+	return append(bufs, goldenFile(tb, "golden_v4.bat"), goldenFile(tb, "golden_v4_lossless.bat"))
 }
 
 // retiredSeeds relabels live sections with the section codec ids and the
 // frame mode earlier writers emitted and no reader decodes: every quant-for
-// section as flat quant (id 1), every sorted-cell-for section as positions
-// under inline frames (id 3) and as cell-for (id 5), every per-node-cols
-// section — quant-for, key-for or sign-key-for — as inline per-node frames
-// (mode 1). Every decoder must refuse them.
+// section as flat quant (id 1), every int-for section as delta (id 2), every
+// sorted-cell-for section as positions under inline frames (id 3) and as
+// cell-for (id 5), every per-node-cols section — quant-for, int-for, key-for
+// or sign-key-for — as inline per-node frames (mode 1). Every decoder must
+// refuse them.
 func retiredSeeds(live []sectionSeed) []sectionSeed {
 	var out []sectionSeed
 	for _, s := range live {
 		switch s.codec {
-		case codecQuantFOR, codecKeyFOR, codecSignKeyFOR:
-			if s.codec == codecQuantFOR {
+		case codecQuantFOR, codecIntFOR, codecKeyFOR, codecSignKeyFOR:
+			if id, ok := map[uint8]uint8{codecQuantFOR: 1, codecIntFOR: 2}[s.codec]; ok {
 				flat := s
-				flat.codec = codecQuant
+				flat.codec = id
 				out = append(out, flat)
 			}
 			if m := s.modeAt(); s.payload[m] == modePerNodeCols {
@@ -1126,11 +1135,11 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 	return out
 }
 
-// FuzzDecodeSections feeds arbitrary payloads and node tables to the five
-// section decoders (raw, delta, quant-for, the one for key-for and
-// sign-key-for, and sorted-cell-for — the last against a treelet bounds box,
-// whose three axes give a sorted-cell-for section its k-d cells and its
-// nodes' sort axes),
+// FuzzDecodeSections feeds arbitrary payloads and node tables to the section
+// decoders — raw (attribute and position), the one for quant-for and
+// int-for, the one for key-for and sign-key-for, and sorted-cell-for, the
+// last against a treelet bounds box, whose three axes give a sorted-cell-for
+// section its k-d cells and its nodes' sort axes —,
 // past the checksums and the file structure FuzzDecode has to get through
 // first, and the payload to the packed node-table decoder as a table of as
 // many nodes as the node table has and of codec attributes. Errors are fine;
@@ -1146,6 +1155,9 @@ func FuzzDecodeSections(f *testing.F) {
 	f.Add(codecRaw, []byte{}, []byte{}, uint16(0), uint8(0), zero, zero, zero, zero, zero, zero)
 	f.Add(codecQuantFOR, []byte{0, 0, 0, 0, 0, 0, 0, 0, modePerNodeCols, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 48, 0}, oneLeaf, uint16(1), uint8(0), zero, zero, zero, zero, zero, zero)
 	f.Add(codecSortedCellFOR, []byte{0xff}, oneLeaf, uint16(1), uint8(2), float32(-1), float32(1), float32(-1), float32(1), float32(-1), float32(1))
+	for _, p := range intFORAnchorSeeds() {
+		f.Add(codecIntFOR, p, oneLeaf, uint16(1), uint8(0), zero, zero, zero, zero, zero, zero)
+	}
 	// Width-64 key frames on a base near 2^64: base + span must be refused,
 	// never wrapped, in either mode, under either key map.
 	for _, p := range keyFOROverflowSeeds() {
@@ -1206,13 +1218,26 @@ func keyFOROverflowSeeds() [][]byte {
 	return [][]byte{one, cols}
 }
 
+// intFORAnchorSeeds are int-for streams of one value under one frame of
+// width 0 whose grid anchor no encoder writes — one that is not an integer,
+// ±Inf —, each behind the same stream under the anchor 3, which decodes.
+func intFORAnchorSeeds() [][]byte {
+	var out [][]byte
+	for _, anchor := range []float64{3, 0.5, math.Inf(1), math.Inf(-1)} {
+		p := binary.LittleEndian.AppendUint64(nil, math.Float64bits(anchor))
+		out = append(out, append(p, modeOneFrame, 0, 0))
+	}
+	return out
+}
+
 // TestSectionSeedsDecode keeps FuzzDecodeSections' corpus honest: every seed
 // cut from a file is accepted by the decoder it was cut from, all six codecs
-// occur, quant-for, key-for and sign-key-for each in both frame modes,
-// sorted-cell-for with Elias–Fano blocks, and a key-for block of at least 58
-// bits (the packer's wide lane); every retired
-// seed — codecs 1, 3 and 5, mode 1 — is refused by every decoder, and so are
-// the hand-made key frames that would wrap past 2^64, under either key map.
+// occur, quant-for, int-for, key-for and sign-key-for each in both frame
+// modes, sorted-cell-for with Elias–Fano blocks, and a key-for block of at
+// least 58 bits (the packer's wide lane); every retired seed — codecs 1, 2, 3
+// and 5, mode 1 — is refused by every decoder, and so are the hand-made key
+// frames that would wrap past 2^64, under either key map, and the int-for
+// anchors that are no integer.
 func TestSectionSeedsDecode(t *testing.T) {
 	seen := map[uint8]bool{}
 	modes := map[string]bool{}
@@ -1276,13 +1301,13 @@ func TestSectionSeedsDecode(t *testing.T) {
 	if efNodes == 0 {
 		t.Error("no Elias–Fano block among the sorted-cell-for seeds")
 	}
-	for _, c := range []uint8{codecRaw, codecDelta, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecSortedCellFOR} {
+	for _, c := range []uint8{codecRaw, codecIntFOR, codecQuantFOR, codecKeyFOR, codecSignKeyFOR, codecSortedCellFOR} {
 		if !seen[c] {
 			t.Errorf("no %s section among the seeds", CodecName(c))
 		}
 	}
-	for _, m := range []string{"quant-for one-frame", "quant-for per-node-cols", "key-for one-frame", "key-for per-node-cols",
-		"sign-key-for one-frame", "sign-key-for per-node-cols"} {
+	for _, m := range []string{"quant-for one-frame", "quant-for per-node-cols", "int-for one-frame", "int-for per-node-cols",
+		"key-for one-frame", "key-for per-node-cols", "sign-key-for one-frame", "sign-key-for per-node-cols"} {
 		if !modes[m] {
 			t.Errorf("no %s section among the seeds: %v", m, modes)
 		}
@@ -1298,13 +1323,23 @@ func TestSectionSeedsDecode(t *testing.T) {
 			}
 		}
 	}
+	for i, p := range intFORAnchorSeeds() {
+		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
+			vals, err := decodeAttrSection(codecIntFOR, p, newNodeBlocks(oneLeaf, 1), typ, 0, 1, nil)
+			if anchor := math.Float64frombits(binary.LittleEndian.Uint64(p)); i == 0 && (err != nil || vals[0] != anchor) {
+				t.Errorf("int-for anchor %v (%v): decoded %v, error %v", anchor, typ, vals, err)
+			} else if i > 0 && err == nil {
+				t.Errorf("int-for anchor %v (%v) decodes", anchor, typ)
+			}
+		}
+	}
 	if nodeTables == 0 {
 		t.Error("no packed node table among the seeds")
 	}
 	retired := map[string]bool{}
 	for _, s := range retiredSeeds(seeds) {
 		kind := fmt.Sprintf("codec %d", s.codec)
-		if s.codec == codecQuantFOR || s.codec == codecKeyFOR || s.codec == codecSignKeyFOR {
+		if s.codec == codecQuantFOR || s.codec == codecIntFOR || s.codec == codecKeyFOR || s.codec == codecSignKeyFOR {
 			kind = fmt.Sprintf("%s mode %d", CodecName(s.codec), s.payload[s.modeAt()])
 		}
 		retired[kind] = true
@@ -1312,7 +1347,10 @@ func TestSectionSeedsDecode(t *testing.T) {
 			t.Errorf("retired %s seed decodes: %v / %v / %v", kind, err32, err64, errPos)
 		}
 	}
-	if !retired["codec 1"] || !retired["codec 3"] || !retired["codec 5"] || !retired["quant-for mode 1"] || !retired["key-for mode 1"] || !retired["sign-key-for mode 1"] {
-		t.Errorf("retired seeds: %v, want codecs 1, 3 and 5 and mode 1 of quant-for, key-for and sign-key-for", retired)
+	for _, kind := range []string{"codec 1", "codec 2", "codec 3", "codec 5", "quant-for mode 1", "int-for mode 1", "key-for mode 1", "sign-key-for mode 1"} {
+		if !retired[kind] {
+			t.Errorf("retired seeds: %v, want codecs 1, 2, 3 and 5 and mode 1 of quant-for, int-for, key-for and sign-key-for", retired)
+			break
+		}
 	}
 }

@@ -6,3 +6,10 @@ var (
 	RandomSet    = randomSet
 	ClusteredSet = clusteredSet
 )
+
+// The node-addressability test checks the oracle's builds, which a test inside
+// the package cannot make: the oracle imports it.
+var (
+	NodeAddressable   = nodeAddressable
+	SectionSeedBuilds = sectionSeedBuilds
+)

@@ -39,7 +39,7 @@
 //	instead), and its node and point counts are its leaf record's:
 //	  nodes: 3 + numAttrs columns over the nodes in node (breadth-first)
 //	    order, each one frame-of-reference block — base u32, width u8,
-//	    ceil(n*width/8) bytes of (value - base), LSB-first (codec.go):
+//	    ceil(n*width/8) bytes of (value - base), LSB-first (nodetable.go):
 //	         axis      numNodes values 0..3 (3 = leaf)
 //	         count     numNodes values
 //	         split     one value per inner node: f32Key of the split plane,
@@ -69,18 +69,20 @@
 //	                 An attribute section holds codecQuantFOR for a
 //	                 lossy attribute — one frame, or the nodes' frames as
 //	                 two packed columns ahead of the blocks —, and for a
-//	                 lossless one (or a lossy one no grid can hold) the
-//	                 smallest of codecDelta, codecKeyFOR (the values'
-//	                 order-preserving integer keys in the same two frame
-//	                 modes), codecSignKeyFOR (the same stream over the
-//	                 values' bit patterns rotated left by one, sign bit
-//	                 lowest: for columns that cross zero) and codecRaw.
-//	                 The section's own codec byte, and a quant-for,
-//	                 key-for or sign-key-for section's mode byte, say which
-//	                 stream it holds. A reader that predates
-//	                 codecSignKeyFOR refuses a file holding it at the first
-//	                 treelet load that meets one ("unknown attribute codec
-//	                 id 7")
+//	                 lossless one the smallest of codecIntFOR (integral
+//	                 columns only: the same stream at grid step 1),
+//	                 codecKeyFOR (the values' order-preserving integer keys
+//	                 in the same two frame modes), codecSignKeyFOR (the
+//	                 same stream over the values' bit patterns rotated left
+//	                 by one, sign bit lowest: for columns that cross zero)
+//	                 and codecRaw; a lossy one no grid can hold takes the
+//	                 smallest of the last three. The section's own codec
+//	                 byte, and a quant-for, int-for, key-for or
+//	                 sign-key-for section's mode byte, say which stream it
+//	                 holds. The retired delta codec 2 is refused at the
+//	                 first treelet load that meets one ("unknown attribute
+//	                 codec id 2"), and a reader that predates codecIntFOR
+//	                 refuses a file holding it the same way ("… id 9")
 //	Checksum footer, after the last treelet; its length is footerLen of the
 //	header's treelet and attribute counts, so the reader reads it at
 //	size − footerLen:

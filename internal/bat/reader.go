@@ -337,7 +337,7 @@ func (f *File) Verify() error {
 type CompressionInfo struct {
 	// Bounds is the absolute error bound per attribute; 0 means lossless.
 	// The bound says nothing about what a section stores: a lossless
-	// attribute's sections are delta, key-for, sign-key-for or raw,
+	// attribute's sections are int-for, key-for, sign-key-for or raw,
 	// whichever is smallest, and a lossy one's are quant-for, or key-for,
 	// sign-key-for or raw where no grid can hold them.
 	Bounds []float64
@@ -384,8 +384,8 @@ type SectionInfo struct {
 	Codec    uint8
 	RawBytes int
 	EncBytes int
-	// Mode is a quant-for, key-for or sign-key-for section's frame mode,
-	// "one-frame" or "per-node-cols"; empty for every other codec.
+	// Mode is a quant-for, int-for, key-for or sign-key-for section's frame
+	// mode, "one-frame" or "per-node-cols"; empty for every other codec.
 	Mode string
 	// FrameBytes is how many of EncBytes hold block frames: the one frame of a
 	// one-frame section, the two frame columns of a per-node-cols one. 0 for
@@ -395,7 +395,7 @@ type SectionInfo struct {
 	// Widths lists the bit widths of the section's packed blocks in stream
 	// order: one per node range (sorted-cell-for, per-node-cols;
 	// an Elias–Fano block's is its cell's) or one in all (one-frame). Nil for
-	// raw and delta sections.
+	// raw sections.
 	Widths []uint8
 	// EF is what of a sorted-cell-for section is Elias–Fano blocks.
 	EF EFStats

@@ -179,10 +179,10 @@ assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files and the
-# treelet parser behind their checksums, both seeded from version-3 builds,
-# a multi-treelet one among them; the five section decoders underneath —
-# raw, delta, quant-for, the one for key-for and sign-key-for, and
-# sorted-cell-for — and the packed node table, fed
+# treelet parser behind their checksums, both seeded from version-4 builds,
+# a multi-treelet one among them; the section decoders underneath — raw,
+# the one for quant-for and int-for, the one for key-for and sign-key-for,
+# and sorted-cell-for — and the packed node table, fed
 # payloads, node tables and a bounds box directly, the retired codec ids and
 # frame mode among the seeds; the metadata file, a diamond-shaped tree and
 # leaf counts past int64 among its seeds; particle wire encoding) and over
