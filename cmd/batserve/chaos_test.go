@@ -50,7 +50,7 @@ func faultyServer(t *testing.T, fcfg pfs.FaultConfig) (*server, *pfs.Faulty, int
 	}
 	s := &server{store: fau, names: names, open: map[int]*libbat.Dataset{},
 		col: obs.New(), qcfg: libbat.QueryConfig{Workers: 2, Ordered: true},
-		access: libbat.NewAccessRegistry(libbat.AccessOptions{})}
+		access: libbat.NewAccessRegistry()}
 	t.Cleanup(s.closeDatasets)
 	return s, fau, ranks * perRank
 }
@@ -310,7 +310,7 @@ func TestChaosRestartRecovery(t *testing.T) {
 	}
 	s2 := &server{store: fau, names: names, open: map[int]*libbat.Dataset{},
 		col: obs.New(), qcfg: libbat.QueryConfig{Workers: 2},
-		access: libbat.NewAccessRegistry(libbat.AccessOptions{})}
+		access: libbat.NewAccessRegistry()}
 	defer s2.closeDatasets()
 	ts2 := httptest.NewServer(s2.routes())
 	defer ts2.Close()

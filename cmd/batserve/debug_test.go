@@ -21,7 +21,7 @@ func accessServer(t *testing.T) *server {
 	t.Helper()
 	s, _ := testServer(t)
 	s.col = obs.New()
-	s.access = libbat.NewAccessRegistry(libbat.AccessOptions{RingSize: 32})
+	s.access = libbat.NewAccessRegistry()
 	return s
 }
 

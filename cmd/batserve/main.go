@@ -219,8 +219,6 @@ func main() {
 			"allow out-of-order point delivery within a query (lower latency, nondeterministic stream order)")
 		cacheMB = flag.Int64("cache-mb", 0,
 			"treelet cache budget per dataset in MiB, one budget over all of its leaf files (0 = unbounded)")
-		accessRing = flag.Int("access-ring", 0,
-			"recent-query ring size per dataset (0 = default)")
 		pprofOn = flag.Bool("pprof", false,
 			"serve net/http/pprof profiling endpoints under /debug/pprof/")
 		queryTimeout = flag.Duration("query-timeout", 0,
@@ -248,7 +246,7 @@ func main() {
 	}
 	s := &server{store: store, names: names, open: map[int]*libbat.Dataset{},
 		col: obs.New(), qcfg: qcfg, cacheBytes: *cacheMB << 20,
-		access:  libbat.NewAccessRegistry(libbat.AccessOptions{RingSize: *accessRing}),
+		access:  libbat.NewAccessRegistry(),
 		pprofOn: *pprofOn, queryTimeout: *queryTimeout}
 	s.adm = newAdmission(s.col, *maxInflight, *queueDepth)
 	ds, err := s.dataset(0)

@@ -21,7 +21,7 @@ func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Quer
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rec := access.New("t", f.Domain, access.Options{})
+	rec := access.New("t", f.Domain)
 	f.cache.SetAccessRecorder(rec)
 	for _, q := range queries {
 		if _, err := f.QueryWithConfig(q, cfg, func(geom.Vec3, []float64) error { return nil }); err != nil {
@@ -35,8 +35,10 @@ func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Quer
 
 // TestParallelAccessMultiset checks that the recorder observes the same
 // access pattern whichever engine ran the query: per-treelet hit/byte/load
-// counts, the heatmap, and attribute touches are identical for Workers=1
-// and Workers=N (treelet completion order differs; the multiset may not).
+// counts and the heatmap are identical for Workers=1 and Workers=N
+// (treelet completion order differs; the multiset may not). Attribute
+// touches are a query-level record, made by core.Dataset.Query, and are
+// tested with it (TestDatasetAttrTouchesOncePerQuery).
 func TestParallelAccessMultiset(t *testing.T) {
 	s, domain := randomSet(6000, 17)
 	_, b := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -74,7 +76,7 @@ func TestConcurrentAccessRecorder(t *testing.T) {
 	s, domain := randomSet(4000, 11)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
 	defer f.Close()
-	rec := access.New("t", f.Domain, access.Options{})
+	rec := access.New("t", f.Domain)
 	f.cache.SetAccessRecorder(rec)
 
 	box := geom.NewBox(geom.V3(0.2, 0.2, 0.2), geom.V3(0.8, 0.8, 0.8))

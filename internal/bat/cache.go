@@ -61,8 +61,8 @@ type cacheEntry struct {
 // the access recorder. Safe for concurrent use.
 type Cache struct {
 	// access is the optional access-telemetry recorder (nil = disabled:
-	// every call on it no-ops). Queries record the treelets they touch on
-	// it, the cache the loads that hit storage.
+	// every call on it no-ops). Queries record on it each treelet they
+	// touch and whether they loaded it.
 	access atomic.Pointer[access.Recorder]
 
 	mu      sync.Mutex
@@ -136,9 +136,10 @@ func (c *Cache) Purge() {
 	c.mu.Unlock()
 }
 
-// get returns the treelet under key, loading it via load on a miss.
-// Concurrent calls for the same cold treelet run load exactly once; the
-// others block until it completes and share the result. Load errors are
+// get returns the treelet under key, loading it via load on a miss, and
+// whether this call ran the load. Concurrent calls for the same cold
+// treelet run load exactly once; the others block until it completes and
+// share the result, which counts as a hit for them. Load errors are
 // returned to every waiter but not cached, so a transient I/O failure is
 // retried on the next lookup.
 //
@@ -149,7 +150,7 @@ func (c *Cache) Purge() {
 // cancellation, waiters whose contexts are still live must not inherit
 // that error: the failed entry was already dropped (errors are never
 // cached), so they loop and load afresh under their own context.
-func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context) (*parsedTreelet, error)) (*parsedTreelet, error) {
+func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context) (*parsedTreelet, error)) (*parsedTreelet, bool, error) {
 	c.mu.Lock()
 	for {
 		e, ok := c.entries[key]
@@ -163,7 +164,7 @@ func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context
 			select {
 			case <-e.ready:
 			case <-ctx.Done():
-				return nil, ctx.Err() // detach; the load continues without us
+				return nil, false, ctx.Err() // detach; the load continues without us
 			}
 			c.mu.Lock()
 		}
@@ -171,13 +172,13 @@ func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context
 			c.hits++
 			c.obsHits.Inc()
 			c.mu.Unlock()
-			return e.t, nil
+			return e.t, false, nil
 		}
 		if pfs.IsContextErr(e.err) && ctx.Err() == nil {
 			continue // the loader was canceled, we were not: retry
 		}
 		c.mu.Unlock()
-		return nil, e.err
+		return nil, false, e.err
 	}
 	e := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
@@ -186,9 +187,6 @@ func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context
 	c.mu.Unlock()
 
 	t, err := load(ctx)
-	if err == nil {
-		c.access.Load().TreeletLoad(key.leaf, key.treelet)
-	}
 
 	c.mu.Lock()
 	e.t, e.err = t, err
@@ -202,7 +200,7 @@ func (c *Cache) get(ctx context.Context, key cacheKey, load func(context.Context
 	}
 	c.mu.Unlock()
 	close(e.ready)
-	return t, err
+	return t, true, err
 }
 
 // evictLocked drops least-recently-used treelets until the cache fits its

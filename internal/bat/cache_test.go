@@ -20,21 +20,26 @@ func loaderOf(n int) func(context.Context) (*parsedTreelet, error) {
 	return func(context.Context) (*parsedTreelet, error) { return fakeTreelet(n), nil }
 }
 
-// mustGet looks key up with load and reports whether load ran (a miss).
+// mustGet looks key up with load and reports whether load ran (a miss),
+// requiring get's own report to agree with the miss counter.
 func mustGet(t *testing.T, c *Cache, key cacheKey, load func(context.Context) (*parsedTreelet, error)) bool {
 	t.Helper()
 	before := c.Stats().Misses
-	if _, err := c.get(context.Background(), key, load); err != nil {
+	_, loaded, err := c.get(context.Background(), key, load)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Stats().Misses > before
+	if missed := c.Stats().Misses > before; loaded != missed {
+		t.Fatalf("get reported loaded=%v, but the miss counter moved: %v", loaded, missed)
+	}
+	return loaded
 }
 
 // TestCacheSingleflight: many goroutines racing for the same cold treelet
 // must run the loader exactly once and all observe the same pointer.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache()
-	var loads atomic.Int64
+	var loads, loaders atomic.Int64
 	gate := make(chan struct{})
 	want := fakeTreelet(8)
 
@@ -45,13 +50,16 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tl, err := c.get(context.Background(), cacheKey{0, 42}, func(context.Context) (*parsedTreelet, error) {
+			tl, loaded, err := c.get(context.Background(), cacheKey{0, 42}, func(context.Context) (*parsedTreelet, error) {
 				loads.Add(1)
 				<-gate // hold every racer in the waiting path
 				return want, nil
 			})
 			if err != nil {
 				t.Error(err)
+			}
+			if loaded {
+				loaders.Add(1)
 			}
 			got[i] = tl
 		}(i)
@@ -60,6 +68,9 @@ func TestCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	if n := loads.Load(); n != 1 {
 		t.Fatalf("loader ran %d times, want 1", n)
+	}
+	if n := loaders.Load(); n != 1 {
+		t.Fatalf("%d callers reported running the load, want 1", n)
 	}
 	for i, tl := range got {
 		if tl != want {
@@ -78,14 +89,14 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache()
 	key := cacheKey{0, 7}
 	boom := errors.New("disk on fire")
-	if _, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("failed load left residue: %+v", st)
 	}
 	want := fakeTreelet(4)
-	tl, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return want, nil })
+	tl, _, err := c.get(context.Background(), key, func(context.Context) (*parsedTreelet, error) { return want, nil })
 	if err != nil || tl != want {
 		t.Fatalf("retry after error: got (%v, %v), want (%v, nil)", tl, err, want)
 	}

@@ -167,7 +167,7 @@ func TestCancelSingleflightDetachLoader(t *testing.T) {
 	defer cancelLoader()
 	loaderErr := make(chan error, 1)
 	go func() {
-		_, err := c.get(loaderCtx, cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
+		_, _, err := c.get(loaderCtx, cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
 			close(enter)
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -178,7 +178,7 @@ func TestCancelSingleflightDetachLoader(t *testing.T) {
 
 	waiterDone := make(chan error, 1)
 	go func() {
-		tl, err := c.get(context.Background(), cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
+		tl, _, err := c.get(context.Background(), cacheKey{0, 5}, func(ctx context.Context) (*parsedTreelet, error) {
 			return want, nil
 		})
 		if err == nil && tl != want {
@@ -214,7 +214,7 @@ func TestCancelSingleflightDetachWaiter(t *testing.T) {
 
 	loaderDone := make(chan error, 1)
 	go func() {
-		tl, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
+		tl, _, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 			close(enter)
 			<-release
 			return want, nil
@@ -231,7 +231,7 @@ func TestCancelSingleflightDetachWaiter(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.get(ctx, cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
+	if _, _, err := c.get(ctx, cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 		return nil, errors.New("detached waiter must not load")
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("impatient waiter = %v, want context.Canceled", err)
@@ -242,7 +242,7 @@ func TestCancelSingleflightDetachWaiter(t *testing.T) {
 		t.Fatalf("loader after waiter detach: %v", err)
 	}
 	// The result was cached normally despite the detached waiter.
-	tl, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
+	tl, _, err := c.get(context.Background(), cacheKey{0, 9}, func(ctx context.Context) (*parsedTreelet, error) {
 		return nil, errors.New("must be served from cache")
 	})
 	if err != nil || tl != want {

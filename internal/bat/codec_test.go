@@ -276,7 +276,7 @@ func TestDefaultBuildLosslessV4(t *testing.T) {
 		keyed64[c], keyed32[c] = map[uint64]bool{}, map[uint32]bool{}
 	}
 	for ti := 0; ti < f.NumTreelets(); ti++ {
-		pt, err := f.loadTreelet(context.Background(), ti)
+		pt, _, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestCompressedLODScale(t *testing.T) {
 	}
 	sawLOD := false
 	for ti := 0; ti < f.NumTreelets(); ti++ {
-		pt, err := f.loadTreelet(context.Background(), ti)
+		pt, _, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1038,7 +1038,7 @@ func TestCellFORRoundTripProperty(t *testing.T) {
 		sort.Ints(cuts)
 		treelets, f := packedTreelets(t, set, domain, cfg, cuts)
 		for ti, bt := range treelets {
-			pt, err := f.loadTreelet(context.Background(), ti)
+			pt, _, err := f.loadTreelet(context.Background(), ti)
 			if err != nil {
 				t.Fatalf("trial %d (%s) treelet %d: %v", trial, shape, ti, err)
 			}
@@ -1490,7 +1490,7 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 				t.Fatal(err)
 			}
 			for ti, ref := range f.leaves {
-				pt, err := f.loadTreelet(context.Background(), ti)
+				pt, _, err := f.loadTreelet(context.Background(), ti)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1552,7 +1552,7 @@ func nodeAddressable(buf []byte) (map[string]int, error) {
 	}
 	checked := map[string]int{}
 	for ti, ref := range f.leaves {
-		pt, err := f.loadTreelet(context.Background(), ti)
+		pt, _, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
 			return nil, err
 		}

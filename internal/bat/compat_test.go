@@ -209,7 +209,7 @@ func TestGoldenBackwardCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.loadErr != "" {
-				if _, err := f.loadTreelet(context.Background(), 0); err == nil || !strings.Contains(err.Error(), tc.loadErr) {
+				if _, _, err := f.loadTreelet(context.Background(), 0); err == nil || !strings.Contains(err.Error(), tc.loadErr) {
 					t.Fatalf("treelet 0: load error %v, want one containing %q", err, tc.loadErr)
 				}
 				if got, err := f.ReadAll(); err == nil || got.Len() != 0 {

@@ -264,7 +264,7 @@ func expectLoadError(t *testing.T, buf []byte, want string) {
 	if err != nil {
 		t.Fatalf("open failed before the codec layer was reached: %v", err)
 	}
-	if _, err := f.loadTreelet(context.Background(), 0); err == nil {
+	if _, _, err := f.loadTreelet(context.Background(), 0); err == nil {
 		t.Fatalf("corrupted section loaded cleanly, want error containing %q", want)
 	} else if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not contain %q", err, want)
@@ -300,7 +300,7 @@ func TestV3TruncatedCodecStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open failed before the codec layer: %v", err)
 	}
-	if _, err := f.loadTreelet(context.Background(), 0); err == nil {
+	if _, _, err := f.loadTreelet(context.Background(), 0); err == nil {
 		t.Fatal("undersized section loaded cleanly")
 	}
 }
@@ -499,7 +499,7 @@ func TestCellFORCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := f.loadTreelet(context.Background(), 0)
+	pt, _, err := f.loadTreelet(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestSortedCellFORCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := f.loadTreelet(context.Background(), 0)
+	pt, _, err := f.loadTreelet(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -867,7 +867,7 @@ func FuzzTreelet(f *testing.F) {
 			if err != nil {
 				t.Fatalf("a file with only treelet bytes changed failed to open: %v", err)
 			}
-			if pt, err := file.loadTreelet(context.Background(), 0); err == nil {
+			if pt, _, err := file.loadTreelet(context.Background(), 0); err == nil {
 				for a, col := range pt.attrs {
 					if len(col) != len(pt.x) {
 						t.Fatalf("attribute %d has %d of %d values", a, len(col), len(pt.x))
@@ -1008,7 +1008,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 	tb.Helper()
 	var seeds []sectionSeed
 	for ti, ref := range f.leaves {
-		pt, err := f.loadTreelet(context.Background(), ti)
+		pt, _, err := f.loadTreelet(context.Background(), ti)
 		if err != nil {
 			tb.Fatal(err)
 		}

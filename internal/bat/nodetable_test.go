@@ -75,7 +75,7 @@ func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 		sort.Ints(cuts)
 		treelets, f := packedTreelets(t, set, domain, cfg, cuts)
 		for ti, bt := range treelets {
-			pt, err := f.loadTreelet(context.Background(), ti)
+			pt, _, err := f.loadTreelet(context.Background(), ti)
 			if err != nil {
 				t.Fatalf("trial %d treelet %d: %v", trial, ti, err)
 			}

@@ -232,8 +232,10 @@ func (s *queryState) narrow(t *parsedTreelet, lo, hi uint32, picks []uint32) []u
 
 // QueryStats reports what a traversal did: how many particles were
 // delivered to the visitor, how many were rejected by the exact
-// (false-positive) checks, and how many subtrees the bitmaps and bounds
-// pruned without touching their particles.
+// (false-positive) checks, how many subtrees the bitmaps and bounds pruned
+// without touching their particles, and how many treelets it traversed
+// and parsed. It is the one record of a query's reads: core.Dataset.Query
+// sums it over the leaves and logs it.
 type QueryStats struct {
 	Visited        int64
 	FalsePositives int64
@@ -241,6 +243,11 @@ type QueryStats struct {
 	// Treelets is the number of treelets actually loaded and traversed
 	// (candidates that survived shallow-tree pruning).
 	Treelets int64
+	// Loads is the number of those treelets this query parsed from
+	// storage; the rest it found in the cache, or waited on while another
+	// query parsed them. Unlike the other fields it depends on the cache's
+	// history, not only on the file and the query: 0 <= Loads <= Treelets.
+	Loads int64
 }
 
 // Add accumulates o into st.
@@ -249,6 +256,7 @@ func (st *QueryStats) Add(o QueryStats) {
 	st.FalsePositives += o.FalsePositives
 	st.PrunedSubtrees += o.PrunedSubtrees
 	st.Treelets += o.Treelets
+	st.Loads += o.Loads
 }
 
 // Query traverses the file under cfg, invoking visit for every particle
@@ -268,10 +276,6 @@ func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visito
 	s, ok := f.prepare(q)
 	if !ok || len(f.leaves) == 0 {
 		return QueryStats{}, ctx.Err()
-	}
-	rec := f.cache.AccessRecorder()
-	for _, flt := range q.Filters {
-		rec.TouchAttr(f.Schema.Attrs[flt.Attr].Name, 1)
 	}
 	var cancel *cancelFlag
 	if ctx.Done() != nil {
@@ -382,15 +386,18 @@ var errTraversalCancelled = errors.New("bat: traversal cancelled")
 // workers call it, and so does the caller's goroutine when there is no pool.
 func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cancelFlag, sel *selection) {
 	sel.t, sel.spans, sel.picks, sel.stats, sel.err = nil, sel.spans[:0], sel.picks[:0], QueryStats{}, nil
-	t, err := f.loadTreelet(ctx, li)
+	t, loaded, err := f.loadTreelet(ctx, li)
 	if err != nil {
 		sel.err = err
 		return
 	}
 	sel.t = t
 	sel.stats.Treelets = 1
+	if loaded {
+		sel.stats.Loads = 1
+	}
 	ref := &f.leaves[li]
-	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), ref.bounds.Center())
+	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), loaded, ref.bounds.Center())
 	if len(t.nodes) > 0 {
 		sel.err = s.traverseTreelet(f, sel, cancel, 0, 0)
 	}

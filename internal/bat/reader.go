@@ -577,12 +577,12 @@ func (f *File) RootBitmaps() []bitmap.Bitmap {
 	return out
 }
 
-// loadTreelet returns treelet ti, parsing it through the cache: concurrent
-// callers of a cold treelet share one parse, and repeat callers share the
-// immutable in-memory form. ctx governs only this caller's wait and (if it
-// wins the singleflight race) its load; see Cache.get for the detach
-// semantics.
-func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, error) {
+// loadTreelet returns treelet ti, parsing it through the cache, and
+// whether this call ran the parse: concurrent callers of a cold treelet
+// share one parse, and repeat callers share the immutable in-memory form.
+// ctx governs only this caller's wait and (if it wins the singleflight
+// race) its load; see Cache.get for the detach semantics.
+func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, bool, error) {
 	return f.cache.get(ctx, cacheKey{f.leaf, ti}, func(ctx context.Context) (*parsedTreelet, error) {
 		return f.parseTreelet(ctx, ti, nil)
 	})

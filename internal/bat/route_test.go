@@ -65,7 +65,10 @@ func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.Buil
 // answer with its traversal stats (the serial and ordered routes in its
 // order), each route's answers to the query's windows progressive windows
 // together to be that same answer, and holds the answer and CountMatching
-// against the oracle.
+// against the oracle. Loads is not a traversal stat but the route's cache
+// history: it is held to 0 <= Loads <= Treelets on every route, and to 0 on
+// the unbounded routes, whose cache the serial ask filled with the query's
+// treelets.
 func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 	t.Helper()
 	ask := func(r fileRoute, q bat.Query) ([]oracle.Row, bat.QueryStats) {
@@ -76,6 +79,11 @@ func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 		}
 		return rows, st
 	}
+	// traversal drops Loads, the one field the cache's history sets.
+	traversal := func(st bat.QueryStats) bat.QueryStats {
+		st.Loads = 0
+		return st
+	}
 	for qi, q := range queries {
 		serial, serialStats := ask(fr.routes[0], q)
 		if err := fr.ref.Check(q, serial); err != nil {
@@ -83,7 +91,10 @@ func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 		}
 		for _, r := range fr.routes {
 			rows, st := ask(r, q)
-			if st != serialStats {
+			if st.Loads < 0 || st.Loads > st.Treelets || r.f == fr.f && st.Loads != 0 {
+				t.Fatalf("query %d %+v, %s: %d loads of %d treelets", qi, q, r.name, st.Loads, st.Treelets)
+			}
+			if traversal(st) != traversal(serialStats) {
 				t.Fatalf("query %d %+v, %s: stats %+v, serial %+v", qi, q, r.name, st, serialStats)
 			}
 			if r.cfg.Workers == 1 || r.cfg.Ordered {
@@ -179,6 +190,11 @@ func TestAttributeQueryMatchesBruteForce(t *testing.T) {
 		lo := r.Float64() * 100
 		qs[i] = bat.Query{Filters: []bat.AttrFilter{{Attr: 0, Min: lo, Max: lo + r.Float64()*30}}}
 	}
+	// Bounds far outside the attribute's range, as a client asking for
+	// "everything above 50" writes them.
+	qs = append(qs,
+		bat.Query{Filters: []bat.AttrFilter{{Attr: 0, Min: 50, Max: 1e30}}},
+		bat.Query{Filters: []bat.AttrFilter{{Attr: 0, Min: -1e30, Max: 50}}})
 	checkFile(t, set, domain, bat.DefaultBuildConfig(), qs...)
 }
 

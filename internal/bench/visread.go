@@ -51,17 +51,13 @@ func ProgressiveRead(store pfs.Storage, base string) (ProgressiveResult, error) 
 	for stepQ := 1; stepQ <= 10; stepQ++ {
 		q := float64(stepQ) / 10
 		start := time.Now()
-		var pts int64
-		err := ds.Query(ctx, leaves, bat.Query{PrevQuality: prev, Quality: q},
-			func(geom.Vec3, []float64) error {
-				pts++
-				return nil
-			})
+		st, err := ds.Query(ctx, leaves, bat.Query{PrevQuality: prev, Quality: q},
+			func(geom.Vec3, []float64) error { return nil })
 		if err != nil {
 			return res, err
 		}
 		totalTime += time.Since(start)
-		res.TotalPts += pts
+		res.TotalPts += st.Visited
 		res.TotalReads++
 		prev = q
 	}
@@ -197,17 +193,13 @@ func Fig13Quality(cfg VisReadConfig, particles int64) (*Table, error) {
 	defer ds.Close()
 	total := ds.Meta().TotalCount()
 	for _, quality := range []float64{0.2, 0.4, 0.8, 1.0} {
-		var pts int64
 		q := bat.Query{Quality: quality}
-		err := ds.Query(ctx, ds.Select(q), q, func(geom.Vec3, []float64) error {
-			pts++
-			return nil
-		})
+		st, err := ds.Query(ctx, ds.Select(q), q, func(geom.Vec3, []float64) error { return nil })
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%.1f", quality), fmt.Sprintf("%d", pts),
-			fmt.Sprintf("%.2f", float64(pts)/float64(total)))
+		t.AddRow(fmt.Sprintf("%.1f", quality), fmt.Sprintf("%d", st.Visited),
+			fmt.Sprintf("%.2f", float64(st.Visited)/float64(total)))
 	}
 	return t, nil
 }

@@ -59,14 +59,17 @@ func (r Range) Bin(v float64) int {
 	if w <= 0 {
 		return 0
 	}
-	b := int((v - r.Min) / w * Bins)
-	if b < 0 {
+	// Clamp before converting: a float beyond int64 (a query bound like
+	// 1e30) does not convert to a large int but, on amd64, to the most
+	// negative one, which would land in bin 0. NaN lands in bin 0.
+	b := (v - r.Min) / w * Bins
+	if !(b >= 0) {
 		return 0
 	}
 	if b >= Bins {
 		return Bins - 1
 	}
-	return b
+	return int(b)
 }
 
 // BinRange returns the value interval covered by bin b of range r.

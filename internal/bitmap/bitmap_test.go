@@ -45,6 +45,16 @@ func TestBin(t *testing.T) {
 	if got := r.Bin(32); got != Bins-1 {
 		t.Errorf("max value bin = %d", got)
 	}
+	// Values whose bin index overflows int64 clamp like any other.
+	if got := r.Bin(1e30); got != Bins-1 {
+		t.Errorf("bin of 1e30 = %d, want %d", got, Bins-1)
+	}
+	if got := r.Bin(-1e30); got != 0 {
+		t.Errorf("bin of -1e30 = %d, want 0", got)
+	}
+	if got := r.Bin(math.NaN()); got != 0 {
+		t.Errorf("bin of NaN = %d, want 0", got)
+	}
 	// Degenerate range.
 	d := Range{Min: 5, Max: 5}
 	if got := d.Bin(5); got != 0 {

@@ -158,20 +158,21 @@ func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 }
 
 // Query traverses the given leaves in order under the dataset's
-// QueryConfig, invoking visit for every particle matching q, and stops at
-// the first leaf that fails. Progressive quality windows apply per leaf.
-// With a recorder attached, the call is logged as one record under the
-// source tag ctx carries (access.WithSource), "dataset" if none.
-func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) error {
+// QueryConfig, invoking visit for every particle matching q, stops at the
+// first leaf that fails, and returns the leaves' QueryStats summed.
+// Progressive quality windows apply per leaf. With a recorder attached,
+// the call is logged as one record under the source tag ctx carries
+// (access.WithSource), "dataset" if none, and touches each filter's
+// attribute once.
+func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) (bat.QueryStats, error) {
 	d.mu.Lock()
 	cfg := d.qcfg
 	d.mu.Unlock()
 
 	rec := d.cache.AccessRecorder()
 	var start time.Time
-	var before bat.CacheStats
 	if rec != nil {
-		start, before = time.Now(), d.cache.Stats()
+		start = time.Now()
 	}
 	var total bat.QueryStats
 	var qerr error
@@ -188,21 +189,20 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 		}
 	}
 	if rec == nil {
-		return qerr
+		return total, qerr
 	}
-	after := d.cache.Stats()
-	// Cache hit ratio over this query's lookups, from the counter delta.
-	// Approximate when queries overlap — concurrent lookups land in the
-	// same window — but exact in the common serial-server case.
 	var ratio float64
-	lookups := (after.Hits - before.Hits) + (after.Misses - before.Misses)
-	if lookups > 0 {
-		ratio = float64(after.Hits-before.Hits) / float64(lookups)
+	if total.Treelets > 0 {
+		ratio = float64(total.Treelets-total.Loads) / float64(total.Treelets)
+	}
+	filters := access.FilterRanges(d.meta.Schema, q.Filters)
+	for _, f := range filters {
+		rec.TouchAttr(f.Attr, 1)
 	}
 	rec.Record(access.QueryRecord{
 		Source:         access.SourceOf(ctx, "dataset"),
 		Box:            access.BoxRecord(q.Bounds),
-		Filters:        access.FilterRanges(d.meta.Schema, q.Filters),
+		Filters:        filters,
 		PrevQuality:    q.PrevQuality,
 		Quality:        q.Quality,
 		Workers:        cfg.Workers,
@@ -213,7 +213,7 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 		Seconds:        time.Since(start).Seconds(),
 		CacheHitRatio:  ratio,
 	})
-	return qerr
+	return total, qerr
 }
 
 // Close releases all opened leaf files, waiting for any still mid-open, and

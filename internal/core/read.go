@@ -395,7 +395,7 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 	if err != nil {
 		err = fmt.Errorf("core: leaf %d abandoned: %w", j.leaf, err)
 	} else {
-		err = ds.Query(ctx, []int{j.leaf}, j.q, func(p geom.Vec3, attrs []float64) error {
+		_, err = ds.Query(ctx, []int{j.leaf}, j.q, func(p geom.Vec3, attrs []float64) error {
 			sub.Append(p, attrs)
 			return nil
 		})

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"libbat/internal/geom"
@@ -27,28 +26,12 @@ import (
 
 // Telemetry shape. DefGridBits is the heatmap depth in bits per axis: a
 // 16x16x16 grid (4096 cells, 32 KiB of counters), coarse enough to be cheap
-// and fine enough to localize a hot region.
+// and fine enough to localize a hot region. DefRingSize is the length of
+// the recent-query ring.
 const (
 	DefGridBits = 4
 	DefRingSize = 256
 )
-
-// accessShards spreads the treelet-count map over independently locked
-// shards so parallel traversal workers do not contend on one mutex.
-const accessShards = 16
-
-// Options shapes a Recorder. The zero value selects the defaults.
-type Options struct {
-	// RingSize bounds the recent-query ring. 0 selects DefRingSize.
-	RingSize int
-}
-
-func (o Options) ringSize() int {
-	if o.RingSize <= 0 {
-		return DefRingSize
-	}
-	return o.RingSize
-}
 
 // FilterRange is one attribute filter of a recorded query, by attribute
 // name so records stay meaningful across schema reorderings.
@@ -129,47 +112,34 @@ func BoxRecord(b *geom.Box) *[6]float64 {
 	return &[6]float64{b.Lower.X, b.Lower.Y, b.Lower.Z, b.Upper.X, b.Upper.Y, b.Upper.Z}
 }
 
-// treeletCounts accumulates one treelet's access counters. The fields are
-// atomic so only the shard map lookup needs the shard lock.
+// treeletCounts accumulates one treelet's access counters.
 type treeletCounts struct {
-	hits  atomic.Int64 // query traversals that touched the treelet
-	bytes atomic.Int64 // on-disk bytes those traversals covered
-	loads atomic.Int64 // cache misses: times the treelet was parsed from storage
-}
-
-type treeletShard struct {
-	mu sync.Mutex
-	m  map[uint64]*treeletCounts
+	hits  int64 // query traversals that touched the treelet
+	bytes int64 // on-disk bytes those traversals covered
+	loads int64 // traversals that parsed the treelet from storage
 }
 
 // Recorder captures the observed access pattern of one dataset. Create
 // with New; a nil *Recorder is the disabled state and every method no-ops.
+//
+// One mutex guards all of it, as one guards bat.Cache: a query calls the
+// recorder once per treelet it walks and once when it ends, far below what
+// one lock serves, and Snapshot copies a consistent state under it.
 type Recorder struct {
-	name    string
-	bounds  geom.Box
-	ringCap int
+	name   string
+	bounds geom.Box
 
-	cells []atomic.Int64 // heatmap, 1 << (3*DefGridBits) Morton-ordered cells
-
-	queries      atomic.Int64
-	treeletHits  atomic.Int64
-	treeletBytes atomic.Int64
-	treeletLoads atomic.Int64
-
-	shards [accessShards]treeletShard
-
-	attrMu sync.Mutex
-	attrs  map[string]*atomic.Int64
-
-	ringMu   sync.Mutex
-	ring     []QueryRecord // capacity ringCap, oldest overwritten first
-	ringPos  int           // next write position
-	ringFull bool
+	mu       sync.Mutex
+	treelets map[uint64]*treeletCounts
+	cells    [1 << (3 * DefGridBits)]int64 // heatmap, Morton-ordered cells
+	attrs    map[string]int64
+	queries  int64                    // records ever appended
+	ring     [DefRingSize]QueryRecord // record i sits at i % DefRingSize
 }
 
 // New creates an enabled Recorder for the named dataset. bounds is the
 // dataset's spatial domain — the reference frame of the heatmap grid.
-func New(name string, bounds geom.Box, opts Options) *Recorder {
+func New(name string, bounds geom.Box) *Recorder {
 	// A degenerate domain (zero extent on an axis) would make Morton
 	// quantization divide by zero; inflate such axes so every point lands
 	// in cell 0 along them instead.
@@ -183,18 +153,12 @@ func New(name string, bounds geom.Box, opts Options) *Recorder {
 	if sz.Z <= 0 {
 		bounds.Upper.Z = bounds.Lower.Z + 1
 	}
-	r := &Recorder{
-		name:    name,
-		bounds:  bounds,
-		ringCap: opts.ringSize(),
-		cells:   make([]atomic.Int64, 1<<(3*DefGridBits)),
-		attrs:   map[string]*atomic.Int64{},
+	return &Recorder{
+		name:     name,
+		bounds:   bounds,
+		treelets: map[uint64]*treeletCounts{},
+		attrs:    map[string]int64{},
 	}
-	r.ring = make([]QueryRecord, r.ringCap)
-	for i := range r.shards {
-		r.shards[i].m = map[uint64]*treeletCounts{}
-	}
-	return r
 }
 
 // Name returns the dataset name the recorder observes ("" on nil).
@@ -210,20 +174,6 @@ func treeletKey(leaf, treelet int) uint64 {
 	return uint64(uint32(leaf))<<32 | uint64(uint32(treelet))
 }
 
-func (r *Recorder) counts(leaf, treelet int) *treeletCounts {
-	key := treeletKey(leaf, treelet)
-	// Fibonacci hash of the key picks the shard.
-	sh := &r.shards[(uint32(key)^uint32(key>>32))*2654435761>>28]
-	sh.mu.Lock()
-	c, ok := sh.m[key]
-	if !ok {
-		c = &treeletCounts{}
-		sh.m[key] = c
-	}
-	sh.mu.Unlock()
-	return c
-}
-
 // cellOf maps a point to its heatmap cell: the top 3*DefGridBits bits of
 // the point's Morton code relative to the dataset bounds, so cell indices
 // are Morton prefixes and morton.CellBounds recovers each cell's box.
@@ -232,45 +182,39 @@ func (r *Recorder) cellOf(p geom.Vec3) uint32 {
 }
 
 // Treelet records one query traversal touching a treelet: hit and byte
-// counts for the (leaf, treelet) pair, and a heatmap increment at center
-// (the treelet's spatial bounds center).
-func (r *Recorder) Treelet(leaf, treelet int, bytes int64, center geom.Vec3) {
+// counts for the (leaf, treelet) pair, a load when the traversal parsed it
+// from storage rather than finding it cached (so hits/loads per treelet is
+// the cache-thrash signal), and a heatmap increment at center (the
+// treelet's spatial bounds center).
+func (r *Recorder) Treelet(leaf, treelet int, bytes int64, loaded bool, center geom.Vec3) {
 	if r == nil {
 		return
 	}
-	c := r.counts(leaf, treelet)
-	c.hits.Add(1)
-	c.bytes.Add(bytes)
-	r.treeletHits.Add(1)
-	r.treeletBytes.Add(bytes)
-	r.cells[r.cellOf(center)].Add(1)
-}
-
-// TreeletLoad records a treelet cache miss: the treelet was parsed from
-// storage (rather than served from memory). The hits-to-loads ratio per
-// treelet is the cache-thrash signal.
-func (r *Recorder) TreeletLoad(leaf, treelet int) {
-	if r == nil {
-		return
+	cell := r.cellOf(center)
+	key := treeletKey(leaf, treelet)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.treelets[key]
+	if c == nil {
+		c = &treeletCounts{}
+		r.treelets[key] = c
 	}
-	r.counts(leaf, treelet).loads.Add(1)
-	r.treeletLoads.Add(1)
+	c.hits++
+	c.bytes += bytes
+	if loaded {
+		c.loads++
+	}
+	r.cells[cell]++
 }
 
-// TouchAttr records n accesses of the named attribute (filter evaluation
-// or attribute streaming).
+// TouchAttr records n accesses of the named attribute by a query's filters.
 func (r *Recorder) TouchAttr(name string, n int64) {
 	if r == nil {
 		return
 	}
-	r.attrMu.Lock()
-	c, ok := r.attrs[name]
-	if !ok {
-		c = &atomic.Int64{}
-		r.attrs[name] = c
-	}
-	r.attrMu.Unlock()
-	c.Add(n)
+	r.mu.Lock()
+	r.attrs[name] += n
+	r.mu.Unlock()
 }
 
 // Record appends one query record to the ring (overwriting the oldest when
@@ -282,14 +226,10 @@ func (r *Recorder) Record(q QueryRecord) {
 	if q.UnixNano == 0 {
 		q.UnixNano = time.Now().UnixNano()
 	}
-	r.queries.Add(1)
-	r.ringMu.Lock()
-	r.ring[r.ringPos] = q
-	r.ringPos++
-	if r.ringPos == r.ringCap {
-		r.ringPos, r.ringFull = 0, true
-	}
-	r.ringMu.Unlock()
+	r.mu.Lock()
+	r.ring[r.queries%DefRingSize] = q
+	r.queries++
+	r.mu.Unlock()
 }
 
 // RecentQueries returns the ring's records, oldest first.
@@ -297,14 +237,18 @@ func (r *Recorder) RecentQueries() []QueryRecord {
 	if r == nil {
 		return nil
 	}
-	r.ringMu.Lock()
-	defer r.ringMu.Unlock()
-	if !r.ringFull {
-		return append([]QueryRecord(nil), r.ring[:r.ringPos]...)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recentLocked()
+}
+
+// recentLocked returns the ring's records, oldest first; r.mu is held.
+func (r *Recorder) recentLocked() []QueryRecord {
+	first := max(r.queries-DefRingSize, 0)
+	out := make([]QueryRecord, 0, r.queries-first)
+	for i := first; i < r.queries; i++ {
+		out = append(out, r.ring[i%DefRingSize])
 	}
-	out := make([]QueryRecord, 0, r.ringCap)
-	out = append(out, r.ring[r.ringPos:]...)
-	out = append(out, r.ring[:r.ringPos]...)
 	return out
 }
 
@@ -312,14 +256,13 @@ func (r *Recorder) RecentQueries() []QueryRecord {
 // serves many datasets. Nil-safe: a nil *Registry returns nil Recorders,
 // keeping telemetry fully disabled.
 type Registry struct {
-	opts Options
-	mu   sync.Mutex
-	m    map[string]*Recorder
+	mu sync.Mutex
+	m  map[string]*Recorder
 }
 
-// NewRegistry creates a registry whose Recorders share opts.
-func NewRegistry(opts Options) *Registry {
-	return &Registry{opts: opts, m: map[string]*Recorder{}}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{m: map[string]*Recorder{}}
 }
 
 // Get returns the recorder for the named dataset, creating it (with the
@@ -333,7 +276,7 @@ func (g *Registry) Get(name string, bounds geom.Box) *Recorder {
 	if r, ok := g.m[name]; ok {
 		return r
 	}
-	r := New(name, bounds, g.opts)
+	r := New(name, bounds)
 	g.m[name] = r
 	return r
 }

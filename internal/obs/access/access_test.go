@@ -13,8 +13,7 @@ func unitBox() geom.Box { return geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.Treelet(0, 1, 100, geom.V3(0.5, 0.5, 0.5))
-	r.TreeletLoad(0, 1)
+	r.Treelet(0, 1, 100, true, geom.V3(0.5, 0.5, 0.5))
 	r.TouchAttr("mass", 1)
 	r.Record(QueryRecord{})
 	if got := r.RecentQueries(); got != nil {
@@ -38,11 +37,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 func TestRecorderCounts(t *testing.T) {
-	r := New("ds", unitBox(), Options{})
-	r.Treelet(0, 3, 100, geom.V3(0.1, 0.1, 0.1))
-	r.Treelet(0, 3, 100, geom.V3(0.1, 0.1, 0.1))
-	r.Treelet(1, 0, 50, geom.V3(0.9, 0.9, 0.9))
-	r.TreeletLoad(0, 3)
+	r := New("ds", unitBox())
+	r.Treelet(0, 3, 100, true, geom.V3(0.1, 0.1, 0.1))
+	r.Treelet(0, 3, 100, false, geom.V3(0.1, 0.1, 0.1))
+	r.Treelet(1, 0, 50, false, geom.V3(0.9, 0.9, 0.9))
 	r.TouchAttr("mass", 2)
 	r.Record(QueryRecord{Particles: 10, Treelets: 2, Seconds: 0.5})
 
@@ -90,29 +88,35 @@ func TestRecorderCounts(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	r := New("ds", unitBox(), Options{RingSize: 3})
-	for i := 1; i <= 5; i++ {
+	r := New("ds", unitBox())
+	const total = DefRingSize + 2
+	for i := 1; i <= total; i++ {
 		r.Record(QueryRecord{UnixNano: int64(i), Particles: int64(i)})
-	}
-	got := r.RecentQueries()
-	if len(got) != 3 {
-		t.Fatalf("ring length %d", len(got))
-	}
-	for i, want := range []int64{3, 4, 5} {
-		if got[i].Particles != want {
-			t.Errorf("ring[%d] = %+v, want particles %d", i, got[i], want)
+		if i == DefRingSize-1 {
+			if n := len(r.RecentQueries()); n != i {
+				t.Fatalf("ring length %d after %d records", n, i)
+			}
 		}
 	}
-	if s := r.Snapshot(); s.Queries != 5 {
-		t.Errorf("queries_total = %d, want 5", s.Queries)
+	got := r.RecentQueries()
+	if len(got) != DefRingSize {
+		t.Fatalf("ring length %d", len(got))
+	}
+	for i, rec := range got {
+		if want := int64(total - DefRingSize + 1 + i); rec.Particles != want {
+			t.Errorf("ring[%d] = %+v, want particles %d", i, rec, want)
+		}
+	}
+	if s := r.Snapshot(); s.Queries != total || len(s.Recent) != DefRingSize {
+		t.Errorf("queries_total = %d with %d recent, want %d with %d", s.Queries, len(s.Recent), total, DefRingSize)
 	}
 }
 
 func TestDegenerateBounds(t *testing.T) {
 	// A flat (2D) domain must not produce NaN cells.
 	flat := geom.NewBox(geom.V3(0, 0, 5), geom.V3(1, 1, 5))
-	r := New("flat", flat, Options{})
-	r.Treelet(0, 0, 1, geom.V3(0.5, 0.5, 5))
+	r := New("flat", flat)
+	r.Treelet(0, 0, 1, false, geom.V3(0.5, 0.5, 5))
 	s := r.Snapshot()
 	if len(s.Heatmap) != 1 {
 		t.Fatalf("heatmap = %+v", s.Heatmap)
@@ -123,7 +127,7 @@ func TestDegenerateBounds(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	g := NewRegistry(Options{})
+	g := NewRegistry()
 	a := g.Get("b-ds", unitBox())
 	if a == nil || g.Get("b-ds", unitBox()) != a {
 		t.Fatal("Get is not idempotent")
@@ -143,7 +147,7 @@ func TestRegistry(t *testing.T) {
 // under -race it is the recorder's thread-safety proof, and the final
 // totals check that no increment was lost.
 func TestConcurrentRecorder(t *testing.T) {
-	r := New("ds", unitBox(), Options{RingSize: 8})
+	r := New("ds", unitBox())
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -152,10 +156,7 @@ func TestConcurrentRecorder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				ti := (w*perWorker + i) % 37
-				r.Treelet(w%3, ti, 10, geom.V3(float64(ti)/37, 0.5, 0.5))
-				if i%5 == 0 {
-					r.TreeletLoad(w%3, ti)
-				}
+				r.Treelet(w%3, ti, 10, i%5 == 0, geom.V3(float64(ti)/37, 0.5, 0.5))
 				r.TouchAttr(fmt.Sprintf("attr%d", w%2), 1)
 				r.Record(QueryRecord{UnixNano: int64(w*perWorker + i + 1), Treelets: 1})
 				r.Snapshot() // concurrent readers must be safe too
@@ -176,12 +177,16 @@ func TestConcurrentRecorder(t *testing.T) {
 	if attrs != total {
 		t.Fatalf("attr touches = %d, want %d", attrs, total)
 	}
-	var perTreelet int64
+	var perTreelet, loads int64
 	for _, ts := range s.Treelets {
 		perTreelet += ts.Hits
+		loads += ts.Loads
 	}
 	if perTreelet != total {
 		t.Fatalf("per-treelet hits = %d, want %d", perTreelet, total)
+	}
+	if want := int64(workers * perWorker / 5); loads != want || s.TreeletLoads != want {
+		t.Fatalf("per-treelet loads = %d, total %d, want %d", loads, s.TreeletLoads, want)
 	}
 	var heat int64
 	for _, h := range s.Heatmap {
@@ -190,7 +195,7 @@ func TestConcurrentRecorder(t *testing.T) {
 	if heat != total {
 		t.Fatalf("heatmap mass = %d, want %d", heat, total)
 	}
-	if len(s.Recent) != 8 {
-		t.Fatalf("ring = %d entries, want 8", len(s.Recent))
+	if len(s.Recent) != DefRingSize {
+		t.Fatalf("ring = %d entries, want %d", len(s.Recent), DefRingSize)
 	}
 }

@@ -62,28 +62,25 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	b := r.bounds
 	s = Snapshot{
-		Dataset:      r.name,
-		Bounds:       [6]float64{b.Lower.X, b.Lower.Y, b.Lower.Z, b.Upper.X, b.Upper.Y, b.Upper.Z},
-		GridBits:     DefGridBits,
-		WallUnix:     time.Now().Unix(),
-		Queries:      r.queries.Load(),
-		TreeletHits:  r.treeletHits.Load(),
-		TreeletBytes: r.treeletBytes.Load(),
-		TreeletLoads: r.treeletLoads.Load(),
+		Dataset:  r.name,
+		Bounds:   [6]float64{b.Lower.X, b.Lower.Y, b.Lower.Z, b.Upper.X, b.Upper.Y, b.Upper.Z},
+		GridBits: DefGridBits,
+		WallUnix: time.Now().Unix(),
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for key, c := range sh.m {
-			s.Treelets = append(s.Treelets, TreeletStat{
-				Leaf:    int(int32(key >> 32)),
-				Treelet: int(int32(key)),
-				Hits:    c.hits.Load(),
-				Bytes:   c.bytes.Load(),
-				Loads:   c.loads.Load(),
-			})
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.Queries = r.queries
+	for key, c := range r.treelets {
+		s.Treelets = append(s.Treelets, TreeletStat{
+			Leaf:    int(int32(key >> 32)),
+			Treelet: int(int32(key)),
+			Hits:    c.hits,
+			Bytes:   c.bytes,
+			Loads:   c.loads,
+		})
+		s.TreeletHits += c.hits
+		s.TreeletBytes += c.bytes
+		s.TreeletLoads += c.loads
 	}
 	sort.Slice(s.Treelets, func(i, j int) bool {
 		if s.Treelets[i].Leaf != s.Treelets[j].Leaf {
@@ -91,20 +88,16 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 		return s.Treelets[i].Treelet < s.Treelets[j].Treelet
 	})
-	for cell := range r.cells {
-		if n := r.cells[cell].Load(); n != 0 {
+	for cell, n := range r.cells {
+		if n != 0 {
 			s.Heatmap = append(s.Heatmap, HeatCell{Cell: uint32(cell), Count: n})
 		}
 	}
-	r.attrMu.Lock()
-	for name, c := range r.attrs {
-		if n := c.Load(); n != 0 {
-			s.Attrs = append(s.Attrs, AttrStat{Name: name, Count: n})
-		}
+	for name, n := range r.attrs {
+		s.Attrs = append(s.Attrs, AttrStat{Name: name, Count: n})
 	}
-	r.attrMu.Unlock()
 	sort.Slice(s.Attrs, func(i, j int) bool { return s.Attrs[i].Name < s.Attrs[j].Name })
-	s.Recent = r.RecentQueries()
+	s.Recent = r.recentLocked()
 	return s
 }
 

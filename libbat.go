@@ -73,7 +73,8 @@ type (
 	// QueryConfig tunes query execution: traversal workers and ordered vs.
 	// order-tolerant delivery.
 	QueryConfig = bat.QueryConfig
-	// QueryStats reports what a traversal visited, rejected, and pruned.
+	// QueryStats reports what a traversal visited, rejected, pruned,
+	// traversed and parsed from storage: the one record of a query's reads.
 	QueryStats = bat.QueryStats
 	// CacheStats snapshots treelet cache hit/miss/eviction counters.
 	CacheStats = bat.CacheStats
@@ -81,28 +82,29 @@ type (
 	// (per-attribute error bounds, LOD error scale, payload ratio).
 	CompressionInfo = bat.CompressionInfo
 	// AccessRecorder captures which treelets, spatial regions, and
-	// attributes queries touch (nil = telemetry disabled).
+	// attributes queries touch, and a record of each query (nil =
+	// telemetry disabled). One mutex guards it.
 	AccessRecorder = access.Recorder
 	// AccessRegistry holds one AccessRecorder per dataset.
 	AccessRegistry = access.Registry
-	// AccessOptions shapes recorders: the query-ring size.
-	AccessOptions = access.Options
 	// AccessSnapshot is a point-in-time export of an AccessRecorder,
 	// exported live as JSON or Prometheus series; it is never persisted.
 	AccessSnapshot = access.Snapshot
-	// AccessQueryRecord is one entry of the recent-query ring.
+	// AccessQueryRecord is one entry of the recent-query ring, made from
+	// the query's summed QueryStats.
 	AccessQueryRecord = access.QueryRecord
 )
 
 // NewAccessRecorder creates an enabled access-telemetry recorder for a
-// dataset with the given spatial domain.
-func NewAccessRecorder(name string, bounds Box, opts AccessOptions) *AccessRecorder {
-	return access.New(name, bounds, opts)
+// dataset with the given spatial domain. Its query ring keeps the newest
+// access.DefRingSize (256) records.
+func NewAccessRecorder(name string, bounds Box) *AccessRecorder {
+	return access.New(name, bounds)
 }
 
 // NewAccessRegistry creates a registry of per-dataset access recorders.
-func NewAccessRegistry(opts AccessOptions) *AccessRegistry {
-	return access.NewRegistry(opts)
+func NewAccessRegistry() *AccessRegistry {
+	return access.NewRegistry()
 }
 
 // Aggregation strategies.
@@ -278,9 +280,11 @@ func (d *Dataset) SetObserver(col *obs.Collector, labels ...obs.Label) {
 }
 
 // SetAccessRecorder attaches an access-telemetry recorder to the dataset:
-// every query then records which treelets, heatmap cells, and attributes
-// it touched, and a structured record of itself in the recorder's
-// recent-query ring. nil detaches (queries then pay only nil checks).
+// every query then records each treelet it touched (and whether it parsed
+// it from storage) with its heatmap cell, one touch per filter attribute,
+// and a structured record of itself in the recorder's recent-query ring,
+// whose cache hit ratio is that query's own. nil detaches (queries then
+// pay only nil checks).
 func (d *Dataset) SetAccessRecorder(rec *AccessRecorder) { d.r.SetAccessRecorder(rec) }
 
 // AccessRecorder returns the attached recorder (nil when telemetry is off).
@@ -327,7 +331,8 @@ func (d *Dataset) Query(q Query, visit Visitor) error {
 // for later queries. With an access recorder attached the query is logged
 // under the source tag ctx carries (access.WithSource), "dataset" if none.
 func (d *Dataset) QueryCtx(ctx context.Context, q Query, visit Visitor) error {
-	return d.r.Query(ctx, d.r.Select(q), q, visit)
+	_, err := d.r.Query(ctx, d.r.Select(q), q, visit)
+	return err
 }
 
 // Count returns the number of particles a query would visit.
@@ -337,12 +342,8 @@ func (d *Dataset) Count(q Query) (int64, error) {
 
 // CountCtx is Count honoring ctx.
 func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
-	var n int64
-	err := d.QueryCtx(ctx, q, func(Vec3, []float64) error {
-		n++
-		return nil
-	})
-	return n, err
+	st, err := d.r.Query(ctx, d.r.Select(q), q, func(Vec3, []float64) error { return nil })
+	return st.Visited, err
 }
 
 // ReadAll collects every particle into one set. The set is sized from the

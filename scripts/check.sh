@@ -85,7 +85,9 @@ run "examples dambreak" example_smoke dambreak '^final dump holds 12000 particle
 
 # batserve end-to-end smoke: write a small dataset, serve it, drive a few
 # queries over HTTP, and require /metrics, /debug/access, and /debug/queries
-# to answer well-formed. Then restart the binary with the flags the
+# to answer well-formed, with exact telemetry: one attribute touch for the
+# one filter query, per-treelet loads summing to the total, and each query
+# record's own cache hit ratio (0 cold, 1 warm). Then restart the binary with the flags the
 # benchmark starts it with (two unordered query workers, a bounded cache)
 # and require the same box query to return the same number of bytes. This
 # is the only stage that exercises the real binary over a real socket.
@@ -127,7 +129,7 @@ batserve_smoke() {
 		for i in 1 2 3; do
 			curl -sf "$base/points?box=0,0,0,0.5,0.5,0.5" >/dev/null || ok=""
 		done
-		curl -sf "$base/points?box=0,0,0,1,1,1&filter=0,0,1e30" >/dev/null || ok=""
+		curl -sf "$base/points?box=0,0,0,1,1,1&filter=0,5,1e30" >/dev/null || ok=""
 		[ -n "$ok" ] || { echo "query requests failed"; break; }
 		curl -sf "$base/metrics" | grep -q '^http_requests_total' ||
 			{ echo "/metrics missing http_requests_total"; break; }
@@ -148,6 +150,11 @@ keys = {"dataset", "bounds", "grid_bits", "wall_unix", "queries_total",
         "treelets", "heatmap", "attrs", "recent_queries"}
 assert set(d[0]) == keys, sorted(set(d[0]) ^ keys)
 assert d[0]["queries_total"] == 4, d[0]["queries_total"]
+# The filter query reads both leaf files and touches its attribute once.
+touches = sum(a["count"] for a in d[0]["attrs"])
+assert touches == 1, d[0]["attrs"]
+loads = sum(t.get("loads", 0) for t in d[0]["treelets"])
+assert loads == d[0]["treelet_loads_total"], (loads, d[0]["treelet_loads_total"])
 ' || { echo "/debug/access malformed"; break; }
 		curl -sf "$base/debug/queries?n=2" | python3 -c '
 import json, sys
@@ -159,6 +166,15 @@ keys = {"dataset", "unix_nano", "source", "box", "quality", "workers",
 assert keys <= set(q[-1]), sorted(keys - set(q[-1]))
 assert "filters" in q[-1] and "rank" not in q[-1], sorted(q[-1])
 ' || { echo "/debug/queries malformed"; break; }
+		# Each record's cache_hit_ratio is its own: the first box query
+		# loads every treelet it reads, its two repeats none.
+		curl -sf "$base/debug/queries?n=4" | python3 -c '
+import json, sys
+q = json.load(sys.stdin)["queries"]
+assert len(q) == 4, f"n=4 returned {len(q)}"
+ratios = [r["cache_hit_ratio"] for r in q[:3]]
+assert ratios == [0, 1, 1], ratios
+' || { echo "/debug/queries hit ratios wrong"; break; }
 		curl -sf "$base/debug/access?format=prometheus" | grep -q '^access_queries_total' ||
 			{ echo "/debug/access prometheus export malformed"; break; }
 		want=$(curl -sf "$box" -o /dev/null -w '%{size_download}') ||
