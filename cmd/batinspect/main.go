@@ -1,7 +1,7 @@
 // Command batinspect prints the structure of a written dataset: the
 // top-level metadata (aggregation tree, global attribute ranges, leaf
-// files) and, with -leaf, the layout of one BAT file (shallow tree,
-// treelets, bitmap dictionary, storage overhead).
+// files) and, with -leaf, the layout of one BAT file (treelets, their
+// sections and node tables, storage ratio).
 //
 //	batinspect -in /tmp/ds -name coal-boiler-0050
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -leaf 0
@@ -12,8 +12,8 @@
 // Elias–Fano blocks of sorted-cell-for sections, over how many nodes and
 // particles, and how many of the attribute bytes are block frames stored
 // inside them), node tables, headers and footers. Every leaf file is a
-// version-4 BAT file, the one layout the reader accepts; a file of any other
-// version is refused at open ("unsupported version 3").
+// version-5 BAT file, the one layout the reader accepts; a file of any other
+// version is refused at open ("unsupported version 4").
 // With -verify it instead walks every file of the dataset checking the
 // stored checksums (metadata trailer, BAT header and per-treelet CRCs) and
 // exits non-zero if anything is damaged or missing.
@@ -163,7 +163,7 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 		if err := f.Verify(); err != nil {
 			bad(lm.FileName, err)
 		} else {
-			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v4 ratio %.2fx\n",
+			fmt.Fprintf(w, "ok    %-28s %d treelets, %d particles, v5 ratio %.2fx\n",
 				lm.FileName, f.NumTreelets(), f.NumParticles, f.Compression().Ratio())
 		}
 		// One leaf open at a time: Close releases it and ds stays usable.
@@ -247,7 +247,7 @@ func bitsRange(widths []uint8) string {
 // tables are stored (packed columns, with their bytes).
 func printCompression(w io.Writer, f *bat.File) error {
 	ci := f.Compression()
-	fmt.Fprintf(w, "  compression (v4): LOD error scale %g\n", ci.LODScale)
+	fmt.Fprintf(w, "  compression (v5): LOD error scale %g\n", ci.LODScale)
 	type colAgg struct {
 		name     string
 		raw, enc int64

@@ -90,7 +90,7 @@ func TestVerifyCompressedDataset(t *testing.T) {
 	if !verifyDataset(&out, store, "ds") {
 		t.Fatalf("clean compressed dataset failed verification:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "v4 ratio") {
+	if !strings.Contains(out.String(), "v5 ratio") {
 		t.Errorf("verify output does not report the compression ratio:\n%s", out.String())
 	}
 	// The data must still be queryable within the bound.

@@ -12,8 +12,9 @@ import (
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
 // compares every byte it leaves behind with a recorded digest (all five
-// recorded when the leaf files became version 4, which stopped storing the
-// facts version 3 stored twice and left every .batm byte where it was):
+// recorded when the leaf files became version 5, which derives the shallow
+// tree instead of storing it, stores the treelet cells as keys and frames
+// node-table columns as runs, and left every .batm byte where it was):
 // SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
@@ -29,26 +30,26 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "3a01c1618f4207510dcefb6f86a8fab20004d84903adce9eeb2c4c977f3a87c5",
+			5, "0314200d7fa3820003a5bf3085a7ccfa8c51e96daa25dc0c5571385b63b90f50",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "164508efe24616efe5e04a0c40d8ccab3856d03ba91fdcc25e179a1886315681",
+			5, "4bf692ca20b055f31a19534465097a7b289c9f04b83dcfae6c871afe965755a5",
 		},
 		{ // the same plumes lossy: sorted-cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "7cd46f4b393bc7556ba08e86b6c05b0dbb04508e157039fdf10674d1024898d3",
+			5, "eba471507c37aa4aa6aa8b11aece63c5d610623eeb584eae0c5a263cfe16f9d7",
 		},
 		{ // one -error-bound for every attribute
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3", "-lod-error-scale", "4"},
-			5, "b39d1f421215f5426c3c2a20ca7395e7bee6016e70e52ed23236cd710fc2e2bb",
+			5, "acbca4992298424142da01bd6d8a3dd84c9a05206bded59419581532df361099",
 		},
 		{ // a bound > 0 alone makes the write lossy, with no LOD error scale
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3"},
-			5, "f9e95b4a7390a7f9a0efcf3c1c11e4bbe147ad1af8dd995e0a12fe599e246948",
+			5, "7efe95eea59490665c4b5ed08979361b68604a63fbe7add62aefcd430be7ed81",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

@@ -12,7 +12,7 @@ import (
 
 // TestSectionsNodeAddressable: every section of every build — the oracle's
 // seeded cases, whose id column is integral, the images FuzzDecodeSections'
-// seeds are cut from and the version-4 goldens — holds one block per node at
+// seeds are cut from and the version-5 goldens — holds one block per node at
 // the bit offset its node table predicts, which decodes alone to that node's
 // slice of the whole column. Every section codec occurs, int-for among the
 // oracle's builds.
@@ -34,7 +34,7 @@ func TestSectionsNodeAddressable(t *testing.T) {
 	for i, buf := range bat.SectionSeedBuilds(t) {
 		images = append(images, image{fmt.Sprintf("section seed build %d", i), buf, false})
 	}
-	for _, name := range []string{"golden_v4.bat", "golden_v4_lossless.bat", "golden_v4_signkeys.bat"} {
+	for _, name := range []string{"golden_v5.bat", "golden_v5_lossless.bat", "golden_v5_signkeys.bat"} {
 		buf, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)

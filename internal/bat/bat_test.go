@@ -2,6 +2,7 @@ package bat
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -40,6 +41,26 @@ func clusteredSet(n int, seed int64) (*particles.Set, geom.Box) {
 		s.Append(p, []float64{p.Length() * 10})
 	}
 	return s, geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
+}
+
+// shallowMismatch opens the image buf, Build's b.Buf or a file b's build
+// rebuilds byte for byte, and compares the shallow tree it derives from its
+// leaf records with the one Build derived, field for field: split axis and
+// plane, children and bitmaps. It returns the tree's node count.
+func shallowMismatch(b *Built, buf []byte) (int, error) {
+	f, err := FromBuffer(buf)
+	if err != nil {
+		return 0, err
+	}
+	if len(f.shallow) != len(b.shallow) {
+		return 0, fmt.Errorf("the reader derives %d shallow nodes, Build %d", len(f.shallow), len(b.shallow))
+	}
+	for i := range f.shallow {
+		if got, want := f.shallow[i], b.shallow[i]; !reflect.DeepEqual(got, want) {
+			return 0, fmt.Errorf("shallow node %d: the reader derives %+v, Build %+v", i, got, want)
+		}
+	}
+	return len(f.shallow), nil
 }
 
 func buildAndOpen(t *testing.T, s *particles.Set, domain geom.Box, cfg BuildConfig) (*File, *Built) {
@@ -133,7 +154,8 @@ func TestEmptyBuild(t *testing.T) {
 
 // TestBuiltSummaryMatchesFile: the value ranges and root bitmaps Build
 // hands the write path (core reports them to rank 0 for the .batm) are
-// exactly what a reader decodes from the image.
+// exactly what a reader decodes from the image, and so is the shallow tree
+// Build derived — none for a file of one treelet.
 func TestBuiltSummaryMatchesFile(t *testing.T) {
 	v3 := DefaultBuildConfig()
 	v3.Compress = true
@@ -157,8 +179,12 @@ func TestBuiltSummaryMatchesFile(t *testing.T) {
 		{"empty", empty, DefaultBuildConfig()},
 	} {
 		f, b := buildAndOpen(t, tc.set, domain, tc.cfg)
-		if tc.name == "one-treelet" && (f.NumTreelets() != 1 || len(f.shallow) != 0) {
-			t.Fatalf("%s: %d treelets, %d shallow nodes", tc.name, f.NumTreelets(), len(f.shallow))
+		nodes, err := shallowMismatch(b, b.Buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.name == "one-treelet" && (f.NumTreelets() != 1 || nodes != 0) {
+			t.Fatalf("%s: %d treelets, %d shallow nodes", tc.name, f.NumTreelets(), nodes)
 		}
 		if !reflect.DeepEqual(b.Ranges, f.Ranges) {
 			t.Errorf("%s: Built.Ranges %v, file %v", tc.name, b.Ranges, f.Ranges)

@@ -175,7 +175,7 @@ type treeletNode struct {
 	count   uint32
 }
 
-// leafAxis marks a treelet or shallow node as a leaf on disk.
+// leafAxis marks a treelet node as a leaf on disk.
 const leafAxis geom.Axis = 3
 
 // treelet is one built treelet: nodes in BFS order (root at 0) with
@@ -196,11 +196,13 @@ type treelet struct {
 	cells   [3]keyCell
 }
 
-// builtShallowNode is an in-memory shallow tree inner node.
-type builtShallowNode struct {
+// shallowNode is an inner node of a file's shallow k-d tree. The tree is not
+// stored: writer and reader derive it from the treelets' Morton subprefix
+// codes and root bitmaps (flattenShallow).
+type shallowNode struct {
 	axis        geom.Axis
 	pos         float64
-	left, right int32 // >= 0: inner node; < 0: ^treeletIndex
+	left, right int32 // >= 0: inner node; < 0: ^treelet index (radix.IsLeafRef)
 	bitmaps     []bitmap.Bitmap
 }
 
@@ -216,6 +218,9 @@ type Built struct {
 	// for the top-level metadata (§III-D) without decoding its own image.
 	Ranges      []bitmap.Range
 	RootBitmaps []bitmap.Bitmap
+	// shallow is the shallow tree Build derived, the one a reader of Buf
+	// derives again from the leaf records.
+	shallow []shallowNode
 }
 
 // BuildStats reports layout statistics.
@@ -282,7 +287,7 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	workers := cfg.effectiveWorkers()
 	// Shrink the subprefix until the average treelet holds a few dozen
 	// leaves' worth of particles: deep enough for useful LOD levels, and few
-	// enough treelets that their shallow-leaf records and section frames stay
+	// enough treelets that their leaf records and section frames stay
 	// a small share of the data (§VI-B's memory overhead).
 	for cfg.SubprefixBits > 0 && n>>uint(cfg.SubprefixBits) < 32*cfg.MaxLeafSize {
 		cfg.SubprefixBits--
@@ -313,15 +318,7 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 		groups = append(groups, group{code: sp, from: i, to: j})
 		i = j
 	}
-	leafCodes := make([]morton.Code, len(groups))
-	for i, g := range groups {
-		leafCodes[i] = g.code
-	}
 	spSort.End()
-
-	spShallow := col.Start(cfg.ObsRank, "bat_build_shallow")
-	shallow := radix.Build(leafCodes, workers)
-	spShallow.End()
 
 	// Steps 3+4 fused: each worker builds a treelet and computes its
 	// bottom-up bitmaps in the same task, reusing its own scratch arena.
@@ -332,30 +329,29 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 		return nil, err
 	}
 
-	// Step 5: flatten the shallow radix tree and propagate bitmaps up it.
-	shallowNodes := flattenShallow(shallow, treelets, domain, cfg.SubprefixBits, set.Schema.NumAttrs())
+	// Step 5: the shallow tree over the treelets' codes, with the bitmaps
+	// of the treelet roots merged up it.
+	spShallow := col.Start(cfg.ObsRank, "bat_build_shallow")
+	codes := make([]morton.Code, len(treelets))
+	roots := make([][]bitmap.Bitmap, len(treelets))
+	for i, t := range treelets {
+		codes[i], roots[i] = t.prefix, t.nodes[0].bitmaps // a group is never empty
+	}
+	shallow := flattenShallow(codes, roots, domain, cfg.SubprefixBits, workers)
+	spShallow.End()
 
 	// Step 6: compact everything into the file image, copying treelet
 	// payloads in parallel.
 	spCompact := col.Start(cfg.ObsRank, "bat_build_compact")
-	built, err := compact(set, domain, cfg, ranges, shallowNodes, treelets, workers)
+	built, err := compact(set, domain, cfg, ranges, treelets, workers)
 	spCompact.End()
 	if err != nil {
 		return nil, err
 	}
 	built.Ranges = ranges
-	built.RootBitmaps = make([]bitmap.Bitmap, len(ranges))
-	if len(shallowNodes) > 0 {
-		copy(built.RootBitmaps, shallowNodes[0].bitmaps)
-	} else {
-		// No shallow inner node: at most one group, and a group is never
-		// empty, so its treelet has a root.
-		for _, t := range treelets {
-			for a, b := range t.nodes[0].bitmaps {
-				built.RootBitmaps[a] |= b
-			}
-		}
-	}
+	built.RootBitmaps = mergeRoots(roots, set.Schema.NumAttrs())
+	built.shallow = shallow
+	built.Stats.NumShallowNodes = len(shallow)
 	if col != nil {
 		st := built.Stats
 		col.Add("bat_builds_total", 1)
@@ -673,34 +669,35 @@ func computeTreeletBitmaps(set *particles.Set, t *treelet, ranges []bitmap.Range
 	}
 }
 
-// flattenShallow converts the radix tree over subprefix codes into the
-// stored shallow k-d tree: each inner node's split plane is derived from
-// the first bit on which its two subtrees differ, and node bitmaps are the
-// merge of the covered treelets' root bitmaps.
-func flattenShallow(rt *radix.Tree, treelets []*treelet, domain geom.Box, subprefixBits, nAttrs int) []builtShallowNode {
+// flattenShallow derives a file's shallow k-d tree (paper §III-C1): the
+// radix tree over its treelets' subprefix codes — sorted, unique and below
+// 2^subprefixBits —, each inner node splitting at the center of the Morton
+// cell its subtrees share on the axis of the first bit on which they differ,
+// with the merge of the covered treelets' root bitmaps, roots[i] being
+// treelet i's. The writer and the reader both call it, the reader with the
+// codes and root bitmaps of the leaf records, so the tree is never stored.
+// The nodes of the radix tree share a prefix one bit longer than their
+// parent's at least, so the tree is at most morton.TotalBits deep.
+func flattenShallow(codes []morton.Code, roots [][]bitmap.Bitmap, domain geom.Box, subprefixBits, workers int) []shallowNode {
+	rt := radix.Build(codes, workers)
 	if len(rt.Nodes) == 0 {
 		return nil
 	}
-	nodes := make([]builtShallowNode, len(rt.Nodes))
+	nA := len(roots[0])
+	nodes := make([]shallowNode, len(rt.Nodes))
+	backing := make([]bitmap.Bitmap, len(nodes)*nA)
 	var rec func(ref int32) []bitmap.Bitmap
 	rec = func(ref int32) []bitmap.Bitmap {
 		if li, ok := radix.IsLeafRef(ref); ok {
-			t := treelets[li]
-			if len(t.nodes) == 0 {
-				return make([]bitmap.Bitmap, nAttrs)
-			}
-			return t.nodes[0].bitmaps
+			return roots[li]
 		}
 		prefix, plen := rt.SharedPrefix(int(ref), subprefixBits)
-		cell := morton.CellBounds(prefix, plen, domain)
 		axis := axisOfPrefixBit(plen)
-		pos := cell.Center().Component(axis)
 		n := &nodes[ref]
-		n.axis, n.pos = axis, pos
+		n.axis, n.pos = axis, morton.CellBounds(prefix, plen, domain).Center().Component(axis)
 		n.left, n.right = rt.Nodes[ref].Left, rt.Nodes[ref].Right
-		lb := rec(n.left)
-		rb := rec(n.right)
-		n.bitmaps = make([]bitmap.Bitmap, nAttrs)
+		n.bitmaps = backing[int(ref)*nA : int(ref+1)*nA : int(ref+1)*nA]
+		lb, rb := rec(n.left), rec(n.right)
 		for a := range n.bitmaps {
 			n.bitmaps[a] = lb[a] | rb[a]
 		}
@@ -708,6 +705,19 @@ func flattenShallow(rt *radix.Tree, treelets []*treelet, domain geom.Box, subpre
 	}
 	rec(0)
 	return nodes
+}
+
+// mergeRoots is a file's whole-dataset bitmap per attribute, the merge of
+// its treelets' root bitmaps: what the top-level metadata records for the
+// leaf (§III-D).
+func mergeRoots(roots [][]bitmap.Bitmap, nA int) []bitmap.Bitmap {
+	out := make([]bitmap.Bitmap, nA)
+	for _, r := range roots {
+		for a, b := range r {
+			out[a] |= b
+		}
+	}
+	return out
 }
 
 // axisOfPrefixBit maps a 0-based bit index counted from the top of a Morton

@@ -71,10 +71,10 @@ const sectionBenchBound = 1e-3
 // ("signed smooth", "signed noise": zero-mean columns, whose order keys span
 // 64 bits where their sign keys do not).
 type sectionBench struct {
-	set    *particles.Set
-	t      *treelet
-	nodes  []diskNode
-	bounds geom.Box
+	set   *particles.Set
+	t     *treelet
+	nodes []diskNode
+	cells [3]keyCell
 }
 
 const sectionBenchSmooth, sectionBenchNoise, sectionBenchSignedSmooth, sectionBenchSignedNoise = 0, 1, 2, 3
@@ -101,7 +101,7 @@ func newSectionBench(tb testing.TB) *sectionBench {
 	if err := encodeTreeletPositions(t, &a); err != nil {
 		tb.Fatal(err)
 	}
-	return &sectionBench{set: set, t: t, nodes: diskNodesOf(t), bounds: cellBounds(t.cells)}
+	return &sectionBench{set: set, t: t, nodes: diskNodesOf(t), cells: t.cells}
 }
 
 // sectionBenchCase is one stream of one column of the bench treelet.
@@ -189,7 +189,7 @@ func BenchmarkDecodeSection(b *testing.B) {
 			var info SectionInfo
 			decode := func(info *SectionInfo) error {
 				if c.pos {
-					_, err := decodePosSection(enc.codec, enc.data, nb, nb.kdCells(sb.bounds), geom.X, info)
+					_, err := decodePosSection(enc.codec, enc.data, nb, nb.kdCells(sb.cells), geom.X, info)
 					return err
 				}
 				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)

@@ -341,18 +341,6 @@ func wordAt(src []byte, bit int) uint64 {
 // per section, not per block: zeroing it costs more than a small block.
 type unpackScratch [256]uint64
 
-// checkBlock validates one frame against the bytes that remain after it:
-// the width is within maxWidth and count values of it fit.
-func checkBlock(remain int, count uint32, width, maxWidth uint8) error {
-	if width > maxWidth {
-		return fmt.Errorf("bit width %d exceeds %d", width, maxWidth)
-	}
-	if need := (uint64(count)*uint64(width) + 7) / 8; need > uint64(remain) {
-		return fmt.Errorf("truncated: %d values of %d bits need %d bytes, %d remain", count, width, need, remain)
-	}
-	return nil
-}
-
 // nodeBlocks is what a treelet gives its packed sections to decode against:
 // the node table, whose particle ranges are the blocks (unpackNodeTable lays
 // them back to back over nPoints), and room for one frame per node, refilled
@@ -403,11 +391,15 @@ func (nb *nodeBlocks) layRun(payload []byte, start int) error {
 }
 
 // readFrame reads a frame stored as base uvarint, width u8 at payload[pos:]
-// and checks that count values of it follow; it returns the position after
-// the frame. limit bounds base + offset.
-func readFrame(payload []byte, pos int, count uint32, maxWidth uint8, limit uint64) (forFrame, int, error) {
+// and checks it against limit — the base at most limit, the width at most
+// limitWidth(limit) — and that count values of it follow; it returns the
+// position after the frame.
+func readFrame(payload []byte, pos int, count uint32, limit uint64) (forFrame, int, error) {
 	base, k := binary.Uvarint(payload[pos:])
-	if k <= 0 || pos+k >= len(payload) {
+	if k < 0 {
+		return forFrame{}, 0, fmt.Errorf("frame base overflows 64 bits")
+	}
+	if k == 0 || pos+k >= len(payload) {
 		return forFrame{}, 0, fmt.Errorf("truncated at frame")
 	}
 	if base > limit {
@@ -415,7 +407,13 @@ func readFrame(payload []byte, pos int, count uint32, maxWidth uint8, limit uint
 	}
 	fr := forFrame{base: base, width: payload[pos+k]}
 	pos += k + 1
-	return fr, pos, checkBlock(len(payload)-pos, count, fr.width, maxWidth)
+	if maxWidth := limitWidth(limit); fr.width > maxWidth {
+		return fr, 0, fmt.Errorf("bit width %d exceeds %d", fr.width, maxWidth)
+	}
+	if need := (uint64(count)*uint64(fr.width) + 7) / 8; need > uint64(len(payload)-pos) {
+		return fr, 0, fmt.Errorf("truncated: %d values of %d bits need %d bytes, %d remain", count, fr.width, need, len(payload)-pos)
+	}
+	return fr, pos, nil
 }
 
 // unpack is the one block loop of every packed section: it reads each node
@@ -582,23 +580,24 @@ func packFramed(vals []uint64, t *treelet, hdrLen int, limit uint64, maxLen int,
 }
 
 // readRun reads a run of len(dst) values — one frame (base uvarint, width u8)
-// and its byte-aligned block — at payload[pos:] into dst and returns the
-// position after the block. Every value is base + offset, and none may pass
-// limit: the frame's base is checked first and every offset against what
-// limit leaves above it, so no sum can wrap.
-func readRun(dst []uint64, payload []byte, pos int, maxWidth uint8, limit uint64) (int, error) {
-	fr, pos, err := readFrame(payload, pos, uint32(len(dst)), maxWidth, limit)
+// and its byte-aligned block — at payload[pos:] into dst and returns its
+// frame and the position after the block. Every value is base + offset, and
+// none may pass limit: the frame's base is checked first, its width against
+// limitWidth(limit) and every offset against what limit leaves above the
+// base, so no sum can wrap.
+func readRun(dst []uint64, payload []byte, pos int, limit uint64) (forFrame, int, error) {
+	fr, pos, err := readFrame(payload, pos, uint32(len(dst)), limit)
 	if err != nil {
-		return 0, err
+		return fr, 0, err
 	}
 	unpackBits(dst, payload, pos<<3, fr.width)
 	for i, off := range dst {
 		if off > limit-fr.base {
-			return 0, fmt.Errorf("entry %d: %#x + %#x exceeds %d", i, fr.base, off, limit)
+			return fr, 0, fmt.Errorf("entry %d: %#x + %#x exceeds %d", i, fr.base, off, limit)
 		}
 		dst[i] = fr.base + off
 	}
-	return pos + packedLen(len(dst), fr.width), nil
+	return fr, pos + packedLen(len(dst), fr.width), nil
 }
 
 // layColumns reads the two frame columns of a mode-2 section at payload[pos:]
@@ -617,14 +616,14 @@ func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, er
 	}
 	col := nb.col
 	maxWidth := limitWidth(limit)
-	pos, err := readRun(col, payload, pos, maxWidth, limit)
+	_, pos, err := readRun(col, payload, pos, limit)
 	if err != nil {
 		return 0, fmt.Errorf("base column: %w", err)
 	}
 	for i, v := range col {
 		nb.frames[i] = blockFrame{forFrame: forFrame{base: v}}
 	}
-	if pos, err = readRun(col, payload, pos, limitWidth(uint64(maxWidth)), uint64(maxWidth)); err != nil {
+	if _, pos, err = readRun(col, payload, pos, uint64(maxWidth)); err != nil {
 		return 0, fmt.Errorf("width column: %w", err)
 	}
 	for i, v := range col {
@@ -659,7 +658,7 @@ func (nb *nodeBlocks) layFramed(payload []byte, pos int, limit uint64, info *Sec
 	var one forFrame
 	var err error
 	if mode == modeOneFrame {
-		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), limitWidth(limit), limit); err == nil {
+		if one, pos, err = readFrame(payload, pos, uint32(nb.nPoints), limit); err == nil {
 			for i := range nb.frames {
 				nb.frames[i] = blockFrame{forFrame: one, span: limit - one.base}
 			}

@@ -1076,7 +1076,7 @@ func TestCellFORRoundTripProperty(t *testing.T) {
 				}
 				// min and max order -0 below +0, as the keys do, and skip nothing
 				// but NaN, which they would return: scan those columns by key.
-				b := f.leaves[ti].bounds
+				b := cellBounds(f.leaves[ti].cells)
 				if gl, gh := b.Lower.Component(geom.Axis(ax)), b.Upper.Component(geom.Axis(ax)); !hasNaN && len(bt.order) > 0 &&
 					(math.Float64bits(gl) != math.Float64bits(float64(lo)) || math.Float64bits(gh) != math.Float64bits(float64(hi))) {
 					t.Fatalf("trial %d (%s) treelet %d axis %d: stored bounds [%v, %v], coordinates span [%v, %v]", trial, shape, ti, ax, gl, gh, lo, hi)
@@ -1417,7 +1417,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 	const frame = quantFORHeaderLen
 	// The per-node-cols sample's second frame is the width column's, behind
 	// the base column's run.
-	baseCol, widthAt, err := readFrame(cols, frame, uint32(len(counts)), maxQuantBits, maxQuantIndex)
+	baseCol, widthAt, err := readFrame(cols, frame, uint32(len(counts)), maxQuantIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1453,7 +1453,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		}), bound, "overflows"},
 		{"base uvarint that never ends", mut(one, func(b []byte) []byte {
 			return append(append([]byte(nil), b[:frame]...), bytes.Repeat([]byte{0xff}, 12)...)
-		}), bound, "truncated at frame"},
+		}), bound, "frame base overflows 64 bits"},
 		{"infinite grid minimum", mut(one, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b, math.Float64bits(math.Inf(-1)))
 			return b
@@ -1500,7 +1500,7 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 				}
 				cols := [3][]float32{pt.x, pt.y, pt.z}
 				nb := newNodeBlocks(pt.nodes, len(pt.x))
-				kd := nb.kdCells(ref.bounds)
+				kd := nb.kdCells(ref.cells)
 				axes := kd.axes
 				p := int(ref.offset) + lay.NodeTable.Bytes
 				for ax, sec := range lay.Sections[:PositionSections] {
@@ -1561,7 +1561,7 @@ func nodeAddressable(buf []byte) (map[string]int, error) {
 			return nil, err
 		}
 		nb := newNodeBlocks(pt.nodes, int(ref.numPoints))
-		kd := nb.kdCells(ref.bounds)
+		kd := nb.kdCells(ref.cells)
 		p := int(ref.offset) + lay.NodeTable.Bytes
 		for si, sec := range lay.Sections {
 			p += sectionFrameLen

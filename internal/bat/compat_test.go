@@ -33,7 +33,7 @@ func goldenSet() (*particles.Set, geom.Box) {
 }
 
 // goldenSignedSet is goldenSet with every other particle's mass negated: a
-// zero-mean attribute, which golden_v4_signkeys.bat stores as sign-key-for.
+// zero-mean attribute, which golden_v5_signkeys.bat stores as sign-key-for.
 func goldenSignedSet() (*particles.Set, geom.Box) {
 	s, domain := goldenSet()
 	for i := 1; i < s.Len(); i += 2 {
@@ -49,7 +49,7 @@ func goldenConfig() BuildConfig {
 	return cfg
 }
 
-// goldenLossyConfig is the compressed build golden_v4.bat and
+// goldenLossyConfig is the compressed build golden_v5.bat, golden_v4.bat and
 // golden_v3.bat were made with: "mass" within 1e-3, "id" lossless.
 func goldenLossyConfig() BuildConfig {
 	cfg := goldenConfig()
@@ -95,24 +95,26 @@ func readRows(t *testing.T, f *File) []goldenRow {
 }
 
 // TestGoldenRegenerate rewrites the goldens today's writer can rebuild:
-// golden_v4.bat (goldenLossyConfig) and golden_v4_lossless.bat (goldenConfig)
-// from goldenSet, golden_v4_signkeys.bat (goldenConfig) from goldenSignedSet.
+// golden_v5.bat (goldenLossyConfig) and golden_v5_lossless.bat (goldenConfig)
+// from goldenSet, golden_v5_signkeys.bat (goldenConfig) from goldenSignedSet.
 // Run manually with BAT_REGEN_GOLDEN=1 when the format legitimately changes.
 //
 // Every other golden is frozen: no writer in the tree can rebuild it. Each
 // is the golden set's build by the last writer of a version this reader
-// refuses, and pins that refusal. golden_v3.bat is goldenLossyConfig's build
-// by the last version-3 writer (commit 54027ef, the parent of version 4):
-// today's node tables and sections behind a header that stores a flags word,
-// the particle count and each treelet's offset, treelets that open with
-// their node and point counts, and a footer that copies the header's counts
-// and declares a codec class per attribute. golden_v2.bat is goldenConfig's
-// build by the last version-2 writer (commit 3bb0b42, the parent of the one
-// writer): node records, page-aligned treelets, raw columns. golden_v1.bat
-// is the same image with its footer removed and its version field patched to
-// 1 (stripToV1), the layout version-1 writers produced. golden_v4_delta.bat
-// is goldenConfig's build by the last writer of delta sections (commit
-// c4dad65): today's layout, but its id sections are the retired codec 2.
+// refuses, and pins that refusal. golden_v4.bat is goldenLossyConfig's build
+// by the last version-4 writer (commit 38b8ea4, the parent of version 5):
+// today's sections behind a header that stores the shallow tree's inner
+// nodes, their interned bitmaps and each treelet's bounds as six f64, and
+// node tables whose column frames hold a u32 base. golden_v3.bat is
+// goldenLossyConfig's build by the last version-3 writer (commit 54027ef, the
+// parent of version 4): a header that also stores a flags word, the particle
+// count and each treelet's offset, treelets that open with their node and
+// point counts, and a footer that copies the header's counts and declares a
+// codec class per attribute. golden_v2.bat is goldenConfig's build by the
+// last version-2 writer (commit 3bb0b42, the parent of the one writer): node
+// records, page-aligned treelets, raw columns. golden_v1.bat is the same
+// image with its footer removed and its version field patched to 1
+// (stripToV1), the layout version-1 writers produced.
 func TestGoldenRegenerate(t *testing.T) {
 	if os.Getenv("BAT_REGEN_GOLDEN") == "" {
 		t.Skip("set BAT_REGEN_GOLDEN=1 to rewrite testdata golden files")
@@ -142,17 +144,17 @@ type goldenRebuild struct {
 // goldenRebuilds are the goldens today's writer rebuilds byte for byte.
 func goldenRebuilds() map[string]goldenRebuild {
 	return map[string]goldenRebuild{
-		"golden_v4.bat":          {goldenSet, goldenLossyConfig()},
-		"golden_v4_lossless.bat": {goldenSet, goldenConfig()},
-		"golden_v4_signkeys.bat": {goldenSignedSet, goldenConfig()},
+		"golden_v5.bat":          {goldenSet, goldenLossyConfig()},
+		"golden_v5_lossless.bat": {goldenSet, goldenConfig()},
+		"golden_v5_signkeys.bat": {goldenSignedSet, goldenConfig()},
 	}
 }
 
 // goldenCase is one checked-in golden file and what the reader makes of it.
 type goldenCase struct {
 	file string
-	// openErr refuses the file at open, loadErr at its first treelet load.
-	openErr, loadErr string
+	// openErr, when set, is the error that refuses the file at open.
+	openErr string
 	// massBound is how far a decoded mass may be from the golden set's.
 	massBound float64
 	// massCodec, when set, is the codec of every mass section, idCodec of
@@ -166,28 +168,26 @@ type goldenCase struct {
 // directory to it, so a retired layout cannot leave a file behind that
 // nothing opens.
 var goldens = []goldenCase{
-	{"golden_v1.bat", "unsupported version 1", "", 0, "", "", "", false},
-	{"golden_v2.bat", "unsupported version 2", "", 0, "", "", "", false},
-	{"golden_v3.bat", "unsupported version 3", "", 0, "", "", "", false},
-	{"golden_v4.bat", "", "", goldenLossyConfig().AttrErrorBounds[0], "quant-for", "int-for", "sorted-cell-for", false},
-	{"golden_v4_lossless.bat", "", "", 0, "key-for", "int-for", "sorted-cell-for", false},
-	{"golden_v4_signkeys.bat", "", "", 0, "sign-key-for", "int-for", "sorted-cell-for", true},
-	{"golden_v4_delta.bat", "", "unknown attribute codec id 2", 0, "", "", "", false},
+	{"golden_v1.bat", "unsupported version 1", 0, "", "", "", false},
+	{"golden_v2.bat", "unsupported version 2", 0, "", "", "", false},
+	{"golden_v3.bat", "unsupported version 3", 0, "", "", "", false},
+	{"golden_v4.bat", "unsupported version 4", 0, "", "", "", false},
+	{"golden_v5.bat", "", goldenLossyConfig().AttrErrorBounds[0], "quant-for", "int-for", "sorted-cell-for", false},
+	{"golden_v5_lossless.bat", "", 0, "key-for", "int-for", "sorted-cell-for", false},
+	{"golden_v5_signkeys.bat", "", 0, "sign-key-for", "int-for", "sorted-cell-for", true},
 }
 
 // TestGoldenBackwardCompat opens the checked-in file of every version a
-// writer has produced. The one this reader accepts, today's version 4, must
+// writer has produced. The one this reader accepts, today's version 5, must
 // decode to the same particle multiset as the day it was written: positions
 // and the lossless id bit-exact, mass within its declared bound in
-// golden_v4.bat, stored key-for and exact in golden_v4_lossless.bat and,
+// golden_v5.bat, stored key-for and exact in golden_v5_lossless.bat and,
 // negated at every other particle (goldenSignedSet), sign-key-for and exact
-// in golden_v4_signkeys.bat; every id section is int-for and every position
+// in golden_v5_signkeys.bat; every id section is int-for and every position
 // section sorted-cell-for. Every retired version — 1 (no checksums), 2
-// (page-aligned treelets) and 3 (the same treelets as today's beside stored
-// copies of derived facts) — is refused at open with a named error. A case
-// may instead name the error of a layout refused at its first treelet load —
-// golden_v4_delta.bat, whose id sections are the retired delta codec 2 —; it
-// then returns no rows.
+// (page-aligned treelets), 3 (the same treelets as version 4's beside stored
+// copies of derived facts) and 4 (a stored shallow tree) — is refused at open
+// with a named error.
 func TestGoldenBackwardCompat(t *testing.T) {
 	for _, tc := range goldens {
 		t.Run(tc.file, func(t *testing.T) {
@@ -207,15 +207,6 @@ func TestGoldenBackwardCompat(t *testing.T) {
 			}
 			if err := f.Verify(); err != nil {
 				t.Fatal(err)
-			}
-			if tc.loadErr != "" {
-				if _, _, err := f.loadTreelet(context.Background(), 0); err == nil || !strings.Contains(err.Error(), tc.loadErr) {
-					t.Fatalf("treelet 0: load error %v, want one containing %q", err, tc.loadErr)
-				}
-				if got, err := f.ReadAll(); err == nil || got.Len() != 0 {
-					t.Fatalf("ReadAll returned %d rows, error %v; want none and an error", got.Len(), err)
-				}
-				return
 			}
 			for ti := 0; tc.massCodec != "" && ti < f.NumTreelets(); ti++ {
 				lay, err := f.TreeletLayout(context.Background(), ti)
@@ -278,25 +269,28 @@ func TestGoldenFixturesPinned(t *testing.T) {
 	}
 }
 
-// TestGoldenV4ByteIdentity rebuilds the golden dataset with the current
+// TestGoldenV5ByteIdentity rebuilds the golden dataset with the current
 // builder under declared error bounds and requires the image to be
-// byte-identical to golden_v4.bat: the packed layout, codec choices included.
-func TestGoldenV4ByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v4.bat")
+// byte-identical to golden_v5.bat: the packed layout, codec choices included.
+func TestGoldenV5ByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v5.bat")
 }
 
-// TestGoldenV4LosslessByteIdentity is the same pin for a build that declares
+// TestGoldenV5LosslessByteIdentity is the same pin for a build that declares
 // no bound: the layout every default build writes.
-func TestGoldenV4LosslessByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v4_lossless.bat")
+func TestGoldenV5LosslessByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v5_lossless.bat")
 }
 
-// TestGoldenV4SignKeysByteIdentity is the same pin for a lossless build of a
+// TestGoldenV5SignKeysByteIdentity is the same pin for a lossless build of a
 // zero-mean attribute: its sign-key-for sections.
-func TestGoldenV4SignKeysByteIdentity(t *testing.T) {
-	requireRebuildIdentical(t, "golden_v4_signkeys.bat")
+func TestGoldenV5SignKeysByteIdentity(t *testing.T) {
+	requireRebuildIdentical(t, "golden_v5_signkeys.bat")
 }
 
+// requireRebuildIdentical rebuilds file and requires the image byte for
+// byte, and the shallow tree a reader derives from the file to be the one
+// the rebuild derived.
 func requireRebuildIdentical(t *testing.T, file string) {
 	t.Helper()
 	buf, err := os.ReadFile(filepath.Join("testdata", file))
@@ -316,5 +310,43 @@ func requireRebuildIdentical(t *testing.T, file string) {
 		if b.Buf[i] != buf[i] {
 			t.Fatalf("rebuilt image differs from golden at byte %d", i)
 		}
+	}
+	if _, err := shallowMismatch(b, buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaSectionRefused: the delta codec (id 2), which integral columns
+// were stored in up to commit c4dad65, is retired. A version-5 image whose
+// id sections say codec 2 opens — the sections are the treelets' — and is
+// refused at the first treelet load that meets one; ReadAll returns no rows.
+func TestDeltaSectionRefused(t *testing.T) {
+	buf := goldenFile(t, "golden_v5_lossless.bat")
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := range f.leaves {
+		lay, err := f.TreeletLayout(context.Background(), ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := lay.NodeTable.Bytes
+		for _, sec := range lay.Sections[:len(lay.Sections)-1] {
+			off += sectionFrameLen + sec.EncBytes
+		}
+		if lay.Sections[len(lay.Sections)-1].Attr != "id" {
+			t.Fatalf("treelet %d's last section is %q, want id", ti, lay.Sections[len(lay.Sections)-1].Attr)
+		}
+		buf = mutateTreelet(t, buf, ti, func(tre []byte) { tre[off] = 2 })
+	}
+	if f, err = FromBuffer(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.loadTreelet(context.Background(), 0); err == nil || !strings.Contains(err.Error(), "unknown attribute codec id 2") {
+		t.Fatalf("treelet 0: load error %v, want one containing %q", err, "unknown attribute codec id 2")
+	}
+	if got, err := f.ReadAll(); err == nil || got.Len() != 0 {
+		t.Fatalf("ReadAll returned %d rows, error %v; want none and an error", got.Len(), err)
 	}
 }

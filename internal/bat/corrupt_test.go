@@ -135,7 +135,7 @@ func TestV1FileRejected(t *testing.T) {
 // checksum off — would read this layout's bytes as that one's.
 func TestVersionFieldFlipsRejected(t *testing.T) {
 	for name, buf := range map[string][]byte{"lossless": builtSample(t), "lossy": compressedSample(t),
-		"golden": goldenFile(t, "golden_v4.bat")} {
+		"golden": goldenFile(t, "golden_v5.bat")} {
 		for bit := 0; bit < 32; bit++ {
 			mut := append([]byte(nil), buf...)
 			mut[4+bit/8] ^= 1 << (bit % 8)
@@ -218,11 +218,33 @@ func addU32(b []byte, d int) {
 	binary.LittleEndian.PutUint32(b, uint32(int(binary.LittleEndian.Uint32(b))+d))
 }
 
-// leafRecordOffset is where treelet 0's shallow leaf record — byteLen u32,
-// numNodes u32, numPoints u32, bounds 6 x f64, bitmap IDs — starts in f's
+// leafRecordOffset is where treelet ti's leaf record — byteLen u32, numNodes
+// u32, numPoints u32, code u64, cells 6 x u32, bitmap IDs — starts in f's
 // header: the leaf records end just before the dictionary.
-func leafRecordOffset(f *File) int {
-	return f.headerSize - (4 + 4*f.dict.Len()) - len(f.leaves)*(shallowLeafBytes+2*f.Schema.NumAttrs())
+func leafRecordOffset(f *File, ti int) int {
+	recLen := leafRecordBytes + 2*f.Schema.NumAttrs()
+	return f.headerSize - (4 + 4*f.dict.Len()) - (len(f.leaves)-ti)*recLen
+}
+
+// rewriteUvarint replaces the uvarint at the start of b by f of its value,
+// written in the same number of bytes — a value that needs fewer is padded
+// with continuation bytes, which binary.Uvarint reads —, so a mutation moves
+// nothing behind it.
+func rewriteUvarint(t testing.TB, b []byte, f func(uint64) uint64) {
+	t.Helper()
+	v, k := binary.Uvarint(b)
+	if k <= 0 {
+		t.Fatalf("no uvarint at the mutation's offset")
+	}
+	v = f(v)
+	if uvarintLen(v) > k {
+		t.Fatalf("%#x does not fit the %d bytes of the uvarint it replaces", v, k)
+	}
+	for i := 0; i < k-1; i++ {
+		b[i] = byte(v) | 0x80
+		v >>= 7
+	}
+	b[k-1] = byte(v)
 }
 
 // goldenFile reads a checked-in golden image.
@@ -415,7 +437,7 @@ func TestUnpaddedTreeletsTile(t *testing.T) {
 		{"runs into the footer", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := mutateHeader(t, buf, func(head []byte) { addU32(head[leafRecordOffset(f):], tc.d) })
+			mut := mutateHeader(t, buf, func(head []byte) { addU32(head[leafRecordOffset(f, 0):], tc.d) })
 			if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "the checksum footer starts at") {
 				t.Fatalf("open error %v, want one containing %q", err, "the checksum footer starts at")
 			}
@@ -423,7 +445,84 @@ func TestUnpaddedTreeletsTile(t *testing.T) {
 	}
 }
 
-// TestLeafPointCountBound: a shallow leaf claiming more points than its
+// TestLeafRecordValidation is the corruption matrix of the leaf records the
+// shallow tree is derived from, checksums resealed: the radix tree over the
+// codes is a tree only if they rise strictly, and its cells lie in the domain
+// only if they stay below 2^SubprefixBits, itself in [1, 63]. Each case is
+// refused at open with a named error, and so is a file cut inside its leaf
+// records.
+func TestLeafRecordValidation(t *testing.T) {
+	buf := clusteredSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(f.leaves) - 1
+	if last < 2 {
+		t.Fatalf("%d treelets; pick different sample data", len(f.leaves))
+	}
+	const subprefixAt = 4 + 4 + 48 // magic, version, domain
+	codeOf := func(ti int) int { return leafRecordOffset(f, ti) + 4 + 4 + 4 }
+	code := func(ti int) uint64 { return binary.LittleEndian.Uint64(buf[codeOf(ti):]) }
+	putCode := func(head []byte, ti int, c uint64) { binary.LittleEndian.PutUint64(head[codeOf(ti):], c) }
+	for _, tc := range []struct {
+		name   string
+		mutate func(head []byte)
+		want   string
+	}{
+		{"a repeated code", func(head []byte) { putCode(head, 1, code(0)) }, "treelet 1 code"},
+		{"a decreasing code", func(head []byte) {
+			putCode(head, 1, code(2))
+			putCode(head, 2, code(1))
+		}, "treelet 2 code"},
+		{"a code past the subprefix bits", func(head []byte) { putCode(head, last, 1<<f.SubprefixBits) }, "subprefix bits"},
+		{"subprefix bits 0", func(head []byte) { binary.LittleEndian.PutUint32(head[subprefixAt:], 0) }, "subprefix bits 0 out of range"},
+		{"subprefix bits 64", func(head []byte) { binary.LittleEndian.PutUint32(head[subprefixAt:], 64) }, "subprefix bits 64 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := FromBuffer(mutateHeader(t, buf, tc.mutate)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("open error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	t.Run("a truncated leaf record", func(t *testing.T) {
+		if _, err := FromBuffer(buf[:codeOf(last)+3]); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("open error %v, want a truncation", err)
+		}
+	})
+}
+
+// TestTreeletDeeperThanHeader: the header's treelet depth bounds every
+// progressive read, so a treelet whose nodes lie deeper than the header says
+// would lose the particles below that depth even at quality 1. A file whose
+// header declares one level less than its deepest treelet opens — the header
+// alone cannot tell — but that treelet's load refuses it, and ReadAll returns
+// the error. A header that declares more than maxSaneDepth is refused at
+// open.
+func TestTreeletDeeperThanHeader(t *testing.T) {
+	buf := clusteredSample(t)
+	f, err := FromBuffer(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, domain, subprefixBits, lodPerNode, maxLeafSize
+	const depthAt = 4 + 4 + 48 + 4 + 4 + 4
+	setDepth := func(d int) []byte {
+		return mutateHeader(t, buf, func(head []byte) { binary.LittleEndian.PutUint32(head[depthAt:], uint32(d)) })
+	}
+	g, err := FromBuffer(setDepth(f.MaxTreeletDepth - 1))
+	if err != nil {
+		t.Fatalf("a header one level short failed to open: %v", err)
+	}
+	if got, err := g.ReadAll(); err == nil || !strings.Contains(err.Error(), "deeper than the header's") {
+		t.Fatalf("ReadAll returned %d of %d rows, error %v; want the depth refusal", got.Len(), f.NumParticles, err)
+	}
+	if _, err := FromBuffer(setDepth(maxSaneDepth + 1)); err == nil || !strings.Contains(err.Error(), "treelet depth 65 exceeds 64") {
+		t.Fatalf("open error %v, want the depth limit", err)
+	}
+}
+
+// TestLeafPointCountBound: a leaf record claiming more points than its
 // treelet has bytes is rejected at open: the bound keeps the treelet's
 // column allocations within bytes the file holds.
 func TestLeafPointCountBound(t *testing.T) {
@@ -433,7 +532,7 @@ func TestLeafPointCountBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	mut := mutateHeader(t, buf, func(head []byte) {
-		binary.LittleEndian.PutUint32(head[leafRecordOffset(f)+4+4:], f.leaves[0].byteLen+1)
+		binary.LittleEndian.PutUint32(head[leafRecordOffset(f, 0)+4+4:], f.leaves[0].byteLen+1)
 	})
 	if _, err := FromBuffer(mut); err == nil || !strings.Contains(err.Error(), "treelet 0 claims") {
 		t.Fatalf("open error %v, want the point-count bound", err)
@@ -517,7 +616,7 @@ func TestCellFORCorruption(t *testing.T) {
 			CodecName(lay.Sections[0].Codec), lay.Sections[0].FrameBytes, ref.numNodes)
 	}
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	kd := nb.kdCells(ref.bounds)
+	kd := nb.kdCells(ref.cells)
 	if _, err := decodePosSection(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, kd, geom.X, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -541,10 +640,10 @@ func TestCellFORCorruption(t *testing.T) {
 	if loose < 0 || padBits == 0 || firstXSplit < 0 {
 		t.Fatalf("x section: loose block %d, %d padding bits, first x split at node %d; pick different sample data", loose, padBits, firstXSplit)
 	}
-	// Treelet 0's bounds in its shallow leaf record: six f64 after byteLen
-	// and the two counts.
-	bounds0 := leafRecordOffset(f) + 4 + 4 + 4
-	putF64 := func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+	// Treelet 0's cells in its leaf record: lower x, y, z then upper x, y, z
+	// after byteLen, the two counts and the code.
+	cells0 := leafRecordOffset(f, 0) + 4 + 4 + 4 + 8
+	putKey := func(b []byte, v float32) { binary.LittleEndian.PutUint32(b, keyOf(v)) }
 	for _, tc := range []struct {
 		name   string
 		header func(head []byte)
@@ -569,17 +668,17 @@ func TestCellFORCorruption(t *testing.T) {
 			tre[secOff] = codecSortedCellFOR
 		}, "unknown attribute codec id 8"},
 		{"bounds that end below a split plane", func(head []byte) {
-			putF64(head[bounds0+24:], pt.nodes[firstXSplit].pos-1) // upper x
-			putF64(head[bounds0:], pt.nodes[firstXSplit].pos-2)    // lower x
+			putKey(head[cells0+12:], float32(pt.nodes[firstXSplit].pos-1)) // upper x
+			putKey(head[cells0:], float32(pt.nodes[firstXSplit].pos-2))    // lower x
 		}, nil, "outside its cell"},
 		{"empty bounds", func(head []byte) {
-			putF64(head[bounds0:], 1)
-			putF64(head[bounds0+24:], -1)
+			putKey(head[cells0:], 1)
+			putKey(head[cells0+12:], -1)
 		}, nil, "bounds are empty"},
 		{"a split plane moved out of its cell", nil, func(tre []byte) {
-			// The split column's base: every split key moves up by 2^31.
+			// The split column's base: every split key moves by 2^31.
 			base := tre[lay.NodeTable.Columns[0].Bytes+lay.NodeTable.Columns[1].Bytes:]
-			binary.LittleEndian.PutUint32(base, binary.LittleEndian.Uint32(base)^1<<31)
+			rewriteUvarint(t, base, func(v uint64) uint64 { return v ^ 1<<31 })
 		}, "outside its cell"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -622,7 +721,7 @@ func TestSortedCellFORCorruption(t *testing.T) {
 	secOff, off := -1, positionOffset(t, buf, 0)
 	var frames []blockFrame
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	kd := nb.kdCells(ref.bounds)
+	kd := nb.kdCells(ref.cells)
 	for ax, sec := range lay.Sections[:PositionSections] {
 		if _, err := decodePosSection(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, kd, geom.Axis(ax), nil); err != nil {
 			t.Fatal(err)
@@ -813,6 +912,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BAT1\x01\x00\x00\x00"))
+	// The lossy golden file and the one of sign-key-for attributes.
+	f.Add(goldenFile(f, "golden_v5.bat"))
+	f.Add(goldenFile(f, "golden_v5_signkeys.bat"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := FromBuffer(data)
 		if err != nil {
@@ -850,7 +952,7 @@ func FuzzTreelet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v4.bat"), goldenFile(f, "golden_v4_signkeys.bat")}
+	files := [][]byte{clusteredSample(f), lossless.Buf, lossy.Buf, goldenFile(f, "golden_v5.bat"), goldenFile(f, "golden_v5_signkeys.bat")}
 	for _, buf := range files {
 		file, err := FromBuffer(buf)
 		if err != nil {
@@ -910,12 +1012,16 @@ func (s sectionSeed) modeAt() int {
 	return quantFORHeaderLen - 1
 }
 
-// bounds is the box a position seed decodes against.
-func (s sectionSeed) bounds() geom.Box { return fuzzBounds(s.lo, s.hi) }
+// cells are the treelet cells a position seed decodes against.
+func (s sectionSeed) cells() [3]keyCell { return fuzzCells(s.lo, s.hi) }
 
-func fuzzBounds(lo, hi [3]float32) geom.Box {
-	return geom.NewBox(geom.V3(float64(lo[0]), float64(lo[1]), float64(lo[2])),
-		geom.V3(float64(hi[0]), float64(hi[1]), float64(hi[2])))
+// fuzzCells are the cells of a treelet whose coordinates span [lo, hi].
+func fuzzCells(lo, hi [3]float32) [3]keyCell {
+	var cells [3]keyCell
+	for ax := range cells {
+		cells[ax] = keyCell{keyOf(lo[ax]), keyOf(hi[ax])}
+	}
+	return cells
 }
 
 // fuzzNodeBytes is FuzzDecodeSections' node record: start u16, count u16,
@@ -941,10 +1047,11 @@ func rangesTile(nodes []diskNode, nPoints uint32) bool {
 
 // checkUnpackedNodes holds the nodes unpackNodeTable returned to what the
 // traversal and the block decoders rely on: children in range, one parent
-// each — with the children behind their parent, so no cycle — and ranges that
-// tile the points.
-func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
+// each — with the children behind their parent, so no cycle —, none deeper
+// than maxDepth, and ranges that tile the points.
+func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA, maxDepth int) error {
 	seen := make([]bool, len(nodes))
+	depth := make([]int, len(nodes))
 	for i := range nodes {
 		n := &nodes[i]
 		if len(n.ids) != nA {
@@ -964,6 +1071,9 @@ func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA int) error {
 				return fmt.Errorf("node %d has two parents", ref)
 			}
 			seen[ref] = true
+			if depth[ref] = depth[i] + 1; depth[ref] > maxDepth {
+				return fmt.Errorf("node %d is at depth %d, past %d", ref, depth[ref], maxDepth)
+			}
 		}
 	}
 	for i := 1; i < len(nodes); i++ {
@@ -1031,9 +1141,9 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			seed := sectionSeed{attr: sec.Attr, codec: sec.Codec, payload: buf[p : p+sec.EncBytes], table: table, nPoints: uint16(ref.numPoints)}
 			if i < PositionSections {
 				seed.axis = uint8(i)
-				for ax := range seed.lo {
-					seed.lo[ax] = float32(ref.bounds.Lower.Component(geom.Axis(ax)))
-					seed.hi[ax] = float32(ref.bounds.Upper.Component(geom.Axis(ax)))
+				for ax, c := range ref.cells {
+					seed.lo[ax] = math.Float32frombits(f32FromKey(c.lo))
+					seed.hi[ax] = math.Float32frombits(f32FromKey(c.hi))
 				}
 			}
 			seeds = append(seeds, seed)
@@ -1053,7 +1163,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 // wide lane) and ids that rise along x (int-for in the nodes' own frames) —,
 // a lossless build of one column of scattered float64 bit patterns, which no
 // codec shrinks (raw), over x columns with a NaN in some treelets (raw too),
-// and golden_v4.bat and golden_v4_lossless.bat (int-for ids beside a lossy
+// and golden_v5.bat and golden_v5_lossless.bat (int-for ids beside a lossy
 // and a lossless mass), so the fuzzer starts from streams each decoder
 // accepts; every other position section is sorted-cell-for.
 // sectionSeedBuilds returns the images.
@@ -1100,7 +1210,7 @@ func sectionSeedBuilds(tb testing.TB) [][]byte {
 		}
 		bufs = append(bufs, b.Buf)
 	}
-	return append(bufs, goldenFile(tb, "golden_v4.bat"), goldenFile(tb, "golden_v4_lossless.bat"))
+	return append(bufs, goldenFile(tb, "golden_v5.bat"), goldenFile(tb, "golden_v5_lossless.bat"))
 }
 
 // retiredSeeds relabels live sections with the section codec ids and the
@@ -1138,13 +1248,14 @@ func retiredSeeds(live []sectionSeed) []sectionSeed {
 // FuzzDecodeSections feeds arbitrary payloads and node tables to the section
 // decoders — raw (attribute and position), the one for quant-for and
 // int-for, the one for key-for and sign-key-for, and sorted-cell-for, the
-// last against a treelet bounds box, whose three axes give a sorted-cell-for
-// section its k-d cells and its nodes' sort axes —,
+// last against the treelet cells of a bounds box, whose three axes give a
+// sorted-cell-for section its k-d cells and its nodes' sort axes —,
 // past the checksums and the file structure FuzzDecode has to get through
 // first, and the payload to the packed node-table decoder as a table of as
-// many nodes as the node table has and of codec attributes. Errors are fine;
-// panics, columns of any length but nPoints and node tables that are not a
-// tree over the points are not.
+// many nodes as the node table has and of codec attributes, no deeper than
+// the axis byte leaves of the depth limit. Errors are fine; panics, columns
+// of any length but nPoints and node tables that are not a tree over the
+// points within that depth are not.
 func FuzzDecodeSections(f *testing.F) {
 	seeds := sectionSeeds(f)
 	for _, s := range append(seeds, retiredSeeds(seeds)...) {
@@ -1167,11 +1278,14 @@ func FuzzDecodeSections(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, codec uint8, payload, table []byte, nPoints uint16, axis uint8, lx, hx, ly, hy, lz, hz float32) {
 		nA := int(codec % 8)
-		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, nil); err == nil {
+		// The axis byte also lowers the table's depth limit: the seeds, at
+		// axes 0 to 2, keep nearly all of it.
+		maxDepth := maxSaneDepth - int(axis)%(maxSaneDepth+1)
+		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, nil); err == nil {
 			if n > len(payload) {
 				t.Fatalf("node table of %d bytes read from %d", n, len(payload))
 			}
-			if err := checkUnpackedNodes(unpacked, uint32(nPoints), nA); err != nil {
+			if err := checkUnpackedNodes(unpacked, uint32(nPoints), nA, maxDepth); err != nil {
 				t.Fatalf("unpackNodeTable accepted a malformed table: %v", err)
 			}
 		}
@@ -1187,7 +1301,7 @@ func FuzzDecodeSections(f *testing.F) {
 			}
 		}
 		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
-		col, err := decodePosSection(codec, payload, nb, nb.kdCells(fuzzBounds(lo, hi)), geom.Axis(axis%3), nil)
+		col, err := decodePosSection(codec, payload, nb, nb.kdCells(fuzzCells(lo, hi)), geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
@@ -1256,14 +1370,14 @@ func TestSectionSeedsDecode(t *testing.T) {
 		} else {
 			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
 		}
-		_, errPos = decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.bounds()), geom.Axis(s.axis), nil)
+		_, errPos = decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), nil)
 		return
 	}
 	seeds := sectionSeeds(t)
 	for i, s := range seeds {
 		if s.attr == nodeTableSeed {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
-			unpacked, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), nil)
+			unpacked, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, nil)
 			if err != nil || n != len(s.payload) {
 				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
 			}
@@ -1292,7 +1406,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
 			var pos SectionInfo
 			nb := newNodeBlocks(nodes, int(s.nPoints))
-			if _, err := decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.bounds()), geom.Axis(s.axis), &pos); err != nil {
+			if _, err := decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), &pos); err != nil {
 				t.Fatalf("seed %d (sorted-cell-for): %v", i, err)
 			}
 			efNodes += pos.EF.Nodes

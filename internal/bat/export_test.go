@@ -13,3 +13,6 @@ var (
 	NodeAddressable   = nodeAddressable
 	SectionSeedBuilds = sectionSeedBuilds
 )
+
+// The shallow-tree derivation is checked over the oracle's builds too.
+var ShallowMismatch = shallowMismatch

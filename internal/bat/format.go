@@ -1,18 +1,21 @@
 // On-disk format of a BAT file (paper Figure 2). All integers are little
 // endian.
 //
-// A readable file is version 4: packed node tables, unpadded treelets, codec
-// sections for positions and attributes (codec.go). It is the one layout
-// every build writes, and the one the reader accepts. A build with no error
-// bound declared is lossless: positions and attributes read back bit for bit.
+// A readable file is version 5: leaf records from which the shallow tree is
+// derived, packed node tables, unpadded treelets, codec sections for
+// positions and attributes (codec.go). It is the one layout every build
+// writes, and the one the reader accepts. A build with no error bound
+// declared is lossless: positions and attributes read back bit for bit.
 //
-// Every other version is refused at open ("unsupported version 3"). That
+// Every other version is refused at open ("unsupported version 4"). That
 // includes every layout earlier writers left behind: version 1 (no checksum
-// footer), version 2 (node records, page-aligned treelets, raw columns) and
+// footer), version 2 (node records, page-aligned treelets, raw columns),
 // version 3 (these treelets behind a constant flags word and stored copies
 // of facts version 4 derives: the particle count, the treelet offsets, each
 // treelet's counts, the footer's counts, codec classes and raw payload
-// total).
+// total) and version 4 (the shallow tree stored as inner-node records with
+// interned bitmaps, treelet bounds as six f64, node-table columns behind
+// base u32 frames).
 //
 //	Header:
 //	  magic "BAT1", version u32
@@ -21,13 +24,18 @@
 //	  numAttrs u32
 //	  per attribute: nameLen u16, name bytes, type u8,
 //	                 local range min f64, max f64
-//	  numShallowInner u32, numTreelets u32
-//	  shallow inner nodes: axis u8, pos f64, left i32, right i32,
-//	                       bitmapID u16 per attribute
-//	  shallow leaves:      byteLen u32, numNodes u32, numPoints u32,
-//	                       treelet bounds 6 x f64,
-//	                       bitmapID u16 per attribute
-//	  bitmap dictionary:   count u32, entries u32 each
+//	  numTreelets u32
+//	  leaf records: byteLen u32, numNodes u32, numPoints u32,
+//	                code u64: the treelet's Morton subprefix,
+//	                cells: lo x, y, z then hi x, y, z u32, f32Keys,
+//	                bitmapID u16 per attribute: the treelet root's
+//	  bitmap dictionary: count u32, entries u32 each
+//	The shallow tree is not stored: reader and writer derive it from the
+//	leaf records (flattenShallow), whose codes must rise strictly and stay
+//	below 2^subprefixBits, subprefixBits in [1, 63]. A treelet's cell on an
+//	axis is the smallest and the largest f32Key among its coordinates there
+//	that are numbers (lo > hi for none): the root cell of its position
+//	frames. maxTreeletDepth is at most 64, and no treelet node lies deeper.
 //	The file's particle count is the sum of the leaves' numPoints, and a
 //	leaf's numPoints is at most its byteLen: the writer stores a treelet's
 //	positions raw where its sections would come to fewer bytes than it has
@@ -38,8 +46,8 @@
 //	them to 4 KB pages to map them, §III-C3; this reader decodes them
 //	instead), and its node and point counts are its leaf record's:
 //	  nodes: 3 + numAttrs columns over the nodes in node (breadth-first)
-//	    order, each one frame-of-reference block — base u32, width u8,
-//	    ceil(n*width/8) bytes of (value - base), LSB-first (nodetable.go):
+//	    order, each one run — base uvarint, width u8, ceil(n*width/8) bytes
+//	    of (value - base), LSB-first (nodetable.go):
 //	         axis      numNodes values 0..3 (3 = leaf)
 //	         count     numNodes values
 //	         split     one value per inner node: f32Key of the split plane,
@@ -54,9 +62,9 @@
 //	                 A position section holds codecSortedCellFOR or
 //	                 codecRaw. Neither stores a frame: sorted-cell-for
 //	                 blocks are framed by the nodes' k-d cells, derived from
-//	                 the treelet bounds in the shallow leaf record above —
-//	                 which the writer takes from the same float32 keys it
-//	                 packs — and the split planes of the node table, and its
+//	                 the treelet cells in the leaf record above — the
+//	                 extremes of the keys the writer packs — and the split
+//	                 planes of the node table, and its
 //	                 Elias–Fano blocks (each node's particles are sorted
 //	                 along its widest cell axis) are sized by the same cells
 //	                 and the node counts. The retired position codecs 3
@@ -114,7 +122,7 @@ import (
 const (
 	magic = "BAT1"
 	// version is the one format every build writes and the reader reads.
-	version = 4
+	version = 5
 	// footerMagic terminates the checksum footer.
 	footerMagic = "BATF"
 )
@@ -123,19 +131,16 @@ const (
 // u8, encLen u32.
 const sectionFrameLen = 1 + 4
 
-// shallowInnerBytes is the per-shallow-inner record size excluding IDs.
-const shallowInnerBytes = 1 + 8 + 4 + 4
-
-// shallowLeafBytes is the per-shallow-leaf record size excluding IDs:
-// byteLen, node/point counts, and the treelet bounds.
-const shallowLeafBytes = 4 + 4 + 4 + 48
+// leafRecordBytes is the per-leaf record size excluding IDs: byteLen, node
+// and point counts, the Morton subprefix code, and the treelet cells.
+const leafRecordBytes = 4 + 4 + 4 + 8 + 24
 
 // footerLen is the checksum footer's size for nT treelets and nA attributes:
 // header CRC, one CRC per treelet, one error bound per attribute, LOD error
 // scale, encoded payload total, footer CRC and magic.
 func footerLen(nT, nA int) int { return 4 + 4*nT + 8*nA + 8 + 8 + 4 + 4 }
 
-// compact assembles the file image: header + shallow tree + dictionary up
+// compact assembles the file image: header + leaf records + dictionary up
 // front, then the treelets back to back, which nothing maps. Bitmaps are
 // interned into the dictionary serially (ID assignment is first-use order, a
 // format invariant); the node tables, payload copies and section CRCs then run
@@ -143,50 +148,31 @@ func footerLen(nT, nA int) int { return 4 + 4*nT + 8*nA + 8 + 8 + 4 + 4 }
 // precomputed, so workers write disjoint byte ranges and the image is
 // identical for any worker count.
 func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
-	ranges []bitmap.Range, shallowNodes []builtShallowNode, treelets []*treelet,
-	workers int) (*Built, error) {
+	ranges []bitmap.Range, treelets []*treelet, workers int) (*Built, error) {
 
 	nA := set.Schema.NumAttrs()
 	dict := bitmap.NewDictionary()
 	interned := 0
-	// intern returns bms' dictionary IDs in the next len(bms) slots of
-	// backing, which is one array per caller, not one per node.
-	intern := func(backing *[]bitmap.ID, bms []bitmap.Bitmap) ([]bitmap.ID, error) {
-		from := len(*backing)
-		for _, b := range bms {
-			id, err := dict.Intern(b)
-			if err != nil {
-				return nil, err
-			}
-			*backing = append(*backing, id)
-		}
-		interned += len(bms)
-		return (*backing)[from:len(*backing):len(*backing)], nil
-	}
-
-	// Intern every node bitmap first so the dictionary size is known
-	// before the header is laid out.
-	shallowBacking := make([]bitmap.ID, 0, len(shallowNodes)*nA)
-	shallowIDs := make([][]bitmap.ID, len(shallowNodes))
-	for i, n := range shallowNodes {
-		ids, err := intern(&shallowBacking, n.bitmaps)
-		if err != nil {
-			return nil, err
-		}
-		shallowIDs[i] = ids
-	}
-	// treeletIDs[ti] holds treelet ti's IDs node by node, nA each.
+	// Intern every node bitmap first so the dictionary size is known before
+	// the header is laid out. treeletIDs[ti] holds treelet ti's IDs node by
+	// node, nA each: one array per treelet, not one per node.
 	treeletIDs := make([][]bitmap.ID, len(treelets))
 	rootIDs := make([][]bitmap.ID, len(treelets))
 	for ti, t := range treelets {
-		treeletIDs[ti] = make([]bitmap.ID, 0, len(t.nodes)*nA)
+		ids := make([]bitmap.ID, 0, len(t.nodes)*nA)
 		for ni := range t.nodes {
-			if _, err := intern(&treeletIDs[ti], t.nodes[ni].bitmaps); err != nil {
-				return nil, err
+			for _, b := range t.nodes[ni].bitmaps {
+				id, err := dict.Intern(b)
+				if err != nil {
+					return nil, err
+				}
+				ids = append(ids, id)
 			}
 		}
+		interned += len(ids)
+		treeletIDs[ti] = ids
 		if len(t.nodes) > 0 {
-			rootIDs[ti] = treeletIDs[ti][:nA]
+			rootIDs[ti] = ids[:nA]
 		} else {
 			rootIDs[ti] = make([]bitmap.ID, nA)
 		}
@@ -197,9 +183,8 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	for _, a := range set.Schema.Attrs {
 		headerSize += 2 + len(a.Name) + 1 + 16
 	}
-	headerSize += 4 + 4
-	headerSize += len(shallowNodes) * (shallowInnerBytes + 2*nA)
-	headerSize += len(treelets) * (shallowLeafBytes + 2*nA)
+	headerSize += 4
+	headerSize += len(treelets) * (leafRecordBytes + 2*nA)
 	headerSize += 4 + 4*dict.Len()
 
 	// Treelet byte sizes and offsets. Each node table is sized here, as soon
@@ -320,20 +305,18 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		w.U8(uint8(desc.Type))
 		w.Range(ranges[a])
 	}
-	w.U32(uint32(len(shallowNodes)))
 	w.U32(uint32(len(treelets)))
-	for i, n := range shallowNodes {
-		w.U8(uint8(n.axis))
-		w.F64(n.pos)
-		w.I32(n.left)
-		w.I32(n.right)
-		w.IDs(shallowIDs[i])
-	}
 	for ti, t := range treelets {
 		w.U32(uint32(sizes[ti]))
 		w.U32(uint32(len(t.nodes)))
 		w.U32(uint32(len(t.order)))
-		w.Box(cellBounds(t.cells))
+		w.U64(uint64(t.prefix))
+		for _, c := range t.cells {
+			w.U32(c.lo)
+		}
+		for _, c := range t.cells {
+			w.U32(c.hi)
+		}
 		w.IDs(rootIDs[ti])
 	}
 	w.U32(uint32(dict.Len()))
@@ -367,7 +350,6 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		NumParticles:    set.Len(),
 		NumTreelets:     len(treelets),
 		NumTreeletNodes: numNodes,
-		NumShallowNodes: len(shallowNodes),
 		MaxTreeletDepth: maxDepth,
 		DictEntries:     dict.Len(),
 		BitmapsInterned: interned,

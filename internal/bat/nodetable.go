@@ -1,7 +1,6 @@
 package bat
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -11,17 +10,13 @@ import (
 
 // --- node table ---
 
-// forFrameLen is a frame stored as base u32, width u8: ahead of each column of
-// a packed node table.
-const forFrameLen = 4 + 1
-
 // A treelet's node table stores its nodes as 3 + nA columns in node order,
-// each one block behind its own frame (base u32, width u8, offsets): axis,
-// count, the f32Key of every inner node's split plane, then each attribute's
-// bitmap IDs. reorderBFS makes the rest of a node
-// a function of its index — the k-th inner node's children are nodes 2k+1 and
-// 2k+2, a node's particles start where the previous node's end — and
-// medianPartition only ever splits at a particle coordinate, a float32.
+// each one run — base uvarint, width u8, offsets (putRun) —: axis, count, the
+// f32Key of every inner node's split plane, then each attribute's bitmap IDs.
+// reorderBFS makes the rest of a node a function of its index — the k-th
+// inner node's children are nodes 2k+1 and 2k+2, a node's particles start
+// where the previous node's end — and medianPartition only ever splits at a
+// particle coordinate, a float32.
 const (
 	nodeColAxis = iota
 	nodeColCount
@@ -37,17 +32,17 @@ func nodeColumnName(col int, schema particles.Schema) string {
 	return "ids " + schema.Attrs[col-nodeColIDs].Name
 }
 
-// nodeColumnMaxWidth is the widest block column col of a packed node table
-// may hold: an axis is 0..3, a count and a split key are 32 bits, a bitmap ID
+// nodeColumnLimit is the largest value column col of a packed node table
+// holds: an axis is 0..3, a count and a split key are 32 bits, a bitmap ID
 // is 16.
-func nodeColumnMaxWidth(col int) uint8 {
+func nodeColumnLimit(col int) uint64 {
 	switch col {
 	case nodeColAxis:
-		return 2
+		return uint64(leafAxis)
 	case nodeColCount, nodeColSplit:
-		return 32
+		return math.MaxUint32
 	}
-	return 16
+	return math.MaxUint16
 }
 
 // nodeColumn gathers column col of t's node table into vals' backing array.
@@ -90,33 +85,32 @@ func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint6
 		}
 		fr := frameOf(vals)
 		if dst == nil {
-			pos += forFrameLen + packedLen(len(vals), fr.width)
+			pos += runLen(len(vals), fr)
 			continue
 		}
-		binary.LittleEndian.PutUint64(dst[pos:], fr.base) // 32 bits at most: the upper four bytes are zero, and overwritten next
-		dst[pos+4] = fr.width
-		pos = packBlock(dst, pos+forFrameLen, vals, fr)
+		pos = putRun(dst, pos, vals, fr)
 	}
 	return pos, nil
 }
 
 // unpackNodeTable reads the packed node table of a treelet of nNodes nodes,
-// nPoints points and nA attributes from src, which runs on to the treelet's
-// end, and returns the nodes and the table's byte length. A table has no
-// field for a child index or a range start, so it cannot say that a node has
-// two parents, a child out of range or a particle range that overlaps
-// another's; what it can say wrong — a node no parent reaches, counts that do
-// not add up, values past a column's limit, columns cut short — is rejected
-// here; whether the bitmap IDs resolve in the file's dictionary is the
-// caller's to check. info, when non-nil, receives the column sizes.
-func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA int, info *NodeTableInfo) ([]diskNode, int, error) {
+// nPoints points and nA attributes, none deeper than maxDepth, from src,
+// which runs on to the treelet's end, and returns the nodes and the table's
+// byte length. A table has no field for a child index or a range start, so
+// it cannot say that a node has two parents, a child out of range or a
+// particle range that overlaps another's; what it can say wrong — a node no
+// parent reaches or one deeper than maxDepth, counts that do not add up,
+// values past a column's limit, columns cut short — is rejected here;
+// whether the bitmap IDs resolve in the file's dictionary is the caller's to
+// check. info, when non-nil, receives the column sizes.
+func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info *NodeTableInfo) ([]diskNode, int, error) {
 	// Bound the allocations by the section before making them. Every column
-	// costs its frame, and a tree of more than one node has both inner nodes
-	// and leaves, so its axis column spends at least a bit a node; the other
-	// columns may all be of width zero.
+	// costs its frame, two bytes at least, and a tree of more than one node
+	// has both inner nodes and leaves, so its axis column spends at least a
+	// bit a node; the other columns may all be of width zero.
 	nCols := nodeColIDs + nA
-	if nCols*forFrameLen > len(src) {
-		return nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, nCols*forFrameLen, len(src))
+	if 2*nCols > len(src) {
+		return nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, 2*nCols, len(src))
 	}
 	if nNodes > math.MaxInt32 || uint64(nNodes) > 8*uint64(len(src)) {
 		return nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
@@ -134,41 +128,37 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA int, info *NodeTable
 		if col == nodeColSplit {
 			n = inner
 		}
-		if len(src)-pos < forFrameLen {
-			return nil, 0, fmt.Errorf("node table truncated at column %d of %d", col, nCols)
-		}
-		fr := forFrame{base: uint64(binary.LittleEndian.Uint32(src[pos:])), width: src[pos+4]}
-		colStart := pos
-		pos += forFrameLen
-		if err := checkBlock(len(src)-pos, n, fr.width, nodeColumnMaxWidth(col)); err != nil {
+		vals := vals[:n]
+		fr, end, err := readRun(vals, src, pos, nodeColumnLimit(col))
+		if err != nil {
 			return nil, 0, fmt.Errorf("node table column %d: %w", col, err)
 		}
-		vals := vals[:n]
-		unpackBits(vals, src[pos:], 0, fr.width)
-		pos += packedLen(int(n), fr.width)
-		for i := range vals {
-			vals[i] += fr.base
-		}
 		if info != nil {
-			info.Columns = append(info.Columns, NodeColumnInfo{Bytes: pos - colStart, Width: fr.width})
+			info.Columns = append(info.Columns, NodeColumnInfo{Bytes: end - pos, Width: fr.width})
 		}
+		pos = end
 		switch col {
 		case nodeColAxis:
 			// The k-th inner node in breadth-first order is reached before its
-			// children 2k+1 and 2k+2, and both exist.
+			// children 2k+1 and 2k+2, and both exist. The nodes of one depth
+			// are a range, and the next depth's are their children: the
+			// range up to the last child assigned when a depth starts.
+			depth, depthEnd := 0, uint32(1)
 			for i, v := range vals {
-				if v > uint64(leafAxis) {
-					return nil, 0, fmt.Errorf("node %d has axis %d", i, v)
+				if uint32(i) == depthEnd {
+					depth, depthEnd = depth+1, 2*inner+1
+					if depth > maxDepth {
+						return nil, 0, fmt.Errorf("node %d is at depth %d, deeper than the header's %d", i, depth, maxDepth)
+					}
+				}
+				if v < uint64(leafAxis) {
+					if uint32(i) > 2*inner || 2*uint64(inner)+2 >= uint64(nNodes) {
+						return nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
+					}
+					nodes[i].left, nodes[i].right = int32(2*inner+1), int32(2*inner+2)
+					inner++
 				}
 				nodes[i].axis = uint8(v)
-				if v == uint64(leafAxis) {
-					continue
-				}
-				if uint32(i) > 2*inner || 2*uint64(inner)+2 >= uint64(nNodes) {
-					return nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
-				}
-				nodes[i].left, nodes[i].right = int32(2*inner+1), int32(2*inner+2)
-				inner++
 			}
 			if nNodes > 0 && nNodes != 2*inner+1 {
 				return nil, 0, fmt.Errorf("%d nodes with %d inner ones; a tree has 2 x inner + 1", nNodes, inner)
@@ -191,18 +181,12 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA int, info *NodeTable
 				if nodes[i].axis == uint8(leafAxis) {
 					continue
 				}
-				key := vals[k]
-				if key > math.MaxUint32 {
-					return nil, 0, fmt.Errorf("node %d split key %#x overflows its frame of reference (base %#x)", i, key, fr.base)
-				}
-				nodes[i].pos = float64(math.Float32frombits(f32FromKey(uint32(key))))
+				//batlint:ignore uintcast readRun holds the column to nodeColumnLimit, 32 bits
+				nodes[i].pos = float64(math.Float32frombits(f32FromKey(uint32(vals[k]))))
 				k++
 			}
 		default:
 			for i, v := range vals {
-				if v > math.MaxUint16 {
-					return nil, 0, fmt.Errorf("node %d bitmap ID %#x overflows 16 bits (base %#x)", i, v, fr.base)
-				}
 				idBacking[i*nA+col-nodeColIDs] = bitmap.ID(v)
 			}
 		}

@@ -1,38 +1,41 @@
 package bat
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
+	"libbat/internal/morton"
 	"libbat/internal/particles"
 )
 
 // packedTreelets builds one treelet per group of set's Morton order, cut at
-// cuts, and compacts them into a version-3 image without a shallow tree
-// (the reader needs none to load a treelet). It returns the builder's treelets
-// next to the opened file.
+// cuts, and compacts them into an image whose treelet codes are the group
+// indices (the reader derives a shallow tree over them, but needs none to
+// load a treelet). It returns the builder's treelets next to the opened file.
 func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg BuildConfig, cuts []int) ([]*treelet, *File) {
 	t.Helper()
 	ranges := attrRanges(set, 1)
 	_, order := sortByMorton(set, domain, 1)
 	var groups []group
 	from := 0
-	for _, to := range append(cuts, set.Len()) {
-		groups = append(groups, group{from: from, to: to})
+	for i, to := range append(cuts, set.Len()) {
+		groups = append(groups, group{code: morton.Code(i), from: from, to: to})
 		from = to
 	}
 	treelets, err := buildTreelets(set, order, groups, cfg, ranges, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := compact(set, domain, cfg, ranges, nil, treelets, 2)
+	built, err := compact(set, domain, cfg, ranges, treelets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +146,15 @@ func nodeTableOf(t *testing.T, axes []geom.Axis, counts []uint32) (table []byte,
 	return table[:size], nPoints
 }
 
+// reframed is table with the frame of the run at off — base uvarint, width
+// u8 — replaced by base and width; the block behind it stays as it was.
+func reframed(table []byte, off int, base uint64, width uint8) []byte {
+	_, k := binary.Uvarint(table[off:])
+	out := binary.AppendUvarint(slices.Clone(table[:off]), base)
+	out = append(out, width)
+	return append(out, table[off+k+1:]...)
+}
+
 // TestPackedNodeTableCorruption drives unpackNodeTable with tables the packer
 // cannot produce: each is an error, none a panic, and none allocates by a
 // count the bytes do not back.
@@ -150,35 +162,41 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	axes := []geom.Axis{geom.X, geom.Y, leafAxis, leafAxis, leafAxis}
 	counts := []uint32{4, 4, 100, 90, 110}
 	good, nPoints := nodeTableOf(t, axes, counts)
-	nodes, n, err := unpackNodeTable(good, 5, nPoints, 1, nil)
+	var info NodeTableInfo
+	nodes, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, &info)
 	if err != nil || n != len(good) {
 		t.Fatalf("the packer's own table: read %d of %d bytes, error %v", n, len(good), err)
 	}
-	if err := checkUnpackedNodes(nodes, nPoints, 1); err != nil {
+	if err := checkUnpackedNodes(nodes, nPoints, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].left != 1 || nodes[0].right != 2 || nodes[1].left != 3 || nodes[1].right != 4 ||
 		nodes[0].pos != 0.5 || nodes[1].pos != 1.5 || nodes[4].start != 198 || nodes[3].ids[0] != 10 {
 		t.Fatalf("unpacked %+v", nodes)
 	}
-	// Frame offsets: every column is base u32, width u8, then its block. The
-	// axis values need 2 bits, the counts 7, the IDs 3; five nodes of each fit
-	// 2, 5 and 2 bytes, and the two split keys 4 bytes of some width.
-	const axisFrame, countFrame = 0, forFrameLen + 2
-	splitFrame := countFrame + forFrameLen + 5
-	idFrame := len(good) - forFrameLen - 2
-	if good[axisFrame+4] != 2 || good[countFrame+4] != 7 || good[idFrame+4] != 3 {
-		t.Fatalf("column widths %d/%d/../%d; the offsets below are off", good[axisFrame+4], good[countFrame+4], good[idFrame+4])
+	// Run offsets: every column is base uvarint, width u8, then its block.
+	// The axis values need 2 bits, the counts 7, the IDs 3, and the axis,
+	// count and ID bases fit one byte each.
+	var at [4]int
+	for c := 1; c < len(at); c++ {
+		at[c] = at[c-1] + info.Columns[c-1].Bytes
 	}
+	axisRun, countRun, splitRun, idRun := at[0], at[1], at[2], at[3]
+	if w := [...]uint8{info.Columns[0].Width, info.Columns[1].Width, info.Columns[3].Width}; w != [3]uint8{2, 7, 3} ||
+		good[axisRun] != 0 || good[countRun] != 4 || good[idRun] != 7 {
+		t.Fatalf("column widths %v, bases %d/%d/%d; the offsets below are off", w, good[axisRun], good[countRun], good[idRun])
+	}
+	axisBlock := axisRun + 2
 	unpack := func(table []byte, nNodes, nPoints uint32) error {
-		_, _, err := unpackNodeTable(table, nNodes, nPoints, 1, nil)
+		_, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, nil)
 		return err
 	}
 	mutated := func(mutate func(tb []byte)) []byte {
-		tb := append([]byte(nil), good...)
+		tb := slices.Clone(good)
 		mutate(tb)
 		return tb
 	}
+	overflow := append(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64-1), 0x02) // 2^64 and more
 	for _, tc := range []struct {
 		name    string
 		table   []byte
@@ -188,23 +206,27 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	}{
 		{"one node too many", good, 6, nPoints, ""},
 		{"one node too few", good, 4, nPoints, "no breadth-first tree"},
-		{"an inner node turned leaf", mutated(func(tb []byte) { tb[axisFrame+forFrameLen] |= 3 << 2 }), 5, nPoints, "2 x inner + 1"},
+		{"an inner node turned leaf", mutated(func(tb []byte) { tb[axisBlock] |= 3 << 2 }), 5, nPoints, "2 x inner + 1"},
 		{"counts add up short", good, 5, nPoints + 1, "add up to"},
 		{"counts add up long", good, 5, nPoints - 1, "remain"},
-		{"count base past the points", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[countFrame:], math.MaxUint32) }), 5, nPoints, "remain"},
-		{"axis width 3", mutated(func(tb []byte) { tb[axisFrame+4] = 3 }), 5, nPoints, "exceeds 2"},
-		{"axis value 5", mutated(func(tb []byte) { tb[axisFrame] = 2 }), 5, nPoints, "has axis 5"},
-		{"count width 33", mutated(func(tb []byte) { tb[countFrame+4] = 33 }), 5, nPoints, "exceeds 32"},
-		{"split width 33", mutated(func(tb []byte) { tb[splitFrame+4] = 33 }), 5, nPoints, "exceeds 32"},
-		{"split key past the key range", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[splitFrame:], math.MaxUint32) }), 5, nPoints, "overflows its frame"},
-		{"ID width 17", mutated(func(tb []byte) { tb[idFrame+4] = 17 }), 5, nPoints, "exceeds 16"},
-		{"ID past 16 bits", mutated(func(tb []byte) { binary.LittleEndian.PutUint32(tb[idFrame:], math.MaxUint16) }), 5, nPoints, "overflows 16 bits"},
+		{"count base past the points", reframed(good, countRun, uint64(nPoints), 7), 5, nPoints, "remain"},
+		{"axis width 3", reframed(good, axisRun, 0, 3), 5, nPoints, "exceeds 2"},
+		{"axis value 5", reframed(good, axisRun, 2, 2), 5, nPoints, "exceeds 3"},
+		{"axis base 4", reframed(good, axisRun, 4, 2), 5, nPoints, "frame base 0x4 overflows 0x3"},
+		{"count width 33", reframed(good, countRun, 4, 33), 5, nPoints, "exceeds 32"},
+		{"split width 33", reframed(good, splitRun, 0, 33), 5, nPoints, "exceeds 32"},
+		{"split key past the key range", reframed(good, splitRun, math.MaxUint32, info.Columns[2].Width), 5, nPoints, "exceeds 4294967295"},
+		{"split base past 32 bits", reframed(good, splitRun, 1<<32, 0), 5, nPoints, "overflows 0xffffffff"},
+		{"ID width 17", reframed(good, idRun, 7, 17), 5, nPoints, "exceeds 16"},
+		{"ID past 16 bits", reframed(good, idRun, math.MaxUint16, 3), 5, nPoints, "exceeds 65535"},
+		{"ID base past 16 bits", reframed(good, idRun, 1<<16, 0), 5, nPoints, "overflows 0xffff"},
+		{"base uvarint past 64 bits", append(slices.Clone(good[:countRun]), overflow...), 5, nPoints, "frame base overflows 64 bits"},
 		{"cut inside the last block", good[:len(good)-1], 5, nPoints, "truncated"},
-		{"cut inside a frame", good[:idFrame+3], 5, nPoints, "truncated"},
+		{"cut inside a frame", good[:idRun+1], 5, nPoints, "truncated at frame"},
 		{"cut to nothing", nil, 5, nPoints, "truncated"},
-		{"root is a leaf", mutated(func(tb []byte) { tb[axisFrame+forFrameLen] |= 3 }), 5, nPoints, "no breadth-first tree"},
-		{"all leaves", mutated(func(tb []byte) { tb[axisFrame], tb[axisFrame+4] = 3, 0 }), 5, nPoints, ""},
-		{"all inner", mutated(func(tb []byte) { tb[axisFrame], tb[axisFrame+4] = 0, 0 }), 5, nPoints, "no breadth-first tree"},
+		{"root is a leaf", mutated(func(tb []byte) { tb[axisBlock] |= 3 }), 5, nPoints, "no breadth-first tree"},
+		{"all leaves", reframed(good, axisRun, 3, 0), 5, nPoints, ""},
+		{"all inner", reframed(good, axisRun, 0, 0), 5, nPoints, "no breadth-first tree"},
 		{"node count past the bytes", good, 8*uint32(len(good)) + 1, nPoints, "exceeds what a table"},
 		{"node count past int32", good, math.MaxUint32, nPoints, "exceeds what a table"},
 	} {
@@ -218,39 +240,65 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 			}
 		})
 	}
+	// Nodes 3 and 4 are at depth 2.
+	if _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
+		t.Fatalf("a table deeper than its limit: error %v", err)
+	}
 
-	// Inside a file the same errors fail the treelet load, checksums fixed up.
+	// Inside a file the same errors fail the treelet load, checksums fixed up:
+	// the axis run is base 0 (one byte), then its width.
 	buf := compressedSample(t)
-	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[4] = 3 }), "exceeds 2")
-	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[forFrameLen] |= 3 }), "no breadth-first tree")
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[1] = 3 }), "exceeds 2")
+	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[2] |= 3 }), "no breadth-first tree")
 	// An ID the dictionary does not hold is the file's to reject, not the
-	// table's.
+	// table's: the first value of an ID column whose frame reaches past the
+	// dictionary, set to the frame's largest offset.
 	f, err := FromBuffer(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idOff := positionOffset(t, buf, 0)
-	lay, err := f.TreeletLayout(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for ti := range f.leaves {
+		lay, err := f.TreeletLayout(context.Background(), ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tre := buf[f.leaves[ti].offset:]
+		off := 0
+		for c, col := range lay.NodeTable.Columns {
+			base, k := binary.Uvarint(tre[off:])
+			if c >= nodeColIDs && base+1<<col.Width-1 >= uint64(f.dict.Len()) {
+				block := off + k + 1
+				mut := mutateTreelet(t, buf, ti, func(tre []byte) {
+					for b := 0; b < int(col.Width); b++ {
+						tre[block+b>>3] |= 1 << (b & 7)
+					}
+				})
+				g, err := FromBuffer(mut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := g.loadTreelet(context.Background(), ti); err == nil || !strings.Contains(err.Error(), "outside dictionary") {
+					t.Fatalf("treelet %d: load error %v, want an ID outside the dictionary", ti, err)
+				}
+				return
+			}
+			off += col.Bytes
+		}
 	}
-	idOff -= lay.NodeTable.Columns[len(lay.NodeTable.Columns)-1].Bytes
-	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) {
-		binary.LittleEndian.PutUint32(tre[idOff:], uint32(f.dict.Len()))
-	}), "outside dictionary")
+	t.Fatal("no ID column of the sample reaches past the dictionary; pick different sample data")
 }
 
 // TestPackedNodeTableEmpty: a treelet without nodes packs to its column
 // frames, and only a table of no nodes and no points reads them back.
 func TestPackedNodeTableEmpty(t *testing.T) {
 	table, _ := nodeTableOf(t, nil, nil)
-	if len(table) != (nodeColIDs+1)*forFrameLen {
-		t.Fatalf("an empty table is %d bytes, want %d frames of %d", len(table), nodeColIDs+1, forFrameLen)
+	if len(table) != (nodeColIDs+1)*2 {
+		t.Fatalf("an empty table is %d bytes, want %d frames of 2", len(table), nodeColIDs+1)
 	}
-	if nodes, n, err := unpackNodeTable(table, 0, 0, 1, nil); err != nil || n != len(table) || len(nodes) != 0 {
+	if nodes, n, err := unpackNodeTable(table, 0, 0, 1, 0, nil); err != nil || n != len(table) || len(nodes) != 0 {
 		t.Fatalf("unpacked %d nodes from %d of %d bytes, error %v", len(nodes), n, len(table), err)
 	}
-	if _, _, err := unpackNodeTable(table, 0, 1, 1, nil); err == nil {
+	if _, _, err := unpackNodeTable(table, 0, 1, 1, 0, nil); err == nil {
 		t.Fatal("no nodes hold a point")
 	}
 }

@@ -17,9 +17,9 @@ import (
 // patterns onto uint32 (±0, denormals, ±Inf and NaN payloads round-trip),
 // and the payload is only the blocks, bit-contiguous in node order, padded
 // with zero bits to a byte. The frames are the nodes' k-d cells, which the
-// file already stores: the root's cell on an axis is [key(lo), key(hi)] of
-// the treelet bounds in the shallow leaf record, and an inner node that
-// splits the axis at s hands [key(lo), key(s)] to its left child and
+// file already stores: the root's cell on an axis is the treelet's cell in
+// its leaf record, [key(lo), key(hi)] of its coordinates, and an inner node
+// that splits the axis at s hands [key(lo), key(s)] to its left child and
 // [key(s), key(hi)] to its right (the builder sends coordinates below s left,
 // and s is one of them); any other node hands its cell down unchanged.
 //
@@ -61,12 +61,12 @@ const keyNegInf, keyPosInf uint32 = 0x007fffff, 0xff800000
 
 // keyCell is a treelet's extent on one axis in key space: the smallest and
 // the largest key among its coordinates that are numbers, lo > hi when it has
-// none. The encoder takes it from the keys it packs, the header stores it as
-// the treelet's bounds, and the decoder reads it back from there.
+// none. The encoder takes it from the keys it packs, the leaf record stores
+// it, and the decoder reads it back from there.
 type keyCell struct{ lo, hi uint32 }
 
-// cellBounds is the bounding box compact stores for a treelet of these
-// cells: exact, a float32 widens to float64 and back unchanged.
+// cellBounds is the bounding box of a treelet of these cells: exact, a
+// float32 widens to float64 unchanged.
 func cellBounds(cells [3]keyCell) geom.Box {
 	var lo, hi [3]float64
 	for ax, c := range cells {
@@ -77,11 +77,6 @@ func cellBounds(cells [3]keyCell) geom.Box {
 		}
 	}
 	return geom.NewBox(geom.V3(lo[0], lo[1], lo[2]), geom.V3(hi[0], hi[1], hi[2]))
-}
-
-// boundsCell inverts cellBounds on one axis.
-func boundsCell(b geom.Box, ax geom.Axis) keyCell {
-	return keyCell{keyOf(float32(b.Lower.Component(ax))), keyOf(float32(b.Upper.Component(ax)))}
 }
 
 // nodeLink returns node i's axis (leafAxis for a leaf), split plane, children
@@ -196,13 +191,9 @@ func (nb *nodeBlocks) link(i int) (uint8, float64, int32, int32, uint32) {
 	return n.axis, n.pos, n.left, n.right, n.count
 }
 
-// kdCells derives the k-d cells of the node table under bounds, the
-// treelet's bounds from its shallow leaf record.
-func (nb *nodeBlocks) kdCells(bounds geom.Box) *kdCells {
-	var cells [3]keyCell
-	for ax := range cells {
-		cells[ax] = boundsCell(bounds, geom.Axis(ax))
-	}
+// kdCells derives the k-d cells of the node table under cells, the
+// treelet's cells from its leaf record.
+func (nb *nodeBlocks) kdCells(cells [3]keyCell) *kdCells {
 	kd := &kdCells{}
 	kd.derive(len(nb.nodes), nb.link, cells)
 	return kd
@@ -296,7 +287,7 @@ func packEF(buf []byte, bit int, vals []uint64, fr *blockFrame) int {
 
 // decodePosSection decodes the section of the position column on axis ax
 // into a fresh float32 column. A sorted-cell-for section takes its frames
-// from kd, the k-d cells of nb's node table under the treelet's bounds.
+// from kd, the k-d cells of nb's node table under the treelet's cells.
 func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) ([]float32, error) {
 	if codec == codecRaw {
 		return decodeRawF32(payload, nb.nPoints)

@@ -9,13 +9,14 @@ import (
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
+	"libbat/internal/radix"
 )
 
-// maxSaneDepth bounds treelet traversal: a treelet with 2^64 leaves is
-// impossible, so deeper recursion means a corrupt file with cyclic links.
+// maxSaneDepth bounds the treelet depth a file may declare: a treelet with
+// 2^64 leaves is impossible, so a deeper header is corrupt. The reader
+// refuses it at open and a node below the declared depth at load, so no
+// traversal goes deeper.
 const maxSaneDepth = 64
-
-var errCyclicTreelet = errors.New("bat: treelet node links form a cycle (corrupt file)")
 
 // AttrFilter restricts a query to particles whose attribute lies in
 // [Min, Max].
@@ -175,10 +176,22 @@ func (f *File) prepare(q Query) (*queryState, bool) {
 	return s, true
 }
 
-// nodePassesBitmaps tests a node's bitmap IDs against every filter mask.
+// nodePassesBitmaps tests a treelet node's bitmap IDs against every filter
+// mask.
 func (s *queryState) nodePassesBitmaps(f *File, ids []bitmap.ID) bool {
 	for i, m := range s.masks {
 		if !f.dict.Lookup(ids[s.q.Filters[i].Attr]).Overlaps(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// passes tests a shallow node's or a leaf record's bitmaps against every
+// filter mask.
+func (s *queryState) passes(bms []bitmap.Bitmap) bool {
+	for i, m := range s.masks {
+		if !bms[s.q.Filters[i].Attr].Overlaps(m) {
 			return false
 		}
 	}
@@ -284,10 +297,7 @@ func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visito
 		defer stop()
 	}
 	e := &emitter{visit: visit, attrs: make([]float64, f.Schema.NumAttrs())}
-	cands, err := f.selectTreelets(s, &e.stats)
-	if err == nil {
-		err = f.run(ctx, s, cands, cfg, e, cancel)
-	}
+	err := f.run(ctx, s, f.selectTreelets(s, &e.stats), cfg, e, cancel)
 	if err == errTraversalCancelled {
 		// The flag is only ever set externally via ctx here; surface the
 		// context's error rather than the internal sentinel.
@@ -312,51 +322,34 @@ func (f *File) QueryWithConfig(q Query, cfg QueryConfig, visit Visitor) (QuerySt
 // surviving treelet leaves in deterministic left-to-right order. This list
 // is the unit of scheduling: every worker count collects exactly these
 // treelets, and delivers them in this order unless told it need not.
-func (f *File) selectTreelets(s *queryState, st *QueryStats) ([]int, error) {
+func (f *File) selectTreelets(s *queryState, st *QueryStats) []int {
 	if len(f.shallow) == 0 {
 		// Single-treelet file: the treelet's root node carries the bitmap
 		// summary, so traversal handles all pruning.
-		return []int{0}, nil
+		return []int{0}
 	}
 	var out []int
-	var walk func(ref int32, bounds geom.Box, depth int) error
-	walk = func(ref int32, bounds geom.Box, depth int) error {
-		if li, isLeaf := isShallowLeaf(ref); isLeaf {
-			if !s.nodePassesBitmaps(f, f.leaves[li].ids) {
+	var walk func(ref int32, bounds geom.Box)
+	walk = func(ref int32, bounds geom.Box) {
+		if li, isLeaf := radix.IsLeafRef(ref); isLeaf {
+			if !s.passes(f.roots[li]) {
 				st.PrunedSubtrees++
-				return nil
+				return
 			}
 			out = append(out, li)
-			return nil
-		}
-		if depth > maxSaneDepth {
-			return errCyclicTreelet
+			return
 		}
 		n := &f.shallow[ref]
-		if s.q.Bounds != nil && !s.q.Bounds.Overlaps(bounds) {
+		if s.q.Bounds != nil && !s.q.Bounds.Overlaps(bounds) || !s.passes(n.bitmaps) {
 			st.PrunedSubtrees++
-			return nil
-		}
-		if !s.nodePassesBitmaps(f, n.ids) {
-			st.PrunedSubtrees++
-			return nil
+			return
 		}
 		lo, hi := bounds.SplitAt(n.axis, n.pos)
-		if err := walk(n.left, lo, depth+1); err != nil {
-			return err
-		}
-		return walk(n.right, hi, depth+1)
+		walk(n.left, lo)
+		walk(n.right, hi)
 	}
-	err := walk(0, f.Domain, 0)
-	return out, err
-}
-
-// isShallowLeaf decodes a shallow-tree child reference.
-func isShallowLeaf(ref int32) (int, bool) {
-	if ref < 0 {
-		return int(^ref), true
-	}
-	return 0, false
+	walk(0, f.Domain)
+	return out
 }
 
 // span is a half-open window [lo, hi) of particle indices in one treelet.
@@ -397,7 +390,7 @@ func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cance
 		sel.stats.Loads = 1
 	}
 	ref := &f.leaves[li]
-	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), loaded, ref.bounds.Center())
+	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), loaded, cellBounds(ref.cells).Center())
 	if len(t.nodes) > 0 {
 		sel.err = s.traverseTreelet(f, sel, cancel, 0, 0)
 	}
@@ -409,10 +402,6 @@ func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cance
 func (s *queryState) traverseTreelet(f *File, sel *selection, cancel *cancelFlag, ni int32, depth int) error {
 	if depth > s.curD {
 		return nil
-	}
-	// Defense against corrupt files whose child links form a cycle.
-	if depth > maxSaneDepth {
-		return errCyclicTreelet
 	}
 	if cancel.isSet() {
 		return errTraversalCancelled

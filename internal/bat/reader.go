@@ -1,6 +1,7 @@
 // Reading, traversal, and progressive multiresolution queries over a
-// compacted BAT (paper §V). The reader parses the header (shallow tree +
-// bitmap dictionary) eagerly and loads treelets lazily through an
+// compacted BAT (paper §V). The reader parses the header (leaf records +
+// bitmap dictionary, and derives the shallow tree from the leaf records)
+// eagerly and loads treelets lazily through an
 // io.ReaderAt, relying on the OS page cache for repeated access the way the
 // paper's memory-mapped implementation does.
 package bat
@@ -16,28 +17,20 @@ import (
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
+	"libbat/internal/morton"
 	"libbat/internal/particles"
 	"libbat/internal/pfs"
 )
 
-// shallowNode is a parsed shallow-tree inner node.
-type shallowNode struct {
-	axis        geom.Axis
-	pos         float64
-	left, right int32
-	ids         []bitmap.ID
-}
-
-// leafRef is a parsed shallow leaf: the location of its treelet and the
-// treelet's tight point bounds (the quantization frame). offset is not
+// leafRef is a parsed leaf record: the location of its treelet and the
+// treelet's cells (the root cell of its position frames). offset is not
 // stored: the treelets lie back to back from the end of the header.
 type leafRef struct {
 	offset    int64
 	byteLen   uint32
 	numNodes  uint32
 	numPoints uint32
-	bounds    geom.Box
-	ids       []bitmap.ID
+	cells     [3]keyCell
 }
 
 // diskNode is a parsed treelet node.
@@ -73,8 +66,11 @@ type File struct {
 	// reference frame of every bitmap in the file.
 	Ranges []bitmap.Range
 
+	// shallow is the shallow tree derived from the leaf records, roots
+	// each leaf record's root bitmaps, resolved through the dictionary.
 	shallow []shallowNode
 	leaves  []leafRef
+	roots   [][]bitmap.Bitmap
 	dict    *bitmap.Dictionary
 
 	// Checksum footer state: the header length and CRC, and one CRC per
@@ -146,32 +142,29 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		f.Schema.Attrs[a] = particles.AttrDesc{Name: r.Str(), Type: particles.AttrType(r.U8())}
 		f.Ranges[a] = r.Range()
 	}
-	nInner, nLeaves := r.U32(), r.U32()
+	nLeaves := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bat: %w", err)
 	}
-	// Sanity: every record occupies at least shallowInnerBytes /
-	// shallowLeafBytes, so the counts cannot exceed the file size.
-	if int64(nInner)*int64(shallowInnerBytes+2*nA) > size ||
-		int64(nLeaves)*int64(shallowLeafBytes+2*nA) > size {
-		return nil, fmt.Errorf("bat: node counts %d/%d exceed file size %d", nInner, nLeaves, size)
-	}
-	f.shallow = make([]shallowNode, nInner)
-	idBacking := make([]bitmap.ID, 0, (int(nInner)+int(nLeaves))*nA)
-	for i := range f.shallow {
-		n := &f.shallow[i]
-		n.axis, n.pos, n.left, n.right = geom.Axis(r.U8()), r.F64(), r.I32(), r.I32()
-		if !validChildRef(n.left, int(nInner), int(nLeaves)) ||
-			!validChildRef(n.right, int(nInner), int(nLeaves)) {
-			return nil, fmt.Errorf("bat: shallow node %d has invalid children", i)
-		}
-		n.ids = r.IDs(&idBacking, nA)
+	// Sanity: every record occupies at least leafRecordBytes, so the count
+	// cannot exceed the file size.
+	if int64(nLeaves)*int64(leafRecordBytes+2*nA) > size {
+		return nil, fmt.Errorf("bat: treelet count %d exceeds file size %d", nLeaves, size)
 	}
 	f.leaves = make([]leafRef, nLeaves)
+	codes := make([]morton.Code, nLeaves)
+	idBacking := make([]bitmap.ID, 0, int(nLeaves)*nA)
+	ids := make([][]bitmap.ID, nLeaves)
 	for i := range f.leaves {
 		l := &f.leaves[i]
 		l.byteLen, l.numNodes, l.numPoints = r.U32(), r.U32(), r.U32()
-		l.bounds = r.Box()
+		codes[i] = morton.Code(r.U64())
+		for ax := range l.cells {
+			l.cells[ax].lo = r.U32()
+		}
+		for ax := range l.cells {
+			l.cells[ax].hi = r.U32()
+		}
 		// The writer never packs a treelet into fewer bytes than it has
 		// points, so a larger count is corrupt; the bound keeps the
 		// treelet's column allocations within bytes the file holds.
@@ -179,31 +172,10 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			return nil, fmt.Errorf("bat: treelet %d claims %d points in %d bytes", i, l.numPoints, l.byteLen)
 		}
 		f.NumParticles += int64(l.numPoints)
-		l.ids = r.IDs(&idBacking, nA)
+		ids[i] = r.IDs(&idBacking, nA)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("bat: %w", err)
-	}
-	// The shallow hierarchy must be an actual tree: at most one parent
-	// per node. Range checks alone admit diamond-shaped DAGs whose
-	// traversal revisits shared subtrees exponentially often before the
-	// depth guard fires — a crafted file could stall a reader that way.
-	innerSeen := make([]bool, nInner)
-	leafSeen := make([]bool, nLeaves)
-	for i := range f.shallow {
-		for _, ref := range [2]int32{f.shallow[i].left, f.shallow[i].right} {
-			if li, isLeaf := isShallowLeaf(ref); isLeaf {
-				if leafSeen[li] {
-					return nil, fmt.Errorf("bat: treelet %d has multiple parents", li)
-				}
-				leafSeen[li] = true
-			} else {
-				if innerSeen[ref] {
-					return nil, fmt.Errorf("bat: shallow node %d has multiple parents", ref)
-				}
-				innerSeen[ref] = true
-			}
-		}
 	}
 	dictLen := r.U32()
 	if err := r.Err(); err != nil {
@@ -217,19 +189,40 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		return nil, fmt.Errorf("bat: %w", err)
 	}
 	// Every stored bitmap ID must resolve in the dictionary.
-	for i := range f.shallow {
-		if err := f.checkIDs(f.shallow[i].ids); err != nil {
-			return nil, fmt.Errorf("bat: shallow node %d: %w", i, err)
-		}
-	}
-	for i := range f.leaves {
-		if err := f.checkIDs(f.leaves[i].ids); err != nil {
+	f.roots = make([][]bitmap.Bitmap, nLeaves)
+	rootBacking := make([]bitmap.Bitmap, int(nLeaves)*nA)
+	for i, leafIDs := range ids {
+		if err := f.checkIDs(leafIDs); err != nil {
 			return nil, fmt.Errorf("bat: leaf %d: %w", i, err)
+		}
+		f.roots[i] = rootBacking[i*nA : (i+1)*nA : (i+1)*nA]
+		for a, id := range leafIDs {
+			f.roots[i][a] = f.dict.Lookup(id)
 		}
 	}
 	if err := f.loadFooter(ctx, r.Consumed()); err != nil {
 		return nil, err
 	}
+	// The header passed its CRC, so a value out of range below means a
+	// writer bug or a crafted file, not a torn write. The treelet depth
+	// bounds every traversal. The codes are the shallow tree's leaves: the
+	// radix tree over them is a tree only if they rise strictly, and its
+	// cells lie in the domain only below 2^SubprefixBits.
+	if f.MaxTreeletDepth > maxSaneDepth {
+		return nil, fmt.Errorf("bat: treelet depth %d exceeds %d", f.MaxTreeletDepth, maxSaneDepth)
+	}
+	if f.SubprefixBits < 1 || f.SubprefixBits > morton.TotalBits {
+		return nil, fmt.Errorf("bat: subprefix bits %d out of range [1,%d]", f.SubprefixBits, morton.TotalBits)
+	}
+	for i, c := range codes {
+		if c>>f.SubprefixBits != 0 {
+			return nil, fmt.Errorf("bat: treelet %d code %#x exceeds %d subprefix bits", i, c, f.SubprefixBits)
+		}
+		if i > 0 && c <= codes[i-1] {
+			return nil, fmt.Errorf("bat: treelet %d code %#x does not rise above treelet %d's %#x", i, c, i-1, codes[i-1])
+		}
+	}
+	f.shallow = flattenShallow(codes, f.roots, f.Domain, f.SubprefixBits, 1)
 	// The treelets lie back to back from the end of the header, each where
 	// the one before it ends, and their byte lengths must end where the
 	// footer starts: no byte of the file is outside a checksum. This comes
@@ -458,7 +451,7 @@ func (f *File) TreeletLayout(ctx context.Context, ti int) (TreeletLayout, error)
 }
 
 // StoredBytes says where a file's bytes are (batinspect -bytes): the header
-// with its shallow tree and dictionary, the treelets' node tables, position
+// with its leaf records and dictionary, the treelets' node tables, position
 // sections and attribute sections (their
 // framing included), and the checksum footer: the treelets tile the bytes
 // between header and footer, so the parts add up to the file's size.
@@ -492,15 +485,6 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 		}
 	}
 	return sb, nil
-}
-
-// validChildRef reports whether a shallow-tree child reference points at an
-// existing inner node or leaf.
-func validChildRef(ref int32, nInner, nLeaves int) bool {
-	if ref >= 0 {
-		return int(ref) < nInner
-	}
-	return int(^ref) < nLeaves
 }
 
 // checkIDs validates bitmap IDs against the dictionary.
@@ -551,30 +535,16 @@ func (f *File) SetCloser(c io.Closer) { f.closer = c }
 // Size returns the file's on-disk size in bytes.
 func (f *File) Size() int64 { return f.size }
 
-// NumTreelets returns the number of treelets (shallow leaves) in the file.
+// NumTreelets returns the number of treelets (leaf records) in the file.
 func (f *File) NumTreelets() int { return len(f.leaves) }
 
 // RootBitmaps returns the file's whole-dataset bitmap per attribute (the
-// shallow tree root's bitmaps), in the file's local value ranges: what the
-// top-level metadata records for the leaf (§III-D). The write path takes the
-// same values from Built.RootBitmaps; this is the reader's side of that
-// equality (TestBuiltSummaryMatchesFile).
+// merge of its treelets' root bitmaps), in the file's local value ranges:
+// what the top-level metadata records for the leaf (§III-D). The write path
+// takes the same values from Built.RootBitmaps; this is the reader's side of
+// that equality (TestBuiltSummaryMatchesFile).
 func (f *File) RootBitmaps() []bitmap.Bitmap {
-	nA := f.Schema.NumAttrs()
-	out := make([]bitmap.Bitmap, nA)
-	merge := func(ids []bitmap.ID) {
-		for a := 0; a < nA; a++ {
-			out[a] |= f.dict.Lookup(ids[a])
-		}
-	}
-	if len(f.shallow) > 0 {
-		merge(f.shallow[0].ids)
-		return out
-	}
-	for _, l := range f.leaves {
-		merge(l.ids)
-	}
-	return out
+	return mergeRoots(f.roots, f.Schema.NumAttrs())
 }
 
 // loadTreelet returns treelet ti, parsing it through the cache, and
@@ -606,7 +576,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	if lay != nil {
 		table = &lay.NodeTable
 	}
-	nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, table)
+	nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, f.MaxTreeletDepth, table)
 	if err != nil {
 		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 	}
@@ -644,7 +614,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		return codec, b, nil
 	}
 	blocks := newNodeBlocks(t.nodes, int(nPoints))
-	kd := blocks.kdCells(ref.bounds)
+	kd := blocks.kdCells(ref.cells)
 	var cols [3][]float32
 	for ax, name := range positionNames {
 		codec, b, err := section(name, 4)

@@ -225,7 +225,7 @@ func TestLODSubsetInvariant(t *testing.T) {
 // auto-reduction from shrinking the width much on a modest set, so the
 // shallow radix tree is deep and its derived split planes (Morton cell
 // midplanes) do the spatial pruning. Any error in the plane derivation
-// loses particles. LODPerNode stays <= MaxLeafSize so every inner node
+// loses particles, and the reader derives the very tree Build did. LODPerNode stays <= MaxLeafSize so every inner node
 // keeps particles to split.
 func TestSpatialQueryDeepShallowTree(t *testing.T) {
 	set, domain := bat.ClusteredSet(30000, 31)
@@ -239,6 +239,9 @@ func TestSpatialQueryDeepShallowTree(t *testing.T) {
 	if b.Stats.NumShallowNodes < 50 {
 		t.Fatalf("want a deep shallow tree, got %d inner nodes", b.Stats.NumShallowNodes)
 	}
+	if _, err := bat.ShallowMismatch(b, b.Buf); err != nil {
+		t.Fatal(err)
+	}
 	// Pruning must actually engage on a tight query.
 	tiny := geom.NewBox(geom.V3(0.01, 0.01, 0.01), geom.V3(0.03, 0.03, 0.03))
 	st, err := f.Query(context.Background(), bat.Query{Bounds: &tiny}, bat.QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
@@ -247,6 +250,27 @@ func TestSpatialQueryDeepShallowTree(t *testing.T) {
 	}
 	if st.PrunedSubtrees == 0 {
 		t.Error("tight spatial query pruned nothing in the deep shallow tree")
+	}
+}
+
+// TestOracleShallowDerived: over the oracle's seeded builds, the shallow tree
+// a reader derives from the leaf records is the one Build derived.
+func TestOracleShallowDerived(t *testing.T) {
+	nodes := 0
+	for seed := int64(0); seed < 20; seed++ {
+		c := oracle.Generate(seed)
+		b, err := bat.Build(c.All(), c.Domain(), c.Build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := bat.ShallowMismatch(b, b.Buf)
+		if err != nil {
+			t.Fatalf("oracle case %d: %v", seed, err)
+		}
+		nodes += n
+	}
+	if nodes == 0 {
+		t.Error("no oracle build has a shallow node")
 	}
 }
 

@@ -138,7 +138,9 @@ func AblateBitmapDictionary(particles int) (*Table, error) {
 	}
 	s := built.Stats
 	nA := cb.Schema().NumAttrs()
-	nodes := s.NumTreeletNodes + s.NumShallowNodes
+	// Every treelet node and every leaf record stores an ID per attribute;
+	// the shallow tree is derived, not stored.
+	nodes := s.NumTreeletNodes + s.NumTreelets
 	withDict := int64(nodes*2*nA) + int64(4*s.DictEntries)
 	withoutDict := int64(nodes * 4 * nA)
 	t := &Table{

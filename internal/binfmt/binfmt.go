@@ -1,5 +1,5 @@
 // Package binfmt is the little-endian codec under every on-disk format of
-// the module: the BAT file (header, shallow tree, dictionary, treelets,
+// the module: the BAT file (header, leaf records, dictionary, treelets,
 // footer; paper §III-C) and the top-level metadata (§III-D) read through
 // Reader and write through Writer.
 //

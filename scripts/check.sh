@@ -195,7 +195,7 @@ assert ratios == [0, 1, 1], ratios
 run "batserve smoke" batserve_smoke
 
 # Short fuzz pass over the decoders uintcast guards (BAT files and the
-# treelet parser behind their checksums, both seeded from version-4 builds,
+# treelet parser behind their checksums, both seeded from version-5 builds,
 # a multi-treelet one among them; the section decoders underneath — raw,
 # the one for quant-for and int-for, the one for key-for and sign-key-for,
 # and sorted-cell-for — and the packed node table, fed
