@@ -44,7 +44,6 @@ func TestRepoClean(t *testing.T) {
 	sort.Strings(waived)
 	want := []string{
 		"internal/bat/nodetable.go uintcast",
-		"internal/core/read.go ctxsleep",
 		"internal/leakcheck/leakcheck.go ctxsleep",
 	}
 	if !reflect.DeepEqual(waived, want) {

@@ -111,9 +111,10 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// attribute bitmaps before any file is contacted.
 	want := ds.Select(q)
 
-	// Phase c: client-server query loop with a nonblocking barrier
-	// (§IV-B). Queries to leaves this rank reads itself are answered
-	// locally after the remote queries are issued.
+	// Phase c: the client-server query loop (§IV-B). Each remote leaf gets
+	// one query to its reader; leaves this rank reads itself are served
+	// locally ("if a rank requires data from itself, it performs these
+	// queries locally").
 	xferStart := time.Now()
 	out := particles.NewSet(m.Schema, 0)
 	var selfLeaves []int
@@ -130,26 +131,26 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		pending++
 	}
 
-	// Serve queries for the leaves assigned to this rank while collecting
-	// replies. Leaf work — opening, decoding, and traversing files — runs on
-	// a worker pool so one rank services many in-flight client queries and
-	// many of its own files concurrently; ds opens each leaf once and shares
-	// it across queries. The fabric communicator is
-	// documented single-goroutine, so this main loop remains the only
-	// goroutine touching c: it receives queries, feeds the pool, sends the
-	// pool's finished replies, and collects this rank's own replies.
+	// A receiver goroutine takes this rank's incoming queries and feeds a
+	// worker pool, so one rank serves many in-flight client queries and
+	// many of its own files concurrently; ds opens each leaf once and
+	// shares it across queries. Workers send remote replies themselves and
+	// hand self-leaf results back on selfResults. Meanwhile this goroutine
+	// collects exactly its pending replies, then its own leaves, and enters
+	// the barrier. A reply is sent only once its query has been served, and
+	// a rank enters the barrier only once it holds all its replies, so when
+	// the barrier passes no query of this read is in flight anywhere, and
+	// the receiver stops. (The next read cannot send a query before every
+	// rank has passed its metadata agreement, so the receiver never takes
+	// one of a later read.) This is the termination rule of the paper's
+	// MPI_Ibarrier loop, with the same messages, written with blocking
+	// waits.
 	//
-	// Errors must not abandon the collective protocol — the rank keeps
-	// serving and answering with error replies so every rank exits the
-	// loop. A damaged leaf costs only that leaf (recorded per requester in
-	// LeafErrors); protocol corruption (an undecodable query) fails the
-	// rank outright.
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	// The receiver's context is cut off from ctx: cancellation must not
+	// abandon the protocol. Workers see ctx and answer every query they
+	// get after it ends with an error reply, which the requester records
+	// in LeafErrors. A damaged leaf likewise costs only that leaf; protocol
+	// corruption (an undecodable query) fails the rank outright.
 	var firstLeafErr error
 	noteLeaf := func(li int, err error) {
 		if stats.LeafErrors == nil {
@@ -166,145 +167,75 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	replyBytes := c.Observer().Counter("core_reply_bytes_total", obs.Rank(c.Rank()))
 
 	nWorkers := runtime.GOMAXPROCS(0)
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
 	jobs := make(chan serveJob, nWorkers)
-	results := make(chan serveResult, 2*nWorkers)
+	selfResults := make(chan serveResult, len(selfLeaves))
+	fileRead := make([]time.Duration, nWorkers)
 	var workers sync.WaitGroup
-	for i := 0; i < nWorkers; i++ {
+	for i := range nWorkers {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
 			for j := range jobs {
-				results <- serveLeafJob(ctx, col, c.Rank(), ds, j)
+				r := serveLeafJob(ctx, col, c.Rank(), ds, j)
+				fileRead[i] += r.fileRead
+				if j.source < 0 {
+					selfResults <- r
+					continue
+				}
+				replyBytes.Add(int64(len(r.reply)))
+				c.Isend(j.source, tagReply, r.reply)
 			}
 		}()
 	}
 
-	// Queue this rank's own leaves up front (§IV-B: "if a rank requires
-	// data from itself, it performs these queries locally") so local file
-	// work overlaps the wait for remote replies.
-	var jobQueue []serveJob
-	selfPending := 0
-	for _, li := range selfLeaves {
-		jobQueue = append(jobQueue, serveJob{source: -1, leaf: li, q: q})
-		selfPending++
-		served.Inc()
-	}
-
-	applyResult := func(r serveResult) {
-		stats.FileRead += r.fileRead
-		if r.source < 0 {
-			selfPending--
-			if r.err != nil {
-				noteLeaf(r.leaf, r.err)
-			} else {
-				out.AppendSet(r.sub)
+	recvCtx, stopRecv := context.WithCancel(context.WithoutCancel(ctx))
+	var firstErr error // written by the receiver only; read after the pool ends
+	go func() {
+		defer close(jobs)
+		for _, li := range selfLeaves {
+			served.Inc()
+			jobs <- serveJob{source: -1, leaf: li, q: q}
+		}
+		for {
+			raw, st, err := c.RecvCtx(recvCtx, fabric.AnySource, tagQuery)
+			if err != nil {
+				return // the barrier has passed
 			}
-			return
+			served.Inc()
+			var rq queryMsg
+			if err := decode(raw, &rq); err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				c.Isend(st.Source, tagReply, replyError(-1, err))
+				continue
+			}
+			jobs <- serveJob{source: st.Source, leaf: rq.Leaf, q: rq.toBAT()}
 		}
-		replyBytes.Add(int64(len(r.reply)))
-		c.Isend(r.source, tagReply, r.reply)
-	}
-	acceptOne := func() bool {
-		st, ok := c.Probe(fabric.AnySource, tagQuery)
-		if !ok {
-			return false
-		}
-		raw, _ := c.Recv(st.Source, tagQuery)
-		served.Inc()
-		var rq queryMsg
-		if err := decode(raw, &rq); err != nil {
-			note(err)
-			c.Isend(st.Source, tagReply, replyError(-1, err))
-			return true
-		}
-		jobQueue = append(jobQueue, serveJob{source: st.Source, leaf: rq.Leaf, q: rq.toBAT()})
-		return true
-	}
-	recvOne := func() bool {
-		if pending == 0 {
-			return false
-		}
-		st, ok := c.Probe(fabric.AnySource, tagReply)
-		if !ok {
-			return false
-		}
-		raw, _ := c.Recv(st.Source, tagReply)
+	}()
+
+	for ; pending > 0; pending-- {
+		raw, st := c.Recv(fabric.AnySource, tagReply)
 		leaf, part, err := parseReply(raw, m.Schema)
 		if err != nil {
 			noteLeaf(leaf, fmt.Errorf("core: leaf %d via rank %d: %w", leaf, st.Source, err))
 		} else {
 			out.AppendSet(part)
 		}
-		pending--
-		return true
 	}
-
-	var barrier *fabric.BarrierRequest
-	for {
-		progress := false
-		for acceptOne() {
-			progress = true
-		}
-		for len(jobQueue) > 0 {
-			select {
-			case jobs <- jobQueue[0]:
-				jobQueue = jobQueue[1:]
-				progress = true
-				continue
-			default:
-			}
-			break
-		}
-		for {
-			select {
-			case r := <-results:
-				applyResult(r)
-				progress = true
-				continue
-			default:
-			}
-			break
-		}
-		if recvOne() {
-			progress = true
-		}
-		if barrier == nil && pending == 0 && selfPending == 0 {
-			// All of this rank's data has arrived and its own leaves are
-			// answered: enter the nonblocking barrier and keep serving
-			// until everyone is done.
-			barrier = c.Ibarrier()
-		}
-		if barrier != nil && barrier.Test() {
-			break
-		}
-		if !progress {
-			// The collective loop must keep polling through cancellation to
-			// finish the protocol, so this brief backoff is deliberately not
-			// interruptible.
-			time.Sleep(20 * time.Microsecond) //batlint:ignore ctxsleep progress backoff inside the collective loop, must survive ctx cancellation
+	for range selfLeaves {
+		r := <-selfResults
+		if r.err != nil {
+			noteLeaf(r.leaf, r.err)
+		} else {
+			out.AppendSet(r.sub)
 		}
 	}
-	// Barrier completion implies every rank received every reply, so no
-	// remote job can still be queued or in flight; drain defensively all
-	// the same so a protocol bug degrades to extra replies, never a hang.
-	for len(jobQueue) > 0 {
-		select {
-		case jobs <- jobQueue[0]:
-			jobQueue = jobQueue[1:]
-		case r := <-results:
-			applyResult(r)
-		}
-	}
-	close(jobs)
-	go func() {
-		workers.Wait()
-		close(results)
-	}()
-	for r := range results {
-		applyResult(r)
+	c.Barrier()
+	stopRecv()
+	workers.Wait()
+	for _, d := range fileRead {
+		stats.FileRead += d
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr
@@ -370,10 +301,9 @@ type serveJob struct {
 }
 
 // serveResult is a finished serveJob. Remote jobs carry the encoded wire
-// reply for the main loop to Isend; self jobs carry the particle set (or
+// reply for the worker to Isend; self jobs carry the particle set (or
 // error) directly.
 type serveResult struct {
-	source   int
 	leaf     int
 	reply    []byte
 	sub      *particles.Set
@@ -400,7 +330,7 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 			return nil
 		})
 	}
-	res := serveResult{source: j.source, leaf: j.leaf, fileRead: time.Since(start)}
+	res := serveResult{leaf: j.leaf, fileRead: time.Since(start)}
 	if j.source < 0 {
 		res.sub, res.err = sub, err
 		return res

@@ -1,9 +1,12 @@
 // Package fabric provides a simulated MPI-like message-passing layer. Ranks
 // run as goroutines and communicate through matched point-to-point messages
-// (blocking and nonblocking), collectives (gather, scatterv, broadcast,
-// barrier), and a nonblocking barrier, mirroring the MPI feature set the
-// paper's pipeline depends on: nonblocking sends/receives for aggregation
-// (§III-B) and MPI_Ibarrier for the client-server read loop (§IV-B).
+// (blocking and nonblocking) and collectives (gather, scatterv, broadcast,
+// allgather, allreduce, alltoallv, barrier), mirroring the MPI feature set
+// the paper's pipeline depends on: nonblocking sends/receives for
+// aggregation (§III-B) and the client-server read loop (§IV-B). Where the
+// paper's read loop polls MPI_Ibarrier because an MPI rank is one thread,
+// a rank here runs a receiver goroutine and ends the loop with a blocking
+// Barrier: the same termination rule over the same messages.
 //
 // Semantics follow MPI's: messages between a (source, destination, tag)
 // triple are delivered in order, receives match on source and tag with
@@ -12,6 +15,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -125,8 +129,12 @@ func (f *Fabric) BytesSent() int64 { return f.bytesSent.Load() }
 // MessagesSent returns the total number of point-to-point messages sent.
 func (f *Fabric) MessagesSent() int64 { return f.msgsSent.Load() }
 
-// Comm is one rank's handle onto the fabric. A Comm must only be used from
-// the goroutine running that rank.
+// Comm is one rank's handle onto the fabric. Point-to-point sends and
+// receives may be called from several goroutines of one rank at once (a
+// receiver goroutine serving queries while the rank's own goroutine
+// collects replies); each message goes to exactly one matching receive.
+// Collectives must stay on the rank's own goroutine, one at a time, in the
+// same order on every rank.
 type Comm struct {
 	f    *Fabric
 	rank int
@@ -228,6 +236,33 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status) {
 	}
 }
 
+// RecvCtx is Recv that gives up when ctx ends: it blocks until a message
+// matching (src, tag) arrives and returns it, or returns ctx.Err() once ctx
+// is done and no matching message is queued.
+func (c *Comm) RecvCtx(ctx context.Context, src, tag int) ([]byte, Status, error) {
+	ib := c.f.inboxes[c.rank]
+	// The wakeup takes the inbox lock before broadcasting so it cannot slip
+	// between a waiter's ctx check and its cond.Wait.
+	stop := context.AfterFunc(ctx, func() {
+		ib.mu.Lock()
+		ib.mu.Unlock()
+		ib.cond.Broadcast()
+	})
+	defer stop()
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	for {
+		if m, ok := ib.match(src, tag); ok {
+			c.noteRecv(len(m.data))
+			return m.data, Status{Source: m.src, Tag: m.tag}, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, Status{}, err
+		}
+		ib.cond.Wait()
+	}
+}
+
 // RecvTimeout is Recv with a deadline: it blocks until a matching message
 // arrives or timeout elapses, in which case it returns an error wrapping
 // ErrTimeout. A timeout <= 0 means wait forever.
@@ -236,46 +271,15 @@ func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) ([]byte, Status,
 		d, st := c.Recv(src, tag)
 		return d, st, nil
 	}
-	ib := c.f.inboxes[c.rank]
-	deadline := time.Now().Add(timeout)
-	expired := false
-	// The timer takes the inbox lock before broadcasting so the wakeup
-	// cannot slip between a waiter's deadline check and its cond.Wait.
-	t := time.AfterFunc(timeout, func() {
-		ib.mu.Lock()
-		expired = true
-		ib.mu.Unlock()
-		ib.cond.Broadcast()
-	})
-	defer t.Stop()
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		if m, ok := ib.match(src, tag); ok {
-			c.noteRecv(len(m.data))
-			return m.data, Status{Source: m.src, Tag: m.tag}, nil
-		}
-		if expired || !time.Now().Before(deadline) {
-			return nil, Status{}, fmt.Errorf(
-				"%w: rank %d: no message matching src=%d tag=%d within %v",
-				ErrTimeout, c.rank, src, tag, timeout)
-		}
-		ib.cond.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	d, st, err := c.RecvCtx(ctx, src, tag)
+	if err != nil {
+		return nil, Status{}, fmt.Errorf(
+			"%w: rank %d: no message matching src=%d tag=%d within %v",
+			ErrTimeout, c.rank, src, tag, timeout)
 	}
-}
-
-// Probe reports whether a message matching (src, tag) is available without
-// receiving it. It never blocks (MPI_Iprobe).
-func (c *Comm) Probe(src, tag int) (Status, bool) {
-	ib := c.f.inboxes[c.rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for _, m := range ib.msgs {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return Status{Source: m.src, Tag: m.tag}, true
-		}
-	}
-	return Status{}, false
+	return d, st, nil
 }
 
 // Request is a handle on a nonblocking operation.
@@ -298,23 +302,6 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 // Irecv initiates a nonblocking receive matching (src, tag).
 func (c *Comm) Irecv(src, tag int) *Request {
 	return &Request{c: c, src: src, tag: tag}
-}
-
-// Test attempts to complete the request without blocking, returning true if
-// it has completed.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	ib := r.c.f.inboxes[r.c.rank]
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if m, ok := ib.match(r.src, r.tag); ok {
-		r.c.noteRecv(len(m.data))
-		r.data, r.status = m.data, Status{Source: m.src, Tag: m.tag}
-		r.done = true
-	}
-	return r.done
 }
 
 // Wait blocks until the request completes and returns the received payload
@@ -363,49 +350,6 @@ func (c *Comm) Barrier() {
 		f.barrierCond.Wait()
 	}
 	f.barrierMu.Unlock()
-}
-
-// BarrierRequest is a handle on a nonblocking barrier (MPI_Ibarrier).
-type BarrierRequest struct {
-	f   *Fabric
-	gen uint64
-}
-
-// Ibarrier enters the barrier without blocking. The returned request's Test
-// reports true once every rank has entered. Each rank must call Ibarrier
-// exactly once per barrier epoch; concurrent distinct Ibarrier epochs are
-// not supported (matching the pipeline's single outstanding barrier).
-func (c *Comm) Ibarrier() *BarrierRequest {
-	c.noteCollective("ibarrier")
-	f := c.f
-	f.barrierMu.Lock()
-	gen := f.barrierGen
-	f.barrierCnt++
-	if f.barrierCnt == f.size {
-		f.barrierCnt = 0
-		f.barrierGen++
-		f.barrierMu.Unlock()
-		f.barrierCond.Broadcast()
-		return &BarrierRequest{f: f, gen: gen}
-	}
-	f.barrierMu.Unlock()
-	return &BarrierRequest{f: f, gen: gen}
-}
-
-// Test reports whether every rank has entered the barrier.
-func (b *BarrierRequest) Test() bool {
-	b.f.barrierMu.Lock()
-	defer b.f.barrierMu.Unlock()
-	return b.f.barrierGen > b.gen
-}
-
-// Wait blocks until the barrier completes.
-func (b *BarrierRequest) Wait() {
-	b.f.barrierMu.Lock()
-	for b.f.barrierGen <= b.gen {
-		b.f.barrierCond.Wait()
-	}
-	b.f.barrierMu.Unlock()
 }
 
 // Collective tags live in a reserved space above any user tag.

@@ -137,9 +137,22 @@ func TestGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The benchmark's other two generated worlds at seed 1, recorded at
+		// commit 3d0fb96.
+		uniform512, err := NewUniform(512, 800, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cosmo64, err := NewCosmo(64, 1_000_000, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cosmo64.FormSteps = 1
 		cases = append(cases,
 			golden{"coal16-v2", coal16, 1, "619e2f76251c97e87a36b2380bce6b784455834040cdd97c56d68380a1a957f5"},
 			golden{"coal-1536", paper, 501, "ebc43dde38fbbfc10e514cc011ae624f336f48a0f8b7ca6083a5f8e266519217"},
+			golden{"uniform512-plan", uniform512, 1, "433d554ecf726aed720c2e0980d5db99f8d2c6c406d56bfec17408e941b46004"},
+			golden{"cosmo64-cachebound", cosmo64, 1, "a008a5c3260f8ba10b4fc75f0f276151f44f05a7310f7f0a00f70aaa223b34d4"},
 		)
 	}
 	for _, c := range cases {

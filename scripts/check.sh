@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
-# under the race detector, smoke the benchmarks and the five examples, and
+# under the race detector, repeat the collective read protocol's tests under
+# the race detector, smoke the benchmarks and the five examples, and
 # (unless CHECK_FUZZ=0) give the five decode fuzzers and the /points query
 # fuzzer a short pass. Run it
 # from the repository root before sending a PR.
@@ -50,6 +51,12 @@ run "go test ./..." go test ./...
 # output; leak failures print their own dump via internal/leakcheck)
 # instead of hanging the script.
 run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
+
+# The collective read protocol's interleavings again, ten times over: each
+# rank's receiver goroutine, its worker pool and the closing barrier race
+# differently on every run, and one pass of the suite above sees only one
+# schedule of each.
+run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin' ./internal/core/ ./internal/fabric/
 
 # Bench smoke: one iteration of every BAT build benchmark, of the section
 # kernels' (the ns/value figures DESIGN §13, results/cell-frames and
