@@ -1,7 +1,8 @@
 // Command batinspect prints the structure of a written dataset: the
-// top-level metadata (aggregation tree, global attribute ranges, leaf
-// files) and, with -leaf, the layout of one BAT file (treelets, their
-// sections and node tables, storage ratio).
+// top-level metadata (the domain, global attribute ranges and the leaf
+// table: each leaf file's name, particle count and bounds) and, with -leaf,
+// the layout of one BAT file (treelets, their sections and node tables,
+// storage ratio).
 //
 //	batinspect -in /tmp/ds -name coal-boiler-0050
 //	batinspect -in /tmp/ds -name coal-boiler-0050 -leaf 0
@@ -30,7 +31,6 @@ import (
 
 	"libbat/internal/bat"
 	"libbat/internal/core"
-	"libbat/internal/meta"
 	"libbat/internal/pfs"
 )
 
@@ -39,7 +39,6 @@ func main() {
 		in     = flag.String("in", "bat-out", "dataset directory")
 		name   = flag.String("name", "", "dataset base name (required)")
 		leaf   = flag.Int("leaf", -1, "inspect one leaf BAT file")
-		tree   = flag.Bool("tree", false, "print the aggregation tree hierarchy")
 		verify = flag.Bool("verify", false, "verify all checksums in the dataset; exit non-zero on corruption")
 		bytesF = flag.Bool("bytes", false, "print where the dataset's stored bytes are, summed over every leaf file")
 	)
@@ -82,10 +81,6 @@ func main() {
 		}
 		return
 	}
-	if *tree {
-		printTree(m)
-		return
-	}
 
 	if err := printSummary(os.Stdout, ds, *name); err != nil {
 		fail(err)
@@ -111,8 +106,7 @@ func printSummary(w io.Writer, ds *core.Dataset, name string) error {
 		}
 	}
 	fmt.Fprintf(w, "dataset %s\n  domain: %v\n", name, m.Domain)
-	fmt.Fprintf(w, "  particles: %d in %d leaf files (%d aggregation-tree inner nodes)\n  attributes:\n",
-		m.TotalCount(), len(m.Leaves), len(m.Nodes))
+	fmt.Fprintf(w, "  particles: %d in %d leaf files\n  attributes:\n", m.TotalCount(), len(m.Leaves))
 	lossy := false
 	for a, d := range m.Schema.Attrs {
 		r := m.GlobalRanges[a]
@@ -172,36 +166,6 @@ func verifyDataset(w io.Writer, store pfs.Storage, name string) bool {
 		}
 	}
 	return ok
-}
-
-// printTree renders the aggregation tree hierarchy: inner split planes and
-// leaf files with their particle counts.
-func printTree(m *meta.Meta) {
-	if len(m.Leaves) == 0 {
-		fmt.Println("empty dataset")
-		return
-	}
-	var rec func(ref int32, indent string)
-	rec = func(ref int32, indent string) {
-		if ref < 0 {
-			li := int(^ref)
-			l := m.Leaves[li]
-			fmt.Printf("%sleaf %d: %s (%d particles)\n", indent, li, l.FileName, l.Count)
-			return
-		}
-		n := m.Nodes[ref]
-		fmt.Printf("%ssplit %s @ %.4g\n", indent, n.Axis, n.Pos)
-		rec(n.Left, indent+"  ")
-		rec(n.Right, indent+"  ")
-	}
-	if len(m.Nodes) == 0 {
-		// Flat grouping (e.g. AUG): list leaves.
-		for li := range m.Leaves {
-			rec(int32(^li), "")
-		}
-		return
-	}
-	rec(0, "")
 }
 
 func inspectLeaf(w io.Writer, ds *core.Dataset, li int) error {

@@ -12,9 +12,10 @@ import (
 
 // TestGoldenDatasets runs the command for two tiny clustered worlds and
 // compares every byte it leaves behind with a recorded digest (all five
-// recorded when the leaf files became version 5, which derives the shallow
-// tree instead of storing it, stores the treelet cells as keys and frames
-// node-table columns as runs, and left every .batm byte where it was):
+// recorded when the .batm became version 4, a table of the leaves without
+// the Aggregation Tree's inner nodes, the domain or the leaves' local
+// ranges; only the .batm bytes moved, every .bat file is the same as under
+// version 2's metadata):
 // SHA-256 over "<name>\n<contents>" of the .bat/.batm files in name
 // order. Generator, aggregation plan and BAT build determinism in one
 // assertion — any of them moving a byte moves the digest. Regenerate with
@@ -30,26 +31,26 @@ func TestGoldenDatasets(t *testing.T) {
 	}{
 		{ // halos partly formed (FormSteps 1000)
 			[]string{"-workload", "cosmo", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "400"},
-			5, "0314200d7fa3820003a5bf3085a7ccfa8c51e96daa25dc0c5571385b63b90f50",
+			5, "48f7adb9d24b61648fbc8c726a330639d08051b1f4f2519449811d57d6a0e070",
 		},
 		{ // mid-schedule plumes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50"},
-			5, "4bf692ca20b055f31a19534465097a7b289c9f04b83dcfae6c871afe965755a5",
+			5, "c339fe4e4be5b839a9622dbb76bd2351933b51916db0965cd398a80cc47240e7",
 		},
 		{ // the same plumes lossy: sorted-cell-for positions, quant-for attributes in both frame modes
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3,1e-9,1e-3,1e-3,1e-3,1e-4,1e-3", "-lod-error-scale", "4"},
-			5, "eba471507c37aa4aa6aa8b11aece63c5d610623eeb584eae0c5a263cfe16f9d7",
+			5, "0eeb7fbc96f6067ada50831acd3817e09a896f8dc81c160460a5153d0a1fc497",
 		},
 		{ // one -error-bound for every attribute
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3", "-lod-error-scale", "4"},
-			5, "acbca4992298424142da01bd6d8a3dd84c9a05206bded59419581532df361099",
+			5, "297af1cacec373ff2a847df5352f17e23bc8d814c8009d0c2732373be9b481cc",
 		},
 		{ // a bound > 0 alone makes the write lossy, with no LOD error scale
 			[]string{"-workload", "coalboiler", "-ranks", "8", "-particles", "4000", "-target", "64KB", "-step", "50",
 				"-error-bound", "1e-3"},
-			5, "7efe95eea59490665c4b5ed08979361b68604a63fbe7add62aefcd430be7ed81",
+			5, "d870aa09bcff400cf9cbaff9226d4eb574f2f31778c02896c54e44edeeafb404",
 		},
 	} {
 		args := append(tc.args, "-out", t.TempDir())

@@ -7,13 +7,6 @@ import (
 	"libbat/internal/analyzers/analysis"
 )
 
-// ctxFlowExempt lists path elements where the rule would fight the
-// design: fabric's simulated communicator is the machinery that *delivers*
-// cancellation as error replies, so its internals legitimately keep
-// polling with their own contexts (the same reasoning as ctxsleep's
-// exemption).
-var ctxFlowExempt = []string{"fabric"}
-
 // CtxFlow guards the PR 8 cancellation contract the way uintcast guards
 // the format contract: a function that names a context.Context parameter
 // must pass it on rather than drop it or substitute
@@ -37,9 +30,6 @@ var CtxFlow = &analysis.Analyzer{
 }
 
 func runCtxFlow(pass *analysis.Pass) error {
-	if inScope(pass.Pkg.Path(), ctxFlowExempt...) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)

@@ -6,14 +6,6 @@ import (
 	"libbat/internal/analyzers/analysis"
 )
 
-// ctxSleepExempt lists path elements where a bare time.Sleep is the
-// intended idiom and flagging every site would be noise, not signal:
-// fabric's simulated communicator uses tiny sleeps as scheduler yields
-// inside machinery that must keep polling through cancellation (the
-// collective protocol is what delivers cancellation as error replies, so
-// its own progress loops cannot be the thing that stops).
-var ctxSleepExempt = []string{"fabric"}
-
 // CtxSleep flags bare time.Sleep calls in non-test code. The rule: a wait
 // on a path that has a context must end when the context does. A
 // time.Sleep is invisible to cancellation, so a backoff or injected-latency
@@ -30,9 +22,6 @@ var CtxSleep = &analysis.Analyzer{
 }
 
 func runCtxSleep(pass *analysis.Pass) error {
-	if inScope(pass.Pkg.Path(), ctxSleepExempt...) {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

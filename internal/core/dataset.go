@@ -16,7 +16,7 @@ import (
 )
 
 // Dataset is a written dataset as every read route sees it: the decoded
-// Aggregation Tree metadata plus the leaf BAT files, opened lazily and at
+// metadata (the leaf table) plus the leaf BAT files, opened lazily and at
 // most once each. libbat.Dataset, the collective ReadQueryCtx, the Table
 // I/II and Fig 13 readers and batinspect all read through it, so a leaf
 // open, a leaf selection and a query record are each made by one function.

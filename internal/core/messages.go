@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"libbat/internal/bat"
-	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/meta"
 )
@@ -57,13 +56,8 @@ type assignMsg struct {
 // Err marks a leaf whose build or write failed; rank 0 then skips the
 // metadata and the whole collective returns an error without hanging.
 type reportMsg struct {
-	Leaf        int
-	Err         string
-	FileName    string
-	Count       int64
-	Bounds      geom.Box
-	LocalRanges []bitmap.Range
-	RootBitmaps []bitmap.Bitmap
+	meta.LeafReport
+	Err string
 }
 
 // queryMsg asks a read aggregator for the particles of one leaf matching
@@ -85,17 +79,6 @@ func (q queryMsg) toBAT() bat.Query {
 		Filters:     q.Filters,
 		PrevQuality: q.PrevQ,
 		Quality:     q.Quality,
-	}
-}
-
-func (r reportMsg) toMeta() meta.LeafReport {
-	return meta.LeafReport{
-		Leaf:        r.Leaf,
-		FileName:    r.FileName,
-		Count:       r.Count,
-		Bounds:      r.Bounds,
-		LocalRanges: r.LocalRanges,
-		RootBitmaps: r.RootBitmaps,
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // ReadStats reports what one rank observed during a collective read.
 type ReadStats struct {
-	Metadata  time.Duration // reading + parsing the aggregation tree file
+	Metadata  time.Duration // reading + parsing the metadata file
 	FileRead  time.Duration // opening and querying leaf files (aggregator side)
 	Transfer  time.Duration // waiting for and receiving remote replies
 	NumFiles  int           // leaf files this rank served as read aggregator
@@ -85,7 +85,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	whole := col.Start(c.Rank(), "read")
 	defer whole.End()
 
-	// Phase a: every rank reads the aggregation tree metadata.
+	// Phase a: every rank reads the metadata file.
 	metaStart := time.Now()
 	metaSp := col.Start(c.Rank(), "read.meta")
 	ds, err := OpenDataset(ctx, store, base)

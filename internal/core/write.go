@@ -155,7 +155,6 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	start := time.Now()
 	var asg assignMsg
 	var asgErr error // rank failed to obtain its assignment; skip the body
-	var tree *aggtree.Tree
 	var leaves []aggtree.Leaf
 	if c.Rank() == 0 {
 		gatherSp := col.Start(c.Rank(), "write.gather")
@@ -183,8 +182,8 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 				tcfg := cfg.Tree
 				tcfg.TargetFileSize = cfg.TargetFileSize
 				tcfg.BytesPerParticle = bpp
-				tree, err = aggtree.Build(ranks, tcfg)
-				if tree != nil {
+				var tree *aggtree.Tree
+				if tree, err = aggtree.Build(ranks, tcfg); err == nil {
 					leaves = tree.Leaves
 				}
 			}
@@ -307,10 +306,10 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 				}
 				continue
 			}
-			reports = append(reports, rm.toMeta())
+			reports = append(reports, rm.LeafReport)
 		}
 		if leafErr == nil && localErr == nil {
-			m, err := meta.Build(tree, leaves, schema, reports)
+			m, err := meta.Build(schema, len(leaves), reports)
 			if err == nil {
 				err = store.WriteFile(MetaFileName(base), m.Encode())
 			}
@@ -412,15 +411,16 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	for _, la := range asg.Leaves {
 		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats,
 			&xferStart, cfg.Timeout)
+		msg := reportMsg{LeafReport: report}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
-			report = reportMsg{Leaf: la.Leaf, Err: err.Error()}
+			msg.Leaf, msg.Err = la.Leaf, err.Error()
 		} else {
 			written = append(written, report.FileName)
 		}
-		c.Isend(0, tagReport, encode(report))
+		c.Isend(0, tagReport, encode(msg))
 	}
 	if len(asg.Leaves) == 0 {
 		stats.Transfer += time.Since(xferStart)
@@ -435,7 +435,7 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 // a timeout error after cfg.Timeout instead of hanging the aggregator.
 func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats,
-	xferStart *time.Time, timeout time.Duration) (reportMsg, error) {
+	xferStart *time.Time, timeout time.Duration) (meta.LeafReport, error) {
 
 	col := c.Observer()
 	var total int64
@@ -470,10 +470,10 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	}
 	xferSp.End()
 	if recvErr != nil {
-		return reportMsg{}, recvErr
+		return meta.LeafReport{}, recvErr
 	}
 	if int64(combined.Len()) != total {
-		return reportMsg{}, fmt.Errorf("core: leaf %d received %d particles, expected %d",
+		return meta.LeafReport{}, fmt.Errorf("core: leaf %d received %d particles, expected %d",
 			la.Leaf, combined.Len(), total)
 	}
 	stats.Transfer += time.Since(*xferStart)
@@ -489,7 +489,7 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	built, err := bat.Build(combined, la.Bounds, bcfg)
 	buildSp.End()
 	if err != nil {
-		return reportMsg{}, fmt.Errorf("core: leaf %d bat build: %w", la.Leaf, err)
+		return meta.LeafReport{}, fmt.Errorf("core: leaf %d bat build: %w", la.Leaf, err)
 	}
 	stats.BATBuild += time.Since(batStart)
 
@@ -499,7 +499,7 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	err = store.WriteFile(name, built.Buf)
 	writeSp.End()
 	if err != nil {
-		return reportMsg{}, fmt.Errorf("core: writing %s: %w", name, err)
+		return meta.LeafReport{}, fmt.Errorf("core: writing %s: %w", name, err)
 	}
 	stats.FileWrite += time.Since(writeStart)
 	if col != nil {
@@ -507,7 +507,7 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	}
 	*xferStart = time.Now()
 
-	return reportMsg{
+	return meta.LeafReport{
 		Leaf:        la.Leaf,
 		FileName:    name,
 		Count:       int64(combined.Len()),

@@ -6,23 +6,102 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"libbat/internal/binfmt"
 	"libbat/internal/checksum"
 )
 
 func encodedFixture(t *testing.T) []byte {
 	t.Helper()
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
+	return fixtureMeta(t).Encode()
+}
+
+// goldenFile reads a checked-in metadata image.
+func goldenFile(t testing.TB, name string) []byte {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatalf("%v (golden_v2.batm is frozen; rewrite golden_v4.batm with BATM_REGEN_GOLDEN=1 go test -run TestGoldenV4Pinned)", err)
+	}
+	return buf
+}
+
+// TestGoldenV4Pinned: the fixture encodes to testdata/golden_v4.batm byte
+// for byte, and the file decodes to the fixture. Run with BATM_REGEN_GOLDEN=1
+// to rewrite the file when the format legitimately changes.
+func TestGoldenV4Pinned(t *testing.T) {
+	buf := encodedFixture(t)
+	if os.Getenv("BATM_REGEN_GOLDEN") != "" {
+		if err := os.WriteFile(filepath.Join("testdata", "golden_v4.batm"), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if golden := goldenFile(t, "golden_v4.batm"); !bytes.Equal(buf, golden) {
+		t.Fatalf("the fixture encodes to %d bytes that are not golden_v4.batm's %d", len(buf), len(golden))
+	}
+	m, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Encode()
+	if want := fixtureMeta(t); !reflect.DeepEqual(m, want) {
+		t.Fatalf("golden_v4.batm decodes to %+v, want %+v", m, want)
+	}
 }
 
-// TestDecodeDetectsEveryBitFlip: the version-2 trailer checksums the whole
+// stripV2 rewrites a version-2 image as version 4: the same attributes and
+// leaf records, without the domain, the inner-node records and the leaves'
+// local ranges.
+func stripV2(t *testing.T, v2 []byte) []byte {
+	t.Helper()
+	r, w := binfmt.NewReader(v2[8:]), &binfmt.Writer{}
+	w.Bytes([]byte(magic))
+	w.U32(version)
+	nA := int(r.U32())
+	w.U32(uint32(nA))
+	for a := 0; a < nA; a++ {
+		w.Str(r.Str())
+		w.U8(r.U8())
+		w.Range(r.Range())
+	}
+	r.Box()
+	nNodes, nLeaves := int(r.U32()), r.U32()
+	r.Bytes(nNodes * (65 + 4*nA)) // axis u8, pos f64, bounds, two i32 children, bitmaps
+	w.U32(nLeaves)
+	for i := 0; i < int(nLeaves); i++ {
+		w.Str(r.Str())
+		w.Box(r.Box())
+		w.U64(r.U64())
+		r.Bytes(16 * nA) // local ranges
+		w.Bitmaps(r.Bitmaps(nA))
+	}
+	if r.Err() != nil || r.Remaining() != trailerLen {
+		t.Fatalf("version-2 image does not parse: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	return seal(w.Buf)
+}
+
+// TestV2Retired: golden_v2.batm is the fixture as the last version-2 writer
+// (commit 6a2422b) encoded it — the same leaf records behind the domain and
+// the Aggregation Tree's three inner nodes, each leaf with its local
+// attribute ranges — and is refused by name, pointing at that checkout to
+// re-write the dataset. Without what version 4 no longer stores, it is the
+// version-4 image byte for byte.
+func TestV2Retired(t *testing.T) {
+	v2 := goldenFile(t, "golden_v2.batm")
+	if !bytes.Equal(stripV2(t, v2), encodedFixture(t)) {
+		t.Fatal("golden_v2.batm without its domain, inner nodes and local ranges is not the version-4 image")
+	}
+	if _, err := Decode(v2); err == nil || !strings.Contains(err.Error(), "retired version 2") || !strings.Contains(err.Error(), "6a2422b") {
+		t.Fatalf("Decode error %v, want the retired version 2 and its checkout", err)
+	}
+}
+
+// TestDecodeDetectsEveryBitFlip: the trailer checksums the whole
 // buffer, so any single flipped bit — including in the trailer itself —
 // must fail Decode.
 func TestDecodeDetectsEveryBitFlip(t *testing.T) {
@@ -64,7 +143,7 @@ func TestDecodeBadVersion(t *testing.T) {
 	}
 }
 
-// TestV1Rejected: a pre-checksum (version 1) buffer — the v2 image minus its
+// TestV1Rejected: a pre-checksum (version 1) buffer — the v4 image minus its
 // trailer, version field patched — carries nothing Decode can verify and is
 // refused.
 func TestV1Rejected(t *testing.T) {
@@ -77,9 +156,8 @@ func TestV1Rejected(t *testing.T) {
 }
 
 // TestVersionFieldFlipsRejected: no single flipped bit of the version field
-// decodes. 2 -> 3 is one bit, and version 3 is retired; 3 -> 1 was one bit
-// too, and while version 1 was readable it skipped the CRC: the rest of the
-// buffer was parsed unverified.
+// decodes. While version 1 was readable it skipped the CRC, and a one-bit
+// flip of version 3 made one: the rest of the buffer was parsed unverified.
 func TestVersionFieldFlipsRejected(t *testing.T) {
 	buf := encodedFixture(t)
 	for bit := 0; bit < 32; bit++ {
@@ -97,14 +175,14 @@ func TestVersionFieldFlipsRejected(t *testing.T) {
 // and a fresh CRC trailer.
 func retiredV3Image(t *testing.T) []byte {
 	t.Helper()
-	buf := encodedFixture(t)
+	buf := goldenFile(t, "golden_v2.batm")
 	nA := int(binary.LittleEndian.Uint32(buf[8:]))
 	img := append([]byte(nil), buf[:len(buf)-trailerLen]...)
 	for a := 0; a < nA; a++ {
 		img = binary.LittleEndian.AppendUint64(img, math.Float64bits(1e-3))
 	}
 	img = binary.LittleEndian.AppendUint64(img, math.Float64bits(4))
-	binary.LittleEndian.PutUint32(img[4:], retiredVersion)
+	binary.LittleEndian.PutUint32(img[4:], codecVersion)
 	return seal(img)
 }
 
@@ -114,19 +192,16 @@ func seal(body []byte) []byte {
 }
 
 // TestV3Retired: metadata that copies the leaf footers' codec declaration is
-// refused by name, and the same bytes under version 2 are refused for what
-// trails the leaf records: the one writer puts nothing there.
+// refused by name, and a version-4 image with anything behind its leaf
+// records is refused for it: the one writer puts nothing there.
 func TestV3Retired(t *testing.T) {
 	img := retiredV3Image(t)
-	if len(img) != len(encodedFixture(t))+8*(2+1) {
-		t.Fatalf("retired image is %d bytes, want the version-2 image plus 8 x (2 attributes + 1)", len(img))
-	}
 	if _, err := Decode(img); err == nil || !strings.Contains(err.Error(), "retired version 3") {
 		t.Fatalf("Decode error %v, want the retired version 3", err)
 	}
-	v2 := append([]byte(nil), img[:len(img)-trailerLen]...)
-	binary.LittleEndian.PutUint32(v2[4:], version)
-	if _, err := Decode(seal(v2)); err == nil || !strings.Contains(err.Error(), "bytes before the trailer") {
+	v4 := encodedFixture(t)
+	trailing := append(v4[:len(v4)-trailerLen:len(v4)-trailerLen], make([]byte, 8*(2+1))...)
+	if _, err := Decode(seal(trailing)); err == nil || !strings.Contains(err.Error(), "bytes before the trailer") {
 		t.Fatalf("Decode error %v, want the bytes behind the leaf records refused", err)
 	}
 }
@@ -138,22 +213,6 @@ func TestEncodeEndsWithTrailer(t *testing.T) {
 	}
 }
 
-// diamondMeta encodes an Aggregation Tree of n inner nodes in which each
-// node points both children at the next node, and the last both at leaf 0:
-// every node but the root, and the leaf, has two parents, and the leaf sits
-// at the end of 2^n root-to-leaf paths.
-func diamondMeta(n int) []byte {
-	m := &Meta{Leaves: []LeafMeta{{FileName: "leaf0000.bat", Count: 1}}}
-	for i := 0; i < n; i++ {
-		child := int32(i + 1)
-		if i == n-1 {
-			child = ^int32(0)
-		}
-		m.Nodes = append(m.Nodes, Node{Left: child, Right: child})
-	}
-	return m.Encode()
-}
-
 // countsMeta encodes a flat dataset of one leaf per count.
 func countsMeta(counts ...int64) []byte {
 	m := &Meta{}
@@ -161,25 +220,6 @@ func countsMeta(counts ...int64) []byte {
 		m.Leaves = append(m.Leaves, LeafMeta{FileName: fmt.Sprintf("leaf%04d.bat", i), Count: c})
 	}
 	return m.Encode()
-}
-
-// TestDecodeRejectsDiamond: a node or leaf with two parents is refused, as the
-// BAT shallow tree refuses one. Decoded, the 64-node diamond would keep
-// SelectLeaves walking its 2^64 paths, and the 24-node one returns its leaf
-// 16,777,216 times.
-func TestDecodeRejectsDiamond(t *testing.T) {
-	for _, tc := range []struct {
-		nodes int
-		want  string
-	}{
-		{1, "leaf 0 has multiple parents"},
-		{24, "node 1 has multiple parents"},
-		{64, "node 1 has multiple parents"},
-	} {
-		if _, err := Decode(diamondMeta(tc.nodes)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%d-node diamond: Decode error %v, want one containing %q", tc.nodes, err, tc.want)
-		}
-	}
 }
 
 // TestDecodeRejectsCountOverflow: leaf counts whose sum is past int64 are
@@ -201,11 +241,8 @@ func TestDecodeRejectsCountOverflow(t *testing.T) {
 // error or a usable Meta, never panic.
 func FuzzDecode(f *testing.F) {
 	valid := func() []byte {
-		tr, schema, reports, err := buildFixture()
-		if err != nil {
-			return nil
-		}
-		m, err := Build(tr, tr.Leaves, schema, reports)
+		schema, reports := buildFixture()
+		m, err := Build(schema, len(reports), reports)
 		if err != nil {
 			return nil
 		}
@@ -218,10 +255,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add(valid[:10])
 		f.Add(valid[:len(valid)-trailerLen]) // a body: reaches the parser under the fresh trailer below
 	}
-	// Structures Decode refuses behind a valid CRC: a diamond-shaped tree and
-	// leaf counts past int64.
-	f.Add(diamondMeta(24))
+	// A retired version-2 image, leaf counts past int64 behind a valid CRC,
+	// and a dataset of no leaves.
+	f.Add(goldenFile(f, "golden_v2.batm"))
 	f.Add(countsMeta(1<<62, 1<<62))
+	f.Add(countsMeta())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// As it is, and again under a trailer computed for it: no mutation
 		// gets past the whole-buffer CRC to the body parser otherwise.

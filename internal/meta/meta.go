@@ -1,11 +1,14 @@
 // Package meta implements the top-level metadata file written by rank 0 at
-// the end of the write pipeline (paper §III-D). It stores the Aggregation
-// Tree with references to the leaf (BAT) files, each attribute's global
-// value range, and per-node bitmap indices remapped from each aggregator's
-// local range into the global range — so a reader can treat the whole
-// dataset as a single file, pruning leaves spatially and by attribute
-// before touching them. It says nothing about codecs: every leaf file
-// declares its own error bounds in its footer, where decoding reads them.
+// the end of the write pipeline (paper §III-D). It is a table of the
+// Aggregation Tree's leaves — each leaf file's name, bounds, particle count
+// and root bitmaps remapped from the aggregator's local attribute range into
+// the global one — and each attribute's global value range, so a reader can
+// treat the whole dataset as a single file, pruning leaves spatially and by
+// attribute before touching them. The tree's inner nodes are not stored:
+// each one's bounds and bitmaps are the union of its leaves', so a leaf
+// passes a walk down the tree exactly when it passes its own test. It says
+// nothing about codecs either: every leaf file declares its own error bounds
+// in its footer, where decoding reads them.
 package meta
 
 import (
@@ -13,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"libbat/internal/aggtree"
 	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
@@ -25,17 +27,19 @@ const magic = "BATM"
 
 // version is the one format Encode writes and Decode reads. Every buffer
 // ends in a CRC32C trailer (checksum u32 over every preceding byte, then
-// trailer magic) verified before the body is parsed. Version 1, which had no
-// trailer, is no longer read: nothing in it can be verified, and one flipped
-// bit of the version field turned a version-3 buffer into one. Version 3
-// (retiredVersion) appended a copy of the leaf footers' codec declaration —
-// per-attribute error bounds and the LOD error scale — after the leaf
-// records; the footers hold it, so it is refused by name.
+// trailer magic) verified before the body is parsed. Older versions are
+// refused by name: version 1 had no trailer, so nothing in it could be
+// verified; version 2 (treeVersion) also stored the Aggregation Tree's inner
+// nodes, the domain and each leaf's local attribute ranges, all of which the
+// leaf records and the leaf files already hold; version 3 (codecVersion)
+// was version 2 plus a copy of the leaf footers' codec declaration —
+// per-attribute error bounds and the LOD error scale.
 const (
-	version        = 2
-	retiredVersion = 3
-	trailerMagic   = "BMCK"
-	trailerLen     = 8
+	version      = 4
+	treeVersion  = 2
+	codecVersion = 3
+	trailerMagic = "BMCK"
+	trailerLen   = 8
 )
 
 // ErrChecksum marks a metadata buffer whose CRC32C does not match its
@@ -59,37 +63,23 @@ type LeafMeta struct {
 	FileName string
 	Bounds   geom.Box
 	Count    int64
-	// LocalRanges are the leaf file's per-attribute bitmap reference
-	// ranges (needed to build per-file query masks).
-	LocalRanges []bitmap.Range
 	// Bitmaps are the leaf's root bitmaps remapped to the global range.
 	Bitmaps []bitmap.Bitmap
-}
-
-// Node is an Aggregation Tree inner node with merged global-frame bitmaps.
-type Node struct {
-	Axis        geom.Axis
-	Pos         float64
-	Bounds      geom.Box
-	Left, Right int32 // >=0 inner node, <0 encodes ^leafIndex
-	Bitmaps     []bitmap.Bitmap
 }
 
 // Meta is the parsed top-level metadata.
 type Meta struct {
 	Schema       particles.Schema
-	Domain       geom.Box
+	Domain       geom.Box // the union of the leaf bounds, derived, not stored
 	GlobalRanges []bitmap.Range
-	Nodes        []Node
 	Leaves       []LeafMeta
 }
 
-// Build assembles the metadata from the aggregation tree (nil for flat
-// groupings such as the AUG baseline) and the aggregators' leaf reports,
-// which must cover every leaf exactly once. Global attribute ranges are
-// the union of the local ranges; bitmaps are remapped into the global
-// frame and inner-node bitmaps merged bottom-up (§III-D).
-func Build(tree *aggtree.Tree, leaves []aggtree.Leaf, schema particles.Schema, reports []LeafReport) (*Meta, error) {
+// Build assembles the metadata of nLeaves leaves from the aggregators' leaf
+// reports, which must cover every leaf exactly once. Global attribute ranges
+// are the union of the local ranges, and each leaf's bitmaps are remapped
+// into the global frame (§III-D).
+func Build(schema particles.Schema, nLeaves int, reports []LeafReport) (*Meta, error) {
 	nA := schema.NumAttrs()
 	for _, a := range schema.Attrs {
 		if len(a.Name) > binfmt.MaxStrLen {
@@ -99,14 +89,14 @@ func Build(tree *aggtree.Tree, leaves []aggtree.Leaf, schema particles.Schema, r
 	m := &Meta{
 		Schema:       schema,
 		GlobalRanges: make([]bitmap.Range, nA),
-		Leaves:       make([]LeafMeta, len(leaves)),
+		Leaves:       make([]LeafMeta, nLeaves),
 	}
 	for a := range m.GlobalRanges {
 		m.GlobalRanges[a] = bitmap.EmptyRange()
 	}
-	seen := make([]bool, len(leaves))
+	seen := make([]bool, nLeaves)
 	for _, r := range reports {
-		if r.Leaf < 0 || r.Leaf >= len(leaves) {
+		if r.Leaf < 0 || r.Leaf >= nLeaves {
 			return nil, fmt.Errorf("meta: report for unknown leaf %d", r.Leaf)
 		}
 		if seen[r.Leaf] {
@@ -137,41 +127,21 @@ func Build(tree *aggtree.Tree, leaves []aggtree.Leaf, schema particles.Schema, r
 		lm.FileName = r.FileName
 		lm.Bounds = r.Bounds
 		lm.Count = r.Count
-		lm.LocalRanges = append([]bitmap.Range(nil), r.LocalRanges...)
 		lm.Bitmaps = make([]bitmap.Bitmap, nA)
 		for a := 0; a < nA; a++ {
 			lm.Bitmaps[a] = r.RootBitmaps[a].Remap(r.LocalRanges[a], m.GlobalRanges[a])
 		}
 	}
-	if tree != nil {
-		m.Domain = tree.Domain
-		m.Nodes = make([]Node, len(tree.Nodes))
-		// Flattened DFS preorder puts children after parents, so a
-		// reverse sweep merges bitmaps bottom-up.
-		childBitmaps := func(ref int32) []bitmap.Bitmap {
-			if li, ok := aggtree.IsLeafRef(ref); ok {
-				return m.Leaves[li].Bitmaps
-			}
-			return m.Nodes[ref].Bitmaps
-		}
-		for i := len(tree.Nodes) - 1; i >= 0; i-- {
-			tn := tree.Nodes[i]
-			n := Node{Axis: tn.Axis, Pos: tn.Pos, Bounds: tn.Bounds, Left: tn.Left, Right: tn.Right}
-			n.Bitmaps = make([]bitmap.Bitmap, nA)
-			lb, rb := childBitmaps(tn.Left), childBitmaps(tn.Right)
-			for a := 0; a < nA; a++ {
-				n.Bitmaps[a] = lb[a] | rb[a]
-			}
-			m.Nodes[i] = n
-		}
-	} else {
-		d := geom.EmptyBox()
-		for _, l := range m.Leaves {
-			d = d.Union(l.Bounds)
-		}
-		m.Domain = d
-	}
+	m.deriveDomain()
 	return m, nil
+}
+
+// deriveDomain sets Domain to the union of the leaf bounds.
+func (m *Meta) deriveDomain() {
+	m.Domain = geom.EmptyBox()
+	for _, l := range m.Leaves {
+		m.Domain = m.Domain.Union(l.Bounds)
+	}
 }
 
 // TotalCount returns the dataset's particle count.
@@ -190,8 +160,9 @@ type AttrFilter struct {
 }
 
 // SelectLeaves returns the indices of leaves that may contain particles in
-// bounds (nil box = everywhere) passing all filters, pruning with the
-// aggregation tree's hierarchy and bitmaps where available.
+// bounds (nil box = everywhere) passing all filters, in leaf order: a leaf
+// is selected when its bounds overlap the box and, for every filter, its
+// global-frame bitmap overlaps the filter's.
 func (m *Meta) SelectLeaves(bounds *geom.Box, filters []AttrFilter) []int {
 	masks := make([]bitmap.Bitmap, len(filters))
 	for i, f := range filters {
@@ -203,56 +174,20 @@ func (m *Meta) SelectLeaves(bounds *geom.Box, filters []AttrFilter) []int {
 			return nil
 		}
 	}
-	pass := func(bms []bitmap.Bitmap, b geom.Box) bool {
-		if bounds != nil && !bounds.Overlaps(b) {
-			return false
-		}
-		for i, f := range filters {
-			if !bms[f.Attr].Overlaps(masks[i]) {
-				return false
-			}
-		}
-		return true
-	}
 	var out []int
-	if len(m.Nodes) == 0 {
-		for i, l := range m.Leaves {
-			if pass(l.Bitmaps, l.Bounds) {
-				out = append(out, i)
+leaves:
+	for i, l := range m.Leaves {
+		if bounds != nil && !bounds.Overlaps(l.Bounds) {
+			continue
+		}
+		for j, f := range filters {
+			if !l.Bitmaps[f.Attr].Overlaps(masks[j]) {
+				continue leaves
 			}
 		}
-		return out
+		out = append(out, i)
 	}
-	var rec func(ref int32, depth int)
-	rec = func(ref int32, depth int) {
-		if li, ok := aggtree.IsLeafRef(ref); ok {
-			if pass(m.Leaves[li].Bitmaps, m.Leaves[li].Bounds) {
-				out = append(out, li)
-			}
-			return
-		}
-		// Valid trees are at most as deep as their node count; deeper
-		// recursion means cyclic links in a corrupt file.
-		if depth > len(m.Nodes) {
-			return
-		}
-		n := &m.Nodes[ref]
-		if !pass(n.Bitmaps, n.Bounds) {
-			return
-		}
-		rec(n.Left, depth+1)
-		rec(n.Right, depth+1)
-	}
-	rec(0, 0)
 	return out
-}
-
-// validRef reports whether a child reference resolves to a node or leaf.
-func validRef(ref int32, nNodes, nLeaves int) bool {
-	if ref >= 0 {
-		return int(ref) < nNodes
-	}
-	return int(^ref) < nLeaves
 }
 
 // Encode serializes the metadata.
@@ -267,24 +202,11 @@ func (m *Meta) Encode() []byte {
 		w.U8(uint8(d.Type))
 		w.Range(m.GlobalRanges[a])
 	}
-	w.Box(m.Domain)
-	w.U32(uint32(len(m.Nodes)))
 	w.U32(uint32(len(m.Leaves)))
-	for _, n := range m.Nodes {
-		w.U8(uint8(n.Axis))
-		w.F64(n.Pos)
-		w.Box(n.Bounds)
-		w.I32(n.Left)
-		w.I32(n.Right)
-		w.Bitmaps(n.Bitmaps)
-	}
 	for _, l := range m.Leaves {
 		w.Str(l.FileName)
 		w.Box(l.Bounds)
 		w.U64(uint64(l.Count))
-		for a := 0; a < nA; a++ {
-			w.Range(l.LocalRanges[a])
-		}
 		w.Bitmaps(l.Bitmaps)
 	}
 	// Checksum trailer over everything above.
@@ -304,10 +226,13 @@ func Decode(buf []byte) (*Meta, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
 	}
-	if ver == retiredVersion {
+	switch ver {
+	case version:
+	case treeVersion:
+		return nil, fmt.Errorf("meta: retired version %d: it stores the Aggregation Tree's inner nodes, which the leaf records imply; re-write the dataset with checkout 6a2422b", ver)
+	case codecVersion:
 		return nil, fmt.Errorf("meta: retired version %d: a copy of the codec declaration the leaf footers hold", ver)
-	}
-	if ver != version {
+	default:
 		return nil, fmt.Errorf("meta: unsupported version %d (supported: %d)", ver, version)
 	}
 	// Verify the whole-buffer CRC before trusting any field beyond the
@@ -338,40 +263,14 @@ func Decode(buf []byte) (*Meta, error) {
 		m.Schema.Attrs[a] = particles.AttrDesc{Name: r.Str(), Type: particles.AttrType(r.U8())}
 		m.GlobalRanges[a] = r.Range()
 	}
-	m.Domain = r.Box()
-	nNodes, nLeaves := r.U32(), r.U32()
+	nLeaves := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
 	}
-	// Each record occupies at least its fixed-size fields, so counts are
+	// Each record occupies at least its fixed-size fields, so the count is
 	// bounded by the buffer length.
-	if int(nNodes)*(61+4*nA) > len(buf) || int(nLeaves)*(58+20*nA) > len(buf) {
-		return nil, fmt.Errorf("meta: node counts %d/%d exceed buffer size %d", nNodes, nLeaves, len(buf))
-	}
-	m.Nodes = make([]Node, nNodes)
-	// The Aggregation Tree must be a tree: at most one parent per node and per
-	// leaf. Range checks alone admit diamond-shaped DAGs, which SelectLeaves
-	// walks once per path — exponentially often — returning a shared leaf
-	// once per path.
-	nodeSeen, leafSeen := make([]bool, nNodes), make([]bool, nLeaves)
-	for i := range m.Nodes {
-		n := &m.Nodes[i]
-		n.Axis, n.Pos, n.Bounds = geom.Axis(r.U8()), r.F64(), r.Box()
-		n.Left, n.Right = r.I32(), r.I32()
-		if !validRef(n.Left, int(nNodes), int(nLeaves)) || !validRef(n.Right, int(nNodes), int(nLeaves)) {
-			return nil, fmt.Errorf("meta: node %d has invalid children", i)
-		}
-		for _, ref := range [2]int32{n.Left, n.Right} {
-			seen, kind, j := nodeSeen, "node", int(ref)
-			if li, ok := aggtree.IsLeafRef(ref); ok {
-				seen, kind, j = leafSeen, "leaf", li
-			}
-			if seen[j] {
-				return nil, fmt.Errorf("meta: %s %d has multiple parents", kind, j)
-			}
-			seen[j] = true
-		}
-		n.Bitmaps = r.Bitmaps(nA)
+	if int(nLeaves)*(58+4*nA) > len(buf) {
+		return nil, fmt.Errorf("meta: leaf count %d exceeds buffer size %d", nLeaves, len(buf))
 	}
 	m.Leaves = make([]LeafMeta, nLeaves)
 	// total is the particle count so far; TotalCount sums the same int64s, so
@@ -386,10 +285,6 @@ func Decode(buf []byte) (*Meta, error) {
 		}
 		l.Count = int64(cnt)
 		total += l.Count
-		l.LocalRanges = make([]bitmap.Range, nA)
-		for a := range l.LocalRanges {
-			l.LocalRanges[a] = r.Range()
-		}
 		l.Bitmaps = r.Bitmaps(nA)
 	}
 	if err := r.Err(); err != nil {
@@ -398,5 +293,6 @@ func Decode(buf []byte) (*Meta, error) {
 	if extra := r.Remaining() - trailerLen; extra != 0 {
 		return nil, fmt.Errorf("meta: the leaf records end %d bytes before the trailer", extra)
 	}
+	m.deriveDomain()
 	return m, nil
 }

@@ -3,41 +3,28 @@ package meta
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"libbat/internal/aggtree"
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
 )
 
-// buildFixture is fixture without the testing.T, usable from fuzz seeds.
-func buildFixture() (*aggtree.Tree, particles.Schema, []LeafReport, error) {
-	var ranks []aggtree.RankInfo
+// buildFixture returns the schema and the reports of four leaves, unit cubes
+// side by side along x with 100 particles each, as an adaptive Aggregation
+// Tree plans them from four such ranks.
+func buildFixture() (particles.Schema, []LeafReport) {
+	schema := particles.NewSchema("temp", "mass")
+	var reports []LeafReport
 	for i := 0; i < 4; i++ {
 		lo := geom.V3(float64(i), 0, 0)
-		ranks = append(ranks, aggtree.RankInfo{
-			Rank:   i,
-			Bounds: geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1))),
-			Count:  100,
-		})
-	}
-	schema := particles.NewSchema("temp", "mass")
-	tr, err := aggtree.Build(ranks, aggtree.DefaultConfig(100*int64(schema.BytesPerParticle()), schema.BytesPerParticle()))
-	if err != nil {
-		return nil, schema, nil, err
-	}
-	if tr.NumLeaves() != 4 {
-		return nil, schema, nil, fmt.Errorf("fixture wants 4 leaves, got %d", tr.NumLeaves())
-	}
-	var reports []LeafReport
-	for i, l := range tr.Leaves {
 		reports = append(reports, LeafReport{
 			Leaf:     i,
 			FileName: fmt.Sprintf("leaf%04d.bat", i),
-			Count:    l.Count,
-			Bounds:   l.Bounds,
+			Count:    100,
+			Bounds:   geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1))),
 			LocalRanges: []bitmap.Range{
 				{Min: float64(i * 10), Max: float64(i*10 + 10)}, // temp: disjoint per leaf
 				{Min: 0, Max: 1}, // mass: shared
@@ -45,25 +32,22 @@ func buildFixture() (*aggtree.Tree, particles.Schema, []LeafReport, error) {
 			RootBitmaps: []bitmap.Bitmap{0xFFFFFFFF, 0xFFFFFFFF},
 		})
 	}
-	return tr, schema, reports, nil
+	return schema, reports
 }
 
-// fixture builds a 4-leaf adaptive tree with reports.
-func fixture(t *testing.T) (*aggtree.Tree, particles.Schema, []LeafReport) {
+// fixtureMeta builds the fixture's metadata.
+func fixtureMeta(t *testing.T) *Meta {
 	t.Helper()
-	tr, schema, reports, err := buildFixture()
+	schema, reports := buildFixture()
+	m, err := Build(schema, len(reports), reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, schema, reports
+	return m
 }
 
 func TestBuildGlobalRanges(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fixtureMeta(t)
 	if m.GlobalRanges[0].Min != 0 || m.GlobalRanges[0].Max != 40 {
 		t.Errorf("temp global range = %+v", m.GlobalRanges[0])
 	}
@@ -73,49 +57,51 @@ func TestBuildGlobalRanges(t *testing.T) {
 	if m.TotalCount() != 400 {
 		t.Errorf("TotalCount = %d", m.TotalCount())
 	}
-	if len(m.Nodes) != len(tr.Nodes) {
-		t.Errorf("nodes = %d, want %d", len(m.Nodes), len(tr.Nodes))
+	// Domain is the union of leaf bounds.
+	if m.Domain != geom.NewBox(geom.V3(0, 0, 0), geom.V3(4, 1, 1)) {
+		t.Errorf("domain = %v", m.Domain)
 	}
 }
 
 func TestBuildValidatesReports(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	if _, err := Build(tr, tr.Leaves, schema, reports[:3]); err == nil {
+	schema, reports := buildFixture()
+	n := len(reports)
+	if _, err := Build(schema, n, reports[:3]); err == nil {
 		t.Error("missing report should error")
 	}
 	dup := append(append([]LeafReport{}, reports...), reports[0])
-	if _, err := Build(tr, tr.Leaves, schema, dup); err == nil {
+	if _, err := Build(schema, n, dup); err == nil {
 		t.Error("duplicate report should error")
 	}
 	bad := append([]LeafReport{}, reports...)
 	bad[0].Leaf = 99
-	if _, err := Build(tr, tr.Leaves, schema, bad); err == nil {
+	if _, err := Build(schema, n, bad); err == nil {
 		t.Error("unknown leaf should error")
 	}
 	short := append([]LeafReport{}, reports...)
 	short[0].RootBitmaps = short[0].RootBitmaps[:1]
-	if _, err := Build(tr, tr.Leaves, schema, short); err == nil {
+	if _, err := Build(schema, n, short); err == nil {
 		t.Error("wrong attr count should error")
 	}
 	// Names are stored behind a u16 length.
 	long := strings.Repeat("n", 1<<16)
 	longName := append([]LeafReport{}, reports...)
 	longName[0].FileName = long
-	if _, err := Build(tr, tr.Leaves, schema, longName); err == nil {
+	if _, err := Build(schema, n, longName); err == nil {
 		t.Error("a 65536-byte leaf file name should error")
 	}
 	longAttr := particles.Schema{Attrs: append([]particles.AttrDesc{}, schema.Attrs...)}
 	longAttr.Attrs[0].Name = long
-	if _, err := Build(tr, tr.Leaves, longAttr, reports); err == nil {
+	if _, err := Build(longAttr, n, reports); err == nil {
 		t.Error("a 65536-byte attribute name should error")
 	}
 }
 
 func TestLeafBitmapRemap(t *testing.T) {
-	tr, schema, reports := fixture(t)
+	schema, reports := buildFixture()
 	// Leaf 0's temp covers [0,10] locally; set only the first local bin.
 	reports[0].RootBitmaps[0] = 1
-	m, err := Build(tr, tr.Leaves, schema, reports)
+	m, err := Build(schema, len(reports), reports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,51 +121,53 @@ func TestLeafBitmapRemap(t *testing.T) {
 	}
 }
 
-func TestInnerNodesMergeChildren(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	// Give each leaf a distinct single-bin bitmap on mass.
-	for i := range reports {
-		reports[i].RootBitmaps[1] = 1 << uint(i)
+func TestSelectLeavesSpatial(t *testing.T) {
+	m := fixtureMeta(t)
+	if all := m.SelectLeaves(nil, nil); !slices.Equal(all, []int{0, 1, 2, 3}) {
+		t.Fatalf("all leaves = %v", all)
 	}
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Root must contain the union of every leaf's mass bitmap (the local
-	// and global mass ranges are identical so remap is identity).
-	root := m.Nodes[0].Bitmaps[1]
-	if root != 0b1111 {
-		t.Errorf("root mass bitmap = %b", root)
+	for _, tc := range []struct {
+		box  geom.Box
+		want []int
+	}{
+		{geom.NewBox(geom.V3(0, 0, 0), geom.V3(1.5, 1, 1)), []int{0, 1}},
+		{geom.NewBox(geom.V3(2.5, 0, 0), geom.V3(3.5, 1, 1)), []int{2, 3}},
+		{geom.NewBox(geom.V3(100, 100, 100), geom.V3(101, 101, 101)), nil},
+	} {
+		if got := m.SelectLeaves(&tc.box, nil); !slices.Equal(got, tc.want) {
+			t.Errorf("select %v = %v, want %v", tc.box, got, tc.want)
+		}
 	}
 }
 
-func TestSelectLeavesSpatial(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
+func TestFlatGrouping(t *testing.T) {
+	// AUG-style: leaves grouped without a tree need not tile the domain or
+	// come in spatial order; selection is a scan of the leaf table.
+	schema, reports := buildFixture()
+	for i := range reports {
+		lo := geom.V3(float64(2*(3-i)), 0, 0) // reverse order, gaps between
+		reports[i].Bounds = geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1)))
+	}
+	m, err := Build(schema, len(reports), reports)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := m.SelectLeaves(nil, nil)
-	if len(all) != 4 {
-		t.Fatalf("all leaves = %v", all)
+	box := geom.NewBox(geom.V3(2.5, 0, 0), geom.V3(4.5, 1, 1))
+	if got := m.SelectLeaves(&box, nil); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("flat spatial select = %v, want [1 2]", got)
 	}
-	box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(1.5, 1, 1))
-	got := m.SelectLeaves(&box, nil)
-	if len(got) != 2 {
-		t.Errorf("spatial select = %v", got)
+	gap := geom.NewBox(geom.V3(1.25, 0, 0), geom.V3(1.75, 1, 1))
+	if got := m.SelectLeaves(&gap, nil); len(got) != 0 {
+		t.Errorf("select in a gap = %v, want none", got)
 	}
-	far := geom.NewBox(geom.V3(100, 100, 100), geom.V3(101, 101, 101))
-	if got := m.SelectLeaves(&far, nil); len(got) != 0 {
-		t.Errorf("disjoint select = %v", got)
+	// Domain is the union of leaf bounds, gaps included.
+	if m.Domain != geom.NewBox(geom.V3(0, 0, 0), geom.V3(7, 1, 1)) {
+		t.Errorf("flat domain = %v", m.Domain)
 	}
 }
 
 func TestSelectLeavesByAttribute(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fixtureMeta(t)
 	// temp ranges are disjoint per leaf ([0,10], [10,20], ...): a filter
 	// on [32,38] should prune to (about) one leaf.
 	got := m.SelectLeaves(nil, []AttrFilter{{Attr: 0, Min: 32, Max: 38}})
@@ -191,6 +179,11 @@ func TestSelectLeavesByAttribute(t *testing.T) {
 			t.Errorf("leaf %d (temp <= 20) should be pruned for [32,38]", li)
 		}
 	}
+	// Box and filter together: each must admit a leaf.
+	box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(3.5, 1, 1))
+	if got := m.SelectLeaves(&box, []AttrFilter{{Attr: 0, Min: 32, Max: 38}}); !slices.Equal(got, []int{3}) {
+		t.Errorf("box and attr select = %v, want [3]", got)
+	}
 	// A filter outside the global range selects nothing.
 	if got := m.SelectLeaves(nil, []AttrFilter{{Attr: 0, Min: 100, Max: 200}}); len(got) != 0 {
 		t.Errorf("out-of-range select = %v", got)
@@ -201,77 +194,33 @@ func TestSelectLeavesByAttribute(t *testing.T) {
 	}
 }
 
-func TestFlatGrouping(t *testing.T) {
-	// AUG-style: no tree, linear leaf scan.
-	_, schema, reports := fixture(t)
-	leaves := make([]aggtree.Leaf, 4)
-	for i := range leaves {
-		lo := geom.V3(float64(i), 0, 0)
-		leaves[i] = aggtree.Leaf{Bounds: geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1))), Count: 100}
-	}
-	m, err := Build(nil, leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Nodes) != 0 {
-		t.Errorf("flat grouping has %d nodes", len(m.Nodes))
-	}
-	box := geom.NewBox(geom.V3(2.5, 0, 0), geom.V3(3.5, 1, 1))
-	got := m.SelectLeaves(&box, nil)
-	if len(got) != 2 {
-		t.Errorf("flat spatial select = %v", got)
-	}
-	// Domain is the union of leaf bounds.
-	if m.Domain != geom.NewBox(geom.V3(0, 0, 0), geom.V3(4, 1, 1)) {
-		t.Errorf("flat domain = %v", m.Domain)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := m.Encode()
-	got, err := Decode(buf)
+	m := fixtureMeta(t)
+	got, err := Decode(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Schema.Equal(m.Schema) {
 		t.Error("schema mismatch")
 	}
+	if !slices.Equal(got.GlobalRanges, m.GlobalRanges) {
+		t.Errorf("global ranges %v, want %v", got.GlobalRanges, m.GlobalRanges)
+	}
 	if got.Domain != m.Domain {
 		t.Error("domain mismatch")
 	}
-	if len(got.Nodes) != len(m.Nodes) || len(got.Leaves) != len(m.Leaves) {
+	if len(got.Leaves) != len(m.Leaves) {
 		t.Fatal("structure mismatch")
-	}
-	for i := range m.Nodes {
-		a, b := m.Nodes[i], got.Nodes[i]
-		if a.Axis != b.Axis || a.Pos != b.Pos || a.Left != b.Left || a.Right != b.Right || a.Bounds != b.Bounds {
-			t.Fatalf("node %d mismatch", i)
-		}
-		for j := range a.Bitmaps {
-			if a.Bitmaps[j] != b.Bitmaps[j] {
-				t.Fatalf("node %d bitmap %d mismatch", i, j)
-			}
-		}
 	}
 	for i := range m.Leaves {
 		a, b := m.Leaves[i], got.Leaves[i]
-		if a.FileName != b.FileName || a.Count != b.Count || a.Bounds != b.Bounds {
+		if a.FileName != b.FileName || a.Count != b.Count || a.Bounds != b.Bounds || !slices.Equal(a.Bitmaps, b.Bitmaps) {
 			t.Fatalf("leaf %d mismatch: %+v vs %+v", i, a, b)
-		}
-		for j := range a.Bitmaps {
-			if a.Bitmaps[j] != b.Bitmaps[j] || a.LocalRanges[j] != b.LocalRanges[j] {
-				t.Fatalf("leaf %d attr %d mismatch", i, j)
-			}
 		}
 	}
 	// Queries agree after the round trip.
 	box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(1.5, 1, 1))
-	if len(got.SelectLeaves(&box, nil)) != len(m.SelectLeaves(&box, nil)) {
+	if !slices.Equal(got.SelectLeaves(&box, nil), m.SelectLeaves(&box, nil)) {
 		t.Error("query mismatch after round trip")
 	}
 }
@@ -283,21 +232,14 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte("NOPE....")); err == nil {
 		t.Error("bad magic should error")
 	}
-	tr, schema, reports := fixture(t)
-	m, _ := Build(tr, tr.Leaves, schema, reports)
-	buf := m.Encode()
+	buf := fixtureMeta(t).Encode()
 	if _, err := Decode(buf[:len(buf)-10]); err == nil {
 		t.Error("truncated buffer should error")
 	}
 }
 
 func TestDecodeCorruptionRobustness(t *testing.T) {
-	tr, schema, reports := fixture(t)
-	m, err := Build(tr, tr.Leaves, schema, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := m.Encode()
+	valid := fixtureMeta(t).Encode()
 	r := rand.New(rand.NewSource(7))
 	run := func(buf []byte) {
 		defer func() {

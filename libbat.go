@@ -297,7 +297,8 @@ func (d *Dataset) CacheStats() CacheStats { return d.r.CacheStats() }
 // Schema returns the dataset's attribute schema.
 func (d *Dataset) Schema() Schema { return d.meta.Schema }
 
-// Bounds returns the dataset's spatial domain.
+// Bounds returns the dataset's spatial domain, the union of its leaf files'
+// bounds.
 func (d *Dataset) Bounds() Box { return d.meta.Domain }
 
 // NumParticles returns the dataset's total particle count.

@@ -207,8 +207,9 @@ run "batserve smoke" batserve_smoke
 # the one for quant-for and int-for, the one for key-for and sign-key-for,
 # and sorted-cell-for — and the packed node table, fed
 # payloads, node tables and a bounds box directly, the retired codec ids and
-# frame mode among the seeds; the metadata file, a diamond-shaped tree and
-# leaf counts past int64 among its seeds; particle wire encoding) and over
+# frame mode among the seeds; the metadata file, a retired version-2 image,
+# leaf counts past int64 and a dataset of no leaves among its seeds;
+# particle wire encoding) and over
 # batserve's /points query-string parser: seconds, not a soak — enough to
 # catch parser regressions on the corpus + fresh mutations. Every pattern is
 # anchored: -fuzz refuses a pattern that matches two targets, so a second
