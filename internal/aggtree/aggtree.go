@@ -87,45 +87,22 @@ func (l Leaf) Bytes(bytesPerParticle int) int64 {
 	return l.Count * int64(bytesPerParticle)
 }
 
-// Node is an inner node of the flattened aggregation tree. Children with
-// value >= 0 index Nodes; children < 0 encode ^leafIndex.
-type Node struct {
-	Axis        geom.Axis
-	Pos         float64
-	Bounds      geom.Box
-	Left, Right int32
-	Count       int64
-}
-
-// LeafRef encodes a leaf index as a child reference.
-func LeafRef(i int) int32 { return int32(^i) }
-
-// IsLeafRef reports whether a child reference points at a leaf, returning
-// the leaf index.
-func IsLeafRef(c int32) (int, bool) {
-	if c < 0 {
-		return int(^c), true
-	}
-	return 0, false
-}
-
-// Tree is the flattened adaptive aggregation tree. Node 0 is the root when
-// Nodes is non-empty; a tree with a single leaf has no inner nodes.
+// Tree is the adaptive aggregation tree as its consumers see it: the
+// leaves in depth-first (left-to-right spatial) order, the order that
+// numbers the output files. No split plane is kept.
 type Tree struct {
-	Nodes  []Node
 	Leaves []Leaf
-	// Domain is the union of all particle-owning ranks' bounds.
-	Domain geom.Box
 }
 
-// buildNode is the pointer-based node used during construction.
-type buildNode struct {
-	axis        geom.Axis
-	pos         float64
-	bounds      geom.Box
-	count       int64
-	left, right *buildNode
-	leaf        *Leaf
+// validate rejects a config no build can use.
+func (cfg Config) validate() error {
+	if cfg.TargetFileSize <= 0 {
+		return fmt.Errorf("aggtree: target file size must be positive, got %d", cfg.TargetFileSize)
+	}
+	if cfg.BytesPerParticle <= 0 {
+		return fmt.Errorf("aggtree: bytes per particle must be positive, got %d", cfg.BytesPerParticle)
+	}
+	return nil
 }
 
 // Build constructs the aggregation tree from per-rank particle counts and
@@ -133,27 +110,19 @@ type buildNode struct {
 // during aggregation). The returned tree has at least one leaf if any rank
 // has particles.
 func Build(ranks []RankInfo, cfg Config) (*Tree, error) {
-	if cfg.TargetFileSize <= 0 {
-		return nil, fmt.Errorf("aggtree: target file size must be positive, got %d", cfg.TargetFileSize)
-	}
-	if cfg.BytesPerParticle <= 0 {
-		return nil, fmt.Errorf("aggtree: bytes per particle must be positive, got %d", cfg.BytesPerParticle)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	active := make([]RankInfo, 0, len(ranks))
-	domain := geom.EmptyBox()
 	for _, r := range ranks {
 		if r.Count > 0 {
 			active = append(active, r)
-			domain = domain.Union(r.Bounds)
 		}
 	}
-	t := &Tree{Domain: domain}
 	if len(active) == 0 {
-		return t, nil
+		return &Tree{}, nil
 	}
-	root := buildRec(active, cfg, 0)
-	t.flatten(root)
-	return t, nil
+	return &Tree{Leaves: buildRec(active, cfg, 0)}, nil
 }
 
 // totalCount sums the particle counts of a rank set.
@@ -231,21 +200,19 @@ func evaluateAxis(ranks []RankInfo, axis geom.Axis) splitResult {
 // parallelDepth bounds goroutine spawning during the parallel build.
 const parallelDepth = 6
 
-func buildRec(ranks []RankInfo, cfg Config, depth int) *buildNode {
+// buildRec returns the leaves of the subtree over ranks in depth-first
+// order: one leaf, or its left subtree's leaves followed by its right's.
+func buildRec(ranks []RankInfo, cfg Config, depth int) []Leaf {
 	count := totalCount(ranks)
 	bytes := count * int64(cfg.BytesPerParticle)
 	bounds := unionBounds(ranks)
-	makeLeaf := func(overfull bool) *buildNode {
+	makeLeaf := func(overfull bool) []Leaf {
 		ids := make([]int, len(ranks))
 		for i, r := range ranks {
 			ids[i] = r.Rank
 		}
 		sort.Ints(ids)
-		return &buildNode{
-			bounds: bounds,
-			count:  count,
-			leaf:   &Leaf{Bounds: bounds, Ranks: ids, Count: count, Overfull: overfull},
-		}
+		return []Leaf{{Bounds: bounds, Ranks: ids, Count: count, Overfull: overfull}}
 	}
 	if bytes <= cfg.TargetFileSize || len(ranks) == 1 {
 		return makeLeaf(false)
@@ -286,59 +253,21 @@ func buildRec(ranks []RankInfo, cfg Config, depth int) *buildNode {
 			right = append(right, r)
 		}
 	}
-	n := &buildNode{axis: best.axis, pos: best.pos, bounds: bounds, count: count}
+	var l, r []Leaf
 	if cfg.Parallel && depth < parallelDepth {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.right = buildRec(right, cfg, depth+1)
+			r = buildRec(right, cfg, depth+1)
 		}()
-		n.left = buildRec(left, cfg, depth+1)
+		l = buildRec(left, cfg, depth+1)
 		wg.Wait()
 	} else {
-		n.left = buildRec(left, cfg, depth+1)
-		n.right = buildRec(right, cfg, depth+1)
+		l = buildRec(left, cfg, depth+1)
+		r = buildRec(right, cfg, depth+1)
 	}
-	return n
-}
-
-// flatten converts the pointer tree to the index-based representation,
-// assigning leaf indices in depth-first (left-to-right spatial) order.
-func (t *Tree) flatten(root *buildNode) {
-	if root.leaf != nil {
-		t.Leaves = append(t.Leaves, *root.leaf)
-		return
-	}
-	// Depth-first layout with the root at index 0.
-	var rec func(n *buildNode) int32
-	rec = func(n *buildNode) int32 {
-		if n.leaf != nil {
-			idx := len(t.Leaves)
-			t.Leaves = append(t.Leaves, *n.leaf)
-			return LeafRef(idx)
-		}
-		me := len(t.Nodes)
-		t.Nodes = append(t.Nodes, Node{Axis: n.axis, Pos: n.pos, Bounds: n.bounds, Count: n.count})
-		l := rec(n.left)
-		r := rec(n.right)
-		t.Nodes[me].Left = l
-		t.Nodes[me].Right = r
-		return int32(me)
-	}
-	rec(root)
-}
-
-// NumLeaves returns the number of output files the tree describes.
-func (t *Tree) NumLeaves() int { return len(t.Leaves) }
-
-// TotalCount returns the total number of particles across all leaves.
-func (t *Tree) TotalCount() int64 {
-	var n int64
-	for _, l := range t.Leaves {
-		n += l.Count
-	}
-	return n
+	return append(l, r...)
 }
 
 // AssignAggregators assigns each leaf in the slice to an aggregator rank,
@@ -361,18 +290,6 @@ func AssignAggregators(leaves []Leaf, worldSize int) []int {
 		}
 	}
 	return agg
-}
-
-// LeafOfRank returns the index of the leaf containing the given rank, or -1.
-func (t *Tree) LeafOfRank(rank int) int {
-	for i, l := range t.Leaves {
-		for _, r := range l.Ranks {
-			if r == rank {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // SizeStats summarizes leaf data sizes for the §VI-A.2 file statistics.

@@ -3,6 +3,7 @@ package aggtree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -44,8 +45,8 @@ func TestBuildEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 0 {
-		t.Errorf("empty build has %d leaves", tr.NumLeaves())
+	if len(tr.Leaves) != 0 {
+		t.Errorf("empty build has %d leaves", len(tr.Leaves))
 	}
 	// All-empty ranks behave like no ranks.
 	ranks := gridRanks(2, 2, 2, func(_, _, _ int) int64 { return 0 })
@@ -53,8 +54,8 @@ func TestBuildEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 0 {
-		t.Errorf("all-empty build has %d leaves", tr.NumLeaves())
+	if len(tr.Leaves) != 0 {
+		t.Errorf("all-empty build has %d leaves", len(tr.Leaves))
 	}
 }
 
@@ -64,8 +65,8 @@ func TestBuildSingleLeafWhenUnderTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
-		t.Fatalf("want 1 leaf, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 1 {
+		t.Fatalf("want 1 leaf, got %d", len(tr.Leaves))
 	}
 	if got := tr.Leaves[0].Count; got != 64*100 {
 		t.Errorf("leaf count = %d", got)
@@ -76,10 +77,12 @@ func TestBuildSingleLeafWhenUnderTarget(t *testing.T) {
 }
 
 // checkPartition verifies every particle-owning rank appears in exactly one
-// leaf and total counts are preserved.
+// leaf, each leaf's count and bounds are its members' sum and union, and
+// total counts are preserved.
 func checkPartition(t *testing.T, ranks []RankInfo, tr *Tree) {
 	t.Helper()
 	seen := map[int]int{}
+	var total int64
 	for li, l := range tr.Leaves {
 		var n int64
 		for _, r := range l.Ranks {
@@ -92,11 +95,14 @@ func checkPartition(t *testing.T, ranks []RankInfo, tr *Tree) {
 		if n != l.Count {
 			t.Fatalf("leaf %d count %d != sum of member counts %d", li, l.Count, n)
 		}
-		// Leaf bounds contain member bounds.
+		total += n
+		// Leaf bounds are exactly the union of member bounds.
+		union := geom.EmptyBox()
 		for _, r := range l.Ranks {
-			if !l.Bounds.ContainsBox(ranks[r].Bounds) {
-				t.Fatalf("leaf %d bounds %v do not contain rank %d bounds %v", li, l.Bounds, r, ranks[r].Bounds)
-			}
+			union = union.Union(ranks[r].Bounds)
+		}
+		if l.Bounds != union {
+			t.Fatalf("leaf %d bounds %v != union of member bounds %v", li, l.Bounds, union)
 		}
 	}
 	var want int64
@@ -110,8 +116,8 @@ func checkPartition(t *testing.T, ranks []RankInfo, tr *Tree) {
 			t.Fatalf("empty rank %d assigned to a leaf", r.Rank)
 		}
 	}
-	if got := tr.TotalCount(); got != want {
-		t.Fatalf("TotalCount = %d, want %d", got, want)
+	if total != want {
+		t.Fatalf("leaves hold %d particles, want %d", total, want)
 	}
 }
 
@@ -123,8 +129,8 @@ func TestBuildUniformPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, ranks, tr)
-	if tr.NumLeaves() < 4 || tr.NumLeaves() > 16 {
-		t.Errorf("unexpected leaf count %d for 8:1 aggregation of 64 ranks", tr.NumLeaves())
+	if len(tr.Leaves) < 4 || len(tr.Leaves) > 16 {
+		t.Errorf("unexpected leaf count %d for 8:1 aggregation of 64 ranks", len(tr.Leaves))
 	}
 	// Uniform distribution: every leaf should be within the overfull bound.
 	for i, l := range tr.Leaves {
@@ -179,8 +185,8 @@ func TestSingleRankOverTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, ranks, tr)
-	if tr.NumLeaves() != 2 {
-		t.Fatalf("want 2 leaves, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 2 {
+		t.Fatalf("want 2 leaves, got %d", len(tr.Leaves))
 	}
 }
 
@@ -203,16 +209,16 @@ func TestOverfullLeafCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 || !tr.Leaves[0].Overfull {
-		t.Errorf("overfull rule should make 1 overfull leaf, got %d leaves", tr.NumLeaves())
+	if len(tr.Leaves) != 1 || !tr.Leaves[0].Overfull {
+		t.Errorf("overfull rule should make 1 overfull leaf, got %d leaves", len(tr.Leaves))
 	}
 	cfg.AllowOverfull = false
 	tr, err = Build(mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 2 {
-		t.Errorf("without overfull, want 2 leaves, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 2 {
+		t.Errorf("without overfull, want 2 leaves, got %d", len(tr.Leaves))
 	}
 }
 
@@ -229,8 +235,8 @@ func TestOverfullRespectsFactorBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 2 {
-		t.Errorf("want forced split into 2 leaves, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 2 {
+		t.Errorf("want forced split into 2 leaves, got %d", len(tr.Leaves))
 	}
 }
 
@@ -246,8 +252,8 @@ func TestIdenticalBoundsFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
-		t.Fatalf("want 1 leaf, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 1 {
+		t.Fatalf("want 1 leaf, got %d", len(tr.Leaves))
 	}
 }
 
@@ -274,7 +280,7 @@ func TestAssignAggregators(t *testing.T) {
 	seen := map[int]bool{}
 	for _, l := range tr.Leaves {
 		if seen[l.Aggregator] {
-			t.Fatalf("aggregator %d assigned twice with %d leaves over 64 ranks", l.Aggregator, tr.NumLeaves())
+			t.Fatalf("aggregator %d assigned twice with %d leaves over 64 ranks", l.Aggregator, len(tr.Leaves))
 		}
 		seen[l.Aggregator] = true
 	}
@@ -303,32 +309,6 @@ func TestAssignAggregatorsEmptyRanks(t *testing.T) {
 	}
 }
 
-func TestLeafOfRank(t *testing.T) {
-	ranks := gridRanks(4, 1, 1, func(_, _, _ int) int64 { return 100 })
-	tr, err := Build(ranks, DefaultConfig(100*bpp, bpp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 4; r++ {
-		li := tr.LeafOfRank(r)
-		if li < 0 {
-			t.Fatalf("rank %d not found", r)
-		}
-		found := false
-		for _, rr := range tr.Leaves[li].Ranks {
-			if rr == r {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("LeafOfRank(%d) = %d but leaf lacks the rank", r, li)
-		}
-	}
-	if tr.LeafOfRank(99) != -1 {
-		t.Error("missing rank should be -1")
-	}
-}
-
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ranks := gridRanks(8, 8, 4, func(_, _, _ int) int64 { return rng.Int63n(5000) })
@@ -343,13 +323,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trP.NumLeaves() != trS.NumLeaves() {
-		t.Fatalf("parallel %d leaves vs serial %d", trP.NumLeaves(), trS.NumLeaves())
+	if len(trP.Leaves) < 2 {
+		t.Fatalf("test misconfigured: %d leaves exercise no split", len(trP.Leaves))
 	}
-	for i := range trP.Leaves {
-		if trP.Leaves[i].Count != trS.Leaves[i].Count || len(trP.Leaves[i].Ranks) != len(trS.Leaves[i].Ranks) {
-			t.Fatalf("leaf %d differs between parallel and serial builds", i)
-		}
+	if !reflect.DeepEqual(trP.Leaves, trS.Leaves) {
+		t.Fatalf("parallel and serial builds differ:\nparallel %+v\n  serial %+v", trP.Leaves, trS.Leaves)
 	}
 }
 
@@ -366,11 +344,11 @@ func TestBestSplitAllAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 2 {
-		t.Fatalf("want 2 leaves, got %d", tr.NumLeaves())
+	if len(tr.Leaves) != 2 {
+		t.Fatalf("want 2 leaves, got %d", len(tr.Leaves))
 	}
-	if len(tr.Nodes) != 1 || tr.Nodes[0].Axis != geom.Y {
-		t.Errorf("expected y split, got %+v", tr.Nodes)
+	if l := tr.Leaves[0]; len(l.Ranks) != 1 || l.Ranks[0] != 0 || l.Bounds.Upper.Y != 0.5 {
+		t.Errorf("expected y split with rank 0 below it, got leaves %+v", tr.Leaves)
 	}
 }
 
@@ -390,32 +368,18 @@ func TestLeafSizeStats(t *testing.T) {
 }
 
 func TestTreeStructureInvariants(t *testing.T) {
-	// Inner node bounds contain child bounds; left children lie below the
-	// split plane center-wise.
+	// A deeper tree over a nonuniform 6x6x3 world still partitions the
+	// ranks, and every leaf's bounds are exactly its members' union.
 	rng := rand.New(rand.NewSource(9))
 	ranks := gridRanks(6, 6, 3, func(_, _, _ int) int64 { return rng.Int63n(3000) + 1 })
 	tr, err := Build(ranks, DefaultConfig(4000*bpp, bpp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec func(ref int32, parent geom.Box)
-	rec = func(ref int32, parent geom.Box) {
-		if li, ok := IsLeafRef(ref); ok {
-			if !parent.ContainsBox(tr.Leaves[li].Bounds) {
-				t.Fatalf("leaf %d escapes parent bounds", li)
-			}
-			return
-		}
-		n := tr.Nodes[ref]
-		if !parent.ContainsBox(n.Bounds) {
-			t.Fatalf("node %d escapes parent bounds", ref)
-		}
-		rec(n.Left, n.Bounds)
-		rec(n.Right, n.Bounds)
+	if len(tr.Leaves) < 8 {
+		t.Fatalf("test misconfigured: only %d leaves", len(tr.Leaves))
 	}
-	if len(tr.Nodes) > 0 {
-		rec(0, tr.Domain)
-	}
+	checkPartition(t, ranks, tr)
 }
 
 func BenchmarkBuild1536Ranks(b *testing.B) {
@@ -498,7 +462,7 @@ func TestSingleRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 || tr.Leaves[0].Count != 1000 {
+	if len(tr.Leaves) != 1 || tr.Leaves[0].Count != 1000 {
 		t.Errorf("single rank tree wrong: %+v", tr.Leaves)
 	}
 }

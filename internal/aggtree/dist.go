@@ -5,19 +5,16 @@
 // materializes all P rank infos. A rank's peak planning state is
 // max(ConsolidateMembers, members of one leaf), independent of P.
 //
-// The construction (DESIGN §14) runs in two phases:
-//
-//  1. A tree Allreduce agrees on the global domain, total particle count,
-//     and active-rank count.
-//  2. All ranks walk one replicated top-down recursion over the tree, each
-//     carrying only its own record and whether it is a member of the
-//     current node: per-node aggregates come from an Allreduce, nodes small
-//     enough to finish serially are consolidated onto their lowest member
-//     rank and built there by the serial oracle buildRec, and the others
-//     find their exact split plane through collective bit-pattern bisection
-//     (distrefine.go). Leaf numbering falls out of the shared depth-first
-//     order, so assignments are delivered point-to-point without any
-//     central fan-in.
+// The construction (DESIGN §14) is one replicated top-down recursion over
+// the tree. Every rank carries only its own record and whether it is a
+// member of the current node: per-node aggregates come from an Allreduce
+// (the root's is the global census: total count, active ranks, domain),
+// nodes small enough to finish serially are consolidated onto their lowest
+// member rank and built there by the serial oracle buildRec, and the others
+// find their exact split plane through collective bit-pattern bisection
+// (distrefine.go). Leaf numbering falls out of the shared depth-first
+// order, so assignments are delivered point-to-point without any central
+// fan-in.
 package aggtree
 
 import (
@@ -74,8 +71,6 @@ type DistStats struct {
 // are the equivalence tests, which diff it against Build, and the
 // benchmark's planning probe, which reads Stats; core.Write plans centrally.
 type DistPlan struct {
-	// Domain is the union of all active ranks' bounds.
-	Domain geom.Box
 	// TotalCount is the global particle count.
 	TotalCount int64
 	// NumLeaves is the number of leaves (output files) in the tree.
@@ -90,32 +85,12 @@ type DistPlan struct {
 	AggLeaves []AggLeaf
 	// Stats describes the construction itself.
 	Stats DistStats
-
-	// Skeleton and owned subtree fragments, kept for AssembleTree.
-	skel []skelNode
-	subs []localSub
-	size int
 }
 
-// skelNode is one node of the replicated tree skeleton. Split nodes carry
-// the collectively agreed split; sub nodes delegate a whole subtree to one
-// owner rank and record how many leaves it contributed.
-type skelNode struct {
-	split       bool
-	axis        geom.Axis
-	pos         float64
-	bounds      geom.Box
-	count       int64
-	left, right int // skeleton indices, split nodes only
-	owner       int // sub nodes only
-	leaves      int // sub nodes only
-}
-
-// localSub is a subtree this rank owns: the serial-oracle-built root plus
-// its position in the global plan.
+// localSub is a subtree this rank owns: the serial-oracle-built leaves,
+// the global index of the first, and the records they were built from.
 type localSub struct {
-	skelIdx    int
-	root       *buildNode
+	leaves     []Leaf
 	leafOffset int
 	members    []RankInfo
 }
@@ -149,11 +124,8 @@ func decodeRankInfo(b []byte) RankInfo {
 // plan is provably identical to what Build + AssignAggregators would
 // produce centrally from the same inputs.
 func DistributedBuild(c *fabric.Comm, own RankInfo, cfg DistConfig) (*DistPlan, error) {
-	if cfg.TargetFileSize <= 0 {
-		return nil, fmt.Errorf("aggtree: target file size must be positive, got %d", cfg.TargetFileSize)
-	}
-	if cfg.BytesPerParticle <= 0 {
-		return nil, fmt.Errorf("aggtree: bytes per particle must be positive, got %d", cfg.BytesPerParticle)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if own.Rank != c.Rank() {
 		return nil, fmt.Errorf("aggtree: own.Rank %d != fabric rank %d", own.Rank, c.Rank())
@@ -163,41 +135,8 @@ func DistributedBuild(c *fabric.Comm, own RankInfo, cfg DistConfig) (*DistPlan, 
 	}
 
 	d := &distBuilder{c: c, cfg: cfg, own: own, size: c.Size(), peak: 1}
-
-	// Phase 1: global domain, total count, active-rank count.
-	active := own.Count > 0
-	rec := make([]byte, 0, 8*8)
-	rec = binary.LittleEndian.AppendUint64(rec, uint64(own.Count))
-	if active {
-		rec = binary.LittleEndian.AppendUint64(rec, 1)
-	} else {
-		rec = binary.LittleEndian.AppendUint64(rec, 0)
-	}
-	b := own.Bounds
-	if !active {
-		b = geom.EmptyBox()
-	}
-	rec = appendBox(rec, b)
-	out := c.Allreduce(rec, combineGlobal)
-	d.rounds++
-	total := int64(binary.LittleEndian.Uint64(out))
-	activeRanks := int64(binary.LittleEndian.Uint64(out[8:]))
-	domain := decodeBox(out[16:])
-
-	plan := &DistPlan{
-		Domain:        domain,
-		TotalCount:    total,
-		OwnLeaf:       -1,
-		OwnAggregator: -1,
-		size:          d.size,
-	}
-	if activeRanks == 0 {
-		return plan, nil
-	}
-
-	// Phase 2: replicated top-down refinement (distrefine.go).
-	d.refineRoot(active, plan)
-
+	plan := &DistPlan{OwnLeaf: -1, OwnAggregator: -1}
+	d.refineRoot(plan) // distrefine.go
 	plan.Stats = DistStats{PeakMembers: d.peak, Rounds: d.rounds}
 	return plan, nil
 }
@@ -211,6 +150,7 @@ type distBuilder struct {
 	size   int
 	rounds int
 	peak   int
+	subs   []localSub // subtrees delegated to this rank, in leaf order
 }
 
 func appendBox(buf []byte, b geom.Box) []byte {
@@ -231,17 +171,4 @@ func decodeBox(buf []byte) geom.Box {
 		Lower: geom.V3(f(0), f(8), f(16)),
 		Upper: geom.V3(f(24), f(32), f(40)),
 	}
-}
-
-// combineGlobal folds two phase-1 records: counts sum, bounds union.
-func combineGlobal(acc, next []byte) []byte {
-	a := binary.LittleEndian.Uint64(acc) + binary.LittleEndian.Uint64(next)
-	binary.LittleEndian.PutUint64(acc, a)
-	a = binary.LittleEndian.Uint64(acc[8:]) + binary.LittleEndian.Uint64(next[8:])
-	binary.LittleEndian.PutUint64(acc[8:], a)
-	ab := decodeBox(acc[16:])
-	nb := decodeBox(next[16:])
-	u := ab.Union(nb)
-	box := appendBox(acc[:16], u)
-	return box
 }

@@ -1,10 +1,10 @@
-// Phase 2 of the distributed build: the replicated top-down refinement.
+// The distributed build's replicated top-down refinement.
 //
 // Every rank walks the same recursion over the forming tree, carrying its
 // own record and an "am I a member of this node" flag. Per-node aggregates
-// (count, member count, lowest member, bounds) come from one Allreduce, so
-// every rank reaches the same classification from the same numbers the
-// serial oracle would see:
+// (count, member count, lowest member, bounds) come from one Allreduce —
+// the root's is the global census — so every rank reaches the same
+// classification from the same numbers the serial oracle would see:
 //
 //   - nodes passing the oracle leaf test and nodes whose member count has
 //     shrunk to ConsolidateMembers or below are consolidated onto their
@@ -21,10 +21,7 @@
 package aggtree
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"math"
 	"sort"
 
@@ -75,25 +72,32 @@ func combineNodeStats(acc, next []byte) []byte {
 }
 
 // refineRoot drives the replicated recursion and the assignment delivery.
-func (d *distBuilder) refineRoot(active bool, plan *DistPlan) {
-	leafCounter := 0
-	d.refineNode(active, plan, &leafCounter)
-	plan.NumLeaves = leafCounter
+// The root's stats carry the global count; a world without particles has
+// no root and gets the empty plan.
+func (d *distBuilder) refineRoot(plan *DistPlan) {
+	in := d.own.Count > 0
+	st := d.nodeStats(in)
+	plan.TotalCount = st.count
+	if st.members == 0 {
+		return
+	}
+	d.refineNode(in, st, plan)
 	d.deliver(plan)
 }
 
-// refineNode processes one node; every rank calls it with whether it is a
-// member, and all ranks return the same skeleton index. The classification
+// refineNode processes one node, given its collectively agreed stats; every
+// rank calls it with whether it is a member, and every rank leaves it with
+// plan.NumLeaves advanced past the node's leaves. The classification
 // mirrors buildRec's decision order exactly; consolidated subtrees re-run
 // buildRec on the full member multiset, so a node that consolidates because
 // the collective already knows it is a leaf (or overfull) reproduces
 // precisely that leaf.
-func (d *distBuilder) refineNode(in bool, plan *DistPlan, leafCounter *int) int {
-	st := d.nodeStats(in)
+func (d *distBuilder) refineNode(in bool, st nodeStats, plan *DistPlan) {
 	nodeBytes := st.count * int64(d.cfg.BytesPerParticle)
 	leafTest := nodeBytes <= d.cfg.TargetFileSize || st.members == 1
 	if leafTest || st.members <= int64(d.cfg.ConsolidateMembers) {
-		return d.delegate(d.consolidate(in, st), st, plan, leafCounter)
+		d.delegate(d.consolidate(in, st), st, plan)
+		return
 	}
 	best := d.collectiveSplit(in, st)
 	if !best.ok ||
@@ -102,18 +106,13 @@ func (d *distBuilder) refineNode(in bool, plan *DistPlan, leafCounter *int) int 
 			float64(nodeBytes) <= d.cfg.OverfullFactor*float64(d.cfg.TargetFileSize)) {
 		// The serial oracle would make this node an (overfull) leaf; let
 		// the delegated buildRec reach the same verdict from the same data.
-		return d.delegate(d.consolidate(in, st), st, plan, leafCounter)
+		d.delegate(d.consolidate(in, st), st, plan)
+		return
 	}
 	goesLeft := d.own.Bounds.Center().Component(best.axis) < best.pos
-	me := len(plan.skel)
-	plan.skel = append(plan.skel, skelNode{
-		split: true, axis: best.axis, pos: best.pos,
-		bounds: st.bounds, count: st.count,
-	})
-	l := d.refineNode(in && goesLeft, plan, leafCounter)
-	r := d.refineNode(in && !goesLeft, plan, leafCounter)
-	plan.skel[me].left, plan.skel[me].right = l, r
-	return me
+	inL, inR := in && goesLeft, in && !goesLeft
+	d.refineNode(inL, d.nodeStats(inL), plan)
+	d.refineNode(inR, d.nodeStats(inR), plan)
 }
 
 // consolidate moves every member's record for the current node onto the
@@ -143,46 +142,17 @@ func (d *distBuilder) consolidate(in bool, st nodeStats) []RankInfo {
 // delegate finishes the node's whole subtree on its consolidated owner with
 // the serial oracle, and broadcasts the subtree's leaf count so every rank
 // advances the shared depth-first numbering.
-func (d *distBuilder) delegate(mine []RankInfo, st nodeStats, plan *DistPlan, leafCounter *int) int {
-	me := len(plan.skel)
+func (d *distBuilder) delegate(mine []RankInfo, st nodeStats, plan *DistPlan) {
 	owner := d.own.Rank == st.minMember
-	var root *buildNode
 	var buf []byte
 	if owner {
-		root = buildRec(mine, d.cfg.Config, 0)
-		buf = binary.LittleEndian.AppendUint64(nil, uint64(countLeaves(root)))
+		leaves := buildRec(mine, d.cfg.Config, 0)
+		d.subs = append(d.subs, localSub{leaves: leaves, leafOffset: plan.NumLeaves, members: mine})
+		buf = binary.LittleEndian.AppendUint64(nil, uint64(len(leaves)))
 	}
 	out := d.c.Bcast(st.minMember, buf)
 	d.rounds++
-	leaves := int(binary.LittleEndian.Uint64(out))
-	plan.skel = append(plan.skel, skelNode{
-		owner: st.minMember, leaves: leaves, bounds: st.bounds, count: st.count,
-	})
-	if owner {
-		plan.subs = append(plan.subs, localSub{
-			skelIdx: me, root: root, leafOffset: *leafCounter, members: mine,
-		})
-	}
-	*leafCounter += leaves
-	return me
-}
-
-func countLeaves(n *buildNode) int {
-	if n.leaf != nil {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
-// walkLeaves visits the subtree's leaves in depth-first (left-to-right)
-// order — the same order flatten numbers them.
-func walkLeaves(n *buildNode, fn func(*Leaf)) {
-	if n.leaf != nil {
-		fn(n.leaf)
-		return
-	}
-	walkLeaves(n.left, fn)
-	walkLeaves(n.right, fn)
+	plan.NumLeaves += int(binary.LittleEndian.Uint64(out))
 }
 
 // collectiveSplit mirrors Build's axis-selection loop: longest axis first,
@@ -378,16 +348,13 @@ func (d *distBuilder) evalAxis(in bool, st nodeStats, axis geom.Axis) splitResul
 // deterministically without a barrier.
 func (d *distBuilder) deliver(plan *DistPlan) {
 	n := plan.NumLeaves
-	if n == 0 {
-		return
-	}
-	for _, sub := range plan.subs {
+	for _, sub := range d.subs {
 		counts := make(map[int]int64, len(sub.members))
 		for _, m := range sub.members {
 			counts[m.Rank] = m.Count
 		}
-		g := sub.leafOffset
-		walkLeaves(sub.root, func(l *Leaf) {
+		for i, l := range sub.leaves {
+			g := sub.leafOffset + i
 			agg := g * d.size / n
 			assign := make([]byte, 0, 8)
 			assign = binary.LittleEndian.AppendUint32(assign, uint32(g))
@@ -396,8 +363,7 @@ func (d *distBuilder) deliver(plan *DistPlan) {
 				d.c.Send(r, tagDistAssign, assign)
 			}
 			d.c.Send(agg, tagDistAggLeaf, encodeAggLeaf(g, l, counts))
-			g++
-		})
+		}
 	}
 	if d.own.Count > 0 {
 		buf, _ := d.c.Recv(fabric.AnySource, tagDistAssign)
@@ -415,7 +381,7 @@ func (d *distBuilder) deliver(plan *DistPlan) {
 	})
 }
 
-func encodeAggLeaf(g int, l *Leaf, counts map[int]int64) []byte {
+func encodeAggLeaf(g int, l Leaf, counts map[int]int64) []byte {
 	buf := make([]byte, 0, 4+1+8+48+4+len(l.Ranks)*12)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(g))
 	if l.Overfull {
@@ -449,94 +415,4 @@ func decodeAggLeaf(buf []byte) AggLeaf {
 		a.Counts[i] = int64(binary.LittleEndian.Uint64(b[4:]))
 	}
 	return a
-}
-
-// treeFrag is one owner-built subtree in flattened form, shipped to rank 0
-// by AssembleTree. Child references inside Nodes are fragment-local.
-type treeFrag struct {
-	SkelIdx int
-	Nodes   []Node
-	Leaves  []Leaf
-}
-
-// AssembleTree reconstructs the full flattened Tree on rank 0 (returning
-// nil on other ranks). It is a collective: every rank contributes its
-// owned subtree fragments through one tree Gather, and rank 0 stitches
-// them into the skeleton in depth-first order — reproducing, node for node
-// and leaf for leaf, the flattening the centralized Build emits. Only the
-// equivalence tests call it, to diff the assembled tree against Build's.
-func (p *DistPlan) AssembleTree(c *fabric.Comm) (*Tree, error) {
-	frags := make([]treeFrag, 0, len(p.subs))
-	for _, sub := range p.subs {
-		var st Tree
-		st.flatten(sub.root)
-		frags = append(frags, treeFrag{SkelIdx: sub.skelIdx, Nodes: st.Nodes, Leaves: st.Leaves})
-	}
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(frags); err != nil {
-		return nil, fmt.Errorf("aggtree: encode fragments: %w", err)
-	}
-	gathered := c.Gather(0, enc.Bytes())
-	if c.Rank() != 0 {
-		return nil, nil
-	}
-	byIdx := make(map[int]treeFrag)
-	for _, g := range gathered {
-		var fs []treeFrag
-		if err := gob.NewDecoder(bytes.NewReader(g)).Decode(&fs); err != nil {
-			return nil, fmt.Errorf("aggtree: decode fragments: %w", err)
-		}
-		for _, f := range fs {
-			byIdx[f.SkelIdx] = f
-		}
-	}
-	t := &Tree{Domain: p.Domain}
-	if p.NumLeaves == 0 {
-		return t, nil
-	}
-	var rec func(si int) (int32, error)
-	rec = func(si int) (int32, error) {
-		s := p.skel[si]
-		if s.split {
-			me := len(t.Nodes)
-			t.Nodes = append(t.Nodes, Node{
-				Axis: s.axis, Pos: s.pos, Bounds: s.bounds, Count: s.count,
-			})
-			l, err := rec(s.left)
-			if err != nil {
-				return 0, err
-			}
-			r, err := rec(s.right)
-			if err != nil {
-				return 0, err
-			}
-			t.Nodes[me].Left, t.Nodes[me].Right = l, r
-			return int32(me), nil
-		}
-		f, ok := byIdx[si]
-		if !ok || len(f.Leaves) != s.leaves {
-			return 0, fmt.Errorf("aggtree: missing or inconsistent fragment for skeleton node %d", si)
-		}
-		nodeOff, leafOff := len(t.Nodes), len(t.Leaves)
-		remap := func(ref int32) int32 {
-			if li, isLeaf := IsLeafRef(ref); isLeaf {
-				return LeafRef(li + leafOff)
-			}
-			return ref + int32(nodeOff)
-		}
-		for _, nd := range f.Nodes {
-			nd.Left, nd.Right = remap(nd.Left), remap(nd.Right)
-			t.Nodes = append(t.Nodes, nd)
-		}
-		t.Leaves = append(t.Leaves, f.Leaves...)
-		if len(f.Nodes) == 0 {
-			return LeafRef(leafOff), nil
-		}
-		return int32(nodeOff), nil
-	}
-	if _, err := rec(0); err != nil {
-		return nil, err
-	}
-	AssignAggregators(t.Leaves, p.size)
-	return t, nil
 }

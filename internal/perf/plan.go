@@ -47,7 +47,7 @@ type PlanCost struct {
 	Scatter time.Duration // assignments scattered back out
 
 	// Distributed legs.
-	Reduce  time.Duration // global {count, active, domain} allreduce
+	Reduce  time.Duration // root node's stats allreduce: the global census
 	Refine  time.Duration // collective split refinement + frontier builds
 	Deliver time.Duration // leaf assignments and summaries delivered p2p
 }
@@ -94,10 +94,10 @@ func (p Profile) ModelCentralizedPlan(n int, pp PlanParams) PlanCost {
 	return c
 }
 
-// ModelDistributedPlan charges the two-phase distributed protocol (DESIGN
-// §14: global-stats allreduce, then replicated refinement over records that
-// stay on their ranks) on a real interconnect for a world of n ranks
-// producing files leaves.
+// ModelDistributedPlan charges the distributed protocol (DESIGN §14: one
+// replicated refinement over records that stay on their ranks, whose root
+// stats allreduce is the global census) on a real interconnect for a world
+// of n ranks producing files leaves.
 //
 // The refinement leg models the protocol's critical path: sibling subtrees
 // touch disjoint member sets, so an MPI implementation refines
@@ -118,7 +118,10 @@ func (p Profile) ModelDistributedPlan(n, files int, pp PlanParams) PlanCost {
 		files = 1
 	}
 
-	// Global stats allreduce: count + active + domain box (64 B lane).
+	// The root node's stats allreduce — count, members, lowest member and
+	// bounds over all n ranks — which every other leg waits for. Charged at
+	// a 64 B lane; the record is 72 B, a difference the model does not
+	// resolve.
 	c.Reduce = p.allreduceTime(n, 64)
 
 	// Refinement critical path, plus the serial build of one frontier

@@ -58,7 +58,8 @@ run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 # schedule of each.
 run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin' ./internal/core/ ./internal/fabric/
 
-# Bench smoke: one iteration of every BAT build benchmark, of the section
+# Bench smoke: one iteration of every BAT build benchmark, of the
+# aggregation-tree build's (BenchmarkBuild1536Ranks), of the section
 # kernels' (the ns/value figures DESIGN §13, results/cell-frames and
 # results/sorted-nodes quote: positions as sorted-cell-for, then the
 # attribute codecs), of the generators' (the ns/particle and ns/rank
@@ -67,6 +68,7 @@ run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -coun
 # BenchmarkDecodeSection does check that each column encodes to the stream its
 # case names and decodes).
 run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
+run "bench smoke BenchmarkBuild1536Ranks" go test -run=NONE -bench=Build1536Ranks -benchtime=1x ./internal/aggtree/
 run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 run "bench smoke generators" go test -run=NONE -bench='Generate|Counts' -benchtime=1x ./internal/workloads/
 run "bench smoke geom" go test -run=NONE -bench=BoxExtend -benchtime=1x ./internal/geom/
