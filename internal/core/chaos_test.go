@@ -85,7 +85,6 @@ func TestChaosTransientFaults(t *testing.T) {
 			})
 
 			cfg := DefaultWriteConfig(16 * 1024)
-			cfg.Timeout = 30 * time.Second
 			var mu sync.Mutex
 			errs := make([]error, 16)
 			err = runRanks(t, 16, func(c *fabric.Comm) error {
@@ -168,7 +167,6 @@ func TestChaosPermanentAggregatorFault(t *testing.T) {
 	faulty.FailWritesPermanently(LeafFileName("chaos", 0))
 
 	cfg := DefaultWriteConfig(16 * 1024)
-	cfg.Timeout = 10 * time.Second
 	var mu sync.Mutex
 	errs := make([]error, 16)
 	runErr := runRanks(t, 16, func(c *fabric.Comm) error {

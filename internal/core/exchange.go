@@ -37,7 +37,7 @@ func Exchange(c *fabric.Comm, schema particles.Schema, outgoing []*particles.Set
 		if !s.Schema.Equal(schema) {
 			return nil, fmt.Errorf("core: Exchange destination %d has a different schema", r)
 		}
-		c.Isend(r, tagExchange, s.Marshal())
+		c.Send(r, tagExchange, s.Marshal())
 	}
 	mine := particles.NewSet(schema, 0)
 	if own := outgoing[c.Rank()]; own != nil {

@@ -378,7 +378,9 @@ func TestWriteFailureCompletes(t *testing.T) {
 }
 
 // TestWritePlanAbort forces a planning failure on rank 0 (invalid target
-// size); every rank must return an error without deadlocking.
+// size); every rank must return an error without deadlocking, and the plan
+// agreement must give every rank rank 0's planning error: rank 0 the only
+// failed rank, no rank failing on a decode of its own.
 func TestWritePlanAbort(t *testing.T) {
 	w, err := workloads.NewUniform(4, 100, 1)
 	if err != nil {
@@ -396,10 +398,16 @@ func TestWritePlanAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const want = "core: write plan failed on rank(s) [0]: aggtree: target file size must be positive, got 0"
 	for r, werr := range errs {
 		if werr == nil {
 			t.Errorf("rank %d did not observe the abort", r)
+		} else if werr.Error() != want {
+			t.Errorf("rank %d: got %q, want %q", r, werr, want)
 		}
+	}
+	if names, _ := store.List(); len(names) != 0 {
+		t.Errorf("aborted write left %v", names)
 	}
 }
 
@@ -474,5 +482,34 @@ func TestWriteDeterminism(t *testing.T) {
 				t.Fatalf("%s differs at byte %d", name, j)
 			}
 		}
+	}
+}
+
+// TestWriteTrafficExact: two runs of the same seeded write on fresh fabrics
+// must send the same messages and the same bytes, so a change in the
+// write's wire traffic shows in fabric.BytesSent as an exact difference.
+// Every message's size must follow from the data and the plan alone, not
+// from measured times.
+func TestWriteTrafficExact(t *testing.T) {
+	w, err := workloads.NewUniform(8, 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes, msgs [2]int64
+	for i := range bytes {
+		f := fabric.New(8)
+		err := f.Run(func(c *fabric.Comm) error {
+			_, err := Write(c, pfs.NewMem(), "exact", w.Generate(1, c.Rank()),
+				w.Decomp().RankBounds(c.Rank()), DefaultWriteConfig(20*1024))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[i], msgs[i] = f.BytesSent(), f.MessagesSent()
+	}
+	if bytes[0] != bytes[1] || msgs[0] != msgs[1] {
+		t.Errorf("identical writes sent %d B in %d messages, then %d B in %d",
+			bytes[0], msgs[0], bytes[1], msgs[1])
 	}
 }

@@ -7,6 +7,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 
@@ -15,12 +16,9 @@ import (
 	"libbat/internal/meta"
 )
 
-// Message tags used by the pipelines.
+// Message tags of the pipelines' point-to-point messages.
 const (
-	tagInfo = iota + 1
-	tagAssign
-	tagData
-	tagReport
+	tagData = iota + 1
 	tagQuery
 	tagReply
 )
@@ -41,10 +39,6 @@ type leafAssign struct {
 
 // assignMsg is rank 0's scatter payload (Figure 1a, end).
 type assignMsg struct {
-	// Abort, when set, tells every rank that planning failed on rank 0;
-	// ranks skip the data phases and fail collectively instead of
-	// deadlocking.
-	Abort string
 	// Aggregator is the rank this rank must send its particles to, or -1
 	// if it holds none.
 	Aggregator int
@@ -52,12 +46,43 @@ type assignMsg struct {
 	Leaves []leafAssign
 }
 
-// reportMsg carries an aggregator's per-leaf report to rank 0 (Figure 1d).
-// Err marks a leaf whose build or write failed; rank 0 then skips the
-// metadata and the whole collective returns an error without hanging.
+// reportMsg carries an aggregator's per-leaf report to rank 0 in the
+// write's closing gather (Figure 1d). Err marks a leaf whose build or write
+// failed; rank 0 then skips the metadata and the write fails everywhere.
 type reportMsg struct {
 	meta.LeafReport
 	Err string
+}
+
+// encodeRecord builds one rank's part of the write's closing gather: its
+// phase timings as six little-endian int64s, fixed width so the gather's
+// bytes do not depend on the measured times, then, on an aggregator, its
+// leaf reports.
+func encodeRecord(pt PhaseTimes, reports []reportMsg) []byte {
+	var buf bytes.Buffer
+	if err := binary.Write(&buf, binary.LittleEndian, pt); err != nil {
+		panic(fmt.Sprintf("core: encoding phase times: %v", err))
+	}
+	if len(reports) > 0 {
+		buf.Write(encode(reports))
+	}
+	return buf.Bytes()
+}
+
+// decodeRecord reverses encodeRecord.
+func decodeRecord(raw []byte) (PhaseTimes, []reportMsg, error) {
+	var pt PhaseTimes
+	rd := bytes.NewReader(raw)
+	if err := binary.Read(rd, binary.LittleEndian, &pt); err != nil {
+		return pt, nil, err
+	}
+	var reports []reportMsg
+	if rd.Len() > 0 {
+		if err := decode(raw[len(raw)-rd.Len():], &reports); err != nil {
+			return pt, nil, err
+		}
+	}
+	return pt, reports, nil
 }
 
 // queryMsg asks a read aggregator for the particles of one leaf matching

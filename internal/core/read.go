@@ -127,7 +127,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 			continue
 		}
 		qm.Leaf = li
-		c.Isend(reader, tagQuery, encode(qm))
+		c.Send(reader, tagQuery, encode(qm))
 		pending++
 	}
 
@@ -183,7 +183,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 					continue
 				}
 				replyBytes.Add(int64(len(r.reply)))
-				c.Isend(j.source, tagReply, r.reply)
+				c.Send(j.source, tagReply, r.reply)
 			}
 		}()
 	}
@@ -207,7 +207,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 				if firstErr == nil {
 					firstErr = err
 				}
-				c.Isend(st.Source, tagReply, replyError(-1, err))
+				c.Send(st.Source, tagReply, replyError(-1, err))
 				continue
 			}
 			jobs <- serveJob{source: st.Source, leaf: rq.Leaf, q: rq.toBAT()}
@@ -301,7 +301,7 @@ type serveJob struct {
 }
 
 // serveResult is a finished serveJob. Remote jobs carry the encoded wire
-// reply for the worker to Isend; self jobs carry the particle set (or
+// reply for the worker to send; self jobs carry the particle set (or
 // error) directly.
 type serveResult struct {
 	leaf     int

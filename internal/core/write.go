@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"libbat/internal/aggtree"
@@ -57,11 +58,6 @@ type WriteConfig struct {
 	Tree aggtree.Config
 	// BAT holds the layout build options.
 	BAT bat.BuildConfig
-	// Timeout bounds every blocking wait on a peer message (an
-	// aggregator waiting for a sender's particles, rank 0 waiting for a
-	// leaf report), converting a vanished peer into a fabric.ErrTimeout
-	// instead of a deadlock. Zero means wait forever.
-	Timeout time.Duration
 }
 
 // DefaultWriteConfig returns the paper's evaluation configuration for the
@@ -72,7 +68,6 @@ func DefaultWriteConfig(targetFileSize int64) WriteConfig {
 		Strategy:       Adaptive,
 		Tree:           aggtree.DefaultConfig(targetFileSize, 1), // bpp fixed at write time
 		BAT:            bat.DefaultBuildConfig(),
-		Timeout:        30 * time.Second,
 	}
 }
 
@@ -131,19 +126,21 @@ func MetaFileName(base string) string { return base + ".batm" }
 // particles (which may be empty) and its spatial bounds. Files are written
 // to store under base; rank 0 additionally writes the top-level metadata.
 //
-// Failures anywhere in the pipeline (a bad plan, a failed leaf build or
-// file write, a vanished peer) complete the collective protocol before
-// surfacing, so no rank is left deadlocked. The pipeline ends with an
-// error-agreement collective: if any rank failed, every rank returns an
-// error naming the failed ranks, and files written for the poisoned
+// Every rank runs one control plane: a gather of the ranks' counts and
+// bounds, rank 0's plan, a scatter of the assignments, and a plan
+// agreement. Once the plan is agreed, every wait in the write is for a
+// message a peer sends unconditionally (DESIGN.md §7), so a failure after
+// it (a failed leaf build or file write, a failed metadata write) strands
+// no rank. The write ends with one gather of the ranks' timings and leaf
+// reports and an outcome agreement: if any rank failed, every rank returns
+// an error naming the failed ranks, and files written for the poisoned
 // dataset (leaf files, metadata) are removed so no partial dataset stays
-// visible. cfg.Timeout bounds each blocking peer wait.
+// visible.
 func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bounds geom.Box, cfg WriteConfig) (*WriteStats, error) {
 
 	stats := &WriteStats{}
 	schema := local.Schema
-	bpp := schema.BytesPerParticle()
 
 	col := c.Observer()
 	whole := col.Start(c.Rank(), "write")
@@ -151,175 +148,59 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 
 	// Phase a: build the aggregation plan (Figure 1a). Rank 0 gathers every
 	// rank's count and bounds, builds the tree, and scatters each rank its
-	// assignment.
+	// assignment, or empty parts when planning failed.
 	start := time.Now()
-	var asg assignMsg
-	var asgErr error // rank failed to obtain its assignment; skip the body
-	var leaves []aggtree.Leaf
+	gatherSp := col.Start(c.Rank(), "write.gather")
+	infos := c.Gather(0, encode(infoMsg{Count: int64(local.Len()), Bounds: bounds}))
+	gatherSp.End()
+	var parts [][]byte
+	var err error
 	if c.Rank() == 0 {
-		gatherSp := col.Start(c.Rank(), "write.gather")
-		infos := c.Gather(0, encode(infoMsg{Count: int64(local.Len()), Bounds: bounds}))
-		gatherSp.End()
-		parts, planErr := func() ([][]byte, error) {
-			ranks := make([]aggtree.RankInfo, c.Size())
-			for r, raw := range infos {
-				var im infoMsg
-				if err := decode(raw, &im); err != nil {
-					return nil, fmt.Errorf("core: decoding rank %d info: %w", r, err)
-				}
-				ranks[r] = aggtree.RankInfo{Rank: r, Bounds: im.Bounds, Count: im.Count}
-			}
-			treeStart := time.Now()
-			buildSp := col.Start(c.Rank(), "write.tree-build")
-			var err error
-			switch cfg.Strategy {
-			case AUG:
-				leaves, err = aug.Build(ranks, aug.Config{
-					TargetFileSize:   cfg.TargetFileSize,
-					BytesPerParticle: bpp,
-				})
-			default:
-				tcfg := cfg.Tree
-				tcfg.TargetFileSize = cfg.TargetFileSize
-				tcfg.BytesPerParticle = bpp
-				var tree *aggtree.Tree
-				if tree, err = aggtree.Build(ranks, tcfg); err == nil {
-					leaves = tree.Leaves
-				}
-			}
-			buildSp.End()
-			if err != nil {
-				return nil, err
-			}
-			stats.TreeBuild = time.Since(treeStart)
-			rankAgg := aggtree.AssignAggregators(leaves, c.Size())
-			stats.NumFiles = len(leaves)
-			stats.LeafSizes = aggtree.LeafSizeStats(leaves, bpp)
-			for _, l := range leaves {
-				stats.TotalCount += l.Count
-			}
-			// Build per-rank assignment messages.
-			msgs := make([]assignMsg, c.Size())
-			for r := range msgs {
-				msgs[r].Aggregator = rankAgg[r]
-			}
-			for li, l := range leaves {
-				la := leafAssign{Leaf: li, Bounds: l.Bounds}
-				for _, r := range l.Ranks {
-					la.Senders = append(la.Senders, r)
-					la.Counts = append(la.Counts, ranks[r].Count)
-				}
-				msgs[l.Aggregator].Leaves = append(msgs[l.Aggregator].Leaves, la)
-			}
-			parts := make([][]byte, c.Size())
-			for r := range parts {
-				parts[r] = encode(msgs[r])
-			}
-			return parts, nil
-		}()
-		if planErr != nil {
-			// Planning failed before anything was scattered: tell every
-			// rank to abort collectively. Every rank takes this barrier.
-			abort := encode(assignMsg{Abort: planErr.Error()})
+		if parts, err = planWrite(c, infos, cfg, schema.BytesPerParticle(), stats); err != nil {
 			parts = make([][]byte, c.Size())
-			for r := range parts {
-				parts[r] = abort
-			}
-			c.Scatterv(0, parts)
-			c.Barrier()
-			return nil, planErr
-		}
-		scatterSp := col.Start(c.Rank(), "write.scatter")
-		err := decode(c.Scatterv(0, parts), &asg)
-		scatterSp.End()
-		if err != nil {
-			asgErr = fmt.Errorf("core: decoding assignment: %w", err)
-		}
-	} else {
-		gatherSp := col.Start(c.Rank(), "write.gather")
-		c.Gather(0, encode(infoMsg{Count: int64(local.Len()), Bounds: bounds}))
-		gatherSp.End()
-		scatterSp := col.Start(c.Rank(), "write.scatter")
-		err := decode(c.Scatterv(0, nil), &asg)
-		scatterSp.End()
-		if err != nil {
-			// The assignment is unusable; this rank sits out the data
-			// phases and lets the error agreement unwind everyone. Peers
-			// waiting on its particles hit cfg.Timeout instead of hanging.
-			asgErr = fmt.Errorf("core: rank %d decoding assignment: %w", c.Rank(), err)
-		} else if asg.Abort != "" {
-			c.Barrier()
-			return nil, fmt.Errorf("core: write aborted by rank 0: %s", asg.Abort)
 		}
 	}
+	scatterSp := col.Start(c.Rank(), "write.scatter")
+	var asg assignMsg
+	if part := c.Scatterv(0, parts); len(part) > 0 {
+		if derr := decode(part, &asg); derr != nil {
+			err = fmt.Errorf("core: rank %d decoding assignment: %w", c.Rank(), derr)
+		} else if local.Len() > 0 && asg.Aggregator < 0 {
+			err = fmt.Errorf("core: rank %d has %d particles but no aggregator", c.Rank(), local.Len())
+		}
+	}
+	// The plan agreement: a rank that cannot take its part in the data
+	// phases says so before any aggregator waits on its particles.
+	err = agreeOnError(c, "write plan", err)
+	scatterSp.End()
 	stats.GatherScatter = time.Since(start) - stats.TreeBuild
-
-	var written []string
-	bodyErr := asgErr
-	if asgErr == nil {
-		written, bodyErr = writeBody(c, store, base, local, cfg, asg, schema, stats)
+	if err != nil {
+		return nil, err
 	}
-	localErr := bodyErr
 
-	// Gather every rank's phase timings so rank 0 can report the
-	// critical-path breakdown (the view Figures 6/10/12 plot).
-	phaseGather := c.Gather(0, encode(stats.PhaseTimes))
+	written, reports, localErr := writeBody(c, store, base, local, cfg, asg, schema, stats)
 
+	// Phase d: gather every rank's timings, for the critical-path breakdown
+	// Figures 6/10/12 plot, together with the reports of the leaves it
+	// aggregated, and write the top-level metadata (Figure 1d). An
+	// error-marked report poisons the write.
+	records := c.Gather(0, encodeRecord(stats.PhaseTimes, reports))
 	if c.Rank() == 0 {
-		pm := &PhaseTimes{}
-		for r, raw := range phaseGather {
-			var pt PhaseTimes
-			if err := decode(raw, &pt); err != nil {
-				if localErr == nil {
-					localErr = fmt.Errorf("core: decoding rank %d timings: %w", r, err)
-				}
-				continue
-			}
-			pm.raiseTo(pt)
-		}
-		stats.PhaseMax = pm
-
-		// Phase d: gather the aggregators' reports and write the
-		// top-level metadata (Figure 1d). Error-marked reports poison the
-		// write but are still collected so the collective completes; a
-		// report that never arrives (its aggregator died) surfaces as a
-		// timeout rather than a hang.
 		metaStart := time.Now()
 		metaSp := col.Start(c.Rank(), "write.metadata")
-		reports := make([]meta.LeafReport, 0, len(leaves))
-		var leafErr error
-		for received := 0; received < len(leaves); received++ {
-			raw, _, err := c.RecvTimeout(fabric.AnySource, tagReport, cfg.Timeout)
-			if err != nil {
-				leafErr = fmt.Errorf("core: collecting leaf reports (%d of %d): %w",
-					received, len(leaves), err)
-				break
-			}
-			var rm reportMsg
-			if err := decode(raw, &rm); err != nil {
-				leafErr = fmt.Errorf("core: decoding report: %w", err)
-				continue
-			}
-			if rm.Err != "" {
-				if leafErr == nil {
-					leafErr = fmt.Errorf("core: leaf %d failed: %s", rm.Leaf, rm.Err)
-				}
-				continue
-			}
-			reports = append(reports, rm.LeafReport)
-		}
-		if leafErr == nil && localErr == nil {
-			m, err := meta.Build(schema, len(leaves), reports)
-			if err == nil {
+		pm, leafReports, err := collectRecords(records)
+		if err == nil && localErr == nil {
+			var m *meta.Meta
+			if m, err = meta.Build(schema, stats.NumFiles, leafReports); err == nil {
 				err = store.WriteFile(MetaFileName(base), m.Encode())
 			}
-			leafErr = err
 		}
 		stats.Metadata += time.Since(metaStart)
 		metaSp.End()
 		pm.Metadata = max(pm.Metadata, stats.Metadata)
+		stats.PhaseMax = pm
 		if localErr == nil {
-			localErr = leafErr
+			localErr = err
 		}
 	}
 
@@ -344,6 +225,100 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		return nil, collErr
 	}
 	return stats, nil
+}
+
+// planWrite runs on rank 0: it builds the aggregation plan from the
+// gathered rank infos and returns each rank's encoded assignment, filling
+// in stats' plan-wide fields and TreeBuild.
+func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
+	stats *WriteStats) ([][]byte, error) {
+
+	ranks := make([]aggtree.RankInfo, c.Size())
+	for r, raw := range infos {
+		var im infoMsg
+		if err := decode(raw, &im); err != nil {
+			return nil, fmt.Errorf("core: decoding rank %d info: %w", r, err)
+		}
+		ranks[r] = aggtree.RankInfo{Rank: r, Bounds: im.Bounds, Count: im.Count}
+	}
+	treeStart := time.Now()
+	buildSp := c.Observer().Start(c.Rank(), "write.tree-build")
+	var leaves []aggtree.Leaf
+	var err error
+	switch cfg.Strategy {
+	case AUG:
+		leaves, err = aug.Build(ranks, aug.Config{
+			TargetFileSize:   cfg.TargetFileSize,
+			BytesPerParticle: bpp,
+		})
+	default:
+		tcfg := cfg.Tree
+		tcfg.TargetFileSize = cfg.TargetFileSize
+		tcfg.BytesPerParticle = bpp
+		var tree *aggtree.Tree
+		if tree, err = aggtree.Build(ranks, tcfg); err == nil {
+			leaves = tree.Leaves
+		}
+	}
+	buildSp.End()
+	if err != nil {
+		return nil, err
+	}
+	stats.TreeBuild = time.Since(treeStart)
+	rankAgg := aggtree.AssignAggregators(leaves, c.Size())
+	stats.NumFiles = len(leaves)
+	stats.LeafSizes = aggtree.LeafSizeStats(leaves, bpp)
+	for _, l := range leaves {
+		stats.TotalCount += l.Count
+	}
+	msgs := make([]assignMsg, c.Size())
+	for r := range msgs {
+		msgs[r].Aggregator = rankAgg[r]
+	}
+	for li, l := range leaves {
+		la := leafAssign{Leaf: li, Bounds: l.Bounds}
+		for _, r := range l.Ranks {
+			la.Senders = append(la.Senders, r)
+			la.Counts = append(la.Counts, ranks[r].Count)
+		}
+		msgs[l.Aggregator].Leaves = append(msgs[l.Aggregator].Leaves, la)
+	}
+	parts := make([][]byte, c.Size())
+	for r := range parts {
+		parts[r] = encode(msgs[r])
+	}
+	return parts, nil
+}
+
+// collectRecords runs on rank 0 over the closing gather: it raises the
+// per-phase maxima over every rank's timings and returns them with the
+// leaf reports. The first undecodable record or error-marked report
+// becomes the error; the rest are still read, so PhaseMax covers every
+// rank that sent usable timings.
+func collectRecords(records [][]byte) (*PhaseTimes, []meta.LeafReport, error) {
+	pm := &PhaseTimes{}
+	var reports []meta.LeafReport
+	var firstErr error
+	for r, raw := range records {
+		pt, rms, err := decodeRecord(raw)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: decoding rank %d record: %w", r, err)
+			}
+			continue
+		}
+		pm.raiseTo(pt)
+		for _, rm := range rms {
+			if rm.Err != "" {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("core: leaf %d failed: %s", rm.Leaf, rm.Err)
+				}
+				continue
+			}
+			reports = append(reports, rm.LeafReport)
+		}
+	}
+	return pm, reports, firstErr
 }
 
 // WriteWorld runs one collective Write on a fresh in-process world of
@@ -375,22 +350,18 @@ func WriteWorld(ranks int, store pfs.Storage, base string, cfg WriteConfig, col 
 
 // writeBody runs phases b-c on every rank: send local data to the
 // assigned aggregator, and, when aggregating, receive each leaf's data,
-// build its BAT, write the file, and report to rank 0. It returns the
-// names of the leaf files this rank wrote, so a failed collective can
-// remove them.
+// build its BAT and write the file. It returns the names of the leaf files
+// this rank wrote, so a failed collective can remove them, and one report
+// per leaf it aggregated, error-marked when that leaf failed.
 func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
-	cfg WriteConfig, asg assignMsg, schema particles.Schema, stats *WriteStats) ([]string, error) {
+	cfg WriteConfig, asg assignMsg, schema particles.Schema, stats *WriteStats) ([]string, []reportMsg, error) {
 
-	// Phase b: nonblocking send of local data to the aggregator
-	// (Figure 1b). Ranks without particles skip the transfer.
+	// Phase b: send local data to the aggregator (Figure 1b). Sends are
+	// buffered, so this never waits. Ranks without particles skip the
+	// transfer.
 	xferStart := time.Now()
-	if local.Len() > 0 {
-		if asg.Aggregator < 0 {
-			return nil, fmt.Errorf("core: rank %d has %d particles but no aggregator", c.Rank(), local.Len())
-		}
-		if asg.Aggregator != c.Rank() {
-			c.Isend(asg.Aggregator, tagData, local.Marshal())
-		}
+	if local.Len() > 0 && asg.Aggregator != c.Rank() {
+		c.Send(asg.Aggregator, tagData, local.Marshal())
 	}
 
 	bcfg := cfg.BAT
@@ -404,13 +375,12 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	// Phase c: aggregate each assigned leaf (Figure 1c). No leaf
 	// subcommunicators exist — an aggregator may serve a leaf it is not a
 	// member of, so transfers are plain point-to-point (§III-B). A failed
-	// leaf sends an error report so rank 0's collection (and the final
-	// barrier) still complete.
+	// leaf still gets a report, marked with its error.
 	var firstErr error
 	var written []string
+	reports := make([]reportMsg, 0, len(asg.Leaves))
 	for _, la := range asg.Leaves {
-		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats,
-			&xferStart, cfg.Timeout)
+		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats, &xferStart)
 		msg := reportMsg{LeafReport: report}
 		if err != nil {
 			if firstErr == nil {
@@ -420,22 +390,21 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 		} else {
 			written = append(written, report.FileName)
 		}
-		c.Isend(0, tagReport, encode(msg))
+		reports = append(reports, msg)
 	}
 	if len(asg.Leaves) == 0 {
 		stats.Transfer += time.Since(xferStart)
 	}
-	return written, firstErr
+	return written, reports, firstErr
 }
 
 // aggregateLeaf receives one leaf's particles, builds its BAT, and
-// writes the file, returning the report for rank 0. Incoming transfers are
-// always drained, even on failure, so no stray messages survive the call;
-// a sender that never delivers (it died before the data phase) turns into
-// a timeout error after cfg.Timeout instead of hanging the aggregator.
+// writes the file, returning the report for rank 0. Every sender's
+// particles are received, even on failure, so no stray messages survive
+// the call; each sender sent them unconditionally once the plan was agreed.
 func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats,
-	xferStart *time.Time, timeout time.Duration) (meta.LeafReport, error) {
+	xferStart *time.Time) (meta.LeafReport, error) {
 
 	col := c.Observer()
 	var total int64
@@ -444,22 +413,18 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	}
 	xferSp := col.Start(c.Rank(), "write.exchange")
 	combined := particles.NewSet(schema, int(total))
-	reqs := make([]*fabric.Request, 0, len(la.Senders))
-	for _, s := range la.Senders {
-		if s == c.Rank() {
-			combined.AppendSet(local)
-			continue
-		}
-		reqs = append(reqs, c.Irecv(s, tagData))
+	// The aggregator's own particles go first, then each sender's in member
+	// order: the build's input order, which the leaf's bytes depend on.
+	if slices.Contains(la.Senders, c.Rank()) {
+		combined.AppendSet(local)
 	}
 	var recvErr error
 	var aggBytes int64
-	for _, r := range reqs {
-		raw, _, err := r.WaitTimeout(timeout)
-		if err != nil {
-			recvErr = fmt.Errorf("core: leaf %d: %w", la.Leaf, err)
+	for _, s := range la.Senders {
+		if s == c.Rank() {
 			continue
 		}
+		raw, _ := c.Recv(s, tagData)
 		aggBytes += int64(len(raw))
 		part, err := particles.Unmarshal(raw, schema)
 		if err != nil {

@@ -36,7 +36,7 @@ func TestIbarrierUnderTraffic(t *testing.T) {
 					return
 				}
 				count++
-				c.Isend(st.Source, tagR, append([]byte{byte(c.Rank())}, d...))
+				c.Send(st.Source, tagR, append([]byte{byte(c.Rank())}, d...))
 			}
 		}()
 		// Stagger entry so early ranks wait in the barrier for a while
@@ -44,7 +44,7 @@ func TestIbarrierUnderTraffic(t *testing.T) {
 		time.Sleep(time.Duration(c.Rank()) * time.Millisecond)
 		for dst := 0; dst < n; dst++ {
 			if dst != c.Rank() {
-				c.Isend(dst, tagQ, []byte{byte(c.Rank())})
+				c.Send(dst, tagQ, []byte{byte(c.Rank())})
 			}
 		}
 		// A reply names its server and echoes this rank's query.

@@ -1,35 +1,28 @@
 // Package fabric provides a simulated MPI-like message-passing layer. Ranks
 // run as goroutines and communicate through matched point-to-point messages
-// (blocking and nonblocking) and collectives (gather, scatterv, broadcast,
-// allgather, allreduce, alltoallv, barrier), mirroring the MPI feature set
-// the paper's pipeline depends on: nonblocking sends/receives for
-// aggregation (§III-B) and the client-server read loop (§IV-B). Where the
-// paper's read loop polls MPI_Ibarrier because an MPI rank is one thread,
-// a rank here runs a receiver goroutine and ends the loop with a blocking
-// Barrier: the same termination rule over the same messages.
+// and collectives (gather, scatterv, broadcast, allgather, allreduce,
+// alltoallv, barrier), mirroring the MPI feature set the paper's pipeline
+// depends on: point-to-point transfers for aggregation (§III-B) and the
+// client-server read loop (§IV-B). Where the paper's read loop polls
+// MPI_Ibarrier because an MPI rank is one thread, a rank here runs a
+// receiver goroutine and ends the loop with a blocking Barrier: the same
+// termination rule over the same messages.
 //
 // Semantics follow MPI's: messages between a (source, destination, tag)
 // triple are delivered in order, receives match on source and tag with
 // AnySource/AnyTag wildcards, and sends are buffered (they complete without
-// a matching receive).
+// a matching receive, so MPI's nonblocking send is a plain Send here).
 package fabric
 
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"libbat/internal/obs"
 )
-
-// ErrTimeout is returned (wrapped) by deadline-aware receives when no
-// matching message arrives in time. Pipelines use it to turn a hung peer
-// into a diagnosable error instead of a deadlock.
-var ErrTimeout = errors.New("fabric: timeout")
 
 // Wildcards accepted by receive operations.
 const (
@@ -261,75 +254,6 @@ func (c *Comm) RecvCtx(ctx context.Context, src, tag int) ([]byte, Status, error
 		}
 		ib.cond.Wait()
 	}
-}
-
-// RecvTimeout is Recv with a deadline: it blocks until a matching message
-// arrives or timeout elapses, in which case it returns an error wrapping
-// ErrTimeout. A timeout <= 0 means wait forever.
-func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) ([]byte, Status, error) {
-	if timeout <= 0 {
-		d, st := c.Recv(src, tag)
-		return d, st, nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	d, st, err := c.RecvCtx(ctx, src, tag)
-	if err != nil {
-		return nil, Status{}, fmt.Errorf(
-			"%w: rank %d: no message matching src=%d tag=%d within %v",
-			ErrTimeout, c.rank, src, tag, timeout)
-	}
-	return d, st, nil
-}
-
-// Request is a handle on a nonblocking operation.
-type Request struct {
-	c        *Comm
-	src, tag int
-	done     bool
-	data     []byte
-	status   Status
-}
-
-// Isend initiates a nonblocking send. Since sends are buffered the request
-// completes immediately; it exists so pipeline code reads like its MPI
-// counterpart.
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	c.Send(dst, tag, data)
-	return &Request{c: c, done: true}
-}
-
-// Irecv initiates a nonblocking receive matching (src, tag).
-func (c *Comm) Irecv(src, tag int) *Request {
-	return &Request{c: c, src: src, tag: tag}
-}
-
-// Wait blocks until the request completes and returns the received payload
-// (nil for sends).
-func (r *Request) Wait() ([]byte, Status) {
-	if r.done {
-		return r.data, r.status
-	}
-	r.data, r.status = r.c.Recv(r.src, r.tag)
-	r.done = true
-	return r.data, r.status
-}
-
-// WaitTimeout blocks until the request completes or timeout elapses,
-// returning an error wrapping ErrTimeout in the latter case. The request
-// stays valid after a timeout and may be waited on again. A timeout <= 0
-// means wait forever.
-func (r *Request) WaitTimeout(timeout time.Duration) ([]byte, Status, error) {
-	if r.done {
-		return r.data, r.status, nil
-	}
-	d, st, err := r.c.RecvTimeout(r.src, r.tag, timeout)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	r.data, r.status = d, st
-	r.done = true
-	return d, st, nil
 }
 
 // Barrier blocks until every rank has entered it.

@@ -2,11 +2,9 @@ package fabric
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestSendRecv(t *testing.T) {
@@ -95,21 +93,28 @@ func TestFIFOPerPair(t *testing.T) {
 	}
 }
 
+// TestIsendIrecvWait holds Send/Recv to what the pipelines took from MPI's
+// Isend/Irecv/Wait: a send completes before its receive is posted, and
+// receives naming a source take that source's messages in send order
+// whatever order the sources are drained in.
 func TestIsendIrecvWait(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Isend(1, 5, []byte("x")).Wait()
+	const n, per = 4, 3
+	err := Run(n, func(c *Comm) error {
+		if c.Rank() != 0 {
+			for i := 0; i < per; i++ {
+				c.Send(0, 5, []byte{byte(c.Rank()), byte(i)})
+			}
+			c.Barrier()
 			return nil
 		}
-		req := c.Irecv(0, 5)
-		d, st := req.Wait()
-		if string(d) != "x" || st.Tag != 5 {
-			return fmt.Errorf("irecv got %q %+v", d, st)
-		}
-		// Wait is idempotent.
-		d2, _ := req.Wait()
-		if string(d2) != "x" {
-			return fmt.Errorf("second Wait returned %q", d2)
+		c.Barrier() // every send has completed, none has been received
+		for src := n - 1; src > 0; src-- {
+			for i := 0; i < per; i++ {
+				d, st := c.Recv(src, 5)
+				if st.Source != src || d[0] != byte(src) || d[1] != byte(i) {
+					return fmt.Errorf("recv from %d #%d got %v %+v", src, i, d, st)
+				}
+			}
 		}
 		return nil
 	})
@@ -117,7 +122,6 @@ func TestIsendIrecvWait(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
 func TestBarrier(t *testing.T) {
 	var counter atomic.Int32
 	err := Run(8, func(c *Comm) error {
@@ -313,71 +317,6 @@ func TestSingleRankFabric(t *testing.T) {
 			return fmt.Errorf("bcast = %q", got)
 		}
 		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeout(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Nothing was sent with tag 9: the receive must time out.
-			_, _, err := c.RecvTimeout(1, 9, 20*time.Millisecond)
-			if !errors.Is(err, ErrTimeout) {
-				return fmt.Errorf("want ErrTimeout, got %v", err)
-			}
-			// A message already queued is returned immediately.
-			d, st, err := c.RecvTimeout(1, 7, time.Second)
-			if err != nil || string(d) != "hi" || st.Source != 1 {
-				return fmt.Errorf("queued recv: %q %v %v", d, st, err)
-			}
-		} else {
-			c.Send(0, 7, []byte("hi"))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutLateArrival(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			d, _, err := c.RecvTimeout(1, 3, 5*time.Second)
-			if err != nil || string(d) != "late" {
-				return fmt.Errorf("late recv: %q %v", d, err)
-			}
-		} else {
-			time.Sleep(10 * time.Millisecond)
-			c.Send(0, 3, []byte("late"))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitTimeout(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Irecv(1, 5)
-			if _, _, err := req.WaitTimeout(10 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-				return fmt.Errorf("want ErrTimeout, got %v", err)
-			}
-			// The request stays usable after a timeout.
-			c.Barrier()
-			d, _, err := req.WaitTimeout(5 * time.Second)
-			if err != nil || string(d) != "ok" {
-				return fmt.Errorf("second wait: %q %v", d, err)
-			}
-		} else {
-			c.Barrier()
-			c.Send(0, 5, []byte("ok"))
-		}
 		return nil
 	})
 	if err != nil {

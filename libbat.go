@@ -113,7 +113,7 @@ const (
 	AUG      = core.AUG
 )
 
-// Receive wildcards for Comm.Recv/Irecv/Probe.
+// Receive wildcards for Comm.Recv/RecvCtx.
 const (
 	AnySource = fabric.AnySource
 	AnyTag    = fabric.AnyTag
