@@ -377,6 +377,54 @@ func TestWriteFailureCompletes(t *testing.T) {
 	}
 }
 
+// TestWriteOutcomeText pins every rank's error when one file of the write
+// fails: the failed ranks in order, rank 0 first since its closing gather
+// saw the failure, the failing rank's own error wrapped, and the first
+// failed rank's message everywhere else.
+func TestWriteOutcomeText(t *testing.T) {
+	w, err := workloads.NewUniform(8, 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const leafFault = "core: writing %[1]s: pfs: injected fault: write %[1]s"
+	for _, tc := range []struct {
+		fail      string
+		owner     int    // the rank whose own error is the fault
+		ownText   string // that rank's error
+		otherText string // every other rank's error
+	}{
+		{LeafFileName("fw", 1), 1,
+			"core: write failed on rank(s) [0 1]: " + fmt.Sprintf(leafFault, "fw.l00001.bat"),
+			"core: write failed on rank(s) [0 1]: core: leaf 1 failed: " + fmt.Sprintf(leafFault, "fw.l00001.bat")},
+		{LeafFileName("fw", 3), 3,
+			"core: write failed on rank(s) [0 3]: " + fmt.Sprintf(leafFault, "fw.l00003.bat"),
+			"core: write failed on rank(s) [0 3]: core: leaf 3 failed: " + fmt.Sprintf(leafFault, "fw.l00003.bat")},
+		{MetaFileName("fw"), 0,
+			"core: write failed on rank(s) [0]: pfs: injected fault: write fw.batm",
+			"core: write failed on rank(s) [0]: pfs: injected fault: write fw.batm"},
+	} {
+		store := &pfs.Faulty{Storage: pfs.NewMem(), FailWrites: map[string]bool{tc.fail: true}}
+		errs := make([]error, 8)
+		err := fabric.Run(8, func(c *fabric.Comm) error {
+			_, errs[c.Rank()] = Write(c, store, "fw", w.Generate(0, c.Rank()),
+				w.Decomp().RankBounds(c.Rank()), DefaultWriteConfig(20*1024))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, got := range errs {
+			want := tc.otherText
+			if r == tc.owner {
+				want = tc.ownText
+			}
+			if got == nil || got.Error() != want {
+				t.Errorf("failing %s, rank %d: got %v, want %q", tc.fail, r, got, want)
+			}
+		}
+	}
+}
+
 // TestWritePlanAbort forces a planning failure on rank 0 (invalid target
 // size); every rank must return an error without deadlocking, and the plan
 // agreement must give every rank rank 0's planning error: rank 0 the only
@@ -510,6 +558,40 @@ func TestWriteTrafficExact(t *testing.T) {
 	}
 	if bytes[0] != bytes[1] || msgs[0] != msgs[1] {
 		t.Errorf("identical writes sent %d B in %d messages, then %d B in %d",
+			bytes[0], msgs[0], bytes[1], msgs[1])
+	}
+	// The control plane's messages: the gather, scatter and closing gather
+	// and the outcome broadcast are 7 each at 8 ranks, the plan agreement's
+	// allreduce 14; the rest is the particle transfer.
+	if msgs[0] != 46 {
+		t.Errorf("write sent %d messages, want 46", msgs[0])
+	}
+}
+
+// TestReadTrafficExact: two identical seeded restart reads on fresh fabrics
+// send the same messages and bytes, so a change in the read's wire traffic
+// shows in fabric.BytesSent as an exact difference.
+func TestReadTrafficExact(t *testing.T) {
+	w, err := workloads.NewUniform(8, 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := pfs.NewMem()
+	runWrite(t, w, 1, store, "exact", DefaultWriteConfig(20*1024))
+	var bytes, msgs [2]int64
+	for i := range bytes {
+		f := fabric.New(8)
+		err := f.Run(func(c *fabric.Comm) error {
+			_, _, err := Read(c, store, "exact", w.Decomp().RankBounds(c.Rank()))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[i], msgs[i] = f.BytesSent(), f.MessagesSent()
+	}
+	if bytes[0] != bytes[1] || msgs[0] != msgs[1] {
+		t.Errorf("identical reads sent %d B in %d messages, then %d B in %d",
 			bytes[0], msgs[0], bytes[1], msgs[1])
 	}
 }

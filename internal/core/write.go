@@ -132,10 +132,10 @@ func MetaFileName(base string) string { return base + ".batm" }
 // message a peer sends unconditionally (DESIGN.md §7), so a failure after
 // it (a failed leaf build or file write, a failed metadata write) strands
 // no rank. The write ends with one gather of the ranks' timings and leaf
-// reports and an outcome agreement: if any rank failed, every rank returns
-// an error naming the failed ranks, and files written for the poisoned
-// dataset (leaf files, metadata) are removed so no partial dataset stays
-// visible.
+// reports, which brings every failure to rank 0, and rank 0's verdict,
+// broadcast to all: if any rank failed, every rank returns an error naming
+// the failed ranks, and files written for the poisoned dataset (leaf
+// files, metadata) are removed so no partial dataset stays visible.
 func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bounds geom.Box, cfg WriteConfig) (*WriteStats, error) {
 
@@ -185,10 +185,11 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	// aggregated, and write the top-level metadata (Figure 1d). An
 	// error-marked report poisons the write.
 	records := c.Gather(0, encodeRecord(stats.PhaseTimes, reports))
+	var verdict []byte
 	if c.Rank() == 0 {
 		metaStart := time.Now()
 		metaSp := col.Start(c.Rank(), "write.metadata")
-		pm, leafReports, err := collectRecords(records)
+		pm, leafReports, failures, err := collectRecords(records)
 		if err == nil && localErr == nil {
 			var m *meta.Meta
 			if m, err = meta.Build(schema, stats.NumFiles, leafReports); err == nil {
@@ -202,13 +203,18 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		if localErr == nil {
 			localErr = err
 		}
+		if localErr != nil {
+			verdict = appendFailure(nil, 0, localErr.Error())
+		}
+		verdict = append(verdict, failures...)
 	}
 
-	// Error agreement in place of a completion barrier: every rank learns
-	// whether the write succeeded everywhere. On failure, each rank removes
-	// the leaf files it wrote (and rank 0 the metadata), so a poisoned
-	// write leaves no partial dataset behind.
-	if collErr := agreeOnError(c, "write", localErr); collErr != nil {
+	// Rank 0's verdict in place of a completion barrier: every rank learns
+	// whether the write succeeded everywhere, in the failure records
+	// agreeOnError uses. On failure, each rank removes the leaf files it
+	// wrote (and rank 0 the metadata), so a poisoned write leaves no
+	// partial dataset behind.
+	if collErr := agreedError("write", c.Bcast(0, verdict), localErr); collErr != nil {
 		// Cleanup failures don't change the outcome (the write already
 		// failed) but they do mean stray files survive, so they ride
 		// along on the returned error instead of vanishing.
@@ -292,12 +298,15 @@ func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
 
 // collectRecords runs on rank 0 over the closing gather: it raises the
 // per-phase maxima over every rank's timings and returns them with the
-// leaf reports. The first undecodable record or error-marked report
-// becomes the error; the rest are still read, so PhaseMax covers every
-// rank that sent usable timings.
-func collectRecords(records [][]byte) (*PhaseTimes, []meta.LeafReport, error) {
+// leaf reports and the failure records of the other ranks whose leaves
+// failed, each carrying that rank's first failed leaf's message (the error
+// the rank itself returns). Rank 0's own error is the first undecodable
+// record or error-marked report; the rest are still read, so PhaseMax
+// covers every rank that sent usable timings.
+func collectRecords(records [][]byte) (*PhaseTimes, []meta.LeafReport, []byte, error) {
 	pm := &PhaseTimes{}
 	var reports []meta.LeafReport
+	var failures []byte
 	var firstErr error
 	for r, raw := range records {
 		pt, rms, err := decodeRecord(raw)
@@ -308,17 +317,22 @@ func collectRecords(records [][]byte) (*PhaseTimes, []meta.LeafReport, error) {
 			continue
 		}
 		pm.raiseTo(pt)
+		rankFailed := false
 		for _, rm := range rms {
 			if rm.Err != "" {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("core: leaf %d failed: %s", rm.Leaf, rm.Err)
+				}
+				if r != 0 && !rankFailed {
+					failures = appendFailure(failures, r, rm.Err)
+					rankFailed = true
 				}
 				continue
 			}
 			reports = append(reports, rm.LeafReport)
 		}
 	}
-	return pm, reports, firstErr
+	return pm, reports, failures, firstErr
 }
 
 // WriteWorld runs one collective Write on a fresh in-process world of

@@ -189,26 +189,6 @@ func TestAlltoallvBackToBack(t *testing.T) {
 	}
 }
 
-func TestAllgatherNonPowerOfTwo(t *testing.T) {
-	for _, size := range []int{1, 3, 6, 11, 16} {
-		err := Run(size, func(c *Comm) error {
-			out := c.Allgather([]byte{byte(c.Rank() * 7)})
-			if len(out) != size {
-				return fmt.Errorf("got %d parts", len(out))
-			}
-			for i, p := range out {
-				if len(p) != 1 || p[0] != byte(i*7) {
-					return fmt.Errorf("rank %d: allgather[%d] = %v", c.Rank(), i, p)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("size=%d: %v", size, err)
-		}
-	}
-}
-
 // TestPerOpCounters checks the bat_fabric_<op>_bytes/calls series: every
 // rank records one call per collective entered, and the summed byte series
 // matches each payload byte being charged exactly once at its sender.

@@ -1,12 +1,12 @@
 // Package fabric provides a simulated MPI-like message-passing layer. Ranks
 // run as goroutines and communicate through matched point-to-point messages
-// and collectives (gather, scatterv, broadcast, allgather, allreduce,
-// alltoallv, barrier), mirroring the MPI feature set the paper's pipeline
-// depends on: point-to-point transfers for aggregation (§III-B) and the
-// client-server read loop (§IV-B). Where the paper's read loop polls
-// MPI_Ibarrier because an MPI rank is one thread, a rank here runs a
-// receiver goroutine and ends the loop with a blocking Barrier: the same
-// termination rule over the same messages.
+// and collectives (gather, scatterv, broadcast, allreduce, alltoallv,
+// barrier), mirroring the MPI feature set the paper's pipeline depends on:
+// point-to-point transfers for aggregation (§III-B) and the client-server
+// read loop (§IV-B). Where the paper's read loop polls MPI_Ibarrier because
+// an MPI rank is one thread, a rank here runs a receiver goroutine and ends
+// the loop with a blocking Barrier: the same termination rule over the
+// same messages.
 //
 // Semantics follow MPI's: messages between a (source, destination, tag)
 // triple are delivered in order, receives match on source and tag with
@@ -281,7 +281,6 @@ const (
 	tagGather = 1<<30 + iota
 	tagScatter
 	tagBcast
-	tagAllgather
 	tagReduce
 	tagAlltoall
 )
@@ -447,24 +446,6 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 	return out
 }
 
-// Allgather collects each rank's contribution and returns all of them on
-// every rank, indexed by rank (MPI_Allgather). Implemented as a tree gather
-// to rank 0 followed by a tree broadcast of the length-prefixed pack; like
-// the other collectives it must be entered by every rank.
-func (c *Comm) Allgather(data []byte) [][]byte {
-	parts, sent := c.gatherTree(0, tagAllgather, data)
-	var pack []byte
-	if c.rank == 0 {
-		pack = packParts(parts)
-	}
-	pack, bsent := c.bcastTree(0, tagAllgather, pack)
-	c.noteOp("allgather", sent+bsent)
-	if c.rank == 0 {
-		return parts
-	}
-	return unpackParts(pack, c.f.size)
-}
-
 // Allreduce folds every rank's contribution with combine and returns the
 // result on all ranks. The reduction runs up the binomial tree rooted at
 // rank 0 and the result is broadcast back down. combine is always applied
@@ -518,32 +499,6 @@ func (c *Comm) Alltoallv(parts [][]byte) [][]byte {
 	}
 	c.noteOp("alltoallv", sent)
 	return out
-}
-
-// packParts serializes a slice of byte slices with u32 length prefixes.
-func packParts(parts [][]byte) []byte {
-	n := 0
-	for _, p := range parts {
-		n += 4 + len(p)
-	}
-	buf := make([]byte, 0, n)
-	for _, p := range parts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// unpackParts reverses packParts. The pack comes from rank 0 over the
-// fabric, so malformed input is a programming error and panics.
-func unpackParts(buf []byte, n int) [][]byte {
-	parts := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		l := binary.LittleEndian.Uint32(buf)
-		parts[i] = buf[4 : 4+l]
-		buf = buf[4+l:]
-	}
-	return parts
 }
 
 // Run spawns size ranks, invoking body with each rank's communicator, and

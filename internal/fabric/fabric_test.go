@@ -323,40 +323,3 @@ func TestSingleRankFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAllgather(t *testing.T) {
-	const n = 5
-	err := Run(n, func(c *Comm) error {
-		mine := []byte(fmt.Sprintf("rank-%d", c.Rank()))
-		all := c.Allgather(mine)
-		if len(all) != n {
-			return fmt.Errorf("got %d parts", len(all))
-		}
-		for i, p := range all {
-			if want := fmt.Sprintf("rank-%d", i); string(p) != want {
-				return fmt.Errorf("part %d = %q, want %q", i, p, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgatherEmptyParts(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		var mine []byte
-		if c.Rank() == 1 {
-			mine = []byte("x")
-		}
-		all := c.Allgather(mine)
-		if len(all[0]) != 0 || string(all[1]) != "x" || len(all[2]) != 0 {
-			return fmt.Errorf("allgather = %q", all)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

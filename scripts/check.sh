@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
 # under the race detector, repeat the collective read and write protocols'
-# tests under the race detector, smoke the benchmarks and the five examples, and
+# tests (their error agreement, outcome texts and exact traffic included)
+# under the race detector, smoke the benchmarks and the five examples, and
 # (unless CHECK_FUZZ=0) give the five decode fuzzers and the /points query
 # fuzzer a short pass. Run it
 # from the repository root before sending a PR.
@@ -55,15 +56,19 @@ run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 # The collective read protocol's interleavings again, ten times over: each
 # rank's receiver goroutine, its worker pool and the closing barrier race
 # differently on every run, and one pass of the suite above sees only one
-# schedule of each.
-run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin' ./internal/core/ ./internal/fabric/
+# schedule of each. The error agreement the read's metadata phase ends
+# with, the write's outcome texts and both pipelines' exact traffic ride
+# along.
+run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact' ./internal/core/ ./internal/fabric/
 
 # The collective write protocol's tests ten times over as well: the plan
 # agreement after the assignment scatter (a plan that fails on rank 0),
 # aggregators receiving their members' particles, a leaf or metadata write
-# that fails and is rolled back, and the closing gather of timings and leaf
-# reports, whose bytes must match between identical writes.
-run "go test -race -count=10 write protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'WritePlanAbort|WriteFailureCompletes|PhaseMaxAggregation|WriteDeterminism|WriteTrafficExact' ./internal/core/
+# that fails and is rolled back with every rank's error pinned, the closing
+# gather of timings and leaf reports and rank 0's verdict, whose bytes and
+# message counts must match between identical writes, and the error
+# agreement, which must carry no payload when nobody fails.
+run "go test -race -count=10 write protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'WritePlanAbort|WriteFailureCompletes|PhaseMaxAggregation|WriteDeterminism|WriteTrafficExact|Agreement|WriteOutcomeText|TrafficExact' ./internal/core/
 
 # Bench smoke: one iteration of every BAT build benchmark, of the
 # aggregation-tree build's (BenchmarkBuild1536Ranks), of the section
