@@ -39,19 +39,23 @@ func Exchange(c *fabric.Comm, schema particles.Schema, outgoing []*particles.Set
 		}
 		c.Send(r, tagExchange, s.Marshal())
 	}
+	// This rank's own set first, then each peer's payload in rank order: the
+	// result is the same on every run, and as the fabric orders messages per
+	// source, no fast peer's payload for the next Exchange is taken for this.
 	mine := particles.NewSet(schema, 0)
 	if own := outgoing[c.Rank()]; own != nil {
 		mine.AppendSet(own)
 	}
 	var inBytes int64
-	for n := 0; n < c.Size()-1; n++ {
-		raw, st := c.Recv(fabric.AnySource, tagExchange)
-		inBytes += int64(len(raw))
-		part, err := particles.Unmarshal(raw, schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: Exchange payload from rank %d: %w", st.Source, err)
+	for r := range c.Size() {
+		if r == c.Rank() {
+			continue
 		}
-		mine.AppendSet(part)
+		raw, _ := c.Recv(r, tagExchange)
+		inBytes += int64(len(raw))
+		if err := mine.AppendMarshaled(raw); err != nil {
+			return nil, fmt.Errorf("core: Exchange payload from rank %d: %w", r, err)
+		}
 	}
 	if col != nil {
 		r := obs.Rank(c.Rank())

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -318,6 +319,66 @@ func TestExchangeNilAndErrors(t *testing.T) {
 	f := fabric.New(1)
 	if _, err := Exchange(f.Comm(0), schema, nil); err == nil {
 		t.Error("short outgoing should error")
+	}
+}
+
+// TestExchangeRankOrder: Exchange returns the rank's own particles first,
+// then each peer's in ascending rank order, so repeated exchanges of the
+// same sets give identical results on every rank; and back-to-back
+// exchanges each return only their own round's particles, even when a fast
+// peer has already sent its next round.
+func TestExchangeRankOrder(t *testing.T) {
+	const size, perDst, rounds = 8, 3, 50
+	schema := particles.NewSchema("src", "round")
+	outgoing := func(rank, round int) []*particles.Set {
+		out := make([]*particles.Set, size)
+		for r := range out {
+			out[r] = particles.NewSet(schema, perDst)
+			for i := range perDst {
+				out[r].Append(geom.V3(float64(r), float64(i), 0), []float64{float64(rank), float64(round)})
+			}
+		}
+		return out
+	}
+	err := fabric.Run(size, func(c *fabric.Comm) error {
+		// The order every round must produce on this rank.
+		srcs := []int{c.Rank()}
+		for r := range size {
+			if r != c.Rank() {
+				srcs = append(srcs, r)
+			}
+		}
+		var want []float64
+		for _, src := range srcs {
+			for range perDst {
+				want = append(want, float64(src))
+			}
+		}
+		// A rank runs every round whatever an earlier one found, so no peer
+		// waits forever on a rank that gave up.
+		var firstErr error
+		for round := range rounds {
+			got, err := Exchange(c, schema, outgoing(c.Rank(), round))
+			switch {
+			case firstErr != nil:
+			case err != nil:
+				firstErr = err
+			case !slices.Equal(got.Attrs[0], want):
+				firstErr = fmt.Errorf("rank %d round %d: sources %v, want %v", c.Rank(), round, got.Attrs[0], want)
+			default:
+				for i, r := range got.Attrs[1] {
+					if int(r) != round || got.X[i] != float32(c.Rank()) {
+						firstErr = fmt.Errorf("rank %d round %d: particle %d is round %v's for rank %v",
+							c.Rank(), round, i, r, got.X[i])
+						break
+					}
+				}
+			}
+		}
+		return firstErr
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -134,8 +134,9 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// A receiver goroutine takes this rank's incoming queries and feeds a
 	// worker pool, so one rank serves many in-flight client queries and
 	// many of its own files concurrently; ds opens each leaf once and
-	// shares it across queries. Workers send remote replies themselves and
-	// hand self-leaf results back on selfResults. Meanwhile this goroutine
+	// shares it across queries. Every served leaf becomes one wire reply:
+	// workers send remote ones themselves and hand this rank's own back on
+	// selfReplies, and both are decoded alike. Meanwhile this goroutine
 	// collects exactly its pending replies, then its own leaves, and enters
 	// the barrier. A reply is sent only once its query has been served, and
 	// a rank enters the barrier only once it holds all its replies, so when
@@ -152,12 +153,17 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// in LeafErrors. A damaged leaf likewise costs only that leaf; protocol
 	// corruption (an undecodable query) fails the rank outright.
 	var firstLeafErr error
-	noteLeaf := func(li int, err error) {
+	take := func(raw []byte, source int) {
+		leaf, err := parseReply(raw, out)
+		if err == nil {
+			return
+		}
+		err = fmt.Errorf("core: leaf %d via rank %d: %w", leaf, source, err)
 		if stats.LeafErrors == nil {
 			stats.LeafErrors = map[int]error{}
 		}
-		if _, dup := stats.LeafErrors[li]; !dup {
-			stats.LeafErrors[li] = err
+		if _, dup := stats.LeafErrors[leaf]; !dup {
+			stats.LeafErrors[leaf] = err
 		}
 		if firstLeafErr == nil {
 			firstLeafErr = err
@@ -168,7 +174,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 	nWorkers := runtime.GOMAXPROCS(0)
 	jobs := make(chan serveJob, nWorkers)
-	selfResults := make(chan serveResult, len(selfLeaves))
+	selfReplies := make(chan []byte, len(selfLeaves))
 	fileRead := make([]time.Duration, nWorkers)
 	var workers sync.WaitGroup
 	for i := range nWorkers {
@@ -176,14 +182,14 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		go func() {
 			defer workers.Done()
 			for j := range jobs {
-				r := serveLeafJob(ctx, col, c.Rank(), ds, j)
-				fileRead[i] += r.fileRead
-				if j.source < 0 {
-					selfResults <- r
+				reply, d := serveLeafJob(ctx, col, c.Rank(), ds, j)
+				fileRead[i] += d
+				if j.source == c.Rank() {
+					selfReplies <- reply
 					continue
 				}
-				replyBytes.Add(int64(len(r.reply)))
-				c.Send(j.source, tagReply, r.reply)
+				replyBytes.Add(int64(len(reply)))
+				c.Send(j.source, tagReply, reply)
 			}
 		}()
 	}
@@ -194,7 +200,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		defer close(jobs)
 		for _, li := range selfLeaves {
 			served.Inc()
-			jobs <- serveJob{source: -1, leaf: li, q: q}
+			jobs <- serveJob{source: c.Rank(), leaf: li, q: q}
 		}
 		for {
 			raw, st, err := c.RecvCtx(recvCtx, fabric.AnySource, tagQuery)
@@ -216,20 +222,10 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 	for ; pending > 0; pending-- {
 		raw, st := c.Recv(fabric.AnySource, tagReply)
-		leaf, part, err := parseReply(raw, m.Schema)
-		if err != nil {
-			noteLeaf(leaf, fmt.Errorf("core: leaf %d via rank %d: %w", leaf, st.Source, err))
-		} else {
-			out.AppendSet(part)
-		}
+		take(raw, st.Source)
 	}
 	for range selfLeaves {
-		r := <-selfResults
-		if r.err != nil {
-			noteLeaf(r.leaf, r.err)
-		} else {
-			out.AppendSet(r.sub)
-		}
+		take(<-selfReplies, c.Rank())
 	}
 	c.Barrier()
 	stopRecv()
@@ -257,8 +253,8 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 // Reply framing: one status byte (0 = data, 1 = error), the leaf index as
 // a little-endian u32 (so the requester can attribute failures per leaf;
-// ^0 when the server could not decode the query), then either a marshaled
-// particle set or an error string.
+// ^0 when the server could not decode the query), then either the leaf's
+// particles as a particles.Marshal payload or an error string.
 const (
 	replyOK      = 0
 	replyFail    = 1
@@ -272,75 +268,62 @@ func replyHeader(status byte, leaf int) []byte {
 	return hdr
 }
 
-func replyData(leaf int, s *particles.Set) []byte {
-	return append(replyHeader(replyOK, leaf), s.Marshal()...)
-}
-
 func replyError(leaf int, err error) []byte {
 	return append(replyHeader(replyFail, leaf), err.Error()...)
 }
 
-func parseReply(raw []byte, schema particles.Schema) (int, *particles.Set, error) {
+// parseReply appends a data reply's particles to out, or returns the
+// failure an error reply carries, naming the reply's leaf either way.
+func parseReply(raw []byte, out *particles.Set) (int, error) {
 	if len(raw) < replyHdrSize {
-		return -1, nil, fmt.Errorf("short reply (%d bytes)", len(raw))
+		return -1, fmt.Errorf("short reply (%d bytes)", len(raw))
 	}
 	leaf := int(int32(binary.LittleEndian.Uint32(raw[1:])))
 	if raw[0] == replyFail {
-		return leaf, nil, fmt.Errorf("server error: %s", raw[replyHdrSize:])
+		return leaf, fmt.Errorf("server error: %s", raw[replyHdrSize:])
 	}
-	s, err := particles.Unmarshal(raw[replyHdrSize:], schema)
-	return leaf, s, err
+	return leaf, out.AppendMarshaled(raw[replyHdrSize:])
 }
 
-// serveJob is one leaf query for the aggregator worker pool: a remote
-// rank's request, or (source == -1) one of this rank's own leaves.
+// serveJob is one leaf query for the aggregator worker pool, from the rank
+// source (this rank itself for one of its own leaves).
 type serveJob struct {
 	source int
 	leaf   int
 	q      bat.Query
 }
 
-// serveResult is a finished serveJob. Remote jobs carry the encoded wire
-// reply for the worker to send; self jobs carry the particle set (or
-// error) directly.
-type serveResult struct {
-	leaf     int
-	reply    []byte
-	sub      *particles.Set
-	err      error
-	fileRead time.Duration
-}
-
-// serveLeafJob runs on a pool worker: query the leaf through ds and package
-// the outcome on the serving rank's span lane. It never touches the
+// serveLeafJob runs on a pool worker: query the leaf through ds and return
+// its wire reply and the time spent reading, on the serving rank's span
+// lane. Each visited particle is appended to the reply as a record, behind
+// the header and a count patched in at the end. It never touches the
 // communicator. If ctx ends before or during the serve, its error becomes a
 // per-leaf error reply, and since ds never caches a failed open a later read
 // retries the leaf cleanly.
-func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, j serveJob) serveResult {
+func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, j serveJob) ([]byte, time.Duration) {
 	sp := col.Start(rank, "read.serve")
 	defer sp.End()
 	start := time.Now()
-	sub := particles.NewSet(ds.meta.Schema, 0)
+	reply := binary.LittleEndian.AppendUint64(replyHeader(replyOK, j.leaf), 0)
+	recSize := ds.meta.Schema.RecordSize()
 	err := ctx.Err()
 	if err != nil {
 		err = fmt.Errorf("core: leaf %d abandoned: %w", j.leaf, err)
 	} else {
 		_, err = ds.Query(ctx, []int{j.leaf}, j.q, func(p geom.Vec3, attrs []float64) error {
-			sub.Append(p, attrs)
+			if cap(reply)-len(reply) < recSize {
+				// Double rather than take append's 1.25× for large slices.
+				reply = append(make([]byte, 0, 2*cap(reply)+recSize), reply...)
+			}
+			reply = particles.AppendRecord(reply, float32(p.X), float32(p.Y), float32(p.Z), attrs)
 			return nil
 		})
-	}
-	res := serveResult{leaf: j.leaf, fileRead: time.Since(start)}
-	if j.source < 0 {
-		res.sub, res.err = sub, err
-		return res
 	}
 	if err != nil {
 		// The requester records the leaf failure; serving it must not
 		// poison this rank's own read.
-		res.reply = replyError(j.leaf, err)
-	} else {
-		res.reply = replyData(j.leaf, sub)
+		return replyError(j.leaf, err), time.Since(start)
 	}
-	return res
+	binary.LittleEndian.PutUint64(reply[replyHdrSize:], uint64((len(reply)-replyHdrSize-8)/recSize))
+	return reply, time.Since(start)
 }

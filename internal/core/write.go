@@ -428,7 +428,8 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	xferSp := col.Start(c.Rank(), "write.exchange")
 	combined := particles.NewSet(schema, int(total))
 	// The aggregator's own particles go first, then each sender's in member
-	// order: the build's input order, which the leaf's bytes depend on.
+	// order, decoded straight into combined: the build's input order, which
+	// the leaf's bytes depend on.
 	if slices.Contains(la.Senders, c.Rank()) {
 		combined.AppendSet(local)
 	}
@@ -440,12 +441,9 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 		}
 		raw, _ := c.Recv(s, tagData)
 		aggBytes += int64(len(raw))
-		part, err := particles.Unmarshal(raw, schema)
-		if err != nil {
+		if err := combined.AppendMarshaled(raw); err != nil {
 			recvErr = fmt.Errorf("core: leaf %d: %w", la.Leaf, err)
-			continue
 		}
-		combined.AppendSet(part)
 	}
 	xferSp.End()
 	if recvErr != nil {

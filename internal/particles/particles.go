@@ -83,6 +83,10 @@ func (s Schema) BytesPerParticle() int {
 	return n
 }
 
+// RecordSize returns the bytes of one particle's wire record (AppendRecord):
+// 12 of position and 8 per attribute, whatever the attribute's storage type.
+func (s Schema) RecordSize() int { return 12 + 8*s.NumAttrs() }
+
 // Equal reports whether two schemas describe the same attributes.
 func (s Schema) Equal(o Schema) bool {
 	if len(s.Attrs) != len(o.Attrs) {
@@ -225,34 +229,42 @@ func (s *Set) Slice(lo, hi int) *Set {
 	return out
 }
 
-// Marshal serializes the set for network transfer between ranks. The layout
-// is: count u64, then X, Y, Z arrays, then each attribute array as float64.
+// Marshal serializes the set for network transfer between ranks as count
+// u64, then one record per particle (AppendRecord). A receiver decodes it
+// with AppendMarshaled.
 func (s *Set) Marshal() []byte {
 	n := s.Len()
-	size := 8 + n*12 + n*8*s.Schema.NumAttrs()
-	buf := make([]byte, size)
+	buf := make([]byte, 8, 8+n*s.Schema.RecordSize())
 	binary.LittleEndian.PutUint64(buf, uint64(n))
-	off := 8
-	for _, a := range [][]float32{s.X, s.Y, s.Z} {
-		for _, v := range a {
-			binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(v))
-			off += 4
+	row := make([]float64, len(s.Attrs))
+	for i := range n {
+		for a, col := range s.Attrs {
+			row[a] = col[i]
 		}
-	}
-	for _, attr := range s.Attrs {
-		for _, v := range attr {
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-			off += 8
-		}
+		buf = AppendRecord(buf, s.X[i], s.Y[i], s.Z[i], row)
 	}
 	return buf
 }
 
-// Unmarshal reconstructs a set serialized by Marshal. The schema must be
-// supplied out of band (it is fixed per dataset).
-func Unmarshal(buf []byte, schema Schema) (*Set, error) {
+// AppendRecord appends one particle's wire record to dst: x, y, z as
+// little-endian float32, then each attribute as little-endian float64.
+func AppendRecord(dst []byte, x, y, z float32, attrs []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(y))
+	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(z))
+	for _, v := range attrs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// AppendMarshaled decodes a payload written by Marshal and appends its
+// particles to s, whose schema the sender shared (it is fixed per dataset).
+// Every check runs before anything is appended, so a refused payload leaves
+// s as it was; an accepted one grows each column once, by its count.
+func (s *Set) AppendMarshaled(buf []byte) error {
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("particles: short buffer (%d bytes)", len(buf))
+		return fmt.Errorf("particles: short buffer (%d bytes)", len(buf))
 	}
 	nu := binary.LittleEndian.Uint64(buf)
 	// Bound the count before narrowing it: each particle carries at least
@@ -260,32 +272,35 @@ func Unmarshal(buf []byte, schema Schema) (*Set, error) {
 	// is corrupt — and without this check a crafted header could overflow
 	// the exact-size computation below after int conversion.
 	if nu > uint64(len(buf))/12 {
-		return nil, fmt.Errorf("particles: claimed count %d exceeds buffer capacity (%d bytes)", nu, len(buf))
+		return fmt.Errorf("particles: claimed count %d exceeds buffer capacity (%d bytes)", nu, len(buf))
 	}
 	n := int(nu)
-	want := 8 + n*12 + n*8*schema.NumAttrs()
-	if len(buf) != want {
-		return nil, fmt.Errorf("particles: buffer is %d bytes, want %d for %d particles", len(buf), want, n)
+	if want := 8 + n*s.Schema.RecordSize(); len(buf) != want {
+		return fmt.Errorf("particles: buffer is %d bytes, want %d for %d particles", len(buf), want, n)
 	}
-	// The columns are filled in place: NewSet's would be thrown away.
-	s := &Set{Schema: schema, Attrs: make([][]float64, schema.NumAttrs())}
-	off := 8
-	read32 := func() []float32 {
-		a := make([]float32, n)
-		for i := range a {
-			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-		}
-		return a
+	s.X, s.Y, s.Z = grow(s.X, n), grow(s.Y, n), grow(s.Z, n)
+	for a := range s.Attrs {
+		s.Attrs[a] = grow(s.Attrs[a], n)
 	}
-	s.X, s.Y, s.Z = read32(), read32(), read32()
-	for ai := range s.Attrs {
-		a := make([]float64, n)
-		for i := range a {
-			a[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	for off := 8; off < len(buf); {
+		s.X = append(s.X, math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
+		s.Y = append(s.Y, math.Float32frombits(binary.LittleEndian.Uint32(buf[off+4:])))
+		s.Z = append(s.Z, math.Float32frombits(binary.LittleEndian.Uint32(buf[off+8:])))
+		off += 12
+		for a := range s.Attrs {
+			s.Attrs[a] = append(s.Attrs[a], math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
 			off += 8
 		}
-		s.Attrs[ai] = a
 	}
-	return s, nil
+	return nil
+}
+
+// grow returns s with room for n more elements, doubling its capacity like
+// append does; slices.Grow would also allocate a zeroed n-element
+// temporary under the race detector.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = append(make([]T, 0, max(len(s)+n, 2*cap(s))), s...)
+	}
+	return s
 }

@@ -131,23 +131,29 @@ func TestReorderPanicsOnLengthMismatch(t *testing.T) {
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw) % 64
+	f := func(seed int64, nRaw, preRaw uint8) bool {
+		n, pre := int(nRaw)%64, int(preRaw)%4
 		s := testSet(n, seed)
-		buf := s.Marshal()
-		got, err := Unmarshal(buf, s.Schema)
-		if err != nil {
+		// pre particles already in the destination: the payload must land
+		// after them and leave them as they were.
+		got := testSet(pre, seed+1)
+		kept := got.Slice(0, pre)
+		if err := got.AppendMarshaled(s.Marshal()); err != nil {
 			return false
 		}
-		if got.Len() != n {
+		if got.Len() != pre+n {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			if got.X[i] != s.X[i] || got.Y[i] != s.Y[i] || got.Z[i] != s.Z[i] {
+		for i := 0; i < pre+n; i++ {
+			want, j := kept, i
+			if i >= pre {
+				want, j = s, i-pre
+			}
+			if got.X[i] != want.X[j] || got.Y[i] != want.Y[j] || got.Z[i] != want.Z[j] {
 				return false
 			}
 			for a := range s.Attrs {
-				if got.Attrs[a][i] != s.Attrs[a][i] {
+				if got.Attrs[a][i] != want.Attrs[a][j] {
 					return false
 				}
 			}
@@ -160,22 +166,22 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2}, NewSchema("a")); err == nil {
+	if err := NewSet(NewSchema("a"), 0).AppendMarshaled([]byte{1, 2}); err == nil {
 		t.Error("short buffer should error")
 	}
 	s := testSet(5, 1)
 	buf := s.Marshal()
-	if _, err := Unmarshal(buf[:len(buf)-4], s.Schema); err == nil {
+	if err := NewSet(s.Schema, 0).AppendMarshaled(buf[:len(buf)-4]); err == nil {
 		t.Error("truncated buffer should error")
 	}
-	if _, err := Unmarshal(buf, NewSchema("a", "b", "c")); err == nil {
+	if err := NewSet(NewSchema("a", "b", "c"), 0).AppendMarshaled(buf); err == nil {
 		t.Error("wrong schema size should error")
 	}
 }
 
-// TestUnmarshalAllocatesOnce: decoding a message allocates its columns
-// once, so the bytes allocated stay within the payload plus a small
-// constant (the set header and the size-class rounding of ten columns).
+// TestUnmarshalAllocatesOnce: decoding a message into an empty set grows
+// its columns once, so the bytes allocated stay within the payload plus a
+// small constant (the size-class rounding of ten columns).
 func TestUnmarshalAllocatesOnce(t *testing.T) {
 	const n = 100_000
 	schema := NewSchema("a", "b", "c", "d", "e", "f", "g")
@@ -188,24 +194,25 @@ func TestUnmarshalAllocatesOnce(t *testing.T) {
 	payload := uint64(len(buf) - 8)
 	allocated := uint64(math.MaxUint64)
 	for range 3 { // the least of three, past any stray background allocation
+		got := NewSet(schema, 0)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := Unmarshal(buf, schema)
+		err := got.AppendMarshaled(buf)
 		runtime.ReadMemStats(&after)
 		if err != nil || got.Len() != n {
-			t.Fatalf("Unmarshal: %v, %d particles", err, got.Len())
+			t.Fatalf("AppendMarshaled: %v, %d particles", err, got.Len())
 		}
 		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
 	}
 	if allocated > payload+64<<10 {
-		t.Errorf("Unmarshal of a %d-byte payload allocated %d bytes, want at most the payload + 64 KiB", payload, allocated)
+		t.Errorf("AppendMarshaled of a %d-byte payload allocated %d bytes, want at most the payload + 64 KiB", payload, allocated)
 	}
 }
 
 func TestMarshalEmpty(t *testing.T) {
 	s := NewSet(NewSchema("a"), 0)
-	got, err := Unmarshal(s.Marshal(), s.Schema)
-	if err != nil || got.Len() != 0 {
+	got := NewSet(s.Schema, 0)
+	if err := got.AppendMarshaled(s.Marshal()); err != nil || got.Len() != 0 {
 		t.Errorf("empty round trip: %v len %d", err, got.Len())
 	}
 }
@@ -219,10 +226,12 @@ func BenchmarkMarshal32k(b *testing.B) {
 	}
 }
 
-// FuzzUnmarshal throws arbitrary bytes and attribute counts at the wire
-// decoder: it must return an error or a set exactly as large as the input
-// says, never panic or allocate past the input size.
-func FuzzUnmarshal(f *testing.F) {
+// FuzzAppendMarshaled throws arbitrary bytes and attribute counts at the
+// wire decoder, appending onto a set that already holds particles: it must
+// return an error and leave every column as it was, or append exactly as
+// many particles as the input says after the ones already there — never
+// panic or allocate past the input size.
+func FuzzAppendMarshaled(f *testing.F) {
 	valid := testSet(9, 1).Marshal()
 	flipped := append([]byte(nil), valid...)
 	flipped[3] ^= 0x80 // count field: claims ~2^31 particles
@@ -233,13 +242,17 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, nAttrs uint8) {
 		schema := UniformSchema(int(nAttrs % 8))
-		s, err := Unmarshal(data, schema)
-		if err != nil {
-			return
+		const pre = 3
+		s := NewSet(schema, pre)
+		for i := range pre {
+			attrs := make([]float64, schema.NumAttrs())
+			for a := range attrs {
+				attrs[a] = float64(10*i + a)
+			}
+			s.Append(geom.V3(float64(i), -1, 2), attrs)
 		}
-		if got := 8 + s.Bytes(); got != int64(len(data)) {
-			t.Fatalf("decoded %d particles (%d bytes) from %d input bytes", s.Len(), got, len(data))
-		}
+		kept := s.Slice(0, pre)
+		err := s.AppendMarshaled(data)
 		if len(s.Y) != s.Len() || len(s.Z) != s.Len() {
 			t.Fatalf("ragged positions: %d/%d/%d", len(s.X), len(s.Y), len(s.Z))
 		}
@@ -247,6 +260,26 @@ func FuzzUnmarshal(f *testing.F) {
 			if len(col) != s.Len() {
 				t.Fatalf("ragged set: attr %d has %d values for %d particles", a, len(col), s.Len())
 			}
+		}
+		if err != nil && s.Len() != pre {
+			t.Fatalf("refused payload (%v) changed the set from %d to %d particles", err, pre, s.Len())
+		}
+		for i := range pre {
+			if s.X[i] != kept.X[i] || s.Y[i] != kept.Y[i] || s.Z[i] != kept.Z[i] {
+				t.Fatalf("decode changed particle %d's position", i)
+			}
+			for a := range s.Attrs {
+				if s.Attrs[a][i] != kept.Attrs[a][i] {
+					t.Fatalf("decode changed particle %d's attr %d", i, a)
+				}
+			}
+		}
+		if err != nil {
+			return
+		}
+		added := s.Len() - pre
+		if got := 8 + int64(added)*int64(12+8*schema.NumAttrs()); got != int64(len(data)) {
+			t.Fatalf("decoded %d particles (%d bytes) from %d input bytes", added, got, len(data))
 		}
 	})
 }

@@ -2,7 +2,7 @@
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
 # under the race detector, repeat the collective read and write protocols'
 # tests (their error agreement, outcome texts and exact traffic included)
-# under the race detector, smoke the benchmarks and the five examples, and
+# and the particle Exchange's under the race detector, smoke the benchmarks and the five examples, and
 # (unless CHECK_FUZZ=0) give the five decode fuzzers and the /points query
 # fuzzer a short pass. Run it
 # from the repository root before sending a PR.
@@ -58,8 +58,9 @@ run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 # differently on every run, and one pass of the suite above sees only one
 # schedule of each. The error agreement the read's metadata phase ends
 # with, the write's outcome texts and both pipelines' exact traffic ride
-# along.
-run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact' ./internal/core/ ./internal/fabric/
+# along, and so does Exchange, whose back-to-back rounds must each receive
+# their own payloads in rank order.
+run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact|Exchange' ./internal/core/ ./internal/fabric/
 
 # The collective write protocol's tests ten times over as well: the plan
 # agreement after the assignment scatter (a plan that fails on rank 0),
@@ -236,7 +237,7 @@ if [ "${CHECK_FUZZ:-1}" != "0" ]; then
 	run "fuzz FuzzTreelet bat" go test -fuzz='^FuzzTreelet$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecode meta" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
-	run "fuzz FuzzUnmarshal particles" go test -fuzz='^FuzzUnmarshal$' -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
+	run "fuzz FuzzAppendMarshaled particles" go test -fuzz='^FuzzAppendMarshaled$' -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
 	run "fuzz FuzzPointsQuery batserve" go test -fuzz='^FuzzPointsQuery$' -fuzztime=10s -fuzzminimizetime=5x ./cmd/batserve/
 else
 	echo "== fuzz stages skipped (CHECK_FUZZ=0)"
