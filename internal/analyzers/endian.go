@@ -7,10 +7,11 @@ import (
 	"libbat/internal/analyzers/analysis"
 )
 
-// formatPkgs are the on-disk format packages: every byte they serialize or
-// parse is little-endian by contract (DESIGN.md §9), so readers on any
-// host decode the same layout.
-var formatPkgs = []string{"binfmt", "bat", "meta", "particles", "checksum"}
+// formatPkgs are the format packages: the on-disk formats and core, whose
+// control messages are peer bytes decoded like file bytes. Every byte they
+// serialize or parse is little-endian by contract (DESIGN.md §9), so
+// readers on any host decode the same layout.
+var formatPkgs = []string{"binfmt", "bat", "meta", "particles", "checksum", "core"}
 
 // Endian enforces that contract mechanically: inside a format package it
 // forbids binary.BigEndian and binary.NativeEndian outright, requires the
@@ -20,7 +21,7 @@ var formatPkgs = []string{"binfmt", "bat", "meta", "particles", "checksum"}
 // that would let call sites vary the order at runtime).
 var Endian = &analysis.Analyzer{
 	Name: "endian",
-	Doc: "on-disk format packages (" + "binfmt, bat, meta, particles, checksum" + ") must serialize " +
+	Doc: "format packages (" + "binfmt, bat, meta, particles, checksum, core" + ") must serialize " +
 		"exclusively via binary.LittleEndian: no BigEndian/NativeEndian, no variable byte order",
 	Run: runEndian,
 }

@@ -36,7 +36,7 @@ import (
 // the format fuzzers are the dynamic net under it).
 var UintCast = &analysis.Analyzer{
 	Name: "uintcast",
-	Doc: "in format packages (binfmt, bat, meta, particles, checksum), converting a non-constant uint64 to a " +
+	Doc: "in format packages (binfmt, bat, meta, particles, checksum, core), converting a non-constant uint64 to a " +
 		"signed or narrower integer requires a preceding bounds check on the same expression in the " +
 		"same function, or on the same struct field in a Decode* function",
 	Run: runUintCast,

@@ -1,7 +1,7 @@
-// Package binfmt is the little-endian codec under every on-disk format of
-// the module: the BAT file (header, leaf records, dictionary, treelets,
-// footer; paper §III-C) and the top-level metadata (§III-D) read through
-// Reader and write through Writer.
+// Package binfmt is the little-endian codec under every format of the
+// module: the BAT file (header, leaf records, dictionary, treelets,
+// footer; paper §III-C), the top-level metadata (§III-D) and the
+// pipelines' control messages read through Reader and write through Writer.
 //
 // Reader keeps the first error it meets and turns every later read into a
 // no-op returning zero, so a decoder reads fields straight through and
@@ -53,6 +53,14 @@ func NewReaderAt(ctx context.Context, src io.ReaderAt, size int64) *Reader {
 
 // Err returns the first error any read met, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Failf records a decoder's own refusal of a value it read as the Reader's
+// error, unless an earlier one is kept already.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
 
 // Offset is the number of bytes consumed so far.
 func (r *Reader) Offset() int { return r.pos }

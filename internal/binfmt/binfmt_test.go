@@ -130,6 +130,27 @@ func TestStickyError(t *testing.T) {
 	}
 }
 
+// TestFailf: a decoder's own refusal becomes the Reader's sticky error and
+// later reads return zero; an earlier error is kept.
+func TestFailf(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3, 4, 5})
+	r.U8()
+	r.Failf("count %d", 7)
+	r.Failf("second")
+	if r.Err() == nil || r.Err().Error() != "count 7" {
+		t.Fatalf("Err = %v, want the first refusal", r.Err())
+	}
+	if r.U32() != 0 || r.Offset() != 1 {
+		t.Errorf("a read after Failf returned data or moved the offset to %d", r.Offset())
+	}
+	r = NewReader(nil)
+	r.U8()
+	r.Failf("late")
+	if !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
+		t.Errorf("Err = %v, want the truncation kept", r.Err())
+	}
+}
+
 // TestRefill: a Reader over an io.ReaderAt returns the right bytes across
 // the 64 KiB chunk boundary, reads no further than it must, and reports a
 // short source as truncation.

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
+	"libbat/internal/binfmt"
 	"libbat/internal/fabric"
 )
 
@@ -31,33 +31,36 @@ func agreeOnError(c *fabric.Comm, op string, local error) error {
 	return agreedError(op, records, local)
 }
 
-// appendFailure appends one failed rank's record to buf: the rank and the
-// message length as little-endian u32s, then the message.
+// appendFailure appends one failed rank's record to buf: the rank as a
+// u32, then the message as a wire string.
 func appendFailure(buf []byte, rank int, msg string) []byte {
 	if msg == "" {
 		msg = "unspecified error"
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rank))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msg)))
-	return append(buf, msg...)
+	w := binfmt.Writer{Buf: buf}
+	w.U32(uint32(rank))
+	putStr(&w, msg)
+	return w.Buf
 }
 
 // agreedError turns the agreed failure records into this rank's outcome:
 // nil when there are none, otherwise an error naming the failed ranks in
 // record order. A rank that failed locally keeps its own error wrapped; any
-// other rank sees the first record's message. The records come from a
-// collective over core's own encoding, so malformed input is a programming
-// error and panics.
+// other rank sees the first record's message. Every rank decodes the same
+// records, so malformed ones fail the collective everywhere alike.
 func agreedError(op string, records []byte, local error) error {
 	var failed []int
 	first := ""
-	for len(records) > 0 {
-		n := binary.LittleEndian.Uint32(records[4:])
+	r := binfmt.NewReader(records)
+	for r.Err() == nil && r.Remaining() > 0 {
+		rank, msg := int(r.U32()), getStr(r)
 		if failed == nil {
-			first = string(records[8 : 8+n])
+			first = msg
 		}
-		failed = append(failed, int(binary.LittleEndian.Uint32(records)))
-		records = records[8+n:]
+		failed = append(failed, rank)
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("core: %s: malformed failure records: %w", op, err)
 	}
 	if len(failed) == 0 {
 		return nil

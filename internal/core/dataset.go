@@ -94,8 +94,12 @@ func (d *Dataset) Select(q bat.Query) []int {
 // caller retries. The singleflight carries the same detach semantics as
 // the treelet cache: a canceled waiter returns ctx.Err() without touching
 // the shared slot, and a waiter whose own ctx is live retries after the
-// opening goroutine died of its caller's cancellation.
+// opening goroutine died of its caller's cancellation. An index outside
+// the leaf table, as a peer's query may carry, is an error.
 func (d *Dataset) Leaf(ctx context.Context, li int) (*bat.File, error) {
+	if li < 0 || li >= len(d.meta.Leaves) {
+		return nil, fmt.Errorf("core: leaf %d outside the dataset's %d leaves", li, len(d.meta.Leaves))
+	}
 	var s *leafSlot
 	for {
 		d.mu.Lock()

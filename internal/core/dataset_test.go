@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"libbat/internal/bat"
+	"libbat/internal/geom"
 	"libbat/internal/leakcheck"
 	"libbat/internal/pfs"
 	"libbat/internal/workloads"
@@ -265,5 +267,29 @@ func TestOpenDatasetShortRead(t *testing.T) {
 	_, err = OpenDataset(context.Background(), shortMeta{mem}, "short")
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("OpenDataset over a short read = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestDatasetLeafOutOfRange: a leaf index outside the leaf table, such as
+// one a peer's query carries, is an error from Dataset.Query, not a panic
+// in the serving worker.
+func TestDatasetLeafOutOfRange(t *testing.T) {
+	w, err := workloads.NewUniform(4, 400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := pfs.NewMem()
+	runWrite(t, w, 0, mem, "range", DefaultWriteConfig(16*1024))
+	ds, err := OpenDataset(context.Background(), mem, "range")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ds.Meta().Leaves)
+	for _, li := range []int{-1, n} {
+		_, err := ds.Query(context.Background(), []int{li}, bat.Query{},
+			func(geom.Vec3, []float64) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "outside the dataset's") {
+			t.Errorf("Query of leaf %d of %d = %v, want an out-of-range error", li, n, err)
+		}
 	}
 }

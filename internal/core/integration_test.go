@@ -627,6 +627,23 @@ func TestWriteTrafficExact(t *testing.T) {
 	if msgs[0] != 46 {
 		t.Errorf("write sent %d messages, want 46", msgs[0])
 	}
+	// The bytes, from the layouts (DESIGN.md §10). The plan has 8 leaves of
+	// one member rank each, leaf i aggregated by rank i. A binomial-tree
+	// gather or scatter at 8 ranks sends 7 packs (a u32 count each) holding
+	// 12 entries (a u32 rank and u32 length each, then the part):
+	//   info gather: 7*4 + 12*(8 + 56)                         =   796
+	//   scatter, 76 B per assignment (8 + 4 + 48 + 4 + 12):
+	//                7*4 + 12*(8 + 76)                         =  1036
+	//   closing gather, 176 B per record: 48 of phase times, a
+	//   report of 4 + (4 + 16) + 8 + 48 + 4 + 2*20 + 4 = 128:
+	//                7*4 + 12*(8 + 176)                        =  2236
+	//   agreement and verdict broadcast (nobody failed)        =     0
+	//   4 leaves' particles from a rank not their aggregator,
+	//   each 8 + 400*28 bytes                                  = 44832
+	// With gob control messages it was 56 880 B.
+	if bytes[0] != 48900 {
+		t.Errorf("write sent %d B, want 48900", bytes[0])
+	}
 }
 
 // TestReadTrafficExact: two identical seeded restart reads on fresh fabrics
@@ -654,5 +671,15 @@ func TestReadTrafficExact(t *testing.T) {
 	if bytes[0] != bytes[1] || msgs[0] != msgs[1] {
 		t.Errorf("identical reads sent %d B in %d messages, then %d B in %d",
 			bytes[0], msgs[0], bytes[1], msgs[1])
+	}
+	// The metadata agreement's allreduce sends 14 empty messages; 56 leaf
+	// queries to a remote reader get one reply each. In bytes (DESIGN.md
+	// §10):
+	//   56 bounds-only queries of 4 + 1 + 48 + 4 + 16 = 73 B   =  4088
+	//   56 reply headers of 5 + 8 B                            =   728
+	//   4 ranks' 400 particles from a remote leaf, 28 B each   = 44800
+	// With gob queries it was 60 522 B.
+	if msgs[0] != 126 || bytes[0] != 49616 {
+		t.Errorf("read sent %d B in %d messages, want 49616 B in 126", bytes[0], msgs[0])
 	}
 }

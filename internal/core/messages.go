@@ -6,12 +6,13 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"math"
+	"time"
 
 	"libbat/internal/bat"
+	"libbat/internal/binfmt"
+	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/meta"
 )
@@ -22,12 +23,6 @@ const (
 	tagQuery
 	tagReply
 )
-
-// infoMsg is each rank's contribution to the aggregation plan (Figure 1a).
-type infoMsg struct {
-	Count  int64
-	Bounds geom.Box
-}
 
 // leafAssign tells an aggregator about one leaf it must receive and write.
 type leafAssign struct {
@@ -54,71 +49,177 @@ type reportMsg struct {
 	Err string
 }
 
-// encodeRecord builds one rank's part of the write's closing gather: its
-// phase timings as six little-endian int64s, fixed width so the gather's
-// bytes do not depend on the measured times, then, on an aggregator, its
-// leaf reports.
-func encodeRecord(pt PhaseTimes, reports []reportMsg) []byte {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, pt); err != nil {
-		panic(fmt.Sprintf("core: encoding phase times: %v", err))
-	}
-	if len(reports) > 0 {
-		buf.Write(encode(reports))
-	}
-	return buf.Bytes()
+// The control messages are fixed little-endian layouts over binfmt (DESIGN.md
+// §10 tabulates them); a string is a u32 length and its bytes. Peer bytes
+// are untrusted: a decoder bounds each count by the bytes left before it
+// allocates, refuses trailing bytes, so an accepted message re-encodes to
+// the same bytes, and never panics.
+
+// encodeInfo is a rank's part of the plan's gather (Figure 1a): its count
+// and bounds.
+func encodeInfo(count int64, bounds geom.Box) []byte {
+	w := binfmt.Writer{Buf: make([]byte, 0, 56)}
+	w.U64(uint64(count))
+	w.Box(bounds)
+	return w.Buf
 }
 
-// decodeRecord reverses encodeRecord.
-func decodeRecord(raw []byte) (PhaseTimes, []reportMsg, error) {
-	var pt PhaseTimes
-	rd := bytes.NewReader(raw)
-	if err := binary.Read(rd, binary.LittleEndian, &pt); err != nil {
-		return pt, nil, err
-	}
-	var reports []reportMsg
-	if rd.Len() > 0 {
-		if err := decode(raw[len(raw)-rd.Len():], &reports); err != nil {
-			return pt, nil, err
+func decodeInfo(raw []byte) (int64, geom.Box, error) {
+	r := binfmt.NewReader(raw)
+	count, bounds := nonNegative(r), r.Box()
+	return count, bounds, finish(r)
+}
+
+func encodeAssign(a assignMsg) []byte {
+	var w binfmt.Writer
+	w.I32(int32(a.Aggregator))
+	w.U32(uint32(len(a.Leaves)))
+	for _, la := range a.Leaves {
+		w.U32(uint32(la.Leaf))
+		w.Box(la.Bounds)
+		w.U32(uint32(len(la.Senders)))
+		for i, s := range la.Senders {
+			w.U32(uint32(s))
+			w.U64(uint64(la.Counts[i]))
 		}
 	}
-	return pt, reports, nil
+	return w.Buf
 }
 
-// queryMsg asks a read aggregator for the particles of one leaf matching
-// the requester's query (Figure 3c). Checkpoint-restart reads use a plain
-// bounds query; in situ analytics may add attribute filters and a
-// progressive quality window (§IV-B: "this query mechanism can also be
-// leveraged to enable distributed data access for in situ analytics").
-type queryMsg struct {
-	Leaf    int
-	Bounds  *geom.Box
-	Filters []bat.AttrFilter
-	PrevQ   float64
-	Quality float64
-}
-
-func (q queryMsg) toBAT() bat.Query {
-	return bat.Query{
-		Bounds:      q.Bounds,
-		Filters:     q.Filters,
-		PrevQuality: q.PrevQ,
-		Quality:     q.Quality,
+func decodeAssign(raw []byte) (assignMsg, error) {
+	r := binfmt.NewReader(raw)
+	a := assignMsg{Aggregator: int(r.I32()), Leaves: make([]leafAssign, count(r, 56))}
+	for l := range a.Leaves {
+		la := &a.Leaves[l]
+		la.Leaf, la.Bounds = int(r.U32()), r.Box()
+		n := count(r, 12)
+		la.Senders, la.Counts = make([]int, n), make([]int64, n)
+		for i := range n {
+			la.Senders[i], la.Counts[i] = int(r.U32()), nonNegative(r)
+		}
 	}
+	return a, finish(r)
 }
 
-// encode gob-serializes a control message.
-func encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		// Control messages are library-defined types; failure to encode
-		// them is a programming error.
-		panic(fmt.Sprintf("core: encoding %T: %v", v, err))
+// encodeRecord builds one rank's part of the write's closing gather: its
+// phase timings, fixed width so the gather's bytes do not depend on the
+// measured times, then, on an aggregator, its leaf reports.
+func encodeRecord(pt PhaseTimes, reports []reportMsg) []byte {
+	var w binfmt.Writer
+	for _, d := range pt.fields() {
+		w.U64(uint64(*d))
 	}
-	return buf.Bytes()
+	for _, rm := range reports {
+		w.U32(uint32(rm.Leaf))
+		putStr(&w, rm.FileName)
+		w.U64(uint64(rm.Count))
+		w.Box(rm.Bounds)
+		w.U32(uint32(len(rm.LocalRanges)))
+		for a, rg := range rm.LocalRanges {
+			w.Range(rg)
+			w.U32(uint32(rm.RootBitmaps[a]))
+		}
+		putStr(&w, rm.Err)
+	}
+	return w.Buf
 }
 
-// decode gob-deserializes a control message.
-func decode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+func decodeRecord(raw []byte) (PhaseTimes, []reportMsg, error) {
+	r := binfmt.NewReader(raw)
+	var pt PhaseTimes
+	for _, d := range pt.fields() {
+		*d = time.Duration(nonNegative(r))
+	}
+	var reports []reportMsg
+	for r.Err() == nil && r.Remaining() > 0 {
+		var rm reportMsg
+		rm.Leaf, rm.FileName, rm.Count, rm.Bounds = int(r.U32()), getStr(r), nonNegative(r), r.Box()
+		nA := count(r, 20)
+		rm.LocalRanges, rm.RootBitmaps = make([]bitmap.Range, nA), make([]bitmap.Bitmap, nA)
+		for a := range nA {
+			rm.LocalRanges[a], rm.RootBitmaps[a] = r.Range(), bitmap.Bitmap(r.U32())
+		}
+		rm.Err = getStr(r)
+		reports = append(reports, rm)
+	}
+	return pt, reports, finish(r)
+}
+
+// encodeQuery asks a read aggregator for the particles of one leaf that
+// match the requester's query (Figure 3c): a checkpoint-restart read's
+// plain bounds, or an in situ analysis's filters and progressive quality
+// window too (§IV-B).
+func encodeQuery(leaf int, q bat.Query) []byte {
+	var w binfmt.Writer
+	w.U32(uint32(leaf))
+	if q.Bounds == nil {
+		w.U8(0)
+	} else {
+		w.U8(1)
+		w.Box(*q.Bounds)
+	}
+	w.U32(uint32(len(q.Filters)))
+	for _, f := range q.Filters {
+		w.U32(uint32(f.Attr))
+		w.F64(f.Min)
+		w.F64(f.Max)
+	}
+	w.F64(q.PrevQuality)
+	w.F64(q.Quality)
+	return w.Buf
+}
+
+func decodeQuery(raw []byte) (int, bat.Query, error) {
+	r := binfmt.NewReader(raw)
+	leaf, q := int(r.U32()), bat.Query{}
+	if has := r.U8(); has == 1 {
+		b := r.Box()
+		q.Bounds = &b
+	} else if has > 1 {
+		r.Failf("bounds presence byte %d", has)
+	}
+	q.Filters = make([]bat.AttrFilter, count(r, 20))
+	for i := range q.Filters {
+		q.Filters[i] = bat.AttrFilter{Attr: int(r.U32()), Min: r.F64(), Max: r.F64()}
+	}
+	q.PrevQuality, q.Quality = r.F64(), r.F64()
+	return leaf, q, finish(r)
+}
+
+// putStr and getStr frame a string with a u32 length, not binfmt's u16,
+// so a long file name arrives whole for meta.Build to refuse by name.
+func putStr(w *binfmt.Writer, s string) {
+	w.U32(uint32(len(s)))
+	w.Buf = append(w.Buf, s...)
+}
+
+func getStr(r *binfmt.Reader) string { return string(r.Bytes(int(r.U32()))) }
+
+// count reads a u32 count of items of at least size bytes each, refusing
+// one the bytes left cannot hold.
+func count(r *binfmt.Reader, size int64) int {
+	n := r.U32()
+	if int64(n)*size > r.Remaining() {
+		r.Failf("%d items of %d bytes in the %d bytes left", n, size, r.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
+// nonNegative reads a u64 count or duration, refusing one past int64.
+func nonNegative(r *binfmt.Reader) int64 {
+	v := r.U64()
+	if v > math.MaxInt64 {
+		r.Failf("value %d past int64", v)
+		return 0
+	}
+	return int64(v)
+}
+
+// finish returns r's first error, or one for bytes left after the message.
+func finish(r *binfmt.Reader) error {
+	if n := r.Remaining(); r.Err() == nil && n > 0 {
+		return fmt.Errorf("%d trailing bytes", n)
+	}
+	return r.Err()
 }

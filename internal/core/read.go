@@ -2,13 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"libbat/internal/bat"
+	"libbat/internal/binfmt"
 	"libbat/internal/fabric"
 	"libbat/internal/geom"
 	"libbat/internal/obs"
@@ -119,15 +119,13 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	out := particles.NewSet(m.Schema, 0)
 	var selfLeaves []int
 	pending := 0
-	qm := queryMsg{Bounds: q.Bounds, Filters: q.Filters, PrevQ: q.PrevQuality, Quality: q.Quality}
 	for _, li := range want {
 		reader := ReadAggregator(li, nLeaves, c.Size())
 		if reader == c.Rank() {
 			selfLeaves = append(selfLeaves, li)
 			continue
 		}
-		qm.Leaf = li
-		c.Send(reader, tagQuery, encode(qm))
+		c.Send(reader, tagQuery, encodeQuery(li, q))
 		pending++
 	}
 
@@ -208,15 +206,16 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 				return // the barrier has passed
 			}
 			served.Inc()
-			var rq queryMsg
-			if err := decode(raw, &rq); err != nil {
+			leaf, rq, err := decodeQuery(raw)
+			if err != nil {
+				err = fmt.Errorf("core: rank %d decoding a query from rank %d: %w", c.Rank(), st.Source, err)
 				if firstErr == nil {
 					firstErr = err
 				}
 				c.Send(st.Source, tagReply, replyError(-1, err))
 				continue
 			}
-			jobs <- serveJob{source: st.Source, leaf: rq.Leaf, q: rq.toBAT()}
+			jobs <- serveJob{source: st.Source, leaf: leaf, q: rq}
 		}
 	}()
 
@@ -262,10 +261,10 @@ const (
 )
 
 func replyHeader(status byte, leaf int) []byte {
-	hdr := make([]byte, replyHdrSize)
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(leaf))
-	return hdr
+	w := binfmt.Writer{Buf: make([]byte, 0, replyHdrSize)}
+	w.U8(status)
+	w.U32(uint32(leaf))
+	return w.Buf
 }
 
 func replyError(leaf int, err error) []byte {
@@ -275,14 +274,15 @@ func replyError(leaf int, err error) []byte {
 // parseReply appends a data reply's particles to out, or returns the
 // failure an error reply carries, naming the reply's leaf either way.
 func parseReply(raw []byte, out *particles.Set) (int, error) {
-	if len(raw) < replyHdrSize {
+	r := binfmt.NewReader(raw)
+	status, leaf := r.U8(), int(r.I32())
+	if r.Err() != nil {
 		return -1, fmt.Errorf("short reply (%d bytes)", len(raw))
 	}
-	leaf := int(int32(binary.LittleEndian.Uint32(raw[1:])))
-	if raw[0] == replyFail {
-		return leaf, fmt.Errorf("server error: %s", raw[replyHdrSize:])
+	if status == replyFail {
+		return leaf, fmt.Errorf("server error: %s", r.Rest())
 	}
-	return leaf, out.AppendMarshaled(raw[replyHdrSize:])
+	return leaf, out.AppendMarshaled(r.Rest())
 }
 
 // serveJob is one leaf query for the aggregator worker pool, from the rank
@@ -304,7 +304,9 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 	sp := col.Start(rank, "read.serve")
 	defer sp.End()
 	start := time.Now()
-	reply := binary.LittleEndian.AppendUint64(replyHeader(replyOK, j.leaf), 0)
+	w := binfmt.Writer{Buf: replyHeader(replyOK, j.leaf)}
+	w.U64(0)
+	reply := w.Buf
 	recSize := ds.meta.Schema.RecordSize()
 	err := ctx.Err()
 	if err != nil {
@@ -324,6 +326,8 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 		// poison this rank's own read.
 		return replyError(j.leaf, err), time.Since(start)
 	}
-	binary.LittleEndian.PutUint64(reply[replyHdrSize:], uint64((len(reply)-replyHdrSize-8)/recSize))
+	// A Writer over the count's window patches it in place.
+	w = binfmt.Writer{Buf: reply[replyHdrSize:replyHdrSize]}
+	w.U64(uint64((len(reply) - replyHdrSize - 8) / recSize))
 	return reply, time.Since(start)
 }

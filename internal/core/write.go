@@ -88,14 +88,34 @@ type WriteStats struct {
 	PhaseMax *PhaseTimes
 }
 
-// PhaseTimes is one rank's (or the critical-path) phase timing vector.
+// PhaseTimes is one rank's (or the critical-path) phase timing vector, in
+// wall-clock time on the rank's own clock.
 type PhaseTimes struct {
-	TreeBuild     time.Duration
+	// TreeBuild runs on rank 0 only, while the plan's tree (or AUG grid)
+	// is built.
+	TreeBuild time.Duration
+	// GatherScatter runs from Write's entry to the end of the plan
+	// agreement, less TreeBuild. PhaseMax takes the slowest rank's, which
+	// on goroutine ranks sharing CPUs also counts the work of ranks already
+	// past the agreement, not the control plane's time alone.
 	GatherScatter time.Duration
-	Transfer      time.Duration
-	BATBuild      time.Duration
-	FileWrite     time.Duration
-	Metadata      time.Duration
+	// Transfer runs from the plan agreement's end (or the previous leaf's
+	// file write) until the rank's particles are sent or, on an aggregator,
+	// until each of its leaves' particles are in, summed over its leaves.
+	Transfer time.Duration
+	// BATBuild sums bat.Build over the leaves the rank aggregates.
+	BATBuild time.Duration
+	// FileWrite sums those leaves' file writes.
+	FileWrite time.Duration
+	// Metadata runs on rank 0 only, from the closing gather's end until
+	// the .batm is written.
+	Metadata time.Duration
+}
+
+// fields points at the phases in declaration order, the order of the
+// closing gather's record.
+func (p *PhaseTimes) fields() [6]*time.Duration {
+	return [6]*time.Duration{&p.TreeBuild, &p.GatherScatter, &p.Transfer, &p.BATBuild, &p.FileWrite, &p.Metadata}
 }
 
 // Total sums the phases.
@@ -105,12 +125,10 @@ func (p PhaseTimes) Total() time.Duration {
 
 // raiseTo raises each phase of p to at least its value in o.
 func (p *PhaseTimes) raiseTo(o PhaseTimes) {
-	p.TreeBuild = max(p.TreeBuild, o.TreeBuild)
-	p.GatherScatter = max(p.GatherScatter, o.GatherScatter)
-	p.Transfer = max(p.Transfer, o.Transfer)
-	p.BATBuild = max(p.BATBuild, o.BATBuild)
-	p.FileWrite = max(p.FileWrite, o.FileWrite)
-	p.Metadata = max(p.Metadata, o.Metadata)
+	of := o.fields()
+	for i, f := range p.fields() {
+		*f = max(*f, *of[i])
+	}
 }
 
 // LeafFileName names the BAT file of one aggregation leaf.
@@ -151,7 +169,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	// assignment, or empty parts when planning failed.
 	start := time.Now()
 	gatherSp := col.Start(c.Rank(), "write.gather")
-	infos := c.Gather(0, encode(infoMsg{Count: int64(local.Len()), Bounds: bounds}))
+	infos := c.Gather(0, encodeInfo(int64(local.Len()), bounds))
 	gatherSp.End()
 	var parts [][]byte
 	var err error
@@ -163,7 +181,8 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	scatterSp := col.Start(c.Rank(), "write.scatter")
 	var asg assignMsg
 	if part := c.Scatterv(0, parts); len(part) > 0 {
-		if derr := decode(part, &asg); derr != nil {
+		var derr error
+		if asg, derr = decodeAssign(part); derr != nil {
 			err = fmt.Errorf("core: rank %d decoding assignment: %w", c.Rank(), derr)
 		} else if local.Len() > 0 && asg.Aggregator < 0 {
 			err = fmt.Errorf("core: rank %d has %d particles but no aggregator", c.Rank(), local.Len())
@@ -241,11 +260,11 @@ func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
 
 	ranks := make([]aggtree.RankInfo, c.Size())
 	for r, raw := range infos {
-		var im infoMsg
-		if err := decode(raw, &im); err != nil {
+		n, bounds, err := decodeInfo(raw)
+		if err != nil {
 			return nil, fmt.Errorf("core: decoding rank %d info: %w", r, err)
 		}
-		ranks[r] = aggtree.RankInfo{Rank: r, Bounds: im.Bounds, Count: im.Count}
+		ranks[r] = aggtree.RankInfo{Rank: r, Bounds: bounds, Count: n}
 	}
 	treeStart := time.Now()
 	buildSp := c.Observer().Start(c.Rank(), "write.tree-build")
@@ -291,7 +310,7 @@ func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
 	}
 	parts := make([][]byte, c.Size())
 	for r := range parts {
-		parts[r] = encode(msgs[r])
+		parts[r] = encodeAssign(msgs[r])
 	}
 	return parts, nil
 }

@@ -3,7 +3,7 @@
 # under the race detector, repeat the collective read and write protocols'
 # tests (their error agreement, outcome texts and exact traffic included)
 # and the particle Exchange's under the race detector, smoke the benchmarks and the five examples, and
-# (unless CHECK_FUZZ=0) give the five decode fuzzers and the /points query
+# (unless CHECK_FUZZ=0) give the six decode fuzzers and the /points query
 # fuzzer a short pass. Run it
 # from the repository root before sending a PR.
 #
@@ -224,7 +224,9 @@ run "batserve smoke" batserve_smoke
 # payloads, node tables and a bounds box directly, the retired codec ids and
 # frame mode among the seeds; the metadata file, a retired version-2 image,
 # leaf counts past int64 and a dataset of no leaves among its seeds;
-# particle wire encoding) and over
+# particle wire encoding; the four control messages of the collective
+# write and read, an empty-bounds query and an error-marked leaf report
+# among the seeds, each accepted input re-encoded byte for byte) and over
 # batserve's /points query-string parser: seconds, not a soak — enough to
 # catch parser regressions on the corpus + fresh mutations. Every pattern is
 # anchored: -fuzz refuses a pattern that matches two targets, so a second
@@ -238,6 +240,7 @@ if [ "${CHECK_FUZZ:-1}" != "0" ]; then
 	run "fuzz FuzzDecodeSections bat" go test -fuzz='^FuzzDecodeSections$' -fuzztime=10s -fuzzminimizetime=5x ./internal/bat/
 	run "fuzz FuzzDecode meta" go test -fuzz='^FuzzDecode$' -fuzztime=10s -fuzzminimizetime=5x ./internal/meta/
 	run "fuzz FuzzAppendMarshaled particles" go test -fuzz='^FuzzAppendMarshaled$' -fuzztime=10s -fuzzminimizetime=5x ./internal/particles/
+	run "fuzz FuzzDecodeMessages core" go test -fuzz='^FuzzDecodeMessages$' -fuzztime=10s -fuzzminimizetime=5x ./internal/core/
 	run "fuzz FuzzPointsQuery batserve" go test -fuzz='^FuzzPointsQuery$' -fuzztime=10s -fuzzminimizetime=5x ./cmd/batserve/
 else
 	echo "== fuzz stages skipped (CHECK_FUZZ=0)"
