@@ -18,7 +18,10 @@ import (
 // attributes, 4 MB target, OS storage) the write allocated 5.94× its raw
 // bytes and the read 10.17× while payloads were unmarshaled into a set of
 // their own and served leaves were gathered into one before they were
-// marshaled, and 5.04× and 5.49× once neither was; the bounds sit between.
+// marshaled, and 5.04× and 5.49× once neither was. The read sized its
+// answer once from its replies' counts at 5.45× (GOMAXPROCS 1 to 8), the
+// same as when it grew the answer reply by reply; its bound sits 10 %
+// above that.
 func TestWriteReadAllocBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations swamp the bound")
@@ -26,7 +29,7 @@ func TestWriteReadAllocBounded(t *testing.T) {
 	const (
 		ranks       = 16
 		writeBound  = 5.5
-		readBound   = 7.5
+		readBound   = 6.0
 		targetBytes = 4 << 20
 	)
 	w, err := workloads.NewUniform(ranks, 20_000, 4)

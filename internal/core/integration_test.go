@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"libbat/internal/bat"
 	"libbat/internal/fabric"
@@ -517,6 +518,54 @@ func TestWritePlanAbort(t *testing.T) {
 	}
 	if names, _ := store.List(); len(names) != 0 {
 		t.Errorf("aborted write left %v", names)
+	}
+}
+
+// TestWritePlanRefusesHostileAssignment feeds rank 1 of a 2-rank world an
+// assignment it cannot carry out through the plan agreement's decode and
+// check. Unchecked, an aggregator of 99 panics in fabric.Send, and a member
+// of 99 or one named twice leaves the aggregator waiting forever on its
+// particles. Both ranks must get the same agreed error, without a panic or a
+// hang.
+func TestWritePlanRefusesHostileAssignment(t *testing.T) {
+	leaf := func(senders ...int) []leafAssign {
+		return []leafAssign{{Leaf: 0, Bounds: testBox, Senders: senders, Counts: make([]int64, len(senders))}}
+	}
+	const prefix = "core: write plan failed on rank(s) [1]: core: rank 1 cannot use its assignment: "
+	for _, tc := range []struct {
+		name   string
+		asg    assignMsg
+		nLocal int
+		want   string
+	}{
+		{"aggregator 99", assignMsg{Aggregator: 99}, 10, "aggregator 99 outside the 2 ranks"},
+		{"aggregator -2", assignMsg{Aggregator: -2}, 0, "aggregator -2 outside the 2 ranks"},
+		{"particles but no aggregator", assignMsg{Aggregator: -1}, 10, "10 particles but no aggregator"},
+		{"member 99", assignMsg{Aggregator: 1, Leaves: leaf(1, 99)}, 10, "leaf 0 member 99 outside the 2 ranks"},
+		{"member named twice", assignMsg{Aggregator: 1, Leaves: leaf(0, 0)}, 10, "leaf 0 names member 0 twice"},
+	} {
+		parts := [][]byte{encodeAssign(assignMsg{Aggregator: 0}), encodeAssign(tc.asg)}
+		errs := make([]error, 2)
+		done := make(chan error, 1)
+		go func() {
+			done <- fabric.Run(2, func(c *fabric.Comm) error {
+				_, errs[c.Rank()] = agreePlan(c, parts[c.Rank()], tc.nLocal, nil)
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the plan agreement hung", tc.name)
+		}
+		for r, err := range errs {
+			if err == nil || err.Error() != prefix+tc.want {
+				t.Errorf("%s: rank %d got %v, want %q", tc.name, r, err, prefix+tc.want)
+			}
+		}
 	}
 }
 

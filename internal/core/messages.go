@@ -101,6 +101,33 @@ func decodeAssign(raw []byte) (assignMsg, error) {
 	return a, finish(r)
 }
 
+// checkAssign refuses an assignment its rank cannot carry out in a world of
+// size ranks: an aggregator outside [0, size), or none (−1) for a rank
+// holding particles, or a leaf member outside [0, size) or named twice. The
+// first would panic in fabric.Send, the others leave an aggregator waiting
+// forever on a member's particles.
+func checkAssign(a assignMsg, size, nLocal int) error {
+	if a.Aggregator < -1 || a.Aggregator >= size {
+		return fmt.Errorf("aggregator %d outside the %d ranks", a.Aggregator, size)
+	}
+	if a.Aggregator < 0 && nLocal > 0 {
+		return fmt.Errorf("%d particles but no aggregator", nLocal)
+	}
+	for _, la := range a.Leaves {
+		seen := make([]bool, size)
+		for _, s := range la.Senders {
+			if s < 0 || s >= size {
+				return fmt.Errorf("leaf %d member %d outside the %d ranks", la.Leaf, s, size)
+			}
+			if seen[s] {
+				return fmt.Errorf("leaf %d names member %d twice", la.Leaf, s)
+			}
+			seen[s] = true
+		}
+	}
+	return nil
+}
+
 // encodeRecord builds one rank's part of the write's closing gather: its
 // phase timings, fixed width so the gather's bytes do not depend on the
 // measured times, then, on an aggregator, its leaf reports.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -182,11 +183,15 @@ func TestMessageRefusals(t *testing.T) {
 
 // FuzzDecodeMessages feeds the four control-message decoders peer bytes:
 // the first byte picks the message. None may panic, and an accepted message
-// must re-encode to exactly its bytes.
+// must re-encode to exactly its bytes. An accepted assignment that passes
+// checkAssign in a world of fuzzWorld ranks must name only ranks of that
+// world, each member once per leaf.
 func FuzzDecodeMessages(f *testing.F) {
 	for _, m := range testMessages() {
 		f.Add(m.raw)
 	}
+	f.Add(append([]byte{kindAssign}, encodeAssign(assignMsg{Aggregator: 99})...))
+	const fuzzWorld = 8
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -194,6 +199,26 @@ func FuzzDecodeMessages(f *testing.F) {
 		again, err := reencode(data[0], data[1:])
 		if err == nil && !bytes.Equal(again, data[1:]) {
 			t.Fatalf("message kind %d re-encoded to %x, was %x", data[0]%numKinds, again, data[1:])
+		}
+		if err != nil || data[0]%numKinds != kindAssign {
+			return
+		}
+		a, _ := decodeAssign(data[1:])
+		if checkAssign(a, fuzzWorld, 0) != nil {
+			return
+		}
+		if a.Aggregator < -1 || a.Aggregator >= fuzzWorld {
+			t.Fatalf("checked assignment names aggregator %d in a world of %d", a.Aggregator, fuzzWorld)
+		}
+		for _, la := range a.Leaves {
+			members := slices.Clone(la.Senders)
+			slices.Sort(members)
+			if len(members) > 0 && (members[0] < 0 || members[len(members)-1] >= fuzzWorld) {
+				t.Fatalf("checked assignment's leaf %d names members %v in a world of %d", la.Leaf, members, fuzzWorld)
+			}
+			if len(slices.Compact(members)) != len(la.Senders) {
+				t.Fatalf("checked assignment's leaf %d repeats a member: %v", la.Leaf, la.Senders)
+			}
 		}
 	})
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,13 +18,22 @@ import (
 	"libbat/internal/pfs"
 )
 
-// ReadStats reports what one rank observed during a collective read.
+// ReadStats reports what one rank observed during a collective read. Each
+// phase time is the summed duration of the rank's obs spans of the name it
+// gives (DESIGN.md §6).
 type ReadStats struct {
-	Metadata  time.Duration // reading + parsing the metadata file
-	FileRead  time.Duration // opening and querying leaf files (aggregator side)
-	Transfer  time.Duration // waiting for and receiving remote replies
-	NumFiles  int           // leaf files this rank served as read aggregator
-	Particles int           // particles returned to this rank
+	// Metadata is read.meta: opening the dataset's .batm through the end
+	// of the metadata agreement.
+	Metadata time.Duration
+	// FileRead sums read.serve: the leaf queries this rank served, its own
+	// and its peers', on concurrent workers.
+	FileRead time.Duration
+	// Transfer is read.transfer: from the first query sent to the exit of
+	// the closing barrier, decoding the replies included. On a serving rank
+	// it overlaps FileRead.
+	Transfer  time.Duration
+	NumFiles  int // leaf files this rank served as read aggregator
+	Particles int // particles returned to this rank
 
 	// LeafErrors records, per selected leaf index, why that leaf's data
 	// could not be returned to this rank (damaged file, failed checksum,
@@ -30,11 +41,6 @@ type ReadStats struct {
 	// its leaf. When non-empty, ReadQuery returns the surviving particles
 	// together with an error wrapping ErrPartial.
 	LeafErrors map[int]error
-}
-
-// Total returns the rank's end-to-end read time.
-func (s *ReadStats) Total() time.Duration {
-	return s.Metadata + s.FileRead + s.Transfer
 }
 
 // ReadAggregator returns the rank assigned to read leaf li of nLeaves in a
@@ -85,18 +91,16 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	whole := col.Start(c.Rank(), "read")
 	defer whole.End()
 
-	// Phase a: every rank reads the metadata file.
-	metaStart := time.Now()
+	// Phase a: every rank reads the metadata file, and the ranks agree on
+	// its status before any queries are routed: a rank returning here while
+	// others proceed would leave their queries to it unanswered forever.
 	metaSp := col.Start(c.Rank(), "read.meta")
 	ds, err := OpenDataset(ctx, store, base)
-	metaSp.End()
-	// Agree on the metadata status before any queries are routed: a rank
-	// returning here while others proceed would leave their queries to it
-	// unanswered forever.
-	if aerr := agreeOnError(c, "read metadata", err); aerr != nil {
-		return nil, nil, aerr
+	err = agreeOnError(c, "read metadata", err)
+	stats.Metadata = metaSp.End()
+	if err != nil {
+		return nil, nil, err // a rank that opened ds holds no leaf yet
 	}
-	stats.Metadata = time.Since(metaStart)
 	defer ds.Close()
 	m := ds.meta
 	nLeaves := len(m.Leaves)
@@ -115,8 +119,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// one query to its reader; leaves this rank reads itself are served
 	// locally ("if a rank requires data from itself, it performs these
 	// queries locally").
-	xferStart := time.Now()
-	out := particles.NewSet(m.Schema, 0)
+	xferSp := col.Start(c.Rank(), "read.transfer")
 	var selfLeaves []int
 	pending := 0
 	for _, li := range want {
@@ -135,11 +138,11 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// shares it across queries. Every served leaf becomes one wire reply:
 	// workers send remote ones themselves and hand this rank's own back on
 	// selfReplies, and both are decoded alike. Meanwhile this goroutine
-	// collects exactly its pending replies, then its own leaves, and enters
-	// the barrier. A reply is sent only once its query has been served, and
-	// a rank enters the barrier only once it holds all its replies, so when
-	// the barrier passes no query of this read is in flight anywhere, and
-	// the receiver stops. (The next read cannot send a query before every
+	// collects exactly its pending replies, then its own leaves, decodes
+	// them and enters the barrier. A reply is sent only once its query has
+	// been served, and a rank enters the barrier only once it holds all its
+	// replies, so when the barrier passes no query of this read is in
+	// flight anywhere, and the receiver stops. (The next read cannot send a query before every
 	// rank has passed its metadata agreement, so the receiver never takes
 	// one of a later read.) This is the termination rule of the paper's
 	// MPI_Ibarrier loop, with the same messages, written with blocking
@@ -150,12 +153,16 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	// get after it ends with an error reply, which the requester records
 	// in LeafErrors. A damaged leaf likewise costs only that leaf; protocol
 	// corruption (an undecodable query) fails the rank outright.
+	//
+	// Every reply, a peer's or this rank's own, lands in the slot of its
+	// leaf's position in want, and the slots are decoded once all are in:
+	// the answer is the leaves in ascending index whatever order their
+	// replies arrive in. A reply no slot takes (a short one, one answering
+	// an undecodable query, one for a leaf not asked or already answered)
+	// is a leaf error at once.
+	slots := make([]*parsedReply, len(want))
 	var firstLeafErr error
-	take := func(raw []byte, source int) {
-		leaf, err := parseReply(raw, out)
-		if err == nil {
-			return
-		}
+	fail := func(leaf, source int, err error) {
 		err = fmt.Errorf("core: leaf %d via rank %d: %w", leaf, source, err)
 		if stats.LeafErrors == nil {
 			stats.LeafErrors = map[int]error{}
@@ -166,6 +173,18 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		if firstLeafErr == nil {
 			firstLeafErr = err
 		}
+	}
+	place := func(raw []byte, source int) {
+		rp := parseReply(raw)
+		rp.source = source
+		if i, asked := slices.BinarySearch(want, rp.leaf); asked && slots[i] == nil {
+			slots[i] = &rp
+			return
+		}
+		if rp.err == nil {
+			rp.err = errors.New("reply to no open query")
+		}
+		fail(rp.leaf, source, rp.err)
 	}
 	served := c.Observer().Counter("core_queries_served_total", obs.Rank(c.Rank()))
 	replyBytes := c.Observer().Counter("core_reply_bytes_total", obs.Rank(c.Rank()))
@@ -221,12 +240,32 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 
 	for ; pending > 0; pending-- {
 		raw, st := c.Recv(fabric.AnySource, tagReply)
-		take(raw, st.Source)
+		place(raw, st.Source)
 	}
 	for range selfLeaves {
-		take(<-selfReplies, c.Rank())
+		place(<-selfReplies, c.Rank())
+	}
+	total := 0
+	for _, rp := range slots {
+		if rp != nil {
+			total += rp.n
+		}
+	}
+	out := particles.NewSet(m.Schema, total)
+	for _, rp := range slots {
+		if rp == nil {
+			continue
+		}
+		err := rp.err
+		if err == nil {
+			err = out.AppendMarshaled(rp.payload)
+		}
+		if err != nil {
+			fail(rp.leaf, rp.source, err)
+		}
 	}
 	c.Barrier()
+	stats.Transfer = xferSp.End()
 	stopRecv()
 	workers.Wait()
 	for _, d := range fileRead {
@@ -234,10 +273,6 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	}
 	if firstErr != nil {
 		return nil, nil, firstErr
-	}
-	stats.Transfer = time.Since(xferStart) - stats.FileRead
-	if stats.Transfer < 0 {
-		stats.Transfer = 0
 	}
 	stats.Particles = out.Len()
 	// Failed opens are never kept, so what is open now is what this rank
@@ -271,18 +306,36 @@ func replyError(leaf int, err error) []byte {
 	return append(replyHeader(replyFail, leaf), err.Error()...)
 }
 
-// parseReply appends a data reply's particles to out, or returns the
-// failure an error reply carries, naming the reply's leaf either way.
-func parseReply(raw []byte, out *particles.Set) (int, error) {
+// parsedReply is one wire reply as the requester holds it until every
+// reply is in: the leaf it answers and the rank that sent it, then either
+// the leaf's particle payload and the count n its header claims, or the
+// failure an error reply carries.
+type parsedReply struct {
+	leaf, source, n int
+	payload         []byte
+	err             error
+}
+
+// parseReply splits a wire reply. The count, which sizes the requester's
+// result, is bounded as AppendMarshaled bounds it, by the payload's bytes
+// over 12, so a hostile header cannot make the requester allocate more than
+// its peers sent; AppendMarshaled then refuses a count its bytes do not
+// match.
+func parseReply(raw []byte) parsedReply {
 	r := binfmt.NewReader(raw)
 	status, leaf := r.U8(), int(r.I32())
 	if r.Err() != nil {
-		return -1, fmt.Errorf("short reply (%d bytes)", len(raw))
+		return parsedReply{leaf: -1, err: fmt.Errorf("short reply (%d bytes)", len(raw))}
 	}
 	if status == replyFail {
-		return leaf, fmt.Errorf("server error: %s", r.Rest())
+		return parsedReply{leaf: leaf, err: fmt.Errorf("server error: %s", r.Rest())}
 	}
-	return leaf, out.AppendMarshaled(r.Rest())
+	payload := r.Rest()
+	n := len(payload) / 12
+	if claimed := binfmt.NewReader(payload).U64(); claimed < uint64(n) {
+		n = int(claimed)
+	}
+	return parsedReply{leaf: leaf, n: n, payload: payload}
 }
 
 // serveJob is one leaf query for the aggregator worker pool, from the rank
@@ -294,16 +347,14 @@ type serveJob struct {
 }
 
 // serveLeafJob runs on a pool worker: query the leaf through ds and return
-// its wire reply and the time spent reading, on the serving rank's span
-// lane. Each visited particle is appended to the reply as a record, behind
-// the header and a count patched in at the end. It never touches the
+// its wire reply and the duration of its read.serve span, on the serving
+// rank's lane. Each visited particle is appended to the reply as a record,
+// behind the header and a count patched in at the end. It never touches the
 // communicator. If ctx ends before or during the serve, its error becomes a
 // per-leaf error reply, and since ds never caches a failed open a later read
 // retries the leaf cleanly.
 func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, j serveJob) ([]byte, time.Duration) {
 	sp := col.Start(rank, "read.serve")
-	defer sp.End()
-	start := time.Now()
 	w := binfmt.Writer{Buf: replyHeader(replyOK, j.leaf)}
 	w.U64(0)
 	reply := w.Buf
@@ -324,10 +375,10 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 	if err != nil {
 		// The requester records the leaf failure; serving it must not
 		// poison this rank's own read.
-		return replyError(j.leaf, err), time.Since(start)
+		return replyError(j.leaf, err), sp.End()
 	}
 	// A Writer over the count's window patches it in place.
 	w = binfmt.Writer{Buf: reply[replyHdrSize:replyHdrSize]}
 	w.U64(uint64((len(reply) - replyHdrSize - 8) / recSize))
-	return reply, time.Since(start)
+	return reply, sp.End()
 }

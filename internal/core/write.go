@@ -74,8 +74,8 @@ func DefaultWriteConfig(targetFileSize int64) WriteConfig {
 // WriteStats reports what one rank observed during a collective write.
 // Rank 0's copy includes the plan-wide fields (NumFiles, leaf stats).
 type WriteStats struct {
-	// Per-phase wall-clock time on this rank; Total is the rank's
-	// end-to-end write time.
+	// Per-phase wall-clock time on this rank; Total sums it, which leaves
+	// out rank 0's planning outside the tree build and the closing gather.
 	PhaseTimes
 
 	// Plan-wide information (valid on rank 0).
@@ -89,26 +89,30 @@ type WriteStats struct {
 }
 
 // PhaseTimes is one rank's (or the critical-path) phase timing vector, in
-// wall-clock time on the rank's own clock.
+// wall-clock time on the rank's own clock. Each field is the summed
+// duration of the rank's obs spans of the names it gives, so a trace of
+// the write and its stats agree to the nanosecond (DESIGN.md §6).
 type PhaseTimes struct {
-	// TreeBuild runs on rank 0 only, while the plan's tree (or AUG grid)
-	// is built.
+	// TreeBuild is write.tree-build: rank 0 building the plan's tree (or
+	// AUG grid).
 	TreeBuild time.Duration
-	// GatherScatter runs from Write's entry to the end of the plan
-	// agreement, less TreeBuild. PhaseMax takes the slowest rank's, which
-	// on goroutine ranks sharing CPUs also counts the work of ranks already
-	// past the agreement, not the control plane's time alone.
+	// GatherScatter is write.gather plus write.scatter: the gather of the
+	// ranks' counts and bounds, then the assignment scatter through the end
+	// of the plan agreement. Rank 0's planning between them is not in it.
+	// PhaseMax takes the slowest rank's, which on goroutine ranks sharing
+	// CPUs also counts the work of ranks already past the agreement, not
+	// the control plane's time alone.
 	GatherScatter time.Duration
-	// Transfer runs from the plan agreement's end (or the previous leaf's
-	// file write) until the rank's particles are sent or, on an aggregator,
-	// until each of its leaves' particles are in, summed over its leaves.
+	// Transfer is write.exchange: a sender marshaling and sending its
+	// particles, and an aggregator receiving each of its leaves'.
 	Transfer time.Duration
-	// BATBuild sums bat.Build over the leaves the rank aggregates.
+	// BATBuild is write.bat-build: bat.Build over the leaves the rank
+	// aggregates.
 	BATBuild time.Duration
-	// FileWrite sums those leaves' file writes.
+	// FileWrite is write.file-write: those leaves' file writes.
 	FileWrite time.Duration
-	// Metadata runs on rank 0 only, from the closing gather's end until
-	// the .batm is written.
+	// Metadata is write.metadata: rank 0 reading the closing gather's
+	// records and writing the .batm.
 	Metadata time.Duration
 }
 
@@ -167,10 +171,9 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	// Phase a: build the aggregation plan (Figure 1a). Rank 0 gathers every
 	// rank's count and bounds, builds the tree, and scatters each rank its
 	// assignment, or empty parts when planning failed.
-	start := time.Now()
 	gatherSp := col.Start(c.Rank(), "write.gather")
 	infos := c.Gather(0, encodeInfo(int64(local.Len()), bounds))
-	gatherSp.End()
+	stats.GatherScatter = gatherSp.End()
 	var parts [][]byte
 	var err error
 	if c.Rank() == 0 {
@@ -179,20 +182,8 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		}
 	}
 	scatterSp := col.Start(c.Rank(), "write.scatter")
-	var asg assignMsg
-	if part := c.Scatterv(0, parts); len(part) > 0 {
-		var derr error
-		if asg, derr = decodeAssign(part); derr != nil {
-			err = fmt.Errorf("core: rank %d decoding assignment: %w", c.Rank(), derr)
-		} else if local.Len() > 0 && asg.Aggregator < 0 {
-			err = fmt.Errorf("core: rank %d has %d particles but no aggregator", c.Rank(), local.Len())
-		}
-	}
-	// The plan agreement: a rank that cannot take its part in the data
-	// phases says so before any aggregator waits on its particles.
-	err = agreeOnError(c, "write plan", err)
-	scatterSp.End()
-	stats.GatherScatter = time.Since(start) - stats.TreeBuild
+	asg, err := agreePlan(c, c.Scatterv(0, parts), local.Len(), err)
+	stats.GatherScatter += scatterSp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +197,6 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	records := c.Gather(0, encodeRecord(stats.PhaseTimes, reports))
 	var verdict []byte
 	if c.Rank() == 0 {
-		metaStart := time.Now()
 		metaSp := col.Start(c.Rank(), "write.metadata")
 		pm, leafReports, failures, err := collectRecords(records)
 		if err == nil && localErr == nil {
@@ -215,8 +205,7 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 				err = store.WriteFile(MetaFileName(base), m.Encode())
 			}
 		}
-		stats.Metadata += time.Since(metaStart)
-		metaSp.End()
+		stats.Metadata = metaSp.End()
 		pm.Metadata = max(pm.Metadata, stats.Metadata)
 		stats.PhaseMax = pm
 		if localErr == nil {
@@ -252,6 +241,25 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	return stats, nil
 }
 
+// agreePlan is the plan agreement: each rank decodes its part of the
+// assignment scatter and checks it against the world, and votes with the
+// failure, or on rank 0 with planErr, before any aggregator waits on its
+// members' particles. An empty part is a failed plan's, with no vote of its
+// own.
+func agreePlan(c *fabric.Comm, part []byte, nLocal int, planErr error) (assignMsg, error) {
+	var asg assignMsg
+	err := planErr
+	if len(part) > 0 {
+		var derr error
+		if asg, derr = decodeAssign(part); derr != nil {
+			err = fmt.Errorf("core: rank %d decoding assignment: %w", c.Rank(), derr)
+		} else if derr = checkAssign(asg, c.Size(), nLocal); derr != nil {
+			err = fmt.Errorf("core: rank %d cannot use its assignment: %w", c.Rank(), derr)
+		}
+	}
+	return asg, agreeOnError(c, "write plan", err)
+}
+
 // planWrite runs on rank 0: it builds the aggregation plan from the
 // gathered rank infos and returns each rank's encoded assignment, filling
 // in stats' plan-wide fields and TreeBuild.
@@ -266,7 +274,6 @@ func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
 		}
 		ranks[r] = aggtree.RankInfo{Rank: r, Bounds: bounds, Count: n}
 	}
-	treeStart := time.Now()
 	buildSp := c.Observer().Start(c.Rank(), "write.tree-build")
 	var leaves []aggtree.Leaf
 	var err error
@@ -285,11 +292,10 @@ func planWrite(c *fabric.Comm, infos [][]byte, cfg WriteConfig, bpp int,
 			leaves = tree.Leaves
 		}
 	}
-	buildSp.End()
+	stats.TreeBuild = buildSp.End()
 	if err != nil {
 		return nil, err
 	}
-	stats.TreeBuild = time.Since(treeStart)
 	rankAgg := aggtree.AssignAggregators(leaves, c.Size())
 	stats.NumFiles = len(leaves)
 	stats.LeafSizes = aggtree.LeafSizeStats(leaves, bpp)
@@ -392,9 +398,10 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	// Phase b: send local data to the aggregator (Figure 1b). Sends are
 	// buffered, so this never waits. Ranks without particles skip the
 	// transfer.
-	xferStart := time.Now()
 	if local.Len() > 0 && asg.Aggregator != c.Rank() {
+		sendSp := c.Observer().Start(c.Rank(), "write.exchange")
 		c.Send(asg.Aggregator, tagData, local.Marshal())
+		stats.Transfer += sendSp.End()
 	}
 
 	bcfg := cfg.BAT
@@ -413,7 +420,7 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 	var written []string
 	reports := make([]reportMsg, 0, len(asg.Leaves))
 	for _, la := range asg.Leaves {
-		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats, &xferStart)
+		report, err := aggregateLeaf(c, store, base, local, bcfg, la, schema, stats)
 		msg := reportMsg{LeafReport: report}
 		if err != nil {
 			if firstErr == nil {
@@ -425,9 +432,6 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 		}
 		reports = append(reports, msg)
 	}
-	if len(asg.Leaves) == 0 {
-		stats.Transfer += time.Since(xferStart)
-	}
 	return written, reports, firstErr
 }
 
@@ -436,8 +440,7 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 // particles are received, even on failure, so no stray messages survive
 // the call; each sender sent them unconditionally once the plan was agreed.
 func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
-	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats,
-	xferStart *time.Time) (meta.LeafReport, error) {
+	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats) (meta.LeafReport, error) {
 
 	col := c.Observer()
 	var total int64
@@ -464,7 +467,7 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 			recvErr = fmt.Errorf("core: leaf %d: %w", la.Leaf, err)
 		}
 	}
-	xferSp.End()
+	stats.Transfer += xferSp.End()
 	if recvErr != nil {
 		return meta.LeafReport{}, recvErr
 	}
@@ -472,7 +475,6 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 		return meta.LeafReport{}, fmt.Errorf("core: leaf %d received %d particles, expected %d",
 			la.Leaf, combined.Len(), total)
 	}
-	stats.Transfer += time.Since(*xferStart)
 	if col != nil {
 		r := obs.Rank(c.Rank())
 		col.Add("core_aggregated_bytes_total", aggBytes, r)
@@ -480,28 +482,23 @@ func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *partic
 	}
 
 	// Build the leaf's BAT and write the file.
-	batStart := time.Now()
 	buildSp := col.Start(c.Rank(), "write.bat-build")
 	built, err := bat.Build(combined, la.Bounds, bcfg)
-	buildSp.End()
+	stats.BATBuild += buildSp.End()
 	if err != nil {
 		return meta.LeafReport{}, fmt.Errorf("core: leaf %d bat build: %w", la.Leaf, err)
 	}
-	stats.BATBuild += time.Since(batStart)
 
-	writeStart := time.Now()
 	writeSp := col.Start(c.Rank(), "write.file-write")
 	name := LeafFileName(base, la.Leaf)
 	err = store.WriteFile(name, built.Buf)
-	writeSp.End()
+	stats.FileWrite += writeSp.End()
 	if err != nil {
 		return meta.LeafReport{}, fmt.Errorf("core: writing %s: %w", name, err)
 	}
-	stats.FileWrite += time.Since(writeStart)
 	if col != nil {
 		col.Add("core_leaves_written_total", 1, obs.Rank(c.Rank()))
 	}
-	*xferStart = time.Now()
 
 	return meta.LeafReport{
 		Leaf:        la.Leaf,

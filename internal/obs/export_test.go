@@ -250,3 +250,31 @@ func TestNilCollectorSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSpanIsThePhaseClock: End returns the span's duration whether or not a
+// collector records it. A nil collector's span still times its phase, records
+// nothing and allocates nothing; an enabled one records exactly the duration
+// End returned.
+func TestSpanIsThePhaseClock(t *testing.T) {
+	var off *Collector
+	sp := off.Start(0, "phase")
+	time.Sleep(time.Microsecond)
+	if d := sp.End(); d <= 0 {
+		t.Errorf("nil collector's span timed %v, want > 0", d)
+	}
+	if n := len(off.Spans()); n != 0 {
+		t.Errorf("nil collector recorded %d spans", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { off.Start(3, "phase").End() }); allocs != 0 {
+		t.Errorf("nil collector's Start/End made %v allocations, want 0", allocs)
+	}
+
+	on := New()
+	sp = on.Start(2, "phase")
+	time.Sleep(time.Microsecond)
+	d := sp.End()
+	spans := on.Spans()
+	if len(spans) != 1 || spans[0].Dur != d || spans[0].Name != "phase" || spans[0].Rank != 2 {
+		t.Errorf("recorded %+v, want one span of rank 2 lasting %v", spans, d)
+	}
+}

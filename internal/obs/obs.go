@@ -8,7 +8,9 @@
 // every method is nil-safe, so instrumented code holds a possibly-nil
 // *Collector (or handle) and hot paths pay only a nil check. Handles
 // (Counter, Histogram) should be resolved once and reused on hot paths;
-// the string-keyed Add/Observe conveniences are for cold paths.
+// the string-keyed Add/Observe conveniences are for cold paths. A Span
+// reads the clock even when disabled, since its duration is the phase time
+// the pipelines report; spans bracket phases, never per-particle work.
 package obs
 
 import (
@@ -150,7 +152,8 @@ type SpanEvent struct {
 	Dur   time.Duration `json:"dur_ns"`
 }
 
-// Span is an open span; End completes and records it. Nil-safe.
+// Span is an open span. Start reads the clock whether or not telemetry is
+// enabled, so End's duration can be the one clock of the phase it brackets.
 type Span struct {
 	c     *Collector
 	name  string
@@ -158,17 +161,14 @@ type Span struct {
 	start time.Time
 }
 
-// End records the span's duration on the collector's timeline.
-func (s *Span) End() {
-	if s == nil {
-		return
+// End returns the span's duration and, on an enabled collector, records it
+// on the timeline with exactly that duration.
+func (s Span) End() time.Duration {
+	d := time.Since(s.start)
+	if s.c != nil {
+		s.c.record(SpanEvent{Name: s.name, Rank: s.rank, Start: s.start.Sub(s.c.epoch), Dur: d})
 	}
-	s.c.record(SpanEvent{
-		Name:  s.name,
-		Rank:  s.rank,
-		Start: s.start.Sub(s.c.epoch),
-		Dur:   time.Since(s.start),
-	})
+	return d
 }
 
 // Collector owns a process's metric series and span timeline. The zero
@@ -258,13 +258,10 @@ func (c *Collector) Observe(name string, v float64, labels ...Label) {
 	c.Histogram(name, nil, labels...).Observe(v)
 }
 
-// Start opens a span named name on rank's timeline. Returns nil (whose End
-// is a no-op) on a nil collector.
-func (c *Collector) Start(rank int, name string) *Span {
-	if c == nil {
-		return nil
-	}
-	return &Span{c: c, name: name, rank: rank, start: time.Now()}
+// Start opens a span named name on rank's timeline. On a nil collector the
+// span still times its phase but records nothing.
+func (c *Collector) Start(rank int, name string) Span {
+	return Span{c: c, name: name, rank: rank, start: time.Now()}
 }
 
 func (c *Collector) record(ev SpanEvent) {

@@ -102,8 +102,8 @@ func TestCollectiveRead(t *testing.T) {
 		if got.Len() == 0 {
 			return fmt.Errorf("rank %d read nothing", c.Rank())
 		}
-		if stats.Total() <= 0 {
-			return fmt.Errorf("rank %d: empty stats", c.Rank())
+		if stats.Metadata <= 0 || stats.Transfer <= 0 {
+			return fmt.Errorf("rank %d: empty stats %+v", c.Rank(), stats)
 		}
 		return nil
 	})

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
 # under the race detector, repeat the collective read and write protocols'
-# tests (their error agreement, outcome texts and exact traffic included)
-# and the particle Exchange's under the race detector, smoke the benchmarks and the five examples, and
+# tests (their error agreement, outcome texts and exact traffic included),
+# the particle Exchange's and the read's answer order and phase clocks
+# under the race detector, smoke the benchmarks and the five examples, and
 # (unless CHECK_FUZZ=0) give the six decode fuzzers and the /points query
 # fuzzer a short pass. Run it
 # from the repository root before sending a PR.
@@ -56,11 +57,21 @@ run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 # The collective read protocol's interleavings again, ten times over: each
 # rank's receiver goroutine, its worker pool and the closing barrier race
 # differently on every run, and one pass of the suite above sees only one
-# schedule of each. The error agreement the read's metadata phase ends
-# with, the write's outcome texts and both pipelines' exact traffic ride
-# along, and so does Exchange, whose back-to-back rounds must each receive
-# their own payloads in rank order.
-run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact|Exchange' ./internal/core/ ./internal/fabric/
+# schedule of each, while the requester must hold every reply in its
+# leaf's slot and answer in ascending leaf order whatever the arrival
+# order. The error agreement the read's metadata phase ends with, the
+# write's outcome texts and both pipelines' exact traffic ride along, and
+# so does Exchange, whose back-to-back rounds must each receive their own
+# payloads in rank order. TestReadDeterminism's 20 whole-domain reads take
+# ~20 s under the race detector, so it runs in the next stage instead.
+run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact|Exchange' -skip '^TestReadDeterminism$' ./internal/core/ ./internal/fabric/
+
+# The read's answer order and the phase clocks with the receiver, the serve
+# pool and the requester sharing one P: every rank's answer must hash the
+# same over 20 reads (the test itself cycles GOMAXPROCS through 1, 2 and 8
+# for the reads), and every phase time of a write and a restart read must
+# equal its spans.
+run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go test -race -count=3 -run 'ReadDeterminism|PhaseTimesAreSpans' ./internal/core/
 
 # The collective write protocol's tests ten times over as well: the plan
 # agreement after the assignment scatter (a plan that fails on rank 0),
