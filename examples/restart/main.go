@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -111,6 +112,7 @@ func main() {
 		log.Fatal(err)
 	}
 	schema := libbat.NewSchema("vx", "vy")
+	ctx := context.Background()
 	const (
 		writeRanks = 8
 		perRank    = 5000
@@ -142,7 +144,8 @@ func main() {
 			} else {
 				prev := fmt.Sprintf("ckpt-%04d", epoch*checkEvery)
 				var err error
-				local, _, err = libbat.Read(c, store, prev, rankBounds(c.Rank(), writeRanks))
+				b := rankBounds(c.Rank(), writeRanks)
+				local, _, err = libbat.ReadQueryCtx(ctx, c, store, prev, libbat.Query{Bounds: &b})
 				if err != nil {
 					return err
 				}
@@ -174,7 +177,8 @@ func main() {
 	var mu sync.Mutex
 	recovered := 0
 	err = libbat.Run(restartRanks, func(c *libbat.Comm) error {
-		local, stats, err := libbat.Read(c, store, lastCheckpoint, rankBounds(c.Rank(), restartRanks))
+		b := rankBounds(c.Rank(), restartRanks)
+		local, stats, err := libbat.ReadQueryCtx(ctx, c, store, lastCheckpoint, libbat.Query{Bounds: &b})
 		if err != nil {
 			return err
 		}

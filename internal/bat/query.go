@@ -20,10 +20,7 @@ const maxSaneDepth = 64
 
 // AttrFilter restricts a query to particles whose attribute lies in
 // [Min, Max].
-type AttrFilter struct {
-	Attr     int
-	Min, Max float64
-}
+type AttrFilter = particles.AttrFilter
 
 // Query describes a visualization read (paper §V): an optional bounding box
 // for spatial filtering, a set of attribute filters, and a progressive

@@ -333,7 +333,7 @@ func TestMetadataQueriesAfterWrite(t *testing.T) {
 	// Attribute filter on temperature: high temperatures live low in the
 	// boiler, so a filter should prune some leaves if there are several.
 	all := m.SelectLeaves(nil, nil)
-	hot := m.SelectLeaves(nil, []meta.AttrFilter{{Attr: 0, Min: 1700, Max: 2000}})
+	hot := m.SelectLeaves(nil, []particles.AttrFilter{{Attr: 0, Min: 1700, Max: 2000}})
 	if len(all) == 0 {
 		t.Fatal("no leaves")
 	}

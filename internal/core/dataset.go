@@ -82,11 +82,7 @@ func (d *Dataset) Meta() *meta.Meta { return d.meta }
 // Aggregation Tree prunes spatially and by the global attribute bitmaps
 // before any file is contacted.
 func (d *Dataset) Select(q bat.Query) []int {
-	var filters []meta.AttrFilter
-	for _, f := range q.Filters {
-		filters = append(filters, meta.AttrFilter{Attr: f.Attr, Min: f.Min, Max: f.Max})
-	}
-	return d.meta.SelectLeaves(q.Bounds, filters)
+	return d.meta.SelectLeaves(q.Bounds, q.Filters)
 }
 
 // Leaf opens (and caches) leaf file li. Concurrent callers for the same

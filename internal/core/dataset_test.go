@@ -92,7 +92,7 @@ func leafAsync(ctx context.Context, ds *Dataset) <-chan leafResult {
 }
 
 // TestDatasetLeafSingleflight pins the one leaf singleflight every read
-// route shares: libbat.Dataset and the collective read's pool workers both
+// route shares: libbat.Dataset and the collective read's serves both
 // open leaves through Dataset.Leaf.
 func TestDatasetLeafSingleflight(t *testing.T) {
 	w, err := workloads.NewUniform(4, 400, 3)
@@ -272,7 +272,7 @@ func TestOpenDatasetShortRead(t *testing.T) {
 
 // TestDatasetLeafOutOfRange: a leaf index outside the leaf table, such as
 // one a peer's query carries, is an error from Dataset.Query, not a panic
-// in the serving worker.
+// in the rank serving it.
 func TestDatasetLeafOutOfRange(t *testing.T) {
 	w, err := workloads.NewUniform(4, 400, 3)
 	if err != nil {

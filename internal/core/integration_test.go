@@ -569,6 +569,59 @@ func TestWritePlanRefusesHostileAssignment(t *testing.T) {
 	}
 }
 
+// TestWriteRefusesHostileCount: an assignment whose member count is far
+// beyond what the member holds passes the plan's decode and check, so the
+// aggregator must compare each member's count with what arrived before it
+// sizes the leaf. A count of 2^62, for the aggregator's own particles or for
+// a peer's, must cost that leaf an error naming it, not a panic.
+func TestWriteRefusesHostileCount(t *testing.T) {
+	const hostile = 1 << 62
+	schema := particles.UniformSchema(1)
+	local := particles.NewSet(schema, 10)
+	for i := range 10 {
+		local.Append(geom.V3(0.5, -0.5, 2.5+0.1*float64(i)), []float64{float64(i)})
+	}
+	for _, tc := range []struct {
+		name  string
+		ranks int
+		want  string
+	}{
+		{"own particles", 1, "core: leaf 0 member 0: holds 10 particles, the plan says 4611686018427387904"},
+		{"a peer's particles", 2, "core: leaf 0 member 1: holds 10 particles, the plan says 4611686018427387904"},
+	} {
+		member := tc.ranks - 1
+		asgs := []assignMsg{{Aggregator: 0, Leaves: []leafAssign{{
+			Leaf: 0, Bounds: testBox, Senders: []int{member}, Counts: []int64{hostile}}}}}
+		if tc.ranks == 2 {
+			asgs = append(asgs, assignMsg{Aggregator: 0})
+		}
+		var got error
+		err := fabric.Run(tc.ranks, func(c *fabric.Comm) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("rank %d panicked: %v", c.Rank(), r)
+				}
+			}()
+			mine := local
+			if c.Rank() != member {
+				mine = particles.NewSet(schema, 0)
+			}
+			_, _, werr := writeBody(c, pfs.NewMem(), "hostile", mine, DefaultWriteConfig(64<<10),
+				asgs[c.Rank()], schema, &WriteStats{})
+			if c.Rank() == 0 {
+				got = werr
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got == nil || got.Error() != tc.want {
+			t.Errorf("%s: got %v, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestPhaseMaxAggregation(t *testing.T) {
 	w, err := workloads.NewUniform(8, 800, 2)
 	if err != nil {

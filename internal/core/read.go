@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"libbat/internal/bat"
@@ -26,7 +24,7 @@ type ReadStats struct {
 	// of the metadata agreement.
 	Metadata time.Duration
 	// FileRead sums read.serve: the leaf queries this rank served, its own
-	// and its peers', on concurrent workers.
+	// leaves on its own goroutine and its peers' on its receiver.
 	FileRead time.Duration
 	// Transfer is read.transfer: from the first query sent to the exit of
 	// the closing barrier, decoding the replies included. On a serving rank
@@ -132,34 +130,33 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		pending++
 	}
 
-	// A receiver goroutine takes this rank's incoming queries and feeds a
-	// worker pool, so one rank serves many in-flight client queries and
-	// many of its own files concurrently; ds opens each leaf once and
-	// shares it across queries. Every served leaf becomes one wire reply:
-	// workers send remote ones themselves and hand this rank's own back on
-	// selfReplies, and both are decoded alike. Meanwhile this goroutine
-	// collects exactly its pending replies, then its own leaves, decodes
-	// them and enters the barrier. A reply is sent only once its query has
+	// A receiver goroutine serves this rank's incoming queries one at a
+	// time: it decodes each, queries the leaf through ds and sends the
+	// reply. This goroutine serves the rank's own leaves itself, placing
+	// each reply in its slot, then collects exactly its pending replies,
+	// decodes them and enters the barrier. ds opens each leaf once and
+	// shares it between the two. A reply is sent only once its query has
 	// been served, and a rank enters the barrier only once it holds all its
 	// replies, so when the barrier passes no query of this read is in
-	// flight anywhere, and the receiver stops. (The next read cannot send a query before every
-	// rank has passed its metadata agreement, so the receiver never takes
-	// one of a later read.) This is the termination rule of the paper's
-	// MPI_Ibarrier loop, with the same messages, written with blocking
-	// waits.
+	// flight anywhere, and the receiver stops. (The next read cannot send a query before every rank has
+	// passed its metadata agreement, so the receiver never takes one of a
+	// later read.) This is the termination rule of the paper's MPI_Ibarrier
+	// loop, with the same messages, written with blocking waits.
 	//
 	// The receiver's context is cut off from ctx: cancellation must not
-	// abandon the protocol. Workers see ctx and answer every query they
-	// get after it ends with an error reply, which the requester records
-	// in LeafErrors. A damaged leaf likewise costs only that leaf; protocol
-	// corruption (an undecodable query) fails the rank outright.
+	// abandon the protocol. Serves see ctx and answer every query they get
+	// after it ends with an error reply, which the requester records in
+	// LeafErrors; a serve queued behind a stalled leaf comes back
+	// "abandoned" once ctx ends. A damaged leaf likewise costs only that
+	// leaf; protocol corruption (an undecodable query) fails the rank
+	// outright.
 	//
-	// Every reply, a peer's or this rank's own, lands in the slot of its
-	// leaf's position in want, and the slots are decoded once all are in:
-	// the answer is the leaves in ascending index whatever order their
-	// replies arrive in. A reply no slot takes (a short one, one answering
-	// an undecodable query, one for a leaf not asked or already answered)
-	// is a leaf error at once.
+	// Every served leaf becomes one wire reply, a peer's or this rank's
+	// own, and each lands in the slot of its leaf's position in want. The
+	// slots are decoded once all are in: the answer is the leaves in
+	// ascending index whatever order their replies arrive in. A reply no
+	// slot takes (a short one, one answering an undecodable query, one for
+	// a leaf not asked or already answered) is a leaf error at once.
 	slots := make([]*parsedReply, len(want))
 	var firstLeafErr error
 	fail := func(leaf, source int, err error) {
@@ -175,7 +172,7 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 		}
 	}
 	place := func(raw []byte, source int) {
-		rp := parseReply(raw)
+		rp := parseReply(raw, m.Schema)
 		rp.source = source
 		if i, asked := slices.BinarySearch(want, rp.leaf); asked && slots[i] == nil {
 			slots[i] = &rp
@@ -189,36 +186,13 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	served := c.Observer().Counter("core_queries_served_total", obs.Rank(c.Rank()))
 	replyBytes := c.Observer().Counter("core_reply_bytes_total", obs.Rank(c.Rank()))
 
-	nWorkers := runtime.GOMAXPROCS(0)
-	jobs := make(chan serveJob, nWorkers)
-	selfReplies := make(chan []byte, len(selfLeaves))
-	fileRead := make([]time.Duration, nWorkers)
-	var workers sync.WaitGroup
-	for i := range nWorkers {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for j := range jobs {
-				reply, d := serveLeafJob(ctx, col, c.Rank(), ds, j)
-				fileRead[i] += d
-				if j.source == c.Rank() {
-					selfReplies <- reply
-					continue
-				}
-				replyBytes.Add(int64(len(reply)))
-				c.Send(j.source, tagReply, reply)
-			}
-		}()
-	}
-
 	recvCtx, stopRecv := context.WithCancel(context.WithoutCancel(ctx))
-	var firstErr error // written by the receiver only; read after the pool ends
+	recvDone := make(chan struct{})
+	// Written by the receiver only; read once recvDone is closed.
+	var firstErr error
+	var recvRead time.Duration
 	go func() {
-		defer close(jobs)
-		for _, li := range selfLeaves {
-			served.Inc()
-			jobs <- serveJob{source: c.Rank(), leaf: li, q: q}
-		}
+		defer close(recvDone)
 		for {
 			raw, st, err := c.RecvCtx(recvCtx, fabric.AnySource, tagQuery)
 			if err != nil {
@@ -234,16 +208,22 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 				c.Send(st.Source, tagReply, replyError(-1, err))
 				continue
 			}
-			jobs <- serveJob{source: st.Source, leaf: leaf, q: rq}
+			reply, d := serveLeaf(ctx, col, c.Rank(), ds, leaf, rq)
+			recvRead += d
+			replyBytes.Add(int64(len(reply)))
+			c.Send(st.Source, tagReply, reply)
 		}
 	}()
 
+	for _, li := range selfLeaves {
+		served.Inc()
+		reply, d := serveLeaf(ctx, col, c.Rank(), ds, li, q)
+		stats.FileRead += d
+		place(reply, c.Rank())
+	}
 	for ; pending > 0; pending-- {
 		raw, st := c.Recv(fabric.AnySource, tagReply)
 		place(raw, st.Source)
-	}
-	for range selfLeaves {
-		place(<-selfReplies, c.Rank())
 	}
 	total := 0
 	for _, rp := range slots {
@@ -267,10 +247,8 @@ func ReadQueryCtx(ctx context.Context, c *fabric.Comm, store pfs.Storage, base s
 	c.Barrier()
 	stats.Transfer = xferSp.End()
 	stopRecv()
-	workers.Wait()
-	for _, d := range fileRead {
-		stats.FileRead += d
-	}
+	<-recvDone
+	stats.FileRead += recvRead
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
@@ -308,20 +286,20 @@ func replyError(leaf int, err error) []byte {
 
 // parsedReply is one wire reply as the requester holds it until every
 // reply is in: the leaf it answers and the rank that sent it, then either
-// the leaf's particle payload and the count n its header claims, or the
-// failure an error reply carries.
+// the leaf's particle payload and the count n it holds, or the failure an
+// error reply carries or its payload shows.
 type parsedReply struct {
 	leaf, source, n int
 	payload         []byte
 	err             error
 }
 
-// parseReply splits a wire reply. The count, which sizes the requester's
-// result, is bounded as AppendMarshaled bounds it, by the payload's bytes
-// over 12, so a hostile header cannot make the requester allocate more than
-// its peers sent; AppendMarshaled then refuses a count its bytes do not
-// match.
-func parseReply(raw []byte) parsedReply {
+// parseReply splits a wire reply whose payload carries particles of
+// schema. The payload is checked as AppendMarshaled checks it
+// (Schema.PayloadLen) before its count sizes the requester's result, so a
+// hostile header cannot make the requester allocate more than its peers
+// sent.
+func parseReply(raw []byte, schema particles.Schema) parsedReply {
 	r := binfmt.NewReader(raw)
 	status, leaf := r.U8(), int(r.I32())
 	if r.Err() != nil {
@@ -331,39 +309,31 @@ func parseReply(raw []byte) parsedReply {
 		return parsedReply{leaf: leaf, err: fmt.Errorf("server error: %s", r.Rest())}
 	}
 	payload := r.Rest()
-	n := len(payload) / 12
-	if claimed := binfmt.NewReader(payload).U64(); claimed < uint64(n) {
-		n = int(claimed)
+	n, err := schema.PayloadLen(payload)
+	if err != nil {
+		return parsedReply{leaf: leaf, err: err}
 	}
 	return parsedReply{leaf: leaf, n: n, payload: payload}
 }
 
-// serveJob is one leaf query for the aggregator worker pool, from the rank
-// source (this rank itself for one of its own leaves).
-type serveJob struct {
-	source int
-	leaf   int
-	q      bat.Query
-}
-
-// serveLeafJob runs on a pool worker: query the leaf through ds and return
-// its wire reply and the duration of its read.serve span, on the serving
-// rank's lane. Each visited particle is appended to the reply as a record,
-// behind the header and a count patched in at the end. It never touches the
-// communicator. If ctx ends before or during the serve, its error becomes a
-// per-leaf error reply, and since ds never caches a failed open a later read
-// retries the leaf cleanly.
-func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, j serveJob) ([]byte, time.Duration) {
+// serveLeaf queries leaf through ds for q and returns its wire reply and the
+// duration of its read.serve span, on the serving rank's lane. Each visited
+// particle is appended to the reply as a record, behind the header and a
+// count patched in at the end. It never touches the communicator. If ctx
+// ends before or during the serve, its error becomes a per-leaf error reply,
+// and since ds never caches a failed open a later read retries the leaf
+// cleanly.
+func serveLeaf(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, leaf int, q bat.Query) ([]byte, time.Duration) {
 	sp := col.Start(rank, "read.serve")
-	w := binfmt.Writer{Buf: replyHeader(replyOK, j.leaf)}
+	w := binfmt.Writer{Buf: replyHeader(replyOK, leaf)}
 	w.U64(0)
 	reply := w.Buf
 	recSize := ds.meta.Schema.RecordSize()
 	err := ctx.Err()
 	if err != nil {
-		err = fmt.Errorf("core: leaf %d abandoned: %w", j.leaf, err)
+		err = fmt.Errorf("core: leaf %d abandoned: %w", leaf, err)
 	} else {
-		_, err = ds.Query(ctx, []int{j.leaf}, j.q, func(p geom.Vec3, attrs []float64) error {
+		_, err = ds.Query(ctx, []int{leaf}, q, func(p geom.Vec3, attrs []float64) error {
 			if cap(reply)-len(reply) < recSize {
 				// Double rather than take append's 1.25× for large slices.
 				reply = append(make([]byte, 0, 2*cap(reply)+recSize), reply...)
@@ -375,7 +345,7 @@ func serveLeafJob(ctx context.Context, col *obs.Collector, rank int, ds *Dataset
 	if err != nil {
 		// The requester records the leaf failure; serving it must not
 		// poison this rank's own read.
-		return replyError(j.leaf, err), sp.End()
+		return replyError(leaf, err), sp.End()
 	}
 	// A Writer over the count's window patches it in place.
 	w = binfmt.Writer{Buf: reply[replyHdrSize:replyHdrSize]}

@@ -439,42 +439,51 @@ func writeBody(c *fabric.Comm, store pfs.Storage, base string, local *particles.
 // writes the file, returning the report for rank 0. Every sender's
 // particles are received, even on failure, so no stray messages survive
 // the call; each sender sent them unconditionally once the plan was agreed.
+// Each member's count is checked against the plan's before the leaf is
+// sized, and the leaf is sized from what arrived, so a hostile count costs
+// an error, not an allocation.
 func aggregateLeaf(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bcfg bat.BuildConfig, la leafAssign, schema particles.Schema, stats *WriteStats) (meta.LeafReport, error) {
 
 	col := c.Observer()
-	var total int64
-	for _, n := range la.Counts {
+	xferSp := col.Start(c.Rank(), "write.exchange")
+	payloads := make([][]byte, len(la.Senders))
+	var recvErr error
+	var aggBytes int64
+	total := 0
+	for i, s := range la.Senders {
+		n, err := local.Len(), error(nil)
+		if s != c.Rank() {
+			raw, _ := c.Recv(s, tagData)
+			aggBytes += int64(len(raw))
+			payloads[i] = raw
+			n, err = schema.PayloadLen(raw)
+		}
+		if err == nil && int64(n) != la.Counts[i] {
+			err = fmt.Errorf("holds %d particles, the plan says %d", n, la.Counts[i])
+		}
+		if err != nil && recvErr == nil {
+			recvErr = fmt.Errorf("core: leaf %d member %d: %w", la.Leaf, s, err)
+		}
 		total += n
 	}
-	xferSp := col.Start(c.Rank(), "write.exchange")
-	combined := particles.NewSet(schema, int(total))
+	if recvErr != nil {
+		stats.Transfer += xferSp.End()
+		return meta.LeafReport{}, recvErr
+	}
 	// The aggregator's own particles go first, then each sender's in member
 	// order, decoded straight into combined: the build's input order, which
 	// the leaf's bytes depend on.
+	combined := particles.NewSet(schema, total)
 	if slices.Contains(la.Senders, c.Rank()) {
 		combined.AppendSet(local)
 	}
-	var recvErr error
-	var aggBytes int64
-	for _, s := range la.Senders {
-		if s == c.Rank() {
-			continue
-		}
-		raw, _ := c.Recv(s, tagData)
-		aggBytes += int64(len(raw))
-		if err := combined.AppendMarshaled(raw); err != nil {
-			recvErr = fmt.Errorf("core: leaf %d: %w", la.Leaf, err)
+	for _, raw := range payloads {
+		if raw != nil {
+			combined.AppendMarshaled(raw) // checked above
 		}
 	}
 	stats.Transfer += xferSp.End()
-	if recvErr != nil {
-		return meta.LeafReport{}, recvErr
-	}
-	if int64(combined.Len()) != total {
-		return meta.LeafReport{}, fmt.Errorf("core: leaf %d received %d particles, expected %d",
-			la.Leaf, combined.Len(), total)
-	}
 	if col != nil {
 		r := obs.Rank(c.Rank())
 		col.Add("core_aggregated_bytes_total", aggBytes, r)

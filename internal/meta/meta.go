@@ -153,17 +153,11 @@ func (m *Meta) TotalCount() int64 {
 	return n
 }
 
-// AttrFilter is an attribute interval in global value space.
-type AttrFilter struct {
-	Attr     int
-	Min, Max float64
-}
-
 // SelectLeaves returns the indices of leaves that may contain particles in
 // bounds (nil box = everywhere) passing all filters, in leaf order: a leaf
 // is selected when its bounds overlap the box and, for every filter, its
 // global-frame bitmap overlaps the filter's.
-func (m *Meta) SelectLeaves(bounds *geom.Box, filters []AttrFilter) []int {
+func (m *Meta) SelectLeaves(bounds *geom.Box, filters []particles.AttrFilter) []int {
 	masks := make([]bitmap.Bitmap, len(filters))
 	for i, f := range filters {
 		if f.Attr < 0 || f.Attr >= m.Schema.NumAttrs() {

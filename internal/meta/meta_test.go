@@ -170,7 +170,7 @@ func TestSelectLeavesByAttribute(t *testing.T) {
 	m := fixtureMeta(t)
 	// temp ranges are disjoint per leaf ([0,10], [10,20], ...): a filter
 	// on [32,38] should prune to (about) one leaf.
-	got := m.SelectLeaves(nil, []AttrFilter{{Attr: 0, Min: 32, Max: 38}})
+	got := m.SelectLeaves(nil, []particles.AttrFilter{{Attr: 0, Min: 32, Max: 38}})
 	if len(got) == 0 || len(got) > 2 {
 		t.Errorf("attr select = %v", got)
 	}
@@ -181,15 +181,15 @@ func TestSelectLeavesByAttribute(t *testing.T) {
 	}
 	// Box and filter together: each must admit a leaf.
 	box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(3.5, 1, 1))
-	if got := m.SelectLeaves(&box, []AttrFilter{{Attr: 0, Min: 32, Max: 38}}); !slices.Equal(got, []int{3}) {
+	if got := m.SelectLeaves(&box, []particles.AttrFilter{{Attr: 0, Min: 32, Max: 38}}); !slices.Equal(got, []int{3}) {
 		t.Errorf("box and attr select = %v, want [3]", got)
 	}
 	// A filter outside the global range selects nothing.
-	if got := m.SelectLeaves(nil, []AttrFilter{{Attr: 0, Min: 100, Max: 200}}); len(got) != 0 {
+	if got := m.SelectLeaves(nil, []particles.AttrFilter{{Attr: 0, Min: 100, Max: 200}}); len(got) != 0 {
 		t.Errorf("out-of-range select = %v", got)
 	}
 	// Invalid attribute selects nothing.
-	if got := m.SelectLeaves(nil, []AttrFilter{{Attr: 9, Min: 0, Max: 1}}); len(got) != 0 {
+	if got := m.SelectLeaves(nil, []particles.AttrFilter{{Attr: 9, Min: 0, Max: 1}}); len(got) != 0 {
 		t.Errorf("bad attr select = %v", got)
 	}
 }
@@ -252,7 +252,7 @@ func TestDecodeCorruptionRobustness(t *testing.T) {
 			return
 		}
 		box := geom.NewBox(geom.V3(0, 0, 0), geom.V3(2, 2, 2))
-		got.SelectLeaves(&box, []AttrFilter{{Attr: 0, Min: 0, Max: 100}})
+		got.SelectLeaves(&box, []particles.AttrFilter{{Attr: 0, Min: 0, Max: 100}})
 		got.TotalCount()
 	}
 	for trial := 0; trial < 300; trial++ {

@@ -42,21 +42,13 @@ type FilterRange struct {
 }
 
 // FilterRanges names a query's attribute filters for the query log; an
-// index outside the schema is logged as "attr<i>". F is the query layer's
-// filter type, which this package cannot import.
-func FilterRanges[F ~struct {
-	Attr     int
-	Min, Max float64
-}](schema particles.Schema, filters []F) []FilterRange {
+// index outside the schema is logged as "attr<i>".
+func FilterRanges(schema particles.Schema, filters []particles.AttrFilter) []FilterRange {
 	if len(filters) == 0 {
 		return nil
 	}
 	out := make([]FilterRange, len(filters))
-	for i, flt := range filters {
-		f := struct {
-			Attr     int
-			Min, Max float64
-		}(flt)
+	for i, f := range filters {
 		name := fmt.Sprintf("attr%d", f.Attr)
 		if f.Attr >= 0 && f.Attr < schema.NumAttrs() {
 			name = schema.Attrs[f.Attr].Name

@@ -44,6 +44,13 @@ type AttrDesc struct {
 	Type AttrType
 }
 
+// AttrFilter restricts a query to particles whose attribute Attr, an index
+// into the schema, lies in [Min, Max].
+type AttrFilter struct {
+	Attr     int
+	Min, Max float64
+}
+
 // Schema describes the attributes carried by every particle in a Set.
 // Positions (3 x float32) are implicit and not part of the schema.
 type Schema struct {
@@ -258,13 +265,12 @@ func AppendRecord(dst []byte, x, y, z float32, attrs []float64) []byte {
 	return dst
 }
 
-// AppendMarshaled decodes a payload written by Marshal and appends its
-// particles to s, whose schema the sender shared (it is fixed per dataset).
-// Every check runs before anything is appended, so a refused payload leaves
-// s as it was; an accepted one grows each column once, by its count.
-func (s *Set) AppendMarshaled(buf []byte) error {
+// PayloadLen returns the particle count of a payload written by Marshal
+// for this schema, or why buf is not one: shorter than its count field, a
+// count beyond its bytes, or a length that is not that many records.
+func (s Schema) PayloadLen(buf []byte) (int, error) {
 	if len(buf) < 8 {
-		return fmt.Errorf("particles: short buffer (%d bytes)", len(buf))
+		return 0, fmt.Errorf("particles: short buffer (%d bytes)", len(buf))
 	}
 	nu := binary.LittleEndian.Uint64(buf)
 	// Bound the count before narrowing it: each particle carries at least
@@ -272,11 +278,24 @@ func (s *Set) AppendMarshaled(buf []byte) error {
 	// is corrupt — and without this check a crafted header could overflow
 	// the exact-size computation below after int conversion.
 	if nu > uint64(len(buf))/12 {
-		return fmt.Errorf("particles: claimed count %d exceeds buffer capacity (%d bytes)", nu, len(buf))
+		return 0, fmt.Errorf("particles: claimed count %d exceeds buffer capacity (%d bytes)", nu, len(buf))
 	}
 	n := int(nu)
-	if want := 8 + n*s.Schema.RecordSize(); len(buf) != want {
-		return fmt.Errorf("particles: buffer is %d bytes, want %d for %d particles", len(buf), want, n)
+	if want := 8 + n*s.RecordSize(); len(buf) != want {
+		return 0, fmt.Errorf("particles: buffer is %d bytes, want %d for %d particles", len(buf), want, n)
+	}
+	return n, nil
+}
+
+// AppendMarshaled decodes a payload written by Marshal and appends its
+// particles to s, whose schema the sender shared (it is fixed per dataset).
+// Every check (PayloadLen) runs before anything is appended, so a refused
+// payload leaves s as it was; an accepted one grows each column once, by
+// its count.
+func (s *Set) AppendMarshaled(buf []byte) error {
+	n, err := s.Schema.PayloadLen(buf)
+	if err != nil {
+		return err
 	}
 	s.X, s.Y, s.Z = grow(s.X, n), grow(s.Y, n), grow(s.Z, n)
 	for a := range s.Attrs {

@@ -7,7 +7,7 @@
 //
 // The library has three layers:
 //
-//   - Collective I/O: Write and Read are called by every rank of a Fabric
+//   - Collective I/O: Write and ReadQueryCtx are called by every rank of a Fabric
 //     (a simulated MPI world; ranks are goroutines) and implement the
 //     paper's two-phase pipelines.
 //   - Datasets: OpenDataset gives single-process access to a written
@@ -163,12 +163,6 @@ func DefaultWriteConfig(targetFileSize int64) WriteConfig {
 // leaf BAT files and a top-level metadata file are written under base.
 func Write(c *Comm, store Storage, base string, local *ParticleSet, bounds Box, cfg WriteConfig) (*WriteStats, error) {
 	return core.Write(c, store, base, local, bounds, cfg)
-}
-
-// Read performs the collective two-phase read (paper §IV), returning the
-// particles inside bounds.
-func Read(c *Comm, store Storage, base string, bounds Box) (*ParticleSet, *ReadStats, error) {
-	return core.Read(c, store, base, bounds)
 }
 
 // ReadQueryCtx is the collective read with a full query per rank — spatial

@@ -1,6 +1,7 @@
 package libbat
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -95,7 +96,8 @@ func TestCollectiveRead(t *testing.T) {
 	store, _ := writeTestDataset(t, "cr", 30*1024)
 	err := Run(4, func(c *Comm) error {
 		lo := V3(float64(c.Rank()), 0, 0)
-		got, stats, err := Read(c, store, "cr", NewBox(lo, lo.Add(V3(1, 2, 1))))
+		b := NewBox(lo, lo.Add(V3(1, 2, 1)))
+		got, stats, err := ReadQueryCtx(context.Background(), c, store, "cr", Query{Bounds: &b})
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,12 @@
 #!/bin/sh
 # Pre-PR check: batlint + vet + test the whole module, once plain and once
 # under the race detector, repeat the collective read and write protocols'
-# tests (their error agreement, outcome texts and exact traffic included),
-# the particle Exchange's and the read's answer order and phase clocks
-# under the race detector, smoke the benchmarks and the five examples, and
-# (unless CHECK_FUZZ=0) give the six decode fuzzers and the /points query
-# fuzzer a short pass. Run it
-# from the repository root before sending a PR.
+# tests in one stage (their error agreement, outcome texts and exact
+# traffic included, and the particle Exchange's), then the read's answer
+# order and phase clocks, under the race detector, smoke the benchmarks and
+# the five examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
+# and the /points query fuzzer a short pass. Run it from the repository
+# root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
 # summary at the end and exits non-zero if anything failed.
@@ -54,33 +54,31 @@ run "go test ./..." go test ./...
 # instead of hanging the script.
 run "go test -race ./..." env GOMAXPROCS=4 go test -race -timeout 300s ./...
 
-# The collective read protocol's interleavings again, ten times over: each
-# rank's receiver goroutine, its worker pool and the closing barrier race
-# differently on every run, and one pass of the suite above sees only one
-# schedule of each, while the requester must hold every reply in its
-# leaf's slot and answer in ascending leaf order whatever the arrival
-# order. The error agreement the read's metadata phase ends with, the
-# write's outcome texts and both pipelines' exact traffic ride along, and
-# so does Exchange, whose back-to-back rounds must each receive their own
-# payloads in rank order. TestReadDeterminism's 20 whole-domain reads take
-# ~20 s under the race detector, so it runs in the next stage instead.
-run "go test -race -count=10 read protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'ReadQuery|Read|Recv|Barrier|Spin|Agreement|WriteOutcomeText|TrafficExact|Exchange' -skip '^TestReadDeterminism$' ./internal/core/ ./internal/fabric/
+# The collective read and write protocols' tests again, ten times over
+# in one stage: each read rank's receiver goroutine, its own serves and
+# the closing barrier race differently on every run, and one pass of the
+# suite above sees only one schedule of each, while the requester must
+# hold every reply in its leaf's slot and answer in ascending leaf order
+# whatever the arrival order. The write's side: the plan agreement after
+# the assignment scatter (a plan that fails on rank 0, an assignment a
+# rank cannot use, a member count beyond what arrives), aggregators
+# receiving their members' particles, a leaf or metadata write that fails
+# and is rolled back with every rank's error pinned, the closing gather of
+# timings and leaf reports and rank 0's verdict, whose bytes and message
+# counts must match between identical writes. The error agreement both
+# pipelines use, which must carry no payload when nobody fails, rides
+# along, and so does Exchange, whose back-to-back rounds must each receive
+# their own payloads in rank order. TestReadDeterminism's 20 whole-domain
+# reads take ~20 s under the race detector, so it runs in the next stage
+# instead.
+run "go test -race -count=10 read and write protocols" env GOMAXPROCS=4 go test -race -count=10 -run 'Read|Recv|Barrier|Spin|Agreement|Exchange|TrafficExact|WriteOutcomeText|WritePlanAbort|WritePlanRefuses|WriteRefusesHostileCount|WriteFailureCompletes|PhaseMaxAggregation|WriteDeterminism' -skip '^TestReadDeterminism$' ./internal/core/ ./internal/fabric/
 
-# The read's answer order and the phase clocks with the receiver, the serve
-# pool and the requester sharing one P: every rank's answer must hash the
-# same over 20 reads (the test itself cycles GOMAXPROCS through 1, 2 and 8
-# for the reads), and every phase time of a write and a restart read must
-# equal its spans.
+# The read's answer order and the phase clocks with each rank's two
+# goroutines and the requester sharing one P: every rank's answer must
+# hash the same over 20 reads (the test itself cycles GOMAXPROCS through
+# 1, 2 and 8 for the reads), and every phase time of a write and a
+# restart read must equal its spans.
 run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go test -race -count=3 -run 'ReadDeterminism|PhaseTimesAreSpans' ./internal/core/
-
-# The collective write protocol's tests ten times over as well: the plan
-# agreement after the assignment scatter (a plan that fails on rank 0),
-# aggregators receiving their members' particles, a leaf or metadata write
-# that fails and is rolled back with every rank's error pinned, the closing
-# gather of timings and leaf reports and rank 0's verdict, whose bytes and
-# message counts must match between identical writes, and the error
-# agreement, which must carry no payload when nobody fails.
-run "go test -race -count=10 write protocol" env GOMAXPROCS=4 go test -race -count=10 -run 'WritePlanAbort|WriteFailureCompletes|PhaseMaxAggregation|WriteDeterminism|WriteTrafficExact|Agreement|WriteOutcomeText|TrafficExact' ./internal/core/
 
 # Bench smoke: one iteration of every BAT build benchmark, of the
 # aggregation-tree build's (BenchmarkBuild1536Ranks), of the section
