@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"libbat"
+	"libbat/internal/core"
 	"libbat/internal/leakcheck"
 	"libbat/internal/obs"
 	"libbat/internal/pfs"
@@ -356,5 +357,85 @@ func TestChaosRestartRecovery(t *testing.T) {
 		if !strings.HasSuffix(n, ".bat") && !strings.HasSuffix(n, ".batm") {
 			t.Errorf("serving wrote %s to the dataset's storage", n)
 		}
+	}
+}
+
+// TestChaosStalledOpenWedgesNoStep: while step 1's metadata open stalls, a
+// request for step 0, already open, answers within its query deadline; once
+// the stall clears, step 1 opens. The stalled request itself may time out:
+// its deadline runs through the open, which takes no context.
+func TestChaosStalledOpenWedgesNoStep(t *testing.T) {
+	leakcheck.Check(t)
+	mem := pfs.NewMem()
+	const ranks, perRank = 2, 500
+	for step := 0; step < 2; step++ {
+		err := libbat.Run(ranks, func(c *libbat.Comm) error {
+			r := rand.New(rand.NewSource(int64(10*step + c.Rank())))
+			lo := libbat.V3(float64(c.Rank()), 0, 0)
+			local := libbat.NewParticleSet(libbat.NewSchema("val"), perRank)
+			for i := 0; i < perRank; i++ {
+				local.Append(lo.Add(libbat.V3(r.Float64(), r.Float64(), r.Float64())), []float64{float64(i)})
+			}
+			_, err := libbat.Write(c, mem, fmt.Sprintf("wedge-%04d", step), local,
+				libbat.NewBox(lo, lo.Add(libbat.V3(1, 1, 1))), libbat.DefaultWriteConfig(1<<20))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fau := pfs.NewFaulty(mem, pfs.FaultConfig{})
+	names, err := seriesOf(fau, "wedge-")
+	if err != nil || len(names) != 2 {
+		t.Fatalf("series %v, %v", names, err)
+	}
+	s := &server{store: fau, names: names, open: map[int]*libbat.Dataset{},
+		col: obs.New(), access: libbat.NewAccessRegistry(), queryTimeout: 200 * time.Millisecond}
+	t.Cleanup(s.closeDatasets)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	// get requests step's points and reports a reply other than all of them.
+	get := func(step int) error {
+		resp, err := http.Get(fmt.Sprintf("%s/points?step=%d", ts.URL, step))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && (resp.StatusCode != 200 || len(body) != ranks*perRank*12) {
+			err = fmt.Errorf("status %d, %d bytes", resp.StatusCode, len(body))
+		}
+		return err
+	}
+	if err := get(0); err != nil {
+		t.Fatalf("step 0: %v", err)
+	}
+
+	fau.StallOpens(core.MetaFileName(names[1]))
+	stalled := make(chan error, 1)
+	go func() { stalled <- get(1) }()
+	for fau.Stalled() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	open := make(chan error, 1)
+	go func() { open <- get(0) }()
+	var step0 error
+	answered := true
+	select {
+	case step0 = <-open:
+	case <-time.After(2 * time.Second):
+		answered = false
+	}
+	fau.ReleaseStalls()
+	if !answered {
+		t.Error("step 0 got no reply in 2s while step 1's open stalled")
+		step0 = <-open
+	}
+	if step0 != nil {
+		t.Errorf("step 0 during the stall: %v", step0)
+	}
+	<-stalled
+	if err := get(1); err != nil {
+		t.Errorf("step 1 after the stall cleared: %v", err)
 	}
 }

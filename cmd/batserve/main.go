@@ -50,7 +50,7 @@ type server struct {
 	store libbat.Storage
 	names []string // time series of dataset base names
 
-	openMu sync.Mutex // guards open; opens are serialized, queries are not
+	openMu sync.Mutex // guards the map open; no open or query runs under it
 	open   map[int]*libbat.Dataset
 
 	col  *obs.Collector     // backs /metrics
@@ -123,21 +123,30 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteRuntimeMetrics(w)
 }
 
-// dataset lazily opens timestep i of the series. Opens are serialized on
-// openMu; concurrent requests for an already-open step share the handle
-// without contention beyond the map lookup.
+// dataset lazily opens timestep i of the series. openMu guards only the map:
+// the open itself runs outside it, so a step whose open stalls holds up no
+// request for another step. Two requests that open one step at once both
+// open it; the first to finish keeps its handle and the other closes its
+// own.
 func (s *server) dataset(i int) (*libbat.Dataset, error) {
 	if i < 0 || i >= len(s.names) {
 		return nil, fmt.Errorf("step %d out of range [0,%d)", i, len(s.names))
 	}
 	s.openMu.Lock()
-	defer s.openMu.Unlock()
-	if ds, ok := s.open[i]; ok {
+	ds, ok := s.open[i]
+	s.openMu.Unlock()
+	if ok {
 		return ds, nil
 	}
 	ds, err := libbat.OpenDataset(s.store, s.names[i])
 	if err != nil {
 		return nil, err
+	}
+	s.openMu.Lock()
+	defer s.openMu.Unlock()
+	if first, ok := s.open[i]; ok {
+		ds.Close() // nothing was read through the duplicate
+		return first, nil
 	}
 	ds.SetQueryConfig(s.qcfg)
 	if s.cacheBytes > 0 {

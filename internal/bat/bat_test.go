@@ -2,15 +2,20 @@ package bat
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"libbat/internal/bitmap"
 	"libbat/internal/geom"
+	"libbat/internal/morton"
 	"libbat/internal/particles"
 )
 
@@ -43,24 +48,151 @@ func clusteredSet(n int, seed int64) (*particles.Set, geom.Box) {
 	return s, geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
 }
 
-// shallowMismatch opens the image buf, Build's b.Buf or a file b's build
-// rebuilds byte for byte, and compares the shallow tree it derives from its
-// leaf records with the one Build derived, field for field: split axis and
-// plane, children and bitmaps. It returns the tree's node count.
-func shallowMismatch(b *Built, buf []byte) (int, error) {
+// checkShallowTree opens the image buf and holds the shallow tree the reader
+// derives from its leaf records to the binary radix tree over the treelets'
+// codes: n−1 inner nodes over n treelets, no deeper than SubprefixBits, that
+// reach the treelets once each in order; every inner node splits its codes at
+// the highest bit on which they differ, zeros left and ones right, at the
+// midplane of the Morton cell they share on that bit's axis, with the merge of
+// its children's bitmaps. It returns the inner-node count.
+func checkShallowTree(buf []byte) (int, error) {
 	f, err := FromBuffer(buf)
 	if err != nil {
 		return 0, err
 	}
-	if len(f.shallow) != len(b.shallow) {
-		return 0, fmt.Errorf("the reader derives %d shallow nodes, Build %d", len(f.shallow), len(b.shallow))
+	codes := make([]morton.Code, len(f.leaves))
+	for ti := range codes {
+		codes[ti] = morton.Code(binary.LittleEndian.Uint64(buf[leafRecordOffset(f, ti)+4+4+4:]))
 	}
-	for i := range f.shallow {
-		if got, want := f.shallow[i], b.shallow[i]; !reflect.DeepEqual(got, want) {
-			return 0, fmt.Errorf("shallow node %d: the reader derives %+v, Build %+v", i, got, want)
+	return len(f.shallow), shallowTreeProblem(f.shallow, codes, f.roots, f.Domain, f.SubprefixBits)
+}
+
+// shallowTreeProblem is checkShallowTree's check of nodes, the tree derived
+// over codes and roots.
+func shallowTreeProblem(nodes []shallowNode, codes []morton.Code, roots [][]bitmap.Bitmap, domain geom.Box, subprefixBits int) error {
+	if want := max(len(codes)-1, 0); len(nodes) != want {
+		return fmt.Errorf("%d inner nodes over %d treelets, want %d", len(nodes), len(codes), want)
+	}
+	if len(nodes) == 0 {
+		return nil
+	}
+	next := 0 // the treelet the in-order walk must reach next
+	seen := make([]bool, len(nodes))
+	var walk func(ref int32, depth int) (lo, hi int, bms []bitmap.Bitmap, err error)
+	walk = func(ref int32, depth int) (int, int, []bitmap.Bitmap, error) {
+		if ref < 0 {
+			if ti := int(^ref); ti != next {
+				return 0, 0, nil, fmt.Errorf("the walk reaches treelet %d where treelet %d comes next", ti, next)
+			}
+			next++
+			return next - 1, next, roots[next-1], nil
+		}
+		if int(ref) >= len(nodes) || seen[ref] {
+			return 0, 0, nil, fmt.Errorf("node %d is out of range or reached twice", ref)
+		}
+		seen[ref] = true
+		if depth >= subprefixBits {
+			return 0, 0, nil, fmt.Errorf("node %d sits at depth %d of a %d-bit tree", ref, depth, subprefixBits)
+		}
+		n := nodes[ref]
+		lo, mid, lb, err := walk(n.left, depth+1)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		_, hi, rb, err := walk(n.right, depth+1)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		and, or := ^morton.Code(0), morton.Code(0)
+		for _, c := range codes[lo:hi] {
+			and, or = and&c, or|c
+		}
+		bit := bits.Len64(uint64(and^or)) - 1 // the highest bit the codes differ in
+		for i, c := range codes[lo:hi] {
+			if c>>bit&1 == 1 != (lo+i >= mid) {
+				return 0, 0, nil, fmt.Errorf("node %d: treelet %d's code %#x is on the wrong side of bit %d", ref, lo+i, c, bit)
+			}
+		}
+		plen := subprefixBits - 1 - bit
+		axis := axisOfPrefixBit(plen)
+		if pos := morton.CellBounds(codes[lo]>>(bit+1), plen, domain).Center().Component(axis); n.axis != axis || n.pos != pos {
+			return 0, 0, nil, fmt.Errorf("node %d splits axis %d at %v, want axis %d at %v", ref, n.axis, n.pos, axis, pos)
+		}
+		if len(n.bitmaps) != len(lb) {
+			return 0, 0, nil, fmt.Errorf("node %d holds %d bitmaps, want %d", ref, len(n.bitmaps), len(lb))
+		}
+		for a := range n.bitmaps {
+			if n.bitmaps[a] != lb[a]|rb[a] {
+				return 0, 0, nil, fmt.Errorf("node %d attribute %d: bitmap %#x, its children's merge %#x", ref, a, n.bitmaps[a], lb[a]|rb[a])
+			}
+		}
+		return lo, hi, n.bitmaps, nil
+	}
+	if _, _, _, err := walk(0, 0); err != nil {
+		return err
+	}
+	if next != len(codes) {
+		return fmt.Errorf("the walk reaches %d of %d treelets", next, len(codes))
+	}
+	return nil
+}
+
+// TestDeriveShallowKnown derives the tree over eight 5-bit codes, the top
+// bits z, y, x, z, y of a unit domain's Morton codes, and holds it to the
+// tree worked out by hand, node for node in preorder.
+func TestDeriveShallowKnown(t *testing.T) {
+	codes := []morton.Code{0b00001, 0b00010, 0b00100, 0b00101, 0b10011, 0b11000, 0b11001, 0b11110}
+	roots := make([][]bitmap.Bitmap, len(codes))
+	for i := range roots {
+		roots[i] = []bitmap.Bitmap{1 << i}
+	}
+	domain := geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
+	got := deriveShallow(codes, roots, domain, 5)
+	leaf := func(i int) int32 { return int32(^i) }
+	want := []shallowNode{
+		{geom.Z, 0.5, 1, 4, []bitmap.Bitmap{0xff}},              // codes 0–7 differ at bit 4: the whole domain
+		{geom.X, 0.5, 2, 3, []bitmap.Bitmap{0x0f}},              // 0–3 share 00
+		{geom.Z, 0.25, leaf(0), leaf(1), []bitmap.Bitmap{0x03}}, // 0–1 share 000
+		{geom.Y, 0.25, leaf(2), leaf(3), []bitmap.Bitmap{0x0c}}, // 2–3 share 0010
+		{geom.Y, 0.5, leaf(4), 5, []bitmap.Bitmap{0xf0}},        // 4–7 share 1
+		{geom.X, 0.5, 6, leaf(7), []bitmap.Bitmap{0xe0}},        // 5–7 share 11
+		{geom.Y, 0.75, leaf(5), leaf(6), []bitmap.Bitmap{0x60}}, // 5–6 share 1100
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("derived\n%+v\nwant\n%+v", got, want)
+	}
+	if err := shallowTreeProblem(got, codes, roots, domain, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := deriveShallow(codes[:1], roots[:1], domain, 5); got != nil {
+		t.Fatalf("one treelet derives %d inner nodes", len(got))
+	}
+}
+
+// TestDeriveShallowRandom holds the tree derived over random code sets, 1 to
+// 20 bits wide and up to 2 000 codes, to shallowTreeProblem's definition.
+func TestDeriveShallowRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	domain := geom.NewBox(geom.V3(-1, 0, 2), geom.V3(3, 0.5, 2.25))
+	for trial := 0; trial < 300; trial++ {
+		width := 1 + r.Intn(20)
+		pick := map[morton.Code]bool{}
+		for n := 1 + r.Intn(min(2000, 1<<width)); len(pick) < n; {
+			pick[morton.Code(r.Int63n(1<<width))] = true
+		}
+		codes := make([]morton.Code, 0, len(pick))
+		for c := range pick {
+			codes = append(codes, c)
+		}
+		slices.Sort(codes)
+		roots := make([][]bitmap.Bitmap, len(codes))
+		for i := range roots {
+			roots[i] = []bitmap.Bitmap{bitmap.Bitmap(r.Uint32()), bitmap.Bitmap(r.Uint32())}
+		}
+		if err := shallowTreeProblem(deriveShallow(codes, roots, domain, width), codes, roots, domain, width); err != nil {
+			t.Fatalf("trial %d, %d codes of %d bits: %v", trial, len(codes), width, err)
 		}
 	}
-	return len(f.shallow), nil
 }
 
 func buildAndOpen(t *testing.T, s *particles.Set, domain geom.Box, cfg BuildConfig) (*File, *Built) {
@@ -154,8 +286,9 @@ func TestEmptyBuild(t *testing.T) {
 
 // TestBuiltSummaryMatchesFile: the value ranges and root bitmaps Build
 // hands the write path (core reports them to rank 0 for the .batm) are
-// exactly what a reader decodes from the image, and so is the shallow tree
-// Build derived — none for a file of one treelet.
+// exactly what a reader decodes from the image, and the shallow tree the
+// reader derives is the radix tree over the treelets' codes — none for a file
+// of one treelet.
 func TestBuiltSummaryMatchesFile(t *testing.T) {
 	v3 := DefaultBuildConfig()
 	v3.Compress = true
@@ -179,7 +312,7 @@ func TestBuiltSummaryMatchesFile(t *testing.T) {
 		{"empty", empty, DefaultBuildConfig()},
 	} {
 		f, b := buildAndOpen(t, tc.set, domain, tc.cfg)
-		nodes, err := shallowMismatch(b, b.Buf)
+		nodes, err := checkShallowTree(b.Buf)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

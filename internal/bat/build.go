@@ -5,9 +5,10 @@
 //   - progressive multiresolution reads: treelet inner nodes hold a fixed
 //     number of stratified-sampled LOD particles, taken from (not
 //     duplicating) the input;
-//   - spatial queries through its k-d structure: a shallow tree built
-//     bottom-up with Karras's algorithm over merged Morton subprefixes,
-//     with a median-split k-d treelet per shallow leaf;
+//   - spatial queries through its k-d structure: a shallow tree, the binary
+//     radix tree over the treelets' merged Morton subprefixes, which the
+//     reader derives at open (deriveShallow), with a median-split k-d
+//     treelet per shallow leaf;
 //   - attribute-filtered queries via fixed 32-bit binned bitmap indices at
 //     every node, deduplicated through a 16-bit-ID dictionary.
 //
@@ -38,7 +39,6 @@ import (
 	"libbat/internal/obs"
 	"libbat/internal/par"
 	"libbat/internal/particles"
-	"libbat/internal/radix"
 )
 
 // BuildConfig controls BAT construction. The zero value is not valid; use
@@ -57,11 +57,11 @@ type BuildConfig struct {
 	// (paper evaluation: 128).
 	MaxLeafSize int
 	// Workers caps the build's worker pool (attribute ranges, Morton
-	// encoding, the radix sort, the shallow tree, treelet construction,
-	// payload compaction). 0 means runtime.GOMAXPROCS(0); values below 0
-	// are rejected. With 1 the whole build runs serially on the calling
-	// goroutine (the in-transit friendly mode); the output bytes are
-	// identical for every count.
+	// encoding, the radix sort, treelet construction, payload compaction).
+	// 0 means runtime.GOMAXPROCS(0); values below 0 are rejected. With 1
+	// the whole build runs serially on the calling goroutine (the
+	// in-transit friendly mode); the output bytes are identical for every
+	// count.
 	Workers int
 	// Compress applies AttrErrorBounds and LODErrorScale: without it every
 	// attribute is stored lossless whatever the bounds say, and the
@@ -196,16 +196,6 @@ type treelet struct {
 	cells   [3]keyCell
 }
 
-// shallowNode is an inner node of a file's shallow k-d tree. The tree is not
-// stored: writer and reader derive it from the treelets' Morton subprefix
-// codes and root bitmaps (flattenShallow).
-type shallowNode struct {
-	axis        geom.Axis
-	pos         float64
-	left, right int32 // >= 0: inner node; < 0: ^treelet index (radix.IsLeafRef)
-	bitmaps     []bitmap.Bitmap
-}
-
 // Built is the in-memory result of a BAT build: the compacted file image
 // plus build statistics. The buffer is directly writable to disk and
 // directly queryable (see Reader), enabling the paper's in-transit use.
@@ -218,9 +208,6 @@ type Built struct {
 	// for the top-level metadata (§III-D) without decoding its own image.
 	Ranges      []bitmap.Range
 	RootBitmaps []bitmap.Bitmap
-	// shallow is the shallow tree Build derived, the one a reader of Buf
-	// derives again from the leaf records.
-	shallow []shallowNode
 }
 
 // BuildStats reports layout statistics.
@@ -228,7 +215,6 @@ type BuildStats struct {
 	NumParticles    int
 	NumTreelets     int
 	NumTreeletNodes int
-	NumShallowNodes int
 	MaxTreeletDepth int
 	DictEntries     int
 	// BitmapsInterned counts every per-node per-attribute bitmap handed to
@@ -320,8 +306,8 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	}
 	spSort.End()
 
-	// Steps 3+4 fused: each worker builds a treelet and computes its
-	// bottom-up bitmaps in the same task, reusing its own scratch arena.
+	// Step 3: each worker builds a treelet and computes its bottom-up
+	// bitmaps in the same task, reusing its own scratch arena.
 	spTreelets := col.Start(cfg.ObsRank, "bat_build_treelets")
 	treelets, err := buildTreelets(set, order, groups, cfg, ranges, workers)
 	spTreelets.End()
@@ -329,18 +315,7 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 		return nil, err
 	}
 
-	// Step 5: the shallow tree over the treelets' codes, with the bitmaps
-	// of the treelet roots merged up it.
-	spShallow := col.Start(cfg.ObsRank, "bat_build_shallow")
-	codes := make([]morton.Code, len(treelets))
-	roots := make([][]bitmap.Bitmap, len(treelets))
-	for i, t := range treelets {
-		codes[i], roots[i] = t.prefix, t.nodes[0].bitmaps // a group is never empty
-	}
-	shallow := flattenShallow(codes, roots, domain, cfg.SubprefixBits, workers)
-	spShallow.End()
-
-	// Step 6: compact everything into the file image, copying treelet
+	// Step 4: compact everything into the file image, copying treelet
 	// payloads in parallel.
 	spCompact := col.Start(cfg.ObsRank, "bat_build_compact")
 	built, err := compact(set, domain, cfg, ranges, treelets, workers)
@@ -348,10 +323,12 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	if err != nil {
 		return nil, err
 	}
+	roots := make([][]bitmap.Bitmap, len(treelets))
+	for i, t := range treelets {
+		roots[i] = t.nodes[0].bitmaps // a group is never empty
+	}
 	built.Ranges = ranges
 	built.RootBitmaps = mergeRoots(roots, set.Schema.NumAttrs())
-	built.shallow = shallow
-	built.Stats.NumShallowNodes = len(shallow)
 	if col != nil {
 		st := built.Stats
 		col.Add("bat_builds_total", 1)
@@ -669,44 +646,6 @@ func computeTreeletBitmaps(set *particles.Set, t *treelet, ranges []bitmap.Range
 	}
 }
 
-// flattenShallow derives a file's shallow k-d tree (paper §III-C1): the
-// radix tree over its treelets' subprefix codes — sorted, unique and below
-// 2^subprefixBits —, each inner node splitting at the center of the Morton
-// cell its subtrees share on the axis of the first bit on which they differ,
-// with the merge of the covered treelets' root bitmaps, roots[i] being
-// treelet i's. The writer and the reader both call it, the reader with the
-// codes and root bitmaps of the leaf records, so the tree is never stored.
-// The nodes of the radix tree share a prefix one bit longer than their
-// parent's at least, so the tree is at most morton.TotalBits deep.
-func flattenShallow(codes []morton.Code, roots [][]bitmap.Bitmap, domain geom.Box, subprefixBits, workers int) []shallowNode {
-	rt := radix.Build(codes, workers)
-	if len(rt.Nodes) == 0 {
-		return nil
-	}
-	nA := len(roots[0])
-	nodes := make([]shallowNode, len(rt.Nodes))
-	backing := make([]bitmap.Bitmap, len(nodes)*nA)
-	var rec func(ref int32) []bitmap.Bitmap
-	rec = func(ref int32) []bitmap.Bitmap {
-		if li, ok := radix.IsLeafRef(ref); ok {
-			return roots[li]
-		}
-		prefix, plen := rt.SharedPrefix(int(ref), subprefixBits)
-		axis := axisOfPrefixBit(plen)
-		n := &nodes[ref]
-		n.axis, n.pos = axis, morton.CellBounds(prefix, plen, domain).Center().Component(axis)
-		n.left, n.right = rt.Nodes[ref].Left, rt.Nodes[ref].Right
-		n.bitmaps = backing[int(ref)*nA : int(ref+1)*nA : int(ref+1)*nA]
-		lb, rb := rec(n.left), rec(n.right)
-		for a := range n.bitmaps {
-			n.bitmaps[a] = lb[a] | rb[a]
-		}
-		return n.bitmaps
-	}
-	rec(0)
-	return nodes
-}
-
 // mergeRoots is a file's whole-dataset bitmap per attribute, the merge of
 // its treelets' root bitmaps: what the top-level metadata records for the
 // leaf (§III-D).
@@ -718,18 +657,4 @@ func mergeRoots(roots [][]bitmap.Bitmap, nA int) []bitmap.Bitmap {
 		}
 	}
 	return out
-}
-
-// axisOfPrefixBit maps a 0-based bit index counted from the top of a Morton
-// code to its split axis. The encoding interleaves x at bit 3i, y at 3i+1,
-// z at 3i+2, so the topmost bit (index 0 from the top) belongs to z.
-func axisOfPrefixBit(i int) geom.Axis {
-	switch i % 3 {
-	case 0:
-		return geom.Z
-	case 1:
-		return geom.Y
-	default:
-		return geom.X
-	}
 }

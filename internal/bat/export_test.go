@@ -15,4 +15,4 @@ var (
 )
 
 // The shallow-tree derivation is checked over the oracle's builds too.
-var ShallowMismatch = shallowMismatch
+var CheckShallowTree = checkShallowTree

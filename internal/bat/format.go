@@ -30,8 +30,8 @@
 //	                cells: lo x, y, z then hi x, y, z u32, f32Keys,
 //	                bitmapID u16 per attribute: the treelet root's
 //	  bitmap dictionary: count u32, entries u32 each
-//	The shallow tree is not stored: reader and writer derive it from the
-//	leaf records (flattenShallow), whose codes must rise strictly and stay
+//	The shallow tree is not stored: the reader derives it from the leaf
+//	records at open (deriveShallow), whose codes must rise strictly and stay
 //	below 2^subprefixBits, subprefixBits in [1, 63]. A treelet's cell on an
 //	axis is the smallest and the largest f32Key among its coordinates there
 //	that are numbers (lo > hi for none): the root cell of its position

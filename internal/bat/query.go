@@ -9,7 +9,6 @@ import (
 	"libbat/internal/bitmap"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
-	"libbat/internal/radix"
 )
 
 // maxSaneDepth bounds the treelet depth a file may declare: a treelet with
@@ -41,7 +40,8 @@ type Query struct {
 // Visitor receives each particle matched by a query. attrs is the query's
 // one scratch slice, overwritten for the next particle: it is valid only
 // until visit returns, so a visitor that keeps the values copies them.
-// Returning a non-nil error aborts the traversal.
+// Returning a non-nil error aborts the traversal. A nil Visitor counts: the
+// query delivers nothing and reports its matches in QueryStats.Visited.
 type Visitor func(p geom.Vec3, attrs []float64) error
 
 // QueryConfig tunes how a traversal executes. It never changes which
@@ -272,7 +272,8 @@ func (st *QueryStats) Add(o QueryStats) {
 // Query traverses the file under cfg, invoking visit for every particle
 // matching q. Particles are visited treelet by treelet in increasing depth
 // order within each treelet; with Workers > 1 and Ordered false, treelets
-// may complete out of order but the visited multiset is identical.
+// may complete out of order but the visited multiset is identical. A nil
+// visit only counts: the stats are those of any visitor that returns nil.
 //
 // When ctx ends, the traversal stops promptly (collectors observe a shared
 // cancel flag per tree node — the context is bridged to it via
@@ -328,7 +329,8 @@ func (f *File) selectTreelets(s *queryState, st *QueryStats) []int {
 	var out []int
 	var walk func(ref int32, bounds geom.Box)
 	walk = func(ref int32, bounds geom.Box) {
-		if li, isLeaf := radix.IsLeafRef(ref); isLeaf {
+		if ref < 0 {
+			li := int(^ref)
 			if !s.passes(f.roots[li]) {
 				st.PrunedSubtrees++
 				return
@@ -470,6 +472,13 @@ func (e *emitter) deliver(ctx context.Context, sel *selection) error {
 		return sel.err
 	}
 	e.stats.Add(sel.stats)
+	if e.visit == nil {
+		for _, w := range sel.spans {
+			e.stats.Visited += int64(w.hi - w.lo)
+		}
+		e.stats.Visited += int64(len(sel.picks))
+		return nil
+	}
 	t := sel.t
 	emit := func(pi uint32) error {
 		for a, col := range t.attrs {
@@ -506,6 +515,6 @@ func (f *File) ReadAll() (*particles.Set, error) {
 // CountMatching returns the number of particles a query would visit; useful
 // for sizing receive buffers before a data transfer.
 func (f *File) CountMatching(q Query) (int64, error) {
-	st, err := f.Query(context.Background(), q, QueryConfig{}, func(geom.Vec3, []float64) error { return nil })
+	st, err := f.Query(context.Background(), q, QueryConfig{}, nil)
 	return st.Visited, err
 }

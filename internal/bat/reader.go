@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"sort"
 
 	"libbat/internal/binfmt"
 	"libbat/internal/bitmap"
@@ -31,6 +33,16 @@ type leafRef struct {
 	numNodes  uint32
 	numPoints uint32
 	cells     [3]keyCell
+}
+
+// shallowNode is an inner node of a file's shallow k-d tree. The tree is not
+// stored: the reader derives it from the treelets' Morton subprefix codes
+// and root bitmaps (deriveShallow).
+type shallowNode struct {
+	axis        geom.Axis
+	pos         float64
+	left, right int32 // >= 0: inner node; < 0: ^treelet index
+	bitmaps     []bitmap.Bitmap
 }
 
 // diskNode is a parsed treelet node.
@@ -222,7 +234,7 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 			return nil, fmt.Errorf("bat: treelet %d code %#x does not rise above treelet %d's %#x", i, c, i-1, codes[i-1])
 		}
 	}
-	f.shallow = flattenShallow(codes, f.roots, f.Domain, f.SubprefixBits, 1)
+	f.shallow = deriveShallow(codes, f.roots, f.Domain, f.SubprefixBits)
 	// The treelets lie back to back from the end of the header, each where
 	// the one before it ends, and their byte lengths must end where the
 	// footer starts: no byte of the file is outside a checksum. This comes
@@ -239,6 +251,64 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 		return nil, fmt.Errorf("bat: treelets end at byte %d, the checksum footer starts at %d", next, footerStart)
 	}
 	return f, nil
+}
+
+// deriveShallow derives a file's shallow k-d tree (paper §III-C1): the binary
+// radix tree over its treelets' subprefix codes — sorted, unique and below
+// 2^subprefixBits —, with roots[i] treelet i's root bitmaps. A node over
+// codes[lo:hi] splits them at the highest bit on which its first and last
+// code differ; its plane is the midplane, on that bit's axis, of the Morton
+// cell its codes share, and its bitmaps are the merge of its children's.
+// Nodes are numbered in preorder, the root 0; a child that is a single
+// treelet i is the reference ^i. The bits a node's codes share grow by one
+// at least from parent to child, so the tree is at most subprefixBits deep.
+func deriveShallow(codes []morton.Code, roots [][]bitmap.Bitmap, domain geom.Box, subprefixBits int) []shallowNode {
+	if len(codes) < 2 {
+		return nil
+	}
+	nA := len(roots[0])
+	nodes := make([]shallowNode, 0, len(codes)-1)
+	backing := make([]bitmap.Bitmap, (len(codes)-1)*nA)
+	var split func(lo, hi int) (int32, []bitmap.Bitmap)
+	split = func(lo, hi int) (int32, []bitmap.Bitmap) {
+		if hi-lo == 1 {
+			return int32(^lo), roots[lo]
+		}
+		bit := bits.Len64(uint64(codes[lo]^codes[hi-1])) - 1
+		mid := lo + sort.Search(hi-lo, func(i int) bool { return codes[lo+i]>>bit&1 == 1 })
+		plen := subprefixBits - 1 - bit
+		axis := axisOfPrefixBit(plen)
+		at := len(nodes)
+		nodes = append(nodes, shallowNode{
+			axis:    axis,
+			pos:     morton.CellBounds(codes[lo]>>(bit+1), plen, domain).Center().Component(axis),
+			bitmaps: backing[at*nA : (at+1)*nA : (at+1)*nA],
+		})
+		left, lb := split(lo, mid)
+		right, rb := split(mid, hi)
+		n := &nodes[at]
+		n.left, n.right = left, right
+		for a := range n.bitmaps {
+			n.bitmaps[a] = lb[a] | rb[a]
+		}
+		return int32(at), n.bitmaps
+	}
+	split(0, len(codes))
+	return nodes
+}
+
+// axisOfPrefixBit maps a 0-based bit index counted from the top of a Morton
+// code to its split axis. The encoding interleaves x at bit 3i, y at 3i+1,
+// z at 3i+2, so the topmost bit (index 0 from the top) belongs to z.
+func axisOfPrefixBit(i int) geom.Axis {
+	switch i % 3 {
+	case 0:
+		return geom.Z
+	case 1:
+		return geom.Y
+	default:
+		return geom.X
+	}
 }
 
 // ErrChecksum marks data whose CRC32C does not match its checksum —

@@ -225,8 +225,9 @@ func TestLODSubsetInvariant(t *testing.T) {
 // auto-reduction from shrinking the width much on a modest set, so the
 // shallow radix tree is deep and its derived split planes (Morton cell
 // midplanes) do the spatial pruning. Any error in the plane derivation
-// loses particles, and the reader derives the very tree Build did. LODPerNode stays <= MaxLeafSize so every inner node
-// keeps particles to split.
+// loses particles, and the tree the reader derives must be the radix tree
+// over the treelets' codes. LODPerNode stays <= MaxLeafSize so every inner
+// node keeps particles to split.
 func TestSpatialQueryDeepShallowTree(t *testing.T) {
 	set, domain := bat.ClusteredSet(30000, 31)
 	cfg := bat.DefaultBuildConfig()
@@ -236,11 +237,12 @@ func TestSpatialQueryDeepShallowTree(t *testing.T) {
 		sz := 0.02 + r.Float64()*0.3
 		return geom.V3(sz, sz, sz)
 	})...)
-	if b.Stats.NumShallowNodes < 50 {
-		t.Fatalf("want a deep shallow tree, got %d inner nodes", b.Stats.NumShallowNodes)
-	}
-	if _, err := bat.ShallowMismatch(b, b.Buf); err != nil {
+	nodes, err := bat.CheckShallowTree(b.Buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if nodes < 50 {
+		t.Fatalf("want a deep shallow tree, got %d inner nodes", nodes)
 	}
 	// Pruning must actually engage on a tight query.
 	tiny := geom.NewBox(geom.V3(0.01, 0.01, 0.01), geom.V3(0.03, 0.03, 0.03))
@@ -254,7 +256,8 @@ func TestSpatialQueryDeepShallowTree(t *testing.T) {
 }
 
 // TestOracleShallowDerived: over the oracle's seeded builds, the shallow tree
-// a reader derives from the leaf records is the one Build derived.
+// a reader derives from the leaf records is the radix tree over the
+// treelets' codes.
 func TestOracleShallowDerived(t *testing.T) {
 	nodes := 0
 	for seed := int64(0); seed < 20; seed++ {
@@ -263,7 +266,7 @@ func TestOracleShallowDerived(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := bat.ShallowMismatch(b, b.Buf)
+		n, err := bat.CheckShallowTree(b.Buf)
 		if err != nil {
 			t.Fatalf("oracle case %d: %v", seed, err)
 		}

@@ -1,5 +1,5 @@
 // Package morton implements 3D Morton (Z-order) codes used to build the
-// bottom-up shallow k-d tree of the BAT layout. Codes interleave 21 bits per
+// shallow k-d tree of the BAT layout. Codes interleave 21 bits per
 // axis into a 63-bit key; the high bits of the key form the "subprefix" that
 // the shallow tree construction merges to group nearby particles.
 package morton

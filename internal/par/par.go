@@ -1,8 +1,8 @@
 // Package par holds the two parallel loops the BAT build runs its
 // data-parallel passes through: Range over static chunks of an index space
-// (Morton encoding, the radix sort's count and scatter passes, the shallow
-// radix tree's nodes, the attribute range scans) and Each over a list of
-// tasks claimed one at a time (treelet construction, payload compaction).
+// (Morton encoding, the radix sort's count and scatter passes, the
+// attribute range scans) and Each over a list of tasks claimed one at a
+// time (treelet construction, payload compaction).
 //
 // Both return once every call of body has returned, and both run body on
 // the calling goroutine when workers <= 1: a one-worker build forks nothing

@@ -1,7 +1,7 @@
-// Parallel LSD radix sort over 64-bit keys with satellite values — the
-// comparison-free replacement for sort.Slice in the BAT build's Morton
-// ordering (Cornerstone makes the same move for its octree build: the sort
-// is bandwidth-bound, so count/scatter passes beat a comparator).
+// Package radix is a parallel LSD radix sort over 64-bit keys with satellite
+// values — the comparison-free replacement for sort.Slice in the BAT build's
+// Morton ordering (Cornerstone makes the same move for its octree build: the
+// sort is bandwidth-bound, so count/scatter passes beat a comparator).
 //
 // The sort is stable, so ties keep their input order and the result is a
 // pure function of (keys, vals): the output is byte-identical no matter how

@@ -337,7 +337,7 @@ func (d *Dataset) Count(q Query) (int64, error) {
 
 // CountCtx is Count honoring ctx.
 func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
-	st, err := d.r.Query(ctx, d.r.Select(q), q, func(Vec3, []float64) error { return nil })
+	st, err := d.r.Query(ctx, d.r.Select(q), q, nil)
 	return st.Visited, err
 }
 

@@ -80,18 +80,18 @@ run "go test -race -count=10 read and write protocols" env GOMAXPROCS=4 go test 
 # restart read must equal its spans.
 run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go test -race -count=3 -run 'ReadDeterminism|PhaseTimesAreSpans' ./internal/core/
 
-# Bench smoke: one iteration of every BAT build benchmark, of the
-# aggregation-tree build's (BenchmarkBuild1536Ranks), of the section
-# kernels' (the ns/value figures DESIGN §13, results/cell-frames and
-# results/sorted-nodes quote: positions as sorted-cell-for, then the
-# attribute codecs), of the generators' (the ns/particle and ns/rank
-# figures EXPERIMENTS.md quotes) and of Box.Extend's, just to keep the
-# benchmark code compiling and runnable (no timing assertions;
-# BenchmarkDecodeSection does check that each column encodes to the stream its
-# case names and decodes).
-run "bench smoke BenchmarkBATBuild" go test -run=NONE -bench=BATBuild -benchtime=1x ./internal/bat/
+# Bench smoke: one iteration of every benchmark of internal/bat (the
+# builds, the progressive and filtered reads over opened files, and the
+# section kernels: the ns/value figures DESIGN §13, results/cell-frames and
+# results/sorted-nodes quote, positions as sorted-cell-for, then the
+# attribute codecs) and of internal/radix (the sort), of the
+# aggregation-tree build's (BenchmarkBuild1536Ranks), of the generators'
+# (the ns/particle and ns/rank figures EXPERIMENTS.md quotes) and of
+# Box.Extend's, just to keep the benchmark code compiling and runnable (no
+# timing assertions; BenchmarkDecodeSection does check that each column
+# encodes to the stream its case names and decodes).
+run "bench smoke internal/bat and internal/radix" go test -run=NONE -bench=. -benchtime=1x ./internal/bat/ ./internal/radix/
 run "bench smoke BenchmarkBuild1536Ranks" go test -run=NONE -bench=Build1536Ranks -benchtime=1x ./internal/aggtree/
-run "bench smoke section kernels" go test -run=NONE -bench='EncodeSection|DecodeSection' -benchtime=1x ./internal/bat/
 run "bench smoke generators" go test -run=NONE -bench='Generate|Counts' -benchtime=1x ./internal/workloads/
 run "bench smoke geom" go test -run=NONE -bench=BoxExtend -benchtime=1x ./internal/geom/
 
