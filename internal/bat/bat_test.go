@@ -819,6 +819,20 @@ func BenchmarkAttributeFilteredQuery(b *testing.B) {
 			}
 		}
 	})
+	// batserve's case: the request's context can end, so every treelet walk
+	// polls it; serially and as batserve's benchmark flags run it, on two
+	// unordered workers.
+	for _, cfg := range []QueryConfig{{}, {Workers: 2}} {
+		b.Run(fmt.Sprintf("full-scan-cancellable-w%d", cfg.effectiveWorkers()), func(b *testing.B) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Query(ctx, Query{}, cfg, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestCorruptionRobustness(t *testing.T) {

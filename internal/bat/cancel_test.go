@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,16 +111,23 @@ func TestCancelStalledRead(t *testing.T) {
 
 // TestCancelMidTraversal: cancellation while workers are traversing (not
 // blocked on I/O) stops the query promptly with ctx.Err() and the same
-// File keeps serving.
+// File keeps serving. The procs1 cases run at GOMAXPROCS=1, where the
+// canceller and a tight traversal loop share one P.
 func TestCancelMidTraversal(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  QueryConfig
+		name  string
+		cfg   QueryConfig
+		procs int // GOMAXPROCS for the case; 0 keeps the runner's
 	}{
-		{"serial", QueryConfig{}},
-		{"parallel", QueryConfig{Workers: 4}},
+		{"serial", QueryConfig{}, 0},
+		{"serial-procs1", QueryConfig{}, 1},
+		{"parallel", QueryConfig{Workers: 4}, 0},
+		{"parallel-procs1", QueryConfig{Workers: 4}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			leakcheck.Check(t)
 			s, domain := randomSet(8000, 7)
 			f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -151,6 +159,33 @@ func TestCancelMidTraversal(t *testing.T) {
 				t.Fatalf("scan after cancel = %d, %v; want %d, nil", got, err, want)
 			}
 		})
+	}
+}
+
+// TestCancelStopsTreeletWalk: a walk of a cached treelet under an ended
+// context stops at its first poll, the root: the selection carries the
+// context's error and no particle window, so nothing of it is delivered.
+func TestCancelStopsTreeletWalk(t *testing.T) {
+	s, domain := randomSet(8000, 7)
+	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
+	defer f.Close()
+	if _, err := countCtx(context.Background(), f, QueryConfig{}); err != nil {
+		t.Fatal(err) // loads every treelet into the cache
+	}
+	qs, ok := f.prepare(Query{})
+	if !ok {
+		t.Fatal("full query prepared as empty")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var sel selection
+	f.collect(ctx, qs, 0, &sel)
+	if sel.err != nil || len(sel.spans) == 0 {
+		t.Fatalf("live walk: err %v, %d spans; want nil and some", sel.err, len(sel.spans))
+	}
+	cancel()
+	f.collect(ctx, qs, 0, &sel)
+	if !errors.Is(sel.err, context.Canceled) || len(sel.spans) != 0 {
+		t.Fatalf("walk after cancel: err %v, %d spans; want context.Canceled and none", sel.err, len(sel.spans))
 	}
 }
 

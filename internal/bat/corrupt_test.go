@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -94,6 +95,45 @@ func bitFlipMatrix(t *testing.T, buf []byte) {
 			continue
 		}
 		t.Fatalf("flip at byte %d of %d went unnoticed", off, len(buf))
+	}
+}
+
+// cutReaderAt serves buf as if the source ended after end bytes.
+type cutReaderAt struct {
+	buf []byte
+	end int
+}
+
+func (r *cutReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(r.buf[:r.end]).ReadAt(p, off)
+}
+
+// TestShortReadIsNotChecksumError: a storage read that comes back short is
+// reported as a truncation (io.ErrUnexpectedEOF), not as a CRC mismatch over
+// the zeros the read did not fill — at open, where the footer is cut, and
+// in Verify, over a source that shrinks after the file opened.
+func TestShortReadIsNotChecksumError(t *testing.T) {
+	buf := clusteredSample(t)
+	if len(buf) < 2*(1<<16) {
+		t.Fatalf("image of %d bytes: the header read would reach the footer", len(buf))
+	}
+	src := &cutReaderAt{buf: buf, end: len(buf) - 3}
+	_, err := DecodeCtx(context.Background(), src, int64(len(buf)))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrChecksum) {
+		t.Errorf("open over a cut footer = %v, want io.ErrUnexpectedEOF and not ErrChecksum", err)
+	}
+
+	src.end = len(buf)
+	f, err := DecodeCtx(context.Background(), src, int64(len(buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatalf("Verify of the whole image: %v", err)
+	}
+	src.end = len(buf) / 2
+	if err := f.Verify(); !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrChecksum) {
+		t.Errorf("Verify over a shrunken source = %v, want io.ErrUnexpectedEOF and not ErrChecksum", err)
 	}
 }
 

@@ -14,6 +14,13 @@
 // held by a claimed task, claims are issued in increasing index order, so
 // the lowest undelivered index always owns a token and is either being
 // collected or already deliverable.
+//
+// The query's context is the one stop signal. The workers run under a child
+// of it that a failed delivery cancels: a traversal polls its Done channel
+// (query.go: pollNodes), a worker waiting for a token leaves through it,
+// and the caller stops delivering and waits for the workers. No worker
+// blocks on its last send, because the results channel holds as many
+// selections as there are tokens.
 package bat
 
 import (
@@ -22,32 +29,14 @@ import (
 	"sync/atomic"
 )
 
-// cancelFlag is a shared abort signal polled by treelet traversals. A nil
-// *cancelFlag reads as "never cancelled": an inline query under an
-// uncancellable context passes nil.
-type cancelFlag struct {
-	flag atomic.Bool
-}
-
-func (c *cancelFlag) isSet() bool {
-	return c != nil && c.flag.Load()
-}
-
-func (c *cancelFlag) set() {
-	if c != nil {
-		c.flag.Store(true)
-	}
-}
-
 // run collects the candidate treelets and hands each selection to e on the
-// calling goroutine. cancel is the shared abort flag, already wired to ctx
-// when ctx is cancellable.
-func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, e *emitter, cancel *cancelFlag) error {
+// calling goroutine.
+func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryConfig, e *emitter) error {
 	w := min(cfg.effectiveWorkers(), len(cands))
 	if w <= 1 {
 		var sel selection
 		for _, li := range cands {
-			f.collect(ctx, s, li, cancel, &sel)
+			f.collect(ctx, s, li, &sel)
 			if err := e.deliver(ctx, &sel); err != nil {
 				return err
 			}
@@ -55,15 +44,16 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 		return nil
 	}
 
+	// wctx, not ctx reassigned: the workers capture it, and a captured
+	// variable that is reassigned moves to the heap, serial path included.
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel() // a panicking visitor still stops the workers
 	// Each in-flight selection holds one token from acquisition until it has
 	// been delivered; results is sized to the token count so workers never
 	// block sending.
 	maxInflight := 2 * w
 	tokens := make(chan struct{}, maxInflight)
 	results := make(chan *selection, maxInflight)
-	if cancel == nil {
-		cancel = &cancelFlag{} // a visitor error still has to stop the workers
-	}
 	var next atomic.Int64
 
 	var wg sync.WaitGroup
@@ -72,17 +62,18 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 		go func() {
 			defer wg.Done()
 			for {
-				if cancel.isSet() {
+				select {
+				case tokens <- struct{}{}: // acquire before claiming (see file comment)
+				case <-wctx.Done():
 					return
 				}
-				tokens <- struct{}{} // acquire before claiming (see file comment)
 				idx := int(next.Add(1)) - 1
-				if idx >= len(cands) || cancel.isSet() {
+				if idx >= len(cands) || wctx.Err() != nil {
 					<-tokens
 					return
 				}
 				sel := &selection{idx: idx}
-				f.collect(ctx, s, cands[idx], cancel, sel)
+				f.collect(wctx, s, cands[idx], sel)
 				results <- sel
 			}
 		}()
@@ -92,36 +83,36 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 		close(results)
 	}()
 
-	// After the first failure nothing more is delivered, but results is
-	// still drained to release tokens and let the workers exit.
-	var firstErr error
-	deliver := func(sel *selection) {
-		if firstErr == nil {
-			if firstErr = e.deliver(ctx, sel); firstErr != nil {
-				cancel.set()
-			}
-		}
+	deliver := func(sel *selection) error {
+		err := e.deliver(wctx, sel)
 		<-tokens
+		return err
 	}
 	// Ordered delivery stashes out-of-order completions and delivers the run
 	// of consecutive indices starting at nextIdx as it becomes available.
+	var err error
 	pending := make(map[int]*selection, maxInflight)
 	nextIdx := 0
 	for sel := range results {
 		if !cfg.Ordered {
-			deliver(sel)
-			continue
-		}
-		pending[sel.idx] = sel
-		for {
-			nb, ok := pending[nextIdx]
-			if !ok {
-				break
+			err = deliver(sel)
+		} else {
+			pending[sel.idx] = sel
+			for err == nil {
+				nb, ok := pending[nextIdx]
+				if !ok {
+					break
+				}
+				delete(pending, nextIdx)
+				nextIdx++
+				err = deliver(nb)
 			}
-			delete(pending, nextIdx)
-			nextIdx++
-			deliver(nb)
+		}
+		if err != nil {
+			break
 		}
 	}
-	return firstErr
+	cancel()
+	wg.Wait()
+	return err
 }

@@ -2,7 +2,6 @@ package bat
 
 import (
 	"context"
-	"errors"
 	"math"
 	"runtime"
 
@@ -275,10 +274,8 @@ func (st *QueryStats) Add(o QueryStats) {
 // may complete out of order but the visited multiset is identical. A nil
 // visit only counts: the stats are those of any visitor that returns nil.
 //
-// When ctx ends, the traversal stops promptly (collectors observe a shared
-// cancel flag per tree node — the context is bridged to it via
-// context.AfterFunc, so the check stays a single atomic load — and storage
-// reads abort) and ctx.Err() is returned.
+// When ctx ends, the traversal stops promptly (tree walks poll ctx.Done()
+// as they descend, and storage reads abort) and ctx.Err() is returned.
 //
 // Query is safe to call from multiple goroutines concurrently; the visitor
 // of any single call is never invoked concurrently with itself, and always
@@ -288,21 +285,8 @@ func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visito
 	if !ok || len(f.leaves) == 0 {
 		return QueryStats{}, ctx.Err()
 	}
-	var cancel *cancelFlag
-	if ctx.Done() != nil {
-		cancel = &cancelFlag{}
-		stop := context.AfterFunc(ctx, cancel.set)
-		defer stop()
-	}
 	e := &emitter{visit: visit, attrs: make([]float64, f.Schema.NumAttrs())}
-	err := f.run(ctx, s, f.selectTreelets(s, &e.stats), cfg, e, cancel)
-	if err == errTraversalCancelled {
-		// The flag is only ever set externally via ctx here; surface the
-		// context's error rather than the internal sentinel.
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-		}
-	}
+	err := f.run(ctx, s, f.selectTreelets(s, &e.stats), cfg, e)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -369,14 +353,10 @@ type selection struct {
 	err   error      // load, corruption or cancellation; nothing is delivered
 }
 
-// errTraversalCancelled is returned when a collector observes the shared
-// cancel flag mid-treelet.
-var errTraversalCancelled = errors.New("bat: traversal cancelled")
-
 // collect loads candidate treelet li and walks it into sel, reusing sel's
 // slices. It is the one function that loads and traverses a treelet: pool
 // workers call it, and so does the caller's goroutine when there is no pool.
-func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cancelFlag, sel *selection) {
+func (f *File) collect(ctx context.Context, s *queryState, li int, sel *selection) {
 	sel.t, sel.spans, sel.picks, sel.stats, sel.err = nil, sel.spans[:0], sel.picks[:0], QueryStats{}, nil
 	t, loaded, err := f.loadTreelet(ctx, li)
 	if err != nil {
@@ -390,25 +370,41 @@ func (f *File) collect(ctx context.Context, s *queryState, li int, cancel *cance
 	}
 	ref := &f.leaves[li]
 	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), loaded, cellBounds(ref.cells).Center())
-	if len(t.nodes) > 0 {
-		sel.err = s.traverseTreelet(f, sel, cancel, 0, 0)
+	if len(t.nodes) > 0 && !s.traverseTreelet(f, sel, ctx.Done(), 0, 0) {
+		sel.err = ctx.Err()
 	}
 }
 
+// pollNodes spaces a treelet walk's polls of its query's Done channel: the
+// walk polls at the nodes whose index in the treelet's breadth-first node
+// table is a multiple of pollNodes, the root among them. A full walk so
+// polls at one node in pollNodes whatever the treelet's shape, and every
+// complete subtree of 2·pollNodes − 1 nodes holds a poll (its bottom level
+// is pollNodes consecutive indices). The poll is a runtime call costing
+// about what a node's own work does: polled at every node, a cancellable
+// full scan took 1.5 times as long.
+const pollNodes = 64
+
 // traverseTreelet walks sel.t depth-first from node ni, selecting each
-// node's particle window for the progressive quality range. cancel, when
-// non-nil, is polled at each node so aborted queries stop promptly.
-func (s *queryState) traverseTreelet(f *File, sel *selection, cancel *cancelFlag, ni int32, depth int) error {
+// node's particle window for the progressive quality range. It polls done
+// (see pollNodes) and reports false as soon as it is closed, so an
+// aborted query stops promptly; a nil done (an uncancellable context) is
+// never polled.
+func (s *queryState) traverseTreelet(f *File, sel *selection, done <-chan struct{}, ni int32, depth int) bool {
 	if depth > s.curD {
-		return nil
+		return true
 	}
-	if cancel.isSet() {
-		return errTraversalCancelled
+	if done != nil && ni%pollNodes == 0 {
+		select {
+		case <-done:
+			return false
+		default:
+		}
 	}
 	n := &sel.t.nodes[ni]
 	if !s.nodePassesBitmaps(f, n.ids) {
 		sel.stats.PrunedSubtrees++
-		return nil
+		return true
 	}
 	// Select this node's particle window for the quality increment.
 	p0 := portion(depth, s.prevD, s.prevF)
@@ -433,22 +429,20 @@ func (s *queryState) traverseTreelet(f *File, sel *selection, cancel *cancelFlag
 		}
 	}
 	if n.axis == uint8(leafAxis) {
-		return nil
+		return true
 	}
 	// Spatial pruning against the split plane.
 	if s.q.Bounds != nil {
 		ax := geom.Axis(n.axis)
 		if s.q.Bounds.Lower.Component(ax) >= n.pos {
-			return s.traverseTreelet(f, sel, cancel, n.right, depth+1)
+			return s.traverseTreelet(f, sel, done, n.right, depth+1)
 		}
 		if s.q.Bounds.Upper.Component(ax) < n.pos {
-			return s.traverseTreelet(f, sel, cancel, n.left, depth+1)
+			return s.traverseTreelet(f, sel, done, n.left, depth+1)
 		}
 	}
-	if err := s.traverseTreelet(f, sel, cancel, n.left, depth+1); err != nil {
-		return err
-	}
-	return s.traverseTreelet(f, sel, cancel, n.right, depth+1)
+	return s.traverseTreelet(f, sel, done, n.left, depth+1) &&
+		s.traverseTreelet(f, sel, done, n.right, depth+1)
 }
 
 // emitter is the delivery half of a query. It runs only on the goroutine

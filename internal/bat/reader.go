@@ -331,7 +331,7 @@ func (f *File) loadFooter(ctx context.Context, head []byte) error {
 		return fmt.Errorf("bat: file too small for checksum footer")
 	}
 	foot := make([]byte, fLen)
-	if _, err := pfs.ReadAtContext(ctx, f.src, foot, f.size-fLen); err != nil && err != io.EOF {
+	if err := pfs.ReadFullAt(ctx, f.src, foot, f.size-fLen); err != nil {
 		return fmt.Errorf("bat: reading footer: %w", err)
 	}
 	fr := binfmt.NewReader(foot)
@@ -376,20 +376,17 @@ func (f *File) loadFooter(ctx context.Context, head []byte) error {
 // Verify re-reads every checksummed section (header and all treelets)
 // and checks its CRC32C, without parsing or caching treelet contents.
 func (f *File) Verify() error {
+	ctx := context.Background()
 	head := make([]byte, f.headerSize)
-	if _, err := f.src.ReadAt(head, 0); err != nil && err != io.EOF {
+	if err := pfs.ReadFullAt(ctx, f.src, head, 0); err != nil {
 		return fmt.Errorf("bat: verify header: %w", err)
 	}
 	if got := checksum.CRC32C(head); got != f.headerCRC {
 		return fmt.Errorf("%w: header CRC %08x != %08x", ErrChecksum, got, f.headerCRC)
 	}
-	for ti, ref := range f.leaves {
-		buf := make([]byte, ref.byteLen)
-		if _, err := f.src.ReadAt(buf, ref.offset); err != nil && err != io.EOF {
-			return fmt.Errorf("bat: verify treelet %d: %w", ti, err)
-		}
-		if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
-			return fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
+	for ti := range f.leaves {
+		if _, err := f.readTreelet(ctx, ti); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -628,17 +625,27 @@ func (f *File) loadTreelet(ctx context.Context, ti int) (*parsedTreelet, bool, e
 	})
 }
 
-// parseTreelet reads and parses treelet ti from the underlying source. lay,
-// when non-nil, receives how the treelet is stored (TreeletLayout).
-func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*parsedTreelet, error) {
-	ref := f.leaves[ti]
-	buf := make([]byte, ref.byteLen)
-	if _, err := pfs.ReadAtContext(ctx, f.src, buf, ref.offset); err != nil {
+// readTreelet reads treelet ti's bytes from the underlying source and
+// checks them against the footer's CRC.
+func (f *File) readTreelet(ctx context.Context, ti int) ([]byte, error) {
+	buf := make([]byte, f.leaves[ti].byteLen)
+	if err := pfs.ReadFullAt(ctx, f.src, buf, f.leaves[ti].offset); err != nil {
 		return nil, fmt.Errorf("bat: reading treelet %d: %w", ti, err)
 	}
 	if got := checksum.CRC32C(buf); got != f.treeletCRCs[ti] {
 		return nil, fmt.Errorf("%w: treelet %d CRC %08x != %08x", ErrChecksum, ti, got, f.treeletCRCs[ti])
 	}
+	return buf, nil
+}
+
+// parseTreelet reads and parses treelet ti from the underlying source. lay,
+// when non-nil, receives how the treelet is stored (TreeletLayout).
+func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*parsedTreelet, error) {
+	buf, err := f.readTreelet(ctx, ti)
+	if err != nil {
+		return nil, err
+	}
+	ref := f.leaves[ti]
 	r := binfmt.NewReader(buf)
 	nNodes, nPoints := ref.numNodes, ref.numPoints
 	nA := f.Schema.NumAttrs()

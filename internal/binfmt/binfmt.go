@@ -93,7 +93,7 @@ func (r *Reader) Bytes(n int) []byte {
 			grow = r.size - start
 		}
 		chunk := make([]byte, grow)
-		if k, err := pfs.ReadAtContext(r.ctx, r.src, chunk, start); err != nil && (err != io.EOF || k < len(chunk)) {
+		if err := pfs.ReadFullAt(r.ctx, r.src, chunk, start); err != nil {
 			r.err = err
 			return nil
 		}

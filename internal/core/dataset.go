@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -62,11 +61,8 @@ func OpenDataset(ctx context.Context, store pfs.Storage, base string) (d *Datase
 		}
 	}()
 	buf := make([]byte, f.Size())
-	if n, rerr := pfs.ReadAtContext(ctx, f, buf, 0); n < len(buf) {
-		if rerr == nil || rerr == io.EOF {
-			rerr = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("core: reading %s: got %d of %d bytes: %w", name, n, len(buf), rerr)
+	if err := pfs.ReadFullAt(ctx, f, buf, 0); err != nil {
+		return nil, fmt.Errorf("core: reading %s: %w", name, err)
 	}
 	m, err := meta.Decode(buf)
 	if err != nil {

@@ -164,13 +164,6 @@ func (c *Comm) noteRecv(n int) {
 	c.recvMsgs.Add(1)
 }
 
-// noteCollective counts this rank's participation in one collective
-// operation. Collectives are rare relative to point-to-point traffic, so
-// the label-resolving cold path is fine here.
-func (c *Comm) noteCollective(op string) {
-	c.noteOp(op, 0)
-}
-
 // noteOp counts one collective call plus the payload bytes this rank sent
 // inside it (each byte is charged once, at its sender, so summing the
 // per-rank series gives the collective's total wire volume). The
@@ -181,7 +174,6 @@ func (c *Comm) noteOp(op string, bytes int) {
 		return
 	}
 	r := obs.Rank(c.rank)
-	c.f.col.Add("fabric_collectives_total", 1, r, obs.L("op", op))
 	c.f.col.Add("bat_fabric_"+op+"_calls", 1, r)
 	if bytes > 0 {
 		c.f.col.Add("bat_fabric_"+op+"_bytes", int64(bytes), r)
@@ -258,7 +250,7 @@ func (c *Comm) RecvCtx(ctx context.Context, src, tag int) ([]byte, Status, error
 
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() {
-	c.noteCollective("barrier")
+	c.noteOp("barrier", 0)
 	f := c.f
 	f.barrierMu.Lock()
 	gen := f.barrierGen

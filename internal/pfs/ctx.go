@@ -12,6 +12,7 @@ package pfs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"time"
 )
@@ -39,6 +40,24 @@ func ReadAtContext(ctx context.Context, r io.ReaderAt, p []byte, off int64) (int
 		return cr.ReadAtCtx(ctx, p, off)
 	}
 	return r.ReadAt(p, off)
+}
+
+// ReadFullAt reads all of p at off through ReadAtContext. A read that fills
+// p succeeds even when it reports io.EOF (p ends where the source does). A
+// shorter one fails: with the reader's own error when that is not io.EOF,
+// otherwise with an error wrapping both io.ErrUnexpectedEOF and io.EOF.
+// Every storage read whose bytes are then checksummed goes through here,
+// so a torn read is reported as one, never as a CRC mismatch over the
+// buffer's unread zeros.
+func ReadFullAt(ctx context.Context, r io.ReaderAt, p []byte, off int64) error {
+	n, err := ReadAtContext(ctx, r, p, off)
+	if err == nil || err == io.EOF {
+		if n == len(p) {
+			return nil
+		}
+		return fmt.Errorf("got %d of %d bytes at offset %d: %w (%w)", n, len(p), off, io.ErrUnexpectedEOF, io.EOF)
+	}
+	return err
 }
 
 // OpenContext opens name through s honoring ctx, with the same contract as

@@ -3,6 +3,7 @@ package pfs
 import (
 	"context"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -178,5 +179,40 @@ func TestSleepContext(t *testing.T) {
 	}
 	if err := SleepContext(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SleepContext(canceled, 0) = %v, want Canceled", err)
+	}
+}
+
+// readerAtFunc adapts a function to io.ReaderAt.
+type readerAtFunc func(p []byte, off int64) (int, error)
+
+func (f readerAtFunc) ReadAt(p []byte, off int64) (int, error) { return f(p, off) }
+
+// TestReadFullAt: a read that fills its buffer succeeds even when it ends
+// at EOF; a short one wraps io.ErrUnexpectedEOF (and io.EOF) whether or not
+// the reader said why; any other error is the reader's own.
+func TestReadFullAt(t *testing.T) {
+	errDisk := errors.New("disk")
+	for _, tc := range []struct {
+		name string
+		n    int
+		err  error
+		want []error // nil: success
+	}{
+		{"full", 4, nil, nil},
+		{"full at EOF", 4, io.EOF, nil},
+		{"short at EOF", 3, io.EOF, []error{io.ErrUnexpectedEOF, io.EOF}},
+		{"short without error", 3, nil, []error{io.ErrUnexpectedEOF, io.EOF}},
+		{"failed", 1, errDisk, []error{errDisk}},
+	} {
+		r := readerAtFunc(func([]byte, int64) (int, error) { return tc.n, tc.err })
+		err := ReadFullAt(context.Background(), r, make([]byte, 4), 0)
+		if tc.want == nil && err != nil {
+			t.Errorf("%s: %v, want nil", tc.name, err)
+		}
+		for _, w := range tc.want {
+			if !errors.Is(err, w) {
+				t.Errorf("%s: %v, want it to wrap %v", tc.name, err, w)
+			}
+		}
 	}
 }

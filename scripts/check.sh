@@ -3,7 +3,8 @@
 # under the race detector, repeat the collective read and write protocols'
 # tests in one stage (their error agreement, outcome texts and exact
 # traffic included, and the particle Exchange's), then the read's answer
-# order and phase clocks, under the race detector, smoke the benchmarks and
+# order and phase clocks, and the query engine's stop paths (cancellation,
+# a visitor's error), under the race detector, smoke the benchmarks and
 # the five examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
 # and the /points query fuzzer a short pass. Run it from the repository
 # root before sending a PR.
@@ -79,6 +80,13 @@ run "go test -race -count=10 read and write protocols" env GOMAXPROCS=4 go test 
 # 1, 2 and 8 for the reads), and every phase time of a write and a
 # restart read must equal its spans.
 run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go test -race -count=3 -run 'ReadDeterminism|PhaseTimesAreSpans' ./internal/core/
+
+# The query engine's stop paths ten times over: a context cancelled or
+# timed out mid-query, a stalled read, a visitor that fails, concurrent
+# queries on one File. Each run must stop every collector, leave no read
+# running after Query returns (TestQueryReadsBeforeReturn) and leak no
+# goroutine, and which collector sees the stop first differs between runs.
+run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery' ./internal/bat/
 
 # Bench smoke: one iteration of every benchmark of internal/bat (the
 # builds, the progressive and filtered reads over opened files, and the
