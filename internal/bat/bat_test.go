@@ -371,6 +371,33 @@ func TestScanAllocsPerTreelet(t *testing.T) {
 		t.Fatalf("warm scan of %d particles in %d treelets allocated %.0f times, want at most %.0f",
 			s.Len(), f.NumTreelets(), allocs, limit)
 	}
+
+	// With several workers the run's pool of selections is made once and
+	// reused like the serial path's one, so a warm scan allocates at most
+	// the serial count plus a constant per worker (its goroutine and its
+	// selections' first growth), whatever the number of treelets.
+	s, domain = randomSet(200000, 28)
+	f, _ = buildAndOpen(t, s, domain, DefaultBuildConfig())
+	warmAllocs := func(cfg QueryConfig) float64 {
+		scan := func() {
+			st, err := f.QueryWithConfig(Query{}, cfg, func(geom.Vec3, []float64) error { return nil })
+			if err != nil || st.Visited != int64(s.Len()) {
+				t.Fatalf("scan %+v: %d visited, err %v", cfg, st.Visited, err)
+			}
+		}
+		scan()
+		return testing.AllocsPerRun(5, scan)
+	}
+	serial := warmAllocs(QueryConfig{Workers: 1})
+	for _, w := range []int{2, 4} {
+		for _, ordered := range []bool{false, true} {
+			cfg := QueryConfig{Workers: w, Ordered: ordered}
+			if allocs, limit := warmAllocs(cfg), serial+float64(32*w); allocs > limit {
+				t.Errorf("warm scan of %d treelets at %+v allocated %.0f times, want at most %.0f (serial %.0f)",
+					f.NumTreelets(), cfg, allocs, limit, serial)
+			}
+		}
+	}
 }
 
 func TestProgressiveMonotonicCounts(t *testing.T) {

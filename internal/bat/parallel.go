@@ -7,20 +7,23 @@
 // goroutine delivers — so the visitor is never invoked concurrently, and with
 // Ordered delivery the visit sequence is identical to one worker's.
 //
-// Memory is bounded by a token semaphore: a worker acquires a token before
-// claiming a treelet and the caller releases it after delivering the
-// selection, so at most 2×workers selections exist at once. Acquiring BEFORE
-// claiming is what makes Ordered delivery deadlock-free: every token is
-// held by a claimed task, claims are issued in increasing index order, so
-// the lowest undelivered index always owns a token and is either being
-// collected or already deliverable.
+// Memory is bounded by a pool of 2×workers selections made once per run: a
+// worker takes a free selection before claiming a treelet, collect refills
+// it reusing its slices as the serial path reuses its one, and the caller
+// hands it back after delivering it, its treelet reference cleared. Taking
+// BEFORE claiming is what makes Ordered delivery deadlock-free: every
+// claimed task holds a selection, claims are issued in increasing index
+// order, so the lowest undelivered index always holds one and is either
+// being collected or already deliverable. It also sizes the ring Ordered
+// delivery parks early completions in: every undelivered claim lies in
+// [nextIdx, nextIdx+2×workers), so its slot idx mod 2×workers is its own.
 //
 // The query's context is the one stop signal. The workers run under a child
 // of it that a failed delivery cancels: a traversal polls its Done channel
-// (query.go: pollNodes), a worker waiting for a token leaves through it,
-// and the caller stops delivering and waits for the workers. No worker
-// blocks on its last send, because the results channel holds as many
-// selections as there are tokens.
+// (query.go: pollNodes), a worker waiting for a free selection leaves
+// through it, and the caller stops delivering and waits for the workers. No
+// worker blocks on its last send, because the results channel holds the
+// whole pool.
 package bat
 
 import (
@@ -48,31 +51,35 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 	// variable that is reassigned moves to the heap, serial path included.
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel() // a panicking visitor still stops the workers
-	// Each in-flight selection holds one token from acquisition until it has
-	// been delivered; results is sized to the token count so workers never
-	// block sending.
-	maxInflight := 2 * w
-	tokens := make(chan struct{}, maxInflight)
-	results := make(chan *selection, maxInflight)
+	// The pool's selections are the in-flight bound: free and results each
+	// hold all of them, so neither send ever blocks.
+	n := 2 * w
+	pool := make([]selection, n)
+	free := make(chan *selection, n)
+	for i := range pool {
+		free <- &pool[i]
+	}
+	results := make(chan *selection, n)
 	var next atomic.Int64
 
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				var sel *selection
 				select {
-				case tokens <- struct{}{}: // acquire before claiming (see file comment)
+				case sel = <-free: // acquire before claiming (see file comment)
 				case <-wctx.Done():
 					return
 				}
 				idx := int(next.Add(1)) - 1
 				if idx >= len(cands) || wctx.Err() != nil {
-					<-tokens
+					free <- sel
 					return
 				}
-				sel := &selection{idx: idx}
+				sel.idx = idx
 				f.collect(wctx, s, cands[idx], sel)
 				results <- sel
 			}
@@ -85,25 +92,24 @@ func (f *File) run(ctx context.Context, s *queryState, cands []int, cfg QueryCon
 
 	deliver := func(sel *selection) error {
 		err := e.deliver(wctx, sel)
-		<-tokens
+		sel.t = nil // a pooled selection pins no treelet the cache evicts
+		free <- sel
 		return err
 	}
-	// Ordered delivery stashes out-of-order completions and delivers the run
-	// of consecutive indices starting at nextIdx as it becomes available.
+	// Ordered delivery parks out-of-order completions in a ring of n slots
+	// and delivers the run of consecutive indices starting at nextIdx as it
+	// becomes available.
 	var err error
-	pending := make(map[int]*selection, maxInflight)
+	ring := make([]*selection, n)
 	nextIdx := 0
 	for sel := range results {
 		if !cfg.Ordered {
 			err = deliver(sel)
 		} else {
-			pending[sel.idx] = sel
-			for err == nil {
-				nb, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
+			ring[sel.idx%n] = sel
+			for err == nil && ring[nextIdx%n] != nil {
+				nb := ring[nextIdx%n]
+				ring[nextIdx%n] = nil
 				nextIdx++
 				err = deliver(nb)
 			}

@@ -143,6 +143,9 @@ func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 	if err == nil && int64(f.NumParticles) != lm.Count {
 		err = fmt.Errorf("file holds %d particles, metadata says %d", f.NumParticles, lm.Count)
 	}
+	if err == nil && !f.Schema.Equal(d.meta.Schema) {
+		err = fmt.Errorf("file holds attributes %v, metadata says %v", f.Schema.Attrs, d.meta.Schema.Attrs)
+	}
 	if err != nil {
 		if cerr := h.Close(); cerr != nil {
 			err = errors.Join(err, cerr)

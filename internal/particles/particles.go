@@ -201,29 +201,6 @@ func (s *Set) Select(idx []int) *Set {
 	return out
 }
 
-// Reorder permutes the set in place so that new position i holds the
-// particle previously at perm[i]. perm must be a permutation of [0, Len).
-func (s *Set) Reorder(perm []int) {
-	if len(perm) != s.Len() {
-		panic("particles: Reorder permutation length mismatch")
-	}
-	apply32 := func(a []float32) []float32 {
-		out := make([]float32, len(a))
-		for i, p := range perm {
-			out[i] = a[p]
-		}
-		return out
-	}
-	s.X, s.Y, s.Z = apply32(s.X), apply32(s.Y), apply32(s.Z)
-	for ai, a := range s.Attrs {
-		out := make([]float64, len(a))
-		for i, p := range perm {
-			out[i] = a[p]
-		}
-		s.Attrs[ai] = out
-	}
-}
-
 // Slice returns a view-copy of particles [lo, hi).
 func (s *Set) Slice(lo, hi int) *Set {
 	out := NewSet(s.Schema, hi-lo)

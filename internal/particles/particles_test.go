@@ -108,28 +108,6 @@ func TestSelectAndSlice(t *testing.T) {
 	}
 }
 
-func TestReorder(t *testing.T) {
-	s := testSet(10, 4)
-	orig := s.Slice(0, 10)
-	perm := []int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
-	s.Reorder(perm)
-	for i := 0; i < 10; i++ {
-		if s.X[i] != orig.X[9-i] || s.Attrs[0][i] != orig.Attrs[0][9-i] {
-			t.Fatalf("Reorder wrong at %d", i)
-		}
-	}
-}
-
-func TestReorderPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	s := testSet(5, 1)
-	s.Reorder([]int{0, 1})
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw, preRaw uint8) bool {
 		n, pre := int(nRaw)%64, int(preRaw)%4

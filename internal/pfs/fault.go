@@ -68,8 +68,8 @@ type Faulty struct {
 	Storage
 	// FailWrites and FailOpens name files whose writes/opens fail on
 	// every attempt. They may be set at construction; use
-	// FailWritesPermanently/FailOpensPermanently to add names once the
-	// injector is shared between goroutines.
+	// FailWritesPermanently to add a write name once the injector is
+	// shared between goroutines.
 	FailWrites map[string]bool
 	FailOpens  map[string]bool
 
@@ -140,16 +140,6 @@ func (f *Faulty) FailWritesPermanently(name string) {
 		f.FailWrites = make(map[string]bool)
 	}
 	f.FailWrites[name] = true
-}
-
-// FailOpensPermanently marks name so every open of it fails.
-func (f *Faulty) FailOpensPermanently(name string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.FailOpens == nil {
-		f.FailOpens = make(map[string]bool)
-	}
-	f.FailOpens[name] = true
 }
 
 // Injected returns the number of faults injected so far (all kinds,

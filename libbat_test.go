@@ -2,6 +2,7 @@ package libbat
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -318,6 +319,98 @@ func TestHostileLeafCounts(t *testing.T) {
 			defer ds.Close()
 			if got, err := ds.ReadAll(); got != nil || err == nil || !strings.Contains(err.Error(), tc.readErr) {
 				t.Fatalf("ReadAll error %v; want no set and an error containing %q", err, tc.readErr)
+			}
+		})
+	}
+}
+
+// TestLeafSchemaMismatch: a leaf file whose schema is not the .batm's is
+// refused when it opens, naming the leaf, on every read route, and never
+// reaches a visitor or a set of the other schema. Each case copies a
+// one-leaf dataset's leaf file over the leaf of another one-leaf dataset of
+// the same particles with one attribute more or fewer.
+func TestLeafSchemaMismatch(t *testing.T) {
+	write := func(store Storage, base string, attrs int) string {
+		t.Helper()
+		err := Run(testRanks, func(c *Comm) error {
+			src, bounds := testWorld.Rank(c.Rank())
+			local := NewParticleSet(NewSchema([]string{"temp", "id", "extra"}[:attrs]...), src.Len())
+			vals := make([]float64, attrs)
+			for i := range src.Len() {
+				for a := range vals {
+					vals[a] = float64(i + a)
+				}
+				local.Append(V3(float64(src.X[i]), float64(src.Y[i]), float64(src.Z[i])), vals)
+			}
+			_, err := Write(c, store, base, local, bounds, DefaultWriteConfig(1<<30))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := OpenDataset(store, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		if ds.NumFiles() != 1 {
+			t.Fatalf("%s: %d leaf files, want 1", base, ds.NumFiles())
+		}
+		return ds.Leaves()[0].FileName
+	}
+	for _, tc := range []struct {
+		name       string
+		meta, leaf int
+	}{
+		{"3-attribute leaf under a 2-attribute batm", 2, 3},
+		{"2-attribute leaf under a 3-attribute batm", 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := MemStorage()
+			dst, src := write(store, "m", tc.meta), write(store, "l", tc.leaf)
+			h, err := store.Open(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, h.Size())
+			if _, err := h.ReadAt(buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			h.Close()
+			if err := store.WriteFile(dst, buf); err != nil {
+				t.Fatal(err)
+			}
+			const want = "core: parsing leaf 0: file holds attributes"
+
+			ds, err := OpenDataset(store, "m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			if got, err := ds.ReadAll(); got != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ReadAll: error %v, want no set and an error containing %q", err, want)
+			}
+			last := ds.Schema().NumAttrs() - 1
+			err = ds.QueryCtx(context.Background(), Query{}, func(_ Vec3, attrs []float64) error {
+				_ = attrs[last]
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("QueryCtx: error %v, want one containing %q", err, want)
+			}
+
+			err = Run(testRanks, func(c *Comm) error {
+				got, stats, err := ReadQueryCtx(context.Background(), c, store, "m", Query{})
+				if !errors.Is(err, ErrPartial) || got == nil || got.Len() != 0 {
+					return fmt.Errorf("rank %d: %v particles, error %v, want none and an error wrapping ErrPartial", c.Rank(), got, err)
+				}
+				if lerr := stats.LeafErrors[0]; lerr == nil || !strings.Contains(lerr.Error(), want) {
+					return fmt.Errorf("rank %d: leaf 0 error %v, want one containing %q", c.Rank(), lerr, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		})
 	}

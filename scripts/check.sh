@@ -4,10 +4,10 @@
 # tests in one stage (their error agreement, outcome texts and exact
 # traffic included, and the particle Exchange's), then the read's answer
 # order and phase clocks, and the query engine's stop paths (cancellation,
-# a visitor's error), under the race detector, smoke the benchmarks and
-# the five examples, and (unless CHECK_FUZZ=0) give the six decode fuzzers
-# and the /points query fuzzer a short pass. Run it from the repository
-# root before sending a PR.
+# a visitor's error) and parallel delivery, under the race detector, smoke
+# the benchmarks and the five examples, and (unless CHECK_FUZZ=0) give the
+# six decode fuzzers and the /points query fuzzer a short pass. Run it
+# from the repository root before sending a PR.
 #
 # Stages keep running after a failure; the script reports a per-stage
 # summary at the end and exits non-zero if anything failed.
@@ -86,7 +86,10 @@ run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go tes
 # queries on one File. Each run must stop every collector, leave no read
 # running after Query returns (TestQueryReadsBeforeReturn) and leak no
 # goroutine, and which collector sees the stop first differs between runs.
-run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery' ./internal/bat/
+# The parallel-versus-serial tests ride along: they deliver many treelets
+# through the pooled selections a collector refills right after the caller
+# hands one back, and through the ordered ring.
+run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery|ParallelMatchesSerial|OrderedParallelPreservesOrder' ./internal/bat/
 
 # Bench smoke: one iteration of every benchmark of internal/bat (the
 # builds, the progressive and filtered reads over opened files, and the
