@@ -50,7 +50,7 @@ func faultyServer(t *testing.T, fcfg pfs.FaultConfig) (*server, *pfs.Faulty, int
 		t.Fatal(err)
 	}
 	s := &server{store: fau, names: names, open: map[int]*libbat.Dataset{},
-		col: obs.New(), qcfg: libbat.QueryConfig{Workers: 2, Ordered: true},
+		col: obs.New(), qcfg: libbat.QueryConfig{Workers: 2},
 		access: libbat.NewAccessRegistry()}
 	t.Cleanup(s.closeDatasets)
 	return s, fau, ranks * perRank

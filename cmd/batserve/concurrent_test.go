@@ -15,11 +15,12 @@ import (
 
 // TestOverlappingQueries fires many simultaneous /points requests at one
 // dataset. With the read lock replacing the old global mutex they execute
-// concurrently; every response must be complete and — with ordered
-// parallel traversal — byte-identical. Run under -race via check.sh.
+// concurrently; every response must be complete and, since a query
+// delivers in one order at every worker count, byte-identical. Run under
+// -race via check.sh.
 func TestOverlappingQueries(t *testing.T) {
 	s, total := testServer(t)
-	s.qcfg = libbat.QueryConfig{Workers: 4, Ordered: true}
+	s.qcfg = libbat.QueryConfig{Workers: 4}
 	ts := httptest.NewServer(s.routes())
 	defer ts.Close()
 

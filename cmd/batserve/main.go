@@ -223,9 +223,9 @@ func main() {
 		drain = flag.Duration("drain", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 
 		queryWorkers = flag.Int("query-workers", 0,
-			"traversal goroutines per query (0 = GOMAXPROCS, 1 = serial)")
-		unordered = flag.Bool("query-unordered", false,
-			"allow out-of-order point delivery within a query (lower latency, nondeterministic stream order)")
+			"goroutines per query: the one that walks and delivers, the rest load treelets ahead of it (0 = GOMAXPROCS, 1 = serial)")
+		_ = flag.Bool("query-unordered", false,
+			"no effect, accepted so older command lines still start: every query delivers its points in one order at every -query-workers")
 		cacheMB = flag.Int64("cache-mb", 0,
 			"treelet cache budget per dataset in MiB, one budget over all of its leaf files (0 = unbounded)")
 		pprofOn = flag.Bool("pprof", false,
@@ -249,7 +249,7 @@ func main() {
 	if err != nil {
 		log.Fatal("batserve: ", err)
 	}
-	qcfg := libbat.QueryConfig{Workers: *queryWorkers, Ordered: !*unordered}
+	qcfg := libbat.QueryConfig{Workers: *queryWorkers}
 	if qcfg.Workers == 0 {
 		qcfg.Workers = -1 // bat: negative means GOMAXPROCS
 	}

@@ -61,7 +61,7 @@ func TestParallelAccessMultiset(t *testing.T) {
 			t.Fatalf("treelet %d loaded %d times on a fresh cache, want 1", ts.Treelet, ts.Loads)
 		}
 	}
-	for _, cfg := range []QueryConfig{{Workers: 4}, {Workers: 4, Ordered: true}, {Workers: -1}} {
+	for _, cfg := range []QueryConfig{{Workers: 2}, {Workers: 4}, {Workers: -1}} {
 		par := accessSnapshotFor(t, b.Buf, cfg, queries)
 		if !reflect.DeepEqual(par, serial) {
 			t.Errorf("cfg %+v access snapshot differs from serial:\n par    %+v\n serial %+v", cfg, par, serial)
@@ -89,7 +89,7 @@ func TestConcurrentAccessRecorder(t *testing.T) {
 	}
 	baseline := rec.Snapshot().TreeletHits
 
-	cfgs := []QueryConfig{{Workers: 1}, {Workers: 2}, {Workers: 4, Ordered: true}, {Workers: -1}}
+	cfgs := []QueryConfig{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: -1}}
 	const perCfg = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cfgs)*perCfg)

@@ -372,10 +372,10 @@ func TestScanAllocsPerTreelet(t *testing.T) {
 			s.Len(), f.NumTreelets(), allocs, limit)
 	}
 
-	// With several workers the run's pool of selections is made once and
-	// reused like the serial path's one, so a warm scan allocates at most
-	// the serial count plus a constant per worker (its goroutine and its
-	// selections' first growth), whatever the number of treelets.
+	// With several workers the walk is still the serial one, plus helpers
+	// started once and a ring of slots made once, so a warm scan allocates
+	// at most the serial count plus a constant per worker, whatever the
+	// number of treelets.
 	s, domain = randomSet(200000, 28)
 	f, _ = buildAndOpen(t, s, domain, DefaultBuildConfig())
 	warmAllocs := func(cfg QueryConfig) float64 {
@@ -390,12 +390,10 @@ func TestScanAllocsPerTreelet(t *testing.T) {
 	}
 	serial := warmAllocs(QueryConfig{Workers: 1})
 	for _, w := range []int{2, 4} {
-		for _, ordered := range []bool{false, true} {
-			cfg := QueryConfig{Workers: w, Ordered: ordered}
-			if allocs, limit := warmAllocs(cfg), serial+float64(32*w); allocs > limit {
-				t.Errorf("warm scan of %d treelets at %+v allocated %.0f times, want at most %.0f (serial %.0f)",
-					f.NumTreelets(), cfg, allocs, limit, serial)
-			}
+		cfg := QueryConfig{Workers: w}
+		if allocs, limit := warmAllocs(cfg), serial+float64(32*w); allocs > limit {
+			t.Errorf("warm scan of %d treelets at %+v allocated %.0f times, want at most %.0f (serial %.0f)",
+				f.NumTreelets(), cfg, allocs, limit, serial)
 		}
 	}
 }
@@ -848,7 +846,7 @@ func BenchmarkAttributeFilteredQuery(b *testing.B) {
 	})
 	// batserve's case: the request's context can end, so every treelet walk
 	// polls it; serially and as batserve's benchmark flags run it, on two
-	// unordered workers.
+	// workers.
 	for _, cfg := range []QueryConfig{{}, {Workers: 2}} {
 		b.Run(fmt.Sprintf("full-scan-cancellable-w%d", cfg.effectiveWorkers()), func(b *testing.B) {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,6 @@ func TestCancelStalledRead(t *testing.T) {
 	}{
 		{"serial", QueryConfig{}},
 		{"parallel", QueryConfig{Workers: 4}},
-		{"ordered", QueryConfig{Workers: 4, Ordered: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakcheck.Check(t)
@@ -305,7 +305,6 @@ func TestCancelStorm(t *testing.T) {
 	cfgs := []QueryConfig{
 		{},
 		{Workers: 4},
-		{Workers: 4, Ordered: true},
 		{Workers: 2},
 	}
 	var wg sync.WaitGroup
@@ -376,11 +375,12 @@ func (r *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // TestQueryReadsBeforeReturn: every storage read a query causes has
 // finished before Query returns — on success, on a visitor error and on a
-// ctx cancelled mid-scan, for every worker count and delivery order. Each
-// case opens a cold File over a counting source whose reads past the first
-// treelet are slow; leakcheck's cleanup (registered after the late-read
-// check, so it runs first) waits out any goroutine the query left behind
-// before the late reads are counted.
+// ctx cancelled mid-scan, at every worker count. The ordered=true cases
+// also require the visits to be the serial scan's sequence, or a prefix of
+// it for a query that stops. Each case opens a cold File over a counting
+// source whose reads past the first treelet are slow; leakcheck's cleanup
+// (registered after the late-read check, so it runs first) waits out any
+// goroutine the query left behind before the late reads are counted.
 func TestQueryReadsBeforeReturn(t *testing.T) {
 	s, domain := randomSet(20000, 61)
 	cfg := DefaultBuildConfig()
@@ -389,64 +389,80 @@ func TestQueryReadsBeforeReturn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := FromBuffer(b.Buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serial []geom.Vec3
+	if _, err := ref.Query(context.Background(), Query{}, QueryConfig{}, func(p geom.Vec3, _ []float64) error {
+		serial = append(serial, p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	errBail := errors.New("bail")
-	for _, cfg := range []QueryConfig{
-		{Workers: 1},
-		{Workers: 1, Ordered: true},
-		{Workers: 4},
-		{Workers: 4, Ordered: true},
-	} {
-		for _, mode := range []string{"complete", "visitor-error", "cancel"} {
-			t.Run(fmt.Sprintf("w%d-ordered=%v-%s", cfg.Workers, cfg.Ordered, mode), func(t *testing.T) {
-				src := &countingReaderAt{src: bytes.NewReader(b.Buf)}
-				t.Cleanup(func() {
-					if n := src.late.Load(); n != 0 {
-						t.Errorf("%d ReadAt calls after Query returned", n)
+	for _, w := range []int{1, 2, 4} {
+		for _, ordered := range []bool{false, true} {
+			for _, mode := range []string{"complete", "visitor-error", "cancel"} {
+				cfg := QueryConfig{Workers: w}
+				t.Run(fmt.Sprintf("w%d-ordered=%v-%s", w, ordered, mode), func(t *testing.T) {
+					src := &countingReaderAt{src: bytes.NewReader(b.Buf)}
+					t.Cleanup(func() {
+						if n := src.late.Load(); n != 0 {
+							t.Errorf("%d ReadAt calls after Query returned", n)
+						}
+					})
+					leakcheck.Check(t)
+					f, err := DecodeCtx(context.Background(), src, int64(len(b.Buf)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.NumTreelets() < 8 {
+						t.Fatalf("only %d treelets; the scan must span several", f.NumTreelets())
+					}
+					first := f.leaves[0]
+					src.slowFrom = int64(first.offset) + int64(first.byteLen)
+					opened := src.reads.Load()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					var n int64
+					var seq []geom.Vec3
+					_, err = f.Query(ctx, Query{}, cfg, func(p geom.Vec3, _ []float64) error {
+						n++
+						if ordered {
+							seq = append(seq, p)
+						}
+						switch {
+						case mode == "visitor-error":
+							return errBail
+						case mode == "cancel" && n == 100:
+							cancel()
+						}
+						return nil
+					})
+					src.returned.Store(true)
+					switch mode {
+					case "complete":
+						if err != nil || n != int64(s.Len()) {
+							t.Fatalf("got %d points, err %v; want %d, nil", n, err, s.Len())
+						}
+					case "visitor-error":
+						if !errors.Is(err, errBail) {
+							t.Fatalf("err = %v, want the visitor's", err)
+						}
+					case "cancel":
+						if !errors.Is(err, context.Canceled) {
+							t.Fatalf("err = %v, want context.Canceled", err)
+						}
+					}
+					if src.reads.Load() == opened {
+						t.Fatal("the query read nothing; the check would be vacuous")
+					}
+					if ordered && !reflect.DeepEqual(seq, serial[:len(seq)]) {
+						t.Fatalf("%d visits, not in the serial scan's sequence", len(seq))
 					}
 				})
-				leakcheck.Check(t)
-				f, err := DecodeCtx(context.Background(), src, int64(len(b.Buf)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.NumTreelets() < 8 {
-					t.Fatalf("only %d treelets; the scan must span several", f.NumTreelets())
-				}
-				first := f.leaves[0]
-				src.slowFrom = int64(first.offset) + int64(first.byteLen)
-				opened := src.reads.Load()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var n int64
-				_, err = f.Query(ctx, Query{}, cfg, func(geom.Vec3, []float64) error {
-					n++
-					switch {
-					case mode == "visitor-error":
-						return errBail
-					case mode == "cancel" && n == 100:
-						cancel()
-					}
-					return nil
-				})
-				src.returned.Store(true)
-				switch mode {
-				case "complete":
-					if err != nil || n != int64(s.Len()) {
-						t.Fatalf("got %d points, err %v; want %d, nil", n, err, s.Len())
-					}
-				case "visitor-error":
-					if !errors.Is(err, errBail) {
-						t.Fatalf("err = %v, want the visitor's", err)
-					}
-				case "cancel":
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("err = %v, want context.Canceled", err)
-					}
-				}
-				if src.reads.Load() == opened {
-					t.Fatal("the query read nothing; the check would be vacuous")
-				}
-			})
+			}
 		}
 	}
 }

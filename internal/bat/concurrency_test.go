@@ -27,7 +27,6 @@ func TestConcurrentQuerySharedFile(t *testing.T) {
 	cfgs := []QueryConfig{
 		{Workers: 1},
 		{Workers: 2},
-		{Workers: 4, Ordered: true},
 		{Workers: 4},
 		{Workers: -1},
 	}
@@ -74,7 +73,6 @@ func TestParallelVisitorError(t *testing.T) {
 	for _, cfg := range []QueryConfig{
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 4, Ordered: true},
 	} {
 		var n int
 		st, err := f.QueryWithConfig(Query{}, cfg, func(geom.Vec3, []float64) error {

@@ -44,21 +44,15 @@ type Query struct {
 type Visitor func(p geom.Vec3, attrs []float64) error
 
 // QueryConfig tunes how a traversal executes. It never changes which
-// particles a query matches — only how the work is scheduled.
-//
-// The zero value traverses on the calling goroutine, one treelet at a time
-// in deterministic tree order.
+// particles a query matches, nor the order they are visited in — only how
+// the work is scheduled.
 type QueryConfig struct {
-	// Workers is the number of goroutines collecting treelets. 0 or 1 runs
-	// the same collect-then-deliver step inline, starting no goroutine.
-	// Negative selects GOMAXPROCS.
+	// Workers is the number of goroutines a query runs on. The caller's
+	// goroutine walks and delivers every candidate treelet in order; with
+	// Workers > 1, Workers−1 helpers load candidates ahead of it
+	// (parallel.go). 0 or 1 starts no goroutine. Negative selects
+	// GOMAXPROCS.
 	Workers int
-
-	// Ordered, when true with Workers > 1, delivers visits in the same
-	// deterministic treelet order as Workers = 1 (completed treelets are
-	// buffered until their turn). When false, visits arrive as treelets
-	// complete — same particle multiset, lower latency and memory.
-	Ordered bool
 }
 
 // effectiveWorkers resolves the Workers field to a concrete count.
@@ -270,9 +264,9 @@ func (st *QueryStats) Add(o QueryStats) {
 
 // Query traverses the file under cfg, invoking visit for every particle
 // matching q. Particles are visited treelet by treelet in increasing depth
-// order within each treelet; with Workers > 1 and Ordered false, treelets
-// may complete out of order but the visited multiset is identical. A nil
-// visit only counts: the stats are those of any visitor that returns nil.
+// order within each treelet, in the same sequence at every worker count. A
+// nil visit only counts: the stats are those of any visitor that returns
+// nil.
 //
 // When ctx ends, the traversal stops promptly (tree walks poll ctx.Done()
 // as they descend, and storage reads abort) and ctx.Err() is returned.
@@ -281,16 +275,10 @@ func (st *QueryStats) Add(o QueryStats) {
 // of any single call is never invoked concurrently with itself, and always
 // runs on the calling goroutine.
 func (f *File) Query(ctx context.Context, q Query, cfg QueryConfig, visit Visitor) (QueryStats, error) {
-	s, ok := f.prepare(q)
-	if !ok || len(f.leaves) == 0 {
-		return QueryStats{}, ctx.Err()
-	}
-	e := &emitter{visit: visit, attrs: make([]float64, f.Schema.NumAttrs())}
-	err := f.run(ctx, s, f.selectTreelets(s, &e.stats), cfg, e)
-	if err == nil {
-		err = ctx.Err()
-	}
-	return e.stats, err
+	w := NewWalk(ctx, cfg, visit)
+	defer w.Stop()
+	err := w.Query(f, q)
+	return w.Stats(), err
 }
 
 // QueryWithConfig is Query without a context. benchmark/ calls it by this
@@ -302,8 +290,8 @@ func (f *File) QueryWithConfig(q Query, cfg QueryConfig, visit Visitor) (QuerySt
 // selectTreelets walks the shallow tree serially — it is in-memory and tiny
 // relative to the treelets — pruning by bounds and bitmaps, and returns the
 // surviving treelet leaves in deterministic left-to-right order. This list
-// is the unit of scheduling: every worker count collects exactly these
-// treelets, and delivers them in this order unless told it need not.
+// is the unit of scheduling: every worker count collects and delivers
+// exactly these treelets, in this order.
 func (f *File) selectTreelets(s *queryState, st *QueryStats) []int {
 	if len(f.shallow) == 0 {
 		// Single-treelet file: the treelet's root node carries the bitmap
@@ -345,7 +333,6 @@ type span struct{ lo, hi uint32 }
 // holds one or the other). Parsed treelets are immutable and outlive cache
 // eviction for as long as a selection references them.
 type selection struct {
-	idx   int // position in the candidate list, for ordered delivery
 	t     *parsedTreelet
 	spans []span
 	picks []uint32
@@ -354,17 +341,21 @@ type selection struct {
 }
 
 // collect loads candidate treelet li and walks it into sel, reusing sel's
-// slices. It is the one function that loads and traverses a treelet: pool
-// workers call it, and so does the caller's goroutine when there is no pool.
+// slices. A walk calls it for every candidate not loaded ahead.
 func (f *File) collect(ctx context.Context, s *queryState, li int, sel *selection) {
-	sel.t, sel.spans, sel.picks, sel.stats, sel.err = nil, sel.spans[:0], sel.picks[:0], QueryStats{}, nil
 	t, loaded, err := f.loadTreelet(ctx, li)
 	if err != nil {
-		sel.err = err
+		*sel = selection{spans: sel.spans[:0], picks: sel.picks[:0], err: err}
 		return
 	}
-	sel.t = t
-	sel.stats.Treelets = 1
+	f.collectLoaded(ctx, s, li, t, loaded, sel)
+}
+
+// collectLoaded walks candidate treelet li, loaded as t, into sel, reusing
+// sel's slices; loaded reports whether the load read it from storage. It is
+// the one function that traverses a treelet.
+func (f *File) collectLoaded(ctx context.Context, s *queryState, li int, t *parsedTreelet, loaded bool, sel *selection) {
+	*sel = selection{t: t, spans: sel.spans[:0], picks: sel.picks[:0], stats: QueryStats{Treelets: 1}}
 	if loaded {
 		sel.stats.Loads = 1
 	}
@@ -445,44 +436,38 @@ func (s *queryState) traverseTreelet(f *File, sel *selection, done <-chan struct
 		s.traverseTreelet(f, sel, done, n.right, depth+1)
 }
 
-// emitter is the delivery half of a query. It runs only on the goroutine
-// that called Query, whatever the worker count, and holds the one place a
-// Visitor is invoked.
-type emitter struct {
-	visit Visitor
-	attrs []float64 // the scratch slice every visit call receives
-	stats QueryStats
-}
-
-// deliver turns one selection into visitor calls, reading the treelet's
-// columns directly. A cancellation observed between selections stops
-// delivery: already-collected treelets must not keep streaming to a caller
-// that asked to stop.
-func (e *emitter) deliver(ctx context.Context, sel *selection) error {
-	if err := ctx.Err(); err != nil {
+// deliver turns the walk's selection into visitor calls, reading the
+// treelet's columns directly. It runs only on the goroutine that walks,
+// whatever the worker count, and holds the one place a Visitor is invoked.
+// A cancellation observed between selections stops delivery:
+// already-collected treelets must not keep streaming to a caller that
+// asked to stop.
+func (w *Walk) deliver() error {
+	if err := w.ctx.Err(); err != nil {
 		return err
 	}
+	sel := &w.sel
 	if sel.err != nil {
 		return sel.err
 	}
-	e.stats.Add(sel.stats)
-	if e.visit == nil {
-		for _, w := range sel.spans {
-			e.stats.Visited += int64(w.hi - w.lo)
+	w.stats.Add(sel.stats)
+	if w.visit == nil {
+		for _, sp := range sel.spans {
+			w.stats.Visited += int64(sp.hi - sp.lo)
 		}
-		e.stats.Visited += int64(len(sel.picks))
+		w.stats.Visited += int64(len(sel.picks))
 		return nil
 	}
 	t := sel.t
 	emit := func(pi uint32) error {
 		for a, col := range t.attrs {
-			e.attrs[a] = col[pi]
+			w.attrs[a] = col[pi]
 		}
-		e.stats.Visited++
-		return e.visit(geom.V3(float64(t.x[pi]), float64(t.y[pi]), float64(t.z[pi])), e.attrs)
+		w.stats.Visited++
+		return w.visit(geom.V3(float64(t.x[pi]), float64(t.y[pi]), float64(t.z[pi])), w.attrs)
 	}
-	for _, w := range sel.spans {
-		for pi := w.lo; pi < w.hi; pi++ {
+	for _, sp := range sel.spans {
+		for pi := sp.lo; pi < sp.hi; pi++ {
 			if err := emit(pi); err != nil {
 				return err
 			}

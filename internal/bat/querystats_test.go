@@ -91,7 +91,7 @@ func TestQueryStatsPinned(t *testing.T) {
 // TestNilVisitorCounts: a nil visitor counts without delivering, and its
 // query reports the stats a counting visitor's does (Loads aside, the cache's
 // history), over the oracle's cases and drawn queries, serially and on two
-// workers, ordered and not.
+// and four workers.
 func TestNilVisitorCounts(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		c := oracle.Generate(seed)
@@ -104,7 +104,7 @@ func TestNilVisitorCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nq := range c.Reference().Queries(seed) {
-			for _, cfg := range []bat.QueryConfig{{Workers: 1}, {Workers: 2}, {Workers: 2, Ordered: true}} {
+			for _, cfg := range []bat.QueryConfig{{Workers: 1}, {Workers: 2}, {Workers: 4}} {
 				var n int64
 				want, err := f.Query(context.Background(), nq.Query, cfg, func(geom.Vec3, []float64) error { n++; return nil })
 				if err != nil {

@@ -31,9 +31,9 @@ type fileRoutes struct {
 }
 
 // buildRoutes builds set under cfg. The routes are the engine serially and
-// on 2, 4 and 8 unordered workers and 4 ordered ones over the file's own
-// unbounded cache, and serially and on 4 unordered workers over a cache with
-// a one-byte budget, where every lookup evicts the rest.
+// on 2, 4 and 8 workers over the file's own unbounded cache, and serially
+// and on 4 workers over a cache with a one-byte budget, where every lookup
+// evicts the rest.
 func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.BuildConfig) *fileRoutes {
 	t.Helper()
 	b, err := bat.Build(set, domain, cfg)
@@ -55,17 +55,15 @@ func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.Buil
 		{"unbounded, 2 workers", f, bat.QueryConfig{Workers: 2}},
 		{"unbounded, 4 workers", f, bat.QueryConfig{Workers: 4}},
 		{"unbounded, 8 workers", f, bat.QueryConfig{Workers: 8}},
-		{"unbounded, 4 workers ordered", f, bat.QueryConfig{Workers: 4, Ordered: true}},
 		{"one-byte cache, serial", bounded, bat.QueryConfig{Workers: 1}},
 		{"one-byte cache, 4 workers", bounded, bat.QueryConfig{Workers: 4}},
 	}}
 }
 
 // check requires, for each query, every route to return the serial route's
-// answer with its traversal stats (the serial and ordered routes in its
-// order), each route's answers to the query's windows progressive windows
-// together to be that same answer, and holds the answer and CountMatching
-// against the oracle. Loads is not a traversal stat but the route's cache
+// answer, in its order, with its traversal stats, each route's answers to
+// the query's progressive windows together to be that same answer, and
+// holds the answer and CountMatching against the oracle. Loads is not a traversal stat but the route's cache
 // history: it is held to 0 <= Loads <= Treelets on every route, and to 0 on
 // the unbounded routes, whose cache the serial ask filled with the query's
 // treelets.
@@ -97,12 +95,8 @@ func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 			if traversal(st) != traversal(serialStats) {
 				t.Fatalf("query %d %+v, %s: stats %+v, serial %+v", qi, q, r.name, st, serialStats)
 			}
-			if r.cfg.Workers == 1 || r.cfg.Ordered {
-				if !reflect.DeepEqual(rows, serial) {
-					t.Fatalf("query %d %+v, %s: delivery order differs from the serial route's", qi, q, r.name)
-				}
-			} else if err := oracle.Same(serial, rows); err != nil {
-				t.Fatalf("query %d %+v, %s: not the serial route's answer: %v", qi, q, r.name, err)
+			if !reflect.DeepEqual(rows, serial) {
+				t.Fatalf("query %d %+v, %s: delivery order differs from the serial route's", qi, q, r.name)
 			}
 			var tiled []oracle.Row
 			for _, w := range oracle.Windows(q, windows) {
@@ -313,8 +307,8 @@ func TestParallelMatchesSerialMultiset(t *testing.T) {
 	})
 }
 
-// TestOrderedParallelPreservesOrder: Ordered delivery reproduces the serial
-// visit sequence exactly, not just the multiset; check holds every ordered
+// TestOrderedParallelPreservesOrder: every worker count reproduces the
+// serial visit sequence exactly, not just the multiset; check holds every
 // route to it.
 func TestOrderedParallelPreservesOrder(t *testing.T) {
 	set, domain := bat.RandomSet(6000, 21)

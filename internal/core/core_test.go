@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -209,6 +211,51 @@ func TestWriteAllEmpty(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteRefusesNonFinite: a rank holding a NaN or an infinity in a
+// position or an attribute fails the write at the plan agreement. Every
+// rank returns the one agreed error, which names that rank, the column and
+// how many of its values are not finite, and no file is left behind.
+func TestWriteRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		poke func(s *particles.Set)
+		want string
+	}{
+		{"NaN attribute", func(s *particles.Set) { s.Attrs[1][7] = nan }, `rank 1: particles: 1 of 100 values of attribute "id" are not finite`},
+		{"infinite attributes", func(s *particles.Set) { s.Attrs[0][3], s.Attrs[0][9] = inf, -inf }, `rank 1: particles: 2 of 100 values of attribute "temp" are not finite`},
+		{"infinite position", func(s *particles.Set) { s.Y[0] = float32(inf) }, "rank 1: particles: 1 of 100 y positions are not finite"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := pfs.NewMem()
+			errs := make([]error, 2)
+			err := fabric.Run(2, func(c *fabric.Comm) error {
+				lo := geom.V3(float64(c.Rank()), 0, 0)
+				local := particles.NewSet(particles.NewSchema("temp", "id"), 100)
+				for i := range 100 {
+					local.Append(lo.Add(geom.V3(float64(i)/100, 0.5, 0.5)), []float64{float64(i), float64(100*c.Rank() + i)})
+				}
+				if c.Rank() == 1 {
+					tc.poke(local)
+				}
+				_, errs[c.Rank()] = Write(c, store, "nf", local, geom.NewBox(lo, lo.Add(geom.V3(1, 1, 1))), DefaultWriteConfig(1<<20))
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) || err.Error() != errs[0].Error() {
+					t.Errorf("rank %d: err = %v, want the one agreed error naming %q", r, err, tc.want)
+				}
+			}
+			if names, err := store.List(); err != nil || len(names) != 0 {
+				t.Errorf("the failed write left %v (%v)", names, err)
+			}
+		})
 	}
 }
 

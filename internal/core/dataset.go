@@ -156,13 +156,16 @@ func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 	return f, nil
 }
 
-// Query traverses the given leaves in order under the dataset's
-// QueryConfig, invoking visit for every particle matching q, stops at the
-// first leaf that fails, and returns the leaves' QueryStats summed.
-// Progressive quality windows apply per leaf. With a recorder attached,
-// the call is logged as one record under the source tag ctx carries
-// (access.WithSource), "dataset" if none, and touches each filter's
-// attribute once.
+// Query walks the given leaves in order under the dataset's QueryConfig,
+// invoking visit for every particle matching q, and returns the walk's
+// QueryStats. It is one bat.Walk: each leaf is opened when the walk reaches
+// it and its candidate treelets are fed in, so the visit sequence is the
+// same at every worker count, and the walk's helpers are started once per
+// query. The first leaf that fails stops the query, after every visit from
+// the leaves before it. Progressive quality windows apply per leaf. With a
+// recorder attached, the call is logged as one record under the source tag
+// ctx carries (access.WithSource), "dataset" if none, and touches each
+// filter's attribute once.
 func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) (bat.QueryStats, error) {
 	d.mu.Lock()
 	cfg := d.qcfg
@@ -173,20 +176,20 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 	if rec != nil {
 		start = time.Now()
 	}
-	var total bat.QueryStats
+	w := bat.NewWalk(ctx, cfg, visit)
+	defer w.Stop()
 	var qerr error
 	for _, li := range leaves {
 		f, err := d.Leaf(ctx, li)
 		if err == nil {
-			var st bat.QueryStats
-			st, err = f.Query(ctx, q, cfg, visit)
-			total.Add(st)
+			err = w.Query(f, q)
 		}
 		if err != nil {
 			qerr = err
 			break
 		}
 	}
+	total := w.Stats()
 	if rec == nil {
 		return total, qerr
 	}
@@ -241,8 +244,8 @@ func (d *Dataset) NumOpen() int {
 	return len(d.files)
 }
 
-// SetQueryConfig sets the traversal configuration passed to every leaf
-// query. In-flight queries keep the configuration they started with.
+// SetQueryConfig sets the traversal configuration of every query. In-flight
+// queries keep the configuration they started with.
 func (d *Dataset) SetQueryConfig(cfg bat.QueryConfig) {
 	d.mu.Lock()
 	d.qcfg = cfg

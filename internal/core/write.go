@@ -158,6 +158,8 @@ func MetaFileName(base string) string { return base + ".batm" }
 // broadcast to all: if any rank failed, every rank returns an error naming
 // the failed ranks, and files written for the poisoned dataset (leaf
 // files, metadata) are removed so no partial dataset stays visible.
+// Positions and attribute values must be finite: a rank holding a NaN or
+// an infinity fails the write at the plan agreement.
 func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	bounds geom.Box, cfg WriteConfig) (*WriteStats, error) {
 
@@ -167,6 +169,11 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 	col := c.Observer()
 	whole := col.Start(c.Rank(), "write")
 	defer whole.End()
+
+	// A NaN or infinite value would poison its leaf's bounds, ranges and
+	// bitmaps, so a rank holding one votes against the plan below, before
+	// any particle is sent or any file written.
+	finiteErr := local.CheckFinite()
 
 	// Phase a: build the aggregation plan (Figure 1a). Rank 0 gathers every
 	// rank's count and bounds, builds the tree, and scatters each rank its
@@ -180,6 +187,9 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 		if parts, err = planWrite(c, infos, cfg, schema.BytesPerParticle(), stats); err != nil {
 			parts = make([][]byte, c.Size())
 		}
+	}
+	if err == nil && finiteErr != nil {
+		err = fmt.Errorf("core: rank %d: %w", c.Rank(), finiteErr)
 	}
 	scatterSp := col.Start(c.Rank(), "write.scatter")
 	asg, err := agreePlan(c, c.Scatterv(0, parts), local.Len(), err)
@@ -243,12 +253,12 @@ func Write(c *fabric.Comm, store pfs.Storage, base string, local *particles.Set,
 
 // agreePlan is the plan agreement: each rank decodes its part of the
 // assignment scatter and checks it against the world, and votes with the
-// failure, or on rank 0 with planErr, before any aggregator waits on its
-// members' particles. An empty part is a failed plan's, with no vote of its
-// own.
-func agreePlan(c *fabric.Comm, part []byte, nLocal int, planErr error) (assignMsg, error) {
+// failure, or with local (rank 0's failed planning, a rank's non-finite
+// particles), before any aggregator waits on its members' particles. An
+// empty part is a failed plan's, with no vote of its own.
+func agreePlan(c *fabric.Comm, part []byte, nLocal int, local error) (assignMsg, error) {
 	var asg assignMsg
-	err := planErr
+	err := local
 	if len(part) > 0 {
 		var derr error
 		if asg, derr = decodeAssign(part); derr != nil {

@@ -150,6 +150,34 @@ func (s *Set) Append(p geom.Vec3, attrs []float64) {
 	}
 }
 
+// CheckFinite returns an error naming the first column — x, y, z, then each
+// attribute — that holds a NaN or an infinity, and how many of its values
+// do: such a value has no place in a file's bounds, ranges or bitmaps.
+func (s *Set) CheckFinite() error {
+	for i, col := range [3][]float32{s.X, s.Y, s.Z} {
+		if n := nonFinite(col); n > 0 {
+			return fmt.Errorf("particles: %d of %d %c positions are not finite", n, s.Len(), "xyz"[i])
+		}
+	}
+	for a, col := range s.Attrs {
+		if n := nonFinite(col); n > 0 {
+			return fmt.Errorf("particles: %d of %d values of attribute %q are not finite", n, s.Len(), s.Schema.Attrs[a].Name)
+		}
+	}
+	return nil
+}
+
+// nonFinite counts the values v in col for which v − v is not 0: the NaNs
+// and the infinities.
+func nonFinite[T float32 | float64](col []T) (n int) {
+	for _, v := range col {
+		if v-v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // Position returns the position of particle i.
 func (s *Set) Position(i int) geom.Vec3 {
 	return geom.Vec3{X: float64(s.X[i]), Y: float64(s.Y[i]), Z: float64(s.Z[i])}

@@ -70,8 +70,8 @@ type (
 	// Visitor receives query results. Its attrs slice is reused for the
 	// next particle: valid only until the visitor returns.
 	Visitor = bat.Visitor
-	// QueryConfig tunes query execution: traversal workers and ordered vs.
-	// order-tolerant delivery.
+	// QueryConfig tunes query execution: how many goroutines a query runs
+	// on. It changes neither the answer nor its order.
 	QueryConfig = bat.QueryConfig
 	// QueryStats reports what a traversal visited, rejected, pruned,
 	// traversed and parsed from storage: the one record of a query's reads.
@@ -254,9 +254,9 @@ func OpenDataset(store Storage, base string) (*Dataset, error) {
 // demand.
 func (d *Dataset) Close() error { return d.r.Close() }
 
-// SetQueryConfig sets the traversal configuration passed to every leaf
-// query. Safe to call concurrently with queries; in-flight queries keep the
-// configuration they started with.
+// SetQueryConfig sets the traversal configuration of every query. Safe to
+// call concurrently with queries; in-flight queries keep the configuration
+// they started with.
 func (d *Dataset) SetQueryConfig(cfg QueryConfig) { d.r.SetQueryConfig(cfg) }
 
 // SetCacheLimit bounds the treelet-cache memory of the whole dataset to
@@ -317,9 +317,10 @@ func (d *Dataset) Query(q Query, visit Visitor) error {
 }
 
 // QueryCtx runs a visualization read over the whole dataset (paper §V): the
-// Aggregation Tree prunes leaf files spatially and by attribute bitmap
-// before each surviving file's BAT is traversed under the dataset's
-// QueryConfig. Progressive quality windows apply per leaf file.
+// Aggregation Tree prunes leaf files spatially and by attribute bitmap,
+// then one walk under the dataset's QueryConfig traverses the surviving
+// files' BATs in leaf order. Progressive quality windows apply per leaf
+// file.
 //
 // When ctx ends, leaf opens and treelet traversals abort promptly and
 // ctx.Err() is returned; leaf files and treelets already cached stay valid

@@ -16,9 +16,9 @@ type datasetRoute struct {
 }
 
 // datasetRoutes are every route to an answer over the dataset base in
-// store: Dataset.QueryCtx serially over an unbounded cache and on four
-// unordered workers over a one-byte cache, and the collective ReadQueryCtx
-// on 1 and 4 ranks, where every rank asks the same query.
+// store: Dataset.QueryCtx serially and on two workers over an unbounded
+// cache and on four workers over a one-byte cache, and the collective
+// ReadQueryCtx on 1 and 4 ranks, where every rank asks the same query.
 func datasetRoutes(t *testing.T, store Storage, base string) []datasetRoute {
 	t.Helper()
 	open := func(cfg QueryConfig, cacheLimit int64) *Dataset {
@@ -54,6 +54,7 @@ func datasetRoutes(t *testing.T, store Storage, base string) []datasetRoute {
 	}
 	return []datasetRoute{
 		{"dataset", dataset(open(QueryConfig{}, 0))},
+		{"dataset, 2 workers", dataset(open(QueryConfig{Workers: 2}, 0))},
 		{"dataset, 4 workers, one-byte cache", dataset(open(QueryConfig{Workers: 4}, 1))},
 		{"collective, 1 rank", collective(1)},
 		{"collective, 4 ranks", collective(4)},

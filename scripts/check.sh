@@ -83,13 +83,15 @@ run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go tes
 
 # The query engine's stop paths ten times over: a context cancelled or
 # timed out mid-query, a stalled read, a visitor that fails, concurrent
-# queries on one File. Each run must stop every collector, leave no read
-# running after Query returns (TestQueryReadsBeforeReturn) and leak no
-# goroutine, and which collector sees the stop first differs between runs.
-# The parallel-versus-serial tests ride along: they deliver many treelets
-# through the pooled selections a collector refills right after the caller
-# hands one back, and through the ordered ring.
-run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery|ParallelMatchesSerial|OrderedParallelPreservesOrder' ./internal/bat/
+# queries on one File, and a dataset's cold scan cancelled while its
+# helpers load ahead or stopped by a corrupt leaf
+# (TestDatasetWalkCancelMidLoad). Each run must stop every helper, leave no
+# read running after Query returns (TestQueryReadsBeforeReturn) and leak no
+# goroutine, and where the stop meets the helpers differs between runs.
+# The tests that hold every worker count to the serial visit sequence ride
+# along, on one file and over a dataset's leaves (TestDatasetWalk*): they
+# hand many treelets from the helpers' ring to the walking caller.
+run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery|ParallelMatchesSerial|OrderedParallelPreservesOrder|DatasetWalk' ./internal/bat/ ./internal/core/
 
 # Bench smoke: one iteration of every benchmark of internal/bat (the
 # builds, the progressive and filtered reads over opened files, and the
@@ -97,14 +99,16 @@ run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -c
 # results/sorted-nodes quote, positions as sorted-cell-for, then the
 # attribute codecs) and of internal/radix (the sort), of the
 # aggregation-tree build's (BenchmarkBuild1536Ranks), of the generators'
-# (the ns/particle and ns/rank figures EXPERIMENTS.md quotes) and of
-# Box.Extend's, just to keep the benchmark code compiling and runnable (no
-# timing assertions; BenchmarkDecodeSection does check that each column
-# encodes to the stream its case names and decodes).
+# (the ns/particle and ns/rank figures EXPERIMENTS.md quotes), of
+# Box.Extend's and of the dataset query's (BenchmarkDatasetQuery), just to
+# keep the benchmark code compiling and runnable (no timing assertions;
+# BenchmarkDecodeSection does check that each column encodes to the stream
+# its case names and decodes).
 run "bench smoke internal/bat and internal/radix" go test -run=NONE -bench=. -benchtime=1x ./internal/bat/ ./internal/radix/
 run "bench smoke BenchmarkBuild1536Ranks" go test -run=NONE -bench=Build1536Ranks -benchtime=1x ./internal/aggtree/
 run "bench smoke generators" go test -run=NONE -bench='Generate|Counts' -benchtime=1x ./internal/workloads/
 run "bench smoke geom" go test -run=NONE -bench=BoxExtend -benchtime=1x ./internal/geom/
+run "bench smoke BenchmarkDatasetQuery" go test -run=NONE -bench=DatasetQuery -benchtime=1x ./internal/core/
 
 # The examples are only compiled by the stages above; run each end to end
 # and require the line it prints when its own check holds: the quickstart
