@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -16,7 +17,7 @@ import (
 // recorded access snapshot, normalized for comparison.
 func accessSnapshotFor(t *testing.T, buf []byte, cfg QueryConfig, queries []Query) access.Snapshot {
 	t.Helper()
-	f, err := DecodeLeaf(context.Background(), readerAt(buf), int64(len(buf)), NewCache(), 7)
+	f, err := DecodeLeaf(context.Background(), bytes.NewReader(buf), int64(len(buf)), NewCache(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 
 // buildArena is one treelet worker's reusable scratch memory. Every buffer
 // is sized to the largest treelet the worker has seen and reused across
-// treelets, so steady-state treelet construction allocates O(nodes) (node
-// records, bitmap backing, the BFS layout) instead of the O(n log n)
-// temporaries the per-node make() calls used to cost.
+// treelets, so steady-state treelet construction allocates per treelet (its
+// node records, layout order and bitmap backing) instead of per node.
 //
 // An arena is owned by exactly one worker goroutine; nothing in it is
 // shared, and its contents never outlive the treelet being built.
@@ -20,6 +19,11 @@ type buildArena struct {
 	sel    []float64 // quickselect scratch (mutated by the selection)
 	parts  []int     // stable three-way partition staging
 	lod    []int     // stratified-sample staging (LODPerNode picks)
+
+	// pending lists the treelet's nodes by index, each node's range of the
+	// build's idx and its depth: buildTreelet makes node i from pending[i]
+	// and appends a split node's two children.
+	pending []pendingNode
 
 	// Codec scratch: type-rounded reference values, the column being
 	// packed (an attribute's grid indices, then a position column's keys),
@@ -39,9 +43,14 @@ type buildArena struct {
 	sortWords []uint64
 }
 
+// pendingNode is a treelet node before it is made: idx[lo:hi] at depth.
+type pendingNode struct {
+	lo, hi, depth int
+}
+
 // ensure grows the arena to hold a treelet of n particles sampling k LOD
-// picks per node.
-func (a *buildArena) ensure(n, k int) {
+// picks per node, and its pending list to the treelet's guessed node count.
+func (a *buildArena) ensure(n, k, nodes int) {
 	if cap(a.coords) < n {
 		a.coords = make([]float64, n)
 		a.sel = make([]float64, n)
@@ -49,6 +58,9 @@ func (a *buildArena) ensure(n, k int) {
 	}
 	if cap(a.lod) < k {
 		a.lod = make([]int, k)
+	}
+	if cap(a.pending) < nodes {
+		a.pending = make([]pendingNode, 0, nodes)
 	}
 }
 
@@ -65,18 +77,48 @@ func axisSlice(set *particles.Set, axis geom.Axis) []float32 {
 	}
 }
 
-// tightBounds returns the tight bounding box of the given particles,
-// identical to folding geom.Box.Extend over their positions but touching
-// each coordinate array directly.
-func tightBounds(set *particles.Set, pts []int) geom.Box {
-	if len(pts) == 0 {
-		return geom.EmptyBox()
+// stratifiedSampleInPlace picks k evenly spaced elements (the stratum
+// midpoints) from pts and rearranges pts in place so the remainder keeps
+// its order at the front and the picks sit at the tail:
+//
+//	pts = [ rest (input order) | lod (pick order) ]
+//
+// Picks are strictly increasing (the stride exceeds 1 whenever k < n), so a
+// single forward compaction never reads a slot it has already overwritten.
+// The same loop that moves each remainder element forward takes rest's tight
+// bounds: each axis starts at rest's first element, takes a float32
+// coordinate below its minimum or else above its maximum, and widens to
+// float64 at the end, so ±0 and NaN coordinates give the box (and
+// LongestAxis the axis) of a fold started from that element.
+func stratifiedSampleInPlace(set *particles.Set, pts []int, k int, a *buildArena) (lod, rest []int, bounds geom.Box) {
+	n := len(pts)
+	if k >= n {
+		return pts, nil, geom.EmptyBox()
 	}
-	p0 := pts[0]
+	// The pick positions first, each in the staging slot its particle then
+	// replaces.
+	picks := a.lod[:k]
+	stride := float64(n) / float64(k)
+	for s := range picks {
+		picks[s] = min(int(stride*float64(s)+stride/2), n-1)
+	}
+	first := 0 // rest's first element: the end of a run of picks 0, 1, 2, …
+	for first < k && picks[first] == first {
+		first++
+	}
+	p0 := pts[first]
 	minX, maxX := set.X[p0], set.X[p0]
 	minY, maxY := set.Y[p0], set.Y[p0]
 	minZ, maxZ := set.Z[p0], set.Z[p0]
-	for _, p := range pts[1:] {
+	w, s := 0, 0
+	for i, p := range pts {
+		if s < k && i == picks[s] {
+			picks[s] = p
+			s++
+			continue
+		}
+		pts[w] = p
+		w++
 		if v := set.X[p]; v < minX {
 			minX = v
 		} else if v > maxX {
@@ -93,47 +135,10 @@ func tightBounds(set *particles.Set, pts []int) geom.Box {
 			maxZ = v
 		}
 	}
-	return geom.NewBox(
+	copy(pts[w:], picks)
+	return pts[w:], pts[:w], geom.NewBox(
 		geom.V3(float64(minX), float64(minY), float64(minZ)),
 		geom.V3(float64(maxX), float64(maxY), float64(maxZ)))
-}
-
-// stratifiedSampleInPlace picks k evenly spaced elements (the stratum
-// midpoints) from pts and rearranges pts in place so the remainder keeps
-// its order at the front and the picks sit at the tail:
-//
-//	pts = [ rest (input order) | lod (pick order) ]
-//
-// The pick positions are exactly those of the allocating version this
-// replaces; only the storage changed. Picks are strictly increasing (the
-// stride exceeds 1 whenever k < n), so a single forward compaction never
-// reads a slot it has already overwritten.
-func stratifiedSampleInPlace(pts []int, k int, a *buildArena) (lod, rest []int) {
-	n := len(pts)
-	if k >= n {
-		return pts, nil
-	}
-	lodBuf := a.lod[:k]
-	stride := float64(n) / float64(k)
-	w, next := 0, 0
-	for s := 0; s < k; s++ {
-		pick := int(stride*float64(s) + stride/2)
-		if pick >= n {
-			pick = n - 1
-		}
-		for i := next; i < pick; i++ {
-			pts[w] = pts[i]
-			w++
-		}
-		lodBuf[s] = pts[pick]
-		next = pick + 1
-	}
-	for i := next; i < n; i++ {
-		pts[w] = pts[i]
-		w++
-	}
-	copy(pts[w:], lodBuf)
-	return pts[w:], pts[:w]
 }
 
 // medianPartition rearranges rest so that rest[:mid] have coordinates

@@ -398,6 +398,34 @@ func TestScanAllocsPerTreelet(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsPerTreelet holds a serial build's allocations to a constant
+// (the sort, the arena's growth, the compaction) plus a few per treelet: its
+// record, node slice, layout order and bitmap backing, and its encoded
+// sections. Nothing is allocated per node. Small leaves and uniform
+// positions make one treelet per Morton subprefix, so the per-treelet term
+// dominates.
+func TestBuildAllocsPerTreelet(t *testing.T) {
+	for _, n := range []int{20000, 100000} {
+		s, domain := randomSet(n, 3)
+		cfg := DefaultBuildConfig()
+		cfg.Workers = 1
+		cfg.MaxLeafSize = 16
+		var built *Built
+		allocs := testing.AllocsPerRun(3, func() {
+			b, err := Build(s, domain, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			built = b
+		})
+		treelets := built.Stats.NumTreelets
+		if limit := float64(128 + 14*treelets); allocs > limit {
+			t.Errorf("serial build of %d particles in %d treelets allocated %.0f times, want at most %.0f",
+				n, treelets, allocs, limit)
+		}
+	}
+}
+
 func TestProgressiveMonotonicCounts(t *testing.T) {
 	s, domain := randomSet(4000, 10)
 	f, _ := buildAndOpen(t, s, domain, DefaultBuildConfig())
@@ -572,15 +600,25 @@ func TestLODSpatialCoverage(t *testing.T) {
 }
 
 func TestStratifiedSample(t *testing.T) {
+	// Particle 0 lies outside every other particle's box, so bounds that
+	// counted a pick would show it.
+	set := particles.NewSet(particles.NewSchema(), 100)
+	set.Append(geom.V3(-100, 100, -100), nil)
+	for i := 1; i < 100; i++ {
+		set.Append(geom.V3(float64(i%13), -float64(i), float64(i%7)/8), nil)
+	}
 	var a buildArena
-	a.ensure(100, 8)
+	a.ensure(100, 8, 0)
 	pts := make([]int, 100)
 	for i := range pts {
 		pts[i] = i
 	}
-	lod, rest := stratifiedSampleInPlace(pts, 8, &a)
+	lod, rest, bounds := stratifiedSampleInPlace(set, pts, 8, &a)
 	if len(lod) != 8 || len(rest) != 92 {
 		t.Fatalf("sample sizes %d/%d", len(lod), len(rest))
+	}
+	if want := boxOf(set, rest); bounds != want {
+		t.Errorf("bounds %v, the remainder's box %v", bounds, want)
 	}
 	// Samples spread across strata.
 	for i := 1; i < len(lod); i++ {
@@ -599,11 +637,32 @@ func TestStratifiedSample(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("lost points: %d", len(seen))
 	}
-	// k >= n returns everything as LOD.
-	lod, rest = stratifiedSampleInPlace(pts[:5], 8, &a)
-	if len(lod) != 5 || len(rest) != 0 {
-		t.Errorf("small input sample %d/%d", len(lod), len(rest))
+	// A stride below 2 picks element 0 and 1 (of 0, 1, 3, …): rest starts
+	// at element 2 and the bounds with it.
+	for i := range pts {
+		pts[i] = i
 	}
+	lod, rest, bounds = stratifiedSampleInPlace(set, pts[:10], 8, &a)
+	if len(lod) != 8 || len(rest) != 2 || lod[0] != 0 || lod[1] != 1 || rest[0] != 2 {
+		t.Fatalf("stride 1.25: lod %v rest %v", lod, rest)
+	}
+	if want := boxOf(set, rest); bounds != want {
+		t.Errorf("stride 1.25: bounds %v, the remainder's box %v", bounds, want)
+	}
+	// k >= n returns everything as LOD.
+	lod, rest, bounds = stratifiedSampleInPlace(set, pts[:5], 8, &a)
+	if len(lod) != 5 || len(rest) != 0 || bounds != geom.EmptyBox() {
+		t.Errorf("small input sample %d/%d, bounds %v", len(lod), len(rest), bounds)
+	}
+}
+
+// boxOf folds geom.Box.Extend over the positions of pts.
+func boxOf(set *particles.Set, pts []int) geom.Box {
+	b := geom.EmptyBox()
+	for _, p := range pts {
+		b = b.Extend(set.Position(p))
+	}
+	return b
 }
 
 func TestCoincidentParticles(t *testing.T) {

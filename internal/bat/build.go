@@ -165,14 +165,12 @@ func (c BuildConfig) effectiveWorkers() int {
 type treeletNode struct {
 	axis        geom.Axis // leafAxis for leaves
 	pos         float64
-	left, right int32 // node indices within the treelet; unset for leaves
-	// pts are indices into the aggregator's particle set: the LOD samples
-	// for inner nodes, all contained particles for leaves. They alias the
-	// build's sorted-order array, not arena memory.
-	pts     []int
-	bitmaps []bitmap.Bitmap // one per attribute
-	start   uint32          // particle range within the treelet, set at flatten
-	count   uint32
+	left, right int32           // node indices within the treelet; unset for leaves
+	bitmaps     []bitmap.Bitmap // one per attribute
+	// start and count are the node's range of the treelet's order: its LOD
+	// samples for an inner node, all its particles for a leaf.
+	start uint32
+	count uint32
 }
 
 // leafAxis marks a treelet node as a leaf on disk.
@@ -422,52 +420,55 @@ func largestFirst(n int, size func(i int) int) []int {
 
 // buildTreelet constructs a median-split k-d treelet over the particles in
 // idx (already sorted by Morton code, which stratified LOD sampling relies
-// on). idx is consumed: the build partitions it in place, and the treelet's
-// node particle lists alias it.
+// on). It makes the nodes breadth-first, the order the file stores them in:
+// node i takes its range of idx and its depth from the arena's pending list,
+// appends its particles to t.order as it is made (an inner node's LOD
+// samples, all of a leaf's particles), and a split node gives its children
+// the next two pending slots, so the k-th inner node's children are nodes
+// 2k+1 and 2k+2. A depth-limited progressive read thus touches a prefix of
+// the treelet's particle data. idx is consumed: the build partitions it in
+// place.
 func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena) *treelet {
 	t := &treelet{}
 	if len(idx) == 0 {
 		return t
 	}
-	a.ensure(len(idx), cfg.LODPerNode)
-	t.nodes = make([]treeletNode, 0, 2*(len(idx)/cfg.MaxLeafSize)+1)
-	// Build depth-first into the nodes slice, then reorder to BFS layout.
-	var build func(pts []int, depth int) int32
-	build = func(pts []int, depth int) int32 {
-		if depth > t.depth {
-			t.depth = depth
-		}
-		me := int32(len(t.nodes))
+	nodes := 2*(len(idx)/cfg.MaxLeafSize) + 1 // a first guess; append grows past it
+	a.ensure(len(idx), cfg.LODPerNode, nodes)
+	t.nodes = make([]treeletNode, 0, nodes)
+	t.order = make([]int, 0, len(idx))
+	a.pending = append(a.pending[:0], pendingNode{lo: 0, hi: len(idx)})
+	for i := 0; i < len(a.pending); i++ {
+		pn := a.pending[i]
+		t.depth = max(t.depth, pn.depth)
+		pts := idx[pn.lo:pn.hi]
+		nd := treeletNode{axis: leafAxis, start: uint32(len(t.order))}
 		// A node the LOD sample would take whole (LODPerNode above
 		// MaxLeafSize) leaves nothing to split: it is a leaf too.
-		if len(pts) <= cfg.MaxLeafSize || len(pts) <= cfg.LODPerNode {
-			t.nodes = append(t.nodes, treeletNode{axis: leafAxis, pts: pts})
-			return me
+		if len(pts) > cfg.MaxLeafSize && len(pts) > cfg.LODPerNode {
+			// Stratified LOD sampling over the Morton-sorted points: one
+			// sample per stride keeps the subset spatially representative.
+			// Then a median split along the longest axis of the
+			// remainder's bounds; a full sort is unnecessary — quickselect
+			// the median coordinate and three-way partition around it
+			// (O(n) per level).
+			lod, rest, bounds := stratifiedSampleInPlace(set, pts, cfg.LODPerNode, a)
+			axis := bounds.LongestAxis()
+			// A degenerate distribution (all points coincident on the
+			// axis) has no split: the node stays a leaf holding everything.
+			if mid, pos, ok := medianPartition(set, rest, axis, a); ok {
+				nd.axis, nd.pos = axis, pos
+				nd.left, nd.right = int32(len(a.pending)), int32(len(a.pending)+1)
+				a.pending = append(a.pending,
+					pendingNode{lo: pn.lo, hi: pn.lo + mid, depth: pn.depth + 1},
+					pendingNode{lo: pn.lo + mid, hi: pn.lo + len(rest), depth: pn.depth + 1})
+				pts = lod
+			}
 		}
-		// Stratified LOD sampling over the Morton-sorted points: one
-		// sample per stride keeps the subset spatially representative.
-		lod, rest := stratifiedSampleInPlace(pts, cfg.LODPerNode, a)
-		// Median split along the longest axis of the point bounds; a full
-		// sort is unnecessary — quickselect the median coordinate and
-		// three-way partition around it (O(n) per level).
-		bounds := tightBounds(set, rest)
-		axis := bounds.LongestAxis()
-		mid, pos, ok := medianPartition(set, rest, axis, a)
-		if !ok {
-			// Degenerate distribution (all points coincident on the
-			// axis): fall back to a leaf holding everything.
-			t.nodes = append(t.nodes, treeletNode{axis: leafAxis, pts: pts})
-			return me
-		}
-		t.nodes = append(t.nodes, treeletNode{axis: axis, pos: pos, pts: lod})
-		l := build(rest[:mid], depth+1)
-		r := build(rest[mid:], depth+1)
-		t.nodes[me].left = l
-		t.nodes[me].right = r
-		return me
+		nd.count = uint32(len(pts))
+		t.order = append(t.order, pts...)
+		t.nodes = append(t.nodes, nd)
 	}
-	build(idx, 0)
-	t.reorderBFS(len(idx))
 	return t
 }
 
@@ -585,42 +586,6 @@ func quickselect(a []float64, k int) float64 {
 	return a[lo]
 }
 
-// reorderBFS relays the treelet's nodes out in breadth-first order and
-// assigns each node's particle range in that order, so a depth-limited
-// progressive read touches a prefix of the treelet's particle data.
-// numPts is the treelet's particle count, sizing the layout array exactly.
-func (t *treelet) reorderBFS(numPts int) {
-	if len(t.nodes) == 0 {
-		return
-	}
-	bfs := make([]int32, 0, len(t.nodes))
-	bfs = append(bfs, 0)
-	for qi := 0; qi < len(bfs); qi++ {
-		n := &t.nodes[bfs[qi]]
-		if n.axis != leafAxis {
-			bfs = append(bfs, n.left, n.right)
-		}
-	}
-	remap := make([]int32, len(t.nodes))
-	for newIdx, oldIdx := range bfs {
-		remap[oldIdx] = int32(newIdx)
-	}
-	newNodes := make([]treeletNode, len(t.nodes))
-	order := make([]int, 0, numPts)
-	for newIdx, oldIdx := range bfs {
-		n := t.nodes[oldIdx]
-		if n.axis != leafAxis {
-			n.left, n.right = remap[n.left], remap[n.right]
-		}
-		n.start = uint32(len(order))
-		n.count = uint32(len(n.pts))
-		order = append(order, n.pts...)
-		newNodes[newIdx] = n
-	}
-	t.nodes = newNodes
-	t.order = order
-}
-
 // computeTreeletBitmaps fills per-node per-attribute bitmaps bottom-up:
 // leaves index their particles; inner nodes merge their children's bitmaps
 // with those of their own LOD particles (§III-C2). All node bitmap slices
@@ -635,7 +600,7 @@ func computeTreeletBitmaps(set *particles.Set, t *treelet, ranges []bitmap.Range
 		for a := 0; a < nA; a++ {
 			var b bitmap.Bitmap
 			vals := set.Attrs[a]
-			for _, p := range n.pts {
+			for _, p := range t.order[n.start : n.start+n.count] {
 				b |= bitmap.OfValue(vals[p], ranges[a])
 			}
 			if n.axis != leafAxis {

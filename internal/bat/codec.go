@@ -10,11 +10,11 @@
 // and quantized attribute indices alike — is a run of frame-of-reference
 // blocks over the treelet's node particle ranges, written by one pack loop
 // (packBits) and read by one block loop (nodeBlocks.unpack over unpackBits).
-// reorderBFS lays the node ranges out back to back in node order, and the
-// decoder knows them from the node table it parsed just before, so no block
-// index is stored; a section's frames are known before its first block is
-// read, and the blocks follow one another bit for bit, so every block's bit
-// offset is a prefix sum over the node table. That node table is itself a run
+// buildTreelet makes the nodes and lays their ranges out back to back in
+// node order, and the decoder knows them from the node table it parsed just
+// before, so no block index is stored; a section's frames are known before
+// its first block is read, and the blocks follow one another bit for bit, so
+// every block's bit offset is a prefix sum over the node table. That node table is itself a run
 // of the same blocks, one per column (nodetable.go). This file holds the
 // block packer and the framed streams the attribute codecs share; the
 // position codec is in poscodec.go, the attribute codecs in attrcodec.go.

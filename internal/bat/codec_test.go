@@ -1116,7 +1116,7 @@ func TestCellFORBoundsHandOff(t *testing.T) {
 	if err := encodeTreeletPositions(tr, &a); err != nil {
 		t.Fatal(err)
 	}
-	if want := tightBounds(set, tr.order); cellBounds(tr.cells) != want {
+	if want := boxOf(set, tr.order); cellBounds(tr.cells) != want {
 		t.Fatalf("cells give bounds %v, a scan of the coordinates %v", cellBounds(tr.cells), want)
 	}
 	keys := make([]uint64, len(tr.order))

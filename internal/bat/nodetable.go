@@ -13,10 +13,10 @@ import (
 // A treelet's node table stores its nodes as 3 + nA columns in node order,
 // each one run — base uvarint, width u8, offsets (putRun) —: axis, count, the
 // f32Key of every inner node's split plane, then each attribute's bitmap IDs.
-// reorderBFS makes the rest of a node a function of its index — the k-th
-// inner node's children are nodes 2k+1 and 2k+2, a node's particles start
-// where the previous node's end — and medianPartition only ever splits at a
-// particle coordinate, a float32.
+// buildTreelet makes the nodes breadth-first, so the rest of a node is a
+// function of its index — the k-th inner node's children are nodes 2k+1 and
+// 2k+2, a node's particles start where the previous node's end — and
+// medianPartition only ever splits at a particle coordinate, a float32.
 const (
 	nodeColAxis = iota
 	nodeColCount

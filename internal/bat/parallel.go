@@ -56,8 +56,9 @@ func NewWalk(ctx context.Context, cfg QueryConfig, visit Visitor) *Walk {
 }
 
 // Query walks f's candidate treelets for q after those of the files before
-// it. It stops at the first failed load or walk, visitor error or end of
-// the walk's context, and returns that error; the walk is then over.
+// it. It stops at the first failed treelet load (returned as a *LoadError),
+// visitor error or end of the walk's context, and returns that error; the
+// walk is then over.
 func (w *Walk) Query(f *File, q Query) error {
 	s, ok := f.prepare(q)
 	if !ok || len(f.leaves) == 0 {

@@ -436,6 +436,14 @@ func (s *queryState) traverseTreelet(f *File, sel *selection, done <-chan struct
 		s.traverseTreelet(f, sel, done, n.right, depth+1)
 }
 
+// A LoadError is a walk's failure to load or parse a candidate treelet, as
+// opposed to its visitor's error or the end of its context; a dataset names
+// the leaf file the treelet is in. Its text is the failure's own.
+type LoadError struct{ Err error }
+
+func (e *LoadError) Error() string { return e.Err.Error() }
+func (e *LoadError) Unwrap() error { return e.Err }
+
 // deliver turns the walk's selection into visitor calls, reading the
 // treelet's columns directly. It runs only on the goroutine that walks,
 // whatever the worker count, and holds the one place a Visitor is invoked.
@@ -448,7 +456,7 @@ func (w *Walk) deliver() error {
 	}
 	sel := &w.sel
 	if sel.err != nil {
-		return sel.err
+		return &LoadError{Err: sel.err}
 	}
 	w.stats.Add(sel.stats)
 	if w.visit == nil {

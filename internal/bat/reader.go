@@ -7,6 +7,7 @@
 package bat
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -567,23 +568,7 @@ func (f *File) checkIDs(ids []bitmap.ID) error {
 // FromBuffer opens an in-memory BAT image (e.g. for in-transit analysis on
 // an aggregator before the buffer is written to disk).
 func FromBuffer(buf []byte) (*File, error) {
-	return DecodeCtx(context.Background(), readerAt(buf), int64(len(buf)))
-}
-
-type readerAt []byte
-
-func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("bat: negative read offset %d", off)
-	}
-	if off >= int64(len(r)) {
-		return 0, io.EOF
-	}
-	n := copy(p, r[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return DecodeCtx(context.Background(), bytes.NewReader(buf), int64(len(buf)))
 }
 
 // Close releases the underlying file, if any. Callers must not race Close

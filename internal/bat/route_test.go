@@ -15,7 +15,8 @@ import (
 )
 
 // fileRoute is one way to ask a built file: an engine schedule over a
-// treelet cache.
+// treelet cache. A route without a file asks a new one on its own unbounded
+// cache each time, so every ask is cold.
 type fileRoute struct {
 	name string
 	f    *bat.File
@@ -30,10 +31,11 @@ type fileRoutes struct {
 	routes []fileRoute
 }
 
-// buildRoutes builds set under cfg. The routes are the engine serially and
-// on 2, 4 and 8 workers over the file's own unbounded cache, and serially
-// and on 4 workers over a cache with a one-byte budget, where every lookup
-// evicts the rest.
+// buildRoutes builds set under cfg. The routes are the engine serially over
+// the file's own unbounded cache, on 2, 4 and 8 workers over a fresh
+// unbounded cache per ask, so their helpers load, and serially and on 4
+// workers over a cache with a one-byte budget, where every lookup evicts the
+// rest.
 func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.BuildConfig) *fileRoutes {
 	t.Helper()
 	b, err := bat.Build(set, domain, cfg)
@@ -52,9 +54,9 @@ func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.Buil
 	}
 	return &fileRoutes{f: f, b: b, ref: oracle.New(cfg, set), routes: []fileRoute{
 		{"unbounded, serial", f, bat.QueryConfig{Workers: 1}},
-		{"unbounded, 2 workers", f, bat.QueryConfig{Workers: 2}},
-		{"unbounded, 4 workers", f, bat.QueryConfig{Workers: 4}},
-		{"unbounded, 8 workers", f, bat.QueryConfig{Workers: 8}},
+		{"cold unbounded, 2 workers", nil, bat.QueryConfig{Workers: 2}},
+		{"cold unbounded, 4 workers", nil, bat.QueryConfig{Workers: 4}},
+		{"cold unbounded, 8 workers", nil, bat.QueryConfig{Workers: 8}},
 		{"one-byte cache, serial", bounded, bat.QueryConfig{Workers: 1}},
 		{"one-byte cache, 4 workers", bounded, bat.QueryConfig{Workers: 4}},
 	}}
@@ -63,15 +65,24 @@ func buildRoutes(t *testing.T, set *particles.Set, domain geom.Box, cfg bat.Buil
 // check requires, for each query, every route to return the serial route's
 // answer, in its order, with its traversal stats, each route's answers to
 // the query's progressive windows together to be that same answer, and
-// holds the answer and CountMatching against the oracle. Loads is not a traversal stat but the route's cache
-// history: it is held to 0 <= Loads <= Treelets on every route, and to 0 on
-// the unbounded routes, whose cache the serial ask filled with the query's
-// treelets.
+// holds the answer and CountMatching against the oracle. Loads is not a
+// traversal stat but the route's cache history: it is held to Treelets on
+// the cold routes, to 0 on the serial route's re-ask, whose first ask filled
+// its cache with the query's treelets, and to 0 <= Loads <= Treelets on the
+// one-byte cache.
 func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 	t.Helper()
 	ask := func(r fileRoute, q bat.Query) ([]oracle.Row, bat.QueryStats) {
+		f := r.f
+		if f == nil {
+			var err error
+			f, err = bat.DecodeLeaf(context.Background(), bytes.NewReader(fr.b.Buf), int64(len(fr.b.Buf)), bat.NewCache(), 0)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+		}
 		var rows []oracle.Row
-		st, err := r.f.Query(context.Background(), q, r.cfg, oracle.Collect(&rows))
+		st, err := f.Query(context.Background(), q, r.cfg, oracle.Collect(&rows))
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -89,7 +100,7 @@ func (fr *fileRoutes) check(t *testing.T, windows int, queries ...bat.Query) {
 		}
 		for _, r := range fr.routes {
 			rows, st := ask(r, q)
-			if st.Loads < 0 || st.Loads > st.Treelets || r.f == fr.f && st.Loads != 0 {
+			if st.Loads < 0 || st.Loads > st.Treelets || r.f == nil && st.Loads != st.Treelets || r.f == fr.f && st.Loads != 0 {
 				t.Fatalf("query %d %+v, %s: %d loads of %d treelets", qi, q, r.name, st.Loads, st.Treelets)
 			}
 			if traversal(st) != traversal(serialStats) {

@@ -162,10 +162,11 @@ func (d *Dataset) openLeaf(ctx context.Context, li int) (*bat.File, error) {
 // it and its candidate treelets are fed in, so the visit sequence is the
 // same at every worker count, and the walk's helpers are started once per
 // query. The first leaf that fails stops the query, after every visit from
-// the leaves before it. Progressive quality windows apply per leaf. With a
-// recorder attached, the call is logged as one record under the source tag
-// ctx carries (access.WithSource), "dataset" if none, and touches each
-// filter's attribute once.
+// the leaves before it; a failed open or treelet load names the leaf, and a
+// visitor's own error comes back as the visitor returned it. Progressive
+// quality windows apply per leaf. With a recorder attached, the call is
+// logged as one record under the source tag ctx carries (access.WithSource),
+// "dataset" if none, and touches each filter's attribute once.
 func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit bat.Visitor) (bat.QueryStats, error) {
 	d.mu.Lock()
 	cfg := d.qcfg
@@ -182,7 +183,9 @@ func (d *Dataset) Query(ctx context.Context, leaves []int, q bat.Query, visit ba
 	for _, li := range leaves {
 		f, err := d.Leaf(ctx, li)
 		if err == nil {
-			err = w.Query(f, q)
+			if err = w.Query(f, q); errors.As(err, new(*bat.LoadError)) {
+				err = fmt.Errorf("core: leaf %d: %w", li, err)
+			}
 		}
 		if err != nil {
 			qerr = err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -191,8 +192,9 @@ func (f *slowFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, err
 
 // TestDatasetWalkCancelMidLoad: a cold scan on four workers over slow
 // storage, cancelled while its helpers are loading ahead, returns the
-// context's error, and a scan that meets a corrupt leaf fails there with
-// the serial walk's error after the serial walk's visits. Either way no
+// context's error, a scan that meets a corrupt leaf fails there with the
+// serial walk's error, which names the leaf, after the serial walk's
+// visits, and a visitor's error comes back as it was returned. Either way no
 // leaf read runs after the query returns, and leakcheck requires every
 // helper to exit.
 func TestDatasetWalkCancelMidLoad(t *testing.T) {
@@ -213,11 +215,12 @@ func TestDatasetWalkCancelMidLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial, _, serialErr := visits(context.Background(), openLeaves(t, mem, bat.QueryConfig{Workers: 1}, 0), bat.Query{})
-	if serialErr == nil || pfs.IsContextErr(serialErr) {
-		t.Fatalf("serial scan over the corrupt leaf = %v, want its failure", serialErr)
+	if serialErr == nil || pfs.IsContextErr(serialErr) || !strings.Contains(serialErr.Error(), "leaf 9") {
+		t.Fatalf("serial scan over the corrupt leaf = %v, want its failure naming leaf 9", serialErr)
 	}
 
-	for _, mode := range []string{"corrupt", "cancel"} {
+	errVisit := errors.New("visitor stops")
+	for _, mode := range []string{"corrupt", "cancel", "visitor"} {
 		t.Run(mode, func(t *testing.T) {
 			store := &slowStore{Storage: mem}
 			t.Cleanup(func() {
@@ -232,8 +235,13 @@ func TestDatasetWalkCancelMidLoad(t *testing.T) {
 			var rows []oracle.Row
 			collect := oracle.Collect(&rows)
 			_, err := ds.Query(ctx, ds.Select(bat.Query{}), bat.Query{}, func(p geom.Vec3, attrs []float64) error {
-				if mode == "cancel" && len(rows) == len(serial)/4 {
-					cancel()
+				if len(rows) == len(serial)/4 {
+					switch mode {
+					case "cancel":
+						cancel()
+					case "visitor":
+						return errVisit
+					}
 				}
 				return collect(p, attrs)
 			})
@@ -252,6 +260,13 @@ func TestDatasetWalkCancelMidLoad(t *testing.T) {
 				}
 				if !reflect.DeepEqual(rows, serial[:len(rows)]) || len(rows) >= len(serial) {
 					t.Fatalf("%d visits, not a strict prefix of the serial walk's %d", len(rows), len(serial))
+				}
+			case "visitor":
+				if err != errVisit {
+					t.Fatalf("err = %v, want the visitor's own %v", err, errVisit)
+				}
+				if !reflect.DeepEqual(rows, serial[:len(serial)/4]) {
+					t.Fatalf("%d visits, want the serial walk's first %d", len(rows), len(serial)/4)
 				}
 			}
 			if store.reads.Load() == 0 {

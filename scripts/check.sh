@@ -89,9 +89,11 @@ run "go test -race -count=3 read order and phase clocks" env GOMAXPROCS=1 go tes
 # read running after Query returns (TestQueryReadsBeforeReturn) and leak no
 # goroutine, and where the stop meets the helpers differs between runs.
 # The tests that hold every worker count to the serial visit sequence ride
-# along, on one file and over a dataset's leaves (TestDatasetWalk*): they
-# hand many treelets from the helpers' ring to the walking caller.
-run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery|ParallelMatchesSerial|OrderedParallelPreservesOrder|DatasetWalk' ./internal/bat/ ./internal/core/
+# along, on one file and over a dataset's leaves (TestDatasetWalk*), and so
+# do the route drivers whose 2-, 4- and 8-worker routes ask a cold cache
+# every time (*MatchesBruteForce, TestProgressiveTilesExactly): they hand
+# many treelets from the helpers' ring to the walking caller.
+run "go test -race -count=10 query stop paths" env GOMAXPROCS=4 go test -race -count=10 -run 'Cancel|ParallelVisitorError|QueryReadsBeforeReturn|ConcurrentQuery|ParallelMatchesSerial|OrderedParallelPreservesOrder|DatasetWalk|MatchesBruteForce|ProgressiveTilesExactly' ./internal/bat/ ./internal/core/
 
 # Bench smoke: one iteration of every benchmark of internal/bat (the
 # builds, the progressive and filtered reads over opened files, and the
