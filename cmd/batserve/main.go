@@ -37,6 +37,7 @@ import (
 	"libbat/internal/cliutil"
 	"libbat/internal/obs"
 	"libbat/internal/obs/access"
+	"libbat/internal/pfs"
 )
 
 type server struct {
@@ -491,7 +492,7 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if points == 0 {
 			// Nothing on the wire yet: a real error status is still possible.
-			if isCtxErr(err) {
+			if pfs.IsContextErr(err) {
 				// Deadline (or client gone) before the first point. 504 with
 				// partial-result accounting so the client knows how much of
 				// the answer it has (none) and that retrying may succeed.
@@ -511,7 +512,7 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 		// Mid-stream failure: the 200 header is already on the wire, so the
 		// truncation is reported in the declared trailers and the log.
 		status := "error"
-		if isCtxErr(err) {
+		if pfs.IsContextErr(err) {
 			status = "timeout"
 		}
 		w.Header().Set("X-Batserve-Status", status)
@@ -531,11 +532,6 @@ func (s *server) points(w http.ResponseWriter, r *http.Request) {
 // write: a whole number of records at either stride (12 bytes xyz, 16 with
 // an attribute), so a block never splits a point.
 const pointBlockBytes = 48 << 10
-
-// isCtxErr reports whether err is a context cancellation or deadline.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
 
 func (s *server) page(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {

@@ -22,8 +22,9 @@ type buildArena struct {
 
 	// pending lists the treelet's nodes by index, each node's range of the
 	// build's idx and its depth: buildTreelet makes node i from pending[i]
-	// and appends a split node's two children.
+	// into nodes[i] and appends a split node's two children.
 	pending []pendingNode
+	nodes   []node
 
 	// Codec scratch: type-rounded reference values, the column being
 	// packed (an attribute's grid indices, then a position column's keys),
@@ -49,8 +50,8 @@ type pendingNode struct {
 }
 
 // ensure grows the arena to hold a treelet of n particles sampling k LOD
-// picks per node, and its pending list to the treelet's guessed node count.
-func (a *buildArena) ensure(n, k, nodes int) {
+// picks per node.
+func (a *buildArena) ensure(n, k int) {
 	if cap(a.coords) < n {
 		a.coords = make([]float64, n)
 		a.sel = make([]float64, n)
@@ -58,9 +59,6 @@ func (a *buildArena) ensure(n, k, nodes int) {
 	}
 	if cap(a.lod) < k {
 		a.lod = make([]int, k)
-	}
-	if cap(a.pending) < nodes {
-		a.pending = make([]pendingNode, 0, nodes)
 	}
 }
 
@@ -142,13 +140,13 @@ func stratifiedSampleInPlace(set *particles.Set, pts []int, k int, a *buildArena
 }
 
 // medianPartition rearranges rest so that rest[:mid] have coordinates
-// strictly below pos and rest[mid:] have coordinates >= pos, with both
-// sides nonempty, choosing pos at (or just above) the median coordinate
-// along axis. It reports ok=false when every coordinate is identical (no
-// split exists). The element order within each side follows the input
-// order, keeping builds deterministic. All scratch comes from the arena;
-// the call allocates nothing.
-func medianPartition(set *particles.Set, rest []int, axis geom.Axis, a *buildArena) (mid int, pos float64, ok bool) {
+// strictly below split and rest[mid:] have coordinates >= split, with both
+// sides nonempty, choosing split at (or just above) the median coordinate
+// along axis: one of the float32 coordinates. It reports ok=false when every
+// coordinate is identical (no split exists). The element order within each
+// side follows the input order, keeping builds deterministic. All scratch
+// comes from the arena; the call allocates nothing.
+func medianPartition(set *particles.Set, rest []int, axis geom.Axis, a *buildArena) (mid int, split float32, ok bool) {
 	n := len(rest)
 	coords := a.coords[:n]
 	ax := axisSlice(set, axis)
@@ -179,7 +177,7 @@ func medianPartition(set *particles.Set, rest []int, axis geom.Axis, a *buildAre
 	switch {
 	case nLess > 0:
 		// Split below the median value: less | equal+greater.
-		pos, mid = med, nLess
+		split, mid = float32(med), nLess
 		cl, ce, cg := 0, nLess, nLess+nEq
 		for i, p := range rest {
 			switch c := coords[i]; {
@@ -195,10 +193,10 @@ func medianPartition(set *particles.Set, rest []int, axis geom.Axis, a *buildAre
 			}
 		}
 		copy(rest, tmp)
-		return mid, pos, true
+		return mid, split, true
 	case nLess+nEq < n:
 		// Median is the minimum: split at the next distinct value.
-		pos, mid = minGreater, nEq
+		split, mid = float32(minGreater), nEq
 		ce, cg := 0, nEq
 		for i, p := range rest {
 			if coords[i] > med {
@@ -210,7 +208,7 @@ func medianPartition(set *particles.Set, rest []int, axis geom.Axis, a *buildAre
 			}
 		}
 		copy(rest, tmp)
-		return mid, pos, true
+		return mid, split, true
 	default:
 		return 0, 0, false
 	}

@@ -357,7 +357,7 @@ func (nb *nodeBlocks) dequant(payload []byte, vmin, fineStep, lodStep float64) (
 	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
 		fr := nb.frames[ni]
 		step := fineStep
-		if nb.nodes[ni].axis != uint8(leafAxis) {
+		if nb.nodes[ni].axis != leafAxis {
 			step = lodStep // LOD samples of inner nodes use the coarser grid
 		}
 		dst := out[at : at+len(offs)]

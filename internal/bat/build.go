@@ -161,28 +161,15 @@ func (c BuildConfig) effectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// treeletNode is an in-memory treelet node prior to compaction.
-type treeletNode struct {
-	axis        geom.Axis // leafAxis for leaves
-	pos         float64
-	left, right int32           // node indices within the treelet; unset for leaves
-	bitmaps     []bitmap.Bitmap // one per attribute
-	// start and count are the node's range of the treelet's order: its LOD
-	// samples for an inner node, all its particles for a leaf.
-	start uint32
-	count uint32
-}
-
-// leafAxis marks a treelet node as a leaf on disk.
-const leafAxis geom.Axis = 3
-
 // treelet is one built treelet: nodes in BFS order (root at 0) with
-// particle ranges laid out in the same order.
+// particle ranges laid out in the same order, and their bitmaps, nA per node
+// (computeTreeletBitmaps).
 type treelet struct {
-	nodes  []treeletNode
-	order  []int // particle indices (into the set) in file layout order
-	depth  int   // max node depth, root = 0
-	prefix morton.Code
+	nodes   []node
+	bitmaps []bitmap.Bitmap
+	order   []int // particle indices (into the set) in file layout order
+	depth   int   // max node depth, root = 0
+	prefix  morton.Code
 	// attrEnc holds the encoded attribute sections (one per attribute),
 	// filled by the same fused worker that built the treelet, so encoding
 	// overlaps across treelets exactly like node construction does. posEnc
@@ -321,12 +308,13 @@ func Build(set *particles.Set, domain geom.Box, cfg BuildConfig) (*Built, error)
 	if err != nil {
 		return nil, err
 	}
+	nA := set.Schema.NumAttrs()
 	roots := make([][]bitmap.Bitmap, len(treelets))
 	for i, t := range treelets {
-		roots[i] = t.nodes[0].bitmaps // a group is never empty
+		roots[i] = t.bitmaps[:nA] // a group is never empty
 	}
 	built.Ranges = ranges
-	built.RootBitmaps = mergeRoots(roots, set.Schema.NumAttrs())
+	built.RootBitmaps = mergeRoots(roots, nA)
 	if col != nil {
 		st := built.Stats
 		col.Add("bat_builds_total", 1)
@@ -426,23 +414,23 @@ func largestFirst(n int, size func(i int) int) []int {
 // samples, all of a leaf's particles), and a split node gives its children
 // the next two pending slots, so the k-th inner node's children are nodes
 // 2k+1 and 2k+2. A depth-limited progressive read thus touches a prefix of
-// the treelet's particle data. idx is consumed: the build partitions it in
+// the treelet's particle data. The nodes are made in the arena and copied
+// out once, at their final count. idx is consumed: the build partitions it in
 // place.
 func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena) *treelet {
 	t := &treelet{}
 	if len(idx) == 0 {
 		return t
 	}
-	nodes := 2*(len(idx)/cfg.MaxLeafSize) + 1 // a first guess; append grows past it
-	a.ensure(len(idx), cfg.LODPerNode, nodes)
-	t.nodes = make([]treeletNode, 0, nodes)
+	a.ensure(len(idx), cfg.LODPerNode)
 	t.order = make([]int, 0, len(idx))
+	a.nodes = a.nodes[:0]
 	a.pending = append(a.pending[:0], pendingNode{lo: 0, hi: len(idx)})
 	for i := 0; i < len(a.pending); i++ {
 		pn := a.pending[i]
 		t.depth = max(t.depth, pn.depth)
 		pts := idx[pn.lo:pn.hi]
-		nd := treeletNode{axis: leafAxis, start: uint32(len(t.order))}
+		nd := node{axis: leafAxis, start: uint32(len(t.order))}
 		// A node the LOD sample would take whole (LODPerNode above
 		// MaxLeafSize) leaves nothing to split: it is a leaf too.
 		if len(pts) > cfg.MaxLeafSize && len(pts) > cfg.LODPerNode {
@@ -456,8 +444,8 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 			axis := bounds.LongestAxis()
 			// A degenerate distribution (all points coincident on the
 			// axis) has no split: the node stays a leaf holding everything.
-			if mid, pos, ok := medianPartition(set, rest, axis, a); ok {
-				nd.axis, nd.pos = axis, pos
+			if mid, split, ok := medianPartition(set, rest, axis, a); ok {
+				nd.axis, nd.split = uint8(axis), split
 				nd.left, nd.right = int32(len(a.pending)), int32(len(a.pending)+1)
 				a.pending = append(a.pending,
 					pendingNode{lo: pn.lo, hi: pn.lo + mid, depth: pn.depth + 1},
@@ -467,8 +455,9 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 		}
 		nd.count = uint32(len(pts))
 		t.order = append(t.order, pts...)
-		t.nodes = append(t.nodes, nd)
+		a.nodes = append(a.nodes, nd)
 	}
+	t.nodes = append(make([]node, 0, len(a.nodes)), a.nodes...)
 	return t
 }
 
@@ -501,7 +490,7 @@ func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
 		a.keys[ax] = keys
 		t.cells[ax] = cell
 	}
-	a.kd.derive(len(t.nodes), t.link, t.cells)
+	a.kd.derive(t.nodes, t.cells)
 	if cap(a.parts) < n {
 		a.parts = make([]int, n)
 	}
@@ -586,17 +575,16 @@ func quickselect(a []float64, k int) float64 {
 	return a[lo]
 }
 
-// computeTreeletBitmaps fills per-node per-attribute bitmaps bottom-up:
-// leaves index their particles; inner nodes merge their children's bitmaps
-// with those of their own LOD particles (§III-C2). All node bitmap slices
-// share one backing array, a single allocation per treelet.
+// computeTreeletBitmaps fills t's bitmap column, per node per attribute,
+// bottom-up: leaves index their particles; inner nodes merge their children's
+// bitmaps with those of their own LOD particles (§III-C2). The column is a
+// single allocation per treelet.
 func computeTreeletBitmaps(set *particles.Set, t *treelet, ranges []bitmap.Range) {
 	nA := set.Schema.NumAttrs()
-	backing := make([]bitmap.Bitmap, len(t.nodes)*nA)
+	t.bitmaps = make([]bitmap.Bitmap, len(t.nodes)*nA)
 	// BFS order guarantees children follow parents; iterate in reverse.
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := &t.nodes[i]
-		n.bitmaps = backing[i*nA : (i+1)*nA : (i+1)*nA]
 		for a := 0; a < nA; a++ {
 			var b bitmap.Bitmap
 			vals := set.Attrs[a]
@@ -604,9 +592,9 @@ func computeTreeletBitmaps(set *particles.Set, t *treelet, ranges []bitmap.Range
 				b |= bitmap.OfValue(vals[p], ranges[a])
 			}
 			if n.axis != leafAxis {
-				b |= t.nodes[n.left].bitmaps[a] | t.nodes[n.right].bitmaps[a]
+				b |= t.bitmaps[int(n.left)*nA+a] | t.bitmaps[int(n.right)*nA+a]
 			}
-			n.bitmaps[a] = b
+			t.bitmaps[i*nA+a] = b
 		}
 	}
 }

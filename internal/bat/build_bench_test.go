@@ -73,7 +73,6 @@ const sectionBenchBound = 1e-3
 type sectionBench struct {
 	set   *particles.Set
 	t     *treelet
-	nodes []diskNode
 	cells [3]keyCell
 }
 
@@ -101,7 +100,7 @@ func newSectionBench(tb testing.TB) *sectionBench {
 	if err := encodeTreeletPositions(t, &a); err != nil {
 		tb.Fatal(err)
 	}
-	return &sectionBench{set: set, t: t, nodes: diskNodesOf(t), cells: t.cells}
+	return &sectionBench{set: set, t: t, cells: t.cells}
 }
 
 // sectionBenchCase is one stream of one column of the bench treelet.
@@ -181,7 +180,7 @@ func BenchmarkEncodeSection(b *testing.B) {
 // once for its three position sections.
 func BenchmarkDecodeSection(b *testing.B) {
 	sb := newSectionBench(b)
-	nb := newNodeBlocks(sb.nodes, sectionBenchN)
+	nb := newNodeBlocks(sb.t.nodes, sectionBenchN)
 	for _, c := range sectionBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena

@@ -224,15 +224,12 @@ func (c *Cache) evictLocked(keep *cacheEntry) {
 	}
 }
 
-// memBytes estimates the in-memory footprint of a parsed treelet: node
-// records (with their bitmap IDs), the three position arrays, and the
-// attribute columns. Used for the cache byte budget.
+// memBytes estimates the in-memory footprint of a parsed treelet: its nodes
+// and their bitmap column, the three position arrays, and the attribute
+// columns. Used for the cache byte budget.
 func (t *parsedTreelet) memBytes() int64 {
-	const nodeBytes = 48 // diskNode less the ids slice, padded
-	b := int64(len(t.nodes)) * nodeBytes
-	for i := range t.nodes {
-		b += int64(len(t.nodes[i].ids)) * 2
-	}
+	const nodeBytes, bitmapBytes = 24, 4 // a node, a bitmap.Bitmap
+	b := int64(len(t.nodes))*nodeBytes + int64(len(t.bitmaps))*bitmapBytes
 	b += int64(len(t.x)+len(t.y)+len(t.z)) * 4
 	for _, a := range t.attrs {
 		b += int64(len(a)) * 8

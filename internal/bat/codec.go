@@ -349,13 +349,13 @@ type unpackScratch [256]uint64
 // the frame columns ahead of an attribute section's blocks — checking that
 // every block lies inside the payload, then runs unpack.
 type nodeBlocks struct {
-	nodes   []diskNode
+	nodes   []node
 	nPoints int
 	frames  []blockFrame
 	col     []uint64 // a frame column being read, a value per node; nil until a section has one
 }
 
-func newNodeBlocks(nodes []diskNode, nPoints int) *nodeBlocks {
+func newNodeBlocks(nodes []node, nPoints int) *nodeBlocks {
 	return &nodeBlocks{nodes: nodes, nPoints: nPoints, frames: make([]blockFrame, len(nodes))}
 }
 

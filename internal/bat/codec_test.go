@@ -357,7 +357,7 @@ func TestCompressedLODScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range pt.nodes {
-			tol, lod := bound, n.axis != uint8(leafAxis)
+			tol, lod := bound, n.axis != leafAxis
 			if lod {
 				tol = bound * scale
 				sawLOD = sawLOD || n.count > 0
@@ -512,13 +512,13 @@ func TestIntFORGate(t *testing.T) {
 		{"span of 2^48", particles.Float64, column(with(40, 1000+1<<maxQuantBits)), codecKeyFOR},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, nodes := forTreelet(counts)
+			tr := forTreelet(counts)
 			var a buildArena
 			enc := encodeAttr(tc.col, tr, tc.typ, 0, 1, &a)
 			if enc.codec != tc.want {
 				t.Fatalf("stored as %s (%d bytes), want %s", CodecName(enc.codec), len(enc.data), CodecName(tc.want))
 			}
-			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(tc.col)), tc.typ, 0, 1, nil)
+			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(tc.col)), tc.typ, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -682,7 +682,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			}
 			kinds[kind] = kinds[kind] || c > 0
 		}
-		tr, nodes := forTreelet(counts)
+		tr := forTreelet(counts)
 		var a buildArena
 		enc := encodeAttr(col, tr, typ, 0, 1, &a)
 		if enc.codec != codecKeyFOR && enc.codec != codecSignKeyFOR {
@@ -694,7 +694,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: %s section of %d bytes for %d raw ones", trial, name, len(enc.data), len(col)*typ.Size())
 		}
 		var info SectionInfo
-		got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), typ, 0, 1, &info)
+		got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, &info)
 		if err != nil {
 			t.Fatalf("trial %d (%s, %v, blocks %v): %v", trial, name, typ, counts, err)
 		}
@@ -748,11 +748,11 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 		for i := range col {
 			col[i] = -7.25
 		}
-		tr, nodes := forTreelet(counts)
+		tr := forTreelet(counts)
 		var a buildArena
 		enc := encodeAttr(col, tr, particles.Float64, 0, 1, &a)
 		var info SectionInfo
-		if _, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
+		if _, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
 			enc.codec != codecKeyFOR || info.Mode != "one-frame" || len(info.Widths) != 1 || info.Widths[0] != 0 {
 			t.Fatalf("encoded as %s %s widths %v (error %v), want key-for one-frame of width 0", CodecName(enc.codec), info.Mode, info.Widths, err)
 		}
@@ -812,7 +812,7 @@ func TestSignKeyChoiceProperty(t *testing.T) {
 		if len(col) == 0 {
 			continue
 		}
-		tr, _ := forTreelet(counts)
+		tr := forTreelet(counts)
 		var a buildArena
 		rawLen := len(col) * typ.Size()
 		enc := encodeKeys(col, typ, tr, rawLen, &a)
@@ -860,10 +860,10 @@ func TestSignKeyChoiceProperty(t *testing.T) {
 					col = append(col, typedValue(r.NormFloat64(), typ))
 				}
 			}
-			tr, nodes := forTreelet(counts)
+			tr := forTreelet(counts)
 			var a buildArena
 			enc := encodeAttr(col, tr, typ, 0, 1, &a)
-			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(nodes, len(col)), typ, 0, 1, nil)
+			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, nil)
 			if err != nil || enc.codec != codecSignKeyFOR {
 				t.Fatalf("%v: encoded as %s (error %v), want sign-key-for", typ, CodecName(enc.codec), err)
 			}
@@ -929,35 +929,22 @@ func TestF64KeyOrderAndInverse(t *testing.T) {
 	}
 }
 
-// diskNodesOf is t's node table as the reader parses it
-// (TestPackedNodeTableMatchesBuilder holds the two equal field by field).
-func diskNodesOf(t *treelet) []diskNode {
-	nodes := make([]diskNode, len(t.nodes))
-	for i, n := range t.nodes {
-		nodes[i] = diskNode{axis: uint8(n.axis), pos: n.pos, left: n.left, right: n.right, start: n.start, count: n.count}
-	}
-	return nodes
-}
-
 // forTreelet lays a column out as a treelet whose node ranges hold counts[i]
 // values each, in order — the shape the block encoders and decoders agree on.
 // Even nodes are inner nodes (their ranges hold LOD samples), odd ones leaves.
-func forTreelet(counts []int) (*treelet, []diskNode) {
+func forTreelet(counts []int) *treelet {
 	t := &treelet{}
-	var nodes []diskNode
 	for i, c := range counts {
-		start := uint32(len(t.order))
-		axis := leafAxis
+		nd := node{axis: leafAxis, start: uint32(len(t.order)), count: uint32(c)}
 		if i%2 == 0 {
-			axis = geom.X
+			nd.axis = uint8(geom.X)
 		}
-		t.nodes = append(t.nodes, treeletNode{axis: axis, start: start, count: uint32(c)})
-		nodes = append(nodes, diskNode{axis: uint8(axis), start: start, count: uint32(c)})
+		t.nodes = append(t.nodes, nd)
 		for i := 0; i < c; i++ {
 			t.order = append(t.order, len(t.order))
 		}
 	}
-	return t, nodes
+	return t
 }
 
 // TestF32KeyOrderAndInverse: the key map is a bijection whose unsigned order
@@ -1129,7 +1116,7 @@ func TestCellFORBoundsHandOff(t *testing.T) {
 	short := tr.cells
 	short[0].hi-- // the largest x is now outside the bounds
 	var shortKD kdCells
-	shortKD.derive(len(tr.nodes), tr.link, short)
+	shortKD.derive(tr.nodes, short)
 	if _, err := encodeCellFOR(keys, tr, &shortKD, geom.X); err == nil || !strings.Contains(err.Error(), "outside the treelet bounds") {
 		t.Fatalf("a root cell that misses a coordinate: error %v", err)
 	}
@@ -1187,7 +1174,7 @@ func TestPackedCoincidentReadsBack(t *testing.T) {
 // its frames.
 func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.AttrType, bound, lodScale float64) (encodedAttr, SectionInfo) {
 	t.Helper()
-	tr, nodes := forTreelet(counts)
+	tr := forTreelet(counts)
 	if len(tr.order) != len(col) {
 		t.Fatalf("counts cover %d of %d values", len(tr.order), len(col))
 	}
@@ -1205,7 +1192,7 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	if len(enc.data) >= len(col)*typ.Size() {
 		t.Fatalf("%s section of %d bytes is not smaller than the %d raw ones", CodecName(enc.codec), len(enc.data), len(col)*typ.Size())
 	}
-	nb := newNodeBlocks(nodes, len(col))
+	nb := newNodeBlocks(tr.nodes, len(col))
 	got, err := decodeAttrSection(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
@@ -1218,9 +1205,9 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 		}
 		return enc, info
 	}
-	for _, n := range nodes {
+	for _, n := range tr.nodes {
 		tol := bound
-		if n.axis != uint8(leafAxis) {
+		if n.axis != leafAxis {
 			tol = bound * lodScale
 		}
 		for i := n.start; i < n.start+n.count; i++ {
@@ -1389,7 +1376,7 @@ func TestQuantFORModes(t *testing.T) {
 func TestQuantFORDecodeRejects(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	counts := []int{8, 40, 8, 33}
-	tr, nodes := forTreelet(counts)
+	tr := forTreelet(counts)
 	n := len(tr.order)
 	const bound = 1e-3
 	sections := map[string][]byte{}
@@ -1461,7 +1448,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(nodes, n), tc.bound, 1, nil)
+			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(tr.nodes, n), tc.bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1649,7 +1636,7 @@ func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, s
 	for j := range ni {
 		fr.bit += frames[j].bits(nb.nodes[j].count)
 	}
-	one := &nodeBlocks{nodes: []diskNode{{axis: n.axis, count: n.count}}, nPoints: int(n.count), frames: []blockFrame{fr}}
+	one := &nodeBlocks{nodes: []node{{axis: n.axis, count: n.count}}, nPoints: int(n.count), frames: []blockFrame{fr}}
 	var vals []float64
 	switch codec {
 	case codecSortedCellFOR:

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"libbat/internal/bitmap"
 	"libbat/internal/checksum"
 	"libbat/internal/geom"
 	"libbat/internal/particles"
@@ -708,8 +709,8 @@ func TestCellFORCorruption(t *testing.T) {
 			tre[secOff] = codecSortedCellFOR
 		}, "unknown attribute codec id 8"},
 		{"bounds that end below a split plane", func(head []byte) {
-			putKey(head[cells0+12:], float32(pt.nodes[firstXSplit].pos-1)) // upper x
-			putKey(head[cells0:], float32(pt.nodes[firstXSplit].pos-2))    // lower x
+			putKey(head[cells0+12:], pt.nodes[firstXSplit].split-1) // upper x
+			putKey(head[cells0:], pt.nodes[firstXSplit].split-2)    // lower x
 		}, nil, "outside its cell"},
 		{"empty bounds", func(head []byte) {
 			putKey(head[cells0:], 1)
@@ -820,7 +821,7 @@ func TestSortedCellFORCorruption(t *testing.T) {
 // quantColsStream writes a quant-for section in frame mode 2 from whatever
 // frames it is given, valid or not: vmin, the mode byte, the bases and the
 // widths as two runs, then qs' node ranges under their frames, bit-contiguous.
-func quantColsStream(nodes []diskNode, frames []forFrame, qs []uint64) []byte {
+func quantColsStream(nodes []node, frames []forFrame, qs []uint64) []byte {
 	bases, widths := make([]uint64, len(frames)), make([]uint64, len(frames))
 	for i, fr := range frames {
 		bases[i], widths[i] = fr.base, uint64(fr.width)
@@ -843,7 +844,7 @@ func quantColsStream(nodes []diskNode, frames []forFrame, qs []uint64) []byte {
 // valid stream the cases are cut from decodes.
 func TestFrameColumnCorruption(t *testing.T) {
 	const bound = 0.5
-	_, nodes := forTreelet([]int{3, 9, 0, 5})
+	nodes := forTreelet([]int{3, 9, 0, 5}).nodes
 	qs := []uint64{100, 101, 102, 7, 7, 9, 12, 7, 8, 9, 10, 11, 5000, 5001, 5003, 5002, 5000}
 	good := []forFrame{{100, 2}, {7, 3}, {0, 0}, {5000, 2}}
 	valid := quantColsStream(nodes, good, qs)
@@ -870,14 +871,14 @@ func TestFrameColumnCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		payload []byte
-		nodes   []diskNode
+		nodes   []node
 		want    string
 	}{
 		{"width 49", quantColsStream(nodes, with(2, forFrame{0, 49}), qs), nodes, "exceeds 48"},
 		{"width column of 7-bit entries", append(slices.Clone(valid[:basesEnd+1]), 7, 0xff, 0xff, 0xff, 0xff), nodes, "exceeds 6"},
 		{"base + 2^width - 1 past 48 bits", quantColsStream(nodes, with(2, forFrame{1<<48 - 4, 3}), qs), nodes, "overflows 48 bits"},
-		{"one node more than the columns hold", valid, append(slices.Clone(nodes), diskNode{axis: uint8(leafAxis), start: uint32(len(qs))}), ""},
-		{"one node fewer than the columns hold", valid, []diskNode{nodes[0], nodes[1], {axis: uint8(leafAxis), start: 12, count: 5}}, ""},
+		{"one node more than the columns hold", valid, append(slices.Clone(nodes), node{axis: leafAxis, start: uint32(len(qs))}), ""},
+		{"one node fewer than the columns hold", valid, []node{nodes[0], nodes[1], {axis: leafAxis, start: 12, count: 5}}, ""},
 		{"cut inside the base column", valid[:quantFORHeaderLen+3], nodes, "truncated"},
 		{"cut before the width column", valid[:basesEnd], nodes, "truncated at frame"},
 		{"cut inside the width column", valid[:basesEnd+2], nodes, "truncated"},
@@ -1074,7 +1075,7 @@ const nodeTableSeed = "(node table)"
 // rangesTile reports whether the node particle ranges, taken in node order,
 // tile [0, nPoints) back to back: what unpackNodeTable guarantees and every
 // block decoder relies on.
-func rangesTile(nodes []diskNode, nPoints uint32) bool {
+func rangesTile(nodes []node, nPoints uint32) bool {
 	next := uint32(0)
 	for _, n := range nodes {
 		if n.start != next || n.count > nPoints-next {
@@ -1085,22 +1086,23 @@ func rangesTile(nodes []diskNode, nPoints uint32) bool {
 	return next == nPoints
 }
 
-// checkUnpackedNodes holds the nodes unpackNodeTable returned to what the
-// traversal and the block decoders rely on: children in range, one parent
-// each — with the children behind their parent, so no cycle —, none deeper
-// than maxDepth, and ranges that tile the points.
-func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA, maxDepth int) error {
+// checkUnpackedNodes holds the nodes and bitmap IDs unpackNodeTable returned
+// to what the traversal and the block decoders rely on: nA IDs per node,
+// children in range, one parent each — with the children behind their
+// parent, so no cycle —, none deeper than maxDepth, and ranges that tile the
+// points.
+func checkUnpackedNodes(nodes []node, ids []bitmap.ID, nPoints uint32, nA, maxDepth int) error {
+	if len(ids) != len(nodes)*nA {
+		return fmt.Errorf("%d bitmap IDs for %d nodes of %d attributes", len(ids), len(nodes), nA)
+	}
 	seen := make([]bool, len(nodes))
 	depth := make([]int, len(nodes))
 	for i := range nodes {
 		n := &nodes[i]
-		if len(n.ids) != nA {
-			return fmt.Errorf("node %d has %d of %d bitmap IDs", i, len(n.ids), nA)
-		}
-		if n.axis > uint8(leafAxis) {
+		if n.axis > leafAxis {
 			return fmt.Errorf("node %d has axis %d", i, n.axis)
 		}
-		if n.axis == uint8(leafAxis) {
+		if n.axis == leafAxis {
 			continue
 		}
 		for _, ref := range [2]int32{n.left, n.right} {
@@ -1130,18 +1132,18 @@ func checkUnpackedNodes(nodes []diskNode, nPoints uint32, nA, maxDepth int) erro
 // fuzzNodes reads a node table of fuzzNodeBytes records. ok is false when the
 // ranges do not tile nPoints: unpackNodeTable returns no such table, and the
 // decoders rely on that.
-func fuzzNodes(table []byte, nPoints uint16) (nodes []diskNode, ok bool) {
-	nodes = make([]diskNode, len(table)/fuzzNodeBytes)
+func fuzzNodes(table []byte, nPoints uint16) (nodes []node, ok bool) {
+	nodes = make([]node, len(table)/fuzzNodeBytes)
 	inner := int32(0)
 	for i := range nodes {
 		rec := table[i*fuzzNodeBytes:]
-		nodes[i] = diskNode{
+		nodes[i] = node{
 			axis:  rec[4] & 3,
-			pos:   float64(math.Float32frombits(binary.LittleEndian.Uint32(rec[5:]))),
+			split: math.Float32frombits(binary.LittleEndian.Uint32(rec[5:])),
 			start: uint32(binary.LittleEndian.Uint16(rec)),
 			count: uint32(binary.LittleEndian.Uint16(rec[2:])),
 		}
-		if nodes[i].axis != uint8(leafAxis) {
+		if nodes[i].axis != leafAxis {
 			nodes[i].left, nodes[i].right = 2*inner+1, 2*inner+2
 			inner++
 		}
@@ -1167,7 +1169,7 @@ func fileSections(tb testing.TB, f *File, buf []byte) []sectionSeed {
 			table = binary.LittleEndian.AppendUint16(table, uint16(n.start))
 			table = binary.LittleEndian.AppendUint16(table, uint16(n.count))
 			table = append(table, n.axis)
-			table = binary.LittleEndian.AppendUint32(table, math.Float32bits(float32(n.pos)))
+			table = binary.LittleEndian.AppendUint32(table, math.Float32bits(n.split))
 		}
 		lay, err := f.TreeletLayout(context.Background(), ti)
 		if err != nil {
@@ -1321,11 +1323,11 @@ func FuzzDecodeSections(f *testing.F) {
 		// The axis byte also lowers the table's depth limit: the seeds, at
 		// axes 0 to 2, keep nearly all of it.
 		maxDepth := maxSaneDepth - int(axis)%(maxSaneDepth+1)
-		if unpacked, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, nil); err == nil {
+		if unpacked, ids, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, nil); err == nil {
 			if n > len(payload) {
 				t.Fatalf("node table of %d bytes read from %d", n, len(payload))
 			}
-			if err := checkUnpackedNodes(unpacked, uint32(nPoints), nA, maxDepth); err != nil {
+			if err := checkUnpackedNodes(unpacked, ids, uint32(nPoints), nA, maxDepth); err != nil {
 				t.Fatalf("unpackNodeTable accepted a malformed table: %v", err)
 			}
 		}
@@ -1417,14 +1419,12 @@ func TestSectionSeedsDecode(t *testing.T) {
 	for i, s := range seeds {
 		if s.attr == nodeTableSeed {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
-			unpacked, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, nil)
+			unpacked, _, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, nil)
 			if err != nil || n != len(s.payload) {
 				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
 			}
-			for ni := range nodes {
-				if u := unpacked[ni]; u.axis != nodes[ni].axis || u.start != nodes[ni].start || u.count != nodes[ni].count {
-					t.Fatalf("seed %d node %d: unpacked %+v, parsed %+v", i, ni, u, nodes[ni])
-				}
+			if !slices.Equal(unpacked, nodes) {
+				t.Fatalf("seed %d: unpacked %+v, parsed %+v", i, unpacked, nodes)
 			}
 			nodeTables++
 			continue

@@ -159,15 +159,13 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 	treeletIDs := make([][]bitmap.ID, len(treelets))
 	rootIDs := make([][]bitmap.ID, len(treelets))
 	for ti, t := range treelets {
-		ids := make([]bitmap.ID, 0, len(t.nodes)*nA)
-		for ni := range t.nodes {
-			for _, b := range t.nodes[ni].bitmaps {
-				id, err := dict.Intern(b)
-				if err != nil {
-					return nil, err
-				}
-				ids = append(ids, id)
+		ids := make([]bitmap.ID, len(t.bitmaps))
+		for i, b := range t.bitmaps {
+			id, err := dict.Intern(b)
+			if err != nil {
+				return nil, err
 			}
+			ids[i] = id
 		}
 		interned += len(ids)
 		treeletIDs[ti] = ids
@@ -205,10 +203,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		if cap(colScratch) < len(t.nodes) {
 			colScratch = make([]uint64, len(t.nodes))
 		}
-		tableLen, err := packNodeTable(nil, t, treeletIDs[ti], nA, colScratch)
-		if err != nil {
-			return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
-		}
+		tableLen := packNodeTable(nil, t, treeletIDs[ti], nA, colScratch)
 		for _, pe := range t.posEnc {
 			posEncPayload += int64(pe.encodedLen(len(t.order), particles.Float32))
 		}
@@ -237,11 +232,7 @@ func compact(set *particles.Set, domain geom.Box, cfg BuildConfig,
 		// end: onto the three position section frames, which are this
 		// treelet's and written next. The window ends with the treelet, so a
 		// store can never reach another task's bytes.
-		n, err := packNodeTable(w.Buf[len(w.Buf):cap(w.Buf)], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
-		if err != nil {
-			fillErrs[ti] = fmt.Errorf("bat: treelet %d: %w", ti, err)
-			return
-		}
+		n := packNodeTable(w.Buf[len(w.Buf):cap(w.Buf)], t, treeletIDs[ti], nA, make([]uint64, len(t.nodes)))
 		w.Buf = w.Buf[:len(w.Buf)+n]
 		// Every column is a section: codec id, encoded length, payload. Raw
 		// sections stream the column bytes directly; encoded sections copy the

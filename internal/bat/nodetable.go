@@ -8,6 +8,22 @@ import (
 	"libbat/internal/particles"
 )
 
+// node is a treelet node, the one type buildTreelet appends and
+// unpackNodeTable returns: its split axis (leafAxis for a leaf) and plane,
+// its children (node indices within the treelet; unset for a leaf), and its
+// range of the treelet's layout order — an inner node's LOD samples, all of
+// a leaf's particles. Its bitmaps are not in it: a treelet keeps them in one
+// column, nA per node, node i's from i·nA on.
+type node struct {
+	axis         uint8
+	split        float32
+	left, right  int32
+	start, count uint32
+}
+
+// leafAxis is a leaf's axis.
+const leafAxis = 3
+
 // --- node table ---
 
 // A treelet's node table stores its nodes as 3 + nA columns in node order,
@@ -15,8 +31,8 @@ import (
 // f32Key of every inner node's split plane, then each attribute's bitmap IDs.
 // buildTreelet makes the nodes breadth-first, so the rest of a node is a
 // function of its index — the k-th inner node's children are nodes 2k+1 and
-// 2k+2, a node's particles start where the previous node's end — and
-// medianPartition only ever splits at a particle coordinate, a float32.
+// 2k+2, a node's particles start where the previous node's end — and a
+// split is a particle coordinate, a float32.
 const (
 	nodeColAxis = iota
 	nodeColCount
@@ -38,7 +54,7 @@ func nodeColumnName(col int, schema particles.Schema) string {
 func nodeColumnLimit(col int) uint64 {
 	switch col {
 	case nodeColAxis:
-		return uint64(leafAxis)
+		return leafAxis
 	case nodeColCount, nodeColSplit:
 		return math.MaxUint32
 	}
@@ -47,7 +63,7 @@ func nodeColumnLimit(col int) uint64 {
 
 // nodeColumn gathers column col of t's node table into vals' backing array.
 // ids holds the nodes' interned bitmap IDs, nA per node.
-func nodeColumn(vals []uint64, t *treelet, ids []bitmap.ID, nA, col int) ([]uint64, error) {
+func nodeColumn(vals []uint64, t *treelet, ids []bitmap.ID, nA, col int) []uint64 {
 	vals = vals[:0]
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -57,32 +73,24 @@ func nodeColumn(vals []uint64, t *treelet, ids []bitmap.ID, nA, col int) ([]uint
 		case nodeColCount:
 			vals = append(vals, uint64(n.count))
 		case nodeColSplit:
-			if n.axis == leafAxis {
-				continue
+			if n.axis != leafAxis {
+				vals = append(vals, uint64(keyOf(n.split)))
 			}
-			pos := float32(n.pos)
-			if float64(pos) != n.pos {
-				return nil, fmt.Errorf("bat: node %d splits at %v, which is not a float32: the packed node table cannot hold it", i, n.pos)
-			}
-			vals = append(vals, uint64(f32Key(math.Float32bits(pos))))
 		default:
 			vals = append(vals, uint64(ids[i*nA+col-nodeColIDs]))
 		}
 	}
-	return vals, nil
+	return vals
 }
 
 // packNodeTable writes t's packed node table at dst and returns its byte
 // length; a nil dst only sizes it, so the size pass and the packer cannot
 // disagree. dst needs packSlack bytes past the table. vals is scratch; with
 // room for a value per node no column reallocates it.
-func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint64) (int, error) {
+func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint64) int {
 	pos := 0
 	for col := 0; col < nodeColIDs+nA; col++ {
-		vals, err := nodeColumn(vals, t, ids, nA, col)
-		if err != nil {
-			return 0, err
-		}
+		vals := nodeColumn(vals, t, ids, nA, col)
 		fr := frameOf(vals)
 		if dst == nil {
 			pos += runLen(len(vals), fr)
@@ -90,36 +98,34 @@ func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint6
 		}
 		pos = putRun(dst, pos, vals, fr)
 	}
-	return pos, nil
+	return pos
 }
 
 // unpackNodeTable reads the packed node table of a treelet of nNodes nodes,
 // nPoints points and nA attributes, none deeper than maxDepth, from src,
-// which runs on to the treelet's end, and returns the nodes and the table's
-// byte length. A table has no field for a child index or a range start, so
-// it cannot say that a node has two parents, a child out of range or a
-// particle range that overlaps another's; what it can say wrong — a node no
-// parent reaches or one deeper than maxDepth, counts that do not add up,
-// values past a column's limit, columns cut short — is rejected here;
-// whether the bitmap IDs resolve in the file's dictionary is the caller's to
-// check. info, when non-nil, receives the column sizes.
-func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info *NodeTableInfo) ([]diskNode, int, error) {
+// which runs on to the treelet's end, and returns the nodes, their bitmap IDs
+// (nA per node) and the table's byte length. A table has no field for a
+// child index or a range start, so it cannot say that a node has two
+// parents, a child out of range or a particle range that overlaps another's;
+// what it can say wrong — a node no parent reaches or one deeper than
+// maxDepth, counts that do not add up, values past a column's limit, columns
+// cut short — is rejected here; whether the bitmap IDs resolve in the file's
+// dictionary is the caller's to check. info, when non-nil, receives the
+// column sizes.
+func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info *NodeTableInfo) ([]node, []bitmap.ID, int, error) {
 	// Bound the allocations by the section before making them. Every column
 	// costs its frame, two bytes at least, and a tree of more than one node
 	// has both inner nodes and leaves, so its axis column spends at least a
 	// bit a node; the other columns may all be of width zero.
 	nCols := nodeColIDs + nA
 	if 2*nCols > len(src) {
-		return nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, 2*nCols, len(src))
+		return nil, nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, 2*nCols, len(src))
 	}
 	if nNodes > math.MaxInt32 || uint64(nNodes) > 8*uint64(len(src)) {
-		return nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
+		return nil, nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
 	}
-	nodes := make([]diskNode, nNodes)
-	idBacking := make([]bitmap.ID, int(nNodes)*nA)
-	for i := range nodes {
-		nodes[i].ids = idBacking[i*nA : (i+1)*nA : (i+1)*nA]
-	}
+	nodes := make([]node, nNodes)
+	ids := make([]bitmap.ID, int(nNodes)*nA)
 	vals := make([]uint64, nNodes)
 	inner := uint32(0)
 	pos := 0
@@ -131,7 +137,7 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info 
 		vals := vals[:n]
 		fr, end, err := readRun(vals, src, pos, nodeColumnLimit(col))
 		if err != nil {
-			return nil, 0, fmt.Errorf("node table column %d: %w", col, err)
+			return nil, nil, 0, fmt.Errorf("node table column %d: %w", col, err)
 		}
 		if info != nil {
 			info.Columns = append(info.Columns, NodeColumnInfo{Bytes: end - pos, Width: fr.width})
@@ -148,12 +154,12 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info 
 				if uint32(i) == depthEnd {
 					depth, depthEnd = depth+1, 2*inner+1
 					if depth > maxDepth {
-						return nil, 0, fmt.Errorf("node %d is at depth %d, deeper than the header's %d", i, depth, maxDepth)
+						return nil, nil, 0, fmt.Errorf("node %d is at depth %d, deeper than the header's %d", i, depth, maxDepth)
 					}
 				}
-				if v < uint64(leafAxis) {
+				if v < leafAxis {
 					if uint32(i) > 2*inner || 2*uint64(inner)+2 >= uint64(nNodes) {
-						return nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
+						return nil, nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
 					}
 					nodes[i].left, nodes[i].right = int32(2*inner+1), int32(2*inner+2)
 					inner++
@@ -161,35 +167,35 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info 
 				nodes[i].axis = uint8(v)
 			}
 			if nNodes > 0 && nNodes != 2*inner+1 {
-				return nil, 0, fmt.Errorf("%d nodes with %d inner ones; a tree has 2 x inner + 1", nNodes, inner)
+				return nil, nil, 0, fmt.Errorf("%d nodes with %d inner ones; a tree has 2 x inner + 1", nNodes, inner)
 			}
 		case nodeColCount:
 			next := uint32(0)
 			for i, v := range vals {
 				if v > uint64(nPoints-next) {
-					return nil, 0, fmt.Errorf("node %d holds %d particles, %d of %d remain", i, v, nPoints-next, nPoints)
+					return nil, nil, 0, fmt.Errorf("node %d holds %d particles, %d of %d remain", i, v, nPoints-next, nPoints)
 				}
 				nodes[i].start, nodes[i].count = next, uint32(v)
 				next += uint32(v)
 			}
 			if next != nPoints {
-				return nil, 0, fmt.Errorf("node particle counts add up to %d of %d points", next, nPoints)
+				return nil, nil, 0, fmt.Errorf("node particle counts add up to %d of %d points", next, nPoints)
 			}
 		case nodeColSplit:
 			k := 0
 			for i := range nodes {
-				if nodes[i].axis == uint8(leafAxis) {
+				if nodes[i].axis == leafAxis {
 					continue
 				}
 				//batlint:ignore uintcast readRun holds the column to nodeColumnLimit, 32 bits
-				nodes[i].pos = float64(math.Float32frombits(f32FromKey(uint32(vals[k]))))
+				nodes[i].split = math.Float32frombits(f32FromKey(uint32(vals[k])))
 				k++
 			}
 		default:
 			for i, v := range vals {
-				idBacking[i*nA+col-nodeColIDs] = bitmap.ID(v)
+				ids[i*nA+col-nodeColIDs] = bitmap.ID(v)
 			}
 		}
 	}
-	return nodes, pos, nil
+	return nodes, ids, pos, nil
 }

@@ -46,12 +46,13 @@ func packedTreelets(t *testing.T, set *particles.Set, domain geom.Box, cfg Build
 	return treelets, f
 }
 
-// TestPackedNodeTableMatchesBuilder is the packed node table's property: what
-// the reader unpacks is the builder's node, field by field — the fields the
-// table stores (axis, split, count, bitmap IDs) and the ones it leaves to the
-// breadth-first order (left, right, start) — over random sets cut into random
-// treelets, among them an empty treelet, treelets of one node and a leaf that
-// holds thousands of coincident particles because no plane splits them.
+// TestPackedNodeTableMatchesBuilder is the packed node table's property: the
+// reader's nodes are the builder's — the fields the table stores (axis,
+// split, count) and the ones it leaves to the breadth-first order (left,
+// right, start) — and so is its bitmap column, resolved from the stored IDs,
+// over random sets cut into random treelets, among them an empty treelet,
+// treelets of one node and a leaf that holds thousands of coincident
+// particles because no plane splits them.
 func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	shapes := map[string]int{}
@@ -96,19 +97,11 @@ func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 			default:
 				shapes["tree"]++
 			}
-			for ni := range bt.nodes {
-				b, p := &bt.nodes[ni], &pt.nodes[ni]
-				if p.axis != uint8(b.axis) || p.pos != b.pos || p.left != b.left || p.right != b.right ||
-					p.start != b.start || p.count != b.count || len(p.ids) != len(b.bitmaps) {
-					t.Fatalf("trial %d treelet %d node %d: read %+v, built axis %d pos %v children %d/%d range [%d,+%d)",
-						trial, ti, ni, *p, b.axis, b.pos, b.left, b.right, b.start, b.count)
-				}
-				for a, id := range p.ids {
-					if f.dict.Lookup(id) != b.bitmaps[a] {
-						t.Fatalf("trial %d treelet %d node %d attribute %d: bitmap %#x, built %#x",
-							trial, ti, ni, a, f.dict.Lookup(id), b.bitmaps[a])
-					}
-				}
+			if !slices.Equal(pt.nodes, bt.nodes) {
+				t.Fatalf("trial %d treelet %d: read nodes %+v, built %+v", trial, ti, pt.nodes, bt.nodes)
+			}
+			if !slices.Equal(pt.bitmaps, bt.bitmaps) {
+				t.Fatalf("trial %d treelet %d: read bitmaps %#x, built %#x", trial, ti, pt.bitmaps, bt.bitmaps)
 			}
 		}
 	}
@@ -121,27 +114,24 @@ func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 
 // nodeTableOf packs a table of the given axes and counts (splits at 0.5, 1.5,
 // ... and IDs 7, 8, ... for one attribute) the way compact does.
-func nodeTableOf(t *testing.T, axes []geom.Axis, counts []uint32) (table []byte, nPoints uint32) {
+func nodeTableOf(t *testing.T, axes []uint8, counts []uint32) (table []byte, nPoints uint32) {
 	t.Helper()
 	tr := &treelet{}
 	var ids []bitmap.ID
 	for i, ax := range axes {
-		n := treeletNode{axis: ax, count: counts[i], start: nPoints}
+		n := node{axis: ax, count: counts[i], start: nPoints}
 		if ax != leafAxis {
-			n.pos = float64(i) + 0.5
+			n.split = float32(i) + 0.5
 		}
 		tr.nodes = append(tr.nodes, n)
 		ids = append(ids, bitmap.ID(7+i))
 		nPoints += counts[i]
 	}
 	vals := make([]uint64, len(axes))
-	size, err := packNodeTable(nil, tr, ids, 1, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	size := packNodeTable(nil, tr, ids, 1, vals)
 	table = make([]byte, size+packSlack)
-	if n, err := packNodeTable(table, tr, ids, 1, vals); err != nil || n != size {
-		t.Fatalf("packed %d bytes (error %v), sized %d", n, err, size)
+	if n := packNodeTable(table, tr, ids, 1, vals); n != size {
+		t.Fatalf("packed %d bytes, sized %d", n, size)
 	}
 	return table[:size], nPoints
 }
@@ -159,20 +149,20 @@ func reframed(table []byte, off int, base uint64, width uint8) []byte {
 // cannot produce: each is an error, none a panic, and none allocates by a
 // count the bytes do not back.
 func TestPackedNodeTableCorruption(t *testing.T) {
-	axes := []geom.Axis{geom.X, geom.Y, leafAxis, leafAxis, leafAxis}
+	axes := []uint8{uint8(geom.X), uint8(geom.Y), leafAxis, leafAxis, leafAxis}
 	counts := []uint32{4, 4, 100, 90, 110}
 	good, nPoints := nodeTableOf(t, axes, counts)
 	var info NodeTableInfo
-	nodes, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, &info)
+	nodes, ids, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, &info)
 	if err != nil || n != len(good) {
 		t.Fatalf("the packer's own table: read %d of %d bytes, error %v", n, len(good), err)
 	}
-	if err := checkUnpackedNodes(nodes, nPoints, 1, 2); err != nil {
+	if err := checkUnpackedNodes(nodes, ids, nPoints, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].left != 1 || nodes[0].right != 2 || nodes[1].left != 3 || nodes[1].right != 4 ||
-		nodes[0].pos != 0.5 || nodes[1].pos != 1.5 || nodes[4].start != 198 || nodes[3].ids[0] != 10 {
-		t.Fatalf("unpacked %+v", nodes)
+		nodes[0].split != 0.5 || nodes[1].split != 1.5 || nodes[4].start != 198 || ids[3] != 10 {
+		t.Fatalf("unpacked %+v, IDs %v", nodes, ids)
 	}
 	// Run offsets: every column is base uvarint, width u8, then its block.
 	// The axis values need 2 bits, the counts 7, the IDs 3, and the axis,
@@ -188,7 +178,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	}
 	axisBlock := axisRun + 2
 	unpack := func(table []byte, nNodes, nPoints uint32) error {
-		_, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, nil)
+		_, _, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, nil)
 		return err
 	}
 	mutated := func(mutate func(tb []byte)) []byte {
@@ -241,7 +231,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 		})
 	}
 	// Nodes 3 and 4 are at depth 2.
-	if _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
+	if _, _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
 		t.Fatalf("a table deeper than its limit: error %v", err)
 	}
 
@@ -295,10 +285,10 @@ func TestPackedNodeTableEmpty(t *testing.T) {
 	if len(table) != (nodeColIDs+1)*2 {
 		t.Fatalf("an empty table is %d bytes, want %d frames of 2", len(table), nodeColIDs+1)
 	}
-	if nodes, n, err := unpackNodeTable(table, 0, 0, 1, 0, nil); err != nil || n != len(table) || len(nodes) != 0 {
+	if nodes, _, n, err := unpackNodeTable(table, 0, 0, 1, 0, nil); err != nil || n != len(table) || len(nodes) != 0 {
 		t.Fatalf("unpacked %d nodes from %d of %d bytes, error %v", len(nodes), n, len(table), err)
 	}
-	if _, _, err := unpackNodeTable(table, 0, 1, 1, 0, nil); err == nil {
+	if _, _, _, err := unpackNodeTable(table, 0, 1, 1, 0, nil); err == nil {
 		t.Fatal("no nodes hold a point")
 	}
 }

@@ -79,19 +79,14 @@ func cellBounds(cells [3]keyCell) geom.Box {
 	return geom.NewBox(geom.V3(lo[0], lo[1], lo[2]), geom.V3(hi[0], hi[1], hi[2]))
 }
 
-// nodeLink returns node i's axis (leafAxis for a leaf), split plane, children
-// and particle count: what kdCells needs of a node table, the builder's or
-// the reader's.
-type nodeLink func(i int) (axis uint8, split float64, left, right int32, count uint32)
-
 // cellFrames derives every node's frame on axis ax from the treelet's cell
-// there and the split planes of the node table: the rule of
-// codecSortedCellFOR in the comment at the top of this file, in one pass in
-// node order. The pass needs what a breadth-first table guarantees — every
-// node but the root hangs under exactly one earlier node — and what the
-// builder guarantees — an inner node's split plane is a float32 inside the
-// node's own cell — and reports a table or bounds that break either.
-func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) error {
+// there and the split planes of nodes: the rule of codecSortedCellFOR in the
+// comment at the top of this file, in one pass in node order. The pass needs
+// what a breadth-first table guarantees — every node but the root hangs
+// under exactly one earlier node — and what the builder guarantees — an
+// inner node's split plane is a number inside the node's own cell — and
+// reports a table or bounds that break either.
+func cellFrames(frames []blockFrame, nodes []node, root keyCell, ax geom.Axis) error {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -110,28 +105,27 @@ func cellFrames(frames []blockFrame, link nodeLink, root keyCell, ax geom.Axis) 
 		if frames[i].width == unset {
 			return fmt.Errorf("node %d hangs under no earlier node", i)
 		}
-		axis, split, left, right, _ := link(i)
-		if axis == uint8(leafAxis) {
+		n := &nodes[i]
+		if n.axis == leafAxis {
 			continue
 		}
-		for _, c := range [2]int32{left, right} {
-			if int(c) <= i || int(c) >= len(frames) || frames[c].width != unset || left == right {
+		for _, c := range [2]int32{n.left, n.right} {
+			if int(c) <= i || int(c) >= len(frames) || frames[c].width != unset || n.left == n.right {
 				return fmt.Errorf("node %d has child %d: not a breadth-first tree of %d nodes", i, c, len(frames))
 			}
 		}
 		lo, hi := frames[i].base, frames[i].base+frames[i].span
-		if axis != uint8(ax) {
-			setCell(int(left), lo, hi)
-			setCell(int(right), lo, hi)
+		if n.axis != uint8(ax) {
+			setCell(int(n.left), lo, hi)
+			setCell(int(n.right), lo, hi)
 			continue
 		}
-		s32 := float32(split)
-		s := uint64(keyOf(s32))
-		if float64(s32) != split || s < lo || s > hi {
-			return fmt.Errorf("node %d splits axis %d at %v, outside its cell", i, ax, split)
+		s := uint64(keyOf(n.split))
+		if n.split != n.split || s < lo || s > hi {
+			return fmt.Errorf("node %d splits axis %d at %v, outside its cell", i, ax, n.split)
 		}
-		setCell(int(left), lo, s)
-		setCell(int(right), s, hi)
+		setCell(int(n.left), lo, s)
+		setCell(int(n.right), s, hi)
 	}
 	return nil
 }
@@ -151,9 +145,10 @@ type kdCells struct {
 	axes   []uint8
 }
 
-// derive fills kd for the n nodes of link under the treelet's cells, reusing
-// kd's slices where they are large enough.
-func (kd *kdCells) derive(n int, link nodeLink, cells [3]keyCell) {
+// derive fills kd for nodes under the treelet's cells, reusing kd's slices
+// where they are large enough.
+func (kd *kdCells) derive(nodes []node, cells [3]keyCell) {
+	n := len(nodes)
 	// While the axes are compared, axes[i] holds the widest width so far
 	// above the two bits of its axis: a cell frame is at most 32 bits wide.
 	kd.axes = slices.Grow(kd.axes[:0], n)[:n]
@@ -161,7 +156,7 @@ func (kd *kdCells) derive(n int, link nodeLink, cells [3]keyCell) {
 	for ax := range cells {
 		frames := slices.Grow(kd.frames[ax][:0], n)[:n]
 		kd.frames[ax] = frames
-		if kd.errs[ax] = cellFrames(frames, link, cells[ax], geom.Axis(ax)); kd.errs[ax] != nil {
+		if kd.errs[ax] = cellFrames(frames, nodes, cells[ax], geom.Axis(ax)); kd.errs[ax] != nil {
 			continue
 		}
 		for i := range kd.axes {
@@ -173,29 +168,16 @@ func (kd *kdCells) derive(n int, link nodeLink, cells [3]keyCell) {
 	for i := range kd.axes {
 		kd.axes[i] &= 3
 		if sa := kd.axes[i]; kd.errs[sa] == nil {
-			_, _, _, _, count := link(i)
-			efFrame(&kd.frames[sa][i], count)
+			efFrame(&kd.frames[sa][i], nodes[i].count)
 		}
 	}
-}
-
-// link is the builder's node table as kdCells reads it.
-func (t *treelet) link(i int) (uint8, float64, int32, int32, uint32) {
-	n := &t.nodes[i]
-	return uint8(n.axis), n.pos, n.left, n.right, n.count
-}
-
-// link is the reader's node table as kdCells reads it.
-func (nb *nodeBlocks) link(i int) (uint8, float64, int32, int32, uint32) {
-	n := &nb.nodes[i]
-	return n.axis, n.pos, n.left, n.right, n.count
 }
 
 // kdCells derives the k-d cells of the node table under cells, the
 // treelet's cells from its leaf record.
 func (nb *nodeBlocks) kdCells(cells [3]keyCell) *kdCells {
 	kd := &kdCells{}
-	kd.derive(len(nb.nodes), nb.link, cells)
+	kd.derive(nb.nodes, cells)
 	return kd
 }
 

@@ -166,19 +166,8 @@ func (f *File) prepare(q Query) (*queryState, bool) {
 	return s, true
 }
 
-// nodePassesBitmaps tests a treelet node's bitmap IDs against every filter
-// mask.
-func (s *queryState) nodePassesBitmaps(f *File, ids []bitmap.ID) bool {
-	for i, m := range s.masks {
-		if !f.dict.Lookup(ids[s.q.Filters[i].Attr]).Overlaps(m) {
-			return false
-		}
-	}
-	return true
-}
-
-// passes tests a shallow node's or a leaf record's bitmaps against every
-// filter mask.
+// passes tests the bitmaps of a shallow node, a leaf record or a treelet
+// node against every filter mask.
 func (s *queryState) passes(bms []bitmap.Bitmap) bool {
 	for i, m := range s.masks {
 		if !bms[s.q.Filters[i].Attr].Overlaps(m) {
@@ -359,8 +348,10 @@ func (f *File) collectLoaded(ctx context.Context, s *queryState, li int, t *pars
 	if loaded {
 		sel.stats.Loads = 1
 	}
-	ref := &f.leaves[li]
-	f.cache.AccessRecorder().Treelet(f.leaf, li, int64(ref.byteLen), loaded, cellBounds(ref.cells).Center())
+	if rec := f.cache.AccessRecorder(); rec != nil {
+		ref := &f.leaves[li]
+		rec.Treelet(f.leaf, li, int64(ref.byteLen), loaded, cellBounds(ref.cells).Center())
+	}
 	if len(t.nodes) > 0 && !s.traverseTreelet(f, sel, ctx.Done(), 0, 0) {
 		sel.err = ctx.Err()
 	}
@@ -393,7 +384,7 @@ func (s *queryState) traverseTreelet(f *File, sel *selection, done <-chan struct
 		}
 	}
 	n := &sel.t.nodes[ni]
-	if !s.nodePassesBitmaps(f, n.ids) {
+	if !s.passes(sel.t.bitmaps[int(ni)*f.Schema.NumAttrs():]) {
 		sel.stats.PrunedSubtrees++
 		return true
 	}
@@ -419,16 +410,16 @@ func (s *queryState) traverseTreelet(f *File, sel *selection, done <-chan struct
 			sel.stats.FalsePositives += int64(hi-lo) - int64(len(sel.picks)-before)
 		}
 	}
-	if n.axis == uint8(leafAxis) {
+	if n.axis == leafAxis {
 		return true
 	}
 	// Spatial pruning against the split plane.
 	if s.q.Bounds != nil {
-		ax := geom.Axis(n.axis)
-		if s.q.Bounds.Lower.Component(ax) >= n.pos {
+		ax, split := geom.Axis(n.axis), float64(n.split)
+		if s.q.Bounds.Lower.Component(ax) >= split {
 			return s.traverseTreelet(f, sel, done, n.right, depth+1)
 		}
-		if s.q.Bounds.Upper.Component(ax) < n.pos {
+		if s.q.Bounds.Upper.Component(ax) < split {
 			return s.traverseTreelet(f, sel, done, n.left, depth+1)
 		}
 	}

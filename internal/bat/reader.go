@@ -46,18 +46,11 @@ type shallowNode struct {
 	bitmaps     []bitmap.Bitmap
 }
 
-// diskNode is a parsed treelet node.
-type diskNode struct {
-	axis         uint8
-	pos          float64
-	left, right  int32
-	start, count uint32
-	ids          []bitmap.ID
-}
-
-// parsedTreelet is a treelet loaded into memory.
+// parsedTreelet is a treelet loaded into memory: its nodes, their bitmaps
+// resolved through the dictionary, nA per node, and its decoded columns.
 type parsedTreelet struct {
-	nodes   []diskNode
+	nodes   []node
+	bitmaps []bitmap.Bitmap
 	x, y, z []float32
 	attrs   [][]float64
 }
@@ -205,12 +198,9 @@ func DecodeLeaf(ctx context.Context, src io.ReaderAt, size int64, cache *Cache, 
 	f.roots = make([][]bitmap.Bitmap, nLeaves)
 	rootBacking := make([]bitmap.Bitmap, int(nLeaves)*nA)
 	for i, leafIDs := range ids {
-		if err := f.checkIDs(leafIDs); err != nil {
-			return nil, fmt.Errorf("bat: leaf %d: %w", i, err)
-		}
 		f.roots[i] = rootBacking[i*nA : (i+1)*nA : (i+1)*nA]
-		for a, id := range leafIDs {
-			f.roots[i][a] = f.dict.Lookup(id)
+		if err := f.resolve(f.roots[i], leafIDs); err != nil {
+			return nil, fmt.Errorf("bat: leaf %d: %w", i, err)
 		}
 	}
 	if err := f.loadFooter(ctx, r.Consumed()); err != nil {
@@ -555,12 +545,14 @@ func (f *File) StoredBytes(ctx context.Context) (StoredBytes, error) {
 	return sb, nil
 }
 
-// checkIDs validates bitmap IDs against the dictionary.
-func (f *File) checkIDs(ids []bitmap.ID) error {
-	for _, id := range ids {
+// resolve looks bitmap IDs up in the dictionary into dst, refusing one the
+// dictionary does not hold.
+func (f *File) resolve(dst []bitmap.Bitmap, ids []bitmap.ID) error {
+	for i, id := range ids {
 		if int(id) >= f.dict.Len() {
 			return fmt.Errorf("bitmap ID %d outside dictionary of %d", id, f.dict.Len())
 		}
+		dst[i] = f.dict.Lookup(id)
 	}
 	return nil
 }
@@ -638,14 +630,14 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	if lay != nil {
 		table = &lay.NodeTable
 	}
-	nodes, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, f.MaxTreeletDepth, table)
+	nodes, ids, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, f.MaxTreeletDepth, table)
 	if err != nil {
 		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 	}
-	t := &parsedTreelet{nodes: nodes}
+	t := &parsedTreelet{nodes: nodes, bitmaps: make([]bitmap.Bitmap, len(ids))}
 	r.Bytes(n)
 	for i := range t.nodes {
-		if err := f.checkIDs(t.nodes[i].ids); err != nil {
+		if err := f.resolve(t.bitmaps[i*nA:(i+1)*nA], ids[i*nA:(i+1)*nA]); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d node %d: %w", ti, i, err)
 		}
 	}
