@@ -310,57 +310,55 @@ func integral(ref ...float64) bool {
 
 // --- attribute decoding ---
 
-// decodeAttrSection decodes one attribute section payload into a fresh
-// []float64 column. declaredBound/lodScale come from the file footer: a
+// decodeAttrSection decodes one attribute section payload into dst, a column
+// of nb.nPoints values. declaredBound/lodScale come from the file footer: a
 // quant-for section takes its grid steps from them. info, when non-nil,
 // receives the section's frame mode, frame bytes and block widths
 // (batinspect).
-func decodeAttrSection(codec uint8, payload []byte, nb *nodeBlocks,
-	typ particles.AttrType, declaredBound, lodScale float64, info *SectionInfo) ([]float64, error) {
+func decodeAttrSection(dst []float64, codec uint8, payload []byte, nb *nodeBlocks,
+	typ particles.AttrType, declaredBound, lodScale float64, info *SectionInfo) error {
 
 	switch codec {
 	case codecRaw:
-		return decodeRaw(payload, nb.nPoints, typ)
+		return decodeRaw(dst, payload, typ)
 	case codecQuantFOR:
-		return decodeQuantFOR(codec, payload, nb, declaredBound, lodScale, info)
+		return decodeQuantFOR(dst, codec, payload, nb, declaredBound, lodScale, info)
 	case codecIntFOR:
-		return decodeQuantFOR(codec, payload, nb, intFORBound, 1, info)
+		return decodeQuantFOR(dst, codec, payload, nb, intFORBound, 1, info)
 	case codecKeyFOR, codecSignKeyFOR:
-		return decodeKeyFOR(codec, payload, nb, typ, info)
+		return decodeKeyFOR(dst, codec, payload, nb, typ, info)
 	}
-	return nil, fmt.Errorf("bat: unknown attribute codec id %d", codec)
+	return fmt.Errorf("bat: unknown attribute codec id %d", codec)
 }
 
-func decodeRaw(payload []byte, nPoints int, typ particles.AttrType) ([]float64, error) {
+func decodeRaw(dst []float64, payload []byte, typ particles.AttrType) error {
 	sz := typ.Size()
-	if len(payload) != nPoints*sz {
-		return nil, fmt.Errorf("bat: raw section holds %d bytes, want %d", len(payload), nPoints*sz)
+	if len(payload) != len(dst)*sz {
+		return fmt.Errorf("bat: raw section holds %d bytes, want %d", len(payload), len(dst)*sz)
 	}
-	out := make([]float64, nPoints)
 	if typ == particles.Float32 {
-		for i := range out {
-			out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
+		for i := range dst {
+			dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
 		}
 	} else {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // dequant runs the block loop over a quant section whose frames are laid:
-// every offset becomes vmin + (base + offset)·step at its node range's step.
-// An index past maxQuantIndex is corrupt: the encoder never writes one.
-func (nb *nodeBlocks) dequant(payload []byte, vmin, fineStep, lodStep float64) ([]float64, error) {
-	out := make([]float64, nb.nPoints)
-	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+// every offset becomes vmin + (base + offset)·step in dst, at its node range's
+// step. An index past maxQuantIndex is corrupt: the encoder never writes one.
+func (nb *nodeBlocks) dequant(dst []float64, payload []byte, vmin, fineStep, lodStep float64) error {
+	return nb.unpack(nb.frames, payload, func(ni, at int, offs []uint64) error {
 		fr := nb.frames[ni]
 		step := fineStep
 		if nb.nodes[ni].axis != leafAxis {
 			step = lodStep // LOD samples of inner nodes use the coarser grid
 		}
-		dst := out[at : at+len(offs)]
+		dst := dst[at : at+len(offs)]
 		for i, off := range offs {
 			if off > fr.span {
 				return fmt.Errorf("grid index %#x overflows %d bits (base %#x)", fr.base+off, maxQuantBits, fr.base)
@@ -369,76 +367,71 @@ func (nb *nodeBlocks) dequant(payload []byte, vmin, fineStep, lodStep float64) (
 		}
 		return nil
 	})
-	return out, err
 }
 
-// decodeQuantFOR decodes a quant-for or int-for section (codec) under the
-// grid of bound and lodScale: the footer's declaration for quant-for,
-// intFORBound and 1 for int-for, whose anchor must be an integer within
-// ±integralMagnitude, as every value the encoder accepts is.
-func decodeQuantFOR(codec uint8, payload []byte, nb *nodeBlocks,
-	bound, lodScale float64, info *SectionInfo) ([]float64, error) {
+// decodeQuantFOR decodes a quant-for or int-for section (codec) into dst
+// under the grid of bound and lodScale: the footer's declaration for
+// quant-for, intFORBound and 1 for int-for, whose anchor must be an integer
+// within ±integralMagnitude, as every value the encoder accepts is.
+func decodeQuantFOR(dst []float64, codec uint8, payload []byte, nb *nodeBlocks,
+	bound, lodScale float64, info *SectionInfo) error {
 
 	name := CodecName(codec)
 	if len(payload) < quantFORHeaderLen {
-		return nil, fmt.Errorf("bat: %s section truncated: %d bytes, header needs %d", name, len(payload), quantFORHeaderLen)
+		return fmt.Errorf("bat: %s section truncated: %d bytes, header needs %d", name, len(payload), quantFORHeaderLen)
 	}
 	vmin := math.Float64frombits(binary.LittleEndian.Uint64(payload))
 	if math.IsNaN(vmin) || math.IsInf(vmin, 0) {
-		return nil, fmt.Errorf("bat: %s section has invalid grid minimum %g", name, vmin)
+		return fmt.Errorf("bat: %s section has invalid grid minimum %g", name, vmin)
 	}
 	if codec == codecIntFOR && !integral(vmin) {
-		return nil, fmt.Errorf("bat: int-for section has grid minimum %g, not an integer within ±2^52", vmin)
+		return fmt.Errorf("bat: int-for section has grid minimum %g, not an integer within ±2^52", vmin)
 	}
 	// The grid steps come from the footer's bound: there is none to take
 	// them from when the footer declares the attribute lossless.
 	if bound <= 0 {
-		return nil, fmt.Errorf("bat: %s section in attribute declared lossless (error-bound mismatch)", name)
+		return fmt.Errorf("bat: %s section in attribute declared lossless (error-bound mismatch)", name)
 	}
 	if err := nb.layFramed(payload, quantFORHeaderLen, maxQuantIndex, info); err != nil {
-		return nil, fmt.Errorf("bat: %s %w", name, err)
+		return fmt.Errorf("bat: %s %w", name, err)
 	}
 	fineStep, lodStep := quantSteps(bound, lodScale)
-	out, err := nb.dequant(payload, vmin, fineStep, lodStep)
-	if err != nil {
-		return nil, fmt.Errorf("bat: %s %w", name, err)
+	if err := nb.dequant(dst, payload, vmin, fineStep, lodStep); err != nil {
+		return fmt.Errorf("bat: %s %w", name, err)
 	}
-	return out, nil
+	return nil
 }
 
 // decodeKeyFOR decodes a key-for or sign-key-for section (codec) of an
-// attribute of type typ. It is lossless, so it is valid whatever bound the
-// footer declares: a lossless attribute's column, or a lossy one's that could
-// not be quantized.
-func decodeKeyFOR(codec uint8, payload []byte, nb *nodeBlocks, typ particles.AttrType, info *SectionInfo) ([]float64, error) {
+// attribute of type typ into dst. It is lossless, so it is valid whatever
+// bound the footer declares: a lossless attribute's column, or a lossy one's
+// that could not be quantized.
+func decodeKeyFOR(dst []float64, codec uint8, payload []byte, nb *nodeBlocks, typ particles.AttrType, info *SectionInfo) error {
 	name := CodecName(codec)
 	if len(payload) < keyFORHeaderLen {
-		return nil, fmt.Errorf("bat: %s section truncated: no frame mode", name)
+		return fmt.Errorf("bat: %s section truncated: no frame mode", name)
 	}
 	if err := nb.layFramed(payload, keyFORHeaderLen, keyLimit(typ), info); err != nil {
-		return nil, fmt.Errorf("bat: %s %w", name, err)
+		return fmt.Errorf("bat: %s %w", name, err)
 	}
-	out, err := nb.unkey(payload, fromKeys(codec, typ))
-	if err != nil {
-		return nil, fmt.Errorf("bat: %s %w", name, err)
+	if err := nb.unkey(dst, payload, fromKeys(codec, typ)); err != nil {
+		return fmt.Errorf("bat: %s %w", name, err)
 	}
-	return out, nil
+	return nil
 }
 
 // unkey runs the block loop over a key-for or sign-key-for section whose
-// frames are laid: every offset becomes the float whose key is base + offset,
-// under the section's inverse key map (fromKeys). A key past keyLimit(typ) is
-// corrupt: the encoder never writes one.
-func (nb *nodeBlocks) unkey(payload []byte, fromKeys keyDecoder) ([]float64, error) {
-	out := make([]float64, nb.nPoints)
-	err := nb.unpack(payload, func(ni, at int, offs []uint64) error {
+// frames are laid: every offset becomes, in dst, the float whose key is base
+// + offset, under the section's inverse key map (fromKeys). A key past
+// keyLimit(typ) is corrupt: the encoder never writes one.
+func (nb *nodeBlocks) unkey(dst []float64, payload []byte, fromKeys keyDecoder) error {
+	return nb.unpack(nb.frames, payload, func(ni, at int, offs []uint64) error {
 		fr := &nb.frames[ni]
-		if i := fromKeys(out[at:at+len(offs)], fr, offs); i < len(offs) {
+		if i := fromKeys(dst[at:at+len(offs)], fr, offs); i < len(offs) {
 			return fmt.Errorf("key offset %#x overflows its frame (base %#x, at most %#x)", offs[i], fr.base, fr.span)
 		}
 		return nil
 	})
-	return out, err
 }
 
 // A keyDecoder sets dst[i] to the float whose key is fr.base + offs[i], for

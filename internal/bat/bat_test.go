@@ -427,6 +427,63 @@ func TestBuildAllocsPerTreelet(t *testing.T) {
 	}
 }
 
+// attrSet is randomSet with nA attributes: smooth float columns at even
+// indices, integral ones at odd indices, so a treelet holds key-for and
+// int-for sections.
+func attrSet(n, nA int, seed int64) (*particles.Set, geom.Box) {
+	r := rand.New(rand.NewSource(seed))
+	names := make([]string, nA)
+	for a := range names {
+		names[a] = fmt.Sprintf("a%d", a)
+	}
+	s := particles.NewSet(particles.NewSchema(names...), n)
+	attrs := make([]float64, nA)
+	for i := 0; i < n; i++ {
+		p := geom.V3(r.Float64(), r.Float64(), r.Float64())
+		for a := range attrs {
+			attrs[a] = float64(i % 97)
+			if a%2 == 0 {
+				attrs[a] = p.X*100*float64(a+1) + r.Float64()
+			}
+		}
+		s.Append(p, attrs)
+	}
+	return s, geom.NewBox(geom.V3(0, 0, 0), geom.V3(1, 1, 1))
+}
+
+// TestColdScanAllocsPerTreelet holds a cold single-worker scan's
+// allocations to a constant plus a few per treelet load, the same few at one
+// attribute and at seven: a load reads the treelet's bytes, unpacks its node
+// table into nodes and a bitmap column, makes its node blocks (the load's one
+// unpack chunk among them) and k-d cells, and decodes every section into one
+// float32 slab for x, y and z and one float64 slab for the attributes, so no
+// allocation is made per section. The scan allocates 560 times over 32
+// treelets and 2 195 over 128 at both attribute counts.
+func TestColdScanAllocsPerTreelet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations swamp the bound")
+	}
+	for _, n := range []int{20000, 100000} {
+		for _, nA := range []int{1, 7} {
+			s, domain := attrSet(n, nA, 5)
+			cfg := DefaultBuildConfig()
+			cfg.MaxLeafSize = 16
+			f, _ := buildAndOpen(t, s, domain, cfg)
+			allocs := testing.AllocsPerRun(3, func() {
+				f.cache.Purge()
+				if _, err := f.Query(context.Background(), Query{}, QueryConfig{Workers: 1}, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			treelets := f.NumTreelets()
+			if limit := float64(20 + 18*treelets); allocs > limit {
+				t.Errorf("cold scan of %d particles, %d attributes, in %d treelets allocated %.0f times, want at most %.0f",
+					n, nA, treelets, allocs, limit)
+			}
+		}
+	}
+}
+
 // TestTreeletNodesExact: a serial build makes a treelet's nodes in its
 // arena and copies them out once, so every treelet's node slice is exactly
 // as long as its capacity, at small and large leaves, over treelets that

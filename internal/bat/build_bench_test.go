@@ -188,10 +188,10 @@ func BenchmarkDecodeSection(b *testing.B) {
 			var info SectionInfo
 			decode := func(info *SectionInfo) error {
 				if c.pos {
-					_, err := decodePosSection(enc.codec, enc.data, nb, nb.kdCells(sb.cells), geom.X, info)
+					_, err := decodePos(enc.codec, enc.data, nb, nb.kdCells(sb.cells), geom.X, info)
 					return err
 				}
-				_, err := decodeAttrSection(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)
+				_, err := decodeAttr(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)
 				return err
 			}
 			if err := decode(&info); err != nil {

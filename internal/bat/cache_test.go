@@ -254,3 +254,20 @@ func TestFileCacheEndToEnd(t *testing.T) {
 		t.Fatalf("rescan under a 1-byte budget: %+v (before %+v, %d treelets)", after, st, f.NumTreelets())
 	}
 }
+
+// TestCacheBytesPinned pins what a full scan of a fixed build charges its
+// cache: memBytes of every treelet, which sizes the cache of any workload
+// that bounds it by a share of the decoded data (the benchmark's
+// cosmo64-cachebound), so how a load lays out its columns must not move it.
+func TestCacheBytesPinned(t *testing.T) {
+	s, domain := randomSet(20000, 3)
+	cfg := DefaultBuildConfig()
+	cfg.MaxLeafSize = 16
+	f, _ := buildAndOpen(t, s, domain, cfg)
+	if _, err := f.Query(context.Background(), Query{}, QueryConfig{Workers: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.cache.Stats(); st.Entries != 32 || st.Bytes != 624512 {
+		t.Fatalf("a full scan left %d treelets of %d bytes in the cache, want 32 of 624512", st.Entries, st.Bytes)
+	}
+}

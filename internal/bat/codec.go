@@ -336,48 +336,47 @@ func wordAt(src []byte, bit int) uint64 {
 	return w >> (uint(bit) & 7)
 }
 
-// unpackScratch is the stack buffer a section decoder unpacks into, a chunk
-// at a time, before converting the values to the column's element type. One
-// per section, not per block: zeroing it costs more than a small block.
+// unpackScratch is the chunk a section decoder unpacks into before converting
+// the values to the column's element type: one per load, in its nodeBlocks, as
+// the sink unpack hands it to would move a chunk per section to the heap.
 type unpackScratch [256]uint64
 
 // nodeBlocks is what a treelet gives its packed sections to decode against:
 // the node table, whose particle ranges are the blocks (unpackNodeTable lays
-// them back to back over nPoints), and room for one frame per node, refilled
-// by every attribute section. A section decoder first resolves its stream to
-// frames — the k-d cells of a position section (kdCells), the one frame or
-// the frame columns ahead of an attribute section's blocks — checking that
-// every block lies inside the payload, then runs unpack.
+// them back to back over nPoints), room for one frame per node, refilled by
+// every attribute section, and the load's one chunk. A section decoder first
+// resolves its stream to frames — the k-d cells of a position section
+// (kdCells), the one frame or the frame columns ahead of an attribute
+// section's blocks — checking that every block lies inside the payload, then
+// runs unpack.
 type nodeBlocks struct {
 	nodes   []node
 	nPoints int
 	frames  []blockFrame
 	col     []uint64 // a frame column being read, a value per node; nil until a section has one
+	q       unpackScratch
 }
 
 func newNodeBlocks(nodes []node, nPoints int) *nodeBlocks {
 	return &nodeBlocks{nodes: nodes, nPoints: nPoints, frames: make([]blockFrame, len(nodes))}
 }
 
-// widths appends the frames' bit widths, in node order, to info (batinspect).
-func (nb *nodeBlocks) widths(info *SectionInfo) {
-	if info == nil {
-		return
-	}
-	for i := range nb.frames {
-		info.Widths = append(info.Widths, nb.frames[i].width)
+// addWidths appends the frames' bit widths, in node order, to info (batinspect).
+func (info *SectionInfo) addWidths(frames []blockFrame) {
+	for i := range frames {
+		info.Widths = append(info.Widths, frames[i].width)
 	}
 }
 
-// layRun lays the blocks of the frames, whose base and width are set, back to
-// back from bit start of payload in node order. The run must end in the
-// payload's last byte, and the bits left over in it must be zero: a run may
-// be neither cut short nor carry anything behind it.
-func (nb *nodeBlocks) layRun(payload []byte, start int) error {
+// layRun lays the blocks of frames, one per node whose base and width are
+// set, back to back from bit start of payload in node order. The run must end
+// in the payload's last byte, and the bits left over in it must be zero: a
+// run may be neither cut short nor carry anything behind it.
+func (nb *nodeBlocks) layRun(frames []blockFrame, payload []byte, start int) error {
 	bit := start // at most 2^32 points of at most 64 bits: an int holds it
 	for i := range nb.nodes {
-		nb.frames[i].bit = bit
-		bit += nb.frames[i].bits(nb.nodes[i].count)
+		frames[i].bit = bit
+		bit += frames[i].bits(nb.nodes[i].count)
 	}
 	if need := (bit + 7) >> 3; need > len(payload) {
 		return fmt.Errorf("truncated: the blocks end at byte %d, the section at %d", need, len(payload))
@@ -417,13 +416,12 @@ func readFrame(payload []byte, pos int, count uint32, limit uint64) (forFrame, i
 }
 
 // unpack is the one block loop of every packed section: it reads each node
-// range's offsets under the node's frame, a chunk at a time, and hands them
-// to sink with the node's index and the chunk's place in the column. The
-// frames have been laid inside payload (layRun).
-func (nb *nodeBlocks) unpack(payload []byte, sink func(ni, at int, offs []uint64) error) error {
-	var q unpackScratch
+// range's offsets under the node's frame in frames, a chunk at a time, and
+// hands them to sink with the node's index and the chunk's place in the
+// column. The frames have been laid inside payload (layRun).
+func (nb *nodeBlocks) unpack(frames []blockFrame, payload []byte, sink func(ni, at int, offs []uint64) error) error {
 	for i := range nb.nodes {
-		fr := &nb.frames[i]
+		fr := &frames[i]
 		start, end := int(nb.nodes[i].start), int(nb.nodes[i].start+nb.nodes[i].count)
 		bit, width := fr.bit, fr.width
 		var hi efHigh
@@ -435,12 +433,12 @@ func (nb *nodeBlocks) unpack(payload []byte, sink func(ni, at int, offs []uint64
 			}
 		}
 		for at := start; at < end; {
-			c := min(end-at, len(q))
-			unpackBits(q[:c], payload, bit, width)
+			c := min(end-at, len(nb.q))
+			unpackBits(nb.q[:c], payload, bit, width)
 			if fr.ef {
-				hi.next(q[:c], payload, fr.low)
+				hi.next(nb.q[:c], payload, fr.low)
 			}
-			if err := sink(i, at, q[:c]); err != nil {
+			if err := sink(i, at, nb.q[:c]); err != nil {
 				return fmt.Errorf("block %d: %w", i, err)
 			}
 			at += c
@@ -638,7 +636,7 @@ func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, er
 			fr.span = limit - fr.base
 		}
 	}
-	return pos, nb.layRun(payload, pos<<3)
+	return pos, nb.layRun(nb.frames, payload, pos<<3)
 }
 
 // layFramed resolves a framed (quant-for, int-for, key-for or sign-key-for)
@@ -662,7 +660,7 @@ func (nb *nodeBlocks) layFramed(payload []byte, pos int, limit uint64, info *Sec
 			for i := range nb.frames {
 				nb.frames[i] = blockFrame{forFrame: one, span: limit - one.base}
 			}
-			err = nb.layRun(payload, pos<<3)
+			err = nb.layRun(nb.frames, payload, pos<<3)
 		}
 	} else {
 		pos, err = nb.layColumns(payload, pos, limit)
@@ -676,7 +674,7 @@ func (nb *nodeBlocks) layFramed(payload []byte, pos int, limit uint64, info *Sec
 		if mode == modeOneFrame {
 			info.Widths = append(info.Widths, one.width)
 		} else {
-			nb.widths(info)
+			info.addWidths(nb.frames)
 		}
 	}
 	return nil

@@ -17,6 +17,26 @@ import (
 	"libbat/internal/particles"
 )
 
+// decodeAttr decodes an attribute section into a fresh column of nb.nPoints
+// values, as a treelet load decodes it into its slab; nil on an error.
+func decodeAttr(codec uint8, payload []byte, nb *nodeBlocks, typ particles.AttrType, bound, lodScale float64, info *SectionInfo) ([]float64, error) {
+	dst := make([]float64, nb.nPoints)
+	if err := decodeAttrSection(dst, codec, payload, nb, typ, bound, lodScale, info); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// decodePos decodes a position section into a fresh column of nb.nPoints
+// values; nil on an error.
+func decodePos(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) ([]float32, error) {
+	dst := make([]float32, nb.nPoints)
+	if err := decodePosSection(dst, codec, payload, nb, kd, ax, info); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // cosmoSchema is a cosmology-shaped attribute mix: smooth float64 fields,
 // a float32 field, and an integral identifier.
 func cosmoSchema() particles.Schema {
@@ -518,7 +538,7 @@ func TestIntFORGate(t *testing.T) {
 			if enc.codec != tc.want {
 				t.Fatalf("stored as %s (%d bytes), want %s", CodecName(enc.codec), len(enc.data), CodecName(tc.want))
 			}
-			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(tc.col)), tc.typ, 0, 1, nil)
+			got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(tc.col)), tc.typ, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -694,7 +714,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: %s section of %d bytes for %d raw ones", trial, name, len(enc.data), len(col)*typ.Size())
 		}
 		var info SectionInfo
-		got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, &info)
+		got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, &info)
 		if err != nil {
 			t.Fatalf("trial %d (%s, %v, blocks %v): %v", trial, name, typ, counts, err)
 		}
@@ -752,7 +772,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 		var a buildArena
 		enc := encodeAttr(col, tr, particles.Float64, 0, 1, &a)
 		var info SectionInfo
-		if _, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
+		if _, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
 			enc.codec != codecKeyFOR || info.Mode != "one-frame" || len(info.Widths) != 1 || info.Widths[0] != 0 {
 			t.Fatalf("encoded as %s %s widths %v (error %v), want key-for one-frame of width 0", CodecName(enc.codec), info.Mode, info.Widths, err)
 		}
@@ -863,7 +883,7 @@ func TestSignKeyChoiceProperty(t *testing.T) {
 			tr := forTreelet(counts)
 			var a buildArena
 			enc := encodeAttr(col, tr, typ, 0, 1, &a)
-			got, err := decodeAttrSection(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, nil)
+			got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, nil)
 			if err != nil || enc.codec != codecSignKeyFOR {
 				t.Fatalf("%v: encoded as %s (error %v), want sign-key-for", typ, CodecName(enc.codec), err)
 			}
@@ -1193,7 +1213,7 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 		t.Fatalf("%s section of %d bytes is not smaller than the %d raw ones", CodecName(enc.codec), len(enc.data), len(col)*typ.Size())
 	}
 	nb := newNodeBlocks(tr.nodes, len(col))
-	got, err := decodeAttrSection(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
+	got, err := decodeAttr(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
 	}
@@ -1448,7 +1468,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(tr.nodes, n), tc.bound, 1, nil)
+			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, newNodeBlocks(tr.nodes, n), tc.bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1497,7 +1517,7 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 					if sec.Codec == codecRaw {
 						continue
 					}
-					if _, err := decodePosSection(sec.Codec, payload, nb, kd, geom.Axis(ax), nil); err != nil {
+					if _, err := decodePos(sec.Codec, payload, nb, kd, geom.Axis(ax), nil); err != nil {
 						t.Fatal(err)
 					}
 					for i := range pt.nodes {
@@ -1608,7 +1628,8 @@ func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, s
 			}
 			return out, nil
 		}
-		vals, err := decodeRaw(payload[lo:hi], int(n.count), typ)
+		vals := make([]float64, n.count)
+		err := decodeRaw(vals, payload[lo:hi], typ)
 		for _, v := range vals {
 			out = append(out, math.Float64bits(v))
 		}
@@ -1637,10 +1658,10 @@ func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, s
 		fr.bit += frames[j].bits(nb.nodes[j].count)
 	}
 	one := &nodeBlocks{nodes: []node{{axis: n.axis, count: n.count}}, nPoints: int(n.count), frames: []blockFrame{fr}}
-	var vals []float64
+	vals := make([]float64, n.count)
 	switch codec {
 	case codecSortedCellFOR:
-		return out, one.unpack(payload, func(_, _ int, offs []uint64) error {
+		return out, one.unpack(one.frames, payload, func(_, _ int, offs []uint64) error {
 			for _, off := range offs {
 				out = append(out, uint64(f32FromKey(uint32(fr.base+off))))
 			}
@@ -1651,9 +1672,9 @@ func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, s
 			bound, lodScale = intFORBound, 1
 		}
 		fineStep, lodStep := quantSteps(bound, lodScale)
-		vals, err = one.dequant(payload, math.Float64frombits(binary.LittleEndian.Uint64(payload)), fineStep, lodStep)
+		err = one.dequant(vals, payload, math.Float64frombits(binary.LittleEndian.Uint64(payload)), fineStep, lodStep)
 	default:
-		vals, err = one.unkey(payload, fromKeys(codec, typ))
+		err = one.unkey(vals, payload, fromKeys(codec, typ))
 	}
 	for _, v := range vals {
 		out = append(out, math.Float64bits(v))

@@ -658,7 +658,7 @@ func TestCellFORCorruption(t *testing.T) {
 	}
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
 	kd := nb.kdCells(ref.cells)
-	if _, err := decodePosSection(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, kd, geom.X, nil); err != nil {
+	if _, err := decodePos(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, kd, geom.X, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A block of width bits a value whose cell is not a whole power of two
@@ -764,7 +764,7 @@ func TestSortedCellFORCorruption(t *testing.T) {
 	nb := newNodeBlocks(pt.nodes, len(pt.x))
 	kd := nb.kdCells(ref.cells)
 	for ax, sec := range lay.Sections[:PositionSections] {
-		if _, err := decodePosSection(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, kd, geom.Axis(ax), nil); err != nil {
+		if _, err := decodePos(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, kd, geom.Axis(ax), nil); err != nil {
 			t.Fatal(err)
 		}
 		if fr := kd.frames[ax]; sec.Codec == codecSortedCellFOR && fr[len(fr)-1].ef {
@@ -850,7 +850,8 @@ func TestFrameColumnCorruption(t *testing.T) {
 	valid := quantColsStream(nodes, good, qs)
 	nb := newNodeBlocks(nodes, len(qs))
 	var info SectionInfo
-	vals, err := decodeQuantFOR(codecQuantFOR, valid, nb, bound, 1, &info)
+	vals := make([]float64, len(qs))
+	err := decodeQuantFOR(vals, codecQuantFOR, valid, nb, bound, 1, &info)
 	if err != nil || info.Mode != "per-node-cols" || info.FrameBytes == 0 {
 		t.Fatalf("the valid stream: mode %q, %d frame bytes, error %v", info.Mode, info.FrameBytes, err)
 	}
@@ -892,7 +893,7 @@ func TestFrameColumnCorruption(t *testing.T) {
 			for _, nd := range tc.nodes {
 				n += int(nd.count)
 			}
-			_, err := decodeQuantFOR(codecQuantFOR, tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
+			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1086,14 +1087,14 @@ func rangesTile(nodes []node, nPoints uint32) bool {
 	return next == nPoints
 }
 
-// checkUnpackedNodes holds the nodes and bitmap IDs unpackNodeTable returned
-// to what the traversal and the block decoders rely on: nA IDs per node,
+// checkUnpackedNodes holds the nodes and bitmaps unpackNodeTable returned
+// to what the traversal and the block decoders rely on: nA bitmaps per node,
 // children in range, one parent each — with the children behind their
 // parent, so no cycle —, none deeper than maxDepth, and ranges that tile the
 // points.
-func checkUnpackedNodes(nodes []node, ids []bitmap.ID, nPoints uint32, nA, maxDepth int) error {
-	if len(ids) != len(nodes)*nA {
-		return fmt.Errorf("%d bitmap IDs for %d nodes of %d attributes", len(ids), len(nodes), nA)
+func checkUnpackedNodes(nodes []node, bms []bitmap.Bitmap, nPoints uint32, nA, maxDepth int) error {
+	if len(bms) != len(nodes)*nA {
+		return fmt.Errorf("%d bitmaps for %d nodes of %d attributes", len(bms), len(nodes), nA)
 	}
 	seen := make([]bool, len(nodes))
 	depth := make([]int, len(nodes))
@@ -1323,11 +1324,11 @@ func FuzzDecodeSections(f *testing.F) {
 		// The axis byte also lowers the table's depth limit: the seeds, at
 		// axes 0 to 2, keep nearly all of it.
 		maxDepth := maxSaneDepth - int(axis)%(maxSaneDepth+1)
-		if unpacked, ids, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, nil); err == nil {
+		if unpacked, bms, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, idDict, nil); err == nil {
 			if n > len(payload) {
 				t.Fatalf("node table of %d bytes read from %d", n, len(payload))
 			}
-			if err := checkUnpackedNodes(unpacked, ids, uint32(nPoints), nA, maxDepth); err != nil {
+			if err := checkUnpackedNodes(unpacked, bms, uint32(nPoints), nA, maxDepth); err != nil {
 				t.Fatalf("unpackNodeTable accepted a malformed table: %v", err)
 			}
 		}
@@ -1337,13 +1338,13 @@ func FuzzDecodeSections(f *testing.F) {
 		}
 		nb := newNodeBlocks(nodes, int(nPoints))
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
-			vals, err := decodeAttrSection(codec, payload, nb, typ, fuzzSectionBound, fuzzSectionLODScale, nil)
+			vals, err := decodeAttr(codec, payload, nb, typ, fuzzSectionBound, fuzzSectionLODScale, nil)
 			if err == nil && len(vals) != int(nPoints) {
 				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
 			}
 		}
 		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
-		col, err := decodePosSection(codec, payload, nb, nb.kdCells(fuzzCells(lo, hi)), geom.Axis(axis%3), nil)
+		col, err := decodePos(codec, payload, nb, nb.kdCells(fuzzCells(lo, hi)), geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
@@ -1405,21 +1406,21 @@ func TestSectionSeedsDecode(t *testing.T) {
 			t.Fatalf("seed of %s: node table does not tile its %d points", CodecName(s.codec), s.nPoints)
 		}
 		nb := newNodeBlocks(nodes, int(s.nPoints))
-		_, err32 = decodeAttrSection(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, info)
+		_, err32 = decodeAttr(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, info)
 		if err32 != nil && info != nil {
 			*info = SectionInfo{} // a float64 key-for section reports through its own decode
-			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, info)
+			_, err64 = decodeAttr(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, info)
 		} else {
-			_, err64 = decodeAttrSection(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
+			_, err64 = decodeAttr(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
 		}
-		_, errPos = decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), nil)
+		_, errPos = decodePos(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), nil)
 		return
 	}
 	seeds := sectionSeeds(t)
 	for i, s := range seeds {
 		if s.attr == nodeTableSeed {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
-			unpacked, _, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, nil)
+			unpacked, _, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, idDict, nil)
 			if err != nil || n != len(s.payload) {
 				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
 			}
@@ -1446,7 +1447,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
 			var pos SectionInfo
 			nb := newNodeBlocks(nodes, int(s.nPoints))
-			if _, err := decodePosSection(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), &pos); err != nil {
+			if _, err := decodePos(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), &pos); err != nil {
 				t.Fatalf("seed %d (sorted-cell-for): %v", i, err)
 			}
 			efNodes += pos.EF.Nodes
@@ -1472,14 +1473,14 @@ func TestSectionSeedsDecode(t *testing.T) {
 	oneLeaf, _ := fuzzNodes([]byte{0, 0, 1, 0, 3, 0, 0, 0, 0}, 1)
 	for i, p := range keyFOROverflowSeeds() {
 		for _, codec := range []uint8{codecKeyFOR, codecSignKeyFOR} {
-			if _, err := decodeAttrSection(codec, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+			if _, err := decodeAttr(codec, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
 				t.Errorf("%s overflow seed %d: error %v, want one containing \"overflows\"", CodecName(codec), i, err)
 			}
 		}
 	}
 	for i, p := range intFORAnchorSeeds() {
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
-			vals, err := decodeAttrSection(codecIntFOR, p, newNodeBlocks(oneLeaf, 1), typ, 0, 1, nil)
+			vals, err := decodeAttr(codecIntFOR, p, newNodeBlocks(oneLeaf, 1), typ, 0, 1, nil)
 			if anchor := math.Float64frombits(binary.LittleEndian.Uint64(p)); i == 0 && (err != nil || vals[0] != anchor) {
 				t.Errorf("int-for anchor %v (%v): decoded %v, error %v", anchor, typ, vals, err)
 			} else if i > 0 && err == nil {

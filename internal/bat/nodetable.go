@@ -103,16 +103,16 @@ func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint6
 
 // unpackNodeTable reads the packed node table of a treelet of nNodes nodes,
 // nPoints points and nA attributes, none deeper than maxDepth, from src,
-// which runs on to the treelet's end, and returns the nodes, their bitmap IDs
-// (nA per node) and the table's byte length. A table has no field for a
-// child index or a range start, so it cannot say that a node has two
-// parents, a child out of range or a particle range that overlaps another's;
-// what it can say wrong — a node no parent reaches or one deeper than
-// maxDepth, counts that do not add up, values past a column's limit, columns
-// cut short — is rejected here; whether the bitmap IDs resolve in the file's
-// dictionary is the caller's to check. info, when non-nil, receives the
+// which runs on to the treelet's end, and returns the nodes, their bitmaps
+// (nA per node), each ID looked up in dict as its column is read, and the
+// table's byte length. A table has no field for a child index or a range
+// start, so it cannot say that a node has two parents, a child out of range
+// or a particle range that overlaps another's; what it can say wrong — a
+// node no parent reaches or one deeper than maxDepth, counts that do not add
+// up, values past a column's limit, columns cut short, an ID dict does not
+// hold (an *idError) — is rejected here. info, when non-nil, receives the
 // column sizes.
-func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info *NodeTableInfo) ([]node, []bitmap.ID, int, error) {
+func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict *bitmap.Dictionary, info *NodeTableInfo) ([]node, []bitmap.Bitmap, int, error) {
 	// Bound the allocations by the section before making them. Every column
 	// costs its frame, two bytes at least, and a tree of more than one node
 	// has both inner nodes and leaves, so its axis column spends at least a
@@ -125,7 +125,7 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info 
 		return nil, nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
 	}
 	nodes := make([]node, nNodes)
-	ids := make([]bitmap.ID, int(nNodes)*nA)
+	bitmaps := make([]bitmap.Bitmap, int(nNodes)*nA)
 	vals := make([]uint64, nNodes)
 	inner := uint32(0)
 	pos := 0
@@ -193,9 +193,23 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, info 
 			}
 		default:
 			for i, v := range vals {
-				ids[i*nA+col-nodeColIDs] = bitmap.ID(v)
+				if v >= uint64(dict.Len()) {
+					return nil, nil, 0, &idError{node: i, id: v, dictLen: dict.Len()}
+				}
+				bitmaps[i*nA+col-nodeColIDs] = dict.Lookup(bitmap.ID(v))
 			}
 		}
 	}
-	return nodes, ids, pos, nil
+	return nodes, bitmaps, pos, nil
+}
+
+// idError is a node's bitmap ID outside the dictionary; parseTreelet names its
+// treelet ahead of the node.
+type idError struct {
+	node, dictLen int
+	id            uint64
+}
+
+func (e *idError) Error() string {
+	return fmt.Sprintf("node %d: bitmap ID %d outside dictionary of %d", e.node, e.id, e.dictLen)
 }

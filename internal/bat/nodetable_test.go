@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -112,6 +113,16 @@ func TestPackedNodeTableMatchesBuilder(t *testing.T) {
 	}
 }
 
+// idDict holds bitmap i at every ID i, so a table unpacked under it keeps
+// its IDs as its bitmaps and refuses none.
+var idDict = func() *bitmap.Dictionary {
+	entries := make([]bitmap.Bitmap, bitmap.MaxDictSize)
+	for i := range entries {
+		entries[i] = bitmap.Bitmap(i)
+	}
+	return bitmap.FromEntries(entries)
+}()
+
 // nodeTableOf packs a table of the given axes and counts (splits at 0.5, 1.5,
 // ... and IDs 7, 8, ... for one attribute) the way compact does.
 func nodeTableOf(t *testing.T, axes []uint8, counts []uint32) (table []byte, nPoints uint32) {
@@ -153,16 +164,16 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	counts := []uint32{4, 4, 100, 90, 110}
 	good, nPoints := nodeTableOf(t, axes, counts)
 	var info NodeTableInfo
-	nodes, ids, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, &info)
+	nodes, bms, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, idDict, &info)
 	if err != nil || n != len(good) {
 		t.Fatalf("the packer's own table: read %d of %d bytes, error %v", n, len(good), err)
 	}
-	if err := checkUnpackedNodes(nodes, ids, nPoints, 1, 2); err != nil {
+	if err := checkUnpackedNodes(nodes, bms, nPoints, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].left != 1 || nodes[0].right != 2 || nodes[1].left != 3 || nodes[1].right != 4 ||
-		nodes[0].split != 0.5 || nodes[1].split != 1.5 || nodes[4].start != 198 || ids[3] != 10 {
-		t.Fatalf("unpacked %+v, IDs %v", nodes, ids)
+		nodes[0].split != 0.5 || nodes[1].split != 1.5 || nodes[4].start != 198 || bms[3] != 10 {
+		t.Fatalf("unpacked %+v, bitmaps %v", nodes, bms)
 	}
 	// Run offsets: every column is base uvarint, width u8, then its block.
 	// The axis values need 2 bits, the counts 7, the IDs 3, and the axis,
@@ -178,7 +189,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	}
 	axisBlock := axisRun + 2
 	unpack := func(table []byte, nNodes, nPoints uint32) error {
-		_, _, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, nil)
+		_, _, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, idDict, nil)
 		return err
 	}
 	mutated := func(mutate func(tb []byte)) []byte {
@@ -231,7 +242,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 		})
 	}
 	// Nodes 3 and 4 are at depth 2.
-	if _, _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
+	if _, _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, idDict, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
 		t.Fatalf("a table deeper than its limit: error %v", err)
 	}
 
@@ -240,9 +251,9 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	buf := compressedSample(t)
 	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[1] = 3 }), "exceeds 2")
 	expectLoadError(t, mutateTreelet(t, buf, 0, func(tre []byte) { tre[2] |= 3 }), "no breadth-first tree")
-	// An ID the dictionary does not hold is the file's to reject, not the
-	// table's: the first value of an ID column whose frame reaches past the
-	// dictionary, set to the frame's largest offset.
+	// An ID the dictionary does not hold is rejected as the table is read,
+	// named by its treelet and node: the first value of an ID column whose
+	// frame reaches past the dictionary, set to the frame's largest offset.
 	f, err := FromBuffer(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +278,9 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := g.loadTreelet(context.Background(), ti); err == nil || !strings.Contains(err.Error(), "outside dictionary") {
-					t.Fatalf("treelet %d: load error %v, want an ID outside the dictionary", ti, err)
+				want := fmt.Sprintf("bat: treelet %d node 0: bitmap ID %d outside dictionary of %d", ti, base+1<<col.Width-1, f.dict.Len())
+				if _, _, err := g.loadTreelet(context.Background(), ti); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("treelet %d: load error %v, want %q", ti, err, want)
 				}
 				return
 			}
@@ -285,10 +297,10 @@ func TestPackedNodeTableEmpty(t *testing.T) {
 	if len(table) != (nodeColIDs+1)*2 {
 		t.Fatalf("an empty table is %d bytes, want %d frames of 2", len(table), nodeColIDs+1)
 	}
-	if nodes, _, n, err := unpackNodeTable(table, 0, 0, 1, 0, nil); err != nil || n != len(table) || len(nodes) != 0 {
+	if nodes, _, n, err := unpackNodeTable(table, 0, 0, 1, 0, idDict, nil); err != nil || n != len(table) || len(nodes) != 0 {
 		t.Fatalf("unpacked %d nodes from %d of %d bytes, error %v", len(nodes), n, len(table), err)
 	}
-	if _, _, _, err := unpackNodeTable(table, 0, 1, 1, 0, nil); err == nil {
+	if _, _, _, err := unpackNodeTable(table, 0, 1, 1, 0, idDict, nil); err == nil {
 		t.Fatal("no nodes hold a point")
 	}
 }

@@ -267,40 +267,36 @@ func packEF(buf []byte, bit int, vals []uint64, fr *blockFrame) int {
 	return bit + efBits(len(vals), fr.span, fr.low)
 }
 
-// decodePosSection decodes the section of the position column on axis ax
-// into a fresh float32 column. A sorted-cell-for section takes its frames
-// from kd, the k-d cells of nb's node table under the treelet's cells.
-func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) ([]float32, error) {
+// decodePosSection decodes the section of the position column on axis ax into
+// dst. A sorted-cell-for section lays its blocks over kd's frames themselves,
+// the k-d cells of nb's node table under the treelet's cells.
+func decodePosSection(dst []float32, codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) error {
 	if codec == codecRaw {
-		return decodeRawF32(payload, nb.nPoints)
+		return decodeRawF32(dst, payload)
 	}
 	if codec != codecSortedCellFOR {
-		return nil, fmt.Errorf("bat: unknown position codec id %d", codec)
+		return fmt.Errorf("bat: unknown position codec id %d", codec)
 	}
-	// The section's blocks are laid over kd's frames themselves: a treelet
-	// decodes each axis once.
-	cells := &nodeBlocks{nodes: nb.nodes, nPoints: nb.nPoints, frames: kd.frames[ax]}
-	err := kd.errs[ax]
+	frames, err := kd.frames[ax], kd.errs[ax]
 	if err == nil {
-		err = cells.layRun(payload, 0)
+		err = nb.layRun(frames, payload, 0)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("bat: %s position stream: %w", CodecName(codec), err)
+		return fmt.Errorf("bat: %s position stream: %w", CodecName(codec), err)
 	}
 	if info != nil {
-		for i := range cells.frames {
-			if fr := &cells.frames[i]; fr.ef {
+		for i := range frames {
+			if fr := &frames[i]; fr.ef {
 				info.EF.Nodes++
 				info.EF.Particles += int(nb.nodes[i].count)
 				info.EF.Bits += fr.bits(nb.nodes[i].count)
 			}
 		}
-		cells.widths(info)
+		info.addWidths(frames)
 	}
-	out := make([]float32, nb.nPoints)
-	err = cells.unpack(payload, func(ni, at int, offs []uint64) error {
-		fr := &cells.frames[ni]
-		dst := out[at : at+len(offs)]
+	err = nb.unpack(frames, payload, func(ni, at int, offs []uint64) error {
+		fr := &frames[ni]
+		dst := dst[at : at+len(offs)]
 		for i, off := range offs {
 			k := fr.base + off
 			if off > fr.span || k > math.MaxUint32 {
@@ -311,21 +307,20 @@ func decodePosSection(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, 
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("bat: position %w", err)
+		return fmt.Errorf("bat: position %w", err)
 	}
-	return out, nil
+	return nil
 }
 
-// decodeRawF32 decodes a raw little-endian float32 column.
-func decodeRawF32(payload []byte, nPoints int) ([]float32, error) {
-	if len(payload) != 4*nPoints {
-		return nil, fmt.Errorf("bat: raw position column holds %d bytes, want %d", len(payload), 4*nPoints)
+// decodeRawF32 decodes a raw little-endian float32 column into dst.
+func decodeRawF32(dst []float32, payload []byte) error {
+	if len(payload) != 4*len(dst) {
+		return fmt.Errorf("bat: raw position column holds %d bytes, want %d", len(payload), 4*len(dst))
 	}
-	out := make([]float32, nPoints)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 // efBits is the bit length of an Elias–Fano block of n offsets in [0, span]

@@ -624,25 +624,21 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	}
 	ref := f.leaves[ti]
 	r := binfmt.NewReader(buf)
-	nNodes, nPoints := ref.numNodes, ref.numPoints
-	nA := f.Schema.NumAttrs()
+	np, nA := int(ref.numPoints), f.Schema.NumAttrs()
 	var table *NodeTableInfo
 	if lay != nil {
 		table = &lay.NodeTable
 	}
-	nodes, ids, n, err := unpackNodeTable(r.Rest(), nNodes, nPoints, nA, f.MaxTreeletDepth, table)
-	if err != nil {
+	nodes, bitmaps, n, err := unpackNodeTable(r.Rest(), ref.numNodes, ref.numPoints, nA, f.MaxTreeletDepth, f.dict, table)
+	if _, ok := err.(*idError); ok {
+		return nil, fmt.Errorf("bat: treelet %d %w", ti, err)
+	} else if err != nil {
 		return nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 	}
-	t := &parsedTreelet{nodes: nodes, bitmaps: make([]bitmap.Bitmap, len(ids))}
+	t := &parsedTreelet{nodes: nodes, bitmaps: bitmaps}
 	r.Bytes(n)
-	for i := range t.nodes {
-		if err := f.resolve(t.bitmaps[i*nA:(i+1)*nA], ids[i*nA:(i+1)*nA]); err != nil {
-			return nil, fmt.Errorf("bat: treelet %d node %d: %w", ti, i, err)
-		}
-	}
 	if lay != nil {
-		lay.NodeTable.Nodes, lay.NodeTable.Bytes = int(nNodes), r.Offset()
+		lay.NodeTable.Nodes, lay.NodeTable.Bytes = len(nodes), r.Offset()
 		for i := range lay.NodeTable.Columns {
 			lay.NodeTable.Columns[i].Name = nodeColumnName(i, f.Schema)
 		}
@@ -662,24 +658,26 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 			return 0, nil, fmt.Errorf("bat: treelet %d: %w", ti, err)
 		}
 		if lay != nil {
-			lay.Sections = append(lay.Sections, SectionInfo{Attr: name, Codec: codec, RawBytes: int(nPoints) * elemBytes, EncBytes: int(n)})
+			lay.Sections = append(lay.Sections, SectionInfo{Attr: name, Codec: codec, RawBytes: np * elemBytes, EncBytes: int(n)})
 			info = &lay.Sections[len(lay.Sections)-1]
 		}
 		return codec, b, nil
 	}
-	blocks := newNodeBlocks(t.nodes, int(nPoints))
+	blocks := newNodeBlocks(t.nodes, np)
 	kd := blocks.kdCells(ref.cells)
-	var cols [3][]float32
-	for ax, name := range positionNames {
-		codec, b, err := section(name, 4)
+	// Every column is a window of one of two slabs: x, y, z and the attributes.
+	xyz := make([]float32, 3*np)
+	t.x, t.y, t.z = xyz[:np:np], xyz[np:2*np:2*np], xyz[2*np:]
+	for ax, col := range [...][]float32{t.x, t.y, t.z} {
+		codec, b, err := section(positionNames[ax], 4)
 		if err != nil {
 			return nil, err
 		}
-		if cols[ax], err = decodePosSection(codec, b, blocks, kd, geom.Axis(ax), info); err != nil {
-			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, name, err)
+		if err = decodePosSection(col, codec, b, blocks, kd, geom.Axis(ax), info); err != nil {
+			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, positionNames[ax], err)
 		}
 	}
-	t.x, t.y, t.z = cols[0], cols[1], cols[2]
+	vals := make([]float64, nA*np)
 	t.attrs = make([][]float64, nA)
 	for a, desc := range f.Schema.Attrs {
 		codec, b, err := section(desc.Name, desc.Type.Size())
@@ -690,7 +688,8 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		// triggered the load — so decode overlaps other workers' pfs reads,
 		// and the cache stores the decoded float64 columns so hits pay
 		// nothing.
-		if t.attrs[a], err = decodeAttrSection(codec, b, blocks, desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
+		t.attrs[a] = vals[a*np : (a+1)*np : (a+1)*np]
+		if err = decodeAttrSection(t.attrs[a], codec, b, blocks, desc.Type, f.attrBounds[a], f.lodScale, info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d attribute %q: %w", ti, desc.Name, err)
 		}
 	}

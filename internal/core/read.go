@@ -319,8 +319,11 @@ func parseReply(raw []byte, schema particles.Schema) parsedReply {
 // serveLeaf queries leaf through ds for q and returns its wire reply and the
 // duration of its read.serve span, on the serving rank's lane. Each visited
 // particle is appended to the reply as a record, behind the header and a
-// count patched in at the end. It never touches the communicator. If ctx
-// ends before or during the serve, its error becomes a per-leaf error reply,
+// count patched in at the end. The reply doubles as it fills, but never past
+// the length of the whole leaf: the leaf's count in the metadata, which its
+// file has matched by then, bounds every reply, so one that takes the leaf
+// whole ends exactly full. It never touches the communicator. If ctx ends
+// before or during the serve, its error becomes a per-leaf error reply,
 // and since ds never caches a failed open a later read retries the leaf
 // cleanly.
 func serveLeaf(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, leaf int, q bat.Query) ([]byte, time.Duration) {
@@ -329,6 +332,7 @@ func serveLeaf(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, l
 	w.U64(0)
 	reply := w.Buf
 	recSize := ds.meta.Schema.RecordSize()
+	full := replyHdrSize + 8 + int(ds.meta.Leaves[leaf].Count)*recSize
 	err := ctx.Err()
 	if err != nil {
 		err = fmt.Errorf("core: leaf %d abandoned: %w", leaf, err)
@@ -336,7 +340,7 @@ func serveLeaf(ctx context.Context, col *obs.Collector, rank int, ds *Dataset, l
 		_, err = ds.Query(ctx, []int{leaf}, q, func(p geom.Vec3, attrs []float64) error {
 			if cap(reply)-len(reply) < recSize {
 				// Double rather than take append's 1.25× for large slices.
-				reply = append(make([]byte, 0, 2*cap(reply)+recSize), reply...)
+				reply = append(make([]byte, 0, min(2*cap(reply)+recSize, full)), reply...)
 			}
 			reply = particles.AppendRecord(reply, float32(p.X), float32(p.Y), float32(p.Z), attrs)
 			return nil

@@ -63,3 +63,50 @@ func TestReadGoroutinesPerRank(t *testing.T) {
 		}
 	}
 }
+
+// TestServeLeafReplyCappedAtCount: a reply grows by doubling but never past
+// the whole leaf's length from its count in the metadata, so a query that
+// takes a leaf whole — no filter, the whole quality window, no box or one
+// that holds the leaf — gets a reply whose capacity is its length, and a
+// partial one a reply no larger than that.
+func TestServeLeafReplyCappedAtCount(t *testing.T) {
+	w, err := workloads.NewUniform(4, 3000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := pfs.NewMem()
+	runWrite(t, w, 0, mem, "whole", DefaultWriteConfig(32*1024))
+	ds, err := OpenDataset(context.Background(), mem, "whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := ds.Meta().Schema
+	domain := ds.Meta().Domain
+	for leaf, lm := range ds.Meta().Leaves {
+		full := replyHdrSize + 8 + int(lm.Count)*schema.RecordSize()
+		for name, q := range map[string]bat.Query{
+			"default":      {},
+			"quality 1":    {Quality: 1},
+			"domain box":   {Bounds: &domain},
+			"leaf box":     {Bounds: &lm.Bounds, Quality: 1},
+			"half quality": {Quality: 0.5},
+		} {
+			reply, _ := serveLeaf(context.Background(), nil, 0, ds, leaf, q)
+			pr := parseReply(reply, schema)
+			if pr.err != nil {
+				t.Fatalf("leaf %d, %s: %v", leaf, name, pr.err)
+			}
+			if name == "half quality" {
+				if pr.n == 0 || int64(pr.n) >= lm.Count || cap(reply) > full {
+					t.Fatalf("leaf %d at half quality served %d of %d particles in a reply of capacity %d, want at most %d",
+						leaf, pr.n, lm.Count, cap(reply), full)
+				}
+				continue
+			}
+			if int64(pr.n) != lm.Count || cap(reply) != len(reply) {
+				t.Fatalf("leaf %d, %s: %d of %d particles in a reply of %d bytes, capacity %d",
+					leaf, name, pr.n, lm.Count, len(reply), cap(reply))
+			}
+		}
+	}
+}

@@ -40,6 +40,25 @@ run "batlint ./..." go run ./cmd/batlint ./...
 
 run "go vet ./..." go vet ./...
 
+# A treelet load allocates its columns, its bitmap column and its one
+# unpack chunk once, whatever its section count. A buffer declared in a
+# decoder and handed to the block loop's sink, a func value the compiler
+# cannot see into, moves to the heap on every call. TestColdScanAllocsPerTreelet
+# counts that only on the decoders its lossless, positive-valued build
+# reaches; this stage also covers the ones it never runs (quant-for's
+# dequant, sign-key-for) and escapes on error paths. The
+# compiler's escape analysis (go build -gcflags=-m, replayed from the build
+# cache on a second run) names every such variable: any line from the read
+# path's files fails the stage, and so does a build that fails. Its wording
+# is the compiler's, so a toolchain that rewords it needs the pattern here
+# updated.
+bat_escapes() {
+	out="$(go build -gcflags=-m ./internal/bat 2>&1)" || { echo "$out"; return 1; }
+	moved="$(echo "$out" | grep -E '^internal/bat/(codec|poscodec|attrcodec|nodetable|reader)\.go:[0-9]+:[0-9]+: moved to heap')"
+	[ -z "$moved" ] || { echo "$moved"; return 1; }
+}
+run "bat read path: nothing moved to heap" bat_escapes
+
 # The whole suite once without the race detector. This is where the figure
 # harness is held: cmd/batbench's tests run every registry entry at a small
 # scale and compare the modeled tables with their goldens byte for byte (no
