@@ -1,6 +1,7 @@
 package libbat
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -8,7 +9,7 @@ import (
 // This file provides the common analysis passes the paper's visualization
 // use cases need (§I, §V): density voxelization for volume-style rendering,
 // per-attribute summary statistics, and radial profiles. All of them run
-// through Dataset.Query, so they inherit spatial/attribute filtering and —
+// through Dataset.QueryCtx, so they inherit spatial/attribute filtering and —
 // via the progressive quality parameter — can trade exactness for latency
 // on the LOD subset, exactly as the paper's viewer does.
 
@@ -95,8 +96,8 @@ func (d *Dataset) Summarize(attr int, q Query) (AttrSummary, error) {
 // into `bins` equal-width shells out to radius, returning per-shell counts
 // and the mean of the given attribute (NaN for empty shells; attr < 0
 // skips attribute averaging). This is the standard first look at halos,
-// plumes, and droplets.
-func (d *Dataset) RadialProfile(center Vec3, radius float64, bins, attr int, q Query) (counts []int64, means []float64, err error) {
+// plumes, and droplets. When ctx ends, it stops and returns ctx.Err().
+func (d *Dataset) RadialProfile(ctx context.Context, center Vec3, radius float64, bins, attr int, q Query) (counts []int64, means []float64, err error) {
 	if bins < 1 || !(radius > 0) || math.IsInf(radius, 1) {
 		return nil, nil, fmt.Errorf("libbat: invalid profile (bins=%d, radius=%g)", bins, radius)
 	}
@@ -110,7 +111,7 @@ func (d *Dataset) RadialProfile(center Vec3, radius float64, bins, attr int, q Q
 	}
 	counts = make([]int64, bins)
 	sums := make([]float64, bins)
-	err = d.Query(q, func(p Vec3, attrs []float64) error {
+	err = d.QueryCtx(ctx, q, func(p Vec3, attrs []float64) error {
 		r := p.Sub(center).Length()
 		if !(r < radius) { // also skips a NaN distance
 			return nil

@@ -1,6 +1,7 @@
 package libbat
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -77,7 +78,7 @@ func TestRadialProfile(t *testing.T) {
 	radius := 2.5
 	// attr < 0 skips averaging (means all NaN).
 	for _, attr := range []int{0, -1} {
-		counts, means, err := ds.RadialProfile(center, radius, 5, attr, Query{})
+		counts, means, err := ds.RadialProfile(context.Background(), center, radius, 5, attr, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestRadialProfile(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := ds.RadialProfile(center, 0, 3, 0, Query{}); err == nil {
+	if _, _, err := ds.RadialProfile(context.Background(), center, 0, 3, 0, Query{}); err == nil {
 		t.Error("zero radius should error")
 	}
 	// Non-finite arguments are errors, not an int(NaN) shell index.
@@ -105,11 +106,11 @@ func TestRadialProfile(t *testing.T) {
 		{center, nan},
 		{center, inf},
 	} {
-		if _, _, err := ds.RadialProfile(c.center, c.radius, 4, -1, Query{}); err == nil {
+		if _, _, err := ds.RadialProfile(context.Background(), c.center, c.radius, 4, -1, Query{}); err == nil {
 			t.Errorf("center %v radius %g should error", c.center, c.radius)
 		}
 	}
-	if _, _, err := ds.RadialProfile(center, 1, 3, 99, Query{}); err == nil {
+	if _, _, err := ds.RadialProfile(context.Background(), center, 1, 3, 99, Query{}); err == nil {
 		t.Error("bad attr should error")
 	}
 }

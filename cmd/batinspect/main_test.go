@@ -99,7 +99,7 @@ func TestVerifyCompressedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	all, err := ds.ReadAll()
+	all, err := ds.ReadAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,3 +91,22 @@ func TestDatasetQueryCtxDetach(t *testing.T) {
 		t.Fatalf("post-detach count = %d, %v; want %d, nil", n, err, total)
 	}
 }
+
+// TestDatasetHelpersHonorCtx: the whole-dataset helpers run under the
+// caller's context, so an ended one stops them with its error.
+func TestDatasetHelpersHonorCtx(t *testing.T) {
+	store, _ := writeTestDataset(t, "helpers", 20*1024)
+	ds, err := OpenDataset(store, "helpers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ds.ReadAll(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("ReadAll under a cancelled context: error %v; want context.Canceled", err)
+	}
+	if _, _, err := ds.RadialProfile(ctx, ds.Bounds().Center(), 1, 4, -1, Query{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RadialProfile under a cancelled context: error %v; want context.Canceled", err)
+	}
+}

@@ -453,22 +453,61 @@ func attrSet(n, nA int, seed int64) (*particles.Set, geom.Box) {
 
 // TestColdScanAllocsPerTreelet holds a cold single-worker scan's
 // allocations to a constant plus a few per treelet load, the same few at one
-// attribute and at seven: a load reads the treelet's bytes, unpacks its node
-// table into nodes and a bitmap column, makes its node blocks (the load's one
-// unpack chunk among them) and k-d cells, and decodes every section into one
-// float32 slab for x, y and z and one float64 slab for the attributes, so no
-// allocation is made per section. The scan allocates 560 times over 32
-// treelets and 2 195 over 128 at both attribute counts.
+// attribute and at seven, lossless, lossy and over zero-crossing values: a
+// load reads the treelet's bytes, unpacks its node table into nodes, a
+// bitmap column and the column scratch it reads them through, makes its node
+// blocks and their one frame slab (the k-d cells and the attribute frames),
+// and decodes every section into one float32 slab for x, y and z and one
+// float64 slab for the attributes, so no allocation is made per section. A
+// per-node-cols section reads its frame columns through the node table's
+// column scratch. The scan allocates 432 times over 32 treelets and 1 683
+// over 128 in every build.
 func TestColdScanAllocsPerTreelet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations swamp the bound")
 	}
+	builds := []struct {
+		name   string
+		nA     int
+		lossy  bool // quant-for attributes under per-node-cols frames
+		signed bool // float attributes centred on zero: sign-key-for
+		want   string
+	}{
+		{"lossless", 1, false, false, "key-for"},
+		{"lossless", 7, false, false, "key-for"},
+		{"lossy", 7, true, false, "quant-for per-node-cols"},
+		{"zero-crossing", 7, false, true, "sign-key-for"},
+	}
 	for _, n := range []int{20000, 100000} {
-		for _, nA := range []int{1, 7} {
-			s, domain := attrSet(n, nA, 5)
+		for _, bc := range builds {
+			s, domain := attrSet(n, bc.nA, 5)
 			cfg := DefaultBuildConfig()
 			cfg.MaxLeafSize = 16
+			if bc.lossy {
+				cfg.Compress, cfg.AttrErrorBounds = true, make([]float64, bc.nA)
+				for a := range cfg.AttrErrorBounds {
+					cfg.AttrErrorBounds[a] = 1e-2
+				}
+			}
+			if bc.signed {
+				for a := 0; a < bc.nA; a += 2 {
+					for i, v := range s.Attrs[a] {
+						s.Attrs[a][i] = v - math.Floor(v) - 0.5
+					}
+				}
+			}
 			f, _ := buildAndOpen(t, s, domain, cfg)
+			for ti := range f.NumTreelets() {
+				lay, err := f.TreeletLayout(context.Background(), ti)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.ContainsFunc(lay.Sections, func(sec SectionInfo) bool {
+					return CodecName(sec.Codec) == bc.want || CodecName(sec.Codec)+" "+sec.Mode == bc.want
+				}) {
+					t.Fatalf("%s build of %d particles: treelet %d holds no %s section", bc.name, n, ti, bc.want)
+				}
+			}
 			allocs := testing.AllocsPerRun(3, func() {
 				f.cache.Purge()
 				if _, err := f.Query(context.Background(), Query{}, QueryConfig{Workers: 1}, nil); err != nil {
@@ -476,9 +515,10 @@ func TestColdScanAllocsPerTreelet(t *testing.T) {
 				}
 			})
 			treelets := f.NumTreelets()
-			if limit := float64(20 + 18*treelets); allocs > limit {
-				t.Errorf("cold scan of %d particles, %d attributes, in %d treelets allocated %.0f times, want at most %.0f",
-					n, nA, treelets, allocs, limit)
+			t.Logf("%s build of %d particles, %d attributes: %.0f allocations over %d treelets", bc.name, n, bc.nA, allocs, treelets)
+			if limit := float64(20 + 14*treelets); allocs > limit {
+				t.Errorf("cold scan of the %s build of %d particles, %d attributes, in %d treelets allocated %.0f times, want at most %.0f",
+					bc.name, n, bc.nA, treelets, allocs, limit)
 			}
 		}
 	}

@@ -462,7 +462,7 @@ func buildTreelet(set *particles.Set, idx []int, cfg BuildConfig, a *buildArena)
 }
 
 // sortNodes puts every node's particle range of t.order in key order along
-// the node's sort axis (kdCells), ties in the order the build left them: a
+// the node's sort axis (sortAxis), ties in the order the build left them: a
 // node's particles are a set, and sorted they let a sorted-cell-for section
 // store that axis as Elias–Fano offsets. On the way it takes the keys of the
 // three position columns, once, and the treelet's cells from them — the
@@ -500,7 +500,7 @@ func sortNodes(set *particles.Set, t *treelet, a *buildArena) {
 		if hi-lo < 2 {
 			continue
 		}
-		sa := int(a.kd.axes[i])
+		sa := a.kd.sortAxis(i)
 		words := a.sortWords[:0]
 		for slot, k := range a.keys[sa][lo:hi] {
 			words = append(words, k<<32|uint64(slot))

@@ -180,7 +180,7 @@ func BenchmarkEncodeSection(b *testing.B) {
 // once for its three position sections.
 func BenchmarkDecodeSection(b *testing.B) {
 	sb := newSectionBench(b)
-	nb := newNodeBlocks(sb.t.nodes, sectionBenchN)
+	nb := testBlocks(sb.t.nodes, sectionBenchN, sb.cells)
 	for _, c := range sectionBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var a buildArena
@@ -188,7 +188,8 @@ func BenchmarkDecodeSection(b *testing.B) {
 			var info SectionInfo
 			decode := func(info *SectionInfo) error {
 				if c.pos {
-					_, err := decodePos(enc.codec, enc.data, nb, nb.kdCells(sb.cells), geom.X, info)
+					nb.kd.derive(sb.t.nodes, sb.cells)
+					_, err := decodePos(enc.codec, enc.data, nb, geom.X, info)
 					return err
 				}
 				_, err := decodeAttr(enc.codec, enc.data, nb, particles.Float64, c.bound, 1, info)

@@ -341,24 +341,36 @@ func wordAt(src []byte, bit int) uint64 {
 // the sink unpack hands it to would move a chunk per section to the heap.
 type unpackScratch [256]uint64
 
-// nodeBlocks is what a treelet gives its packed sections to decode against:
-// the node table, whose particle ranges are the blocks (unpackNodeTable lays
-// them back to back over nPoints), room for one frame per node, refilled by
-// every attribute section, and the load's one chunk. A section decoder first
-// resolves its stream to frames — the k-d cells of a position section
-// (kdCells), the one frame or the frame columns ahead of an attribute
-// section's blocks — checking that every block lies inside the payload, then
+// nodeBlocks is what a treelet load gives its packed sections to decode
+// against: the node table, whose particle ranges are the blocks
+// (unpackNodeTable lays them back to back over nPoints), and the load's
+// scratch. One frame slab holds the position sections' k-d cells (kd) and
+// the attribute sections' frames, which each refills; col is the node
+// table's column scratch, which an attribute's frame columns are read
+// through; q is the load's one chunk. A section decoder first resolves its
+// stream to frames, checking that every block lies inside the payload, then
 // runs unpack.
 type nodeBlocks struct {
 	nodes   []node
 	nPoints int
+	kd      kdCells
 	frames  []blockFrame
-	col     []uint64 // a frame column being read, a value per node; nil until a section has one
+	col     []uint64
 	q       unpackScratch
 }
 
-func newNodeBlocks(nodes []node, nPoints int) *nodeBlocks {
-	return &nodeBlocks{nodes: nodes, nPoints: nPoints, frames: make([]blockFrame, len(nodes))}
+// newNodeBlocks makes a load's blocks over the nodes and column scratch of
+// its node table, with a frame slab of four frames per node whose first three
+// quarters take the k-d cells under the treelet's cells.
+func newNodeBlocks(nodes []node, nPoints int, cells [3]keyCell, col []uint64) *nodeBlocks {
+	n := len(nodes)
+	slab := make([]blockFrame, 4*n)
+	nb := &nodeBlocks{nodes: nodes, nPoints: nPoints, frames: slab[3*n:], col: col}
+	for ax := range nb.kd.frames {
+		nb.kd.frames[ax] = slab[ax*n : ax*n : (ax+1)*n]
+	}
+	nb.kd.derive(nodes, cells)
+	return nb
 }
 
 // addWidths appends the frames' bit widths, in node order, to info (batinspect).
@@ -609,22 +621,18 @@ func readRun(dst []uint64, payload []byte, pos int, limit uint64) (forFrame, int
 // against it, as under the one frame of mode 0. It returns the position after
 // the columns.
 func (nb *nodeBlocks) layColumns(payload []byte, pos int, limit uint64) (int, error) {
-	if nb.col == nil {
-		nb.col = make([]uint64, len(nb.nodes))
-	}
-	col := nb.col
 	maxWidth := limitWidth(limit)
-	_, pos, err := readRun(col, payload, pos, limit)
+	_, pos, err := readRun(nb.col, payload, pos, limit)
 	if err != nil {
 		return 0, fmt.Errorf("base column: %w", err)
 	}
-	for i, v := range col {
+	for i, v := range nb.col {
 		nb.frames[i] = blockFrame{forFrame: forFrame{base: v}}
 	}
-	if _, pos, err = readRun(col, payload, pos, uint64(maxWidth)); err != nil {
+	if _, pos, err = readRun(nb.col, payload, pos, uint64(maxWidth)); err != nil {
 		return 0, fmt.Errorf("width column: %w", err)
 	}
-	for i, v := range col {
+	for i, v := range nb.col {
 		if v > uint64(maxWidth) { // readRun has bounded it; checked next to the narrowing
 			return 0, fmt.Errorf("frame %d: bit width %d exceeds %d", i, v, maxWidth)
 		}

@@ -29,13 +29,23 @@ func decodeAttr(codec uint8, payload []byte, nb *nodeBlocks, typ particles.AttrT
 
 // decodePos decodes a position section into a fresh column of nb.nPoints
 // values; nil on an error.
-func decodePos(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) ([]float32, error) {
+func decodePos(codec uint8, payload []byte, nb *nodeBlocks, ax geom.Axis, info *SectionInfo) ([]float32, error) {
 	dst := make([]float32, nb.nPoints)
-	if err := decodePosSection(dst, codec, payload, nb, kd, ax, info); err != nil {
+	if err := decodePosSection(dst, codec, payload, nb, ax, info); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
+
+// testBlocks is newNodeBlocks with a column scratch of its own, where no
+// node table was unpacked to hand one over.
+func testBlocks(nodes []node, nPoints int, cells [3]keyCell) *nodeBlocks {
+	return newNodeBlocks(nodes, nPoints, cells, make([]uint64, len(nodes)))
+}
+
+// noCells are the cells of a treelet with no number on any axis, for the
+// attribute decoders, which need no k-d cells.
+var noCells = [3]keyCell{{lo: 1}, {lo: 1}, {lo: 1}}
 
 // cosmoSchema is a cosmology-shaped attribute mix: smooth float64 fields,
 // a float32 field, and an integral identifier.
@@ -538,7 +548,7 @@ func TestIntFORGate(t *testing.T) {
 			if enc.codec != tc.want {
 				t.Fatalf("stored as %s (%d bytes), want %s", CodecName(enc.codec), len(enc.data), CodecName(tc.want))
 			}
-			got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(tc.col)), tc.typ, 0, 1, nil)
+			got, err := decodeAttr(enc.codec, enc.data, testBlocks(tr.nodes, len(tc.col), noCells), tc.typ, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -714,7 +724,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: %s section of %d bytes for %d raw ones", trial, name, len(enc.data), len(col)*typ.Size())
 		}
 		var info SectionInfo
-		got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, &info)
+		got, err := decodeAttr(enc.codec, enc.data, testBlocks(tr.nodes, len(col), noCells), typ, 0, 1, &info)
 		if err != nil {
 			t.Fatalf("trial %d (%s, %v, blocks %v): %v", trial, name, typ, counts, err)
 		}
@@ -772,7 +782,7 @@ func TestKeyFORRoundTripProperty(t *testing.T) {
 		var a buildArena
 		enc := encodeAttr(col, tr, particles.Float64, 0, 1, &a)
 		var info SectionInfo
-		if _, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), particles.Float64, 0, 1, &info); err != nil ||
+		if _, err := decodeAttr(enc.codec, enc.data, testBlocks(tr.nodes, len(col), noCells), particles.Float64, 0, 1, &info); err != nil ||
 			enc.codec != codecKeyFOR || info.Mode != "one-frame" || len(info.Widths) != 1 || info.Widths[0] != 0 {
 			t.Fatalf("encoded as %s %s widths %v (error %v), want key-for one-frame of width 0", CodecName(enc.codec), info.Mode, info.Widths, err)
 		}
@@ -883,7 +893,7 @@ func TestSignKeyChoiceProperty(t *testing.T) {
 			tr := forTreelet(counts)
 			var a buildArena
 			enc := encodeAttr(col, tr, typ, 0, 1, &a)
-			got, err := decodeAttr(enc.codec, enc.data, newNodeBlocks(tr.nodes, len(col)), typ, 0, 1, nil)
+			got, err := decodeAttr(enc.codec, enc.data, testBlocks(tr.nodes, len(col), noCells), typ, 0, 1, nil)
 			if err != nil || enc.codec != codecSignKeyFOR {
 				t.Fatalf("%v: encoded as %s (error %v), want sign-key-for", typ, CodecName(enc.codec), err)
 			}
@@ -1212,7 +1222,7 @@ func quantRoundTrip(t *testing.T, col []float64, counts []int, typ particles.Att
 	if len(enc.data) >= len(col)*typ.Size() {
 		t.Fatalf("%s section of %d bytes is not smaller than the %d raw ones", CodecName(enc.codec), len(enc.data), len(col)*typ.Size())
 	}
-	nb := newNodeBlocks(tr.nodes, len(col))
+	nb := testBlocks(tr.nodes, len(col), noCells)
 	got, err := decodeAttr(enc.codec, enc.data, nb, typ, bound, lodScale, &info)
 	if err != nil {
 		t.Fatalf("decoding %d values in blocks %v: %v", len(col), counts, err)
@@ -1468,7 +1478,7 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 		{"footer declares the attribute lossless", one, 0, "error-bound mismatch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, newNodeBlocks(tr.nodes, n), tc.bound, 1, nil)
+			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, testBlocks(tr.nodes, n, noCells), tc.bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1478,8 +1488,8 @@ func TestQuantFORDecodeRejects(t *testing.T) {
 
 // TestSortedNodesDecodeNonDecreasing: in every build of the determinism
 // corpora, lossless and lossy, every node's particles read back in key order
-// along the node's sort axis — the axis kdCells derives from the node table
-// and the bounds alone —, so every Elias–Fano block decodes non-decreasing on
+// along the node's sort axis — the axis sortAxis reads off the k-d cells of
+// the node table and the bounds alone —, so every Elias–Fano block decodes non-decreasing on
 // its axis; and the builds hold Elias–Fano blocks on every axis.
 func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 	var efNodes [3]int
@@ -1506,9 +1516,7 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 					t.Fatal(err)
 				}
 				cols := [3][]float32{pt.x, pt.y, pt.z}
-				nb := newNodeBlocks(pt.nodes, len(pt.x))
-				kd := nb.kdCells(ref.cells)
-				axes := kd.axes
+				nb := testBlocks(pt.nodes, len(pt.x), ref.cells)
 				p := int(ref.offset) + lay.NodeTable.Bytes
 				for ax, sec := range lay.Sections[:PositionSections] {
 					p += sectionFrameLen
@@ -1517,24 +1525,25 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 					if sec.Codec == codecRaw {
 						continue
 					}
-					if _, err := decodePos(sec.Codec, payload, nb, kd, geom.Axis(ax), nil); err != nil {
+					if _, err := decodePos(sec.Codec, payload, nb, geom.Axis(ax), nil); err != nil {
 						t.Fatal(err)
 					}
 					for i := range pt.nodes {
-						if kd.frames[ax][i].ef {
-							if axes[i] != uint8(ax) {
-								t.Fatalf("%s treelet %d node %d: an Elias–Fano block on axis %d, its sort axis is %d", c.name, ti, i, ax, axes[i])
+						if nb.kd.frames[ax][i].ef {
+							if sa := nb.kd.sortAxis(i); sa != ax {
+								t.Fatalf("%s treelet %d node %d: an Elias–Fano block on axis %d, its sort axis is %d", c.name, ti, i, ax, sa)
 							}
 							efNodes[ax]++
 						}
 					}
 				}
 				for i, n := range pt.nodes {
-					col := cols[axes[i]][n.start : n.start+n.count]
+					sa := nb.kd.sortAxis(i)
+					col := cols[sa][n.start : n.start+n.count]
 					for j := 1; j < len(col); j++ {
 						if keyOf(col[j]) < keyOf(col[j-1]) {
 							t.Fatalf("%s (compress %v) treelet %d node %d: %v after %v on its sort axis %d",
-								c.name, compress, ti, i, col[j], col[j-1], axes[i])
+								c.name, compress, ti, i, col[j], col[j-1], sa)
 						}
 					}
 				}
@@ -1545,6 +1554,56 @@ func TestSortedNodesDecodeNonDecreasing(t *testing.T) {
 		if n == 0 {
 			t.Errorf("no Elias–Fano block on axis %d among the builds (%v)", ax, efNodes)
 		}
+	}
+}
+
+// TestSortAxis pins the sort-axis rule over hand-made cells: the axis of the
+// widest cell, ties to the lowest, an axis whose cellFrames failed counting
+// as width 0, and axis 0 when no cell is wider than 0. derive makes an
+// Elias–Fano block only on an axis that has cells, also over a frame that a
+// reused kdCells (the build arena's) left on an axis that now has none.
+func TestSortAxis(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		widths [3]uint8
+		failed [3]bool
+		want   int
+	}{
+		{"widest", [3]uint8{3, 9, 5}, [3]bool{}, 1},
+		{"tie to the lowest", [3]uint8{4, 7, 7}, [3]bool{}, 1},
+		{"three-way tie", [3]uint8{6, 6, 6}, [3]bool{}, 0},
+		{"a failed axis counts as width 0", [3]uint8{12, 2, 2}, [3]bool{true, false, false}, 1},
+		{"only z has cells", [3]uint8{9, 9, 1}, [3]bool{true, true, false}, 2},
+		{"all widths 0", [3]uint8{}, [3]bool{}, 0},
+		{"width 0 beside failed axes", [3]uint8{5, 0, 5}, [3]bool{true, false, true}, 0},
+		{"every axis failed", [3]uint8{8, 8, 8}, [3]bool{true, true, true}, 0},
+	} {
+		var kd kdCells
+		for ax := range kd.frames {
+			kd.frames[ax] = []blockFrame{{forFrame: forFrame{width: tc.widths[ax]}}}
+			if tc.failed[ax] {
+				kd.errs[ax] = fmt.Errorf("no cells on axis %d", ax)
+			}
+		}
+		if got := kd.sortAxis(0); got != tc.want {
+			t.Errorf("%s: widths %v, failed %v: sort axis %d, want %d", tc.name, tc.widths, tc.failed, got, tc.want)
+		}
+	}
+
+	// A leaf of 10 particles whose y and z are one key each (width 0): its
+	// sort axis is x, whose stale frame would be an Elias–Fano block.
+	leaf := []node{{axis: leafAxis, count: 10}}
+	var kd kdCells
+	kd.frames[geom.X] = []blockFrame{{forFrame: forFrame{width: 20}, span: 1<<20 - 1}}
+	kd.derive(leaf, [3]keyCell{{lo: 1}, {lo: 5, hi: 5}, {lo: 5, hi: 5}})
+	if kd.errs[geom.X] == nil || kd.sortAxis(0) != 0 || kd.frames[geom.X][0].ef {
+		t.Fatalf("x without cells: error %v, sort axis %d, Elias–Fano %v; want an error, axis 0 and no block",
+			kd.errs[geom.X], kd.sortAxis(0), kd.frames[geom.X][0].ef)
+	}
+	kd.derive(leaf, [3]keyCell{{lo: 0, hi: 1<<20 - 1}, {lo: 5, hi: 5}, {lo: 5, hi: 5}})
+	if kd.errs[geom.X] != nil || kd.sortAxis(0) != 0 || !kd.frames[geom.X][0].ef {
+		t.Fatalf("x with a cell of 20 bits: error %v, sort axis %d, Elias–Fano %v; want axis 0 and a block",
+			kd.errs[geom.X], kd.sortAxis(0), kd.frames[geom.X][0].ef)
 	}
 }
 
@@ -1567,8 +1626,7 @@ func nodeAddressable(buf []byte) (map[string]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		nb := newNodeBlocks(pt.nodes, int(ref.numPoints))
-		kd := nb.kdCells(ref.cells)
+		nb := testBlocks(pt.nodes, int(ref.numPoints), ref.cells)
 		p := int(ref.offset) + lay.NodeTable.Bytes
 		for si, sec := range lay.Sections {
 			p += sectionFrameLen
@@ -1588,7 +1646,7 @@ func nodeAddressable(buf []byte) (map[string]int, error) {
 				}
 			}
 			for ni, n := range pt.nodes {
-				got, err := decodeNodeBlock(sec.Codec, payload, nb, kd, si, typ, bound, f.lodScale, ni)
+				got, err := decodeNodeBlock(sec.Codec, payload, nb, si, typ, bound, f.lodScale, ni)
 				if err != nil {
 					return nil, fmt.Errorf("treelet %d section %s node %d: %w", ti, sec.Attr, ni, err)
 				}
@@ -1610,7 +1668,7 @@ func nodeAddressable(buf []byte) (map[string]int, error) {
 // starts where the section's block run does, plus the bits of the nodes
 // ahead of it under their frames — the k-d cells of a sorted-cell-for
 // section, the frames a framed attribute section stores ahead of its run.
-func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, si int, typ particles.AttrType,
+func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, si int, typ particles.AttrType,
 	bound, lodScale float64, ni int) ([]uint64, error) {
 
 	n := nb.nodes[ni]
@@ -1639,7 +1697,7 @@ func decodeNodeBlock(codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, s
 	var err error
 	switch {
 	case position && codec == codecSortedCellFOR:
-		frames, err = kd.frames[si], kd.errs[si]
+		frames, err = nb.kd.frames[si], nb.kd.errs[si]
 	case !position && (codec == codecQuantFOR || codec == codecIntFOR):
 		err = nb.layFramed(payload, quantFORHeaderLen, maxQuantIndex, nil)
 		frames = nb.frames

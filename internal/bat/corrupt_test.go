@@ -656,14 +656,13 @@ func TestCellFORCorruption(t *testing.T) {
 		t.Fatalf("treelet 0's x section is %s with %d frame bytes over %d nodes; pick different sample data",
 			CodecName(lay.Sections[0].Codec), lay.Sections[0].FrameBytes, ref.numNodes)
 	}
-	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	kd := nb.kdCells(ref.cells)
-	if _, err := decodePos(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, kd, geom.X, nil); err != nil {
+	nb := testBlocks(pt.nodes, len(pt.x), ref.cells)
+	if _, err := decodePos(codecSortedCellFOR, buf[int(ref.offset)+xOff+5:][:xLen], nb, geom.X, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A block of width bits a value whose cell is not a whole power of two
 	// wide has offsets its width can spell and its cell does not hold.
-	xFrames := kd.frames[geom.X]
+	xFrames := nb.kd.frames[geom.X]
 	loose, padBits := -1, 0
 	for i, fr := range xFrames {
 		if loose < 0 && !fr.ef && pt.nodes[i].count > 0 && fr.span != 1<<fr.width-1 {
@@ -761,13 +760,12 @@ func TestSortedCellFORCorruption(t *testing.T) {
 	// Elias–Fano one: its frame's offset in the treelet and its frames.
 	secOff, off := -1, positionOffset(t, buf, 0)
 	var frames []blockFrame
-	nb := newNodeBlocks(pt.nodes, len(pt.x))
-	kd := nb.kdCells(ref.cells)
+	nb := testBlocks(pt.nodes, len(pt.x), ref.cells)
 	for ax, sec := range lay.Sections[:PositionSections] {
-		if _, err := decodePos(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, kd, geom.Axis(ax), nil); err != nil {
+		if _, err := decodePos(sec.Codec, buf[int(ref.offset)+off+sectionFrameLen:][:sec.EncBytes], nb, geom.Axis(ax), nil); err != nil {
 			t.Fatal(err)
 		}
-		if fr := kd.frames[ax]; sec.Codec == codecSortedCellFOR && fr[len(fr)-1].ef {
+		if fr := nb.kd.frames[ax]; sec.Codec == codecSortedCellFOR && fr[len(fr)-1].ef {
 			secOff, frames = off, fr
 			break
 		}
@@ -848,7 +846,7 @@ func TestFrameColumnCorruption(t *testing.T) {
 	qs := []uint64{100, 101, 102, 7, 7, 9, 12, 7, 8, 9, 10, 11, 5000, 5001, 5003, 5002, 5000}
 	good := []forFrame{{100, 2}, {7, 3}, {0, 0}, {5000, 2}}
 	valid := quantColsStream(nodes, good, qs)
-	nb := newNodeBlocks(nodes, len(qs))
+	nb := testBlocks(nodes, len(qs), noCells)
 	var info SectionInfo
 	vals := make([]float64, len(qs))
 	err := decodeQuantFOR(vals, codecQuantFOR, valid, nb, bound, 1, &info)
@@ -893,7 +891,7 @@ func TestFrameColumnCorruption(t *testing.T) {
 			for _, nd := range tc.nodes {
 				n += int(nd.count)
 			}
-			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, newNodeBlocks(tc.nodes, n), bound, 1, nil)
+			err := decodeQuantFOR(make([]float64, n), codecQuantFOR, tc.payload, testBlocks(tc.nodes, n, noCells), bound, 1, nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -1324,7 +1322,7 @@ func FuzzDecodeSections(f *testing.F) {
 		// The axis byte also lowers the table's depth limit: the seeds, at
 		// axes 0 to 2, keep nearly all of it.
 		maxDepth := maxSaneDepth - int(axis)%(maxSaneDepth+1)
-		if unpacked, bms, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, idDict, nil); err == nil {
+		if unpacked, bms, _, n, err := unpackNodeTable(payload, uint32(len(table)/fuzzNodeBytes), uint32(nPoints), nA, maxDepth, idDict, nil); err == nil {
 			if n > len(payload) {
 				t.Fatalf("node table of %d bytes read from %d", n, len(payload))
 			}
@@ -1336,15 +1334,15 @@ func FuzzDecodeSections(f *testing.F) {
 		if !ok {
 			return
 		}
-		nb := newNodeBlocks(nodes, int(nPoints))
+		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
+		nb := testBlocks(nodes, int(nPoints), fuzzCells(lo, hi))
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
 			vals, err := decodeAttr(codec, payload, nb, typ, fuzzSectionBound, fuzzSectionLODScale, nil)
 			if err == nil && len(vals) != int(nPoints) {
 				t.Fatalf("attribute codec %d returned %d of %d values", codec, len(vals), nPoints)
 			}
 		}
-		lo, hi := [3]float32{lx, ly, lz}, [3]float32{hx, hy, hz}
-		col, err := decodePos(codec, payload, nb, nb.kdCells(fuzzCells(lo, hi)), geom.Axis(axis%3), nil)
+		col, err := decodePos(codec, payload, nb, geom.Axis(axis%3), nil)
 		if err == nil && len(col) != int(nPoints) {
 			t.Fatalf("position codec %d returned %d of %d values", codec, len(col), nPoints)
 		}
@@ -1405,7 +1403,7 @@ func TestSectionSeedsDecode(t *testing.T) {
 		if !ok {
 			t.Fatalf("seed of %s: node table does not tile its %d points", CodecName(s.codec), s.nPoints)
 		}
-		nb := newNodeBlocks(nodes, int(s.nPoints))
+		nb := testBlocks(nodes, int(s.nPoints), s.cells())
 		_, err32 = decodeAttr(s.codec, s.payload, nb, particles.Float32, fuzzSectionBound, fuzzSectionLODScale, info)
 		if err32 != nil && info != nil {
 			*info = SectionInfo{} // a float64 key-for section reports through its own decode
@@ -1413,14 +1411,14 @@ func TestSectionSeedsDecode(t *testing.T) {
 		} else {
 			_, err64 = decodeAttr(s.codec, s.payload, nb, particles.Float64, fuzzSectionBound, fuzzSectionLODScale, nil)
 		}
-		_, errPos = decodePos(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), nil)
+		_, errPos = decodePos(s.codec, s.payload, nb, geom.Axis(s.axis), nil)
 		return
 	}
 	seeds := sectionSeeds(t)
 	for i, s := range seeds {
 		if s.attr == nodeTableSeed {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
-			unpacked, _, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, idDict, nil)
+			unpacked, _, _, n, err := unpackNodeTable(s.payload, uint32(len(nodes)), uint32(s.nPoints), int(s.codec), maxSaneDepth, idDict, nil)
 			if err != nil || n != len(s.payload) {
 				t.Fatalf("seed %d (node table of %d bytes): read %d bytes, error %v", i, len(s.payload), n, err)
 			}
@@ -1446,8 +1444,8 @@ func TestSectionSeedsDecode(t *testing.T) {
 		if s.codec == codecSortedCellFOR {
 			nodes, _ := fuzzNodes(s.table, s.nPoints)
 			var pos SectionInfo
-			nb := newNodeBlocks(nodes, int(s.nPoints))
-			if _, err := decodePos(s.codec, s.payload, nb, nb.kdCells(s.cells()), geom.Axis(s.axis), &pos); err != nil {
+			nb := testBlocks(nodes, int(s.nPoints), s.cells())
+			if _, err := decodePos(s.codec, s.payload, nb, geom.Axis(s.axis), &pos); err != nil {
 				t.Fatalf("seed %d (sorted-cell-for): %v", i, err)
 			}
 			efNodes += pos.EF.Nodes
@@ -1473,14 +1471,14 @@ func TestSectionSeedsDecode(t *testing.T) {
 	oneLeaf, _ := fuzzNodes([]byte{0, 0, 1, 0, 3, 0, 0, 0, 0}, 1)
 	for i, p := range keyFOROverflowSeeds() {
 		for _, codec := range []uint8{codecKeyFOR, codecSignKeyFOR} {
-			if _, err := decodeAttr(codec, p, newNodeBlocks(oneLeaf, 1), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
+			if _, err := decodeAttr(codec, p, testBlocks(oneLeaf, 1, noCells), particles.Float64, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "overflows") {
 				t.Errorf("%s overflow seed %d: error %v, want one containing \"overflows\"", CodecName(codec), i, err)
 			}
 		}
 	}
 	for i, p := range intFORAnchorSeeds() {
 		for _, typ := range []particles.AttrType{particles.Float32, particles.Float64} {
-			vals, err := decodeAttr(codecIntFOR, p, newNodeBlocks(oneLeaf, 1), typ, 0, 1, nil)
+			vals, err := decodeAttr(codecIntFOR, p, testBlocks(oneLeaf, 1, noCells), typ, 0, 1, nil)
 			if anchor := math.Float64frombits(binary.LittleEndian.Uint64(p)); i == 0 && (err != nil || vals[0] != anchor) {
 				t.Errorf("int-for anchor %v (%v): decoded %v, error %v", anchor, typ, vals, err)
 			} else if i > 0 && err == nil {

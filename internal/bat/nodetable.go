@@ -104,25 +104,26 @@ func packNodeTable(dst []byte, t *treelet, ids []bitmap.ID, nA int, vals []uint6
 // unpackNodeTable reads the packed node table of a treelet of nNodes nodes,
 // nPoints points and nA attributes, none deeper than maxDepth, from src,
 // which runs on to the treelet's end, and returns the nodes, their bitmaps
-// (nA per node), each ID looked up in dict as its column is read, and the
-// table's byte length. A table has no field for a child index or a range
-// start, so it cannot say that a node has two parents, a child out of range
-// or a particle range that overlaps another's; what it can say wrong — a
-// node no parent reaches or one deeper than maxDepth, counts that do not add
-// up, values past a column's limit, columns cut short, an ID dict does not
-// hold (an *idError) — is rejected here. info, when non-nil, receives the
-// column sizes.
-func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict *bitmap.Dictionary, info *NodeTableInfo) ([]node, []bitmap.Bitmap, int, error) {
+// (nA per node), each ID looked up in dict as its column is read, the column
+// scratch of a value per node it read them through, and the table's byte
+// length. A table has no field for a child index or a range start, so it
+// cannot say that a node has two parents, a child out of range or a particle
+// range that overlaps another's; what it can say wrong — a node no parent
+// reaches or one deeper than maxDepth, counts that do not add up, values past
+// a column's limit, columns cut short, an ID dict does not hold (an
+// *idError) — is rejected here. info, when non-nil, receives the column
+// sizes.
+func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict *bitmap.Dictionary, info *NodeTableInfo) ([]node, []bitmap.Bitmap, []uint64, int, error) {
 	// Bound the allocations by the section before making them. Every column
 	// costs its frame, two bytes at least, and a tree of more than one node
 	// has both inner nodes and leaves, so its axis column spends at least a
 	// bit a node; the other columns may all be of width zero.
 	nCols := nodeColIDs + nA
 	if 2*nCols > len(src) {
-		return nil, nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, 2*nCols, len(src))
+		return nil, nil, nil, 0, fmt.Errorf("node table truncated: %d column frames need %d bytes, %d remain", nCols, 2*nCols, len(src))
 	}
 	if nNodes > math.MaxInt32 || uint64(nNodes) > 8*uint64(len(src)) {
-		return nil, nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
+		return nil, nil, nil, 0, fmt.Errorf("node count %d exceeds what a table of %d bytes can hold", nNodes, len(src))
 	}
 	nodes := make([]node, nNodes)
 	bitmaps := make([]bitmap.Bitmap, int(nNodes)*nA)
@@ -137,7 +138,7 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict 
 		vals := vals[:n]
 		fr, end, err := readRun(vals, src, pos, nodeColumnLimit(col))
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("node table column %d: %w", col, err)
+			return nil, nil, nil, 0, fmt.Errorf("node table column %d: %w", col, err)
 		}
 		if info != nil {
 			info.Columns = append(info.Columns, NodeColumnInfo{Bytes: end - pos, Width: fr.width})
@@ -154,12 +155,12 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict 
 				if uint32(i) == depthEnd {
 					depth, depthEnd = depth+1, 2*inner+1
 					if depth > maxDepth {
-						return nil, nil, 0, fmt.Errorf("node %d is at depth %d, deeper than the header's %d", i, depth, maxDepth)
+						return nil, nil, nil, 0, fmt.Errorf("node %d is at depth %d, deeper than the header's %d", i, depth, maxDepth)
 					}
 				}
 				if v < leafAxis {
 					if uint32(i) > 2*inner || 2*uint64(inner)+2 >= uint64(nNodes) {
-						return nil, nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
+						return nil, nil, nil, 0, fmt.Errorf("node %d of %d is inner node number %d: no breadth-first tree has it there", i, nNodes, inner)
 					}
 					nodes[i].left, nodes[i].right = int32(2*inner+1), int32(2*inner+2)
 					inner++
@@ -167,19 +168,19 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict 
 				nodes[i].axis = uint8(v)
 			}
 			if nNodes > 0 && nNodes != 2*inner+1 {
-				return nil, nil, 0, fmt.Errorf("%d nodes with %d inner ones; a tree has 2 x inner + 1", nNodes, inner)
+				return nil, nil, nil, 0, fmt.Errorf("%d nodes with %d inner ones; a tree has 2 x inner + 1", nNodes, inner)
 			}
 		case nodeColCount:
 			next := uint32(0)
 			for i, v := range vals {
 				if v > uint64(nPoints-next) {
-					return nil, nil, 0, fmt.Errorf("node %d holds %d particles, %d of %d remain", i, v, nPoints-next, nPoints)
+					return nil, nil, nil, 0, fmt.Errorf("node %d holds %d particles, %d of %d remain", i, v, nPoints-next, nPoints)
 				}
 				nodes[i].start, nodes[i].count = next, uint32(v)
 				next += uint32(v)
 			}
 			if next != nPoints {
-				return nil, nil, 0, fmt.Errorf("node particle counts add up to %d of %d points", next, nPoints)
+				return nil, nil, nil, 0, fmt.Errorf("node particle counts add up to %d of %d points", next, nPoints)
 			}
 		case nodeColSplit:
 			k := 0
@@ -194,13 +195,13 @@ func unpackNodeTable(src []byte, nNodes, nPoints uint32, nA, maxDepth int, dict 
 		default:
 			for i, v := range vals {
 				if v >= uint64(dict.Len()) {
-					return nil, nil, 0, &idError{node: i, id: v, dictLen: dict.Len()}
+					return nil, nil, nil, 0, &idError{node: i, id: v, dictLen: dict.Len()}
 				}
 				bitmaps[i*nA+col-nodeColIDs] = dict.Lookup(bitmap.ID(v))
 			}
 		}
 	}
-	return nodes, bitmaps, pos, nil
+	return nodes, bitmaps, vals, pos, nil
 }
 
 // idError is a node's bitmap ID outside the dictionary; parseTreelet names its

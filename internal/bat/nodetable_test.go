@@ -164,7 +164,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	counts := []uint32{4, 4, 100, 90, 110}
 	good, nPoints := nodeTableOf(t, axes, counts)
 	var info NodeTableInfo
-	nodes, bms, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, idDict, &info)
+	nodes, bms, _, n, err := unpackNodeTable(good, 5, nPoints, 1, 2, idDict, &info)
 	if err != nil || n != len(good) {
 		t.Fatalf("the packer's own table: read %d of %d bytes, error %v", n, len(good), err)
 	}
@@ -189,7 +189,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 	}
 	axisBlock := axisRun + 2
 	unpack := func(table []byte, nNodes, nPoints uint32) error {
-		_, _, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, idDict, nil)
+		_, _, _, _, err := unpackNodeTable(table, nNodes, nPoints, 1, 2, idDict, nil)
 		return err
 	}
 	mutated := func(mutate func(tb []byte)) []byte {
@@ -242,7 +242,7 @@ func TestPackedNodeTableCorruption(t *testing.T) {
 		})
 	}
 	// Nodes 3 and 4 are at depth 2.
-	if _, _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, idDict, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
+	if _, _, _, _, err := unpackNodeTable(good, 5, nPoints, 1, 1, idDict, nil); err == nil || !strings.Contains(err.Error(), "node 3 is at depth 2, deeper than the header's 1") {
 		t.Fatalf("a table deeper than its limit: error %v", err)
 	}
 
@@ -297,10 +297,10 @@ func TestPackedNodeTableEmpty(t *testing.T) {
 	if len(table) != (nodeColIDs+1)*2 {
 		t.Fatalf("an empty table is %d bytes, want %d frames of 2", len(table), nodeColIDs+1)
 	}
-	if nodes, _, n, err := unpackNodeTable(table, 0, 0, 1, 0, idDict, nil); err != nil || n != len(table) || len(nodes) != 0 {
+	if nodes, _, _, n, err := unpackNodeTable(table, 0, 0, 1, 0, idDict, nil); err != nil || n != len(table) || len(nodes) != 0 {
 		t.Fatalf("unpacked %d nodes from %d of %d bytes, error %v", len(nodes), n, len(table), err)
 	}
-	if _, _, _, err := unpackNodeTable(table, 0, 1, 1, 0, idDict, nil); err == nil {
+	if _, _, _, _, err := unpackNodeTable(table, 0, 1, 1, 0, idDict, nil); err == nil {
 		t.Fatal("no nodes hold a point")
 	}
 }

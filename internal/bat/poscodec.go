@@ -25,8 +25,8 @@ import (
 //
 // A node's particles are a set — no query, LOD window or route depends on
 // their order inside a node — so the builder sorts every node's range by key
-// along its sort axis, the axis of its widest cell (kdCells). There its n
-// offsets are non-decreasing in [0, span], and its block is Elias–Fano
+// along its sort axis, the axis of its widest cell (kdCells.sortAxis). There
+// its n offsets are non-decreasing in [0, span], and its block is Elias–Fano
 // offsets wherever that is fewer bits than n·width:
 //
 //	L = ⌊log2((span+1)/n)⌋, 0 when span+1 < n
@@ -133,52 +133,42 @@ func cellFrames(frames []blockFrame, nodes []node, root keyCell, ax geom.Axis) e
 // kdCells is a treelet's k-d cells as the frames of its three position
 // sections: frames[ax] holds every node's cell on axis ax (cellFrames), or
 // errs[ax] says why the axis has none (a treelet with no number on it, or a
-// node table or bounds that break the cell rule). axes holds every node's
-// sort axis: the axis on which its cell is widest, ties to the lowest, an
-// axis without cells counting as width 0 on every node. On its sort axis a
-// node's frame is already its Elias–Fano block where efFrame chooses one. The
-// builder derives the cells once per treelet to sort its nodes and encode its
-// positions, a reader once per treelet load to decode them.
+// node table or bounds that break the cell rule). On its sort axis
+// (sortAxis) a node's frame is already its Elias–Fano block where efFrame
+// chooses one. The builder derives the cells into its arena, once per
+// treelet, to sort its nodes and encode its positions; a reader into its
+// nodeBlocks' frame slab, once per load, to decode them.
 type kdCells struct {
 	frames [3][]blockFrame
 	errs   [3]error
-	axes   []uint8
 }
 
-// derive fills kd for nodes under the treelet's cells, reusing kd's slices
+// derive fills kd for nodes under the treelet's cells, reusing kd's frames
 // where they are large enough.
 func (kd *kdCells) derive(nodes []node, cells [3]keyCell) {
 	n := len(nodes)
-	// While the axes are compared, axes[i] holds the widest width so far
-	// above the two bits of its axis: a cell frame is at most 32 bits wide.
-	kd.axes = slices.Grow(kd.axes[:0], n)[:n]
-	clear(kd.axes)
 	for ax := range cells {
-		frames := slices.Grow(kd.frames[ax][:0], n)[:n]
-		kd.frames[ax] = frames
-		if kd.errs[ax] = cellFrames(frames, nodes, cells[ax], geom.Axis(ax)); kd.errs[ax] != nil {
-			continue
-		}
-		for i := range kd.axes {
-			if w := frames[i].width; w > kd.axes[i]>>2 {
-				kd.axes[i] = w<<2 | uint8(ax)
-			}
-		}
+		kd.frames[ax] = slices.Grow(kd.frames[ax][:0], n)[:n]
+		kd.errs[ax] = cellFrames(kd.frames[ax], nodes, cells[ax], geom.Axis(ax))
 	}
-	for i := range kd.axes {
-		kd.axes[i] &= 3
-		if sa := kd.axes[i]; kd.errs[sa] == nil {
+	for i := range nodes {
+		if sa := kd.sortAxis(i); kd.errs[sa] == nil {
 			efFrame(&kd.frames[sa][i], nodes[i].count)
 		}
 	}
 }
 
-// kdCells derives the k-d cells of the node table under cells, the
-// treelet's cells from its leaf record.
-func (nb *nodeBlocks) kdCells(cells [3]keyCell) *kdCells {
-	kd := &kdCells{}
-	kd.derive(nb.nodes, cells)
-	return kd
+// sortAxis is node i's sort axis: the axis on which its cell is widest, ties
+// to the lowest, an axis without cells counting as width 0 — axis 0 when no
+// cell is wider than 0.
+func (kd *kdCells) sortAxis(i int) int {
+	sa, w := 0, uint8(0)
+	for ax := range kd.frames {
+		if kd.errs[ax] == nil && kd.frames[ax][i].width > w {
+			sa, w = ax, kd.frames[ax][i].width
+		}
+	}
+	return sa
 }
 
 // encodeTreeletPositions encodes the three position columns of a treelet
@@ -268,16 +258,16 @@ func packEF(buf []byte, bit int, vals []uint64, fr *blockFrame) int {
 }
 
 // decodePosSection decodes the section of the position column on axis ax into
-// dst. A sorted-cell-for section lays its blocks over kd's frames themselves,
-// the k-d cells of nb's node table under the treelet's cells.
-func decodePosSection(dst []float32, codec uint8, payload []byte, nb *nodeBlocks, kd *kdCells, ax geom.Axis, info *SectionInfo) error {
+// dst. A sorted-cell-for section lays its blocks over nb's k-d cells
+// themselves.
+func decodePosSection(dst []float32, codec uint8, payload []byte, nb *nodeBlocks, ax geom.Axis, info *SectionInfo) error {
 	if codec == codecRaw {
 		return decodeRawF32(dst, payload)
 	}
 	if codec != codecSortedCellFOR {
 		return fmt.Errorf("bat: unknown position codec id %d", codec)
 	}
-	frames, err := kd.frames[ax], kd.errs[ax]
+	frames, err := nb.kd.frames[ax], nb.kd.errs[ax]
 	if err == nil {
 		err = nb.layRun(frames, payload, 0)
 	}

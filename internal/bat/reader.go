@@ -629,7 +629,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 	if lay != nil {
 		table = &lay.NodeTable
 	}
-	nodes, bitmaps, n, err := unpackNodeTable(r.Rest(), ref.numNodes, ref.numPoints, nA, f.MaxTreeletDepth, f.dict, table)
+	nodes, bitmaps, scratch, n, err := unpackNodeTable(r.Rest(), ref.numNodes, ref.numPoints, nA, f.MaxTreeletDepth, f.dict, table)
 	if _, ok := err.(*idError); ok {
 		return nil, fmt.Errorf("bat: treelet %d %w", ti, err)
 	} else if err != nil {
@@ -663,8 +663,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		}
 		return codec, b, nil
 	}
-	blocks := newNodeBlocks(t.nodes, np)
-	kd := blocks.kdCells(ref.cells)
+	blocks := newNodeBlocks(t.nodes, np, ref.cells, scratch)
 	// Every column is a window of one of two slabs: x, y, z and the attributes.
 	xyz := make([]float32, 3*np)
 	t.x, t.y, t.z = xyz[:np:np], xyz[np:2*np:2*np], xyz[2*np:]
@@ -673,7 +672,7 @@ func (f *File) parseTreelet(ctx context.Context, ti int, lay *TreeletLayout) (*p
 		if err != nil {
 			return nil, err
 		}
-		if err = decodePosSection(col, codec, b, blocks, kd, geom.Axis(ax), info); err != nil {
+		if err = decodePosSection(col, codec, b, blocks, geom.Axis(ax), info); err != nil {
 			return nil, fmt.Errorf("bat: treelet %d section %q: %w", ti, positionNames[ax], err)
 		}
 	}

@@ -342,21 +342,21 @@ func (d *Dataset) CountCtx(ctx context.Context, q Query) (int64, error) {
 	return st.Visited, err
 }
 
-// ReadAll collects every particle into one set. The set is sized from the
-// leaf files' own particle counts, each bounded by its file's size and
-// checked against the metadata's when the leaf opens, never from the
-// metadata's counts alone.
-func (d *Dataset) ReadAll() (*ParticleSet, error) {
+// ReadAll collects every particle into one set; when ctx ends, it stops
+// and returns ctx.Err(). The set is sized from the leaf files' own particle
+// counts, each bounded by its file's size and checked against the
+// metadata's when the leaf opens, never from the metadata's counts alone.
+func (d *Dataset) ReadAll(ctx context.Context) (*ParticleSet, error) {
 	n := 0
 	for li := range d.meta.Leaves {
-		f, err := d.r.Leaf(context.Background(), li)
+		f, err := d.r.Leaf(ctx, li)
 		if err != nil {
 			return nil, err
 		}
 		n += int(f.NumParticles)
 	}
 	out := particles.NewSet(d.meta.Schema, n)
-	err := d.Query(Query{}, func(p Vec3, attrs []float64) error {
+	err := d.QueryCtx(ctx, Query{}, func(p Vec3, attrs []float64) error {
 		out.Append(p, attrs)
 		return nil
 	})

@@ -57,7 +57,7 @@ func TestPublicWriteAndDataset(t *testing.T) {
 	if ds.Schema().NumAttrs() != 2 {
 		t.Errorf("schema attrs = %d", ds.Schema().NumAttrs())
 	}
-	got, err := ds.ReadAll()
+	got, err := ds.ReadAll(context.Background())
 	if err != nil || got.Len() != total {
 		t.Fatalf("ReadAll: %v, %d particles", err, got.Len())
 	}
@@ -317,7 +317,7 @@ func TestHostileLeafCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ds.Close()
-			if got, err := ds.ReadAll(); got != nil || err == nil || !strings.Contains(err.Error(), tc.readErr) {
+			if got, err := ds.ReadAll(context.Background()); got != nil || err == nil || !strings.Contains(err.Error(), tc.readErr) {
 				t.Fatalf("ReadAll error %v; want no set and an error containing %q", err, tc.readErr)
 			}
 		})
@@ -387,7 +387,7 @@ func TestLeafSchemaMismatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ds.Close()
-			if got, err := ds.ReadAll(); got != nil || err == nil || !strings.Contains(err.Error(), want) {
+			if got, err := ds.ReadAll(context.Background()); got != nil || err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("ReadAll: error %v, want no set and an error containing %q", err, want)
 			}
 			last := ds.Schema().NumAttrs() - 1

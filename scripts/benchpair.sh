@@ -15,6 +15,16 @@
 # rate (MB/s, pts/ms: anything per unit of time) is better higher; every
 # other unit (ns/op, B/op, allocs/op, ns/particle) is better lower.
 #
+# Code placement alone can move a verdict. The query benchmarks whose time
+# is the exact-check loop, (*queryState).narrow in internal/bat
+# (BenchmarkAttributeFilteredQuery/*), have read ~25 % slower or faster with
+# the logic unchanged, after an edit earlier in the package moved where that
+# loop starts. So a change that moves code in internal/bat reports a
+# "slower" or "faster" on those rows together with a placement control run:
+# the parent against the parent with one unused function added ahead of
+# narrow, say. A verdict the control run shows too is placement, not the
+# change.
+#
 # The worktrees are removed on exit. Each round's values and each summary
 # go to one JSONL file, $BENCHPAIR_OUT (default benchpair.jsonl).
 #

@@ -44,9 +44,9 @@ run "go vet ./..." go vet ./...
 # unpack chunk once, whatever its section count. A buffer declared in a
 # decoder and handed to the block loop's sink, a func value the compiler
 # cannot see into, moves to the heap on every call. TestColdScanAllocsPerTreelet
-# counts that only on the decoders its lossless, positive-valued build
-# reaches; this stage also covers the ones it never runs (quant-for's
-# dequant, sign-key-for) and escapes on error paths. The
+# counts that only on the decoders its builds reach (key-for, int-for,
+# quant-for under per-node-cols frames, sign-key-for); this stage also
+# covers escapes on error paths and in paths no build of it runs. The
 # compiler's escape analysis (go build -gcflags=-m, replayed from the build
 # cache on a second run) names every such variable: any line from the read
 # path's files fails the stage, and so does a build that fails. Its wording
